@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt vet build lint test race trace-check shard-check bench benchfull
+.PHONY: check fmt vet build lint test race trace-check shard-check bench
 
-check: fmt vet build lint test race trace-check shard-check
+check: fmt vet build lint test race trace-check shard-check bench
 
 fmt:
 	@out="$$(gofmt -s -l .)"; if [ -n "$$out" ]; then \
@@ -37,21 +37,21 @@ trace-check:
 	sh scripts/trace_check.sh
 
 # shard-check: the sharded-kernel determinism gate. Runs the kernel's
-# cross-shard workload matrix plus the macro-day (event-path), macro-fleet
-# (control-path), macro-trace (open-loop traffic) and macro-chaos
-# (fault-injection) scenarios across shard and worker counts, requiring
-# event-for-event equivalence with the single-queue reference and
-# byte-identical tables, traces and metrics everywhere.
+# cross-shard workload matrix, then the tenant harness's matrix (macro-day,
+# macro-fleet, macro-trace, macro-chaos across shard and worker counts, and
+# side by side on the engine's worker pool), requiring event-for-event
+# equivalence with the single-queue reference and byte-identical tables,
+# traces and metrics everywhere, pinned to testdata/macro.digests.
 shard-check:
 	$(GO) test -run 'TestCrossShardWorkloadMatrix|TestLookaheadWindowsMatchSingleWindow|TestShardScheduleAndMerge' ./internal/sim/
-	$(GO) test -run 'TestMacroDayShardMatrix|TestMacroFleetShardMatrix|TestMacroTraceShardMatrix|TestMacroTraceKindsShardStable|TestMacroChaosShardMatrix' ./internal/experiments/
+	$(GO) test -run 'TestMacroMatrix|TestMacroScenariosRunConcurrently|TestMacroDigests' ./internal/experiments/
 
 # Smoke-run the numeric-path benchmarks (ml kernels, dataset caches, DES
 # kernel, decision path) at a fixed small iteration count: fast enough for
 # CI, enough to catch kernels that re-grow allocations. The zero-alloc gates
 # (testing.AllocsPerRun on the steady-state fit/observe/decision paths) run
-# first and fail hard if the hot paths touch the heap. scripts/bench.sh does
-# the real measured runs into BENCH_PR*.json.
+# first and fail hard if the hot paths touch the heap. Measured runs are
+# `go run ./cmd/bench [-layers]`; see benchmark/README.md.
 bench:
 	$(GO) test -run 'TestFitterZeroAlloc|TestFixedWindowObserveZeroAlloc|TestDecisionZeroAlloc' \
 		./internal/fit/ ./internal/predictor/ ./internal/scheduler/
@@ -61,6 +61,3 @@ bench:
 		./internal/ml/ ./internal/dataset/
 	$(GO) test -run '^$$' -bench . -benchtime=100x \
 		./internal/sim/ ./internal/cost/ ./internal/fit/ ./internal/scheduler/ ./internal/traffic/
-
-benchfull:
-	$(GO) test -bench=. -benchtime=1x ./...

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -32,6 +33,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -96,6 +98,31 @@ func run() int {
 		ids = experiments.IDs()
 	}
 
+	cfg := experiments.Config{
+		Shards: *shards, Workers: *simWorkers,
+		MacroTenants: *macroTenants, MacroPerTenant: *macroPerTenant,
+		ChaosTenants: *chaosTenants, ChaosPerTenant: *chaosPerTenant,
+		FleetTenants:   *fleetTenants,
+		TrafficTenants: *trafficTenants, TrafficRate: *trafficRate, TrafficHorizon: *trafficHorizon,
+		TrafficKind: *trafficKind,
+	}
+	if *traceFile != "" {
+		// File I/O stays out here: internal/traffic is a deterministic
+		// package (no os imports); it parses from memory.
+		data, err := os.ReadFile(*traceFile)
+		if err == nil {
+			cfg.Trace, err = traffic.ParseTrace(bytes.NewReader(data))
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cebench: trace-file: %v\n", err)
+			return 1
+		}
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "cebench: %v\n", err)
+		return 2
+	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -130,30 +157,8 @@ func run() int {
 	}
 
 	experiments.SetParallelism(*parallel)
-	experiments.SetMacroSharding(*shards, *simWorkers)
-	experiments.SetMacroScale(*macroTenants, *macroPerTenant)
-	experiments.SetChaosScale(*chaosTenants, *chaosPerTenant)
-	experiments.SetFleetScale(*fleetTenants)
-	experiments.SetTrafficScale(*trafficTenants, *trafficRate, *trafficHorizon)
-	if err := experiments.SetTrafficKind(*trafficKind); err != nil {
-		fmt.Fprintf(os.Stderr, "cebench: %v\n", err)
-		return 2
-	}
-	if *traceFile != "" {
-		// File I/O stays out here: internal/traffic is a deterministic
-		// package (no os imports); it parses from memory.
-		data, err := os.ReadFile(*traceFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cebench: trace-file: %v\n", err)
-			return 1
-		}
-		if err := experiments.SetTraceData(data); err != nil {
-			fmt.Fprintf(os.Stderr, "cebench: trace-file: %v\n", err)
-			return 1
-		}
-	}
 	start := time.Now()
-	outcomes := experiments.RunAll(ids, *seed)
+	outcomes := experiments.RunAll(ids, *seed, cfg)
 	total := time.Since(start)
 
 	if collector != nil {

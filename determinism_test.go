@@ -23,7 +23,7 @@ var determinismIDs = []string{"fig4", "fig9", "fig13", "fig19x", "fig21a", "abl-
 func renderAll(t *testing.T, ids []string, seed uint64) string {
 	t.Helper()
 	var out string
-	for _, o := range experiments.RunAll(ids, seed) {
+	for _, o := range experiments.RunAll(ids, seed, experiments.Config{}) {
 		if o.Err != nil {
 			t.Fatalf("%s: %v", o.ID, o.Err)
 		}
@@ -82,7 +82,7 @@ func TestRunAllPreservesRequestOrder(t *testing.T) {
 	experiments.SetParallelism(4)
 
 	ids := []string{"tab4", "tab1", "fig7"} // cheap artifacts, shuffled order
-	outcomes := experiments.RunAll(ids, 2023)
+	outcomes := experiments.RunAll(ids, 2023, experiments.Config{})
 	if len(outcomes) != len(ids) {
 		t.Fatalf("got %d outcomes, want %d", len(outcomes), len(ids))
 	}
@@ -100,7 +100,7 @@ func TestRunAllPreservesRequestOrder(t *testing.T) {
 }
 
 func TestRunAllUnknownIDIsPerOutcomeError(t *testing.T) {
-	outcomes := experiments.RunAll([]string{"tab1", "no-such-artifact"}, 2023)
+	outcomes := experiments.RunAll([]string{"tab1", "no-such-artifact"}, 2023, experiments.Config{})
 	if outcomes[0].Err != nil {
 		t.Fatalf("tab1 failed: %v", outcomes[0].Err)
 	}

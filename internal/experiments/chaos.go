@@ -1,10 +1,10 @@
 package experiments
 
 // macro-chaos is the fault-injection acceptance scenario for the sharded
-// kernel: the macro-day tenant fleet runs a shorter day while every tenant
-// carries its own deterministic fault.Schedule, compiled onto its shard as
-// ordinary kernel events. Four fault profiles rotate across the fleet
-// (tenant t -> profile t%4):
+// kernel: macro-day's open-loop tenant fleet (openTenant, harness.go) with
+// every tenant carrying its own deterministic fault.Schedule, compiled onto
+// its shard as ordinary kernel events. Four fault profiles rotate across the
+// fleet (tenant t -> profile t%4):
 //
 //   - kills: in-flight sandboxes terminate mid-request, the victims'
 //     completion events are cancelled (live-record bookkeeping keeps the
@@ -24,54 +24,30 @@ package experiments
 // feedback loop is pinned by the same report/absorb/shed priority bands.
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sync/atomic"
 
 	"repro/internal/cost"
-	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/platform/simbackend"
 	"repro/internal/predictor"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/trainer"
 	"repro/internal/workload"
 )
 
 func init() {
-	register("macro-chaos", runMacroChaos)
+	registerScenario("macro-chaos", runMacroChaos)
 	register("fault-restart", runFaultRestart)
-}
-
-// Chaos scale knobs, overridable by cmd/cebench flags and scripts/bench.sh.
-// Sharding reuses SetMacroSharding. Zero means "use the registered default".
-var (
-	chaosTenantsN   atomic.Int64
-	chaosPerTenantN atomic.Int64
-)
-
-// SetChaosScale overrides the macro-chaos population: tenants accounts with
-// perTenant invocations each. Zero restores the default (24 x 1000).
-func SetChaosScale(tenants, perTenant int) {
-	chaosTenantsN.Store(int64(tenants))
-	chaosPerTenantN.Store(int64(perTenant))
 }
 
 const (
 	chaosCkptEvery = 32    // checkpoint cadence, in completions per tenant
 	chaosMonGap    = 600.0 // tenants report distress every 10 minutes
-
-	// Fault band: above priAbsorb so a fault landing exactly on a report or
-	// completion timestamp always fires after it, and +tenant id inside the
-	// band so simultaneous faults on different shards stay globally unique
-	// in (time, priority).
-	priFault = 3_000_000
 )
 
-var chaosProfiles = [4]string{"kills", "reclaim+spike", "brownout", "straggler"}
+var chaosProfiles = []string{"kills", "reclaim+spike", "brownout", "straggler"}
 
 // chaosSchedule is tenant t's deterministic fault diet: profile by t%4,
 // every instant and window offset by t so no two tenants fault at the same
@@ -103,197 +79,28 @@ func chaosSchedule(t int) *fault.Schedule {
 	}
 }
 
-// chaosCall is one admitted request's pending completion: the live list
-// mirrors the platform's in-flight set in admission order, so a kill can
-// cancel exactly the victims' completions and nothing that already fired.
-type chaosCall struct {
-	seq     uint64
-	service float64
-	ev      sim.Event
-}
-
-// chaosTenant is one serverless account under fault injection: macro-day's
-// tenant plus its fault schedule, the live in-flight record, a private
-// faulty view of the shared checkpoint store, and the active window state.
-type chaosTenant struct {
-	id    int
-	memMB int
-	plat  *faas.Platform
-	sh    *sim.Shard
-	arr   *sim.Rand
-	svc   *sim.Rand
-	rty   *sim.Rand
-	ckpt  *storage.Namespaced
-	fckpt *storage.Faulty
-	retry fault.RetryPolicy
-
-	perTenant int
-	phase     float64
-	shedUntil sim.Time
-
-	strag float64 // active straggler factor (1 = none)
-	seq   uint64
-	live  []chaosCall
-
-	completed, killed, reclaimed, retried, shed, dropped, cold uint64
-	ckptRetries, ckptDropped                                   uint64
-}
-
-func (tn *chaosTenant) arrivalAt(k int) sim.Time {
-	const a = 0.5 / (2 * math.Pi)
-	pos := (float64(k) + tn.arr.Float64()) / float64(tn.perTenant)
-	g := pos - a*math.Cos(2*math.Pi*pos+tn.phase) + a*math.Cos(tn.phase)
-	return sim.Time(macroDay * g)
-}
-
-func (tn *chaosTenant) arrive(k int) {
-	if k+1 < tn.perTenant {
-		next := tn.arrivalAt(k + 1)
-		tn.sh.SchedulePriority(next, tn.id, func() { tn.arrive(k + 1) })
-	}
-	if tn.sh.Now() < tn.shedUntil {
-		tn.shed++
-		return
-	}
-	tn.tryInvoke(0)
-}
-
-func (tn *chaosTenant) tryInvoke(attempt int) {
-	invs, err := tn.plat.InvokeGroup(1, tn.memMB)
-	if err != nil {
-		if attempt+1 >= macroMaxRetry {
-			tn.dropped++
-			return
-		}
-		tn.retried++
-		backoff := sim.Duration(math.Ldexp(0.5, attempt) * tn.rty.Jitter(0.2))
-		at := tn.sh.Now() + sim.Time(backoff)
-		tn.sh.SchedulePriority(at, tn.id, func() { tn.tryInvoke(attempt + 1) })
-		return
-	}
-	if invs[0].Cold {
-		tn.cold++
-	}
-	service := tn.svc.LogNormal(math.Log(40), 0.5) * tn.strag
-	tn.seq++
-	seq := tn.seq
-	done := tn.sh.Now() + sim.Time(invs[0].StartDelay+service)
-	ev := tn.sh.SchedulePriority(done, tn.id, func() {
-		tn.unlive(seq)
-		tn.plat.ReleaseGroup(1, tn.memMB, service)
-		tn.completed++
-		if tn.completed%chaosCkptEvery == 0 {
-			tn.checkpoint(service)
-		}
-	})
-	tn.live = append(tn.live, chaosCall{seq: seq, service: service, ev: ev})
-}
-
-// unlive drops the fired completion from the live record; each completion
-// removes itself first thing, so entries still listed are always pending.
-func (tn *chaosTenant) unlive(seq uint64) {
-	for i := range tn.live {
-		if tn.live[i].seq == seq {
-			tn.live = append(tn.live[:i], tn.live[i+1:]...)
-			return
-		}
-	}
-}
-
-// kill terminates the n most recently admitted in-flight requests: the
-// platform drops them from its in-flight count, their completion events are
-// cancelled (still pending by the live-record invariant; at an equal
-// timestamp the completion's lower priority fires first and removes
-// itself), and each client re-submits immediately as a fresh attempt.
-func (tn *chaosTenant) kill(n int) {
-	if n > len(tn.live) {
-		n = len(tn.live)
-	}
-	if n <= 0 {
-		return
-	}
-	tn.plat.KillSandboxes(n)
-	victims := append([]chaosCall(nil), tn.live[len(tn.live)-n:]...)
-	tn.live = tn.live[:len(tn.live)-n]
-	for _, v := range victims {
-		v.ev.Cancel()
-		tn.killed++
-		tn.tryInvoke(0)
-	}
-}
-
-// checkpoint writes through the tenant's faulty store view under the
-// bounded retry policy; exhaustion drops this checkpoint and carries on —
-// the serving path must degrade gracefully, never abort.
-func (tn *chaosTenant) checkpoint(service float64) {
-	key := fmt.Sprintf("%sckpt/%d", tn.ckpt.Prefix(), tn.completed/chaosCkptEvery)
-	for attempt := 0; attempt < tn.retry.MaxAttempts; attempt++ {
-		if err := tn.fckpt.TryPut(key, []float64{float64(tn.completed), service}); err == nil {
-			return
-		}
-		tn.ckptRetries++
-	}
-	tn.ckptDropped++
-}
-
-// distress is the monitor's health signal: cumulative faults and pressure.
-func (tn *chaosTenant) distress() int {
-	return int(tn.killed + tn.dropped + tn.retried + tn.ckptRetries)
-}
-
-// report posts the tenant's distress to the shard-0 monitor one lookahead
-// later, then schedules the next window's report.
-func (tn *chaosTenant) report(mon *chaosMonitor, at sim.Time) {
-	d := tn.distress()
-	tn.sh.Post(mon.sh, at+sim.Time(macroLookahead), priAbsorb+tn.id, func() {
-		mon.absorb(tn.id, d)
-	})
-	next := at + sim.Time(chaosMonGap)
-	if float64(next) <= macroDay {
-		tn.sh.SchedulePriority(next, priReport+tn.id, func() { tn.report(mon, next) })
-	}
-}
-
 // chaosMonitor is the shard-0 health loop: when a window's fleet-wide
-// distress grows past the threshold, it sheds the most distressed tenant
-// for two report gaps. Victim choice and directive order are fixed by
-// (distress, id), never by shard layout.
+// distress (cumulative kills, drops, retries and checkpoint retries) grows
+// past the threshold, it sheds the most distressed tenant for two minutes.
+// Victim choice is fixed by (distress, id), never by shard layout.
 type chaosMonitor struct {
-	sh       *sim.Shard
-	tenants  []*chaosTenant
-	distress []int
-	scope    *obs.Observer
-
-	seen      int
+	tenants   []*openTenant
+	scope     *obs.Observer
 	lastTotal int
 	threshold int
 	sheds     uint64
 }
 
-func (m *chaosMonitor) absorb(tenant, distress int) {
-	m.distress[tenant] = distress
-	m.seen++
-	if m.seen < len(m.tenants) {
-		return
-	}
-	m.seen = 0
-	total := 0
-	for _, d := range m.distress {
+func (m *chaosMonitor) window(now sim.Time, distress []int) {
+	total, worst := 0, 0
+	for t, d := range distress {
 		total += d
-	}
-	now := m.sh.Now()
-	if total-m.lastTotal > m.threshold {
-		worst := 0
-		for t, d := range m.distress {
-			if d > m.distress[worst] {
-				worst = t
-			}
+		if d > distress[worst] {
+			worst = t
 		}
-		tn := m.tenants[worst]
-		at := now + sim.Time(macroLookahead)
-		m.sh.Post(tn.sh, at, priShed+tn.id, func() {
-			tn.shedUntil = at + sim.Time(2*macroReportGap)
-		})
+	}
+	if total-m.lastTotal > m.threshold {
+		m.tenants[worst].shedFor(now, 2*macroReportGap)
 		m.sheds++
 	}
 	if m.scope != nil {
@@ -303,153 +110,38 @@ func (m *chaosMonitor) absorb(tenant, distress int) {
 	m.lastTotal = total
 }
 
-func runMacroChaos(seed uint64) (*Table, error) {
-	tenants := int(chaosTenantsN.Load())
-	perTenant := int(chaosPerTenantN.Load())
-	if tenants <= 0 {
-		tenants = 24
-	}
-	if perTenant <= 0 {
-		perTenant = 1000
-	}
-	shards := int(macroShards.Load())
-	workers := int(macroWorkers.Load())
-	if shards <= 0 {
-		shards = 8
-	}
-	if workers <= 0 {
-		workers = 1
-	}
+func runMacroChaos(seed uint64, cfg Config) (*Table, error) {
+	tenants, perTenant := cmp.Or(cfg.ChaosTenants, 24), cmp.Or(cfg.ChaosPerTenant, 1000)
+	h := newHarness("macro-chaos", seed, cfg, macroLookahead)
+	// One new distress event per tenant per window is background noise;
+	// above that the window had a real incident.
+	mon := &chaosMonitor{scope: h.scope("macro-chaos/monitor"), threshold: tenants}
+	reports := h.newGather(tenants, chaosMonGap, macroDay, priReport, priAbsorb, mon.window)
 
-	b := simbackend.New(seed)
-	b.ConfigureSharding(shards, workers, macroLookahead)
-	s := b.Sim()
-	collector := activeCollector.Load()
-
-	meanService := 40 * math.Exp(0.5*0.5/2)
-	perCap := int(float64(perTenant) * meanService / macroDay)
-	if perCap < 2 {
-		perCap = 2
-	}
-
-	mon := &chaosMonitor{
-		sh:       s.Shard(0),
-		distress: make([]int, tenants),
-		// One new distress event per tenant per window is background noise;
-		// above that the window had a real incident.
-		threshold: tenants,
-	}
-	if collector != nil {
-		mon.scope = collector.Scope("macro-chaos/monitor")
-	}
-
-	faults := 0
-	fleet := make([]*chaosTenant, tenants)
-	for t := 0; t < tenants; t++ {
-		name := obs.ScopeName("macro-chaos", "t", t, tenants)
-		limits := faas.DefaultLimits()
-		limits.MaxConcurrency = perCap
-		plat := b.TenantPlatform(name, t%shards, limits)
-		tn := &chaosTenant{
-			id:        t,
-			memMB:     512 << (t % 3),
-			plat:      plat,
-			sh:        plat.Shard(),
-			arr:       s.Rand(name + "/arrivals"),
-			svc:       s.Rand(name + "/service"),
-			rty:       s.Rand(name + "/retry"),
-			ckpt:      b.Store().Namespace(name),
-			fckpt:     storage.NewFaulty(b.Store()),
-			retry:     fault.DefaultRetryPolicy(),
-			perTenant: perTenant,
-			phase:     2 * math.Pi * float64(t) / float64(tenants),
-			strag:     1,
-		}
-		if collector != nil {
-			plat.SetObserver(collector.Scope(name))
-		}
-		fleet[t] = tn
-
-		faults += fault.Compile(chaosSchedule(t), tn.sh, priFault+tn.id, fault.Ops{
-			Kill:      tn.kill,
-			Reclaim:   func(n int) { tn.reclaimed += uint64(tn.plat.ReclaimWarm(n)) },
-			Straggler: func(f float64) { tn.strag = f },
-			Brownout:  func(_, errRate float64) { tn.fckpt.SetErrorRate(errRate) },
-			ColdSpike: tn.plat.SetColdSpikeFactor,
-		})
-
-		tn.sh.SchedulePriority(tn.arrivalAt(0), tn.id, func() { tn.arrive(0) })
-		first := sim.Time(chaosMonGap)
-		tn.sh.SchedulePriority(first, priReport+tn.id, func() { tn.report(mon, first) })
-	}
+	fleet, perCap := h.openFleet(tenants, perTenant, chaosCkptEvery)
 	mon.tenants = fleet
-
-	s.Run()
-
-	if n := s.Pending(); n != 0 {
-		return nil, fmt.Errorf("macro-chaos: %d events still pending after Run", n)
+	faults := 0
+	for t, tn := range fleet {
+		faults += tn.start(chaosSchedule(t))
+		reports.join(tn.sh, tn.id, func() int { return int(tn.killed + tn.dropped + tn.retried + tn.ckptRetries) })
+	}
+	if err := h.run(); err != nil {
+		return nil, err
 	}
 
-	// Aggregate per fault profile, always in tenant order so every float sum
-	// has a fixed term order.
-	type profileRow struct {
-		tenants                                                    int
-		completed, killed, reclaimed, retried, shed, dropped, cold uint64
-		ckptRetries, ckptDropped                                   uint64
-		cost                                                       float64
-	}
-	profiles := make([]profileRow, len(chaosProfiles))
-	var total profileRow
-	add := func(dst *profileRow, src profileRow) {
-		dst.tenants += src.tenants
-		dst.completed += src.completed
-		dst.killed += src.killed
-		dst.reclaimed += src.reclaimed
-		dst.retried += src.retried
-		dst.shed += src.shed
-		dst.dropped += src.dropped
-		dst.cold += src.cold
-		dst.ckptRetries += src.ckptRetries
-		dst.ckptDropped += src.ckptDropped
-		dst.cost += src.cost
-	}
+	ty := newTally("profile", chaosProfiles, count("tenants"), count("completed"), count("killed"),
+		count("reclaimed"), count("retried"), count("shed"), count("dropped"),
+		count("ckpt_retry"), count("ckpt_drop"), count("cold"), money("cost$"))
 	for t, tn := range fleet {
 		m := tn.plat.Meter()
-		add(&profiles[t%len(chaosProfiles)], profileRow{
-			tenants: 1, completed: tn.completed, killed: tn.killed,
-			reclaimed: tn.reclaimed, retried: tn.retried, shed: tn.shed,
-			dropped: tn.dropped, cold: tn.cold,
-			ckptRetries: tn.ckptRetries, ckptDropped: tn.ckptDropped,
-			cost: m.Total(),
-		})
+		ty.add(t%len(chaosProfiles), nil, 1, float64(tn.completed), float64(tn.killed), float64(tn.reclaimed),
+			float64(tn.retried), float64(tn.shed), float64(tn.dropped),
+			float64(tn.ckptRetries), float64(tn.ckptDropped), float64(tn.cold), m.Total())
 	}
-	for _, p := range profiles {
-		add(&total, p)
-	}
-
-	row := func(label string, p profileRow) []string {
-		return []string{
-			label, fmt.Sprintf("%d", p.tenants),
-			fmt.Sprintf("%d", p.completed), fmt.Sprintf("%d", p.killed),
-			fmt.Sprintf("%d", p.reclaimed), fmt.Sprintf("%d", p.retried),
-			fmt.Sprintf("%d", p.shed), fmt.Sprintf("%d", p.dropped),
-			fmt.Sprintf("%d", p.ckptRetries), fmt.Sprintf("%d", p.ckptDropped),
-			fmt.Sprintf("%d", p.cold), f4(p.cost),
-		}
-	}
-	tab := &Table{
-		ID:      "macro-chaos",
-		Title:   "Macro chaos: tenant fleet under compiled per-tenant fault schedules",
-		Headers: []string{"profile", "tenants", "completed", "killed", "reclaimed", "retried", "shed", "dropped", "ckpt_retry", "ckpt_drop", "cold", "cost$"},
-	}
-	for i, p := range profiles {
-		tab.Rows = append(tab.Rows, row(chaosProfiles[i], p))
-	}
-	tab.Rows = append(tab.Rows, row("TOTAL", total))
-	st := b.Store().Stats()
+	tab := ty.table("macro-chaos", "Macro chaos: tenant fleet under compiled per-tenant fault schedules")
 	tab.Notes = fmt.Sprintf(
 		"%d tenants x %d arrivals over a 24h simulated day; per-tenant concurrency cap %d, monitor threshold %d (sheds=%d), checkpoints every %d completions (puts=%d); fault events compiled=%d; events=%d",
-		tenants, perTenant, perCap, mon.threshold, mon.sheds, chaosCkptEvery, st.Puts, faults, s.EventsFired())
+		tenants, perTenant, perCap, mon.threshold, mon.sheds, chaosCkptEvery, h.b.Store().Stats().Puts, faults, h.s.EventsFired())
 	return tab, nil
 }
 

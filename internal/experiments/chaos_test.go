@@ -1,124 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"fmt"
-	"strconv"
-	"testing"
-
-	"repro/internal/obs"
-)
-
-// renderChaos runs macro-chaos at the given kernel configuration and
-// returns the rendered table plus the merged trace and metrics exports.
-func renderChaos(t *testing.T, seed uint64, shards, workers int) (table, trace, metrics string) {
-	t.Helper()
-	SetMacroSharding(shards, workers)
-	defer SetMacroSharding(0, 0)
-	c := obs.NewCollector()
-	SetCollector(c)
-	defer SetCollector(nil)
-
-	tab, err := Run("macro-chaos", seed)
-	if err != nil {
-		t.Fatalf("macro-chaos(shards=%d workers=%d): %v", shards, workers, err)
-	}
-	var tb, mb bytes.Buffer
-	if err := obs.WriteJSONL(&tb, c.Scopes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteMetricsJSON(&mb, c.Scopes()); err != nil {
-		t.Fatal(err)
-	}
-	return tab.String(), tb.String(), mb.String()
-}
-
-// TestMacroChaosShardMatrix is the acceptance gate for the fault subsystem
-// on the sharded kernel: compiled fault events mutate live platform state
-// (kills cancel pending completions, reclaims walk the warm pool, brownouts
-// gate the shared store) and the scenario's table, trace export and metrics
-// export must still be byte-identical at every (shards, workers)
-// combination, because every fault event carries a globally unique
-// (time, priority) and every error gate is tenant-private.
-func TestMacroChaosShardMatrix(t *testing.T) {
-	SetChaosScale(9, 300)
-	defer SetChaosScale(0, 0)
-
-	refTab, refTrace, refMetrics := renderChaos(t, 11, 1, 1)
-	if refTrace == "" || len(refTrace) < 100 {
-		t.Fatalf("reference trace implausibly small: %d bytes", len(refTrace))
-	}
-	for _, shards := range []int{1, 2, 8} {
-		for _, workers := range []int{1, 8} {
-			if shards == 1 && workers == 1 {
-				continue
-			}
-			name := fmt.Sprintf("shards=%d,workers=%d", shards, workers)
-			tab, trace, metrics := renderChaos(t, 11, shards, workers)
-			if tab != refTab {
-				t.Errorf("%s: table diverges from shards=1,workers=1:\n--- ref\n%s\n--- got\n%s", name, refTab, tab)
-			}
-			if trace != refTrace {
-				t.Errorf("%s: trace export diverges (%d vs %d bytes)", name, len(refTrace), len(trace))
-			}
-			if metrics != refMetrics {
-				t.Errorf("%s: metrics export diverges", name)
-			}
-		}
-	}
-}
-
-// TestMacroChaosSeedSensitivity guards against the scenario collapsing into
-// a constant: different seeds must produce different traffic.
-func TestMacroChaosSeedSensitivity(t *testing.T) {
-	SetChaosScale(4, 120)
-	defer SetChaosScale(0, 0)
-	a, err := Run("macro-chaos", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run("macro-chaos", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() == b.String() {
-		t.Fatal("macro-chaos output identical across seeds")
-	}
-}
-
-// TestMacroChaosExercisesFaults checks the default-scale run actually
-// drives every fault path: sandbox kills, warm reclaims, checkpoint
-// retries, cold starts and monitor sheds must all be nonzero.
-func TestMacroChaosExercisesFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("default-scale chaos run skipped in -short mode")
-	}
-	tab, err := Run("macro-chaos", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := tab.Rows[len(tab.Rows)-1]
-	// Columns: profile tenants completed killed reclaimed retried shed
-	// dropped ckpt_retry ckpt_drop cold cost$.
-	for _, col := range []struct {
-		idx  int
-		name string
-	}{
-		{2, "completions"}, {3, "kills"}, {4, "reclaims"},
-		{6, "sheds"}, {8, "checkpoint retries"}, {10, "cold starts"},
-	} {
-		if total[col.idx] == "0" {
-			t.Errorf("no %s: the %s fault path never fired", col.name, col.name)
-		}
-	}
-	// Kills re-admit their victims: nothing may be lost from the ledger.
-	completed, _ := strconv.Atoi(total[2])
-	shed, _ := strconv.Atoi(total[6])
-	dropped, _ := strconv.Atoi(total[7])
-	if got := completed + shed + dropped; got != 24*1000 {
-		t.Errorf("arrival ledger: completed+shed+dropped = %d, want %d", got, 24*1000)
-	}
-}
+import "testing"
 
 // TestFaultRestartFigure checks the recovery-policy figure's invariants:
 // both faulted policies record the schedule's failures and cost more than

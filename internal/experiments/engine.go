@@ -42,15 +42,16 @@ func SetParallelism(p int) {
 }
 
 // RunAll executes the named experiments on a bounded worker pool and returns
-// their outcomes in request order. Each artifact (and each cell inside one)
-// owns its simulation state, so outputs are byte-identical to a serial run
-// at any parallelism. Unknown ids surface as per-outcome errors, not a
+// their outcomes in request order; cfg sizes and shards the macro scenarios
+// among them. Each artifact (and each cell inside one) owns its simulation
+// state, so outputs are byte-identical to a serial run at any parallelism.
+// Unknown ids and an invalid cfg surface as per-outcome errors, not a
 // rejected batch.
-func RunAll(ids []string, seed uint64) []Outcome {
+func RunAll(ids []string, seed uint64, cfg Config) []Outcome {
 	out := make([]Outcome, len(ids))
 	run := func(i int) {
 		start := time.Now() //cescalint:allow walltime -- per-artifact wall time is a stderr-only diagnostic; never printed to stdout
-		t, err := Run(ids[i], seed)
+		t, err := runWith(ids[i], seed, cfg)
 		elapsed := time.Since(start) //cescalint:allow walltime -- pairs with the start stamp above; stderr-only
 		out[i] = Outcome{ID: ids[i], Table: t, Err: err, Elapsed: elapsed}
 	}

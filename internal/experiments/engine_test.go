@@ -95,7 +95,7 @@ func TestCellErr(t *testing.T) {
 func TestRunAllMatchesRun(t *testing.T) {
 	withParallelism(t, 4)
 	ids := []string{"tab1", "tab4"}
-	outcomes := RunAll(ids, 7)
+	outcomes := RunAll(ids, 7, Config{})
 	for i, id := range ids {
 		want, err := Run(id, 7)
 		if err != nil {

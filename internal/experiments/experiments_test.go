@@ -15,7 +15,7 @@ func TestRegistryComplete(t *testing.T) {
 		"macro-day", "macro-fleet", "macro-trace", "macro-chaos", "fault-restart",
 	}
 	for _, id := range want {
-		if _, ok := Get(id); !ok {
+		if _, ok := registry[id]; !ok {
 			t.Errorf("experiment %q not registered", id)
 		}
 	}

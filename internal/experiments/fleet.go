@@ -3,42 +3,34 @@ package experiments
 // macro-fleet is the control-path macro scenario: T complete Algorithm-2
 // controllers — each with its own online curve fitter, drift detector and
 // constrained Pareto selection — training concurrently as tenants of one
-// shared serverless account. It is the workload the PR7 fleet-cheap work
-// exists for: where macro-day stresses the *kernel* with millions of cheap
-// events, macro-fleet multiplies the per-epoch *decision* (fit -> predict ->
-// select -> log) by the tenant count, so decisions/sec is the headline
-// number (scripts/bench.sh parses "decisions=" from the table notes).
+// shared serverless account. Where macro-day stresses the *kernel* with
+// millions of cheap events, macro-fleet multiplies the per-epoch *decision*
+// (fit -> predict -> select -> log) by the tenant count, so decisions/sec
+// is the headline number (cmd/bench parses "decisions=" from the table
+// notes).
 //
 // Sharing layout:
 //
 //   - Tenants of the same model class share one cost.Model and one interned
 //     cost.Frontier (scheduler.Config.Frontier) — the candidate set is a
 //     single immutable array searched in place by every controller.
-//   - All tenants share one faas.Platform (the account) owned by kernel
-//     shard 0. Function groups are acquired at job start and at every
-//     scheduler restart via sim.Post round trips, so account state mutates
-//     only in shard-0 events whose order is pinned by (time, priority).
+//   - All tenants share one account (the admission pipeline in harness.go).
+//     Function groups are acquired at job start and at every scheduler
+//     restart, so account state mutates only in shard-0 events whose order
+//     is pinned by (time, priority).
 //   - Everything else — scheduler, predictor buffers, loss stream, budget
 //     accounting — is tenant-private on the tenant's shard (t % shards).
 //
-// Determinism: every event that can share a timestamp with another tenant's
-// event carries a globally unique priority (band + tenant id), so the
-// kernel's (time, priority) merge order is independent of the shard and
-// worker configuration; the table is byte-identical at every setting.
-//
 // Scaling note: the registered default is 48 tenants so smoke tests run in
-// milliseconds; scripts/bench.sh and scripts/check.sh raise it to >=1000
-// via SetFleetScale / cebench -fleet-tenants.
+// milliseconds; Config.FleetTenants (cebench -fleet-tenants) raises it to
+// the thousands.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/cost"
-	"repro/internal/faas"
-	"repro/internal/obs"
-	"repro/internal/platform/simbackend"
 	"repro/internal/predictor"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -46,15 +38,7 @@ import (
 	"repro/internal/workload"
 )
 
-func init() { register("macro-fleet", runMacroFleet) }
-
-// fleetTenantCount overrides the macro-fleet population; zero means the
-// registered default (48). Sharding reuses the macro knobs (SetMacroSharding
-// / cebench -shards, -sim-workers).
-var fleetTenantCount atomic.Int64
-
-// SetFleetScale overrides the macro-fleet tenant count (0 = default 48).
-func SetFleetScale(tenants int) { fleetTenantCount.Store(int64(tenants)) }
+func init() { registerScenario("macro-fleet", runMacroFleet) }
 
 const (
 	fleetLookahead = 5.0 // conservative window: every cross-shard Post delay
@@ -62,14 +46,11 @@ const (
 	fleetMaxRetry  = 8   // invoke attempts per group request before a drop
 	fleetMaxEpochs = 400 // hard cap per job (targets converge in tens)
 
-	// Priority bands (+ tenant id within each): releases beat invokes at
-	// equal timestamps so freed capacity is visible to same-instant requests.
-	priFleetEpoch   = 0
-	priFleetRelease = 1_000_000
-	priFleetInvoke  = 2_000_000
-	priFleetRetry   = 3_000_000
-	priFleetGrant   = 4_000_000
+	// Epoch ticks (+ tenant id) sort before the account's bands.
+	priFleetEpoch = 0
 )
+
+var fleetBands = accountBands{release: 1_000_000, invoke: 2_000_000, retry: 3_000_000, grant: 4_000_000}
 
 // fleetTuning is the predictor configuration every fleet controller runs:
 // bounded history, warm-started refits with a small LM budget — the
@@ -91,71 +72,29 @@ type fleetClass struct {
 	fastTime  float64 // fastest per-epoch time on the frontier
 }
 
-// fleetAccount is the shared serverless account on shard 0. All InvokeGroup
-// and ReleaseGroup calls happen inside shard-0 events, so the platform's
-// warm pool, meter and concurrency gate mutate in one deterministic order.
-type fleetAccount struct {
-	sh      *sim.Shard
-	plat    *faas.Platform
-	denials uint64
-}
-
-// invoke tries to admit a tenant's function group, retrying with exponential
-// backoff while the account is at its concurrency cap; the grant (or the
-// final denial) posts back to the tenant's shard one lookahead later.
-func (ac *fleetAccount) invoke(tn *fleetTenant, n, memMB, attempt int) {
-	invs, err := ac.plat.InvokeGroup(n, memMB)
-	if err != nil {
-		ac.denials++
-		if attempt+1 >= fleetMaxRetry {
-			ac.sh.Post(tn.sh, ac.sh.Now()+sim.Time(fleetLookahead), priFleetGrant+tn.id, tn.denied)
-			return
-		}
-		at := ac.sh.Now() + sim.Time(math.Ldexp(fleetLookahead, attempt))
-		ac.sh.SchedulePriority(at, priFleetRetry+tn.id, func() { ac.invoke(tn, n, memMB, attempt+1) })
-		return
-	}
-	var delay float64
-	cold := 0
-	for _, inv := range invs {
-		if inv.StartDelay > delay {
-			delay = inv.StartDelay
-		}
-		if inv.Cold {
-			cold++
-		}
-	}
-	ac.sh.Post(tn.sh, ac.sh.Now()+sim.Time(fleetLookahead), priFleetGrant+tn.id, func() { tn.granted(delay, cold) })
-}
-
 // fleetTenant is one training job: a full CE-scaling scheduler plus the
 // simulated epoch loop that feeds it losses and carries out its decisions.
 type fleetTenant struct {
-	id    int
+	member
 	cl    *fleetClass
-	sh    *sim.Shard
-	ac    *fleetAccount
-	sched *scheduler.Scheduler
 	ctrl  trainer.Controller
 	loss  *sim.Rand
 	curve workload.CurveParams
 
 	budget, qos float64 // the tenant's binding constraint (other is 0)
-	target      float64
 
 	cur     cost.Point // allocation currently granted (or being requested)
-	pending cost.Point
+	group   *invFrame  // the granted function group
 	grantAt sim.Time
 	startAt sim.Time
+	epochFn func()
 
 	epoch     int
 	spent     float64
 	decisions uint64
 	restarts  uint64
 	cold      uint64
-	done      bool
 	converged bool
-	stopped   bool
 	dropped   bool
 	jct       float64
 }
@@ -175,35 +114,30 @@ func (tn *fleetTenant) start() {
 	tn.requestGroup(tn.cur)
 }
 
-// requestGroup posts an invoke request for p's allocation to the account;
-// epochs resume when the grant comes back.
+// requestGroup asks the account for p's allocation; epochs resume when the
+// grant comes back.
 func (tn *fleetTenant) requestGroup(p cost.Point) {
-	tn.pending = p
-	at := tn.sh.Now() + sim.Time(fleetLookahead)
-	tn.sh.Post(tn.ac.sh, at, priFleetInvoke+tn.id, func() { tn.ac.invoke(tn, p.Alloc.N, p.Alloc.MemMB, 0) })
+	tn.cur, tn.n, tn.memMB = p, p.Alloc.N, p.Alloc.MemMB
+	tn.request()
 }
 
-func (tn *fleetTenant) granted(startDelay float64, cold int) {
-	tn.cur = tn.pending
-	tn.grantAt = tn.sh.Now()
-	tn.cold += uint64(cold)
-	next := tn.sh.Now() + sim.Time(startDelay+tn.cur.Time)
-	tn.sh.SchedulePriority(next, priFleetEpoch+tn.id, tn.epochDone)
+func (tn *fleetTenant) granted(fr *invFrame) {
+	tn.group, tn.grantAt = fr, tn.sh.Now()
+	tn.cold += uint64(fr.cold)
+	tn.sh.SchedulePriority(tn.sh.Now()+sim.Time(fr.delay+tn.cur.Time), priFleetEpoch+tn.id, tn.epochFn)
 }
 
-// releaseCurrent posts the held group back to the account with its held
+// releaseGroup hands the held group back to the account with its held
 // wall-clock seconds (what the account bills as compute).
-func (tn *fleetTenant) releaseCurrent() {
-	held := float64(tn.sh.Now() - tn.grantAt)
-	p := tn.cur
-	at := tn.sh.Now() + sim.Time(fleetLookahead)
-	tn.sh.Post(tn.ac.sh, at, priFleetRelease+tn.id, func() { tn.ac.plat.ReleaseGroup(p.Alloc.N, p.Alloc.MemMB, held) })
+func (tn *fleetTenant) releaseGroup() {
+	tn.group.held = float64(tn.sh.Now() - tn.grantAt)
+	tn.release(tn.group)
 }
 
 // denied ends the job after the account refused a group fleetMaxRetry times
 // (any previously held group was already released before the request).
 func (tn *fleetTenant) denied() {
-	tn.done, tn.dropped = true, true
+	tn.dropped = true
 	tn.jct = float64(tn.sh.Now() - tn.startAt)
 }
 
@@ -218,50 +152,27 @@ func (tn *fleetTenant) epochDone() {
 	dec := tn.ctrl(tn.epoch, loss, elapsed, tn.spent)
 	tn.decisions++
 	switch {
-	case loss <= tn.target:
-		tn.finish(true, false)
-	case dec.Stop:
-		tn.finish(false, true)
-	case tn.epoch >= fleetMaxEpochs:
-		tn.finish(false, false)
+	case loss <= tn.cl.w.TargetLoss, dec.Stop, tn.epoch >= fleetMaxEpochs:
+		tn.converged = loss <= tn.cl.w.TargetLoss
+		tn.jct = elapsed
+		tn.releaseGroup()
 	case dec.NewAlloc != nil:
 		np, ok := tn.cl.byAlloc[*dec.NewAlloc]
 		if !ok {
 			np = tn.cur // unreachable: the scheduler selects frontier points
 		}
 		tn.restarts++
-		tn.releaseCurrent()
+		tn.releaseGroup()
 		tn.requestGroup(np)
 	default:
 		next := tn.sh.Now() + sim.Time(tn.cur.Time+dec.PlanningSeconds)
-		tn.sh.SchedulePriority(next, priFleetEpoch+tn.id, tn.epochDone)
+		tn.sh.SchedulePriority(next, priFleetEpoch+tn.id, tn.epochFn)
 	}
 }
 
-func (tn *fleetTenant) finish(converged, stopped bool) {
-	tn.done, tn.converged, tn.stopped = true, converged, stopped
-	tn.jct = float64(tn.sh.Now() - tn.startAt)
-	tn.releaseCurrent()
-}
-
-func runMacroFleet(seed uint64) (*Table, error) {
-	tenants := int(fleetTenantCount.Load())
-	if tenants <= 0 {
-		tenants = 48
-	}
-	shards := int(macroShards.Load())
-	workers := int(macroWorkers.Load())
-	if shards <= 0 {
-		shards = 8
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-
-	b := simbackend.New(seed)
-	b.ConfigureSharding(shards, workers, fleetLookahead)
-	s := b.Sim()
-	collector := activeCollector.Load()
+func runMacroFleet(seed uint64, cfg Config) (*Table, error) {
+	tenants := cmp.Or(cfg.FleetTenants, 48)
+	h := newHarness("macro-fleet", seed, cfg, fleetLookahead)
 
 	grid := cost.DefaultGrid()
 	classModels := []*workload.Model{workload.MobileNet(), workload.ResNet50(), workload.BERT()}
@@ -300,10 +211,10 @@ func runMacroFleet(seed uint64) (*Table, error) {
 	// denials, backoff retries, and drops under pressure.
 	fleet := make([]*fleetTenant, tenants)
 	totalN := 0
-	for t := 0; t < tenants; t++ {
-		name := obs.ScopeName("macro-fleet", "t", t, tenants)
+	for t := range fleet {
+		name := h.tenantName(t, tenants)
 		cl := classes[t%len(classes)]
-		shape := s.Rand(name + "/shape")
+		shape := h.s.Rand(name + "/shape")
 		cp := cl.w.Curve
 		cp.A *= shape.LogNormal(0, 0.10) // per-tenant convergence-speed draw
 		var budget, qos float64
@@ -312,7 +223,7 @@ func runMacroFleet(seed uint64) (*Table, error) {
 		} else {
 			qos = float64(cl.nomEpochs) * cl.fastTime * (1.5 + 2.5*shape.Float64())
 		}
-		cfg := scheduler.Config{
+		sched := scheduler.New(scheduler.Config{
 			Model:        cl.model,
 			Frontier:     cl.front,
 			Budget:       budget,
@@ -321,110 +232,60 @@ func runMacroFleet(seed uint64) (*Table, error) {
 			OnlineTuning: &fleetTuning,
 			Offline:      cl.offline,
 			OfflineSeed:  seed ^ (uint64(t)*0x9e3779b97f4a7c15 + 1),
-		}
-		if collector != nil {
-			cfg.Obs = collector.Scope(name)
-		}
-		sched := scheduler.New(cfg)
+			Obs:          h.scope(name),
+		})
 		alloc, _ := sched.Initial()
 		p, ok := cl.byAlloc[alloc]
 		if !ok {
 			return nil, fmt.Errorf("macro-fleet: tenant %d initial allocation %v not on the class frontier", t, alloc)
 		}
-		fleet[t] = &fleetTenant{
-			id: t, cl: cl, sh: s.Shard(t % shards),
-			sched: sched, ctrl: sched.Controller(),
-			loss: s.Rand(name + "/loss"), curve: cp,
-			budget: budget, qos: qos, target: cl.w.TargetLoss,
-			cur: p,
+		tn := &fleetTenant{
+			member: member{id: t, sh: h.shard(t)},
+			cl:     cl, ctrl: sched.Controller(),
+			loss: h.s.Rand(name + "/loss"), curve: cp,
+			budget: budget, qos: qos, cur: p,
 		}
+		tn.epochFn = tn.epochDone
+		fleet[t] = tn
 		totalN += alloc.N
 	}
 
-	capacity := totalN * 4 / 5
-	if capacity < 64 {
-		capacity = 64
-	}
-	limits := faas.DefaultLimits()
-	limits.MaxConcurrency = capacity
-	acPlat := b.TenantPlatform("macro-fleet/account", 0, limits)
-	if collector != nil {
-		acPlat.SetObserver(collector.Scope("macro-fleet/account"))
-	}
-	ac := &fleetAccount{sh: acPlat.Shard(), plat: acPlat}
+	ac := h.newAccount(max(64, totalN*4/5), fleetMaxRetry, fleetBands)
 	for _, tn := range fleet {
-		tn.ac = ac
+		tn.join(ac, tn)
 		tn.sh.SchedulePriority(sim.Time(fleetStagger*float64(tn.id+1)), priFleetEpoch+tn.id, tn.start)
 	}
-
-	s.Run()
-
-	if n := s.Pending(); n != 0 {
-		return nil, fmt.Errorf("macro-fleet: %d events still pending after Run", n)
+	if err := h.run(); err != nil {
+		return nil, err
 	}
 
-	// Aggregate per class, always in tenant order so every float sum has a
-	// fixed term order.
-	type classRow struct {
-		tenants, conv, bMet, qMet, dropped int
-		restarts, decisions                uint64
-		spent                              float64
+	labels := make([]string, len(classes))
+	for i, cl := range classes {
+		labels[i] = cl.w.Name
 	}
-	rows := make([]classRow, len(classes))
-	var total classRow
-	var totalDecisions uint64
+	ty := newTally("class", labels, count("tenants"), count("converged"), count("budget-met"), count("qos-met"),
+		count("restarts"), count("dropped"), count("decisions"), money("modeled$"))
+	var decisions uint64
 	for t, tn := range fleet {
-		c := &rows[t%len(classes)]
-		c.tenants++
-		if tn.converged {
-			c.conv++
-		}
-		if tn.budget > 0 && tn.spent <= tn.budget && !tn.dropped {
-			c.bMet++
-		}
-		if tn.qos > 0 && tn.jct <= tn.qos && !tn.dropped {
-			c.qMet++
-		}
-		if tn.dropped {
-			c.dropped++
-		}
-		c.restarts += tn.restarts
-		c.decisions += tn.decisions
-		c.spent += tn.spent
-		totalDecisions += tn.decisions
+		ty.add(t%len(classes), nil, 1, b2f(tn.converged),
+			b2f(tn.budget > 0 && tn.spent <= tn.budget && !tn.dropped),
+			b2f(tn.qos > 0 && tn.jct <= tn.qos && !tn.dropped),
+			float64(tn.restarts), b2f(tn.dropped), float64(tn.decisions), tn.spent)
+		decisions += tn.decisions
 	}
-	for _, c := range rows {
-		total.tenants += c.tenants
-		total.conv += c.conv
-		total.bMet += c.bMet
-		total.qMet += c.qMet
-		total.dropped += c.dropped
-		total.restarts += c.restarts
-		total.decisions += c.decisions
-		total.spent += c.spent
-	}
-
-	row := func(label string, c classRow) []string {
-		return []string{
-			label, fmt.Sprintf("%d", c.tenants), fmt.Sprintf("%d", c.conv),
-			fmt.Sprintf("%d", c.bMet), fmt.Sprintf("%d", c.qMet),
-			fmt.Sprintf("%d", c.restarts), fmt.Sprintf("%d", c.dropped),
-			fmt.Sprintf("%d", c.decisions), f4(c.spent),
-		}
-	}
-	tab := &Table{
-		ID:      "macro-fleet",
-		Title:   "Macro fleet: concurrent Algorithm-2 controllers on one shared account",
-		Headers: []string{"class", "tenants", "converged", "budget-met", "qos-met", "restarts", "dropped", "decisions", "modeled$"},
-	}
-	for i, c := range rows {
-		tab.Rows = append(tab.Rows, row(classes[i].w.Name, c))
-	}
-	tab.Rows = append(tab.Rows, row("TOTAL", total))
-	meter := acPlat.Meter()
+	tab := ty.table("macro-fleet", "Macro fleet: concurrent Algorithm-2 controllers on one shared account")
+	meter := ac.plat.Meter()
 	tab.Notes = fmt.Sprintf(
 		"%d tenants x %d model classes on one shared account (concurrency cap %d, denials=%d, account compute $%.2f); each class shares one interned Pareto frontier; controllers run the fleet tuning (window %d, warm start, refit budget %d); decisions=%d; events=%d",
-		tenants, len(classes), capacity, ac.denials, meter.Total(),
-		fleetTuning.FixedWindow, fleetTuning.RefitBudget, totalDecisions, s.EventsFired())
+		tenants, len(classes), ac.plat.Limits().MaxConcurrency, ac.retries+ac.denials, meter.Total(),
+		fleetTuning.FixedWindow, fleetTuning.RefitBudget, decisions, h.s.EventsFired())
 	return tab, nil
+}
+
+// b2f counts a condition into a tally column.
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -1,225 +1,73 @@
 package experiments
 
 // macro-day is the sharded-kernel macro scenario: a full simulated day of
-// serverless ML inference traffic across many tenant accounts, each tenant
-// owning one faas.Platform pinned to a kernel shard (tenant t -> shard
-// t%shards). Tenants interact only through the two shared-account
-// resources the sharded kernel models as cross-shard interaction points:
+// serverless ML inference traffic across many tenant accounts, each an
+// openTenant (harness.go) on its own faas.Platform pinned to a kernel shard.
+// Tenants interact only through the two shared-account resources the
+// sharded kernel models as cross-shard interaction points:
 //
 //   - a shared parameter store (checkpoints land in per-tenant namespaces
 //     of one storage.Store, whose mutex-guarded counters are
 //     order-independent sums), and
-//   - a shard-0 coordinator that tenants report to once per minute via
-//     sim.Post and that posts load-shedding directives back.
+//   - a shard-0 coordinator that tenants report their in-flight load to
+//     once per minute and that posts load-shedding directives back.
 //
 // The scenario is the acceptance workload for the sharded kernel: its
 // table and its obs trace must be byte-identical at every (shards,
-// workers) setting. That holds because every event that can share a
-// timestamp with another tenant's event (minute-aligned reports, absorbs
-// and sheds) carries a globally unique priority, so the kernel's
-// (time, priority) merge order never depends on per-shard sequence
-// numbers; see DESIGN.md "Sharded kernel".
+// workers) setting.
 //
 // Scaling note: the registered default is 32 tenants x 1500 invocations
-// (48k arrivals) so the determinism matrix and the smoke tests run in
-// well under a second; scripts/bench.sh raises it to 64 x 15625 = 1M
-// invocations via SetMacroScale.
+// (48k arrivals) so the determinism matrix and the smoke tests run in well
+// under a second; Config.MacroTenants/MacroPerTenant raise it.
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 
-	"repro/internal/faas"
 	"repro/internal/obs"
-	"repro/internal/platform/simbackend"
 	"repro/internal/sim"
-	"repro/internal/storage"
-	"sync/atomic"
 )
 
-func init() { register("macro-day", runMacroDay) }
-
-// Macro scale and sharding knobs, overridable by cmd/cebench flags and by
-// scripts/bench.sh. Zero means "use the registered default".
-var (
-	macroTenants   atomic.Int64
-	macroPerTenant atomic.Int64
-	macroShards    atomic.Int64
-	macroWorkers   atomic.Int64
-)
-
-// SetMacroScale overrides the macro-day population: tenants accounts with
-// perTenant invocations each. Zero restores the default (32 x 1500).
-func SetMacroScale(tenants, perTenant int) {
-	macroTenants.Store(int64(tenants))
-	macroPerTenant.Store(int64(perTenant))
-}
-
-// SetMacroSharding overrides how macro-day configures the kernel. Zero
-// restores the defaults (8 shards, 1 worker). The table and trace are
-// byte-identical at every setting; only wall-clock time changes.
-func SetMacroSharding(shards, workers int) {
-	macroShards.Store(int64(shards))
-	macroWorkers.Store(int64(workers))
-}
+func init() { registerScenario("macro-day", runMacroDay) }
 
 const (
-	macroDay       = 86400.0 // one simulated day, seconds
-	macroLookahead = 30.0    // conservative window: no cross-shard effect sooner
-	macroReportGap = 60.0    // tenants report to the coordinator once a minute
-	macroMaxRetry  = 3       // invocation attempts before a drop
-	macroCkptEvery = 64      // checkpoint cadence, in completions per tenant
-
-	// Priority bands. Every minute-aligned event class gets a band and
-	// every tenant a distinct priority within it, so simultaneous events
-	// always differ in (time, priority) and the merge order is independent
-	// of shard count. Lower value fires first: at t = m*60+30 a shed
-	// directive (issued at the previous absorb) applies before that
-	// minute's absorbs are processed.
-	priShed   = 500_000
-	priReport = 1_000_000
-	priAbsorb = 2_000_000
+	macroLookahead = 30.0 // conservative window: no cross-shard effect sooner
+	macroReportGap = 60.0 // tenants report to the coordinator once a minute
+	macroCkptEvery = 64   // checkpoint cadence, in completions per tenant
 )
-
-// macroTenant is one serverless account: its own platform (concurrency
-// cap, warm pool, meter), rand streams and observability scope, all owned
-// by a single kernel shard.
-type macroTenant struct {
-	id    int
-	memMB int
-	plat  *faas.Platform
-	sh    *sim.Shard
-	arr   *sim.Rand // arrival-time jitter
-	svc   *sim.Rand // service-time draws
-	rty   *sim.Rand // retry backoff jitter
-	ckpt  *storage.Namespaced
-
-	perTenant int
-	phase     float64 // diurnal peak offset, tenant-specific
-	shedUntil sim.Time
-
-	completed, retried, shed, dropped, cold uint64
-}
-
-// arrivalAt returns the k-th arrival time: stratified uniform positions
-// (k+u)/N warped by a monotone diurnal curve g(pos) = pos - a*cos(2*pi*pos
-// + phi) + a*cos(phi) with a = 0.5/(2*pi), so the instantaneous rate swings
-// between 0.5x and 1.5x of the mean while arrivals stay strictly ordered
-// (g' = 1 + 0.5*sin(...) > 0) and g(0) = 0.
-func (tn *macroTenant) arrivalAt(k int) sim.Time {
-	const a = 0.5 / (2 * math.Pi)
-	pos := (float64(k) + tn.arr.Float64()) / float64(tn.perTenant)
-	g := pos - a*math.Cos(2*math.Pi*pos+tn.phase) + a*math.Cos(tn.phase)
-	return sim.Time(macroDay * g)
-}
-
-// arrive handles the k-th arrival: it schedules the next one (keeping at
-// most one pending arrival per tenant in the heap) and admits this one
-// unless a coordinator shed directive is in force.
-func (tn *macroTenant) arrive(k int) {
-	if k+1 < tn.perTenant {
-		next := tn.arrivalAt(k + 1)
-		tn.sh.SchedulePriority(next, tn.id, func() { tn.arrive(k + 1) })
-	}
-	if tn.sh.Now() < tn.shedUntil {
-		tn.shed++
-		return
-	}
-	tn.tryInvoke(0)
-}
-
-func (tn *macroTenant) tryInvoke(attempt int) {
-	invs, err := tn.plat.InvokeGroup(1, tn.memMB)
-	if err != nil {
-		if attempt+1 >= macroMaxRetry {
-			tn.dropped++
-			return
-		}
-		tn.retried++
-		backoff := sim.Duration(math.Ldexp(0.5, attempt) * tn.rty.Jitter(0.2))
-		at := tn.sh.Now() + sim.Time(backoff)
-		tn.sh.SchedulePriority(at, tn.id, func() { tn.tryInvoke(attempt + 1) })
-		return
-	}
-	if invs[0].Cold {
-		tn.cold++
-	}
-	service := tn.svc.LogNormal(math.Log(40), 0.5)
-	done := tn.sh.Now() + sim.Time(invs[0].StartDelay+service)
-	tn.sh.SchedulePriority(done, tn.id, func() {
-		tn.plat.ReleaseGroup(1, tn.memMB, service)
-		tn.completed++
-		if tn.completed%macroCkptEvery == 0 {
-			tn.ckpt.Put(fmt.Sprintf("ckpt/%d", tn.completed/macroCkptEvery), []float64{float64(tn.completed), service})
-		}
-	})
-}
-
-// report snapshots the tenant's load and posts it to the coordinator,
-// arriving exactly one lookahead later; it then schedules the next minute's
-// report while arrivals can still be outstanding.
-func (tn *macroTenant) report(coord *macroCoordinator, at sim.Time) {
-	inFlight := tn.plat.InFlight()
-	tn.sh.Post(coord.sh, at+sim.Time(macroLookahead), priAbsorb+tn.id, func() {
-		coord.absorb(tn.id, inFlight)
-	})
-	next := at + sim.Time(macroReportGap)
-	if float64(next) <= macroDay {
-		tn.sh.SchedulePriority(next, priReport+tn.id, func() { tn.report(coord, next) })
-	}
-}
 
 // macroCoordinator is the shard-0 control loop: once all tenants' reports
 // for a minute have arrived it compares total in-flight load against the
-// fleet's admission budget and posts shed directives to the most loaded
-// tenants, arriving another lookahead later.
+// fleet's admission budget and sheds the most loaded tenants for a minute.
 type macroCoordinator struct {
-	sh       *sim.Shard
-	tenants  []*macroTenant
-	inFlight []int
-	scope    *obs.Observer
-
-	seen      int
+	tenants   []*openTenant
+	scope     *obs.Observer
 	threshold int
 	sheds     uint64
 }
 
-func (c *macroCoordinator) absorb(tenant, inFlight int) {
-	c.inFlight[tenant] = inFlight
-	c.seen++
-	if c.seen < len(c.tenants) {
-		return
-	}
-	c.seen = 0
+func (c *macroCoordinator) window(now sim.Time, inFlight []int) {
 	total := 0
-	for _, n := range c.inFlight {
+	for _, n := range inFlight {
 		total += n
 	}
-	now := c.sh.Now()
-	over := total - c.threshold
-	if over > 0 {
-		// Shed the most loaded tenants, ties broken by tenant id: both the
-		// victim set and the directive order are fixed by (load, id), never
-		// by shard layout.
-		for shedCount := 0; over > 0 && shedCount < len(c.tenants); shedCount++ {
-			worst := -1
-			for t, n := range c.inFlight {
-				if n > 0 && (worst < 0 || n > c.inFlight[worst]) {
-					worst = t
-				}
+	// Shed the most loaded tenants, ties broken by tenant id: both the
+	// victim set and the directive order are fixed by (load, id), never by
+	// shard layout.
+	for over, shed := total-c.threshold, 0; over > 0 && shed < len(c.tenants); shed++ {
+		worst := -1
+		for t, n := range inFlight {
+			if n > 0 && (worst < 0 || n > inFlight[worst]) {
+				worst = t
 			}
-			if worst < 0 {
-				break
-			}
-			tn := c.tenants[worst]
-			at := now + sim.Time(macroLookahead)
-			c.sh.Post(tn.sh, at, priShed+tn.id, func() {
-				tn.shedUntil = at + sim.Time(macroReportGap)
-			})
-			c.sheds++
-			over -= c.inFlight[worst]
-			c.inFlight[worst] = 0
 		}
+		if worst < 0 {
+			break
+		}
+		c.tenants[worst].shedFor(now, macroReportGap)
+		c.sheds++
+		over -= inFlight[worst]
+		inFlight[worst] = 0
 	}
 	if c.scope != nil {
 		c.scope.Trace().InstantAt(float64(now), "macro", "coordinator", "window",
@@ -227,135 +75,35 @@ func (c *macroCoordinator) absorb(tenant, inFlight int) {
 	}
 }
 
-func runMacroDay(seed uint64) (*Table, error) {
-	tenants := int(macroTenants.Load())
-	perTenant := int(macroPerTenant.Load())
-	if tenants <= 0 {
-		tenants = 32
-	}
-	if perTenant <= 0 {
-		perTenant = 1500
-	}
-	shards := int(macroShards.Load())
-	workers := int(macroWorkers.Load())
-	if shards <= 0 {
-		shards = 8
-	}
-	if workers <= 0 {
-		workers = 1
-	}
+func runMacroDay(seed uint64, cfg Config) (*Table, error) {
+	tenants, perTenant := cmp.Or(cfg.MacroTenants, 32), cmp.Or(cfg.MacroPerTenant, 1500)
+	h := newHarness("macro-day", seed, cfg, macroLookahead)
+	coord := &macroCoordinator{scope: h.scope("macro-day/coordinator")}
+	reports := h.newGather(tenants, macroReportGap, macroDay, priReport, priAbsorb, coord.window)
 
-	b := simbackend.New(seed)
-	b.ConfigureSharding(shards, workers, macroLookahead)
-	s := b.Sim()
-	collector := activeCollector.Load()
-
-	// Per-tenant concurrency caps sized near the mean in-flight load, so the
-	// diurnal peak produces real contention (retries, drops) at any scale.
-	meanService := 40 * math.Exp(0.5*0.5/2) // LogNormal(ln 40, 0.5) mean
-	perCap := int(float64(perTenant) * meanService / macroDay)
-	if perCap < 2 {
-		perCap = 2
-	}
-
+	fleet, perCap := h.openFleet(tenants, perTenant, macroCkptEvery)
 	// The shedding budget sits just below the fleet's typical aggregate
 	// in-flight load (staggered diurnal phases keep the total near its
 	// mean), so the coordinator genuinely sheds during busy windows.
-	coord := &macroCoordinator{
-		sh:        s.Shard(0),
-		inFlight:  make([]int, tenants),
-		threshold: tenants * perCap * 2 / 5,
+	coord.tenants, coord.threshold = fleet, tenants*perCap*2/5
+	for _, tn := range fleet {
+		tn.start(nil)
+		reports.join(tn.sh, tn.id, tn.plat.InFlight)
 	}
-	if collector != nil {
-		coord.scope = collector.Scope("macro-day/coordinator")
-	}
-
-	fleet := make([]*macroTenant, tenants)
-	for t := 0; t < tenants; t++ {
-		name := obs.ScopeName("macro-day", "t", t, tenants)
-		limits := faas.DefaultLimits()
-		limits.MaxConcurrency = perCap
-		plat := b.TenantPlatform(name, t%shards, limits)
-		tn := &macroTenant{
-			id:        t,
-			memMB:     512 << (t % 3),
-			plat:      plat,
-			sh:        plat.Shard(),
-			arr:       s.Rand(name + "/arrivals"),
-			svc:       s.Rand(name + "/service"),
-			rty:       s.Rand(name + "/retry"),
-			ckpt:      b.Store().Namespace(name),
-			perTenant: perTenant,
-			phase:     2 * math.Pi * float64(t) / float64(tenants),
-		}
-		if collector != nil {
-			plat.SetObserver(collector.Scope(name))
-		}
-		fleet[t] = tn
-
-		tn.sh.SchedulePriority(tn.arrivalAt(0), tn.id, func() { tn.arrive(0) })
-		first := sim.Time(macroReportGap)
-		tn.sh.SchedulePriority(first, priReport+tn.id, func() { tn.report(coord, first) })
-	}
-	coord.tenants = fleet
-
-	s.Run()
-
-	if n := s.Pending(); n != 0 {
-		return nil, fmt.Errorf("macro-day: %d events still pending after Run", n)
+	if err := h.run(); err != nil {
+		return nil, err
 	}
 
-	// Aggregate per memory class, always in tenant order so every float sum
-	// has a fixed term order.
-	type classRow struct {
-		tenants, memMB                          int
-		completed, retried, shed, dropped, cold uint64
-		cost                                    float64
-	}
-	classes := make([]classRow, 3)
-	var total classRow
+	ty := newTally("class", []string{"mem-0", "mem-1", "mem-2"}, count("tenants"), fixed("memMB"),
+		count("completed"), count("retried"), count("shed"), count("dropped"), count("cold"), money("cost$"))
 	for t, tn := range fleet {
-		c := &classes[t%3]
-		c.tenants++
-		c.memMB = tn.memMB
-		c.completed += tn.completed
-		c.retried += tn.retried
-		c.shed += tn.shed
-		c.dropped += tn.dropped
-		c.cold += tn.cold
 		m := tn.plat.Meter()
-		c.cost += m.Total()
+		ty.add(t%3, nil, 1, float64(tn.memMB), float64(tn.completed), float64(tn.retried),
+			float64(tn.shed), float64(tn.dropped), float64(tn.cold), m.Total())
 	}
-	for _, c := range classes {
-		total.tenants += c.tenants
-		total.completed += c.completed
-		total.retried += c.retried
-		total.shed += c.shed
-		total.dropped += c.dropped
-		total.cold += c.cold
-		total.cost += c.cost
-	}
-
-	row := func(label string, c classRow, memMB string) []string {
-		return []string{
-			label, fmt.Sprintf("%d", c.tenants), memMB,
-			fmt.Sprintf("%d", c.completed), fmt.Sprintf("%d", c.retried),
-			fmt.Sprintf("%d", c.shed), fmt.Sprintf("%d", c.dropped),
-			fmt.Sprintf("%d", c.cold), f4(c.cost),
-		}
-	}
-	tab := &Table{
-		ID:      "macro-day",
-		Title:   "Macro day: multi-tenant inference fleet with coordinator shedding",
-		Headers: []string{"class", "tenants", "memMB", "completed", "retried", "shed", "dropped", "cold", "cost$"},
-	}
-	for i, c := range classes {
-		tab.Rows = append(tab.Rows, row(fmt.Sprintf("mem-%d", i), c, fmt.Sprintf("%d", c.memMB)))
-	}
-	tab.Rows = append(tab.Rows, row("TOTAL", total, "-"))
-	st := b.Store().Stats()
+	tab := ty.table("macro-day", "Macro day: multi-tenant inference fleet with coordinator shedding")
 	tab.Notes = fmt.Sprintf(
 		"%d tenants x %d arrivals over a 24h simulated day; per-tenant concurrency cap %d, coordinator budget %d, checkpoints every %d completions (puts=%d); events=%d",
-		tenants, perTenant, perCap, coord.threshold, macroCkptEvery, st.Puts, s.EventsFired())
+		tenants, perTenant, perCap, coord.threshold, macroCkptEvery, h.b.Store().Stats().Puts, h.s.EventsFired())
 	return tab, nil
 }

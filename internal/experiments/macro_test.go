@@ -3,24 +3,34 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/traffic"
 )
 
-// renderMacro runs macro-day at the given kernel configuration and returns
-// the rendered table plus the merged trace and metrics exports.
-func renderMacro(t *testing.T, seed uint64, shards, workers int) (table, trace, metrics string) {
+// runMacro executes scenario id under cfg — with a fresh collector when
+// exports is set — and returns the table plus the JSONL trace and metrics
+// exports (empty without exports). Callers that export must stay serial
+// while SetCollector is a package global.
+func runMacro(t *testing.T, id string, seed uint64, cfg Config, exports bool) (tab *Table, trace, metrics string) {
 	t.Helper()
-	SetMacroSharding(shards, workers)
-	defer SetMacroSharding(0, 0)
-	c := obs.NewCollector()
-	SetCollector(c)
-	defer SetCollector(nil)
-
-	tab, err := Run("macro-day", seed)
+	var c *obs.Collector
+	if exports {
+		c = obs.NewCollector()
+		SetCollector(c)
+		defer SetCollector(nil)
+	}
+	tab, err := runWith(id, seed, cfg)
 	if err != nil {
-		t.Fatalf("macro-day(shards=%d workers=%d): %v", shards, workers, err)
+		t.Fatalf("%s seed=%d %+v: %v", id, seed, cfg, err)
+	}
+	if !exports {
+		return tab, "", ""
 	}
 	var tb, mb bytes.Buffer
 	if err := obs.WriteJSONL(&tb, c.Scopes()); err != nil {
@@ -29,83 +39,333 @@ func renderMacro(t *testing.T, seed uint64, shards, workers int) (table, trace, 
 	if err := obs.WriteMetricsJSON(&mb, c.Scopes()); err != nil {
 		t.Fatal(err)
 	}
-	return tab.String(), tb.String(), mb.String()
+	return tab, tb.String(), mb.String()
 }
 
-// TestMacroDayShardMatrix is the acceptance gate for the sharded kernel:
-// the macro scenario's table, trace export and metrics export must be
-// byte-identical at every (shards, workers) combination, including the
-// parallel executor, because the merge order of every simultaneous event
-// pair is pinned by globally unique priorities.
-func TestMacroDayShardMatrix(t *testing.T) {
-	SetMacroScale(9, 300)
-	defer SetMacroScale(0, 0)
-
-	refTab, refTrace, refMetrics := renderMacro(t, 11, 1, 1)
-	if refTrace == "" || len(refTrace) < 100 {
-		t.Fatalf("reference trace implausibly small: %d bytes", len(refTrace))
+// mustTrace parses per-minute-count trace text for Config.Trace.
+func mustTrace(t *testing.T, text string) traffic.Trace {
+	t.Helper()
+	tr, err := traffic.ParseTrace(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 8} {
-		for _, workers := range []int{1, 8} {
-			if shards == 1 && workers == 1 {
-				continue
+	return tr
+}
+
+// totalCell returns the TOTAL row's cell under header.
+func totalCell(t *testing.T, tab *Table, header string) string {
+	t.Helper()
+	for i, h := range tab.Headers {
+		if h == header {
+			return tab.Rows[len(tab.Rows)-1][i]
+		}
+	}
+	t.Fatalf("%s: no column %q in %v", tab.ID, header, tab.Headers)
+	return ""
+}
+
+// kernel is one (shards, workers) setting of the sharded kernel.
+type kernel struct{ shards, workers int }
+
+// fullGrid is every kernel setting the acceptance matrix covers, compared
+// against the single-queue reference {1, 1}.
+var fullGrid = []kernel{{1, 8}, {2, 1}, {2, 8}, {8, 1}, {8, 8}}
+
+// macroMatrix is the determinism matrix of the tenant harness: one row per
+// (scenario, population). Every row's table at each kernel setting must
+// equal the {1, 1} table byte for byte — the merge order of every
+// simultaneous event pair is pinned by globally unique priorities, compiled
+// fault events and tenant-private error gates included. Rows with exports
+// also compare the trace and metrics exports (which carry every platform
+// event and every controller's per-epoch decision log); they run serially
+// because the collector is a package global, the rest run in parallel.
+// Rows marked long are the check sizes (default populations, 1000
+// controllers, 48 x 1/s x 900 s, a trace-file replay); `make shard-check`
+// runs them, -short skips them.
+var macroMatrix = []struct {
+	name    string
+	id      string
+	seed    uint64
+	cfg     Config
+	trace   string // per-minute-count text parsed into cfg.Trace
+	grid    []kernel
+	exports bool
+	long    bool
+	// otherSeed, when set, must produce a different table: the scenario has
+	// not collapsed into a constant.
+	otherSeed uint64
+	// noteHas must appear in the table's note; totals are TOTAL-row cells.
+	noteHas string
+	totals  map[string]string
+}{
+	{name: "macro-day/9x300", id: "macro-day", seed: 11, grid: fullGrid, exports: true,
+		cfg: Config{MacroTenants: 9, MacroPerTenant: 300}},
+	{name: "macro-chaos/9x300", id: "macro-chaos", seed: 11, grid: fullGrid, exports: true,
+		cfg: Config{ChaosTenants: 9, ChaosPerTenant: 300}},
+	{name: "macro-fleet/12", id: "macro-fleet", seed: 11, grid: fullGrid, exports: true,
+		cfg: Config{FleetTenants: 12}},
+	{name: "macro-trace/9x1x300", id: "macro-trace", seed: 11, grid: fullGrid, exports: true,
+		cfg: Config{TrafficTenants: 9, TrafficRate: 1, TrafficHorizon: 300}},
+
+	// Every cursor kind is pinned, not just the default diurnal.
+	{name: "macro-trace/poisson", id: "macro-trace", seed: 3, grid: []kernel{{8, 8}}, noteHas: "kind=poisson",
+		cfg: Config{TrafficTenants: 6, TrafficRate: 1, TrafficHorizon: 240, TrafficKind: "poisson"}},
+	{name: "macro-trace/bursty", id: "macro-trace", seed: 3, grid: []kernel{{8, 8}}, noteHas: "kind=bursty",
+		cfg: Config{TrafficTenants: 6, TrafficRate: 1, TrafficHorizon: 240, TrafficKind: "bursty"}},
+	{name: "macro-trace/replay", id: "macro-trace", seed: 3, grid: []kernel{{8, 8}}, noteHas: "kind=trace",
+		cfg: Config{TrafficTenants: 6, TrafficRate: 1, TrafficHorizon: 240, TrafficKind: "trace"}, trace: "3,0,9,2\n1,5,0,4\n"},
+	// Replay neither drops nor invents arrivals: the arrivals column is the
+	// sum of both trace rows.
+	{name: "macro-trace/replay-counts", id: "macro-trace", seed: 5, totals: map[string]string{"arrivals": "18"},
+		cfg: Config{TrafficTenants: 2, TrafficRate: 1, TrafficHorizon: 600, TrafficKind: "trace"}, trace: "2,7,0,3\n5,0,0,1\n"},
+
+	{name: "macro-day/seeds", id: "macro-day", seed: 1, otherSeed: 2, cfg: Config{MacroTenants: 4, MacroPerTenant: 120}},
+	{name: "macro-chaos/seeds", id: "macro-chaos", seed: 1, otherSeed: 2, cfg: Config{ChaosTenants: 4, ChaosPerTenant: 120}},
+	{name: "macro-fleet/seeds", id: "macro-fleet", seed: 1, otherSeed: 2, cfg: Config{FleetTenants: 9}},
+	{name: "macro-trace/seeds", id: "macro-trace", seed: 1, otherSeed: 2,
+		cfg: Config{TrafficTenants: 4, TrafficRate: 1, TrafficHorizon: 240}},
+
+	{name: "macro-day/default", id: "macro-day", seed: 2023, long: true, grid: []kernel{{8, 8}}},
+	{name: "macro-chaos/default", id: "macro-chaos", seed: 2023, long: true, grid: []kernel{{2, 8}, {8, 1}, {8, 8}}},
+	{name: "macro-fleet/1000", id: "macro-fleet", seed: 2023, long: true, grid: []kernel{{1, 8}, {8, 1}, {8, 8}},
+		cfg: Config{FleetTenants: 1000}},
+	{name: "macro-trace/48x1x900", id: "macro-trace", seed: 2023, long: true, grid: []kernel{{1, 8}, {2, 8}, {8, 1}, {8, 8}},
+		cfg: Config{TrafficTenants: 48, TrafficRate: 1, TrafficHorizon: 900}},
+	{name: "macro-trace/replay-6", id: "macro-trace", seed: 2023, long: true, grid: []kernel{{8, 8}},
+		cfg: Config{TrafficTenants: 6, TrafficKind: "trace"}, trace: "12,3,0,7,1,9\n0,8,2,4,6,0\n5,5,5,5,5,5\n"},
+}
+
+func TestMacroMatrix(t *testing.T) {
+	for _, row := range macroMatrix {
+		t.Run(row.name, func(t *testing.T) {
+			if row.long && testing.Short() {
+				t.Skip("check-sized macro run skipped in -short mode")
 			}
-			name := fmt.Sprintf("shards=%d,workers=%d", shards, workers)
-			tab, trace, metrics := renderMacro(t, 11, shards, workers)
-			if tab != refTab {
-				t.Errorf("%s: table diverges from shards=1,workers=1:\n--- ref\n%s\n--- got\n%s", name, refTab, tab)
+			if !row.exports {
+				t.Parallel()
 			}
-			if trace != refTrace {
-				t.Errorf("%s: trace export diverges (%d vs %d bytes)", name, len(refTrace), len(trace))
+			at := func(k kernel, seed uint64) (*Table, string, string) {
+				cfg := row.cfg
+				cfg.Shards, cfg.Workers = k.shards, k.workers
+				if row.trace != "" {
+					cfg.Trace = mustTrace(t, row.trace)
+				}
+				return runMacro(t, row.id, seed, cfg, row.exports)
 			}
-			if metrics != refMetrics {
-				t.Errorf("%s: metrics export diverges", name)
+			ref, refTrace, refMetrics := at(kernel{1, 1}, row.seed)
+			refTab := ref.String()
+			if row.exports && len(refTrace) < 100 {
+				t.Fatalf("reference trace implausibly small: %d bytes", len(refTrace))
 			}
+			for _, k := range row.grid {
+				tab, trace, metrics := at(k, row.seed)
+				if tab.String() != refTab {
+					t.Errorf("%+v: table diverges from shards=1,workers=1:\n--- ref\n%s\n--- got\n%s", k, refTab, tab)
+				}
+				if trace != refTrace {
+					t.Errorf("%+v: trace export diverges (%d vs %d bytes)", k, len(refTrace), len(trace))
+				}
+				if metrics != refMetrics {
+					t.Errorf("%+v: metrics export diverges", k)
+				}
+			}
+			if row.otherSeed != 0 {
+				if other, _, _ := at(kernel{1, 1}, row.otherSeed); other.String() == refTab {
+					t.Errorf("output identical across seeds %d and %d", row.seed, row.otherSeed)
+				}
+			}
+			if !strings.Contains(refTab, row.noteHas) {
+				t.Errorf("note does not record %q:\n%s", row.noteHas, refTab)
+			}
+			for header, want := range row.totals {
+				if got := totalCell(t, ref, header); got != want {
+					t.Errorf("TOTAL %s = %s, want %s", header, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestMacroScenariosRunConcurrently is the cebench -parallel gate at the
+// check sizes: the four scenarios run side by side on the engine's worker
+// pool, which is possible only because their configuration travels in a
+// value, and every table must equal its serial run.
+func TestMacroScenariosRunConcurrently(t *testing.T) {
+	if testing.Short() {
+		t.Skip("check-sized macro runs skipped in -short mode")
+	}
+	ids := []string{"macro-day", "macro-chaos", "macro-fleet", "macro-trace"}
+	cfg := Config{FleetTenants: 1000, TrafficTenants: 48, TrafficRate: 1, TrafficHorizon: 900}
+	withParallelism(t, 1)
+	serial := RunAll(ids, 2023, cfg)
+	withParallelism(t, 8)
+	for i, o := range RunAll(ids, 2023, cfg) {
+		if o.Err != nil || serial[i].Err != nil {
+			t.Fatalf("%s: %v / %v", o.ID, serial[i].Err, o.Err)
+		}
+		if o.Table.String() != serial[i].Table.String() {
+			t.Errorf("%s: table differs between -parallel 1 and -parallel 8", o.ID)
 		}
 	}
 }
 
-// TestMacroDaySeedSensitivity guards against the scenario collapsing into
-// a constant: different seeds must produce different traffic.
-func TestMacroDaySeedSensitivity(t *testing.T) {
-	SetMacroScale(4, 120)
-	defer SetMacroScale(0, 0)
-	a, err := Run("macro-day", 1)
-	if err != nil {
-		t.Fatal(err)
+var noteNum = regexp.MustCompile(`(denials|retries|windows|invocations|events)=([0-9]+)`)
+
+// TestMacroDefaultsExerciseEveryPath checks the registered-default runs
+// genuinely stress what each scenario exists for: the listed TOTAL cells
+// must be nonzero, plus what only that scenario can assert.
+func TestMacroDefaultsExerciseEveryPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("default-scale macro runs skipped in -short mode")
 	}
-	b, err := Run("macro-day", 2)
-	if err != nil {
-		t.Fatal(err)
+	atoi := func(t *testing.T, tab *Table, header string) int {
+		t.Helper()
+		v, err := strconv.Atoi(totalCell(t, tab, header))
+		if err != nil {
+			t.Fatalf("TOTAL %s: %v", header, err)
+		}
+		return v
 	}
-	if a.String() == b.String() {
-		t.Fatal("macro-day output identical across seeds")
+	for _, sc := range []struct {
+		id      string
+		nonzero []string // TOTAL cells: the path behind each must have fired
+		extra   func(t *testing.T, tab *Table)
+	}{
+		// Concurrency caps bind (retried), the coordinator's feedback loop
+		// fires (shed), and both start kinds occur.
+		{"macro-day", []string{"completed", "retried", "shed", "cold"}, nil},
+		// Every fault path fires, and kills re-admit their victims: nothing
+		// may be lost from the arrival ledger.
+		{"macro-chaos", []string{"completed", "killed", "reclaimed", "shed", "ckpt_retry", "cold"},
+			func(t *testing.T, tab *Table) {
+				if got := atoi(t, tab, "completed") + atoi(t, tab, "shed") + atoi(t, tab, "dropped"); got != 24*1000 {
+					t.Errorf("arrival ledger: completed+shed+dropped = %d, want %d", got, 24*1000)
+				}
+			}},
+		// Most tenants converge, the schedulers restart through the shared
+		// account, every tenant decides per epoch, constraints are met.
+		{"macro-fleet", []string{"restarts", "budget-met", "qos-met"},
+			func(t *testing.T, tab *Table) {
+				tenants := atoi(t, tab, "tenants")
+				if conv := atoi(t, tab, "converged"); conv < tenants/2 {
+					t.Errorf("only %d/%d tenants converged", conv, tenants)
+				}
+				if dec := atoi(t, tab, "decisions"); dec < tenants*4 {
+					t.Errorf("implausibly few decisions (%d) for %d tenants", dec, tenants)
+				}
+			}},
+		// The shared cap binds (retries), fairness windows run, and the
+		// latency quantiles are populated.
+		{"macro-trace", []string{"completed", "cold", "p50s", "p95s"},
+			func(t *testing.T, tab *Table) {
+				nums := map[string]int{}
+				for _, m := range noteNum.FindAllStringSubmatch(tab.Notes, -1) {
+					nums[m[1]], _ = strconv.Atoi(m[2])
+				}
+				if nums["retries"] == 0 {
+					t.Error("no retries: the shared concurrency cap never bound")
+				}
+				if nums["windows"] < 10 {
+					t.Errorf("only %d fairness windows over a 1800s horizon", nums["windows"])
+				}
+				if nums["invocations"] < 10000 {
+					t.Errorf("only %d invocations at the default scale", nums["invocations"])
+				}
+				if !strings.Contains(tab.Notes, "jain mean=") {
+					t.Error("note missing the fairness summary")
+				}
+			}},
+	} {
+		t.Run(sc.id, func(t *testing.T) {
+			t.Parallel()
+			tab, _, _ := runMacro(t, sc.id, 7, Config{}, false)
+			for _, header := range sc.nonzero {
+				if totalCell(t, tab, header) == "0" {
+					t.Errorf("TOTAL %s is 0: that path never fired", header)
+				}
+			}
+			if sc.extra != nil {
+				sc.extra(t, tab)
+			}
+		})
 	}
 }
 
-// TestMacroDayExercisesContention checks the scenario actually stresses the
-// shared-account paths: the default-scale run must record retries and warm
-// starts, and the coordinator must have run shedding windows.
-func TestMacroDayExercisesContention(t *testing.T) {
-	if testing.Short() {
-		t.Skip("default-scale macro run skipped in -short mode")
+// TestConfigValidateRejectsBadInput: flag-shaped garbage is an error from
+// Validate, from runWith and per outcome from RunAll — never a panic inside
+// a traffic cursor, and never a silently defaulted population.
+func TestConfigValidateRejectsBadInput(t *testing.T) {
+	ids := []string{"macro-day", "macro-chaos", "macro-fleet", "macro-trace"}
+	for name, cfg := range map[string]Config{
+		"rate NaN":            {TrafficRate: math.NaN()},
+		"horizon +Inf":        {TrafficHorizon: math.Inf(1)},
+		"rate negative":       {TrafficRate: -2},
+		"horizon negative":    {TrafficHorizon: -60},
+		"tenants negative":    {MacroTenants: -5},
+		"per-tenant negative": {ChaosPerTenant: -1},
+		"fleet negative":      {FleetTenants: -7},
+		"streams negative":    {TrafficTenants: -2},
+		"shards negative":     {Shards: -3},
+		"workers negative":    {Workers: -1},
+		"unknown kind":        {TrafficKind: "lumpy"},
+		"trace without rows":  {TrafficKind: "trace"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := cfg.Validate(); err == nil {
+				t.Error("Validate accepted the configuration")
+			}
+			for _, o := range RunAll(ids, 1, cfg) {
+				if o.Err == nil || o.Table != nil {
+					t.Errorf("%s ran under an invalid configuration (err=%v)", o.ID, o.Err)
+				}
+			}
+		})
 	}
-	tab, err := Run("macro-day", 7)
-	if err != nil {
-		t.Fatal(err)
+	if err := (Config{}).Validate(); err != nil {
+		t.Errorf("zero Config rejected: %v", err)
 	}
-	total := tab.Rows[len(tab.Rows)-1]
-	// Columns: class tenants memMB completed retried shed dropped cold cost$.
-	if total[3] == "0" {
-		t.Error("no completions")
+}
+
+// TestHarnessRunReportsLedgerViolation injects one completion dropped on
+// the floor and requires run() to turn it into an error; the untouched
+// fleet must balance.
+func TestHarnessRunReportsLedgerViolation(t *testing.T) {
+	for _, sabotage := range []bool{false, true} {
+		h := newHarness("ledger-test", 5, Config{Shards: 2}, macroLookahead)
+		fleet, _ := h.openFleet(3, 40, macroCkptEvery)
+		for _, tn := range fleet {
+			tn.start(nil)
+		}
+		if sabotage {
+			tn := fleet[1]
+			tn.sh.SchedulePriority(2*macroDay, 0, func() { tn.completed-- })
+		}
+		err := h.run()
+		switch {
+		case sabotage && (err == nil || !strings.Contains(err.Error(), "ledger")):
+			t.Errorf("lost completion not reported as a ledger error: %v", err)
+		case !sabotage && err != nil:
+			t.Errorf("untouched fleet does not balance: %v", err)
+		}
 	}
-	if total[4] == "0" {
-		t.Error("no retries: concurrency caps never bound")
+}
+
+// TestTallySumsInGroupOrder pins the tally's float summation order: tenants
+// into their group in the order added, groups into TOTAL in group order.
+func TestTallySumsInGroupOrder(t *testing.T) {
+	ty := newTally("g", []string{"a", "b"}, count("n"), fixed("k"), money("usd$"))
+	vals := []float64{0.1, 1e16, -1e16, 0.2}
+	for i, v := range vals {
+		ty.add(i%2, nil, 1, float64(7+i%2), v)
 	}
-	if total[5] == "0" {
-		t.Error("no sheds: coordinator feedback loop never fired")
+	tab := ty.table("x", "t")
+	a, b := vals[0]+vals[2], vals[1]+vals[3]
+	want := [][]string{
+		{"a", "2", "7", f4(a)},
+		{"b", "2", "8", f4(b)},
+		{"TOTAL", "4", "-", f4(a + b)},
 	}
-	if total[7] == "0" {
-		t.Error("no cold starts")
+	if fmt.Sprint(tab.Rows) != fmt.Sprint(want) {
+		t.Errorf("rows = %v, want %v", tab.Rows, want)
 	}
 }

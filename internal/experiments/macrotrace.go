@@ -3,13 +3,14 @@ package experiments
 // macro-trace is the traffic-engine macro scenario: T tenants generating
 // open-loop invocation streams from internal/traffic's lazy arrival
 // cursors (Poisson, bursty, diurnal, or Azure-style trace replay) against
-// one shared serverless account. It is the workload the PR8 traffic work
-// exists for: macro-day synthesizes its arrivals from a closed-form curve
-// and macro-fleet is decision-bound, while macro-trace generates tens of
-// millions of arrivals from a stochastic process or a trace file without
+// one shared serverless account (the admission pipeline in harness.go, with
+// group size 1). macro-day synthesizes its arrivals from a closed-form
+// curve and macro-fleet is decision-bound, while macro-trace generates tens
+// of millions of arrivals from a stochastic process or a trace file without
 // ever materializing them.
 //
-// Memory discipline (the headline property, measured by scripts/bench.sh):
+// Memory discipline (the headline property; `go run ./cmd/bench` measures
+// peak RSS on the trace-s1 and trace-s8w2 workloads):
 //
 //   - Each tenant keeps exactly one pending pump event. When the pump
 //     fires it drains the cursor only up to traceBatchWindow seconds ahead
@@ -19,89 +20,26 @@ package experiments
 //     O(tenants), independent of horizon and trace length.
 //   - Measurement is streaming: per-tenant fixed-bucket latency
 //     histograms (obs.Hist), running cost counters, and Jain's fairness
-//     index computed at minute boundaries by the shard-0 coordinator. No
-//     per-invocation record is ever retained.
-//
-// Sharing layout (macro-fleet convention): tenants live on shard t%shards;
-// the account platform is owned by shard 0 and mutates only inside shard-0
-// events reached via sim.Post round trips, with retries run shard-0-local
-// on a deterministic backoff. Every event that can share a timestamp with
-// another tenant's event carries a globally unique priority (band + tenant
-// id), so the table, trace and metrics are byte-identical at every
-// (shards, workers, cebench -parallel) setting.
+//     index computed at minute boundaries on shard 0. No per-invocation
+//     record is ever retained.
 //
 // Scaling note: the registered default is 24 tenants x 0.5/s x 1800 s
-// (~21.6k arrivals) so smoke tests run in milliseconds; scripts/bench.sh
-// raises it to 128 x 1.0/s x 86400 s (>=10M arrivals) via SetTrafficScale
-// / cebench -traffic-* flags.
+// (~21.6k arrivals) so smoke tests run in milliseconds; Config.Traffic*
+// (cebench -traffic-* flags) raise it.
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/faas"
 	"repro/internal/obs"
-	"repro/internal/platform/simbackend"
 	"repro/internal/pricing"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
-func init() { register("macro-trace", runMacroTrace) }
-
-// Traffic knobs, overridable by cmd/cebench flags and scripts/bench.sh.
-// Zero means "use the registered default". Sharding reuses the macro knobs
-// (SetMacroSharding / cebench -shards, -sim-workers).
-var (
-	trafficTenants     atomic.Int64
-	trafficRateBits    atomic.Uint64
-	trafficHorizonBits atomic.Uint64
-	trafficKindPlus1   atomic.Int64                  // 0 = default (diurnal), else Kind+1
-	trafficTrace       atomic.Pointer[traffic.Trace] // parsed -trace-file payload
-)
-
-// SetTrafficScale overrides the macro-trace population: tenants streams at
-// rate arrivals/second each over horizon seconds. Zeros restore the
-// defaults (24 x 0.5/s x 1800 s).
-func SetTrafficScale(tenants int, rate, horizon float64) {
-	trafficTenants.Store(int64(tenants))
-	trafficRateBits.Store(math.Float64bits(rate))
-	trafficHorizonBits.Store(math.Float64bits(horizon))
-}
-
-// SetTrafficKind overrides the macro-trace arrival process
-// (poisson|bursty|diurnal|trace); the empty string restores the default
-// (diurnal).
-func SetTrafficKind(kind string) error {
-	if kind == "" {
-		trafficKindPlus1.Store(0)
-		return nil
-	}
-	k, err := traffic.ParseKind(kind)
-	if err != nil {
-		return err
-	}
-	trafficKindPlus1.Store(int64(k) + 1)
-	return nil
-}
-
-// SetTraceData parses an Azure-style per-minute-count trace (see
-// internal/traffic) and installs it for the "trace" kind; tenants replay
-// rows round-robin. Nil or empty clears the installed trace.
-func SetTraceData(data []byte) error {
-	if len(data) == 0 {
-		trafficTrace.Store(nil)
-		return nil
-	}
-	tr, err := traffic.ParseTrace(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	trafficTrace.Store(&tr)
-	return nil
-}
+func init() { registerScenario("macro-trace", runMacroTrace) }
 
 const (
 	traceLookahead   = 5.0  // conservative window: every cross-shard Post delay
@@ -114,154 +52,33 @@ const (
 	traceSvcMedian = 0.4
 	traceSvcSigma  = 0.6
 
-	// Priority bands (+ tenant id within each): releases beat invokes at
-	// equal timestamps so freed capacity is visible to same-instant
-	// requests; pumps beat the arrivals they inject at the same instant.
-	priTracePump    = 0
-	priTraceArrive  = 1_000_000
-	priTraceRelease = 2_000_000
-	priTraceInvoke  = 3_000_000
-	priTraceRetry   = 4_000_000
-	priTraceGrant   = 5_000_000
-	priTraceDone    = 6_000_000
-	priTraceReport  = 7_000_000
-	priTraceAbsorb  = 8_000_000
+	// Priority bands (+ tenant id within each): pumps beat the arrivals
+	// they inject at the same instant; the account's bands are traceBands.
+	priTracePump   = 0
+	priTraceArrive = 1_000_000
+	priTraceDone   = 6_000_000
+	priTraceReport = 7_000_000
+	priTraceAbsorb = 8_000_000
 )
 
-// traceAccount is the shared serverless account on shard 0. Every Invoke1
-// and ReleaseGroup call happens inside a shard-0 event, so the platform's
-// warm pool, meter and concurrency gate mutate in one deterministic order.
-type traceAccount struct {
-	sh               *sim.Shard
-	plat             *faas.Platform
-	free             *invFrame // frame pool; get/put only inside shard-0 events
-	denials, retries uint64
-}
-
-// invFrame carries one arrival through admit -> grant -> done -> release.
-// Frames are pooled on the account (acquired at admission, freed at release
-// or final denial — both shard-0 events) and their stage closures are bound
-// once at construction, so the steady-state invocation pipeline performs
-// zero heap allocations. A frame is only ever touched by its own causally
-// ordered event chain; cross-shard hops go through sim.Post, whose mailbox
-// handoff orders the memory accesses.
-type invFrame struct {
-	ac      *traceAccount
-	tn      *traceTenant
-	arrT    sim.Time
-	attempt int     // admission attempts already made
-	delay   float64 // startup delay of the granted invocation
-	cold    bool
-	held    float64 // startup + service, set on grant, read at release
-
-	invokeFn, grantFn, doneFn, releaseFn func()
-	next                                 *invFrame
-}
-
-func (ac *traceAccount) get() *invFrame {
-	fr := ac.free
-	if fr == nil {
-		//cescalint:allow hotpath -- pool refill: one frame (plus its four bound stage closures) per concurrency high-water mark; steady state recycles via the free list
-		return newInvFrame(ac)
-	}
-	ac.free = fr.next
-	return fr
-}
-
-// newInvFrame allocates a fresh frame and binds its stage closures once; it
-// runs only while the in-flight count is still climbing to its high-water
-// mark, after which every arrival reuses a pooled frame.
-func newInvFrame(ac *traceAccount) *invFrame {
-	fr := &invFrame{ac: ac}
-	fr.invokeFn = fr.invoke
-	fr.grantFn = fr.grant
-	fr.doneFn = fr.done
-	fr.releaseFn = fr.release
-	return fr
-}
-
-func (ac *traceAccount) put(fr *invFrame) {
-	fr.tn = nil
-	fr.next = ac.free
-	ac.free = fr
-}
-
-// admit starts one arrival's admission on shard 0. The arrival instant is
-// recovered from the fire time: the tenant's invoke post travels exactly
-// one lookahead, so no per-arrival closure is needed to carry it.
-//
-//cescalint:hotpath
-func (ac *traceAccount) admit(tn *traceTenant) {
-	fr := ac.get()
-	fr.tn = tn
-	fr.arrT = ac.sh.Now() - sim.Time(traceLookahead)
-	fr.attempt = 0
-	fr.invoke()
-}
-
-// invoke tries to admit the frame's arrival, retrying shard-0-locally with
-// deterministic exponential backoff while the account is at its cap; the
-// grant (or final denial) posts back to the tenant's shard one lookahead
-// later.
-func (fr *invFrame) invoke() {
-	ac, tn := fr.ac, fr.tn
-	inv, err := ac.plat.Invoke1(tn.memMB)
-	if err != nil {
-		if fr.attempt+1 >= traceMaxRetry {
-			ac.denials++
-			ac.sh.Post(tn.sh, ac.sh.Now()+sim.Time(traceLookahead), priTraceGrant+tn.id, tn.dropFn)
-			ac.put(fr)
-			return
-		}
-		ac.retries++
-		at := ac.sh.Now() + sim.Time(math.Ldexp(traceLookahead, fr.attempt))
-		fr.attempt++
-		ac.sh.SchedulePriority(at, priTraceRetry+tn.id, fr.invokeFn)
-		return
-	}
-	fr.delay, fr.cold = inv.StartDelay, inv.Cold
-	ac.sh.Post(tn.sh, ac.sh.Now()+sim.Time(traceLookahead), priTraceGrant+tn.id, fr.grantFn)
-}
-
-// grant runs on the tenant's shard once the account admits the arrival.
-//
-//cescalint:hotpath
-func (fr *invFrame) grant() { fr.tn.granted(fr) }
-
-// done runs on the tenant's shard when the invocation's service completes.
-//
-//cescalint:hotpath
-func (fr *invFrame) done() { fr.tn.finish(fr) }
-
-// release runs on shard 0: return the capacity and warm instance to the
-// account, then recycle the frame.
-//
-//cescalint:hotpath
-func (fr *invFrame) release() {
-	fr.ac.plat.ReleaseGroup(1, fr.tn.memMB, fr.held)
-	fr.ac.put(fr)
-}
+var traceBands = accountBands{release: 2_000_000, invoke: 3_000_000, retry: 4_000_000, grant: 5_000_000}
 
 // traceTenant is one open-loop request stream: a lazy arrival cursor, the
 // pump that schedules it, and streaming per-tenant aggregates (histogram,
 // counters, running cost) — O(1) state regardless of how many invocations
 // flow through.
 type traceTenant struct {
-	id     int
-	memMB  int
-	sh     *sim.Shard
-	ac     *traceAccount
+	member
 	cursor traffic.Cursor
 	svc    *sim.Rand
 	prices pricing.PriceBook
 
-	pumpFn, arriveFn, admitFn, dropFn func()
-	batch                             []sim.BatchEvent
+	pumpFn, arriveFn func()
+	batch            []sim.BatchEvent
 
-	hist        obs.Hist
-	cost        float64
-	reportUntil float64
-	window      uint64 // completions since the last fairness report
+	hist   obs.Hist
+	cost   float64
+	window uint64 // completions since the last fairness report
 
 	arrivals, completed, dropped, cold uint64
 }
@@ -270,15 +87,17 @@ type traceTenant struct {
 // arrival plus every further arrival inside the next traceBatchWindow
 // seconds as one ScheduleBatch (bulk heapify: a bursty spike pays O(burst)
 // sift work, not O(burst log heap)), then reschedules itself at the first
-// arrival past the window — at most one pending pump per tenant, ever.
+// arrival past the window — at most one pending pump per tenant, ever. Each
+// arrival is one admission request to the account.
 //
 //cescalint:hotpath
 func (tn *traceTenant) pump() {
-	now := tn.sh.Now()
-	cutoff := float64(now) + traceBatchWindow
-	//cescalint:allow hotpath -- amortized: batch grows to the per-window high-water arrival count, then append reuses the capacity
-	tn.batch = append(tn.batch[:0], sim.BatchEvent{At: now, Pri: priTraceArrive + tn.id, Fn: tn.arriveFn})
+	at := tn.sh.Now()
+	cutoff := float64(at) + traceBatchWindow
+	tn.batch = tn.batch[:0]
 	for {
+		//cescalint:allow hotpath -- amortized: batch grows to the per-window high-water arrival count, then append reuses the capacity
+		tn.batch = append(tn.batch, sim.BatchEvent{At: at, Pri: priTraceArrive + tn.id, Fn: tn.arriveFn})
 		t, ok := tn.cursor.Next()
 		if !ok {
 			break
@@ -287,190 +106,108 @@ func (tn *traceTenant) pump() {
 			tn.sh.SchedulePriority(sim.Time(t), priTracePump+tn.id, tn.pumpFn)
 			break
 		}
-		//cescalint:allow hotpath -- amortized: batch grows to the per-window high-water arrival count, then append reuses the capacity
-		tn.batch = append(tn.batch, sim.BatchEvent{At: sim.Time(t), Pri: priTraceArrive + tn.id, Fn: tn.arriveFn})
+		at = sim.Time(t)
 	}
 	tn.arrivals += uint64(len(tn.batch))
 	tn.sh.ScheduleBatch(tn.batch)
 }
 
-// arrive posts this arrival's admission request to the account. The post
-// travels exactly one lookahead, so the account recovers the arrival
-// instant from its own clock — no per-arrival closure.
-//
-//cescalint:hotpath
-func (tn *traceTenant) arrive() {
-	tn.sh.Post(tn.ac.sh, tn.sh.Now()+sim.Time(traceLookahead), priTraceInvoke+tn.id, tn.admitFn)
-}
-
-// admit is the shard-0 side of arrive, bound once per tenant.
-func (tn *traceTenant) admit() { tn.ac.admit(tn) }
-
 // granted runs on the tenant's shard once the account admits the arrival:
 // draw the service time, bill tenant-side, and schedule completion.
 func (tn *traceTenant) granted(fr *invFrame) {
-	if fr.cold {
-		tn.cold++
-	}
+	tn.cold += uint64(fr.cold)
 	tn.cost += tn.prices.FunctionInvoke
 	service := tn.svc.LogNormal(math.Log(traceSvcMedian), traceSvcSigma)
 	fr.held = fr.delay + service
 	tn.sh.SchedulePriority(tn.sh.Now()+sim.Time(fr.held), priTraceDone+tn.id, fr.doneFn)
 }
 
-// finish streams the invocation into the tenant's aggregates — histogram
-// bucket, counters, running cost — and posts the release back to the
-// account. Nothing per-invocation survives past the frame's release.
-func (tn *traceTenant) finish(fr *invFrame) {
-	now := tn.sh.Now()
-	tn.completed++
-	tn.window++
-	tn.hist.Observe(float64(now - fr.arrT))
-	tn.cost += tn.prices.ComputeOnlyCost(fr.held, float64(tn.memMB))
-	tn.sh.Post(tn.ac.sh, now+sim.Time(traceLookahead), priTraceRelease+tn.id, fr.releaseFn)
-}
-
-// drop records a final denial from the account.
+// done runs on the tenant's shard when an invocation's service completes:
+// it streams the invocation into the tenant's aggregates — histogram
+// bucket, counters, running cost — and hands the frame back to the account.
+// Nothing per-invocation survives past the frame's release.
 //
 //cescalint:hotpath
-func (tn *traceTenant) drop() { tn.dropped++ }
-
-// report posts the tenant's last-minute completion count to the fairness
-// coordinator and resets the window.
-func (tn *traceTenant) report(coord *traceCoordinator, at sim.Time) {
-	w := tn.window
-	tn.window = 0
-	id := tn.id
-	tn.sh.Post(coord.sh, at+sim.Time(traceLookahead), priTraceAbsorb+id,
-		func() { coord.absorb(id, w) })
-	next := at + sim.Time(traceReportGap)
-	if float64(next) <= tn.reportUntil {
-		tn.sh.SchedulePriority(next, priTraceReport+id, func() { tn.report(coord, next) })
-	}
+func (fr *invFrame) done() {
+	tn := fr.m.self.(*traceTenant)
+	tn.completed++
+	tn.window++
+	tn.hist.Observe(float64(tn.sh.Now() - fr.reqT))
+	tn.cost += tn.prices.ComputeOnlyCost(fr.held, float64(tn.memMB))
+	tn.release(fr)
 }
 
-// traceCoordinator computes Jain's fairness index over the tenants'
-// per-minute completion counts at every report boundary — a streaming
-// scalar per window, never a table of per-tenant history.
-type traceCoordinator struct {
-	sh     *sim.Shard
-	window []float64
-	seen   int
-	scope  *obs.Observer
+// denied records a final denial from the account.
+func (tn *traceTenant) denied() { tn.dropped++ }
 
+// traceFairness computes Jain's fairness index over the tenants' per-minute
+// completion counts at every report boundary — a streaming scalar per
+// window, never a table of per-tenant history.
+type traceFairness struct {
+	window  []float64
+	scope   *obs.Observer
 	windows int
 	jainSum float64
 	jainMin float64
 }
 
-func (c *traceCoordinator) absorb(tenant int, completions uint64) {
-	c.window[tenant] = float64(completions)
-	c.seen++
-	if c.seen < len(c.window) {
-		return
+func (c *traceFairness) absorb(now sim.Time, completions []int) {
+	for t, n := range completions {
+		c.window[t] = float64(n)
 	}
-	c.seen = 0
 	j := obs.Jain(c.window)
 	c.windows++
 	c.jainSum += j
-	if j < c.jainMin {
-		c.jainMin = j
-	}
+	c.jainMin = math.Min(c.jainMin, j)
 	if c.scope != nil {
-		c.scope.Trace().InstantAt(float64(c.sh.Now()), "macro", "coordinator", "fairness",
+		c.scope.Trace().InstantAt(float64(now), "macro", "coordinator", "fairness",
 			obs.F("jain", j), obs.I("windows", c.windows))
 	}
 }
 
-// qstr renders a conservative histogram quantile (a bucket upper bound).
-func qstr(v float64) string {
-	if math.IsInf(v, 1) {
-		return fmt.Sprintf(">%g", obs.LatencyBuckets[len(obs.LatencyBuckets)-1])
+func runMacroTrace(seed uint64, cfg Config) (*Table, error) {
+	tenants := cmp.Or(cfg.TrafficTenants, 24)
+	arrivals, err := cfg.traffic()
+	if err != nil {
+		return nil, fmt.Errorf("macro-trace: %w", err)
 	}
-	return fmt.Sprintf("%g", v)
-}
-
-func runMacroTrace(seed uint64) (*Table, error) {
-	tenants := int(trafficTenants.Load())
-	if tenants <= 0 {
-		tenants = 24
-	}
-	rate := math.Float64frombits(trafficRateBits.Load())
-	if rate <= 0 {
-		rate = 0.5
-	}
-	horizon := math.Float64frombits(trafficHorizonBits.Load())
-	if horizon <= 0 {
-		horizon = 1800
-	}
-	kind := traffic.Diurnal
-	if k := trafficKindPlus1.Load(); k > 0 {
-		kind = traffic.Kind(k - 1)
-	}
-	var tr traffic.Trace
-	if kind == traffic.TraceReplay {
-		p := trafficTrace.Load()
-		if p == nil || p.Rows() == 0 {
-			return nil, fmt.Errorf("macro-trace: kind trace needs trace data (cebench -trace-file)")
-		}
-		tr = *p
-	}
-	shards := int(macroShards.Load())
-	workers := int(macroWorkers.Load())
-	if shards <= 0 {
-		shards = 8
-	}
-	if workers <= 0 {
-		workers = 1
-	}
-
-	b := simbackend.New(seed)
-	b.ConfigureSharding(shards, workers, traceLookahead)
-	s := b.Sim()
-	collector := activeCollector.Load()
-	pb := pricing.Default()
+	kind, rate, horizon, tr := arrivals.Kind, arrivals.Rate, arrivals.Horizon, arrivals.Trace
+	h := newHarness("macro-trace", seed, cfg, traceLookahead)
 
 	// Build tenants in id order (setup is deterministic in tenant order)
 	// and accumulate the fleet's expected aggregate rate so the shared cap
 	// can be sized for real contention at the diurnal/bursty peaks.
 	fleet := make([]*traceTenant, tenants)
 	aggRate := 0.0
-	for t := 0; t < tenants; t++ {
-		name := obs.ScopeName("macro-trace", "t", t, tenants)
-		cfg := traffic.Config{Kind: kind, Horizon: horizon}
+	for t := range fleet {
+		name := h.tenantName(t, tenants)
+		tc := arrivals
 		switch kind {
 		case traffic.TraceReplay:
-			cfg.Trace, cfg.Row = tr, t%tr.Rows()
-			if m := tr.Minutes(cfg.Row); m > 0 {
-				aggRate += float64(tr.RowTotal(cfg.Row)) / (60 * float64(m))
+			tc.Row = t % tr.Rows()
+			if m := tr.Minutes(tc.Row); m > 0 {
+				aggRate += float64(tr.RowTotal(tc.Row)) / (60 * float64(m))
 			}
 		default:
 			// Per-tenant rate draw: tenants are unequal on purpose, so the
 			// fairness index has something to measure.
-			shape := s.Rand(name + "/shape")
-			cfg.Rate = rate * shape.LogNormal(0, 0.25)
-			aggRate += cfg.Rate
+			tc.Rate = rate * h.s.Rand(name+"/shape").LogNormal(0, 0.25)
+			aggRate += tc.Rate
 			if kind == traffic.Diurnal {
 				// One full cycle inside the horizon, peaks staggered so the
 				// aggregate still swings (a uniform stagger would cancel).
-				cfg.Period = horizon
-				cfg.Phase = horizon * float64(t) / float64(2*tenants)
+				tc.Period = horizon
+				tc.Phase = horizon * float64(t) / float64(2*tenants)
 			}
 		}
 		tn := &traceTenant{
-			id:          t,
-			memMB:       512 << (t % 3),
-			sh:          s.Shard(t % shards),
-			cursor:      cfg.Cursor(s.Rand(name + "/arrivals")),
-			svc:         s.Rand(name + "/service"),
-			prices:      pb,
-			hist:        *obs.NewHist(obs.LatencyBuckets),
-			reportUntil: horizon,
+			member: member{id: t, sh: h.shard(t), n: 1, memMB: 512 << (t % 3)},
+			cursor: tc.Cursor(h.s.Rand(name + "/arrivals")),
+			svc:    h.s.Rand(name + "/service"),
+			prices: pricing.Default(),
+			hist:   *obs.NewHist(obs.LatencyBuckets),
 		}
-		tn.pumpFn = tn.pump
-		tn.arriveFn = tn.arrive
-		tn.admitFn = tn.admit
-		tn.dropFn = tn.drop
+		tn.pumpFn, tn.arriveFn = tn.pump, tn.request
 		fleet[t] = tn
 	}
 
@@ -479,102 +216,55 @@ func runMacroTrace(seed uint64) (*Table, error) {
 	// posts back: two lookaheads plus startup plus service.
 	meanService := traceSvcMedian * math.Exp(traceSvcSigma*traceSvcSigma/2)
 	meanHeld := 2*traceLookahead + faas.DefaultStartup().Warm + meanService
-	capacity := int(1.1 * aggRate * meanHeld)
-	if capacity < 4 {
-		capacity = 4
-	}
-	limits := faas.DefaultLimits()
-	limits.MaxConcurrency = capacity
-	acPlat := b.TenantPlatform("macro-trace/account", 0, limits)
-	if collector != nil {
-		acPlat.SetObserver(collector.Scope("macro-trace/account"))
-	}
-	ac := &traceAccount{sh: acPlat.Shard(), plat: acPlat}
+	capacity := max(4, int(1.1*aggRate*meanHeld))
+	ac := h.newAccount(capacity, traceMaxRetry, traceBands)
 
-	coord := &traceCoordinator{sh: s.Shard(0), window: make([]float64, tenants), jainMin: math.Inf(1)}
-	if collector != nil {
-		coord.scope = collector.Scope("macro-trace/coordinator")
-	}
-
+	fair := &traceFairness{window: make([]float64, tenants), jainMin: math.Inf(1), scope: h.scope("macro-trace/coordinator")}
+	reports := h.newGather(tenants, traceReportGap, horizon, priTraceReport, priTraceAbsorb, fair.absorb)
 	for _, tn := range fleet {
-		tn.ac = ac
+		tn.join(ac, tn)
 		if t0, ok := tn.cursor.Next(); ok {
 			tn.sh.SchedulePriority(sim.Time(t0), priTracePump+tn.id, tn.pumpFn)
 		}
-		first := sim.Time(traceReportGap)
-		if float64(first) <= tn.reportUntil {
-			tn := tn
-			tn.sh.SchedulePriority(first, priTraceReport+tn.id, func() { tn.report(coord, first) })
+		reports.join(tn.sh, tn.id, func() int {
+			w := tn.window
+			tn.window = 0
+			return int(w)
+		})
+	}
+	h.ledgers = append(h.ledgers, func() error {
+		var arrived, settled uint64
+		for _, tn := range fleet {
+			arrived += tn.arrivals
+			settled += tn.completed + tn.dropped
 		}
+		if arrived != settled {
+			return fmt.Errorf("arrivals %d != completed+dropped %d", arrived, settled)
+		}
+		return nil
+	})
+	if err := h.run(); err != nil {
+		return nil, err
 	}
 
-	s.Run()
-
-	if n := s.Pending(); n != 0 {
-		return nil, fmt.Errorf("macro-trace: %d events still pending after Run", n)
-	}
-
-	// Aggregate per memory class, always in tenant order so histogram
-	// merges and float sums have a fixed term order.
-	type classAgg struct {
-		tenants, memMB                     int
-		arrivals, completed, dropped, cold uint64
-		hist                               obs.Hist
-		cost                               float64
-	}
-	classes := make([]classAgg, 3)
-	total := classAgg{hist: *obs.NewHist(obs.LatencyBuckets)}
-	for i := range classes {
-		classes[i].hist = *obs.NewHist(obs.LatencyBuckets)
-	}
+	ty := newTally("class", []string{"mem-0", "mem-1", "mem-2"}, count("tenants"), fixed("memMB"),
+		count("arrivals"), count("completed"), count("dropped"), count("cold"),
+		quantile("p50s", 0.5), quantile("p95s", 0.95), money("cost$"))
+	var invocations uint64
 	for t, tn := range fleet {
-		c := &classes[t%3]
-		c.tenants++
-		c.memMB = tn.memMB
-		c.arrivals += tn.arrivals
-		c.completed += tn.completed
-		c.dropped += tn.dropped
-		c.cold += tn.cold
-		c.hist.Merge(&tn.hist)
-		c.cost += tn.cost
+		ty.add(t%3, &tn.hist, 1, float64(tn.memMB), float64(tn.arrivals), float64(tn.completed),
+			float64(tn.dropped), float64(tn.cold), tn.cost)
+		invocations += tn.arrivals
 	}
-	for i := range classes {
-		c := &classes[i]
-		total.tenants += c.tenants
-		total.arrivals += c.arrivals
-		total.completed += c.completed
-		total.dropped += c.dropped
-		total.cold += c.cold
-		total.hist.Merge(&c.hist)
-		total.cost += c.cost
-	}
-
-	row := func(label string, c classAgg, memMB string) []string {
-		return []string{
-			label, fmt.Sprintf("%d", c.tenants), memMB,
-			fmt.Sprintf("%d", c.arrivals), fmt.Sprintf("%d", c.completed),
-			fmt.Sprintf("%d", c.dropped), fmt.Sprintf("%d", c.cold),
-			qstr(c.hist.Quantile(0.5)), qstr(c.hist.Quantile(0.95)), f4(c.cost),
-		}
-	}
-	tab := &Table{
-		ID:      "macro-trace",
-		Title:   "Macro trace: open-loop traffic streams on one shared account",
-		Headers: []string{"class", "tenants", "memMB", "arrivals", "completed", "dropped", "cold", "p50s", "p95s", "cost$"},
-	}
-	for i, c := range classes {
-		tab.Rows = append(tab.Rows, row(fmt.Sprintf("mem-%d", i), c, fmt.Sprintf("%d", c.memMB)))
-	}
-	tab.Rows = append(tab.Rows, row("TOTAL", total, "-"))
-
+	tab := ty.table("macro-trace", "Macro trace: open-loop traffic streams on one shared account")
 	jainMean, jainMin := 1.0, 1.0
-	if coord.windows > 0 {
-		jainMean, jainMin = coord.jainSum/float64(coord.windows), coord.jainMin
+	if fair.windows > 0 {
+		jainMean, jainMin = fair.jainSum/float64(fair.windows), fair.jainMin
 	}
-	meter := acPlat.Meter()
+	meter := ac.plat.Meter()
 	tab.Notes = fmt.Sprintf(
 		"kind=%s tenants=%d rate=%g/s horizon=%gs batch-window=%gs; shared account cap %d (denials=%d retries=%d account $%.2f); jain mean=%.4f min=%.4f windows=%d; invocations=%d; events=%d",
 		kind, tenants, rate, horizon, traceBatchWindow, capacity, ac.denials, ac.retries,
-		meter.Total(), jainMean, jainMin, coord.windows, total.arrivals, s.EventsFired())
+		meter.Total(), jainMean, jainMin, fair.windows, invocations, h.s.EventsFired())
 	return tab, nil
 }

@@ -161,14 +161,16 @@ func TestDuplicatePushRejected(t *testing.T) {
 	defer c0b.Close()
 	c0.Init([]float64{0})
 
+	// Both connections push for worker 0; whichever the server sees second
+	// must be rejected while the first blocks on the open round.
 	errs := make(chan error, 2)
-	go func() {
-		_, err := c0.Push(0, []float64{1})
-		errs <- err
-	}()
-	// The second push for worker 0 must be rejected while the first blocks.
-	_, err := c0b.Push(0, []float64{1})
-	if err == nil {
+	for _, c := range []*Client{c0, c0b} {
+		go func() {
+			_, err := c.Push(0, []float64{1})
+			errs <- err
+		}()
+	}
+	if err := <-errs; err == nil {
 		t.Error("duplicate worker push should be rejected")
 	}
 	// Unblock the round with the missing worker.

@@ -3,8 +3,8 @@ package scheduler
 // Benchmarks for the per-epoch Algorithm-2 decision path (fit -> predict ->
 // select -> decision-log). These are the fleet-cost numbers: a macro-fleet
 // run multiplies ns/decision by (tenants x epochs), so the steady-state
-// decision must be allocation-free and cheap. scripts/bench.sh records the
-// before/after numbers into BENCH_PR7.json.
+// decision must be allocation-free and cheap. `go run ./cmd/bench -layers`
+// reports it as scheduler.probe.decide_ns.
 
 import (
 	"testing"
@@ -87,8 +87,7 @@ func BenchmarkDecisionWithinDelta(b *testing.B) {
 
 // BenchmarkDecisionFleet measures the per-epoch decision under the fleet
 // tuning (bounded window, warm-started refits with a small LM budget) —
-// the configuration macro-fleet multiplies by the tenant count, and the
-// one BENCH_PR7.json's steady-state ≥3x gate is judged on.
+// the configuration macro-fleet multiplies by the tenant count.
 func BenchmarkDecisionFleet(b *testing.B) {
 	s := newBenchScheduler(b, 1e-9)
 	s.online.ApplyTuning(predictor.Tuning{FixedWindow: 32, WarmStart: true, RefitBudget: 10})

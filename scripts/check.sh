@@ -1,116 +1,3 @@
 #!/bin/sh
-# Full gate: formatting (with simplification), vet, build, the determinism
-# lint suite, shuffled tests, the race detector on the whole module, the
-# byte-identical-output gates, and a benchmark smoke run. Same steps as
-# `make check`.
-set -eu
-
-cd "$(dirname "$0")/.."
-
-echo "== gofmt -s"
-out="$(gofmt -s -l .)"
-if [ -n "$out" ]; then
-	echo "gofmt -s needed on:"
-	echo "$out"
-	exit 1
-fi
-
-echo "== go vet"
-go vet ./...
-
-echo "== go build"
-go build ./...
-
-echo "== cescalint (determinism + hotpath allocation lint, fails fast before tests)"
-go run ./cmd/cescalint ./...
-
-echo "== go test (shuffled, catches test-order dependence)"
-go test -shuffle=on ./...
-
-echo "== go test -race (whole module)"
-go test -race ./...
-
-echo "== determinism gate (parallel == serial, kernel == reference heap)"
-go test -run 'TestParallelOutputsMatchSerial|TestRunAllPreservesRequestOrder' .
-go test -run 'TestKernelMatchesReferenceHeap|TestRunUntilNeverMovesClockBackwards' ./internal/sim/
-
-echo "== shard determinism gate (byte-identical at every shard count and worker count)"
-go test -run 'TestCrossShardWorkloadMatrix|TestLookaheadWindowsMatchSingleWindow|TestShardScheduleAndMerge' ./internal/sim/
-go test -run 'TestMacroDayShardMatrix|TestMacroFleetShardMatrix|TestMacroTraceShardMatrix|TestMacroTraceKindsShardStable|TestMacroChaosShardMatrix' ./internal/experiments/
-go build -o /tmp/cebench.check ./cmd/cebench
-/tmp/cebench.check -shards 1 -sim-workers 1 macro-day 2>/dev/null > /tmp/cebench.shards1.txt
-/tmp/cebench.check -shards 8 -sim-workers 8 macro-day 2>/dev/null > /tmp/cebench.shards8.txt
-cmp /tmp/cebench.shards1.txt /tmp/cebench.shards8.txt || {
-	echo "cebench macro-day stdout differs between shards=1 and shards=8/workers=8"; exit 1;
-}
-
-echo "== macro-fleet determinism matrix (1000 controllers, shards x workers x -parallel)"
-for cfg in "1 1" "1 8" "8 1" "8 8"; do
-	set -- $cfg
-	/tmp/cebench.check -fleet-tenants 1000 -shards "$1" -sim-workers "$2" \
-		macro-fleet 2>/dev/null > "/tmp/cebench.fleet.s$1w$2.txt"
-done
-for f in /tmp/cebench.fleet.s1w8.txt /tmp/cebench.fleet.s8w1.txt /tmp/cebench.fleet.s8w8.txt; do
-	cmp /tmp/cebench.fleet.s1w1.txt "$f" || {
-		echo "cebench macro-fleet stdout differs across the shard matrix ($f)"; exit 1;
-	}
-done
-/tmp/cebench.check -fleet-tenants 1000 -parallel 8 macro-fleet 2>/dev/null > /tmp/cebench.fleet.p8.txt
-/tmp/cebench.check -fleet-tenants 1000 -parallel 1 macro-fleet 2>/dev/null > /tmp/cebench.fleet.p1.txt
-cmp /tmp/cebench.fleet.p1.txt /tmp/cebench.fleet.p8.txt || {
-	echo "cebench macro-fleet stdout differs between -parallel 1 and -parallel 8"; exit 1;
-}
-
-echo "== macro-trace determinism matrix (open-loop traffic, shards x workers x -parallel)"
-for cfg in "1 1" "1 8" "2 8" "8 1" "8 8"; do
-	set -- $cfg
-	/tmp/cebench.check -traffic-tenants 48 -traffic-rate 1 -traffic-horizon 900 \
-		-shards "$1" -sim-workers "$2" macro-trace 2>/dev/null > "/tmp/cebench.traffic.s$1w$2.txt"
-done
-for f in /tmp/cebench.traffic.s1w8.txt /tmp/cebench.traffic.s2w8.txt /tmp/cebench.traffic.s8w1.txt /tmp/cebench.traffic.s8w8.txt; do
-	cmp /tmp/cebench.traffic.s1w1.txt "$f" || {
-		echo "cebench macro-trace stdout differs across the shard matrix ($f)"; exit 1;
-	}
-done
-/tmp/cebench.check -traffic-tenants 48 -traffic-rate 1 -traffic-horizon 900 -parallel 8 \
-	macro-trace 2>/dev/null > /tmp/cebench.traffic.p8.txt
-/tmp/cebench.check -traffic-tenants 48 -traffic-rate 1 -traffic-horizon 900 -parallel 1 \
-	macro-trace 2>/dev/null > /tmp/cebench.traffic.p1.txt
-cmp /tmp/cebench.traffic.p1.txt /tmp/cebench.traffic.p8.txt || {
-	echo "cebench macro-trace stdout differs between -parallel 1 and -parallel 8"; exit 1;
-}
-printf '12,3,0,7,1,9\n0,8,2,4,6,0\n5,5,5,5,5,5\n' > /tmp/cebench.traffic.trace
-/tmp/cebench.check -traffic-kind trace -trace-file /tmp/cebench.traffic.trace -traffic-tenants 6 \
-	-shards 1 -sim-workers 1 macro-trace 2>/dev/null > /tmp/cebench.replay.s1w1.txt
-/tmp/cebench.check -traffic-kind trace -trace-file /tmp/cebench.traffic.trace -traffic-tenants 6 \
-	-shards 8 -sim-workers 8 macro-trace 2>/dev/null > /tmp/cebench.replay.s8w8.txt
-cmp /tmp/cebench.replay.s1w1.txt /tmp/cebench.replay.s8w8.txt || {
-	echo "cebench macro-trace trace replay differs between shards=1 and shards=8/workers=8"; exit 1;
-}
-
-echo "== macro-chaos determinism matrix (fault injection, shards x workers)"
-for cfg in "1 1" "2 8" "8 1" "8 8"; do
-	set -- $cfg
-	/tmp/cebench.check -shards "$1" -sim-workers "$2" \
-		macro-chaos 2>/dev/null > "/tmp/cebench.chaos.s$1w$2.txt"
-done
-for f in /tmp/cebench.chaos.s2w8.txt /tmp/cebench.chaos.s8w1.txt /tmp/cebench.chaos.s8w8.txt; do
-	cmp /tmp/cebench.chaos.s1w1.txt "$f" || {
-		echo "cebench macro-chaos stdout differs across the shard matrix ($f)"; exit 1;
-	}
-done
-
-echo "== trace-check (observability export byte-identical across -parallel)"
-sh scripts/trace_check.sh
-
-echo "== zero-alloc gates (steady-state fit/observe/decision/traffic/invoke must not touch the heap)"
-go test -run 'TestFitterZeroAlloc|TestFixedWindowObserveZeroAlloc|TestDecisionZeroAlloc' \
-	./internal/fit/ ./internal/predictor/ ./internal/scheduler/
-go test -run 'TestHistObserveZeroAlloc|TestCursorNextZeroAlloc|TestInvoke1SteadyStateZeroAlloc|TestInvoke1DenialZeroAlloc' \
-	./internal/obs/ ./internal/traffic/ ./internal/faas/
-
-echo "== benchmark smoke (sim/cost/fit/scheduler/traffic at 1x, numeric path at 100x, same as make bench)"
-go test -run '^$' -bench . -benchtime=1x ./internal/sim/ ./internal/cost/ ./internal/fit/ ./internal/scheduler/ ./internal/traffic/
-go test -run '^$' -bench . -benchmem -benchtime=100x ./internal/ml/ ./internal/dataset/
-
-echo "OK"
+# Full gate; the Makefile is the one place its steps are written down.
+cd "$(dirname "$0")/.." && exec make check
