@@ -149,6 +149,16 @@ func main() {
 		}
 
 	case "tune":
+		// SHAStages would quietly clamp eta and plan whatever stage shape
+		// it is handed (a negative epoch count yields a negative bill).
+		switch {
+		case *trials < 2:
+			fatal(fmt.Errorf("-trials %d: successive halving needs at least 2 trials", *trials))
+		case *eta < 2:
+			fatal(fmt.Errorf("-eta %d: the reduction factor must be at least 2", *eta))
+		case *epochs < 1:
+			fatal(fmt.Errorf("-stage-epochs %d: each stage runs at least 1 epoch", *epochs))
+		}
 		res, pl, err := fw.PlanHPT(*trials, *eta, *epochs, cescaling.Options{Budget: *budget, QoS: *qos, Seed: *seed, Obs: observer})
 		if err != nil {
 			fatal(err)

@@ -17,19 +17,8 @@ func BenchmarkEnumerate(b *testing.B) {
 	}
 }
 
-func BenchmarkEnumerateSerial(b *testing.B) {
-	m := NewModel(workload.MobileNet())
-	g := DefaultGrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pts := m.enumerateSerial(g); len(pts) == 0 {
-			b.Fatal("no points")
-		}
-	}
-}
-
 // denseGrid is a profiler-scale allocation space (every n from 2 to 200,
-// every Lambda memory step): the workload the worker pool is for.
+// every Lambda memory step).
 func denseGrid() Grid {
 	g := Grid{Storages: DefaultGrid().Storages}
 	for n := 2; n <= 200; n++ {
@@ -47,17 +36,6 @@ func BenchmarkEnumerateDense(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if pts := m.Enumerate(g); len(pts) == 0 {
-			b.Fatal("no points")
-		}
-	}
-}
-
-func BenchmarkEnumerateDenseSerial(b *testing.B) {
-	m := NewModel(workload.MobileNet())
-	g := denseGrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pts := m.enumerateSerial(g); len(pts) == 0 {
 			b.Fatal("no points")
 		}
 	}

@@ -8,7 +8,6 @@ package cost
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -34,14 +33,14 @@ func (a Allocation) String() string {
 // scheduler *believes*; the simulator in internal/trainer is the ground
 // truth the estimates are validated against (Fig. 19-20).
 //
-// Per-allocation epoch estimates and per-grid Pareto sets are memoized: the
+// Per-allocation epoch estimates and per-grid Pareto sets are cached: the
 // adaptive scheduler (Algorithm 2) re-derives them on every δ-triggered
 // recompute and the planner probes the same allocations thousands of times.
 // Grid allocations live in a dense per-grid table built once by the first
 // Enumerate/ParetoSet/ParetoFrontier call (one map probe + slice index per
-// lookup); off-grid allocations fall back to a sync.Map. The caches assume
-// the model is configured once and then treated as immutable: mutate
-// LoadMBps / StragglerSigma only before the first estimate call. The caches
+// lookup); an off-grid allocation is simply computed (~150 ns). The tables
+// assume the model is configured once and then treated as immutable: mutate
+// LoadMBps / StragglerSigma only before the first estimate call. The tables
 // are safe for concurrent readers.
 type Model struct {
 	Workload *workload.Model
@@ -61,23 +60,20 @@ type Model struct {
 
 	services map[storage.Kind]*storage.Service
 
-	epochMemo sync.Map     // off-grid Allocation -> epochEst
-	mu        sync.Mutex   // guards table builds
-	tables    atomic.Value // []*gridTable, copy-on-write append
+	mu     sync.Mutex   // guards table builds
+	tables atomic.Value // []*gridTable, copy-on-write append
 }
 
-// epochEst is the memoized per-epoch (t'(θ), c'(θ)) pair. Time and cost are
-// cached together because every consumer of one is about to ask for the
-// other (the cost depends on the epoch time for runtime-charged storage).
+// epochEst is the per-epoch (t'(θ), c'(θ)) pair. Time and cost are cached
+// together because every consumer of one is about to ask for the other (the
+// cost depends on the epoch time for runtime-charged storage).
 type epochEst struct {
 	time float64
 	cost float64
 }
 
-// epochEstimates returns the memoized estimates for θ, computing them once.
-// Grid allocations resolve through the dense table; off-grid probes fall
-// back to the sync.Map. Concurrent first calls may both compute; the
-// arithmetic is deterministic, so whichever Store wins holds the same value.
+// epochEstimates returns the estimates for θ: from the dense table when θ
+// is a point of an already-built grid, computed otherwise.
 func (m *Model) epochEstimates(a Allocation) epochEst {
 	if ts, _ := m.tables.Load().([]*gridTable); ts != nil {
 		for _, t := range ts {
@@ -86,12 +82,7 @@ func (m *Model) epochEstimates(a Allocation) epochEst {
 			}
 		}
 	}
-	if v, ok := m.epochMemo.Load(a); ok {
-		return v.(epochEst)
-	}
-	e := m.computeEpochEst(a)
-	m.epochMemo.Store(a, e)
-	return e
+	return m.computeEpochEst(a)
 }
 
 // computeEpochEst evaluates (t'(θ), c'(θ)) from scratch.
@@ -278,101 +269,15 @@ func DefaultGrid() Grid {
 
 // Enumerate evaluates every feasible allocation of the grid in grid order
 // (n, then memory, then storage). The evaluation happens once per grid into
-// the dense table (parallel scan, merged in grid order — byte-identical to
-// a serial scan); subsequent calls return a fresh copy of the table's
+// the dense table; subsequent calls return a fresh copy of the table's
 // points.
 func (m *Model) Enumerate(g Grid) []Point {
-	total := len(g.Ns) * len(g.MemsMB) * len(g.Storages)
-	if total == 0 {
+	if len(g.Ns)*len(g.MemsMB)*len(g.Storages) == 0 {
 		return nil
 	}
 	t := m.ensureTable(g)
 	out := make([]Point, len(t.points))
 	copy(out, t.points)
-	return out
-}
-
-// scanGrid evaluates every grid point into index-addressed slots. The grid
-// points are independent, so a bounded worker pool (one worker per
-// available CPU) evaluates them concurrently.
-func (m *Model) scanGrid(g Grid) (slots []Point, feasible []bool) {
-	total := len(g.Ns) * len(g.MemsMB) * len(g.Storages)
-	if total == 0 {
-		return nil, nil
-	}
-	at := func(idx int) Allocation {
-		k := idx % len(g.Storages)
-		j := (idx / len(g.Storages)) % len(g.MemsMB)
-		i := idx / (len(g.Storages) * len(g.MemsMB))
-		return Allocation{N: g.Ns[i], MemMB: g.MemsMB[j], Storage: g.Storages[k]}
-	}
-	// One grid point costs ~150ns to evaluate, so workers claim chunks, not
-	// points: one atomic op per chunk and contiguous slot writes (no false
-	// sharing inside a chunk).
-	const chunk = 512
-	workers := runtime.GOMAXPROCS(0)
-	if max := (total + chunk - 1) / chunk; workers > max {
-		workers = max
-	}
-	slots = make([]Point, total)
-	feasible = make([]bool, total)
-	if workers <= 1 {
-		enumerateRange(m, g, at, slots, feasible, 0, total)
-	} else {
-		var (
-			next int64
-			wg   sync.WaitGroup
-		)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					lo := int(atomic.AddInt64(&next, chunk)) - chunk
-					if lo >= total {
-						return
-					}
-					hi := lo + chunk
-					if hi > total {
-						hi = total
-					}
-					enumerateRange(m, g, at, slots, feasible, lo, hi)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	return slots, feasible
-}
-
-// enumerateRange evaluates grid points [lo, hi) into their slots.
-func enumerateRange(m *Model, g Grid, at func(int) Allocation, slots []Point, feasible []bool, lo, hi int) {
-	for idx := lo; idx < hi; idx++ {
-		a := at(idx)
-		if !m.Feasible(a) {
-			continue
-		}
-		est := m.computeEpochEst(a)
-		slots[idx] = Point{Alloc: a, Time: est.time, Cost: est.cost}
-		feasible[idx] = true
-	}
-}
-
-// enumerateSerial is the reference single-threaded scan Enumerate must
-// match; kept for the equivalence test and the benchmark baseline.
-func (m *Model) enumerateSerial(g Grid) []Point {
-	var out []Point
-	for _, n := range g.Ns {
-		for _, mem := range g.MemsMB {
-			for _, s := range g.Storages {
-				a := Allocation{N: n, MemMB: mem, Storage: s}
-				if !m.Feasible(a) {
-					continue
-				}
-				out = append(out, Point{Alloc: a, Time: m.EpochTime(a), Cost: m.EpochCost(a)})
-			}
-		}
-	}
 	return out
 }
 

@@ -52,7 +52,7 @@ func TestEpochTimeComponents(t *testing.T) {
 		t.Errorf("ComputeTime = %g, want %g", got, wantCompute)
 	}
 	// Disabling the correction recovers the bare Eq. 2 term. (A fresh model:
-	// Model embeds its memoization caches and must not be copied.)
+	// Model embeds its table cache and must not be copied.)
 	noStrag := lrModel()
 	noStrag.StragglerSigma = 0
 	if got, want := noStrag.ComputeTime(a), m.Workload.Dataset.SizeMB/10*m.Workload.UBase; math.Abs(got-want) > 1e-9 {

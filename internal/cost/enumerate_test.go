@@ -1,17 +1,15 @@
 package cost
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/workload"
 )
 
-// TestEnumerateMatchesSerial asserts the concurrent enumeration produces
-// exactly the serial scan's output: same points, same grid order. The
-// worker pool is forced on even on single-CPU hosts.
-func TestEnumerateMatchesSerial(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+// TestEnumerateGridOrder asserts Enumerate returns exactly the feasible
+// allocations in grid order (n, then memory, then storage), each carrying
+// the estimates recomputed from the component models.
+func TestEnumerateGridOrder(t *testing.T) {
 	grids := map[string]Grid{
 		"default": DefaultGrid(),
 		"dense":   denseGrid(),
@@ -21,8 +19,17 @@ func TestEnumerateMatchesSerial(t *testing.T) {
 	for _, w := range workload.Evaluated() {
 		m := NewModel(w)
 		for name, g := range grids {
+			var want []Point
+			for _, n := range g.Ns {
+				for _, mem := range g.MemsMB {
+					for _, s := range g.Storages {
+						if a := (Allocation{N: n, MemMB: mem, Storage: s}); m.Feasible(a) {
+							want = append(want, Point{Alloc: a, Time: uncachedEpochTime(m, a), Cost: uncachedEpochCost(m, a)})
+						}
+					}
+				}
+			}
 			got := m.Enumerate(g)
-			want := m.enumerateSerial(g)
 			if len(got) != len(want) {
 				t.Fatalf("%s/%s: %d points, want %d", w.Name, name, len(got), len(want))
 			}

@@ -54,11 +54,11 @@ func (f *Frontier) Points() []Point {
 // *Frontier for that configuration, across all Model instances.
 var frontierIntern sync.Map // string -> *Frontier
 
-// gridTable is the dense per-grid estimate table that replaces the
-// sync.Map epoch memo on the planning path: every feasible grid point is
-// evaluated once at build time into index-addressed slots, so a lookup is
-// one map probe and one slice index — no interface boxing, no per-call
-// stores. A Model typically holds exactly one table (the default grid).
+// gridTable is the dense per-grid estimate table, the package's one cache:
+// every feasible grid point is evaluated once at build time into
+// index-addressed slots, so a lookup is one map probe and one slice index —
+// no interface boxing, no per-call stores. A Model typically holds exactly
+// one table (the default grid).
 type gridTable struct {
 	grid     Grid
 	key      string               // gridKey(grid), computed once per table
@@ -126,8 +126,8 @@ func (m *Model) ensureTable(g Grid) *gridTable {
 	return t
 }
 
-// buildTable evaluates every feasible grid point (in parallel, merged in
-// grid order) and interns the resulting Pareto frontier.
+// buildTable evaluates every feasible grid point in grid order (n, then
+// memory, then storage) and interns the resulting Pareto frontier.
 func (m *Model) buildTable(g Grid) *gridTable {
 	t := &gridTable{
 		// Private copies: the caller may mutate its grid slices later.
@@ -136,18 +136,22 @@ func (m *Model) buildTable(g Grid) *gridTable {
 			MemsMB:   append([]int(nil), g.MemsMB...),
 			Storages: append(g.Storages[:0:0], g.Storages...),
 		},
-		key: gridKey(g),
+		key:   gridKey(g),
+		index: make(map[Allocation]int32, len(g.Ns)*len(g.MemsMB)*len(g.Storages)),
 	}
-	slots, feasible := m.scanGrid(g)
-	t.index = make(map[Allocation]int32, len(slots))
-	for idx, ok := range feasible {
-		if !ok {
-			continue
+	for _, n := range g.Ns {
+		for _, mem := range g.MemsMB {
+			for _, s := range g.Storages {
+				a := Allocation{N: n, MemMB: mem, Storage: s}
+				if !m.Feasible(a) {
+					continue
+				}
+				est := m.computeEpochEst(a)
+				t.index[a] = int32(len(t.points))
+				t.points = append(t.points, Point{Alloc: a, Time: est.time, Cost: est.cost})
+				t.est = append(t.est, est)
+			}
 		}
-		p := slots[idx]
-		t.index[p.Alloc] = int32(len(t.points))
-		t.points = append(t.points, p)
-		t.est = append(t.est, epochEst{time: p.Time, cost: p.Cost})
 	}
 	front := &Frontier{pts: Pareto(t.points)}
 	fkey := m.signature() + "\x00" + t.key

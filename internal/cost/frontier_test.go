@@ -103,8 +103,8 @@ func TestNewFrontierParetoizes(t *testing.T) {
 }
 
 // TestDenseTableCoherent: estimates served from the dense grid table must
-// be bit-identical to fresh computation and to sync.Map-cached values
-// (lookups before and after the table is built agree).
+// be bit-identical to fresh computation (lookups before and after the
+// table is built agree).
 func TestDenseTableCoherent(t *testing.T) {
 	g := DefaultGrid()
 	before := NewModel(workload.MobileNet())
@@ -125,7 +125,7 @@ func TestDenseTableCoherent(t *testing.T) {
 			}
 		}
 	}
-	// Off-grid probes still work (sync.Map fallback path).
+	// Off-grid probes are computed on the spot on both models.
 	off := Allocation{N: 7, MemMB: 1536, Storage: g.Storages[0]}
 	if after.Feasible(off) {
 		if after.EpochTime(off) != before.EpochTime(off) {

@@ -9,7 +9,7 @@ import (
 )
 
 // uncachedEpochTime recomputes t'(θ) from the component models, bypassing
-// the memo entirely.
+// the dense table entirely.
 func uncachedEpochTime(m *Model, a Allocation) float64 {
 	return m.ComputeTime(a) + m.SyncTime(a)
 }
@@ -20,28 +20,30 @@ func uncachedEpochCost(m *Model, a Allocation) float64 {
 	return m.functionEpochCost(a, t) + m.storageEpochCost(a, t)
 }
 
-// TestEpochMemoCoherent asserts the memoized estimates are bit-identical to
-// an uncached recomputation for every feasible point of the default grid —
-// cached and cold paths must produce the same float arithmetic.
+// TestEpochMemoCoherent asserts the estimates are bit-identical to an
+// uncached recomputation for every feasible point of the default grid, both
+// before the grid's dense table exists (computed on the spot) and after
+// (table lookup) — both paths must produce the same float arithmetic.
 func TestEpochMemoCoherent(t *testing.T) {
 	for _, w := range workload.Evaluated() {
 		m := NewModel(w)
 		g := DefaultGrid()
-		for _, n := range g.Ns {
-			for _, mem := range g.MemsMB {
-				for _, s := range g.Storages {
-					a := Allocation{N: n, MemMB: mem, Storage: s}
-					if !m.Feasible(a) {
-						continue
-					}
-					wantT, wantC := uncachedEpochTime(m, a), uncachedEpochCost(m, a)
-					// Ask twice: first call populates the memo, second hits it.
-					for pass := 0; pass < 2; pass++ {
-						if got := m.EpochTime(a); got != wantT {
-							t.Fatalf("%s %v pass %d: EpochTime = %v, uncached %v", w.Name, a, pass, got, wantT)
+		for pass, path := range []string{"computed", "table"} {
+			if pass == 1 {
+				m.ParetoFrontier(g) // builds the table
+			}
+			for _, n := range g.Ns {
+				for _, mem := range g.MemsMB {
+					for _, s := range g.Storages {
+						a := Allocation{N: n, MemMB: mem, Storage: s}
+						if !m.Feasible(a) {
+							continue
 						}
-						if got := m.EpochCost(a); got != wantC {
-							t.Fatalf("%s %v pass %d: EpochCost = %v, uncached %v", w.Name, a, pass, got, wantC)
+						if got, want := m.EpochTime(a), uncachedEpochTime(m, a); got != want {
+							t.Fatalf("%s %v %s: EpochTime = %v, uncached %v", w.Name, a, path, got, want)
+						}
+						if got, want := m.EpochCost(a), uncachedEpochCost(m, a); got != want {
+							t.Fatalf("%s %v %s: EpochCost = %v, uncached %v", w.Name, a, path, got, want)
 						}
 					}
 				}
@@ -77,8 +79,10 @@ func TestParetoSetMemoized(t *testing.T) {
 	}
 }
 
-// TestEpochMemoConcurrent hammers the memo from many goroutines on a cold
-// model; run under -race this is the cache's thread-safety gate.
+// TestEpochMemoConcurrent reads estimates from many goroutines on a cold
+// model while half of them race to build the default grid's table and a
+// second grid's; run under -race this is the thread-safety gate of the
+// copy-on-write table list.
 func TestEpochMemoConcurrent(t *testing.T) {
 	m := NewModel(workload.ResNet50())
 	g := DefaultGrid()
@@ -88,6 +92,10 @@ func TestEpochMemoConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if w%2 == 0 {
+				m.ParetoFrontier(g)
+				m.Enumerate(Grid{Ns: []int{10, 20}, MemsMB: []int{1769}, Storages: g.Storages})
+			}
 			for _, n := range g.Ns {
 				for _, mem := range g.MemsMB {
 					a := Allocation{N: n, MemMB: mem, Storage: g.Storages[n%len(g.Storages)]}
@@ -112,8 +120,8 @@ func TestEpochMemoConcurrent(t *testing.T) {
 	}
 }
 
-// BenchmarkEpochEstimatesCold measures the uncached estimate path (memo
-// bypassed), the per-point price before this PR.
+// BenchmarkEpochEstimatesCold measures the uncached estimate path (table
+// bypassed): the price of an off-grid probe.
 func BenchmarkEpochEstimatesCold(b *testing.B) {
 	m := NewModel(workload.MobileNet())
 	a := Allocation{N: 50, MemMB: 3072, Storage: DefaultGrid().Storages[0]}
@@ -126,12 +134,12 @@ func BenchmarkEpochEstimatesCold(b *testing.B) {
 	}
 }
 
-// BenchmarkEpochEstimatesCached measures a memo hit: what the planner pays
-// per candidate probe after the first evaluation of an allocation.
+// BenchmarkEpochEstimatesCached measures a table hit: what the planner pays
+// per candidate probe once the grid's table is built.
 func BenchmarkEpochEstimatesCached(b *testing.B) {
 	m := NewModel(workload.MobileNet())
 	a := Allocation{N: 50, MemMB: 3072, Storage: DefaultGrid().Storages[0]}
-	m.EpochTime(a) // warm the memo
+	m.ParetoFrontier(DefaultGrid()) // build the table
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -64,20 +64,28 @@ func runCE(fw *core.Framework, opt core.Options, runnerSeed uint64, scope string
 	return out.Result, nil
 }
 
+// runBaseline trains fw's workload to its target loss from a baseline's
+// starting allocation under its controller, recording into scope. The
+// engine draws from seed; each baseline's runner has its own runnerSeed,
+// which like the scope name is part of the pinned output.
+func runBaseline(fw *core.Framework, seed, runnerSeed uint64, scope string, alloc cost.Allocation, ctrl trainer.Controller) (*trainer.Result, error) {
+	w := fw.Workload
+	return observed(trainer.NewRunner(runnerSeed), scope).Run(trainer.Config{
+		Workload:   w,
+		Engine:     w.NewEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
+		Alloc:      alloc,
+		TargetLoss: w.TargetLoss,
+		MaxEpochs:  2000,
+		Controller: ctrl,
+	})
+}
+
 // runSiren runs the Siren baseline for the same workload/constraint.
 func runSiren(fw *core.Framework, budget, qos float64, seed uint64, scope string) (*trainer.Result, error) {
 	w := fw.Workload
 	est := predictor.NewOffline(w).PredictEpochs(w.TargetLoss, seed)
 	siren := baselines.NewSirenTraining(fw.Full, budget, qos, est, seed)
-	r := observed(trainer.NewRunner(seed+1), scope)
-	return r.Run(trainer.Config{
-		Workload:   w,
-		Engine:     w.NewEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
-		Alloc:      siren.Initial(),
-		TargetLoss: w.TargetLoss,
-		MaxEpochs:  2000,
-		Controller: siren.Controller(),
-	})
+	return runBaseline(fw, seed, seed+1, scope, siren.Initial(), siren.Controller())
 }
 
 // runModifiedCirrus runs the modified-Cirrus baseline (online prediction,
@@ -89,15 +97,7 @@ func runModifiedCirrus(fw *core.Framework, budget, qos float64, seed uint64, sco
 	if alloc.N == 0 {
 		return nil, fmt.Errorf("modified Cirrus: no feasible VM-PS allocation for %s", w.Name)
 	}
-	r := observed(trainer.NewRunner(seed+2), scope)
-	return r.Run(trainer.Config{
-		Workload:   w,
-		Engine:     w.NewEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
-		Alloc:      alloc,
-		TargetLoss: w.TargetLoss,
-		MaxEpochs:  2000,
-		Controller: sched.Controller(),
-	})
+	return runBaseline(fw, seed, seed+2, scope, alloc, sched.Controller())
 }
 
 var trainOrder = []string{"CE-scaling", "Siren", "Cirrus*"}
@@ -288,12 +288,7 @@ func fig17(seed uint64) (*Table, error) {
 		// Cirrus: online prediction, immediate restarts, pinned storage.
 		cirSched := baselines.ModifiedCirrusPinned(fw.Model, fw.Full, kind, budget, 0, w.TargetLoss, predictor.NewOffline(w), seed)
 		cirAlloc, _ := cirSched.Initial()
-		r := observed(trainer.NewRunner(seed+5), "fig17/"+kind.Short()+"/Cirrus")
-		cir, err := r.Run(trainer.Config{
-			Workload: w, Engine: w.NewEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
-			Alloc: cirAlloc, TargetLoss: w.TargetLoss, MaxEpochs: 2000,
-			Controller: cirSched.Controller(),
-		})
+		cir, err := runBaseline(fw, seed, seed+5, "fig17/"+kind.Short()+"/Cirrus", cirAlloc, cirSched.Controller())
 		if err != nil {
 			return nil, err
 		}
@@ -322,17 +317,8 @@ func fig17(seed uint64) (*Table, error) {
 // runSirenPinned reproduces Siren's per-epoch adjustment behaviour over an
 // arbitrary pinned candidate set (used when Fig. 17 pins Siren to VM-PS).
 func runSirenPinned(fw *core.Framework, pts []cost.Point, budget float64, est int, seed uint64, scope string) (*trainer.Result, error) {
-	w := fw.Workload
 	siren := baselines.NewSirenTrainingUnfiltered(pts, budget, 0, est, seed)
-	r := observed(trainer.NewRunner(seed+4), scope)
-	return r.Run(trainer.Config{
-		Workload:   w,
-		Engine:     w.NewEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
-		Alloc:      siren.Initial(),
-		TargetLoss: w.TargetLoss,
-		MaxEpochs:  2000,
-		Controller: siren.Controller(),
-	})
+	return runBaseline(fw, seed, seed+4, scope, siren.Initial(), siren.Controller())
 }
 
 // fig18 — CE-scaling restricted to one storage service at a time.

@@ -305,22 +305,13 @@ func (p *Platform) InvokeGroup(n, memMB int) ([]Invocation, error) {
 	if p.inFlight > p.peakInFlight {
 		p.peakInFlight = p.inFlight
 	}
-	rng := p.rng
 	out := make([]Invocation, n)
 	cold := 0
 	for i := range out {
-		inv := Invocation{MemMB: memMB}
-		if p.warm[memMB] > 0 {
-			p.takeWarm(memMB)
-			inv.StartDelay = p.startup.Warm
-		} else {
-			inv.Cold = true
+		out[i] = p.admit(memMB)
+		if out[i].Cold {
 			cold++
-			inv.StartDelay = p.coldStart(memMB, rng)
 		}
-		out[i] = inv
-		p.meter.Invocations++
-		p.meter.InvokeCost += p.prices.FunctionInvoke
 	}
 	if p.obs.Enabled() {
 		st := p.obs.Stats()
@@ -367,21 +358,29 @@ func (p *Platform) Invoke1(memMB int) (Invocation, error) {
 	if p.inFlight > p.peakInFlight {
 		p.peakInFlight = p.inFlight
 	}
+	inv := p.admit(memMB)
+	if p.obs.Enabled() {
+		//cescalint:allow hotpath -- observability: reached only with obs enabled; the steady-state gate runs disabled
+		p.observeInvoke1(inv)
+	}
+	return inv, nil
+}
+
+// admit starts one instance the caller has already counted against the
+// concurrency cap: it takes a warm sandbox or draws a cold start, and meters
+// the per-invocation fee. The one admission body of InvokeGroup and Invoke1.
+func (p *Platform) admit(memMB int) Invocation {
 	inv := Invocation{MemMB: memMB}
 	if p.warm[memMB] > 0 {
 		p.takeWarm(memMB)
 		inv.StartDelay = p.startup.Warm
 	} else {
 		inv.Cold = true
-		inv.StartDelay = p.coldStart(memMB, p.rng)
+		inv.StartDelay = p.coldStart(memMB)
 	}
 	p.meter.Invocations++
 	p.meter.InvokeCost += p.prices.FunctionInvoke
-	if p.obs.Enabled() {
-		//cescalint:allow hotpath -- observability: reached only with obs enabled; the steady-state gate runs disabled
-		p.observeInvoke1(inv)
-	}
-	return inv, nil
+	return inv
 }
 
 // observeInvoke1 records one admission in the metrics registry. Kept out of
@@ -448,10 +447,10 @@ func (p *Platform) addWarm(memMB, n int) {
 	}
 }
 
-func (p *Platform) coldStart(memMB int, rng *sim.Rand) float64 {
+func (p *Platform) coldStart(memMB int) float64 {
 	d := p.startup.ColdBase + p.startup.ColdPerGB*float64(memMB)/1024
 	if p.startup.JitterFrac > 0 {
-		d *= rng.Jitter(p.startup.JitterFrac)
+		d *= p.rng.Jitter(p.startup.JitterFrac)
 	}
 	if p.coldSpike > 1 {
 		d *= p.coldSpike

@@ -2,39 +2,11 @@ package fit
 
 import "testing"
 
-func BenchmarkFitInverseLinear(b *testing.B) {
-	xs, ys := genInverseLinear(0.2, 1.0, 0.5, 0.02, 40, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fit(InverseLinear{}, xs, ys, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFitPowerLaw(b *testing.B) {
-	m := PowerLaw{}
-	var xs, ys []float64
-	for e := 1; e <= 40; e++ {
-		xs = append(xs, float64(e))
-		ys = append(ys, m.Eval([]float64{2, 0.7, 0.3}, float64(e)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fit(m, xs, ys, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFitterCold is the zero-alloc replacement for the package Fit on
-// the same dataset as BenchmarkFitInverseLinear (bit-identical results).
+// BenchmarkFitterCold measures a from-the-data-guess fit of a 40-point
+// noisy curve.
 func BenchmarkFitterCold(b *testing.B) {
 	xs, ys := genInverseLinear(0.2, 1.0, 0.5, 0.02, 40, 1)
-	f, err := NewFitter(InverseLinear{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := newFitter(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -49,10 +21,7 @@ func BenchmarkFitterCold(b *testing.B) {
 // optimum.
 func BenchmarkFitterWarm(b *testing.B) {
 	xs, ys := genInverseLinear(0.2, 1.0, 0.5, 0.02, 136, 1)
-	f, err := NewFitter(InverseLinear{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := newFitter(b)
 	f.SetWarmStart(true)
 	const w = 40
 	if _, err := f.Fit(xs[:w], ys[:w], Options{}); err != nil {

@@ -1,159 +1,21 @@
-// Package fit provides small-scale nonlinear least squares (a damped
-// Gauss-Newton / Levenberg-Marquardt solver) for the convergence-curve
-// families used in online epoch prediction. Following Optimus [16] and the
+// Package fit provides small-scale nonlinear least squares (one damped
+// Gauss-Newton / Levenberg-Marquardt solver, the Fitter) for the convergence
+// curve used in online epoch prediction. Following Optimus [16] and the
 // paper's loss-curve fitter, training loss is modeled as
 //
 //	l(e) = 1/(a*e + b) + c      (InverseLinear)
 //
 // with a > 0, b > 0: loss decreases hyperbolically toward the floor c.
-// A power-law family l(e) = a*e^(-b) + c is provided as an alternative.
 package fit
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
-// Model is a parametric curve family for least-squares fitting. Eval,
-// Jacobian, and Clamp run once per data point per solver iteration inside
-// Fitter.Fit, so they are hotpath-annotated: every implementation must be
-// allocation-free (cescalint enforces this). Guess may allocate — the
-// Fitter prefers the GuessInto seam and only falls back to Guess for
-// models outside the built-in families.
-type Model interface {
-	// NumParams returns the parameter count p.
-	NumParams() int
-	// Eval returns the model value at x under params (length p).
-	//
-	//cescalint:hotpath
-	Eval(params []float64, x float64) float64
-	// Jacobian writes d(Eval)/d(params) at x into out (length p).
-	//
-	//cescalint:hotpath
-	Jacobian(params []float64, x float64, out []float64)
-	// Guess returns a starting point from the data.
-	Guess(xs, ys []float64) []float64
-	// Clamp projects params back into the model's valid region in place.
-	//
-	//cescalint:hotpath
-	Clamp(params []float64)
-}
-
-// InverseLinear is l(x) = 1/(a*x + b) + c with a, b > 0.
+// InverseLinear is the curve family l(x) = 1/(a*x + b) + c with a, b > 0;
+// it is the only family the Fitter solves.
 type InverseLinear struct{}
-
-// NumParams implements Model.
-func (InverseLinear) NumParams() int { return 3 }
-
-// Eval implements Model.
-func (InverseLinear) Eval(p []float64, x float64) float64 {
-	return 1/(p[0]*x+p[1]) + p[2]
-}
-
-// Jacobian implements Model.
-func (InverseLinear) Jacobian(p []float64, x float64, out []float64) {
-	den := p[0]*x + p[1]
-	inv2 := -1 / (den * den)
-	out[0] = inv2 * x
-	out[1] = inv2
-	out[2] = 1
-}
-
-// Guess implements Model: assume the last observation is near the floor and
-// the first sets the initial offset.
-func (m InverseLinear) Guess(xs, ys []float64) []float64 {
-	out := make([]float64, 3)
-	m.GuessInto(xs, ys, out)
-	return out
-}
-
-// GuessInto is Guess without the allocation: it writes the starting point
-// into out (length 3). The Fitter uses it to keep cold fits heap-free.
-func (InverseLinear) GuessInto(xs, ys, out []float64) {
-	first, last := ys[0], ys[len(ys)-1]
-	c := last - 0.1*math.Abs(first-last) - 1e-3
-	b := 1.0
-	if diff := first - c; diff > 1e-9 {
-		b = 1 / diff
-	}
-	a := 0.1
-	if n := len(xs); n > 1 {
-		if diff := ys[n-1] - c; diff > 1e-9 && xs[n-1] > xs[0] {
-			a = (1/diff - b) / (xs[n-1] - xs[0])
-			if a <= 0 {
-				a = 0.1
-			}
-		}
-	}
-	out[0], out[1], out[2] = a, b, c
-}
-
-// Clamp implements Model.
-func (InverseLinear) Clamp(p []float64) {
-	if p[0] < 1e-9 {
-		p[0] = 1e-9
-	}
-	if p[1] < 1e-9 {
-		p[1] = 1e-9
-	}
-}
-
-// PowerLaw is l(x) = a*x^(-b) + c with a > 0, b in (0, 5].
-type PowerLaw struct{}
-
-// NumParams implements Model.
-func (PowerLaw) NumParams() int { return 3 }
-
-// Eval implements Model.
-func (PowerLaw) Eval(p []float64, x float64) float64 {
-	if x < 1e-12 {
-		x = 1e-12
-	}
-	return p[0]*math.Pow(x, -p[1]) + p[2]
-}
-
-// Jacobian implements Model.
-func (PowerLaw) Jacobian(p []float64, x float64, out []float64) {
-	if x < 1e-12 {
-		x = 1e-12
-	}
-	xb := math.Pow(x, -p[1])
-	out[0] = xb
-	out[1] = -p[0] * xb * math.Log(x)
-	out[2] = 1
-}
-
-// Guess implements Model.
-func (m PowerLaw) Guess(xs, ys []float64) []float64 {
-	out := make([]float64, 3)
-	m.GuessInto(xs, ys, out)
-	return out
-}
-
-// GuessInto is Guess without the allocation (see InverseLinear.GuessInto).
-func (PowerLaw) GuessInto(xs, ys, out []float64) {
-	first, last := ys[0], ys[len(ys)-1]
-	c := last - 0.1*math.Abs(first-last) - 1e-3
-	a := first - c
-	if a <= 0 {
-		a = 1
-	}
-	out[0], out[1], out[2] = a, 0.5, c
-}
-
-// Clamp implements Model.
-func (PowerLaw) Clamp(p []float64) {
-	if p[0] < 1e-9 {
-		p[0] = 1e-9
-	}
-	if p[1] < 1e-3 {
-		p[1] = 1e-3
-	}
-	if p[1] > 5 {
-		p[1] = 5
-	}
-}
 
 // Options tunes the solver.
 type Options struct {
@@ -170,159 +32,6 @@ type Result struct {
 	SSE    float64 // sum of squared residuals
 	RMSE   float64
 	Iters  int
-}
-
-// Fit solves min_params sum_i (model(x_i) - y_i)^2 by Levenberg-Marquardt.
-func Fit(m Model, xs, ys []float64, opts Options) (Result, error) {
-	if len(xs) != len(ys) {
-		return Result{}, fmt.Errorf("fit: len(xs)=%d != len(ys)=%d", len(xs), len(ys))
-	}
-	p := m.NumParams()
-	n := len(xs)
-	if n < p {
-		return Result{}, fmt.Errorf("%w: %d < %d", ErrInsufficientData, n, p)
-	}
-	if opts.MaxIter <= 0 {
-		opts.MaxIter = 200
-	}
-	if opts.Tol <= 0 {
-		opts.Tol = 1e-10
-	}
-
-	params := m.Guess(xs, ys)
-	m.Clamp(params)
-	sse := sumSquares(m, params, xs, ys)
-	lambda := 1e-3
-
-	jac := make([]float64, p)
-	jtj := make([][]float64, p)
-	for i := range jtj {
-		jtj[i] = make([]float64, p)
-	}
-	jtr := make([]float64, p)
-	iters := 0
-
-	for ; iters < opts.MaxIter; iters++ {
-		// Build normal equations J^T J and J^T r.
-		for i := range jtj {
-			for j := range jtj[i] {
-				jtj[i][j] = 0
-			}
-			jtr[i] = 0
-		}
-		for k := 0; k < n; k++ {
-			m.Jacobian(params, xs[k], jac)
-			r := m.Eval(params, xs[k]) - ys[k]
-			for i := 0; i < p; i++ {
-				jtr[i] += jac[i] * r
-				for j := 0; j <= i; j++ {
-					jtj[i][j] += jac[i] * jac[j]
-				}
-			}
-		}
-		for i := 0; i < p; i++ {
-			for j := i + 1; j < p; j++ {
-				jtj[i][j] = jtj[j][i]
-			}
-		}
-
-		improved := false
-		for attempt := 0; attempt < 20; attempt++ {
-			delta, ok := solveDamped(jtj, jtr, lambda)
-			if !ok {
-				lambda *= 10
-				continue
-			}
-			trial := make([]float64, p)
-			for i := range trial {
-				trial[i] = params[i] - delta[i]
-			}
-			m.Clamp(trial)
-			trialSSE := sumSquares(m, trial, xs, ys)
-			if trialSSE < sse {
-				rel := (sse - trialSSE) / (sse + 1e-30)
-				params, sse = trial, trialSSE
-				lambda = math.Max(lambda/3, 1e-12)
-				improved = true
-				if rel < opts.Tol {
-					iters++
-					return finish(params, sse, n, iters), nil
-				}
-				break
-			}
-			lambda *= 10
-			if lambda > 1e12 {
-				break
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return finish(params, sse, n, iters), nil
-}
-
-func finish(params []float64, sse float64, n, iters int) Result {
-	return Result{Params: params, SSE: sse, RMSE: math.Sqrt(sse / float64(n)), Iters: iters}
-}
-
-func sumSquares(m Model, params, xs, ys []float64) float64 {
-	var s float64
-	for i := range xs {
-		r := m.Eval(params, xs[i]) - ys[i]
-		s += r * r
-	}
-	return s
-}
-
-// solveDamped solves (A + lambda*diag(A)) x = b by Gaussian elimination with
-// partial pivoting; ok=false when the system is singular.
-func solveDamped(a [][]float64, b []float64, lambda float64) ([]float64, bool) {
-	p := len(b)
-	// Copy with Marquardt damping on the diagonal.
-	m := make([][]float64, p)
-	for i := range m {
-		m[i] = make([]float64, p+1)
-		copy(m[i], a[i])
-		d := a[i][i] * lambda
-		if d == 0 {
-			d = lambda
-		}
-		m[i][i] += d
-		m[i][p] = b[i]
-	}
-	for col := 0; col < p; col++ {
-		pivot := col
-		for r := col + 1; r < p; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(m[pivot][col]) < 1e-300 {
-			return nil, false
-		}
-		m[col], m[pivot] = m[pivot], m[col]
-		for r := col + 1; r < p; r++ {
-			f := m[r][col] / m[col][col]
-			for c := col; c <= p; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-		}
-	}
-	x := make([]float64, p)
-	for i := p - 1; i >= 0; i-- {
-		s := m[i][p]
-		for j := i + 1; j < p; j++ {
-			s -= m[i][j] * x[j]
-		}
-		x[i] = s / m[i][i]
-	}
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, false
-		}
-	}
-	return x, true
 }
 
 // MaxSolvableX bounds what SolveForX will report as a meaningful epoch

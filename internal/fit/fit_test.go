@@ -8,139 +8,28 @@ import (
 	"repro/internal/sim"
 )
 
+// curve is l(x) = 1/(a*x + b) + c under p = (a, b, c).
+func curve(p []float64, x float64) float64 {
+	return 1/(p[0]*x+p[1]) + p[2]
+}
+
 func genInverseLinear(a, b, c, noise float64, n int, seed uint64) (xs, ys []float64) {
 	rng := sim.NewRand(seed)
-	m := InverseLinear{}
 	for e := 1; e <= n; e++ {
 		x := float64(e)
 		xs = append(xs, x)
-		ys = append(ys, m.Eval([]float64{a, b, c}, x)+noise*rng.NormFloat64())
+		ys = append(ys, curve([]float64{a, b, c}, x)+noise*rng.NormFloat64())
 	}
 	return xs, ys
 }
 
-func TestFitRecoversCleanInverseLinear(t *testing.T) {
-	xs, ys := genInverseLinear(0.3, 0.8, 0.5, 0, 30, 1)
-	res, err := Fit(InverseLinear{}, xs, ys, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.3, 0.8, 0.5}
-	for i, w := range want {
-		if math.Abs(res.Params[i]-w) > 1e-4 {
-			t.Errorf("param %d = %g, want %g", i, res.Params[i], w)
-		}
-	}
-	if res.RMSE > 1e-6 {
-		t.Errorf("RMSE = %g on clean data", res.RMSE)
-	}
-}
-
-func TestFitNoisyInverseLinear(t *testing.T) {
-	xs, ys := genInverseLinear(0.2, 1.0, 0.6, 0.01, 40, 2)
-	res, err := Fit(InverseLinear{}, xs, ys, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The floor c is the critical parameter for epoch prediction.
-	if math.Abs(res.Params[2]-0.6) > 0.05 {
-		t.Errorf("floor c = %g, want ~0.6", res.Params[2])
-	}
-	if res.RMSE > 0.05 {
-		t.Errorf("RMSE = %g too high", res.RMSE)
-	}
-}
-
-func TestFitRecoversPowerLaw(t *testing.T) {
-	m := PowerLaw{}
-	truth := []float64{2.0, 0.7, 0.3}
-	var xs, ys []float64
-	for e := 1; e <= 25; e++ {
-		xs = append(xs, float64(e))
-		ys = append(ys, m.Eval(truth, float64(e)))
-	}
-	res, err := Fit(m, xs, ys, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range truth {
-		if math.Abs(res.Params[i]-w) > 1e-3 {
-			t.Errorf("param %d = %g, want %g", i, res.Params[i], w)
-		}
-	}
-}
-
-func TestFitInsufficientData(t *testing.T) {
-	if _, err := Fit(InverseLinear{}, []float64{1, 2}, []float64{1, 0.9}, Options{}); err == nil {
-		t.Error("expected ErrInsufficientData")
-	}
-}
-
-func TestFitLengthMismatch(t *testing.T) {
-	if _, err := Fit(InverseLinear{}, []float64{1, 2, 3}, []float64{1}, Options{}); err == nil {
-		t.Error("expected length mismatch error")
-	}
-}
-
-func TestFitImprovesOnGuess(t *testing.T) {
-	xs, ys := genInverseLinear(0.15, 2, 0.45, 0.02, 20, 3)
-	m := InverseLinear{}
-	guess := m.Guess(xs, ys)
-	m.Clamp(guess)
-	guessSSE := sumSquares(m, guess, xs, ys)
-	res, err := Fit(m, xs, ys, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SSE > guessSSE+1e-12 {
-		t.Errorf("fit SSE %g worse than guess SSE %g", res.SSE, guessSSE)
-	}
-}
-
-func TestClampEnforcesPositivity(t *testing.T) {
-	p := []float64{-1, -5, 0.2}
-	InverseLinear{}.Clamp(p)
-	if p[0] <= 0 || p[1] <= 0 {
-		t.Errorf("Clamp left non-positive params: %v", p)
-	}
-	q := []float64{-1, 99, 0}
-	PowerLaw{}.Clamp(q)
-	if q[0] <= 0 || q[1] > 5 {
-		t.Errorf("PowerLaw Clamp failed: %v", q)
-	}
-}
-
-func TestJacobianMatchesNumerical(t *testing.T) {
-	models := []Model{InverseLinear{}, PowerLaw{}}
-	params := [][]float64{{0.3, 0.9, 0.5}, {1.5, 0.8, 0.2}}
-	for mi, m := range models {
-		p := params[mi]
-		for _, x := range []float64{1, 3, 10, 50} {
-			jac := make([]float64, m.NumParams())
-			m.Jacobian(p, x, jac)
-			const h = 1e-6
-			for i := range p {
-				pp := append([]float64(nil), p...)
-				pm := append([]float64(nil), p...)
-				pp[i] += h
-				pm[i] -= h
-				num := (m.Eval(pp, x) - m.Eval(pm, x)) / (2 * h)
-				if math.Abs(num-jac[i]) > 1e-4*(1+math.Abs(num)) {
-					t.Errorf("model %d x=%g: jac[%d]=%g, numerical %g", mi, x, i, jac[i], num)
-				}
-			}
-		}
-	}
-}
-
 func TestSolveForX(t *testing.T) {
 	p := []float64{0.2, 1.0, 0.5}
-	m := InverseLinear{}
 	x, ok := SolveForX(p, 0.7)
 	if !ok {
 		t.Fatal("SolveForX failed")
 	}
-	if got := m.Eval(p, x); math.Abs(got-0.7) > 1e-9 {
+	if got := curve(p, x); math.Abs(got-0.7) > 1e-9 {
 		t.Errorf("Eval at solved x = %g, want 0.7", got)
 	}
 	if _, ok := SolveForX(p, 0.5); ok {
@@ -156,7 +45,6 @@ func TestSolveForX(t *testing.T) {
 }
 
 func TestSolveForXRoundTripProperty(t *testing.T) {
-	m := InverseLinear{}
 	if err := quick.Check(func(ar, br, cr, tr uint16) bool {
 		a := 0.01 + float64(ar)/65535
 		b := 0.1 + float64(br)/65535*5
@@ -167,36 +55,11 @@ func TestSolveForXRoundTripProperty(t *testing.T) {
 			return false
 		}
 		if x == 1 {
-			return m.Eval([]float64{a, b, c}, 1) <= target+1e-9
+			return curve([]float64{a, b, c}, 1) <= target+1e-9
 		}
-		return math.Abs(m.Eval([]float64{a, b, c}, x)-target) < 1e-6
+		return math.Abs(curve([]float64{a, b, c}, x)-target) < 1e-6
 	}, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFitDeterministic(t *testing.T) {
-	xs, ys := genInverseLinear(0.25, 1.2, 0.4, 0.02, 30, 9)
-	r1, err1 := Fit(InverseLinear{}, xs, ys, Options{})
-	r2, err2 := Fit(InverseLinear{}, xs, ys, Options{})
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	for i := range r1.Params {
-		if r1.Params[i] != r2.Params[i] {
-			t.Fatal("Fit is not deterministic")
-		}
-	}
-}
-
-func TestSolveDampedSingular(t *testing.T) {
-	a := [][]float64{{0, 0}, {0, 0}}
-	b := []float64{1, 1}
-	if _, ok := solveDamped(a, b, 0); ok {
-		t.Error("singular, undamped system should fail")
-	}
-	if x, ok := solveDamped(a, b, 1); !ok || len(x) != 2 {
-		t.Error("damping should regularize the zero matrix")
 	}
 }
 

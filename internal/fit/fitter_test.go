@@ -1,11 +1,76 @@
 package fit
 
 import (
+	"bufio"
+	"errors"
+	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 )
+
+func newFitter(t testing.TB) *Fitter {
+	t.Helper()
+	f, err := NewFitter(InverseLinear{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// coldBits reads testdata/cold.bits: per key, the result of a cold fit as
+// the deleted slice-based solver produced it at the parent commit.
+func coldBits(t *testing.T) map[string]Result {
+	t.Helper()
+	file, err := os.Open("testdata/cold.bits")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	refs := map[string]Result{}
+	sc := bufio.NewScanner(file)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		var key string
+		var bits [5]uint64
+		var r Result
+		if _, err := fmt.Sscanf(line, "%s %x %x %x %x %x %d", &key, &bits[0], &bits[1], &bits[2], &bits[3], &bits[4], &r.Iters); err != nil {
+			t.Fatalf("cold.bits: %q: %v", line, err)
+		}
+		r.Params = []float64{math.Float64frombits(bits[0]), math.Float64frombits(bits[1]), math.Float64frombits(bits[2])}
+		r.SSE, r.RMSE = math.Float64frombits(bits[3]), math.Float64frombits(bits[4])
+		refs[key] = r
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return refs
+}
+
+// requireCold fails unless got equals the pinned cold fit for key bit for
+// bit: parameters, SSE, RMSE and iteration count.
+func requireCold(t *testing.T, refs map[string]Result, key string, got Result) {
+	t.Helper()
+	want, ok := refs[key]
+	if !ok {
+		t.Fatalf("cold.bits has no entry %q", key)
+	}
+	for i := range want.Params {
+		if math.Float64bits(want.Params[i]) != math.Float64bits(got.Params[i]) {
+			t.Errorf("%s: param %d: pinned %v, Fitter %v", key, i, want.Params[i], got.Params[i])
+		}
+	}
+	if math.Float64bits(want.SSE) != math.Float64bits(got.SSE) || math.Float64bits(want.RMSE) != math.Float64bits(got.RMSE) || want.Iters != got.Iters {
+		t.Errorf("%s: SSE/RMSE/Iters: pinned (%v,%v,%d), Fitter (%v,%v,%d)",
+			key, want.SSE, want.RMSE, want.Iters, got.SSE, got.RMSE, got.Iters)
+	}
+}
 
 // fitterDatasets builds a diverse corpus of observation sets: clean curves,
 // noisy curves, short series, plateaus, random walks — everything the
@@ -37,107 +102,172 @@ func fitterDatasets() (names []string, sets [][2][]float64) {
 	return names, sets
 }
 
-// TestFitterColdBitIdentical is the refactoring gate: a cold Fitter fit
-// must reproduce the package-level Fit bit for bit — parameters, SSE, RMSE
-// and iteration count — on every corpus dataset and both model families.
+// TestFitterColdBitIdentical is the refactoring gate: a cold fit must
+// reproduce the pinned bits — parameters, SSE, RMSE and iteration count —
+// on every corpus dataset.
 func TestFitterColdBitIdentical(t *testing.T) {
+	refs := coldBits(t)
 	names, sets := fitterDatasets()
-	for _, m := range []Model{InverseLinear{}, PowerLaw{}} {
-		f, err := NewFitter(m)
+	f := newFitter(t)
+	for si, set := range sets {
+		key := fmt.Sprintf("corpus/%02d-%s", si, names[si])
+		got, err := f.Fit(set[0], set[1], Options{})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", key, err)
 		}
-		for si, set := range sets {
-			xs, ys := set[0], set[1]
-			want, errWant := Fit(m, xs, ys, Options{})
-			got, errGot := f.Fit(xs, ys, Options{})
-			if (errWant == nil) != (errGot == nil) {
-				t.Fatalf("%T %s: err mismatch: Fit=%v Fitter=%v", m, names[si], errWant, errGot)
-			}
-			if errWant != nil {
-				continue
-			}
-			for i := range want.Params {
-				if want.Params[i] != got.Params[i] {
-					t.Errorf("%T %s: param %d: Fit=%v Fitter=%v", m, names[si], i, want.Params[i], got.Params[i])
-				}
-			}
-			if want.SSE != got.SSE || want.RMSE != got.RMSE || want.Iters != got.Iters {
-				t.Errorf("%T %s: SSE/RMSE/Iters: Fit=(%v,%v,%d) Fitter=(%v,%v,%d)",
-					m, names[si], want.SSE, want.RMSE, want.Iters, got.SSE, got.RMSE, got.Iters)
-			}
-		}
+		requireCold(t, refs, key, got)
 	}
 }
 
 // TestFitterColdBitIdenticalNonDefaultOptions repeats the gate with explicit
 // solver options (fewer iterations, looser tolerance).
 func TestFitterColdBitIdenticalNonDefaultOptions(t *testing.T) {
+	refs := coldBits(t)
 	xs, ys := genInverseLinear(0.2, 1.0, 0.5, 0.02, 40, 5)
-	f, err := NewFitter(InverseLinear{})
+	f := newFitter(t)
+	for key, opts := range map[string]Options{
+		"opts/maxiter=3":           {MaxIter: 3},
+		"opts/tol=1e-4":            {Tol: 1e-4},
+		"opts/maxiter=50,tol=1e-6": {MaxIter: 50, Tol: 1e-6},
+	} {
+		got, err := f.Fit(xs, ys, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		requireCold(t, refs, key, got)
+	}
+}
+
+func TestFitterRecoversCleanCurve(t *testing.T) {
+	xs, ys := genInverseLinear(0.3, 0.8, 0.5, 0, 30, 1)
+	res, err := newFitter(t).Fit(xs, ys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{{MaxIter: 3}, {Tol: 1e-4}, {MaxIter: 50, Tol: 1e-6}} {
-		want, _ := Fit(InverseLinear{}, xs, ys, opts)
-		got, _ := f.Fit(xs, ys, opts)
-		for i := range want.Params {
-			if want.Params[i] != got.Params[i] {
-				t.Errorf("opts %+v: param %d: Fit=%v Fitter=%v", opts, i, want.Params[i], got.Params[i])
-			}
+	want := []float64{0.3, 0.8, 0.5}
+	for i, w := range want {
+		if math.Abs(res.Params[i]-w) > 1e-4 {
+			t.Errorf("param %d = %g, want %g", i, res.Params[i], w)
 		}
-		if want.Iters != got.Iters {
-			t.Errorf("opts %+v: iters Fit=%d Fitter=%d", opts, want.Iters, got.Iters)
-		}
+	}
+	if res.RMSE > 1e-6 {
+		t.Errorf("RMSE = %g on clean data", res.RMSE)
+	}
+}
+
+func TestFitterNoisyCurve(t *testing.T) {
+	xs, ys := genInverseLinear(0.2, 1.0, 0.6, 0.01, 40, 2)
+	res, err := newFitter(t).Fit(xs, ys, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The floor c is the critical parameter for epoch prediction.
+	if math.Abs(res.Params[2]-0.6) > 0.05 {
+		t.Errorf("floor c = %g, want ~0.6", res.Params[2])
+	}
+	if res.RMSE > 0.05 {
+		t.Errorf("RMSE = %g too high", res.RMSE)
 	}
 }
 
 func TestFitterErrors(t *testing.T) {
-	f, err := NewFitter(InverseLinear{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFitter(t)
 	if _, err := f.Fit([]float64{1, 2, 3}, []float64{1}, Options{}); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, err := f.Fit([]float64{1, 2}, []float64{1, 0.9}, Options{}); err == nil {
-		t.Error("insufficient data should fail")
-	}
-	if _, err := NewFitter(twoParamModel{}); err == nil {
-		t.Error("non-3-param model should be rejected")
+	if _, err := f.Fit([]float64{1, 2}, []float64{1, 0.9}, Options{}); !errors.Is(err, ErrInsufficientData) {
+		t.Errorf("2 points: err = %v, want ErrInsufficientData", err)
 	}
 }
 
-// twoParamModel exercises the NewFitter arity check.
-type twoParamModel struct{}
-
-func (twoParamModel) NumParams() int                      { return 2 }
-func (twoParamModel) Eval(p []float64, x float64) float64 { return p[0]*x + p[1] }
-func (twoParamModel) Jacobian(p []float64, x float64, out []float64) {
-	out[0], out[1] = x, 1
+func TestFitterImprovesOnGuess(t *testing.T) {
+	xs, ys := genInverseLinear(0.15, 2, 0.45, 0.02, 20, 3)
+	f := newFitter(t)
+	guess := dataGuess(xs, ys)
+	f.clamp(&guess)
+	guessSSE := f.sumSquares(&guess, xs, ys)
+	res, err := f.Fit(xs, ys, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SSE > guessSSE+1e-12 {
+		t.Errorf("fit SSE %g worse than guess SSE %g", res.SSE, guessSSE)
+	}
 }
-func (twoParamModel) Guess(xs, ys []float64) []float64 { return []float64{0, 0} }
-func (twoParamModel) Clamp(p []float64)                {}
+
+func TestClampEnforcesPositivity(t *testing.T) {
+	p := [fitterParams]float64{-1, -5, 0.2}
+	newFitter(t).clamp(&p)
+	if p[0] <= 0 || p[1] <= 0 || p[2] != 0.2 {
+		t.Errorf("clamp left %v", p)
+	}
+}
+
+// TestJacobianMatchesNumerical: with a single observation, buildNormal
+// leaves the curve's Jacobian row at that x in f.jac.
+func TestJacobianMatchesNumerical(t *testing.T) {
+	p := []float64{0.3, 0.9, 0.5}
+	f := newFitter(t)
+	copy(f.params[:], p)
+	for _, x := range []float64{1, 3, 10, 50} {
+		f.buildNormal([]float64{x}, []float64{0})
+		const h = 1e-6
+		for i := range p {
+			pp := append([]float64(nil), p...)
+			pm := append([]float64(nil), p...)
+			pp[i] += h
+			pm[i] -= h
+			num := (curve(pp, x) - curve(pm, x)) / (2 * h)
+			if math.Abs(num-f.jac[i]) > 1e-4*(1+math.Abs(num)) {
+				t.Errorf("x=%g: jac[%d]=%g, numerical %g", x, i, f.jac[i], num)
+			}
+		}
+	}
+}
+
+func TestFitterDeterministic(t *testing.T) {
+	xs, ys := genInverseLinear(0.25, 1.2, 0.4, 0.02, 30, 9)
+	r1, err1 := newFitter(t).Fit(xs, ys, Options{})
+	r2, err2 := newFitter(t).Fit(xs, ys, Options{})
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	for i := range r1.Params {
+		if r1.Params[i] != r2.Params[i] {
+			t.Fatal("Fit is not deterministic")
+		}
+	}
+}
+
+func TestSolveDampedSingular(t *testing.T) {
+	f := newFitter(t) // jtj is the zero matrix
+	f.jtr = [fitterParams]float64{1, 1, 1}
+	if f.solveDamped(0) {
+		t.Error("singular, undamped system should fail")
+	}
+	if !f.solveDamped(1) || f.delta != f.jtr {
+		t.Errorf("damping should regularize the zero matrix to the identity: delta = %v", f.delta)
+	}
+}
 
 // TestFitterWarmStartConverges: a warm refit over a one-observation-extended
 // series must converge in no more iterations than the cold fit and land on
 // an (almost) equally good optimum.
 func TestFitterWarmStartConverges(t *testing.T) {
+	refs := coldBits(t)
 	xs, ys := genInverseLinear(0.2, 1.0, 0.5, 0.01, 60, 7)
-	f, err := NewFitter(InverseLinear{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, coldF := newFitter(t), newFitter(t)
 	f.SetWarmStart(true)
 	if _, err := f.Fit(xs[:40], ys[:40], Options{}); err != nil {
 		t.Fatal(err)
 	}
 	coldIters, warmIters := 0, 0
 	for n := 41; n <= 60; n++ {
-		cold, err := Fit(InverseLinear{}, xs[:n], ys[:n], Options{})
+		cold, err := coldF.Fit(xs[:n], ys[:n], Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireCold(t, refs, fmt.Sprintf("converge/n=%d", n), cold)
 		warm, err := f.Fit(xs[:n], ys[:n], Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -159,11 +289,9 @@ func TestFitterWarmStartConverges(t *testing.T) {
 // TestFitterWarmStartToggle: disabling warm start forgets the stored
 // parameters and reproduces the cold path bit for bit.
 func TestFitterWarmStartToggle(t *testing.T) {
+	refs := coldBits(t)
 	xs, ys := genInverseLinear(0.25, 1.2, 0.4, 0.02, 30, 9)
-	f, err := NewFitter(InverseLinear{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFitter(t)
 	f.SetWarmStart(true)
 	if _, err := f.Fit(xs, ys, Options{}); err != nil {
 		t.Fatal(err)
@@ -173,12 +301,7 @@ func TestFitterWarmStartToggle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := Fit(InverseLinear{}, xs, ys, Options{})
-	for i := range want.Params {
-		if want.Params[i] != got.Params[i] {
-			t.Errorf("param %d after toggle-off: Fit=%v Fitter=%v", i, want.Params[i], got.Params[i])
-		}
-	}
+	requireCold(t, refs, "toggle", got)
 	// Reset keeps warm mode but forgets the seed: next fit is cold again.
 	f.SetWarmStart(true)
 	if _, err := f.Fit(xs, ys, Options{}); err != nil {
@@ -189,11 +312,7 @@ func TestFitterWarmStartToggle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Params {
-		if want.Params[i] != got.Params[i] {
-			t.Errorf("param %d after Reset: Fit=%v Fitter=%v", i, want.Params[i], got.Params[i])
-		}
-	}
+	requireCold(t, refs, "toggle", got)
 }
 
 // TestFitterResultAliasing documents the Result.Params contract: the slice
@@ -201,10 +320,7 @@ func TestFitterWarmStartToggle(t *testing.T) {
 func TestFitterResultAliasing(t *testing.T) {
 	xs1, ys1 := genInverseLinear(0.2, 1.0, 0.5, 0, 20, 1)
 	xs2, ys2 := genInverseLinear(0.4, 0.5, 0.3, 0, 20, 2)
-	f, err := NewFitter(InverseLinear{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFitter(t)
 	r1, _ := f.Fit(xs1, ys1, Options{})
 	c0 := r1.Params[2]
 	r2, _ := f.Fit(xs2, ys2, Options{})
@@ -222,10 +338,7 @@ func TestFitterResultAliasing(t *testing.T) {
 // hotpath-gate: fit.Fitter.Fit
 func TestFitterZeroAlloc(t *testing.T) {
 	xs, ys := genInverseLinear(0.2, 1.0, 0.5, 0.01, 40, 3)
-	f, err := NewFitter(InverseLinear{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFitter(t)
 	f.SetWarmStart(true)
 	if _, err := f.Fit(xs, ys, Options{}); err != nil {
 		t.Fatal(err)

@@ -87,6 +87,11 @@ func New(m *cost.Model, stages []Stage, pareto []cost.Point) (*Planner, error) {
 	if len(stages) == 0 {
 		return nil, fmt.Errorf("planner: no stages")
 	}
+	for i, st := range stages {
+		if st.Trials < 1 || st.Epochs < 1 {
+			return nil, fmt.Errorf("planner: stage %d has %d trials x %d epochs; both must be at least 1", i+1, st.Trials, st.Epochs)
+		}
+	}
 	if len(pareto) == 0 {
 		return nil, fmt.Errorf("planner: empty Pareto set")
 	}

@@ -46,14 +46,26 @@ func TestSHAStagesSmall(t *testing.T) {
 	}
 }
 
-func TestNewRejectsEmptyInputs(t *testing.T) {
+func TestNewRejectsBadInputs(t *testing.T) {
 	m := cost.NewModel(workload.LRHiggs())
 	pareto := m.ParetoSet(cost.DefaultGrid())
-	if _, err := New(m, nil, pareto); err == nil {
-		t.Error("no stages should be rejected")
+	for name, tc := range map[string]struct {
+		stages []Stage
+		pareto []cost.Point
+	}{
+		"no stages":        {nil, pareto},
+		"empty Pareto set": {paperStages(), nil},
+		"zero epochs":      {SHAStages(8, 2, 0), pareto},
+		"negative epochs":  {SHAStages(8, 2, -3), pareto},
+		"zero trials":      {[]Stage{{Trials: 4, Epochs: 2}, {Trials: 0, Epochs: 2}}, pareto},
+		"negative trials":  {[]Stage{{Trials: -4, Epochs: 2}}, pareto},
+	} {
+		if _, err := New(m, tc.stages, tc.pareto); err == nil {
+			t.Errorf("%s should be rejected", name)
+		}
 	}
-	if _, err := New(m, paperStages(), nil); err == nil {
-		t.Error("empty Pareto set should be rejected")
+	if _, err := New(m, []Stage{{Trials: 1, Epochs: 1}}, pareto); err != nil {
+		t.Errorf("a 1-trial, 1-epoch stage is the smallest valid plan: %v", err)
 	}
 }
 

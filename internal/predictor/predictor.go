@@ -57,7 +57,7 @@ func (o *Offline) PredictEpochs(target float64, seed uint64) int {
 	for i := range xs {
 		xs[i] = float64(i + 1)
 	}
-	if res, err := fit.Fit(fit.InverseLinear{}, xs, trace, fit.Options{}); err == nil {
+	if res, err := newFitter().Fit(xs, trace, fit.Options{}); err == nil {
 		if e, ok := fit.SolveForX(res.Params, target); ok {
 			return clampEpochs(e)
 		}
@@ -86,6 +86,13 @@ func (o *Offline) sampleEngine(seed uint64) workload.Engine {
 	sigma := 0.25 + 0.15*(1-o.SampleFraction)
 	m.Curve.A *= distort.LogNormal(0, sigma)
 	return m.NewCurveEngine(hp, seed^0x0ff1)
+}
+
+// newFitter builds the curve solver. NewFitter's error is always nil; its
+// signature is pinned by cmd/bench.
+func newFitter() *fit.Fitter {
+	f, _ := fit.NewFitter(fit.InverseLinear{})
+	return f
 }
 
 func clampEpochs(e float64) int {
@@ -184,7 +191,8 @@ func (o *Online) SetFixedWindow(w int) {
 // parameters; steady-state refits then converge in a handful of LM
 // iterations instead of dozens. Warm-started fits can differ from cold ones
 // in the last float bits, so this is opt-in alongside SetFixedWindow for
-// fleet runs; the default cold path stays bit-identical to fit.Fit.
+// fleet runs; the default cold path stays bit-identical to the historical
+// outputs (fit's testdata/cold.bits).
 func (o *Online) SetWarmStart(on bool) {
 	o.ensureFitter()
 	o.fitter.SetWarmStart(on)
@@ -193,11 +201,7 @@ func (o *Online) SetWarmStart(on bool) {
 func (o *Online) ensureFitter() {
 	if o.fitter == nil {
 		//cescalint:allow hotpath -- one-time lazy init: the solver is built on the first refit and reused forever
-		f, err := fit.NewFitter(fit.InverseLinear{})
-		if err != nil {
-			panic(err) // unreachable: InverseLinear has exactly 3 params
-		}
-		o.fitter = f
+		o.fitter = newFitter()
 	}
 }
 
@@ -231,10 +235,9 @@ func (o *Online) Ready() bool {
 	return len(o.xs) >= min
 }
 
-// refit updates the cached curve parameters. The reusable Fitter's cold
-// path is bit-identical to fit.Fit but allocation-free; its Result.Params
-// alias solver scratch, so the parameters are copied into the fixed lastFit
-// array.
+// refit updates the cached curve parameters. The reusable Fitter is
+// allocation-free; its Result.Params alias solver scratch, so the
+// parameters are copied into the fixed lastFit array.
 func (o *Online) refit() bool {
 	if !o.Ready() {
 		return false

@@ -44,6 +44,31 @@ func TestOfflinePredictionsVaryAcrossSeeds(t *testing.T) {
 	}
 }
 
+// TestOfflineFallbackExtrapolates covers the path behind the 400-epoch
+// horizon: a target the sample never reaches is extrapolated from a cold
+// curve fit through the sampled trace, or reported as twice the horizon
+// when the fitted floor sits above it. Expected values were taken at the
+// parent commit, from the slice-based solver this path used to call.
+func TestOfflineFallbackExtrapolates(t *testing.T) {
+	for _, tc := range []struct {
+		m      *workload.Model
+		factor float64 // target = factor * the curve's true floor
+		seed   uint64
+		want   int
+	}{
+		{workload.MobileNet(), 0.99, 1, 800}, // below the floor: unsolvable
+		{workload.MobileNet(), 1.01, 1, 6839},
+		{workload.MobileNet(), 1.005, 2, 77517},
+		{workload.ResNet50(), 1.005, 2, 69481},
+		{workload.ResNet50(), 1.005, 3, 800}, // fitted floor above the target
+	} {
+		target := tc.m.Curve.C * tc.factor
+		if got := NewOffline(tc.m).PredictEpochs(target, tc.seed); got != tc.want {
+			t.Errorf("%s target=%g seed=%d: %d epochs, want %d", tc.m.Name, target, tc.seed, got, tc.want)
+		}
+	}
+}
+
 func TestOnlineNotReadyEarly(t *testing.T) {
 	o := NewOnline()
 	o.Observe(1, 1.0)

@@ -1,10 +1,12 @@
 package trainer
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/fault"
 	"repro/internal/platform"
 	"repro/internal/workload"
 )
@@ -222,5 +224,38 @@ func TestFailedAttemptsAreBilled(t *testing.T) {
 	// crashed attempts too.
 	if faulty.TotalCost <= clean.TotalCost {
 		t.Errorf("faulty cost %g should exceed clean %g", faulty.TotalCost, clean.TotalCost)
+	}
+}
+
+// brokenRestore is an engine whose snapshots never restore.
+type brokenRestore struct{ workload.Engine }
+
+var errSnapshotRejected = errors.New("snapshot rejected")
+
+func (brokenRestore) Snapshot() []float64     { return []float64{0} }
+func (brokenRestore) Restore([]float64) error { return errSnapshotRejected }
+
+// TestFailedInitialRestoreIsAnError: without a checkpoint a crash throws
+// the job back to its initial state, and when that restore fails the run
+// returns the error — after a synthetic draw (which used to panic) exactly
+// as after a scheduled kill.
+func TestFailedInitialRestoreIsAnError(t *testing.T) {
+	for name, inject := range map[string]func(*Runner, *Config){
+		"synthetic draw": func(r *Runner, _ *Config) { r.Noise.FailureRate = 0.5 },
+		"scheduled kill": func(_ *Runner, c *Config) { c.Faults = fault.MustNew(fault.KillAt(0, 2)) },
+	} {
+		w := workload.MobileNet()
+		r := NewRunner(3)
+		cfg := Config{
+			Workload:          w,
+			Engine:            brokenRestore{w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 3)},
+			Alloc:             cost.Allocation{N: 10, MemMB: 1769, Storage: platform.S3},
+			MaxEpochs:         5,
+			DisableCheckpoint: true,
+		}
+		inject(r, &cfg)
+		if _, err := r.Run(cfg); !errors.Is(err, errSnapshotRejected) {
+			t.Errorf("%s: Run error = %v, want the failed restore", name, err)
+		}
 	}
 }

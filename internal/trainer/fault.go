@@ -10,12 +10,12 @@ import (
 )
 
 // Scheduled fault reaction: when Config.Faults is active, the deterministic
-// schedule drives the failure path instead of the synthetic dice roll.
-// Kills and warm reclaims mutate the real platform; brownouts exercise the
-// bounded retry policy around checkpoint storage; straggler and brownout
-// windows inflate the epoch components in runEpoch. Everything lands on the
-// same clocks and meters as the synthetic model, so results from the two
-// paths are directly comparable.
+// schedule decides when crashes happen instead of the synthetic model's
+// seeded draws. Kills and warm reclaims mutate the real platform; brownouts
+// exercise the bounded retry policy around checkpoint storage; straggler and
+// brownout windows inflate the epoch components in runEpoch. Both sources
+// account a crash through the one crash routine, so their results are
+// directly comparable.
 
 // platformOf returns the backend's raw simulated platform when available.
 // Fault injection mutates real platform state through it; a backend without
@@ -107,33 +107,46 @@ func (r *Runner) killDuringEpoch(st *state, epoch int, epochT float64, ev fault.
 		lat = l
 	}
 	recover := start + r.Service(a.Storage).TransferTime(a.N, w.ParamsMB)*lat
+	return r.crash(st, epoch, k, wasted, recover, float64(k)*r.Prices.FunctionInvoke, "fault_kill")
+}
+
+// crash accounts one aborted BSP epoch attempt, whichever source decided it
+// happens: the group loses wasted seconds of the attempt, killed sandboxes
+// restart and take recover seconds to re-pull the checkpoint, and the epoch
+// retries. Both spans land on the job clock as failure overhead and on the
+// platform's meter — the whole group is billed for the wasted attempt, the
+// replacements for their recovery run plus invokeFee. instant names the
+// trace event: "failure" for the synthetic model's draws, "fault_kill" for
+// a scheduled kill, which also reports how many sandboxes died.
+func (r *Runner) crash(st *state, epoch, killed int, wasted, recover, invokeFee float64, instant string) error {
+	a := st.alloc
 	st.clock += wasted + recover
 	st.res.OverheadTime += wasted + recover
 	st.res.FailureTime += wasted + recover
 	st.res.Failures++
 	if r.obs.Enabled() {
-		r.obs.Trace().InstantAt(st.clock, "job", "trainer", "fault_kill",
-			obs.I("epoch", epoch), obs.I("killed", k),
-			obs.F("wasted_s", wasted), obs.F("recover_s", recover))
 		r.obs.Stats().Inc("trainer.failures")
 		r.obs.Stats().Add("trainer.failure_s", wasted+recover)
-		r.obs.Stats().Add("trainer.fault_kills", float64(k))
+		if instant == "fault_kill" {
+			r.obs.Trace().InstantAt(st.clock, "job", "trainer", instant,
+				obs.I("epoch", epoch), obs.I("killed", killed),
+				obs.F("wasted_s", wasted), obs.F("recover_s", recover))
+			r.obs.Stats().Add("trainer.fault_kills", float64(killed))
+		} else {
+			r.obs.Trace().InstantAt(st.clock, "job", "trainer", instant,
+				obs.I("epoch", epoch), obs.F("wasted_s", wasted), obs.F("recover_s", recover))
+		}
 	}
-	// Same billing shape as the synthetic path: the whole group is charged
-	// for the wasted attempt, the k replacements for their recovery run and
-	// invocation fees.
 	r.Compute().BillCompute(a.N, a.MemMB, wasted)
-	r.Compute().BillCompute(k, a.MemMB, recover)
-	computeSpent := float64(k) * r.Prices.ComputeOnlyCost(recover, float64(a.MemMB))
-	if wasted > 0 { // a kill at the attempt boundary wasted no compute
+	r.Compute().BillCompute(killed, a.MemMB, recover)
+	computeSpent := float64(killed) * r.Prices.ComputeOnlyCost(recover, float64(a.MemMB))
+	if wasted > 0 { // a crash at the attempt boundary wasted no compute
 		computeSpent += float64(a.N) * r.Prices.ComputeOnlyCost(wasted, float64(a.MemMB))
 	}
-	invokeSpent := float64(k) * r.Prices.FunctionInvoke
 	st.res.FunctionCost += computeSpent
-	st.res.InvokeCost += invokeSpent
-	st.res.TotalCost += computeSpent + invokeSpent
-	// Without a usable checkpoint the crash loses all progress, exactly as
-	// in the synthetic model.
+	st.res.InvokeCost += invokeFee
+	st.res.TotalCost += computeSpent + invokeFee
+	// Without a usable checkpoint the crash loses all progress.
 	if (st.cfg.DisableCheckpoint || st.ckptOff) && st.initialState != nil {
 		if snap, ok := st.cfg.Engine.(workload.Snapshotter); ok {
 			if err := snap.Restore(st.initialState); err != nil {

@@ -541,11 +541,11 @@ func (r *Runner) runEpoch(st *state, epoch int) (EpochReport, error) {
 	// group loses a fraction of the epoch (billed — the platform charges
 	// for the wasted compute), the crashed sandbox restarts and re-pulls
 	// the last checkpoint, and the epoch retries. Without checkpointing a
-	// single crash throws the job back to the initial model.
-	//
-	// An active fault schedule replaces the synthetic dice roll entirely:
-	// crashes then happen exactly when the schedule says, against the real
-	// platform.
+	// single crash throws the job back to the initial model. All of that
+	// is crash; only the source of the crash instants differs: an active
+	// fault schedule says exactly when sandboxes die, against the real
+	// platform, and otherwise the synthetic model draws them from its
+	// seeded stream.
 	if sched := st.cfg.Faults; sched.Active() {
 		if err := r.scheduledFaults(st, epoch, epochT); err != nil {
 			return EpochReport{}, err
@@ -558,32 +558,8 @@ func (r *Runner) runEpoch(st *state, epoch int) (EpochReport, error) {
 			wasted := rng.Float64() * epochT
 			recover := r.Compute().ColdStartEstimate(a.MemMB) +
 				svc.TransferTime(a.N, w.ParamsMB)
-			st.clock += wasted + recover
-			st.res.OverheadTime += wasted + recover
-			st.res.FailureTime += wasted + recover
-			st.res.Failures++
-			if r.obs.Enabled() {
-				r.obs.Trace().InstantAt(st.clock, "job", "trainer", "failure",
-					obs.I("epoch", epoch), obs.F("wasted_s", wasted), obs.F("recover_s", recover))
-				r.obs.Stats().Inc("trainer.failures")
-				r.obs.Stats().Add("trainer.failure_s", wasted+recover)
-			}
-			// The whole group is billed for the wasted fraction, and the
-			// restarted sandbox is billed for its recovery run (cold start +
-			// checkpoint re-pull): that time is on the platform's clock, so
-			// it must also be on its meter.
-			r.Compute().BillCompute(a.N, a.MemMB, wasted)
-			r.Compute().BillCompute(1, a.MemMB, recover)
-			spent := float64(a.N)*r.Prices.ComputeOnlyCost(wasted, float64(a.MemMB)) +
-				r.Prices.ComputeOnlyCost(recover, float64(a.MemMB))
-			st.res.FunctionCost += spent
-			st.res.TotalCost += spent
-			if st.cfg.DisableCheckpoint && st.initialState != nil {
-				if snap, ok := st.cfg.Engine.(workload.Snapshotter); ok {
-					if err := snap.Restore(st.initialState); err != nil {
-						panic(fmt.Sprintf("trainer: restoring initial state: %v", err))
-					}
-				}
+			if err := r.crash(st, epoch, 1, wasted, recover, 0, "failure"); err != nil {
+				return EpochReport{}, err
 			}
 		}
 		if attempt == failureAttemptCap {
