@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt vet build lint test race trace-check shard-check bench
+.PHONY: check fmt vet build lint test race shard-check bench
 
-check: fmt vet build lint test race trace-check shard-check bench
+check: fmt vet build lint test race shard-check bench
 
 fmt:
 	@out="$$(gofmt -s -l .)"; if [ -n "$$out" ]; then \
@@ -23,18 +23,14 @@ build:
 lint:
 	$(GO) run ./cmd/cescalint ./...
 
+# Includes the observability determinism gate (cmd/cebench
+# TestTraceExportGate: trace, metrics and stdout bytes at -parallel 1 vs 8
+# vs tracing off).
 test:
 	$(GO) test -shuffle=on ./...
 
 race:
 	$(GO) test -race ./...
-
-# trace-check: the observability determinism gate. Runs one small figure
-# twice with -trace-out (serial, then 8-way parallel) and requires the
-# trace, metrics and stdout bytes to match exactly — and the stdout to match
-# a run with tracing off.
-trace-check:
-	sh scripts/trace_check.sh
 
 # shard-check: the sharded-kernel determinism gate. Runs the kernel's
 # cross-shard workload matrix, then the tenant harness's matrix (macro-day,

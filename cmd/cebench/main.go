@@ -5,9 +5,8 @@
 //
 //	cebench [-seed N] [-parallel P] <experiment-id>... | all | list
 //
-// Experiment ids follow the paper's numbering: fig3, fig4, fig7, fig9,
-// fig10, fig11, fig12, fig13, fig14, fig15, fig16, fig17, fig18, fig19,
-// fig20, fig21a, fig21b, fig21c, tab1, tab2, tab4.
+// Experiment ids follow the paper's numbering (fig9, tab2, ...) plus the
+// ablations and macro scenarios; `cebench list` prints them all.
 //
 // Artifacts run on a bounded worker pool (-parallel, default GOMAXPROCS)
 // and print in request order; every experiment derives all randomness from
@@ -22,6 +21,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -45,7 +45,7 @@ func main() {
 func run() int {
 	seed := flag.Uint64("seed", 2023, "deterministic experiment seed")
 	format := flag.String("format", "text", "output format: text | json | csv | html")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size across and within artifacts (1 = fully serial)")
+	parallel := flag.Int("parallel", 0, "worker pool size across and within artifacts (0 = GOMAXPROCS, 1 = fully serial)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (after the run, post-GC) to this file")
 	tracefile := flag.String("trace", "", "write a runtime execution trace of the experiment run to this file")
@@ -92,14 +92,24 @@ func run() int {
 		}
 		return 0
 	}
+	switch *format {
+	case "text", "json", "csv", "html":
+	default:
+		fmt.Fprintf(os.Stderr, "cebench: unknown -format %q (want text, json, csv or html)\n", *format)
+		return 2
+	}
 	ids := args
 	all := args[0] == "all"
 	if all {
+		if len(args) > 1 {
+			fmt.Fprintf(os.Stderr, "cebench: \"all\" takes no further ids (got %q)\n", args[1:])
+			return 2
+		}
 		ids = experiments.IDs()
 	}
 
 	cfg := experiments.Config{
-		Shards: *shards, Workers: *simWorkers,
+		Parallel: *parallel, Shards: *shards, Workers: *simWorkers,
 		MacroTenants: *macroTenants, MacroPerTenant: *macroPerTenant,
 		ChaosTenants: *chaosTenants, ChaosPerTenant: *chaosPerTenant,
 		FleetTenants:   *fleetTenants,
@@ -150,22 +160,25 @@ func run() int {
 		defer trace.Stop()
 	}
 
-	var collector *obs.Collector
-	if *traceOut != "" || *metricsOut != "" {
-		collector = obs.NewCollector()
-		experiments.SetCollector(collector)
+	// The export files are created before the run, so a bad path fails now
+	// and not after the last artifact.
+	traceF, traceErr := createExport(*traceOut)
+	metricsF, metricsErr := createExport(*metricsOut)
+	if err := cmp.Or(traceErr, metricsErr); err != nil {
+		fmt.Fprintf(os.Stderr, "cebench: %v\n", err)
+		return 1
+	}
+	if traceF != nil || metricsF != nil {
+		cfg.Collector = obs.NewCollector()
 	}
 
-	experiments.SetParallelism(*parallel)
 	start := time.Now()
 	outcomes := experiments.RunAll(ids, *seed, cfg)
 	total := time.Since(start)
 
-	if collector != nil {
-		if err := exportCollector(collector, *traceOut, *metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "cebench: %v\n", err)
-			return 1
-		}
+	if err := exportCollector(cfg.Collector, traceF, metricsF); err != nil {
+		fmt.Fprintf(os.Stderr, "cebench: %v\n", err)
+		return 1
 	}
 
 	if *memprofile != "" {
@@ -218,7 +231,7 @@ func run() int {
 	}
 	if all {
 		fmt.Fprintf(os.Stderr, "cebench: %d artifacts in %s (parallel=%d)\n",
-			len(ids), total.Round(time.Millisecond), experiments.Parallelism())
+			len(ids), total.Round(time.Millisecond), cmp.Or(*parallel, runtime.GOMAXPROCS(0)))
 	}
 	if *rusage {
 		if hwm, err := peakRSSKB(); err == nil {
@@ -230,36 +243,35 @@ func run() int {
 	return exit
 }
 
-// exportCollector writes the merged per-cell trace and/or metrics files.
-func exportCollector(c *obs.Collector, tracePath, metricsPath string) error {
-	scopes := c.Scopes()
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteTrace(f, tracePath, scopes); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "cebench: wrote event trace (%d scopes) to %s\n", len(scopes), tracePath)
+// createExport creates the export file at path; "" means not requested.
+func createExport(path string) (*os.File, error) {
+	if path == "" {
+		return nil, nil
 	}
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
+	return os.Create(path)
+}
+
+// exportCollector writes the merged per-cell trace and/or metrics into the
+// files opened for them (nil = not requested).
+func exportCollector(c *obs.Collector, traceF, metricsF *os.File) error {
+	scopes := c.Scopes()
+	if traceF != nil {
+		if err := obs.WriteTrace(traceF, traceF.Name(), scopes); err != nil {
 			return err
 		}
-		if err := obs.WriteMetricsJSON(f, scopes); err != nil {
-			f.Close()
+		if err := traceF.Close(); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "cebench: wrote event trace (%d scopes) to %s\n", len(scopes), traceF.Name())
+	}
+	if metricsF != nil {
+		if err := obs.WriteMetricsJSON(metricsF, scopes); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "cebench: wrote metrics (%d scopes) to %s\n", len(scopes), metricsPath)
+		if err := metricsF.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "cebench: wrote metrics (%d scopes) to %s\n", len(scopes), metricsF.Name())
 	}
 	return nil
 }

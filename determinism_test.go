@@ -20,10 +20,10 @@ import (
 
 var determinismIDs = []string{"fig4", "fig9", "fig13", "fig19x", "fig21a", "abl-faults", "tab2", "macro-day", "macro-trace", "macro-chaos"}
 
-func renderAll(t *testing.T, ids []string, seed uint64) string {
+func renderAll(t *testing.T, ids []string, seed uint64, parallel int) string {
 	t.Helper()
 	var out string
-	for _, o := range experiments.RunAll(ids, seed, experiments.Config{}) {
+	for _, o := range experiments.RunAll(ids, seed, experiments.Config{Parallel: parallel}) {
 		if o.Err != nil {
 			t.Fatalf("%s: %v", o.ID, o.Err)
 		}
@@ -37,13 +37,8 @@ func TestParallelOutputsMatchSerial(t *testing.T) {
 		t.Skip("runs a representative artifact set twice")
 	}
 	const seed = 2023
-	prev := experiments.Parallelism()
-	defer experiments.SetParallelism(prev)
-
-	experiments.SetParallelism(1)
-	serial := renderAll(t, determinismIDs, seed)
-	experiments.SetParallelism(8)
-	parallel := renderAll(t, determinismIDs, seed)
+	serial := renderAll(t, determinismIDs, seed, 1)
+	parallel := renderAll(t, determinismIDs, seed, 8)
 
 	if serial != parallel {
 		// Find the first diverging line for a readable failure.
@@ -77,12 +72,8 @@ func TestParallelOutputsMatchSerial(t *testing.T) {
 }
 
 func TestRunAllPreservesRequestOrder(t *testing.T) {
-	prev := experiments.Parallelism()
-	defer experiments.SetParallelism(prev)
-	experiments.SetParallelism(4)
-
 	ids := []string{"tab4", "tab1", "fig7"} // cheap artifacts, shuffled order
-	outcomes := experiments.RunAll(ids, 2023, experiments.Config{})
+	outcomes := experiments.RunAll(ids, 2023, experiments.Config{Parallel: 4})
 	if len(outcomes) != len(ids) {
 		t.Fatalf("got %d outcomes, want %d", len(outcomes), len(ids))
 	}

@@ -28,7 +28,7 @@ func init() {
 // against an exact multiple-choice-knapsack dynamic program. The paper
 // argues the NP-hard partitioning only needs a heuristic; this quantifies
 // what the heuristic leaves on the table on this substrate.
-func ablGap(seed uint64) (*Table, error) {
+func ablGap(seed uint64, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "abl-gap",
 		Title:   "Greedy planner vs exact MCKP optimum (JCT-min given budget, 256 trials)",
@@ -36,7 +36,7 @@ func ablGap(seed uint64) (*Table, error) {
 		Notes:   "exact = budget-discretized DP (4000 buckets) over (stage, budget, prev-memory); gap = (greedy-exact)/exact; the DP is orders of magnitude more work than the greedy's candidate evaluations",
 	}
 	models := workload.Evaluated()
-	blocks, err := cells(len(models), func(i int) ([][]string, error) {
+	blocks, err := cells(cfg, len(models), func(i int) ([][]string, error) {
 		// The two budget multiples share this model's planner (its Evaluated
 		// counter is the reported metric), so they stay serial inside the cell.
 		w := models[i]
@@ -81,7 +81,7 @@ func ablGap(seed uint64) (*Table, error) {
 
 // ablWorkflow — the end-to-end workflow of Fig. 1: hyperparameter tuning
 // followed by training the winner, under one overall constraint.
-func ablWorkflow(seed uint64) (*Table, error) {
+func ablWorkflow(seed uint64, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "abl-workflow",
 		Title:   "End-to-end workflow (Fig. 1): tuning phase + training phase under one budget",
@@ -89,7 +89,7 @@ func ablWorkflow(seed uint64) (*Table, error) {
 		Notes:   "64 trials, tuning reserved 60% of the budget; the training phase runs the tuning winner's hyperparameters to the target loss",
 	}
 	models := []*workload.Model{workload.MobileNet(), workload.ResNet50()}
-	rows, err := cells(len(models), func(i int) ([]string, error) {
+	rows, err := cells(cfg, len(models), func(i int) ([]string, error) {
 		w := models[i]
 		fw := core.New(w)
 		// Size the budget from the tuning static reference plus training
@@ -126,7 +126,7 @@ func ablWorkflow(seed uint64) (*Table, error) {
 // allocations: ASP epochs are faster (no barrier, overlapped transfers) but
 // staleness demands more of them, and the balance shifts with the worker
 // count and the storage service.
-func ablASP(seed uint64) (*Table, error) {
+func ablASP(seed uint64, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "abl-asp",
 		Title:   "BSP vs asynchronous training under the same allocation",
@@ -142,7 +142,7 @@ func ablASP(seed uint64) (*Table, error) {
 		{workload.LRHiggs(), cost.Allocation{N: 50, MemMB: 1769, Storage: storage.S3}},
 	}
 	// Flatten the case x mode matrix into independent cells.
-	rows, err := cells(2*len(cases), func(i int) ([]string, error) {
+	rows, err := cells(cfg, 2*len(cases), func(i int) ([]string, error) {
 		c := cases[i/2]
 		async := i%2 == 1
 		mode := "BSP"
@@ -177,7 +177,7 @@ func ablASP(seed uint64) (*Table, error) {
 // ablHyperband — the §II-A claim that CE-scaling's partitioning applies to
 // other early-stopping tuners: run Hyperband with CE's greedy planner vs a
 // static plan per bracket.
-func ablHyperband(seed uint64) (*Table, error) {
+func ablHyperband(seed uint64, cfg Config) (*Table, error) {
 	w := workload.MobileNet()
 	fw := core.New(w)
 	t := &Table{
@@ -190,7 +190,7 @@ func ablHyperband(seed uint64) (*Table, error) {
 		name       string
 		usePlanner bool
 	}{{"CE-scaling", true}, {"static", false}}
-	rows, err := cells(len(variants), func(i int) ([]string, error) {
+	rows, err := cells(cfg, len(variants), func(i int) ([]string, error) {
 		v := variants[i]
 		res, err := sha.RunHyperband(sha.HyperbandConfig{
 			Workload:  w,
@@ -228,7 +228,7 @@ func ablHyperband(seed uint64) (*Table, error) {
 // ablPocket — extending the storage dimension with a Pocket-style elastic
 // ephemeral store (the paper's citation [22], not in its evaluation): does
 // a fifth service change CE-scaling's picks?
-func ablPocket(seed uint64) (*Table, error) {
+func ablPocket(seed uint64, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "abl-pocket",
 		Title:   "Extending the storage dimension with Pocket-style ephemeral storage",
@@ -236,7 +236,7 @@ func ablPocket(seed uint64) (*Table, error) {
 		Notes:   "Pocket: auto-scaling, in-memory latency, request-charged at 5x S3 — a middle ground between S3 and ElastiCache; budget = geometric mean of the cheap and fast probes",
 	}
 	models := []*workload.Model{workload.MobileNet(), workload.BERT()}
-	rows, err := cells(2*len(models), func(i int) ([]string, error) {
+	rows, err := cells(cfg, 2*len(models), func(i int) ([]string, error) {
 		w := models[i/2]
 		extended := i%2 == 1
 		grid := cost.DefaultGrid()
@@ -250,7 +250,7 @@ func ablPocket(seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := runCE(fw, core.Options{Budget: probe.budgetRef(), Seed: seed}, seed, "abl-pocket/"+w.Name+"/"+label)
+		res, err := runCE(cfg, fw, core.Options{Budget: probe.budgetRef(), Seed: seed}, seed, "abl-pocket/"+w.Name+"/"+label)
 		if err != nil {
 			return nil, err
 		}
@@ -282,7 +282,7 @@ func ablPocket(seed uint64) (*Table, error) {
 // ablFaults — failure injection: per-function crash rates inflate JCT and
 // cost; per-epoch checkpointing through external storage bounds the damage,
 // while disabling it makes every crash lose the whole job's progress.
-func ablFaults(seed uint64) (*Table, error) {
+func ablFaults(seed uint64, cfg Config) (*Table, error) {
 	w := workload.MobileNet()
 	t := &Table{
 		ID:      "abl-faults",
@@ -304,7 +304,7 @@ func ablFaults(seed uint64) (*Table, error) {
 			combos = append(combos, faultCase{rate, checkpoint})
 		}
 	}
-	rows, err := cells(len(combos), func(i int) ([]string, error) {
+	rows, err := cells(cfg, len(combos), func(i int) ([]string, error) {
 		c := combos[i]
 		r := trainer.NewRunner(seed + 53)
 		r.Noise.FailureRate = c.rate
@@ -336,7 +336,7 @@ func ablFaults(seed uint64) (*Table, error) {
 // ablBOHB — BOHB (model-based sampling, the paper's [20]) vs plain
 // Hyperband under identical brackets and partitioning: the TPE sampler
 // learns across brackets, so later brackets explore near the good region.
-func ablBOHB(seed uint64) (*Table, error) {
+func ablBOHB(seed uint64, cfg Config) (*Table, error) {
 	w := workload.ResNet50()
 	fw := core.New(w)
 	t := &Table{
@@ -373,7 +373,7 @@ func ablBOHB(seed uint64) (*Table, error) {
 			return res, err
 		}},
 	}
-	rows, err := cells(len(tuners), func(i int) ([]string, error) {
+	rows, err := cells(cfg, len(tuners), func(i int) ([]string, error) {
 		res, err := tuners[i].run()
 		if err != nil {
 			return nil, cellErr(tuners[i].name, err)
@@ -393,7 +393,7 @@ func ablBOHB(seed uint64) (*Table, error) {
 // ablCluster — multiple tenants sharing one serverless account: CE-planned
 // jobs contend for the 3000-function concurrency cap, queueing when their
 // groups cannot be admitted (the multi-tenant setting of SLAQ/Optimus).
-func ablCluster(seed uint64) (*Table, error) {
+func ablCluster(seed uint64, _ Config) (*Table, error) {
 	w := workload.MobileNet()
 	t := &Table{
 		ID:      "abl-cluster",

@@ -38,7 +38,7 @@ import (
 )
 
 func init() {
-	registerScenario("macro-chaos", runMacroChaos)
+	register("macro-chaos", runMacroChaos)
 	register("fault-restart", runFaultRestart)
 }
 
@@ -151,7 +151,7 @@ func runMacroChaos(seed uint64, cfg Config) (*Table, error) {
 // delayed restarts (the new group starts up while the old one finishes the
 // epoch). The schedule is placed relative to a calm probe run's JCT so the
 // kills land mid-training at any seed.
-func runFaultRestart(seed uint64) (*Table, error) {
+func runFaultRestart(seed uint64, _ Config) (*Table, error) {
 	w := workload.MobileNet()
 	run := func(sched *fault.Schedule, delayed bool, qos float64) (*trainer.Result, error) {
 		m := cost.NewModel(w)

@@ -7,8 +7,10 @@ package experiments
 // in request order, and the output is byte-identical to a serial run.
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,80 +24,43 @@ type Outcome struct {
 	Elapsed time.Duration // wall-clock of this artifact alone
 }
 
-// parallelism is the engine-wide worker bound shared by RunAll and the
-// per-artifact inner matrices (cells). Default: one worker per CPU.
-var parallelism atomic.Int64
-
-func init() { parallelism.Store(int64(runtime.GOMAXPROCS(0))) }
-
-// Parallelism reports the current worker bound.
-func Parallelism() int { return int(parallelism.Load()) }
-
-// SetParallelism bounds the engine's concurrency; p < 1 is clamped to 1
-// (fully serial). It applies both across artifacts and inside each
-// artifact's experiment matrix.
-func SetParallelism(p int) {
-	if p < 1 {
-		p = 1
-	}
-	parallelism.Store(int64(p))
-}
-
-// RunAll executes the named experiments on a bounded worker pool and returns
-// their outcomes in request order; cfg sizes and shards the macro scenarios
-// among them. Each artifact (and each cell inside one) owns its simulation
-// state, so outputs are byte-identical to a serial run at any parallelism.
-// Unknown ids and an invalid cfg surface as per-outcome errors, not a
-// rejected batch.
+// RunAll executes the named experiments on cfg.Parallel workers and returns
+// their outcomes in request order; cfg also sizes and shards the macro
+// scenarios among them and carries the collector they record into. Each
+// artifact (and each cell inside one) owns its simulation state, so outputs
+// are byte-identical to a serial run at any parallelism, and the package
+// keeps no state between calls, so concurrent RunAlls (each with its own
+// collector) do not affect each other. Unknown ids and an invalid cfg
+// surface as per-outcome errors, not a rejected batch.
 func RunAll(ids []string, seed uint64, cfg Config) []Outcome {
-	out := make([]Outcome, len(ids))
-	run := func(i int) {
+	invalid := cfg.Validate()
+	out, _ := cells(cfg, len(ids), func(i int) (Outcome, error) {
+		o := Outcome{ID: ids[i]}
 		start := time.Now() //cescalint:allow walltime -- per-artifact wall time is a stderr-only diagnostic; never printed to stdout
-		t, err := runWith(ids[i], seed, cfg)
-		elapsed := time.Since(start) //cescalint:allow walltime -- pairs with the start stamp above; stderr-only
-		out[i] = Outcome{ID: ids[i], Table: t, Err: err, Elapsed: elapsed}
-	}
-	p := Parallelism()
-	if p > len(ids) {
-		p = len(ids)
-	}
-	if p <= 1 || len(ids) <= 1 {
-		for i := range ids {
-			run(i)
+		switch r, ok := registry[o.ID]; {
+		case invalid != nil:
+			o.Err = invalid
+		case !ok:
+			o.Err = fmt.Errorf("experiments: unknown experiment %q (known: %s)", o.ID, strings.Join(IDs(), ", "))
+		default:
+			o.Table, o.Err = r(seed, cfg)
 		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ids) {
-					return
-				}
-				run(i)
-			}
-		}()
-	}
-	wg.Wait()
+		o.Elapsed = time.Since(start) //cescalint:allow walltime -- pairs with the start stamp above; stderr-only
+		// A failed artifact is an outcome, not a reason to stop the batch.
+		return o, nil
+	})
 	return out
 }
 
-// cells evaluates n independent experiment cells with the engine's worker
-// bound and returns their results in index order. The first error by index
-// wins (deterministically), mirroring where a serial loop would have
-// stopped. f must not share mutable state across indices.
-func cells[T any](n int, f func(i int) (T, error)) ([]T, error) {
+// cells evaluates n independent experiment cells on cfg.Parallel workers
+// (0 = one per CPU) and returns their results in index order. The first
+// error by index wins (deterministically), mirroring where a serial loop
+// would have stopped. f must not share mutable state across indices.
+func cells[T any](cfg Config, n int, f func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
-	p := Parallelism()
-	if p > n {
-		p = n
-	}
-	if p <= 1 || n <= 1 {
+	p := min(cmp.Or(cfg.Parallel, runtime.GOMAXPROCS(0)), n)
+	if p <= 1 {
 		for i := 0; i < n; i++ {
 			results[i], errs[i] = f(i)
 			if errs[i] != nil {

@@ -3,21 +3,16 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-func withParallelism(t *testing.T, p int) {
-	t.Helper()
-	prev := Parallelism()
-	SetParallelism(p)
-	t.Cleanup(func() { SetParallelism(prev) })
-}
-
 func TestCellsOrderAndCompleteness(t *testing.T) {
-	for _, p := range []int{1, 2, 8, 64} {
-		withParallelism(t, p)
-		got, err := cells(100, func(i int) (int, error) { return i * i, nil })
+	for _, p := range []int{0, 1, 2, 8, 64} {
+		got, err := cells(Config{Parallel: p}, 100, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -30,11 +25,10 @@ func TestCellsOrderAndCompleteness(t *testing.T) {
 }
 
 func TestCellsLowestIndexErrorWins(t *testing.T) {
-	withParallelism(t, 8)
 	errLow, errHigh := errors.New("low"), errors.New("high")
 	// Run repeatedly: under racy selection the later error could win.
 	for round := 0; round < 20; round++ {
-		_, err := cells(16, func(i int) (int, error) {
+		_, err := cells(Config{Parallel: 8}, 16, func(i int) (int, error) {
 			switch i {
 			case 3:
 				return 0, errLow
@@ -50,9 +44,8 @@ func TestCellsLowestIndexErrorWins(t *testing.T) {
 }
 
 func TestCellsRunsEveryIndexOnce(t *testing.T) {
-	withParallelism(t, 8)
 	var calls [257]atomic.Int32
-	_, err := cells(len(calls), func(i int) (struct{}, error) {
+	_, err := cells(Config{Parallel: 8}, len(calls), func(i int) (struct{}, error) {
 		calls[i].Add(1)
 		return struct{}{}, nil
 	})
@@ -66,15 +59,26 @@ func TestCellsRunsEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestSetParallelismClamps(t *testing.T) {
-	withParallelism(t, 4)
-	SetParallelism(0)
-	if Parallelism() != 1 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(0), want 1", Parallelism())
-	}
-	SetParallelism(-3)
-	if Parallelism() != 1 {
-		t.Fatalf("Parallelism() = %d after SetParallelism(-3), want 1", Parallelism())
+// TestParallelZeroIsGOMAXPROCS: the zero Config runs one worker per CPU.
+// Three cells that each wait for the other two can only finish if all three
+// are in flight at once.
+func TestParallelZeroIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	var arrived sync.WaitGroup
+	arrived.Add(3)
+	all := make(chan struct{})
+	go func() { arrived.Wait(); close(all) }()
+	_, err := cells(Config{}, 3, func(i int) (int, error) {
+		arrived.Done()
+		select {
+		case <-all:
+			return i, nil
+		case <-time.After(10 * time.Second):
+			return 0, errors.New("cells did not run GOMAXPROCS cells at once")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -93,9 +97,8 @@ func TestCellErr(t *testing.T) {
 }
 
 func TestRunAllMatchesRun(t *testing.T) {
-	withParallelism(t, 4)
 	ids := []string{"tab1", "tab4"}
-	outcomes := RunAll(ids, 7, Config{})
+	outcomes := RunAll(ids, 7, Config{Parallel: 4})
 	for i, id := range ids {
 		want, err := Run(id, 7)
 		if err != nil {

@@ -144,17 +144,11 @@ h2{margin-top:2rem}
 }
 
 // registry maps experiment ids to runners, populated by init functions in
-// the per-area files. A runner must be deterministic for a given seed and
-// Config.
+// the per-area files and read-only afterwards. A runner must be
+// deterministic for a given seed and Config.
 var registry = map[string]func(seed uint64, cfg Config) (*Table, error){}
 
-// register adds a paper artifact, which no Config field affects.
-func register(id string, r func(seed uint64) (*Table, error)) {
-	registerScenario(id, func(seed uint64, _ Config) (*Table, error) { return r(seed) })
-}
-
-// registerScenario adds a macro scenario sized and sharded by Config.
-func registerScenario(id string, r func(seed uint64, cfg Config) (*Table, error)) {
+func register(id string, r func(seed uint64, cfg Config) (*Table, error)) {
 	if _, dup := registry[id]; dup {
 		panic("experiments: duplicate id " + id)
 	}
@@ -173,18 +167,9 @@ func IDs() []string {
 
 // Run executes the experiment id with the given seed at the registered
 // defaults (the zero Config).
-func Run(id string, seed uint64) (*Table, error) { return runWith(id, seed, Config{}) }
-
-// runWith executes the experiment id with the given seed under cfg.
-func runWith(id string, seed uint64, cfg Config) (*Table, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	r, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
-	}
-	return r(seed, cfg)
+func Run(id string, seed uint64) (*Table, error) {
+	o := RunAll([]string{id}, seed, Config{})[0]
+	return o.Table, o.Err
 }
 
 // --- shared formatting helpers ---

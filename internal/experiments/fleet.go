@@ -38,7 +38,7 @@ import (
 	"repro/internal/workload"
 )
 
-func init() { registerScenario("macro-fleet", runMacroFleet) }
+func init() { register("macro-fleet", runMacroFleet) }
 
 const (
 	fleetLookahead = 5.0 // conservative window: every cross-shard Post delay

@@ -26,10 +26,20 @@ import (
 	"repro/internal/traffic"
 )
 
-// Config sizes and shards the macro scenarios. The zero value is the
-// registered defaults; cmd/cebench fills it from its flags. Paper artifacts
-// ignore it.
+// Config is everything a run depends on besides its id and seed. The zero
+// value is the registered defaults; cmd/cebench fills it from its flags.
+// Paper artifacts read Parallel and Collector only; the other fields size
+// and shard the macro scenarios.
 type Config struct {
+	// Parallel bounds the workers RunAll spreads artifacts over, and each
+	// artifact its cells (0 = GOMAXPROCS, 1 = fully serial). Output is
+	// byte-identical at every setting.
+	Parallel int
+	// Collector, when set, receives every executed cell's trace and metrics
+	// under a scope named after the artifact and cell ("fig12/LR-YFCC/Siren").
+	// Concurrent runs need a collector each.
+	Collector *obs.Collector
+
 	// Shards and Workers configure the sharded kernel: shard count and
 	// concurrent shards per conservative window (0 = 8 and 1). Output is
 	// byte-identical at every setting; only wall-clock time changes.
@@ -72,7 +82,7 @@ func (c Config) Validate() error {
 		name string
 		v    int
 	}{
-		{"shards", c.Shards}, {"workers", c.Workers},
+		{"parallel", c.Parallel}, {"shards", c.Shards}, {"workers", c.Workers},
 		{"macro-day tenants", c.MacroTenants}, {"macro-day arrivals per tenant", c.MacroPerTenant},
 		{"macro-chaos tenants", c.ChaosTenants}, {"macro-chaos arrivals per tenant", c.ChaosPerTenant},
 		{"macro-fleet tenants", c.FleetTenants}, {"macro-trace tenants", c.TrafficTenants},
@@ -111,7 +121,7 @@ type harness struct {
 
 func newHarness(id string, seed uint64, cfg Config, lookahead float64) *harness {
 	h := &harness{id: id, b: simbackend.New(seed), shards: cmp.Or(cfg.Shards, 8),
-		lookahead: sim.Time(lookahead), collector: activeCollector.Load()}
+		lookahead: sim.Time(lookahead), collector: cfg.Collector}
 	h.b.ConfigureSharding(h.shards, cmp.Or(cfg.Workers, 1), lookahead)
 	h.s = h.b.Sim()
 	return h
@@ -328,16 +338,10 @@ func (fr *invFrame) invoke() {
 			fr.cold = 1
 		}
 	} else {
-		var invs []faas.Invocation
-		//cescalint:allow hotpath -- group admission (n > 1): a closed-loop tenant acquires once per restart, not per arrival, and InvokeGroup returns a fresh slice; the per-arrival path is Invoke1 above
-		invs, err = ac.plat.InvokeGroup(fr.n, fr.memMB)
-		fr.delay, fr.cold = 0, 0
-		for _, inv := range invs {
-			fr.delay = math.Max(fr.delay, inv.StartDelay)
-			if inv.Cold {
-				fr.cold++
-			}
-		}
+		var g faas.GroupStart
+		//cescalint:allow hotpath -- group admission (n > 1): a closed-loop tenant acquires once per restart, not per arrival, and InvokeGroup allocates only the wrapped error of a rejected group; the per-arrival path is Invoke1 above
+		g, err = ac.plat.InvokeGroup(fr.n, fr.memMB)
+		fr.delay, fr.cold = g.StartDelay, g.Cold
 	}
 	now := ac.sh.Now()
 	switch {
@@ -506,7 +510,7 @@ func (tn *openTenant) arrive(k int) {
 }
 
 func (tn *openTenant) tryInvoke(attempt int) {
-	invs, err := tn.plat.InvokeGroup(1, tn.memMB)
+	g, err := tn.plat.InvokeGroup(1, tn.memMB)
 	if err != nil {
 		if attempt+1 >= macroMaxRetry {
 			tn.dropped++
@@ -517,13 +521,11 @@ func (tn *openTenant) tryInvoke(attempt int) {
 		tn.sh.SchedulePriority(tn.sh.Now()+sim.Time(backoff), tn.id, func() { tn.tryInvoke(attempt + 1) })
 		return
 	}
-	if invs[0].Cold {
-		tn.cold++
-	}
+	tn.cold += uint64(g.Cold)
 	service := tn.svc.LogNormal(math.Log(40), 0.5) * tn.strag
 	tn.seq++
 	seq := tn.seq
-	done := tn.sh.Now() + sim.Time(invs[0].StartDelay+service)
+	done := tn.sh.Now() + sim.Time(g.StartDelay+service)
 	ev := tn.sh.SchedulePriority(done, tn.id, func() {
 		tn.unlive(seq)
 		tn.plat.ReleaseGroup(1, tn.memMB, service)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -76,17 +77,12 @@ func (h *hptSetup) qosRef() float64 {
 	return q
 }
 
+// sqrtProduct is the geometric mean of two positive references.
 func sqrtProduct(a, b float64) float64 {
 	if a <= 0 || b <= 0 {
 		return a
 	}
-	// math.Sqrt without importing math twice in this file's hot path.
-	x := a * b
-	guess := x
-	for i := 0; i < 40; i++ {
-		guess = (guess + x/guess) / 2
-	}
-	return guess
+	return math.Sqrt(a * b)
 }
 
 // execute runs a partitioning plan through the tuning driver. capN > 0
@@ -106,7 +102,7 @@ func (h *hptSetup) execute(plan planner.Plan, trials int, seed uint64, capN int)
 // hptSystems runs the Fig. 9/10 system matrix for one model: CE-scaling,
 // LambdaML (static), Siren and Fixed, under a budget (qos=0) or a QoS
 // deadline (budget=0).
-func (h *hptSetup) hptSystems(trials int, budget, qos float64, seed uint64) (map[string]*sha.Result, map[string]planner.Result, error) {
+func (h *hptSetup) hptSystems(cfg Config, trials int, budget, qos float64, seed uint64) (map[string]*sha.Result, map[string]planner.Result, error) {
 	plans := map[string]planner.Result{}
 
 	var ce planner.Result
@@ -135,7 +131,7 @@ func (h *hptSetup) hptSystems(trials int, budget, qos float64, seed uint64) (map
 	// counter); the executions are independent — each gets a fresh Runner —
 	// so they run as parallel cells merged back in system order.
 	fixedCap := h.pl.ConcurrencyShare()
-	results, err := cells(len(hptOrder), func(i int) (*sha.Result, error) {
+	results, err := cells(cfg, len(hptOrder), func(i int) (*sha.Result, error) {
 		name := hptOrder[i]
 		capN := 0
 		if name == "Fixed" {
@@ -157,7 +153,7 @@ func (h *hptSetup) hptSystems(trials int, budget, qos float64, seed uint64) (map
 var hptOrder = []string{"CE-scaling", "LambdaML", "Siren", "Fixed"}
 
 // fig9 — execution time of hyperparameter tuning given a budget.
-func fig9(seed uint64) (*Table, error) {
+func fig9(seed uint64, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "fig9",
 		Title:   "HPT JCT given a budget (executed on the simulated substrate)",
@@ -165,14 +161,14 @@ func fig9(seed uint64) (*Table, error) {
 		Notes:   fmt.Sprintf("%d trials (paper: 16384), eta=2, %d epochs/stage; budget = 1.3x cheapest static plan", hptTrials, hptEpochsPerStage),
 	}
 	models := workload.Evaluated()
-	blocks, err := cells(len(models), func(i int) ([][]string, error) {
+	blocks, err := cells(cfg, len(models), func(i int) ([][]string, error) {
 		w := models[i]
 		h, err := newHPT(w, hptTrials)
 		if err != nil {
 			return nil, err
 		}
 		budget := h.budgetRef()
-		runs, _, err := h.hptSystems(hptTrials, budget, 0, seed)
+		runs, _, err := h.hptSystems(cfg, hptTrials, budget, 0, seed)
 		if err != nil {
 			return nil, cellErr(w.Name, err)
 		}
@@ -197,7 +193,7 @@ func fig9(seed uint64) (*Table, error) {
 }
 
 // fig10 — cost of hyperparameter tuning given a QoS constraint.
-func fig10(seed uint64) (*Table, error) {
+func fig10(seed uint64, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "fig10",
 		Title:   "HPT cost given a QoS constraint (executed)",
@@ -205,14 +201,14 @@ func fig10(seed uint64) (*Table, error) {
 		Notes:   fmt.Sprintf("%d trials; QoS = geometric mean of fastest/cheapest static JCT", hptTrials),
 	}
 	models := workload.Evaluated()
-	blocks, err := cells(len(models), func(i int) ([][]string, error) {
+	blocks, err := cells(cfg, len(models), func(i int) ([][]string, error) {
 		w := models[i]
 		h, err := newHPT(w, hptTrials)
 		if err != nil {
 			return nil, err
 		}
 		qos := h.qosRef()
-		runs, _, err := h.hptSystems(hptTrials, 0, qos, seed)
+		runs, _, err := h.hptSystems(cfg, hptTrials, 0, qos, seed)
 		if err != nil {
 			return nil, cellErr(w.Name, err)
 		}
@@ -237,7 +233,7 @@ func fig10(seed uint64) (*Table, error) {
 }
 
 // fig11 — normalized per-trial budget per stage for LR-Higgs.
-func fig11(seed uint64) (*Table, error) {
+func fig11(seed uint64, _ Config) (*Table, error) {
 	w := workload.LRHiggs()
 	h, err := newHPT(w, 512)
 	if err != nil {
@@ -284,7 +280,7 @@ func fig11(seed uint64) (*Table, error) {
 // fig2 — the Successive-Halving procedure itself: a 32-trial tuning run
 // with per-stage survivor counts and losses, mirroring the paper's worked
 // example of repeatedly terminating the bottom-performing trials.
-func fig2(seed uint64) (*Table, error) {
+func fig2(seed uint64, _ Config) (*Table, error) {
 	w := workload.MobileNet()
 	fw := core.New(w)
 	stages := planner.SHAStages(32, 2, 2)
@@ -324,7 +320,7 @@ func fig2(seed uint64) (*Table, error) {
 // pace ("mild") and far beyond it ("aggressive"). Mild recycling cuts the
 // total JCT; over-recycling collapses stage 1 into resource competition and
 // backfires — the paper's Finding 1.
-func fig3(seed uint64) (*Table, error) {
+func fig3(seed uint64, cfg Config) (*Table, error) {
 	w := workload.MobileNet()
 	fw := core.New(w)
 	const trials, eta = 512, 4 // 512 -> 128 -> 32 -> 8 -> 2: five stages
@@ -359,7 +355,7 @@ func fig3(seed uint64) (*Table, error) {
 		Headers: []string{"plan", "stage1", "stage2", "stage3", "stage4", "stage5", "total JCT", "cost"},
 		Notes:   "recycle (CE) = the greedy planner's cost-neutral reallocation; over-recycle forces stage 1 to the slowest allocation (the paper's 30% case)",
 	}
-	rows, err := cells(len(plans), func(i int) ([]string, error) {
+	rows, err := cells(cfg, len(plans), func(i int) ([]string, error) {
 		p := plans[i]
 		run, err := sha.Run(sha.Config{
 			Workload: w, Trials: trials, Eta: eta, EpochsPerStage: 2,
@@ -382,7 +378,7 @@ func fig3(seed uint64) (*Table, error) {
 }
 
 // fig14 — HPT for LR-YFCC under varying budget and QoS constraints.
-func fig14(seed uint64) (*Table, error) {
+func fig14(seed uint64, cfg Config) (*Table, error) {
 	w := workload.LRYFCC()
 	h, err := newHPT(w, 128)
 	if err != nil {
@@ -396,7 +392,7 @@ func fig14(seed uint64) (*Table, error) {
 	}
 	for _, mult := range []float64{1.1, 1.3, 1.6, 2.0} {
 		budget := h.cheapCost * mult
-		runs, _, err := h.hptSystems(128, budget, 0, seed)
+		runs, _, err := h.hptSystems(cfg, 128, budget, 0, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -409,7 +405,7 @@ func fig14(seed uint64) (*Table, error) {
 	}
 	for _, mult := range []float64{1.2, 1.5, 2.0, 3.0} {
 		qos := h.fastJCT * mult
-		runs, _, err := h.hptSystems(128, 0, qos, seed)
+		runs, _, err := h.hptSystems(cfg, 128, 0, qos, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -425,7 +421,7 @@ func fig14(seed uint64) (*Table, error) {
 
 // fig16 — CE-scaling vs Siren vs Cirrus under the same pinned storage for
 // hyperparameter tuning (MobileNet-Cifar10).
-func fig16(seed uint64) (*Table, error) {
+func fig16(seed uint64, cfg Config) (*Table, error) {
 	w := workload.MobileNet()
 	h, err := newHPT(w, hptTrials)
 	if err != nil {
@@ -457,7 +453,7 @@ func fig16(seed uint64) (*Table, error) {
 			name string
 			plan planner.Plan
 		}{{"CE-scaling", cePlan.Plan}, {"Siren", sirPlan.Plan}, {"Cirrus", cirPlan.Plan}}
-		rows, err := cells(len(systems), func(i int) ([]string, error) {
+		rows, err := cells(cfg, len(systems), func(i int) ([]string, error) {
 			run, err := h.execute(systems[i].plan, hptTrials, seed, 0)
 			if err != nil {
 				return nil, cellErr(systems[i].name, err)
@@ -473,7 +469,7 @@ func fig16(seed uint64) (*Table, error) {
 }
 
 // fig21a — planner scheduling overhead: CE-scaling vs WO-pa (full search).
-func fig21a(seed uint64) (*Table, error) {
+func fig21a(seed uint64, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "fig21a",
 		Title:   "HPT planning overhead: Pareto-pruned vs full allocation search (WO-pa)",
@@ -481,7 +477,7 @@ func fig21a(seed uint64) (*Table, error) {
 		Notes:   "modeled overhead = candidates x 50ms estimation latency (the paper's seconds-level budget); search space = candidate allocations the planner scores per decision (|P| after Pareto pruning vs the full |Theta|)",
 	}
 	models := workload.Evaluated()
-	blocks, err := cells(len(models), func(i int) ([][]string, error) {
+	blocks, err := cells(cfg, len(models), func(i int) ([][]string, error) {
 		w := models[i]
 		fw := core.New(w)
 		var rows [][]string

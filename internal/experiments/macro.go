@@ -28,7 +28,7 @@ import (
 	"repro/internal/sim"
 )
 
-func init() { registerScenario("macro-day", runMacroDay) }
+func init() { register("macro-day", runMacroDay) }
 
 const (
 	macroLookahead = 30.0 // conservative window: no cross-shard effect sooner

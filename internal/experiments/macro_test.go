@@ -15,31 +15,27 @@ import (
 
 // runMacro executes scenario id under cfg — with a fresh collector when
 // exports is set — and returns the table plus the JSONL trace and metrics
-// exports (empty without exports). Callers that export must stay serial
-// while SetCollector is a package global.
+// exports (empty without exports).
 func runMacro(t *testing.T, id string, seed uint64, cfg Config, exports bool) (tab *Table, trace, metrics string) {
 	t.Helper()
-	var c *obs.Collector
 	if exports {
-		c = obs.NewCollector()
-		SetCollector(c)
-		defer SetCollector(nil)
+		cfg.Collector = obs.NewCollector()
 	}
-	tab, err := runWith(id, seed, cfg)
-	if err != nil {
-		t.Fatalf("%s seed=%d %+v: %v", id, seed, cfg, err)
+	o := RunAll([]string{id}, seed, cfg)[0]
+	if o.Err != nil {
+		t.Fatalf("%s seed=%d %+v: %v", id, seed, cfg, o.Err)
 	}
 	if !exports {
-		return tab, "", ""
+		return o.Table, "", ""
 	}
 	var tb, mb bytes.Buffer
-	if err := obs.WriteJSONL(&tb, c.Scopes()); err != nil {
+	if err := obs.WriteJSONL(&tb, cfg.Collector.Scopes()); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteMetricsJSON(&mb, c.Scopes()); err != nil {
+	if err := obs.WriteMetricsJSON(&mb, cfg.Collector.Scopes()); err != nil {
 		t.Fatal(err)
 	}
-	return tab, tb.String(), mb.String()
+	return o.Table, tb.String(), mb.String()
 }
 
 // mustTrace parses per-minute-count trace text for Config.Trace.
@@ -77,8 +73,8 @@ var fullGrid = []kernel{{1, 8}, {2, 1}, {2, 8}, {8, 1}, {8, 8}}
 // simultaneous event pair is pinned by globally unique priorities, compiled
 // fault events and tenant-private error gates included. Rows with exports
 // also compare the trace and metrics exports (which carry every platform
-// event and every controller's per-epoch decision log); they run serially
-// because the collector is a package global, the rest run in parallel.
+// event and every controller's per-epoch decision log), each run with a
+// collector of its own, so every row runs in parallel.
 // Rows marked long are the check sizes (default populations, 1000
 // controllers, 48 x 1/s x 900 s, a trace-file replay); `make shard-check`
 // runs them, -short skips them.
@@ -141,9 +137,7 @@ func TestMacroMatrix(t *testing.T) {
 			if row.long && testing.Short() {
 				t.Skip("check-sized macro run skipped in -short mode")
 			}
-			if !row.exports {
-				t.Parallel()
-			}
+			t.Parallel()
 			at := func(k kernel, seed uint64) (*Table, string, string) {
 				cfg := row.cfg
 				cfg.Shards, cfg.Workers = k.shards, k.workers
@@ -196,9 +190,9 @@ func TestMacroScenariosRunConcurrently(t *testing.T) {
 	}
 	ids := []string{"macro-day", "macro-chaos", "macro-fleet", "macro-trace"}
 	cfg := Config{FleetTenants: 1000, TrafficTenants: 48, TrafficRate: 1, TrafficHorizon: 900}
-	withParallelism(t, 1)
+	cfg.Parallel = 1
 	serial := RunAll(ids, 2023, cfg)
-	withParallelism(t, 8)
+	cfg.Parallel = 8
 	for i, o := range RunAll(ids, 2023, cfg) {
 		if o.Err != nil || serial[i].Err != nil {
 			t.Fatalf("%s: %v / %v", o.ID, serial[i].Err, o.Err)
@@ -292,7 +286,7 @@ func TestMacroDefaultsExerciseEveryPath(t *testing.T) {
 }
 
 // TestConfigValidateRejectsBadInput: flag-shaped garbage is an error from
-// Validate, from runWith and per outcome from RunAll — never a panic inside
+// Validate and per outcome from RunAll — never a panic inside
 // a traffic cursor, and never a silently defaulted population.
 func TestConfigValidateRejectsBadInput(t *testing.T) {
 	ids := []string{"macro-day", "macro-chaos", "macro-fleet", "macro-trace"}
@@ -307,6 +301,7 @@ func TestConfigValidateRejectsBadInput(t *testing.T) {
 		"streams negative":    {TrafficTenants: -2},
 		"shards negative":     {Shards: -3},
 		"workers negative":    {Workers: -1},
+		"parallel negative":   {Parallel: -1},
 		"unknown kind":        {TrafficKind: "lumpy"},
 		"trace without rows":  {TrafficKind: "trace"},
 	} {

@@ -39,7 +39,7 @@ import (
 	"repro/internal/traffic"
 )
 
-func init() { registerScenario("macro-trace", runMacroTrace) }
+func init() { register("macro-trace", runMacroTrace) }
 
 const (
 	traceLookahead   = 5.0  // conservative window: every cross-shard Post delay

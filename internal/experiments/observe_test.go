@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -13,13 +14,10 @@ import (
 // metrics bytes.
 func runCollected(t *testing.T, id string, seed uint64, p int) (table string, trace, metrics []byte) {
 	t.Helper()
-	withParallelism(t, p)
 	c := obs.NewCollector()
-	SetCollector(c)
-	t.Cleanup(func() { SetCollector(nil) })
-	tab, err := Run(id, seed)
-	if err != nil {
-		t.Fatalf("Run(%s): %v", id, err)
+	o := RunAll([]string{id}, seed, Config{Parallel: p, Collector: c})[0]
+	if o.Err != nil {
+		t.Fatalf("%s: %v", id, o.Err)
 	}
 	var tb, mb bytes.Buffer
 	if err := obs.WriteTrace(&tb, "trace.json", c.Scopes()); err != nil {
@@ -28,7 +26,7 @@ func runCollected(t *testing.T, id string, seed uint64, p int) (table string, tr
 	if err := obs.WriteMetricsJSON(&mb, c.Scopes()); err != nil {
 		t.Fatalf("WriteMetricsJSON: %v", err)
 	}
-	return tab.String(), tb.Bytes(), mb.Bytes()
+	return o.Table.String(), tb.Bytes(), mb.Bytes()
 }
 
 // The tentpole guarantee: the exported trace and metrics are byte-identical
@@ -51,12 +49,11 @@ func TestTraceBytesIdenticalAcrossParallelism(t *testing.T) {
 	}
 
 	// Collection off entirely must not move the table either.
-	withParallelism(t, 8)
-	tab, err := Run(id, seed)
-	if err != nil {
-		t.Fatalf("Run(%s) without collector: %v", id, err)
+	off := RunAll([]string{id}, seed, Config{Parallel: 8})[0]
+	if off.Err != nil {
+		t.Fatalf("%s without collector: %v", id, off.Err)
 	}
-	if tab.String() != serialTab {
+	if off.Table.String() != serialTab {
 		t.Errorf("table output differs with tracing off vs on")
 	}
 
@@ -64,6 +61,59 @@ func TestTraceBytesIdenticalAcrossParallelism(t *testing.T) {
 	for _, want := range []string{"fig21b/CE-scaling", `"cat":"scheduler"`, `"cat":"trainer"`, `"cat":"faas"`} {
 		if !strings.Contains(string(serialTrace), want) {
 			t.Errorf("trace missing %q", want)
+		}
+	}
+}
+
+// TestConcurrentRunsKeepCollectorsApart: a run is a function of (ids, seed,
+// Config), so two RunAlls with their own collectors can share the process.
+// Each one's tables, trace and metrics must equal what it exports alone.
+func TestConcurrentRunsKeepCollectorsApart(t *testing.T) {
+	export := func(ids []string, cfg Config) string {
+		cfg.Collector = obs.NewCollector()
+		var b bytes.Buffer
+		for _, o := range RunAll(ids, 7, cfg) {
+			if o.Err != nil {
+				t.Errorf("%s: %v", o.ID, o.Err)
+				return ""
+			}
+			b.WriteString(o.Table.String())
+		}
+		if err := obs.WriteJSONL(&b, cfg.Collector.Scopes()); err != nil {
+			t.Error(err)
+		}
+		if err := obs.WriteMetricsJSON(&b, cfg.Collector.Scopes()); err != nil {
+			t.Error(err)
+		}
+		return b.String()
+	}
+	runs := []struct {
+		ids []string
+		cfg Config
+	}{
+		{[]string{"fig21b", "fig21c"}, Config{Parallel: 4}},
+		{[]string{"macro-fleet", "macro-trace"}, Config{Parallel: 2, FleetTenants: 12, TrafficTenants: 9, TrafficRate: 1, TrafficHorizon: 300}},
+	}
+	alone := make([]string, len(runs))
+	for i, r := range runs {
+		alone[i] = export(r.ids, r.cfg)
+	}
+	together := make([]string, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i] = export(r.ids, r.cfg)
+		}()
+	}
+	wg.Wait()
+	for i, r := range runs {
+		if len(alone[i]) < 1000 {
+			t.Fatalf("%v: export implausibly small: %d bytes", r.ids, len(alone[i]))
+		}
+		if together[i] != alone[i] {
+			t.Errorf("%v: export differs when another RunAll shares the process (%d vs %d bytes)", r.ids, len(together[i]), len(alone[i]))
 		}
 	}
 }

@@ -17,7 +17,7 @@ func init() {
 }
 
 // tab1 — characteristics of the external storage services.
-func tab1(seed uint64) (*Table, error) {
+func tab1(seed uint64, _ Config) (*Table, error) {
 	t := &Table{
 		ID:      "tab1",
 		Title:   "Comparison of external storage services",
@@ -34,7 +34,7 @@ func tab1(seed uint64) (*Table, error) {
 // tab2 — JCT and cost of Cirrus-style static training under each storage
 // service, normalized to S3, for LR-Higgs and MobileNet at 10 and 50
 // functions with 1769 MB.
-func tab2(seed uint64) (*Table, error) {
+func tab2(seed uint64, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "tab2",
 		Title:   "Storage services under a static allocation (normalized to S3; <1 beats S3)",
@@ -46,7 +46,7 @@ func tab2(seed uint64) (*Table, error) {
 	ns := []int{10, 50}
 	// Each (n, model) block is independent: flatten to cells, each running
 	// its four storage services.
-	blocks, err := cells(len(ns)*len(models), func(bi int) ([][]string, error) {
+	blocks, err := cells(cfg, len(ns)*len(models), func(bi int) ([][]string, error) {
 		n := ns[bi/len(models)]
 		w := models[bi%len(models)]
 		base := map[storage.Kind]*trainer.Result{}
@@ -92,7 +92,7 @@ func tab2(seed uint64) (*Table, error) {
 }
 
 // tab4 — the experimental configurations (inputs, echoed for completeness).
-func tab4(seed uint64) (*Table, error) {
+func tab4(seed uint64, _ Config) (*Table, error) {
 	t := &Table{
 		ID:      "tab4",
 		Title:   "Experimental configurations of the evaluated models",

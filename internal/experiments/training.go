@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -54,10 +55,20 @@ func trainRef(fw *core.Framework, seed uint64) (trainRefs, error) {
 	}, nil
 }
 
-// runCE runs CE-scaling training under opt, recording into scope when the
-// engine has a collector installed.
-func runCE(fw *core.Framework, opt core.Options, runnerSeed uint64, scope string) (*trainer.Result, error) {
-	out, err := fw.Train(opt, observed(trainer.NewRunner(runnerSeed), scope))
+// observed attaches cfg.Collector's scope named name to r when collection is
+// on. Scope names are unique per cell and each cell is the sole writer of its
+// scope, so the merged export is byte-identical at any parallelism.
+func observed(cfg Config, r *trainer.Runner, name string) *trainer.Runner {
+	if cfg.Collector != nil {
+		r.SetObserver(cfg.Collector.Scope(name))
+	}
+	return r
+}
+
+// runCE runs CE-scaling training under opt, recording into scope when cfg
+// carries a collector.
+func runCE(cfg Config, fw *core.Framework, opt core.Options, runnerSeed uint64, scope string) (*trainer.Result, error) {
+	out, err := fw.Train(opt, observed(cfg, trainer.NewRunner(runnerSeed), scope))
 	if err != nil {
 		return nil, err
 	}
@@ -68,9 +79,9 @@ func runCE(fw *core.Framework, opt core.Options, runnerSeed uint64, scope string
 // starting allocation under its controller, recording into scope. The
 // engine draws from seed; each baseline's runner has its own runnerSeed,
 // which like the scope name is part of the pinned output.
-func runBaseline(fw *core.Framework, seed, runnerSeed uint64, scope string, alloc cost.Allocation, ctrl trainer.Controller) (*trainer.Result, error) {
+func runBaseline(cfg Config, fw *core.Framework, seed, runnerSeed uint64, scope string, alloc cost.Allocation, ctrl trainer.Controller) (*trainer.Result, error) {
 	w := fw.Workload
-	return observed(trainer.NewRunner(runnerSeed), scope).Run(trainer.Config{
+	return observed(cfg, trainer.NewRunner(runnerSeed), scope).Run(trainer.Config{
 		Workload:   w,
 		Engine:     w.NewEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
 		Alloc:      alloc,
@@ -81,23 +92,23 @@ func runBaseline(fw *core.Framework, seed, runnerSeed uint64, scope string, allo
 }
 
 // runSiren runs the Siren baseline for the same workload/constraint.
-func runSiren(fw *core.Framework, budget, qos float64, seed uint64, scope string) (*trainer.Result, error) {
+func runSiren(cfg Config, fw *core.Framework, budget, qos float64, seed uint64, scope string) (*trainer.Result, error) {
 	w := fw.Workload
 	est := predictor.NewOffline(w).PredictEpochs(w.TargetLoss, seed)
 	siren := baselines.NewSirenTraining(fw.Full, budget, qos, est, seed)
-	return runBaseline(fw, seed, seed+1, scope, siren.Initial(), siren.Controller())
+	return runBaseline(cfg, fw, seed, seed+1, scope, siren.Initial(), siren.Controller())
 }
 
 // runModifiedCirrus runs the modified-Cirrus baseline (online prediction,
 // VM-PS pinned, immediate restarts).
-func runModifiedCirrus(fw *core.Framework, budget, qos float64, seed uint64, scope string) (*trainer.Result, error) {
+func runModifiedCirrus(cfg Config, fw *core.Framework, budget, qos float64, seed uint64, scope string) (*trainer.Result, error) {
 	w := fw.Workload
 	sched := baselines.ModifiedCirrus(fw.Model, fw.Full, budget, qos, w.TargetLoss, predictor.NewOffline(w), seed)
 	alloc, _ := sched.Initial()
 	if alloc.N == 0 {
 		return nil, fmt.Errorf("modified Cirrus: no feasible VM-PS allocation for %s", w.Name)
 	}
-	return runBaseline(fw, seed, seed+2, scope, alloc, sched.Controller())
+	return runBaseline(cfg, fw, seed, seed+2, scope, alloc, sched.Controller())
 }
 
 var trainOrder = []string{"CE-scaling", "Siren", "Cirrus*"}
@@ -107,18 +118,18 @@ var trainOrder = []string{"CE-scaling", "Siren", "Cirrus*"}
 // framework, so they run as parallel cells merged back in system order.
 // scope labels the matrix for trace collection; each system records under
 // scope/<system>.
-func trainSystems(fw *core.Framework, budget, qos float64, seed uint64, scope string) (map[string]*trainer.Result, error) {
+func trainSystems(cfg Config, fw *core.Framework, budget, qos float64, seed uint64, scope string) (map[string]*trainer.Result, error) {
 	runs := []struct {
 		name string
 		f    func() (*trainer.Result, error)
 	}{
 		{"CE", func() (*trainer.Result, error) {
-			return runCE(fw, core.Options{Budget: budget, QoS: qos, Seed: seed}, seed, scope+"/CE-scaling")
+			return runCE(cfg, fw, core.Options{Budget: budget, QoS: qos, Seed: seed}, seed, scope+"/CE-scaling")
 		}},
-		{"Siren", func() (*trainer.Result, error) { return runSiren(fw, budget, qos, seed, scope+"/Siren") }},
-		{"Cirrus*", func() (*trainer.Result, error) { return runModifiedCirrus(fw, budget, qos, seed, scope+"/Cirrus") }},
+		{"Siren", func() (*trainer.Result, error) { return runSiren(cfg, fw, budget, qos, seed, scope+"/Siren") }},
+		{"Cirrus*", func() (*trainer.Result, error) { return runModifiedCirrus(cfg, fw, budget, qos, seed, scope+"/Cirrus") }},
 	}
-	results, err := cells(len(runs), func(i int) (*trainer.Result, error) {
+	results, err := cells(cfg, len(runs), func(i int) (*trainer.Result, error) {
 		r, err := runs[i].f()
 		return r, cellErr(runs[i].name, err)
 	})
@@ -131,7 +142,7 @@ func trainSystems(fw *core.Framework, budget, qos float64, seed uint64, scope st
 }
 
 // fig12 — training JCT given a budget, with the communication breakdown.
-func fig12(seed uint64) (*Table, error) {
+func fig12(seed uint64, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "fig12",
 		Title:   "Training JCT given a budget (executed; comm = synchronization share of JCT)",
@@ -139,7 +150,7 @@ func fig12(seed uint64) (*Table, error) {
 		Notes:   "budget = geometric mean of cost-minimizing and JCT-minimizing CE probes; Cirrus* = Cirrus modified with online prediction (VM-PS, immediate restarts); LambdaML omitted as in the paper (offline prediction violates constraints)",
 	}
 	models := workload.Evaluated()
-	blocks, err := cells(len(models), func(i int) ([][]string, error) {
+	blocks, err := cells(cfg, len(models), func(i int) ([][]string, error) {
 		w := models[i]
 		fw := core.New(w)
 		probe, err := trainRef(fw, seed)
@@ -147,7 +158,7 @@ func fig12(seed uint64) (*Table, error) {
 			return nil, fmt.Errorf("%s probe: %w", w.Name, err)
 		}
 		budget := probe.budgetRef()
-		runs, err := trainSystems(fw, budget, 0, seed, "fig12/"+w.Name)
+		runs, err := trainSystems(cfg, fw, budget, 0, seed, "fig12/"+w.Name)
 		if err != nil {
 			return nil, cellErr(w.Name, err)
 		}
@@ -173,7 +184,7 @@ func fig12(seed uint64) (*Table, error) {
 }
 
 // fig13 — training cost given a QoS constraint, with the storage breakdown.
-func fig13(seed uint64) (*Table, error) {
+func fig13(seed uint64, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "fig13",
 		Title:   "Training cost given a QoS constraint (executed; storage = storage share of cost)",
@@ -181,7 +192,7 @@ func fig13(seed uint64) (*Table, error) {
 		Notes:   "QoS = geometric mean of the fastest and cheapest probes' JCTs",
 	}
 	models := workload.Evaluated()
-	blocks, err := cells(len(models), func(i int) ([][]string, error) {
+	blocks, err := cells(cfg, len(models), func(i int) ([][]string, error) {
 		w := models[i]
 		fw := core.New(w)
 		probe, err := trainRef(fw, seed)
@@ -189,7 +200,7 @@ func fig13(seed uint64) (*Table, error) {
 			return nil, err
 		}
 		qos := probe.qosRef()
-		runs, err := trainSystems(fw, 0, qos, seed, "fig13/"+w.Name)
+		runs, err := trainSystems(cfg, fw, 0, qos, seed, "fig13/"+w.Name)
 		if err != nil {
 			return nil, cellErr(w.Name, err)
 		}
@@ -215,7 +226,7 @@ func fig13(seed uint64) (*Table, error) {
 }
 
 // fig15 — training for LR-YFCC under varying budget and QoS constraints.
-func fig15(seed uint64) (*Table, error) {
+func fig15(seed uint64, cfg Config) (*Table, error) {
 	w := workload.LRYFCC()
 	fw := core.New(w)
 	probe, err := trainRef(fw, seed)
@@ -228,36 +239,39 @@ func fig15(seed uint64) (*Table, error) {
 		Headers: []string{"constraint", "system", "JCT", "cost", "converged"},
 		Notes:   "multiples of the geometric-mean reference constraints",
 	}
-	for _, mult := range []float64{0.6, 0.8, 1.0, 1.4} {
-		runs, err := trainSystems(fw, probe.budgetRef()*mult, 0, seed, fmt.Sprintf("fig15/budget-%.1fx", mult))
+	// Four budget cells, then four QoS cells, at the same multiples.
+	mults := []float64{0.6, 0.8, 1.0, 1.4}
+	blocks, err := cells(cfg, 2*len(mults), func(i int) ([][]string, error) {
+		mult := mults[i%len(mults)]
+		label, budget, qos := "budget", probe.budgetRef()*mult, 0.0
+		if i >= len(mults) {
+			label, budget, qos = "QoS", 0, probe.qosRef()*mult
+		}
+		runs, err := trainSystems(cfg, fw, budget, qos, seed, fmt.Sprintf("fig15/%s-%.1fx", strings.ToLower(label), mult))
 		if err != nil {
 			return nil, err
 		}
+		var rows [][]string
 		for _, sys := range trainOrder {
 			r := runs[sys]
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("budget %.1fx", mult), sys, seconds(r.JCT), dollars(r.TotalCost), fmt.Sprintf("%v", r.Converged),
+			rows = append(rows, []string{
+				fmt.Sprintf("%s %.1fx", label, mult), sys, seconds(r.JCT), dollars(r.TotalCost), fmt.Sprintf("%v", r.Converged),
 			})
 		}
+		return rows, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, mult := range []float64{0.6, 0.8, 1.0, 1.4} {
-		runs, err := trainSystems(fw, 0, probe.qosRef()*mult, seed, fmt.Sprintf("fig15/qos-%.1fx", mult))
-		if err != nil {
-			return nil, err
-		}
-		for _, sys := range trainOrder {
-			r := runs[sys]
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("QoS %.1fx", mult), sys, seconds(r.JCT), dollars(r.TotalCost), fmt.Sprintf("%v", r.Converged),
-			})
-		}
+	for _, rows := range blocks {
+		t.Rows = append(t.Rows, rows...)
 	}
 	return t, nil
 }
 
 // fig17 — training with every system pinned to the same storage
 // (MobileNet-Cifar10).
-func fig17(seed uint64) (*Table, error) {
+func fig17(seed uint64, cfg Config) (*Table, error) {
 	w := workload.MobileNet()
 	fw := core.New(w)
 	probe, err := trainRef(fw, seed)
@@ -272,23 +286,23 @@ func fig17(seed uint64) (*Table, error) {
 		Notes:   "budget = 1.3x a cost-minimizing CE probe",
 	}
 	kinds := []storage.Kind{storage.S3, storage.VMPS}
-	blocks, err := cells(len(kinds), func(ki int) ([][]string, error) {
+	blocks, err := cells(cfg, len(kinds), func(ki int) ([][]string, error) {
 		kind := kinds[ki]
 		k := kind
-		ce, err := runCE(fw, core.Options{Budget: budget, Seed: seed, PinStorage: &k}, seed, "fig17/"+kind.Short()+"/CE-scaling")
+		ce, err := runCE(cfg, fw, core.Options{Budget: budget, Seed: seed, PinStorage: &k}, seed, "fig17/"+kind.Short()+"/CE-scaling")
 		if err != nil {
 			return nil, err
 		}
 		// Siren keeps its per-epoch restart behaviour on the pinned set.
 		sirEst := predictor.NewOffline(w).PredictEpochs(w.TargetLoss, seed)
-		sir, err := runSirenPinned(fw, baselines.FilterByStorage(fw.Full, kind), budget, sirEst, seed, "fig17/"+kind.Short()+"/Siren")
+		sir, err := runSirenPinned(cfg, fw, baselines.FilterByStorage(fw.Full, kind), budget, sirEst, seed, "fig17/"+kind.Short()+"/Siren")
 		if err != nil {
 			return nil, err
 		}
 		// Cirrus: online prediction, immediate restarts, pinned storage.
 		cirSched := baselines.ModifiedCirrusPinned(fw.Model, fw.Full, kind, budget, 0, w.TargetLoss, predictor.NewOffline(w), seed)
 		cirAlloc, _ := cirSched.Initial()
-		cir, err := runBaseline(fw, seed, seed+5, "fig17/"+kind.Short()+"/Cirrus", cirAlloc, cirSched.Controller())
+		cir, err := runBaseline(cfg, fw, seed, seed+5, "fig17/"+kind.Short()+"/Cirrus", cirAlloc, cirSched.Controller())
 		if err != nil {
 			return nil, err
 		}
@@ -316,13 +330,13 @@ func fig17(seed uint64) (*Table, error) {
 
 // runSirenPinned reproduces Siren's per-epoch adjustment behaviour over an
 // arbitrary pinned candidate set (used when Fig. 17 pins Siren to VM-PS).
-func runSirenPinned(fw *core.Framework, pts []cost.Point, budget float64, est int, seed uint64, scope string) (*trainer.Result, error) {
+func runSirenPinned(cfg Config, fw *core.Framework, pts []cost.Point, budget float64, est int, seed uint64, scope string) (*trainer.Result, error) {
 	siren := baselines.NewSirenTrainingUnfiltered(pts, budget, 0, est, seed)
-	return runBaseline(fw, seed, seed+4, scope, siren.Initial(), siren.Controller())
+	return runBaseline(cfg, fw, seed, seed+4, scope, siren.Initial(), siren.Controller())
 }
 
 // fig18 — CE-scaling restricted to one storage service at a time.
-func fig18(seed uint64) (*Table, error) {
+func fig18(seed uint64, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "fig18",
 		Title:   "CE-scaling training under fixed external storage (D/S/E/V)",
@@ -330,7 +344,7 @@ func fig18(seed uint64) (*Table, error) {
 		Notes:   "N/A: model exceeds DynamoDB's 400KB object limit; budget = 1.3x a cost-minimizing probe",
 	}
 	models := []*workload.Model{workload.LRHiggs(), workload.MobileNet()}
-	blocks, err := cells(len(models), func(mi int) ([][]string, error) {
+	blocks, err := cells(cfg, len(models), func(mi int) ([][]string, error) {
 		w := models[mi]
 		fw := core.New(w)
 		probe, err := trainRef(fw, seed)
@@ -339,13 +353,13 @@ func fig18(seed uint64) (*Table, error) {
 		}
 		budget := probe.budgetRef()
 		kinds := storage.Kinds()
-		return cells(len(kinds), func(ki int) ([]string, error) {
+		return cells(cfg, len(kinds), func(ki int) ([]string, error) {
 			kind := kinds[ki]
 			k := kind
 			if !fw.Model.Service(kind).Supports(w.ParamsMB) {
 				return []string{w.Name, kind.Short(), "N/A", "N/A", "N/A", "N/A"}, nil
 			}
-			r, err := runCE(fw, core.Options{Budget: budget, Seed: seed, PinStorage: &k}, seed+uint64(kind), "fig18/"+w.Name+"/"+kind.Short())
+			r, err := runCE(cfg, fw, core.Options{Budget: budget, Seed: seed, PinStorage: &k}, seed+uint64(kind), "fig18/"+w.Name+"/"+kind.Short())
 			if err != nil {
 				return nil, fmt.Errorf("%s/%v: %w", w.Name, kind, err)
 			}
@@ -365,7 +379,7 @@ func fig18(seed uint64) (*Table, error) {
 }
 
 // fig21b — training scheduling overhead: CE vs WO-pa vs WO-pa-dr.
-func fig21b(seed uint64) (*Table, error) {
+func fig21b(seed uint64, cfg Config) (*Table, error) {
 	w := workload.ResNet50()
 	fw := core.New(w)
 	probe, err := trainRef(fw, seed)
@@ -387,9 +401,9 @@ func fig21b(seed uint64) (*Table, error) {
 		{"WO-pa", core.Options{Budget: budget, Seed: seed, DisablePareto: true}},
 		{"WO-pa-dr", core.Options{Budget: budget, Seed: seed, DisablePareto: true, DisableDelayedRestart: true}},
 	}
-	rows, err := cells(len(variants), func(i int) ([]string, error) {
+	rows, err := cells(cfg, len(variants), func(i int) ([]string, error) {
 		v := variants[i]
-		r, err := runCE(fw, v.opt, seed, "fig21b/"+v.name)
+		r, err := runCE(cfg, fw, v.opt, seed, "fig21b/"+v.name)
 		if err != nil {
 			return nil, cellErr(v.name, err)
 		}
@@ -411,7 +425,7 @@ func fig21b(seed uint64) (*Table, error) {
 }
 
 // fig21c — the impact of the adjustment threshold δ.
-func fig21c(seed uint64) (*Table, error) {
+func fig21c(seed uint64, cfg Config) (*Table, error) {
 	w := workload.ResNet50()
 	fw := core.New(w)
 	probe, err := trainRef(fw, seed)
@@ -426,9 +440,9 @@ func fig21c(seed uint64) (*Table, error) {
 		Notes:   "lower δ reacts to every prediction wobble (frequent restarts); higher δ responds slowly; default 0.1",
 	}
 	deltas := []float64{0.01, 0.05, 0.1, 0.15, 0.2}
-	rows, err := cells(len(deltas), func(i int) ([]string, error) {
+	rows, err := cells(cfg, len(deltas), func(i int) ([]string, error) {
 		delta := deltas[i]
-		r, err := runCE(fw, core.Options{Budget: budget, Seed: seed, Delta: delta}, seed, fmt.Sprintf("fig21c/delta-%.2f", delta))
+		r, err := runCE(cfg, fw, core.Options{Budget: budget, Seed: seed, Delta: delta}, seed, fmt.Sprintf("fig21c/delta-%.2f", delta))
 		if err != nil {
 			return nil, err
 		}

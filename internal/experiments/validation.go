@@ -20,7 +20,7 @@ func init() {
 }
 
 // fig4 — offline vs online epoch-prediction error.
-func fig4(seed uint64) (*Table, error) {
+func fig4(seed uint64, cfg Config) (*Table, error) {
 	w := workload.MobileNet()
 	const runs = 12
 	t := &Table{
@@ -34,7 +34,7 @@ func fig4(seed uint64) (*Table, error) {
 		truth int
 		trace []float64
 	}
-	truthRuns, err := cells(runs, func(i int) (truthRun, error) {
+	truthRuns, err := cells(cfg, runs, func(i int) (truthRun, error) {
 		eng := w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed+uint64(i)*31)
 		var trace []float64
 		for e := 1; e <= 5000; e++ {
@@ -97,7 +97,7 @@ func fig4(seed uint64) (*Table, error) {
 
 // fig7 — the cost/JCT scatter of sampled allocations with the Pareto
 // boundary, LR on Higgs.
-func fig7(seed uint64) (*Table, error) {
+func fig7(seed uint64, _ Config) (*Table, error) {
 	w := workload.LRHiggs()
 	m := cost.NewModel(w)
 	all := m.Enumerate(cost.DefaultGrid())
@@ -150,7 +150,7 @@ func fig7(seed uint64) (*Table, error) {
 
 // validation compares the analytic estimates with simulated ground truth
 // for a sweep of allocations.
-func validation(id, title string, w *workload.Model, allocs []cost.Allocation, seed uint64) (*Table, error) {
+func validation(cfg Config, id, title string, w *workload.Model, allocs []cost.Allocation, seed uint64) (*Table, error) {
 	m := cost.NewModel(w)
 	const epochs = 5
 	t := &Table{
@@ -159,7 +159,7 @@ func validation(id, title string, w *workload.Model, allocs []cost.Allocation, s
 		Headers: []string{"allocation", "est JCT", "sim JCT", "JCT err", "est cost", "sim cost", "cost err"},
 		Notes:   fmt.Sprintf("%d epochs per run; simulated ground truth includes stragglers, sync noise and cold starts", epochs),
 	}
-	rows, err := cells(len(allocs), func(i int) ([]string, error) {
+	rows, err := cells(cfg, len(allocs), func(i int) ([]string, error) {
 		a := allocs[i]
 		if !m.Feasible(a) {
 			return []string{a.String(), "infeasible", "", "", "", "", ""}, nil
@@ -185,17 +185,17 @@ func validation(id, title string, w *workload.Model, allocs []cost.Allocation, s
 }
 
 // fig19 — model validation sweeping the function count.
-func fig19(seed uint64) (*Table, error) {
+func fig19(seed uint64, cfg Config) (*Table, error) {
 	var allocs []cost.Allocation
 	for _, n := range []int{10, 20, 30, 40, 50} {
 		allocs = append(allocs, cost.Allocation{N: n, MemMB: 1769, Storage: storage.S3})
 	}
-	return validation("fig19", "Analytical model vs simulated actuals, LR-Higgs, memory fixed at 1769MB", workload.LRHiggs(), allocs, seed)
+	return validation(cfg, "fig19", "Analytical model vs simulated actuals, LR-Higgs, memory fixed at 1769MB", workload.LRHiggs(), allocs, seed)
 }
 
 // fig19x — extension: model validation across every storage service (the
 // paper validates on S3 only; Eq. 3/5 also cover the other three).
-func fig19x(seed uint64) (*Table, error) {
+func fig19x(seed uint64, cfg Config) (*Table, error) {
 	var allocs []cost.Allocation
 	for _, k := range storage.Kinds() {
 		allocs = append(allocs,
@@ -203,16 +203,16 @@ func fig19x(seed uint64) (*Table, error) {
 			cost.Allocation{N: 50, MemMB: 1769, Storage: k},
 		)
 	}
-	return validation("fig19x",
+	return validation(cfg, "fig19x",
 		"Analytical model vs simulated actuals across storage services, MobileNet",
 		workload.MobileNet(), allocs, seed)
 }
 
 // fig20 — model validation sweeping the memory size.
-func fig20(seed uint64) (*Table, error) {
+func fig20(seed uint64, cfg Config) (*Table, error) {
 	var allocs []cost.Allocation
 	for _, mem := range []int{1024, 1769, 3072, 4096, 6144} {
 		allocs = append(allocs, cost.Allocation{N: 10, MemMB: mem, Storage: storage.S3})
 	}
-	return validation("fig20", "Analytical model vs simulated actuals, LR-Higgs, 10 functions", workload.LRHiggs(), allocs, seed)
+	return validation(cfg, "fig20", "Analytical model vs simulated actuals, LR-Higgs, 10 functions", workload.LRHiggs(), allocs, seed)
 }

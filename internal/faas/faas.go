@@ -286,64 +286,67 @@ type Invocation struct {
 	Cold       bool
 }
 
+// GroupStart summarises one admitted group: how long until all of it runs,
+// and how much of it started cold.
+type GroupStart struct {
+	StartDelay float64 // start latency of the slowest member, in seconds
+	Cold       int     // members that cold-started
+}
+
 // InvokeGroup admits n concurrent functions of memMB memory, consuming warm
-// sandboxes first. It returns one Invocation per function (with its
-// individual start latency) and charges the per-invocation fee immediately.
+// sandboxes first, and charges the per-invocation fee immediately. Each
+// member draws its own start latency; the group is ready after the slowest.
 // The group counts against the concurrency cap until ReleaseGroup.
-func (p *Platform) InvokeGroup(n, memMB int) ([]Invocation, error) {
+func (p *Platform) InvokeGroup(n, memMB int) (GroupStart, error) {
 	if n <= 0 {
-		return nil, fmt.Errorf("faas: InvokeGroup with n=%d", n)
+		return GroupStart{}, fmt.Errorf("faas: InvokeGroup with n=%d", n)
 	}
 	if err := p.limits.ValidateMemory(memMB); err != nil {
-		return nil, err
+		return GroupStart{}, err
 	}
 	if p.inFlight+n > p.limits.MaxConcurrency {
-		return nil, fmt.Errorf("%w: %d in flight + %d requested > %d",
+		return GroupStart{}, fmt.Errorf("%w: %d in flight + %d requested > %d",
 			ErrConcurrencyExceeded, p.inFlight, n, p.limits.MaxConcurrency)
 	}
 	p.inFlight += n
 	if p.inFlight > p.peakInFlight {
 		p.peakInFlight = p.inFlight
 	}
-	out := make([]Invocation, n)
-	cold := 0
-	for i := range out {
-		out[i] = p.admit(memMB)
-		if out[i].Cold {
-			cold++
+	var g GroupStart
+	for i := 0; i < n; i++ {
+		inv := p.admit(memMB)
+		g.StartDelay = max(g.StartDelay, inv.StartDelay)
+		if inv.Cold {
+			g.Cold++
+			p.obs.Stats().Observe("faas.cold_start_s", inv.StartDelay)
 		}
 	}
 	if p.obs.Enabled() {
 		st := p.obs.Stats()
 		st.Add("faas.invocations", float64(n))
-		st.Add("faas.cold_starts", float64(cold))
-		st.Add("faas.warm_starts", float64(n-cold))
+		st.Add("faas.cold_starts", float64(g.Cold))
+		st.Add("faas.warm_starts", float64(n-g.Cold))
 		st.Add("faas.invoke_cost", float64(n)*p.prices.FunctionInvoke)
 		st.Set("faas.in_flight", float64(p.inFlight))
 		st.SetMax("faas.in_flight_peak", float64(p.peakInFlight))
 		st.Set("faas.warm_total", float64(p.warmTotal))
-		for _, inv := range out {
-			if inv.Cold {
-				st.Observe("faas.cold_start_s", inv.StartDelay)
-			}
-		}
 		p.obs.Trace().InstantAt(float64(p.sh.Now()), "faas", "faas", "invoke_group",
-			obs.I("n", n), obs.I("mem_mb", memMB), obs.I("cold", cold),
+			obs.I("n", n), obs.I("mem_mb", memMB), obs.I("cold", g.Cold),
 			obs.I("in_flight", p.inFlight), obs.I("cap", p.limits.MaxConcurrency))
 	}
-	return out, nil
+	return g, nil
 }
 
 // Invoke1 admits a single function of memMB memory: the arrival-path fast
 // path of InvokeGroup(1, memMB) for trace-driven traffic, where every
-// invocation is its own admission decision and the per-call slice
-// allocation (and wrapped error construction) of the group API would
-// dominate at tens of millions of arrivals. Semantics are identical to
-// InvokeGroup(1, memMB) — same warm-pool consumption, same jitter draw,
-// same billing and observability counters — except that the concurrency
-// denial returns the plain ErrConcurrencyExceeded sentinel, so the
-// admit/deny round trip performs no heap allocation at all when
-// observability is disabled.
+// invocation is its own admission decision and the group API's wrapped
+// error construction would dominate at tens of millions of arrivals.
+// Semantics are identical to InvokeGroup(1, memMB) — same warm-pool
+// consumption, same jitter draw, same billing and observability counters —
+// except that it emits no invoke_group instant and the concurrency denial
+// returns the plain ErrConcurrencyExceeded sentinel, so the admit/deny
+// round trip performs no heap allocation at all when observability is
+// disabled.
 //
 //cescalint:hotpath
 func (p *Platform) Invoke1(memMB int) (Invocation, error) {

@@ -87,11 +87,11 @@ func TestColdSpikeFactorScalesDrawsNotEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !base[0].Cold || !hot[0].Cold {
+	if base.Cold != 1 || hot.Cold != 1 {
 		t.Fatal("expected cold starts")
 	}
 	// Same seed, same jitter draw: the spike is an exact multiplier.
-	if got, want := hot[0].StartDelay, 4*base[0].StartDelay; got != want {
+	if got, want := hot.StartDelay, 4*base.StartDelay; got != want {
 		t.Errorf("spiked cold start %g, want %g", got, want)
 	}
 	// The analytical estimate keeps the calm model.
@@ -104,8 +104,8 @@ func TestColdSpikeFactorScalesDrawsNotEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm[0].Cold || warm[0].StartDelay != spiked.WarmStart() {
-		t.Errorf("warm start affected by spike: %+v", warm[0])
+	if warm.Cold != 0 || warm.StartDelay != spiked.WarmStart() {
+		t.Errorf("warm start affected by spike: %+v", warm)
 	}
 	// Factors below 1 reset to neutral.
 	spiked.SetColdSpikeFactor(0)

@@ -14,14 +14,14 @@ func newTestPlatform(seed uint64) *Platform {
 }
 
 // TestInvoke1MatchesInvokeGroup pins Invoke1's contract: on twin platforms
-// driven identically, Invoke1 produces the same invocation (cold/warm,
-// start delay), the same meter and the same admission state as
+// driven identically, Invoke1 produces the same start (cold/warm, start
+// delay), the same meter and the same admission state as
 // InvokeGroup(1, ...), through a warm-reuse cycle.
 func TestInvoke1MatchesInvokeGroup(t *testing.T) {
 	a, b := newTestPlatform(5), newTestPlatform(5)
 	for round := 0; round < 20; round++ {
 		memMB := 512 << (round % 3)
-		invs, errA := a.InvokeGroup(1, memMB)
+		g, errA := a.InvokeGroup(1, memMB)
 		inv, errB := b.Invoke1(memMB)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("round %d: error divergence: group=%v single=%v", round, errA, errB)
@@ -29,8 +29,8 @@ func TestInvoke1MatchesInvokeGroup(t *testing.T) {
 		if errA != nil {
 			continue
 		}
-		if invs[0] != inv {
-			t.Fatalf("round %d: invocation divergence: group=%+v single=%+v", round, invs[0], inv)
+		if g.StartDelay != inv.StartDelay || (g.Cold == 1) != inv.Cold {
+			t.Fatalf("round %d: start divergence: group=%+v single=%+v", round, g, inv)
 		}
 		if round%2 == 1 { // release half so later rounds hit the warm pool
 			a.ReleaseGroup(1, memMB, 2.5)
@@ -43,6 +43,39 @@ func TestInvoke1MatchesInvokeGroup(t *testing.T) {
 	if a.InFlight() != b.InFlight() || a.WarmTotal() != b.WarmTotal() {
 		t.Fatalf("admission state divergence: inflight %d/%d warm %d/%d",
 			a.InFlight(), b.InFlight(), a.WarmTotal(), b.WarmTotal())
+	}
+}
+
+// TestGroupStartFoldsItsMembers: the summary InvokeGroup returns is the
+// slowest member's start delay and the number of cold members, member for
+// member what Invoke1 draws on a twin platform (3 prewarmed of 8).
+func TestGroupStartFoldsItsMembers(t *testing.T) {
+	a, b := newTestPlatform(9), newTestPlatform(9)
+	for _, p := range []*Platform{a, b} {
+		if err := p.Prewarm(3, 1024); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := a.InvokeGroup(8, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want GroupStart
+	for i := 0; i < 8; i++ {
+		inv, err := b.Invoke1(1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.StartDelay = max(want.StartDelay, inv.StartDelay)
+		if inv.Cold {
+			want.Cold++
+		}
+	}
+	if g != want || g.Cold != 5 {
+		t.Fatalf("InvokeGroup(8) = %+v, members fold to %+v (want 5 cold)", g, want)
+	}
+	if a.Meter() != b.Meter() {
+		t.Fatalf("meter divergence: group=%+v members=%+v", a.Meter(), b.Meter())
 	}
 }
 

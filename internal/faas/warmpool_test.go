@@ -243,12 +243,12 @@ func TestInvokeGroupAtExactlyMaxConcurrency(t *testing.T) {
 	p := NewDefault(s)
 	n := p.Limits().MaxConcurrency
 
-	invs, err := p.InvokeGroup(n, 512)
+	g, err := p.InvokeGroup(n, 512)
 	if err != nil {
 		t.Fatalf("InvokeGroup at exactly MaxConcurrency rejected: %v", err)
 	}
-	if len(invs) != n || p.InFlight() != n {
-		t.Fatalf("admitted %d, in flight %d, want %d", len(invs), p.InFlight(), n)
+	if g.Cold != n || p.InFlight() != n {
+		t.Fatalf("cold-started %d, in flight %d, want %d on a fresh platform", g.Cold, p.InFlight(), n)
 	}
 	if _, err := p.InvokeGroup(1, 512); !errors.Is(err, ErrConcurrencyExceeded) {
 		t.Fatalf("one past cap: err = %v, want ErrConcurrencyExceeded", err)
@@ -284,11 +284,11 @@ func TestReleaseWarmReturnThenExpiryPreservesWarmCount(t *testing.T) {
 	// Reuse one warm sandbox partway through the TTL; its reclaim must be
 	// cancelled while the other two stay on schedule.
 	s.RunUntil(sim.Time(p.WarmTTL / 2))
-	invs, err := p.InvokeGroup(1, 1769)
+	g, err := p.InvokeGroup(1, 1769)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if invs[0].Cold {
+	if g.Cold != 0 {
 		t.Fatal("expected a warm start from the returned sandbox")
 	}
 	if p.WarmCount(1769) != 2 {

@@ -237,16 +237,16 @@ func (b *Backend) Close() error {
 
 type liveCompute struct{ b *Backend }
 
-func (c liveCompute) InvokeGroup(n, memMB int) ([]platform.Invocation, error) {
-	invs, err := c.b.shadow.Compute().InvokeGroup(n, memMB)
+func (c liveCompute) InvokeGroup(n, memMB int) (platform.GroupStart, error) {
+	g, err := c.b.shadow.Compute().InvokeGroup(n, memMB)
 	if err != nil {
-		return nil, err
+		return platform.GroupStart{}, err
 	}
 	if err := c.b.spawnGroup(n, memMB); err != nil {
 		c.b.shadow.Compute().ReleaseGroup(n, memMB, 0)
-		return nil, err
+		return platform.GroupStart{}, err
 	}
-	return invs, nil
+	return g, nil
 }
 
 func (c liveCompute) ReleaseGroup(n, memMB int, secondsEach float64) {

@@ -46,11 +46,10 @@ func StorageKinds() []StorageKind { return storage.Kinds() }
 // ExtendedStorageKinds adds the optional Pocket service to the evaluated four.
 func ExtendedStorageKinds() []StorageKind { return storage.ExtendedKinds() }
 
-// Invocation describes one admitted function instance of a group.
-type Invocation struct {
-	MemMB      int
-	StartDelay float64 // cold- or warm-start latency in seconds
-	Cold       bool
+// GroupStart summarises one admitted function group.
+type GroupStart struct {
+	StartDelay float64 // start latency of the slowest member, in seconds
+	Cold       int     // members that cold-started
 }
 
 // ComputeMeter is the accumulated function-platform bill.
@@ -67,10 +66,10 @@ func (m ComputeMeter) Total() float64 { return m.InvokeCost + m.ComputeCost }
 // Compute is the function-execution substrate: group invocation under a
 // concurrency cap, cold/warm start behaviour, and compute billing.
 type Compute interface {
-	// InvokeGroup admits n concurrent functions of memMB memory and returns
-	// one Invocation per function with its individual start latency. The
-	// group counts against the concurrency cap until ReleaseGroup.
-	InvokeGroup(n, memMB int) ([]Invocation, error)
+	// InvokeGroup admits n concurrent functions of memMB memory and reports
+	// when the slowest of them starts. The group counts against the
+	// concurrency cap until ReleaseGroup.
+	InvokeGroup(n, memMB int) (GroupStart, error)
 	// ReleaseGroup ends n functions of memMB, billing secondsEach compute
 	// time per function and returning their sandboxes to the warm pool.
 	ReleaseGroup(n, memMB int, secondsEach float64)

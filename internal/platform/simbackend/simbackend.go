@@ -110,16 +110,9 @@ func (b *Backend) Store() *storage.Store { return b.store }
 
 type simCompute struct{ b *Backend }
 
-func (c simCompute) InvokeGroup(n, memMB int) ([]platform.Invocation, error) {
-	invs, err := c.b.plat.InvokeGroup(n, memMB)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]platform.Invocation, len(invs))
-	for i, inv := range invs {
-		out[i] = platform.Invocation{MemMB: inv.MemMB, StartDelay: inv.StartDelay, Cold: inv.Cold}
-	}
-	return out, nil
+func (c simCompute) InvokeGroup(n, memMB int) (platform.GroupStart, error) {
+	g, err := c.b.plat.InvokeGroup(n, memMB)
+	return platform.GroupStart(g), err
 }
 
 func (c simCompute) ReleaseGroup(n, memMB int, secondsEach float64) {

@@ -88,25 +88,19 @@ func (r *Runner) killDuringEpoch(st *state, epoch int, epochT float64, ev fault.
 		// kill lands inside a cold-start spike window.
 		pf.SetColdSpikeFactor(sched.ColdSpikeFactor(ev.At))
 	}
-	invs, err := r.Compute().InvokeGroup(k, a.MemMB)
+	g, err := r.Compute().InvokeGroup(k, a.MemMB)
 	if pf != nil {
 		pf.SetColdSpikeFactor(1)
 	}
 	if err != nil {
 		return fmt.Errorf("trainer: re-invoking %d killed sandboxes: %w", k, err)
 	}
-	start := 0.0
-	for _, inv := range invs {
-		if inv.StartDelay > start {
-			start = inv.StartDelay
-		}
-	}
 	// The checkpoint re-pull crosses storage that may be browned out.
 	lat := 1.0
 	if l, _, on := sched.BrownoutAt(ev.At); on {
 		lat = l
 	}
-	recover := start + r.Service(a.Storage).TransferTime(a.N, w.ParamsMB)*lat
+	recover := g.StartDelay + r.Service(a.Storage).TransferTime(a.N, w.ParamsMB)*lat
 	return r.crash(st, epoch, k, wasted, recover, float64(k)*r.Prices.FunctionInvoke, "fault_kill")
 }
 

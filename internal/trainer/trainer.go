@@ -453,16 +453,11 @@ func (r *Runner) RunEpochs(w *workload.Model, eng workload.Engine, a cost.Alloca
 // storage as well).
 func (r *Runner) startGroup(st *state, a cost.Allocation, initial bool) error {
 	w := st.cfg.Workload
-	invs, err := r.Compute().InvokeGroup(a.N, a.MemMB)
+	g, err := r.Compute().InvokeGroup(a.N, a.MemMB)
 	if err != nil {
 		return fmt.Errorf("trainer: invoking %v: %w", a, err)
 	}
-	start := 0.0
-	for _, inv := range invs {
-		if inv.StartDelay > start {
-			start = inv.StartDelay
-		}
-	}
+	start := g.StartDelay
 	if p := r.acquireService(st, a.Storage); p > start {
 		start = p // storage provisioning overlaps the cold start
 	}
@@ -730,16 +725,11 @@ func asyncEfficiency(n int) float64 {
 func (r *Runner) applySwitch(st *state, next cost.Allocation, delayed bool) error {
 	w := st.cfg.Workload
 	if delayed {
-		invs, err := r.Compute().InvokeGroup(next.N, next.MemMB)
+		g, err := r.Compute().InvokeGroup(next.N, next.MemMB)
 		if err != nil {
 			return fmt.Errorf("trainer: delayed switch to %v: %w", next, err)
 		}
-		start := 0.0
-		for _, inv := range invs {
-			if inv.StartDelay > start {
-				start = inv.StartDelay
-			}
-		}
+		start := g.StartDelay
 		if p := r.acquireService(st, next.Storage); p > start {
 			start = p // a new storage service provisions during the overlap
 		}
