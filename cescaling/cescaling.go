@@ -22,16 +22,11 @@ package cescaling
 import (
 	"io"
 
-	"fmt"
-
 	"repro/internal/baselines"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/planner"
-	"repro/internal/platform"
-	"repro/internal/platform/livebackend" //cescalint:allow importboundary -- public facade: wires the live backend behind platform.Backend for NewLiveRunner
-
 	"repro/internal/predictor"
 	"repro/internal/sha"
 	"repro/internal/storage"
@@ -97,10 +92,7 @@ type (
 	TuneRun = sha.Result
 
 	// StorageKind identifies an external storage service.
-	StorageKind = platform.StorageKind
-
-	// Backend is the execution substrate behind a Runner; see Config.
-	Backend = platform.Backend
+	StorageKind = storage.Kind
 
 	// ClusterSubmission is one job plus its arrival time on a shared
 	// substrate.
@@ -133,40 +125,6 @@ func NewWithGrid(w *Model, g Grid) *Framework { return core.NewWithGrid(w, g) }
 
 // NewRunner returns a deterministic simulated substrate.
 func NewRunner(seed uint64) *Runner { return trainer.NewRunner(seed) }
-
-// Config selects the execution substrate behind a Runner.
-type Config struct {
-	// Backend selects the substrate: "sim" (default) runs everything inside
-	// the discrete-event simulation; "live" drives real concurrent workers
-	// through the local serverless executor, with model state over HTTP
-	// object storage and TCP parameter servers. The controller's decisions
-	// are identical on both under the same seed.
-	Backend string
-	// Seed drives the substrate's deterministic random streams.
-	Seed uint64
-}
-
-// NewRunnerWithConfig returns a runner on the configured substrate. Close
-// the runner with CloseRunner when done: the live substrate holds real
-// resources (worker goroutines, sockets, servers).
-func NewRunnerWithConfig(cfg Config) (*Runner, error) {
-	switch cfg.Backend {
-	case "", "sim":
-		return trainer.NewRunner(cfg.Seed), nil
-	case "live":
-		b, err := livebackend.New(livebackend.Config{Seed: cfg.Seed})
-		if err != nil {
-			return nil, err
-		}
-		return trainer.NewRunnerOn(b), nil
-	default:
-		return nil, fmt.Errorf("cescaling: unknown backend %q (want sim or live)", cfg.Backend)
-	}
-}
-
-// CloseRunner tears down any real resources the runner's substrate holds.
-// It is a no-op for the simulated substrate.
-func CloseRunner(r *Runner) error { return platform.Close(r.Backend) }
 
 // DefaultGrid returns the allocation grid used by the paper's evaluation.
 func DefaultGrid() Grid { return cost.DefaultGrid() }

@@ -13,24 +13,19 @@
 //	profile  print the workload's Pareto boundary (epoch time/cost per θ)
 //	tune     plan hyperparameter tuning: one allocation per SHA stage
 //	train    pick the initial training allocation from the offline estimate
-//	run      execute a full training job and report the measured JCT, cost
-//	         and allocation timeline
-//
-// The -backend flag selects the substrate run mode executes on: "sim" (the
-// default discrete-event simulation) or "live" (real concurrent workers in
-// the local serverless executor, synchronizing over HTTP object storage and
-// TCP parameter servers).
+//	run      execute a full training job on the simulated substrate and
+//	         report the measured JCT, cost and allocation timeline
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/cescaling"
 	"repro/internal/obs"
-	"repro/internal/platform/livebackend"
 )
 
 type allocJSON struct {
@@ -101,16 +96,15 @@ func toAllocJSON(a cescaling.Allocation) allocJSON {
 
 func main() {
 	var (
-		model   = flag.String("model", "LR-Higgs", "workload (LR-Higgs, SVM-Higgs, MobileNet-Cifar10, ResNet50-Cifar10, BERT-IMDb, LR-YFCC, SVM-YFCC)")
-		mode    = flag.String("mode", "profile", "profile | tune | train | run")
-		budget  = flag.Float64("budget", 0, "budget constraint in USD (minimize JCT)")
-		qos     = flag.Float64("qos", 0, "QoS deadline in seconds (minimize cost)")
-		trials  = flag.Int("trials", 512, "tuning trial population")
-		eta     = flag.Int("eta", 2, "SHA reduction factor")
-		epochs  = flag.Int("stage-epochs", 2, "epochs per tuning stage")
-		seed    = flag.Uint64("seed", 2023, "deterministic seed")
-		trace   = flag.String("trace", "", "run mode: also write the per-epoch trace to this CSV file")
-		backend = flag.String("backend", "sim", "run mode substrate: sim | live")
+		model  = flag.String("model", "LR-Higgs", "workload (LR-Higgs, SVM-Higgs, MobileNet-Cifar10, ResNet50-Cifar10, BERT-IMDb, LR-YFCC, SVM-YFCC)")
+		mode   = flag.String("mode", "profile", "profile | tune | train | run")
+		budget = flag.Float64("budget", 0, "budget constraint in USD (minimize JCT)")
+		qos    = flag.Float64("qos", 0, "QoS deadline in seconds (minimize cost)")
+		trials = flag.Int("trials", 512, "tuning trial population")
+		eta    = flag.Int("eta", 2, "SHA reduction factor")
+		epochs = flag.Int("stage-epochs", 2, "epochs per tuning stage")
+		seed   = flag.Uint64("seed", 2023, "deterministic seed")
+		trace  = flag.String("trace", "", "run mode: also write the per-epoch trace to this CSV file")
 		// Deterministic observability (tune and run modes): event traces are
 		// stamped with the simulated clock, so repeat runs with the same seed
 		// produce byte-identical files. Stdout is unaffected either way.
@@ -119,12 +113,53 @@ func main() {
 	)
 	flag.Parse()
 
+	// Everything the selected mode would ignore or misread is rejected here,
+	// before any work and before anything reaches stdout.
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected argument %q: cescale takes flags only", flag.Arg(0)))
+	}
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{{"-budget", *budget}, {"-qos", *qos}} {
+		if math.IsNaN(c.v) || math.IsInf(c.v, 0) || c.v < 0 {
+			fatal(fmt.Errorf("%s %v: want a finite value >= 0 (0 = unset)", c.name, c.v))
+		}
+	}
+	switch *mode {
+	case "profile", "tune", "train", "run":
+	default:
+		fatal(fmt.Errorf("unknown mode %q", *mode))
+	}
+	switch {
+	case *trace != "" && *mode != "run":
+		fatal(fmt.Errorf("-trace is written only by -mode run (got -mode %s)", *mode))
+	case (*traceOut != "" || *metricsOut != "") && *mode != "tune" && *mode != "run":
+		fatal(fmt.Errorf("-trace-out and -metrics-out record only in -mode tune and run (got -mode %s)", *mode))
+	case (*mode == "train" || *mode == "run") && (*budget > 0) == (*qos > 0):
+		fatal(fmt.Errorf("%s mode needs exactly one of -budget or -qos", *mode))
+	}
+	if *mode == "tune" {
+		// SHAStages would quietly clamp eta and plan whatever stage shape
+		// it is handed (a negative epoch count yields a negative bill).
+		switch {
+		case *trials < 2:
+			fatal(fmt.Errorf("-trials %d: successive halving needs at least 2 trials", *trials))
+		case *eta < 2:
+			fatal(fmt.Errorf("-eta %d: the reduction factor must be at least 2", *eta))
+		case *epochs < 1:
+			fatal(fmt.Errorf("-stage-epochs %d: each stage runs at least 1 epoch", *epochs))
+		}
+	}
 	w, err := cescaling.ModelByName(*model)
 	if err != nil {
 		fatal(err)
 	}
+	// Output files are created before the run, so an unwritable path costs
+	// nothing and prints nothing.
+	traceCSV, traceF, metricsF := createOutput(*trace), createOutput(*traceOut), createOutput(*metricsOut)
 	var observer *obs.Observer
-	if *traceOut != "" || *metricsOut != "" {
+	if traceF != nil || metricsF != nil {
 		observer = obs.New()
 	}
 	fw := cescaling.New(w)
@@ -149,16 +184,6 @@ func main() {
 		}
 
 	case "tune":
-		// SHAStages would quietly clamp eta and plan whatever stage shape
-		// it is handed (a negative epoch count yields a negative bill).
-		switch {
-		case *trials < 2:
-			fatal(fmt.Errorf("-trials %d: successive halving needs at least 2 trials", *trials))
-		case *eta < 2:
-			fatal(fmt.Errorf("-eta %d: the reduction factor must be at least 2", *eta))
-		case *epochs < 1:
-			fatal(fmt.Errorf("-stage-epochs %d: each stage runs at least 1 epoch", *epochs))
-		}
 		res, pl, err := fw.PlanHPT(*trials, *eta, *epochs, cescaling.Options{Budget: *budget, QoS: *qos, Seed: *seed, Obs: observer})
 		if err != nil {
 			fatal(err)
@@ -180,9 +205,6 @@ func main() {
 		}
 
 	case "train":
-		if (*budget > 0) == (*qos > 0) {
-			fatal(fmt.Errorf("train mode needs exactly one of -budget or -qos"))
-		}
 		off := cescaling.NewOffline(w)
 		est := off.PredictEpochs(w.TargetLoss, *seed)
 		// Reuse the framework's candidate selection by planning the initial
@@ -201,28 +223,12 @@ func main() {
 		}
 
 	case "run":
-		if (*budget > 0) == (*qos > 0) {
-			fatal(fmt.Errorf("run mode needs exactly one of -budget or -qos"))
-		}
-		runner, err := cescaling.NewRunnerWithConfig(cescaling.Config{Backend: *backend, Seed: *seed})
-		if err != nil {
-			fatal(err)
-		}
+		runner := cescaling.NewRunner(*seed)
 		if observer != nil {
 			runner.SetObserver(observer)
 		}
 		out, err := fw.Train(cescaling.Options{Budget: *budget, QoS: *qos, Seed: *seed}, runner)
 		if err != nil {
-			cescaling.CloseRunner(runner)
-			fatal(err)
-		}
-		if lb, ok := runner.Backend.(*livebackend.Backend); ok {
-			s := lb.Stats()
-			fmt.Fprintf(os.Stderr,
-				"cescale: live substrate: %d invocations (%d cold), %d epoch barriers, %d object puts, %d gets, %d parameter-server rounds\n",
-				s.Invocations, s.ColdStarts, s.EpochBarriers, s.ObjPuts, s.ObjGets, s.PSRounds)
-		}
-		if err := cescaling.CloseRunner(runner); err != nil {
 			fatal(err)
 		}
 		r := out.Result
@@ -245,63 +251,54 @@ func main() {
 		if err := enc.Encode(rep); err != nil {
 			fatal(err)
 		}
-		if *trace != "" {
-			f, err := os.Create(*trace)
-			if err != nil {
+		if traceCSV != nil {
+			if err := cescaling.WriteTraceCSV(traceCSV, r.Trace); err != nil {
 				fatal(err)
 			}
-			if err := cescaling.WriteTraceCSV(f, r.Trace); err != nil {
-				f.Close()
+			if err := traceCSV.Close(); err != nil {
 				fatal(err)
 			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "cescale: wrote %d-epoch trace to %s\n", len(r.Trace), *trace)
+			fmt.Fprintf(os.Stderr, "cescale: wrote %d-epoch trace to %s\n", len(r.Trace), traceCSV.Name())
 		}
-
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
 
-	if observer != nil {
-		if err := exportObserver(observer, *traceOut, *metricsOut); err != nil {
-			fatal(err)
-		}
+	if err := exportObserver(observer, traceF, metricsF); err != nil {
+		fatal(err)
 	}
 }
 
-// exportObserver writes the collected trace and/or metrics files. Profile
-// and train modes run no instrumented work, so their files are valid but
-// empty.
-func exportObserver(o *obs.Observer, tracePath, metricsPath string) error {
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := o.WriteTrace(f, tracePath); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "cescale: wrote event trace to %s\n", tracePath)
+// createOutput creates the output file at path; "" means not requested.
+func createOutput(path string) *os.File {
+	if path == "" {
+		return nil
 	}
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	return f
+}
+
+// exportObserver writes the collected trace and/or metrics into the files
+// opened for them (nil = not requested).
+func exportObserver(o *obs.Observer, traceF, metricsF *os.File) error {
+	if traceF != nil {
+		if err := o.WriteTrace(traceF, traceF.Name()); err != nil {
 			return err
 		}
-		if err := o.WriteMetrics(f); err != nil {
-			f.Close()
+		if err := traceF.Close(); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "cescale: wrote event trace to %s\n", traceF.Name())
+	}
+	if metricsF != nil {
+		if err := o.WriteMetrics(metricsF); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "cescale: wrote metrics to %s\n", metricsPath)
+		if err := metricsF.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "cescale: wrote metrics to %s\n", metricsF.Name())
 	}
 	return nil
 }

@@ -37,9 +37,23 @@ func cescale(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 	return out.String(), errb.String(), cmd.ProcessState.ExitCode()
 }
 
+// wantRejected runs cescale on args and requires the rejection shape: one
+// "cescale: ..." line on stderr, nothing on stdout and a non-zero exit.
+func wantRejected(t *testing.T, args ...string) (stderr string) {
+	t.Helper()
+	stdout, stderr, exit := cescale(t, args...)
+	if exit == 0 || stdout != "" {
+		t.Errorf("%v: exit %d with %d bytes on stdout; want a non-zero exit and no output", args, exit, len(stdout))
+	}
+	if !strings.HasPrefix(stderr, "cescale: ") || strings.Count(stderr, "\n") != 1 {
+		t.Errorf("%v: stderr %q, want one cescale: line", args, stderr)
+	}
+	return stderr
+}
+
 // TestTuneRejectsBadStageFlags: a stage shape successive halving cannot run
-// is one "cescale: ..." line on stderr, nothing on stdout and a non-zero
-// exit — not a plan with a negative bill or a silently substituted eta.
+// is rejected — not a plan with a negative bill or a silently substituted
+// eta.
 func TestTuneRejectsBadStageFlags(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-stage-epochs", "-3"},
@@ -49,16 +63,42 @@ func TestTuneRejectsBadStageFlags(t *testing.T) {
 		{"-trials", "1"},
 		{"-trials", "-8"},
 	} {
-		stdout, stderr, exit := cescale(t, append([]string{"-mode", "tune", "-budget", "5"}, bad...)...)
-		if exit == 0 || stdout != "" {
-			t.Errorf("%v: exit %d with %d bytes on stdout; want a non-zero exit and no output", bad, exit, len(stdout))
-		}
-		if !strings.HasPrefix(stderr, "cescale: ") || strings.Count(stderr, "\n") != 1 {
-			t.Errorf("%v: stderr %q, want one cescale: line", bad, stderr)
-		}
+		wantRejected(t, append([]string{"-mode", "tune", "-budget", "5"}, bad...)...)
 	}
 	if stdout, stderr, exit := cescale(t, "-mode", "tune", "-budget", "5", "-trials", "8", "-eta", "2", "-stage-epochs", "1"); exit != 0 || !strings.Contains(stdout, `"feasible"`) {
 		t.Errorf("smallest sensible flags: exit %d, stdout %q, stderr %q", exit, stdout, stderr)
+	}
+}
+
+// TestRejectsBadInputBeforeWork: input the selected mode would ignore,
+// misread or only trip over after the run is rejected up front — not a full
+// result followed by exit 1, an empty export reported as written, or a
+// negative budget quietly read as "unset".
+func TestRejectsBadInputBeforeWork(t *testing.T) {
+	ignored := filepath.Join(t.TempDir(), "t.jsonl")
+	for _, bad := range [][]string{
+		{"-mode", "run", "-qos", "21600", "-trace", "/no/such/dir/x.csv"},
+		{"-mode", "run", "-qos", "21600", "-trace-out", "/no/such/dir/x.jsonl"},
+		{"-mode", "run", "-qos", "21600", "-metrics-out", "/no/such/dir/m.json"},
+		{"-mode", "profile", "-trace-out", ignored},
+		{"-mode", "train", "-qos", "21600", "-metrics-out", ignored},
+		{"-mode", "tune", "-qos", "7200", "-trace", ignored},
+		{"-mode", "run", "-budget", "-1", "-qos", "100"},
+		{"-mode", "run", "-budget", "+Inf"},
+		{"-mode", "run", "-qos", "21600", "stray-arg"},
+		{"-mode", "bogus"},
+	} {
+		wantRejected(t, bad...)
+	}
+	if _, err := os.Stat(ignored); err == nil {
+		t.Errorf("%s exists: an output flag its mode ignores still created a file", ignored)
+	}
+	if stderr := wantRejected(t, "-mode", "run", "-qos", "NaN"); !strings.Contains(stderr, "-qos NaN") {
+		t.Errorf("-qos NaN: stderr %q does not name the bad flag", stderr)
+	}
+	// The substrate is not an option: -backend is an undefined flag.
+	if stdout, stderr, exit := cescale(t, "-mode", "run", "-qos", "21600", "-backend", "sim"); exit != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: -backend") {
+		t.Errorf("-backend sim: exit %d, stdout %q, stderr %q; want the flag package's exit 2", exit, stdout, stderr)
 	}
 }
 

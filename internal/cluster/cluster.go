@@ -69,13 +69,9 @@ func Run(r *trainer.Runner, subs []Submission) ([]*Outcome, error) {
 		errOut   error
 	)
 
-	// The cluster scheduler interleaves jobs on the shared virtual clock, so
-	// it needs the discrete-event kernel underneath the runner's backend.
-	des, ok := r.Backend.(interface{ Sim() *sim.Simulation })
-	if !ok {
-		return nil, fmt.Errorf("cluster: runner backend %q does not expose a discrete-event kernel", r.Backend.Name())
-	}
-	s := des.Sim()
+	// The cluster scheduler interleaves jobs on the shared virtual clock: the
+	// discrete-event kernel underneath the runner's backend.
+	s := r.Backend.Sim()
 
 	var admit func(rj *runningJob)
 	var stepEvent func(rj *runningJob)

@@ -155,3 +155,21 @@ func TestDeterministicSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestRunDrivesTheRunnersKernel: the scheduler interleaves jobs on the
+// runner's own discrete-event kernel and platform account, whatever runner
+// it is handed — afterwards the shared clock has passed the makespan and
+// every admitted function is released.
+func TestRunDrivesTheRunnersKernel(t *testing.T) {
+	r := trainer.NewRunner(8)
+	outs, err := Run(r, []Submission{job(t, "a", 10, 1, 0), job(t, "b", 10, 2, 50)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, span := float64(r.Backend.Sim().Now()), Makespan(outs); now < span-1e-6 {
+		t.Errorf("runner's clock at %g after a makespan of %g", now, span)
+	}
+	if n := r.Compute().InFlight(); n != 0 {
+		t.Errorf("%d functions still admitted on the runner's account", n)
+	}
+}

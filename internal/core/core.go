@@ -13,10 +13,10 @@ import (
 	"repro/internal/cost"
 	"repro/internal/obs"
 	"repro/internal/planner"
-	"repro/internal/platform"
 	"repro/internal/predictor"
 	"repro/internal/scheduler"
 	"repro/internal/sha"
+	"repro/internal/storage"
 	"repro/internal/trainer"
 	"repro/internal/workload"
 )
@@ -68,7 +68,7 @@ type Options struct {
 	DisablePareto bool
 	// PinStorage, when non-nil, restricts allocations to one storage
 	// service (the Fig. 16-18 experiments).
-	PinStorage *platform.StorageKind
+	PinStorage *storage.Kind
 
 	// Obs, when set, receives the planner's per-stage decisions and the
 	// scheduler's per-epoch Algorithm 2 decision log. Train and RunHPT fall

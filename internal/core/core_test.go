@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/platform"
+	"repro/internal/storage"
 	"repro/internal/trainer"
 	"repro/internal/workload"
 )
@@ -76,7 +76,7 @@ func TestTrainConverges(t *testing.T) {
 
 func TestPinStorageRestrictsCandidates(t *testing.T) {
 	f := New(workload.MobileNet())
-	for _, kind := range []platform.StorageKind{platform.S3, platform.VMPS, platform.ElastiCache} {
+	for _, kind := range []storage.Kind{storage.S3, storage.VMPS, storage.ElastiCache} {
 		k := kind
 		out, err := f.Train(Options{Budget: 100, Seed: 7, PinStorage: &k}, trainer.NewRunner(7))
 		if err != nil {
@@ -92,7 +92,7 @@ func TestPinStorageRestrictsCandidates(t *testing.T) {
 
 func TestPinDynamoInfeasibleForBigModels(t *testing.T) {
 	f := New(workload.MobileNet())
-	k := platform.DynamoDB
+	k := storage.DynamoDB
 	if _, err := f.Train(Options{Budget: 100, Seed: 7, PinStorage: &k}, trainer.NewRunner(7)); err == nil {
 		t.Error("MobileNet pinned to DynamoDB must fail (400KB item limit)")
 	}
@@ -128,13 +128,13 @@ func TestQoSDrivenTraining(t *testing.T) {
 
 func TestPinnedCandidatesAreParetoOfSubset(t *testing.T) {
 	f := New(workload.MobileNet())
-	k := platform.S3
+	k := storage.S3
 	pinned := f.candidates(Options{Budget: 1, PinStorage: &k})
 	if len(pinned) == 0 {
 		t.Fatal("no pinned candidates")
 	}
 	for _, p := range pinned {
-		if p.Alloc.Storage != platform.S3 {
+		if p.Alloc.Storage != storage.S3 {
 			t.Fatalf("pinned set leaked %v", p.Alloc.Storage)
 		}
 	}
@@ -150,7 +150,7 @@ func TestPinnedCandidatesAreParetoOfSubset(t *testing.T) {
 	// And richer than the global front's S3 slice would be.
 	global := 0
 	for _, p := range f.Pareto {
-		if p.Alloc.Storage == platform.S3 {
+		if p.Alloc.Storage == storage.S3 {
 			global++
 		}
 	}
@@ -161,7 +161,7 @@ func TestPinnedCandidatesAreParetoOfSubset(t *testing.T) {
 
 func TestPinnedDisableParetoGivesFullSubset(t *testing.T) {
 	f := New(workload.MobileNet())
-	k := platform.VMPS
+	k := storage.VMPS
 	full := f.candidates(Options{Budget: 1, PinStorage: &k, DisablePareto: true})
 	front := f.candidates(Options{Budget: 1, PinStorage: &k})
 	if len(full) <= len(front) {

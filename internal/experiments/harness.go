@@ -20,7 +20,7 @@ import (
 	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/platform/simbackend"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/traffic"
@@ -110,7 +110,7 @@ func (c Config) Validate() error {
 // applies once the event queue drains.
 type harness struct {
 	id        string
-	b         *simbackend.Backend
+	b         *platform.Backend
 	s         *sim.Simulation
 	shards    int
 	lookahead sim.Time // every cross-shard Post travels at least this long
@@ -120,7 +120,7 @@ type harness struct {
 }
 
 func newHarness(id string, seed uint64, cfg Config, lookahead float64) *harness {
-	h := &harness{id: id, b: simbackend.New(seed), shards: cmp.Or(cfg.Shards, 8),
+	h := &harness{id: id, b: platform.New(seed), shards: cmp.Or(cfg.Shards, 8),
 		lookahead: sim.Time(lookahead), collector: cfg.Collector}
 	h.b.ConfigureSharding(h.shards, cmp.Or(cfg.Workers, 1), lookahead)
 	h.s = h.b.Sim()

@@ -15,7 +15,6 @@ var update = flag.Bool("update", false, "rewrite golden files from current analy
 // importboundary fixture.
 const testPolicy = `
 deterministic repro/internal/lint/testdata/...
-forbid repro/internal/lambda
 forbid net
 shard-restricted repro/internal/lint/testdata/shardsafe
 shard-exempt repro/internal/lint/testdata/shardsafe/executor.go

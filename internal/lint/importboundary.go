@@ -6,20 +6,18 @@ import (
 	"strings"
 )
 
-// ImportBoundary enforces the platform layering on deterministic packages.
+// ImportBoundary keeps deterministic packages off the host.
 //
-// The PR1 refactor put a substrate-agnostic seam (internal/platform)
-// between the CE-scaling logic and where it runs; determinism of the sim
-// path depends on that seam staying sealed. Deterministic packages must
-// not import the live substrate (platform/livebackend, lambda, psnet,
-// objstore, distml — the policy's forbid list) nor reach for the host
-// (net, os): all time, randomness, and I/O arrive through injected
-// interfaces. Process output (os.Stdout, fmt.Print*) is reserved for the
-// policy's output set — the experiment renderers and commands — so every
-// byte on stdout has exactly one, auditable, producer.
+// Everything the CE-scaling logic runs on is the simulated substrate
+// (internal/platform): time is the DES clock, randomness its seeded
+// streams, storage its in-memory store. Deterministic packages must not
+// reach past it for the host: the policy's forbid list (net and every
+// net/* subpackage) and os. Process output (os.Stdout, fmt.Print*) is
+// reserved for the policy's output set — the experiment renderers and
+// commands — so every byte on stdout has exactly one, auditable, producer.
 var ImportBoundary = &Analyzer{
 	Name:  "importboundary",
-	Doc:   "keep deterministic packages off the live substrate, the network, and process I/O",
+	Doc:   "keep deterministic packages off the network and process I/O",
 	Scope: ScopeDeterministic,
 	Run:   runImportBoundary,
 }
@@ -34,7 +32,7 @@ func runImportBoundary(p *Pass) {
 			}
 			switch {
 			case p.Policy.ForbiddenImport(path):
-				p.Reportf(imp.Pos(), "deterministic package imports %s (live/external substrate); depend on internal/platform interfaces instead", path)
+				p.Reportf(imp.Pos(), "deterministic package imports %s, which the policy forbids; the only substrate is the simulation (internal/platform)", path)
 			case path == "os" && !isOutput:
 				p.Reportf(imp.Pos(), "deterministic package imports os; process I/O is reserved for the policy's output packages")
 			}

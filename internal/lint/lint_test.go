@@ -104,7 +104,6 @@ deterministic repro/internal/sim
 deterministic repro/internal/platform/...
 output repro/cmd/...
 forbid net
-forbid repro/internal/lambda
 shard-restricted repro/internal/sim
 shard-exempt repro/internal/sim/parallel.go
 `), "p")
@@ -112,12 +111,11 @@ shard-exempt repro/internal/sim/parallel.go
 		t.Fatal(err)
 	}
 	for path, want := range map[string]bool{
-		"repro/internal/sim":                  true,
-		"repro/internal/sim/sub":              false, // exact pattern, no /...
-		"repro/internal/platform":             true,
-		"repro/internal/platform/simbackend":  true,
-		"repro/internal/platform/livebackend": true, // prefix pattern includes it
-		"repro/internal/cost":                 false,
+		"repro/internal/sim":          true,
+		"repro/internal/sim/sub":      false, // exact pattern, no /...
+		"repro/internal/platform":     true,
+		"repro/internal/platform/sub": true, // prefix pattern includes it
+		"repro/internal/cost":         false,
 	} {
 		if got := pol.IsDeterministic(path); got != want {
 			t.Errorf("IsDeterministic(%q) = %v, want %v", path, got, want)
@@ -127,11 +125,10 @@ shard-exempt repro/internal/sim/parallel.go
 		t.Error("output set mismatched")
 	}
 	for path, want := range map[string]bool{
-		"net":                   true,
-		"net/url":               true,
-		"network":               false,
-		"repro/internal/lambda": true,
-		"repro/internal/ml":     false,
+		"net":               true,
+		"net/http":          true,
+		"network":           false,
+		"repro/internal/ml": false,
 	} {
 		if got := pol.ForbiddenImport(path); got != want {
 			t.Errorf("ForbiddenImport(%q) = %v, want %v", path, got, want)

@@ -13,10 +13,9 @@ import (
 //
 //	# comment
 //	deterministic    repro/internal/sim
-//	deterministic    repro/internal/platform/simbackend
+//	deterministic    repro/internal/platform
 //	output           repro/internal/experiments
-//	unchecked        repro/internal/lambda
-//	forbid           repro/internal/lambda
+//	unchecked        repro/internal/lint
 //	forbid           net
 //	shard-restricted repro/internal/sim
 //	shard-exempt     repro/internal/sim/parallel.go
@@ -55,7 +54,7 @@ func (p *Policy) IsDeterministic(pkg string) bool { return matchAny(p.determinis
 func (p *Policy) IsOutput(pkg string) bool { return matchAny(p.output, pkg) }
 
 // IsUnchecked reports whether pkg is deliberately outside the lint surface
-// (live substrate, tooling). Unchecked packages still type-check and export
+// (tooling). Unchecked packages still type-check and export
 // allocation facts, but no determinism analyzer runs on them.
 func (p *Policy) IsUnchecked(pkg string) bool { return matchAny(p.unchecked, pkg) }
 

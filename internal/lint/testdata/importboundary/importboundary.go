@@ -5,9 +5,9 @@ package importboundarytest
 
 import (
 	"fmt"
-	"net/url"               // finding: net/* import
-	"os"                    // finding: os import
-	"repro/internal/lambda" // finding: live-substrate import
+	"net/http" // finding: net/* import
+	"net/url"  // finding: net/* import
+	"os"       // finding: os import
 )
 
 // Bad reaches the host from a deterministic package.
@@ -18,7 +18,7 @@ func Bad(u string) error {
 	}
 	fmt.Println(parsed.Host)                          // finding: fmt.Println writes stdout
 	fmt.Fprintf(os.Stderr, "host: %v\n", parsed.Host) // finding: os.Stderr
-	_ = lambda.Context{}
+	_ = http.MethodGet
 	return nil
 }
 

@@ -5,11 +5,10 @@ import "go/ast"
 // Walltime forbids reading the wall clock in deterministic packages.
 //
 // The DES substrate owns time: every duration in the simulated system is
-// derived from the event clock (platform.Clock / sim.Simulation), so a
-// single time.Now in a deterministic package silently couples results to
-// the host's scheduler and clock resolution. Live-substrate packages
-// (livebackend, lambda, distml, the commands) are excluded by the policy's
-// deterministic set, not by this analyzer.
+// derived from the event clock (sim.Simulation), so a single time.Now in a
+// deterministic package silently couples results to the host's scheduler
+// and clock resolution. The commands and the tooling are excluded by the
+// policy's deterministic set, not by this analyzer.
 var Walltime = &Analyzer{
 	Name:  "walltime",
 	Doc:   "forbid time.Now/Since/Sleep/timers in deterministic packages",
@@ -40,7 +39,7 @@ func runWalltime(p *Pass) {
 			return true
 		}
 		if pkg, name, ok := pkgSel(p.Info, sel); ok && pkg == "time" && wallFuncs[name] {
-			p.Reportf(sel.Pos(), "time.%s reads the wall clock; deterministic packages take time from the DES clock (platform.Clock)", name)
+			p.Reportf(sel.Pos(), "time.%s reads the wall clock; deterministic packages take time from the DES clock (sim.Simulation)", name)
 		}
 		return true
 	})

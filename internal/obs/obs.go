@@ -2,8 +2,7 @@
 // whose clock is the discrete-event simulation clock, not wall time.
 //
 // Every event carries an explicit timestamp in seconds supplied by the
-// instrumented component (the DES clock, a job's own timeline, or — on the
-// live substrate only — seconds since the backend started). The package
+// instrumented component (the DES clock or a job's own timeline). The package
 // itself never reads a wall clock, so it passes the walltime analyzer and
 // traces are byte-identical run to run: the same simulation produces the
 // same events with the same timestamps in the same order, regardless of the
@@ -71,8 +70,7 @@ func New() *Observer {
 }
 
 // NewWithClock returns an enabled observer whose convenience methods stamp
-// events from clock. The deterministic packages pass a DES-clock closure;
-// the live backend passes seconds-since-start wall time.
+// events from clock: a DES-clock closure.
 func NewWithClock(clock func() float64) *Observer {
 	return &Observer{tracer: NewTracer(clock), metrics: NewMetrics()}
 }

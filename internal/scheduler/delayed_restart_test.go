@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/platform"
 	"repro/internal/predictor"
+	"repro/internal/storage"
 	"repro/internal/trainer"
 	"repro/internal/workload"
 )
@@ -18,7 +18,7 @@ func newEdgeSession(t *testing.T, w *workload.Model, delta float64, seed uint64)
 	full := m.Enumerate(cost.Grid{
 		Ns:       []int{5, 10, 20, 40},
 		MemsMB:   []int{1024, 1769, 3072},
-		Storages: platform.StorageKinds(),
+		Storages: storage.Kinds(),
 	})
 	if len(full) == 0 {
 		t.Fatal("no feasible allocations")

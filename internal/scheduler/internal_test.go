@@ -4,18 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/platform"
 	"repro/internal/predictor"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
 // syntheticCandidates builds a tiny, fully controlled frontier.
 func syntheticCandidates() []cost.Point {
 	return []cost.Point{
-		{Alloc: cost.Allocation{N: 50, MemMB: 4096, Storage: platform.ElastiCache}, Time: 10, Cost: 1.0},
-		{Alloc: cost.Allocation{N: 20, MemMB: 2048, Storage: platform.VMPS}, Time: 20, Cost: 0.5},
-		{Alloc: cost.Allocation{N: 10, MemMB: 1769, Storage: platform.VMPS}, Time: 40, Cost: 0.25},
-		{Alloc: cost.Allocation{N: 5, MemMB: 1024, Storage: platform.S3}, Time: 80, Cost: 0.1},
+		{Alloc: cost.Allocation{N: 50, MemMB: 4096, Storage: storage.ElastiCache}, Time: 10, Cost: 1.0},
+		{Alloc: cost.Allocation{N: 20, MemMB: 2048, Storage: storage.VMPS}, Time: 20, Cost: 0.5},
+		{Alloc: cost.Allocation{N: 10, MemMB: 1769, Storage: storage.VMPS}, Time: 40, Cost: 0.25},
+		{Alloc: cost.Allocation{N: 5, MemMB: 1024, Storage: storage.S3}, Time: 80, Cost: 0.1},
 	}
 }
 
@@ -136,7 +136,7 @@ func TestWorthSwitchingHysteresis(t *testing.T) {
 	}
 	// A hypothetical marginal candidate: inject a nearly identical point.
 	s.cfg.Candidates = append(s.cfg.Candidates, cost.Point{
-		Alloc: cost.Allocation{N: 21, MemMB: 2048, Storage: platform.VMPS}, Time: 19.5, Cost: 0.49,
+		Alloc: cost.Allocation{N: 21, MemMB: 2048, Storage: storage.VMPS}, Time: 19.5, Cost: 0.49,
 	})
 	if s.worthSwitching(s.cfg.Candidates[len(s.cfg.Candidates)-1].Alloc, 10, 0, 0) {
 		t.Error("a 2.5% gain should not justify a restart")

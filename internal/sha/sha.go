@@ -131,7 +131,7 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{}
 	alive := trials
-	capLimit := cfg.Runner.Compute().MaxConcurrency()
+	capLimit := cfg.Runner.Compute().Limits().MaxConcurrency
 	if cfg.ConcurrencyCap > 0 && cfg.ConcurrencyCap < capLimit {
 		capLimit = cfg.ConcurrencyCap
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/platform"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -22,7 +22,7 @@ func asyncJob(alloc cost.Allocation, async bool, seed uint64) (Config, *Runner) 
 }
 
 func TestAsyncEpochsFasterButMoreOfThem(t *testing.T) {
-	alloc := cost.Allocation{N: 50, MemMB: 1769, Storage: platform.S3}
+	alloc := cost.Allocation{N: 50, MemMB: 1769, Storage: storage.S3}
 	cfgB, rB := asyncJob(alloc, false, 21)
 	bsp, err := rB.Run(cfgB)
 	if err != nil {
@@ -64,7 +64,7 @@ func TestAsyncEfficiencyMonotone(t *testing.T) {
 }
 
 func TestAsyncAccountingStillBalances(t *testing.T) {
-	alloc := cost.Allocation{N: 20, MemMB: 1769, Storage: platform.S3}
+	alloc := cost.Allocation{N: 20, MemMB: 1769, Storage: storage.S3}
 	cfg, r := asyncJob(alloc, true, 23)
 	res, err := r.Run(cfg)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestAsyncAccountingStillBalances(t *testing.T) {
 func TestAsyncLossMonotoneProgress(t *testing.T) {
 	// The reported loss under ASP must repeat (staleness stalls) but never
 	// regress to a value from many epochs before the engine advanced.
-	alloc := cost.Allocation{N: 10, MemMB: 1769, Storage: platform.VMPS}
+	alloc := cost.Allocation{N: 10, MemMB: 1769, Storage: storage.VMPS}
 	cfg, r := asyncJob(alloc, true, 29)
 	cfg.MaxEpochs = 40
 	cfg.TargetLoss = 0 // run the full horizon

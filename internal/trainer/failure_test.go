@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/fault"
-	"repro/internal/platform"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -18,7 +18,7 @@ func failureJob(rate float64, noCheckpoint bool, seed uint64) (*Result, error) {
 	return r.Run(Config{
 		Workload:          w,
 		Engine:            w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
-		Alloc:             cost.Allocation{N: 10, MemMB: 1769, Storage: platform.S3},
+		Alloc:             cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		TargetLoss:        w.TargetLoss,
 		MaxEpochs:         400,
 		DisableCheckpoint: noCheckpoint,
@@ -109,7 +109,7 @@ func TestFailureCapIsSurfaced(t *testing.T) {
 	res, err := r.Run(Config{
 		Workload:  w,
 		Engine:    w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 11),
-		Alloc:     cost.Allocation{N: 10, MemMB: 1769, Storage: platform.S3},
+		Alloc:     cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		MaxEpochs: 3,
 	})
 	if err != nil {
@@ -166,7 +166,7 @@ func TestRecoveryComputeIsBilled(t *testing.T) {
 	r := NewRunner(7)
 	w := workload.MobileNet()
 	recoverEach := r.Compute().ColdStartEstimate(1769) +
-		r.Service(platform.S3).TransferTime(10, w.ParamsMB)
+		r.Service(storage.S3).TransferTime(10, w.ParamsMB)
 	recoverSec := float64(faulty.Failures) * recoverEach
 	wastedSec := faulty.FailureTime - recoverSec
 	if wastedSec <= 0 {
@@ -198,7 +198,7 @@ func meterComputeCost(t *testing.T, rate float64, seed uint64) float64 {
 	if _, err := r.Run(Config{
 		Workload:   w,
 		Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
-		Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: platform.S3},
+		Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		TargetLoss: w.TargetLoss,
 		MaxEpochs:  400,
 	}); err != nil {
@@ -249,7 +249,7 @@ func TestFailedInitialRestoreIsAnError(t *testing.T) {
 		cfg := Config{
 			Workload:          w,
 			Engine:            brokenRestore{w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 3)},
-			Alloc:             cost.Allocation{N: 10, MemMB: 1769, Storage: platform.S3},
+			Alloc:             cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 			MaxEpochs:         5,
 			DisableCheckpoint: true,
 		}

@@ -3,7 +3,6 @@ package trainer
 import (
 	"fmt"
 
-	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -16,17 +15,6 @@ import (
 // brownout windows inflate the epoch components in runEpoch. Both sources
 // account a crash through the one crash routine, so their results are
 // directly comparable.
-
-// platformOf returns the backend's raw simulated platform when available.
-// Fault injection mutates real platform state through it; a backend without
-// one (the live substrate) keeps the time and cost accounting but skips the
-// mutation.
-func (r *Runner) platformOf() *faas.Platform {
-	if pp, ok := r.Backend.(interface{ Platform() *faas.Platform }); ok {
-		return pp.Platform()
-	}
-	return nil
-}
 
 // scheduledFaults processes every instantaneous fault event the schedule
 // places before the end of the current epoch attempt. A warm reclaim is a
@@ -45,12 +33,10 @@ func (r *Runner) scheduledFaults(st *state, epoch int, epochT float64) error {
 		st.faultCursor = idx
 		switch ev.Kind {
 		case fault.ReclaimWarm:
-			if pf := r.platformOf(); pf != nil {
-				n := pf.ReclaimWarm(ev.Count)
-				if r.obs.Enabled() {
-					r.obs.Trace().InstantAt(st.clock, "job", "trainer", "fault_reclaim",
-						obs.I("epoch", epoch), obs.I("n", n))
-				}
+			n := r.Compute().ReclaimWarm(ev.Count)
+			if r.obs.Enabled() {
+				r.obs.Trace().InstantAt(st.clock, "job", "trainer", "fault_reclaim",
+					obs.I("epoch", epoch), obs.I("n", n))
 			}
 		case fault.KillSandbox:
 			if err := r.killDuringEpoch(st, epoch, epochT, ev); err != nil {
@@ -81,17 +67,13 @@ func (r *Runner) killDuringEpoch(st *state, epoch int, epochT float64, ev fault.
 	if wasted > epochT {
 		wasted = epochT
 	}
-	pf := r.platformOf()
-	if pf != nil {
-		pf.KillSandboxes(k)
-		// Replacements pay the platform's real start latency, spiked if the
-		// kill lands inside a cold-start spike window.
-		pf.SetColdSpikeFactor(sched.ColdSpikeFactor(ev.At))
-	}
-	g, err := r.Compute().InvokeGroup(k, a.MemMB)
-	if pf != nil {
-		pf.SetColdSpikeFactor(1)
-	}
+	pf := r.Compute()
+	pf.KillSandboxes(k)
+	// Replacements pay the platform's real start latency, spiked if the
+	// kill lands inside a cold-start spike window.
+	pf.SetColdSpikeFactor(sched.ColdSpikeFactor(ev.At))
+	g, err := pf.InvokeGroup(k, a.MemMB)
+	pf.SetColdSpikeFactor(1)
 	if err != nil {
 		return fmt.Errorf("trainer: re-invoking %d killed sandboxes: %w", k, err)
 	}

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/fault"
-	"repro/internal/platform"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -21,7 +21,7 @@ func faultJob(t *testing.T, sched *fault.Schedule, seed uint64, maxEpochs int, c
 	res, err := r.Run(Config{
 		Workload:   w,
 		Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
-		Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: platform.S3},
+		Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		MaxEpochs:  maxEpochs,
 		Faults:     sched,
 		Controller: ctrl,
@@ -46,7 +46,7 @@ func TestAttachedEmptyScheduleIsBitIdentical(t *testing.T) {
 	attached, err := r.Run(Config{
 		Workload:   w,
 		Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 2),
-		Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: platform.S3},
+		Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		TargetLoss: w.TargetLoss,
 		MaxEpochs:  400,
 		Faults:     fault.MustNew(),
@@ -149,7 +149,7 @@ func TestBrownoutRetrySucceedsBelowExhaustion(t *testing.T) {
 }
 
 func TestKillDuringDelayedRestartOverlap(t *testing.T) {
-	next := cost.Allocation{N: 4, MemMB: 1769, Storage: platform.S3}
+	next := cost.Allocation{N: 4, MemMB: 1769, Storage: storage.S3}
 	ctrl := func(epoch int, loss float64, elapsed, spent float64) Decision {
 		if epoch == 1 {
 			return Decision{NewAlloc: &next, Delayed: true}
@@ -163,7 +163,7 @@ func TestKillDuringDelayedRestartOverlap(t *testing.T) {
 	probe.Noise = NoNoise()
 	job, err := probe.StartJob(Config{
 		Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 4),
-		Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: platform.S3},
+		Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		MaxEpochs:  4,
 		Controller: ctrl,
 	})
@@ -191,8 +191,8 @@ func TestKillDuringDelayedRestartOverlap(t *testing.T) {
 	}
 	// Group bookkeeping survived the kill-during-overlap: every admitted
 	// sandbox was either killed+replaced or released, no panic, none leaked.
-	if pf := r.platformOf(); pf != nil && pf.InFlight() != 0 {
-		t.Errorf("in flight = %d after Finish, want 0", pf.InFlight())
+	if n := r.Compute().InFlight(); n != 0 {
+		t.Errorf("in flight = %d after Finish, want 0", n)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cost"
-	"repro/internal/platform"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -38,7 +38,7 @@ func TestAccountingBalancesAcrossRandomConfigs(t *testing.T) {
 // TestJCTGrowsWithEpochs: a longer run never finishes earlier.
 func TestJCTGrowsWithEpochs(t *testing.T) {
 	w := workload.LRHiggs()
-	a := cost.Allocation{N: 10, MemMB: 1769, Storage: platform.S3}
+	a := cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3}
 	run := func(epochs int) float64 {
 		r := NewRunner(9)
 		res, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 9), a, epochs)
@@ -60,7 +60,7 @@ func TestJCTGrowsWithEpochs(t *testing.T) {
 // reusing a manually-scaled storage service skips its provisioning delay.
 func TestProvisioningPaidOncePerRunner(t *testing.T) {
 	w := workload.MobileNet()
-	a := cost.Allocation{N: 10, MemMB: 1769, Storage: platform.ElastiCache}
+	a := cost.Allocation{N: 10, MemMB: 1769, Storage: storage.ElastiCache}
 	r := NewRunner(31)
 	r.Noise = NoNoise()
 	first, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 1)
@@ -71,7 +71,7 @@ func TestProvisioningPaidOncePerRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delay := r.Service(platform.ElastiCache).ProvisionDelay()
+	delay := r.Service(storage.ElastiCache).ProvisionDelay()
 	if first.StartupTime < delay {
 		t.Errorf("first job startup %g should include the %gs provisioning", first.StartupTime, delay)
 	}
@@ -86,11 +86,11 @@ func TestStorageSwitchPaysProvisioning(t *testing.T) {
 	w := workload.MobileNet()
 	r := NewRunner(37)
 	r.Noise = NoNoise()
-	next := cost.Allocation{N: 10, MemMB: 1769, Storage: platform.ElastiCache}
+	next := cost.Allocation{N: 10, MemMB: 1769, Storage: storage.ElastiCache}
 	cfg := Config{
 		Workload:  w,
 		Engine:    w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 3),
-		Alloc:     cost.Allocation{N: 10, MemMB: 1769, Storage: platform.S3},
+		Alloc:     cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		MaxEpochs: 6,
 		Controller: func(epoch int, loss float64, elapsed, spent float64) Decision {
 			if epoch == 2 {
@@ -103,7 +103,7 @@ func TestStorageSwitchPaysProvisioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delay := r.Service(platform.ElastiCache).ProvisionDelay()
+	delay := r.Service(storage.ElastiCache).ProvisionDelay()
 	adjust := res.OverheadTime - res.StartupTime
 	if adjust < delay {
 		t.Errorf("adjustment overhead %g should cover ElastiCache provisioning %g", adjust, delay)
@@ -114,7 +114,7 @@ func TestStorageSwitchPaysProvisioning(t *testing.T) {
 // sandboxes, so the second run's startup is far cheaper.
 func TestColdStartOnlyFirstGroup(t *testing.T) {
 	w := workload.LRHiggs()
-	a := cost.Allocation{N: 10, MemMB: 1769, Storage: platform.S3}
+	a := cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3}
 	r := NewRunner(41)
 	r.Noise = NoNoise()
 	first, _ := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 1)

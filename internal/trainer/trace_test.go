@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/platform"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -15,7 +15,7 @@ func TestWriteTraceCSV(t *testing.T) {
 	w := workload.MobileNet()
 	r := NewRunner(3)
 	res, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 3),
-		cost.Allocation{N: 10, MemMB: 1769, Storage: platform.S3}, 4)
+		cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

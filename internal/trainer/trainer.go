@@ -1,11 +1,8 @@
 // Package trainer is the ground-truth executor of distributed training jobs
-// on a serverless substrate. It executes a job epoch by epoch against the
-// platform interfaces: functions cold-start, load their data partitions,
+// on the simulated serverless substrate (internal/platform). It executes a
+// job epoch by epoch: functions cold-start, load their data partitions,
 // compute gradients for k BSP iterations, synchronize through the selected
-// storage service, and are billed by the platform and storage meters. On the
-// default simulated backend everything happens inside the discrete-event
-// simulation; on the live backend each epoch additionally drives one real
-// synchronization barrier across real concurrent workers.
+// storage service, and are billed by the platform and storage meters.
 //
 // Unlike the analytical models in internal/cost, the executor injects the
 // effects the paper's validation section attributes its estimation error to
@@ -22,11 +19,12 @@ import (
 	"math"
 
 	"repro/internal/cost"
+	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/platform/simbackend"
 	"repro/internal/pricing"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -174,9 +172,9 @@ type Config struct {
 	Controller Controller // optional
 }
 
-// Runner executes jobs on one substrate behind the platform interfaces.
+// Runner executes jobs on one simulated substrate.
 type Runner struct {
-	Backend platform.Backend
+	Backend *platform.Backend
 	Prices  pricing.PriceBook
 	Noise   Noise
 
@@ -184,13 +182,13 @@ type Runner struct {
 	// already been paid on this substrate: an ElastiCache cluster or
 	// parameter-server VM starts up once per workflow, not once per group or
 	// per job (re-using it later in the runner's lifetime is free in time).
-	delayPaid map[platform.StorageKind]bool
+	delayPaid map[storage.Kind]bool
 	// leases counts jobs currently holding each manually-scaled service;
 	// accruedSec accumulates the provisioned seconds of closed leases. A
 	// service's hourly meter runs only while leases[kind] > 0 — releasing
 	// the lease at job end is what stops the bill from accruing.
-	leases     map[platform.StorageKind]int
-	accruedSec map[platform.StorageKind]float64
+	leases     map[storage.Kind]int
+	accruedSec map[storage.Kind]float64
 
 	// obs records the executor's trace (startup/epoch/restart spans, failure
 	// instants, delayed-restart overlap windows) on the job's own timeline.
@@ -201,19 +199,14 @@ type Runner struct {
 // NewRunner returns a runner on a fresh simulated substrate with default
 // platform, prices and noise, seeded deterministically.
 func NewRunner(seed uint64) *Runner {
-	return NewRunnerOn(simbackend.New(seed))
-}
-
-// NewRunnerOn returns a runner executing on the given substrate, with the
-// substrate's price book and default noise.
-func NewRunnerOn(b platform.Backend) *Runner {
+	b := platform.New(seed)
 	return &Runner{
 		Backend:    b,
 		Prices:     b.Prices(),
 		Noise:      DefaultNoise(),
-		delayPaid:  make(map[platform.StorageKind]bool),
-		leases:     make(map[platform.StorageKind]int),
-		accruedSec: make(map[platform.StorageKind]float64),
+		delayPaid:  make(map[storage.Kind]bool),
+		leases:     make(map[storage.Kind]int),
+		accruedSec: make(map[storage.Kind]float64),
 	}
 }
 
@@ -222,34 +215,29 @@ func NewRunnerOn(b platform.Backend) *Runner {
 // warm-pool churn) on the substrate clock. Nil detaches.
 func (r *Runner) SetObserver(o *obs.Observer) {
 	r.obs = o
-	platform.Attach(r.Backend, o)
+	r.Backend.SetObserver(o)
 }
 
 // Observer returns the runner's observability sink (nil when detached).
 func (r *Runner) Observer() *obs.Observer { return r.obs }
 
-// Compute returns the substrate's function-execution interface.
-func (r *Runner) Compute() platform.Compute { return r.Backend.Compute() }
-
-// Params returns the substrate's model-state interface.
-func (r *Runner) Params() platform.ParamStore { return r.Backend.Params() }
+// Compute returns the substrate's serverless account.
+func (r *Runner) Compute() *faas.Platform { return r.Backend.Platform() }
 
 // Service returns the substrate's storage metering model for kind.
-func (r *Runner) Service(k platform.StorageKind) platform.StorageService {
-	return r.Backend.Params().Service(k)
-}
+func (r *Runner) Service(k storage.Kind) *storage.Service { return r.Backend.Service(k) }
 
 // acquireService opens (or re-enters) the job's lease on a manually-scaled
 // storage service and returns the provisioning delay to pay for using it now
 // (zero if the service auto-scales or its startup was already paid earlier
 // in this runner's lifetime).
-func (r *Runner) acquireService(st *state, kind platform.StorageKind) float64 {
+func (r *Runner) acquireService(st *state, kind storage.Kind) float64 {
 	svc := r.Service(kind)
 	delay := svc.ProvisionDelay()
 	if delay > 0 {
 		if _, held := st.held[kind]; !held {
 			if st.held == nil {
-				st.held = make(map[platform.StorageKind]float64)
+				st.held = make(map[storage.Kind]float64)
 			}
 			st.held[kind] = st.clock
 			r.leases[kind]++
@@ -277,17 +265,17 @@ func (r *Runner) releaseServices(st *state) {
 
 // ServiceLeases reports how many running jobs currently hold the
 // manually-scaled service kind provisioned.
-func (r *Runner) ServiceLeases(kind platform.StorageKind) int { return r.leases[kind] }
+func (r *Runner) ServiceLeases(kind storage.Kind) int { return r.leases[kind] }
 
 // ProvisionedSeconds reports the provisioned wall time accrued against kind
 // by finished jobs. It stops growing once every lease is released.
-func (r *Runner) ProvisionedSeconds(kind platform.StorageKind) float64 {
+func (r *Runner) ProvisionedSeconds(kind storage.Kind) float64 {
 	return r.accruedSec[kind]
 }
 
 // ProvisionedCost prices the accrued provisioned time of kind under its
 // runtime-charged model (zero for request-charged services).
-func (r *Runner) ProvisionedCost(kind platform.StorageKind) float64 {
+func (r *Runner) ProvisionedCost(kind storage.Kind) float64 {
 	return r.Service(kind).RuntimeCost(r.accruedSec[kind])
 }
 
@@ -308,7 +296,7 @@ type state struct {
 	clock        float64 // job-relative elapsed time
 	// held maps each manually-scaled service this job has provisioned to
 	// the job clock at acquisition (its lease on the hourly meter).
-	held map[platform.StorageKind]float64
+	held map[storage.Kind]float64
 	// asyncProgress accumulates fractional statistical progress under ASP;
 	// the loss engine advances one epoch each time it crosses 1.
 	asyncProgress float64
@@ -338,7 +326,7 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 		// Advance the shared clock so time-based substrate events
 		// (warm-sandbox expiry) fire as the job progresses. The cluster
 		// scheduler drives this itself when jobs interleave.
-		r.Backend.Clock().Advance(job.Elapsed() - job.advanced)
+		r.Backend.Advance(job.Elapsed() - job.advanced)
 		job.advanced = job.Elapsed()
 	}
 	return job.Finish(), nil
@@ -465,9 +453,7 @@ func (r *Runner) startGroup(st *state, a cost.Allocation, initial bool) error {
 	if !initial {
 		// A restarted group must also pull the checkpointed model.
 		load += r.Service(a.Storage).TransferTime(a.N, w.ParamsMB)
-		if err := r.restoreCheckpoint(st); err != nil {
-			return err
-		}
+		r.restoreCheckpoint(st)
 	}
 	st.clock += start + load
 	st.res.OverheadTime += start + load
@@ -487,9 +473,9 @@ func (r *Runner) startGroup(st *state, a cost.Allocation, initial bool) error {
 	r.Compute().BillCompute(a.N, a.MemMB, load)
 	st.res.FunctionCost += float64(a.N) * r.Prices.ComputeOnlyCost(load, float64(a.MemMB))
 	st.res.InvokeCost += float64(a.N) * r.Prices.FunctionInvoke
-	st.res.StorageCost += r.Params().LoadCost(a.N)
+	st.res.StorageCost += storage.LoadCost(r.Prices, a.N)
 	st.res.TotalCost += float64(a.N)*r.Prices.ComputeOnlyCost(load, float64(a.MemMB)) +
-		float64(a.N)*r.Prices.FunctionInvoke + r.Params().LoadCost(a.N)
+		float64(a.N)*r.Prices.FunctionInvoke + storage.LoadCost(r.Prices, a.N)
 	return nil
 }
 
@@ -503,8 +489,7 @@ func (r *Runner) loadTime(w *workload.Model, a cost.Allocation) float64 {
 
 // runEpoch executes one epoch under the current allocation: k iterations of
 // compute + sync with ground-truth noise, engine advance, billing, and the
-// takeover of a pending delayed switch. On substrates that execute real work
-// it also drives one real synchronization barrier across the group.
+// takeover of a pending delayed switch.
 func (r *Runner) runEpoch(st *state, epoch int) (EpochReport, error) {
 	w := st.cfg.Workload
 	a := st.alloc
@@ -615,17 +600,7 @@ func (r *Runner) runEpoch(st *state, epoch int) (EpochReport, error) {
 
 	// Checkpoint the model state through storage at the epoch boundary
 	// (this is the state a restarted group resumes from).
-	if err := r.checkpoint(st); err != nil {
-		return rep, err
-	}
-
-	// Substrates that execute real work run the epoch's synchronization
-	// barrier here, across the group currently serving the allocation.
-	if gr, ok := r.Backend.(platform.GroupRunner); ok {
-		if err := gr.RunEpoch(a.N, a.MemMB, a.Storage); err != nil {
-			return rep, fmt.Errorf("trainer: epoch %d barrier: %w", epoch, err)
-		}
-	}
+	r.checkpoint(st)
 
 	// A pending delayed switch takes over here: the new group has been
 	// starting up while this epoch ran; any residual startup time not
@@ -678,7 +653,7 @@ func (r *Runner) groundTruthCompute(w *workload.Model, a cost.Allocation) float6
 
 // groundTruthSync is the epoch's synchronization wall time with network
 // instability that grows with n.
-func (r *Runner) groundTruthSync(w *workload.Model, a cost.Allocation, svc platform.StorageService) float64 {
+func (r *Runner) groundTruthSync(w *workload.Model, a cost.Allocation, svc *storage.Service) float64 {
 	base := float64(w.IterationsPerEpoch(a.N)) * svc.SyncTime(a.N, w.ParamsMB)
 	sigma := r.Noise.SyncBase + r.Noise.SyncPerN*float64(a.N)
 	if sigma == 0 {
@@ -700,7 +675,7 @@ func (r *Runner) asyncCompute(w *workload.Model, a cost.Allocation) float64 {
 // asyncSync is the epoch's synchronization wall time under ASP: each worker
 // pushes its gradient and pulls the model (two transfers) per iteration,
 // overlapped across workers rather than serialized.
-func (r *Runner) asyncSync(w *workload.Model, a cost.Allocation, svc platform.StorageService) float64 {
+func (r *Runner) asyncSync(w *workload.Model, a cost.Allocation, svc *storage.Service) float64 {
 	base := float64(w.IterationsPerEpoch(a.N)) * 2 * svc.TransferTime(a.N, w.ParamsMB)
 	sigma := r.Noise.SyncBase + r.Noise.SyncPerN*float64(a.N)
 	if sigma == 0 {
@@ -747,10 +722,10 @@ func (r *Runner) applySwitch(st *state, next cost.Allocation, delayed bool) erro
 		// with the old group's next epoch.
 		r.Compute().BillCompute(next.N, next.MemMB, load)
 		spent := float64(next.N)*r.Prices.ComputeOnlyCost(load, float64(next.MemMB)) +
-			float64(next.N)*r.Prices.FunctionInvoke + r.Params().LoadCost(next.N)
+			float64(next.N)*r.Prices.FunctionInvoke + storage.LoadCost(r.Prices, next.N)
 		st.res.FunctionCost += float64(next.N) * r.Prices.ComputeOnlyCost(load, float64(next.MemMB))
 		st.res.InvokeCost += float64(next.N) * r.Prices.FunctionInvoke
-		st.res.StorageCost += r.Params().LoadCost(next.N)
+		st.res.StorageCost += storage.LoadCost(r.Prices, next.N)
 		st.res.TotalCost += spent
 		return nil
 	}
@@ -777,19 +752,13 @@ func (r *Runner) applySwitch(st *state, next cost.Allocation, delayed bool) erro
 // active brownout window the write runs through the bounded retry policy;
 // exhausting it degrades the job to checkpoint-less mode instead of
 // erroring.
-func (r *Runner) checkpoint(st *state) error {
+func (r *Runner) checkpoint(st *state) {
 	if st.cfg.DisableCheckpoint || st.ckptOff {
-		return nil
+		return
 	}
-	if snap, ok := st.cfg.Engine.(workload.Snapshotter); ok {
-		if !r.brownoutOp(st, "checkpoint") {
-			return nil
-		}
-		if err := r.Params().Put(checkpointKey, snap.Snapshot()); err != nil {
-			return fmt.Errorf("trainer: checkpoint: %w", err)
-		}
+	if snap, ok := st.cfg.Engine.(workload.Snapshotter); ok && r.brownoutOp(st, "checkpoint") {
+		r.Backend.Put(checkpointKey, snap.Snapshot())
 	}
-	return nil
 }
 
 // restoreCheckpoint pulls the engine state back after a restart. Storage
@@ -797,25 +766,16 @@ func (r *Runner) checkpoint(st *state) error {
 // exhausts its retries, or a checkpoint that no longer restores, drops the
 // job to checkpoint-less mode with Result.Degraded set and training
 // continues from the in-memory state.
-func (r *Runner) restoreCheckpoint(st *state) error {
+func (r *Runner) restoreCheckpoint(st *state) {
 	snap, ok := st.cfg.Engine.(workload.Snapshotter)
-	if !ok || st.ckptOff {
-		return nil
+	if !ok || st.ckptOff || !r.brownoutOp(st, "restore") {
+		return
 	}
-	if !r.brownoutOp(st, "restore") {
-		return nil
-	}
-	state, found, err := r.Params().Get(checkpointKey)
-	if err != nil {
-		return fmt.Errorf("trainer: reading checkpoint: %w", err)
-	}
-	if found {
+	if state, found := r.Backend.Get(checkpointKey); found {
 		if err := snap.Restore(state); err != nil {
 			r.degrade(st, "corrupt checkpoint: "+err.Error())
-			return nil
 		}
 	}
-	return nil
 }
 
 const checkpointKey = "model/checkpoint"

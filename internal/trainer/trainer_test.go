@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/platform"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
 func mnAlloc() cost.Allocation {
-	return cost.Allocation{N: 10, MemMB: 1769, Storage: platform.S3}
+	return cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3}
 }
 
 func newMNJob(r *Runner, alloc cost.Allocation, target float64, max int) Config {
@@ -135,7 +135,7 @@ func TestStragglerPenaltyGrowsWithN(t *testing.T) {
 	w := workload.LRHiggs()
 	inflation := func(n int) float64 {
 		r := NewRunner(6)
-		a := cost.Allocation{N: n, MemMB: 1769, Storage: platform.S3}
+		a := cost.Allocation{N: n, MemMB: 1769, Storage: storage.S3}
 		var sum float64
 		const epochs = 30
 		res, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, epochs)
@@ -157,7 +157,7 @@ func TestStragglerPenaltyGrowsWithN(t *testing.T) {
 func TestControllerImmediateSwitch(t *testing.T) {
 	r := NewRunner(7)
 	w := workload.MobileNet()
-	next := cost.Allocation{N: 20, MemMB: 2048, Storage: platform.ElastiCache}
+	next := cost.Allocation{N: 20, MemMB: 2048, Storage: storage.ElastiCache}
 	cfg := newMNJob(r, mnAlloc(), 0, 6)
 	cfg.Controller = func(epoch int, loss float64, elapsed, spent float64) Decision {
 		if epoch == 2 {
@@ -183,7 +183,7 @@ func TestControllerImmediateSwitch(t *testing.T) {
 
 func TestDelayedRestartTakesOneMoreEpochOnOldAlloc(t *testing.T) {
 	r := NewRunner(8)
-	next := cost.Allocation{N: 20, MemMB: 2048, Storage: platform.S3}
+	next := cost.Allocation{N: 20, MemMB: 2048, Storage: storage.S3}
 	cfg := newMNJob(r, mnAlloc(), 0, 6)
 	cfg.Controller = func(epoch int, loss float64, elapsed, spent float64) Decision {
 		if epoch == 2 {
@@ -214,7 +214,7 @@ func TestDelayedRestartCheaperThanImmediate(t *testing.T) {
 	run := func(delayed bool) float64 {
 		r := NewRunner(9)
 		r.Noise = NoNoise()
-		next := cost.Allocation{N: 20, MemMB: 2048, Storage: platform.S3}
+		next := cost.Allocation{N: 20, MemMB: 2048, Storage: storage.S3}
 		cfg := newMNJob(r, mnAlloc(), 0, 8)
 		cfg.Controller = func(epoch int, loss float64, elapsed, spent float64) Decision {
 			if epoch == 3 {
@@ -280,11 +280,11 @@ func TestCheckpointRestoredOnRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := cost.Allocation{N: 20, MemMB: 1024, Storage: platform.S3}
+	next := cost.Allocation{N: 20, MemMB: 1024, Storage: storage.S3}
 	var lossBefore float64
 	cfg := Config{
 		Workload: w, Engine: eng,
-		Alloc:     cost.Allocation{N: 10, MemMB: 1024, Storage: platform.S3},
+		Alloc:     cost.Allocation{N: 10, MemMB: 1024, Storage: storage.S3},
 		MaxEpochs: 8,
 		Controller: func(epoch int, loss float64, elapsed, spent float64) Decision {
 			if epoch == 4 {
@@ -302,7 +302,7 @@ func TestCheckpointRestoredOnRestart(t *testing.T) {
 	if lossAfter > lossBefore*1.2 {
 		t.Errorf("loss jumped from %g to %g after restart; checkpoint lost", lossBefore, lossAfter)
 	}
-	if r.Params().Stats().Puts == 0 {
+	if r.Backend.Store().Stats().Puts == 0 {
 		t.Error("no checkpoints were written through storage")
 	}
 }
@@ -320,7 +320,7 @@ func TestRunRejectsInfeasibleInvoke(t *testing.T) {
 	cfg := Config{
 		Workload: w,
 		Engine:   w.NewCurveEngine(workload.Hyperparams{}, 1),
-		Alloc:    cost.Allocation{N: 10, MemMB: 64, Storage: platform.S3},
+		Alloc:    cost.Allocation{N: 10, MemMB: 64, Storage: storage.S3},
 	}
 	if _, err := r.Run(cfg); err == nil {
 		t.Error("invalid memory should fail at invoke")
@@ -345,7 +345,7 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestVMPSJobFasterButPricierThanS3ForBigModel(t *testing.T) {
 	w := workload.BERT()
-	run := func(k platform.StorageKind) *Result {
+	run := func(k storage.Kind) *Result {
 		r := NewRunner(15)
 		a := cost.Allocation{N: 10, MemMB: 4096, Storage: k}
 		res, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 3)
@@ -354,7 +354,7 @@ func TestVMPSJobFasterButPricierThanS3ForBigModel(t *testing.T) {
 		}
 		return res
 	}
-	s3, vm := run(platform.S3), run(platform.VMPS)
+	s3, vm := run(storage.S3), run(storage.VMPS)
 	if vm.SyncTime >= s3.SyncTime {
 		t.Errorf("VM-PS sync %g should beat S3 %g for a 340MB model", vm.SyncTime, s3.SyncTime)
 	}
