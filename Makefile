@@ -45,14 +45,14 @@ shard-check:
 # Smoke-run the numeric-path benchmarks (ml kernels, dataset caches, DES
 # kernel, decision path) at a fixed small iteration count: fast enough for
 # CI, enough to catch kernels that re-grow allocations. The zero-alloc gates
-# (testing.AllocsPerRun on the steady-state fit/observe/decision paths) run
+# (testing.AllocsPerRun on the steady-state fit/replay/observe/decision paths) run
 # first and fail hard if the hot paths touch the heap. internal/fit benches
 # its one solver (Fitter, cold and warm), internal/cost its one grid scan
 # and table lookups. Measured runs are `go run ./cmd/bench [-layers]`; see
 # benchmark/README.md.
 bench:
-	$(GO) test -run 'TestFitterZeroAlloc|TestFixedWindowObserveZeroAlloc|TestDecisionZeroAlloc' \
-		./internal/fit/ ./internal/predictor/ ./internal/scheduler/
+	$(GO) test -run 'TestFitterZeroAlloc|TestRealEngineCursorZeroAlloc|TestFixedWindowObserveZeroAlloc|TestDecisionZeroAlloc' \
+		./internal/fit/ ./internal/workload/ ./internal/predictor/ ./internal/scheduler/
 	$(GO) test -run 'TestHistObserveZeroAlloc|TestCursorNextZeroAlloc|TestInvoke1SteadyStateZeroAlloc|TestInvoke1DenialZeroAlloc' \
 		./internal/obs/ ./internal/traffic/ ./internal/faas/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=100x \

@@ -20,8 +20,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/sim"
@@ -348,12 +346,6 @@ type Trainer struct {
 	sum   []float64
 }
 
-// parallelGradFloor is the per-worker batch work (rows × features) below
-// which fanning gradient computation out to goroutines costs more than it
-// saves; typical SHA-trial batches sit far below it, so the steady-state
-// path stays single-threaded, deterministic and allocation-free.
-const parallelGradFloor = 1 << 17
-
 // NewTrainer partitions data across cfg.Workers workers and zero-initializes
 // the model. Sharding goes through the dataset shard cache, so concurrent
 // trials over the same matrix share one read-only partitioning.
@@ -417,41 +409,11 @@ func (t *Trainer) IterationsPerEpoch() int {
 
 // WorkerGradients computes each worker's mini-batch gradient at the current
 // weights. The returned slices are the trainer's pre-sized scratch buffers:
-// they are valid until the next WorkerGradients or RunIteration call. Small
-// batches are computed inline (per-worker RNG streams make the result
-// independent of execution order); large ones fan out across OS threads.
+// they are valid until the next WorkerGradients or RunIteration call.
 func (t *Trainer) WorkerGradients() [][]float64 {
-	batch := t.cfg.BatchPerWkr
-	if batch <= 0 || batch > t.workers[0].Shard.Rows {
-		batch = t.workers[0].Shard.Rows
-	}
-	if len(t.workers) > 1 && runtime.GOMAXPROCS(0) > 1 && batch*t.data.Cols >= parallelGradFloor {
-		//cescalint:allow hotpath -- large-batch fan-out: steady-state batches sit below parallelGradFloor and take the inline loop
-		return t.parallelGradients()
-	}
 	for i, w := range t.workers {
 		w.GradientInto(t.cfg.Objective, t.weights, t.cfg.BatchPerWkr, t.grads[i])
 	}
-	return t.grads
-}
-
-// parallelGradients fans the per-worker gradient computation out across OS
-// threads. Per-worker RNG streams make the result independent of execution
-// order, so it is bit-identical to the inline loop; it allocates (WaitGroup
-// closures, semaphore channel) and is only taken above parallelGradFloor.
-func (t *Trainer) parallelGradients() [][]float64 {
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, w := range t.workers {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, w *Worker) {
-			defer wg.Done()
-			w.GradientInto(t.cfg.Objective, t.weights, t.cfg.BatchPerWkr, t.grads[i])
-			<-sem
-		}(i, w)
-	}
-	wg.Wait()
 	return t.grads
 }
 
@@ -489,6 +451,18 @@ func (t *Trainer) RunEpoch() float64 {
 	}
 	t.epoch++
 	return t.Loss()
+}
+
+// SkipEpochs advances the epoch counter and every worker's batch cursor by
+// n epochs of draws without computing a gradient: the shuffle streams end
+// where n RunEpoch calls would have left them and the weights are untouched.
+func (t *Trainer) SkipEpochs(n int) {
+	for k := n * t.IterationsPerEpoch(); k > 0; k-- {
+		for _, w := range t.workers {
+			w.NextBatch(t.cfg.BatchPerWkr)
+		}
+	}
+	t.epoch += n
 }
 
 // Loss returns the average loss over the entire dataset at the current

@@ -232,6 +232,30 @@ func TestSetWeightsRestoresState(t *testing.T) {
 	}
 }
 
+// SkipEpochs leaves the batch cursors where training would have: a trainer
+// that skipped n epochs and one that ran them agree bit for bit once both
+// hold the same weights. 330 rows over 3 workers at batch 40 reshuffles
+// mid-epoch and leaves a ragged tail, so the draws are not trivially aligned.
+func TestSkipEpochsMatchesRunEpochDraws(t *testing.T) {
+	data := binData(330, 6, 0.1, 29)
+	cfg := Config{Objective: Logistic{L2: 1e-4}, Workers: 3, BatchPerWkr: 40, LearningRate: 0.2, Seed: 13}
+	ran, _ := NewTrainer(data, cfg)
+	skipped, _ := NewTrainer(data, cfg)
+	for e := 0; e < 5; e++ {
+		ran.RunEpoch()
+	}
+	skipped.SkipEpochs(5)
+	if skipped.Epoch() != 5 || skipped.Loss() != ran.cfg.Objective.Loss(make([]float64, data.Cols), data) {
+		t.Fatalf("SkipEpochs: epoch %d, or the weights moved", skipped.Epoch())
+	}
+	ran.SetWeights(make([]float64, data.Cols))
+	for e := 0; e < 4; e++ {
+		if a, b := ran.RunEpoch(), skipped.RunEpoch(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("epoch %d after the skip: %g vs %g", e+1, a, b)
+		}
+	}
+}
+
 func TestDeterministicTraining(t *testing.T) {
 	run := func() []float64 {
 		tr, _ := NewTrainer(binData(800, 5, 0.1, 31), Config{Objective: Logistic{}, Workers: 4, BatchPerWkr: 40, LearningRate: 0.2, Seed: 7})

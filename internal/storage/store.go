@@ -10,8 +10,7 @@ import (
 // Store so that aggregation, staleness and convergence are numerically real;
 // the Service models above supply the virtual timing and billing.
 //
-// Store is safe for concurrent use; the simulator itself is single-threaded
-// but worker gradient computation may fan out across OS threads.
+// Store is safe for concurrent use.
 type Store struct {
 	mu   sync.RWMutex
 	data map[string][]float64
