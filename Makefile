@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build lint test race shard-check bench
+.PHONY: check fmt vet build lint test race shard-check bench fuzz-smoke
 
 check: fmt vet build lint test race shard-check bench
 
@@ -46,16 +46,26 @@ shard-check:
 # kernel, decision path) at a fixed small iteration count: fast enough for
 # CI, enough to catch kernels that re-grow allocations. The zero-alloc gates
 # (testing.AllocsPerRun on the steady-state fit/replay/observe/decision paths) run
-# first and fail hard if the hot paths touch the heap. internal/fit benches
-# its one solver (Fitter, cold and warm), internal/cost its one grid scan
-# and table lookups. Measured runs are `go run ./cmd/bench [-layers]`; see
-# benchmark/README.md.
+# first and fail hard if the hot paths touch the heap (the kernel's gate counts
+# arena slots instead: steady cancel churn must reuse them). internal/fit
+# benches its one solver (Fitter, cold and warm), internal/cost its one grid
+# scan and table lookups; BenchmarkCancelChurn runs long enough to pass its
+# 600 s hold, where a canceled event's keep shows. Measured runs are
+# `go run ./cmd/bench [-layers]`; see benchmark/README.md.
 bench:
 	$(GO) test -run 'TestFitterZeroAlloc|TestRealEngineCursorZeroAlloc|TestFixedWindowObserveZeroAlloc|TestDecisionZeroAlloc' \
 		./internal/fit/ ./internal/workload/ ./internal/predictor/ ./internal/scheduler/
-	$(GO) test -run 'TestHistObserveZeroAlloc|TestCursorNextZeroAlloc|TestInvoke1SteadyStateZeroAlloc|TestInvoke1DenialZeroAlloc' \
-		./internal/obs/ ./internal/traffic/ ./internal/faas/
+	$(GO) test -run 'TestHistObserveZeroAlloc|TestCursorNextZeroAlloc|TestInvoke1SteadyStateZeroAlloc|TestInvoke1DenialZeroAlloc|TestCancelChurnReusesSlots' \
+		./internal/obs/ ./internal/traffic/ ./internal/faas/ ./internal/sim/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=100x \
 		./internal/ml/ ./internal/dataset/
 	$(GO) test -run '^$$' -bench . -benchtime=100x \
 		./internal/sim/ ./internal/cost/ ./internal/fit/ ./internal/scheduler/ ./internal/traffic/
+	$(GO) test -run '^$$' -bench BenchmarkCancelChurn -benchmem -benchtime=100000x ./internal/sim/
+
+# fuzz-smoke: ten seconds of the kernel's native fuzz target (random
+# schedule/batch/cancel/Step/RunUntil programs against the container/heap
+# reference). New inputs stay in the build cache; a failing one is written to
+# internal/sim/testdata/fuzz/ and from then on runs with `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzKernelOps -fuzztime 10s ./internal/sim/

@@ -17,7 +17,13 @@ package experiments
 //     and injects those arrivals with sim.ScheduleBatch (bulk heapify —
 //     burst minutes amortize their sift cost), then reschedules itself at
 //     the first arrival past the window. Pending events and RSS are
-//     O(tenants), independent of horizon and trace length.
+//     O(tenants + account concurrency cap), independent of horizon and
+//     trace length: beside the pumps and one batch window of arrivals the
+//     kernel holds an event per admitted invocation and a reclaim per warm
+//     sandbox, and at most as many canceled reclaims again (the kernel
+//     drops the dead once they outnumber the live; before it did, one per
+//     warm start sat queued for WarmTTL, 35k of them on the benchmark's
+//     trace-s1 against 3k now).
 //   - Measurement is streaming: per-tenant fixed-bucket latency
 //     histograms (obs.Hist), running cost counters, and Jain's fairness
 //     index computed at minute boundaries on shard 0. No per-invocation

@@ -93,13 +93,13 @@ type Meter struct {
 func (m *Meter) Total() float64 { return m.InvokeCost + m.ComputeCost }
 
 // expiryQueue holds the pending warm-sandbox reclaim events for one memory
-// size in schedule order. Reclaims fire in that same order (the TTL is
-// constant between schedule and fire in normal operation), so both consuming
-// a sandbox (takeWarm cancels the earliest reclaim) and a reclaim firing
-// remove the head: O(1) pops instead of the identity scan + element copy
-// that went quadratic under Prewarm-scale churn. The queue keeps a dead
-// prefix instead of re-slicing so pushes never mutate a shared backing array
-// out from under a previous slice header, and compacts once the prefix
+// size in schedule order. Reclaims fire in that same order — addWarm clamps
+// new deadlines behind pending ones, so even a mid-run WarmTTL change cannot
+// reorder them — and every path that cancels one pops it first, so both
+// consuming a sandbox (takeWarm cancels the earliest reclaim) and a reclaim
+// firing remove the head: O(1) pops, no identity search. The queue keeps a
+// dead prefix instead of re-slicing so pushes never mutate a shared backing
+// array out from under a previous slice header, and compacts once the prefix
 // dominates.
 type expiryQueue struct {
 	evs  []sim.Event
@@ -108,6 +108,10 @@ type expiryQueue struct {
 	// reclaims are clamped to fire no earlier (see addWarm), which is what
 	// upholds the schedule-order invariant when WarmTTL changes mid-run.
 	lastAt sim.Time
+	// reclaim is the callback of every reclaim event of this queue, bound
+	// once when the queue is created: a fired reclaim needs no handle to
+	// itself because it is always the head.
+	reclaim func()
 }
 
 func (q *expiryQueue) len() int {
@@ -130,34 +134,6 @@ func (q *expiryQueue) popHead() sim.Event {
 	q.head++
 	q.maybeCompact()
 	return ev
-}
-
-// remove drops a fired reclaim event from the queue. Reclaims fire in
-// schedule order (addWarm clamps new deadlines behind pending ones, so even
-// a mid-run WarmTTL change cannot reorder them) and the head is the common
-// case; the scan fallback stays as defense in depth — popping the wrong
-// entry would leave this fired (and soon recycled) event in the queue for
-// takeWarm to Cancel later. (Since the kernel's generation counters made
-// stale Cancel a no-op that mistake would no longer corrupt an unrelated
-// event, but it would still leak a dead queue entry.)
-func (q *expiryQueue) remove(ev sim.Event) {
-	if q == nil {
-		return
-	}
-	if q.head < len(q.evs) && q.evs[q.head] == ev {
-		q.evs[q.head] = sim.Event{}
-		q.head++
-		q.maybeCompact()
-		return
-	}
-	for j := q.head; j < len(q.evs); j++ {
-		if q.evs[j] == ev {
-			copy(q.evs[j:], q.evs[j+1:])
-			q.evs[len(q.evs)-1] = sim.Event{}
-			q.evs = q.evs[:len(q.evs)-1]
-			return
-		}
-	}
 }
 
 // maybeCompact slides pending events to the front once the dead prefix is
@@ -422,6 +398,7 @@ func (p *Platform) addWarm(memMB, n int) {
 	q := p.expiry[memMB]
 	if q == nil {
 		q = &expiryQueue{}
+		q.reclaim = func() { p.reclaimHead(q, memMB) }
 		p.expiry[memMB] = q
 	}
 	// Clamp the fire time so reclaims always fire in schedule (FIFO) order
@@ -434,19 +411,25 @@ func (p *Platform) addWarm(memMB, n int) {
 	}
 	q.lastAt = at
 	for i := 0; i < n; i++ {
-		var ev sim.Event
-		ev = p.sh.Schedule(at, func() {
-			if p.warm[memMB] > 0 {
-				p.warm[memMB]--
-				p.warmTotal--
-			}
-			p.expiry[memMB].remove(ev)
-			if p.obs.Enabled() {
-				p.obs.Stats().Inc("faas.warm_expired")
-				p.obs.Stats().Set("faas.warm_total", float64(p.warmTotal))
-			}
-		})
-		q.push(ev)
+		q.push(p.sh.Schedule(at, q.reclaim))
+	}
+}
+
+// reclaimHead is the body of a fired reclaim event of queue q: the sandbox
+// at the head has sat idle for a full TTL and leaves the pool. A head not
+// due now would mean a reclaim was canceled without being popped (or popped
+// without being canceled) — a bookkeeping bug, not a state to recover from.
+func (p *Platform) reclaimHead(q *expiryQueue, memMB int) {
+	if head := q.popHead(); head.At() != p.sh.Now() {
+		panic(fmt.Sprintf("faas: %d MB reclaim fired at %v but the expiry queue head is due at %v", memMB, p.sh.Now(), head.At()))
+	}
+	if p.warm[memMB] > 0 {
+		p.warm[memMB]--
+		p.warmTotal--
+	}
+	if p.obs.Enabled() {
+		p.obs.Stats().Inc("faas.warm_expired")
+		p.obs.Stats().Set("faas.warm_total", float64(p.warmTotal))
 	}
 }
 
@@ -483,7 +466,7 @@ func (p *Platform) ReleaseGroup(n, memMB int, secondsEach float64) {
 		panic(fmt.Sprintf("faas: releasing %d instances with only %d in flight", n, p.inFlight))
 	}
 	p.inFlight -= n
-	//cescalint:allow hotpath -- warm reclaim closures: scheduled only when WarmTTL > 0; the steady-state gate disables expiry
+	//cescalint:allow hotpath -- amortized: a memory size's first release allocates its expiry queue and the one reclaim callback its events share; the queue grows to the warm-pool high-water mark, then is reused
 	p.addWarm(memMB, n)
 	p.BillCompute(n, memMB, secondsEach)
 	if p.obs.Enabled() {

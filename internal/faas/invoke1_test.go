@@ -111,14 +111,14 @@ func TestInvoke1InvalidMemory(t *testing.T) {
 }
 
 // TestInvoke1SteadyStateZeroAlloc: with observability disabled, the
-// admit/release cycle (warm reuse, no expiry churn) must not touch the
-// heap — this is the per-arrival hot path of the traffic scenarios.
+// admit/release cycle must not touch the heap — this is the per-arrival hot
+// path of the traffic scenarios, at the WarmTTL they run: every cycle cancels
+// one reclaim event and schedules the next.
 //
 // hotpath-gate: faas.Platform.Invoke1
 // hotpath-gate: faas.Platform.ReleaseGroup
 func TestInvoke1SteadyStateZeroAlloc(t *testing.T) {
 	p := newTestPlatform(3)
-	p.WarmTTL = 0 // no reclaim events: isolate the admission path itself
 	if _, err := p.Invoke1(512); err != nil {
 		t.Fatal(err)
 	}

@@ -65,6 +65,48 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	s.Run()
 }
 
+// cancelChurn is the hold model of a warm pool under reuse: every 0.1 s one
+// of churnRing timeouts set churnHold seconds ahead is replaced, and nine
+// times in ten the old one is canceled first — the tenth idles out and fires
+// — so churnLive events are live at any time while nine die per simulated
+// second, each with most of its hold still to go.
+func cancelChurn(s *Simulation, ops int) {
+	nop := func() {}
+	ring := make([]Event, churnRing)
+	for i := range ring {
+		ring[i] = s.ScheduleAfter(churnHold, nop)
+	}
+	n := 0
+	var tick func()
+	tick = func() {
+		i := n % churnRing
+		if n%10 != 0 {
+			ring[i].Cancel()
+		}
+		ring[i] = s.ScheduleAfter(churnHold, nop)
+		if n++; n < ops {
+			s.ScheduleAfter(0.1, tick)
+		}
+	}
+	s.ScheduleAfter(0.1, tick)
+	s.Run()
+}
+
+const (
+	churnHold = 600 // seconds
+	churnRing = 400
+	churnLive = churnRing + churnHold // the ring plus one idling-out timeout per second of hold
+)
+
+// BenchmarkCancelChurn: one op = one replaced timeout of the hold model
+// (schedule, and nine times in ten a cancel), 1,000 events live. What a
+// canceled entry costs while it waits out its hold shows here, not in
+// BenchmarkScheduleCancel, whose dead are popped two ticks later.
+func BenchmarkCancelChurn(b *testing.B) {
+	b.ReportAllocs()
+	cancelChurn(New(1), b.N)
+}
+
 // BenchmarkScheduleBatch measures bulk burst injection: each op is one
 // event of a 256-event batch landing on a queue that already holds 256
 // pending events, then firing. Compare BenchmarkScheduleBurstIndividual:

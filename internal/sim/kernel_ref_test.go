@@ -59,16 +59,39 @@ func (s *refSim) schedule(at Time, priority int, fn func()) *refEvent {
 	return e
 }
 
-func (s *refSim) run() {
-	for len(s.queue) > 0 {
-		next := heap.Pop(&s.queue).(*refEvent)
-		if next.canceled {
-			continue
-		}
-		s.now = next.at
-		s.fired++
-		next.fn()
+func (s *refSim) run() { s.runUntil(Time(math.Inf(1))) }
+
+// runUntil mirrors Simulation.RunUntil: fire everything due at or before
+// limit, then move the clock up to a finite limit (never backwards).
+func (s *refSim) runUntil(limit Time) {
+	for len(s.queue) > 0 && s.queue[0].at <= limit {
+		s.pop()
 	}
+	if !math.IsInf(float64(limit), 1) && limit > s.now {
+		s.now = limit
+	}
+}
+
+// step mirrors Simulation.Step: fire the earliest live event, if any.
+func (s *refSim) step() bool {
+	for len(s.queue) > 0 {
+		if s.pop() {
+			return true
+		}
+	}
+	return false
+}
+
+// pop removes the head and fires it unless it was canceled.
+func (s *refSim) pop() bool {
+	next := heap.Pop(&s.queue).(*refEvent)
+	if next.canceled {
+		return false
+	}
+	s.now = next.at
+	s.fired++
+	next.fn()
+	return true
 }
 
 // kernelDriver abstracts the two implementations so one workload generator

@@ -30,9 +30,14 @@ func (e Event) At() Time {
 	return e.slot.at
 }
 
-// Cancel marks the event so that it will be skipped when its time comes.
-// Canceling an already-fired (or already-reaped) event is a no-op: the
-// handle's generation no longer matches the recycled slot.
+// Cancel marks the event so that it will never fire. Canceling an
+// already-fired (or already-reaped) event is a no-op: the handle's
+// generation no longer matches the recycled slot.
+//
+// A canceled entry stays in its shard's heap only until the dead outnumber
+// the live there (see Shard.reap), so Cancel is amortized O(1) plus its share
+// of one linear pass, and what a canceled event costs does not depend on how
+// far in the future it was scheduled.
 func (e Event) Cancel() {
 	slot := e.slot
 	if slot == nil {
@@ -51,7 +56,19 @@ func (e Event) Cancel() {
 	if sh.sim.parallelActive && !sh.executing {
 		panic(fmt.Sprintf("sim: event on shard %d canceled from another shard inside a parallel window", sh.idx))
 	}
+	if slot.canceled {
+		return
+	}
 	slot.canceled = true
+	// An event canceling itself from its own callback is already out of the
+	// heap: there is no entry left to count or to reap.
+	if !slot.queued {
+		return
+	}
+	sh.dead++
+	if sh.dead > reapFloor && sh.dead > len(sh.heap)-sh.dead {
+		sh.reap()
+	}
 }
 
 // Canceled reports whether Cancel has been called on the event. A zero or
@@ -78,7 +95,9 @@ type eventSlot struct {
 	at       Time
 	gen      uint64
 	canceled bool
+	queued   bool // an entry in sh.heap points here; false once popped or reaped
 	sh       *Shard
+	next     *eventSlot // the free list's link while the slot is idle
 }
 
 // heapEntry is one element of a shard's binary heap: the (time, priority,
@@ -123,11 +142,16 @@ type Shard struct {
 	heap  []heapEntry
 	seq   uint64
 	fired uint64
+	// dead counts the heap entries whose event was canceled and which no
+	// pop or reap pass has dropped yet; always equal to a scan of heap.
+	dead int
 
-	// free holds recycled slots; arena is the tail of the current
-	// allocation block new slots are carved from. Together they make the
-	// steady-state schedule/fire loop allocation-free.
-	free   []*eventSlot
+	// free heads the list of recycled slots (linked through the slots, so
+	// returning any number of them — a reap pass frees thousands — never
+	// allocates); arena is the tail of the current allocation block new slots
+	// are carved from. Together they make the steady-state
+	// schedule/fire/cancel loop allocation-free.
+	free   *eventSlot
 	arena  []eventSlot
 	allocs uint64 // slots carved from fresh arena blocks (tests assert reuse)
 
@@ -143,6 +167,10 @@ type Shard struct {
 // to amortize the block allocation, small enough not to bloat tiny
 // simulations.
 const arenaChunk = 64
+
+// reapFloor is the number of canceled entries a heap carries before a reap
+// pass is worth starting: below it they are cheaper to skip at pop time.
+const reapFloor = 64
 
 func newShard(s *Simulation, idx int) *Shard {
 	return &Shard{sim: s, idx: idx}
@@ -205,9 +233,7 @@ func (sh *Shard) SchedulePriority(at Time, priority int, fn func()) Event {
 	if math.IsNaN(float64(at)) || math.IsInf(float64(at), 0) {
 		panic(fmt.Sprintf("sim: scheduling event at non-finite time %v", float64(at)))
 	}
-	slot := sh.newSlot()
-	slot.fn, slot.at = fn, at
-	slot.canceled = false
+	slot := sh.newSlot(at, fn)
 	sh.enqueue2(at, priority, slot)
 	return Event{slot: slot, gen: slot.gen}
 }
@@ -297,10 +323,7 @@ func (sh *Shard) ScheduleBatch(batch []BatchEvent) {
 	// than re-heapifying the whole queue.
 	if len(batch)*8 < len(sh.heap) {
 		for i := range batch {
-			slot := sh.newSlot()
-			slot.fn, slot.at = batch[i].Fn, batch[i].At
-			slot.canceled = false
-			sh.enqueue2(batch[i].At, batch[i].Pri, slot)
+			sh.enqueue2(batch[i].At, batch[i].Pri, sh.newSlot(batch[i].At, batch[i].Fn))
 		}
 		return
 	}
@@ -312,9 +335,7 @@ func (sh *Shard) ScheduleBatch(batch []BatchEvent) {
 		q = grown
 	}
 	for i := range batch {
-		slot := sh.newSlot()
-		slot.fn, slot.at = batch[i].Fn, batch[i].At
-		slot.canceled = false
+		slot := sh.newSlot(batch[i].At, batch[i].Fn)
 		//cescalint:allow hotpath -- no growth: capacity was reserved above, append only extends the length
 		q = append(q, heapEntry{at: batch[i].At, pri: batch[i].Pri, seq: sh.seq, slot: slot})
 		sh.seq++
@@ -328,10 +349,7 @@ func (sh *Shard) ScheduleBatch(batch []BatchEvent) {
 // enqueue inserts an already-validated event (a delivered post) into the
 // shard's heap, assigning the next sequence number.
 func (sh *Shard) enqueue(at Time, priority int, fn func()) {
-	slot := sh.newSlot()
-	slot.fn, slot.at = fn, at
-	slot.canceled = false
-	sh.enqueue2(at, priority, slot)
+	sh.enqueue2(at, priority, sh.newSlot(at, fn))
 }
 
 // enqueue2 pushes slot onto the heap under (at, priority, next sequence).
@@ -340,25 +358,27 @@ func (sh *Shard) enqueue2(at Time, priority int, slot *eventSlot) {
 	sh.seq++
 }
 
-// newSlot returns a slot from the free list or the arena.
-func (sh *Shard) newSlot() *eventSlot {
-	if n := len(sh.free); n > 0 {
-		slot := sh.free[n-1]
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
-		return slot
-	}
-	if len(sh.arena) == 0 {
-		//cescalint:allow hotpath -- amortized: one arena block per arenaChunk fresh slots; steady state recycles via the free list
-		block := make([]eventSlot, arenaChunk)
-		for i := range block {
-			block[i].sh = sh
+// newSlot returns a slot from the free list or the arena, filled in for an
+// event about to enter the heap (recycled and fresh slots are both
+// uncanceled).
+func (sh *Shard) newSlot(at Time, fn func()) *eventSlot {
+	slot := sh.free
+	if slot != nil {
+		sh.free, slot.next = slot.next, nil
+	} else {
+		if len(sh.arena) == 0 {
+			//cescalint:allow hotpath -- amortized: one arena block per arenaChunk fresh slots; steady state recycles via the free list
+			block := make([]eventSlot, arenaChunk)
+			for i := range block {
+				block[i].sh = sh
+			}
+			sh.arena = block
 		}
-		sh.arena = block
+		slot = &sh.arena[0]
+		sh.arena = sh.arena[1:]
+		sh.allocs++
 	}
-	slot := &sh.arena[0]
-	sh.arena = sh.arena[1:]
-	sh.allocs++
+	slot.fn, slot.at, slot.queued = fn, at, true
 	return slot
 }
 
@@ -369,7 +389,37 @@ func (sh *Shard) recycle(slot *eventSlot) {
 	slot.fn = nil
 	slot.canceled = false
 	slot.gen++
-	sh.free = append(sh.free, slot)
+	slot.next = sh.free
+	sh.free = slot
+}
+
+// reap drops every canceled entry from the heap in one in-place pass,
+// recycling their slots exactly as a pop would have, and restores the heap
+// order bottom-up (Floyd). Cancel starts a pass once the dead outnumber the
+// live, so a pass over n entries frees more than n/2 of them, and right after
+// any Cancel the heap holds at most max(live, reapFloor) dead ones. The order
+// (time, priority, sequence) is strict, so which live entry pops next — and
+// with it every clock, count and byte of output — does not depend on whether
+// or when a pass ran.
+func (sh *Shard) reap() {
+	q := sh.heap
+	n := 0
+	for i := range q {
+		if slot := q[i].slot; slot.canceled {
+			slot.queued = false
+			sh.recycle(slot)
+			continue
+		}
+		q[n] = q[i]
+		n++
+	}
+	clear(q[n:])
+	q = q[:n]
+	for i := n/2 - 1; i >= 0; i-- {
+		siftDown(q, i)
+	}
+	sh.heap = q
+	sh.dead = 0
 }
 
 // eligible reports whether the shard has an event inside the window bound.
@@ -396,6 +446,7 @@ func (sh *Shard) drain(bound Time, inclusive bool) {
 		e := sh.heapPop()
 		slot := e.slot
 		if slot.canceled {
+			sh.dead--
 			sh.recycle(slot)
 			continue
 		}
@@ -410,14 +461,16 @@ func (sh *Shard) drain(bound Time, inclusive bool) {
 }
 
 // drainOne pops the shard's head entry and, unless it is a canceled event
-// being reaped, fires it. Used by the sequential multi-shard merge loop,
-// which re-picks the globally minimal shard between events.
-func (sh *Shard) drainOne() {
+// being dropped, fires it; it reports whether an event fired. Used by Step
+// and the sequential multi-shard merge loop, which re-pick the globally
+// minimal shard between events.
+func (sh *Shard) drainOne() bool {
 	e := sh.heapPop()
 	slot := e.slot
 	if slot.canceled {
+		sh.dead--
 		sh.recycle(slot)
-		return
+		return false
 	}
 	sh.now = e.at
 	sh.fired++
@@ -427,6 +480,7 @@ func (sh *Shard) drainOne() {
 	fn()
 	sh.executing = false
 	sh.recycle(slot)
+	return true
 }
 
 // heapPush appends e and sifts it up to its ordered position.
@@ -449,6 +503,7 @@ func (sh *Shard) heapPush(e heapEntry) {
 func (sh *Shard) heapPop() heapEntry {
 	q := sh.heap
 	top := q[0]
+	top.slot.queued = false
 	n := len(q) - 1
 	q[0] = q[n]
 	q[n] = heapEntry{}

@@ -260,6 +260,9 @@ func TestShardFreeListsStayZeroAlloc(t *testing.T) {
 // across shard layouts.
 type actorWorld interface {
 	scheduleSelf(actor int, at Time, pri int, fn func())
+	// scheduleCancelable is scheduleSelf returning the event's Cancel, to
+	// be called only from the actor's own events.
+	scheduleCancelable(actor int, at Time, pri int, fn func()) (cancel func())
 	post(from, to int, at Time, pri int, fn func())
 	now(actor int) Time
 	run()
@@ -271,6 +274,11 @@ const actorLookahead = 2.0
 type shardedWorld struct {
 	s      *Simulation
 	shards int
+	// For scheduleCancelable, whose cancels check their shard's invariants
+	// against t and count the reap passes per shard (so parallel windows
+	// write disjoint counters).
+	t     testing.TB
+	reaps []int
 }
 
 func newShardedWorld(seed uint64, shards, workers int) *shardedWorld {
@@ -278,12 +286,21 @@ func newShardedWorld(seed uint64, shards, workers int) *shardedWorld {
 	s.EnsureShards(shards)
 	s.SetLookahead(actorLookahead)
 	s.SetWorkers(workers)
-	return &shardedWorld{s: s, shards: shards}
+	return &shardedWorld{s: s, shards: shards, reaps: make([]int, shards)}
 }
 
 func (w *shardedWorld) shardOf(actor int) *Shard { return w.s.Shard(actor % w.shards) }
 func (w *shardedWorld) scheduleSelf(actor int, at Time, pri int, fn func()) {
 	w.shardOf(actor).SchedulePriority(at, pri, fn)
+}
+func (w *shardedWorld) scheduleCancelable(actor int, at Time, pri int, fn func()) func() {
+	sh := w.shardOf(actor)
+	ev := sh.SchedulePriority(at, pri, fn)
+	return func() {
+		if cancelChecked(w.t, sh, ev) {
+			w.reaps[sh.idx]++
+		}
+	}
 }
 func (w *shardedWorld) post(from, to int, at Time, pri int, fn func()) {
 	w.shardOf(from).Post(w.shardOf(to), at, pri, fn)
@@ -297,10 +314,14 @@ func (w *shardedWorld) fired() uint64      { return w.s.EventsFired() }
 type refWorld struct{ s *refSim }
 
 func (w *refWorld) scheduleSelf(actor int, at Time, pri int, fn func()) { w.s.schedule(at, pri, fn) }
-func (w *refWorld) post(_, _ int, at Time, pri int, fn func())          { w.s.schedule(at, pri, fn) }
-func (w *refWorld) now(int) Time                                        { return w.s.now }
-func (w *refWorld) run()                                                { w.s.run() }
-func (w *refWorld) fired() uint64                                       { return w.s.fired }
+func (w *refWorld) scheduleCancelable(_ int, at Time, pri int, fn func()) func() {
+	e := w.s.schedule(at, pri, fn)
+	return func() { e.canceled = true }
+}
+func (w *refWorld) post(_, _ int, at Time, pri int, fn func()) { w.s.schedule(at, pri, fn) }
+func (w *refWorld) now(int) Time                               { return w.s.now }
+func (w *refWorld) run()                                       { w.s.run() }
+func (w *refWorld) fired() uint64                              { return w.s.fired }
 
 // driveActors runs a randomized actor storm: each actor advances a local
 // chain (drawing from its own stream, so draws are independent of execution

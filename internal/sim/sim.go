@@ -39,10 +39,22 @@
 // Each shard's queue is an inlined binary heap over a slice of small
 // struct-of-arrays entries — the (time, priority, sequence) comparison keys
 // live in the heap entries, the closures and bookkeeping in arena-backed
-// slots — and fired or reaped slots return to a per-shard free list, so the
-// steady-state hot loop (schedule, pop, fire) allocates nothing. The total
-// order is identical to the reference container/heap implementation
-// (asserted by the kernel equivalence tests).
+// slots — and fired or reaped slots return to a per-shard free list linked
+// through the slots themselves, so the steady-state hot loop (schedule, pop,
+// fire, cancel) allocates nothing. The total order is identical to the
+// reference container/heap implementation (asserted by the kernel
+// equivalence tests and FuzzKernelOps).
+//
+// A canceled event costs what it costs to cancel, not what it costs to carry:
+// each shard counts the canceled entries still in its heap, and the Cancel
+// that makes them outnumber the live ones (past a small fixed floor) drops
+// them all in one pass and re-heapifies. So a heap holds at most
+// max(live, floor) dead entries right after any Cancel, however far ahead
+// they were scheduled — the pattern that matters is a timeout set minutes
+// ahead and canceled milliseconds later (internal/faas's warm-sandbox
+// reclaims), which used to fill the heap with an order of magnitude more
+// corpses than events. The order is strict, so a pass changes no firing
+// order, clock or count.
 package sim
 
 import (
@@ -202,9 +214,11 @@ func (s *Simulation) EventsFired() uint64 {
 	return n
 }
 
-// Pending reports how many events are queued over all shards (including
-// canceled ones that have not yet been skipped and posts not yet delivered
-// to their target shard).
+// Pending reports how many events are queued over all shards, including
+// posts not yet delivered to their target shard and canceled events not yet
+// dropped — of which a shard keeps at most as many as it has live ones (or a
+// small fixed floor, if larger) past any Cancel, not one per cancellation
+// until its time comes.
 func (s *Simulation) Pending() int {
 	n := 0
 	for _, sh := range s.shards {
@@ -399,23 +413,12 @@ func (s *Simulation) Step() bool {
 		if min == nil {
 			return false
 		}
-		e := min.heapPop()
-		slot := e.slot
-		if slot.canceled {
-			min.recycle(slot)
-			continue
-		}
-		min.now = e.at
-		min.fired++
-		fn := slot.fn
-		slot.fn = nil
 		s.draining = min
-		min.executing = true
-		fn()
-		min.executing = false
+		fired := min.drainOne()
 		s.draining = nil
-		min.recycle(slot)
-		return true
+		if fired {
+			return true
+		}
 	}
 }
 
