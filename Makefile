@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt vet build lint test race shard-check bench fuzz-smoke
+.PHONY: check fmt vet build lint test race shard-check bench bench-smoke fuzz-smoke
 
-check: fmt vet build lint test race shard-check bench
+check: fmt vet build lint test race shard-check bench bench-smoke
 
 fmt:
 	@out="$$(gofmt -s -l .)"; if [ -n "$$out" ]; then \
@@ -14,12 +14,10 @@ vet:
 build:
 	$(GO) build ./...
 
-# cescalint: the determinism- and allocation-enforcing static-analysis
-# suite (walltime, globalrand, maporder, fpreduce, importboundary,
-# shardsafe, hotpath, pragma staleness, policy completeness). Package sets
-# live in cescalint.policy; //cescalint:hotpath marks functions that must
-# be allocation-free in steady state. See DESIGN.md "Determinism
-# invariants" and README "Lint" for the annotation/pragma workflow.
+# cescalint: the determinism-enforcing static-analysis suite (walltime,
+# globalrand, maporder, fpreduce, importboundary, shardsafe, pragma
+# staleness, policy completeness). Package sets live in cescalint.policy.
+# See DESIGN.md "Determinism invariants" and README "Lint".
 lint:
 	$(GO) run ./cmd/cescalint ./...
 
@@ -42,30 +40,42 @@ shard-check:
 	$(GO) test -run 'TestCrossShardWorkloadMatrix|TestLookaheadWindowsMatchSingleWindow|TestShardScheduleAndMerge' ./internal/sim/
 	$(GO) test -run 'TestMacroMatrix|TestMacroScenariosRunConcurrently|TestMacroDigests' ./internal/experiments/
 
-# Smoke-run the numeric-path benchmarks (ml kernels, dataset caches, DES
-# kernel, decision path) at a fixed small iteration count: fast enough for
-# CI, enough to catch kernels that re-grow allocations. The zero-alloc gates
-# (testing.AllocsPerRun on the steady-state fit/replay/observe/decision paths) run
-# first and fail hard if the hot paths touch the heap (the kernel's gate counts
-# arena slots instead: steady cancel churn must reuse them). internal/fit
-# benches its one solver (Fitter, cold and warm), internal/cost its one grid
-# scan and table lookups; BenchmarkCancelChurn runs long enough to pass its
-# 600 s hold, where a canceled event's keep shows. Measured runs are
+# The zero-alloc gates, then a smoke run of the numeric-path benchmarks. The
+# gates are the allocation contract: every test named Test...ZeroAlloc, found
+# by name so a new one cannot be left out, fails hard if the steady state it
+# drives touches the heap (testing.AllocsPerRun == 0 on the fit, replay,
+# observe, decision, kernel, fault-query, SGD-epoch, faas and traffic paths;
+# mallocs per arrival on the shared-account pipeline). The kernel's
+# TestCancelChurnReusesSlots counts arena slots instead: steady cancel churn
+# must reuse them. The benchmarks (ml kernels, dataset caches, DES kernel,
+# decision path) run at a fixed small iteration count: fast enough for CI,
+# enough to catch kernels that re-grow allocations. internal/fit benches its
+# one solver (Fitter, cold and warm), internal/cost its one grid scan and
+# table lookups; BenchmarkCancelChurn runs long enough to pass its 600 s hold,
+# where a canceled event's keep shows. Measured runs are
 # `go run ./cmd/bench [-layers]`; see benchmark/README.md.
 bench:
-	$(GO) test -run 'TestFitterZeroAlloc|TestRealEngineCursorZeroAlloc|TestFixedWindowObserveZeroAlloc|TestDecisionZeroAlloc' \
-		./internal/fit/ ./internal/workload/ ./internal/predictor/ ./internal/scheduler/
-	$(GO) test -run 'TestHistObserveZeroAlloc|TestCursorNextZeroAlloc|TestInvoke1SteadyStateZeroAlloc|TestInvoke1DenialZeroAlloc|TestCancelChurnReusesSlots' \
-		./internal/obs/ ./internal/traffic/ ./internal/faas/ ./internal/sim/
+	$(GO) test -run ZeroAlloc ./...
+	$(GO) test -run TestCancelChurnReusesSlots ./internal/sim/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=100x \
 		./internal/ml/ ./internal/dataset/
 	$(GO) test -run '^$$' -bench . -benchtime=100x \
 		./internal/sim/ ./internal/cost/ ./internal/fit/ ./internal/scheduler/ ./internal/traffic/
 	$(GO) test -run '^$$' -bench BenchmarkCancelChurn -benchmem -benchtime=100000x ./internal/sim/
 
-# fuzz-smoke: ten seconds of the kernel's native fuzz target (random
+# bench-smoke: the measurement harness's own checks on one short execution
+# per workload — the golden paper digest, trace-s8w2 == trace-s1, the TOTAL
+# sums and the arrival ledgers. It writes to a temporary directory, so
+# benchmark/out stays as the last measured run left it.
+bench-smoke:
+	$(GO) run ./cmd/bench -smoke -out "$$(mktemp -d)"
+
+# fuzz-smoke: a few seconds of each native fuzz target: the kernel (random
 # schedule/batch/cancel/Step/RunUntil programs against the container/heap
-# reference). New inputs stay in the build cache; a failing one is written to
-# internal/sim/testdata/fuzz/ and from then on runs with `go test`.
+# reference) and cescalint's two parsers (policy lines, //cescalint:
+# directives). New inputs stay in the build cache; a failing one is written to
+# the package's testdata/fuzz/ and from then on runs with `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOps -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/lint/
+	$(GO) test -run '^$$' -fuzz FuzzParseDirective -fuzztime 5s ./internal/lint/

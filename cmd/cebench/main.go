@@ -55,8 +55,9 @@ func run() int {
 	traceOut := flag.String("trace-out", "", "write the experiments' event trace to this file (.jsonl = JSON lines, else Chrome trace-event JSON for Perfetto)")
 	metricsOut := flag.String("metrics-out", "", "write the experiments' metrics snapshot to this JSON file")
 	// Sharded-kernel knobs: shards/sim-workers reconfigure the DES kernel
-	// inside sharded scenarios (currently macro-day); tables and trace
-	// exports are byte-identical at every setting, only wall-clock moves.
+	// inside the sharded scenarios (macro-day, macro-chaos, macro-fleet,
+	// macro-trace); tables and trace exports are byte-identical at every
+	// setting, only wall-clock moves.
 	shards := flag.Int("shards", 0, "kernel shards for sharded scenarios (0 = scenario default)")
 	simWorkers := flag.Int("sim-workers", 0, "concurrent shards per conservative window (0 = scenario default)")
 	macroTenants := flag.Int("macro-tenants", 0, "macro-day tenant count (0 = default 32)")

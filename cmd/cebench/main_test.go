@@ -37,8 +37,8 @@ func cebench(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 // TestRejectsBadInput: input cebench cannot honour is one "cebench: ..." line
 // on stderr, nothing on stdout and a non-zero exit before any artifact runs —
 // not a text table under -format xml, a silently dropped id after "all", a
-// serial run under -parallel -3, or an unwritable -trace-out discovered after
-// the last artifact.
+// serial run under -parallel -3, an unwritable -trace-out discovered after
+// the last artifact, or a stack trace from inside a traffic cursor.
 func TestRejectsBadInput(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
 	for _, bad := range []struct {
@@ -50,6 +50,8 @@ func TestRejectsBadInput(t *testing.T) {
 		{[]string{"-parallel", "-3", "tab1"}, 2},
 		{[]string{"-trace-out", filepath.Join(missing, "x.jsonl"), "tab1"}, 1},
 		{[]string{"-metrics-out", filepath.Join(missing, "m.json"), "tab1"}, 1},
+		// A rate Config.Validate accepts, but one tenant's LogNormal draw takes to +Inf.
+		{[]string{"-traffic-rate", "1.7e308", "-traffic-horizon", "1e-300", "macro-trace"}, 1},
 	} {
 		stdout, stderr, exit := cebench(t, bad.args...)
 		if exit != bad.exit || stdout != "" {

@@ -3,18 +3,13 @@
 //
 // Usage:
 //
-//	cescalint [-policy file] [-j n] [./... | dir...]
+//	cescalint [-policy file] [./... | dir...]
 //
 // With no arguments (or "./..."), the whole module is linted. Findings
 // print to stdout sorted by file:line:column, one per line; the exit
 // status is 1 when there are findings, 0 on a clean tree. Analyzer scopes
 // and package sets come from cescalint.policy at the module root (see
 // internal/lint and DESIGN.md "Determinism invariants").
-//
-// -j bounds how many packages are analyzed concurrently (default:
-// GOMAXPROCS). Packages run in module-dependency order so cross-package
-// facts are always available, and findings are merged deterministically —
-// the output is byte-identical at every -j level, including -j 1.
 //
 // Suppress a finding only with a reasoned pragma on the offending line or
 // the line above:
@@ -37,9 +32,8 @@ func main() {
 
 func run() int {
 	policyPath := flag.String("policy", "", "policy file (default: cescalint.policy at the module root)")
-	parallel := flag.Int("j", 0, "max packages analyzed concurrently (0 = GOMAXPROCS); output is identical at any level")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cescalint [-policy file] [-j n] [./... | dir...]\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: cescalint [-policy file] [./... | dir...]\n\nanalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-15s %s\n", a.Name, a.Doc)
 		}
@@ -63,7 +57,6 @@ func run() int {
 	}
 
 	r := lint.NewRunner(root, module, policy)
-	r.Parallel = *parallel
 	targets, err := resolveTargets(r, flag.Args())
 	if err != nil {
 		return fail(err)

@@ -24,8 +24,6 @@ func NewFrontier(points []Point) *Frontier {
 }
 
 // Len returns the number of boundary points.
-//
-//cescalint:hotpath
 func (f *Frontier) Len() int {
 	if f == nil {
 		return 0
@@ -34,15 +32,11 @@ func (f *Frontier) Len() int {
 }
 
 // At returns the i-th boundary point in ascending-Time order.
-//
-//cescalint:hotpath
 func (f *Frontier) At(i int) Point { return f.pts[i] }
 
 // Points returns the shared backing slice in ascending-Time order. It is
 // borrowed, not owned: mutating it corrupts every tenant sharing the
 // frontier.
-//
-//cescalint:hotpath
 func (f *Frontier) Points() []Point {
 	if f == nil {
 		return nil

@@ -87,6 +87,26 @@ func TestFrontierNilSafe(t *testing.T) {
 	}
 }
 
+// TestFrontierReadsZeroAlloc: every controller of a fleet reads the one
+// interned frontier on each decision; Len, At and Points are borrowed views
+// that copy nothing to the heap.
+func TestFrontierReadsZeroAlloc(t *testing.T) {
+	f := NewModel(workload.MobileNet()).ParetoFrontier(DefaultGrid())
+	var cheapest Point
+	if n := testing.AllocsPerRun(100, func() {
+		for i, p := range f.Points() {
+			if i < f.Len() && f.At(i) == p && (i == 0 || p.Cost < cheapest.Cost) {
+				cheapest = p
+			}
+		}
+	}); n != 0 {
+		t.Errorf("reading the frontier allocates %.1f times per pass, want 0", n)
+	}
+	if cheapest != f.At(f.Len()-1) {
+		t.Errorf("cheapest point %+v is not the frontier's last", cheapest)
+	}
+}
+
 func TestNewFrontierParetoizes(t *testing.T) {
 	pts := []Point{
 		{Alloc: Allocation{N: 1}, Time: 3, Cost: 1},

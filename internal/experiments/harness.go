@@ -215,12 +215,8 @@ func (h *harness) newAccount(capacity, maxRetry int, pri accountBands) *account 
 type accountTenant interface {
 	// granted receives the admitted group: fr.delay and fr.cold are set, and
 	// the tenant keeps fr until it hands it back with member.release.
-	//
-	//cescalint:hotpath
 	granted(fr *invFrame)
 	// denied reports that the account refused the request maxRetry times.
-	//
-	//cescalint:hotpath
 	denied()
 }
 
@@ -245,16 +241,12 @@ func (m *member) join(ac *account, self accountTenant) {
 // request posts an admission request for the member's (n, memMB) group. The
 // post travels exactly one lookahead, so the account recovers the request
 // instant from its own clock — no per-request closure.
-//
-//cescalint:hotpath
 func (m *member) request() {
 	m.sh.Post(m.ac.sh, m.sh.Now()+m.ac.h.lookahead, m.ac.pri.invoke+m.id, m.admitFn)
 }
 
 // release hands a granted group back to the account after fr.held seconds
 // of use each; the frame is recycled on shard 0.
-//
-//cescalint:hotpath
 func (m *member) release(fr *invFrame) {
 	m.sh.Post(m.ac.sh, m.sh.Now()+m.ac.h.lookahead, m.ac.pri.release+m.id, fr.releaseFn)
 }
@@ -286,7 +278,6 @@ type invFrame struct {
 func (ac *account) get() *invFrame {
 	fr := ac.free
 	if fr == nil {
-		//cescalint:allow hotpath -- pool refill: one frame (plus its four bound stage closures) per concurrency high-water mark; steady state recycles via the free list
 		return newInvFrame(ac)
 	}
 	ac.free = fr.next
@@ -313,8 +304,6 @@ func (ac *account) put(fr *invFrame) {
 }
 
 // admit starts one request's admission on shard 0.
-//
-//cescalint:hotpath
 func (ac *account) admit(m *member) {
 	fr := ac.get()
 	fr.m, fr.n, fr.memMB = m, m.n, m.memMB
@@ -339,7 +328,6 @@ func (fr *invFrame) invoke() {
 		}
 	} else {
 		var g faas.GroupStart
-		//cescalint:allow hotpath -- group admission (n > 1): a closed-loop tenant acquires once per restart, not per arrival, and InvokeGroup allocates only the wrapped error of a rejected group; the per-arrival path is Invoke1 above
 		g, err = ac.plat.InvokeGroup(fr.n, fr.memMB)
 		fr.delay, fr.cold = g.StartDelay, g.Cold
 	}
@@ -360,14 +348,10 @@ func (fr *invFrame) invoke() {
 }
 
 // grant runs on the tenant's shard once the account admits the group.
-//
-//cescalint:hotpath
 func (fr *invFrame) grant() { fr.m.self.granted(fr) }
 
 // release runs on shard 0: return the capacity and warm instances to the
 // account, then recycle the frame.
-//
-//cescalint:hotpath
 func (fr *invFrame) release() {
 	fr.ac.plat.ReleaseGroup(fr.n, fr.memMB, fr.held)
 	fr.ac.put(fr)

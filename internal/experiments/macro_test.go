@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -318,6 +319,42 @@ func TestConfigValidateRejectsBadInput(t *testing.T) {
 	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Errorf("zero Config rejected: %v", err)
+	}
+}
+
+// TestAdmissionPipelineZeroAlloc is the zero-allocation gate of the shared
+// account: pump -> request -> admit (retried and denied at the cap) -> grant ->
+// done -> release recycles pooled frames and closures bound once, so what a
+// run allocates does not grow with its arrivals. Two horizons of one
+// population are compared in mallocs; set-up cancels out, and what is left
+// per extra arrival is the per-minute fairness gather (about 0.03) — one
+// closure per arrival anywhere on the pipeline reads 1 or more.
+func TestAdmissionPipelineZeroAlloc(t *testing.T) {
+	run := func(horizon float64) (mallocs uint64, arrivals int) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tab, err := runMacroTrace(7, Config{TrafficTenants: 16, TrafficRate: 1.6, TrafficHorizon: horizon})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if totalCell(t, tab, "dropped") == "0" {
+			t.Errorf("horizon %g: no arrival was dropped, so the retry and denial paths went unmeasured", horizon)
+		}
+		if arrivals, err = strconv.Atoi(totalCell(t, tab, "arrivals")); err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs, arrivals
+	}
+	shortM, shortN := run(600)
+	longM, longN := run(2400)
+	if longN-shortN < 25000 {
+		t.Fatalf("only %d extra arrivals between the horizons, want >= 25000", longN-shortN)
+	}
+	perArrival := (float64(longM) - float64(shortM)) / float64(longN-shortN)
+	t.Logf("%d mallocs for %d arrivals, %d for %d: %.3f per extra arrival", shortM, shortN, longM, longN, perArrival)
+	if perArrival >= 0.25 {
+		t.Errorf("the admission pipeline allocates %.3f times per arrival, want < 0.25", perArrival)
 	}
 }
 

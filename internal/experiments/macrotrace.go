@@ -95,14 +95,11 @@ type traceTenant struct {
 // sift work, not O(burst log heap)), then reschedules itself at the first
 // arrival past the window — at most one pending pump per tenant, ever. Each
 // arrival is one admission request to the account.
-//
-//cescalint:hotpath
 func (tn *traceTenant) pump() {
 	at := tn.sh.Now()
 	cutoff := float64(at) + traceBatchWindow
 	tn.batch = tn.batch[:0]
 	for {
-		//cescalint:allow hotpath -- amortized: batch grows to the per-window high-water arrival count, then append reuses the capacity
 		tn.batch = append(tn.batch, sim.BatchEvent{At: at, Pri: priTraceArrive + tn.id, Fn: tn.arriveFn})
 		t, ok := tn.cursor.Next()
 		if !ok {
@@ -132,8 +129,6 @@ func (tn *traceTenant) granted(fr *invFrame) {
 // it streams the invocation into the tenant's aggregates — histogram
 // bucket, counters, running cost — and hands the frame back to the account.
 // Nothing per-invocation survives past the frame's release.
-//
-//cescalint:hotpath
 func (fr *invFrame) done() {
 	tn := fr.m.self.(*traceTenant)
 	tn.completed++
@@ -205,6 +200,11 @@ func runMacroTrace(seed uint64, cfg Config) (*Table, error) {
 				tc.Period = horizon
 				tc.Phase = horizon * float64(t) / float64(2*tenants)
 			}
+		}
+		// Config.Validate saw only the base rate; the tenant's draw can push
+		// a rate near the float64 limit to +Inf, which Cursor panics on.
+		if err := tc.Validate(); err != nil {
+			return nil, fmt.Errorf("tenant %s: %w", name, err)
 		}
 		tn := &traceTenant{
 			member: member{id: t, sh: h.shard(t), n: 1, memMB: 512 << (t % 3)},

@@ -323,10 +323,7 @@ func (p *Platform) InvokeGroup(n, memMB int) (GroupStart, error) {
 // returns the plain ErrConcurrencyExceeded sentinel, so the admit/deny
 // round trip performs no heap allocation at all when observability is
 // disabled.
-//
-//cescalint:hotpath
 func (p *Platform) Invoke1(memMB int) (Invocation, error) {
-	//cescalint:allow hotpath -- cold path: allocates only when rejecting an invalid memory size
 	if err := p.limits.ValidateMemory(memMB); err != nil {
 		return Invocation{}, err
 	}
@@ -339,7 +336,6 @@ func (p *Platform) Invoke1(memMB int) (Invocation, error) {
 	}
 	inv := p.admit(memMB)
 	if p.obs.Enabled() {
-		//cescalint:allow hotpath -- observability: reached only with obs enabled; the steady-state gate runs disabled
 		p.observeInvoke1(inv)
 	}
 	return inv, nil
@@ -456,8 +452,6 @@ func (p *Platform) WarmStart() float64 { return p.startup.Warm }
 // ReleaseGroup ends n concurrent functions of memMB memory, billing their
 // compute time (seconds each) and returning their sandboxes to the warm
 // pool for later reuse.
-//
-//cescalint:hotpath
 func (p *Platform) ReleaseGroup(n, memMB int, secondsEach float64) {
 	if n <= 0 {
 		return
@@ -466,11 +460,9 @@ func (p *Platform) ReleaseGroup(n, memMB int, secondsEach float64) {
 		panic(fmt.Sprintf("faas: releasing %d instances with only %d in flight", n, p.inFlight))
 	}
 	p.inFlight -= n
-	//cescalint:allow hotpath -- amortized: a memory size's first release allocates its expiry queue and the one reclaim callback its events share; the queue grows to the warm-pool high-water mark, then is reused
 	p.addWarm(memMB, n)
 	p.BillCompute(n, memMB, secondsEach)
 	if p.obs.Enabled() {
-		//cescalint:allow hotpath -- observability: reached only with obs enabled; the steady-state gate runs disabled
 		p.observeReleaseGroup(n, memMB, secondsEach)
 	}
 }
@@ -499,7 +491,6 @@ func (p *Platform) BillCompute(n, memMB int, secondsEach float64) {
 	gbs := float64(n) * secondsEach * float64(memMB) / 1024
 	p.meter.GBSeconds += gbs
 	if p.obs.Enabled() {
-		//cescalint:allow hotpath -- observability: reached only with obs enabled; the steady-state gate runs disabled
 		p.observeBillCompute(gbs, cost)
 	}
 }

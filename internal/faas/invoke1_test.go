@@ -114,9 +114,6 @@ func TestInvoke1InvalidMemory(t *testing.T) {
 // admit/release cycle must not touch the heap — this is the per-arrival hot
 // path of the traffic scenarios, at the WarmTTL they run: every cycle cancels
 // one reclaim event and schedules the next.
-//
-// hotpath-gate: faas.Platform.Invoke1
-// hotpath-gate: faas.Platform.ReleaseGroup
 func TestInvoke1SteadyStateZeroAlloc(t *testing.T) {
 	p := newTestPlatform(3)
 	if _, err := p.Invoke1(512); err != nil {
@@ -136,8 +133,6 @@ func TestInvoke1SteadyStateZeroAlloc(t *testing.T) {
 
 // TestInvoke1DenialZeroAlloc: the denial storm under a saturated cap is
 // also allocation-free.
-//
-// hotpath-gate: faas.Platform.Invoke1
 func TestInvoke1DenialZeroAlloc(t *testing.T) {
 	s := sim.New(1)
 	limits := DefaultLimits()

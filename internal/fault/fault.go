@@ -215,8 +215,6 @@ func (s *Schedule) Events() []Event {
 // non-overlapping same-kind windows at most one can match. The per-epoch
 // decision path queries this several times per epoch, so it must stay
 // allocation-free.
-//
-//cescalint:hotpath
 func (s *Schedule) factorAt(kind Kind, t float64, link int) float64 {
 	if s == nil {
 		return 1
@@ -238,24 +236,16 @@ func (s *Schedule) factorAt(kind Kind, t float64, link int) float64 {
 
 // StragglerFactor returns the compute-time multiplier active at t (1 when
 // no straggler window covers t).
-//
-//cescalint:hotpath
 func (s *Schedule) StragglerFactor(t float64) float64 { return s.factorAt(Straggler, t, 0) }
 
 // ColdSpikeFactor returns the cold-start multiplier active at t.
-//
-//cescalint:hotpath
 func (s *Schedule) ColdSpikeFactor(t float64) float64 { return s.factorAt(ColdSpike, t, 0) }
 
 // LinkFactor returns the network-time multiplier for worker link at t.
-//
-//cescalint:hotpath
 func (s *Schedule) LinkFactor(t float64, link int) float64 { return s.factorAt(LinkDegrade, t, link) }
 
 // BrownoutAt returns the storage state at t: the latency multiplier, the
 // deterministic error rate, and whether a brownout window covers t.
-//
-//cescalint:hotpath
 func (s *Schedule) BrownoutAt(t float64) (latFactor, errRate float64, active bool) {
 	if s == nil {
 		return 1, 0, false
@@ -275,8 +265,6 @@ func (s *Schedule) BrownoutAt(t float64) (latFactor, errRate float64, active boo
 // cursor that takes effect strictly before `before`, along with its index.
 // Callers keep the returned index as the new cursor so each instant fires
 // exactly once; start from cursor -1.
-//
-//cescalint:hotpath
 func (s *Schedule) NextInstant(cursor int, before float64) (ev Event, idx int, ok bool) {
 	if s == nil {
 		return Event{}, cursor, false
@@ -296,8 +284,6 @@ func (s *Schedule) NextInstant(cursor int, before float64) (ev Event, idx int, o
 
 // KillsIn counts the sandboxes KillSandbox events terminate in [from, to)
 // (the planner's what-if query).
-//
-//cescalint:hotpath
 func (s *Schedule) KillsIn(from, to float64) int {
 	if s == nil {
 		return 0
@@ -324,8 +310,6 @@ type Gate struct {
 
 // Fail reports whether the next operation fails under the given error rate,
 // advancing the accumulator.
-//
-//cescalint:hotpath
 func (g *Gate) Fail(rate float64) bool {
 	if rate <= 0 {
 		return false

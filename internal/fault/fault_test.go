@@ -153,6 +153,44 @@ func TestGateIsDeterministicAndProportional(t *testing.T) {
 	}
 }
 
+// TestScheduleQueriesZeroAlloc: the trainer and the planner put these
+// queries on the per-epoch decision path, several per epoch, so a compiled
+// schedule answers every one of them — and the brownout error gate decides —
+// without touching the heap.
+func TestScheduleQueriesZeroAlloc(t *testing.T) {
+	s := MustNew(
+		KillAt(300, 1),
+		ReclaimAt(100, 5),
+		StragglerWindow(100, 200, 3),
+		ColdSpikeWindow(50, 150, 4),
+		BrownoutWindow(120, 180, 2.5, 0.25),
+		LinkDegradeWindow(10, 20, 1, 6),
+		KillAt(150, 2),
+	)
+	var g Gate
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		for now := 0.0; now < 400; now += 25 {
+			lat, rate, _ := s.BrownoutAt(now)
+			sink += s.StragglerFactor(now) + s.ColdSpikeFactor(now) + s.LinkFactor(now, 1) + lat
+			if g.Fail(rate) {
+				sink++
+			}
+			sink += float64(s.KillsIn(now, now+25))
+		}
+		for cursor, ok := -1, true; ok; {
+			var ev Event
+			ev, cursor, ok = s.NextInstant(cursor, 400)
+			sink += ev.At
+		}
+	}); n != 0 {
+		t.Errorf("schedule queries allocate %.1f times per pass, want 0", n)
+	}
+	if sink == 0 {
+		t.Error("the queries saw no fault")
+	}
+}
+
 func TestRetryPolicyBackoff(t *testing.T) {
 	p := RetryPolicy{MaxAttempts: 5, BaseBackoff: 0.5, MaxBackoff: 3}
 	want := []float64{0.5, 1, 2, 3, 3}

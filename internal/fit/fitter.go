@@ -68,17 +68,13 @@ func (f *Fitter) Reset() { f.hasPrev = false }
 // Fit solves min_params sum_i (model(x_i) - y_i)^2 by Levenberg-Marquardt
 // without heap allocation. The returned Result.Params aliases Fitter-owned
 // storage and is only valid until the next Fit call — copy it to keep it.
-//
-//cescalint:hotpath
 func (f *Fitter) Fit(xs, ys []float64, opts Options) (Result, error) {
 	if len(xs) != len(ys) {
-		//cescalint:allow hotpath -- cold path: malformed-input error, never taken in steady state
 		return Result{}, fmt.Errorf("fit: len(xs)=%d != len(ys)=%d", len(xs), len(ys))
 	}
 	const p = fitterParams
 	n := len(xs)
 	if n < p {
-		//cescalint:allow hotpath -- cold path: short-data error, never taken once the window fills
 		return Result{}, fmt.Errorf("%w: %d < %d", ErrInsufficientData, n, p)
 	}
 	if opts.MaxIter <= 0 {

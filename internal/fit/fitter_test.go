@@ -335,7 +335,6 @@ func TestFitterResultAliasing(t *testing.T) {
 
 // TestFitterZeroAlloc is the steady-state gate: warm and cold refits must
 // not touch the heap.
-// hotpath-gate: fit.Fitter.Fit
 func TestFitterZeroAlloc(t *testing.T) {
 	xs, ys := genInverseLinear(0.2, 1.0, 0.5, 0.01, 40, 3)
 	f := newFitter(t)

@@ -30,27 +30,6 @@ func declaredWithin(obj types.Object, node ast.Node) bool {
 	return obj != nil && obj.Pos() != 0 && obj.Pos() >= node.Pos() && obj.Pos() <= node.End()
 }
 
-// rootIdent walks to the base identifier of an lvalue: x, x[i], x.f, (*x).f
-// all root at x. Returns nil when the base is not a plain identifier.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := e.(type) {
-		case *ast.Ident:
-			return v
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.ParenExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
-}
-
 // isMapType reports whether the static type of e is a map.
 func isMapType(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]

@@ -10,37 +10,28 @@ import (
 	"go/types"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
 // loadedPkg is one module package parsed and type-checked exactly once per
-// run. Analyzers and the importer share the same *types.Package and
-// *types.Info, so a types.Object seen while analyzing package A is
-// pointer-identical to the one seen while analyzing any package that
-// imports A — the property the hotpath fact store is keyed on.
+// run, for the analyzers and for every package that imports it.
 type loadedPkg struct {
-	dir   string
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
 	err   error
-	ready chan struct{} // closed when the fields above are final
+	done  bool // false while the package's own imports are being loaded
 }
 
 // moduleImporter resolves imports for type-checking without any network or
 // third-party machinery: standard-library packages come from the compiler's
 // export data (go/importer, "gc"), and packages inside this module are
 // parsed and type-checked from source, recursively, with results cached and
-// shared across the whole run. All methods are safe for concurrent use by
-// the parallel driver; concurrent loads of the same path block on one
-// in-flight load rather than duplicating it.
+// shared across the whole run.
 type moduleImporter struct {
 	root   string // module root directory
 	module string // module path ("repro")
 	fset   *token.FileSet
 	std    types.Importer
-	stdMu  sync.Mutex // the gc export-data importer is not concurrency-safe
-	mu     sync.Mutex // guards pkgs
 	pkgs   map[string]*loadedPkg
 }
 
@@ -69,8 +60,6 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		return types.Unsafe, nil
 	}
 	if !m.inModule(path) {
-		m.stdMu.Lock()
-		defer m.stdMu.Unlock()
 		return m.std.Import(path)
 	}
 	lp, err := m.load(path)
@@ -81,23 +70,19 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 // load parses and type-checks the module package at path, memoized for the
-// run. The driver analyzes packages in dependency order, so by the time a
-// worker loads its target every module dependency is already cached; lazy
-// recursive loads only happen for packages outside the target set (single
-// fixture runs).
+// run; type-checking it loads the module packages it imports first.
 func (m *moduleImporter) load(path string) (*loadedPkg, error) {
-	m.mu.Lock()
 	if lp, ok := m.pkgs[path]; ok {
-		m.mu.Unlock()
-		<-lp.ready
+		if !lp.done {
+			return nil, fmt.Errorf("import cycle through %q", path)
+		}
 		return lp, lp.err
 	}
-	lp := &loadedPkg{dir: m.dirFor(path), ready: make(chan struct{})}
+	lp := &loadedPkg{}
 	m.pkgs[path] = lp
-	m.mu.Unlock()
-	defer close(lp.ready)
+	defer func() { lp.done = true }()
 
-	lp.files, lp.err = m.parseDir(lp.dir)
+	lp.files, lp.err = m.parseDir(m.dirFor(path))
 	if lp.err != nil {
 		lp.err = fmt.Errorf("load %q: %w", path, lp.err)
 		return lp, lp.err
@@ -107,7 +92,6 @@ func (m *moduleImporter) load(path string) (*loadedPkg, error) {
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
 	}
 	conf := types.Config{Importer: m}
 	lp.pkg, lp.err = conf.Check(path, m.fset, lp.files, lp.info)
@@ -118,8 +102,7 @@ func (m *moduleImporter) load(path string) (*loadedPkg, error) {
 }
 
 // parseDir parses the non-test Go files of one package directory, honouring
-// build constraints via go/build. The shared FileSet is safe for concurrent
-// AddFile, so parallel workers may parse distinct directories at once.
+// build constraints via go/build.
 func (m *moduleImporter) parseDir(dir string) ([]*ast.File, error) {
 	bp, err := build.ImportDir(dir, 0)
 	if err != nil {

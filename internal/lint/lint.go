@@ -1,25 +1,21 @@
 // Package lint is cescalint: a determinism-enforcing static-analysis
 // driver for the CE-scaling tree.
 //
-// Every result this reproduction publishes rests on two invariants the
-// compiler cannot check: bit-identical determinism and allocation-free
-// steady-state hot paths. Stdout must be byte-identical at any -parallel
-// level, the DES clock must never read wall time, floating-point summation
-// order must be fixed, and the per-decision / per-event paths that give the
-// fleet results their throughput must never touch the heap. Runtime tests
+// Every result this reproduction publishes rests on an invariant the
+// compiler cannot check: bit-identical determinism. Stdout must be
+// byte-identical at any -parallel level, the DES clock must never read wall
+// time, and floating-point summation order must be fixed. Runtime tests
 // catch a violation only when one happens to exercise it; cescalint makes
-// the invariants structural by failing `make check` at parse time.
+// the invariant structural by failing `make check` at parse time. (The
+// other promise, allocation-free steady-state hot paths, is a runtime
+// property and is measured by the Test...ZeroAlloc gates.)
 //
 // The driver walks the module, type-checks each package with the standard
 // library's export data plus the module's own source (zero dependencies, no
-// network), and runs a pluggable set of domain analyzers. Packages are
-// analyzed in dependency order by a bounded worker pool: analyzers may
-// export facts about a package's objects (the hotpath analyzer publishes
-// per-function allocation summaries keyed by types.Object) and read the
-// facts of every import. Findings print deterministically — sorted by
-// file:line:column, byte-identical at any parallelism — and can be
-// suppressed only by an explicit, reasoned pragma on the offending line or
-// the line above:
+// network), and runs a pluggable set of domain analyzers over one package
+// at a time. Findings print deterministically — sorted by file:line:column —
+// and can be suppressed only by an explicit, reasoned pragma on the
+// offending line or the line above:
 //
 //	//cescalint:allow walltime -- stderr-only diagnostic, never on stdout
 //
@@ -36,10 +32,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Scope declares which packages an analyzer runs on.
@@ -63,7 +57,7 @@ type Analyzer struct {
 
 // All returns the full analyzer suite, in a fixed order.
 func All() []*Analyzer {
-	return []*Analyzer{Walltime, GlobalRand, MapOrder, FPReduce, ImportBoundary, Shardsafe, Hotpath}
+	return []*Analyzer{Walltime, GlobalRand, MapOrder, FPReduce, ImportBoundary, Shardsafe}
 }
 
 // A Finding is one rule violation at a source position. File is relative to
@@ -91,10 +85,6 @@ type Pass struct {
 
 	analyzer string
 	findings *[]Finding
-	module   string          // module path, for module-membership tests
-	pragmas  []*pragma       // every allow-pragma in the package
-	hotDirs  []*hotDirective // every //cescalint:hotpath annotation
-	facts    *factStore      // cross-package allocation facts (hotpath)
 }
 
 // Reportf records a finding at pos.
@@ -107,21 +97,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.analyzer,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// allowPragmaAt returns the allow-pragma for analyzer name covering pos (its
-// own line or the line above), or nil. Unlike suppress, this is consulted
-// during analysis — the hotpath analyzer uses it to cleanse allocation
-// sites before cleanliness propagates through the call graph.
-func (p *Pass) allowPragmaAt(pos token.Pos, name string) *pragma {
-	position := p.Fset.Position(pos)
-	for _, pr := range p.pragmas {
-		if pr.analyzer == name && pr.file == position.Filename &&
-			(pr.line == position.Line || pr.line == position.Line-1) {
-			return pr
-		}
-	}
-	return nil
 }
 
 // A Target is one package directory to lint, with the import path it is
@@ -137,7 +112,6 @@ type Runner struct {
 	Module    string // module path
 	Policy    *Policy
 	Analyzers []*Analyzer
-	Parallel  int // max packages analyzed concurrently; <=0 means GOMAXPROCS
 
 	fset *token.FileSet
 	imp  *moduleImporter
@@ -196,126 +170,18 @@ func (r *Runner) DiscoverTargets() ([]Target, error) {
 	return targets, nil
 }
 
-// pkgResult is what one worker produces for one target package.
-type pkgResult struct {
-	findings []Finding
-	pragmas  []*pragma
-	hotDirs  []*hotDirective
-}
-
 // Run lints the given targets and returns all surviving findings sorted by
-// (file, line, column, analyzer, message). Packages are analyzed by a
-// bounded worker pool in module-dependency order, so fact-producing
-// analyzers always see their imports' facts; findings are merged in target
-// order and globally sorted, which makes the output byte-identical at any
-// Parallel level.
+// (file, line, column, analyzer, message). Every analyzer looks at one
+// package at a time, so the targets are simply taken in order.
 func (r *Runner) Run(targets []Target) ([]Finding, error) {
-	facts := newFactStore(r.Module)
-
-	// Build the dependency graph restricted to the target set. go/build
-	// gives the import lists without a full parse.
-	index := make(map[string]int, len(targets))
-	for i, t := range targets {
-		index[t.Path] = i
-	}
-	dependents := make([][]int, len(targets))
-	indegree := make([]int, len(targets))
-	for i, t := range targets {
-		bp, err := build.ImportDir(t.Dir, 0)
-		if err != nil {
-			return nil, err
-		}
-		for _, imp := range bp.Imports {
-			if j, ok := index[imp]; ok && j != i {
-				dependents[j] = append(dependents[j], i)
-				indegree[i]++
-			}
-		}
-	}
-	// Kahn dry run: a cycle would starve the worker pool, so reject it
-	// up front (the Go compiler forbids import cycles; this guards
-	// against broken fixtures only).
-	{
-		deg := append([]int(nil), indegree...)
-		queue := make([]int, 0, len(targets))
-		for i, d := range deg {
-			if d == 0 {
-				queue = append(queue, i)
-			}
-		}
-		seen := 0
-		for len(queue) > 0 {
-			i := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			seen++
-			for _, j := range dependents[i] {
-				if deg[j]--; deg[j] == 0 {
-					queue = append(queue, j)
-				}
-			}
-		}
-		if seen != len(targets) {
-			return nil, fmt.Errorf("import cycle among lint targets")
-		}
-	}
-
-	workers := r.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	results := make([]pkgResult, len(targets))
-	errs := make([]error, len(targets))
-	ready := make(chan int, len(targets)) // buffered: sends under mu never block
-	var mu sync.Mutex
-	remaining := len(targets)
-	for i, d := range indegree {
-		if d == 0 {
-			ready <- i
-		}
-	}
-	if remaining == 0 {
-		close(ready)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ready {
-				res, err := r.runPackage(targets[i], facts)
-				mu.Lock()
-				results[i], errs[i] = res, err
-				for _, j := range dependents[i] {
-					if indegree[j]--; indegree[j] == 0 {
-						ready <- j
-					}
-				}
-				if remaining--; remaining == 0 {
-					close(ready)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	var findings []Finding
-	for _, res := range results {
-		findings = append(findings, res.findings...)
+	for _, t := range targets {
+		fs, err := r.runPackage(t)
+		if err != nil {
+			return nil, err
+		}
+		findings = append(findings, fs...)
 	}
-	findings = append(findings, r.stalePragmaFindings(results, facts)...)
 
 	for i := range findings {
 		if rel, err := filepath.Rel(r.Root, findings[i].File); err == nil && !strings.HasPrefix(rel, "..") {
@@ -341,15 +207,15 @@ func (r *Runner) Run(targets []Target) ([]Finding, error) {
 	return findings, nil
 }
 
-// runPackage type-checks one target through the shared importer cache and
-// runs every applicable analyzer, then filters findings through the file's
-// allow-pragmas.
-func (r *Runner) runPackage(t Target, facts *factStore) (pkgResult, error) {
+// runPackage type-checks one target through the shared importer cache, runs
+// every applicable analyzer, filters the findings through the package's
+// allow-pragmas and reports the pragmas that suppressed nothing.
+func (r *Runner) runPackage(t Target) ([]Finding, error) {
 	lp, err := r.imp.load(t.Path)
 	if err != nil {
-		return pkgResult{}, err
+		return nil, err
 	}
-	pragmas, hotDirs, findings := r.collectPragmas(lp.files)
+	pragmas, findings := r.collectPragmas(lp.files)
 	if !r.Policy.Covers(t.Path) && len(lp.files) > 0 {
 		position := r.fset.Position(lp.files[0].Pos())
 		findings = append(findings, Finding{
@@ -371,51 +237,22 @@ func (r *Runner) runPackage(t Target, facts *factStore) (pkgResult, error) {
 			Policy:   r.Policy,
 			analyzer: a.Name,
 			findings: &findings,
-			module:   r.Module,
-			pragmas:  pragmas,
-			hotDirs:  hotDirs,
-			facts:    facts,
 		}
 		a.Run(pass)
 	}
-	return pkgResult{findings: suppress(findings, pragmas), pragmas: pragmas, hotDirs: hotDirs}, nil
-}
-
-// stalePragmaFindings is the end-of-run audit: every pragma and hotpath
-// directive must have earned its keep. An allow-pragma is live when it
-// suppressed a finding (marked by suppress) or, for hotpath pragmas, when
-// it cleansed an allocation site that hot-path cleanliness actually
-// consumed — inside an annotated function, or inside a clean function
-// reachable from one through clean calls. Everything else rotted and is a
-// finding.
-func (r *Runner) stalePragmaFindings(results []pkgResult, facts *factStore) []Finding {
-	consumed := facts.consumedFunctions()
-	var findings []Finding
-	for _, res := range results {
-		for _, p := range res.pragmas {
-			live := p.used
-			if fn := facts.fnOfPragma(p); fn != nil {
-				live = live || fn.hot || fn.implRoot || (fn.clean && consumed[fn.obj])
-			}
-			if !live {
-				findings = append(findings, Finding{
-					File: p.file, Line: p.line, Col: p.col,
-					Analyzer: "pragma",
-					Message:  fmt.Sprintf("stale pragma: //cescalint:allow %s suppresses no finding; remove it", p.analyzer),
-				})
-			}
-		}
-		for _, d := range res.hotDirs {
-			if !d.used {
-				findings = append(findings, Finding{
-					File: d.file, Line: d.line, Col: d.col,
-					Analyzer: "pragma",
-					Message:  "stale directive: //cescalint:hotpath attaches to no function or interface-method declaration",
-				})
-			}
+	findings = suppress(findings, pragmas)
+	// Every pragma must have earned its keep: one that suppressed nothing
+	// rotted and is itself a finding.
+	for _, p := range pragmas {
+		if !p.used {
+			findings = append(findings, Finding{
+				File: p.file, Line: p.line, Col: p.col,
+				Analyzer: "pragma",
+				Message:  fmt.Sprintf("stale pragma: //cescalint:allow %s suppresses no finding; remove it", p.analyzer),
+			})
 		}
 	}
-	return findings
+	return findings, nil
 }
 
 // pragma is one parsed //cescalint:allow comment.
@@ -427,91 +264,67 @@ type pragma struct {
 	used     bool // set when the pragma suppresses a finding
 }
 
-// hotDirective is one //cescalint:hotpath annotation comment. The hotpath
-// analyzer marks it used when it attaches to a function or interface-method
-// declaration; an unattached directive is reported stale.
-type hotDirective struct {
-	file string
-	line int
-	col  int
-	pos  token.Pos
-	used bool
-}
-
 const pragmaPrefix = "//cescalint:"
 
 // collectPragmas parses every cescalint directive in files. Malformed
 // directives (unknown verb, unknown analyzer name, missing reason) are
 // returned as findings so a misspelled suppression cannot silently widen
 // the allowed surface.
-func (r *Runner) collectPragmas(files []*ast.File) ([]*pragma, []*hotDirective, []Finding) {
+func (r *Runner) collectPragmas(files []*ast.File) ([]*pragma, []Finding) {
 	known := make(map[string]bool, len(r.Analyzers))
 	for _, a := range r.Analyzers {
 		known[a.Name] = true
 	}
 	var pragmas []*pragma
-	var hotDirs []*hotDirective
 	var findings []Finding
-	report := func(pos token.Pos, format string, args ...any) {
-		position := r.fset.Position(pos)
-		findings = append(findings, Finding{
-			File:     position.Filename,
-			Line:     position.Line,
-			Col:      position.Column,
-			Analyzer: "pragma",
-			Message:  fmt.Sprintf(format, args...),
-		})
-	}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, pragmaPrefix) {
-					continue
-				}
-				rest := strings.TrimPrefix(c.Text, pragmaPrefix)
-				if rest == "hotpath" || strings.HasPrefix(rest, "hotpath ") {
-					after := strings.TrimSpace(strings.TrimPrefix(rest, "hotpath"))
-					if after != "" && !strings.HasPrefix(after, "--") {
-						report(c.Pos(), "cescalint:hotpath directive takes no arguments (an optional `-- note` is allowed)")
-						continue
-					}
-					position := r.fset.Position(c.Pos())
-					hotDirs = append(hotDirs, &hotDirective{
-						file: position.Filename, line: position.Line, col: position.Column, pos: c.Pos(),
-					})
-					continue
-				}
-				if !strings.HasPrefix(rest, "allow ") && rest != "allow" {
-					verb := "(empty)"
-					if fs := strings.Fields(rest); len(fs) > 0 {
-						verb = fs[0]
-					}
-					report(c.Pos(), "unknown cescalint directive %q (want \"allow\" or \"hotpath\")", verb)
-					continue
-				}
-				spec := strings.TrimPrefix(rest, "allow")
-				name, reason, hasReason := strings.Cut(spec, "--")
-				name = strings.TrimSpace(name)
-				if name == "" {
-					report(c.Pos(), "cescalint:allow pragma names no analyzer")
-					continue
-				}
-				if !known[name] {
-					report(c.Pos(), "cescalint:allow pragma names unknown analyzer %q", name)
-					continue
-				}
-				if !hasReason || strings.TrimSpace(reason) == "" {
-					report(c.Pos(), "cescalint:allow %s pragma requires a reason: `//cescalint:allow %s -- <why>`", name, name)
+				rest, ok := strings.CutPrefix(c.Text, pragmaPrefix)
+				if !ok {
 					continue
 				}
 				position := r.fset.Position(c.Pos())
+				name, problem := parseDirective(rest, known)
+				if problem != "" {
+					findings = append(findings, Finding{
+						File: position.Filename, Line: position.Line, Col: position.Column,
+						Analyzer: "pragma", Message: problem,
+					})
+					continue
+				}
 				pragmas = append(pragmas, &pragma{
 					file: position.Filename, line: position.Line, col: position.Column, analyzer: name,
 				})
 			}
 		}
 	}
-	return pragmas, hotDirs, findings
+	return pragmas, findings
+}
+
+// parseDirective parses what follows "//cescalint:" in one comment. A
+// well-formed directive is "allow <analyzer> -- <reason>" naming a known
+// analyzer; for anything else problem says what is wrong and the comment
+// suppresses nothing.
+func parseDirective(rest string, known map[string]bool) (analyzer, problem string) {
+	if !strings.HasPrefix(rest, "allow ") && rest != "allow" {
+		verb := "(empty)"
+		if fs := strings.Fields(rest); len(fs) > 0 {
+			verb = fs[0]
+		}
+		return "", fmt.Sprintf("unknown cescalint directive %q (want \"allow\")", verb)
+	}
+	name, reason, hasReason := strings.Cut(strings.TrimPrefix(rest, "allow"), "--")
+	name = strings.TrimSpace(name)
+	switch {
+	case name == "":
+		return "", "cescalint:allow pragma names no analyzer"
+	case !known[name]:
+		return "", fmt.Sprintf("cescalint:allow pragma names unknown analyzer %q", name)
+	case !hasReason || strings.TrimSpace(reason) == "":
+		return "", fmt.Sprintf("cescalint:allow %s pragma requires a reason: `//cescalint:allow %s -- <why>`", name, name)
+	}
+	return name, ""
 }
 
 // suppress drops findings covered by a same-analyzer pragma on the finding's

@@ -6,39 +6,14 @@ import (
 	"testing"
 )
 
-// allFixtures returns every testdata package as a lint target.
+// allFixtures returns every golden testdata package as a lint target.
 func allFixtures(t *testing.T) []Target {
 	t.Helper()
 	var targets []Target
-	for _, name := range []string{
-		"walltime", "globalrand", "maporder", "fpreduce", "importboundary",
-		"pragma", "shardsafe", "hotpath", "hotpathreg",
-		"hotpathfacts/inner", "hotpathfacts/outer", "stalepragma",
-	} {
+	for _, name := range goldenFixtures {
 		targets = append(targets, fixtureTarget(t, name))
 	}
 	return targets
-}
-
-// TestDriverParallelByteIdentical pins the parallel-driver satellite: the
-// rendered output must be byte-identical whether packages are analyzed one
-// at a time or with maximum worker fan-out.
-func TestDriverParallelByteIdentical(t *testing.T) {
-	var outputs []string
-	for _, par := range []int{1, 2, 8} {
-		r := testRunner(t)
-		r.Parallel = par
-		findings, err := r.Run(allFixtures(t))
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", par, err)
-		}
-		outputs = append(outputs, render(findings))
-	}
-	for i := 1; i < len(outputs); i++ {
-		if outputs[i] != outputs[0] {
-			t.Errorf("output differs between parallel=1 and parallel=%d\n--- p=1 ---\n%s--- other ---\n%s", []int{1, 2, 8}[i], outputs[0], outputs[i])
-		}
-	}
 }
 
 // TestOutputByteIdenticalAndSorted is the driver's own determinism

@@ -19,7 +19,6 @@ import (
 //	forbid           net
 //	shard-restricted repro/internal/sim
 //	shard-exempt     repro/internal/sim/parallel.go
-//	hotpath          repro/internal/fit.Fitter.Fit
 //
 // Patterns are exact import paths, or a prefix ending in /... which matches
 // the path itself and everything below it. "forbid net" bans both "net" and
@@ -27,12 +26,11 @@ import (
 // "<package-path>/<file>.go") that may use concurrency inside a
 // shard-restricted package; exemptions are exact, never patterns.
 //
-// Every package in the module must appear in exactly one of the
+// Every package in the module must appear in at least one of the
 // deterministic, output, or unchecked sets; a package in none of them is a
 // policy-completeness finding, so a newly added package cannot silently
-// bypass the suite. "hotpath" marks one function (as "<pkg-path>.<Func>" or
-// "<pkg-path>.<Type>.<Method>") allocation-free in steady state, equivalent
-// to a //cescalint:hotpath comment on its declaration.
+// bypass the suite. The sets may overlap: internal/experiments is both
+// deterministic and the one deterministic package allowed to print.
 type Policy struct {
 	deterministic   []string
 	output          []string
@@ -40,7 +38,6 @@ type Policy struct {
 	forbidden       []string
 	shardRestricted []string
 	shardExempt     []string
-	hotpath         []string
 }
 
 // IsDeterministic reports whether pkg is in the deterministic set: packages
@@ -54,8 +51,8 @@ func (p *Policy) IsDeterministic(pkg string) bool { return matchAny(p.determinis
 func (p *Policy) IsOutput(pkg string) bool { return matchAny(p.output, pkg) }
 
 // IsUnchecked reports whether pkg is deliberately outside the lint surface
-// (tooling). Unchecked packages still type-check and export
-// allocation facts, but no determinism analyzer runs on them.
+// (tooling). Unchecked packages still type-check, but no determinism
+// analyzer runs on them.
 func (p *Policy) IsUnchecked(pkg string) bool { return matchAny(p.unchecked, pkg) }
 
 // Covers reports whether pkg appears in any policy set. The driver turns an
@@ -63,17 +60,6 @@ func (p *Policy) IsUnchecked(pkg string) bool { return matchAny(p.unchecked, pkg
 // module grows.
 func (p *Policy) Covers(pkg string) bool {
 	return p.IsDeterministic(pkg) || p.IsOutput(pkg) || p.IsUnchecked(pkg)
-}
-
-// IsHotpathFunc reports whether the function key ("<pkg-path>.<Func>" or
-// "<pkg-path>.<Type>.<Method>") is declared hotpath by the policy file.
-func (p *Policy) IsHotpathFunc(key string) bool {
-	for _, h := range p.hotpath {
-		if h == key {
-			return true
-		}
-	}
-	return false
 }
 
 // ForbiddenImport reports whether importPath may not be imported from a
@@ -138,8 +124,6 @@ func ParsePolicy(data []byte, name string) (*Policy, error) {
 			p.output = append(p.output, fields[1])
 		case "unchecked":
 			p.unchecked = append(p.unchecked, fields[1])
-		case "hotpath":
-			p.hotpath = append(p.hotpath, fields[1])
 		case "forbid":
 			p.forbidden = append(p.forbidden, fields[1])
 		case "shard-restricted":
@@ -147,7 +131,7 @@ func ParsePolicy(data []byte, name string) (*Policy, error) {
 		case "shard-exempt":
 			p.shardExempt = append(p.shardExempt, fields[1])
 		default:
-			return nil, fmt.Errorf("%s:%d: unknown keyword %q (want deterministic, output, unchecked, hotpath, forbid, shard-restricted, or shard-exempt)", name, i+1, fields[0])
+			return nil, fmt.Errorf("%s:%d: unknown keyword %q (want deterministic, output, unchecked, forbid, shard-restricted, or shard-exempt)", name, i+1, fields[0])
 		}
 	}
 	return p, nil

@@ -29,3 +29,15 @@ func UnknownVerb() time.Time {
 	//cescalint:deny walltime -- no such directive
 	return time.Now()
 }
+
+// RetiredAnnotation carries the function annotation of the static
+// allocation analyzer this suite once had: now an unknown directive.
+//
+//cescalint:hotpath
+func RetiredAnnotation() int { return 0 }
+
+// RetiredWaiver names that analyzer in an allow-pragma: unknown as well.
+func RetiredWaiver(n int) []int {
+	//cescalint:allow hotpath -- amortized: grows once
+	return make([]int, n)
+}

@@ -1,6 +1,6 @@
-// Package stalepragma seeds suppressions that rot: well-formed pragmas
-// that no longer suppress anything, and a hotpath directive attached to
-// nothing. Each is a finding, so the allowed surface cannot silently grow.
+// Package stalepragma seeds a suppression that rots: a well-formed pragma
+// that no longer suppresses anything is a finding, so the allowed surface
+// cannot silently grow.
 package stalepragma
 
 import "time"
@@ -16,17 +16,4 @@ func Fresh() time.Time {
 func Stale(d time.Duration) time.Duration {
 	//cescalint:allow walltime -- fixture: the guarded call was deleted
 	return 2 * d
-}
-
-// orphan cleanses an allocation no hot path consumes; the pragma is dead
-// weight and must surface.
-func orphan(n int) []int {
-	//cescalint:allow hotpath -- fixture: nobody hot calls this
-	return make([]int, n)
-}
-
-// floating carries a hotpath directive that attaches to no declaration.
-func floating() int {
-	//cescalint:hotpath
-	return 0
 }

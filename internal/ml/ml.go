@@ -34,13 +34,9 @@ type Objective interface {
 	// accumulating into deliberately). It runs once per worker per BSP
 	// iteration — the innermost loop of every simulated training trial —
 	// so every implementation must be allocation-free.
-	//
-	//cescalint:hotpath
 	Gradient(w []float64, m *dataset.Matrix, idx []int, grad []float64)
 	// Loss returns the average loss over all rows of m at weights w. It
 	// closes every epoch, so implementations share Gradient's obligation.
-	//
-	//cescalint:hotpath
 	Loss(w []float64, m *dataset.Matrix) float64
 }
 
@@ -271,7 +267,6 @@ func NewWorker(shard *dataset.Matrix, rng *sim.Rand) *Worker {
 func (w *Worker) reshuffle() {
 	n := w.Shard.Rows
 	if cap(w.perm) < n {
-		//cescalint:allow hotpath -- amortized: the permutation buffer is sized once per shard; steady-state epochs reuse it
 		w.perm = make([]int, n)
 	}
 	p := w.perm[:n]
@@ -441,9 +436,8 @@ func (t *Trainer) RunIteration() {
 // training loss at the end of the epoch. This is the engine's steady-state
 // entry point — one call per simulated epoch across every trial — and the
 // whole iteration chain beneath it (WorkerGradients, GradientInto, batch
-// cursoring, aggregation, the epoch-end Loss) is verified allocation-free.
-//
-//cescalint:hotpath
+// cursoring, aggregation, the epoch-end Loss) is allocation-free
+// (TestRunEpochZeroAlloc).
 func (t *Trainer) RunEpoch() float64 {
 	k := t.IterationsPerEpoch()
 	for i := 0; i < k; i++ {

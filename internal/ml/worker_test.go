@@ -182,3 +182,21 @@ func TestRunEpochMatchesNaiveReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRunEpochZeroAlloc: a steady-state epoch — batch draws and reshuffles,
+// every worker's Gradient, aggregation, the SGD step and the epoch-end Loss —
+// does not touch the heap under any Objective. (BenchmarkRunEpoch reports the
+// same figure; this makes it a failure.)
+func TestRunEpochZeroAlloc(t *testing.T) {
+	data := binData(600, 16, 0.15, 17)
+	for _, obj := range []Objective{Logistic{L2: 1e-4}, Hinge{L2: 1e-4}, Squared{L2: 1e-4}} {
+		tr, err := NewTrainer(data, Config{Objective: obj, Workers: 4, BatchPerWkr: 37, LearningRate: 0.05, Seed: 41})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.RunEpoch() // the first epoch sizes the gradient and aggregate buffers
+		if n := testing.AllocsPerRun(20, func() { tr.RunEpoch() }); n != 0 {
+			t.Errorf("%s: RunEpoch allocates %.1f times per epoch, want 0", obj.Name(), n)
+		}
+	}
+}

@@ -78,8 +78,6 @@ func NewWithClock(clock func() float64) *Observer {
 // Enabled reports whether the observer records anything. Hot paths must
 // guard argument construction behind it so the disabled path allocates
 // nothing.
-//
-//cescalint:hotpath
 func (o *Observer) Enabled() bool { return o != nil }
 
 // Trace returns the observer's tracer (nil when disabled).

@@ -90,13 +90,10 @@ func TestArgConstructors(t *testing.T) {
 	}
 }
 
-// TestDisabledPathAllocatesNothing is the package-local half of the
-// zero-alloc guarantee (the other half is the RunEpoch benchmark in
-// internal/ml staying at 0 allocs/op). The idiom under test is the one
-// instrumented hot paths use: guard arg construction behind Enabled().
-//
-// hotpath-gate: obs.Observer.Enabled
-func TestDisabledPathAllocatesNothing(t *testing.T) {
+// TestDisabledPathZeroAlloc: with observation off, the idiom instrumented
+// hot paths use — guard arg construction behind Enabled() — costs no
+// allocation.
+func TestDisabledPathZeroAlloc(t *testing.T) {
 	var o *Observer
 	allocs := testing.AllocsPerRun(100, func() {
 		if o.Enabled() {

@@ -40,8 +40,6 @@ var LatencyBuckets = []float64{
 
 // Observe records v. Values exactly on a bucket's upper bound land in that
 // bucket (v <= bound), matching the registry Histogram's semantics.
-//
-//cescalint:hotpath
 func (h *Hist) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i]++

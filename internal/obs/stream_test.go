@@ -72,7 +72,6 @@ func TestHistMergeLayoutMismatchPanics(t *testing.T) {
 	NewHist([]float64{1, 2}).Merge(NewHist([]float64{1, 3}))
 }
 
-// hotpath-gate: obs.Hist.Observe
 func TestHistObserveZeroAlloc(t *testing.T) {
 	h := NewHist(LatencyBuckets)
 	if n := testing.AllocsPerRun(1000, func() { h.Observe(0.3) }); n != 0 {

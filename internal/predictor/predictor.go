@@ -200,14 +200,11 @@ func (o *Online) SetWarmStart(on bool) {
 
 func (o *Online) ensureFitter() {
 	if o.fitter == nil {
-		//cescalint:allow hotpath -- one-time lazy init: the solver is built on the first refit and reused forever
 		o.fitter = newFitter()
 	}
 }
 
 // Observe records the loss after epoch (1-based).
-//
-//cescalint:hotpath
 func (o *Online) Observe(epoch int, loss float64) {
 	if o.fixedCap > 0 && len(o.xs) == o.fixedCap {
 		copy(o.xs, o.xs[1:])
@@ -215,9 +212,7 @@ func (o *Online) Observe(epoch int, loss float64) {
 		o.xs[o.fixedCap-1] = float64(epoch)
 		o.ys[o.fixedCap-1] = loss
 	} else {
-		//cescalint:allow hotpath -- unbounded-history mode; the fleet tuning caps the window and takes the in-place branch
 		o.xs = append(o.xs, float64(epoch))
-		//cescalint:allow hotpath -- unbounded-history mode; the fleet tuning caps the window and takes the in-place branch
 		o.ys = append(o.ys, loss)
 	}
 	o.dirty = true
@@ -273,7 +268,7 @@ func (o *Online) Curve() ([]float64, bool) {
 // PredictTotalEpochs estimates the total number of epochs (from the start of
 // training) needed to reach target. ok=false before enough observations.
 // Together with Observe it forms the per-epoch observe+refit+predict cycle,
-// annotated allocation-free under the fleet tuning.
+// allocation-free under the fleet tuning (TestFixedWindowObserveZeroAlloc).
 //
 // When the freely fitted floor c sits at or above the target — common early
 // in training, when few points barely constrain the curve's tail — the
@@ -281,8 +276,6 @@ func (o *Online) Curve() ([]float64, bool) {
 // the predictor falls back to a reachability prior: fix c just below the
 // target and fit only (a, b), which is a linear least-squares problem in
 // z = 1/(loss - c).
-//
-//cescalint:hotpath
 func (o *Online) PredictTotalEpochs(target float64) (int, bool) {
 	params, ok := o.Curve()
 	if !ok {

@@ -45,9 +45,6 @@ func TestFixedWindowMidstream(t *testing.T) {
 
 // TestFixedWindowObserveZeroAlloc: the steady-state observe+refit+predict
 // cycle under the fleet tuning must not allocate.
-//
-// hotpath-gate: predictor.Online.Observe
-// hotpath-gate: predictor.Online.PredictTotalEpochs
 func TestFixedWindowObserveZeroAlloc(t *testing.T) {
 	o := NewOnline()
 	o.ApplyTuning(Tuning{FixedWindow: 16, WarmStart: true, RefitBudget: 10})

@@ -352,15 +352,13 @@ func (s *Scheduler) worthSwitching(next cost.Allocation, remaining int, elapsed,
 // Controller returns the trainer hook implementing Algorithm 2 lines 8-15:
 // the decide method as a bound value. The binding allocates once per job at
 // wiring time; the per-epoch decide calls it funnels are allocation-free in
-// steady state (cescalint-verified, gated by TestSteadyStateZeroAlloc).
+// steady state (gated by TestDecisionZeroAlloc).
 func (s *Scheduler) Controller() trainer.Controller {
 	return s.decide
 }
 
 // decide is the per-epoch Algorithm 2 body (lines 8-15): observe the loss,
 // refit, and re-select the allocation when the prediction drifts past δ.
-//
-//cescalint:hotpath
 func (s *Scheduler) decide(epoch int, loss float64, elapsed, spent float64) trainer.Decision {
 	s.online.Observe(epoch, loss)
 	s.spent = spent
@@ -370,7 +368,6 @@ func (s *Scheduler) decide(epoch int, loss float64, elapsed, spent float64) trai
 
 	if s.cfg.Budget > 0 && spent >= s.cfg.Budget {
 		dec.Stop = true
-		//cescalint:allow hotpath -- observability: logDecision self-gates on Obs.Enabled; the steady-state gate runs disabled
 		s.logDecision(elapsed, epoch, loss, 0, 0, "stop-budget", dec)
 		return dec
 	}
@@ -420,14 +417,12 @@ func (s *Scheduler) decide(epoch int, loss float64, elapsed, spent float64) trai
 				s.alloc = next
 				s.Restarts++
 				s.Adjustments++
-				//cescalint:allow hotpath -- next escapes only on an adjustment epoch (restart); within-delta epochs never reach this
 				dec.NewAlloc = &next
 				dec.Delayed = s.cfg.DelayedRestart
 			}
 		}
 	}
 	dec.PlanningSeconds = s.PlanningSeconds - planningBefore
-	//cescalint:allow hotpath -- observability: logDecision self-gates on Obs.Enabled; the steady-state gate runs disabled
 	s.logDecision(elapsed, epoch, loss, predicted, drift, path, dec)
 	return dec
 }

@@ -190,8 +190,6 @@ func TestSchedulerSharedFrontier(t *testing.T) {
 // of PR5's RunEpoch gate): one full per-epoch decision — observe, fit,
 // predict, select, log — must not touch the heap under the fleet tuning
 // with tracing disabled.
-//
-// hotpath-gate: scheduler.Scheduler.decide
 func TestDecisionZeroAlloc(t *testing.T) {
 	m := cost.NewModel(workload.MobileNet())
 	s := New(Config{

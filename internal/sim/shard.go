@@ -194,16 +194,12 @@ func (sh *Shard) Rand(name string) *Rand { return sh.sim.Rand(name) }
 
 // Schedule queues fn to run on this shard at absolute virtual time at.
 // Scheduling in the past (before the shard's Now) panics.
-//
-//cescalint:hotpath
 func (sh *Shard) Schedule(at Time, fn func()) Event {
 	return sh.SchedulePriority(at, 0, fn)
 }
 
 // ScheduleAfter queues fn to run on this shard d seconds from the shard's
 // now. Negative d panics.
-//
-//cescalint:hotpath
 func (sh *Shard) ScheduleAfter(d Duration, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: ScheduleAfter with negative delay %g", d))
@@ -217,8 +213,6 @@ func (sh *Shard) ScheduleAfter(d Duration, fn func()) Event {
 // Only the shard's own events (or setup code running outside Run) may
 // schedule onto it; an event on another shard must use Post instead, and
 // the kernel panics on violations it can observe.
-//
-//cescalint:hotpath
 func (sh *Shard) SchedulePriority(at Time, priority int, fn func()) Event {
 	s := sh.sim
 	if d := s.draining; d != nil && d != sh {
@@ -246,8 +240,6 @@ func (sh *Shard) SchedulePriority(at Time, priority int, fn func()) Event {
 // without observing each other. Posting to the shard itself is allowed and
 // follows the same rules. Post requires a finite lookahead
 // (Simulation.SetLookahead).
-//
-//cescalint:hotpath
 func (sh *Shard) Post(to *Shard, at Time, priority int, fn func()) {
 	s := sh.sim
 	if to == nil || to.sim != s {
@@ -272,7 +264,6 @@ func (sh *Shard) Post(to *Shard, at Time, priority int, fn func()) {
 	if at < sh.now+Time(s.lookahead) {
 		panic(fmt.Sprintf("sim: post at %v violates lookahead: sender shard %d is at %v with lookahead %g", at, sh.idx, sh.now, s.lookahead))
 	}
-	//cescalint:allow hotpath -- amortized: outbox grows to the per-window high-water post count, then is reused
 	sh.outbox = append(sh.outbox, postMsg{to: to, at: at, pri: priority, fn: fn})
 }
 
@@ -300,8 +291,6 @@ type BatchEvent struct {
 // (Floyd) in O(pending + batch) instead of paying O(batch * log(pending))
 // sift-ups; small batches fall back to individual pushes. Batch events
 // return no handles and cannot be canceled.
-//
-//cescalint:hotpath
 func (sh *Shard) ScheduleBatch(batch []BatchEvent) {
 	s := sh.sim
 	if d := s.draining; d != nil && d != sh {
@@ -329,14 +318,12 @@ func (sh *Shard) ScheduleBatch(batch []BatchEvent) {
 	}
 	q := sh.heap
 	if need := len(q) + len(batch); cap(q) < need {
-		//cescalint:allow hotpath -- amortized: grows the heap once to the batch high-water mark, then is reused
 		grown := make([]heapEntry, len(q), need)
 		copy(grown, q)
 		q = grown
 	}
 	for i := range batch {
 		slot := sh.newSlot(batch[i].At, batch[i].Fn)
-		//cescalint:allow hotpath -- no growth: capacity was reserved above, append only extends the length
 		q = append(q, heapEntry{at: batch[i].At, pri: batch[i].Pri, seq: sh.seq, slot: slot})
 		sh.seq++
 	}
@@ -367,7 +354,6 @@ func (sh *Shard) newSlot(at Time, fn func()) *eventSlot {
 		sh.free, slot.next = slot.next, nil
 	} else {
 		if len(sh.arena) == 0 {
-			//cescalint:allow hotpath -- amortized: one arena block per arenaChunk fresh slots; steady state recycles via the free list
 			block := make([]eventSlot, arenaChunk)
 			for i := range block {
 				block[i].sh = sh
@@ -485,7 +471,6 @@ func (sh *Shard) drainOne() bool {
 
 // heapPush appends e and sifts it up to its ordered position.
 func (sh *Shard) heapPush(e heapEntry) {
-	//cescalint:allow hotpath -- amortized: heap grows to the high-water pending-event count, then is reused
 	q := append(sh.heap, e)
 	i := len(q) - 1
 	for i > 0 {

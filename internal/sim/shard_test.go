@@ -248,6 +248,50 @@ func TestShardFreeListsStayZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestKernelSteadyStateZeroAlloc is the kernel's share of the zero-allocation
+// contract. Once heaps, outboxes and arenas have reached their high-water
+// marks, a RunUntil window that takes every scheduling entry point —
+// Schedule, ScheduleAfter, SchedulePriority, ScheduleBatch on both its sift
+// and its heapify branch, Post across shards, Cancel and the reap passes it
+// starts — does not touch the Go heap.
+func TestKernelSteadyStateZeroAlloc(t *testing.T) {
+	s := New(1)
+	s.EnsureShards(2)
+	s.SetLookahead(1)
+	a, b := s.Shard(0), s.Shard(1)
+	nop := func() {}
+	echo := func() { b.ScheduleAfter(0.25, nop) }
+	batch := make([]BatchEvent, 4)
+	var tick func()
+	tick = func() {
+		now := a.Now()
+		a.Schedule(now+0.25, nop)
+		a.SchedulePriority(now+0.5, -1, nop)
+		// A hold canceled long before it is due, like the reclaim of a warm
+		// sandbox that is reused: the dead entries the reap passes drop. They
+		// also move the heap length across ScheduleBatch's break-even.
+		a.ScheduleAfter(600, nop).Cancel()
+		a.Post(b, now+1, 0, echo)
+		for i := range batch {
+			batch[i] = BatchEvent{At: now + 0.75, Pri: i, Fn: nop}
+		}
+		a.ScheduleBatch(batch)
+		a.ScheduleAfter(1, tick)
+	}
+	a.ScheduleAfter(1, tick)
+	s.RunUntil(1000) // warm-up: several reap cycles
+	fired, slots := s.EventsFired(), a.allocs+b.allocs
+	if n := testing.AllocsPerRun(100, func() { s.RunUntil(s.Now() + 10) }); n != 0 {
+		t.Errorf("a steady-state kernel window allocates %.1f times, want 0", n)
+	}
+	if n := s.EventsFired() - fired; n < 100*10*8 { // 100 windows of 10 s, 9 events a second
+		t.Errorf("only %d events fired in the measured windows; the gate measured an idle kernel", n)
+	}
+	if a.allocs+b.allocs != slots {
+		t.Errorf("arenas grew from %d to %d slots in steady state", slots, a.allocs+b.allocs)
+	}
+}
+
 // --- randomized cross-shard workload, cross-checked against the reference ---
 
 // actorWorld abstracts "which kernel runs the workload" so the exact same

@@ -97,7 +97,6 @@ func NewParser() *Parser {
 // current row.
 func (p *Parser) flushNum() {
 	if p.inNum {
-		//cescalint:allow hotpath -- amortized: counts grows to the trace high-water mark, then is reused
 		p.counts = append(p.counts, uint32(p.cur))
 		p.cur, p.inNum, p.rowOpen = 0, false, true
 	}
@@ -106,7 +105,6 @@ func (p *Parser) flushNum() {
 // endRow closes the current row, if it produced any counts.
 func (p *Parser) endRow() {
 	if p.rowOpen {
-		//cescalint:allow hotpath -- amortized: offsets grows to the trace row count, then is reused
 		p.offsets = append(p.offsets, int32(len(p.counts)))
 		p.rowOpen = false
 	}
@@ -114,11 +112,8 @@ func (p *Parser) endRow() {
 
 // Parse reads an entire trace from r. See the Parser doc for the format
 // and the aliasing caveat.
-//
-//cescalint:hotpath
 func (p *Parser) Parse(r io.Reader) (Trace, error) {
 	p.counts = p.counts[:0]
-	//cescalint:allow hotpath -- amortized: offsets grows to the trace row count, then is reused
 	p.offsets = append(p.offsets[:0], 0)
 	p.cur, p.inNum, p.rowOpen = 0, false, false
 	var (
@@ -127,7 +122,6 @@ func (p *Parser) Parse(r io.Reader) (Trace, error) {
 		line      = 1
 	)
 	for {
-		//cescalint:allow hotpath -- caller-supplied io.Reader; the steady-state gate reuses a bytes.Reader
 		n, err := r.Read(p.buf)
 		for _, b := range p.buf[:n] {
 			if inComment {
@@ -141,7 +135,6 @@ func (p *Parser) Parse(r io.Reader) (Trace, error) {
 			case b >= '0' && b <= '9':
 				p.cur = p.cur*10 + uint64(b-'0')
 				if p.cur > math.MaxUint32 {
-					//cescalint:allow hotpath -- cold path: malformed-input error
 					return Trace{}, fmt.Errorf("traffic: line %d: count overflows uint32", line)
 				}
 				p.inNum, atStart = true, false
@@ -158,7 +151,6 @@ func (p *Parser) Parse(r io.Reader) (Trace, error) {
 			case b == '#' && atStart:
 				inComment = true
 			default:
-				//cescalint:allow hotpath -- cold path: malformed-input error
 				return Trace{}, fmt.Errorf("traffic: line %d: unexpected byte %q", line, b)
 			}
 		}
@@ -166,7 +158,6 @@ func (p *Parser) Parse(r io.Reader) (Trace, error) {
 			break
 		}
 		if err != nil {
-			//cescalint:allow hotpath -- cold path: reader failure error
 			return Trace{}, fmt.Errorf("traffic: read: %w", err)
 		}
 	}

@@ -73,12 +73,10 @@ func TestParseTraceEmpty(t *testing.T) {
 	}
 }
 
-// TestParserReuse: a reused parser reproduces the same trace and, in
-// steady state, allocates nothing — the zero-alloc contract the
+// TestParserReuseZeroAlloc: a reused parser reproduces the same trace and,
+// in steady state, allocates nothing — the zero-alloc contract the
 // benchmark measures.
-//
-// hotpath-gate: traffic.Parser.Parse
-func TestParserReuse(t *testing.T) {
+func TestParserReuseZeroAlloc(t *testing.T) {
 	in := []byte("8,0,3\n1,1,1,1\n")
 	p := NewParser()
 	first, err := p.Parse(bytes.NewReader(in))

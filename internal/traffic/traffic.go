@@ -27,10 +27,8 @@ import (
 // After the first false, every subsequent call returns false.
 type Cursor interface {
 	// Next runs once per arrival — tens of millions of times per scenario —
-	// so every implementation must be allocation-free (cescalint enforces
-	// this via the hotpath annotation).
-	//
-	//cescalint:hotpath
+	// so every implementation must be allocation-free
+	// (TestCursorNextZeroAlloc measures each kind).
 	Next() (t float64, ok bool)
 }
 

@@ -178,8 +178,6 @@ func TestTraceCursorHorizonTruncates(t *testing.T) {
 
 // TestCursorNextZeroAlloc: the per-arrival step is allocation-free for
 // every kind — the scenarios call it tens of millions of times.
-//
-// hotpath-gate: traffic.Cursor.Next
 func TestCursorNextZeroAlloc(t *testing.T) {
 	for _, cfg := range allKinds(math.MaxFloat64 / 2) {
 		cfg := cfg

@@ -269,7 +269,6 @@ func TestConcurrentCursorsOnOneKey(t *testing.T) {
 
 // TestRealEngineCursorZeroAlloc is the steady-state gate for replayed
 // epochs: an attached cursor behind the frontier reads, it never trains.
-// hotpath-gate: workload.realEngine.NextEpoch
 func TestRealEngineCursorZeroAlloc(t *testing.T) {
 	m := LRHiggs()
 	lead := newReal(t, m, 400, 71)

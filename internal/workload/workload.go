@@ -384,14 +384,11 @@ func lrScale(objective string) float64 {
 }
 
 // NextEpoch implements Engine; behind the frontier it is one locked load.
-//
-//cescalint:hotpath
 func (e *realEngine) NextEpoch() float64 {
 	e.epoch++
 	if e.own != nil {
 		e.last = e.own.RunEpoch()
 	} else {
-		//cescalint:allow hotpath -- amortized: sync.Mutex is outside the analyzer's allowlist, and training past the frontier happens once per (key, epoch) process-wide
 		e.last, _ = e.traj.at(e.epoch)
 	}
 	return e.last
