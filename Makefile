@@ -44,8 +44,10 @@ shard-check:
 # gates are the allocation contract: every test named Test...ZeroAlloc, found
 # by name so a new one cannot be left out, fails hard if the steady state it
 # drives touches the heap (testing.AllocsPerRun == 0 on the fit, replay,
-# observe, decision, kernel, fault-query, SGD-epoch, faas and traffic paths;
-# mallocs per arrival on the shared-account pipeline). The kernel's
+# observe, decision, kernel, fault-query, SGD-epoch, faas (admission, release
+# and both entry points' denial) and traffic paths; mallocs per arrival on the
+# shared-account pipeline and on the open-loop tenant, macro-day and
+# macro-chaos with their denials, retries, drops and kills). The kernel's
 # TestCancelChurnReusesSlots counts arena slots instead: steady cancel churn
 # must reuse them. The benchmarks (ml kernels, dataset caches, DES kernel,
 # decision path) run at a fixed small iteration count: fast enough for CI,

@@ -123,6 +123,10 @@ func BenchmarkFig19xValidationStorages(b *testing.B) { benchExperiment(b, "fig19
 // Ablation — multi-tenant contention on one serverless account.
 func BenchmarkAblationCluster(b *testing.B) { benchExperiment(b, "abl-cluster") }
 
-// Macro — open-loop traffic streams (lazy arrival cursors, batch
-// injection, streaming aggregation) on one shared account, default scale.
-func BenchmarkMacroTrace(b *testing.B) { benchExperiment(b, "macro-trace") }
+// Macro — the three open-loop scenarios at their default scales, allocs/op
+// reported (`go test -bench Macro`): streams on one shared account
+// (macro-trace), tenants on their own capped platforms under coordinator
+// shedding (macro-day) and under compiled fault schedules (macro-chaos).
+func BenchmarkMacroTrace(b *testing.B) { b.ReportAllocs(); benchExperiment(b, "macro-trace") }
+func BenchmarkMacroDay(b *testing.B)   { b.ReportAllocs(); benchExperiment(b, "macro-day") }
+func BenchmarkMacroChaos(b *testing.B) { b.ReportAllocs(); benchExperiment(b, "macro-chaos") }

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/faas"
 	"repro/internal/storage"
 	"repro/internal/trainer"
 	"repro/internal/workload"
@@ -95,6 +97,15 @@ func TestOversubscribedJobQueues(t *testing.T) {
 	}
 	if !c.Result.Converged {
 		t.Error("queued job should still converge")
+	}
+	// What the queue rests on: a capped StartJob fails with an error that,
+	// under the trainer's detail, still is the platform's bare sentinel.
+	r := trainer.NewRunner(3)
+	if _, err := r.Compute().InvokeGroup(2000, 1769); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.StartJob(job(t, "d", 1500, 4, 0).Config); !errors.Is(err, faas.ErrConcurrencyExceeded) {
+		t.Errorf("capped StartJob: err = %v, want one that Is faas.ErrConcurrencyExceeded", err)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/faas"
@@ -360,8 +361,9 @@ func (fr *invFrame) release() {
 // --- open-loop tenant on its own platform ---
 
 const (
-	macroDay      = 86400.0 // one simulated day, seconds
-	macroMaxRetry = 3       // invocation attempts before a drop
+	macroDay      = 86400.0             // one simulated day, seconds
+	macroMaxRetry = 3                   // invocation attempts before a drop
+	diurnalAmp    = 0.5 / (2 * math.Pi) // a of arrivalAt's curve
 
 	// Priority bands of the open-loop scenarios. Every minute-aligned event
 	// class gets a band and every tenant a distinct priority within it, so
@@ -377,12 +379,19 @@ const (
 	priFault  = 3_000_000
 )
 
-// liveCall is one admitted request's pending completion: the live list
-// mirrors the platform's in-flight set in admission order, so a kill can
-// cancel exactly the victims' completions and nothing that already fired.
-type liveCall struct {
-	seq uint64
-	ev  sim.Event
+// callFrame carries one arrival through try -> retry* -> done | drop | kill.
+// Frames are pooled per tenant with their stage closures bound once, the
+// invFrame idiom, so a steady-state arrival allocates nothing. A frame
+// belongs to exactly one of: its pending retry event, the live record (ev is
+// then its pending completion), or the free list.
+type callFrame struct {
+	tn            *openTenant
+	attempt       int     // admission attempts already made
+	service       float64 // drawn at admission
+	ev            sim.Event
+	pooled        bool
+	tryFn, doneFn func()
+	next          *callFrame
 }
 
 // openTenant is one serverless account driven open-loop: perTenant
@@ -401,27 +410,36 @@ type openTenant struct {
 	svc   *sim.Rand // service-time draws
 	rty   *sim.Rand // retry backoff jitter
 
-	ckpt       *storage.Faulty // private error gate over the shared store
-	ckptPrefix string
-	ckptEvery  uint64 // checkpoint cadence, in completions
-	retry      fault.RetryPolicy
+	ckpt      *storage.Faulty // private error gate over the shared store
+	ckptKey   []byte          // "<namespace>ckpt/", with room to append the checkpoint number
+	ckptEvery uint64          // checkpoint cadence, in completions
+	retry     fault.RetryPolicy
 
 	perTenant int
+	arrived   int     // arrivals handled; the pending arrival's index
 	phase     float64 // diurnal peak offset, tenant-specific
+	g0        float64 // a*cos(phase): the curve's offset making g(0) = 0
 	shedUntil sim.Time
 	strag     float64 // active straggler factor (1 = none)
-	seq       uint64
-	live      []liveCall
+	arriveFn  func()
+	// live mirrors the platform's in-flight set in admission order, so a
+	// kill can cancel exactly the victims' completions and nothing that
+	// already fired.
+	live   []*callFrame
+	free   *callFrame // frame pool
+	frames int        // frames ever allocated
 
 	completed, killed, reclaimed, retried, shed, dropped, cold uint64
 	ckptRetries, ckptDropped                                   uint64
 }
 
+var lnMeanService = math.Log(40) // mu of the LogNormal(ln 40, 0.5) service time
+
 // openFleet builds the open-loop tenants of a scenario, each on its own
 // platform capped near its mean in-flight load so the diurnal peak produces
 // real contention (retries, drops) at any scale, and registers their
-// ledger: every arrival ends completed, shed or dropped, and no call is
-// left in a live record.
+// ledger: every arrival ends completed, shed or dropped, no call is left in
+// a live record, and every call frame is back on its tenant's free list.
 func (h *harness) openFleet(tenants, perTenant int, ckptEvery uint64) (fleet []*openTenant, perCap int) {
 	meanService := 40 * math.Exp(0.5*0.5/2) // LogNormal(ln 40, 0.5) mean
 	perCap = max(2, int(float64(perTenant)*meanService/macroDay))
@@ -429,13 +447,16 @@ func (h *harness) openFleet(tenants, perTenant int, ckptEvery uint64) (fleet []*
 	for t := range fleet {
 		name := h.tenantName(t, tenants)
 		plat := h.platform(name, t%h.shards, perCap)
-		fleet[t] = &openTenant{
+		tn := &openTenant{
 			h: h, id: t, memMB: 512 << (t % 3), plat: plat, sh: plat.Shard(),
 			arr: h.s.Rand(name + "/arrivals"), svc: h.s.Rand(name + "/service"), rty: h.s.Rand(name + "/retry"),
-			ckpt: storage.NewFaulty(h.b.Store()), ckptPrefix: h.b.Store().Namespace(name).Prefix(),
+			ckpt: storage.NewFaulty(h.b.Store()), ckptKey: append(make([]byte, 0, 64), h.b.Store().Namespace(name).Prefix()+"ckpt/"...),
 			ckptEvery: ckptEvery, retry: fault.DefaultRetryPolicy(),
 			perTenant: perTenant, phase: 2 * math.Pi * float64(t) / float64(tenants), strag: 1,
 		}
+		tn.g0 = diurnalAmp * math.Cos(tn.phase)
+		tn.arriveFn = tn.arrive
+		fleet[t] = tn
 	}
 	h.ledgers = append(h.ledgers, func() error {
 		var settled uint64
@@ -443,6 +464,9 @@ func (h *harness) openFleet(tenants, perTenant int, ckptEvery uint64) (fleet []*
 			settled += tn.completed + tn.shed + tn.dropped
 			if len(tn.live) != 0 {
 				return fmt.Errorf("tenant %d: %d calls left in the live record", tn.id, len(tn.live))
+			}
+			if pooled := tn.pooled(); pooled != tn.frames {
+				return fmt.Errorf("tenant %d: %d of %d call frames back on the free list", tn.id, pooled, tn.frames)
 			}
 		}
 		if want := uint64(tenants) * uint64(perTenant); settled != want {
@@ -463,7 +487,7 @@ func (tn *openTenant) start(faults *fault.Schedule) int {
 		Brownout:  func(_, errRate float64) { tn.ckpt.SetErrorRate(errRate) },
 		ColdSpike: tn.plat.SetColdSpikeFactor,
 	})
-	tn.sh.SchedulePriority(tn.arrivalAt(0), tn.id, func() { tn.arrive(0) })
+	tn.sh.SchedulePriority(tn.arrivalAt(0), tn.id, tn.arriveFn)
 	return n
 }
 
@@ -473,82 +497,113 @@ func (tn *openTenant) start(faults *fault.Schedule) int {
 // between 0.5x and 1.5x of the mean while arrivals stay strictly ordered
 // (g' = 1 + 0.5*sin(...) > 0) and g(0) = 0.
 func (tn *openTenant) arrivalAt(k int) sim.Time {
-	const a = 0.5 / (2 * math.Pi)
 	pos := (float64(k) + tn.arr.Float64()) / float64(tn.perTenant)
-	g := pos - a*math.Cos(2*math.Pi*pos+tn.phase) + a*math.Cos(tn.phase)
+	g := pos - diurnalAmp*math.Cos(2*math.Pi*pos+tn.phase) + tn.g0
 	return sim.Time(macroDay * g)
 }
 
-// arrive handles the k-th arrival: it schedules the next one (keeping at
+// arrive handles the pending arrival: it schedules the next one (keeping at
 // most one pending arrival per tenant in the heap) and admits this one
 // unless a shed directive is in force.
-func (tn *openTenant) arrive(k int) {
-	if k+1 < tn.perTenant {
-		tn.sh.SchedulePriority(tn.arrivalAt(k+1), tn.id, func() { tn.arrive(k + 1) })
+func (tn *openTenant) arrive() {
+	if tn.arrived++; tn.arrived < tn.perTenant {
+		tn.sh.SchedulePriority(tn.arrivalAt(tn.arrived), tn.id, tn.arriveFn)
 	}
 	if tn.sh.Now() < tn.shedUntil {
 		tn.shed++
 		return
 	}
-	tn.tryInvoke(0)
+	tn.getCall().try()
 }
 
-func (tn *openTenant) tryInvoke(attempt int) {
+// getCall takes a frame for a fresh first attempt; it allocates only while
+// the tenant's calls outstanding are still climbing to their high-water mark.
+func (tn *openTenant) getCall() *callFrame {
+	fr := tn.free
+	if fr == nil {
+		fr = &callFrame{tn: tn}
+		fr.tryFn, fr.doneFn = fr.try, fr.done
+		tn.frames++
+		return fr
+	}
+	tn.free, fr.pooled, fr.attempt = fr.next, false, 0
+	return fr
+}
+
+func (tn *openTenant) putCall(fr *callFrame) {
+	if fr.pooled {
+		panic(fmt.Sprintf("experiments: tenant %d: call frame pooled twice", tn.id))
+	}
+	fr.pooled, fr.next = true, tn.free
+	tn.free = fr
+}
+
+func (tn *openTenant) pooled() (n int) {
+	for fr := tn.free; fr != nil; fr = fr.next {
+		n++
+	}
+	return n
+}
+
+// try asks the platform for one function: a denial retries after a jittered
+// exponential backoff or, on the last attempt, drops the call; an admission
+// lists the call as live until its completion fires or a kill cancels it.
+func (fr *callFrame) try() {
+	tn := fr.tn
 	g, err := tn.plat.InvokeGroup(1, tn.memMB)
 	if err != nil {
-		if attempt+1 >= macroMaxRetry {
+		if fr.attempt+1 >= macroMaxRetry {
 			tn.dropped++
+			tn.putCall(fr)
 			return
 		}
 		tn.retried++
-		backoff := sim.Duration(math.Ldexp(0.5, attempt) * tn.rty.Jitter(0.2))
-		tn.sh.SchedulePriority(tn.sh.Now()+sim.Time(backoff), tn.id, func() { tn.tryInvoke(attempt + 1) })
+		backoff := sim.Duration(math.Ldexp(0.5, fr.attempt) * tn.rty.Jitter(0.2))
+		fr.attempt++
+		tn.sh.SchedulePriority(tn.sh.Now()+sim.Time(backoff), tn.id, fr.tryFn)
 		return
 	}
 	tn.cold += uint64(g.Cold)
-	service := tn.svc.LogNormal(math.Log(40), 0.5) * tn.strag
-	tn.seq++
-	seq := tn.seq
-	done := tn.sh.Now() + sim.Time(g.StartDelay+service)
-	ev := tn.sh.SchedulePriority(done, tn.id, func() {
-		tn.unlive(seq)
-		tn.plat.ReleaseGroup(1, tn.memMB, service)
-		tn.completed++
-		if tn.completed%tn.ckptEvery == 0 {
-			tn.checkpoint(service)
-		}
-	})
-	tn.live = append(tn.live, liveCall{seq: seq, ev: ev})
+	fr.service = tn.svc.LogNormal(lnMeanService, 0.5) * tn.strag
+	fr.ev = tn.sh.SchedulePriority(tn.sh.Now()+sim.Time(g.StartDelay+fr.service), tn.id, fr.doneFn)
+	tn.live = append(tn.live, fr)
 }
 
-// unlive drops the fired completion from the live record; each completion
-// removes itself first thing, so entries still listed are always pending.
-func (tn *openTenant) unlive(seq uint64) {
-	for i := range tn.live {
-		if tn.live[i].seq == seq {
-			tn.live = append(tn.live[:i], tn.live[i+1:]...)
-			return
-		}
+// done is the call's completion. It drops itself from the live record first
+// thing, so entries still listed are always pending.
+func (fr *callFrame) done() {
+	tn := fr.tn
+	i := slices.Index(tn.live, fr)
+	tn.live = slices.Delete(tn.live, i, i+1)
+	tn.plat.ReleaseGroup(1, tn.memMB, fr.service)
+	tn.completed++
+	if tn.completed%tn.ckptEvery == 0 {
+		tn.checkpoint(fr.service)
 	}
+	tn.putCall(fr)
 }
 
 // kill terminates the n most recently admitted in-flight requests: the
 // platform drops them from its in-flight count, their completion events are
 // cancelled (still pending by the live-record invariant; at an equal
 // timestamp the completion's lower priority fires first and removes
-// itself), and each client re-submits immediately as a fresh attempt.
+// itself) and their frames pooled, and each client re-submits immediately
+// as a fresh attempt.
 func (tn *openTenant) kill(n int) {
 	n = min(n, len(tn.live))
 	if n <= 0 {
 		return
 	}
 	tn.plat.KillSandboxes(n)
-	victims := append([]liveCall(nil), tn.live[len(tn.live)-n:]...)
-	tn.live = tn.live[:len(tn.live)-n]
-	for _, v := range victims {
-		v.ev.Cancel()
-		tn.killed++
-		tn.tryInvoke(0)
+	keep := len(tn.live) - n
+	for _, fr := range tn.live[keep:] {
+		fr.ev.Cancel()
+		tn.putCall(fr)
+	}
+	tn.live = tn.live[:keep]
+	tn.killed += uint64(n)
+	for range n {
+		tn.getCall().try()
 	}
 }
 
@@ -556,7 +611,7 @@ func (tn *openTenant) kill(n int) {
 // bounded retry policy; exhaustion drops this checkpoint and carries on —
 // the serving path must degrade gracefully, never abort.
 func (tn *openTenant) checkpoint(service float64) {
-	key := fmt.Sprintf("%sckpt/%d", tn.ckptPrefix, tn.completed/tn.ckptEvery)
+	key := string(strconv.AppendUint(tn.ckptKey, tn.completed/tn.ckptEvery, 10))
 	for attempt := 0; attempt < tn.retry.MaxAttempts; attempt++ {
 		if err := tn.ckpt.TryPut(key, []float64{float64(tn.completed), service}); err == nil {
 			return
@@ -594,18 +649,33 @@ func (h *harness) newGather(tenants int, gap, until float64, priReport, priAbsor
 		vals: make([]int, tenants), policy: policy}
 }
 
-// join schedules tenant id's reports at gap, 2*gap, ... while <= until.
-func (g *gather) join(sh *sim.Shard, id int, sample func() int) { g.reportAt(sh, id, sample, g.gap) }
-
-func (g *gather) reportAt(sh *sim.Shard, id int, sample func() int, at sim.Time) {
-	if at > g.until {
-		return
+// join schedules tenant id's reports at gap, 2*gap, ... while <= until. The
+// report and absorb callbacks are bound here, once, so a round allocates
+// nothing. The sample in flight to shard 0 sits in vals[round&1]: a slot is
+// read one lookahead after it was written and rewritten two gaps after, and
+// every gap is at least a lookahead, so the tenant shard's write and shard
+// 0's read never share a kernel window.
+func (g *gather) join(sh *sim.Shard, id int, sample func() int) {
+	var (
+		at     sim.Time // the pending report's instant
+		round  int
+		vals   [2]int
+		report func()
+	)
+	absorb := [2]func(){func() { g.absorb(id, vals[0]) }, func() { g.absorb(id, vals[1]) }}
+	schedule := func() {
+		if at += g.gap; at <= g.until {
+			sh.SchedulePriority(at, g.priReport+id, report)
+		}
 	}
-	sh.SchedulePriority(at, g.priReport+id, func() {
-		v := sample()
-		sh.Post(g.h.s.Shard(0), at+g.h.lookahead, g.priAbsorb+id, func() { g.absorb(id, v) })
-		g.reportAt(sh, id, sample, at+g.gap)
-	})
+	report = func() {
+		slot := round & 1
+		round++
+		vals[slot] = sample()
+		sh.Post(g.h.s.Shard(0), at+g.h.lookahead, g.priAbsorb+id, absorb[slot])
+		schedule()
+	}
+	schedule()
 }
 
 func (g *gather) absorb(id, v int) {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/traffic"
 )
@@ -322,6 +323,15 @@ func TestConfigValidateRejectsBadInput(t *testing.T) {
 	}
 }
 
+// mallocsDuring counts the heap allocations made while fn runs.
+func mallocsDuring(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestAdmissionPipelineZeroAlloc is the zero-allocation gate of the shared
 // account: pump -> request -> admit (retried and denied at the cap) -> grant ->
 // done -> release recycles pooled frames and closures bound once, so what a
@@ -331,10 +341,11 @@ func TestConfigValidateRejectsBadInput(t *testing.T) {
 // closure per arrival anywhere on the pipeline reads 1 or more.
 func TestAdmissionPipelineZeroAlloc(t *testing.T) {
 	run := func(horizon float64) (mallocs uint64, arrivals int) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		tab, err := runMacroTrace(7, Config{TrafficTenants: 16, TrafficRate: 1.6, TrafficHorizon: horizon})
-		runtime.ReadMemStats(&after)
+		var tab *Table
+		var err error
+		mallocs = mallocsDuring(func() {
+			tab, err = runMacroTrace(7, Config{TrafficTenants: 16, TrafficRate: 1.6, TrafficHorizon: horizon})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +355,7 @@ func TestAdmissionPipelineZeroAlloc(t *testing.T) {
 		if arrivals, err = strconv.Atoi(totalCell(t, tab, "arrivals")); err != nil {
 			t.Fatal(err)
 		}
-		return after.Mallocs - before.Mallocs, arrivals
+		return mallocs, arrivals
 	}
 	shortM, shortN := run(600)
 	longM, longN := run(2400)
@@ -356,6 +367,101 @@ func TestAdmissionPipelineZeroAlloc(t *testing.T) {
 	if perArrival >= 0.25 {
 		t.Errorf("the admission pipeline allocates %.3f times per arrival, want < 0.25", perArrival)
 	}
+}
+
+// TestOpenTenantZeroAlloc is the zero-allocation gate of the open-loop
+// tenant: arrive -> try (denied at the tenant's cap) -> retry -> done | drop |
+// kill runs on pooled call frames with closures bound once, a denial is a
+// bare sentinel, and the per-minute report/absorb pair is bound per tenant.
+// Same method as the shared account's gate: two arrival counts of one
+// population compared in mallocs. What is left per extra arrival is the
+// checkpoint put every 32 or 64 completions (about 0.07); one closure per
+// arrival, retry or completion, or one formatted denial, reads 1 or more.
+func TestOpenTenantZeroAlloc(t *testing.T) {
+	for _, sc := range []struct {
+		id      string
+		run     func(seed uint64, cfg Config) (*Table, error)
+		cfg     func(perTenant int) Config
+		nonzero []string // TOTAL cells: the path behind each is inside the measurement
+	}{
+		{"macro-day", runMacroDay, func(n int) Config { return Config{MacroTenants: 16, MacroPerTenant: n} },
+			[]string{"retried", "dropped"}},
+		{"macro-chaos", runMacroChaos, func(n int) Config { return Config{ChaosTenants: 16, ChaosPerTenant: n} },
+			[]string{"retried", "dropped", "killed"}},
+	} {
+		t.Run(sc.id, func(t *testing.T) {
+			run := func(perTenant int) uint64 {
+				var tab *Table
+				var err error
+				mallocs := mallocsDuring(func() { tab, err = sc.run(7, sc.cfg(perTenant)) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, header := range sc.nonzero {
+					if totalCell(t, tab, header) == "0" {
+						t.Errorf("%d arrivals per tenant: TOTAL %s is 0, so that path went unmeasured", perTenant, header)
+					}
+				}
+				return mallocs
+			}
+			const short, long, tenants = 2000, 6000, 16
+			shortM, longM := run(short), run(long)
+			perArrival := (float64(longM) - float64(shortM)) / float64(tenants*(long-short))
+			t.Logf("%d mallocs at %d arrivals per tenant, %d at %d: %.3f per extra arrival", shortM, short, longM, long, perArrival)
+			if perArrival >= 0.25 {
+				t.Errorf("the open-loop tenant allocates %.3f times per arrival, want < 0.25", perArrival)
+			}
+			// The report rounds do not grow with arrivals, so only a total
+			// sees them: set-up and a day of rounds included, the long run
+			// stays under the same bound.
+			if total := float64(longM) / float64(tenants*long); total >= 0.25 {
+				t.Errorf("the %d-arrival run allocates %.3f times per arrival in total, want < 0.25", tenants*long, total)
+			}
+		})
+	}
+}
+
+// TestKilledCallFramesComeHome lands one compiled kill on a tenant whose
+// calls are in every state a frame can be in: two in service at the cap and
+// two waiting on a retry. The victim's frame is pooled and re-submitted, the
+// retries run out and drop, and the ledger (every arrival settled, every
+// frame back on the free list, nothing in flight) says no frame was lost. A
+// cancelled completion that fired anyway would complete the re-submitted
+// call early, and the real completion would then panic on a frame missing
+// from the live record.
+func TestKilledCallFramesComeHome(t *testing.T) {
+	h := newHarness("kill-test", 5, Config{Shards: 1}, macroLookahead)
+	fleet, perCap := h.openFleet(1, 4, chaosCkptEvery)
+	tn := fleet[0]
+	tn.sh.SchedulePriority(1, tn.id, func() {
+		for range 4 {
+			tn.getCall().try()
+		}
+		if len(tn.live) != perCap || tn.retried != 2 {
+			t.Errorf("before the kill: %d in service, %d retrying; want %d and 2", len(tn.live), tn.retried, perCap)
+		}
+	})
+	// The first retries are due 0.5 s (+-20 %) after the denials.
+	fault.Compile(fault.MustNew(fault.KillAt(1.25, 1)), tn.sh, priFault, fault.Ops{Kill: func(n int) {
+		victim := tn.live[len(tn.live)-1]
+		tn.kill(n)
+		if tn.killed != 1 || len(tn.live) != perCap || tn.live[perCap-1] != victim || tn.pooled() != 0 {
+			t.Errorf("after the kill: killed=%d, %d in service, %d frames pooled; want the victim's frame re-submitted",
+				tn.killed, len(tn.live), tn.pooled())
+		}
+	}})
+	if err := h.run(); err != nil {
+		t.Fatal(err)
+	}
+	if tn.completed != 2 || tn.dropped != 2 || tn.frames != 4 {
+		t.Errorf("completed=%d dropped=%d on %d frames, want 2, 2 and 4", tn.completed, tn.dropped, tn.frames)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("putCall accepted a frame that is already pooled")
+		}
+	}()
+	tn.putCall(tn.free)
 }
 
 // TestHarnessRunReportsLedgerViolation injects one completion dropped on

@@ -73,8 +73,10 @@ func DefaultStartup() StartupModel {
 	return StartupModel{ColdBase: 1.6, ColdPerGB: 0.5, Warm: 0.02, JitterFrac: 0.25}
 }
 
-// ErrConcurrencyExceeded is returned when an invocation burst would exceed
-// the account concurrency cap.
+// ErrConcurrencyExceeded is returned, bare, when an invocation would exceed
+// the account concurrency cap. Open-loop callers are refused more often than
+// admitted and only test the error, so a denial formats nothing; a caller
+// that reports it adds the numbers (InFlight, Limits().MaxConcurrency, n).
 var ErrConcurrencyExceeded = errors.New("faas: concurrency limit exceeded")
 
 // ErrWarmPoolExceeded is returned when Prewarm would grow the warm pool past
@@ -272,7 +274,8 @@ type GroupStart struct {
 // InvokeGroup admits n concurrent functions of memMB memory, consuming warm
 // sandboxes first, and charges the per-invocation fee immediately. Each
 // member draws its own start latency; the group is ready after the slowest.
-// The group counts against the concurrency cap until ReleaseGroup.
+// The group counts against the concurrency cap until ReleaseGroup; a group
+// that does not fit is refused with the bare ErrConcurrencyExceeded.
 func (p *Platform) InvokeGroup(n, memMB int) (GroupStart, error) {
 	if n <= 0 {
 		return GroupStart{}, fmt.Errorf("faas: InvokeGroup with n=%d", n)
@@ -281,8 +284,7 @@ func (p *Platform) InvokeGroup(n, memMB int) (GroupStart, error) {
 		return GroupStart{}, err
 	}
 	if p.inFlight+n > p.limits.MaxConcurrency {
-		return GroupStart{}, fmt.Errorf("%w: %d in flight + %d requested > %d",
-			ErrConcurrencyExceeded, p.inFlight, n, p.limits.MaxConcurrency)
+		return GroupStart{}, ErrConcurrencyExceeded
 	}
 	p.inFlight += n
 	if p.inFlight > p.peakInFlight {
@@ -315,14 +317,11 @@ func (p *Platform) InvokeGroup(n, memMB int) (GroupStart, error) {
 
 // Invoke1 admits a single function of memMB memory: the arrival-path fast
 // path of InvokeGroup(1, memMB) for trace-driven traffic, where every
-// invocation is its own admission decision and the group API's wrapped
-// error construction would dominate at tens of millions of arrivals.
-// Semantics are identical to InvokeGroup(1, memMB) — same warm-pool
-// consumption, same jitter draw, same billing and observability counters —
-// except that it emits no invoke_group instant and the concurrency denial
-// returns the plain ErrConcurrencyExceeded sentinel, so the admit/deny
-// round trip performs no heap allocation at all when observability is
-// disabled.
+// invocation is its own admission decision. Semantics are identical to
+// InvokeGroup(1, memMB) — same warm-pool consumption, same jitter draw,
+// same denial, same billing and observability counters — except that it
+// emits no invoke_group instant, so the admit/deny round trip performs no
+// heap allocation at all when observability is disabled.
 func (p *Platform) Invoke1(memMB int) (Invocation, error) {
 	if err := p.limits.ValidateMemory(memMB); err != nil {
 		return Invocation{}, err

@@ -149,3 +149,25 @@ func TestInvoke1DenialZeroAlloc(t *testing.T) {
 		t.Fatalf("Invoke1 denial allocates %.1f times per call, want 0", n)
 	}
 }
+
+// TestInvokeGroupDenialZeroAlloc: both entry points share one denial
+// contract. A group refused at the cap — one function or eight — gets the
+// bare sentinel, and the refusal formats and allocates nothing: open-loop
+// tenants are refused more often than they are admitted.
+func TestInvokeGroupDenialZeroAlloc(t *testing.T) {
+	limits := DefaultLimits()
+	limits.MaxConcurrency = 8
+	p := New(sim.New(1), limits, DefaultStartup(), pricing.Default())
+	if _, err := p.InvokeGroup(8, 512); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 8} {
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := p.InvokeGroup(n, 512); err != ErrConcurrencyExceeded {
+				t.Fatalf("InvokeGroup(%d) at the cap: err = %v, want the bare ErrConcurrencyExceeded", n, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("a refused InvokeGroup(%d) allocates %.1f times, want 0", n, allocs)
+		}
+	}
+}

@@ -72,7 +72,7 @@ func (r *Runner) killDuringEpoch(st *state, epoch int, epochT float64, ev fault.
 	// Replacements pay the platform's real start latency, spiked if the
 	// kill lands inside a cold-start spike window.
 	pf.SetColdSpikeFactor(sched.ColdSpikeFactor(ev.At))
-	g, err := pf.InvokeGroup(k, a.MemMB)
+	g, err := r.invokeGroup(k, a.MemMB)
 	pf.SetColdSpikeFactor(1)
 	if err != nil {
 		return fmt.Errorf("trainer: re-invoking %d killed sandboxes: %w", k, err)

@@ -15,6 +15,7 @@
 package trainer
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -223,6 +224,17 @@ func (r *Runner) Observer() *obs.Observer { return r.obs }
 
 // Compute returns the substrate's serverless account.
 func (r *Runner) Compute() *faas.Platform { return r.Backend.Platform() }
+
+// invokeGroup is Compute().InvokeGroup with the numbers added to a denial:
+// the platform's sentinel is bare, and the trainer's errors reach a person.
+func (r *Runner) invokeGroup(n, memMB int) (faas.GroupStart, error) {
+	pf := r.Compute()
+	g, err := pf.InvokeGroup(n, memMB)
+	if errors.Is(err, faas.ErrConcurrencyExceeded) {
+		err = fmt.Errorf("%w: %d in flight + %d requested > %d", err, pf.InFlight(), n, pf.Limits().MaxConcurrency)
+	}
+	return g, err
+}
 
 // Service returns the substrate's storage metering model for kind.
 func (r *Runner) Service(k storage.Kind) *storage.Service { return r.Backend.Service(k) }
@@ -441,7 +453,7 @@ func (r *Runner) RunEpochs(w *workload.Model, eng workload.Engine, a cost.Alloca
 // storage as well).
 func (r *Runner) startGroup(st *state, a cost.Allocation, initial bool) error {
 	w := st.cfg.Workload
-	g, err := r.Compute().InvokeGroup(a.N, a.MemMB)
+	g, err := r.invokeGroup(a.N, a.MemMB)
 	if err != nil {
 		return fmt.Errorf("trainer: invoking %v: %w", a, err)
 	}
@@ -700,7 +712,7 @@ func asyncEfficiency(n int) float64 {
 func (r *Runner) applySwitch(st *state, next cost.Allocation, delayed bool) error {
 	w := st.cfg.Workload
 	if delayed {
-		g, err := r.Compute().InvokeGroup(next.N, next.MemMB)
+		g, err := r.invokeGroup(next.N, next.MemMB)
 		if err != nil {
 			return fmt.Errorf("trainer: delayed switch to %v: %w", next, err)
 		}
