@@ -31,13 +31,15 @@ race:
 	$(GO) test -race ./...
 
 # shard-check: the sharded-kernel determinism gate. Runs the kernel's
-# cross-shard workload matrix, then the tenant harness's matrix (macro-day,
+# cross-shard workload matrix and the lane/heap equivalence test (sorted and
+# unsorted lane traffic, multi-sender posts and reap passes against the
+# lane-less reference), then the tenant harness's matrix (macro-day,
 # macro-fleet, macro-trace, macro-chaos across shard and worker counts, and
 # side by side on the engine's worker pool), requiring event-for-event
 # equivalence with the single-queue reference and byte-identical tables,
 # traces and metrics everywhere, pinned to testdata/macro.digests.
 shard-check:
-	$(GO) test -run 'TestCrossShardWorkloadMatrix|TestLookaheadWindowsMatchSingleWindow|TestShardScheduleAndMerge' ./internal/sim/
+	$(GO) test -run 'TestCrossShardWorkloadMatrix|TestLookaheadWindowsMatchSingleWindow|TestShardScheduleAndMerge|TestLanesMatchReferenceHeap' ./internal/sim/
 	$(GO) test -run 'TestMacroMatrix|TestMacroScenariosRunConcurrently|TestMacroDigests' ./internal/experiments/
 
 # The zero-alloc gates, then a smoke run of the numeric-path benchmarks. The
@@ -48,8 +50,8 @@ shard-check:
 # and both entry points' denial) and traffic paths; mallocs per arrival on the
 # shared-account pipeline and on the open-loop tenant, macro-day and
 # macro-chaos with their denials, retries, drops and kills). The kernel's
-# TestCancelChurnReusesSlots counts arena slots instead: steady cancel churn
-# must reuse them. The benchmarks (ml kernels, dataset caches, DES kernel,
+# TestCancelChurnReusesSlots and its lane twin count arena slots instead:
+# steady cancel churn must reuse them. The benchmarks (ml kernels, dataset caches, DES kernel,
 # decision path) run at a fixed small iteration count: fast enough for CI,
 # enough to catch kernels that re-grow allocations. internal/fit benches its
 # one solver (Fitter, cold and warm), internal/cost its one grid scan and
@@ -58,7 +60,7 @@ shard-check:
 # `go run ./cmd/bench [-layers]`; see benchmark/README.md.
 bench:
 	$(GO) test -run ZeroAlloc ./...
-	$(GO) test -run TestCancelChurnReusesSlots ./internal/sim/
+	$(GO) test -run 'TestCancelChurnReusesSlots|TestLaneChurnReusesSlots' ./internal/sim/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=100x \
 		./internal/ml/ ./internal/dataset/
 	$(GO) test -run '^$$' -bench . -benchtime=100x \
@@ -73,11 +75,16 @@ bench-smoke:
 	$(GO) run ./cmd/bench -smoke -out "$$(mktemp -d)"
 
 # fuzz-smoke: a few seconds of each native fuzz target: the kernel (random
-# schedule/batch/cancel/Step/RunUntil programs against the container/heap
-# reference) and cescalint's two parsers (policy lines, //cescalint:
-# directives). New inputs stay in the build cache; a failing one is written to
-# the package's testdata/fuzz/ and from then on runs with `go test`.
+# schedule/batch/cancel/Step/RunUntil programs — schedules on the heap and
+# through lanes with sorted and unsorted keys, cancels of a lane's oldest
+# entry, posts from four sender shards in three delay classes — against the
+# container/heap reference, which has neither lanes nor a reap pass) and
+# cescalint's two parsers (policy lines, //cescalint: directives). New inputs
+# stay in the build cache; a failing one is written to the package's
+# testdata/fuzz/ and from then on runs with `go test`. The kernel's seed
+# programs are kilobytes long, and the engine's default minute of minimizing
+# each input that reaches new code would eat the whole smoke: one second.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzKernelOps -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzKernelOps -fuzztime 10s -fuzzminimizetime 1s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/lint/
 	$(GO) test -run '^$$' -fuzz FuzzParseDirective -fuzztime 5s ./internal/lint/

@@ -112,7 +112,7 @@ func (m *chaosMonitor) window(now sim.Time, distress []int) {
 
 func runMacroChaos(seed uint64, cfg Config) (*Table, error) {
 	tenants, perTenant := cmp.Or(cfg.ChaosTenants, 24), cmp.Or(cfg.ChaosPerTenant, 1000)
-	h := newHarness("macro-chaos", seed, cfg, macroLookahead)
+	h := newHarness("macro-chaos", seed, cfg, tenants, macroLookahead)
 	// One new distress event per tenant per window is background noise;
 	// above that the window had a real incident.
 	mon := &chaosMonitor{scope: h.scope("macro-chaos/monitor"), threshold: tenants}

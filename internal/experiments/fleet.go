@@ -171,8 +171,14 @@ func (tn *fleetTenant) epochDone() {
 }
 
 func runMacroFleet(seed uint64, cfg Config) (*Table, error) {
+	tab, _, err := macroFleet(seed, cfg)
+	return tab, err
+}
+
+// macroFleet also returns the harness, for tests reading kernel counters.
+func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 	tenants := cmp.Or(cfg.FleetTenants, 48)
-	h := newHarness("macro-fleet", seed, cfg, fleetLookahead)
+	h := newHarness("macro-fleet", seed, cfg, tenants, fleetLookahead)
 
 	grid := cost.DefaultGrid()
 	classModels := []*workload.Model{workload.MobileNet(), workload.ResNet50(), workload.BERT()}
@@ -181,7 +187,7 @@ func runMacroFleet(seed uint64, cfg Config) (*Table, error) {
 		m := cost.NewModel(w)
 		front := m.ParetoFrontier(grid)
 		if front.Len() == 0 {
-			return nil, fmt.Errorf("macro-fleet: empty Pareto frontier for %s", w.Name)
+			return nil, nil, fmt.Errorf("macro-fleet: empty Pareto frontier for %s", w.Name)
 		}
 		byAlloc := make(map[cost.Allocation]cost.Point, front.Len())
 		cheap, fast := math.Inf(1), math.Inf(1)
@@ -196,7 +202,7 @@ func runMacroFleet(seed uint64, cfg Config) (*Table, error) {
 		}
 		nom, ok := w.Curve.EpochsToReach(w.TargetLoss)
 		if !ok {
-			return nil, fmt.Errorf("macro-fleet: %s target %g below its curve floor", w.Name, w.TargetLoss)
+			return nil, nil, fmt.Errorf("macro-fleet: %s target %g below its curve floor", w.Name, w.TargetLoss)
 		}
 		classes[i] = &fleetClass{
 			w: w, model: m, front: front, byAlloc: byAlloc,
@@ -237,7 +243,7 @@ func runMacroFleet(seed uint64, cfg Config) (*Table, error) {
 		alloc, _ := sched.Initial()
 		p, ok := cl.byAlloc[alloc]
 		if !ok {
-			return nil, fmt.Errorf("macro-fleet: tenant %d initial allocation %v not on the class frontier", t, alloc)
+			return nil, nil, fmt.Errorf("macro-fleet: tenant %d initial allocation %v not on the class frontier", t, alloc)
 		}
 		tn := &fleetTenant{
 			member: member{id: t, sh: h.shard(t)},
@@ -256,7 +262,7 @@ func runMacroFleet(seed uint64, cfg Config) (*Table, error) {
 		tn.sh.SchedulePriority(sim.Time(fleetStagger*float64(tn.id+1)), priFleetEpoch+tn.id, tn.start)
 	}
 	if err := h.run(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	labels := make([]string, len(classes))
@@ -279,7 +285,7 @@ func runMacroFleet(seed uint64, cfg Config) (*Table, error) {
 		"%d tenants x %d model classes on one shared account (concurrency cap %d, denials=%d, account compute $%.2f); each class shares one interned Pareto frontier; controllers run the fleet tuning (window %d, warm start, refit budget %d); decisions=%d; events=%d",
 		tenants, len(classes), ac.plat.Limits().MaxConcurrency, ac.retries+ac.denials, meter.Total(),
 		fleetTuning.FixedWindow, fleetTuning.RefitBudget, decisions, h.s.EventsFired())
-	return tab, nil
+	return tab, h, nil
 }
 
 // b2f counts a condition into a tally column.

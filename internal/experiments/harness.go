@@ -120,8 +120,12 @@ type harness struct {
 	ledgers   []func() error
 }
 
-func newHarness(id string, seed uint64, cfg Config, lookahead float64) *harness {
-	h := &harness{id: id, b: platform.New(seed), shards: cmp.Or(cfg.Shards, 8),
+// newHarness shards the backend for a scenario of `tenants` tenants. Tenant t
+// lives on shard t % shards, so shards beyond the population could never hold
+// an event — yet the sequential merge scans every shard once per event — and
+// the count is clamped to it; placement is the same either way.
+func newHarness(id string, seed uint64, cfg Config, tenants int, lookahead float64) *harness {
+	h := &harness{id: id, b: platform.New(seed), shards: max(1, min(cmp.Or(cfg.Shards, 8), tenants)),
 		lookahead: sim.Time(lookahead), collector: cfg.Collector}
 	h.b.ConfigureSharding(h.shards, cmp.Or(cfg.Workers, 1), lookahead)
 	h.s = h.b.Sim()
@@ -185,9 +189,12 @@ type account struct {
 	sh       *sim.Shard
 	plat     *faas.Platform
 	pri      accountBands
-	maxRetry int       // admission attempts per request before a final denial
-	free     *invFrame // frame pool; get/put only inside shard-0 events
-	frames   int       // frames ever allocated
+	maxRetry int // admission attempts per request before a final denial
+	// retry[k] carries the retries after k+1 refusals: each waits L·2^k, so a
+	// class is scheduled in fire order and rides a kernel lane.
+	retry  []*sim.Lane
+	free   *invFrame // frame pool; get/put only inside shard-0 events
+	frames int       // frames ever allocated
 	// denials counts requests finally refused, retries the refused attempts
 	// before that.
 	denials, retries uint64
@@ -198,6 +205,9 @@ type account struct {
 func (h *harness) newAccount(capacity, maxRetry int, pri accountBands) *account {
 	plat := h.platform(h.id+"/account", 0, capacity)
 	ac := &account{h: h, sh: plat.Shard(), plat: plat, pri: pri, maxRetry: maxRetry}
+	for range maxRetry - 1 {
+		ac.retry = append(ac.retry, ac.sh.NewLane())
+	}
 	h.ledgers = append(h.ledgers, func() error {
 		pooled := 0
 		for fr := ac.free; fr != nil; fr = fr.next {
@@ -343,8 +353,8 @@ func (fr *invFrame) invoke() {
 	default:
 		ac.retries++
 		at := now + sim.Time(math.Ldexp(float64(ac.h.lookahead), fr.attempt))
+		ac.retry[fr.attempt].Schedule(at, ac.pri.retry+m.id, fr.invokeFn)
 		fr.attempt++
-		ac.sh.SchedulePriority(at, ac.pri.retry+m.id, fr.invokeFn)
 	}
 }
 

@@ -77,7 +77,7 @@ func (c *macroCoordinator) window(now sim.Time, inFlight []int) {
 
 func runMacroDay(seed uint64, cfg Config) (*Table, error) {
 	tenants, perTenant := cmp.Or(cfg.MacroTenants, 32), cmp.Or(cfg.MacroPerTenant, 1500)
-	h := newHarness("macro-day", seed, cfg, macroLookahead)
+	h := newHarness("macro-day", seed, cfg, tenants, macroLookahead)
 	coord := &macroCoordinator{scope: h.scope("macro-day/coordinator")}
 	reports := h.newGather(tenants, macroReportGap, macroDay, priReport, priAbsorb, coord.window)
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -430,7 +431,7 @@ func TestOpenTenantZeroAlloc(t *testing.T) {
 // call early, and the real completion would then panic on a frame missing
 // from the live record.
 func TestKilledCallFramesComeHome(t *testing.T) {
-	h := newHarness("kill-test", 5, Config{Shards: 1}, macroLookahead)
+	h := newHarness("kill-test", 5, Config{Shards: 1}, 1, macroLookahead)
 	fleet, perCap := h.openFleet(1, 4, chaosCkptEvery)
 	tn := fleet[0]
 	tn.sh.SchedulePriority(1, tn.id, func() {
@@ -469,7 +470,7 @@ func TestKilledCallFramesComeHome(t *testing.T) {
 // fleet must balance.
 func TestHarnessRunReportsLedgerViolation(t *testing.T) {
 	for _, sabotage := range []bool{false, true} {
-		h := newHarness("ledger-test", 5, Config{Shards: 2}, macroLookahead)
+		h := newHarness("ledger-test", 5, Config{Shards: 2}, 3, macroLookahead)
 		fleet, _ := h.openFleet(3, 40, macroCkptEvery)
 		for _, tn := range fleet {
 			tn.start(nil)
@@ -505,5 +506,76 @@ func TestTallySumsInGroupOrder(t *testing.T) {
 	}
 	if fmt.Sprint(tab.Rows) != fmt.Sprint(want) {
 		t.Errorf("rows = %v, want %v", tab.Rows, want)
+	}
+}
+
+// TestSortedTrafficRidesLanes verifies, from the kernel's own queue counters,
+// the traffic claim the lanes rest on: on the shared-account scenarios most
+// events belong to streams that are sorted when produced (Posts, warm-pool
+// reclaims, account retries) and none of them needs the heap. Per shard the
+// counters must add up to the events fired; over the run most events fire
+// from a lane, next to no lane push falls back, the account shard — where the
+// reclaims are set and canceled — never pops a dead entry, and its heap stays
+// below the account's concurrency cap.
+func TestSortedTrafficRidesLanes(t *testing.T) {
+	for _, sc := range []struct {
+		name     string
+		run      func(seed uint64, cfg Config) (*Table, *harness, error)
+		cfg      Config
+		laneFrac float64 // least share of fired events that came from a lane
+	}{
+		{"macro-trace", macroTrace, Config{TrafficTenants: 16, TrafficRate: 1.6, TrafficHorizon: 600}, 0.55},
+		{"macro-trace, one shard", macroTrace, Config{Shards: 1, TrafficTenants: 16, TrafficRate: 1.6, TrafficHorizon: 600}, 0.55},
+		{"macro-fleet", macroFleet, Config{FleetTenants: 60}, 0.55},
+	} {
+		_, h, err := sc.run(7, sc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total sim.QueueStats
+		for i := range h.s.NumShards() {
+			sh := h.s.Shard(i)
+			st := sh.QueueStats()
+			if st.LanePops+st.HeapPops != sh.EventsFired()+st.DeadPops {
+				t.Errorf("%s: shard %d: %+v does not add up to %d events fired", sc.name, i, st, sh.EventsFired())
+			}
+			total.LanePops += st.LanePops
+			total.DeadPops += st.DeadPops
+			total.LanePushes += st.LanePushes
+			total.Fallbacks += st.Fallbacks
+		}
+		fired := h.s.EventsFired()
+		t.Logf("%s: %d events, %d from lanes, %d lane pushes, %d fallbacks, %d dead pops; account shard %+v",
+			sc.name, fired, total.LanePops, total.LanePushes, total.Fallbacks, total.DeadPops, h.s.Shard(0).QueueStats())
+		if float64(total.LanePops) < sc.laneFrac*float64(fired) {
+			t.Errorf("%s: %d of %d events fired from a lane, want >= %.0f %%", sc.name, total.LanePops, fired, 100*sc.laneFrac)
+		}
+		if total.Fallbacks*1000 > total.LanePushes {
+			t.Errorf("%s: %d of %d lane pushes fell back to the heap, want <= 0.1 %%", sc.name, total.Fallbacks, total.LanePushes)
+		}
+		account, capacity := h.s.Shard(0).QueueStats(), h.plats[0].Limits().MaxConcurrency
+		if account.DeadPops != 0 || account.HeapPeak >= capacity {
+			t.Errorf("%s: the account shard popped %d dead entries and its heap peaked at %d entries under a concurrency cap of %d; want 0 and fewer",
+				sc.name, account.DeadPops, account.HeapPeak, capacity)
+		}
+	}
+}
+
+// TestShardCountClampedToPopulation: shards beyond the tenant count could
+// never hold an event, so the harness does not create them, and a run asked
+// for thousands of shards prints what the default prints.
+func TestShardCountClampedToPopulation(t *testing.T) {
+	if h := newHarness("clamp-test", 1, Config{Shards: 4096}, 5, macroLookahead); h.s.NumShards() > 5 {
+		t.Errorf("%d shards for 5 tenants", h.s.NumShards())
+	}
+	if h := newHarness("clamp-test", 1, Config{Shards: 2}, 5, macroLookahead); h.s.NumShards() != 2 {
+		t.Errorf("%d shards for 5 tenants on 2 requested", h.s.NumShards())
+	}
+	for _, id := range []string{"macro-day", "macro-chaos", "macro-trace", "macro-fleet"} {
+		base, _, _ := runMacro(t, id, 3, Config{Shards: 8}, false)
+		wide, _, _ := runMacro(t, id, 3, Config{Shards: 4096}, false)
+		if base.String() != wide.String() {
+			t.Errorf("%s: -shards 4096 prints a different table than -shards 8", id)
+		}
 	}
 }

@@ -20,10 +20,14 @@ package experiments
 //     O(tenants + account concurrency cap), independent of horizon and
 //     trace length: beside the pumps and one batch window of arrivals the
 //     kernel holds an event per admitted invocation and a reclaim per warm
-//     sandbox, and at most as many canceled reclaims again (the kernel
-//     drops the dead once they outnumber the live; before it did, one per
-//     warm start sat queued for WarmTTL, 35k of them on the benchmark's
-//     trace-s1 against 3k now).
+//     sandbox, and no canceled reclaim at all: reclaims wait on their expiry
+//     queue's kernel lane, where the next warm start cancels the oldest —
+//     the lane's head, which leaves at once. The hops of the admission
+//     pipeline (request, grant, release, retry) wait in lanes too, so on
+//     the benchmark's trace-s1 the one shard's heap averages 215 entries
+//     (peak 638: pumps, batched arrivals, completions) beside some 2,000
+//     in lanes, against 3k on the heap while canceled reclaims were reaped
+//     there and 35k while they sat out their WarmTTL.
 //   - Measurement is streaming: per-tenant fixed-bucket latency
 //     histograms (obs.Hist), running cost counters, and Jain's fairness
 //     index computed at minute boundaries on shard 0. No per-invocation
@@ -167,13 +171,19 @@ func (c *traceFairness) absorb(now sim.Time, completions []int) {
 }
 
 func runMacroTrace(seed uint64, cfg Config) (*Table, error) {
+	tab, _, err := macroTrace(seed, cfg)
+	return tab, err
+}
+
+// macroTrace also returns the harness, for tests reading kernel counters.
+func macroTrace(seed uint64, cfg Config) (*Table, *harness, error) {
 	tenants := cmp.Or(cfg.TrafficTenants, 24)
 	arrivals, err := cfg.traffic()
 	if err != nil {
-		return nil, fmt.Errorf("macro-trace: %w", err)
+		return nil, nil, fmt.Errorf("macro-trace: %w", err)
 	}
 	kind, rate, horizon, tr := arrivals.Kind, arrivals.Rate, arrivals.Horizon, arrivals.Trace
-	h := newHarness("macro-trace", seed, cfg, traceLookahead)
+	h := newHarness("macro-trace", seed, cfg, tenants, traceLookahead)
 
 	// Build tenants in id order (setup is deterministic in tenant order)
 	// and accumulate the fleet's expected aggregate rate so the shared cap
@@ -204,7 +214,7 @@ func runMacroTrace(seed uint64, cfg Config) (*Table, error) {
 		// Config.Validate saw only the base rate; the tenant's draw can push
 		// a rate near the float64 limit to +Inf, which Cursor panics on.
 		if err := tc.Validate(); err != nil {
-			return nil, fmt.Errorf("tenant %s: %w", name, err)
+			return nil, nil, fmt.Errorf("tenant %s: %w", name, err)
 		}
 		tn := &traceTenant{
 			member: member{id: t, sh: h.shard(t), n: 1, memMB: 512 << (t % 3)},
@@ -250,7 +260,7 @@ func runMacroTrace(seed uint64, cfg Config) (*Table, error) {
 		return nil
 	})
 	if err := h.run(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	ty := newTally("class", []string{"mem-0", "mem-1", "mem-2"}, count("tenants"), fixed("memMB"),
@@ -272,5 +282,5 @@ func runMacroTrace(seed uint64, cfg Config) (*Table, error) {
 		"kind=%s tenants=%d rate=%g/s horizon=%gs batch-window=%gs; shared account cap %d (denials=%d retries=%d account $%.2f); jain mean=%.4f min=%.4f windows=%d; invocations=%d; events=%d",
 		kind, tenants, rate, horizon, traceBatchWindow, capacity, ac.denials, ac.retries,
 		meter.Total(), jainMean, jainMin, fair.windows, invocations, h.s.EventsFired())
-	return tab, nil
+	return tab, h, nil
 }

@@ -102,8 +102,11 @@ func (m *Meter) Total() float64 { return m.InvokeCost + m.ComputeCost }
 // firing remove the head: O(1) pops, no identity search. The queue keeps a
 // dead prefix instead of re-slicing so pushes never mutate a shared backing
 // array out from under a previous slice header, and compacts once the prefix
-// dominates.
+// dominates. In the kernel the reclaims wait on the queue's own lane — they
+// are scheduled in fire order, and a cancel always hits the lane's head — so
+// they never enter the shard's heap, alive or canceled.
 type expiryQueue struct {
+	lane *sim.Lane
 	evs  []sim.Event
 	head int
 	// lastAt is the fire time of the most recently scheduled reclaim. New
@@ -392,7 +395,7 @@ func (p *Platform) addWarm(memMB, n int) {
 	}
 	q := p.expiry[memMB]
 	if q == nil {
-		q = &expiryQueue{}
+		q = &expiryQueue{lane: p.sh.NewLane()}
 		q.reclaim = func() { p.reclaimHead(q, memMB) }
 		p.expiry[memMB] = q
 	}
@@ -406,7 +409,7 @@ func (p *Platform) addWarm(memMB, n int) {
 	}
 	q.lastAt = at
 	for i := 0; i < n; i++ {
-		q.push(p.sh.Schedule(at, q.reclaim))
+		q.push(q.lane.Schedule(at, 0, q.reclaim))
 	}
 }
 

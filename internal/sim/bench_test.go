@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkScheduleRun is the kernel's hottest pattern: a self-scheduling
 // event chain (every fired event schedules its successor), which is what a
@@ -202,4 +205,96 @@ func BenchmarkShardedPost(b *testing.B) {
 	}
 	s.Shard(0).ScheduleAfter(1, hop0)
 	s.Run()
+}
+
+// BenchmarkLaneScheduleRun is BenchmarkScheduleRun on a lane: the
+// self-scheduling chain's successor is pushed to, and popped from, a FIFO
+// instead of the heap. One op = one scheduled + fired event.
+func BenchmarkLaneScheduleRun(b *testing.B) {
+	b.ReportAllocs()
+	s := New(1)
+	l := s.Main().NewLane()
+	n := 0
+	var step func()
+	step = func() {
+		n++
+		if n < b.N {
+			l.Schedule(s.Now()+1, 0, step)
+		}
+	}
+	l.Schedule(1, 0, step)
+	s.Run()
+	if int(s.EventsFired()) != b.N {
+		b.Fatalf("fired %d, want %d", s.EventsFired(), b.N)
+	}
+}
+
+// BenchmarkPostDeliver measures the mailbox's delivery side: every sender
+// shard posts to one target shard once per simulated second, one lookahead
+// ahead, so the target's events all arrive through its per-sender inbox lanes.
+// One op = one post buffered, delivered at the barrier and fired.
+func BenchmarkPostDeliver(b *testing.B) {
+	for _, senders := range []int{1, 8} {
+		b.Run(fmt.Sprintf("senders=%d", senders), func(b *testing.B) {
+			b.ReportAllocs()
+			s := New(1)
+			s.EnsureShards(senders + 1)
+			s.SetLookahead(1)
+			to := s.Shard(senders)
+			nop := func() {}
+			n := 0
+			for i := 0; i < senders; i++ {
+				sh := s.Shard(i)
+				var tick func()
+				tick = func() {
+					if n++; n <= b.N {
+						sh.Post(to, sh.Now()+1, i, nop)
+						sh.ScheduleAfter(1, tick)
+					}
+				}
+				sh.ScheduleAfter(1, tick)
+			}
+			s.Run()
+			if st := to.QueueStats(); int(st.LanePops) != b.N || st.Fallbacks != 0 {
+				b.Fatalf("the target's queues counted %+v, want %d lane pops and no fallback", st, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkLanePick measures finding the earliest of many non-empty lanes on
+// one shard (one lane per tenant platform's expiry queue is the case that has
+// many). The same 2,048 events are pending at either lane count — so the
+// working set is the same — spread over lanes that never empty: each fire
+// schedules its lane's next tail a constant delay ahead. One op = one fired
+// event; the cost per op may grow with the logarithm of the lane count, not
+// with the count.
+func BenchmarkLanePick(b *testing.B) {
+	const pending = 2048
+	for _, lanes := range []int{4, 1024} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			b.ReportAllocs()
+			s := New(1)
+			sh := s.Main()
+			depth := pending / lanes
+			n := 0
+			for i := 0; i < lanes; i++ {
+				l := sh.NewLane()
+				var step func()
+				step = func() {
+					if n++; n+pending <= b.N {
+						l.Schedule(sh.Now()+Time(depth), i, step)
+					}
+				}
+				for j := 0; j < depth; j++ {
+					l.Schedule(Time(1+j)+Time(i)/Time(lanes), i, step)
+				}
+			}
+			b.ResetTimer()
+			s.Run()
+			if st := sh.QueueStats(); st.HeapPops != 0 || st.Fallbacks != 0 {
+				b.Fatalf("queues counted %+v: every event should have waited in a lane", st)
+			}
+		})
+	}
 }

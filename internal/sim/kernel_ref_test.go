@@ -20,6 +20,7 @@ type refEvent struct {
 	seq      uint64
 	fn       func()
 	canceled bool
+	fired    bool
 }
 
 type refQueue []*refEvent
@@ -50,13 +51,24 @@ type refSim struct {
 	queue refQueue
 	seq   uint64
 	fired uint64
+	live  int // queued and not canceled
 }
 
 func (s *refSim) schedule(at Time, priority int, fn func()) *refEvent {
 	e := &refEvent{at: at, priority: priority, seq: s.seq, fn: fn}
 	s.seq++
+	s.live++
 	heap.Push(&s.queue, e)
 	return e
+}
+
+// cancel marks e so that it never fires; it stays queued until its time
+// comes. Canceling a fired or already canceled event changes nothing.
+func (s *refSim) cancel(e *refEvent) {
+	if !e.canceled && !e.fired {
+		e.canceled = true
+		s.live--
+	}
 }
 
 func (s *refSim) run() { s.runUntil(Time(math.Inf(1))) }
@@ -90,6 +102,8 @@ func (s *refSim) pop() bool {
 	}
 	s.now = next.at
 	s.fired++
+	s.live--
+	next.fired = true
 	next.fn()
 	return true
 }
@@ -104,13 +118,28 @@ type kernelDriver interface {
 	firedCount() uint64
 }
 
+// optDriver sends every third schedule to the heap and the others to two
+// lanes, whatever their keys: the reference knows no lanes, so the equal
+// traces say that where an entry waits does not change when it fires.
 type optDriver struct {
-	s    *Simulation
-	last Event // zero handle is inert, so cancelLast needs no guard
+	s     *Simulation
+	lanes [2]*Lane
+	n     int
+	last  Event // zero handle is inert, so cancelLast needs no guard
+}
+
+func newOptDriver(seed uint64) *optDriver {
+	d := &optDriver{s: New(seed)}
+	d.lanes = [2]*Lane{d.s.main.NewLane(), d.s.main.NewLane()}
+	return d
 }
 
 func (d *optDriver) schedulePri(at Time, priority int, fn func()) {
-	d.last = d.s.SchedulePriority(at, priority, fn)
+	if d.n++; d.n%3 == 0 {
+		d.last = d.s.SchedulePriority(at, priority, fn)
+	} else {
+		d.last = d.lanes[d.n%3-1].Schedule(at, priority, fn)
+	}
 }
 func (d *optDriver) cancelLast() {
 	d.last.Cancel()
@@ -130,7 +159,7 @@ func (d *refDriver) schedulePri(at Time, priority int, fn func()) {
 }
 func (d *refDriver) cancelLast() {
 	if d.last != nil {
-		d.last.canceled = true
+		d.s.cancel(d.last)
 		d.last = nil
 	}
 }
@@ -179,7 +208,7 @@ func driveWorkload(d kernelDriver, seed uint64) []string {
 // EventsFired, same final clock, across several seeds.
 func TestKernelMatchesReferenceHeap(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		opt := &optDriver{s: New(seed)}
+		opt := newOptDriver(seed)
 		ref := &refDriver{s: &refSim{}}
 		gotTrace := driveWorkload(opt, seed)
 		wantTrace := driveWorkload(ref, seed)
@@ -196,6 +225,9 @@ func TestKernelMatchesReferenceHeap(t *testing.T) {
 		}
 		if opt.clock() != ref.clock() {
 			t.Fatalf("seed %d: final clock %v, reference %v", seed, opt.clock(), ref.clock())
+		}
+		if st := opt.s.main.QueueStats(); st.LanePops == 0 || st.Fallbacks == 0 || st.HeapPops == st.Fallbacks {
+			t.Fatalf("seed %d: %+v: want events through the lanes, through the fallback and straight onto the heap", seed, st)
 		}
 	}
 }

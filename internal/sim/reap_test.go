@@ -1,12 +1,15 @@
 package sim
 
-// Tests for the reap pass: canceled entries leave the heap once they
-// outnumber the live ones, and nothing observable depends on whether or when
-// that happened. One op interpreter drives the kernel and the container/heap
-// reference through the same byte-coded program (schedules, batches,
-// cancels — stale, repeated and from inside callbacks — Step and RunUntil),
-// checking the shard's dead count against a scan of its heap after every
-// operation; the random tests and FuzzKernelOps both feed it.
+// Tests for the reap pass and the lanes: canceled entries leave the heap once
+// they outnumber the live ones, sorted streams wait in FIFO lanes beside it,
+// and nothing observable depends on whether, when or where any of that
+// happened. One op interpreter drives the kernel and the container/heap
+// reference — which has neither a reap pass nor lanes: it is the
+// specification — through the same byte-coded program (schedules on the heap
+// and on lanes, batches, posts from several sender shards, cancels — stale,
+// repeated, of a lane's oldest entry and from inside callbacks — Step and
+// RunUntil), checking the shard's dead count and lane invariants against a
+// scan after every operation; the random tests and FuzzKernelOps both feed it.
 
 import (
 	"fmt"
@@ -14,16 +17,17 @@ import (
 	"testing"
 )
 
-// checkShard asserts the invariants the reap pass adds to a shard: dead is
-// exactly the number of canceled entries in the heap, every entry's slot
-// knows it is queued, and the heap order holds.
+// checkShard asserts the queue invariants of a shard: dead is exactly the
+// number of canceled entries in the heap, every queued entry's slot knows
+// where it is queued, the heap order holds, and every non-empty lane — sh.lanes
+// holds exactly those, as a heap by head entry — is sorted behind a live head.
 func checkShard(t testing.TB, sh *Shard) {
 	t.Helper()
 	dead := 0
 	for i := range sh.heap {
 		e := &sh.heap[i]
-		if !e.slot.queued {
-			t.Fatalf("shard %d: heap[%d] points at a slot not marked queued", sh.idx, i)
+		if !e.slot.queued || e.slot.lane != nil {
+			t.Fatalf("shard %d: heap[%d] points at a slot not marked queued on the heap", sh.idx, i)
 		}
 		if e.slot.canceled {
 			dead++
@@ -35,6 +39,39 @@ func checkShard(t testing.TB, sh *Shard) {
 	if dead != sh.dead {
 		t.Fatalf("shard %d: dead = %d, a scan of the heap finds %d", sh.idx, sh.dead, dead)
 	}
+	for i, r := range sh.lanes {
+		l := r.l
+		if l.pos != i || l.head >= len(l.q) || r.key != l.q[l.head] {
+			t.Fatalf("shard %d: lanes[%d] has pos %d, %d entries queued and key %+v", sh.idx, i, l.pos, len(l.q)-l.head, r.key)
+		}
+		if i > 0 && entryLess(&r.key, &sh.lanes[(i-1)/4].key) {
+			t.Fatalf("shard %d: lane-heap order violated at %d", sh.idx, i)
+		}
+		if r.key.slot.canceled {
+			t.Fatalf("shard %d: lanes[%d] is headed by a canceled entry", sh.idx, i)
+		}
+		for j := l.head; j < len(l.q); j++ {
+			if e := &l.q[j]; !e.slot.queued || e.slot.lane != l {
+				t.Fatalf("shard %d: lanes[%d] entry %d points at a slot not marked queued there", sh.idx, i, j)
+			} else if j > l.head && entryLess(e, &l.q[j-1]) {
+				t.Fatalf("shard %d: lanes[%d] out of order at %d", sh.idx, i, j)
+			}
+		}
+	}
+}
+
+// queuedCanceled counts the canceled entries still queued on sh: the dead in
+// its heap plus the ones waiting in a lane for the head to reach them.
+func queuedCanceled(sh *Shard) int {
+	n := sh.dead
+	for _, r := range sh.lanes {
+		for _, e := range r.l.q[r.l.head:] {
+			if e.slot.canceled {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // cancelChecked cancels ev, owned by sh, and checks the shard; a Cancel
@@ -51,41 +88,85 @@ func cancelChecked(t testing.TB, sh *Shard, ev Event) (reaped bool) {
 	return sh.dead < before
 }
 
-// opKernel is what an op program needs of a kernel. Handles are numbered in
-// schedule order; batch entries get none.
+// opKernel is what an op program needs of a kernel. Everything lands on the
+// main shard. Handles are numbered in schedule order; batch entries and posts
+// get none.
 type opKernel interface {
-	schedule(at Time, pri int, fn func())
+	// schedule queues on the heap (lane 0) or through lane 1..opLanes.
+	schedule(lane int, at Time, pri int, fn func())
 	batch(evs []BatchEvent)
+	// post sends through sender shard from's outbox, between runs; postSelf
+	// through the main shard's own, from a callback.
+	post(from int, at Time, pri int, fn func())
+	postSelf(at Time, pri int, fn func())
 	cancel(h int)
 	handles() int
+	// probe reports whether handle h is still due to fire and, if so, when.
+	probe(h int) (live bool, at Time)
 	step() bool
 	runUntil(limit Time)
 	now() Time
+	idleClock() Time // the clock of the last shard: a sender's, if there are any
 	fired() uint64
+	pendingLive() int // queued or posted, and not canceled
 }
 
-// optKernel drives the real kernel, checking the shard after every call.
+const (
+	opLanes     = 3
+	opLookahead = 2.0
+)
+
+// optKernel drives the real kernel, checking the main shard after every call.
 type optKernel struct {
 	t     testing.TB
 	s     *Simulation
+	lanes [opLanes]*Lane
 	hs    []Event
 	reaps int
 }
 
-func (k *optKernel) schedule(at Time, pri int, fn func()) {
-	k.hs = append(k.hs, k.s.SchedulePriority(at, pri, fn))
+func newOptKernel(t testing.TB, shards int) *optKernel {
+	k := &optKernel{t: t, s: New(1)}
+	k.s.EnsureShards(shards)
+	k.s.SetLookahead(opLookahead)
+	for i := range k.lanes {
+		k.lanes[i] = k.s.main.NewLane()
+	}
+	return k
+}
+
+func (k *optKernel) schedule(lane int, at Time, pri int, fn func()) {
+	if lane == 0 {
+		k.hs = append(k.hs, k.s.SchedulePriority(at, pri, fn))
+	} else {
+		k.hs = append(k.hs, k.lanes[lane-1].Schedule(at, pri, fn))
+	}
 	checkShard(k.t, k.s.main)
 }
 func (k *optKernel) batch(evs []BatchEvent) {
 	k.s.main.ScheduleBatch(evs)
 	checkShard(k.t, k.s.main)
 }
+func (k *optKernel) post(from int, at Time, pri int, fn func()) {
+	k.s.Shard(from%k.s.NumShards()).Post(k.s.main, at, pri, fn)
+}
+func (k *optKernel) postSelf(at Time, pri int, fn func()) { k.s.main.Post(k.s.main, at, pri, fn) }
 func (k *optKernel) cancel(h int) {
 	if cancelChecked(k.t, k.s.main, k.hs[h]) {
 		k.reaps++
 	}
 }
 func (k *optKernel) handles() int { return len(k.hs) }
+func (k *optKernel) probe(h int) (bool, Time) {
+	ev := k.hs[h]
+	if ev.slot.gen != ev.gen {
+		if ev.At() != 0 || ev.Canceled() {
+			k.t.Fatalf("stale handle %d reports At=%v Canceled=%v", h, ev.At(), ev.Canceled())
+		}
+		return false, 0
+	}
+	return !ev.Canceled(), ev.At()
+}
 func (k *optKernel) step() bool {
 	ok := k.s.Step()
 	checkShard(k.t, k.s.main)
@@ -95,17 +176,25 @@ func (k *optKernel) runUntil(limit Time) {
 	k.s.RunUntil(limit)
 	checkShard(k.t, k.s.main)
 }
-func (k *optKernel) now() Time     { return k.s.Now() }
-func (k *optKernel) fired() uint64 { return k.s.EventsFired() }
+func (k *optKernel) now() Time        { return k.s.Now() }
+func (k *optKernel) idleClock() Time  { return k.s.shards[len(k.s.shards)-1].now }
+func (k *optKernel) fired() uint64    { return k.s.EventsFired() }
+func (k *optKernel) pendingLive() int { return k.s.Pending() - queuedCanceled(k.s.main) }
 
 // refOpKernel drives the container/heap reference, which never drops a
-// canceled entry before its time comes.
+// canceled entry before its time comes and has one queue: a post between runs
+// waits in its sender's outbox and is scheduled when the next Step or RunUntil
+// starts, in (sender shard, send order) order; a post from a callback is
+// scheduled on the spot (the interpreter gives those a priority band of their
+// own, so at which window barrier the kernel numbers them cannot matter).
 type refOpKernel struct {
-	s  *refSim
-	hs []*refEvent
+	s      *refSim
+	hs     []*refEvent
+	outbox [][]BatchEvent // per sender shard
+	clamp  Time           // the latest finite RunUntil limit: every idle shard's clock
 }
 
-func (k *refOpKernel) schedule(at Time, pri int, fn func()) {
+func (k *refOpKernel) schedule(_ int, at Time, pri int, fn func()) {
 	k.hs = append(k.hs, k.s.schedule(at, pri, fn))
 }
 func (k *refOpKernel) batch(evs []BatchEvent) {
@@ -113,27 +202,80 @@ func (k *refOpKernel) batch(evs []BatchEvent) {
 		k.s.schedule(e.At, e.Pri, e.Fn)
 	}
 }
-func (k *refOpKernel) cancel(h int)        { k.hs[h].canceled = true }
-func (k *refOpKernel) handles() int        { return len(k.hs) }
-func (k *refOpKernel) step() bool          { return k.s.step() }
-func (k *refOpKernel) runUntil(limit Time) { k.s.runUntil(limit) }
-func (k *refOpKernel) now() Time           { return k.s.now }
-func (k *refOpKernel) fired() uint64       { return k.s.fired }
+func (k *refOpKernel) post(from int, at Time, pri int, fn func()) {
+	from %= len(k.outbox)
+	k.outbox[from] = append(k.outbox[from], BatchEvent{At: at, Pri: pri, Fn: fn})
+}
+func (k *refOpKernel) postSelf(at Time, pri int, fn func()) { k.s.schedule(at, pri, fn) }
+func (k *refOpKernel) flush() {
+	for i, posts := range k.outbox {
+		k.batch(posts)
+		k.outbox[i] = posts[:0]
+	}
+}
+func (k *refOpKernel) cancel(h int) { k.s.cancel(k.hs[h]) }
+func (k *refOpKernel) handles() int { return len(k.hs) }
+func (k *refOpKernel) probe(h int) (bool, Time) {
+	if e := k.hs[h]; !e.fired && !e.canceled {
+		return true, e.at
+	}
+	return false, 0
+}
+func (k *refOpKernel) step() bool {
+	k.flush()
+	return k.s.step()
+}
+func (k *refOpKernel) runUntil(limit Time) {
+	k.flush()
+	k.s.runUntil(limit)
+	if !math.IsInf(float64(limit), 1) && limit > k.clamp {
+		k.clamp = limit
+	}
+}
+func (k *refOpKernel) now() Time { return k.s.now }
+func (k *refOpKernel) idleClock() Time {
+	if len(k.outbox) == 1 {
+		return k.s.now
+	}
+	return k.clamp
+}
+func (k *refOpKernel) fired() uint64 { return k.s.fired }
+func (k *refOpKernel) pendingLive() int {
+	n := k.s.live
+	for _, posts := range k.outbox {
+		n += len(posts)
+	}
+	return n
+}
 
 // Op codes (the low four bits of an op's first byte; the codes in between
-// schedule and cancel too, so arbitrary bytes mostly do those).
+// schedule and cancel too, so arbitrary bytes mostly do those). The high four
+// bits pick the variant: which queue a schedule goes through, which sender and
+// delay a post has, whether a recent-cancel takes a lane's oldest entry.
 const (
-	opSchedule     = 0  // ..3: delay, priority, callback
+	opSchedule     = 0  // ..3: delay, priority, callback; variant%4 is the lane (0: the heap)
 	opBatch        = 4  // count, then delay, priority, callback per entry
 	opCancel       = 5  // ..11: 16-bit distance back from the latest handle, modulo cancelWindow
-	opCancelRecent = 12 // how far back from the latest handle
+	opCancelRecent = 12 // how far back from the latest handle; variant >= 8: lane 1+variant%3's oldest instead
 	opStep         = 13
-	opRunUntil     = 14 // ..15: how far
+	opRunUntil     = 14 // how far
+	opPost         = 15 // delay, priority, callback; variant%4 is the sender shard, variant/4 the delay class
 
 	maxBatch     = 8
 	cancelWindow = 4096
 	eventBytes   = 5 // a callback: behaviour, 16-bit cancel target, child delay and priority
+
+	// Lanes 1 and 2 are what lanes are for — a constant hold, short and long, so
+	// keys arrive sorted but for falling priorities at one instant; lane 3 takes
+	// the op's own random delay, so most of its pushes fall back to the heap.
+	laneHoldShort = 7
+	laneHoldLong  = 600
+	// A callback's post has this much added to its priority: the band of its own.
+	postSelfBand = 10
 )
+
+// variant builds an op's first byte from its code and variant.
+func variant(op, v int) byte { return byte(op | v<<4) }
 
 // Callback behaviours of a scheduled event, decoded with it.
 const (
@@ -141,24 +283,40 @@ const (
 	actCancelSelfTwice = 5
 	actCancelOther     = 6
 	actCancelOtherTwo  = 7 // the same other handle, twice
-	actSpawn           = 8 // schedules a child
+	actSpawn           = 8 // a child: target%4 says on the heap, on lane 1, on lane 3, or posted to itself
 	numActs            = 10
 )
 
 // opRecord is one line of an op program's trace: an event firing (its id; a
-// child's is its parent's negated) or, with id 0, the state after an op.
+// child's is its parent's negated) or, with id 0, the state after an op,
+// including what two handles — the last one canceled and one picked by the
+// trace length — say about their events.
 type opRecord struct {
-	id    int
-	now   Time
-	fired uint64
+	id        int
+	now, idle Time
+	fired     uint64
+	pending   int
+	live      [2]bool
+	at        [2]Time
 }
 
-// runOps interprets prog on k and returns the firing trace, with the clock
-// and fired count after every op. Everything an event will do is decoded when
-// it is scheduled, so the program reads the same on both kernels.
+// runOps interprets prog on k and returns the firing trace, with the state
+// after every op. Everything an event will do is decoded when it is
+// scheduled, so the program reads the same on both kernels.
 func runOps(k opKernel, prog []byte) []opRecord {
 	var trace []opRecord
-	record := func(id int) { trace = append(trace, opRecord{id, k.now(), k.fired()}) }
+	lastCancel := -1
+	record := func(id int) {
+		r := opRecord{id: id, now: k.now(), idle: k.idleClock(), fired: k.fired(), pending: k.pendingLive()}
+		if n := k.handles(); id == 0 && n > 0 {
+			for i, h := range [2]int{max(lastCancel, 0), len(trace) * 7919 % n} {
+				if r.live[i], r.at[i] = k.probe(h); !r.live[i] {
+					r.at[i] = 0 // a canceled event's time is the kernel's to keep or forget
+				}
+			}
+		}
+		trace = append(trace, r)
+	}
 	pc := 0
 	next := func() int {
 		if pc >= len(prog) {
@@ -169,12 +327,29 @@ func runOps(k opKernel, prog []byte) []opRecord {
 		return int(b)
 	}
 	next16 := func() int { return next()<<8 | next() }
+	cancel := func(h int) {
+		k.cancel(h)
+		lastCancel = h
+	}
 	// A cancel reaches cancelWindow handles back: far enough to hit fired
 	// and reaped ones, near enough that long programs keep hitting live ones.
 	cancelAny := func(target int) {
 		if n := k.handles(); n > 0 {
-			k.cancel(n - 1 - target%min(n, cancelWindow))
+			cancel(n - 1 - target%min(n, cancelWindow))
 		}
+	}
+	// oldest[l] lists the handles scheduled through lane l in order, for
+	// cancel-the-oldest: a lane head unless it fired or fell back to the heap.
+	var oldest [opLanes + 1][]int
+	schedule := func(lane int, delay Time, pri int, fn func()) {
+		switch lane {
+		case 1:
+			delay = laneHoldShort
+		case 2:
+			delay = laneHoldLong
+		}
+		oldest[lane] = append(oldest[lane], k.handles())
+		k.schedule(lane, k.now()+delay, pri, fn)
 	}
 	ids := 0
 	// event decodes one callback; self is the handle it will get, or -1.
@@ -186,9 +361,9 @@ func runOps(k opKernel, prog []byte) []opRecord {
 			switch act {
 			case actCancelSelf, actCancelSelfTwice:
 				if self >= 0 {
-					k.cancel(self)
+					cancel(self)
 					if act == actCancelSelfTwice {
-						k.cancel(self)
+						cancel(self)
 					}
 				}
 			case actCancelOther:
@@ -197,15 +372,21 @@ func runOps(k opKernel, prog []byte) []opRecord {
 				cancelAny(target)
 				cancelAny(target)
 			case actSpawn:
-				k.schedule(k.now()+dt, pri, func() { record(-id) })
+				child := func() { record(-id) }
+				if where := target % 4; where == 3 {
+					k.postSelf(k.now()+opLookahead+dt, pri+postSelfBand, child)
+				} else {
+					schedule([3]int{0, 1, 3}[where], dt, pri, child)
+				}
 			}
 		}
 	}
 	for pc < len(prog) {
-		switch c := next() % 16; {
+		b := next()
+		switch c, v := b%16, b/16; {
 		case c < opBatch:
-			at, pri := k.now()+Time(next()), next()%3-1
-			k.schedule(at, pri, event(k.handles()))
+			delay, pri := Time(next()), next()%3-1
+			schedule(v%4, delay, pri, event(k.handles()))
 		case c == opBatch:
 			evs := make([]BatchEvent, next()%maxBatch)
 			for i := range evs {
@@ -215,14 +396,25 @@ func runOps(k opKernel, prog []byte) []opRecord {
 		case c < opCancelRecent:
 			cancelAny(next16())
 		case c == opCancelRecent:
-			// One of the latest handles: most likely still pending.
-			if n := k.handles(); n > 0 {
-				k.cancel(n - 1 - next()%min(n, 256))
+			back := next()
+			if l := 1 + v%3; v >= 8 {
+				if q := oldest[l]; len(q) > 0 {
+					cancel(q[0])
+					oldest[l] = q[1:]
+				}
+			} else if n := k.handles(); n > 0 {
+				// One of the latest handles: most likely still pending.
+				cancel(n - 1 - back%min(n, 256))
 			}
 		case c == opStep:
 			k.step()
-		default:
+		case c == opRunUntil:
 			k.runUntil(k.now() + Time(next())/256)
+		default:
+			// Senders other than the main shard run nothing, so their clocks are
+			// never ahead of the main shard's and its lookahead bound covers theirs.
+			delay := [4]Time{opLookahead, opLookahead, 40 * opLookahead, opLookahead + Time(next())/8}[v/4]
+			k.post(v%4, k.now()+delay, next()%3-1, event(-1))
 		}
 		record(0)
 	}
@@ -237,60 +429,140 @@ func runOps(k opKernel, prog []byte) []opRecord {
 // slowly, so the dead pile up queued rather than popping.
 func opProgram(rng *Rand, prefill, n int) []byte {
 	var prog []byte
-	emit := func(op byte, params int) {
-		prog = append(prog, op|byte(rng.Intn(16))<<4)
-		for i := 0; i < params; i++ {
-			prog = append(prog, byte(rng.Intn(256)))
-		}
-	}
 	for i := 0; i < prefill; i++ {
 		prog = append(prog, opSchedule, byte(rng.Intn(256)), byte(rng.Intn(3)), 0, 0, 0, 0, 0)
 	}
 	for _, back := range rng.Perm(prefill)[:prefill*3/5] {
 		prog = append(prog, opCancel, byte(back>>8), byte(back))
 	}
+	return appendOps(prog, rng, n, []opWeight{
+		{op: opSchedule, variants: onHeap, weight: 15}, {op: opSchedule, weight: 5}, {op: opBatch, weight: 2},
+		{op: opCancel, weight: 30}, {op: opCancelRecent, variants: recent, weight: 36}, {op: opStep, weight: 4}, {op: opRunUntil, weight: 8}})
+}
+
+// opWeight is one row of an op mix: an op code, a bit set of the variants
+// (high-nibble values) to draw from, 0 for any, the row's weight, and whether
+// a schedule's priority byte is pinned to priority 0 rather than drawn.
+type opWeight struct {
+	op, variants, weight int
+	flatPri              bool
+}
+
+// appendOps appends n ops drawn from mix, each with random parameter bytes.
+func appendOps(prog []byte, rng *Rand, n int, mix []opWeight) []byte {
+	total := 0
+	for _, w := range mix {
+		total += w.weight
+	}
 	for i := 0; i < n; i++ {
-		switch r := rng.Intn(100); {
-		case r < 20:
-			emit(opSchedule, 2+eventBytes)
-		case r < 22:
-			count := rng.Intn(maxBatch)
-			prog = append(prog, opBatch, byte(count))
-			for j := 0; j < count*(2+eventBytes); j++ {
-				prog = append(prog, byte(rng.Intn(256)))
+		r := rng.Intn(total)
+		var w opWeight
+		for _, w = range mix {
+			if r -= w.weight; r < 0 {
+				break
 			}
-		case r < 52:
-			emit(opCancel, 2)
-		case r < 88:
-			emit(opCancelRecent, 1)
-		case r < 92:
-			emit(opStep, 0)
-		default:
-			emit(opRunUntil, 1)
+		}
+		v := rng.Intn(16)
+		for w.variants != 0 && w.variants&(1<<v) == 0 {
+			v = rng.Intn(16)
+		}
+		prog = append(prog, variant(w.op, v))
+		params := 0
+		switch w.op {
+		case opSchedule, opPost:
+			params = 2 + eventBytes
+		case opBatch:
+			count := rng.Intn(maxBatch)
+			prog = append(prog, byte(count))
+			params = count * (2 + eventBytes)
+		case opCancel:
+			params = 2
+		case opCancelRecent, opRunUntil:
+			params = 1
+		}
+		for j := 0; j < params; j++ {
+			prog = append(prog, byte(rng.Intn(256)))
+		}
+		if w.flatPri {
+			prog[len(prog)-params+1] = 1
 		}
 	}
 	return prog
 }
 
-// runOpsBoth runs prog on the kernel and on the reference and requires the
-// same trace, event for event; it returns how many reap passes ran.
-func runOpsBoth(t testing.TB, prog []byte) int {
-	t.Helper()
-	opt := &optKernel{t: t, s: New(1)}
-	got := runOps(opt, prog)
-	want := runOps(&refOpKernel{s: &refSim{}}, prog)
-	for i := 0; i < len(got) && i < len(want); i++ {
-		if got[i] != want[i] {
-			t.Fatalf("trace diverges at %d: %+v, reference %+v", i, got[i], want[i])
+// Variant sets for appendOps.
+const (
+	onHeap      = 1<<0 | 1<<4 | 1<<8 | 1<<12
+	onLane1     = onHeap << 1
+	onLane2     = onHeap << 2
+	onLane3     = onHeap << 3
+	oldestLane1 = 1<<9 | 1<<12 | 1<<15
+	oldestLane2 = 1<<10 | 1<<13
+	recent      = 0x00ff
+)
+
+// laneProgram returns n ops of one of the lane mixes the seed corpus carries:
+// sorted keys through lanes 1 and 2, unsorted ones through lane 3, FIFO
+// cancel-the-oldest churn on the long hold, and posts from four sender shards
+// in every delay class — each with heap traffic, random cancels and reap
+// passes mixed in.
+func laneProgram(rng *Rand, kind string, n int) []byte {
+	mixes := map[string][]opWeight{
+		"lane-monotone": {{opSchedule, onLane1, 25, true}, {opSchedule, onLane2, 15, true}, {op: opSchedule, variants: onHeap, weight: 10},
+			{op: opCancel, weight: 10}, {op: opCancelRecent, variants: recent, weight: 15}, {op: opStep, weight: 15}, {op: opRunUntil, weight: 10}},
+		"lane-fallback": {{op: opSchedule, variants: onLane3, weight: 30}, {op: opSchedule, variants: onLane1, weight: 10},
+			{op: opSchedule, variants: onHeap, weight: 5}, {op: opBatch, weight: 2},
+			{op: opCancel, weight: 15}, {op: opCancelRecent, variants: recent, weight: 40}, {op: opStep, weight: 5}, {op: opRunUntil, weight: 8}},
+		"lane-cancel-head-churn": {{opSchedule, onLane2, 30, true}, {op: opCancelRecent, variants: oldestLane2, weight: 27},
+			{opSchedule, onLane1, 8, true}, {op: opCancelRecent, variants: oldestLane1, weight: 5}, {op: opSchedule, variants: onHeap, weight: 5},
+			{op: opCancel, weight: 10}, {op: opStep, weight: 5}, {op: opRunUntil, weight: 10}},
+		"post-multi-sender": {{op: opPost, weight: 40}, {op: opSchedule, weight: 25}, {op: opCancel, weight: 10}, {op: opCancelRecent, weight: 40},
+			{op: opStep, weight: 5}, {op: opRunUntil, weight: 10}},
+	}
+	var prog []byte
+	if kind == "lane-fallback" || kind == "post-multi-sender" {
+		// One sure reap pass among the fallbacks: 2*reapFloor unsorted pushes on
+		// lane 3, three in five of them canceled.
+		const prefill = 2 * reapFloor
+		for i := 0; i < prefill; i++ {
+			prog = append(prog, variant(opSchedule, 3), byte(rng.Intn(256)), byte(rng.Intn(3)), 0, 0, 0, 0, 0)
+		}
+		for _, back := range rng.Perm(prefill)[:prefill*3/5] {
+			prog = append(prog, opCancel, byte(back>>8), byte(back))
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("trace has %d entries, reference %d", len(got), len(want))
+	return appendOps(prog, rng, n, mixes[kind])
+}
+
+// runOpsBoth runs prog on the kernel — with the one shard whose RunUntil is
+// the plain drain loop, and with four, posts coming from all of them — and on
+// the reference, and requires the same trace, event for event; it returns how
+// many reap passes ran and what the main shard's queues counted, on one shard.
+func runOpsBoth(t testing.TB, prog []byte) (reaps int, stats QueueStats) {
+	t.Helper()
+	for _, shards := range []int{4, 1} {
+		opt := newOptKernel(t, shards)
+		got := runOps(opt, prog)
+		want := runOps(&refOpKernel{s: &refSim{}, outbox: make([][]BatchEvent, shards)}, prog)
+		for i := 0; i < len(got) && i < len(want); i++ {
+			if got[i] != want[i] {
+				t.Fatalf("%d shards: trace diverges at %d: %+v, reference %+v", shards, i, got[i], want[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d shards: trace has %d entries, reference %d", shards, len(got), len(want))
+		}
+		sh := opt.s.main
+		if len(sh.heap) != 0 || sh.dead != 0 || len(sh.lanes) != 0 || opt.s.Pending() != 0 {
+			t.Fatalf("%d shards, after the final drain: %d entries on the heap, dead = %d, %d lanes queued, Pending = %d",
+				shards, len(sh.heap), sh.dead, len(sh.lanes), opt.s.Pending())
+		}
+		if st := sh.QueueStats(); st.LanePops+st.HeapPops != sh.fired+st.DeadPops {
+			t.Fatalf("%d shards: %+v does not add up to %d events fired", shards, st, sh.fired)
+		}
+		reaps, stats = opt.reaps, sh.QueueStats()
 	}
-	if sh := opt.s.main; len(sh.heap) != 0 || sh.dead != 0 {
-		t.Fatalf("after the final drain: %d entries queued, dead = %d", len(sh.heap), sh.dead)
-	}
-	return opt.reaps
+	return reaps, stats
 }
 
 // TestReapMatchesReferenceHeap: cancel-heavy random op mixes over heaps far
@@ -308,7 +580,7 @@ func TestReapMatchesReferenceHeap(t *testing.T) {
 		{50 * reapFloor, 20000, true},
 	} {
 		for seed := uint64(1); seed <= 4; seed++ {
-			reaps := runOpsBoth(t, opProgram(NewRand(seed), tc.prefill, tc.n))
+			reaps, _ := runOpsBoth(t, opProgram(NewRand(seed), tc.prefill, tc.n))
 			if (reaps > 0) != tc.reaps {
 				t.Errorf("prefill %d, %d ops, seed %d: %d reap passes, want any = %v", tc.prefill, tc.n, seed, reaps, tc.reaps)
 			}
@@ -316,9 +588,32 @@ func TestReapMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
+// TestLanesMatchReferenceHeap: the lane mixes fire event for event like the
+// reference, which has no lanes, and each drives what it is named after.
+func TestLanesMatchReferenceHeap(t *testing.T) {
+	for kind, driven := range map[string]func(reaps int, st QueueStats) bool{
+		"lane-monotone": func(_ int, st QueueStats) bool { return st.LanePops > 20*st.Fallbacks },
+		"lane-fallback": func(reaps int, st QueueStats) bool {
+			return reaps > 0 && st.Fallbacks > st.LanePushes/4 && st.LanePops > st.LanePushes/8
+		},
+		// Most pushes left their lane through a Cancel of its head.
+		"lane-cancel-head-churn": func(_ int, st QueueStats) bool { return st.LanePushes-st.LanePops-st.Fallbacks > st.LanePushes/2 },
+		"post-multi-sender": func(reaps int, st QueueStats) bool {
+			return reaps > 0 && st.Fallbacks > st.LanePushes/8 && st.LanePops > st.LanePushes/8
+		},
+	} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			if reaps, st := runOpsBoth(t, laneProgram(NewRand(seed), kind, 3000)); !driven(reaps, st) {
+				t.Errorf("%s, seed %d: %d reap passes, the queues counted %+v: the mix missed its target", kind, seed, reaps, st)
+			}
+		}
+	}
+}
+
 // FuzzKernelOps decodes arbitrary bytes into the same op mix and compares
 // firing order with the reference heap. The seed corpus under testdata/fuzz
-// is opProgram output that reaps at several heap sizes.
+// is opProgram output that reaps at several heap sizes and laneProgram output
+// of every kind.
 func FuzzKernelOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 1<<13 {

@@ -37,7 +37,9 @@ func (e Event) At() Time {
 // A canceled entry stays in its shard's heap only until the dead outnumber
 // the live there (see Shard.reap), so Cancel is amortized O(1) plus its share
 // of one linear pass, and what a canceled event costs does not depend on how
-// far in the future it was scheduled.
+// far in the future it was scheduled. In a Lane, canceling the head removes it
+// on the spot — canceling a FIFO's oldest entry never leaves a corpse — and
+// any other entry is skipped when the head reaches it; neither counts as dead.
 func (e Event) Cancel() {
 	slot := e.slot
 	if slot == nil {
@@ -63,6 +65,13 @@ func (e Event) Cancel() {
 	// An event canceling itself from its own callback is already out of the
 	// heap: there is no entry left to count or to reap.
 	if !slot.queued {
+		return
+	}
+	if l := slot.lane; l != nil {
+		if l.q[l.head].slot == slot {
+			l.advance()
+			sh.recycle(slot)
+		}
 		return
 	}
 	sh.dead++
@@ -95,7 +104,8 @@ type eventSlot struct {
 	at       Time
 	gen      uint64
 	canceled bool
-	queued   bool // an entry in sh.heap points here; false once popped or reaped
+	queued   bool  // a heap or lane entry points here; false once popped or reaped
+	lane     *Lane // the lane holding that entry, nil for the heap
 	sh       *Shard
 	next     *eventSlot // the free list's link while the slot is idle
 }
@@ -145,6 +155,11 @@ type Shard struct {
 	// dead counts the heap entries whose event was canceled and which no
 	// pop or reap pass has dropped yet; always equal to a scan of heap.
 	dead int
+	// lanes is a min-heap, by head entry, of the shard's non-empty lanes
+	// (lane.go); inbox[i] is the lane posts from shard i are delivered into.
+	lanes []laneRef
+	inbox []*Lane
+	stats QueueStats
 
 	// free heads the list of recycled slots (linked through the slots, so
 	// returning any number of them — a reap pass frees thousands — never
@@ -214,6 +229,15 @@ func (sh *Shard) ScheduleAfter(d Duration, fn func()) Event {
 // schedule onto it; an event on another shard must use Post instead, and
 // the kernel panics on violations it can observe.
 func (sh *Shard) SchedulePriority(at Time, priority int, fn func()) Event {
+	sh.checkSchedule(at)
+	slot := sh.newSlot(at, fn)
+	sh.enqueue2(at, priority, slot)
+	return Event{slot: slot, gen: slot.gen}
+}
+
+// checkSchedule panics unless the caller may schedule onto this shard at at:
+// the ownership, past-time and non-finite-time rules of SchedulePriority.
+func (sh *Shard) checkSchedule(at Time) {
 	s := sh.sim
 	if d := s.draining; d != nil && d != sh {
 		panic(fmt.Sprintf("sim: shard %d scheduled onto shard %d; cross-shard sends must go through Post", d.idx, sh.idx))
@@ -227,9 +251,6 @@ func (sh *Shard) SchedulePriority(at Time, priority int, fn func()) Event {
 	if math.IsNaN(float64(at)) || math.IsInf(float64(at), 0) {
 		panic(fmt.Sprintf("sim: scheduling event at non-finite time %v", float64(at)))
 	}
-	slot := sh.newSlot(at, fn)
-	sh.enqueue2(at, priority, slot)
-	return Event{slot: slot, gen: slot.gen}
 }
 
 // Post sends fn to run on shard to at absolute time at with the given
@@ -331,12 +352,21 @@ func (sh *Shard) ScheduleBatch(batch []BatchEvent) {
 		siftDown(q, i)
 	}
 	sh.heap = q
+	sh.stats.HeapPeak = max(sh.stats.HeapPeak, len(q))
 }
 
-// enqueue inserts an already-validated event (a delivered post) into the
-// shard's heap, assigning the next sequence number.
-func (sh *Shard) enqueue(at Time, priority int, fn func()) {
-	sh.enqueue2(at, priority, sh.newSlot(at, fn))
+// deliver queues an already-validated post from shard `from` on that
+// sender's inbox lane: one sender's posts mostly arrive in key order (its
+// clock is monotone and a constant-delay hop preserves that), and the ones
+// that do not fall back to the heap like any other lane push.
+func (sh *Shard) deliver(from int, at Time, priority int, fn func()) {
+	for len(sh.inbox) <= from {
+		sh.inbox = append(sh.inbox, nil)
+	}
+	if sh.inbox[from] == nil {
+		sh.inbox[from] = sh.NewLane()
+	}
+	sh.inbox[from].push(at, priority, fn)
 }
 
 // enqueue2 pushes slot onto the heap under (at, priority, next sequence).
@@ -364,7 +394,7 @@ func (sh *Shard) newSlot(at Time, fn func()) *eventSlot {
 		sh.arena = sh.arena[1:]
 		sh.allocs++
 	}
-	slot.fn, slot.at, slot.queued = fn, at, true
+	slot.fn, slot.at, slot.queued, slot.lane = fn, at, true, nil
 	return slot
 }
 
@@ -410,11 +440,8 @@ func (sh *Shard) reap() {
 
 // eligible reports whether the shard has an event inside the window bound.
 func (sh *Shard) eligible(bound Time, inclusive bool) bool {
-	if len(sh.heap) == 0 {
-		return false
-	}
-	at := sh.heap[0].at
-	return at < bound || (inclusive && at == bound)
+	e, _ := sh.top()
+	return e != nil && (e.at < bound || (inclusive && e.at == bound))
 }
 
 // drain executes the shard's events up to the window bound (exclusive, or
@@ -424,47 +451,53 @@ func (sh *Shard) eligible(bound Time, inclusive bool) bool {
 // post to other shards.
 func (sh *Shard) drain(bound Time, inclusive bool) {
 	sh.executing = true
-	for len(sh.heap) > 0 {
-		at := sh.heap[0].at
-		if at > bound || (at == bound && !inclusive) {
+	for {
+		e, l := sh.top()
+		if e == nil || e.at > bound || (e.at == bound && !inclusive) {
 			break
 		}
-		e := sh.heapPop()
-		slot := e.slot
-		if slot.canceled {
-			sh.dead--
-			sh.recycle(slot)
-			continue
-		}
-		sh.now = e.at
-		sh.fired++
-		fn := slot.fn
-		slot.fn = nil
-		fn()
-		sh.recycle(slot)
+		sh.popFire(l)
 	}
 	sh.executing = false
 }
 
-// drainOne pops the shard's head entry and, unless it is a canceled event
+// drainOne pops the shard's top entry and, unless it is a canceled event
 // being dropped, fires it; it reports whether an event fired. Used by Step
 // and the sequential multi-shard merge loop, which re-pick the globally
 // minimal shard between events.
 func (sh *Shard) drainOne() bool {
-	e := sh.heapPop()
-	slot := e.slot
-	if slot.canceled {
-		sh.dead--
-		sh.recycle(slot)
-		return false
+	_, l := sh.top()
+	sh.executing = true
+	fired := sh.popFire(l)
+	sh.executing = false
+	return fired
+}
+
+// popFire removes the shard's top entry — lane l's head, or the heap's when l
+// is nil — and fires it, reporting whether it did: a canceled heap entry is
+// dropped instead (a lane's head is never canceled).
+func (sh *Shard) popFire(l *Lane) bool {
+	var e heapEntry
+	if l != nil {
+		e = l.q[l.head]
+		l.advance()
+		sh.stats.LanePops++
+	} else {
+		e = sh.heapPop()
+		sh.stats.HeapPops++
+		if e.slot.canceled {
+			sh.dead--
+			sh.stats.DeadPops++
+			sh.recycle(e.slot)
+			return false
+		}
 	}
+	slot := e.slot
 	sh.now = e.at
 	sh.fired++
 	fn := slot.fn
 	slot.fn = nil
-	sh.executing = true
 	fn()
-	sh.executing = false
 	sh.recycle(slot)
 	return true
 }
@@ -482,6 +515,7 @@ func (sh *Shard) heapPush(e heapEntry) {
 		i = parent
 	}
 	sh.heap = q
+	sh.stats.HeapPeak = max(sh.stats.HeapPeak, len(q))
 }
 
 // heapPop removes and returns the minimum entry.

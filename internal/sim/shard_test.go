@@ -249,28 +249,39 @@ func TestShardFreeListsStayZeroAlloc(t *testing.T) {
 }
 
 // TestKernelSteadyStateZeroAlloc is the kernel's share of the zero-allocation
-// contract. Once heaps, outboxes and arenas have reached their high-water
-// marks, a RunUntil window that takes every scheduling entry point —
-// Schedule, ScheduleAfter, SchedulePriority, ScheduleBatch on both its sift
-// and its heapify branch, Post across shards, Cancel and the reap passes it
-// starts — does not touch the Go heap.
+// contract. Once heaps, lanes, outboxes and arenas have reached their
+// high-water marks, a RunUntil window that takes every scheduling entry point
+// — Schedule, ScheduleAfter, SchedulePriority, ScheduleBatch on both its sift
+// and its heapify branch, Lane.Schedule, Post from three sender shards into
+// one target, Cancel on the heap (and the reap passes it starts), of a lane's
+// head and of an entry behind it — does not touch the Go heap.
 func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 	s := New(1)
-	s.EnsureShards(2)
+	s.EnsureShards(4)
 	s.SetLookahead(1)
 	a, b := s.Shard(0), s.Shard(1)
 	nop := func() {}
 	echo := func() { b.ScheduleAfter(0.25, nop) }
 	batch := make([]BatchEvent, 4)
+	short, hold := a.NewLane(), a.NewLane()
+	var held [8]Event // the hold lane's pending timeouts, replaced oldest first
+	n := 0
 	var tick func()
 	tick = func() {
 		now := a.Now()
 		a.Schedule(now+0.25, nop)
 		a.SchedulePriority(now+0.5, -1, nop)
+		short.Schedule(now+0.5, 0, nop)
 		// A hold canceled long before it is due, like the reclaim of a warm
-		// sandbox that is reused: the dead entries the reap passes drop. They
-		// also move the heap length across ScheduleBatch's break-even.
+		// sandbox that is reused: on the heap, the dead entries the reap passes
+		// drop (they also move the heap length across ScheduleBatch's
+		// break-even); on a lane, the oldest is the head and goes at once, and
+		// the one canceled right away waits behind the head to be skipped.
 		a.ScheduleAfter(600, nop).Cancel()
+		held[n%len(held)].Cancel()
+		held[n%len(held)] = hold.Schedule(now+600, 0, nop)
+		hold.Schedule(now+600, 0, nop).Cancel()
+		n++
 		a.Post(b, now+1, 0, echo)
 		for i := range batch {
 			batch[i] = BatchEvent{At: now + 0.75, Pri: i, Fn: nop}
@@ -279,16 +290,35 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 		a.ScheduleAfter(1, tick)
 	}
 	a.ScheduleAfter(1, tick)
+	for i, sh := range []*Shard{s.Shard(2), s.Shard(3)} {
+		var relay func()
+		relay = func() {
+			sh.Post(b, sh.Now()+1, 1+i, echo)
+			sh.ScheduleAfter(1, relay)
+		}
+		sh.ScheduleAfter(1, relay)
+	}
 	s.RunUntil(1000) // warm-up: several reap cycles
-	fired, slots := s.EventsFired(), a.allocs+b.allocs
+	buffers := func() (n int) {
+		for _, l := range append(append([]*Lane{short, hold}, a.inbox...), b.inbox...) {
+			if l != nil {
+				n += cap(l.q)
+			}
+		}
+		return n
+	}
+	fired, slots, lanes := s.EventsFired(), a.allocs+b.allocs, buffers()
 	if n := testing.AllocsPerRun(100, func() { s.RunUntil(s.Now() + 10) }); n != 0 {
 		t.Errorf("a steady-state kernel window allocates %.1f times, want 0", n)
 	}
-	if n := s.EventsFired() - fired; n < 100*10*8 { // 100 windows of 10 s, 9 events a second
+	if n := s.EventsFired() - fired; n < 100*10*16 { // 100 windows of 10 s, 16 events a second
 		t.Errorf("only %d events fired in the measured windows; the gate measured an idle kernel", n)
 	}
-	if a.allocs+b.allocs != slots {
-		t.Errorf("arenas grew from %d to %d slots in steady state", slots, a.allocs+b.allocs)
+	if a.allocs+b.allocs != slots || buffers() != lanes {
+		t.Errorf("in steady state the arenas grew from %d to %d slots, the lane buffers from %d to %d entries", slots, a.allocs+b.allocs, lanes, buffers())
+	}
+	if st, in := a.QueueStats(), b.QueueStats(); st.DeadPops == 0 || in.LanePops == 0 || in.Fallbacks != 0 || len(b.inbox) != 4 {
+		t.Errorf("the gate missed a path: shard 0 counted %+v, shard 1 %+v with %d inbox lanes", st, in, len(b.inbox))
 	}
 }
 
@@ -323,6 +353,10 @@ type shardedWorld struct {
 	// write disjoint counters).
 	t     testing.TB
 	reaps []int
+	// Every other cancelable event of an actor goes through the actor's lane,
+	// sorted or not; the reference world has no lanes.
+	lanes []*Lane
+	nth   []int
 }
 
 func newShardedWorld(seed uint64, shards, workers int) *shardedWorld {
@@ -330,7 +364,21 @@ func newShardedWorld(seed uint64, shards, workers int) *shardedWorld {
 	s.EnsureShards(shards)
 	s.SetLookahead(actorLookahead)
 	s.SetWorkers(workers)
-	return &shardedWorld{s: s, shards: shards, reaps: make([]int, shards)}
+	return &shardedWorld{s: s, shards: shards, reaps: make([]int, shards), lanes: make([]*Lane, maxActors), nth: make([]int, maxActors)}
+}
+
+const maxActors = 16
+
+// lane returns actor's lane, or nil for the heap, alternating per actor. An
+// actor's elements are only touched from the actor's own shard.
+func (w *shardedWorld) lane(actor int) *Lane {
+	if w.lanes[actor] == nil {
+		w.lanes[actor] = w.shardOf(actor).NewLane()
+	}
+	if w.nth[actor]++; w.nth[actor]%2 == 0 {
+		return nil
+	}
+	return w.lanes[actor]
 }
 
 func (w *shardedWorld) shardOf(actor int) *Shard { return w.s.Shard(actor % w.shards) }
@@ -339,7 +387,12 @@ func (w *shardedWorld) scheduleSelf(actor int, at Time, pri int, fn func()) {
 }
 func (w *shardedWorld) scheduleCancelable(actor int, at Time, pri int, fn func()) func() {
 	sh := w.shardOf(actor)
-	ev := sh.SchedulePriority(at, pri, fn)
+	var ev Event
+	if l := w.lane(actor); l != nil {
+		ev = l.Schedule(at, pri, fn)
+	} else {
+		ev = sh.SchedulePriority(at, pri, fn)
+	}
 	return func() {
 		if cancelChecked(w.t, sh, ev) {
 			w.reaps[sh.idx]++
@@ -360,7 +413,7 @@ type refWorld struct{ s *refSim }
 func (w *refWorld) scheduleSelf(actor int, at Time, pri int, fn func()) { w.s.schedule(at, pri, fn) }
 func (w *refWorld) scheduleCancelable(_ int, at Time, pri int, fn func()) func() {
 	e := w.s.schedule(at, pri, fn)
-	return func() { e.canceled = true }
+	return func() { w.s.cancel(e) }
 }
 func (w *refWorld) post(_, _ int, at Time, pri int, fn func()) { w.s.schedule(at, pri, fn) }
 func (w *refWorld) now(int) Time                               { return w.s.now }

@@ -45,16 +45,34 @@
 // reference container/heap implementation (asserted by the kernel
 // equivalence tests and FuzzKernelOps).
 //
-// A canceled event costs what it costs to cancel, not what it costs to carry:
-// each shard counts the canceled entries still in its heap, and the Cancel
-// that makes them outnumber the live ones (past a small fixed floor) drops
-// them all in one pass and re-heapifies. So a heap holds at most
-// max(live, floor) dead entries right after any Cancel, however far ahead
-// they were scheduled — the pattern that matters is a timeout set minutes
-// ahead and canceled milliseconds later (internal/faas's warm-sandbox
-// reclaims), which used to fill the heap with an order of magnitude more
-// corpses than events. The order is strict, so a pass changes no firing
-// order, clock or count.
+// Beside its heap a shard has lanes (Shard.NewLane, Lane.Schedule): a lane is
+// a FIFO of queue entries in non-decreasing (time, priority, sequence) order,
+// for streams that are sorted when they are produced — a constant-delay hop,
+// a timeout with a fixed hold — and the shard's next event is the smaller,
+// under that same order, of the heap top and the earliest lane head (found
+// through a small heap of the non-empty lanes' heads, O(log lanes) per lane
+// pop). An entry whose key sorts before its lane's tail goes to the heap
+// instead, so every lane stays sorted and where an entry waits can never
+// change when it fires: a caller's claim that its stream is monotone is a
+// performance hint, never a precondition. Sequence numbers come from the
+// shard's one counter at the same program points whichever queue an entry
+// lands in — in Schedule, and at the window barrier for delivered posts,
+// which wait in one inbox lane per sending shard — so firing order, counts
+// and clocks are those of the heap-only kernel by construction.
+//
+// A canceled event costs what it costs to cancel, not what it costs to carry.
+// In a lane, canceling the head removes it on the spot (a FIFO canceled
+// oldest-first, like internal/faas's warm-sandbox reclaims, never holds a
+// corpse), and an entry behind the head is marked and skipped when the head
+// reaches it. In the heap, each shard counts the canceled entries (Shard.dead
+// counts those and nothing else), and the Cancel that makes them outnumber
+// the live ones (past a small fixed floor) drops them all in one pass and
+// re-heapifies, so a heap holds at most max(live, floor) dead entries right
+// after any Cancel, however far ahead they were scheduled. The order is
+// strict, so neither changes a firing order, clock or count. Pending counts
+// what is queued anywhere: heap and lane entries, canceled ones not yet
+// dropped included, and posts not yet delivered. Shard.QueueStats reports
+// how many entries each kind of queue popped.
 package sim
 
 import (
@@ -214,15 +232,18 @@ func (s *Simulation) EventsFired() uint64 {
 	return n
 }
 
-// Pending reports how many events are queued over all shards, including
-// posts not yet delivered to their target shard and canceled events not yet
-// dropped — of which a shard keeps at most as many as it has live ones (or a
-// small fixed floor, if larger) past any Cancel, not one per cancellation
-// until its time comes.
+// Pending reports how many events are queued over all shards — on heaps and
+// in lanes — including posts not yet delivered to their target shard and
+// canceled events not yet dropped: of those a heap keeps at most as many as it
+// has live ones (or a small fixed floor, if larger) past any Cancel, and a
+// lane only the ones its head has not reached.
 func (s *Simulation) Pending() int {
 	n := 0
 	for _, sh := range s.shards {
 		n += len(sh.heap) + len(sh.outbox)
+		for _, r := range sh.lanes {
+			n += len(r.l.q) - r.l.head
+		}
 	}
 	return n
 }
@@ -274,14 +295,11 @@ func (s *Simulation) RunUntil(limit Time) {
 	defer func() { s.running = false }()
 	for {
 		s.flushPosts()
-		min := s.peekMin()
-		if min == nil {
+		_, min := s.peekMin()
+		if min == nil || min.at > limit {
 			break
 		}
-		tmin := min.heap[0].at
-		if tmin > limit {
-			break
-		}
+		tmin := min.at
 		// The window bound: exclusive at Tmin+L, unless the caller's limit
 		// cuts in first — the limit itself is inclusive, matching the
 		// historical "drain events with time <= limit" contract.
@@ -300,36 +318,20 @@ func (s *Simulation) RunUntil(limit Time) {
 	}
 }
 
-// peekMin returns the shard whose head event is globally earliest by
-// (time, priority, sequence, shard index), or nil when every heap is empty.
-func (s *Simulation) peekMin() *Shard {
+// peekMin returns the shard whose next event is globally earliest by
+// (time, priority, sequence, shard index) and that event's queue entry, or
+// nils when nothing is queued. The shard index is the final tie-break;
+// per-shard sequence counters make the first three keys identical however
+// the run is executed.
+func (s *Simulation) peekMin() (*Shard, *heapEntry) {
 	var best *Shard
+	var min *heapEntry
 	for _, sh := range s.shards {
-		if len(sh.heap) == 0 {
-			continue
-		}
-		if best == nil || headBefore(sh, best) {
-			best = sh
+		if e, _ := sh.top(); e != nil && (min == nil || entryLess(e, min)) {
+			best, min = sh, e
 		}
 	}
-	return best
-}
-
-// headBefore reports whether a's head event merges before b's. The shard
-// index is the final tie-break; per-shard sequence counters make the first
-// three keys identical however the run is executed.
-func headBefore(a, b *Shard) bool {
-	x, y := &a.heap[0], &b.heap[0]
-	if x.at != y.at {
-		return x.at < y.at
-	}
-	if x.pri != y.pri {
-		return x.pri < y.pri
-	}
-	if x.seq != y.seq {
-		return x.seq < y.seq
-	}
-	return a.idx < b.idx
+	return best, min
 }
 
 // drainWindow executes every shard's events inside the window.
@@ -371,8 +373,8 @@ func (s *Simulation) drainWindow(bound Time, inclusive bool) {
 		return
 	}
 	for {
-		min := s.peekMin()
-		if min == nil || !min.eligible(bound, inclusive) {
+		min, e := s.peekMin()
+		if min == nil || e.at > bound || (e.at == bound && !inclusive) {
 			return
 		}
 		s.draining = min
@@ -395,7 +397,7 @@ func (s *Simulation) flushPosts() {
 			if m.at < m.to.now {
 				panic(fmt.Sprintf("sim: post delivered at %v behind shard %d clock %v", m.at, m.to.idx, m.to.now))
 			}
-			m.to.enqueue(m.at, m.pri, m.fn)
+			m.to.deliver(sh.idx, m.at, m.pri, m.fn)
 			m.to, m.fn = nil, nil
 		}
 		sh.outbox = sh.outbox[:0]
@@ -409,7 +411,7 @@ func (s *Simulation) flushPosts() {
 func (s *Simulation) Step() bool {
 	s.flushPosts()
 	for {
-		min := s.peekMin()
+		min, _ := s.peekMin()
 		if min == nil {
 			return false
 		}
