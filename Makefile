@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt vet build lint test race shard-check bench bench-smoke fuzz-smoke
+.PHONY: check fmt vet build lint test race shard-check bench bench-smoke reach fuzz-smoke
 
-check: fmt vet build lint test race shard-check bench bench-smoke
+check: fmt vet build lint test race shard-check bench bench-smoke reach fuzz-smoke
 
 fmt:
 	@out="$$(gofmt -s -l .)"; if [ -n "$$out" ]; then \
@@ -32,8 +32,8 @@ race:
 
 # shard-check: the sharded-kernel determinism gate. Runs the kernel's
 # cross-shard workload matrix and the lane/heap equivalence test (sorted and
-# unsorted lane traffic, multi-sender posts and reap passes against the
-# lane-less reference), then the tenant harness's matrix (macro-day,
+# unsorted lane traffic, multi-sender posts and cancels of every kind against
+# the lane-less reference), then the tenant harness's matrix (macro-day,
 # macro-fleet, macro-trace, macro-chaos across shard and worker counts, and
 # side by side on the engine's worker pool), requiring event-for-event
 # equivalence with the single-queue reference and byte-identical tables,
@@ -50,22 +50,20 @@ shard-check:
 # and both entry points' denial) and traffic paths; mallocs per arrival on the
 # shared-account pipeline and on the open-loop tenant, macro-day and
 # macro-chaos with their denials, retries, drops and kills). The kernel's
-# TestCancelChurnReusesSlots and its lane twin count arena slots instead:
-# steady cancel churn must reuse them. The benchmarks (ml kernels, dataset caches, DES kernel,
-# decision path) run at a fixed small iteration count: fast enough for CI,
-# enough to catch kernels that re-grow allocations. internal/fit benches its
-# one solver (Fitter, cold and warm), internal/cost its one grid scan and
-# table lookups; BenchmarkCancelChurn runs long enough to pass its 600 s hold,
-# where a canceled event's keep shows. Measured runs are
+# TestLaneChurnReusesSlots counts arena slots instead: steady
+# cancel-the-oldest churn on a lane must reuse them. The benchmarks (ml
+# kernels, dataset caches, DES kernel, decision path) run at a fixed small
+# iteration count: fast enough for CI, enough to catch kernels that re-grow
+# allocations. internal/fit benches its one solver (Fitter, cold and warm),
+# internal/cost its one grid scan and table lookups. Measured runs are
 # `go run ./cmd/bench [-layers]`; see benchmark/README.md.
 bench:
 	$(GO) test -run ZeroAlloc ./...
-	$(GO) test -run 'TestCancelChurnReusesSlots|TestLaneChurnReusesSlots' ./internal/sim/
+	$(GO) test -run TestLaneChurnReusesSlots ./internal/sim/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=100x \
 		./internal/ml/ ./internal/dataset/
 	$(GO) test -run '^$$' -bench . -benchtime=100x \
 		./internal/sim/ ./internal/cost/ ./internal/fit/ ./internal/scheduler/ ./internal/traffic/
-	$(GO) test -run '^$$' -bench BenchmarkCancelChurn -benchmem -benchtime=100000x ./internal/sim/
 
 # bench-smoke: the measurement harness's own checks on one short execution
 # per workload — the golden paper digest, trace-s8w2 == trace-s1, the TOTAL
@@ -74,11 +72,19 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/bench -smoke -out "$$(mktemp -d)"
 
+# reach: the coverage audit of the shipped commands. Builds cebench, cescale,
+# cescalint and the examples with coverage over the whole module, runs a fixed
+# command list, and fails on a function outside cmd/bench that none of them
+# ever executes unless scripts/reach.keep says why it stays (or on a keep line
+# that no longer applies). See DESIGN.md "Reach".
+reach:
+	sh scripts/reach.sh
+
 # fuzz-smoke: a few seconds of each native fuzz target: the kernel (random
 # schedule/batch/cancel/Step/RunUntil programs — schedules on the heap and
 # through lanes with sorted and unsorted keys, cancels of a lane's oldest
 # entry, posts from four sender shards in three delay classes — against the
-# container/heap reference, which has neither lanes nor a reap pass) and
+# container/heap reference, which has one queue and no lanes) and
 # cescalint's two parsers (policy lines, //cescalint: directives). New inputs
 # stay in the build cache; a failing one is written to the package's
 # testdata/fuzz/ and from then on runs with `go test`. The kernel's seed

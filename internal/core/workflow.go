@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/sha"
 	"repro/internal/trainer"
 	"repro/internal/workload"
 )
@@ -151,15 +150,4 @@ func (f *Framework) TrainWithHyperparams(hp workload.Hyperparams, opt Options, r
 		return nil, err
 	}
 	return &TrainOutcome{Result: res, Scheduler: sched, OfflineEstimate: est}, nil
-}
-
-// RunSHAWithCap executes a tuning plan with a per-stage concurrency cap
-// (used by the Fixed baseline's equal-share semantics).
-func (f *Framework) RunSHAWithCap(trials, eta, epochsPerStage int, plan sha.Config, runner *trainer.Runner) (*sha.Result, error) {
-	plan.Workload = f.Workload
-	plan.Trials = trials
-	plan.Eta = eta
-	plan.EpochsPerStage = epochsPerStage
-	plan.Runner = runner
-	return sha.Run(plan)
 }

@@ -240,29 +240,49 @@ func TestParetoEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// TestParetoSyntheticProperty checks the front of random point clouds — fine
+// ones, and coarse ones full of ties in one coordinate and exact duplicates —
+// against Dominates in both directions: sound (no point dominates a front
+// member) and complete (every point left out is dominated by, or equal to, a
+// front member).
 func TestParetoSyntheticProperty(t *testing.T) {
-	if err := quick.Check(func(raw []uint16) bool {
+	if err := quick.Check(func(raw []uint16, coarse bool) bool {
 		if len(raw) < 2 {
 			return true
+		}
+		mod := uint16(1000)
+		if coarse {
+			mod = 6
 		}
 		pts := make([]Point, 0, len(raw)/2)
 		for i := 0; i+1 < len(raw); i += 2 {
 			pts = append(pts, Point{
 				Alloc: Allocation{N: i},
-				Time:  float64(raw[i]%1000) + 1,
-				Cost:  float64(raw[i+1]%1000) + 1,
+				Time:  float64(raw[i]%mod) + 1,
+				Cost:  float64(raw[i+1]%mod) + 1,
 			})
 		}
 		front := Pareto(pts)
+		onFront := make(map[Allocation]bool, len(front))
 		for _, f := range front {
+			onFront[f.Alloc] = true
 			for _, p := range pts {
 				if Dominates(p, f) {
 					return false
 				}
 			}
 		}
+		for _, p := range pts {
+			covered := onFront[p.Alloc]
+			for _, f := range front {
+				covered = covered || Dominates(f, p) || (f.Time == p.Time && f.Cost == p.Cost)
+			}
+			if !covered {
+				return false
+			}
+		}
 		return len(front) >= 1
-	}, &quick.Config{MaxCount: 200}); err != nil {
+	}, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
 }

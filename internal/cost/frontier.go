@@ -17,12 +17,6 @@ type Frontier struct {
 	pts []Point
 }
 
-// NewFrontier builds a private (non-interned) frontier from arbitrary
-// points by taking their Pareto boundary.
-func NewFrontier(points []Point) *Frontier {
-	return &Frontier{pts: Pareto(points)}
-}
-
 // Len returns the number of boundary points.
 func (f *Frontier) Len() int {
 	if f == nil {

@@ -107,21 +107,6 @@ func TestFrontierReadsZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestNewFrontierParetoizes(t *testing.T) {
-	pts := []Point{
-		{Alloc: Allocation{N: 1}, Time: 3, Cost: 1},
-		{Alloc: Allocation{N: 2}, Time: 1, Cost: 3},
-		{Alloc: Allocation{N: 3}, Time: 2, Cost: 5}, // dominated by N=2? no: time 2>1, cost 5>3 -> dominated
-	}
-	f := NewFrontier(pts)
-	if f.Len() != 2 {
-		t.Fatalf("want 2 boundary points, got %d", f.Len())
-	}
-	if f.At(0).Alloc.N != 2 || f.At(1).Alloc.N != 1 {
-		t.Errorf("unexpected boundary: %+v", f.Points())
-	}
-}
-
 // TestDenseTableCoherent: estimates served from the dense grid table must
 // be bit-identical to fresh computation (lookups before and after the
 // table is built agree).

@@ -79,22 +79,6 @@ func IMDb() Spec {
 	return Spec{Name: "IMDb", Task: MultiClass, Samples: 25_000, Features: 292, Classes: 2, SizeMB: 30}
 }
 
-// ByName returns the named dataset spec.
-func ByName(name string) (Spec, error) {
-	switch name {
-	case "Higgs", "higgs":
-		return Higgs(), nil
-	case "YFCC", "yfcc":
-		return YFCC(), nil
-	case "Cifar10", "cifar10", "cifar":
-		return Cifar10(), nil
-	case "IMDb", "imdb":
-		return IMDb(), nil
-	default:
-		return Spec{}, fmt.Errorf("dataset: unknown dataset %q", name)
-	}
-}
-
 // PartitionSizeMB returns the per-function data share when the dataset is
 // split evenly across n functions.
 func (s Spec) PartitionSizeMB(n int) float64 {
@@ -254,25 +238,4 @@ func GenerateRegression(rng *sim.Rand, cfg GenConfig) *Matrix {
 		m.Y[r] = dot + rng.NormFloat64()*cfg.NoiseStd
 	}
 	return m
-}
-
-// TrainingSample returns a tractable real-data stand-in for a nominal Spec,
-// preserving the task, feature count (capped to keep memory sane) and noise
-// character while downsampling the row count. The nominal Spec continues to
-// drive timing/billing.
-func (s Spec) TrainingSample(rng *sim.Rand, maxRows int) *Matrix {
-	rows := s.Samples
-	if rows > maxRows {
-		rows = maxRows
-	}
-	features := s.Features
-	if features > 256 {
-		features = 256
-	}
-	switch s.Task {
-	case Regression:
-		return GenerateRegression(rng, GenConfig{Samples: rows, Features: features, NoiseStd: 7, Scale: 1})
-	default:
-		return GenerateBinary(rng, GenConfig{Samples: rows, Features: features, NoiseFlip: 0.22, Scale: 1})
-	}
 }

@@ -27,17 +27,6 @@ func TestProfilesMatchPaper(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"Higgs", "higgs", "YFCC", "Cifar10", "cifar", "IMDb", "imdb"} {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
-		}
-	}
-	if _, err := ByName("mnist"); err == nil {
-		t.Error("ByName of unknown dataset should fail")
-	}
-}
-
 func TestPartitionSizeMB(t *testing.T) {
 	h := Higgs()
 	if got := h.PartitionSizeMB(10); math.Abs(got-h.SizeMB/10) > 1e-9 {
@@ -175,20 +164,6 @@ func TestPartitionBalance(t *testing.T) {
 		if p.Rows < 10 || p.Rows > 11 {
 			t.Errorf("shard rows = %d, want 10 or 11", p.Rows)
 		}
-	}
-}
-
-func TestTrainingSampleCapsScale(t *testing.T) {
-	m := Higgs().TrainingSample(sim.NewRand(1), 5000)
-	if m.Rows != 5000 {
-		t.Errorf("rows = %d, want 5000", m.Rows)
-	}
-	if m.Cols != 28 {
-		t.Errorf("cols = %d, want 28 (below cap)", m.Cols)
-	}
-	y := YFCC().TrainingSample(sim.NewRand(1), 1000)
-	if y.Cols != 256 {
-		t.Errorf("YFCC cols = %d, want capped 256", y.Cols)
 	}
 }
 

@@ -175,7 +175,6 @@ func Run(id string, seed uint64) (*Table, error) {
 // --- shared formatting helpers ---
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
 
 func seconds(v float64) string {

@@ -460,7 +460,7 @@ func (h *harness) openFleet(tenants, perTenant int, ckptEvery uint64) (fleet []*
 		tn := &openTenant{
 			h: h, id: t, memMB: 512 << (t % 3), plat: plat, sh: plat.Shard(),
 			arr: h.s.Rand(name + "/arrivals"), svc: h.s.Rand(name + "/service"), rty: h.s.Rand(name + "/retry"),
-			ckpt: storage.NewFaulty(h.b.Store()), ckptKey: append(make([]byte, 0, 64), h.b.Store().Namespace(name).Prefix()+"ckpt/"...),
+			ckpt: storage.NewFaulty(h.b.Store()), ckptKey: append(make([]byte, 0, 64), name+"/ckpt/"...),
 			ckptEvery: ckptEvery, retry: fault.DefaultRetryPolicy(),
 			perTenant: perTenant, phase: 2 * math.Pi * float64(t) / float64(tenants), strag: 1,
 		}

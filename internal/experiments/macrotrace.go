@@ -26,8 +26,8 @@ package experiments
 //     pipeline (request, grant, release, retry) wait in lanes too, so on
 //     the benchmark's trace-s1 the one shard's heap averages 215 entries
 //     (peak 638: pumps, batched arrivals, completions) beside some 2,000
-//     in lanes, against 3k on the heap while canceled reclaims were reaped
-//     there and 35k while they sat out their WarmTTL.
+//     in lanes; on the heap, canceled reclaims would sit out their WarmTTL
+//     and make it 35k.
 //   - Measurement is streaming: per-tenant fixed-bucket latency
 //     histograms (obs.Hist), running cost counters, and Jain's fairness
 //     index computed at minute boundaries on shard 0. No per-invocation

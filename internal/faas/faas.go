@@ -25,30 +25,16 @@ type Limits struct {
 	MinMemoryMB    int // smallest allocatable function memory
 	MaxMemoryMB    int // largest allocatable function memory
 	MaxConcurrency int // account-level concurrent execution cap
-	FullVCPUAtMB   int // memory at which a function gets one full vCPU
-	MaxVCPU        float64
 }
 
 // DefaultLimits returns AWS Lambda's published limits: 128–10240 MB memory,
-// 3000 burst concurrency, one full vCPU at 1769 MB, up to 6 vCPUs.
+// 3000 burst concurrency.
 func DefaultLimits() Limits {
 	return Limits{
 		MinMemoryMB:    128,
 		MaxMemoryMB:    10240,
 		MaxConcurrency: 3000,
-		FullVCPUAtMB:   1769,
-		MaxVCPU:        6,
 	}
-}
-
-// CPUShare returns the fraction of vCPUs a function with memMB memory
-// receives (linear in memory, as Lambda allocates).
-func (l Limits) CPUShare(memMB int) float64 {
-	share := float64(memMB) / float64(l.FullVCPUAtMB)
-	if share > l.MaxVCPU {
-		share = l.MaxVCPU
-	}
-	return share
 }
 
 // ValidateMemory reports whether memMB is an allocatable function size.

@@ -14,19 +14,6 @@ func newPlatform() *Platform {
 	return NewDefault(sim.New(1))
 }
 
-func TestCPUShareLinearUpToCap(t *testing.T) {
-	l := DefaultLimits()
-	if got := l.CPUShare(1769); math.Abs(got-1) > 1e-12 {
-		t.Errorf("CPUShare(1769) = %g, want 1", got)
-	}
-	if got := l.CPUShare(3538); math.Abs(got-2) > 1e-12 {
-		t.Errorf("CPUShare(3538) = %g, want 2", got)
-	}
-	if got := l.CPUShare(1024 * 1024); got != l.MaxVCPU {
-		t.Errorf("CPUShare(huge) = %g, want cap %g", got, l.MaxVCPU)
-	}
-}
-
 func TestValidateMemory(t *testing.T) {
 	l := DefaultLimits()
 	if err := l.ValidateMemory(128); err != nil {

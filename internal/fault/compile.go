@@ -18,9 +18,6 @@ type Ops struct {
 	Brownout func(latFactor, errRate float64)
 	// ColdSpike sets the active cold-start multiplier (1 = none).
 	ColdSpike func(factor float64)
-	// Link sets the active network multiplier for one worker link (-1 =
-	// every worker; 1 = none).
-	Link func(link int, factor float64)
 }
 
 // Compile schedules the fault events onto a kernel shard, mutating platform
@@ -64,11 +61,6 @@ func Compile(s *Schedule, sh *sim.Shard, priority int, ops Ops) int {
 			if ops.ColdSpike != nil {
 				schedule(e.From, func() { ops.ColdSpike(e.Factor) })
 				schedule(e.To, func() { ops.ColdSpike(1) })
-			}
-		case LinkDegrade:
-			if ops.Link != nil {
-				schedule(e.From, func() { ops.Link(e.Link, e.Factor) })
-				schedule(e.To, func() { ops.Link(e.Link, 1) })
 			}
 		}
 	}

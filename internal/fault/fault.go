@@ -11,8 +11,8 @@
 //   - instant events (KillSandbox, ReclaimWarm) mutate real faas.Platform
 //     state — in-flight and warm counts drop mid-epoch — and the trainer
 //     reacts through its existing checkpoint/restart machinery;
-//   - window events (Straggler, Brownout, ColdSpike, LinkDegrade) inflate
-//     the observations the Algorithm-2 controller plans from, so re-planning
+//   - window events (Straggler, Brownout, ColdSpike) inflate the
+//     observations the Algorithm-2 controller plans from, so re-planning
 //     shows up in the decision log as ordinary path= entries;
 //   - Brownout error rates drive the trainer's bounded retry/backoff policy
 //     into graceful degradation (checkpoint-less mode with a Degraded flag)
@@ -21,6 +21,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -43,9 +44,6 @@ const (
 	// ColdSpike multiplies cold-start latency by Factor over [From, To)
 	// (platform incident windows).
 	ColdSpike
-	// LinkDegrade multiplies the network time of worker Link (-1 = every
-	// worker) by Factor over [From, To).
-	LinkDegrade
 )
 
 func (k Kind) String() string {
@@ -60,8 +58,6 @@ func (k Kind) String() string {
 		return "brownout"
 	case ColdSpike:
 		return "cold-spike"
-	case LinkDegrade:
-		return "link-degrade"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -72,7 +68,7 @@ func (k Kind) String() string {
 func (k Kind) instant() bool { return k == KillSandbox || k == ReclaimWarm }
 
 // Event is one fault. Instant kinds use At and Count; window kinds use
-// [From, To) with Factor (and ErrorRate / Link where applicable).
+// [From, To) with Factor (and, for Brownout, ErrorRate).
 type Event struct {
 	Kind Kind
 
@@ -82,7 +78,6 @@ type Event struct {
 	From, To  float64 // window kinds: half-open active interval
 	Factor    float64 // window kinds: latency/compute multiplier (>= 1)
 	ErrorRate float64 // Brownout: deterministic failed-op fraction in [0, 1]
-	Link      int     // LinkDegrade: worker index, -1 for all
 }
 
 // start returns the time the event takes effect, the sort key of a schedule.
@@ -115,12 +110,6 @@ func ColdSpikeWindow(from, to, factor float64) Event {
 	return Event{Kind: ColdSpike, From: from, To: to, Factor: factor}
 }
 
-// LinkDegradeWindow returns a per-link network-degradation window; link -1
-// degrades every worker's link.
-func LinkDegradeWindow(from, to float64, link int, factor float64) Event {
-	return Event{Kind: LinkDegrade, From: from, To: to, Factor: factor, Link: link}
-}
-
 // Schedule is a validated, time-sorted fault event list. The zero value and
 // nil are both valid empty schedules; every query is nil-safe, so a
 // *Schedule can thread through configuration untouched.
@@ -129,13 +118,23 @@ type Schedule struct {
 }
 
 // New validates events and returns them as a schedule sorted by effect
-// time. Windows of the same kind (and, for LinkDegrade, the same link) must
-// not overlap: each query then has at most one active window per kind, so
-// the compiled start/end events and the direct time queries always agree.
+// time. Every time, factor and rate must be finite: a NaN passes every range
+// check below and would reach the kernel or the trainer's clock as is.
+// Windows of the same kind must not overlap: each query then has at most one
+// active window per kind, so the compiled start/end events and the direct
+// time queries always agree.
 func New(events ...Event) (*Schedule, error) {
 	evs := make([]Event, len(events))
 	copy(evs, events)
 	for i, e := range evs {
+		for _, f := range [...]struct {
+			name string
+			v    float64
+		}{{"At", e.At}, {"From", e.From}, {"To", e.To}, {"Factor", e.Factor}, {"ErrorRate", e.ErrorRate}} {
+			if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+				return nil, fmt.Errorf("fault: %s event %d: %s %g, want a finite value", e.Kind, i, f.name, f.v)
+			}
+		}
 		if e.Kind.instant() {
 			if e.Count <= 0 {
 				return nil, fmt.Errorf("fault: %s event %d: Count %d, want > 0", e.Kind, i, e.Count)
@@ -157,9 +156,6 @@ func New(events ...Event) (*Schedule, error) {
 		if e.Kind != Brownout && e.ErrorRate != 0 {
 			return nil, fmt.Errorf("fault: %s event %d: ErrorRate is brownout-only", e.Kind, i)
 		}
-		if e.Kind == LinkDegrade && e.Link < -1 {
-			return nil, fmt.Errorf("fault: link-degrade event %d: Link %d, want >= -1", i, e.Link)
-		}
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].start() < evs[j].start() })
 	for i, e := range evs {
@@ -168,9 +164,6 @@ func New(events ...Event) (*Schedule, error) {
 		}
 		for _, o := range evs[i+1:] {
 			if o.Kind != e.Kind || o.From >= e.To {
-				continue
-			}
-			if e.Kind == LinkDegrade && o.Link != e.Link {
 				continue
 			}
 			return nil, fmt.Errorf("fault: overlapping %s windows [%g, %g) and [%g, %g)",
@@ -194,28 +187,12 @@ func MustNew(events ...Event) *Schedule {
 // attaching an empty schedule leaves every result bit-identical.
 func (s *Schedule) Active() bool { return s != nil && len(s.events) > 0 }
 
-// Len returns the event count.
-func (s *Schedule) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.events)
-}
-
-// Events returns a copy of the sorted event list.
-func (s *Schedule) Events() []Event {
-	if s == nil {
-		return nil
-	}
-	return append([]Event(nil), s.events...)
-}
-
 // factorAt scans for the kind's window covering t. Schedules are sorted by
 // start time, so the scan stops at the first window opening after t; with
 // non-overlapping same-kind windows at most one can match. The per-epoch
 // decision path queries this several times per epoch, so it must stay
 // allocation-free.
-func (s *Schedule) factorAt(kind Kind, t float64, link int) float64 {
+func (s *Schedule) factorAt(kind Kind, t float64) float64 {
 	if s == nil {
 		return 1
 	}
@@ -226,9 +203,6 @@ func (s *Schedule) factorAt(kind Kind, t float64, link int) float64 {
 		if e.Kind != kind || t >= e.To {
 			continue
 		}
-		if kind == LinkDegrade && e.Link != -1 && e.Link != link {
-			continue
-		}
 		return e.Factor
 	}
 	return 1
@@ -236,13 +210,10 @@ func (s *Schedule) factorAt(kind Kind, t float64, link int) float64 {
 
 // StragglerFactor returns the compute-time multiplier active at t (1 when
 // no straggler window covers t).
-func (s *Schedule) StragglerFactor(t float64) float64 { return s.factorAt(Straggler, t, 0) }
+func (s *Schedule) StragglerFactor(t float64) float64 { return s.factorAt(Straggler, t) }
 
 // ColdSpikeFactor returns the cold-start multiplier active at t.
-func (s *Schedule) ColdSpikeFactor(t float64) float64 { return s.factorAt(ColdSpike, t, 0) }
-
-// LinkFactor returns the network-time multiplier for worker link at t.
-func (s *Schedule) LinkFactor(t float64, link int) float64 { return s.factorAt(LinkDegrade, t, link) }
+func (s *Schedule) ColdSpikeFactor(t float64) float64 { return s.factorAt(ColdSpike, t) }
 
 // BrownoutAt returns the storage state at t: the latency multiplier, the
 // deterministic error rate, and whether a brownout window covers t.
@@ -282,24 +253,6 @@ func (s *Schedule) NextInstant(cursor int, before float64) (ev Event, idx int, o
 	return Event{}, cursor, false
 }
 
-// KillsIn counts the sandboxes KillSandbox events terminate in [from, to)
-// (the planner's what-if query).
-func (s *Schedule) KillsIn(from, to float64) int {
-	if s == nil {
-		return 0
-	}
-	n := 0
-	for _, e := range s.events {
-		if e.start() >= to {
-			break
-		}
-		if e.Kind == KillSandbox && e.At >= from && e.At < to {
-			n += e.Count
-		}
-	}
-	return n
-}
-
 // Gate is the deterministic substitute for a random error source inside
 // brownout windows: an accumulator fails exactly every 1/rate-th operation,
 // so the failed-op set depends only on the operation sequence, never on a
@@ -309,9 +262,10 @@ type Gate struct {
 }
 
 // Fail reports whether the next operation fails under the given error rate,
-// advancing the accumulator.
+// advancing the accumulator. A NaN rate counts as 0: added to the accumulator
+// it would keep every later, valid rate from ever failing.
 func (g *Gate) Fail(rate float64) bool {
-	if rate <= 0 {
+	if !(rate > 0) {
 		return false
 	}
 	if rate >= 1 {
@@ -325,12 +279,8 @@ func (g *Gate) Fail(rate float64) bool {
 	return false
 }
 
-// Reset clears the accumulator.
-func (g *Gate) Reset() { g.acc = 0 }
-
-// RetryPolicy bounds how the trainer and planner respond to injected
-// storage errors: at most MaxAttempts tries per operation with exponential
-// backoff between them. Exhausting the attempts is not an error — callers
+// RetryPolicy bounds how the trainer responds to injected storage errors: at
+// most MaxAttempts tries per operation with exponential backoff between them. Exhausting the attempts is not an error — callers
 // degrade gracefully (checkpoint-less mode with a Degraded flag).
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per operation (>= 1).
@@ -370,14 +320,4 @@ func (p RetryPolicy) Backoff(attempt int) float64 {
 		return p.MaxBackoff
 	}
 	return b
-}
-
-// TotalBackoff returns the wall time a fully exhausted operation spends
-// waiting between its attempts (the planner's worst-case what-if penalty).
-func (p RetryPolicy) TotalBackoff() float64 {
-	t := 0.0
-	for i := 0; i+1 < p.MaxAttempts; i++ {
-		t += p.Backoff(i)
-	}
-	return t
 }

@@ -61,10 +61,6 @@ func (f *Fitter) SetWarmStart(on bool) {
 	}
 }
 
-// Reset forgets the stored warm-start parameters (e.g. when the observation
-// stream restarts), keeping the warm-start mode itself.
-func (f *Fitter) Reset() { f.hasPrev = false }
-
 // Fit solves min_params sum_i (model(x_i) - y_i)^2 by Levenberg-Marquardt
 // without heap allocation. The returned Result.Params aliases Fitter-owned
 // storage and is only valid until the next Fit call — copy it to keep it.

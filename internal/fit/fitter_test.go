@@ -302,17 +302,6 @@ func TestFitterWarmStartToggle(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireCold(t, refs, "toggle", got)
-	// Reset keeps warm mode but forgets the seed: next fit is cold again.
-	f.SetWarmStart(true)
-	if _, err := f.Fit(xs, ys, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	f.Reset()
-	got, err = f.Fit(xs, ys, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireCold(t, refs, "toggle", got)
 }
 
 // TestFitterResultAliasing documents the Result.Params contract: the slice

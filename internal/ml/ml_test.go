@@ -293,20 +293,3 @@ func TestGradientStepReducesLossProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestLogisticOnHashedText(t *testing.T) {
-	// End-to-end text classification: synthetic reviews -> hashing
-	// vectorizer -> logistic regression, the IMDb-style pipeline.
-	corpus := dataset.GenerateText(sim.NewRand(3), dataset.TextConfig{
-		Docs: 2000, Vocab: 5000, AvgLen: 80, LexiconFrac: 0.1, Signal: 4,
-	})
-	m := corpus.Vectorize(256)
-	tr, err := NewTrainer(m, Config{Objective: Logistic{}, Workers: 4, BatchPerWkr: 50, LearningRate: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.TrainToLoss(0.35, 60)
-	if acc := tr.Accuracy(); acc < 0.8 {
-		t.Errorf("text-classification accuracy %g, want > 0.8", acc)
-	}
-}

@@ -74,20 +74,6 @@ func axpy4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 	}
 }
 
-// Scale multiplies x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		x[i] *= alpha
-		x[i+1] *= alpha
-		x[i+2] *= alpha
-		x[i+3] *= alpha
-	}
-	for ; i < len(x); i++ {
-		x[i] *= alpha
-	}
-}
-
 // Zero clears x in place.
 func Zero(x []float64) {
 	for i := range x {

@@ -23,12 +23,8 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
-func TestScaleAndZero(t *testing.T) {
+func TestZero(t *testing.T) {
 	x := []float64{2, -4}
-	Scale(0.5, x)
-	if x[0] != 1 || x[1] != -2 {
-		t.Errorf("Scale = %v", x)
-	}
 	Zero(x)
 	if x[0] != 0 || x[1] != 0 {
 		t.Errorf("Zero = %v", x)

@@ -27,9 +27,6 @@ func NewCollector() *Collector {
 	return &Collector{scopes: make(map[string]*Observer)}
 }
 
-// Enabled reports whether the collector records anything.
-func (c *Collector) Enabled() bool { return c != nil }
-
 // Scope returns the observer for name, creating it on first use. Scope
 // names must be unique per logical unit of work (e.g. "fig13/ce/budget=1.0")
 // — two cells sharing a name would interleave nondeterministically.

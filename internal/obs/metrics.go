@@ -25,9 +25,6 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// Enabled reports whether the registry records anything.
-func (m *Metrics) Enabled() bool { return m != nil }
-
 // Add increments counter name by v.
 func (m *Metrics) Add(name string, v float64) {
 	if m == nil {

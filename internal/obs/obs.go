@@ -63,16 +63,10 @@ type Observer struct {
 	metrics *Metrics
 }
 
-// New returns an enabled observer whose events carry caller-supplied
-// timestamps (the deterministic configuration).
+// New returns an enabled observer; its events carry caller-supplied
+// timestamps.
 func New() *Observer {
-	return &Observer{tracer: NewTracer(nil), metrics: NewMetrics()}
-}
-
-// NewWithClock returns an enabled observer whose convenience methods stamp
-// events from clock: a DES-clock closure.
-func NewWithClock(clock func() float64) *Observer {
-	return &Observer{tracer: NewTracer(clock), metrics: NewMetrics()}
+	return &Observer{tracer: &Tracer{}, metrics: NewMetrics()}
 }
 
 // Enabled reports whether the observer records anything. Hot paths must

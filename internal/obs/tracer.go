@@ -4,9 +4,8 @@ import "sync"
 
 // Event is one recorded trace event. Span events have Dur > 0 (or a span
 // explicitly closed with zero duration); instants have Instant set.
-// Timestamps and durations are in seconds on whatever timeline the emitting
-// component lives on (DES sim seconds for the deterministic packages,
-// seconds since backend start for the live sink).
+// Timestamps and durations are in seconds on the timeline the emitting
+// component lives on: the DES clock, or a job's own timeline.
 type Event struct {
 	Time    float64 // start time, seconds
 	Dur     float64 // duration, seconds (0 for instants)
@@ -17,25 +16,14 @@ type Event struct {
 	Instant bool
 }
 
-// Tracer records events in emission order. All methods are safe on a nil
-// receiver (no-op) and safe for concurrent use on a non-nil one — the live
-// backend's sink is fed from callback goroutines. Deterministic callers are
-// single-threaded per tracer, so the mutex never contends there.
+// Tracer records events in emission order, each under the timestamp its
+// caller supplies. All methods are safe on a nil receiver (no-op); the zero
+// value is ready to use, and safe for concurrent use — every caller today
+// owns its tracer, so the mutex never contends.
 type Tracer struct {
 	mu     sync.Mutex
 	events []Event
-	clock  func() float64
 }
-
-// NewTracer returns a tracer. clock, if non-nil, stamps events recorded via
-// the clock-relative convenience methods; explicit-timestamp methods ignore
-// it.
-func NewTracer(clock func() float64) *Tracer {
-	return &Tracer{clock: clock}
-}
-
-// Enabled reports whether the tracer records events.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // SpanAt records a completed span [start, start+dur) on track.
 func (t *Tracer) SpanAt(start, dur float64, track, cat, name string, args ...Arg) {
@@ -55,32 +43,6 @@ func (t *Tracer) InstantAt(at float64, track, cat, name string, args ...Arg) {
 	t.mu.Lock()
 	t.events = append(t.events, Event{Time: at, Track: track, Cat: cat, Name: name, Args: args, Instant: true})
 	t.mu.Unlock()
-}
-
-// Instant records a point event stamped from the tracer's clock (zero if
-// the tracer was built without one).
-func (t *Tracer) Instant(track, cat, name string, args ...Arg) {
-	if t == nil {
-		return
-	}
-	var at float64
-	if t.clock != nil {
-		at = t.clock()
-	}
-	t.InstantAt(at, track, cat, name, args...)
-}
-
-// Span records a span whose end is stamped from the tracer's clock and whose
-// start is end-dur.
-func (t *Tracer) Span(dur float64, track, cat, name string, args ...Arg) {
-	if t == nil {
-		return
-	}
-	var end float64
-	if t.clock != nil {
-		end = t.clock()
-	}
-	t.SpanAt(end-dur, dur, track, cat, name, args...)
 }
 
 // Events returns a copy of the recorded events in emission order.

@@ -155,9 +155,6 @@ func (pl *Planner) stageTimeWavesCold(i int, a cost.Allocation, waves int, cold 
 	return float64(waves) * perRun
 }
 
-// Waves returns how many admission waves stage i needs under allocation a.
-func (pl *Planner) Waves(i int, a cost.Allocation) int { return pl.waves(i, a) }
-
 // StageCost returns the cost of stage i under allocation a: every trial
 // bills its epochs, its data load, and its function-group invocation.
 func (pl *Planner) StageCost(i int, a cost.Allocation) float64 {

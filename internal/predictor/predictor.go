@@ -380,16 +380,3 @@ func (o *Online) pinnedFit(target, c float64) (e, sse float64, ok bool) {
 	e, solved := fit.SolveForX(params[:], target)
 	return e, sse, solved
 }
-
-// PredictRemaining estimates epochs still needed after the last observation.
-func (o *Online) PredictRemaining(target float64) (int, bool) {
-	total, ok := o.PredictTotalEpochs(target)
-	if !ok {
-		return 0, false
-	}
-	rem := total - int(o.xs[len(o.xs)-1])
-	if rem < 0 {
-		rem = 0
-	}
-	return rem, true
-}

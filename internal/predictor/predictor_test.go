@@ -177,23 +177,6 @@ func TestPredictTotalNeverBelowObserved(t *testing.T) {
 	}
 }
 
-func TestPredictRemaining(t *testing.T) {
-	m := workload.BERT()
-	eng := m.NewCurveEngine(workload.Hyperparams{LR: m.DefaultLR}, 5)
-	o := NewOnline()
-	for e := 1; e <= 8; e++ {
-		o.Observe(e, eng.NextEpoch())
-	}
-	total, ok1 := o.PredictTotalEpochs(m.TargetLoss)
-	rem, ok2 := o.PredictRemaining(m.TargetLoss)
-	if !ok1 || !ok2 {
-		t.Fatal("predictions unavailable")
-	}
-	if rem != total-8 {
-		t.Errorf("remaining %d != total %d - 8", rem, total)
-	}
-}
-
 func TestUnreachableTargetReported(t *testing.T) {
 	o := NewOnline()
 	// Flat losses: floor ~0.5, target 0.1 unreachable.
@@ -272,13 +255,11 @@ func TestDegenerateFitTargetJustAboveFloor(t *testing.T) {
 	if total, ok := o.PredictTotalEpochs(target); ok {
 		t.Fatalf("epsilon-above-floor target on a plateau reported reachable: total=%d", total)
 	}
-	if rem, ok := o.PredictRemaining(target); ok {
-		t.Fatalf("epsilon-above-floor target on a plateau reported remaining=%d", rem)
-	}
 }
 
 // TestRemainingNeverNegativeOrHuge pins the bound the scheduler relies on:
-// whenever the predictor offers a remaining-epochs estimate, it is in
+// whenever the predictor offers a total-epochs estimate, what remains of it
+// after the observed epochs (the scheduler's predicted - epoch) is in
 // [0, 8x the observed horizon] — a degenerate fit must not leak a negative
 // or unbounded remaining into allocation selection.
 func TestRemainingNeverNegativeOrHuge(t *testing.T) {
@@ -300,11 +281,11 @@ func TestRemainingNeverNegativeOrHuge(t *testing.T) {
 		// epsilon-above-floor.
 		for _, gap := range []float64{0.1, 1e-3, 1e-6, 1e-9, 1e-100, 1e-300} {
 			target := params[2] + gap
-			rem, ok := o.PredictRemaining(target)
+			total, ok := o.PredictTotalEpochs(target)
 			if !ok {
 				continue
 			}
-			if rem < 0 || rem > 8*12 {
+			if rem := total - 12; rem < 0 || rem > 8*12 {
 				t.Fatalf("curve %d gap %g: remaining=%d outside [0, 96]", ci, gap, rem)
 			}
 		}

@@ -55,19 +55,9 @@ func Default() PriceBook {
 	}
 }
 
-// FunctionCost returns the charge for one function invocation that ran for
-// seconds wall-clock with memMB of allocated memory.
-func (p PriceBook) FunctionCost(seconds float64, memMB float64) float64 {
-	billed := seconds
-	min := p.FunctionMinBillMS / 1000
-	if billed < min {
-		billed = min
-	}
-	return p.FunctionInvoke + billed*(memMB/1024)*p.FunctionGBSecond
-}
-
-// ComputeOnlyCost is FunctionCost without the invocation fee, used when the
-// invocation fee is accounted once per function rather than per epoch.
+// ComputeOnlyCost returns the compute charge for one function that ran for
+// seconds wall-clock with memMB of allocated memory, without the invocation
+// fee: that is accounted once per function rather than per epoch.
 func (p PriceBook) ComputeOnlyCost(seconds float64, memMB float64) float64 {
 	billed := seconds
 	min := p.FunctionMinBillMS / 1000

@@ -12,17 +12,17 @@ func almost(a, b float64) bool {
 
 func TestFunctionCostOneGBSecond(t *testing.T) {
 	p := Default()
-	got := p.FunctionCost(1, 1024)
-	want := p.FunctionInvoke + p.FunctionGBSecond
+	got := p.ComputeOnlyCost(1, 1024)
+	want := p.FunctionGBSecond
 	if !almost(got, want) {
-		t.Errorf("FunctionCost(1s, 1024MB) = %g, want %g", got, want)
+		t.Errorf("ComputeOnlyCost(1s, 1024MB) = %g, want %g", got, want)
 	}
 }
 
 func TestFunctionCostScalesLinearlyWithMemory(t *testing.T) {
 	p := Default()
-	base := p.FunctionCost(10, 1024) - p.FunctionInvoke
-	doubled := p.FunctionCost(10, 2048) - p.FunctionInvoke
+	base := p.ComputeOnlyCost(10, 1024)
+	doubled := p.ComputeOnlyCost(10, 2048)
 	if !almost(doubled, 2*base) {
 		t.Errorf("doubling memory: %g, want %g", doubled, 2*base)
 	}
@@ -30,8 +30,8 @@ func TestFunctionCostScalesLinearlyWithMemory(t *testing.T) {
 
 func TestFunctionCostMinimumBilling(t *testing.T) {
 	p := Default()
-	tiny := p.FunctionCost(1e-9, 1024)
-	floor := p.FunctionCost(0.001, 1024)
+	tiny := p.ComputeOnlyCost(1e-9, 1024)
+	floor := p.ComputeOnlyCost(0.001, 1024)
 	if !almost(tiny, floor) {
 		t.Errorf("sub-millisecond run billed %g, want the 1ms floor %g", tiny, floor)
 	}
@@ -39,8 +39,8 @@ func TestFunctionCostMinimumBilling(t *testing.T) {
 
 func TestComputeOnlyCostExcludesInvocation(t *testing.T) {
 	p := Default()
-	if got, want := p.ComputeOnlyCost(2, 512), p.FunctionCost(2, 512)-p.FunctionInvoke; !almost(got, want) {
-		t.Errorf("ComputeOnlyCost = %g, want %g", got, want)
+	if got, want := p.ComputeOnlyCost(2, 512), 2*0.5*p.FunctionGBSecond; !almost(got, want) {
+		t.Errorf("ComputeOnlyCost = %g, want %g: GB-seconds only, no %g invocation fee", got, want, p.FunctionInvoke)
 	}
 }
 
@@ -89,7 +89,7 @@ func TestFunctionCostMonotoneInDuration(t *testing.T) {
 	p := Default()
 	if err := quick.Check(func(a, b uint16) bool {
 		s1, s2 := float64(a)/10, float64(a)/10+float64(b)/10
-		return p.FunctionCost(s1, 1769) <= p.FunctionCost(s2, 1769)+1e-15
+		return p.ComputeOnlyCost(s1, 1769) <= p.ComputeOnlyCost(s2, 1769)+1e-15
 	}, nil); err != nil {
 		t.Error(err)
 	}

@@ -130,9 +130,6 @@ func strictFrontier(c []cost.Point) bool {
 	return true
 }
 
-// Alloc returns the scheduler's current allocation.
-func (s *Scheduler) Alloc() cost.Allocation { return s.alloc }
-
 // fastest returns the lowest-epoch-time candidate.
 func (s *Scheduler) fastest() cost.Allocation { return s.cfg.Candidates[0].Alloc }
 

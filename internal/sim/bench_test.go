@@ -71,8 +71,9 @@ func BenchmarkScheduleCancel(b *testing.B) {
 // cancelChurn is the hold model of a warm pool under reuse: every 0.1 s one
 // of churnRing timeouts set churnHold seconds ahead is replaced, and nine
 // times in ten the old one is canceled first — the tenth idles out and fires
-// — so churnLive events are live at any time while nine die per simulated
-// second, each with most of its hold still to go.
+// — so 1,000 events (the ring plus one idling-out timeout per second of hold)
+// are live at any time while nine die per simulated second, each with most of
+// its hold still to go.
 func cancelChurn(s *Simulation, ops int) {
 	nop := func() {}
 	ring := make([]Event, churnRing)
@@ -98,7 +99,6 @@ func cancelChurn(s *Simulation, ops int) {
 const (
 	churnHold = 600 // seconds
 	churnRing = 400
-	churnLive = churnRing + churnHold // the ring plus one idling-out timeout per second of hold
 )
 
 // BenchmarkCancelChurn: one op = one replaced timeout of the hold model

@@ -286,7 +286,7 @@ func TestEventFreeListRecycles(t *testing.T) {
 }
 
 // TestCanceledEventsRecycledOnReap asserts canceled events return to the
-// free list when the run loop reaps them.
+// free list when the run loop pops them.
 func TestCanceledEventsRecycledOnReap(t *testing.T) {
 	s := New(1)
 	for round := 0; round < 1000; round++ {

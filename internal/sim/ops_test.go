@@ -1,15 +1,15 @@
 package sim
 
-// Tests for the reap pass and the lanes: canceled entries leave the heap once
-// they outnumber the live ones, sorted streams wait in FIFO lanes beside it,
-// and nothing observable depends on whether, when or where any of that
-// happened. One op interpreter drives the kernel and the container/heap
-// reference — which has neither a reap pass nor lanes: it is the
-// specification — through the same byte-coded program (schedules on the heap
-// and on lanes, batches, posts from several sender shards, cancels — stale,
-// repeated, of a lane's oldest entry and from inside callbacks — Step and
-// RunUntil), checking the shard's dead count and lane invariants against a
-// scan after every operation; the random tests and FuzzKernelOps both feed it.
+// The kernel against its specification: sorted streams wait in FIFO lanes
+// beside the heap, canceled entries leave a lane early and the heap when
+// popped, and nothing observable depends on where an entry waited. One op
+// interpreter drives the kernel and the container/heap reference — which has
+// one queue and no lanes — through the same byte-coded program (schedules on
+// the heap and on lanes, batches, posts from several sender shards, cancels —
+// stale, repeated, of a lane's oldest entry and from inside callbacks — Step
+// and RunUntil), checking the shard's queue invariants and the fate of every
+// canceled entry after every operation; the random tests and FuzzKernelOps
+// both feed it.
 
 import (
 	"fmt"
@@ -17,27 +17,20 @@ import (
 	"testing"
 )
 
-// checkShard asserts the queue invariants of a shard: dead is exactly the
-// number of canceled entries in the heap, every queued entry's slot knows
-// where it is queued, the heap order holds, and every non-empty lane — sh.lanes
-// holds exactly those, as a heap by head entry — is sorted behind a live head.
+// checkShard asserts the queue invariants of a shard: every queued entry's
+// slot knows where it is queued, the heap order holds, and every non-empty
+// lane — sh.lanes holds exactly those, as a heap by head entry — is sorted
+// behind a live head.
 func checkShard(t testing.TB, sh *Shard) {
 	t.Helper()
-	dead := 0
 	for i := range sh.heap {
 		e := &sh.heap[i]
 		if !e.slot.queued || e.slot.lane != nil {
 			t.Fatalf("shard %d: heap[%d] points at a slot not marked queued on the heap", sh.idx, i)
 		}
-		if e.slot.canceled {
-			dead++
-		}
 		if i > 0 && entryLess(e, &sh.heap[(i-1)/2]) {
 			t.Fatalf("shard %d: heap order violated at %d", sh.idx, i)
 		}
-	}
-	if dead != sh.dead {
-		t.Fatalf("shard %d: dead = %d, a scan of the heap finds %d", sh.idx, sh.dead, dead)
 	}
 	for i, r := range sh.lanes {
 		l := r.l
@@ -60,10 +53,15 @@ func checkShard(t testing.TB, sh *Shard) {
 	}
 }
 
-// queuedCanceled counts the canceled entries still queued on sh: the dead in
-// its heap plus the ones waiting in a lane for the head to reach them.
+// queuedCanceled counts the canceled entries still queued on sh: those waiting
+// in its heap for their time to come, and in a lane for the head to reach them.
 func queuedCanceled(sh *Shard) int {
-	n := sh.dead
+	n := 0
+	for _, e := range sh.heap {
+		if e.slot.canceled {
+			n++
+		}
+	}
 	for _, r := range sh.lanes {
 		for _, e := range r.l.q[r.l.head:] {
 			if e.slot.canceled {
@@ -74,18 +72,54 @@ func queuedCanceled(sh *Shard) int {
 	return n
 }
 
-// cancelChecked cancels ev, owned by sh, and checks the shard; a Cancel
-// that counted must leave the dead within the floor or the live count. It
-// reports whether a reap pass ran.
-func cancelChecked(t testing.TB, sh *Shard, ev Event) (reaped bool) {
+// deadLedger follows every canceled entry a shard still carries to its end:
+// dropped, its slot recycled and its handle stale, when its queue pops it.
+type deadLedger struct {
+	queued  []Event // canceled while queued, not yet seen dropped
+	dropped uint64
+}
+
+// cancel cancels ev, owned by sh, and checks the shard and the ledger. Only
+// the Cancel of a live entry that stays queued leaves one behind to follow: not
+// a stale or repeated one, not an event canceling itself from its own
+// callback, not a lane's head, which goes on the spot.
+func (d *deadLedger) cancel(t testing.TB, sh *Shard, ev Event) {
 	t.Helper()
-	before := sh.dead
+	slot := ev.slot
+	stays := slot.gen == ev.gen && slot.queued && !slot.canceled && (slot.lane == nil || slot.lane.q[slot.lane.head].slot != slot)
 	ev.Cancel()
-	checkShard(t, sh)
-	if live := len(sh.heap) - sh.dead; sh.dead != before && sh.dead > reapFloor && sh.dead > live {
-		t.Fatalf("shard %d: Cancel left %d dead entries over %d live ones", sh.idx, sh.dead, live)
+	if stays {
+		d.queued = append(d.queued, ev)
 	}
-	return sh.dead < before
+	checkShard(t, sh)
+	d.check(t, sh)
+}
+
+// check requires every followed entry to be either still queued and marked, or
+// stale — popped and recycled without firing, which the trace comparison with
+// the reference confirms — and the two groups to be exactly the canceled
+// entries a scan of the queues finds and the pops the shard counted as dead.
+func (d *deadLedger) check(t testing.TB, sh *Shard) {
+	t.Helper()
+	n := 0
+	for _, ev := range d.queued {
+		switch slot := ev.slot; {
+		case slot.gen != ev.gen:
+			d.dropped++
+		case slot.canceled && slot.queued:
+			d.queued[n] = ev
+			n++
+		default:
+			t.Fatalf("shard %d: a canceled entry left its queue without being recycled, or was revived (canceled=%v queued=%v)", sh.idx, slot.canceled, slot.queued)
+		}
+	}
+	d.queued = d.queued[:n]
+	if scan := queuedCanceled(sh); scan != n {
+		t.Fatalf("shard %d: %d canceled entries queued, %d canceled handles not yet stale", sh.idx, scan, n)
+	}
+	if st := sh.QueueStats(); st.DeadPops != d.dropped {
+		t.Fatalf("shard %d: DeadPops = %d, %d canceled entries went stale at a pop", sh.idx, st.DeadPops, d.dropped)
+	}
 }
 
 // opKernel is what an op program needs of a kernel. Everything lands on the
@@ -122,7 +156,7 @@ type optKernel struct {
 	s     *Simulation
 	lanes [opLanes]*Lane
 	hs    []Event
-	reaps int
+	dead  deadLedger
 }
 
 func newOptKernel(t testing.TB, shards int) *optKernel {
@@ -151,12 +185,8 @@ func (k *optKernel) post(from int, at Time, pri int, fn func()) {
 	k.s.Shard(from%k.s.NumShards()).Post(k.s.main, at, pri, fn)
 }
 func (k *optKernel) postSelf(at Time, pri int, fn func()) { k.s.main.Post(k.s.main, at, pri, fn) }
-func (k *optKernel) cancel(h int) {
-	if cancelChecked(k.t, k.s.main, k.hs[h]) {
-		k.reaps++
-	}
-}
-func (k *optKernel) handles() int { return len(k.hs) }
+func (k *optKernel) cancel(h int)                         { k.dead.cancel(k.t, k.s.main, k.hs[h]) }
+func (k *optKernel) handles() int                         { return len(k.hs) }
 func (k *optKernel) probe(h int) (bool, Time) {
 	ev := k.hs[h]
 	if ev.slot.gen != ev.gen {
@@ -170,11 +200,13 @@ func (k *optKernel) probe(h int) (bool, Time) {
 func (k *optKernel) step() bool {
 	ok := k.s.Step()
 	checkShard(k.t, k.s.main)
+	k.dead.check(k.t, k.s.main)
 	return ok
 }
 func (k *optKernel) runUntil(limit Time) {
 	k.s.RunUntil(limit)
 	checkShard(k.t, k.s.main)
+	k.dead.check(k.t, k.s.main)
 }
 func (k *optKernel) now() Time        { return k.s.Now() }
 func (k *optKernel) idleClock() Time  { return k.s.shards[len(k.s.shards)-1].now }
@@ -332,7 +364,7 @@ func runOps(k opKernel, prog []byte) []opRecord {
 		lastCancel = h
 	}
 	// A cancel reaches cancelWindow handles back: far enough to hit fired
-	// and reaped ones, near enough that long programs keep hitting live ones.
+	// and dropped ones, near enough that long programs keep hitting live ones.
 	cancelAny := func(target int) {
 		if n := k.handles(); n > 0 {
 			cancel(n - 1 - target%min(n, cancelWindow))
@@ -423,23 +455,6 @@ func runOps(k opKernel, prog []byte) []opRecord {
 	return trace
 }
 
-// opProgram returns a program that schedules prefill plain events, cancels
-// three in five of them — one reap pass at that heap size, if it is over the
-// floor — and then runs n ops of a cancel-heavy mix in which time moves
-// slowly, so the dead pile up queued rather than popping.
-func opProgram(rng *Rand, prefill, n int) []byte {
-	var prog []byte
-	for i := 0; i < prefill; i++ {
-		prog = append(prog, opSchedule, byte(rng.Intn(256)), byte(rng.Intn(3)), 0, 0, 0, 0, 0)
-	}
-	for _, back := range rng.Perm(prefill)[:prefill*3/5] {
-		prog = append(prog, opCancel, byte(back>>8), byte(back))
-	}
-	return appendOps(prog, rng, n, []opWeight{
-		{op: opSchedule, variants: onHeap, weight: 15}, {op: opSchedule, weight: 5}, {op: opBatch, weight: 2},
-		{op: opCancel, weight: 30}, {op: opCancelRecent, variants: recent, weight: 36}, {op: opStep, weight: 4}, {op: opRunUntil, weight: 8}})
-}
-
 // opWeight is one row of an op mix: an op code, a bit set of the variants
 // (high-nibble values) to draw from, 0 for any, the row's weight, and whether
 // a schedule's priority byte is pinned to priority 0 rather than drawn.
@@ -504,8 +519,7 @@ const (
 // laneProgram returns n ops of one of the lane mixes the seed corpus carries:
 // sorted keys through lanes 1 and 2, unsorted ones through lane 3, FIFO
 // cancel-the-oldest churn on the long hold, and posts from four sender shards
-// in every delay class — each with heap traffic, random cancels and reap
-// passes mixed in.
+// in every delay class — each with heap traffic and random cancels mixed in.
 func laneProgram(rng *Rand, kind string, n int) []byte {
 	mixes := map[string][]opWeight{
 		"lane-monotone": {{opSchedule, onLane1, 25, true}, {opSchedule, onLane2, 15, true}, {op: opSchedule, variants: onHeap, weight: 10},
@@ -519,26 +533,14 @@ func laneProgram(rng *Rand, kind string, n int) []byte {
 		"post-multi-sender": {{op: opPost, weight: 40}, {op: opSchedule, weight: 25}, {op: opCancel, weight: 10}, {op: opCancelRecent, weight: 40},
 			{op: opStep, weight: 5}, {op: opRunUntil, weight: 10}},
 	}
-	var prog []byte
-	if kind == "lane-fallback" || kind == "post-multi-sender" {
-		// One sure reap pass among the fallbacks: 2*reapFloor unsorted pushes on
-		// lane 3, three in five of them canceled.
-		const prefill = 2 * reapFloor
-		for i := 0; i < prefill; i++ {
-			prog = append(prog, variant(opSchedule, 3), byte(rng.Intn(256)), byte(rng.Intn(3)), 0, 0, 0, 0, 0)
-		}
-		for _, back := range rng.Perm(prefill)[:prefill*3/5] {
-			prog = append(prog, opCancel, byte(back>>8), byte(back))
-		}
-	}
-	return appendOps(prog, rng, n, mixes[kind])
+	return appendOps(nil, rng, n, mixes[kind])
 }
 
 // runOpsBoth runs prog on the kernel — with the one shard whose RunUntil is
 // the plain drain loop, and with four, posts coming from all of them — and on
-// the reference, and requires the same trace, event for event; it returns how
-// many reap passes ran and what the main shard's queues counted, on one shard.
-func runOpsBoth(t testing.TB, prog []byte) (reaps int, stats QueueStats) {
+// the reference, and requires the same trace, event for event; it returns
+// what the main shard's queues counted, on one shard.
+func runOpsBoth(t testing.TB, prog []byte) (stats QueueStats) {
 	t.Helper()
 	for _, shards := range []int{4, 1} {
 		opt := newOptKernel(t, shards)
@@ -553,58 +555,35 @@ func runOpsBoth(t testing.TB, prog []byte) (reaps int, stats QueueStats) {
 			t.Fatalf("%d shards: trace has %d entries, reference %d", shards, len(got), len(want))
 		}
 		sh := opt.s.main
-		if len(sh.heap) != 0 || sh.dead != 0 || len(sh.lanes) != 0 || opt.s.Pending() != 0 {
-			t.Fatalf("%d shards, after the final drain: %d entries on the heap, dead = %d, %d lanes queued, Pending = %d",
-				shards, len(sh.heap), sh.dead, len(sh.lanes), opt.s.Pending())
+		if len(sh.heap) != 0 || len(opt.dead.queued) != 0 || len(sh.lanes) != 0 || opt.s.Pending() != 0 {
+			t.Fatalf("%d shards, after the final drain: %d entries on the heap, %d canceled handles not stale, %d lanes queued, Pending = %d",
+				shards, len(sh.heap), len(opt.dead.queued), len(sh.lanes), opt.s.Pending())
 		}
 		if st := sh.QueueStats(); st.LanePops+st.HeapPops != sh.fired+st.DeadPops {
 			t.Fatalf("%d shards: %+v does not add up to %d events fired", shards, st, sh.fired)
 		}
-		reaps, stats = opt.reaps, sh.QueueStats()
+		stats = sh.QueueStats()
 	}
-	return reaps, stats
-}
-
-// TestReapMatchesReferenceHeap: cancel-heavy random op mixes over heaps far
-// below, around and far above the reap floor fire event for event like the
-// reference, which never reaps, with the dead count exact after every op.
-func TestReapMatchesReferenceHeap(t *testing.T) {
-	for _, tc := range []struct {
-		prefill, n int
-		reaps      bool
-	}{
-		{0, reapFloor, false}, // fewer events than the floor: no pass can start
-		{reapFloor / 2, 4000, true},
-		{reapFloor, 4000, true},
-		{2 * reapFloor, 4000, true},
-		{50 * reapFloor, 20000, true},
-	} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			reaps, _ := runOpsBoth(t, opProgram(NewRand(seed), tc.prefill, tc.n))
-			if (reaps > 0) != tc.reaps {
-				t.Errorf("prefill %d, %d ops, seed %d: %d reap passes, want any = %v", tc.prefill, tc.n, seed, reaps, tc.reaps)
-			}
-		}
-	}
+	return stats
 }
 
 // TestLanesMatchReferenceHeap: the lane mixes fire event for event like the
 // reference, which has no lanes, and each drives what it is named after.
 func TestLanesMatchReferenceHeap(t *testing.T) {
-	for kind, driven := range map[string]func(reaps int, st QueueStats) bool{
-		"lane-monotone": func(_ int, st QueueStats) bool { return st.LanePops > 20*st.Fallbacks },
-		"lane-fallback": func(reaps int, st QueueStats) bool {
-			return reaps > 0 && st.Fallbacks > st.LanePushes/4 && st.LanePops > st.LanePushes/8
+	for kind, driven := range map[string]func(st QueueStats) bool{
+		"lane-monotone": func(st QueueStats) bool { return st.LanePops > 20*st.Fallbacks },
+		"lane-fallback": func(st QueueStats) bool {
+			return st.DeadPops > 0 && st.Fallbacks > st.LanePushes/4 && st.LanePops > st.LanePushes/8
 		},
 		// Most pushes left their lane through a Cancel of its head.
-		"lane-cancel-head-churn": func(_ int, st QueueStats) bool { return st.LanePushes-st.LanePops-st.Fallbacks > st.LanePushes/2 },
-		"post-multi-sender": func(reaps int, st QueueStats) bool {
-			return reaps > 0 && st.Fallbacks > st.LanePushes/8 && st.LanePops > st.LanePushes/8
+		"lane-cancel-head-churn": func(st QueueStats) bool { return st.LanePushes-st.LanePops-st.Fallbacks > st.LanePushes/2 },
+		"post-multi-sender": func(st QueueStats) bool {
+			return st.DeadPops > 0 && st.Fallbacks > st.LanePushes/8 && st.LanePops > st.LanePushes/8
 		},
 	} {
 		for seed := uint64(1); seed <= 4; seed++ {
-			if reaps, st := runOpsBoth(t, laneProgram(NewRand(seed), kind, 3000)); !driven(reaps, st) {
-				t.Errorf("%s, seed %d: %d reap passes, the queues counted %+v: the mix missed its target", kind, seed, reaps, st)
+			if st := runOpsBoth(t, laneProgram(NewRand(seed), kind, 3000)); !driven(st) {
+				t.Errorf("%s, seed %d: the queues counted %+v: the mix missed its target", kind, seed, st)
 			}
 		}
 	}
@@ -612,8 +591,9 @@ func TestLanesMatchReferenceHeap(t *testing.T) {
 
 // FuzzKernelOps decodes arbitrary bytes into the same op mix and compares
 // firing order with the reference heap. The seed corpus under testdata/fuzz
-// is opProgram output that reaps at several heap sizes and laneProgram output
-// of every kind.
+// is cancel-heavy heap programs — a prefill of plain events, three in five of
+// them canceled, then a mix in which time moves slowly so the canceled pile up
+// queued — at several heap sizes, and laneProgram output of every kind.
 func FuzzKernelOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 1<<13 {
@@ -624,7 +604,7 @@ func FuzzKernelOps(f *testing.F) {
 }
 
 // TestCancelCountsOnlyQueuedEntries: a callback canceling its own (already
-// popped) event, and a second Cancel of the same event, count nothing.
+// popped) event, and a second Cancel of the same event, leave nothing to drop.
 func TestCancelCountsOnlyQueuedEntries(t *testing.T) {
 	s := New(1)
 	sh := s.main
@@ -638,80 +618,20 @@ func TestCancelCountsOnlyQueuedEntries(t *testing.T) {
 	other.Cancel()
 	other.Cancel()
 	checkShard(t, sh)
-	if sh.dead != 1 {
-		t.Fatalf("dead = %d after canceling one queued event twice, want 1", sh.dead)
+	if n := queuedCanceled(sh); n != 1 {
+		t.Fatalf("%d canceled entries queued after canceling one queued event twice, want 1", n)
 	}
 	s.Run()
 	checkShard(t, sh)
-	if sh.dead != 0 || s.EventsFired() != 1 {
-		t.Fatalf("after Run: dead = %d, fired = %d; want 0 and 1", sh.dead, s.EventsFired())
-	}
-}
-
-// reapedHandle returns a handle whose canceled event a reap pass has already
-// dropped, with one live event left queued behind it.
-func reapedHandle(t *testing.T, s *Simulation) Event {
-	t.Helper()
-	s.Schedule(1, func() {})
-	evs := make([]Event, 2*reapFloor)
-	for i := range evs {
-		evs[i] = s.Schedule(Time(2+i), func() {})
-	}
-	for _, ev := range evs {
-		ev.Cancel()
-	}
-	if s.Pending() >= len(evs) {
-		t.Fatalf("%d entries pending after canceling %d of %d: no reap pass ran", s.Pending(), len(evs), len(evs)+1)
-	}
-	return evs[0]
-}
-
-// TestReapedHandleIsStale: once a pass dropped the event, its handle behaves
-// like that of a fired one — and the slot's next tenant is out of its reach.
-func TestReapedHandleIsStale(t *testing.T) {
-	s := New(1)
-	stale := reapedHandle(t, s)
-	if stale.Canceled() || stale.At() != 0 {
-		t.Fatalf("reaped handle: Canceled=%v At=%v, want false and 0", stale.Canceled(), stale.At())
-	}
-	ran := 0
-	for i := 0; i < 2*reapFloor; i++ { // reuses every reaped slot
-		s.Schedule(5, func() { ran++ })
-	}
-	stale.Cancel()
-	checkShard(t, s.main)
-	s.Run()
-	if ran != 2*reapFloor {
-		t.Fatalf("%d of %d events on reused slots ran after a stale Cancel", ran, 2*reapFloor)
-	}
-}
-
-// TestReapedHandleStrictModePanics: under SetStrictCancel every use of a
-// reaped handle panics.
-func TestReapedHandleStrictModePanics(t *testing.T) {
-	for name, use := range map[string]func(Event){
-		"Cancel":   Event.Cancel,
-		"Canceled": func(e Event) { e.Canceled() },
-	} {
-		s := New(1)
-		stale := reapedHandle(t, s)
-		s.SetStrictCancel(true)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a reaped handle did not panic in strict mode", name)
-				}
-			}()
-			use(stale)
-		}()
+	if st := sh.QueueStats(); st.DeadPops != 1 || s.EventsFired() != 1 {
+		t.Fatalf("after Run: DeadPops = %d, fired = %d; want 1 and 1", st.DeadPops, s.EventsFired())
 	}
 }
 
 // holdWorkload is the warm-pool pattern on every actor's own shard: each
 // step schedules timeouts — one short, the rest a long hold ahead — and
 // cancels the batch from four steps earlier, so most die queued with nearly
-// all of their hold to go (crossing the reap floor every dozen steps) while
-// some short ones fire first; every fifth step posts to a neighbour, whose
+// all of their hold to go while some short ones fire first; every fifth step posts to a neighbour, whose
 // handler cancels one of its own pending timeouts. Returns one trace per
 // actor.
 func holdWorkload(w actorWorld, seed uint64, actors int) [][]string {
@@ -764,11 +684,11 @@ func holdWorkload(w actorWorld, seed uint64, actors int) [][]string {
 	return traces
 }
 
-// TestReapAcrossShards: cancels (and so reap passes) on every shard, through
-// the sequential merge and through parallel windows — the latter is a data
-// race under -race if a pass touches anything but its own shard — leave each
-// actor's trace identical to the reference's.
-func TestReapAcrossShards(t *testing.T) {
+// TestCancelAcrossShards: cancels on every shard, of heap and of lane entries,
+// through the sequential merge and through parallel windows — the latter is a
+// data race under -race if a Cancel touches anything but its own shard — leave
+// each actor's trace identical to the reference's.
+func TestCancelAcrossShards(t *testing.T) {
 	const actors = 6
 	for seed := uint64(1); seed <= 2; seed++ {
 		refW := &refWorld{s: &refSim{}}
@@ -785,28 +705,11 @@ func TestReapAcrossShards(t *testing.T) {
 			if w.fired() != refW.fired() {
 				t.Fatalf("seed %d shards=%d workers=%d: fired %d, reference %d", seed, cfg[0], cfg[1], w.fired(), refW.fired())
 			}
-			for i, n := range w.reaps {
-				if n == 0 {
-					t.Errorf("seed %d shards=%d workers=%d: no reap pass on shard %d", seed, cfg[0], cfg[1], i)
+			for i := range cfg[0] {
+				if st := w.s.Shard(i).QueueStats(); st.DeadPops == 0 {
+					t.Errorf("seed %d shards=%d workers=%d: no canceled entry was dropped at a pop on shard %d", seed, cfg[0], cfg[1], i)
 				}
 			}
 		}
 	}
-}
-
-// TestCancelChurnReusesSlots: under steady cancel churn (the benchmark's
-// hold model) the arena stops growing once the pattern is in steady state,
-// and queue length stays within live + dead-bound of it.
-func TestCancelChurnReusesSlots(t *testing.T) {
-	s := New(1)
-	cancelChurn(s, 20_000) // 2,000 s: three holds, long past warm-up
-	warm := s.main.allocs
-	if limit := uint64(2*churnLive + reapFloor + arenaChunk); warm > limit {
-		t.Fatalf("%d slots carved for %d live events, want <= %d", warm, churnLive, limit)
-	}
-	cancelChurn(s, 200_000)
-	if s.main.allocs != warm {
-		t.Fatalf("arena grew from %d to %d slots under steady churn", warm, s.main.allocs)
-	}
-	checkShard(t, s.main)
 }

@@ -11,11 +11,10 @@ import (
 //
 // The handle is a small value (not a pointer into the kernel): it pairs the
 // event's arena slot with the generation the slot had when the event was
-// scheduled. Once the event fires or its cancellation is reaped, the kernel
+// scheduled. Once the event fires or its canceled entry is dropped, the kernel
 // bumps the slot's generation and recycles it, so a stale handle no longer
-// matches and Cancel/Canceled on it are safe no-ops (or panics under
-// SetStrictCancel) instead of silently acting on an unrelated event that
-// reused the slot. The zero Event is inert.
+// matches and Cancel/Canceled on it are safe no-ops instead of silently acting
+// on an unrelated event that reused the slot. The zero Event is inert.
 type Event struct {
 	slot *eventSlot
 	gen  uint64
@@ -30,25 +29,18 @@ func (e Event) At() Time {
 	return e.slot.at
 }
 
-// Cancel marks the event so that it will never fire. Canceling an
-// already-fired (or already-reaped) event is a no-op: the handle's
-// generation no longer matches the recycled slot.
+// Cancel marks the event so that it will never fire. Canceling an event
+// that already fired or was dropped is a no-op: the handle's generation no
+// longer matches the recycled slot.
 //
-// A canceled entry stays in its shard's heap only until the dead outnumber
-// the live there (see Shard.reap), so Cancel is amortized O(1) plus its share
-// of one linear pass, and what a canceled event costs does not depend on how
-// far in the future it was scheduled. In a Lane, canceling the head removes it
-// on the spot — canceling a FIFO's oldest entry never leaves a corpse — and
-// any other entry is skipped when the head reaches it; neither counts as dead.
+// Cancel is O(1). A canceled heap entry stays queued until its time comes and
+// is dropped when popped (QueueStats.DeadPops counts those), so it is carried
+// for as long as it was scheduled ahead. In a Lane, canceling the head removes
+// it on the spot — canceling a FIFO's oldest entry never leaves a corpse — and
+// any other entry is skipped when the head reaches it.
 func (e Event) Cancel() {
 	slot := e.slot
-	if slot == nil {
-		return
-	}
-	if slot.gen != e.gen {
-		if slot.sh.sim.strictCancel {
-			panic("sim: Cancel on a stale event handle (event already fired or reaped)")
-		}
+	if slot == nil || slot.gen != e.gen {
 		return
 	}
 	sh := slot.sh
@@ -62,38 +54,18 @@ func (e Event) Cancel() {
 		return
 	}
 	slot.canceled = true
-	// An event canceling itself from its own callback is already out of the
-	// heap: there is no entry left to count or to reap.
-	if !slot.queued {
-		return
-	}
-	if l := slot.lane; l != nil {
-		if l.q[l.head].slot == slot {
-			l.advance()
-			sh.recycle(slot)
-		}
-		return
-	}
-	sh.dead++
-	if sh.dead > reapFloor && sh.dead > len(sh.heap)-sh.dead {
-		sh.reap()
+	// An event canceling itself from its own callback is already out of its
+	// queue; a queued one leaves now only if it heads its lane.
+	if l := slot.lane; slot.queued && l != nil && l.q[l.head].slot == slot {
+		l.advance()
+		sh.recycle(slot)
 	}
 }
 
 // Canceled reports whether Cancel has been called on the event. A zero or
-// stale handle reports false (the event it referred to is gone), or panics
-// under SetStrictCancel.
+// stale handle reports false (the event it referred to is gone).
 func (e Event) Canceled() bool {
-	if e.slot == nil {
-		return false
-	}
-	if e.slot.gen != e.gen {
-		if e.slot.sh.sim.strictCancel {
-			panic("sim: Canceled on a stale event handle (event already fired or reaped)")
-		}
-		return false
-	}
-	return e.slot.canceled
+	return e.slot != nil && e.slot.gen == e.gen && e.slot.canceled
 }
 
 // eventSlot is the arena-resident payload of one scheduled event. The
@@ -104,7 +76,7 @@ type eventSlot struct {
 	at       Time
 	gen      uint64
 	canceled bool
-	queued   bool  // a heap or lane entry points here; false once popped or reaped
+	queued   bool  // a heap or lane entry points here; false once popped
 	lane     *Lane // the lane holding that entry, nil for the heap
 	sh       *Shard
 	next     *eventSlot // the free list's link while the slot is idle
@@ -152,9 +124,6 @@ type Shard struct {
 	heap  []heapEntry
 	seq   uint64
 	fired uint64
-	// dead counts the heap entries whose event was canceled and which no
-	// pop or reap pass has dropped yet; always equal to a scan of heap.
-	dead int
 	// lanes is a min-heap, by head entry, of the shard's non-empty lanes
 	// (lane.go); inbox[i] is the lane posts from shard i are delivered into.
 	lanes []laneRef
@@ -162,10 +131,9 @@ type Shard struct {
 	stats QueueStats
 
 	// free heads the list of recycled slots (linked through the slots, so
-	// returning any number of them — a reap pass frees thousands — never
-	// allocates); arena is the tail of the current allocation block new slots
-	// are carved from. Together they make the steady-state
-	// schedule/fire/cancel loop allocation-free.
+	// returning one never allocates); arena is the tail of the current
+	// allocation block new slots are carved from. Together they make the
+	// steady-state schedule/fire/cancel loop allocation-free.
 	free   *eventSlot
 	arena  []eventSlot
 	allocs uint64 // slots carved from fresh arena blocks (tests assert reuse)
@@ -183,25 +151,15 @@ type Shard struct {
 // simulations.
 const arenaChunk = 64
 
-// reapFloor is the number of canceled entries a heap carries before a reap
-// pass is worth starting: below it they are cheaper to skip at pop time.
-const reapFloor = 64
-
 func newShard(s *Simulation, idx int) *Shard {
 	return &Shard{sim: s, idx: idx}
 }
-
-// Index reports the shard's position in the simulation's shard set.
-func (sh *Shard) Index() int { return sh.idx }
 
 // Now returns the shard's current virtual time.
 func (sh *Shard) Now() Time { return sh.now }
 
 // EventsFired reports how many events have executed on this shard.
 func (sh *Shard) EventsFired() uint64 { return sh.fired }
-
-// Sim returns the owning simulation.
-func (sh *Shard) Sim() *Simulation { return sh.sim }
 
 // Rand returns the named deterministic random stream of the owning
 // simulation (see Simulation.Rand for the creation and ownership rules).
@@ -286,12 +244,6 @@ func (sh *Shard) Post(to *Shard, at Time, priority int, fn func()) {
 		panic(fmt.Sprintf("sim: post at %v violates lookahead: sender shard %d is at %v with lookahead %g", at, sh.idx, sh.now, s.lookahead))
 	}
 	sh.outbox = append(sh.outbox, postMsg{to: to, at: at, pri: priority, fn: fn})
-}
-
-// PostAfter is Post at d seconds from the shard's now; d below the
-// lookahead panics.
-func (sh *Shard) PostAfter(to *Shard, d Duration, priority int, fn func()) {
-	sh.Post(to, sh.now+Time(d), priority, fn)
 }
 
 // BatchEvent is one entry of a ScheduleBatch bulk injection.
@@ -398,7 +350,7 @@ func (sh *Shard) newSlot(at Time, fn func()) *eventSlot {
 	return slot
 }
 
-// recycle returns a fired or reaped slot to the free list, bumping its
+// recycle returns a fired or dropped slot to the free list, bumping its
 // generation so outstanding handles go stale. The closure is dropped so the
 // kernel does not pin caller state between reuses.
 func (sh *Shard) recycle(slot *eventSlot) {
@@ -407,35 +359,6 @@ func (sh *Shard) recycle(slot *eventSlot) {
 	slot.gen++
 	slot.next = sh.free
 	sh.free = slot
-}
-
-// reap drops every canceled entry from the heap in one in-place pass,
-// recycling their slots exactly as a pop would have, and restores the heap
-// order bottom-up (Floyd). Cancel starts a pass once the dead outnumber the
-// live, so a pass over n entries frees more than n/2 of them, and right after
-// any Cancel the heap holds at most max(live, reapFloor) dead ones. The order
-// (time, priority, sequence) is strict, so which live entry pops next — and
-// with it every clock, count and byte of output — does not depend on whether
-// or when a pass ran.
-func (sh *Shard) reap() {
-	q := sh.heap
-	n := 0
-	for i := range q {
-		if slot := q[i].slot; slot.canceled {
-			slot.queued = false
-			sh.recycle(slot)
-			continue
-		}
-		q[n] = q[i]
-		n++
-	}
-	clear(q[n:])
-	q = q[:n]
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(q, i)
-	}
-	sh.heap = q
-	sh.dead = 0
 }
 
 // eligible reports whether the shard has an event inside the window bound.
@@ -486,7 +409,6 @@ func (sh *Shard) popFire(l *Lane) bool {
 		e = sh.heapPop()
 		sh.stats.HeapPops++
 		if e.slot.canceled {
-			sh.dead--
 			sh.stats.DeadPops++
 			sh.recycle(e.slot)
 			return false

@@ -40,22 +40,6 @@ func TestStaleCancelIsNoOp(t *testing.T) {
 	}
 }
 
-// TestStaleCancelStrictModePanics pins the debug mode: with strict cancel
-// on, the same stale Cancel panics instead of no-opping.
-func TestStaleCancelStrictModePanics(t *testing.T) {
-	s := New(1)
-	s.SetStrictCancel(true)
-	stale := s.Schedule(1, func() {})
-	s.RunUntil(2)
-	s.Schedule(3, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic from stale Cancel in strict mode")
-		}
-	}()
-	stale.Cancel()
-}
-
 // TestZeroEventIsInert: the zero handle supports Cancel/Canceled/At as
 // no-ops, so callers can keep Event fields without a validity flag.
 func TestZeroEventIsInert(t *testing.T) {
@@ -134,8 +118,8 @@ func TestRunUntilClampsEveryShard(t *testing.T) {
 		t.Fatalf("RunUntil moved shard 1 clock backwards: %v", got)
 	}
 	s.Run()
-	if got := s.Horizon(); got != 20 {
-		t.Fatalf("Horizon = %v, want 20", got)
+	if got := s.Shard(1).Now(); got != 20 {
+		t.Fatalf("shard 1 clock = %v after Run, want 20", got)
 	}
 }
 
@@ -237,7 +221,7 @@ func TestShardFreeListsStayZeroAlloc(t *testing.T) {
 		if n < 100000 {
 			// Alternate a local chain step and a cross-shard post.
 			a.ScheduleAfter(0.5, func() {})
-			a.PostAfter(b, 1, 0, func() {})
+			a.Post(b, a.Now()+1, 0, func() {})
 			a.ScheduleAfter(1, ping)
 		}
 	}
@@ -253,16 +237,22 @@ func TestShardFreeListsStayZeroAlloc(t *testing.T) {
 // high-water marks, a RunUntil window that takes every scheduling entry point
 // — Schedule, ScheduleAfter, SchedulePriority, ScheduleBatch on both its sift
 // and its heapify branch, Lane.Schedule, Post from three sender shards into
-// one target, Cancel on the heap (and the reap passes it starts), of a lane's
-// head and of an entry behind it — does not touch the Go heap.
+// one target, Cancel on the heap, of a lane's head and of an entry behind it —
+// does not touch the Go heap.
 func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 	s := New(1)
 	s.EnsureShards(4)
 	s.SetLookahead(1)
 	a, b := s.Shard(0), s.Shard(1)
 	nop := func() {}
-	echo := func() { b.ScheduleAfter(0.25, nop) }
-	batch := make([]BatchEvent, 4)
+	batch, echoes := make([]BatchEvent, 4), make([]BatchEvent, 4)
+	// Shard 1's heap stays short, so its batches take the heapify branch.
+	echo := func() {
+		for i := range echoes {
+			echoes[i] = BatchEvent{At: b.Now() + 0.25, Pri: i, Fn: nop}
+		}
+		b.ScheduleBatch(echoes)
+	}
 	short, hold := a.NewLane(), a.NewLane()
 	var held [8]Event // the hold lane's pending timeouts, replaced oldest first
 	n := 0
@@ -273,10 +263,10 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 		a.SchedulePriority(now+0.5, -1, nop)
 		short.Schedule(now+0.5, 0, nop)
 		// A hold canceled long before it is due, like the reclaim of a warm
-		// sandbox that is reused: on the heap, the dead entries the reap passes
-		// drop (they also move the heap length across ScheduleBatch's
-		// break-even); on a lane, the oldest is the head and goes at once, and
-		// the one canceled right away waits behind the head to be skipped.
+		// sandbox that is reused: on the heap, the dead entry waits out its hold
+		// (600 of them keep this shard's batches on ScheduleBatch's sift branch);
+		// on a lane, the oldest is the head and goes at once, and the one
+		// canceled right away waits behind the head to be skipped.
 		a.ScheduleAfter(600, nop).Cancel()
 		held[n%len(held)].Cancel()
 		held[n%len(held)] = hold.Schedule(now+600, 0, nop)
@@ -298,7 +288,7 @@ func TestKernelSteadyStateZeroAlloc(t *testing.T) {
 		}
 		sh.ScheduleAfter(1, relay)
 	}
-	s.RunUntil(1000) // warm-up: several reap cycles
+	s.RunUntil(1000) // warm-up: past the first hold, so canceled entries pop as fast as they arrive
 	buffers := func() (n int) {
 		for _, l := range append(append([]*Lane{short, hold}, a.inbox...), b.inbox...) {
 			if l != nil {
@@ -349,10 +339,8 @@ type shardedWorld struct {
 	s      *Simulation
 	shards int
 	// For scheduleCancelable, whose cancels check their shard's invariants
-	// against t and count the reap passes per shard (so parallel windows
-	// write disjoint counters).
-	t     testing.TB
-	reaps []int
+	// against t.
+	t testing.TB
 	// Every other cancelable event of an actor goes through the actor's lane,
 	// sorted or not; the reference world has no lanes.
 	lanes []*Lane
@@ -364,7 +352,7 @@ func newShardedWorld(seed uint64, shards, workers int) *shardedWorld {
 	s.EnsureShards(shards)
 	s.SetLookahead(actorLookahead)
 	s.SetWorkers(workers)
-	return &shardedWorld{s: s, shards: shards, reaps: make([]int, shards), lanes: make([]*Lane, maxActors), nth: make([]int, maxActors)}
+	return &shardedWorld{s: s, shards: shards, lanes: make([]*Lane, maxActors), nth: make([]int, maxActors)}
 }
 
 const maxActors = 16
@@ -394,9 +382,8 @@ func (w *shardedWorld) scheduleCancelable(actor int, at Time, pri int, fn func()
 		ev = sh.SchedulePriority(at, pri, fn)
 	}
 	return func() {
-		if cancelChecked(w.t, sh, ev) {
-			w.reaps[sh.idx]++
-		}
+		ev.Cancel()
+		checkShard(w.t, sh)
 	}
 }
 func (w *shardedWorld) post(from, to int, at Time, pri int, fn func()) {

@@ -39,7 +39,7 @@
 // Each shard's queue is an inlined binary heap over a slice of small
 // struct-of-arrays entries — the (time, priority, sequence) comparison keys
 // live in the heap entries, the closures and bookkeeping in arena-backed
-// slots — and fired or reaped slots return to a per-shard free list linked
+// slots — and fired or dropped slots return to a per-shard free list linked
 // through the slots themselves, so the steady-state hot loop (schedule, pop,
 // fire, cancel) allocates nothing. The total order is identical to the
 // reference container/heap implementation (asserted by the kernel
@@ -60,25 +60,23 @@
 // which wait in one inbox lane per sending shard — so firing order, counts
 // and clocks are those of the heap-only kernel by construction.
 //
-// A canceled event costs what it costs to cancel, not what it costs to carry.
-// In a lane, canceling the head removes it on the spot (a FIFO canceled
-// oldest-first, like internal/faas's warm-sandbox reclaims, never holds a
-// corpse), and an entry behind the head is marked and skipped when the head
-// reaches it. In the heap, each shard counts the canceled entries (Shard.dead
-// counts those and nothing else), and the Cancel that makes them outnumber
-// the live ones (past a small fixed floor) drops them all in one pass and
-// re-heapifies, so a heap holds at most max(live, floor) dead entries right
-// after any Cancel, however far ahead they were scheduled. The order is
-// strict, so neither changes a firing order, clock or count. Pending counts
-// what is queued anywhere: heap and lane entries, canceled ones not yet
-// dropped included, and posts not yet delivered. Shard.QueueStats reports
-// how many entries each kind of queue popped.
+// Cancel is O(1) everywhere, and what a canceled event costs afterwards
+// depends on where it waits. In a lane, canceling the head removes it on the
+// spot (a FIFO canceled oldest-first, like internal/faas's warm-sandbox
+// reclaims, never holds a corpse), and an entry behind the head is marked and
+// skipped when the head reaches it. In the heap a canceled entry stays until
+// its time comes and is dropped when popped, so a stream that is canceled far
+// ahead of its fire time — a timeout with a fixed hold — is sorted by
+// construction and belongs on a lane. The order is strict, so neither changes
+// a firing order, clock or count. Pending counts what is queued anywhere:
+// heap and lane entries, canceled ones not yet dropped included, and posts
+// not yet delivered. Shard.QueueStats reports how many entries each kind of
+// queue popped, and how many of them were dead.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a point in virtual time, measured in seconds since the start of
@@ -88,14 +86,6 @@ type Time float64
 
 // Duration is a span of virtual time in seconds.
 type Duration = float64
-
-// Seconds returns the time as a plain float64 number of seconds.
-func (t Time) Seconds() float64 { return float64(t) }
-
-// AsStdDuration converts a virtual duration to a time.Duration for display.
-func AsStdDuration(d Duration) time.Duration {
-	return time.Duration(d * float64(time.Second))
-}
 
 func (t Time) String() string {
 	return fmt.Sprintf("t=%.3fs", float64(t))
@@ -120,10 +110,6 @@ type Simulation struct {
 	// workers bounds how many shards drain concurrently inside one window;
 	// 1 (the default) keeps execution fully sequential.
 	workers int
-
-	// strictCancel upgrades a stale Event.Cancel/Canceled (handle to an
-	// already-recycled event) from a no-op to a panic, for debugging.
-	strictCancel bool
 
 	// draining is the shard currently executing events on the sequential
 	// path (nil otherwise); parallelActive is true while worker goroutines
@@ -184,9 +170,6 @@ func (s *Simulation) SetLookahead(L float64) {
 	s.lookahead = L
 }
 
-// Lookahead reports the configured lookahead window width.
-func (s *Simulation) Lookahead() float64 { return s.lookahead }
-
 // SetWorkers bounds how many shards execute concurrently inside one
 // lookahead window; w < 1 is clamped to 1 (fully sequential). The results
 // are byte-identical at every worker count. Must be called outside Run.
@@ -200,27 +183,10 @@ func (s *Simulation) SetWorkers(w int) {
 	s.workers = w
 }
 
-// SetStrictCancel makes a stale Event.Cancel or Event.Canceled (a handle
-// whose event already fired or was reaped and recycled) panic instead of
-// being a no-op — a debug mode for flushing out use-after-fire bugs.
-func (s *Simulation) SetStrictCancel(on bool) { s.strictCancel = on }
-
 // Now returns the current virtual time of the main shard (shard 0). In a
 // single-shard simulation this is the simulation clock; multi-shard
 // workloads read their own Shard.Now instead.
 func (s *Simulation) Now() Time { return s.main.now }
-
-// Horizon returns the maximum clock over all shards: how far the
-// simulation as a whole has advanced.
-func (s *Simulation) Horizon() Time {
-	h := s.shards[0].now
-	for _, sh := range s.shards[1:] {
-		if sh.now > h {
-			h = sh.now
-		}
-	}
-	return h
-}
 
 // EventsFired reports how many events have executed so far, over all
 // shards.
@@ -234,9 +200,8 @@ func (s *Simulation) EventsFired() uint64 {
 
 // Pending reports how many events are queued over all shards — on heaps and
 // in lanes — including posts not yet delivered to their target shard and
-// canceled events not yet dropped: of those a heap keeps at most as many as it
-// has live ones (or a small fixed floor, if larger) past any Cancel, and a
-// lane only the ones its head has not reached.
+// canceled events not yet dropped: a heap keeps those until their time comes,
+// a lane only the ones its head has not reached.
 func (s *Simulation) Pending() int {
 	n := 0
 	for _, sh := range s.shards {

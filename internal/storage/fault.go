@@ -14,23 +14,23 @@ var ErrInjected = errors.New("storage: injected fault")
 // Faulty wraps a Store with deterministic error injection for brownout
 // windows: every rate-th operation fails (a fault.Gate accumulator, no
 // randomness), so a schedule + seed reproduces the exact same sequence of
-// failed Puts and Gets on every run and shard layout. The wrapped store is
+// failed Puts on every run and shard layout. The wrapped store is
 // untouched by failed operations — an injected Put writes nothing.
 type Faulty struct {
-	st    *Store
-	gate  fault.Gate
-	rate  float64
-	fails uint64
+	st   *Store
+	gate fault.Gate
+	rate float64
 }
 
 // NewFaulty wraps st with an error gate at rate 0 (no injection).
 func NewFaulty(st *Store) *Faulty { return &Faulty{st: st} }
 
 // SetErrorRate sets the injected failure rate in [0, 1]; out-of-range
-// values are clamped. Changing the rate keeps the gate's accumulator, so a
-// brownout window's failures stay proportional to the ops inside it.
+// values are clamped and NaN counts as 0. Changing the rate keeps the gate's
+// accumulator, so a brownout window's failures stay proportional to the ops
+// inside it.
 func (f *Faulty) SetErrorRate(rate float64) {
-	if rate < 0 {
+	if !(rate > 0) {
 		rate = 0
 	} else if rate > 1 {
 		rate = 1
@@ -38,92 +38,12 @@ func (f *Faulty) SetErrorRate(rate float64) {
 	f.rate = rate
 }
 
-// ErrorRate returns the current injected failure rate.
-func (f *Faulty) ErrorRate() float64 { return f.rate }
-
-// Store returns the wrapped store (for fault-free access paths).
-func (f *Faulty) Store() *Store { return f.st }
-
-// FailCount returns how many operations have been failed by injection.
-func (f *Faulty) FailCount() uint64 { return f.fails }
-
 // TryPut stores vec under key, or fails deterministically per the error
 // rate without writing anything.
 func (f *Faulty) TryPut(key string, vec []float64) error {
 	if f.gate.Fail(f.rate) {
-		f.fails++
 		return ErrInjected
 	}
 	f.st.Put(key, vec)
 	return nil
 }
-
-// TryGet reads key, or fails deterministically per the error rate. ok
-// reports key presence only when err is nil.
-func (f *Faulty) TryGet(key string) (vec []float64, ok bool, err error) {
-	if f.gate.Fail(f.rate) {
-		f.fails++
-		return nil, false, ErrInjected
-	}
-	vec, ok = f.st.Get(key)
-	return vec, ok, nil
-}
-
-// Degraded wraps a Service, multiplying its latency-bearing times by a
-// caller-supplied factor (storage brownouts: elevated latency while the
-// window is active). The factor is sampled per call so one wrapper tracks a
-// schedule-driven value; factors below 1 are treated as 1 — a brownout
-// never speeds storage up. Cost methods delegate unchanged: a browned-out
-// service is slower, not cheaper, which is exactly what makes the paper's
-// cost/JCT trade-off shift under faults.
-type Degraded struct {
-	svc    *Service
-	factor func() float64
-}
-
-// NewDegraded wraps svc; factor is sampled on every timing query. A nil
-// factor means no degradation.
-func NewDegraded(svc *Service, factor func() float64) *Degraded {
-	return &Degraded{svc: svc, factor: factor}
-}
-
-func (d *Degraded) scale() float64 {
-	if d.factor == nil {
-		return 1
-	}
-	if f := d.factor(); f > 1 {
-		return f
-	}
-	return 1
-}
-
-// Kind returns the wrapped service's kind.
-func (d *Degraded) Kind() Kind { return d.svc.Kind() }
-
-// TransferTime is the wrapped transfer time under the current degradation.
-func (d *Degraded) TransferTime(n int, sizeMB float64) float64 {
-	return d.svc.TransferTime(n, sizeMB) * d.scale()
-}
-
-// SyncTime is the wrapped synchronization time under the current
-// degradation.
-func (d *Degraded) SyncTime(n int, modelMB float64) float64 {
-	return d.svc.SyncTime(n, modelMB) * d.scale()
-}
-
-// SyncRequestCost delegates unchanged.
-func (d *Degraded) SyncRequestCost(n int, modelMB float64) float64 {
-	return d.svc.SyncRequestCost(n, modelMB)
-}
-
-// RuntimeCost delegates unchanged.
-func (d *Degraded) RuntimeCost(seconds float64) float64 { return d.svc.RuntimeCost(seconds) }
-
-// ChargesByRequest delegates unchanged.
-func (d *Degraded) ChargesByRequest() bool { return d.svc.ChargesByRequest() }
-
-// ProvisionDelay delegates unchanged.
-func (d *Degraded) ProvisionDelay() float64 { return d.svc.ProvisionDelay() }
-
-// Supports delegates unchanged.
-func (d *Degraded) Supports(modelMB float64) bool { return d.svc.Supports(modelMB) }

@@ -92,13 +92,6 @@ const (
 	ByRuntime
 )
 
-func (c ChargeModel) String() string {
-	if c == ByRequest {
-		return "request"
-	}
-	return "runtime"
-}
-
 // Service is the performance/price model of one external storage service.
 type Service struct {
 	kind Kind
@@ -234,29 +227,10 @@ func (s *Service) Latency() float64 { return s.latency }
 // is usable; zero for auto-scaling services.
 func (s *Service) ProvisionDelay() float64 { return s.provisionDelay }
 
-// MaxObjectMB returns the object size limit in MB (0 = unlimited).
-func (s *Service) MaxObjectMB() float64 { return s.maxObjectMB }
-
 // Supports reports whether a model of modelMB fits the service's object
 // size limit (the DynamoDB "N/A" cases in Table II and Fig. 18).
 func (s *Service) Supports(modelMB float64) bool {
 	return s.maxObjectMB == 0 || modelMB <= s.maxObjectMB
-}
-
-// EffectiveMBps returns the bandwidth one of n concurrent clients sees for
-// small objects; large objects additionally benefit from the multipart ramp
-// (see TransferTime).
-func (s *Service) EffectiveMBps(n int) float64 {
-	if n < 1 {
-		n = 1
-	}
-	b := s.perConnMBps
-	if s.aggregateMBps > 0 {
-		if shared := s.aggregateMBps / float64(n); shared < b {
-			b = shared
-		}
-	}
-	return b
 }
 
 // rampFactor models multipart/parallel transfers: large objects are

@@ -93,20 +93,6 @@ func TestLatencyOrdering(t *testing.T) {
 	}
 }
 
-func TestEffectiveBandwidthContention(t *testing.T) {
-	vm := byKind(VMPS)
-	if vm.EffectiveMBps(1) != 150 {
-		t.Errorf("VM-PS single-client bandwidth = %g, want 150", vm.EffectiveMBps(1))
-	}
-	if got := vm.EffectiveMBps(50); math.Abs(got-62.5) > 1e-9 {
-		t.Errorf("VM-PS 50-client bandwidth = %g, want 62.5 (3125/50)", got)
-	}
-	s3 := byKind(S3)
-	if s3.EffectiveMBps(1) != s3.EffectiveMBps(1000) {
-		t.Error("S3 auto-scales; bandwidth should not degrade with concurrency")
-	}
-}
-
 func TestSyncTimeMonotoneInModelSize(t *testing.T) {
 	for _, s := range services() {
 		if s.SyncTime(10, 1) >= s.SyncTime(10, 10) {

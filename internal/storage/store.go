@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Store is a real in-memory key-value store for float64 vectors. The
 // simulated trainer exchanges actual gradient and model vectors through a
@@ -51,25 +48,11 @@ func (st *Store) Get(key string) (vec []float64, ok bool) {
 	return cp, true
 }
 
-// Delete removes key; deleting an absent key is a no-op.
-func (st *Store) Delete(key string) {
-	st.mu.Lock()
-	delete(st.data, key)
-	st.mu.Unlock()
-}
-
 // Len returns the number of stored keys.
 func (st *Store) Len() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return len(st.data)
-}
-
-// Clear removes every key but keeps the operation counters.
-func (st *Store) Clear() {
-	st.mu.Lock()
-	st.data = make(map[string][]float64)
-	st.mu.Unlock()
 }
 
 // Stats reports cumulative operation counts.
@@ -83,37 +66,4 @@ func (st *Store) Stats() Stats {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return Stats{Puts: st.puts, Gets: st.gets, Misses: st.misses, BytesIn: st.bytesIn, BytesOut: st.bytesOut}
-}
-
-// Aggregate sums the vectors stored under keys into a new vector. All
-// vectors must exist and share one length; Aggregate returns an error
-// naming the first offending key otherwise. This is the reduction a
-// designated worker (stateless storage) or the parameter server (VM-PS)
-// performs during each synchronization.
-func (st *Store) Aggregate(keys []string) ([]float64, error) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("storage: Aggregate with no keys")
-	}
-	first, ok := st.data[keys[0]]
-	if !ok {
-		return nil, fmt.Errorf("storage: Aggregate missing key %q", keys[0])
-	}
-	sum := make([]float64, len(first))
-	copy(sum, first)
-	for _, k := range keys[1:] {
-		v, ok := st.data[k]
-		if !ok {
-			return nil, fmt.Errorf("storage: Aggregate missing key %q", k)
-		}
-		if len(v) != len(sum) {
-			return nil, fmt.Errorf("storage: Aggregate length mismatch at %q: %d != %d", k, len(v), len(sum))
-		}
-		for i, x := range v {
-			sum[i] += x
-		}
-	}
-	st.gets += uint64(len(keys))
-	return sum, nil
 }

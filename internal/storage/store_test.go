@@ -2,10 +2,8 @@ package storage
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestStorePutGet(t *testing.T) {
@@ -55,35 +53,6 @@ func TestStoreMiss(t *testing.T) {
 	}
 }
 
-func TestStoreDeleteAndLen(t *testing.T) {
-	st := NewStore()
-	st.Put("a", []float64{1})
-	st.Put("b", []float64{2})
-	if st.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", st.Len())
-	}
-	st.Delete("a")
-	st.Delete("nope") // no-op
-	if st.Len() != 1 {
-		t.Fatalf("Len after delete = %d, want 1", st.Len())
-	}
-	if _, ok := st.Get("a"); ok {
-		t.Error("deleted key still present")
-	}
-}
-
-func TestStoreClearKeepsCounters(t *testing.T) {
-	st := NewStore()
-	st.Put("a", []float64{1})
-	st.Clear()
-	if st.Len() != 0 {
-		t.Error("Clear left keys behind")
-	}
-	if st.Stats().Puts != 1 {
-		t.Error("Clear reset counters")
-	}
-}
-
 func TestStoreStatsBytes(t *testing.T) {
 	st := NewStore()
 	st.Put("a", make([]float64, 10))
@@ -91,78 +60,6 @@ func TestStoreStatsBytes(t *testing.T) {
 	s := st.Stats()
 	if s.BytesIn != 80 || s.BytesOut != 80 {
 		t.Errorf("bytes in/out = %d/%d, want 80/80", s.BytesIn, s.BytesOut)
-	}
-}
-
-func TestAggregateSums(t *testing.T) {
-	st := NewStore()
-	st.Put("g0", []float64{1, 2})
-	st.Put("g1", []float64{10, 20})
-	st.Put("g2", []float64{100, 200})
-	sum, err := st.Aggregate([]string{"g0", "g1", "g2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum[0] != 111 || sum[1] != 222 {
-		t.Errorf("Aggregate = %v, want [111 222]", sum)
-	}
-}
-
-func TestAggregateErrors(t *testing.T) {
-	st := NewStore()
-	st.Put("a", []float64{1})
-	st.Put("bad", []float64{1, 2})
-	if _, err := st.Aggregate(nil); err == nil {
-		t.Error("Aggregate(nil) should error")
-	}
-	if _, err := st.Aggregate([]string{"missing"}); err == nil {
-		t.Error("Aggregate with missing key should error")
-	}
-	if _, err := st.Aggregate([]string{"a", "missing"}); err == nil {
-		t.Error("Aggregate with missing later key should error")
-	}
-	if _, err := st.Aggregate([]string{"a", "bad"}); err == nil {
-		t.Error("Aggregate with mismatched lengths should error")
-	}
-}
-
-func TestAggregateDoesNotMutateInputs(t *testing.T) {
-	st := NewStore()
-	st.Put("a", []float64{1})
-	st.Put("b", []float64{2})
-	if _, err := st.Aggregate([]string{"a", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := st.Get("a")
-	if a[0] != 1 {
-		t.Error("Aggregate mutated a stored vector")
-	}
-}
-
-func TestAggregateMatchesManualSum(t *testing.T) {
-	if err := quick.Check(func(vals []float64) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		st := NewStore()
-		keys := make([]string, 0, len(vals))
-		var want float64
-		for i, v := range vals {
-			if math.IsNaN(v) || math.Abs(v) > 1e100 {
-				return true
-			}
-			k := fmt.Sprintf("k%d", i)
-			st.Put(k, []float64{v})
-			keys = append(keys, k)
-			want += v
-		}
-		sum, err := st.Aggregate(keys)
-		if err != nil {
-			return false
-		}
-		return math.Abs(sum[0]-want) <= 1e-9*(1+math.Abs(want))
-	}, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

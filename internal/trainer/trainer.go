@@ -184,12 +184,6 @@ type Runner struct {
 	// parameter-server VM starts up once per workflow, not once per group or
 	// per job (re-using it later in the runner's lifetime is free in time).
 	delayPaid map[storage.Kind]bool
-	// leases counts jobs currently holding each manually-scaled service;
-	// accruedSec accumulates the provisioned seconds of closed leases. A
-	// service's hourly meter runs only while leases[kind] > 0 — releasing
-	// the lease at job end is what stops the bill from accruing.
-	leases     map[storage.Kind]int
-	accruedSec map[storage.Kind]float64
 
 	// obs records the executor's trace (startup/epoch/restart spans, failure
 	// instants, delayed-restart overlap windows) on the job's own timeline.
@@ -202,12 +196,10 @@ type Runner struct {
 func NewRunner(seed uint64) *Runner {
 	b := platform.New(seed)
 	return &Runner{
-		Backend:    b,
-		Prices:     b.Prices(),
-		Noise:      DefaultNoise(),
-		delayPaid:  make(map[storage.Kind]bool),
-		leases:     make(map[storage.Kind]int),
-		accruedSec: make(map[storage.Kind]float64),
+		Backend:   b,
+		Prices:    b.Prices(),
+		Noise:     DefaultNoise(),
+		delayPaid: make(map[storage.Kind]bool),
 	}
 }
 
@@ -239,56 +231,15 @@ func (r *Runner) invokeGroup(n, memMB int) (faas.GroupStart, error) {
 // Service returns the substrate's storage metering model for kind.
 func (r *Runner) Service(k storage.Kind) *storage.Service { return r.Backend.Service(k) }
 
-// acquireService opens (or re-enters) the job's lease on a manually-scaled
-// storage service and returns the provisioning delay to pay for using it now
-// (zero if the service auto-scales or its startup was already paid earlier
-// in this runner's lifetime).
-func (r *Runner) acquireService(st *state, kind storage.Kind) float64 {
-	svc := r.Service(kind)
-	delay := svc.ProvisionDelay()
-	if delay > 0 {
-		if _, held := st.held[kind]; !held {
-			if st.held == nil {
-				st.held = make(map[storage.Kind]float64)
-			}
-			st.held[kind] = st.clock
-			r.leases[kind]++
-		}
-	}
+// acquireService returns the provisioning delay to pay for using a storage
+// service now (zero if the service auto-scales or its startup was already
+// paid earlier in this runner's lifetime).
+func (r *Runner) acquireService(kind storage.Kind) float64 {
 	if r.delayPaid[kind] {
 		return 0
 	}
 	r.delayPaid[kind] = true
-	return delay
-}
-
-// releaseServices closes the job's service leases, folding each lease's
-// provisioned wall time into the runner's accrual meter. After the last
-// lease on a kind closes, its hourly meter stops.
-func (r *Runner) releaseServices(st *state) {
-	for kind, since := range st.held {
-		r.accruedSec[kind] += st.clock - since
-		if r.leases[kind]--; r.leases[kind] <= 0 {
-			delete(r.leases, kind)
-		}
-	}
-	st.held = nil
-}
-
-// ServiceLeases reports how many running jobs currently hold the
-// manually-scaled service kind provisioned.
-func (r *Runner) ServiceLeases(kind storage.Kind) int { return r.leases[kind] }
-
-// ProvisionedSeconds reports the provisioned wall time accrued against kind
-// by finished jobs. It stops growing once every lease is released.
-func (r *Runner) ProvisionedSeconds(kind storage.Kind) float64 {
-	return r.accruedSec[kind]
-}
-
-// ProvisionedCost prices the accrued provisioned time of kind under its
-// runtime-charged model (zero for request-charged services).
-func (r *Runner) ProvisionedCost(kind storage.Kind) float64 {
-	return r.Service(kind).RuntimeCost(r.accruedSec[kind])
+	return r.Service(kind).ProvisionDelay()
 }
 
 // state tracks one running job.
@@ -306,9 +257,6 @@ type state struct {
 	// up (the left edge of the Fig. 8 overlap window in the trace).
 	pendingStart float64
 	clock        float64 // job-relative elapsed time
-	// held maps each manually-scaled service this job has provisioned to
-	// the job clock at acquisition (its lease on the hourly meter).
-	held map[storage.Kind]float64
 	// asyncProgress accumulates fractional statistical progress under ASP;
 	// the loss engine advances one epoch each time it crosses 1.
 	asyncProgress float64
@@ -383,9 +331,6 @@ func (j *Job) Done() bool { return j.done }
 // shared substrate clock).
 func (j *Job) Elapsed() float64 { return j.st.clock }
 
-// Alloc returns the job's current allocation.
-func (j *Job) Alloc() cost.Allocation { return j.st.alloc }
-
 // Step executes one epoch (plus any controller decision). Calling Step on a
 // finished job is a no-op.
 func (j *Job) Step() error {
@@ -458,7 +403,7 @@ func (r *Runner) startGroup(st *state, a cost.Allocation, initial bool) error {
 		return fmt.Errorf("trainer: invoking %v: %w", a, err)
 	}
 	start := g.StartDelay
-	if p := r.acquireService(st, a.Storage); p > start {
+	if p := r.acquireService(a.Storage); p > start {
 		start = p // storage provisioning overlaps the cold start
 	}
 	load := r.loadTime(w, a)
@@ -717,7 +662,7 @@ func (r *Runner) applySwitch(st *state, next cost.Allocation, delayed bool) erro
 			return fmt.Errorf("trainer: delayed switch to %v: %w", next, err)
 		}
 		start := g.StartDelay
-		if p := r.acquireService(st, next.Storage); p > start {
+		if p := r.acquireService(next.Storage); p > start {
 			start = p // a new storage service provisions during the overlap
 		}
 		load := r.loadTime(w, next)
@@ -792,15 +737,13 @@ func (r *Runner) restoreCheckpoint(st *state) {
 
 const checkpointKey = "model/checkpoint"
 
-// finishJob releases the final group, any pending delayed group, and the
-// job's storage-service leases (stopping their hourly meters).
+// finishJob releases the final group and any pending delayed group.
 func (r *Runner) finishJob(st *state) {
 	r.Compute().ReleaseGroup(st.alloc.N, st.alloc.MemMB, 0)
 	if st.pendingSwitch != nil {
 		r.Compute().ReleaseGroup(st.pendingSwitch.N, st.pendingSwitch.MemMB, 0)
 		st.pendingSwitch = nil
 	}
-	r.releaseServices(st)
 	if math.IsNaN(st.clock) {
 		panic("trainer: job clock is NaN")
 	}
