@@ -54,7 +54,8 @@ shard-check:
 # cancel-the-oldest churn on a lane must reuse them. The benchmarks (ml
 # kernels, dataset caches, DES kernel, decision path) run at a fixed small
 # iteration count: fast enough for CI, enough to catch kernels that re-grow
-# allocations. internal/fit benches its one solver (Fitter, cold and warm),
+# allocations. internal/fit benches its one solver (Fitter: cold, warm to
+# convergence, and the fleet tuning's capped refit of a sliding window),
 # internal/cost its one grid scan and table lookups. Measured runs are
 # `go run ./cmd/bench [-layers]`; see benchmark/README.md.
 bench:
@@ -84,7 +85,9 @@ reach:
 # schedule/batch/cancel/Step/RunUntil programs — schedules on the heap and
 # through lanes with sorted and unsorted keys, cancels of a lane's oldest
 # entry, posts from four sender shards in three delay classes — against the
-# container/heap reference, which has one queue and no lanes) and
+# container/heap reference, which has one queue and no lanes), the
+# Levenberg-Marquardt fitter (sliding fits of arbitrary finite series against
+# refFitter, the solver before its kernels moved into locals) and
 # cescalint's two parsers (policy lines, //cescalint: directives). New inputs
 # stay in the build cache; a failing one is written to the package's
 # testdata/fuzz/ and from then on runs with `go test`. The kernel's seed
@@ -92,5 +95,6 @@ reach:
 # each input that reaches new code would eat the whole smoke: one second.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOps -fuzztime 10s -fuzzminimizetime 1s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzFitterFit -fuzztime 5s ./internal/fit/
 	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/lint/
 	$(GO) test -run '^$$' -fuzz FuzzParseDirective -fuzztime 5s ./internal/lint/

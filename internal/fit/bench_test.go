@@ -36,3 +36,23 @@ func BenchmarkFitterWarm(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFitterFleet measures the refit macro-fleet runs: a 32-point
+// window sliding by one observation per call, warm start, at most 10 LM
+// iterations (fleetWindow, fleetOptions).
+func BenchmarkFitterFleet(b *testing.B) {
+	xs, ys := genInverseLinear(0.2, 1.0, 0.5, 0.02, 128, 1)
+	f := newFitter(b)
+	f.SetWarmStart(true)
+	if _, err := f.Fit(xs[:fleetWindow], ys[:fleetWindow], fleetOptions); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := (i + 1) % (len(xs) - fleetWindow)
+		if _, err := f.Fit(xs[lo:lo+fleetWindow], ys[lo:lo+fleetWindow], fleetOptions); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -10,14 +10,18 @@ import (
 const fitterParams = 3
 
 // Fitter is the reusable Levenberg-Marquardt solver for the InverseLinear
-// curve. It holds all solver scratch (Jacobian row, normal equations,
-// augmented elimination matrix, trial point) in fixed-size arrays, so a
-// steady-state refit performs zero heap allocations — the property the
+// curve. Its two kernels keep their working state in locals — buildNormal
+// its nine accumulators, solveDamped the twelve entries of the augmented
+// 3×4 system — and the Fitter holds only what crosses a kernel boundary
+// (parameters, trial point, normal equations, step) in fixed-size arrays,
+// so a steady-state refit performs zero heap allocations — the property the
 // per-epoch Algorithm-2 decision loop is gated on (fit.TestFitterZeroAlloc).
 //
 // A cold Fit's starting guess, damping schedule, elimination pivoting and
 // float arithmetic order are pinned bit for bit by testdata/cold.bits
-// (TestFitterColdBitIdentical); every paper table depends on them.
+// (TestFitterColdBitIdentical); every paper table depends on them. The warm
+// path is held to the same bits by refFitter, the solver as it stood
+// before its kernels moved into locals (TestFitterMatchesReference).
 //
 // With warm start enabled (SetWarmStart), each Fit seeds the iteration from
 // the previous call's converged parameters instead of the data guess.
@@ -30,12 +34,8 @@ const fitterParams = 3
 //
 // A Fitter is not safe for concurrent use; give each goroutine its own.
 type Fitter struct {
-	// Solver scratch leads the struct: buildNormal's accumulation loop
-	// measures ~4% slower (BenchmarkFitterWarm) with the warm-start state
-	// laid out ahead of it.
-	params, trial, jac, jtr, delta [fitterParams]float64
-	jtj                            [fitterParams][fitterParams]float64
-	aug                            [fitterParams][fitterParams + 1]float64
+	params, trial, jtr, delta [fitterParams]float64
+	jtj                       [fitterParams][fitterParams]float64
 
 	// out backs Result.Params: valid until the next Fit call.
 	out [fitterParams]float64
@@ -91,19 +91,7 @@ func (f *Fitter) Fit(xs, ys []float64, opts Options) (Result, error) {
 	iters := 0
 
 	for ; iters < opts.MaxIter; iters++ {
-		// Build normal equations J^T J and J^T r.
-		for i := range f.jtj {
-			for j := range f.jtj[i] {
-				f.jtj[i][j] = 0
-			}
-			f.jtr[i] = 0
-		}
 		f.buildNormal(xs, ys)
-		for i := 0; i < p; i++ {
-			for j := i + 1; j < p; j++ {
-				f.jtj[i][j] = f.jtj[j][i]
-			}
-		}
 
 		improved := false
 		for attempt := 0; attempt < 20; attempt++ {
@@ -160,26 +148,36 @@ func dataGuess(xs, ys []float64) [fitterParams]float64 {
 	return [fitterParams]float64{a, b, c}
 }
 
-// buildNormal accumulates J^T J (lower triangle) and J^T r over the data.
-// den = a*x + b is the subexpression the curve value 1/den + c and its
-// Jacobian row (-x/den², -1/den², 1) share.
+// buildNormal sets f.jtj to J^T J and f.jtr to J^T r over the data. den =
+// a*x + b is the subexpression the curve value 1/den + c and its Jacobian
+// row (g0, g1, 1) = (-x/den², -1/den², 1) share. Each entry is summed over
+// the data in order, as a [3][3] accumulation of the lower triangle would;
+// the products with the Jacobian's exact 1 are left out, which changes no
+// bit.
 func (f *Fitter) buildNormal(xs, ys []float64) {
-	const p = fitterParams
-	n := len(xs)
 	a, b, c := f.params[0], f.params[1], f.params[2]
-	for k := 0; k < n; k++ {
-		x := xs[k]
+	var s00, s10, s11, s20, s21, s22, r0, r1, r2 float64
+	for k, x := range xs {
 		den := a*x + b
-		inv2 := -1 / (den * den)
-		f.jac[0], f.jac[1], f.jac[2] = inv2*x, inv2, 1
+		g1 := -1 / (den * den)
+		g0 := g1 * x
 		r := 1/den + c - ys[k]
-		for i := 0; i < p; i++ {
-			f.jtr[i] += f.jac[i] * r
-			for j := 0; j <= i; j++ {
-				f.jtj[i][j] += f.jac[i] * f.jac[j]
-			}
-		}
+		r0 += g0 * r
+		r1 += g1 * r
+		r2 += r
+		s00 += g0 * g0
+		s10 += g1 * g0
+		s11 += g1 * g1
+		s20 += g0
+		s21 += g1
+		s22++
 	}
+	f.jtj = [fitterParams][fitterParams]float64{
+		{s00, s10, s20},
+		{s10, s11, s21},
+		{s20, s21, s22},
+	}
+	f.jtr = [fitterParams]float64{r0, r1, r2}
 }
 
 // sumSquares is the sum of squared residuals of the curve under params.
@@ -212,48 +210,69 @@ func (f *Fitter) finish(sse float64, n, iters int) Result {
 	return Result{Params: f.out[:], SSE: sse, RMSE: math.Sqrt(sse / float64(n)), Iters: iters}
 }
 
+// damp is a diagonal entry v of J^T J under damping lambda: v + v*lambda,
+// or v + lambda where that product is 0.
+func damp(v, lambda float64) float64 {
+	d := v * lambda
+	if d == 0 {
+		d = lambda
+	}
+	return v + d
+}
+
 // solveDamped solves (jtj + lambda*diag(jtj)) delta = jtr into f.delta by
-// Gaussian elimination with partial pivoting over the [3][4] augmented
-// matrix; false when the system is singular.
+// Gaussian elimination with partial pivoting over the augmented 3×4 system,
+// held in twelve locals (row i is mi0 mi1 mi2 | mi3); false when the system
+// is singular or the step is not finite. The pivot of a column is the first
+// row with the strictly largest magnitude, as a row-by-row scan finds it.
 func (f *Fitter) solveDamped(lambda float64) bool {
-	const p = fitterParams
-	m := &f.aug
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			m[i][j] = f.jtj[i][j]
-		}
-		d := f.jtj[i][i] * lambda
-		if d == 0 {
-			d = lambda
-		}
-		m[i][i] += d
-		m[i][p] = f.jtr[i]
+	j, r := &f.jtj, &f.jtr
+	m00, m01, m02, m03 := damp(j[0][0], lambda), j[0][1], j[0][2], r[0]
+	m10, m11, m12, m13 := j[1][0], damp(j[1][1], lambda), j[1][2], r[1]
+	m20, m21, m22, m23 := j[2][0], j[2][1], damp(j[2][2], lambda), r[2]
+
+	pivot, mag := 0, math.Abs(m00)
+	if v := math.Abs(m10); v > mag {
+		pivot, mag = 1, v
 	}
-	for col := 0; col < p; col++ {
-		pivot := col
-		for r := col + 1; r < p; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(m[pivot][col]) < 1e-300 {
-			return false
-		}
-		m[col], m[pivot] = m[pivot], m[col]
-		for r := col + 1; r < p; r++ {
-			fr := m[r][col] / m[col][col]
-			for c := col; c <= p; c++ {
-				m[r][c] -= fr * m[col][c]
-			}
-		}
+	if v := math.Abs(m20); v > mag {
+		pivot, mag = 2, v
 	}
-	for i := p - 1; i >= 0; i-- {
-		s := m[i][p]
-		for j := i + 1; j < p; j++ {
-			s -= m[i][j] * f.delta[j]
-		}
-		f.delta[i] = s / m[i][i]
+	if mag < 1e-300 {
+		return false
 	}
+	switch pivot {
+	case 1:
+		m00, m01, m02, m03, m10, m11, m12, m13 = m10, m11, m12, m13, m00, m01, m02, m03
+	case 2:
+		m00, m01, m02, m03, m20, m21, m22, m23 = m20, m21, m22, m23, m00, m01, m02, m03
+	}
+	fr := m10 / m00
+	m11 -= fr * m01
+	m12 -= fr * m02
+	m13 -= fr * m03
+	fr = m20 / m00
+	m21 -= fr * m01
+	m22 -= fr * m02
+	m23 -= fr * m03
+
+	if math.Abs(m21) > math.Abs(m11) {
+		m11, m12, m13, m21, m22, m23 = m21, m22, m23, m11, m12, m13
+	}
+	if math.Abs(m11) < 1e-300 {
+		return false
+	}
+	fr = m21 / m11
+	m22 -= fr * m12
+	m23 -= fr * m13
+
+	if math.Abs(m22) < 1e-300 {
+		return false
+	}
+	d2 := m23 / m22
+	d1 := (m13 - m12*d2) / m11
+	d0 := (m03 - m01*d1 - m02*d2) / m00
+	f.delta = [fitterParams]float64{d0, d1, d2}
 	for _, v := range f.delta {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false

@@ -61,15 +61,7 @@ func requireCold(t *testing.T, refs map[string]Result, key string, got Result) {
 	if !ok {
 		t.Fatalf("cold.bits has no entry %q", key)
 	}
-	for i := range want.Params {
-		if math.Float64bits(want.Params[i]) != math.Float64bits(got.Params[i]) {
-			t.Errorf("%s: param %d: pinned %v, Fitter %v", key, i, want.Params[i], got.Params[i])
-		}
-	}
-	if math.Float64bits(want.SSE) != math.Float64bits(got.SSE) || math.Float64bits(want.RMSE) != math.Float64bits(got.RMSE) || want.Iters != got.Iters {
-		t.Errorf("%s: SSE/RMSE/Iters: pinned (%v,%v,%d), Fitter (%v,%v,%d)",
-			key, want.SSE, want.RMSE, want.Iters, got.SSE, got.RMSE, got.Iters)
-	}
+	requireSameResult(t, key, want, got)
 }
 
 // fitterDatasets builds a diverse corpus of observation sets: clean curves,
@@ -203,14 +195,15 @@ func TestClampEnforcesPositivity(t *testing.T) {
 	}
 }
 
-// TestJacobianMatchesNumerical: with a single observation, buildNormal
-// leaves the curve's Jacobian row at that x in f.jac.
+// TestJacobianMatchesNumerical: with a single observation, row 2 of J^T J
+// is the curve's Jacobian row (g0, g1, 1) at that x, because ∂l/∂c = 1.
 func TestJacobianMatchesNumerical(t *testing.T) {
 	p := []float64{0.3, 0.9, 0.5}
 	f := newFitter(t)
 	copy(f.params[:], p)
 	for _, x := range []float64{1, 3, 10, 50} {
 		f.buildNormal([]float64{x}, []float64{0})
+		jac := f.jtj[2]
 		const h = 1e-6
 		for i := range p {
 			pp := append([]float64(nil), p...)
@@ -218,8 +211,8 @@ func TestJacobianMatchesNumerical(t *testing.T) {
 			pp[i] += h
 			pm[i] -= h
 			num := (curve(pp, x) - curve(pm, x)) / (2 * h)
-			if math.Abs(num-f.jac[i]) > 1e-4*(1+math.Abs(num)) {
-				t.Errorf("x=%g: jac[%d]=%g, numerical %g", x, i, f.jac[i], num)
+			if math.Abs(num-jac[i]) > 1e-4*(1+math.Abs(num)) {
+				t.Errorf("x=%g: jac[%d]=%g, numerical %g", x, i, jac[i], num)
 			}
 		}
 	}
