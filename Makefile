@@ -84,17 +84,20 @@ reach:
 # fuzz-smoke: a few seconds of each native fuzz target: the kernel (random
 # schedule/batch/cancel/Step/RunUntil programs — schedules on the heap and
 # through lanes with sorted and unsorted keys, cancels of a lane's oldest
-# entry, posts from four sender shards in three delay classes — against the
-# container/heap reference, which has one queue and no lanes), the
-# Levenberg-Marquardt fitter (sliding fits of arbitrary finite series against
-# refFitter, the solver before its kernels moved into locals) and
-# cescalint's two parsers (policy lines, //cescalint: directives). New inputs
-# stay in the build cache; a failing one is written to the package's
-# testdata/fuzz/ and from then on runs with `go test`. The kernel's seed
+# entry by handle and by Lane.CancelHead, posts from four sender shards in
+# three delay classes — against the container/heap reference, which has one
+# queue and no lanes), the Levenberg-Marquardt fitter (sliding fits of
+# arbitrary finite series against refFitter, the solver before its kernels
+# moved into locals), the trace-file parser (against a strings.Split +
+# strconv reference, read whole and one byte at a time) and cescalint's two
+# parsers (policy lines, //cescalint: directives). New inputs stay in the
+# build cache; a failing one is written to the package's testdata/fuzz/ and
+# from then on runs with `go test`. The kernel's seed
 # programs are kilobytes long, and the engine's default minute of minimizing
 # each input that reaches new code would eat the whole smoke: one second.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOps -fuzztime 10s -fuzzminimizetime 1s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzFitterFit -fuzztime 5s ./internal/fit/
+	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 5s ./internal/traffic/
 	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/lint/
 	$(GO) test -run '^$$' -fuzz FuzzParseDirective -fuzztime 5s ./internal/lint/

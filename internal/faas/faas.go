@@ -65,9 +65,10 @@ func DefaultStartup() StartupModel {
 // that reports it adds the numbers (InFlight, Limits().MaxConcurrency, n).
 var ErrConcurrencyExceeded = errors.New("faas: concurrency limit exceeded")
 
-// ErrWarmPoolExceeded is returned when Prewarm would grow the warm pool past
-// the platform's warm-environment cap.
-var ErrWarmPoolExceeded = errors.New("faas: warm pool limit exceeded")
+// WarmTTL is how long, in seconds, an idle sandbox stays warm before the
+// platform reclaims it (10 minutes: Lambda keeps environments warm for
+// minutes, not hours).
+const WarmTTL = 600
 
 // Meter accumulates the platform bill.
 type Meter struct {
@@ -80,77 +81,9 @@ type Meter struct {
 // Total returns the platform bill so far.
 func (m *Meter) Total() float64 { return m.InvokeCost + m.ComputeCost }
 
-// expiryQueue holds the pending warm-sandbox reclaim events for one memory
-// size in schedule order. Reclaims fire in that same order — addWarm clamps
-// new deadlines behind pending ones, so even a mid-run WarmTTL change cannot
-// reorder them — and every path that cancels one pops it first, so both
-// consuming a sandbox (takeWarm cancels the earliest reclaim) and a reclaim
-// firing remove the head: O(1) pops, no identity search. The queue keeps a
-// dead prefix instead of re-slicing so pushes never mutate a shared backing
-// array out from under a previous slice header, and compacts once the prefix
-// dominates. In the kernel the reclaims wait on the queue's own lane — they
-// are scheduled in fire order, and a cancel always hits the lane's head — so
-// they never enter the shard's heap, alive or canceled.
-type expiryQueue struct {
-	lane *sim.Lane
-	evs  []sim.Event
-	head int
-	// lastAt is the fire time of the most recently scheduled reclaim. New
-	// reclaims are clamped to fire no earlier (see addWarm), which is what
-	// upholds the schedule-order invariant when WarmTTL changes mid-run.
-	lastAt sim.Time
-	// reclaim is the callback of every reclaim event of this queue, bound
-	// once when the queue is created: a fired reclaim needs no handle to
-	// itself because it is always the head.
-	reclaim func()
-}
-
-func (q *expiryQueue) len() int {
-	if q == nil {
-		return 0
-	}
-	return len(q.evs) - q.head
-}
-
-func (q *expiryQueue) push(ev sim.Event) { q.evs = append(q.evs, ev) }
-
-// popHead removes and returns the earliest pending reclaim (the zero,
-// inert Event if empty).
-func (q *expiryQueue) popHead() sim.Event {
-	if q == nil || q.head >= len(q.evs) {
-		return sim.Event{}
-	}
-	ev := q.evs[q.head]
-	q.evs[q.head] = sim.Event{}
-	q.head++
-	q.maybeCompact()
-	return ev
-}
-
-// maybeCompact slides pending events to the front once the dead prefix is
-// both large and the majority of the slice, bounding memory at O(pending).
-func (q *expiryQueue) maybeCompact() {
-	if q.head >= 32 && q.head*2 >= len(q.evs) {
-		n := copy(q.evs, q.evs[q.head:])
-		clear(q.evs[n:])
-		q.evs = q.evs[:n]
-		q.head = 0
-	}
-}
-
-// cancelAll cancels every pending reclaim (used by DropWarm).
-func (q *expiryQueue) cancelAll() {
-	if q == nil {
-		return
-	}
-	for _, ev := range q.evs[q.head:] {
-		ev.Cancel()
-	}
-}
-
 // Platform is one simulated serverless region/account.
 //
-// A Platform is owned by one kernel shard: its clock, its expiry events and
+// A Platform is owned by one kernel shard: its clock, its reclaim events and
 // its startup-jitter stream all live on that shard, so independent accounts
 // (one per tenant) placed on different shards can advance concurrently
 // inside the kernel's lookahead windows. The default constructors bind the
@@ -162,35 +95,24 @@ type Platform struct {
 	startup StartupModel
 	prices  pricing.PriceBook
 
-	// WarmTTL is how long an idle sandbox survives before the platform
-	// reclaims it (Lambda keeps environments warm for minutes, not hours).
-	// Zero disables expiry.
-	WarmTTL float64
-
-	// WarmLimit caps the total number of warm sandboxes Prewarm may
-	// provision across all memory sizes, so a planner bug cannot grow the
-	// pool (and the invoice) without bound. Defaults to
-	// Limits.MaxConcurrency; zero or negative disables the cap.
-	WarmLimit int
-
 	inFlight     int
 	peakInFlight int
-	warm         map[int]int // memory MB -> warm sandboxes available
-	warmTotal    int         // sum over warm, kept for O(1) cap checks
-	// expiry holds the scheduled reclaim events per memory size; each
-	// release schedules one reclaim WarmTTL later, so a sandbox unused for
-	// a full TTL disappears.
-	expiry map[int]*expiryQueue
-	meter  Meter
-	obs    *obs.Observer
+	// warm holds each memory size's warm sandboxes as nothing but their
+	// pending reclaims: a release schedules one per sandbox, WarmTTL ahead, on
+	// the size's lane, so the lane is in fire order; a warm start cancels the
+	// oldest (Lane.CancelHead), and a fired reclaim has already left it. The
+	// lane's length is therefore the size's warm count, and in the kernel a
+	// reclaim never enters the shard's heap, alive or canceled.
+	warm      map[int]*sim.Lane
+	warmTotal int // sum of the lanes' lengths
+	// reclaim is the callback of every reclaim event, bound once.
+	reclaim func()
+	meter   Meter
+	obs     *obs.Observer
 	// coldSpike multiplies cold-start draws while a fault schedule's
 	// cold-spike window is active (see SetColdSpikeFactor); 0 means unset.
 	coldSpike float64
 }
-
-// DefaultWarmTTL is the idle lifetime of a warm sandbox (10 minutes,
-// Lambda-like).
-const DefaultWarmTTL = 600
 
 // New returns a platform bound to the simulation's main shard, drawing
 // startup jitter from the "faas.startup" stream (the historical wiring).
@@ -203,14 +125,13 @@ func New(s *sim.Simulation, limits Limits, startup StartupModel, pb pricing.Pric
 // and one distinct stream name each, so every tenant's jitter sequence is
 // independent of how many other tenants exist and of the shard layout.
 func NewOnShard(sh *sim.Shard, randStream string, limits Limits, startup StartupModel, pb pricing.PriceBook) *Platform {
-	return &Platform{
+	p := &Platform{
 		sh: sh, rng: sh.Rand(randStream),
 		limits: limits, startup: startup, prices: pb,
-		WarmTTL:   DefaultWarmTTL,
-		WarmLimit: limits.MaxConcurrency,
-		warm:      make(map[int]int),
-		expiry:    make(map[int]*expiryQueue),
+		warm: make(map[int]*sim.Lane),
 	}
+	p.reclaim = p.expire
+	return p
 }
 
 // NewDefault returns a platform with default limits, startup and prices.
@@ -236,15 +157,15 @@ func (p *Platform) Meter() Meter { return p.meter }
 func (p *Platform) InFlight() int { return p.inFlight }
 
 // WarmCount reports how many warm sandboxes exist for the given memory size.
-func (p *Platform) WarmCount(memMB int) int { return p.warm[memMB] }
+func (p *Platform) WarmCount(memMB int) int {
+	if l := p.warm[memMB]; l != nil {
+		return l.Len()
+	}
+	return 0
+}
 
 // WarmTotal reports how many warm sandboxes exist across all memory sizes.
 func (p *Platform) WarmTotal() int { return p.warmTotal }
-
-// PendingExpiries reports how many reclaim events are scheduled for the
-// given memory size (test/diagnostic hook; equals WarmCount while WarmTTL
-// is enabled and constant).
-func (p *Platform) PendingExpiries(memMB int) int { return p.expiry[memMB].len() }
 
 // Invocation describes one admitted function instance.
 type Invocation struct {
@@ -334,8 +255,8 @@ func (p *Platform) Invoke1(memMB int) (Invocation, error) {
 // the per-invocation fee. The one admission body of InvokeGroup and Invoke1.
 func (p *Platform) admit(memMB int) Invocation {
 	inv := Invocation{MemMB: memMB}
-	if p.warm[memMB] > 0 {
-		p.takeWarm(memMB)
+	if l := p.warm[memMB]; l != nil && l.CancelHead() {
+		p.warmTotal--
 		inv.StartDelay = p.startup.Warm
 	} else {
 		inv.Cold = true
@@ -363,54 +284,24 @@ func (p *Platform) observeInvoke1(inv Invocation) {
 	st.Set("faas.warm_total", float64(p.warmTotal))
 }
 
-// takeWarm consumes one warm sandbox and cancels its pending reclaim.
-func (p *Platform) takeWarm(memMB int) {
-	p.warm[memMB]--
-	p.warmTotal--
-	// popHead on an empty queue returns the zero handle; Cancel on it is
-	// a no-op.
-	p.expiry[memMB].popHead().Cancel()
-}
-
-// addWarm returns sandboxes to the pool and schedules their idle reclaim.
+// addWarm returns n sandboxes to memMB's pool: n reclaims, WarmTTL ahead.
 func (p *Platform) addWarm(memMB, n int) {
-	p.warm[memMB] += n
-	p.warmTotal += n
-	if p.WarmTTL <= 0 {
-		return
+	l := p.warm[memMB]
+	if l == nil {
+		l = p.sh.NewLane()
+		p.warm[memMB] = l
 	}
-	q := p.expiry[memMB]
-	if q == nil {
-		q = &expiryQueue{lane: p.sh.NewLane()}
-		q.reclaim = func() { p.reclaimHead(q, memMB) }
-		p.expiry[memMB] = q
-	}
-	// Clamp the fire time so reclaims always fire in schedule (FIFO) order
-	// even if WarmTTL was lowered mid-run: a sandbox provisioned later never
-	// expires before one provisioned earlier. With a constant TTL the clamp
-	// never binds (now is monotone), so steady-state behavior is unchanged.
-	at := p.sh.Now() + sim.Time(p.WarmTTL)
-	if at < q.lastAt {
-		at = q.lastAt
-	}
-	q.lastAt = at
+	at := p.sh.Now() + WarmTTL
 	for i := 0; i < n; i++ {
-		q.push(q.lane.Schedule(at, 0, q.reclaim))
+		l.Schedule(at, 0, p.reclaim)
 	}
+	p.warmTotal += n
 }
 
-// reclaimHead is the body of a fired reclaim event of queue q: the sandbox
-// at the head has sat idle for a full TTL and leaves the pool. A head not
-// due now would mean a reclaim was canceled without being popped (or popped
-// without being canceled) — a bookkeeping bug, not a state to recover from.
-func (p *Platform) reclaimHead(q *expiryQueue, memMB int) {
-	if head := q.popHead(); head.At() != p.sh.Now() {
-		panic(fmt.Sprintf("faas: %d MB reclaim fired at %v but the expiry queue head is due at %v", memMB, p.sh.Now(), head.At()))
-	}
-	if p.warm[memMB] > 0 {
-		p.warm[memMB]--
-		p.warmTotal--
-	}
+// expire is the body of a fired reclaim: a sandbox has sat idle for WarmTTL
+// and leaves the pool. The kernel has already taken it off its lane.
+func (p *Platform) expire() {
+	p.warmTotal--
 	if p.obs.Enabled() {
 		p.obs.Stats().Inc("faas.warm_expired")
 		p.obs.Stats().Set("faas.warm_total", float64(p.warmTotal))
@@ -487,46 +378,4 @@ func (p *Platform) BillCompute(n, memMB int, secondsEach float64) {
 func (p *Platform) observeBillCompute(gbs, cost float64) {
 	p.obs.Stats().Add("faas.gb_seconds", gbs)
 	p.obs.Stats().Add("faas.compute_cost", cost)
-}
-
-// Prewarm provisions n warm sandboxes of memMB (the greedy planner pre-warms
-// the next SHA stage's functions while the current stage runs). Prewarming
-// charges invocation fees but no compute. The pool is capped at WarmLimit
-// total sandboxes: exceeding it returns ErrWarmPoolExceeded and provisions
-// nothing.
-func (p *Platform) Prewarm(n, memMB int) error {
-	if err := p.limits.ValidateMemory(memMB); err != nil {
-		return err
-	}
-	if n <= 0 {
-		return nil
-	}
-	if p.WarmLimit > 0 && p.warmTotal+n > p.WarmLimit {
-		return fmt.Errorf("%w: %d warm + %d requested > %d",
-			ErrWarmPoolExceeded, p.warmTotal, n, p.WarmLimit)
-	}
-	p.addWarm(memMB, n)
-	p.meter.Invocations += uint64(n)
-	p.meter.InvokeCost += float64(n) * p.prices.FunctionInvoke
-	if p.obs.Enabled() {
-		st := p.obs.Stats()
-		st.Add("faas.invocations", float64(n))
-		st.Add("faas.prewarmed", float64(n))
-		st.Add("faas.invoke_cost", float64(n)*p.prices.FunctionInvoke)
-		st.Set("faas.warm_total", float64(p.warmTotal))
-		p.obs.Trace().InstantAt(float64(p.sh.Now()), "faas", "faas", "prewarm",
-			obs.I("n", n), obs.I("mem_mb", memMB), obs.I("warm_total", p.warmTotal))
-	}
-	return nil
-}
-
-// DropWarm evicts warm sandboxes immediately and cancels their reclaims.
-func (p *Platform) DropWarm(memMB int) {
-	p.warmTotal -= p.warm[memMB]
-	delete(p.warm, memMB)
-	p.expiry[memMB].cancelAll()
-	delete(p.expiry, memMB)
-	if p.obs.Enabled() {
-		p.obs.Stats().Set("faas.warm_total", float64(p.warmTotal))
-	}
 }

@@ -14,6 +14,17 @@ func newPlatform() *Platform {
 	return NewDefault(sim.New(1))
 }
 
+// warmUp puts n sandboxes of memMB in the warm pool the way the product does:
+// n instances invoked together and released at once, with no compute to bill.
+// Sandboxes already warm at memMB are among the n invoked.
+func warmUp(t testing.TB, p *Platform, n, memMB int) {
+	t.Helper()
+	if _, err := p.InvokeGroup(n, memMB); err != nil {
+		t.Fatal(err)
+	}
+	p.ReleaseGroup(n, memMB, 0)
+}
+
 func TestValidateMemory(t *testing.T) {
 	l := DefaultLimits()
 	if err := l.ValidateMemory(128); err != nil {
@@ -65,15 +76,13 @@ func TestInvokeGroupColdThenWarm(t *testing.T) {
 
 func TestInvokeGroupMixedWarmCold(t *testing.T) {
 	p := newPlatform()
-	if err := p.Prewarm(2, 1769); err != nil {
-		t.Fatal(err)
-	}
+	warmUp(t, p, 2, 1769)
 	g, err := p.InvokeGroup(5, 1769)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Cold != 3 {
-		t.Errorf("cold count = %d, want 3 (2 prewarmed of 5)", g.Cold)
+		t.Errorf("cold count = %d, want 3 (2 warm of 5)", g.Cold)
 	}
 	if p.WarmCount(1769) != 0 {
 		t.Errorf("warm pool = %d, want 0 after consumption", p.WarmCount(1769))
@@ -179,33 +188,42 @@ func TestColdStartJitterBounded(t *testing.T) {
 	}
 }
 
+// TestPrewarmChargesInvocations: pre-warming through the product entry points
+// — invoking instances and releasing them with no run time — charges their
+// invocation fees and no compute.
 func TestPrewarmChargesInvocations(t *testing.T) {
 	p := newPlatform()
-	if err := p.Prewarm(5, 512); err != nil {
-		t.Fatal(err)
+	warmUp(t, p, 5, 512)
+	if p.Meter().Invocations != 5 || p.WarmCount(512) != 5 {
+		t.Errorf("Invocations = %d, warm = %d, want 5 and 5", p.Meter().Invocations, p.WarmCount(512))
 	}
-	if p.Meter().Invocations != 5 {
-		t.Errorf("Invocations = %d, want 5", p.Meter().Invocations)
+	if p.Meter().ComputeCost != 0 || p.Meter().GBSeconds != 0 {
+		t.Error("a release with no run time billed compute")
 	}
-	if p.Meter().ComputeCost != 0 {
-		t.Error("Prewarm should not bill compute")
+	if _, err := p.InvokeGroup(1, 1); err == nil {
+		t.Error("an invocation with invalid memory should fail")
 	}
-	if err := p.Prewarm(1, 1); err == nil {
-		t.Error("Prewarm with invalid memory should fail")
-	}
-	if err := p.Prewarm(0, 512); err != nil {
-		t.Errorf("Prewarm(0) should be a no-op, got %v", err)
+	p.ReleaseGroup(0, 512, 0)
+	if p.WarmCount(512) != 5 || p.Meter().Invocations != 5 {
+		t.Errorf("ReleaseGroup(0) changed the pool or the meter: warm = %d, invocations = %d", p.WarmCount(512), p.Meter().Invocations)
 	}
 }
 
+// TestDropWarm: ReclaimWarm drops every warm sandbox of a size at once, and
+// their reclaims with them — none fires later on a sandbox warmed after the
+// drop.
 func TestDropWarm(t *testing.T) {
-	p := newPlatform()
-	if err := p.Prewarm(3, 512); err != nil {
-		t.Fatal(err)
+	s := sim.New(1)
+	p := NewDefault(s)
+	warmUp(t, p, 3, 512) // reclaims due at WarmTTL
+	if got := p.ReclaimWarm(3); got != 3 || p.WarmCount(512) != 0 || s.Pending() != 0 {
+		t.Fatalf("ReclaimWarm(3) = %d, left %d warm and %d events", got, p.WarmCount(512), s.Pending())
 	}
-	p.DropWarm(512)
-	if p.WarmCount(512) != 0 {
-		t.Error("DropWarm left sandboxes")
+	s.RunUntil(100)
+	warmUp(t, p, 1, 512) // due at 100 + WarmTTL
+	s.RunUntil(WarmTTL + 50)
+	if p.WarmCount(512) != 1 {
+		t.Errorf("warm = %d, want 1 (the dropped sandboxes' reclaims must not fire on the new one)", p.WarmCount(512))
 	}
 }
 
@@ -229,18 +247,16 @@ func TestInvocationAccountingProperty(t *testing.T) {
 func TestWarmSandboxesExpireAfterTTL(t *testing.T) {
 	s := sim.New(1)
 	p := NewDefault(s)
-	if err := p.Prewarm(3, 1769); err != nil {
-		t.Fatal(err)
-	}
+	warmUp(t, p, 3, 1769)
 	if p.WarmCount(1769) != 3 {
 		t.Fatalf("warm = %d, want 3", p.WarmCount(1769))
 	}
 	// Just before the TTL nothing expires; just after, everything does.
-	s.RunUntil(sim.Time(p.WarmTTL - 1))
+	s.RunUntil(WarmTTL - 1)
 	if p.WarmCount(1769) != 3 {
 		t.Errorf("warm = %d before TTL, want 3", p.WarmCount(1769))
 	}
-	s.RunUntil(sim.Time(p.WarmTTL + 1))
+	s.RunUntil(WarmTTL + 1)
 	if p.WarmCount(1769) != 0 {
 		t.Errorf("warm = %d after TTL, want 0", p.WarmCount(1769))
 	}
@@ -249,46 +265,23 @@ func TestWarmSandboxesExpireAfterTTL(t *testing.T) {
 func TestConsumedSandboxDoesNotExpireTwice(t *testing.T) {
 	s := sim.New(1)
 	p := NewDefault(s)
-	p.Prewarm(1, 512)
+	warmUp(t, p, 1, 512)
 	// Consume the warm sandbox, then run a long job and release it.
 	if _, err := p.InvokeGroup(1, 512); err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntil(sim.Time(p.WarmTTL * 2)) // original reclaim would fire here
+	s.RunUntil(WarmTTL * 2) // original reclaim would fire here
 	p.ReleaseGroup(1, 512, 100)
 	if p.WarmCount(512) != 1 {
 		t.Fatalf("warm = %d after release, want 1", p.WarmCount(512))
 	}
 	// The fresh sandbox only expires a TTL after its release.
-	s.RunUntil(s.Now() + sim.Time(p.WarmTTL-1))
+	s.RunUntil(s.Now() + WarmTTL - 1)
 	if p.WarmCount(512) != 1 {
 		t.Errorf("warm = %d before its own TTL, want 1", p.WarmCount(512))
 	}
 	s.RunUntil(s.Now() + 2)
 	if p.WarmCount(512) != 0 {
 		t.Errorf("warm = %d after its TTL, want 0", p.WarmCount(512))
-	}
-}
-
-func TestZeroTTLDisablesExpiry(t *testing.T) {
-	s := sim.New(1)
-	p := NewDefault(s)
-	p.WarmTTL = 0
-	p.Prewarm(2, 512)
-	s.RunUntil(1e9)
-	if p.WarmCount(512) != 2 {
-		t.Errorf("warm = %d with expiry disabled, want 2", p.WarmCount(512))
-	}
-}
-
-func TestDropWarmCancelsReclaims(t *testing.T) {
-	s := sim.New(1)
-	p := NewDefault(s)
-	p.Prewarm(2, 512)
-	p.DropWarm(512)
-	p.Prewarm(1, 512) // new sandbox after the drop
-	s.RunUntil(sim.Time(p.WarmTTL / 2))
-	if p.WarmCount(512) != 1 {
-		t.Errorf("warm = %d, want 1 (old reclaims must not fire on the new sandbox)", p.WarmCount(512))
 	}
 }

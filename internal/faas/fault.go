@@ -40,23 +40,23 @@ func (p *Platform) KillSandboxes(n int) int {
 // ReclaimWarm evicts up to n warm sandboxes before their TTL (capacity
 // pressure on the provider side). Eviction order is deterministic: smallest
 // memory size first, and within a size the sandbox closest to natural
-// expiry (the queue head). Returns the number actually reclaimed.
+// expiry (the head of its reclaim lane). Returns the number actually
+// reclaimed.
 func (p *Platform) ReclaimWarm(n int) int {
 	if n <= 0 || p.warmTotal == 0 {
 		return 0
 	}
 	sizes := make([]int, 0, len(p.warm))
-	for memMB, c := range p.warm {
-		if c > 0 {
+	for memMB, l := range p.warm {
+		if l.Len() > 0 {
 			sizes = append(sizes, memMB)
 		}
 	}
 	sort.Ints(sizes)
 	reclaimed := 0
 	for _, memMB := range sizes {
-		for reclaimed < n && p.warm[memMB] > 0 {
-			p.takeWarm(memMB)
-			reclaimed++
+		for l := p.warm[memMB]; reclaimed < n && l.CancelHead(); reclaimed++ {
+			p.warmTotal--
 		}
 		if reclaimed == n {
 			break

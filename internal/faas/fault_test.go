@@ -44,12 +44,8 @@ func TestKillSandboxesClampsAndDecrements(t *testing.T) {
 func TestReclaimWarmEvictsSmallestFirstAndCancelsExpiries(t *testing.T) {
 	s := sim.New(1)
 	p := NewDefault(s)
-	if err := p.Prewarm(3, 512); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Prewarm(2, 1769); err != nil {
-		t.Fatal(err)
-	}
+	warmUp(t, p, 3, 512)
+	warmUp(t, p, 2, 1769)
 	if got := p.ReclaimWarm(4); got != 4 {
 		t.Fatalf("reclaimed %d, want 4", got)
 	}
@@ -59,11 +55,10 @@ func TestReclaimWarmEvictsSmallestFirstAndCancelsExpiries(t *testing.T) {
 	}
 	// The evicted sandboxes' scheduled TTL reclaims were cancelled — a TTL
 	// roll must not double-decrement the pool.
-	if p.PendingExpiries(512) != 0 || p.PendingExpiries(1769) != 1 {
-		t.Fatalf("pending expiries 512=%d 1769=%d, want 0/1",
-			p.PendingExpiries(512), p.PendingExpiries(1769))
+	if s.Pending() != 1 {
+		t.Fatalf("%d reclaims pending, want 1", s.Pending())
 	}
-	s.RunUntil(DefaultWarmTTL + 1)
+	s.RunUntil(WarmTTL + 1)
 	if p.WarmTotal() != 0 {
 		t.Fatalf("warm total %d after TTL, want 0", p.WarmTotal())
 	}

@@ -48,13 +48,11 @@ func TestInvoke1MatchesInvokeGroup(t *testing.T) {
 
 // TestGroupStartFoldsItsMembers: the summary InvokeGroup returns is the
 // slowest member's start delay and the number of cold members, member for
-// member what Invoke1 draws on a twin platform (3 prewarmed of 8).
+// member what Invoke1 draws on a twin platform (3 warm of 8).
 func TestGroupStartFoldsItsMembers(t *testing.T) {
 	a, b := newTestPlatform(9), newTestPlatform(9)
 	for _, p := range []*Platform{a, b} {
-		if err := p.Prewarm(3, 1024); err != nil {
-			t.Fatal(err)
-		}
+		warmUp(t, p, 3, 1024)
 	}
 	g, err := a.InvokeGroup(8, 1024)
 	if err != nil {

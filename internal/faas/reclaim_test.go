@@ -40,13 +40,12 @@ func TestWarmChurnKeepsKernelQueueBounded(t *testing.T) {
 }
 
 // TestFiredReclaimIsQueueHead drives every path that adds, consumes or
-// evicts warm sandboxes — Prewarm, InvokeGroup, ReleaseGroup, ReclaimWarm,
-// DropWarm, and WarmTTL lowered mid-run — with the clock advancing so that
-// reclaims fire in between. reclaimHead panics if a fired reclaim is not its
-// queue's head; beyond that, every warm sandbox must own exactly one pending
-// reclaim at every step — the kernel holding exactly those events, all of them
-// on the expiry queues' lanes, a lowered TTL notwithstanding — and each
-// sandbox must leave the pool exactly once.
+// evicts warm sandboxes — InvokeGroup, ReleaseGroup, ReclaimWarm, and kills
+// beside them — with the clock advancing so that reclaims fire in between.
+// Every warm sandbox must own exactly one pending reclaim at every step — the
+// kernel holding exactly those events, all of them on the sizes' lanes, so
+// that every reclaim that fires is its lane's head — and each sandbox must
+// leave the pool exactly once.
 func TestFiredReclaimIsQueueHead(t *testing.T) {
 	s := sim.New(1)
 	p := NewDefault(s)
@@ -73,25 +72,9 @@ func TestFiredReclaimIsQueueHead(t *testing.T) {
 				inFlight[memMB] -= n
 				added += n
 			}
-		case r < 70:
-			n := 1 + rng.Intn(3)
-			if err := p.Prewarm(n, memMB); err != nil {
-				t.Fatal(err)
-			}
-			added += n
-		case r < 78:
+		case r < 68:
 			evicted += p.ReclaimWarm(1 + rng.Intn(3))
-		case r < 81:
-			n, before := p.WarmCount(memMB), s.Pending()
-			p.DropWarm(memMB)
-			if s.Pending() != before-n {
-				t.Fatalf("step %d: DropWarm of %d sandboxes took %d events out of the kernel", step, n, before-s.Pending())
-			}
-			evicted += n
-		case r < 83:
-			// Lowered TTL: later reclaims clamp behind the pending ones.
-			p.WarmTTL = max(50, p.WarmTTL*0.8)
-		case r < 86:
+		case r < 71:
 			// Killed sandboxes vanish without touching the warm pool.
 			for killed := p.KillSandboxes(1 + rng.Intn(3)); killed > 0; killed-- {
 				for _, m := range sizes {
@@ -106,9 +89,6 @@ func TestFiredReclaimIsQueueHead(t *testing.T) {
 		}
 		warm := 0
 		for _, m := range sizes {
-			if p.PendingExpiries(m) != p.WarmCount(m) {
-				t.Fatalf("step %d: %d MB has %d warm sandboxes and %d pending reclaims", step, m, p.WarmCount(m), p.PendingExpiries(m))
-			}
 			warm += p.WarmCount(m)
 		}
 		if warm != p.WarmTotal() || warm != s.Pending() {
@@ -127,21 +107,4 @@ func TestFiredReclaimIsQueueHead(t *testing.T) {
 		t.Fatalf("the kernel's queues counted %+v for %d reclaims set and %d fired: want all of them on lanes, none through the heap, none popped dead",
 			st, added, expired)
 	}
-}
-
-// TestReclaimOffHeadPanics: a reclaim popped without being canceled breaks
-// the head invariant, and the fired reclaim says so instead of searching.
-func TestReclaimOffHeadPanics(t *testing.T) {
-	s := sim.New(1)
-	p := NewDefault(s)
-	if err := p.Prewarm(1, 512); err != nil {
-		t.Fatal(err)
-	}
-	p.expiry[512].popHead() // not canceled: it will fire on an empty queue
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a reclaim fired off the queue head without a panic")
-		}
-	}()
-	s.Run()
 }

@@ -10,73 +10,61 @@ import (
 	"repro/internal/sim"
 )
 
-// --- warm-pool expiry bookkeeping (FIFO head-pop regression tests) ---
+// --- warm-pool expiry bookkeeping ---
 
-// TestWarmPoolInterleavings drives the exact sequence the bugfix targets:
-// Prewarm → takeWarm (via InvokeGroup) → TTL-fire → DropWarm, checking the
-// count and pending-reclaim invariants after every step.
+// TestWarmPoolInterleavings drives a warm pool through warm-up → warm start
+// (InvokeGroup) → TTL fire → release → ReclaimWarm, checking after every step
+// that the pool holds one pending reclaim — one kernel event — per sandbox.
 func TestWarmPoolInterleavings(t *testing.T) {
 	s := sim.New(1)
 	p := NewDefault(s)
-
-	if err := p.Prewarm(5, 1769); err != nil {
-		t.Fatal(err)
+	check := func(step string, warm int) {
+		t.Helper()
+		if p.WarmCount(1769) != warm || p.WarmTotal() != warm || s.Pending() != warm {
+			t.Fatalf("%s: warm=%d total=%d pending=%d, want %d", step, p.WarmCount(1769), p.WarmTotal(), s.Pending(), warm)
+		}
 	}
-	if p.WarmCount(1769) != 5 || p.PendingExpiries(1769) != 5 || p.WarmTotal() != 5 {
-		t.Fatalf("after Prewarm: warm=%d pending=%d total=%d", p.WarmCount(1769), p.PendingExpiries(1769), p.WarmTotal())
-	}
 
-	// Consume two warm sandboxes before any reclaim fires: both the count
-	// and the pending-reclaim queue must shrink in lockstep.
-	s.RunUntil(sim.Time(p.WarmTTL / 2))
+	warmUp(t, p, 5, 1769)
+	check("after warm-up", 5)
+
+	// Consume two warm sandboxes before any reclaim fires: the count and the
+	// pending reclaims shrink in lockstep.
+	s.RunUntil(WarmTTL / 2)
 	if _, err := p.InvokeGroup(2, 1769); err != nil {
 		t.Fatal(err)
 	}
-	if p.WarmCount(1769) != 3 || p.PendingExpiries(1769) != 3 {
-		t.Fatalf("after takeWarm x2: warm=%d pending=%d", p.WarmCount(1769), p.PendingExpiries(1769))
-	}
+	check("after two warm starts", 3)
 
 	// Let the remaining three reclaims fire.
-	s.RunUntil(sim.Time(p.WarmTTL + 1))
-	if p.WarmCount(1769) != 0 || p.PendingExpiries(1769) != 0 || p.WarmTotal() != 0 {
-		t.Fatalf("after TTL fire: warm=%d pending=%d total=%d", p.WarmCount(1769), p.PendingExpiries(1769), p.WarmTotal())
-	}
+	s.RunUntil(WarmTTL + 1)
+	check("after TTL fire", 0)
 
 	// Release the in-flight group: sandboxes come back warm with fresh
-	// reclaims; DropWarm must cancel them all without disturbing later runs.
+	// reclaims; ReclaimWarm must cancel them all without disturbing later runs.
 	p.ReleaseGroup(2, 1769, 10)
-	if p.WarmCount(1769) != 2 || p.PendingExpiries(1769) != 2 {
-		t.Fatalf("after release: warm=%d pending=%d", p.WarmCount(1769), p.PendingExpiries(1769))
+	check("after release", 2)
+	if got := p.ReclaimWarm(2); got != 2 {
+		t.Fatalf("ReclaimWarm(2) = %d", got)
 	}
-	p.DropWarm(1769)
-	if p.WarmCount(1769) != 0 || p.PendingExpiries(1769) != 0 || p.WarmTotal() != 0 {
-		t.Fatalf("after DropWarm: warm=%d pending=%d total=%d", p.WarmCount(1769), p.PendingExpiries(1769), p.WarmTotal())
-	}
+	check("after ReclaimWarm", 0)
 	s.RunUntil(1e9)
-	if p.WarmCount(1769) != 0 || p.WarmTotal() != 0 {
-		t.Fatalf("cancelled reclaims still fired: warm=%d total=%d", p.WarmCount(1769), p.WarmTotal())
-	}
+	check("after the canceled reclaims' time", 0)
 }
 
-// TestWarmPoolChurnKeepsBookkeepingConsistent hammers the queue through many
-// Prewarm/consume/expire rounds across two memory sizes — the Prewarm-scale
-// churn that made the old identity-scan removal quadratic — and checks the
-// invariant pending == warm (which holds while WarmTTL is enabled and
-// constant) the whole way.
+// TestWarmPoolChurnKeepsBookkeepingConsistent hammers the pools through many
+// warm-up/consume/expire rounds across two memory sizes — the scale of churn
+// that made the old identity-scan removal quadratic — and checks that the
+// per-size counts add up to the total and to the reclaim events in the
+// kernel the whole way.
 func TestWarmPoolChurnKeepsBookkeepingConsistent(t *testing.T) {
 	s := sim.New(7)
 	p := NewDefault(s)
-	p.WarmLimit = 0 // exercise churn beyond any cap
 
 	check := func(step string) {
 		t.Helper()
-		for _, mem := range []int{512, 1769} {
-			if p.PendingExpiries(mem) != p.WarmCount(mem) {
-				t.Fatalf("%s: mem=%d pending=%d != warm=%d", step, mem, p.PendingExpiries(mem), p.WarmCount(mem))
-			}
-		}
-		if p.WarmTotal() != p.WarmCount(512)+p.WarmCount(1769) {
-			t.Fatalf("%s: warmTotal=%d != %d+%d", step, p.WarmTotal(), p.WarmCount(512), p.WarmCount(1769))
+		if sum := p.WarmCount(512) + p.WarmCount(1769); p.WarmTotal() != sum || s.Pending() != sum {
+			t.Fatalf("%s: warmTotal=%d pending=%d != %d+%d", step, p.WarmTotal(), s.Pending(), p.WarmCount(512), p.WarmCount(1769))
 		}
 	}
 
@@ -85,10 +73,8 @@ func TestWarmPoolChurnKeepsBookkeepingConsistent(t *testing.T) {
 		if round%2 == 1 {
 			mem = 1769
 		}
-		if err := p.Prewarm(40, mem); err != nil {
-			t.Fatal(err)
-		}
-		check("prewarm")
+		warmUp(t, p, 40, mem)
+		check("warm-up")
 		// Consume some warm sandboxes (partial: leaves reclaims pending).
 		if _, err := p.InvokeGroup(15, mem); err != nil {
 			t.Fatal(err)
@@ -98,139 +84,13 @@ func TestWarmPoolChurnKeepsBookkeepingConsistent(t *testing.T) {
 		check("release")
 		// Advance partway so later rounds interleave with earlier
 		// rounds' reclaims firing.
-		s.RunUntil(s.Now() + sim.Time(p.WarmTTL/7))
+		s.RunUntil(s.Now() + WarmTTL/7)
 		check("advance")
 	}
-	s.RunUntil(s.Now() + sim.Time(p.WarmTTL+1))
+	s.RunUntil(s.Now() + WarmTTL + 1)
 	check("drain")
 	if p.WarmTotal() != 0 {
 		t.Fatalf("pool not fully reclaimed after drain: %d", p.WarmTotal())
-	}
-}
-
-// TestWarmExpiryLoweredTTLClampsToScheduleOrder: lowering WarmTTL mid-run
-// must not let a later-provisioned sandbox expire before earlier ones. The
-// expiry queue's head-pop fast path and takeWarm's cancel-the-earliest both
-// assume reclaims fire in schedule (FIFO) order — before the fix a lowered
-// TTL scheduled new reclaims ahead of pending ones, violating that order:
-// the new sandboxes died first, takeWarm cancelled the wrong (out-of-order)
-// reclaims, and removal degraded to the O(n) scan fallback. The fix clamps
-// a new reclaim to fire no earlier than the queue's latest pending
-// deadline, so the pool drains oldest-first at every TTL setting.
-func TestWarmExpiryLoweredTTLClampsToScheduleOrder(t *testing.T) {
-	s := sim.New(1)
-	p := NewDefault(s)
-
-	if err := p.Prewarm(2, 1769); err != nil { // reclaims scheduled for t=600
-		t.Fatal(err)
-	}
-	p.WarmTTL = 10
-	if err := p.Prewarm(2, 1769); err != nil { // t=10 nominal, clamped to 600
-		t.Fatal(err)
-	}
-	// Nothing may expire before the earlier sandboxes' deadline: the
-	// later-provisioned pair is clamped behind them, not reclaimed first.
-	s.RunUntil(20)
-	if p.WarmCount(1769) != 4 || p.PendingExpiries(1769) != 4 {
-		t.Fatalf("lowered TTL fired ahead of pending reclaims: warm=%d pending=%d, want 4/4",
-			p.WarmCount(1769), p.PendingExpiries(1769))
-	}
-	// Consuming one sandbox still cancels the earliest pending reclaim.
-	if _, err := p.InvokeGroup(1, 1769); err != nil {
-		t.Fatal(err)
-	}
-	if p.WarmCount(1769) != 3 || p.PendingExpiries(1769) != 3 {
-		t.Fatalf("after takeWarm: warm=%d pending=%d", p.WarmCount(1769), p.PendingExpiries(1769))
-	}
-	s.RunUntil(601)
-	if p.WarmCount(1769) != 0 || p.PendingExpiries(1769) != 0 {
-		t.Fatalf("after clamped fire: warm=%d pending=%d", p.WarmCount(1769), p.PendingExpiries(1769))
-	}
-
-	// Once the old deadlines have passed, the lowered TTL applies cleanly.
-	if err := p.Prewarm(1, 1769); err != nil {
-		t.Fatal(err)
-	}
-	s.RunUntil(612)
-	if p.WarmCount(1769) != 0 {
-		t.Fatalf("post-drain sandbox ignored the lowered TTL: warm=%d", p.WarmCount(1769))
-	}
-}
-
-// TestWarmExpiryRaisedTTLKeepsOrder: raising the TTL naturally schedules
-// later than every pending reclaim; the clamp must not disturb that.
-func TestWarmExpiryRaisedTTLKeepsOrder(t *testing.T) {
-	s := sim.New(1)
-	p := NewDefault(s)
-	p.WarmTTL = 10
-	if err := p.Prewarm(1, 1769); err != nil { // reclaim at t=10
-		t.Fatal(err)
-	}
-	p.WarmTTL = 100
-	if err := p.Prewarm(1, 1769); err != nil { // reclaim at t=100
-		t.Fatal(err)
-	}
-	s.RunUntil(11)
-	if p.WarmCount(1769) != 1 || p.PendingExpiries(1769) != 1 {
-		t.Fatalf("after first fire: warm=%d pending=%d", p.WarmCount(1769), p.PendingExpiries(1769))
-	}
-	s.RunUntil(101)
-	if p.WarmCount(1769) != 0 || p.PendingExpiries(1769) != 0 {
-		t.Fatalf("after second fire: warm=%d pending=%d", p.WarmCount(1769), p.PendingExpiries(1769))
-	}
-}
-
-// --- Prewarm cap (typed-error boundary tests) ---
-
-func TestPrewarmCapBoundary(t *testing.T) {
-	s := sim.New(1)
-	p := NewDefault(s)
-	cap := p.Limits().MaxConcurrency
-	if p.WarmLimit != cap {
-		t.Fatalf("WarmLimit default = %d, want MaxConcurrency %d", p.WarmLimit, cap)
-	}
-
-	// Exactly at the cap: admitted.
-	if err := p.Prewarm(cap, 1769); err != nil {
-		t.Fatalf("Prewarm at cap rejected: %v", err)
-	}
-	if p.WarmTotal() != cap {
-		t.Fatalf("WarmTotal = %d, want %d", p.WarmTotal(), cap)
-	}
-
-	// One past the cap: typed error, no state change, no billing.
-	before := p.Meter()
-	err := p.Prewarm(1, 512)
-	if !errors.Is(err, ErrWarmPoolExceeded) {
-		t.Fatalf("Prewarm past cap: err = %v, want ErrWarmPoolExceeded", err)
-	}
-	if p.WarmTotal() != cap || p.WarmCount(512) != 0 {
-		t.Fatalf("rejected Prewarm changed state: total=%d warm512=%d", p.WarmTotal(), p.WarmCount(512))
-	}
-	if after := p.Meter(); after != before {
-		t.Fatalf("rejected Prewarm billed: %+v -> %+v", before, after)
-	}
-
-	// Consuming a sandbox frees cap headroom again.
-	if _, err := p.InvokeGroup(1, 1769); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Prewarm(1, 512); err != nil {
-		t.Fatalf("Prewarm after freeing headroom rejected: %v", err)
-	}
-
-	// The cap spans memory sizes: it bounds the account-wide pool.
-	if err := p.Prewarm(1, 1024); !errors.Is(err, ErrWarmPoolExceeded) {
-		t.Fatalf("cross-size Prewarm past cap: err = %v, want ErrWarmPoolExceeded", err)
-	}
-}
-
-func TestPrewarmCapDisabled(t *testing.T) {
-	s := sim.New(1)
-	p := NewDefault(s)
-	p.WarmLimit = 0
-	if err := p.Prewarm(p.Limits().MaxConcurrency+100, 512); err != nil {
-		t.Fatalf("WarmLimit=0 should disable the cap: %v", err)
 	}
 }
 
@@ -283,7 +143,7 @@ func TestReleaseWarmReturnThenExpiryPreservesWarmCount(t *testing.T) {
 	}
 	// Reuse one warm sandbox partway through the TTL; its reclaim must be
 	// cancelled while the other two stay on schedule.
-	s.RunUntil(sim.Time(p.WarmTTL / 2))
+	s.RunUntil(WarmTTL / 2)
 	g, err := p.InvokeGroup(1, 1769)
 	if err != nil {
 		t.Fatal(err)
@@ -294,15 +154,15 @@ func TestReleaseWarmReturnThenExpiryPreservesWarmCount(t *testing.T) {
 	if p.WarmCount(1769) != 2 {
 		t.Fatalf("warm after reuse = %d, want 2", p.WarmCount(1769))
 	}
-	s.RunUntil(sim.Time(p.WarmTTL + 1))
+	s.RunUntil(WarmTTL + 1)
 	if p.WarmCount(1769) != 0 {
 		t.Fatalf("warm after expiry = %d, want 0", p.WarmCount(1769))
 	}
 	// Releasing the reused instance after the others expired restarts the
 	// cycle cleanly.
 	p.ReleaseGroup(1, 1769, 5)
-	if p.WarmCount(1769) != 1 || p.PendingExpiries(1769) != 1 {
-		t.Fatalf("warm=%d pending=%d after late release", p.WarmCount(1769), p.PendingExpiries(1769))
+	if p.WarmCount(1769) != 1 || s.Pending() != 1 {
+		t.Fatalf("warm=%d pending=%d after late release", p.WarmCount(1769), s.Pending())
 	}
 }
 
@@ -383,20 +243,17 @@ func TestPlatformObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.ReleaseGroup(2, 1769, 10)
-	if err := p.Prewarm(1, 512); err != nil {
-		t.Fatal(err)
-	}
-	s.RunUntil(sim.Time(p.WarmTTL + 1))
+	s.RunUntil(WarmTTL + 1)
 
 	st := o.Stats()
-	if got := st.Counter("faas.invocations"); got != 3 {
-		t.Fatalf("faas.invocations = %v, want 3", got)
+	if got := st.Counter("faas.invocations"); got != 2 {
+		t.Fatalf("faas.invocations = %v, want 2", got)
 	}
 	if got := st.Counter("faas.cold_starts"); got != 2 {
 		t.Fatalf("faas.cold_starts = %v, want 2", got)
 	}
-	if got := st.Counter("faas.warm_expired"); got != 3 {
-		t.Fatalf("faas.warm_expired = %v, want 3", got)
+	if got := st.Counter("faas.warm_expired"); got != 2 {
+		t.Fatalf("faas.warm_expired = %v, want 2", got)
 	}
 	if got := st.Gauge("faas.in_flight_peak"); got != 2 {
 		t.Fatalf("faas.in_flight_peak = %v, want 2", got)
@@ -412,24 +269,23 @@ func TestPlatformObservability(t *testing.T) {
 			t.Fatalf("unexpected track/cat: %+v", ev)
 		}
 	}
-	for _, want := range []string{"invoke_group", "release_group", "prewarm"} {
+	for _, want := range []string{"invoke_group", "release_group"} {
 		if !names[want] {
 			t.Fatalf("missing trace event %q (got %v)", want, names)
 		}
 	}
 }
 
-// BenchmarkWarmPoolExpiry measures Prewarm-scale reclaim churn (3000
-// sandboxes, the account burst limit). The head-pop queue keeps each fired
-// reclaim O(1); the old identity scan + element copy made this quadratic.
+// BenchmarkWarmPoolExpiry measures a full pool's reclaims (3000 sandboxes,
+// the account burst limit, warmed by one group invoked and released): each
+// fired reclaim is its lane's head, O(1); the old identity scan + element
+// copy made this quadratic.
 func BenchmarkWarmPoolExpiry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := sim.New(1)
 		p := NewDefault(s)
-		if err := p.Prewarm(3000, 1769); err != nil {
-			b.Fatal(err)
-		}
-		s.RunUntil(sim.Time(p.WarmTTL + 1))
+		warmUp(b, p, 3000, 1769)
+		s.RunUntil(WarmTTL + 1)
 		if p.WarmTotal() != 0 {
 			b.Fatal("pool not drained")
 		}

@@ -52,6 +52,23 @@ func (l *Lane) Schedule(at Time, priority int, fn func()) Event {
 	return Event{slot: slot, gen: slot.gen}
 }
 
+// Len reports how many entries wait on the lane, canceled ones behind its head
+// included; entries that fell back to the heap are not the lane's.
+func (l *Lane) Len() int { return len(l.q) - l.head }
+
+// CancelHead cancels the lane's oldest entry — always a live one — through
+// Event.Cancel, with its ownership checks, and reports whether there was one.
+// A lane whose entries are only ever canceled oldest-first is thereby a
+// complete record of them: its length is their count and it needs no handles.
+func (l *Lane) CancelHead() bool {
+	if l.head == len(l.q) {
+		return false
+	}
+	slot := l.q[l.head].slot
+	Event{slot: slot, gen: slot.gen}.Cancel()
+	return true
+}
+
 // push queues an already-validated event under the shard's next sequence
 // number: at the lane's tail, or on the heap if it sorts before the tail.
 func (l *Lane) push(at Time, priority int, fn func()) *eventSlot {

@@ -7,9 +7,10 @@ package sim
 // one queue and no lanes — through the same byte-coded program (schedules on
 // the heap and on lanes, batches, posts from several sender shards, cancels —
 // stale, repeated, of a lane's oldest entry and from inside callbacks — Step
-// and RunUntil), checking the shard's queue invariants and the fate of every
-// canceled entry after every operation; the random tests and FuzzKernelOps
-// both feed it.
+// and RunUntil, and Lane.CancelHead, which the reference answers from a model
+// of what waits on each lane), checking the shard's queue invariants and the
+// fate of every canceled entry after every operation; the random tests and
+// FuzzKernelOps both feed it.
 
 import (
 	"fmt"
@@ -18,10 +19,11 @@ import (
 )
 
 // checkShard asserts the queue invariants of a shard: every queued entry's
-// slot knows where it is queued, the heap order holds, and every non-empty
-// lane — sh.lanes holds exactly those, as a heap by head entry — is sorted
-// behind a live head.
-func checkShard(t testing.TB, sh *Shard) {
+// slot knows where it is queued, the heap order holds, every non-empty lane —
+// sh.lanes holds exactly those, as a heap by head entry — is sorted behind a
+// live head, and each of lanes, empty or not, reports as its Len the entries
+// found queued on it.
+func checkShard(t testing.TB, sh *Shard, lanes ...*Lane) {
 	t.Helper()
 	for i := range sh.heap {
 		e := &sh.heap[i]
@@ -32,6 +34,7 @@ func checkShard(t testing.TB, sh *Shard) {
 			t.Fatalf("shard %d: heap order violated at %d", sh.idx, i)
 		}
 	}
+	queued := map[*Lane]int{}
 	for i, r := range sh.lanes {
 		l := r.l
 		if l.pos != i || l.head >= len(l.q) || r.key != l.q[l.head] {
@@ -49,6 +52,12 @@ func checkShard(t testing.TB, sh *Shard) {
 			} else if j > l.head && entryLess(e, &l.q[j-1]) {
 				t.Fatalf("shard %d: lanes[%d] out of order at %d", sh.idx, i, j)
 			}
+			queued[l]++
+		}
+	}
+	for i, l := range lanes {
+		if l.Len() != queued[l] {
+			t.Fatalf("shard %d: lane %d reports Len %d with %d entries queued", sh.idx, i, l.Len(), queued[l])
 		}
 	}
 }
@@ -134,6 +143,9 @@ type opKernel interface {
 	post(from int, at Time, pri int, fn func())
 	postSelf(at Time, pri int, fn func())
 	cancel(h int)
+	// cancelHead cancels the oldest entry waiting on lane 1..opLanes and
+	// returns its handle, or -1 if nothing waits there.
+	cancelHead(lane int) int
 	handles() int
 	// probe reports whether handle h is still due to fire and, if so, when.
 	probe(h int) (live bool, at Time)
@@ -156,11 +168,12 @@ type optKernel struct {
 	s     *Simulation
 	lanes [opLanes]*Lane
 	hs    []Event
+	slots map[*eventSlot]int // the handle a lane entry's slot was last scheduled under
 	dead  deadLedger
 }
 
 func newOptKernel(t testing.TB, shards int) *optKernel {
-	k := &optKernel{t: t, s: New(1)}
+	k := &optKernel{t: t, s: New(1), slots: map[*eventSlot]int{}}
 	k.s.EnsureShards(shards)
 	k.s.SetLookahead(opLookahead)
 	for i := range k.lanes {
@@ -173,20 +186,34 @@ func (k *optKernel) schedule(lane int, at Time, pri int, fn func()) {
 	if lane == 0 {
 		k.hs = append(k.hs, k.s.SchedulePriority(at, pri, fn))
 	} else {
-		k.hs = append(k.hs, k.lanes[lane-1].Schedule(at, pri, fn))
+		ev := k.lanes[lane-1].Schedule(at, pri, fn)
+		k.slots[ev.slot] = len(k.hs)
+		k.hs = append(k.hs, ev)
 	}
-	checkShard(k.t, k.s.main)
+	checkShard(k.t, k.s.main, k.lanes[:]...)
 }
 func (k *optKernel) batch(evs []BatchEvent) {
 	k.s.main.ScheduleBatch(evs)
-	checkShard(k.t, k.s.main)
+	checkShard(k.t, k.s.main, k.lanes[:]...)
 }
 func (k *optKernel) post(from int, at Time, pri int, fn func()) {
 	k.s.Shard(from%k.s.NumShards()).Post(k.s.main, at, pri, fn)
 }
 func (k *optKernel) postSelf(at Time, pri int, fn func()) { k.s.main.Post(k.s.main, at, pri, fn) }
 func (k *optKernel) cancel(h int)                         { k.dead.cancel(k.t, k.s.main, k.hs[h]) }
-func (k *optKernel) handles() int                         { return len(k.hs) }
+func (k *optKernel) cancelHead(lane int) int {
+	l, h := k.lanes[lane-1], -1
+	if l.Len() > 0 {
+		h = k.slots[l.q[l.head].slot]
+	}
+	if l.CancelHead() != (h >= 0) || (h >= 0 && k.hs[h].slot.gen == k.hs[h].gen) {
+		k.t.Fatalf("CancelHead on lane %d with %d queued left handle %d live", lane, l.Len(), h)
+	}
+	checkShard(k.t, k.s.main, k.lanes[:]...)
+	k.dead.check(k.t, k.s.main)
+	return h
+}
+func (k *optKernel) handles() int { return len(k.hs) }
 func (k *optKernel) probe(h int) (bool, Time) {
 	ev := k.hs[h]
 	if ev.slot.gen != ev.gen {
@@ -199,13 +226,13 @@ func (k *optKernel) probe(h int) (bool, Time) {
 }
 func (k *optKernel) step() bool {
 	ok := k.s.Step()
-	checkShard(k.t, k.s.main)
+	checkShard(k.t, k.s.main, k.lanes[:]...)
 	k.dead.check(k.t, k.s.main)
 	return ok
 }
 func (k *optKernel) runUntil(limit Time) {
 	k.s.RunUntil(limit)
-	checkShard(k.t, k.s.main)
+	checkShard(k.t, k.s.main, k.lanes[:]...)
 	k.dead.check(k.t, k.s.main)
 }
 func (k *optKernel) now() Time        { return k.s.Now() }
@@ -218,16 +245,46 @@ func (k *optKernel) pendingLive() int { return k.s.Pending() - queuedCanceled(k.
 // waits in its sender's outbox and is scheduled when the next Step or RunUntil
 // starts, in (sender shard, send order) order; a post from a callback is
 // scheduled on the spot (the interpreter gives those a priority band of their
-// own, so at which window barrier the kernel numbers them cannot matter).
+// own, so at which window barrier the kernel numbers them cannot matter). For
+// cancelHead it models the lanes, which it does not have.
 type refOpKernel struct {
 	s      *refSim
 	hs     []*refEvent
-	outbox [][]BatchEvent // per sender shard
-	clamp  Time           // the latest finite RunUntil limit: every idle shard's clock
+	lanes  [opLanes + 1][]int // the handles waiting on each op lane, oldest first
+	outbox [][]BatchEvent     // per sender shard
+	clamp  Time               // the latest finite RunUntil limit: every idle shard's clock
 }
 
-func (k *refOpKernel) schedule(_ int, at Time, pri int, fn func()) {
+func (k *refOpKernel) schedule(lane int, at Time, pri int, fn func()) {
+	if lane > 0 {
+		// The fallback rule: a key that sorts before the lane's tail goes to the heap.
+		q := k.lane(lane)
+		if n := len(q); n == 0 || !(at < k.hs[q[n-1]].at || at == k.hs[q[n-1]].at && pri < k.hs[q[n-1]].priority) {
+			k.lanes[lane] = append(q, len(k.hs))
+		}
+	}
 	k.hs = append(k.hs, k.s.schedule(at, pri, fn))
+}
+
+// lane returns what waits on op lane l: the entries scheduled through it that
+// did not fall back to the heap, from the oldest that neither fired nor was
+// canceled on. Only a lane's head fires, and a lane drops its head when that
+// fires or is canceled, with the canceled entries right behind it.
+func (k *refOpKernel) lane(l int) []int {
+	q := k.lanes[l]
+	for len(q) > 0 && (k.hs[q[0]].fired || k.hs[q[0]].canceled) {
+		q = q[1:]
+	}
+	k.lanes[l] = q
+	return q
+}
+func (k *refOpKernel) cancelHead(lane int) int {
+	q := k.lane(lane)
+	if len(q) == 0 {
+		return -1
+	}
+	k.cancel(q[0])
+	return q[0]
 }
 func (k *refOpKernel) batch(evs []BatchEvent) {
 	for _, e := range evs {
@@ -288,7 +345,7 @@ const (
 	opSchedule     = 0  // ..3: delay, priority, callback; variant%4 is the lane (0: the heap)
 	opBatch        = 4  // count, then delay, priority, callback per entry
 	opCancel       = 5  // ..11: 16-bit distance back from the latest handle, modulo cancelWindow
-	opCancelRecent = 12 // how far back from the latest handle; variant >= 8: lane 1+variant%3's oldest instead
+	opCancelRecent = 12 // how far back from the latest handle; variant >= 8: a lane's oldest instead (see runOps)
 	opStep         = 13
 	opRunUntil     = 14 // how far
 	opPost         = 15 // delay, priority, callback; variant%4 is the sender shard, variant/4 the delay class
@@ -321,15 +378,16 @@ const (
 
 // opRecord is one line of an op program's trace: an event firing (its id; a
 // child's is its parent's negated) or, with id 0, the state after an op,
-// including what two handles — the last one canceled and one picked by the
-// trace length — say about their events.
+// including the last handle canceled and what two handles — that one and one
+// picked by the trace length — say about their events.
 type opRecord struct {
-	id        int
-	now, idle Time
-	fired     uint64
-	pending   int
-	live      [2]bool
-	at        [2]Time
+	id         int
+	now, idle  Time
+	fired      uint64
+	pending    int
+	lastCancel int
+	live       [2]bool
+	at         [2]Time
 }
 
 // runOps interprets prog on k and returns the firing trace, with the state
@@ -339,7 +397,7 @@ func runOps(k opKernel, prog []byte) []opRecord {
 	var trace []opRecord
 	lastCancel := -1
 	record := func(id int) {
-		r := opRecord{id: id, now: k.now(), idle: k.idleClock(), fired: k.fired(), pending: k.pendingLive()}
+		r := opRecord{id: id, now: k.now(), idle: k.idleClock(), fired: k.fired(), pending: k.pendingLive(), lastCancel: lastCancel}
 		if n := k.handles(); id == 0 && n > 0 {
 			for i, h := range [2]int{max(lastCancel, 0), len(trace) * 7919 % n} {
 				if r.live[i], r.at[i] = k.probe(h); !r.live[i] {
@@ -428,8 +486,16 @@ func runOps(k opKernel, prog []byte) []opRecord {
 		case c < opCancelRecent:
 			cancelAny(next16())
 		case c == opCancelRecent:
+			// Variants 8, 11 and 14 cancel the head of lane 1, 2 or 3 (the kernel's
+			// Lane.CancelHead); the other variants from 8 up the oldest handle
+			// scheduled through lane 1 or 2 (9, 12, 15 and 10, 13): the lane's head
+			// unless it fired, was canceled or fell back to the heap.
 			back := next()
-			if l := 1 + v%3; v >= 8 {
+			if v >= 8 && v%3 == 2 {
+				if h := k.cancelHead(1 + (v-8)/3); h >= 0 {
+					lastCancel = h
+				}
+			} else if l := 1 + v%3; v >= 8 {
 				if q := oldest[l]; len(q) > 0 {
 					cancel(q[0])
 					oldest[l] = q[1:]
@@ -513,13 +579,17 @@ const (
 	onLane3     = onHeap << 3
 	oldestLane1 = 1<<9 | 1<<12 | 1<<15
 	oldestLane2 = 1<<10 | 1<<13
+	headLane1   = 1 << 8
+	headLane2   = 1 << 11
+	headLane3   = 1 << 14
 	recent      = 0x00ff
 )
 
 // laneProgram returns n ops of one of the lane mixes the seed corpus carries:
 // sorted keys through lanes 1 and 2, unsorted ones through lane 3, FIFO
-// cancel-the-oldest churn on the long hold, and posts from four sender shards
-// in every delay class — each with heap traffic and random cancels mixed in.
+// cancel-the-oldest churn on the long hold — by handle, and by
+// Lane.CancelHead on all three lanes — and posts from four sender shards in
+// every delay class — each with heap traffic and random cancels mixed in.
 func laneProgram(rng *Rand, kind string, n int) []byte {
 	mixes := map[string][]opWeight{
 		"lane-monotone": {{opSchedule, onLane1, 25, true}, {opSchedule, onLane2, 15, true}, {op: opSchedule, variants: onHeap, weight: 10},
@@ -530,6 +600,10 @@ func laneProgram(rng *Rand, kind string, n int) []byte {
 		"lane-cancel-head-churn": {{opSchedule, onLane2, 30, true}, {op: opCancelRecent, variants: oldestLane2, weight: 27},
 			{opSchedule, onLane1, 8, true}, {op: opCancelRecent, variants: oldestLane1, weight: 5}, {op: opSchedule, variants: onHeap, weight: 5},
 			{op: opCancel, weight: 10}, {op: opStep, weight: 5}, {op: opRunUntil, weight: 10}},
+		"lane-cancel-head-op": {{opSchedule, onLane2, 25, true}, {op: opCancelRecent, variants: headLane2, weight: 20},
+			{opSchedule, onLane1, 10, true}, {op: opCancelRecent, variants: headLane1, weight: 6},
+			{op: opSchedule, variants: onLane3, weight: 8}, {op: opCancelRecent, variants: headLane3, weight: 4},
+			{op: opSchedule, variants: onHeap, weight: 5}, {op: opCancel, weight: 12}, {op: opStep, weight: 5}, {op: opRunUntil, weight: 10}},
 		"post-multi-sender": {{op: opPost, weight: 40}, {op: opSchedule, weight: 25}, {op: opCancel, weight: 10}, {op: opCancelRecent, weight: 40},
 			{op: opStep, weight: 5}, {op: opRunUntil, weight: 10}},
 	}
@@ -577,6 +651,11 @@ func TestLanesMatchReferenceHeap(t *testing.T) {
 		},
 		// Most pushes left their lane through a Cancel of its head.
 		"lane-cancel-head-churn": func(st QueueStats) bool { return st.LanePushes-st.LanePops-st.Fallbacks > st.LanePushes/2 },
+		// The same through Lane.CancelHead, with canceled entries queued behind
+		// the heads it cancels.
+		"lane-cancel-head-op": func(st QueueStats) bool {
+			return st.LanePushes-st.LanePops-st.Fallbacks > st.LanePushes/2 && st.DeadPops > 0
+		},
 		"post-multi-sender": func(st QueueStats) bool {
 			return st.DeadPops > 0 && st.Fallbacks > st.LanePushes/8 && st.LanePops > st.LanePushes/8
 		},

@@ -62,16 +62,17 @@
 //
 // Cancel is O(1) everywhere, and what a canceled event costs afterwards
 // depends on where it waits. In a lane, canceling the head removes it on the
-// spot (a FIFO canceled oldest-first, like internal/faas's warm-sandbox
-// reclaims, never holds a corpse), and an entry behind the head is marked and
-// skipped when the head reaches it. In the heap a canceled entry stays until
-// its time comes and is dropped when popped, so a stream that is canceled far
-// ahead of its fire time — a timeout with a fixed hold — is sorted by
-// construction and belongs on a lane. The order is strict, so neither changes
-// a firing order, clock or count. Pending counts what is queued anywhere:
-// heap and lane entries, canceled ones not yet dropped included, and posts
-// not yet delivered. Shard.QueueStats reports how many entries each kind of
-// queue popped, and how many of them were dead.
+// spot, and an entry behind the head is marked and skipped when the head
+// reaches it. A FIFO canceled oldest-first (Lane.CancelHead) never holds a
+// corpse, so its Lane.Len is its live count: internal/faas keeps each memory
+// size's warm sandboxes as nothing but the reclaim events on one lane. In the
+// heap a canceled entry stays until its time comes and is dropped when
+// popped, so a stream that is canceled far ahead of its fire time — a timeout
+// with a fixed hold — is sorted by construction and belongs on a lane. The
+// order is strict, so neither changes a firing order, clock or count. Pending
+// counts what is queued anywhere: heap and lane entries, canceled ones not yet
+// dropped included, and posts not yet delivered. Shard.QueueStats reports how
+// many entries each kind of queue popped, and how many of them were dead.
 package sim
 
 import (

@@ -67,7 +67,10 @@ func MakeTrace(rows [][]uint32) Trace {
 
 // Parser parses per-minute-count trace files. The format is one row per
 // line, counts separated by commas, spaces or tabs; blank lines and
-// lines starting with '#' are skipped; CRLF is accepted.
+// lines starting with '#' are skipped; CRLF is accepted. A carriage return
+// anywhere else than at the end of a line — directly before its '\n', or
+// before the end of the input — is an error, so a CR-only file is rejected
+// instead of read as one long row.
 //
 // The parser reads the input in fixed-size chunks and converts digits to
 // ints in place — no line splitting, no string materialization, no
@@ -119,11 +122,18 @@ func (p *Parser) Parse(r io.Reader) (Trace, error) {
 	var (
 		inComment bool   // discarding until end of line
 		atStart   = true // at the first byte of a line ('#' legal here)
+		crLast    bool   // the previous chunk ended in a '\r' outside a comment
 		line      = 1
 	)
 	for {
 		n, err := r.Read(p.buf)
-		for _, b := range p.buf[:n] {
+		if crLast && n > 0 {
+			if p.buf[0] != '\n' {
+				return Trace{}, errStrayCR(line)
+			}
+			crLast = false
+		}
+		for i, b := range p.buf[:n] {
 			if inComment {
 				if b == '\n' {
 					inComment, atStart = false, true
@@ -147,7 +157,12 @@ func (p *Parser) Parse(r io.Reader) (Trace, error) {
 				atStart = true
 				line++
 			case b == '\r':
-				// handled by the following '\n'
+				// Only a line's last byte; the '\n' that follows ends the line.
+				if i+1 == n {
+					crLast = true
+				} else if p.buf[i+1] != '\n' {
+					return Trace{}, errStrayCR(line)
+				}
 			case b == '#' && atStart:
 				inComment = true
 			default:
@@ -164,6 +179,10 @@ func (p *Parser) Parse(r io.Reader) (Trace, error) {
 	p.flushNum()
 	p.endRow()
 	return Trace{counts: p.counts, offsets: p.offsets}, nil
+}
+
+func errStrayCR(line int) error {
+	return fmt.Errorf("traffic: line %d: carriage return not at the end of the line", line)
 }
 
 // ParseTrace is the one-shot convenience: it parses r with a fresh

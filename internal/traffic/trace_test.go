@@ -2,8 +2,10 @@ package traffic
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func parseString(t *testing.T, s string) Trace {
@@ -62,6 +64,45 @@ func TestParseTraceErrors(t *testing.T) {
 	} {
 		if _, err := ParseTrace(strings.NewReader(in)); err == nil {
 			t.Errorf("ParseTrace(%q) succeeded, want error", in)
+		}
+	}
+}
+
+// TestParseTraceCarriageReturns: a '\r' ends a line only directly before its
+// '\n' or the end of the input — also when a read chunk ends between the two
+// (every chunk is one byte through iotest.OneByteReader). Anywhere else it is
+// an error naming its line, not a byte to skip: a CR-only file used to parse
+// as one row with its numbers glued together across the line breaks.
+func TestParseTraceCarriageReturns(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		rows [][]uint32 // nil: rejected
+		line string     // the line the error names
+	}{
+		{in: "1,2\r\n3\r\n", rows: [][]uint32{{1, 2}, {3}}},
+		{in: "# c\r\n\r\n4 5\r\n6\r", rows: [][]uint32{{4, 5}, {6}}},
+		{in: "# a comment may hold \r anywhere\n7\n", rows: [][]uint32{{7}}},
+		{in: "1,2\r3,4\r", line: "line 1"},
+		{in: "1\r2\n", line: "line 1"},
+		{in: "1\n2\r\r\n", line: "line 2"},
+		{in: "1\n\r3\n", line: "line 2"},
+	} {
+		for _, chunked := range []bool{false, true} {
+			var r io.Reader = strings.NewReader(c.in)
+			if chunked {
+				r = iotest.OneByteReader(r)
+			}
+			tr, err := ParseTrace(r)
+			switch {
+			case c.rows == nil && err == nil:
+				t.Errorf("ParseTrace(%q), chunked=%v: %d rows, want an error", c.in, chunked, tr.Rows())
+			case c.rows == nil && !strings.Contains(err.Error(), c.line+":"):
+				t.Errorf("ParseTrace(%q), chunked=%v: %v, want it to name %s", c.in, chunked, err, c.line)
+			case c.rows != nil && err != nil:
+				t.Errorf("ParseTrace(%q), chunked=%v: %v", c.in, chunked, err)
+			case c.rows != nil:
+				wantRows(t, tr, c.rows)
+			}
 		}
 	}
 }
