@@ -31,7 +31,9 @@ race:
 	$(GO) test -race ./...
 
 # shard-check: the sharded-kernel determinism gate. Runs the kernel's
-# cross-shard workload matrix and the lane/heap equivalence test (sorted and
+# cross-shard workload matrix, the window and Step orders (each shard's own
+# order, shards in index order; Step's global minimum), the lookahead-window
+# equivalence and the lane/heap equivalence test (sorted and
 # unsorted lane traffic, multi-sender posts and cancels of every kind against
 # the lane-less reference), then the tenant harness's matrix (macro-day,
 # macro-fleet, macro-trace, macro-chaos across shard and worker counts, and
@@ -54,7 +56,10 @@ shard-check:
 # cancel-the-oldest churn on a lane must reuse them. The benchmarks (ml
 # kernels, dataset caches, DES kernel, decision path) run at a fixed small
 # iteration count: fast enough for CI, enough to catch kernels that re-grow
-# allocations. internal/fit benches its one solver (Fitter: cold, warm to
+# allocations. internal/sim's sweep includes BenchmarkRunShards, one
+# cross-shard actor load at 1 and 8 shards on one worker: no cmd/bench
+# workload runs one worker above one shard, so the per-event cost of the
+# shard count shows there. internal/fit benches its one solver (Fitter: cold, warm to
 # convergence, and the fleet tuning's capped refit of a sliding window),
 # internal/cost its one grid scan and table lookups. Measured runs are
 # `go run ./cmd/bench [-layers]`; see benchmark/README.md.
@@ -89,8 +94,10 @@ reach:
 # queue and no lanes), the Levenberg-Marquardt fitter (sliding fits of
 # arbitrary finite series against refFitter, the solver before its kernels
 # moved into locals), the trace-file parser (against a strings.Split +
-# strconv reference, read whole and one byte at a time) and cescalint's two
-# parsers (policy lines, //cescalint: directives). New inputs stay in the
+# strconv reference, read whole and one byte at a time), fault schedules
+# (arbitrary event lists: New refuses them with a fault: error, or every query
+# stays in range, every instant is walked once and every compiled event
+# fires) and cescalint's two parsers (policy lines, //cescalint: directives). New inputs stay in the
 # build cache; a failing one is written to the package's testdata/fuzz/ and
 # from then on runs with `go test`. The kernel's seed
 # programs are kilobytes long, and the engine's default minute of minimizing
@@ -99,5 +106,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOps -fuzztime 10s -fuzzminimizetime 1s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzFitterFit -fuzztime 5s ./internal/fit/
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 5s ./internal/traffic/
+	$(GO) test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 5s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/lint/
 	$(GO) test -run '^$$' -fuzz FuzzParseDirective -fuzztime 5s ./internal/lint/

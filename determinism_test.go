@@ -8,7 +8,7 @@ package repro_test
 // flattened ablation combos (abl-faults), the (n, model) table blocks
 // (tab2), the truth-run fan-out (fig4), the planning-only loop (fig21a)
 // and the sharded-kernel macro scenarios (macro-day, macro-trace,
-// macro-chaos), which exercise the multi-shard event merge — and, for
+// macro-chaos), which exercise the multi-shard lookahead windows — and, for
 // macro-chaos, the compiled fault-injection path — underneath the
 // engine-level parallelism.
 

@@ -122,8 +122,8 @@ type harness struct {
 
 // newHarness shards the backend for a scenario of `tenants` tenants. Tenant t
 // lives on shard t % shards, so shards beyond the population could never hold
-// an event — yet the sequential merge scans every shard once per event — and
-// the count is clamped to it; placement is the same either way.
+// an event — yet every lookahead window visits every shard — and the count is
+// clamped to it; placement is the same either way.
 func newHarness(id string, seed uint64, cfg Config, tenants int, lookahead float64) *harness {
 	h := &harness{id: id, b: platform.New(seed), shards: max(1, min(cmp.Or(cfg.Shards, 8), tenants)),
 		lookahead: sim.Time(lookahead), collector: cfg.Collector}
@@ -377,8 +377,8 @@ const (
 
 	// Priority bands of the open-loop scenarios. Every minute-aligned event
 	// class gets a band and every tenant a distinct priority within it, so
-	// simultaneous events always differ in (time, priority) and the merge
-	// order is independent of shard count. Lower fires first: a shed
+	// simultaneous events always differ in (time, priority) and each shard's
+	// firing order is independent of shard count. Lower fires first: a shed
 	// directive issued at the previous barrier applies before this round's
 	// absorbs are processed, and a fault landing exactly on a report or
 	// completion timestamp fires after it. Arrivals, retries and completions

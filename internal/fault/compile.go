@@ -24,7 +24,7 @@ type Ops struct {
 // state through ops as simulated time reaches them. Every scheduled event
 // carries the given priority: give each tenant a distinct priority (the
 // macro-scenario banding pattern) so simultaneous fault events on different
-// shards keep a globally unique (time, priority) and the kernel's merge
+// shards keep a globally unique (time, priority) and every shard's firing
 // order stays independent of the shard layout. Returns the number of kernel
 // events scheduled.
 func Compile(s *Schedule, sh *sim.Shard, priority int, ops Ops) int {

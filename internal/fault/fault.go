@@ -118,15 +118,20 @@ type Schedule struct {
 }
 
 // New validates events and returns them as a schedule sorted by effect
-// time. Every time, factor and rate must be finite: a NaN passes every range
-// check below and would reach the kernel or the trainer's clock as is.
-// Windows of the same kind must not overlap: each query then has at most one
-// active window per kind, so the compiled start/end events and the direct
-// time queries always agree.
+// time. Every kind must be one of the five above: no query or Compile acts
+// on any other, yet it would make the schedule Active and so switch off the
+// trainer's synthetic failures. Every time, factor and rate must be finite:
+// a NaN passes every range check below and would reach the kernel or the
+// trainer's clock as is. Windows of the same kind must not overlap: each
+// query then has at most one active window per kind, so the compiled
+// start/end events and the direct time queries always agree.
 func New(events ...Event) (*Schedule, error) {
 	evs := make([]Event, len(events))
 	copy(evs, events)
 	for i, e := range evs {
+		if e.Kind > ColdSpike {
+			return nil, fmt.Errorf("fault: %s event %d: unknown kind", e.Kind, i)
+		}
 		for _, f := range [...]struct {
 			name string
 			v    float64

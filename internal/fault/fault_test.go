@@ -17,11 +17,17 @@ func TestNewValidatesEvents(t *testing.T) {
 		BrownoutWindow(0, 10, 2, 1.5),  // rate > 1
 		BrownoutWindow(0, 10, 2, -0.1), // rate < 0
 		{Kind: Straggler, From: 0, To: 5, Factor: 2, ErrorRate: 0.5}, // rate on non-brownout
+		{Kind: ColdSpike + 1, From: 0, To: 1, Factor: 2},             // unknown kind
+		{Kind: 9, At: 1, Count: 1},                                   // unknown kind
 	}
 	for i, e := range bad {
 		if _, err := New(e); err == nil {
 			t.Errorf("event %d (%+v) accepted, want error", i, e)
 		}
+	}
+	// An unknown kind is named, with the event's index, wherever it sits.
+	if _, err := New(KillAt(1, 1), Event{Kind: 9, From: 0, To: 1, Factor: 2}); err == nil || err.Error() != "fault: Kind(9) event 1: unknown kind" {
+		t.Errorf("unknown kind: error %v, want one naming Kind(9) and event 1", err)
 	}
 	if _, err := New(StragglerWindow(0, 10, 2), StragglerWindow(5, 15, 3)); err == nil {
 		t.Error("overlapping same-kind windows accepted")

@@ -13,7 +13,7 @@ import (
 // on there being exactly one place where goroutines exist: the conservative
 // window executor, which only runs whole shards between barriers. Any other
 // goroutine, channel, select, or sync/atomic use inside the kernel package
-// would create an ordering the (time, priority, seq) merge does not govern,
+// would order events outside their shards' (time, priority, seq) order,
 // and such a bug can stay invisible for months because a 1-CPU run
 // serializes it away. Shardsafe makes the confinement structural: the
 // policy marks the kernel package `shard-restricted`, lists the executor

@@ -153,29 +153,50 @@ func benchBurst(b *testing.B, batched bool) {
 	}
 }
 
-// BenchmarkShardedMergeRun runs 8 independent self-scheduling chains, one
-// per shard, through the sequential global merge — the cost of sharding
-// when no parallelism is available. One op = one fired event; comparing
-// against BenchmarkScheduleRun isolates the peekMin merge overhead.
-func BenchmarkShardedMergeRun(b *testing.B) {
-	b.ReportAllocs()
-	s := New(1)
-	const shards = 8
-	s.EnsureShards(shards)
-	n := 0
-	for i := 0; i < shards && i < b.N; i++ {
-		sh := s.Shard(i)
-		var step func()
-		step = func() {
-			n++
-			if n+shards <= b.N {
-				sh.ScheduleAfter(1, step)
+// BenchmarkRunShards drives one cross-shard actor load — 64 self-scheduling
+// actors, each posting to its neighbour one and a half lookaheads ahead every
+// fourth step — on 1 and on 8 shards at one worker, in windows one lookahead
+// wide. One op = one fired event; the gap between the two is what the shard
+// count costs a serial run: every window visits every shard, and posts cross
+// outboxes and barriers. No cmd/bench workload runs one worker above one
+// shard, so this is where that cost shows.
+func BenchmarkRunShards(b *testing.B) {
+	for _, shards := range []int{1, 8} {
+		b.Run(fmt.Sprint(shards), func(b *testing.B) {
+			b.ReportAllocs()
+			s := New(1)
+			s.EnsureShards(shards)
+			s.SetLookahead(1)
+			const actors = 64
+			left := b.N // events still to schedule, posts included
+			spend := func() bool {
+				if left == 0 {
+					return false
+				}
+				left--
+				return true
 			}
-		}
-		n++
-		sh.ScheduleAfter(1+float64(i)/16, step)
+			nop := func() {}
+			for a := 0; a < actors && spend(); a++ {
+				sh, to := s.Shard(a%shards), s.Shard((a+1)%shards)
+				delay, k := 0.25+float64(a%7)/16, 0
+				var step func()
+				step = func() {
+					if k++; k%4 == 0 && spend() {
+						sh.Post(to, sh.Now()+1.5, a, nop)
+					}
+					if spend() {
+						sh.SchedulePriority(sh.Now()+Time(delay), a, step)
+					}
+				}
+				sh.SchedulePriority(Time(a)/actors, a, step)
+			}
+			s.Run()
+			if int(s.EventsFired()) != b.N {
+				b.Fatalf("fired %d, want %d", s.EventsFired(), b.N)
+			}
+		})
 	}
-	s.Run()
 }
 
 // BenchmarkShardedPost measures the cross-shard mailbox round trip: every

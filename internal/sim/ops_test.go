@@ -764,7 +764,7 @@ func holdWorkload(w actorWorld, seed uint64, actors int) [][]string {
 }
 
 // TestCancelAcrossShards: cancels on every shard, of heap and of lane entries,
-// through the sequential merge and through parallel windows — the latter is a
+// in windows drained serially and on parallel workers — the latter is a
 // data race under -race if a Cancel touches anything but its own shard — leave
 // each actor's trace identical to the reference's.
 func TestCancelAcrossShards(t *testing.T) {

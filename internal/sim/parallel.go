@@ -9,10 +9,11 @@ package sim
 // Inside one conservative lookahead window the shards are independent —
 // cross-shard posts sit in per-shard outboxes until the barrier — so
 // draining them concurrently runs the exact same per-shard work on
-// disjoint state as the sequential path. The only shared reads during a
-// window are immutable configuration (seed, lookahead) and the
-// already-populated random-stream map; Simulation.Rand panics rather than
-// mutate the map while parallelActive is set.
+// disjoint state as the serial path, which drains them one after another.
+// The only shared reads during a window are immutable configuration (seed,
+// lookahead, workers), the firing flag drainWindow set before the workers
+// start, and the already-populated random-stream map; Simulation.Rand panics
+// rather than mutate the map while events fire on more than one worker.
 
 import (
 	"sync"
@@ -29,7 +30,6 @@ func (s *Simulation) drainWindowParallel(bound Time, inclusive bool) {
 	if n := len(s.shards); w > n {
 		w = n
 	}
-	s.parallelActive = true
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(w)
@@ -46,5 +46,4 @@ func (s *Simulation) drainWindowParallel(bound Time, inclusive bool) {
 		}()
 	}
 	wg.Wait()
-	s.parallelActive = false
 }

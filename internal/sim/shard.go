@@ -44,12 +44,7 @@ func (e Event) Cancel() {
 		return
 	}
 	sh := slot.sh
-	if d := sh.sim.draining; d != nil && d != sh {
-		panic(fmt.Sprintf("sim: shard %d canceled an event owned by shard %d; cross-shard interaction must go through Post", d.idx, sh.idx))
-	}
-	if sh.sim.parallelActive && !sh.executing {
-		panic(fmt.Sprintf("sim: event on shard %d canceled from another shard inside a parallel window", sh.idx))
-	}
+	sh.own("cancel an event of")
 	if slot.canceled {
 		return
 	}
@@ -141,8 +136,8 @@ type Shard struct {
 	// outbox buffers cross-shard posts until the next window barrier.
 	outbox []postMsg
 
-	// executing is true while this shard drains events (set and read by
-	// the goroutine draining the shard).
+	// executing is true while this shard's events fire — in drain, or in
+	// Step — and is set and read by the goroutine running them (see own).
 	executing bool
 }
 
@@ -193,16 +188,20 @@ func (sh *Shard) SchedulePriority(at Time, priority int, fn func()) Event {
 	return Event{slot: slot, gen: slot.gen}
 }
 
+// own panics unless the caller may act on this shard: while events fire,
+// only the shard's own events may schedule onto it, cancel its events or post
+// through its outbox (setup code outside Run may touch any shard). act names
+// the attempted action for the message.
+func (sh *Shard) own(act string) {
+	if sh.sim.firing && !sh.executing {
+		panic(fmt.Sprintf("sim: %s shard %d from another shard's event; cross-shard interaction must go through Post", act, sh.idx))
+	}
+}
+
 // checkSchedule panics unless the caller may schedule onto this shard at at:
 // the ownership, past-time and non-finite-time rules of SchedulePriority.
 func (sh *Shard) checkSchedule(at Time) {
-	s := sh.sim
-	if d := s.draining; d != nil && d != sh {
-		panic(fmt.Sprintf("sim: shard %d scheduled onto shard %d; cross-shard sends must go through Post", d.idx, sh.idx))
-	}
-	if s.parallelActive && !sh.executing {
-		panic(fmt.Sprintf("sim: schedule onto shard %d from another shard inside a parallel window; use Post", sh.idx))
-	}
+	sh.own("schedule onto")
 	if at < sh.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, sh.now))
 	}
@@ -228,12 +227,7 @@ func (sh *Shard) Post(to *Shard, at Time, priority int, fn func()) {
 	// is currently executing (or from setup code outside Run): the outbox
 	// is single-writer, and the lookahead check below is only meaningful
 	// against the true sender's clock.
-	if d := s.draining; d != nil && d != sh {
-		panic(fmt.Sprintf("sim: shard %d posted through shard %d's outbox; events post through their own shard", d.idx, sh.idx))
-	}
-	if s.parallelActive && !sh.executing {
-		panic(fmt.Sprintf("sim: post through shard %d's outbox from another shard inside a parallel window", sh.idx))
-	}
+	sh.own("post through the outbox of")
 	if math.IsInf(s.lookahead, 1) {
 		panic("sim: Post requires a finite lookahead; call SetLookahead before Run")
 	}
@@ -265,13 +259,7 @@ type BatchEvent struct {
 // sift-ups; small batches fall back to individual pushes. Batch events
 // return no handles and cannot be canceled.
 func (sh *Shard) ScheduleBatch(batch []BatchEvent) {
-	s := sh.sim
-	if d := s.draining; d != nil && d != sh {
-		panic(fmt.Sprintf("sim: shard %d batch-scheduled onto shard %d; cross-shard sends must go through Post", d.idx, sh.idx))
-	}
-	if s.parallelActive && !sh.executing {
-		panic(fmt.Sprintf("sim: batch schedule onto shard %d from another shard inside a parallel window; use Post", sh.idx))
-	}
+	sh.own("batch-schedule onto")
 	for i := range batch {
 		at := batch[i].At
 		if at < sh.now {
@@ -368,10 +356,12 @@ func (sh *Shard) eligible(bound Time, inclusive bool) bool {
 }
 
 // drain executes the shard's events up to the window bound (exclusive, or
-// inclusive at the caller's RunUntil limit), advancing the shard clock to
-// each event's time before invoking it. Events fired here may schedule
-// further events onto this shard — including inside the same window — and
-// post to other shards.
+// inclusive at the caller's RunUntil limit) in (time, priority, sequence)
+// order, advancing the shard clock to each event's time before invoking it;
+// a shard with nothing inside the window returns at once. It is the only
+// way a window runs events, whether the shards take their turns in index
+// order or on workers. Events fired here may schedule further events onto
+// this shard — including inside the same window — and post to other shards.
 func (sh *Shard) drain(bound Time, inclusive bool) {
 	sh.executing = true
 	for {
@@ -382,18 +372,6 @@ func (sh *Shard) drain(bound Time, inclusive bool) {
 		sh.popFire(l)
 	}
 	sh.executing = false
-}
-
-// drainOne pops the shard's top entry and, unless it is a canceled event
-// being dropped, fires it; it reports whether an event fired. Used by Step
-// and the sequential multi-shard merge loop, which re-pick the globally
-// minimal shard between events.
-func (sh *Shard) drainOne() bool {
-	_, l := sh.top()
-	sh.executing = true
-	fired := sh.popFire(l)
-	sh.executing = false
-	return fired
 }
 
 // popFire removes the shard's top entry — lane l's head, or the heap's when l

@@ -73,30 +73,52 @@ func TestCancelDuringOwnFireIsNoOp(t *testing.T) {
 	}
 }
 
-// TestShardScheduleAndMerge: events on several shards fire in global
-// (time, priority, sequence, shard) order under sequential execution.
+// TestShardScheduleAndMerge: inside a window each shard fires its own events
+// in (time, priority, sequence) order and the shards take their turns in
+// index order; windows follow each other; and Step alone fires the global
+// (time, priority, sequence, shard) minimum, whatever the workers.
 func TestShardScheduleAndMerge(t *testing.T) {
-	s := New(1)
-	s.EnsureShards(3)
-	var order []string
-	for i := 0; i < 3; i++ {
-		i := i
-		sh := s.Shard(i)
-		sh.Schedule(Time(3-i), func() { order = append(order, fmt.Sprintf("a%d", i)) })
-		sh.SchedulePriority(5, i, func() { order = append(order, fmt.Sprintf("b%d", i)) })
-	}
-	s.Run()
-	want := []string{"a2", "a1", "a0", "b0", "b1", "b2"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+	for _, tc := range []struct {
+		name      string
+		lookahead float64 // 0: the default, one window
+		workers   int
+		step      bool
+		want      string
+	}{
+		{"one window", 0, 1, false, "[a0 c0 b0 d0 a1 c1 b1 d1 a2 c2 b2 d2]"},
+		{"windows", 2.5, 1, false, "[a0 a1 a2 c0 b0 d0 c1 b1 d1 c2 b2 d2]"},
+		{"Step", 0, 1, true, "[a2 a1 a0 c0 c1 c2 b0 b1 b2 d0 d1 d2]"},
+		{"Step on workers", 2.5, 2, true, "[a2 a1 a0 c0 c1 c2 b0 b1 b2 d0 d1 d2]"},
+	} {
+		s := New(1)
+		s.EnsureShards(3)
+		if tc.lookahead > 0 {
+			s.SetLookahead(tc.lookahead)
 		}
-	}
-	if s.EventsFired() != 6 {
-		t.Fatalf("EventsFired = %d, want 6", s.EventsFired())
+		s.SetWorkers(tc.workers)
+		var order []string
+		for i := 0; i < 3; i++ {
+			sh := s.Shard(i)
+			log := func(name string) func() { return func() { order = append(order, fmt.Sprintf("%s%d", name, i)) } }
+			// On each shard: time first (a), then priority (c before b), then
+			// sequence (b before d).
+			sh.Schedule(Time(3-i), log("a"))
+			sh.SchedulePriority(5, 1, log("b"))
+			sh.SchedulePriority(5, 0, log("c"))
+			sh.SchedulePriority(5, 1, log("d"))
+		}
+		if tc.step {
+			for s.Step() {
+			}
+		} else {
+			s.Run()
+		}
+		if got := fmt.Sprint(order); got != tc.want {
+			t.Errorf("%s: order = %s, want %s", tc.name, got, tc.want)
+		}
+		if s.EventsFired() != 12 {
+			t.Errorf("%s: EventsFired = %d, want 12", tc.name, s.EventsFired())
+		}
 	}
 }
 
@@ -542,27 +564,38 @@ func driveWorkloadInto(s *Simulation, trace *[]string) {
 }
 
 // TestRandCreationInsideParallelWindowPanics: stream creation is a setup
-// operation; the first use of a new name inside a parallel window must
-// panic instead of racing on the stream map.
+// operation; with more than one worker the first use of a new name inside a
+// window must panic instead of racing on the stream map — whether or not
+// another shard happens to be busy in that window, which depends on the
+// traffic — while at one worker it is allowed.
 func TestRandCreationInsideParallelWindowPanics(t *testing.T) {
-	s := New(1)
-	s.EnsureShards(2)
-	s.SetLookahead(1)
-	s.SetWorkers(2)
-	panicked := make(chan any, 2)
-	for i := 0; i < 2; i++ {
-		i := i
-		s.Shard(i).Schedule(1, func() {
-			defer func() {
-				if r := recover(); r != nil {
-					panicked <- r
-				}
-			}()
-			s.Rand(fmt.Sprintf("late-%d", i))
-		})
-	}
-	s.Run()
-	if len(panicked) != 2 {
-		t.Fatalf("expected both in-window Rand creations to panic, got %d panics", len(panicked))
+	for _, tc := range []struct {
+		name          string
+		workers, busy int
+		wantPanics    int
+	}{
+		{"two busy shards on two workers", 2, 2, 2},
+		{"one busy shard on two workers", 2, 1, 1},
+		{"two busy shards on one worker", 1, 2, 0},
+	} {
+		s := New(1)
+		s.EnsureShards(2)
+		s.SetLookahead(1)
+		s.SetWorkers(tc.workers)
+		panicked := make(chan any, 2)
+		for i := 0; i < tc.busy; i++ {
+			s.Shard(i).Schedule(1, func() {
+				defer func() {
+					if r := recover(); r != nil {
+						panicked <- r
+					}
+				}()
+				s.Rand(fmt.Sprintf("late-%d", i))
+			})
+		}
+		s.Run()
+		if len(panicked) != tc.wantPanics {
+			t.Errorf("%s: %d in-window Rand creations panicked, want %d", tc.name, len(panicked), tc.wantPanics)
+		}
 	}
 }

@@ -16,9 +16,11 @@
 // default — New returns one shard, and the Simulation-level Schedule
 // methods target it) behaves exactly like the historical single-queue
 // kernel. Multi-shard simulations partition the workload by ownership — one
-// shard per job or tenant — and may execute shards concurrently inside
-// conservative lookahead windows (see RunUntil) while producing the same
-// event order, clocks and observable output at every shard count and
+// shard per job or tenant — and run in conservative lookahead windows (see
+// RunUntil). A window drains shard by shard, serially in shard-index order
+// or concurrently on workers (SetWorkers), and either way every shard fires
+// its own events in (time, priority, sequence) order, so event order per
+// shard, clocks and observable output are the same at every shard count and
 // worker count, provided the workload follows the shard ownership rules:
 //
 //   - Every piece of mutable state belongs to exactly one shard, and only
@@ -26,13 +28,14 @@
 //   - An event may Schedule freely onto its own shard; sends to another
 //     shard go through Post, which delays them by at least the configured
 //     lookahead and delivers them at window barriers.
-//   - Named random streams are created during setup (or sequential
-//     execution) and each stream is drawn from by a single shard.
+//   - Named random streams are created during setup and each stream is
+//     drawn from by a single shard.
 //
 // Cross-shard events that may collide on (time, priority) with events from
 // another shard should carry a priority that identifies the sender (e.g.
-// the tenant index): the merge order is then fully determined by
-// (time, priority) and cannot depend on how the workload was sharded.
+// the tenant index): every shard's firing order is then fully determined by
+// (time, priority) and cannot depend on how the workload was sharded. Step
+// is the one interface that fires events in the global order across shards.
 //
 // # Performance
 //
@@ -112,13 +115,12 @@ type Simulation struct {
 	// 1 (the default) keeps execution fully sequential.
 	workers int
 
-	// draining is the shard currently executing events on the sequential
-	// path (nil otherwise); parallelActive is true while worker goroutines
-	// drain a window. Both exist to catch shard-ownership violations:
-	// scheduling or canceling across shards mid-run panics instead of
-	// silently breaking shard-count invariance.
-	draining       *Shard
-	parallelActive bool
+	// firing is true while events execute — a RunUntil window or one Step —
+	// and is set and cleared on the coordinating goroutine, never by a worker.
+	// While it is set only a shard whose events are executing may be touched
+	// (Shard.own), so scheduling, canceling or posting across shards mid-run
+	// panics instead of silently breaking shard-count invariance.
+	firing bool
 }
 
 // New returns a single-shard simulation whose named random streams derive
@@ -249,10 +251,10 @@ func (s *Simulation) Run() {
 // [Tmin, Tmin+L) — where L is the configured lookahead — then cross-shard
 // posts are delivered and the next window starts. Because a Post sent at
 // time t arrives no earlier than t+L >= Tmin+L, shards cannot observe each
-// other inside a window, so the windows may execute shards concurrently
-// (SetWorkers) without changing any result. With the default L=+Inf the
-// whole run is one window, which reduces to the historical single-queue
-// semantics.
+// other inside a window, so a window drains one shard after another, or
+// several at once (SetWorkers), without changing any result. With the
+// default L=+Inf the whole run is one window, which on one shard is the
+// historical single-queue semantics.
 func (s *Simulation) RunUntil(limit Time) {
 	if s.running {
 		panic("sim: Run re-entered")
@@ -300,53 +302,31 @@ func (s *Simulation) peekMin() (*Shard, *heapEntry) {
 	return best, min
 }
 
-// drainWindow executes every shard's events inside the window.
-//
-// Sequentially (workers=1) the shards interleave in the global
-// lowest-(time, priority, sequence, shard) merge order — a multi-shard
-// simulation stepped serially behaves like one big event queue. With
-// workers > 1 each shard drains its window independently (possibly
-// concurrently): the per-shard event sequences are identical to the merged
-// order's, so any state observed through the shard-ownership rules — which
-// is all state, for a conforming workload — sees the exact same history.
+// drainWindow executes every shard's events inside the window, shard by
+// shard: on up to Simulation.workers goroutines when more than one shard has
+// work, otherwise serially in shard-index order. Shards cannot observe each
+// other inside a window — a Post lands at or past its end — so each shard
+// fires the same events in the same (time, priority, sequence) order either
+// way, and any state observed through the shard-ownership rules — which is
+// all state, for a conforming workload — sees the exact same history.
 func (s *Simulation) drainWindow(bound Time, inclusive bool) {
-	if len(s.shards) == 1 {
-		// Fast path: no merge scan per event, exactly the historical loop.
-		sh := s.main
-		s.draining = sh
-		sh.drain(bound, inclusive)
-		s.draining = nil
-		return
-	}
+	s.firing = true
+	busy := 0
 	if s.workers > 1 {
-		busy := 0
-		var lone *Shard
 		for _, sh := range s.shards {
 			if sh.eligible(bound, inclusive) {
 				busy++
-				lone = sh
 			}
 		}
-		if busy > 1 {
-			s.drainWindowParallel(bound, inclusive)
-			return
-		}
-		if busy == 1 {
-			s.draining = lone
-			lone.drain(bound, inclusive)
-			s.draining = nil
-		}
-		return
 	}
-	for {
-		min, e := s.peekMin()
-		if min == nil || e.at > bound || (e.at == bound && !inclusive) {
-			return
+	if busy > 1 {
+		s.drainWindowParallel(bound, inclusive)
+	} else {
+		for _, sh := range s.shards {
+			sh.drain(bound, inclusive)
 		}
-		s.draining = min
-		min.drainOne()
-		s.draining = nil
 	}
+	s.firing = false
 }
 
 // flushPosts delivers every shard's outbox to the target shards, in
@@ -371,23 +351,27 @@ func (s *Simulation) flushPosts() {
 }
 
 // Step executes exactly one pending (non-canceled) event — the globally
-// earliest across all shards — and reports whether one was executed. Step
-// is a sequential debugging/test interface; it delivers pending posts
-// before picking the event.
+// earliest across all shards by (time, priority, sequence, shard index) —
+// and reports whether one was executed. Step is the kernel's one
+// global-order interface, for debugging and tests (RunUntil drains whole
+// windows shard by shard); it delivers pending posts before picking the
+// event.
 func (s *Simulation) Step() bool {
 	s.flushPosts()
-	for {
-		min, _ := s.peekMin()
-		if min == nil {
-			return false
+	s.firing = true
+	fired := false
+	for !fired {
+		sh, _ := s.peekMin()
+		if sh == nil {
+			break
 		}
-		s.draining = min
-		fired := min.drainOne()
-		s.draining = nil
-		if fired {
-			return true
-		}
+		_, l := sh.top()
+		sh.executing = true
+		fired = sh.popFire(l)
+		sh.executing = false
 	}
+	s.firing = false
+	return fired
 }
 
 // Rand returns the named deterministic random stream, creating it on first
@@ -395,16 +379,16 @@ func (s *Simulation) Step() bool {
 // produce the same sequence, independent of other streams, so adding a new
 // consumer of randomness does not perturb existing experiments.
 //
-// Streams must be created during setup or sequential execution; the first
-// use of a new name inside a parallel window panics (the stream map is
-// shared across shards and only safe to read concurrently). A stream
-// should be drawn from by a single shard.
+// Streams must be created during setup; with more than one worker, the
+// first use of a new name while events fire panics, whichever shards are
+// busy (the stream map is shared across shards and only safe to read
+// concurrently). A stream should be drawn from by a single shard.
 func (s *Simulation) Rand(name string) *Rand {
 	if r, ok := s.rng[name]; ok {
 		return r
 	}
-	if s.parallelActive {
-		panic(fmt.Sprintf("sim: Rand(%q) would create a stream inside a parallel window; create streams during setup", name))
+	if s.firing && s.workers > 1 {
+		panic(fmt.Sprintf("sim: Rand(%q) would create a stream while events fire on %d workers; create streams during setup", name, s.workers))
 	}
 	r := NewRand(s.seed ^ hashString(name))
 	s.rng[name] = r
