@@ -95,9 +95,10 @@ reach:
 # arbitrary finite series against refFitter, the solver before its kernels
 # moved into locals), the trace-file parser (against a strings.Split +
 # strconv reference, read whole and one byte at a time), fault schedules
-# (arbitrary event lists: New refuses them with a fault: error, or every query
-# stays in range, every instant is walked once and every compiled event
-# fires) and cescalint's two parsers (policy lines, //cescalint: directives). New inputs stay in the
+# (arbitrary event lists over all six kinds and unknown ones: New refuses
+# them with a fault: error, or every query stays in range, every instant is
+# walked once and every compiled event fires, crash windows compiling to
+# none) and cescalint's two parsers (policy lines, //cescalint: directives). New inputs stay in the
 # build cache; a failing one is written to the package's testdata/fuzz/ and
 # from then on runs with `go test`. The kernel's seed
 # programs are kilobytes long, and the engine's default minute of minimizing

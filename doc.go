@@ -6,6 +6,5 @@
 //
 // The public API lives in repro/cescaling; the per-subsystem implementation
 // is under internal/ (see DESIGN.md for the inventory); every table and
-// figure of the paper's evaluation regenerates via cmd/cebench or the
-// benchmarks in bench_test.go.
+// figure of the paper's evaluation regenerates via cmd/cebench.
 package repro

@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/fault"
 	"repro/internal/planner"
 	"repro/internal/sha"
 	"repro/internal/storage"
@@ -306,15 +308,18 @@ func ablFaults(seed uint64, cfg Config) (*Table, error) {
 	}
 	rows, err := cells(cfg, len(combos), func(i int) ([]string, error) {
 		c := combos[i]
-		r := trainer.NewRunner(seed + 53)
-		r.Noise.FailureRate = c.rate
-		res, err := r.Run(trainer.Config{
+		var faults *fault.Schedule
+		if c.rate > 0 {
+			faults = fault.MustNew(fault.CrashWindow(0, math.MaxFloat64, c.rate))
+		}
+		res, err := trainer.NewRunner(seed + 53).Run(trainer.Config{
 			Workload:          w,
 			Engine:            w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
 			Alloc:             alloc,
 			TargetLoss:        w.TargetLoss,
 			MaxEpochs:         400,
 			DisableCheckpoint: !c.checkpoint,
+			Faults:            faults,
 		})
 		if err != nil {
 			return nil, err

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section over the simulated substrate. Each experiment is a
 // named function producing a Table whose rows mirror the series the paper
-// reports; cmd/cebench prints them and the root bench_test.go exposes one
-// benchmark per artifact.
+// reports; cmd/cebench prints them.
 //
 // Scaling note: the paper tunes 16384 trials over 14 stages on AWS. The
 // trial populations here are scaled (256-512 trials) so that an experiment

@@ -5,7 +5,9 @@ import "repro/internal/sim"
 // Ops is the set of platform mutators a compiled schedule drives. Nil
 // members skip their event kinds. Window hooks are called with the window's
 // factor (and rate) at From and with the neutral value (factor 1, rate 0)
-// at To, so a hook only ever observes the currently active window.
+// at To, so a hook only ever observes the currently active window. A Crash
+// window compiles to nothing: its rate is a probability per epoch attempt,
+// and open-loop tenants have no epochs (the trainer queries CrashRate).
 type Ops struct {
 	// Kill terminates n in-flight sandboxes (faas.Platform.KillSandboxes).
 	Kill func(n int)
@@ -28,7 +30,7 @@ type Ops struct {
 // order stays independent of the shard layout. Returns the number of kernel
 // events scheduled.
 func Compile(s *Schedule, sh *sim.Shard, priority int, ops Ops) int {
-	if !s.Active() {
+	if s == nil {
 		return 0
 	}
 	n := 0

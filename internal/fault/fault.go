@@ -1,10 +1,12 @@
 // Package fault is the deterministic fault-schedule subsystem: faults are
 // explicit event lists — sandbox kills and warm-pool spot reclaims at fixed
-// instants, straggler-slowdown / storage-brownout / cold-start-spike windows
-// over fixed intervals — validated once and then queried or compiled onto
-// the DES kernel. Nothing in a schedule draws randomness at query time, so
-// the same schedule against the same seed reproduces the same run byte for
-// byte at every shard and worker count (the macro-chaos acceptance matrix).
+// instants, straggler-slowdown / storage-brownout / cold-start-spike / crash
+// windows over fixed intervals — validated once and then queried or compiled
+// onto the DES kernel. Nothing in this package draws randomness, so the same
+// schedule against the same seed reproduces the same run byte for byte at
+// every shard and worker count (the macro-chaos acceptance matrix). A Crash
+// window only states a probability; the trainer draws against it from its
+// own seeded stream.
 //
 // A schedule stresses three different guarantees of the reproduction:
 //
@@ -16,7 +18,9 @@
 //     shows up in the decision log as ordinary path= entries;
 //   - Brownout error rates drive the trainer's bounded retry/backoff policy
 //     into graceful degradation (checkpoint-less mode with a Degraded flag)
-//     instead of a panic.
+//     instead of a panic;
+//   - Crash windows are the trainer's synthetic failure rate: each epoch
+//     attempt inside one crashes with the window's per-function probability.
 package fault
 
 import (
@@ -44,6 +48,9 @@ const (
 	// ColdSpike multiplies cold-start latency by Factor over [From, To)
 	// (platform incident windows).
 	ColdSpike
+	// Crash makes each function crash in an epoch attempt with probability
+	// ErrorRate over [From, To) (timeouts, OOMs, platform preemptions).
+	Crash
 )
 
 func (k Kind) String() string {
@@ -58,6 +65,8 @@ func (k Kind) String() string {
 		return "brownout"
 	case ColdSpike:
 		return "cold-spike"
+	case Crash:
+		return "crash"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -68,7 +77,7 @@ func (k Kind) String() string {
 func (k Kind) instant() bool { return k == KillSandbox || k == ReclaimWarm }
 
 // Event is one fault. Instant kinds use At and Count; window kinds use
-// [From, To) with Factor (and, for Brownout, ErrorRate).
+// [From, To) with Factor (Brownout also ErrorRate; Crash only ErrorRate).
 type Event struct {
 	Kind Kind
 
@@ -76,8 +85,8 @@ type Event struct {
 	Count int     // instant kinds: how many sandboxes
 
 	From, To  float64 // window kinds: half-open active interval
-	Factor    float64 // window kinds: latency/compute multiplier (>= 1)
-	ErrorRate float64 // Brownout: deterministic failed-op fraction in [0, 1]
+	Factor    float64 // window kinds but Crash: latency/compute multiplier (>= 1)
+	ErrorRate float64 // Brownout: failed-op fraction; Crash: per-function crash probability
 }
 
 // start returns the time the event takes effect, the sort key of a schedule.
@@ -110,6 +119,12 @@ func ColdSpikeWindow(from, to, factor float64) Event {
 	return Event{Kind: ColdSpike, From: from, To: to, Factor: factor}
 }
 
+// CrashWindow returns a window in which each function crashes in an epoch
+// attempt with probability rate.
+func CrashWindow(from, to, rate float64) Event {
+	return Event{Kind: Crash, From: from, To: to, ErrorRate: rate}
+}
+
 // Schedule is a validated, time-sorted fault event list. The zero value and
 // nil are both valid empty schedules; every query is nil-safe, so a
 // *Schedule can thread through configuration untouched.
@@ -118,9 +133,9 @@ type Schedule struct {
 }
 
 // New validates events and returns them as a schedule sorted by effect
-// time. Every kind must be one of the five above: no query or Compile acts
-// on any other, yet it would make the schedule Active and so switch off the
-// trainer's synthetic failures. Every time, factor and rate must be finite:
+// time. Every kind must be one of the six above: no query or Compile acts
+// on any other, so an unknown kind would be silently inert. Every time,
+// factor and rate must be finite:
 // a NaN passes every range check below and would reach the kernel or the
 // trainer's clock as is. Windows of the same kind must not overlap: each
 // query then has at most one active window per kind, so the compiled
@@ -129,7 +144,7 @@ func New(events ...Event) (*Schedule, error) {
 	evs := make([]Event, len(events))
 	copy(evs, events)
 	for i, e := range evs {
-		if e.Kind > ColdSpike {
+		if e.Kind > Crash {
 			return nil, fmt.Errorf("fault: %s event %d: unknown kind", e.Kind, i)
 		}
 		for _, f := range [...]struct {
@@ -152,14 +167,18 @@ func New(events ...Event) (*Schedule, error) {
 		if !(e.From >= 0 && e.To > e.From) {
 			return nil, fmt.Errorf("fault: %s event %d: window [%g, %g) invalid", e.Kind, i, e.From, e.To)
 		}
-		if e.Factor < 1 {
+		if e.Kind == Crash && e.Factor != 0 {
+			return nil, fmt.Errorf("fault: crash event %d: Factor %g, want 0 (a crash window has no factor)", i, e.Factor)
+		}
+		if e.Kind != Crash && e.Factor < 1 {
 			return nil, fmt.Errorf("fault: %s event %d: Factor %g, want >= 1", e.Kind, i, e.Factor)
 		}
-		if e.Kind == Brownout && (e.ErrorRate < 0 || e.ErrorRate > 1) {
-			return nil, fmt.Errorf("fault: brownout event %d: ErrorRate %g, want in [0, 1]", i, e.ErrorRate)
+		rated := e.Kind == Brownout || e.Kind == Crash
+		if rated && (e.ErrorRate < 0 || e.ErrorRate > 1) {
+			return nil, fmt.Errorf("fault: %s event %d: ErrorRate %g, want in [0, 1]", e.Kind, i, e.ErrorRate)
 		}
-		if e.Kind != Brownout && e.ErrorRate != 0 {
-			return nil, fmt.Errorf("fault: %s event %d: ErrorRate is brownout-only", e.Kind, i)
+		if !rated && e.ErrorRate != 0 {
+			return nil, fmt.Errorf("fault: %s event %d: ErrorRate is brownout- and crash-only", e.Kind, i)
 		}
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].start() < evs[j].start() })
@@ -187,55 +206,43 @@ func MustNew(events ...Event) *Schedule {
 	return s
 }
 
-// Active reports whether the schedule holds any events. The trainer swaps
-// its synthetic dice-roll failure model for the schedule only when Active:
-// attaching an empty schedule leaves every result bit-identical.
-func (s *Schedule) Active() bool { return s != nil && len(s.events) > 0 }
-
-// factorAt scans for the kind's window covering t. Schedules are sorted by
-// start time, so the scan stops at the first window opening after t; with
-// non-overlapping same-kind windows at most one can match. The per-epoch
-// decision path queries this several times per epoch, so it must stay
-// allocation-free.
-func (s *Schedule) factorAt(kind Kind, t float64) float64 {
-	if s == nil {
-		return 1
-	}
-	for _, e := range s.events {
-		if e.start() > t {
-			break
+// window returns the kind's window covering t, or the neutral event —
+// KillSandbox's zero value with Factor 1, so no window kind and rate 0 —
+// when none does. Schedules are sorted by start time, so the scan stops at
+// the first event taking effect after t; with non-overlapping same-kind
+// windows at most one can match. The per-epoch decision path queries this
+// several times per epoch, so it must stay allocation-free.
+func (s *Schedule) window(kind Kind, t float64) Event {
+	if s != nil {
+		for _, e := range s.events {
+			if e.start() > t {
+				break
+			}
+			if e.Kind == kind && t < e.To {
+				return e
+			}
 		}
-		if e.Kind != kind || t >= e.To {
-			continue
-		}
-		return e.Factor
 	}
-	return 1
+	return Event{Factor: 1}
 }
 
 // StragglerFactor returns the compute-time multiplier active at t (1 when
 // no straggler window covers t).
-func (s *Schedule) StragglerFactor(t float64) float64 { return s.factorAt(Straggler, t) }
+func (s *Schedule) StragglerFactor(t float64) float64 { return s.window(Straggler, t).Factor }
 
 // ColdSpikeFactor returns the cold-start multiplier active at t.
-func (s *Schedule) ColdSpikeFactor(t float64) float64 { return s.factorAt(ColdSpike, t) }
+func (s *Schedule) ColdSpikeFactor(t float64) float64 { return s.window(ColdSpike, t).Factor }
 
 // BrownoutAt returns the storage state at t: the latency multiplier, the
 // deterministic error rate, and whether a brownout window covers t.
 func (s *Schedule) BrownoutAt(t float64) (latFactor, errRate float64, active bool) {
-	if s == nil {
-		return 1, 0, false
-	}
-	for _, e := range s.events {
-		if e.From > t {
-			break
-		}
-		if e.Kind == Brownout && t < e.To {
-			return e.Factor, e.ErrorRate, true
-		}
-	}
-	return 1, 0, false
+	e := s.window(Brownout, t)
+	return e.Factor, e.ErrorRate, e.Kind == Brownout
 }
+
+// CrashRate returns the per-function crash probability of an epoch attempt
+// starting at t (0 when no crash window covers t).
+func (s *Schedule) CrashRate(t float64) float64 { return s.window(Crash, t).ErrorRate }
 
 // NextInstant returns the first instant event (kill or reclaim) after index
 // cursor that takes effect strictly before `before`, along with its index.
@@ -284,9 +291,10 @@ func (g *Gate) Fail(rate float64) bool {
 	return false
 }
 
-// RetryPolicy bounds how the trainer responds to injected storage errors: at
-// most MaxAttempts tries per operation with exponential backoff between them. Exhausting the attempts is not an error — callers
-// degrade gracefully (checkpoint-less mode with a Degraded flag).
+// RetryPolicy bounds how the trainer responds to injected storage errors:
+// at most MaxAttempts tries per operation, with exponential backoff between
+// them. Exhausting the attempts is not an error — callers degrade gracefully
+// (checkpoint-less mode with a Degraded flag).
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per operation (>= 1).
 	MaxAttempts int
@@ -301,14 +309,6 @@ type RetryPolicy struct {
 // attempts, 0.25 s initial backoff, 4 s cap.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseBackoff: 0.25, MaxBackoff: 4}
-}
-
-// OrDefault returns the policy, or DefaultRetryPolicy for the zero value.
-func (p RetryPolicy) OrDefault() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		return DefaultRetryPolicy()
-	}
-	return p
 }
 
 // Backoff returns the wait after failed attempt number `attempt` (0-based):

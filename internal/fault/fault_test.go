@@ -16,9 +16,13 @@ func TestNewValidatesEvents(t *testing.T) {
 		StragglerWindow(0, 10, 0.5),    // speedup factor
 		BrownoutWindow(0, 10, 2, 1.5),  // rate > 1
 		BrownoutWindow(0, 10, 2, -0.1), // rate < 0
-		{Kind: Straggler, From: 0, To: 5, Factor: 2, ErrorRate: 0.5}, // rate on non-brownout
-		{Kind: ColdSpike + 1, From: 0, To: 1, Factor: 2},             // unknown kind
-		{Kind: 9, At: 1, Count: 1},                                   // unknown kind
+		{Kind: Straggler, From: 0, To: 5, Factor: 2, ErrorRate: 0.5}, // rate on a rateless kind
+		CrashWindow(0, 10, 1.5),                                   // rate > 1
+		CrashWindow(0, 10, -0.1),                                  // rate < 0
+		CrashWindow(0, 10, math.NaN()),                            // NaN rate
+		{Kind: Crash, From: 0, To: 10, Factor: 2, ErrorRate: 0.1}, // factor on a crash window
+		{Kind: Crash + 1, From: 0, To: 1, Factor: 2},              // unknown kind
+		{Kind: 9, At: 1, Count: 1},                                // unknown kind
 	}
 	for i, e := range bad {
 		if _, err := New(e); err == nil {
@@ -31,6 +35,9 @@ func TestNewValidatesEvents(t *testing.T) {
 	}
 	if _, err := New(StragglerWindow(0, 10, 2), StragglerWindow(5, 15, 3)); err == nil {
 		t.Error("overlapping same-kind windows accepted")
+	}
+	if _, err := New(CrashWindow(0, 10, 0.1), CrashWindow(5, 15, 0.2)); err == nil {
+		t.Error("overlapping crash windows accepted")
 	}
 	if _, err := New(StragglerWindow(0, 10, 2), BrownoutWindow(5, 15, 2, 0.1)); err != nil {
 		t.Errorf("overlapping windows of distinct kinds rejected: %v", err)
@@ -69,14 +76,14 @@ func TestNewRejectsNonFiniteFields(t *testing.T) {
 
 func TestNilAndEmptySchedulesAreInert(t *testing.T) {
 	for name, s := range map[string]*Schedule{"nil": nil, "empty": MustNew()} {
-		if s.Active() {
-			t.Errorf("%s schedule Active", name)
-		}
 		if f := s.StragglerFactor(5); f != 1 {
 			t.Errorf("%s StragglerFactor = %g", name, f)
 		}
 		if lat, rate, on := s.BrownoutAt(5); lat != 1 || rate != 0 || on {
 			t.Errorf("%s BrownoutAt = %g %g %v", name, lat, rate, on)
+		}
+		if p := s.CrashRate(5); p != 0 {
+			t.Errorf("%s CrashRate = %g", name, p)
 		}
 		if _, _, ok := s.NextInstant(-1, math.Inf(1)); ok {
 			t.Errorf("%s NextInstant found an event", name)
@@ -89,6 +96,7 @@ func TestWindowQueries(t *testing.T) {
 		StragglerWindow(100, 200, 3),
 		ColdSpikeWindow(50, 150, 4),
 		BrownoutWindow(120, 180, 2.5, 0.25),
+		CrashWindow(150, 250, 0.125),
 	)
 	if f := s.StragglerFactor(99.9); f != 1 {
 		t.Errorf("before window: %g", f)
@@ -107,6 +115,11 @@ func TestWindowQueries(t *testing.T) {
 	}
 	if lat, _, on := s.BrownoutAt(180); lat != 1 || on {
 		t.Errorf("BrownoutAt(180) = %g %v", lat, on)
+	}
+	for at, want := range map[float64]float64{149: 0, 150: 0.125, 249: 0.125, 250: 0} {
+		if p := s.CrashRate(at); p != want {
+			t.Errorf("CrashRate(%g) = %g, want %g", at, p, want)
+		}
 	}
 }
 
@@ -178,6 +191,7 @@ func TestScheduleQueriesZeroAlloc(t *testing.T) {
 		StragglerWindow(100, 200, 3),
 		ColdSpikeWindow(50, 150, 4),
 		BrownoutWindow(120, 180, 2.5, 0.25),
+		CrashWindow(200, 300, 0.5),
 		KillAt(150, 2),
 	)
 	var g Gate
@@ -185,7 +199,7 @@ func TestScheduleQueriesZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		for now := 0.0; now < 400; now += 25 {
 			lat, rate, _ := s.BrownoutAt(now)
-			sink += s.StragglerFactor(now) + s.ColdSpikeFactor(now) + lat
+			sink += s.StragglerFactor(now) + s.ColdSpikeFactor(now) + s.CrashRate(now) + lat
 			if g.Fail(rate) {
 				sink++
 			}
@@ -211,13 +225,6 @@ func TestRetryPolicyBackoff(t *testing.T) {
 			t.Errorf("Backoff(%d) = %g, want %g", i, got, w)
 		}
 	}
-	var zero RetryPolicy
-	if zero.OrDefault() != DefaultRetryPolicy() {
-		t.Error("zero policy does not default")
-	}
-	if p.OrDefault() != p {
-		t.Error("explicit policy overridden by default")
-	}
 }
 
 func TestCompileDrivesOpsInOrder(t *testing.T) {
@@ -228,6 +235,7 @@ func TestCompileDrivesOpsInOrder(t *testing.T) {
 		StragglerWindow(20, 60, 2),
 		BrownoutWindow(30, 40, 3, 0.5),
 		ColdSpikeWindow(45, 55, 4),
+		CrashWindow(0, 100, 0.5),
 	)
 	var log []string
 	n := Compile(sch, s.Main(), 7, Ops{

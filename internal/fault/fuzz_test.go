@@ -21,8 +21,8 @@ func fuzzValue(b byte) float64 {
 	return fuzzSpecial[int(b)-(256-len(fuzzSpecial))]
 }
 
-// fuzzEvents decodes data seven bytes to an event: kind (mod 6, so one kind in
-// six is unknown), At, Count (signed), From, To, Factor, and ErrorRate — 0 for
+// fuzzEvents decodes data seven bytes to an event: kind (mod 7, so one kind
+// in seven is unknown), At, Count (signed), From, To, Factor, and ErrorRate — 0 for
 // a byte below 128, else (b-128)/100, which runs past 1.
 func fuzzEvents(data []byte) []Event {
 	var evs []Event
@@ -32,7 +32,7 @@ func fuzzEvents(data []byte) []Event {
 			rate = float64(data[6]-128) / 100
 		}
 		evs = append(evs, Event{
-			Kind: Kind(data[0] % 6), At: fuzzValue(data[1]), Count: int(int8(data[2])),
+			Kind: Kind(data[0] % 7), At: fuzzValue(data[1]), Count: int(int8(data[2])),
 			From: fuzzValue(data[3]), To: fuzzValue(data[4]), Factor: fuzzValue(data[5]), ErrorRate: rate,
 		})
 	}
@@ -42,9 +42,10 @@ func fuzzEvents(data []byte) []Event {
 // FuzzFaultSchedule: New either refuses an event list with a "fault:" error,
 // or returns a schedule whose every query is panic-free and in range, whose
 // instants NextInstant walks each exactly once in time order, and whose
-// compiled kernel events — one per instant, two per window — all fire. The
-// seed corpus under testdata/fuzz holds a valid mix of all five kinds, an
-// unknown kind, overlapping windows and a NaN field.
+// compiled kernel events — one per instant, two per window but none per
+// crash window — all fire. The seed corpus under testdata/fuzz holds a valid
+// mix of five kinds, a crash window, an unknown kind, overlapping windows
+// and a NaN field.
 func FuzzFaultSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs := fuzzEvents(data)
@@ -55,17 +56,17 @@ func FuzzFaultSchedule(f *testing.F) {
 			}
 			return
 		}
-		if s.Active() != (len(evs) > 0) {
-			t.Fatalf("Active = %v with %d events", s.Active(), len(evs))
-		}
 		probes := []float64{-1, 0, math.Inf(1)}
-		instants := map[Event]int{}
+		instants, crashes := map[Event]int{}, 0
 		for _, e := range evs {
 			for _, x := range []float64{e.At, e.From, e.To} {
 				probes = append(probes, x, math.Nextafter(x, math.Inf(-1)))
 			}
 			if e.Kind.instant() {
 				instants[e]++
+			}
+			if e.Kind == Crash {
+				crashes++
 			}
 		}
 		for _, at := range probes {
@@ -77,6 +78,9 @@ func FuzzFaultSchedule(f *testing.F) {
 			}
 			if _, rate, _ := s.BrownoutAt(at); !(rate >= 0 && rate <= 1) {
 				t.Fatalf("BrownoutAt(%g) rate = %g, want in [0, 1]", at, rate)
+			}
+			if p := s.CrashRate(at); !(p >= 0 && p <= 1) {
+				t.Fatalf("CrashRate(%g) = %g, want in [0, 1]", at, p)
 			}
 		}
 		last, walked := math.Inf(-1), 0
@@ -111,9 +115,11 @@ func FuzzFaultSchedule(f *testing.F) {
 			t.Fatalf("Compile returned %d, the ops saw %d calls and the kernel fired %d events", n, calls, k.EventsFired())
 		}
 		// With every op set, each instant compiles to one kernel event and each
-		// window to two: an accepted event that nothing acts on shows here.
-		if want := 2*len(evs) - walked; n != want {
-			t.Fatalf("Compile scheduled %d events for %d events, %d of them instants; want %d", n, len(evs), walked, want)
+		// window but a crash window to two: an accepted event that nothing
+		// acts on shows here.
+		if want := 2*(len(evs)-crashes) - walked; n != want {
+			t.Fatalf("Compile scheduled %d events for %d events, %d of them instants and %d crash windows; want %d",
+				n, len(evs), walked, crashes, want)
 		}
 	})
 }

@@ -11,18 +11,56 @@ import (
 	"repro/internal/workload"
 )
 
+// crashes returns a schedule whose one crash window covers the whole run at
+// the given per-function rate, or nil at rate 0 (as abl-faults builds it).
+func crashes(rate float64) *fault.Schedule {
+	if rate == 0 {
+		return nil
+	}
+	return fault.MustNew(fault.CrashWindow(0, math.MaxFloat64, rate))
+}
+
 func failureJob(rate float64, noCheckpoint bool, seed uint64) (*Result, error) {
 	w := workload.MobileNet()
-	r := NewRunner(seed)
-	r.Noise.FailureRate = rate
-	return r.Run(Config{
+	return NewRunner(seed).Run(Config{
 		Workload:          w,
 		Engine:            w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
 		Alloc:             cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		TargetLoss:        w.TargetLoss,
 		MaxEpochs:         400,
 		DisableCheckpoint: noCheckpoint,
+		Faults:            crashes(rate),
 	})
+}
+
+// TestCrashWindowReproducesPinnedDraws: the crash window replays, bit for
+// bit, what the trainer's former Noise.FailureRate draws produced for the
+// same rates, seed and checkpoint settings — the same trainer.failure
+// stream, consumed in the same order.
+func TestCrashWindowReproducesPinnedDraws(t *testing.T) {
+	for _, want := range []struct {
+		rate                           float64
+		noCheckpoint                   bool
+		failures, epochs, capped       int
+		jctBits, failureBits, costBits uint64
+	}{
+		{0.005, false, 2, 31, 0, 0x40de7e34217b11a6, 0x408a3a2f45ffc802, 0x40223ca8cc917a26},
+		{0.005, true, 2, 44, 0, 0x40e5867f5170c875, 0x408a3a2f45ffc802, 0x4029c04d81f0d277},
+		{0.02, false, 9, 31, 0, 0x40e0d7384331c65d, 0x40b008377c61e54b, 0x40241b8c4bda77dc},
+		{0.02, true, 71, 400, 0, 0x411a05c0cb1e625d, 0x40e0d0b694e49f3a, 0x405f18f3c75b0d0d},
+	} {
+		res, err := failureJob(want.rate, want.noCheckpoint, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failures != want.failures || res.Epochs != want.epochs || res.FailureCapped != want.capped ||
+			math.Float64bits(res.JCT) != want.jctBits || math.Float64bits(res.FailureTime) != want.failureBits ||
+			math.Float64bits(res.TotalCost) != want.costBits {
+			t.Errorf("rate %g, no checkpoint %v: failures %d epochs %d capped %d JCT %#x failure time %#x cost %#x; want %+v",
+				want.rate, want.noCheckpoint, res.Failures, res.Epochs, res.FailureCapped,
+				math.Float64bits(res.JCT), math.Float64bits(res.FailureTime), math.Float64bits(res.TotalCost), want)
+		}
+	}
 }
 
 func TestNoFailuresWithoutInjection(t *testing.T) {
@@ -98,19 +136,18 @@ func TestCheckpointingBeatsNoCheckpointUnderFailures(t *testing.T) {
 }
 
 // TestFailureCapIsSurfaced: at a failure rate near 1 every epoch's retry
-// loop hits the attempt cap, and the synthetic model proceeds as if the
+// loop hits the attempt cap, and the crash-window draws proceed as if the
 // epoch succeeded. That truncation must be surfaced in the Result (and as a
 // trainer.failure_cap stat), not silently dropped — before the fix
 // FailureCapped stayed 0 while the job quietly under-reported its failures.
 func TestFailureCapIsSurfaced(t *testing.T) {
 	w := workload.MobileNet()
-	r := NewRunner(11)
-	r.Noise.FailureRate = 0.999
-	res, err := r.Run(Config{
+	res, err := NewRunner(11).Run(Config{
 		Workload:  w,
 		Engine:    w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 11),
 		Alloc:     cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		MaxEpochs: 3,
+		Faults:    crashes(0.999),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,13 +231,13 @@ func meterComputeCost(t *testing.T, rate float64, seed uint64) float64 {
 	t.Helper()
 	w := workload.MobileNet()
 	r := NewRunner(seed)
-	r.Noise.FailureRate = rate
 	if _, err := r.Run(Config{
 		Workload:   w,
 		Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
 		Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		TargetLoss: w.TargetLoss,
 		MaxEpochs:  400,
+		Faults:     crashes(rate),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -237,24 +274,23 @@ func (brokenRestore) Restore([]float64) error { return errSnapshotRejected }
 
 // TestFailedInitialRestoreIsAnError: without a checkpoint a crash throws
 // the job back to its initial state, and when that restore fails the run
-// returns the error — after a synthetic draw (which used to panic) exactly
-// as after a scheduled kill.
+// returns the error — after a crash-window draw (which used to panic)
+// exactly as after a scheduled kill.
 func TestFailedInitialRestoreIsAnError(t *testing.T) {
-	for name, inject := range map[string]func(*Runner, *Config){
-		"synthetic draw": func(r *Runner, _ *Config) { r.Noise.FailureRate = 0.5 },
-		"scheduled kill": func(_ *Runner, c *Config) { c.Faults = fault.MustNew(fault.KillAt(0, 2)) },
+	for name, faults := range map[string]*fault.Schedule{
+		"crash window":   crashes(0.5),
+		"scheduled kill": fault.MustNew(fault.KillAt(0, 2)),
 	} {
 		w := workload.MobileNet()
-		r := NewRunner(3)
 		cfg := Config{
 			Workload:          w,
 			Engine:            brokenRestore{w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 3)},
 			Alloc:             cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 			MaxEpochs:         5,
 			DisableCheckpoint: true,
+			Faults:            faults,
 		}
-		inject(r, &cfg)
-		if _, err := r.Run(cfg); !errors.Is(err, errSnapshotRejected) {
+		if _, err := NewRunner(3).Run(cfg); !errors.Is(err, errSnapshotRejected) {
 			t.Errorf("%s: Run error = %v, want the failed restore", name, err)
 		}
 	}

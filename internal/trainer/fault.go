@@ -2,33 +2,35 @@ package trainer
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
-// Scheduled fault reaction: when Config.Faults is active, the deterministic
-// schedule decides when crashes happen instead of the synthetic model's
-// seeded draws. Kills and warm reclaims mutate the real platform; brownouts
-// exercise the bounded retry policy around checkpoint storage; straggler and
-// brownout windows inflate the epoch components in runEpoch. Both sources
-// account a crash through the one crash routine, so their results are
-// directly comparable.
+// Scheduled fault reaction: Config.Faults decides every fault a job sees.
+// Kills and warm reclaims mutate the real platform; crash windows set the
+// rate of seeded per-attempt crash draws; brownouts exercise the bounded
+// retry policy around checkpoint storage; straggler and brownout windows
+// inflate the epoch components in runEpoch. Kills and drawn crashes are
+// accounted through the one crash routine, so their results are directly
+// comparable.
 
 // scheduledFaults processes every instantaneous fault event the schedule
-// places before the end of the current epoch attempt. A warm reclaim is a
-// pure platform mutation (the job itself is untouched). A sandbox kill
-// aborts the BSP epoch exactly like a synthetic crash: the group loses the
-// attempt fraction that ran before the kill, the killed sandboxes
-// re-invoke at real (possibly cold-spiked) start latency and re-pull the
-// checkpoint through possibly browned-out storage, and the epoch retries.
+// places before the end of the current epoch attempt, then draws the crash
+// window's failures. A warm reclaim is a pure platform mutation (the job
+// itself is untouched). A sandbox kill aborts the BSP epoch like a drawn
+// crash: the group loses the attempt fraction that ran before the kill, the
+// killed sandboxes re-invoke at real (possibly cold-spiked) start latency
+// and re-pull the checkpoint through possibly browned-out storage, and the
+// epoch retries.
 func (r *Runner) scheduledFaults(st *state, epoch int, epochT float64) error {
 	sched := st.cfg.Faults
 	for {
 		ev, idx, ok := sched.NextInstant(st.faultCursor, st.clock+epochT)
 		if !ok {
-			return nil
+			break
 		}
 		st.faultCursor = idx
 		switch ev.Kind {
@@ -44,6 +46,36 @@ func (r *Runner) scheduledFaults(st *state, epoch int, epochT float64) error {
 			}
 		}
 	}
+	// Inside a crash window each of the n functions crashes in an attempt
+	// with probability p; every crash wastes a uniform fraction of the
+	// attempt and restarts one sandbox at its estimated cold start.
+	a := st.alloc
+	p := sched.CrashRate(st.clock)
+	if p == 0 || a.N == 0 {
+		return nil
+	}
+	w := st.cfg.Workload
+	svc := r.Service(a.Storage)
+	rng := r.Backend.Rand("trainer.failure")
+	groupP := 1 - math.Pow(1-p, float64(a.N))
+	attempt := 0
+	for ; attempt < failureAttemptCap && rng.Float64() < groupP; attempt++ {
+		wasted := rng.Float64() * epochT
+		recover := r.Compute().ColdStartEstimate(a.MemMB) +
+			svc.TransferTime(a.N, w.ParamsMB)
+		if err := r.crash(st, epoch, 1, wasted, recover, 0, "failure"); err != nil {
+			return err
+		}
+	}
+	if attempt == failureAttemptCap {
+		// The draws gave up retrying and let the epoch proceed as a
+		// success. Surface the truncation instead of dropping it.
+		st.res.FailureCapped++
+		if r.obs.Enabled() {
+			r.obs.Stats().Inc("trainer.failure_cap")
+		}
+	}
+	return nil
 }
 
 // killDuringEpoch handles one scheduled sandbox kill mid-epoch.
@@ -78,22 +110,19 @@ func (r *Runner) killDuringEpoch(st *state, epoch int, epochT float64, ev fault.
 		return fmt.Errorf("trainer: re-invoking %d killed sandboxes: %w", k, err)
 	}
 	// The checkpoint re-pull crosses storage that may be browned out.
-	lat := 1.0
-	if l, _, on := sched.BrownoutAt(ev.At); on {
-		lat = l
-	}
+	lat, _, _ := sched.BrownoutAt(ev.At)
 	recover := g.StartDelay + r.Service(a.Storage).TransferTime(a.N, w.ParamsMB)*lat
 	return r.crash(st, epoch, k, wasted, recover, float64(k)*r.Prices.FunctionInvoke, "fault_kill")
 }
 
-// crash accounts one aborted BSP epoch attempt, whichever source decided it
-// happens: the group loses wasted seconds of the attempt, killed sandboxes
-// restart and take recover seconds to re-pull the checkpoint, and the epoch
-// retries. Both spans land on the job clock as failure overhead and on the
-// platform's meter — the whole group is billed for the wasted attempt, the
-// replacements for their recovery run plus invokeFee. instant names the
-// trace event: "failure" for the synthetic model's draws, "fault_kill" for
-// a scheduled kill, which also reports how many sandboxes died.
+// crash accounts one aborted BSP epoch attempt, whether a kill or a draw
+// decided it happens: the group loses wasted seconds of the attempt, killed
+// sandboxes restart and take recover seconds to re-pull the checkpoint, and
+// the epoch retries. Both spans land on the job clock as failure overhead
+// and on the platform's meter — the whole group is billed for the wasted
+// attempt, the replacements for their recovery run plus invokeFee. instant
+// names the trace event: "failure" for a crash window's draws, "fault_kill"
+// for a scheduled kill, which also reports how many sandboxes died.
 func (r *Runner) crash(st *state, epoch, killed int, wasted, recover, invokeFee float64, instant string) error {
 	a := st.alloc
 	st.clock += wasted + recover
@@ -139,15 +168,11 @@ func (r *Runner) crash(st *state, epoch, killed int, wasted, recover, invokeFee 
 // degraded to checkpoint-less mode (Result.Degraded) — the graceful path,
 // where the old behavior for unusable checkpoints was a panic.
 func (r *Runner) brownoutOp(st *state, op string) bool {
-	sched := st.cfg.Faults
-	if !sched.Active() {
+	_, errRate, _ := st.cfg.Faults.BrownoutAt(st.clock)
+	if errRate == 0 {
 		return true
 	}
-	_, errRate, on := sched.BrownoutAt(st.clock)
-	if !on || errRate == 0 {
-		return true
-	}
-	pol := st.cfg.Retry.OrDefault()
+	pol := fault.DefaultRetryPolicy()
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if !st.gate.Fail(errRate) {
 			return true

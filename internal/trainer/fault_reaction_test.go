@@ -34,28 +34,51 @@ func faultJob(t *testing.T, sched *fault.Schedule, seed uint64, maxEpochs int, c
 
 func TestAttachedEmptyScheduleIsBitIdentical(t *testing.T) {
 	// The acceptance bar for the fault subsystem: attaching an empty
-	// schedule must not perturb a single bit — the dice-roll model still
-	// runs, every rng draw lands identically.
-	base, err := failureJob(0.01, false, 2)
-	if err != nil {
-		t.Fatal(err)
+	// schedule must not perturb a single bit — every rng draw of the noisy
+	// ground truth lands identically.
+	run := func(faults *fault.Schedule) *Result {
+		w := workload.MobileNet()
+		res, err := NewRunner(2).Run(Config{
+			Workload:   w,
+			Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 2),
+			Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
+			TargetLoss: w.TargetLoss,
+			MaxEpochs:  400,
+			Faults:     faults,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	w := workload.MobileNet()
-	r := NewRunner(2)
-	r.Noise.FailureRate = 0.01
-	attached, err := r.Run(Config{
-		Workload:   w,
-		Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 2),
-		Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
-		TargetLoss: w.TargetLoss,
-		MaxEpochs:  400,
-		Faults:     fault.MustNew(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, attached) {
+	if base, attached := run(nil), run(fault.MustNew()); !reflect.DeepEqual(base, attached) {
 		t.Errorf("empty schedule perturbed the run:\nbase     %+v\nattached %+v", base, attached)
+	}
+}
+
+// TestKillAddsOneFailureToCrashWindow: a kill and a crash window in one
+// schedule both act. A kill does not change an attempt's epoch time, so the
+// window's draws land identically and the kill adds exactly one failure.
+func TestKillAddsOneFailureToCrashWindow(t *testing.T) {
+	window := fault.CrashWindow(0, math.MaxFloat64, 0.02)
+	alone, _ := faultJob(t, fault.MustNew(window), 4, 20, nil)
+	both, _ := faultJob(t, fault.MustNew(fault.KillAt(0, 2), window), 4, 20, nil)
+	if alone.Failures == 0 {
+		t.Fatal("the crash window drew no failures; the comparison shows nothing")
+	}
+	if both.Failures != alone.Failures+1 {
+		t.Errorf("kill + crash window: %d failures, want crash window alone (%d) + 1", both.Failures, alone.Failures)
+	}
+}
+
+// TestCrashWindowCloses: the crash rate is read at each attempt's start, so
+// a rate-0.999 window covering only epoch 1's start caps epoch 1's draws
+// and leaves epochs 2 and 3 untouched.
+func TestCrashWindowCloses(t *testing.T) {
+	probe, _ := faultJob(t, nil, 6, 1, nil)
+	res, _ := faultJob(t, fault.MustNew(fault.CrashWindow(0, probe.StartupTime+1, 0.999)), 6, 3, nil)
+	if res.Epochs != 3 || res.FailureCapped != 1 {
+		t.Errorf("epochs %d, FailureCapped %d; want 3 epochs and one truncation", res.Epochs, res.FailureCapped)
 	}
 }
 

@@ -40,18 +40,12 @@ type Noise struct {
 	SyncBase, SyncPerN float64
 	// LoadJitter is the multiplicative jitter on dataset loading.
 	LoadJitter float64
-	// FailureRate is the per-function per-epoch crash probability
-	// (timeouts, OOMs, platform preemptions). A single crashed worker
-	// aborts the BSP epoch: the group loses a fraction of the epoch, the
-	// crashed function restarts, and the epoch retries from the last
-	// checkpoint.
-	FailureRate float64
 }
 
-// failureAttemptCap bounds the synthetic failure model's per-epoch retry
-// loop. Hitting it means the model stopped simulating crashes for that epoch
-// and proceeded as if it had succeeded; Result.FailureCapped counts those
-// truncations.
+// failureAttemptCap bounds the per-epoch retry loop drawn against a crash
+// window's rate. Hitting it means the draws stopped simulating crashes for
+// that epoch and it proceeded as if it had succeeded; Result.FailureCapped
+// counts those truncations.
 const failureAttemptCap = 50
 
 // DefaultNoise returns the calibration used in the evaluation.
@@ -114,8 +108,8 @@ type Result struct {
 	// Failures counts crashed epoch attempts; FailureTime is the wall time
 	// they wasted (part of OverheadTime). FailureCapped counts epochs whose
 	// failure retry loop hit the attempt cap and proceeded as if the epoch
-	// had succeeded — a truncation of the synthetic failure model that
-	// would otherwise be silent.
+	// had succeeded — a truncation of the crash-window draws that would
+	// otherwise be silent.
 	Failures      int
 	FailureTime   float64
 	FailureCapped int
@@ -155,20 +149,15 @@ type Config struct {
 	// are needed per engine epoch (the classic ASP trade).
 	Async bool
 
-	// Faults attaches a deterministic fault schedule (internal/fault). When
-	// the schedule is active it REPLACES the synthetic dice-roll failure
-	// model (Noise.FailureRate is ignored): sandbox kills, straggler
-	// slowdowns, storage brownouts and cold-start spikes happen at explicit
-	// scheduled times, mutate the real platform, and reach the controller
-	// only through the epoch times it ordinarily observes. An attached but
-	// empty schedule changes nothing — results stay bit-identical to no
-	// schedule at all.
+	// Faults is the job's one source of faults (internal/fault): sandbox
+	// kills, straggler slowdowns, storage brownouts and cold-start spikes
+	// happen at explicit scheduled times, mutate the real platform, and
+	// reach the controller only through the epoch times it ordinarily
+	// observes; crash windows set the per-function crash probability the
+	// trainer draws each epoch attempt against. Storage retries in a
+	// brownout follow fault.DefaultRetryPolicy. A nil or empty schedule
+	// injects nothing, and the two give bit-identical results.
 	Faults *fault.Schedule
-
-	// Retry bounds the trainer's storage retries during brownout windows
-	// (the zero value means fault.DefaultRetryPolicy). Exhausting it drops
-	// the job to checkpoint-less mode with Result.Degraded set.
-	Retry fault.RetryPolicy
 
 	Controller Controller // optional
 }
@@ -460,53 +449,24 @@ func (r *Runner) runEpoch(st *state, epoch int) (EpochReport, error) {
 		computeT = r.groundTruthCompute(w, a)
 		syncT = r.groundTruthSync(w, a, svc)
 	}
-	if sched := st.cfg.Faults; sched.Active() {
-		// Active fault windows inflate this epoch's components: stragglers
-		// slow compute, brownouts slow the storage-bound synchronization.
-		// The controller is not told — it sees the inflated epoch time
-		// through its normal observations, which is what forces a genuine
-		// re-plan (a path= entry in the decision log) rather than a scripted
-		// one.
-		computeT *= sched.StragglerFactor(st.clock)
-		if lat, _, on := sched.BrownoutAt(st.clock); on {
-			syncT *= lat
-		}
-	}
+	// Fault windows inflate this epoch's components: stragglers slow
+	// compute, brownouts slow the storage-bound synchronization (outside a
+	// window both factors are 1, and x*1 is exact). The controller is not
+	// told — it sees the inflated epoch time through its normal
+	// observations, which is what forces a genuine re-plan (a path= entry in
+	// the decision log) rather than a scripted one.
+	computeT *= st.cfg.Faults.StragglerFactor(st.clock)
+	lat, _, _ := st.cfg.Faults.BrownoutAt(st.clock)
+	syncT *= lat
 	epochT := computeT + syncT
 
 	// Failure injection: any crashed worker aborts the BSP epoch. The
 	// group loses a fraction of the epoch (billed — the platform charges
 	// for the wasted compute), the crashed sandbox restarts and re-pulls
 	// the last checkpoint, and the epoch retries. Without checkpointing a
-	// single crash throws the job back to the initial model. All of that
-	// is crash; only the source of the crash instants differs: an active
-	// fault schedule says exactly when sandboxes die, against the real
-	// platform, and otherwise the synthetic model draws them from its
-	// seeded stream.
-	if sched := st.cfg.Faults; sched.Active() {
-		if err := r.scheduledFaults(st, epoch, epochT); err != nil {
-			return EpochReport{}, err
-		}
-	} else if p := r.Noise.FailureRate; p > 0 && a.N > 0 {
-		rng := r.Backend.Rand("trainer.failure")
-		groupP := 1 - math.Pow(1-p, float64(a.N))
-		attempt := 0
-		for ; attempt < failureAttemptCap && rng.Float64() < groupP; attempt++ {
-			wasted := rng.Float64() * epochT
-			recover := r.Compute().ColdStartEstimate(a.MemMB) +
-				svc.TransferTime(a.N, w.ParamsMB)
-			if err := r.crash(st, epoch, 1, wasted, recover, 0, "failure"); err != nil {
-				return EpochReport{}, err
-			}
-		}
-		if attempt == failureAttemptCap {
-			// The synthetic model gave up retrying and let the epoch proceed
-			// as a success. Surface the truncation instead of dropping it.
-			st.res.FailureCapped++
-			if r.obs.Enabled() {
-				r.obs.Stats().Inc("trainer.failure_cap")
-			}
-		}
+	// single crash throws the job back to the initial model.
+	if err := r.scheduledFaults(st, epoch, epochT); err != nil {
+		return EpochReport{}, err
 	}
 
 	var loss float64
