@@ -61,15 +61,21 @@ shard-check:
 # workload runs one worker above one shard, so the per-event cost of the
 # shard count shows there. internal/fit benches its one solver (Fitter: cold, warm to
 # convergence, and the fleet tuning's capped refit of a sliding window),
-# internal/cost its one grid scan and table lookups. Measured runs are
+# internal/cost its one grid scan and table lookups, internal/planner
+# Algorithm 1 over the Pareto set and over the full grid (fig21a's WO-pa)
+# and the exact DP. The planner's gate is a bound, not zero: a greedy run
+# allocates its index plans and its result, never per candidate
+# (TestPlanMinJCTBoundedAllocs). Measured runs are
 # `go run ./cmd/bench [-layers]`; see benchmark/README.md.
 bench:
 	$(GO) test -run ZeroAlloc ./...
 	$(GO) test -run TestLaneChurnReusesSlots ./internal/sim/
+	$(GO) test -run TestPlanMinJCTBoundedAllocs ./internal/planner/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=100x \
 		./internal/ml/ ./internal/dataset/
 	$(GO) test -run '^$$' -bench . -benchtime=100x \
-		./internal/sim/ ./internal/cost/ ./internal/fit/ ./internal/scheduler/ ./internal/traffic/
+		./internal/sim/ ./internal/cost/ ./internal/fit/ ./internal/scheduler/ ./internal/traffic/ \
+		./internal/planner/
 
 # bench-smoke: the measurement harness's own checks on one short execution
 # per workload — the golden paper digest, trace-s8w2 == trace-s1, the TOTAL

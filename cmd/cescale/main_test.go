@@ -70,6 +70,18 @@ func TestTuneRejectsBadStageFlags(t *testing.T) {
 	}
 }
 
+// TestTuneSubnormalConstraint: a constraint so small that every plan's
+// relative excess over it overflows still yields an infeasible plan, not a
+// Go stack trace.
+func TestTuneSubnormalConstraint(t *testing.T) {
+	for _, flag := range []string{"-budget", "-qos"} {
+		stdout, stderr, exit := cescale(t, "-mode", "tune", flag, "1e-320")
+		if exit != 0 || !strings.Contains(stdout, `"feasible": false`) || strings.Contains(stderr, "goroutine") {
+			t.Errorf("%s 1e-320: exit %d, stdout %q, stderr %q; want exit 0 and an infeasible plan", flag, exit, stdout, stderr)
+		}
+	}
+}
+
 // TestRejectsBadInputBeforeWork: input the selected mode would ignore,
 // misread or only trip over after the run is rejected up front — not a full
 // result followed by exit 1, an empty export reported as written, or a

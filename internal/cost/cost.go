@@ -35,8 +35,10 @@ func (a Allocation) String() string {
 //
 // Per-allocation epoch estimates and per-grid Pareto sets are cached: the
 // adaptive scheduler (Algorithm 2) re-derives them on every δ-triggered
-// recompute and the planner probes the same allocations thousands of times.
-// Grid allocations live in a dense per-grid table built once by the first
+// recompute. The planner probes each (stage, allocation) once, into its own
+// plan evaluation table; per-call probes remain in the planner's exported
+// JCT/Cost/StageTime for arbitrary plans (the baselines, fig11's per-stage
+// shares) and in JobTime/JobCost (fig19/20 validation). Grid allocations live in a dense per-grid table built once by the first
 // Enumerate/ParetoSet/ParetoFrontier call (one map probe + slice index per
 // lookup); an off-grid allocation is simply computed (~150 ns). The tables
 // assume the model is configured once and then treated as immutable: mutate

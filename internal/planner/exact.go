@@ -1,10 +1,6 @@
 package planner
 
-import (
-	"math"
-
-	"repro/internal/cost"
-)
+import "math"
 
 // ExactMinJCT solves the stage-partitioning problem optimally (up to budget
 // discretization) by dynamic programming over the multiple-choice knapsack:
@@ -46,9 +42,10 @@ func (pl *Planner) ExactMinJCT(budget float64, buckets int) (Result, bool) {
 	}
 	nm := len(mems)
 
-	// Pre-compute per-stage, per-choice cost buckets and times.
+	// Per-stage, per-choice cost buckets and times, from the plan
+	// evaluation table.
 	type choice struct {
-		alloc    cost.Allocation
+		j        int32   // index into P
 		costB    int     // cost in buckets, rounded up
 		timeCold float64 // stage time when paying a cold start
 		timeWarm float64
@@ -56,21 +53,20 @@ func (pl *Planner) ExactMinJCT(budget float64, buckets int) (Result, bool) {
 	}
 	choices := make([][]choice, d)
 	for i := 0; i < d; i++ {
-		for _, p := range pl.P {
-			c := pl.StageCost(i, p.Alloc)
-			b := int(math.Ceil(c/unit - 1e-12))
+		for j, p := range pl.P {
+			k := i*len(pl.P) + j
+			b := int(math.Ceil(pl.stageCost[k]/unit - 1e-12))
 			if b > buckets {
 				continue // can never fit
 			}
 			if b < 0 {
 				b = 0
 			}
-			w := pl.waves(i, p.Alloc)
 			choices[i] = append(choices[i], choice{
-				alloc:    p.Alloc,
+				j:        int32(j),
 				costB:    b,
-				timeCold: pl.stageTimeWavesCold(i, p.Alloc, w, true),
-				timeWarm: pl.stageTimeWavesCold(i, p.Alloc, w, false),
+				timeCold: pl.coldTime[k],
+				timeWarm: pl.warmTime[k],
 				mem:      memIdx[p.Alloc.MemMB],
 			})
 		}
@@ -149,15 +145,15 @@ func (pl *Planner) ExactMinJCT(budget float64, buckets int) (Result, bool) {
 	}
 
 	// Reconstruct.
-	plan := Plan{Stages: make([]cost.Allocation, d)}
+	plan := make([]int32, d)
 	b, m := bestB, bestM
 	for i := d - 1; i >= 0; i-- {
 		p := parents[i][idx(b, m)]
-		plan.Stages[i] = choices[i][p.choice].alloc
+		plan[i] = choices[i][p.choice].j
 		if i > 0 {
 			b, m = int(p.b), int(p.m)
 		}
 	}
-	jct, c := pl.JCT(plan), pl.Cost(plan)
-	return Result{Plan: plan, JCT: jct, Cost: c, Feasible: c <= budget*(1+1e-9)}, true
+	s := pl.eval(plan)
+	return Result{Plan: pl.plan(plan), JCT: s.jct, Cost: s.cost, Feasible: s.cost <= budget*(1+1e-9)}, true
 }

@@ -63,11 +63,16 @@ func Uniform(a cost.Allocation, d int) Plan {
 }
 
 // Planner evaluates and optimizes partitioning plans for one workload.
+//
+// Stages and P must not change after New: the plan evaluation table is built
+// from them once (as cost.Model's tables assume of its fields).
 type Planner struct {
 	Model  *cost.Model
 	Stages []Stage
-	// P is the Pareto set, sorted by ascending epoch time (descending
-	// cost); index 0 is the fastest/priciest allocation.
+	// P is the candidate set, normally the Pareto set sorted by ascending
+	// epoch time (descending cost): index 0 is the fastest/priciest
+	// allocation. fig21a's WO-pa variant passes the full Θ in grid order
+	// instead; moves scan it by index all the same.
 	P []cost.Point
 	// Delta is the minimum relative JCT improvement to keep iterating.
 	Delta float64
@@ -80,9 +85,17 @@ type Planner struct {
 	// and summary as trace events (timestamped by stage index — plans are
 	// structural, not temporal). Nil disables recording.
 	Obs *obs.Observer
+
+	// The plan evaluation table. Entry i*len(P)+j holds stage i under P[j]:
+	// its wall time after a warm and after a cold start, and its cost.
+	// first[j] is the lowest index of P[j].Alloc in P, where a move of a
+	// stage at P[j] starts scanning.
+	warmTime, coldTime, stageCost []float64
+	first                         []int32
 }
 
-// New returns a planner over the model's Pareto set for the given stages.
+// New returns a planner over the candidate set pareto for the given stages
+// and builds its plan evaluation table.
 func New(m *cost.Model, stages []Stage, pareto []cost.Point) (*Planner, error) {
 	if len(stages) == 0 {
 		return nil, fmt.Errorf("planner: no stages")
@@ -95,17 +108,71 @@ func New(m *cost.Model, stages []Stage, pareto []cost.Point) (*Planner, error) {
 	if len(pareto) == 0 {
 		return nil, fmt.Errorf("planner: empty Pareto set")
 	}
-	return &Planner{Model: m, Stages: stages, P: pareto, Delta: 0.01}, nil
-}
-
-// index returns the position of a in P, or -1.
-func (pl *Planner) index(a cost.Allocation) int {
-	for i, p := range pl.P {
-		if p.Alloc == a {
-			return i
+	pl := &Planner{Model: m, Stages: stages, P: pareto, Delta: 0.01}
+	n := len(stages) * len(pareto)
+	pl.warmTime, pl.coldTime, pl.stageCost = make([]float64, n), make([]float64, n), make([]float64, n)
+	pl.first = make([]int32, len(pareto))
+	seen := make(map[cost.Allocation]int32, len(pareto))
+	for j, pt := range pareto {
+		f, ok := seen[pt.Alloc]
+		if !ok {
+			f = int32(j)
+			seen[pt.Alloc] = f
+		}
+		pl.first[j] = f
+	}
+	for i := range stages {
+		for j, pt := range pareto {
+			k, w := i*len(pareto)+j, pl.waves(i, pt.Alloc)
+			pl.warmTime[k] = pl.stageTimeWavesCold(i, pt.Alloc, w, false)
+			pl.coldTime[k] = pl.stageTimeWavesCold(i, pt.Alloc, w, true)
+			pl.stageCost[k] = pl.StageCost(i, pt.Alloc)
 		}
 	}
-	return -1
+	return pl, nil
+}
+
+// score is a plan's predicted JCT and cost.
+type score struct{ jct, cost float64 }
+
+// eval scores plan, given as indices into P, from the table: stage by stage
+// from 0, in the order and with the warm/cold rule of JCT and Cost, so the
+// sums are bit-identical to theirs on the same plan.
+func (pl *Planner) eval(plan []int32) score {
+	var s score
+	for i, j := range plan {
+		k := i*len(pl.P) + int(j)
+		if i == 0 || pl.P[j].Alloc.MemMB != pl.P[plan[i-1]].Alloc.MemMB {
+			s.jct += pl.coldTime[k]
+		} else {
+			s.jct += pl.warmTime[k]
+		}
+		s.cost += pl.stageCost[k]
+	}
+	return s
+}
+
+// plan returns the allocations of an index plan.
+func (pl *Planner) plan(idx []int32) Plan {
+	p := Plan{Stages: make([]cost.Allocation, len(idx))}
+	for i, j := range idx {
+		p.Stages[i] = pl.P[j].Alloc
+	}
+	return p
+}
+
+// moves returns where a move of a stage now at P[j] starts scanning P and
+// in which direction. P is sorted by time ascending = cost descending, so an
+// upgrade (faster/pricier) scans down to index 0 and a cheapening up to the
+// last index. Moves consider every position in the chosen direction — a
+// multiple-choice knapsack reassignment, not just the adjacent step —
+// because the best reallocation may sit across a valley (e.g. a much
+// smaller function count that collapses an early stage's admission waves).
+func (pl *Planner) moves(j int32, upgrade bool) (k, step int) {
+	if upgrade {
+		return int(pl.first[j]) - 1, -1
+	}
+	return int(pl.first[j]) + 1, 1
 }
 
 // waves returns how many admission waves stage i needs under allocation a:
@@ -205,44 +272,54 @@ type Result struct {
 // plans within budget (budget > 0), or minimal cost among plans within qos
 // (qos > 0). Exactly one constraint must be positive. When nothing
 // satisfies the constraint it returns the plan closest to satisfying it
-// with Feasible=false.
+// with Feasible=false: the smallest relative excess over the constraint, or,
+// when no relative excess is finite (a subnormal constraint), the smallest
+// absolute one. The plan is always one of P.
 func (pl *Planner) OptimalStatic(budget, qos float64) Result {
-	best := Result{JCT: math.Inf(1), Cost: math.Inf(1)}
-	var fallback Result
-	fallbackGap := math.Inf(1)
-	for _, pt := range pl.P {
-		plan := Uniform(pt.Alloc, len(pl.Stages))
-		jct, c := pl.JCT(plan), pl.Cost(plan)
+	j, s, ok := pl.optimalStatic(budget, qos, make([]int32, len(pl.Stages)))
+	return Result{Plan: Uniform(pl.P[j].Alloc, len(pl.Stages)), JCT: s.jct, Cost: s.cost, Feasible: ok}
+}
+
+// optimalStatic is OptimalStatic on index plans: it returns the chosen P
+// index, its uniform plan's score and feasibility, and leaves that uniform
+// plan in plan.
+func (pl *Planner) optimalStatic(budget, qos float64, plan []int32) (int, score, bool) {
+	best, fallback := -1, -1
+	var bestS, fallbackS score
+	fallbackGap, fallbackExcess := math.Inf(1), math.Inf(1)
+	for j := range pl.P {
+		for i := range plan {
+			plan[i] = int32(j)
+		}
+		s := pl.eval(plan)
 		pl.Evaluated++
-		ok := (budget <= 0 || c <= budget) && (qos <= 0 || jct <= qos)
-		if ok {
-			better := false
-			if budget > 0 {
-				better = jct < best.JCT
-			} else {
-				better = c < best.Cost
-			}
-			if better {
-				best = Result{Plan: plan, JCT: jct, Cost: c, Feasible: true}
+		if (budget <= 0 || s.cost <= budget) && (qos <= 0 || s.jct <= qos) {
+			if best < 0 || (budget > 0 && s.jct < bestS.jct) || (budget <= 0 && s.cost < bestS.cost) {
+				best, bestS = j, s
 			}
 			continue
 		}
-		gap := 0.0
-		if budget > 0 && c > budget {
-			gap += (c - budget) / budget
+		gap, excess := 0.0, 0.0
+		if budget > 0 && s.cost > budget {
+			gap += (s.cost - budget) / budget
+			excess += s.cost - budget
 		}
-		if qos > 0 && jct > qos {
-			gap += (jct - qos) / qos
+		if qos > 0 && s.jct > qos {
+			gap += (s.jct - qos) / qos
+			excess += s.jct - qos
 		}
-		if gap < fallbackGap {
-			fallbackGap = gap
-			fallback = Result{Plan: plan, JCT: jct, Cost: c, Feasible: false}
+		if fallback < 0 || gap < fallbackGap || (math.IsInf(fallbackGap, 1) && excess < fallbackExcess) {
+			fallback, fallbackS, fallbackGap, fallbackExcess = j, s, gap, excess
 		}
 	}
-	if best.Feasible {
-		return best
+	j, s, ok := fallback, fallbackS, false
+	if best >= 0 {
+		j, s, ok = best, bestS, true
 	}
-	return fallback
+	for i := range plan {
+		plan[i] = int32(j)
+	}
+	return j, s, ok
 }
 
 // ConcurrencyShare returns the per-stage concurrency pool of the
@@ -274,63 +351,6 @@ func (pl *Planner) FixedPlan(budget, qos float64) Result {
 	return Result{Plan: static.Plan, JCT: jct, Cost: static.Cost, Feasible: feasible, Evaluated: static.Evaluated}
 }
 
-// candidate mutations along the Pareto frontier. P is sorted by time
-// ascending = cost descending, so higher indices are cheaper/slower
-// per-epoch allocations and lower indices faster/pricier ones. Moves
-// consider every position in the chosen direction — a multiple-choice
-// knapsack reassignment, not just the adjacent step — because the best
-// reallocation may sit across a valley (e.g. a much smaller function count
-// that collapses an early stage's admission waves).
-func (pl *Planner) moveCandidates(p Plan, stage int, upgrade bool) []Plan {
-	idx := pl.index(p.Stages[stage])
-	if idx < 0 {
-		return nil
-	}
-	var out []Plan
-	if upgrade {
-		for j := idx - 1; j >= 0; j-- {
-			q := p.Clone()
-			q.Stages[stage] = pl.P[j].Alloc
-			out = append(out, q)
-		}
-	} else {
-		for j := idx + 1; j < len(pl.P); j++ {
-			q := p.Clone()
-			q.Stages[stage] = pl.P[j].Alloc
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// earlyStages returns the stage indices considered "early" (the first half,
-// where terminated trials concentrate).
-func (pl *Planner) earlyStages() []int {
-	d := len(pl.Stages)
-	half := d / 2
-	if half == 0 {
-		half = 1
-	}
-	idxs := make([]int, 0, half)
-	for i := 0; i < half; i++ {
-		idxs = append(idxs, i)
-	}
-	return idxs
-}
-
-func (pl *Planner) lateStages() []int {
-	d := len(pl.Stages)
-	start := d / 2
-	if start == 0 {
-		start = d - 1
-	}
-	idxs := make([]int, 0, d-start)
-	for i := start; i < d; i++ {
-		idxs = append(idxs, i)
-	}
-	return idxs
-}
-
 // PlanMinJCT runs Algorithm 1: minimize JCT subject to the budget b_c.
 func (pl *Planner) PlanMinJCT(budget float64) Result {
 	return pl.greedy(budget, 0)
@@ -340,6 +360,33 @@ func (pl *Planner) PlanMinJCT(budget float64) Result {
 // subject to the QoS constraint tau.
 func (pl *Planner) PlanMinCost(qos float64) Result {
 	return pl.greedy(0, qos)
+}
+
+// search is one greedy run's objective and constraint.
+type search struct {
+	pl          *Planner
+	minJCT      bool
+	budget, qos float64
+}
+
+func (s *search) objective(r score) float64 {
+	if s.minJCT {
+		return r.jct
+	}
+	return r.cost
+}
+
+func (s *search) within(r score) bool {
+	if s.minJCT {
+		return r.cost <= s.budget
+	}
+	return r.jct <= s.qos
+}
+
+// eval scores plan as one candidate evaluation.
+func (s *search) eval(plan []int32) score {
+	s.pl.Evaluated++
+	return s.pl.eval(plan)
 }
 
 // greedy is Algorithm 1 with the objective selected by which constraint is
@@ -355,106 +402,77 @@ func (pl *Planner) PlanMinCost(qos float64) Result {
 //	constraint, cheapen stages (sell slack for money) until the deadline
 //	headroom is used up. Candidates that violate the constraint are
 //	blacklisted (the A_2' set of Algorithm 1).
+//
+// Plans are index vectors into P, scored from the plan evaluation table; a
+// candidate is the plan with one stage's index changed in place, and the
+// plan of allocations is built once, for the result.
 func (pl *Planner) greedy(budget, qos float64) Result {
 	evalStart := pl.Evaluated
-	warm := pl.OptimalStatic(budget, qos)
-	staticCost := warm.Cost
-	best := warm
-
-	minJCT := budget > 0
-	objective := func(r Result) float64 {
-		if minJCT {
-			return r.JCT
-		}
-		return r.Cost
-	}
-	withinConstraint := func(r Result) bool {
-		if minJCT {
-			return r.Cost <= budget
-		}
-		return r.JCT <= qos
-	}
+	d := len(pl.Stages)
+	best, cur := make([]int32, d), make([]int32, d)
+	warmJ, warm, warmOK := pl.optimalStatic(budget, qos, best)
+	bestS := warm
+	s := search{pl: pl, minJCT: budget > 0, budget: budget, qos: qos}
 	// The static-plan cost envelope phase 1 must respect under a budget
 	// (Algorithm 1 line 6). Under a QoS constraint the envelope is the
 	// deadline itself: cheapening spends JCT slack, and upgrades only run
 	// to restore feasibility.
-	withinStatic := func(r Result) bool {
-		if minJCT {
-			return r.Cost <= staticCost*(1+1e-12)
+	withinStatic := func(r score) bool {
+		if s.minJCT {
+			return r.cost <= warm.cost*(1+1e-12)
 		}
-		return r.JCT <= qos
+		return r.jct <= qos
 	}
-
-	evaluate := func(p Plan) Result {
-		pl.Evaluated++
-		jct, c := pl.JCT(p), pl.Cost(p)
-		return Result{Plan: p, JCT: jct, Cost: c}
+	// Early stages are the first half, where terminated trials concentrate;
+	// late stages the rest (the one stage of a one-stage plan is both).
+	early, late := max(d/2, 1), d/2
+	if late == 0 {
+		late = d - 1
 	}
 
 	// Phase 1 (lines 2-14).
-	for iter := 0; iter < 4*len(pl.Stages); iter++ {
-		recycled, ok := pl.bestMove(best, pl.earlyStages(), false, evaluate)
-		if !ok {
+	for iter := 0; iter < 4*d; iter++ {
+		i, j, curS := s.bestMove(best, bestS, 0, early, false, false)
+		if i < 0 {
 			break
 		}
+		copy(cur, best)
+		cur[i] = j
 		// Reallocate the freed resources to later stages. Under a budget,
 		// upgrades fill the freed cost envelope; under a deadline, upgrades
 		// run only to restore QoS feasibility lost to the cheapening.
-		current := recycled
-		if minJCT {
-			for {
-				next, _, ok := pl.bestMoveStage(current, pl.lateStages(), true, evaluate)
-				if !ok || !withinStatic(next) {
-					break
-				}
-				current = next
+		for s.minJCT || !withinStatic(curS) {
+			i, j, next := s.bestMove(cur, curS, late, d, true, false)
+			if i < 0 || (s.minJCT && !withinStatic(next)) {
+				break
 			}
-		} else {
-			for !withinStatic(current) {
-				next, _, ok := pl.bestMoveStage(current, pl.lateStages(), true, evaluate)
-				if !ok {
-					break
-				}
-				current = next
-			}
+			cur[i], curS = j, next
 		}
-		if !withinStatic(current) || !withinConstraint(current) {
+		if !withinStatic(curS) || !s.within(curS) {
 			break
 		}
-		improvement := (objective(best) - objective(current)) / math.Max(objective(best), 1e-12)
+		improvement := (s.objective(bestS) - s.objective(curS)) / math.Max(s.objective(bestS), 1e-12)
 		if improvement < pl.Delta {
 			break
 		}
-		best = current
+		copy(best, cur)
+		bestS = curS
 	}
 
 	// Phase 2 (lines 15-25): under a budget buy speed with leftover money;
 	// under a deadline sell leftover slack for savings. Candidates that
 	// violate the constraint are discarded inside the move evaluation (the
 	// A_2' set of Algorithm 1).
-	all := make([]int, len(pl.Stages))
-	for i := range all {
-		all[i] = i
-	}
-	evaluateConstrained := func(p Plan) Result {
-		r := evaluate(p)
-		if !withinConstraint(r) {
-			// Poison the move so it never wins the benefit ranking.
-			r.JCT = math.Inf(1)
-			r.Cost = math.Inf(1)
-		}
-		return r
-	}
-	for iter := 0; iter < 16*len(pl.Stages); iter++ {
-		next, _, ok := pl.bestMoveStage(best, all, minJCT, evaluateConstrained)
-		if !ok || math.IsInf(objective(next), 1) {
+	for iter := 0; iter < 16*d; iter++ {
+		i, j, next := s.bestMove(best, bestS, 0, d, s.minJCT, true)
+		if i < 0 || math.IsInf(s.objective(next), 1) {
 			break
 		}
-		improvement := (objective(best) - objective(next)) / math.Max(objective(best), 1e-12)
+		improvement := (s.objective(bestS) - s.objective(next)) / math.Max(s.objective(bestS), 1e-12)
 		if improvement < pl.Delta/10 {
 			break
 		}
-		best = next
+		best[i], bestS = j, next
 	}
 
 	// Phase 3 — polish: hill-climb over all single-stage reassignments in
@@ -462,21 +480,22 @@ func (pl *Planner) greedy(budget, qos float64) Result {
 	// late) reaches a good region fast; this local search closes most of
 	// the remaining gap to the exact MCKP optimum (see ExactMinJCT and the
 	// optimality-gap tests) while staying within the candidate-evaluation
-	// budget the overhead experiments account for.
-	for iter := 0; iter < 32*len(pl.Stages); iter++ {
+	// budget the overhead experiments account for. Each (stage, direction)
+	// sweep scans the range of best as it stood before the sweep: an
+	// improvement found mid-sweep does not re-base the rest of it.
+	for iter := 0; iter < 32*d; iter++ {
 		improved := false
-		for i := range pl.Stages {
-			for _, dir := range []bool{true, false} {
-				for _, cand := range pl.moveCandidates(best.Plan, i, dir) {
-					r := evaluate(cand)
-					if !withinConstraint(r) {
-						continue
-					}
-					if objective(r) < objective(best)*(1-pl.Delta/100) {
-						best = r
-						improved = true
+		for i := range best {
+			for _, up := range [2]bool{true, false} {
+				keep := best[i]
+				for k, step := pl.moves(keep, up); k >= 0 && k < len(pl.P); k += step {
+					best[i] = int32(k)
+					r := s.eval(best)
+					if s.within(r) && s.objective(r) < s.objective(bestS)*(1-pl.Delta/100) {
+						keep, bestS, improved = int32(k), r, true
 					}
 				}
+				best[i] = keep
 			}
 		}
 		if !improved {
@@ -484,16 +503,18 @@ func (pl *Planner) greedy(budget, qos float64) Result {
 		}
 	}
 
-	best.Feasible = withinConstraint(best)
+	feasible := s.within(bestS)
 	// Guarantee: never worse than the warm start (the plan is built by
 	// incremental improvement on the optimal static allocation).
-	if warm.Feasible && (!best.Feasible || objective(best) > objective(Result{JCT: warm.JCT, Cost: warm.Cost})) {
-		best = warm
-		best.Feasible = true
+	if warmOK && (!feasible || s.objective(bestS) > s.objective(warm)) {
+		for i := range best {
+			best[i] = int32(warmJ)
+		}
+		bestS, feasible = warm, true
 	}
-	best.Evaluated = pl.Evaluated - evalStart
-	pl.logPlan(minJCT, budget, qos, best)
-	return best
+	res := Result{Plan: pl.plan(best), JCT: bestS.jct, Cost: bestS.cost, Feasible: feasible, Evaluated: pl.Evaluated - evalStart}
+	pl.logPlan(s.minJCT, budget, qos, res)
+	return res
 }
 
 // logPlan records the chosen plan: one instant per stage (timestamped by
@@ -522,53 +543,51 @@ func (pl *Planner) logPlan(minJCT bool, budget, qos float64, r Result) {
 	pl.Obs.Stats().Add("planner.evaluated", float64(r.Evaluated))
 }
 
-// bestMove evaluates moving each candidate stage one step along the Pareto
-// frontier — upgrade=true moves toward faster/pricier allocations, false
-// toward cheaper/slower ones — and returns the move with the largest
-// marginal benefit (Eq. 10 for upgrades: JCT saved per dollar added; the
-// mirror for cheapening: dollars saved per second added).
-func (pl *Planner) bestMove(p Result, stages []int, upgrade bool, evaluate func(Plan) Result) (Result, bool) {
-	r, _, ok := pl.bestMoveStage(p, stages, upgrade, evaluate)
-	return r, ok
-}
-
-func (pl *Planner) bestMoveStage(p Result, stages []int, upgrade bool, evaluate func(Plan) Result) (Result, int, bool) {
+// bestMove evaluates moving each stage in [lo, hi) of plan (scored from)
+// along P — upgrade=true toward faster/pricier allocations, false toward
+// cheaper/slower ones — and returns the move with the largest marginal
+// benefit (Eq. 10 for upgrades: JCT saved per dollar added; the mirror for
+// cheapening: dollars saved per second added) as its stage, its P index and
+// the moved plan's score; stage -1 when no stage has a move. constrained
+// poisons candidates outside the constraint so they never win. plan is
+// left as it was.
+func (s *search) bestMove(plan []int32, from score, lo, hi int, upgrade, constrained bool) (stage int, to int32, r score) {
 	// Two tiers: win-win moves (better in both dimensions) are preferred
 	// and ranked by their objective gain; otherwise rank trades by their
 	// marginal-benefit ratio (Eq. 10 / Eq. 12).
 	bestBenefit := -math.Inf(1)
 	bestWinWin := -math.Inf(1)
-	var best Result
-	bestStage := -1
-	consider := func(r Result, i int) {
-		var winGain, benefit float64
-		if upgrade {
-			if r.Cost <= p.Cost && r.JCT < p.JCT {
-				winGain = p.JCT - r.JCT
+	stage = -1
+	for i := lo; i < hi; i++ {
+		keep := plan[i]
+		for k, step := s.pl.moves(keep, upgrade); k >= 0 && k < len(s.pl.P); k += step {
+			plan[i] = int32(k)
+			c := s.eval(plan)
+			if constrained && !s.within(c) {
+				c = score{math.Inf(1), math.Inf(1)}
 			}
-			benefit = (p.JCT - r.JCT) / math.Max(r.Cost-p.Cost, 1e-9)
-		} else {
-			if r.JCT <= p.JCT && r.Cost < p.Cost {
-				winGain = p.Cost - r.Cost
+			var winGain, benefit float64
+			if upgrade {
+				if c.cost <= from.cost && c.jct < from.jct {
+					winGain = from.jct - c.jct
+				}
+				benefit = (from.jct - c.jct) / math.Max(c.cost-from.cost, 1e-9)
+			} else {
+				if c.jct <= from.jct && c.cost < from.cost {
+					winGain = from.cost - c.cost
+				}
+				benefit = (from.cost - c.cost) / math.Max(c.jct-from.jct, 1e-9)
 			}
-			benefit = (p.Cost - r.Cost) / math.Max(r.JCT-p.JCT, 1e-9)
+			switch {
+			case winGain > 0 && winGain > bestWinWin:
+				bestWinWin, r, stage, to = winGain, c, i, int32(k)
+			case bestWinWin > 0:
+				// A win-win exists; trades no longer compete.
+			case benefit > bestBenefit:
+				bestBenefit, r, stage, to = benefit, c, i, int32(k)
+			}
 		}
-		switch {
-		case winGain > 0 && winGain > bestWinWin:
-			bestWinWin, best, bestStage = winGain, r, i
-		case bestWinWin > 0:
-			// A win-win exists; trades no longer compete.
-		case benefit > bestBenefit:
-			bestBenefit, best, bestStage = benefit, r, i
-		}
+		plan[i] = keep
 	}
-	for _, i := range stages {
-		for _, cand := range pl.moveCandidates(p.Plan, i, upgrade) {
-			consider(evaluate(cand), i)
-		}
-	}
-	if bestStage < 0 {
-		return Result{}, -1, false
-	}
-	return best, bestStage, true
+	return stage, to, r
 }

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cost"
@@ -113,14 +114,39 @@ func TestOptimalStaticRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestOptimalStaticInfeasibleFallback: an impossible constraint yields an
+// infeasible plan of every stage, never an empty one — also when it is so
+// small (subnormal) that every relative excess overflows to +Inf, where the
+// fallback is the uniform plan closest in absolute terms (the cheapest
+// under a budget, the fastest under a deadline) — and the greedy planner
+// starts from it instead of indexing an empty plan.
 func TestOptimalStaticInfeasibleFallback(t *testing.T) {
 	pl := newPlanner(t, workload.LRHiggs(), SHAStages(64, 2, 2))
-	res := pl.OptimalStatic(1e-9, 0) // impossible budget
-	if res.Feasible {
-		t.Error("impossible budget cannot be feasible")
-	}
-	if len(res.Plan.Stages) == 0 {
-		t.Error("fallback plan missing")
+	cheapest, fastest := pl.OptimalStatic(0, 1e15), pl.OptimalStatic(1e15, 0)
+	for _, tc := range []struct {
+		budget, qos float64
+		closest     Plan // nil: not pinned
+	}{
+		{budget: 1e-9},
+		{qos: 1e-9},
+		{budget: 1e-320, closest: cheapest.Plan},
+		{qos: 1e-320, closest: fastest.Plan},
+	} {
+		res := pl.OptimalStatic(tc.budget, tc.qos)
+		if res.Feasible || len(res.Plan.Stages) != len(pl.Stages) {
+			t.Errorf("budget %g qos %g: feasible %v with %d stages; want an infeasible %d-stage fallback",
+				tc.budget, tc.qos, res.Feasible, len(res.Plan.Stages), len(pl.Stages))
+		}
+		if tc.closest.Stages != nil && !reflect.DeepEqual(res.Plan, tc.closest) {
+			t.Errorf("budget %g qos %g: fallback %v, want the closest plan %v", tc.budget, tc.qos, res.Plan.Stages, tc.closest.Stages)
+		}
+		greedy := pl.PlanMinCost(tc.qos)
+		if tc.budget > 0 {
+			greedy = pl.PlanMinJCT(tc.budget)
+		}
+		if greedy.Feasible || len(greedy.Plan.Stages) != len(pl.Stages) {
+			t.Errorf("budget %g qos %g: greedy feasible %v with %d stages", tc.budget, tc.qos, greedy.Feasible, len(greedy.Plan.Stages))
+		}
 	}
 }
 

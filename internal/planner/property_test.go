@@ -83,22 +83,26 @@ func TestCostAdditivityAndMonotonicity(t *testing.T) {
 	}
 }
 
-// TestMoveCandidatesDirections: upgrades propose strictly faster per-epoch
-// allocations, cheapenings strictly cheaper ones.
+// TestMoveCandidatesDirections: from every point of the Pareto set, the
+// index range an upgrade scans holds only strictly faster per-epoch
+// allocations and the range a cheapening scans only strictly cheaper ones,
+// and together they cover every other point.
 func TestMoveCandidatesDirections(t *testing.T) {
 	pl := newPlanner(t, workload.MobileNet(), SHAStages(32, 2, 2))
-	mid := pl.P[len(pl.P)/2]
-	plan := Uniform(mid.Alloc, len(pl.Stages))
-	for _, cand := range pl.moveCandidates(plan, 0, true) {
-		j := pl.index(cand.Stages[0])
-		if pl.P[j].Time >= mid.Time {
-			t.Fatalf("upgrade proposed %v, not faster than %v", cand.Stages[0], mid.Alloc)
+	for j, at := range pl.P {
+		seen := 1
+		for k, step := pl.moves(int32(j), true); k >= 0 && k < len(pl.P); k += step {
+			if seen++; pl.P[k].Time >= at.Time {
+				t.Fatalf("upgrade from %v proposed %v, not faster", at.Alloc, pl.P[k].Alloc)
+			}
 		}
-	}
-	for _, cand := range pl.moveCandidates(plan, 0, false) {
-		j := pl.index(cand.Stages[0])
-		if pl.P[j].Cost >= mid.Cost {
-			t.Fatalf("cheapen proposed %v, not cheaper than %v", cand.Stages[0], mid.Alloc)
+		for k, step := pl.moves(int32(j), false); k >= 0 && k < len(pl.P); k += step {
+			if seen++; pl.P[k].Cost >= at.Cost {
+				t.Fatalf("cheapen from %v proposed %v, not cheaper", at.Alloc, pl.P[k].Alloc)
+			}
+		}
+		if seen != len(pl.P) {
+			t.Fatalf("moves from %v cover %d of %d points", at.Alloc, seen, len(pl.P))
 		}
 	}
 }
