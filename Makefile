@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt vet build lint test race shard-check bench bench-smoke reach fuzz-smoke
+.PHONY: check fmt vet build test race shard-check bench bench-smoke reach fuzz-smoke
 
-check: fmt vet build lint test race shard-check bench bench-smoke reach fuzz-smoke
+check: fmt vet build test race shard-check bench bench-smoke reach fuzz-smoke
 
 fmt:
 	@out="$$(gofmt -s -l .)"; if [ -n "$$out" ]; then \
@@ -14,16 +14,10 @@ vet:
 build:
 	$(GO) build ./...
 
-# cescalint: the determinism-enforcing static-analysis suite (walltime,
-# globalrand, maporder, fpreduce, importboundary, shardsafe, pragma
-# staleness, policy completeness). Package sets live in cescalint.policy.
-# See DESIGN.md "Determinism invariants" and README "Lint".
-lint:
-	$(GO) run ./cmd/cescalint ./...
-
-# Includes the observability determinism gate (cmd/cebench
-# TestTraceExportGate: trace, metrics and stdout bytes at -parallel 1 vs 8
-# vs tracing off).
+# Includes the determinism policy (the root TestDeterminismPolicy; see
+# DESIGN.md "Determinism invariants") and the observability determinism gate
+# (cmd/cebench TestTraceExportGate: trace, metrics and stdout bytes at
+# -parallel 1 vs 8 vs tracing off).
 test:
 	$(GO) test -shuffle=on ./...
 
@@ -84,8 +78,8 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/bench -smoke -out "$$(mktemp -d)"
 
-# reach: the coverage audit of the shipped commands. Builds cebench, cescale,
-# cescalint and the examples with coverage over the whole module, runs a fixed
+# reach: the coverage audit of the shipped commands. Builds cebench, cescale
+# and the examples with coverage over the whole module, runs a fixed
 # command list, and fails on a function outside cmd/bench that none of them
 # ever executes unless scripts/reach.keep says why it stays (or on a keep line
 # that no longer applies). See DESIGN.md "Reach".
@@ -104,8 +98,10 @@ reach:
 # (arbitrary event lists over all six kinds and unknown ones: New refuses
 # them with a fault: error, or every query stays in range, every instant is
 # walked once and every compiled event fires, crash windows compiling to
-# none) and cescalint's two parsers (policy lines, //cescalint: directives). New inputs stay in the
-# build cache; a failing one is written to the package's testdata/fuzz/ and
+# none) and Algorithm 1 (fuzzed SHA shapes, budgets and deadlines, NaN,
+# subnormal and infinite ones included: an exact plan is within budget and a
+# feasible greedy plan meets its constraint). New inputs stay in the build
+# cache; a failing one is written to the package's testdata/fuzz/ and
 # from then on runs with `go test`. The kernel's seed
 # programs are kilobytes long, and the engine's default minute of minimizing
 # each input that reaches new code would eat the whole smoke: one second.
@@ -114,5 +110,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFitterFit -fuzztime 5s ./internal/fit/
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 5s ./internal/traffic/
 	$(GO) test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 5s ./internal/fault/
-	$(GO) test -run '^$$' -fuzz FuzzParsePolicy -fuzztime 5s ./internal/lint/
-	$(GO) test -run '^$$' -fuzz FuzzParseDirective -fuzztime 5s ./internal/lint/
+	$(GO) test -run '^$$' -fuzz FuzzPlanner -fuzztime 5s ./internal/planner/

@@ -36,7 +36,9 @@ func RunAll(ids []string, seed uint64, cfg Config) []Outcome {
 	invalid := cfg.Validate()
 	out, _ := cells(cfg, len(ids), func(i int) (Outcome, error) {
 		o := Outcome{ID: ids[i]}
-		start := time.Now() //cescalint:allow walltime -- per-artifact wall time is a stderr-only diagnostic; never printed to stdout
+		// Per-artifact wall time is a stderr-only diagnostic, never printed
+		// to stdout.
+		start := time.Now()
 		switch r, ok := registry[o.ID]; {
 		case invalid != nil:
 			o.Err = invalid
@@ -45,7 +47,7 @@ func RunAll(ids []string, seed uint64, cfg Config) []Outcome {
 		default:
 			o.Table, o.Err = r(seed, cfg)
 		}
-		o.Elapsed = time.Since(start) //cescalint:allow walltime -- pairs with the start stamp above; stderr-only
+		o.Elapsed = time.Since(start) // pairs with the start stamp above; stderr-only
 		// A failed artifact is an outcome, not a reason to stop the batch.
 		return o, nil
 	})

@@ -55,13 +55,13 @@ func (pl *Planner) ExactMinJCT(budget float64, buckets int) (Result, bool) {
 	for i := 0; i < d; i++ {
 		for j, p := range pl.P {
 			k := i*len(pl.P) + j
-			b := int(math.Ceil(pl.stageCost[k]/unit - 1e-12))
-			if b > buckets {
+			// Compare before converting: a NaN or overflowing quotient (a
+			// NaN or tiny budget) must not wrap around to a free choice.
+			q := math.Ceil(pl.stageCost[k]/unit - 1e-12)
+			if !(q <= float64(buckets)) {
 				continue // can never fit
 			}
-			if b < 0 {
-				b = 0
-			}
+			b := max(0, int(q))
 			choices[i] = append(choices[i], choice{
 				j:        int32(j),
 				costB:    b,

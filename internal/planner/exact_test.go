@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cost"
@@ -63,10 +64,14 @@ func TestGreedyOptimalityGapModerate(t *testing.T) {
 	}
 }
 
+// TestExactImpossibleBudget: no plan fits, including the budgets whose
+// cost-to-bucket quotient is NaN or overflows int.
 func TestExactImpossibleBudget(t *testing.T) {
-	pl := newPlanner(t, workload.MobileNet(), SHAStages(64, 2, 2))
-	if res, ok := pl.ExactMinJCT(1e-6, 1000); ok {
-		t.Errorf("impossible budget returned a plan costing %g", res.Cost)
+	pl := newPlanner(t, workload.LRHiggs(), SHAStages(512, 2, 2))
+	for _, budget := range []float64{1e-6, 1e-300, 1e-310, 5e-324, math.NaN()} {
+		if res, ok := pl.ExactMinJCT(budget, 4000); ok {
+			t.Errorf("budget %g returned a plan costing %g", budget, res.Cost)
+		}
 	}
 }
 

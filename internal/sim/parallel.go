@@ -1,8 +1,8 @@
 package sim
 
 // The sanctioned parallel executor. This is the only file in internal/sim
-// allowed to start goroutines or import sync (enforced by the cescalint
-// `shardsafe` analyzer via cescalint.policy): every other part of the
+// allowed to start goroutines or import sync (enforced by the root
+// TestDeterminismPolicy's shardsafe rule): every other part of the
 // kernel is single-threaded by construction, which is what makes the
 // byte-identical determinism argument auditable.
 //
