@@ -78,8 +78,8 @@ bench:
 bench-smoke:
 	$(GO) run ./cmd/bench -smoke -out "$$(mktemp -d)"
 
-# reach: the coverage audit of the shipped commands. Builds cebench, cescale
-# and the examples with coverage over the whole module, runs a fixed
+# reach: the coverage audit of the shipped commands. Builds cebench and
+# cescale with coverage over the whole module, runs a fixed
 # command list, and fails on a function outside cmd/bench that none of them
 # ever executes unless scripts/reach.keep says why it stays (or on a keep line
 # that no longer applies). See DESIGN.md "Reach".

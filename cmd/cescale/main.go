@@ -24,8 +24,13 @@ import (
 	"math"
 	"os"
 
-	"repro/cescaling"
+	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/obs"
+	"repro/internal/planner"
+	"repro/internal/predictor"
+	"repro/internal/trainer"
+	"repro/internal/workload"
 )
 
 type allocJSON struct {
@@ -90,7 +95,7 @@ type trainJSON struct {
 	ParetoCandidates int       `json:"pareto_candidates"`
 }
 
-func toAllocJSON(a cescaling.Allocation) allocJSON {
+func toAllocJSON(a cost.Allocation) allocJSON {
 	return allocJSON{Functions: a.N, MemoryMB: a.MemMB, Storage: a.Storage.String()}
 }
 
@@ -131,6 +136,21 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
+	// A flag set explicitly for a mode that never reads it is an error.
+	// -seed is the exception: every mode accepts it, and run.golden pins
+	// -seed with -mode profile.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "budget", "qos":
+			if *mode == "profile" {
+				fatal(fmt.Errorf("-%s: -mode profile takes no constraint", f.Name))
+			}
+		case "trials", "eta", "stage-epochs":
+			if *mode != "tune" {
+				fatal(fmt.Errorf("-%s shapes only -mode tune (got -mode %s)", f.Name, *mode))
+			}
+		}
+	})
 	switch {
 	case *trace != "" && *mode != "run":
 		fatal(fmt.Errorf("-trace is written only by -mode run (got -mode %s)", *mode))
@@ -151,7 +171,7 @@ func main() {
 			fatal(fmt.Errorf("-stage-epochs %d: each stage runs at least 1 epoch", *epochs))
 		}
 	}
-	w, err := cescaling.ModelByName(*model)
+	w, err := workload.ByName(*model)
 	if err != nil {
 		fatal(err)
 	}
@@ -162,13 +182,13 @@ func main() {
 	if traceF != nil || metricsF != nil {
 		observer = obs.New()
 	}
-	fw := cescaling.New(w)
+	fw := core.New(w)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 
 	switch *mode {
 	case "profile":
-		onFront := map[cescaling.Allocation]bool{}
+		onFront := map[cost.Allocation]bool{}
 		for _, p := range fw.Pareto {
 			onFront[p.Alloc] = true
 		}
@@ -184,11 +204,11 @@ func main() {
 		}
 
 	case "tune":
-		res, pl, err := fw.PlanHPT(*trials, *eta, *epochs, cescaling.Options{Budget: *budget, QoS: *qos, Seed: *seed, Obs: observer})
+		res, _, err := fw.PlanHPT(*trials, *eta, *epochs, core.Options{Budget: *budget, QoS: *qos, Seed: *seed, Obs: observer})
 		if err != nil {
 			fatal(err)
 		}
-		stages := cescaling.SHAStages(*trials, *eta, *epochs)
+		stages := planner.SHAStages(*trials, *eta, *epochs)
 		out := tuneJSON{
 			Model: w.Name, Constraint: constraintString(*budget, *qos),
 			PredictedJCT: res.JCT, PredictedUSD: res.Cost, Feasible: res.Feasible,
@@ -199,13 +219,12 @@ func main() {
 				Alloc: toAllocJSON(a),
 			})
 		}
-		_ = pl
 		if err := enc.Encode(out); err != nil {
 			fatal(err)
 		}
 
 	case "train":
-		off := cescaling.NewOffline(w)
+		off := predictor.NewOffline(w)
 		est := off.PredictEpochs(w.TargetLoss, *seed)
 		// Reuse the framework's candidate selection by planning the initial
 		// allocation the way the adaptive scheduler would.
@@ -223,11 +242,11 @@ func main() {
 		}
 
 	case "run":
-		runner := cescaling.NewRunner(*seed)
+		runner := trainer.NewRunner(*seed)
 		if observer != nil {
 			runner.SetObserver(observer)
 		}
-		out, err := fw.Train(cescaling.Options{Budget: *budget, QoS: *qos, Seed: *seed}, runner)
+		out, err := fw.Train(core.Options{Budget: *budget, QoS: *qos, Seed: *seed}, runner)
 		if err != nil {
 			fatal(err)
 		}
@@ -252,7 +271,7 @@ func main() {
 			fatal(err)
 		}
 		if traceCSV != nil {
-			if err := cescaling.WriteTraceCSV(traceCSV, r.Trace); err != nil {
+			if err := trainer.WriteTraceCSV(traceCSV, r.Trace); err != nil {
 				fatal(err)
 			}
 			if err := traceCSV.Close(); err != nil {
@@ -303,9 +322,9 @@ func exportObserver(o *obs.Observer, traceF, metricsF *os.File) error {
 	return nil
 }
 
-func pickInitial(fw *cescaling.Framework, budget, qos float64, est int) (cescaling.Allocation, bool) {
+func pickInitial(fw *core.Framework, budget, qos float64, est int) (cost.Allocation, bool) {
 	bestVal := -1.0
-	var best cescaling.Allocation
+	var best cost.Allocation
 	found := false
 	for _, p := range fw.Pareto {
 		t := float64(est) * p.Time

@@ -95,6 +95,11 @@ func TestRejectsBadInputBeforeWork(t *testing.T) {
 		{"-mode", "profile", "-trace-out", ignored},
 		{"-mode", "train", "-qos", "21600", "-metrics-out", ignored},
 		{"-mode", "tune", "-qos", "7200", "-trace", ignored},
+		{"-mode", "profile", "-budget", "5"},
+		{"-mode", "profile", "-qos", "0"},
+		{"-mode", "run", "-qos", "21600", "-trials", "8"},
+		{"-mode", "train", "-budget", "5", "-eta", "3"},
+		{"-mode", "profile", "-stage-epochs", "1"},
 		{"-mode", "run", "-budget", "-1", "-qos", "100"},
 		{"-mode", "run", "-budget", "+Inf"},
 		{"-mode", "run", "-qos", "21600", "stray-arg"},

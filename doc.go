@@ -4,7 +4,9 @@
 // simulated serverless substrate (FaaS platform, external storage services,
 // real SGD training) its evaluation runs on.
 //
-// The public API lives in repro/cescaling; the per-subsystem implementation
-// is under internal/ (see DESIGN.md for the inventory); every table and
-// figure of the paper's evaluation regenerates via cmd/cebench.
+// The entry points are cmd/cebench, which regenerates every table and figure
+// of the paper's evaluation; cmd/cescale, which emits the JSON allocation
+// plans; and internal/core, the framework both drive. The other subsystems
+// are under internal/ too (see DESIGN.md for the inventory). The Example
+// tests in example_test.go walk through core end to end.
 package repro

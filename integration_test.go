@@ -1,21 +1,25 @@
-// Integration tests exercising the public API end to end: the full Fig. 6
-// pipeline (profile -> plan -> execute) and its invariants, through
-// repro/cescaling only.
+// Integration tests exercising the framework end to end: the full Fig. 6
+// pipeline (profile -> plan -> execute) and its invariants.
 package repro_test
 
 import (
 	"math"
 	"testing"
 
-	"repro/cescaling"
+	"repro/internal/baselines"
+	"repro/internal/core"
+	"repro/internal/planner"
+	"repro/internal/storage"
+	"repro/internal/trainer"
+	"repro/internal/workload"
 )
 
 func TestIntegrationProfilePlanExecute(t *testing.T) {
-	w, err := cescaling.ModelByName("MobileNet-Cifar10")
+	w, err := workload.ByName("MobileNet-Cifar10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw := cescaling.New(w)
+	fw := core.New(w)
 
 	// Profile: a nonempty frontier, strictly ordered.
 	if len(fw.Pareto) < 5 {
@@ -29,7 +33,7 @@ func TestIntegrationProfilePlanExecute(t *testing.T) {
 
 	// Plan tuning under a budget derived from the frontier itself.
 	budget := fw.Pareto[len(fw.Pareto)-1].Cost * 64 * 2 * 4 // rough but generous
-	tune, err := fw.RunHPT(64, 2, 2, cescaling.Options{Budget: budget, Seed: 11}, cescaling.NewRunner(11))
+	tune, err := fw.RunHPT(64, 2, 2, core.Options{Budget: budget, Seed: 11}, trainer.NewRunner(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,11 +46,11 @@ func TestIntegrationProfilePlanExecute(t *testing.T) {
 	}
 
 	// Train the tuning winner under a deadline.
-	probe, err := fw.Train(cescaling.Options{Budget: 1e12, Seed: 12}, cescaling.NewRunner(12))
+	probe, err := fw.Train(core.Options{Budget: 1e12, Seed: 12}, trainer.NewRunner(12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, err := fw.Train(cescaling.Options{QoS: probe.Result.JCT * 2, Seed: 12}, cescaling.NewRunner(13))
+	train, err := fw.Train(core.Options{QoS: probe.Result.JCT * 2, Seed: 12}, trainer.NewRunner(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +64,11 @@ func TestIntegrationProfilePlanExecute(t *testing.T) {
 }
 
 func TestIntegrationWorkflow(t *testing.T) {
-	w, _ := cescaling.ModelByName("MobileNet-Cifar10")
-	fw := cescaling.New(w)
-	out, err := fw.RunWorkflow(cescaling.WorkflowOptions{
+	w, _ := workload.ByName("MobileNet-Cifar10")
+	fw := core.New(w)
+	out, err := fw.RunWorkflow(core.WorkflowOptions{
 		Budget: 600, Trials: 32, Seed: 21,
-	}, cescaling.NewRunner(21))
+	}, trainer.NewRunner(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +82,9 @@ func TestIntegrationWorkflow(t *testing.T) {
 
 func TestIntegrationDeterminismAcrossRuns(t *testing.T) {
 	run := func() (float64, float64) {
-		w, _ := cescaling.ModelByName("ResNet50-Cifar10")
-		fw := cescaling.New(w)
-		out, err := fw.Train(cescaling.Options{Budget: 1e6, Seed: 31}, cescaling.NewRunner(31))
+		w, _ := workload.ByName("ResNet50-Cifar10")
+		fw := core.New(w)
+		out, err := fw.Train(core.Options{Budget: 1e6, Seed: 31}, trainer.NewRunner(31))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,26 +93,26 @@ func TestIntegrationDeterminismAcrossRuns(t *testing.T) {
 	j1, c1 := run()
 	j2, c2 := run()
 	if j1 != j2 || c1 != c2 {
-		t.Errorf("public API runs are not deterministic: (%g, %g) vs (%g, %g)", j1, c1, j2, c2)
+		t.Errorf("framework runs are not deterministic: (%g, %g) vs (%g, %g)", j1, c1, j2, c2)
 	}
 }
 
 func TestIntegrationBaselinesComparable(t *testing.T) {
 	// The baselines plan over the same substrate, so CE's plan should never
 	// be slower than the static S3 plan it generalizes, at equal budget.
-	w, _ := cescaling.ModelByName("BERT-IMDb")
-	fw := cescaling.New(w)
-	stages := cescaling.SHAStages(64, 2, 2)
-	static, err := cescaling.Baselines.LambdaMLPlan(fw.Model, stages, fw.Full, 1e9, 0)
+	w, _ := workload.ByName("BERT-IMDb")
+	fw := core.New(w)
+	stages := planner.SHAStages(64, 2, 2)
+	static, err := baselines.StaticPlan(fw.Model, stages, fw.Full, storage.S3, 1e9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := static.Cost * 1.3
-	ce, _, err := fw.PlanHPT(64, 2, 2, cescaling.Options{Budget: budget, Seed: 41})
+	ce, _, err := fw.PlanHPT(64, 2, 2, core.Options{Budget: budget, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
-	staticB, err := cescaling.Baselines.LambdaMLPlan(fw.Model, stages, fw.Full, budget, 0)
+	staticB, err := baselines.StaticPlan(fw.Model, stages, fw.Full, storage.S3, budget, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,39 +42,29 @@ func FilterByStorage(points []cost.Point, kind storage.Kind) []cost.Point {
 
 // --- Hyperparameter-tuning plans ---
 
-// StaticPlanPinned is the optimal uniform allocation over candidates pinned
-// to one storage service.
-func StaticPlanPinned(m *cost.Model, stages []planner.Stage, points []cost.Point, kind storage.Kind, budget, qos float64) (planner.Result, error) {
-	sub := FilterByStorage(points, kind)
-	pl, err := planner.New(m, stages, sub)
+// StaticPlan is the optimal uniform allocation over candidates pinned to
+// one storage service: LambdaML's plan over storage.S3 (Fig. 9-10) and
+// Cirrus's over storage.VMPS.
+func StaticPlan(m *cost.Model, stages []planner.Stage, points []cost.Point, kind storage.Kind, budget, qos float64) (planner.Result, error) {
+	pl, err := planner.New(m, stages, FilterByStorage(points, kind))
 	if err != nil {
 		return planner.Result{}, err
 	}
 	return pl.OptimalStatic(budget, qos), nil
 }
 
-// LambdaMLPlan is the static baseline: the optimal uniform allocation over
-// S3-only candidates (Fig. 9-10 "LambdaML").
-func LambdaMLPlan(m *cost.Model, stages []planner.Stage, points []cost.Point, budget, qos float64) (planner.Result, error) {
-	return StaticPlanPinned(m, stages, points, storage.S3, budget, qos)
-}
-
-// SirenPlan models Siren's tuning behaviour: an S3-only static plan whose
-// early stages are then upgraded while the constraint allows — the paper's
-// observation that Siren's RL "tends to allocate more resources in the
-// early stages", wasting them on trials that will be terminated.
-func SirenPlan(m *cost.Model, stages []planner.Stage, points []cost.Point, budget, qos float64) (planner.Result, error) {
-	return SirenPlanPinned(m, stages, points, storage.S3, budget, qos)
-}
-
-// SirenPlanPinned is SirenPlan over an arbitrary pinned storage service
-// (the Fig. 16 same-storage comparison).
-func SirenPlanPinned(m *cost.Model, stages []planner.Stage, points []cost.Point, kind storage.Kind, budget, qos float64) (planner.Result, error) {
-	s3 := FilterByStorage(points, kind)
+// SirenPlan models Siren's tuning behaviour: a static plan pinned to one
+// storage service (storage.S3 for Siren itself, any service for the Fig. 16
+// same-storage comparison) whose early stages are then upgraded while the
+// constraint allows — the paper's observation that Siren's RL "tends to
+// allocate more resources in the early stages", wasting them on trials that
+// will be terminated.
+func SirenPlan(m *cost.Model, stages []planner.Stage, points []cost.Point, kind storage.Kind, budget, qos float64) (planner.Result, error) {
+	pinned := FilterByStorage(points, kind)
 	// The upgrade ladder below walks toward lower indices = faster
 	// allocations, so the candidate list must be time-sorted.
-	sort.Slice(s3, func(i, j int) bool { return s3[i].Time < s3[j].Time })
-	pl, err := planner.New(m, stages, s3)
+	sort.Slice(pinned, func(i, j int) bool { return pinned[i].Time < pinned[j].Time })
+	pl, err := planner.New(m, stages, pinned)
 	if err != nil {
 		return planner.Result{}, err
 	}
@@ -102,10 +92,10 @@ func SirenPlanPinned(m *cost.Model, stages []planner.Stage, points []cost.Point,
 	// Front-to-back: early stages soak up the headroom first (the bias),
 	// then whatever remains trickles to later stages.
 	for i := 0; i < len(stages); i++ {
-		idx := indexOf(s3, plan.Stages[i])
+		idx := indexOf(pinned, plan.Stages[i])
 		for idx > 0 {
 			trial := plan.Clone()
-			trial.Stages[i] = s3[idx-1].Alloc
+			trial.Stages[i] = pinned[idx-1].Alloc
 			jct, c := pl.JCT(trial), pl.Cost(trial)
 			// Siren's RL maximizes stage speed, so it never picks an
 			// upgrade that slows the stage down (e.g. one that triggers
@@ -125,16 +115,6 @@ func SirenPlanPinned(m *cost.Model, stages []planner.Stage, points []cost.Point,
 	return planner.Result{Plan: plan, JCT: jct, Cost: c, Feasible: feasible, Evaluated: res.Evaluated}, nil
 }
 
-// CirrusPlan is the static plan pinned to VM-PS storage.
-func CirrusPlan(m *cost.Model, stages []planner.Stage, points []cost.Point, budget, qos float64) (planner.Result, error) {
-	vm := FilterByStorage(points, storage.VMPS)
-	pl, err := planner.New(m, stages, vm)
-	if err != nil {
-		return planner.Result{}, err
-	}
-	return pl.OptimalStatic(budget, qos), nil
-}
-
 func indexOf(points []cost.Point, a cost.Allocation) int {
 	for i, p := range points {
 		if p.Alloc == a {
@@ -147,7 +127,7 @@ func indexOf(points []cost.Point, a cost.Allocation) int {
 // --- Training controllers ---
 
 // SirenTraining adjusts resources every epoch with exploration noise,
-// S3-only candidates and immediate restarts.
+// candidates pinned to one storage service and immediate restarts.
 type SirenTraining struct {
 	candidates []cost.Point
 	budget     float64
@@ -159,22 +139,12 @@ type SirenTraining struct {
 	Restarts int
 }
 
-// NewSirenTraining returns Siren's training policy over the full S3
-// allocation enumeration (Siren does not prune with a Pareto front).
-// estimate is Siren's up-front epoch estimate (its RL model's output, which
-// we take from the offline predictor). points must contain at least one S3
-// allocation.
+// NewSirenTraining returns Siren's training policy over points, a
+// candidate set the caller has already pinned to one storage service
+// (Siren's own is the full S3 enumeration: it does not prune with a Pareto
+// front). estimate is Siren's up-front epoch estimate (its RL model's
+// output, which we take from the offline predictor).
 func NewSirenTraining(points []cost.Point, budget, qos float64, estimate int, seed uint64) *SirenTraining {
-	cands := FilterByStorage(points, storage.S3)
-	if len(cands) == 0 {
-		panic("baselines: Siren needs at least one S3 allocation; pass the full enumeration")
-	}
-	return NewSirenTrainingUnfiltered(cands, budget, qos, estimate, seed)
-}
-
-// NewSirenTrainingUnfiltered builds the Siren policy over a caller-chosen
-// candidate set (used when an experiment pins Siren to a non-S3 service).
-func NewSirenTrainingUnfiltered(points []cost.Point, budget, qos float64, estimate int, seed uint64) *SirenTraining {
 	if len(points) == 0 {
 		panic("baselines: Siren needs a non-empty candidate set")
 	}
@@ -195,7 +165,7 @@ func (s *SirenTraining) Initial() cost.Allocation {
 	return s.current
 }
 
-// pick selects the constrained optimum among S3 candidates, then applies
+// pick selects the constrained optimum among the candidates, then applies
 // exploration noise of ±1 position.
 func (s *SirenTraining) pick(remaining int, elapsed, spent float64) cost.Allocation {
 	if remaining < 1 {
@@ -251,7 +221,7 @@ func (s *SirenTraining) Controller() trainer.Controller {
 		remaining := s.estimated - epoch
 		next := s.pick(remaining, elapsed, spent)
 		// Siren's decision latency: its RL inference is cheap, but it runs
-		// every epoch over all S3 candidates.
+		// every epoch over all its candidates.
 		dec := trainer.Decision{PlanningSeconds: 0.05 * float64(len(s.candidates))}
 		if next != s.current {
 			s.current = next
@@ -264,15 +234,10 @@ func (s *SirenTraining) Controller() trainer.Controller {
 }
 
 // ModifiedCirrus is the §IV-C training baseline: CE-scaling's online
-// prediction, but storage pinned to VM-PS and immediate (not delayed)
-// restarts.
-func ModifiedCirrus(m *cost.Model, points []cost.Point, budget, qos, targetLoss float64, off *predictor.Offline, seed uint64) *scheduler.Scheduler {
-	return ModifiedCirrusPinned(m, points, storage.VMPS, budget, qos, targetLoss, off, seed)
-}
-
-// ModifiedCirrusPinned is ModifiedCirrus over an arbitrary pinned storage
-// service (the Fig. 17 same-storage comparison).
-func ModifiedCirrusPinned(m *cost.Model, points []cost.Point, kind storage.Kind, budget, qos, targetLoss float64, off *predictor.Offline, seed uint64) *scheduler.Scheduler {
+// prediction, but storage pinned to one service (storage.VMPS for Cirrus
+// itself, any service for the Fig. 17 same-storage comparison) and
+// immediate (not delayed) restarts.
+func ModifiedCirrus(m *cost.Model, points []cost.Point, kind storage.Kind, budget, qos, targetLoss float64, off *predictor.Offline, seed uint64) *scheduler.Scheduler {
 	return scheduler.New(scheduler.Config{
 		Model:          m,
 		Candidates:     cost.Pareto(FilterByStorage(points, kind)),

@@ -39,7 +39,7 @@ func TestFilterByStorage(t *testing.T) {
 func TestLambdaMLPlanUsesOnlyS3(t *testing.T) {
 	w := workload.MobileNet()
 	m, pareto, stages := setup(t, w)
-	res, err := LambdaMLPlan(m, stages, pareto, 1e9, 0)
+	res, err := StaticPlan(m, stages, pareto, storage.S3, 1e9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +59,12 @@ func TestLambdaMLPlanUsesOnlyS3(t *testing.T) {
 func TestSirenPlanBiasesEarlyStages(t *testing.T) {
 	w := workload.MobileNet()
 	m, pareto, stages := setup(t, w)
-	static, err := LambdaMLPlan(m, stages, pareto, 1e9, 0)
+	static, err := StaticPlan(m, stages, pareto, storage.S3, 1e9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := static.Cost * 1.4
-	siren, err := SirenPlan(m, stages, pareto, budget, 0)
+	siren, err := SirenPlan(m, stages, pareto, storage.S3, budget, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,24 +79,10 @@ func TestSirenPlanBiasesEarlyStages(t *testing.T) {
 	}
 }
 
-func TestCirrusPlanUsesOnlyVMPS(t *testing.T) {
-	w := workload.MobileNet()
-	m, pareto, stages := setup(t, w)
-	res, err := CirrusPlan(m, stages, pareto, 1e9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range res.Plan.Stages {
-		if a.Storage != storage.VMPS {
-			t.Errorf("stage %d uses %v, want VM-PS", i, a.Storage)
-		}
-	}
-}
-
 func TestPlansErrorWithoutCandidates(t *testing.T) {
 	w := workload.MobileNet()
 	m, _, stages := setup(t, w)
-	if _, err := LambdaMLPlan(m, stages, nil, 1, 0); err == nil {
+	if _, err := StaticPlan(m, stages, nil, storage.S3, 1, 0); err == nil {
 		t.Error("empty candidate set should error")
 	}
 }
@@ -105,7 +91,7 @@ func TestSirenTrainingRestartsOften(t *testing.T) {
 	w := workload.MobileNet()
 	m, _, _ := setup(t, w)
 	full := m.Enumerate(cost.DefaultGrid())
-	siren := NewSirenTraining(full, 1e9, 0, 30, 3)
+	siren := NewSirenTraining(FilterByStorage(full, storage.S3), 1e9, 0, 30, 3)
 	r := trainer.NewRunner(4)
 	alloc := siren.Initial()
 	if alloc.Storage != storage.S3 {
@@ -141,7 +127,7 @@ func TestSirenRespectsBudgetStop(t *testing.T) {
 	w := workload.BERT()
 	m, _, _ := setup(t, w)
 	full := m.Enumerate(cost.DefaultGrid())
-	siren := NewSirenTraining(full, 0.5, 0, 30, 3)
+	siren := NewSirenTraining(FilterByStorage(full, storage.S3), 0.5, 0, 30, 3)
 	r := trainer.NewRunner(5)
 	res, err := r.Run(trainer.Config{
 		Workload:   w,
@@ -162,7 +148,7 @@ func TestSirenRespectsBudgetStop(t *testing.T) {
 func TestModifiedCirrusPinnedToVMPS(t *testing.T) {
 	w := workload.MobileNet()
 	m, pareto, _ := setup(t, w)
-	sched := ModifiedCirrus(m, pareto, 1e9, 0, w.TargetLoss, predictor.NewOffline(w), 7)
+	sched := ModifiedCirrus(m, pareto, storage.VMPS, 1e9, 0, w.TargetLoss, predictor.NewOffline(w), 7)
 	alloc, _ := sched.Initial()
 	if alloc.Storage != storage.VMPS {
 		t.Fatalf("modified Cirrus initial storage = %v, want VM-PS", alloc.Storage)
@@ -194,8 +180,9 @@ func TestStaticPlanPinnedEachService(t *testing.T) {
 	m := cost.NewModel(w)
 	points := m.Enumerate(cost.DefaultGrid())
 	stages := planner.SHAStages(64, 2, 2)
+	// Every service, VM-PS (the Cirrus plan) included.
 	for _, kind := range storage.Kinds() {
-		res, err := StaticPlanPinned(m, stages, points, kind, 1e9, 0)
+		res, err := StaticPlan(m, stages, points, kind, 1e9, 0)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -212,12 +199,12 @@ func TestSirenPlanPinnedVMPS(t *testing.T) {
 	m := cost.NewModel(w)
 	points := m.Enumerate(cost.DefaultGrid())
 	stages := planner.SHAStages(128, 2, 2)
-	static, err := StaticPlanPinned(m, stages, points, storage.VMPS, 1e9, 0)
+	static, err := StaticPlan(m, stages, points, storage.VMPS, 1e9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := static.Cost * 1.4
-	res, err := SirenPlanPinned(m, stages, points, storage.VMPS, budget, 0)
+	res, err := SirenPlan(m, stages, points, storage.VMPS, budget, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +222,7 @@ func TestModifiedCirrusPinnedS3(t *testing.T) {
 	w := workload.MobileNet()
 	m := cost.NewModel(w)
 	points := m.Enumerate(cost.DefaultGrid())
-	sched := ModifiedCirrusPinned(m, points, storage.S3, 1e9, 0, w.TargetLoss, predictor.NewOffline(w), 3)
+	sched := ModifiedCirrus(m, points, storage.S3, 1e9, 0, w.TargetLoss, predictor.NewOffline(w), 3)
 	alloc, _ := sched.Initial()
 	if alloc.Storage != storage.S3 {
 		t.Fatalf("pinned-S3 Cirrus initial storage = %v", alloc.Storage)

@@ -73,7 +73,7 @@ func Run(r *trainer.Runner, subs []Submission) ([]*Outcome, error) {
 	// discrete-event kernel underneath the runner's backend.
 	s := r.Backend.Sim()
 
-	var admit func(rj *runningJob)
+	var admit func(rj *runningJob) bool
 	var stepEvent func(rj *runningJob)
 	var drainQueue func()
 
@@ -105,15 +105,16 @@ func Run(r *trainer.Runner, subs []Submission) ([]*Outcome, error) {
 		s.ScheduleAfter(delta, func() { stepEvent(rj) })
 	}
 
-	admit = func(rj *runningJob) {
+	// admit starts rj's job and reports false if the concurrency cap
+	// refused it.
+	admit = func(rj *runningJob) bool {
 		job, err := r.StartJob(rj.sub.Config)
+		if errors.Is(err, faas.ErrConcurrencyExceeded) {
+			return false
+		}
 		if err != nil {
-			if errors.Is(err, faas.ErrConcurrencyExceeded) {
-				waiting = append(waiting, rj)
-				return
-			}
 			errOut = err
-			return
+			return true
 		}
 		rj.job = job
 		rj.out.Admitted = float64(s.Now())
@@ -122,25 +123,25 @@ func Run(r *trainer.Runner, subs []Submission) ([]*Outcome, error) {
 		// first epoch after it.
 		rj.stepped = job.Elapsed()
 		s.ScheduleAfter(job.Elapsed(), func() { stepEvent(rj) })
+		return true
 	}
 
+	// drainQueue admits waiters in FIFO order: a refused head keeps its
+	// place at the front, and the jobs behind it keep waiting.
 	drainQueue = func() {
-		for len(waiting) > 0 {
-			head := waiting[0]
-			before := len(waiting)
+		for len(waiting) > 0 && admit(waiting[0]) {
 			waiting = waiting[1:]
-			admit(head)
-			if len(waiting) == before {
-				// Re-queued: still no capacity; stop trying (FIFO).
-				return
-			}
 		}
 	}
 
 	for _, sub := range subs {
 		sub := sub
 		rj := &runningJob{sub: sub, out: &Outcome{Name: sub.Name, Arrival: sub.Arrival}}
-		s.Schedule(sim.Time(sub.Arrival), func() { admit(rj) })
+		s.Schedule(sim.Time(sub.Arrival), func() {
+			if !admit(rj) {
+				waiting = append(waiting, rj)
+			}
+		})
 	}
 	s.Run()
 	if errOut != nil {

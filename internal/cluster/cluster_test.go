@@ -109,6 +109,38 @@ func TestOversubscribedJobQueues(t *testing.T) {
 	}
 }
 
+// TestRefusedHeadKeepsItsPlace: a queued job the cap still refuses stays at
+// the head of the queue, so a later, smaller arrival cannot overtake it.
+// Here z (2000 functions) and then w (1600) queue behind x and y; when y
+// finishes neither fits, and when x finishes z must be admitted first.
+func TestRefusedHeadKeepsItsPlace(t *testing.T) {
+	fixed := func(name string, n, epochs int, arrival float64) Submission {
+		s := job(t, name, n, uint64(n+epochs), arrival)
+		s.Config.TargetLoss, s.Config.MaxEpochs = 0, epochs
+		return s
+	}
+	outs, err := Run(trainer.NewRunner(5), []Submission{
+		fixed("x", 1500, 40, 0),
+		fixed("y", 1500, 5, 0),
+		fixed("z", 2000, 5, 1),
+		fixed("w", 1600, 5, 2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]*Outcome{}
+	for _, o := range outs {
+		byName[o.Name] = o
+	}
+	z, w := byName["z"], byName["w"]
+	if z.QueueDelay <= 0 || w.QueueDelay <= 0 {
+		t.Fatalf("z and w should both queue: delays %g, %g", z.QueueDelay, w.QueueDelay)
+	}
+	if z.Admitted > w.Admitted {
+		t.Errorf("z (arrived %g) admitted at %g, after w (arrived %g) at %g", z.Arrival, z.Admitted, w.Arrival, w.Admitted)
+	}
+}
+
 func TestStaggeredArrivals(t *testing.T) {
 	outs, err := Run(trainer.NewRunner(4), []Submission{
 		job(t, "early", 10, 1, 0),

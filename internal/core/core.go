@@ -71,9 +71,9 @@ type Options struct {
 	PinStorage *storage.Kind
 
 	// Obs, when set, receives the planner's per-stage decisions and the
-	// scheduler's per-epoch Algorithm 2 decision log. Train and RunHPT fall
-	// back to the runner's observer when nil, so attaching a sink to the
-	// runner instruments the whole session.
+	// scheduler's per-epoch Algorithm 2 decision log. Train,
+	// TrainWithHyperparams and RunHPT fall back to the runner's observer when
+	// nil, so attaching a sink to the runner instruments the whole session.
 	Obs *obs.Observer
 
 	Seed uint64
@@ -206,8 +206,15 @@ func (f *Framework) newSchedulerSession(opt Options) (*scheduler.Scheduler, cost
 }
 
 // Train runs a training job to the workload's target loss under the
-// adaptive scheduler (Algorithm 2).
+// adaptive scheduler (Algorithm 2), with the workload's default learning
+// rate.
 func (f *Framework) Train(opt Options, runner *trainer.Runner) (*TrainOutcome, error) {
+	return f.TrainWithHyperparams(workload.Hyperparams{LR: f.Workload.DefaultLR}, opt, runner)
+}
+
+// TrainWithHyperparams is Train with explicit trial hyperparameters (the
+// workflow's training phase trains the tuning winner).
+func (f *Framework) TrainWithHyperparams(hp workload.Hyperparams, opt Options, runner *trainer.Runner) (*TrainOutcome, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
@@ -218,10 +225,9 @@ func (f *Framework) Train(opt Options, runner *trainer.Runner) (*TrainOutcome, e
 	if err != nil {
 		return nil, err
 	}
-	engine := f.Workload.NewEngine(workload.Hyperparams{LR: f.Workload.DefaultLR}, opt.Seed)
 	res, err := runner.Run(trainer.Config{
 		Workload:   f.Workload,
-		Engine:     engine,
+		Engine:     f.Workload.NewEngine(hp, opt.Seed),
 		Alloc:      alloc,
 		TargetLoss: f.Workload.TargetLoss,
 		MaxEpochs:  2000,

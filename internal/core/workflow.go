@@ -125,29 +125,3 @@ func (f *Framework) RunWorkflow(opt WorkflowOptions, runner *trainer.Runner) (*W
 	}
 	return out, nil
 }
-
-// TrainWithHyperparams is Train with explicit trial hyperparameters instead
-// of the workload defaults (used by the workflow's training phase, which
-// trains the tuning winner).
-func (f *Framework) TrainWithHyperparams(hp workload.Hyperparams, opt Options, runner *trainer.Runner) (*TrainOutcome, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	sched, alloc, est, err := f.newSchedulerSession(opt)
-	if err != nil {
-		return nil, err
-	}
-	engine := f.Workload.NewEngine(hp, opt.Seed)
-	res, err := runner.Run(trainer.Config{
-		Workload:   f.Workload,
-		Engine:     engine,
-		Alloc:      alloc,
-		TargetLoss: f.Workload.TargetLoss,
-		MaxEpochs:  2000,
-		Controller: sched.Controller(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &TrainOutcome{Result: res, Scheduler: sched, OfflineEstimate: est}, nil
-}

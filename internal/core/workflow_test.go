@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/trainer"
 	"repro/internal/workload"
 )
@@ -95,5 +96,22 @@ func TestTrainWithHyperparamsUsesThem(t *testing.T) {
 	// A wildly wrong learning rate must need more epochs (or fail).
 	if bad.Result.Converged && bad.Result.Epochs <= good.Result.Epochs {
 		t.Errorf("bad lr converged in %d epochs <= good lr's %d", bad.Result.Epochs, good.Result.Epochs)
+	}
+}
+
+// TestWorkflowTrainingRecordsDecisions: on an observed runner the workflow's
+// training phase logs its Algorithm 2 decisions like Train does (tuning
+// alone records none: it has no scheduler).
+func TestWorkflowTrainingRecordsDecisions(t *testing.T) {
+	f := New(workload.MobileNet())
+	r := trainer.NewRunner(9)
+	o := obs.New()
+	r.SetObserver(o)
+	out, err := f.RunWorkflow(WorkflowOptions{Budget: 600, Trials: 64, Seed: 9}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Stats().Counter("scheduler.decisions"); got == 0 {
+		t.Errorf("training phase ran %d epochs and recorded %g scheduler decisions", out.Train.Result.Epochs, got)
 	}
 }

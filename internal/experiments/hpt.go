@@ -113,13 +113,13 @@ func (h *hptSetup) hptSystems(cfg Config, trials int, budget, qos float64, seed 
 	}
 	plans["CE-scaling"] = ce
 
-	lam, err := baselines.LambdaMLPlan(h.fw.Model, h.stages, h.fw.Full, budget, qos)
+	lam, err := baselines.StaticPlan(h.fw.Model, h.stages, h.fw.Full, storage.S3, budget, qos)
 	if err != nil {
 		return nil, nil, err
 	}
 	plans["LambdaML"] = lam
 
-	sir, err := baselines.SirenPlan(h.fw.Model, h.stages, h.fw.Full, budget, qos)
+	sir, err := baselines.SirenPlan(h.fw.Model, h.stages, h.fw.Full, storage.S3, budget, qos)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -241,7 +241,7 @@ func fig11(seed uint64, _ Config) (*Table, error) {
 	}
 	budget := h.budgetRef()
 	ce := h.pl.PlanMinJCT(budget)
-	static, err := baselines.LambdaMLPlan(h.fw.Model, h.stages, h.fw.Full, budget, 0)
+	static, err := baselines.StaticPlan(h.fw.Model, h.stages, h.fw.Full, storage.S3, budget, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -441,11 +441,11 @@ func fig16(seed uint64, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sirPlan, err := baselines.SirenPlanPinned(h.fw.Model, h.stages, h.fw.Full, kind, budget, 0)
+		sirPlan, err := baselines.SirenPlan(h.fw.Model, h.stages, h.fw.Full, kind, budget, 0)
 		if err != nil {
 			return nil, err
 		}
-		cirPlan, err := baselines.StaticPlanPinned(h.fw.Model, h.stages, h.fw.Full, kind, budget, 0)
+		cirPlan, err := baselines.StaticPlan(h.fw.Model, h.stages, h.fw.Full, kind, budget, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -95,7 +95,7 @@ func runBaseline(cfg Config, fw *core.Framework, seed, runnerSeed uint64, scope 
 func runSiren(cfg Config, fw *core.Framework, budget, qos float64, seed uint64, scope string) (*trainer.Result, error) {
 	w := fw.Workload
 	est := predictor.NewOffline(w).PredictEpochs(w.TargetLoss, seed)
-	siren := baselines.NewSirenTraining(fw.Full, budget, qos, est, seed)
+	siren := baselines.NewSirenTraining(baselines.FilterByStorage(fw.Full, storage.S3), budget, qos, est, seed)
 	return runBaseline(cfg, fw, seed, seed+1, scope, siren.Initial(), siren.Controller())
 }
 
@@ -103,7 +103,7 @@ func runSiren(cfg Config, fw *core.Framework, budget, qos float64, seed uint64, 
 // VM-PS pinned, immediate restarts).
 func runModifiedCirrus(cfg Config, fw *core.Framework, budget, qos float64, seed uint64, scope string) (*trainer.Result, error) {
 	w := fw.Workload
-	sched := baselines.ModifiedCirrus(fw.Model, fw.Full, budget, qos, w.TargetLoss, predictor.NewOffline(w), seed)
+	sched := baselines.ModifiedCirrus(fw.Model, fw.Full, storage.VMPS, budget, qos, w.TargetLoss, predictor.NewOffline(w), seed)
 	alloc, _ := sched.Initial()
 	if alloc.N == 0 {
 		return nil, fmt.Errorf("modified Cirrus: no feasible VM-PS allocation for %s", w.Name)
@@ -300,7 +300,7 @@ func fig17(seed uint64, cfg Config) (*Table, error) {
 			return nil, err
 		}
 		// Cirrus: online prediction, immediate restarts, pinned storage.
-		cirSched := baselines.ModifiedCirrusPinned(fw.Model, fw.Full, kind, budget, 0, w.TargetLoss, predictor.NewOffline(w), seed)
+		cirSched := baselines.ModifiedCirrus(fw.Model, fw.Full, kind, budget, 0, w.TargetLoss, predictor.NewOffline(w), seed)
 		cirAlloc, _ := cirSched.Initial()
 		cir, err := runBaseline(cfg, fw, seed, seed+5, "fig17/"+kind.Short()+"/Cirrus", cirAlloc, cirSched.Controller())
 		if err != nil {
@@ -331,7 +331,7 @@ func fig17(seed uint64, cfg Config) (*Table, error) {
 // runSirenPinned reproduces Siren's per-epoch adjustment behaviour over an
 // arbitrary pinned candidate set (used when Fig. 17 pins Siren to VM-PS).
 func runSirenPinned(cfg Config, fw *core.Framework, pts []cost.Point, budget float64, est int, seed uint64, scope string) (*trainer.Result, error) {
-	siren := baselines.NewSirenTrainingUnfiltered(pts, budget, 0, est, seed)
+	siren := baselines.NewSirenTraining(pts, budget, 0, est, seed)
 	return runBaseline(cfg, fw, seed, seed+4, scope, siren.Initial(), siren.Controller())
 }
 

@@ -203,9 +203,6 @@ func All(pb pricing.PriceBook) []*Service {
 	return out
 }
 
-// Kind reports which service this model describes.
-func (s *Service) Kind() Kind { return s.kind }
-
 // Name returns the human-readable service name.
 func (s *Service) Name() string { return s.kind.String() }
 

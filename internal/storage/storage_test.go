@@ -34,10 +34,10 @@ func TestAllReturnsFourDistinctServices(t *testing.T) {
 	}
 	seen := map[Kind]bool{}
 	for _, s := range all {
-		if seen[s.Kind()] {
-			t.Errorf("duplicate kind %v", s.Kind())
+		if seen[s.kind] {
+			t.Errorf("duplicate kind %v", s.kind)
 		}
-		seen[s.Kind()] = true
+		seen[s.kind] = true
 	}
 }
 
@@ -96,7 +96,7 @@ func TestLatencyOrdering(t *testing.T) {
 func TestSyncTimeMonotoneInModelSize(t *testing.T) {
 	for _, s := range services() {
 		if s.SyncTime(10, 1) >= s.SyncTime(10, 10) {
-			t.Errorf("%v: SyncTime not increasing in model size", s.Kind())
+			t.Errorf("%v: SyncTime not increasing in model size", s.kind)
 		}
 	}
 }
@@ -107,7 +107,7 @@ func TestSyncTimeMonotoneInWorkers(t *testing.T) {
 			n := int(raw%60) + 2
 			return s.SyncTime(n, 1) < s.SyncTime(n+1, 1)
 		}, &quick.Config{MaxCount: 100}); err != nil {
-			t.Errorf("%v: %v", s.Kind(), err)
+			t.Errorf("%v: %v", s.kind, err)
 		}
 	}
 }
@@ -116,10 +116,10 @@ func TestSyncRequestCostOnlyForRequestCharged(t *testing.T) {
 	for _, s := range services() {
 		cost := s.SyncRequestCost(10, 0.1)
 		if s.ChargeModel() == ByRequest && cost <= 0 {
-			t.Errorf("%v: request-charged service has zero sync request cost", s.Kind())
+			t.Errorf("%v: request-charged service has zero sync request cost", s.kind)
 		}
 		if s.ChargeModel() == ByRuntime && cost != 0 {
-			t.Errorf("%v: runtime-charged service has nonzero request cost %g", s.Kind(), cost)
+			t.Errorf("%v: runtime-charged service has nonzero request cost %g", s.kind, cost)
 		}
 	}
 }
@@ -128,10 +128,10 @@ func TestRuntimeCostOnlyForRuntimeCharged(t *testing.T) {
 	for _, s := range services() {
 		cost := s.RuntimeCost(3600)
 		if s.ChargeModel() == ByRuntime && cost <= 0 {
-			t.Errorf("%v: runtime-charged service has zero runtime cost", s.Kind())
+			t.Errorf("%v: runtime-charged service has zero runtime cost", s.kind)
 		}
 		if s.ChargeModel() == ByRequest && cost != 0 {
-			t.Errorf("%v: request-charged service has nonzero runtime cost %g", s.Kind(), cost)
+			t.Errorf("%v: request-charged service has nonzero runtime cost %g", s.kind, cost)
 		}
 	}
 }
@@ -164,12 +164,12 @@ func TestDynamoSyncCostScalesWithModelSize(t *testing.T) {
 
 func TestProvisionDelayOnlyManualServices(t *testing.T) {
 	for _, s := range services() {
-		manual := s.Kind() == ElastiCache || s.Kind() == VMPS
+		manual := s.kind == ElastiCache || s.kind == VMPS
 		if manual && s.ProvisionDelay() <= 0 {
-			t.Errorf("%v should have a provision delay", s.Kind())
+			t.Errorf("%v should have a provision delay", s.kind)
 		}
 		if !manual && s.ProvisionDelay() != 0 {
-			t.Errorf("%v should not have a provision delay", s.Kind())
+			t.Errorf("%v should not have a provision delay", s.kind)
 		}
 	}
 }
@@ -182,8 +182,8 @@ func TestCharacterizeMatchesTableI(t *testing.T) {
 		VMPS:        {Name: "VM-PS", ElasticScaling: "Manual", LatencyClass: "Low", PricingPattern: "Execution time", CostClass: "$$$"},
 	}
 	for _, s := range services() {
-		if got := s.Characterize(); got != want[s.Kind()] {
-			t.Errorf("%v.Characterize() = %+v, want %+v", s.Kind(), got, want[s.Kind()])
+		if got := s.Characterize(); got != want[s.kind] {
+			t.Errorf("%v.Characterize() = %+v, want %+v", s.kind, got, want[s.kind])
 		}
 	}
 }

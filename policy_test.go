@@ -2,8 +2,8 @@ package repro_test
 
 // The determinism rules no behavioural test covers, checked on the source of
 // every package's non-test files (go/build, so build tags are honoured; no
-// type checking). Package sets come from the path: internal/... and cescaling
-// are deterministic; everything else, plus internal/experiments, may print.
+// type checking). Package sets come from the path: internal/... is
+// deterministic; everything else, plus internal/experiments, may print.
 // Order and float determinism are carried by the byte-identity tests instead;
 // see DESIGN.md "Determinism invariants".
 
@@ -75,7 +75,7 @@ func policyViolations(root string, exempt map[string]string) ([]string, error) {
 			return err
 		}
 		rel = filepath.ToSlash(rel)
-		det := rel == "cescaling" || strings.HasPrefix(rel, "internal/")
+		det := strings.HasPrefix(rel, "internal/")
 		prints := !det || rel == "internal/experiments"
 		for _, name := range pkg.GoFiles {
 			file := path.Join(rel, name)

@@ -20,8 +20,8 @@ func TestPolicyViolations(t *testing.T) {
 			want: "cmd/x/main.go globalrand:"},
 		{name: "importboundary", files: map[string]string{"internal/a/a.go": `package a; import _ "net/http"`},
 			want: "internal/a/a.go importboundary:"},
-		{name: "walltime", files: map[string]string{"cescaling/c.go": `package c; import _ "time"`},
-			want: "cescaling/c.go walltime:"},
+		{name: "walltime", files: map[string]string{"internal/c/c.go": `package c; import _ "time"`},
+			want: "internal/c/c.go walltime:"},
 		{name: "stdout", files: map[string]string{"internal/a/a.go": `package a; import f "fmt"; func g() { f.Println() }`},
 			want: "internal/a/a.go stdout:"},
 		{name: "shardsafe", files: map[string]string{"internal/sim/k.go": `package sim; func g() { go g() }`},

@@ -1,6 +1,6 @@
 #!/bin/sh
-# reach: which functions does no shipped command ever run? Builds cebench,
-# cescale and the examples with coverage over the whole module,
+# reach: which functions does no shipped command ever run? Builds cebench and
+# cescale with coverage over the whole module,
 # drives them through the fixed command list below, prints every function
 # outside cmd/bench that never executed, and fails on any that
 # scripts/reach.keep does not justify. See DESIGN.md "Reach".
@@ -8,7 +8,7 @@ set -eu
 cd "$(dirname "$0")/.."
 t=$(mktemp -d) && mkdir "$t/cov"
 trap 'rm -rf "$t"' EXIT
-for p in cmd/cebench cmd/cescale examples/*; do
+for p in cmd/cebench cmd/cescale; do
 	go build -cover -coverpkg=./... -o "$t/$(basename "$p")" "./$p"
 done
 printf '2,7,0,3\n5 0 0 1\n' >"$t/azure.csv"
@@ -26,7 +26,6 @@ $b -shards 4 -sim-workers 1 $macro && $b -shards 8 -sim-workers 2 -trace-out $t/
 $s -mode profile && $s -mode train -budget 5 && $s -model MobileNet-Cifar10 -mode run -budget 4
 $s -mode tune -trials 64 -qos 7200 -trace-out $t/t.json -metrics-out $t/m.json
 $s -mode run -qos 21600 -trace $t/e.csv -trace-out $t/t.jsonl -metrics-out $t/m.json
-for e in hyperparam qos-training quickstart storage-explorer workflow; do $t/\$e; done
 EOF
 go tool covdata textfmt -i="$t/cov" -o="$t/cov.txt"
 go tool cover -func="$t/cov.txt" | awk -v keep=scripts/reach.keep '
