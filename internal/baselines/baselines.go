@@ -8,9 +8,11 @@
 //     S3-only storage, per-epoch resource adjustment with exploration noise
 //     and full (immediate) function restarts, and a bias toward granting
 //     early tuning stages more resources.
-//   - Cirrus [4]: static allocation pinned to a VM parameter server; the
+//   - Cirrus [4]: static allocation pinned to a VM parameter server. The
 //     "modified Cirrus" of §IV-C adds CE-scaling's online prediction but
-//     keeps VM-PS storage and immediate restarts.
+//     keeps VM-PS storage and immediate restarts, so it is no policy of its
+//     own: it is internal/core's Algorithm 2 session under
+//     core.Options{PinStorage: &storage.VMPS, DisableDelayedRestart: true}.
 //
 // Every policy consumes the same cost.Model estimates and drives the same
 // trainer, so differences in JCT/cost reflect policy, not substrate.
@@ -22,8 +24,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/planner"
-	"repro/internal/predictor"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/trainer"
@@ -231,21 +231,4 @@ func (s *SirenTraining) Controller() trainer.Controller {
 		}
 		return dec
 	}
-}
-
-// ModifiedCirrus is the §IV-C training baseline: CE-scaling's online
-// prediction, but storage pinned to one service (storage.VMPS for Cirrus
-// itself, any service for the Fig. 17 same-storage comparison) and
-// immediate (not delayed) restarts.
-func ModifiedCirrus(m *cost.Model, points []cost.Point, kind storage.Kind, budget, qos, targetLoss float64, off *predictor.Offline, seed uint64) *scheduler.Scheduler {
-	return scheduler.New(scheduler.Config{
-		Model:          m,
-		Candidates:     cost.Pareto(FilterByStorage(points, kind)),
-		Budget:         budget,
-		QoS:            qos,
-		TargetLoss:     targetLoss,
-		DelayedRestart: false,
-		Offline:        off,
-		OfflineSeed:    seed,
-	})
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/planner"
-	"repro/internal/predictor"
 	"repro/internal/storage"
 	"repro/internal/trainer"
 	"repro/internal/workload"
@@ -145,36 +144,6 @@ func TestSirenRespectsBudgetStop(t *testing.T) {
 	}
 }
 
-func TestModifiedCirrusPinnedToVMPS(t *testing.T) {
-	w := workload.MobileNet()
-	m, pareto, _ := setup(t, w)
-	sched := ModifiedCirrus(m, pareto, storage.VMPS, 1e9, 0, w.TargetLoss, predictor.NewOffline(w), 7)
-	alloc, _ := sched.Initial()
-	if alloc.Storage != storage.VMPS {
-		t.Fatalf("modified Cirrus initial storage = %v, want VM-PS", alloc.Storage)
-	}
-	r := trainer.NewRunner(6)
-	res, err := r.Run(trainer.Config{
-		Workload:   w,
-		Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 6),
-		Alloc:      alloc,
-		TargetLoss: w.TargetLoss,
-		MaxEpochs:  300,
-		Controller: sched.Controller(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("modified Cirrus did not converge")
-	}
-	for _, e := range res.Trace {
-		if e.Alloc.Storage != storage.VMPS {
-			t.Fatal("modified Cirrus left VM-PS")
-		}
-	}
-}
-
 func TestStaticPlanPinnedEachService(t *testing.T) {
 	w := workload.LRHiggs() // small model: every service is feasible
 	m := cost.NewModel(w)
@@ -215,16 +184,5 @@ func TestSirenPlanPinnedVMPS(t *testing.T) {
 		if a.Storage != storage.VMPS {
 			t.Fatal("pinned Siren left VM-PS")
 		}
-	}
-}
-
-func TestModifiedCirrusPinnedS3(t *testing.T) {
-	w := workload.MobileNet()
-	m := cost.NewModel(w)
-	points := m.Enumerate(cost.DefaultGrid())
-	sched := ModifiedCirrus(m, points, storage.S3, 1e9, 0, w.TargetLoss, predictor.NewOffline(w), 3)
-	alloc, _ := sched.Initial()
-	if alloc.Storage != storage.S3 {
-		t.Fatalf("pinned-S3 Cirrus initial storage = %v", alloc.Storage)
 	}
 }

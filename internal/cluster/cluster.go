@@ -70,8 +70,8 @@ func Run(r *trainer.Runner, subs []Submission) ([]*Outcome, error) {
 	)
 
 	// The cluster scheduler interleaves jobs on the shared virtual clock: the
-	// discrete-event kernel underneath the runner's backend.
-	s := r.Backend.Sim()
+	// runner's discrete-event kernel.
+	s := r.Sim()
 
 	var admit func(rj *runningJob) bool
 	var stepEvent func(rj *runningJob)

@@ -209,7 +209,7 @@ func TestRunDrivesTheRunnersKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if now, span := float64(r.Backend.Sim().Now()), Makespan(outs); now < span-1e-6 {
+	if now, span := float64(r.Sim().Now()), Makespan(outs); now < span-1e-6 {
 		t.Errorf("runner's clock at %g after a makespan of %g", now, span)
 	}
 	if n := r.Compute().InFlight(); n != 0 {

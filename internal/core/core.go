@@ -62,12 +62,13 @@ type Options struct {
 
 	// Delta is the online-prediction drift threshold (default 0.1).
 	Delta float64
-	// DisableDelayedRestart turns off the Fig. 8 overlap (WO-dr ablation).
+	// DisableDelayedRestart turns off the Fig. 8 overlap (WO-dr ablation;
+	// modified Cirrus restarts immediately too).
 	DisableDelayedRestart bool
 	// DisablePareto searches the full enumeration (WO-pa ablation).
 	DisablePareto bool
 	// PinStorage, when non-nil, restricts allocations to one storage
-	// service (the Fig. 16-18 experiments).
+	// service (the Fig. 16-18 experiments; modified Cirrus pins VM-PS).
 	PinStorage *storage.Kind
 
 	// Obs, when set, receives the planner's per-stage decisions and the
@@ -172,9 +173,15 @@ type TrainOutcome struct {
 	OfflineEstimate int
 }
 
-// newSchedulerSession builds an adaptive scheduling session for opt and
+// Session builds an adaptive scheduling session (Algorithm 2) for opt and
 // returns the scheduler, its initial allocation and the offline estimate.
-func (f *Framework) newSchedulerSession(opt Options) (*scheduler.Scheduler, cost.Allocation, int, error) {
+// Every adaptive training run starts from one: CE-scaling and its ablations
+// through Train, modified Cirrus as PinStorage plus DisableDelayedRestart,
+// and callers that drive the trainer themselves (fault injection).
+func (f *Framework) Session(opt Options) (*scheduler.Scheduler, cost.Allocation, int, error) {
+	if err := opt.validate(); err != nil {
+		return nil, cost.Allocation{}, 0, err
+	}
 	// The plain Pareto case hands the session the shared immutable frontier
 	// — no per-session copy; pinned or full-enumeration sessions get their
 	// private candidate slice as before.
@@ -215,13 +222,10 @@ func (f *Framework) Train(opt Options, runner *trainer.Runner) (*TrainOutcome, e
 // TrainWithHyperparams is Train with explicit trial hyperparameters (the
 // workflow's training phase trains the tuning winner).
 func (f *Framework) TrainWithHyperparams(hp workload.Hyperparams, opt Options, runner *trainer.Runner) (*TrainOutcome, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
 	if opt.Obs == nil {
 		opt.Obs = runner.Observer()
 	}
-	sched, alloc, est, err := f.newSchedulerSession(opt)
+	sched, alloc, est, err := f.Session(opt)
 	if err != nil {
 		return nil, err
 	}

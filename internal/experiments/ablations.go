@@ -256,22 +256,10 @@ func ablPocket(seed uint64, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Report the storage the job spent most epochs on.
-		counts := map[storage.Kind]int{}
-		for _, e := range res.Trace {
-			counts[e.Alloc.Storage]++
-		}
-		var chosen storage.Kind
-		best := -1
-		for k, c := range counts {
-			if c > best {
-				best, chosen = c, k
-			}
-		}
 		return []string{
 			w.Name, label,
 			fmt.Sprintf("%d", len(fw.Pareto)),
-			chosen.String(), seconds(res.JCT), dollars(res.TotalCost),
+			mostEpochsStorage(res.Trace).String(), seconds(res.JCT), dollars(res.TotalCost),
 		}, nil
 	})
 	if err != nil {
@@ -279,6 +267,25 @@ func ablPocket(seed uint64, cfg Config) (*Table, error) {
 	}
 	t.Rows = append(t.Rows, rows...)
 	return t, nil
+}
+
+// mostEpochsStorage is the storage service a job spent the most epochs on
+// (abl-pocket's "chosen storage"); a tie goes to the lowest storage.Kind.
+func mostEpochsStorage(trace []trainer.EpochReport) storage.Kind {
+	var chosen storage.Kind
+	best := -1
+	for _, k := range storage.ExtendedKinds() {
+		n := 0
+		for _, e := range trace {
+			if e.Alloc.Storage == k {
+				n++
+			}
+		}
+		if n > best {
+			best, chosen = n, k
+		}
+	}
+	return chosen
 }
 
 // ablFaults — failure injection: per-function crash rates inflate JCT and

@@ -27,11 +27,9 @@ import (
 	"cmp"
 	"fmt"
 
-	"repro/internal/cost"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/predictor"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/trainer"
 	"repro/internal/workload"
@@ -141,7 +139,7 @@ func runMacroChaos(seed uint64, cfg Config) (*Table, error) {
 	tab := ty.table("macro-chaos", "Macro chaos: tenant fleet under compiled per-tenant fault schedules")
 	tab.Notes = fmt.Sprintf(
 		"%d tenants x %d arrivals over a 24h simulated day; per-tenant concurrency cap %d, monitor threshold %d (sheds=%d), checkpoints every %d completions (puts=%d); fault events compiled=%d; events=%d",
-		tenants, perTenant, perCap, mon.threshold, mon.sheds, chaosCkptEvery, h.b.Store().Stats().Puts, faults, h.s.EventsFired())
+		tenants, perTenant, perCap, mon.threshold, mon.sheds, chaosCkptEvery, h.store.Stats().Puts, faults, h.s.EventsFired())
 	return tab, nil
 }
 
@@ -153,20 +151,13 @@ func runMacroChaos(seed uint64, cfg Config) (*Table, error) {
 // kills land mid-training at any seed.
 func runFaultRestart(seed uint64, _ Config) (*Table, error) {
 	w := workload.MobileNet()
+	fw := core.New(w)
 	run := func(sched *fault.Schedule, delayed bool, qos float64) (*trainer.Result, error) {
-		m := cost.NewModel(w)
-		s := scheduler.New(scheduler.Config{
-			Model:          m,
-			Candidates:     m.ParetoSet(cost.DefaultGrid()),
-			QoS:            qos,
-			TargetLoss:     w.TargetLoss,
-			DelayedRestart: delayed,
-			Offline:        predictor.NewOffline(w),
-			OfflineSeed:    seed,
-		})
-		r := trainer.NewRunner(seed)
-		alloc, _ := s.Initial()
-		return r.Run(trainer.Config{
+		s, alloc, _, err := fw.Session(core.Options{QoS: qos, Seed: seed, DisableDelayedRestart: !delayed})
+		if err != nil {
+			return nil, err
+		}
+		return trainer.NewRunner(seed).Run(trainer.Config{
 			Workload:   w,
 			Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
 			Alloc:      alloc,

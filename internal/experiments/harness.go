@@ -2,7 +2,7 @@ package experiments
 
 // The tenant harness behind the four multi-tenant macro scenarios
 // (macro-day, macro-chaos, macro-trace, macro-fleet): Config, the harness
-// itself (backend, placement, run() with its conservation checks), the
+// itself (kernel, placement, run() with its conservation checks), the
 // shared-account admission pipeline, the open-loop tenant, the report ->
 // absorb barrier and the per-group tally, each written once. The scenario
 // files hold only what differs: constants, priority bands, the policy run at
@@ -21,7 +21,7 @@ import (
 	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/platform"
+	"repro/internal/pricing"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/traffic"
@@ -106,13 +106,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// harness is one scenario run's substrate: the sharded simulated backend,
-// the tenant naming and placement rules, and the conservation checks run()
-// applies once the event queue drains.
+// harness is one scenario run's substrate: the sharded kernel and the
+// parameter store its tenants checkpoint into, the tenant naming and
+// placement rules, and the conservation checks run() applies once the event
+// queue drains.
 type harness struct {
 	id        string
-	b         *platform.Backend
 	s         *sim.Simulation
+	store     *storage.Store
 	shards    int
 	lookahead sim.Time // every cross-shard Post travels at least this long
 	collector *obs.Collector
@@ -120,15 +121,17 @@ type harness struct {
 	ledgers   []func() error
 }
 
-// newHarness shards the backend for a scenario of `tenants` tenants. Tenant t
+// newHarness shards the kernel for a scenario of `tenants` tenants. Tenant t
 // lives on shard t % shards, so shards beyond the population could never hold
 // an event — yet every lookahead window visits every shard — and the count is
-// clamped to it; placement is the same either way.
+// clamped to it; placement is the same either way. The lookahead is the
+// minimum delay of any cross-shard Post.
 func newHarness(id string, seed uint64, cfg Config, tenants int, lookahead float64) *harness {
-	h := &harness{id: id, b: platform.New(seed), shards: max(1, min(cmp.Or(cfg.Shards, 8), tenants)),
-		lookahead: sim.Time(lookahead), collector: cfg.Collector}
-	h.b.ConfigureSharding(h.shards, cmp.Or(cfg.Workers, 1), lookahead)
-	h.s = h.b.Sim()
+	h := &harness{id: id, s: sim.New(seed), store: storage.NewStore(),
+		shards: max(1, min(cmp.Or(cfg.Shards, 8), tenants)), lookahead: sim.Time(lookahead), collector: cfg.Collector}
+	h.s.EnsureShards(h.shards)
+	h.s.SetWorkers(cmp.Or(cfg.Workers, 1))
+	h.s.SetLookahead(lookahead)
 	return h
 }
 
@@ -142,11 +145,12 @@ func (h *harness) shard(t int) *sim.Shard { return h.s.Shard(t % h.shards) }
 func (h *harness) scope(name string) *obs.Observer { return h.collector.Scope(name) }
 
 // platform builds a serverless account capped at capacity concurrent
-// functions, owned by kernel shard `shard` and observed under name.
+// functions, owned by kernel shard `shard`, drawing startup jitter from its
+// own stream and observed under name.
 func (h *harness) platform(name string, shard, capacity int) *faas.Platform {
 	limits := faas.DefaultLimits()
 	limits.MaxConcurrency = capacity
-	p := h.b.TenantPlatform(name, shard, limits)
+	p := faas.NewOnShard(h.s.Shard(shard), "faas.startup/"+name, limits, faas.DefaultStartup(), pricing.Default())
 	p.SetObserver(h.scope(name))
 	h.plats = append(h.plats, p)
 	return p
@@ -460,7 +464,7 @@ func (h *harness) openFleet(tenants, perTenant int, ckptEvery uint64) (fleet []*
 		tn := &openTenant{
 			h: h, id: t, memMB: 512 << (t % 3), plat: plat, sh: plat.Shard(),
 			arr: h.s.Rand(name + "/arrivals"), svc: h.s.Rand(name + "/service"), rty: h.s.Rand(name + "/retry"),
-			ckpt: storage.NewFaulty(h.b.Store()), ckptKey: append(make([]byte, 0, 64), name+"/ckpt/"...),
+			ckpt: storage.NewFaulty(h.store), ckptKey: append(make([]byte, 0, 64), name+"/ckpt/"...),
 			ckptEvery: ckptEvery, retry: fault.DefaultRetryPolicy(),
 			perTenant: perTenant, phase: 2 * math.Pi * float64(t) / float64(tenants), strag: 1,
 		}

@@ -104,6 +104,6 @@ func runMacroDay(seed uint64, cfg Config) (*Table, error) {
 	tab := ty.table("macro-day", "Macro day: multi-tenant inference fleet with coordinator shedding")
 	tab.Notes = fmt.Sprintf(
 		"%d tenants x %d arrivals over a 24h simulated day; per-tenant concurrency cap %d, coordinator budget %d, checkpoints every %d completions (puts=%d); events=%d",
-		tenants, perTenant, perCap, coord.threshold, macroCkptEvery, h.b.Store().Stats().Puts, h.s.EventsFired())
+		tenants, perTenant, perCap, coord.threshold, macroCkptEvery, h.store.Stats().Puts, h.s.EventsFired())
 	return tab, nil
 }

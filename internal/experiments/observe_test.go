@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/storage"
+	"repro/internal/trainer"
 )
 
 // runCollected runs experiment id with a fresh collector at engine
@@ -115,5 +117,46 @@ func TestConcurrentRunsKeepCollectorsApart(t *testing.T) {
 		if together[i] != alone[i] {
 			t.Errorf("%v: export differs when another RunAll shares the process (%d vs %d bytes)", r.ids, len(together[i]), len(alone[i]))
 		}
+	}
+}
+
+// Modified Cirrus is a core session, so its observed runner records the
+// Algorithm 2 decision log like CE-scaling's does.
+func TestCirrusScopesRecordDecisions(t *testing.T) {
+	c := obs.NewCollector()
+	if o := RunAll([]string{"fig17"}, 7, Config{Parallel: 1, Collector: c})[0]; o.Err != nil {
+		t.Fatal(o.Err)
+	}
+	n := 0
+	for _, sc := range c.Scopes() {
+		if !strings.HasPrefix(sc.Name, "fig17/") || !strings.HasSuffix(sc.Name, "/Cirrus") {
+			continue
+		}
+		n++
+		if got := sc.Obs.Stats().Counter("scheduler.decisions"); got == 0 {
+			t.Errorf("%s recorded no scheduler decisions", sc.Name)
+		}
+	}
+	if n != 2 {
+		t.Fatalf("found %d fig17 Cirrus scopes, want 2", n)
+	}
+}
+
+// abl-pocket's "chosen storage" breaks a tie to the lowest storage.Kind,
+// whatever order the tied services appear in.
+func TestMostEpochsStorageTieBreak(t *testing.T) {
+	var trace []trainer.EpochReport
+	for _, k := range []storage.Kind{storage.Pocket, storage.VMPS, storage.ElastiCache, storage.VMPS, storage.ElastiCache, storage.Pocket} {
+		e := trainer.EpochReport{}
+		e.Alloc.Storage = k
+		trace = append(trace, e)
+	}
+	for range 100 {
+		if got := mostEpochsStorage(trace); got != storage.ElastiCache {
+			t.Fatalf("tie between ElastiCache, VM-PS and Pocket chose %v, want ElastiCache", got)
+		}
+	}
+	if got := mostEpochsStorage(append(trace, trace[0])); got != storage.Pocket {
+		t.Errorf("Pocket leads by one epoch but %v was chosen", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/predictor"
 	"repro/internal/storage"
 	"repro/internal/trainer"
@@ -75,40 +74,29 @@ func runCE(cfg Config, fw *core.Framework, opt core.Options, runnerSeed uint64, 
 	return out.Result, nil
 }
 
-// runBaseline trains fw's workload to its target loss from a baseline's
-// starting allocation under its controller, recording into scope. The
-// engine draws from seed; each baseline's runner has its own runnerSeed,
-// which like the scope name is part of the pinned output.
-func runBaseline(cfg Config, fw *core.Framework, seed, runnerSeed uint64, scope string, alloc cost.Allocation, ctrl trainer.Controller) (*trainer.Result, error) {
+// runSiren runs the Siren baseline over fw's allocations on one storage
+// service (S3 for Siren itself, the pinned service in Fig. 17), recording
+// into scope. The engine and Siren's exploration draw from seed; the runner
+// has its own runnerSeed, which like the scope name is part of the pinned
+// output.
+func runSiren(cfg Config, fw *core.Framework, kind storage.Kind, budget, qos float64, seed, runnerSeed uint64, scope string) (*trainer.Result, error) {
 	w := fw.Workload
+	est := predictor.NewOffline(w).PredictEpochs(w.TargetLoss, seed)
+	siren := baselines.NewSirenTraining(baselines.FilterByStorage(fw.Full, kind), budget, qos, est, seed)
 	return observed(cfg, trainer.NewRunner(runnerSeed), scope).Run(trainer.Config{
 		Workload:   w,
 		Engine:     w.NewEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
-		Alloc:      alloc,
+		Alloc:      siren.Initial(),
 		TargetLoss: w.TargetLoss,
 		MaxEpochs:  2000,
-		Controller: ctrl,
+		Controller: siren.Controller(),
 	})
 }
 
-// runSiren runs the Siren baseline for the same workload/constraint.
-func runSiren(cfg Config, fw *core.Framework, budget, qos float64, seed uint64, scope string) (*trainer.Result, error) {
-	w := fw.Workload
-	est := predictor.NewOffline(w).PredictEpochs(w.TargetLoss, seed)
-	siren := baselines.NewSirenTraining(baselines.FilterByStorage(fw.Full, storage.S3), budget, qos, est, seed)
-	return runBaseline(cfg, fw, seed, seed+1, scope, siren.Initial(), siren.Controller())
-}
-
-// runModifiedCirrus runs the modified-Cirrus baseline (online prediction,
-// VM-PS pinned, immediate restarts).
-func runModifiedCirrus(cfg Config, fw *core.Framework, budget, qos float64, seed uint64, scope string) (*trainer.Result, error) {
-	w := fw.Workload
-	sched := baselines.ModifiedCirrus(fw.Model, fw.Full, storage.VMPS, budget, qos, w.TargetLoss, predictor.NewOffline(w), seed)
-	alloc, _ := sched.Initial()
-	if alloc.N == 0 {
-		return nil, fmt.Errorf("modified Cirrus: no feasible VM-PS allocation for %s", w.Name)
-	}
-	return runBaseline(cfg, fw, seed, seed+2, scope, alloc, sched.Controller())
+// cirrusOptions is the modified Cirrus of §IV-C: CE-scaling's Algorithm 2
+// session pinned to one storage service, with immediate restarts.
+func cirrusOptions(kind storage.Kind, budget, qos float64, seed uint64) core.Options {
+	return core.Options{Budget: budget, QoS: qos, Seed: seed, PinStorage: &kind, DisableDelayedRestart: true}
 }
 
 var trainOrder = []string{"CE-scaling", "Siren", "Cirrus*"}
@@ -126,8 +114,12 @@ func trainSystems(cfg Config, fw *core.Framework, budget, qos float64, seed uint
 		{"CE", func() (*trainer.Result, error) {
 			return runCE(cfg, fw, core.Options{Budget: budget, QoS: qos, Seed: seed}, seed, scope+"/CE-scaling")
 		}},
-		{"Siren", func() (*trainer.Result, error) { return runSiren(cfg, fw, budget, qos, seed, scope+"/Siren") }},
-		{"Cirrus*", func() (*trainer.Result, error) { return runModifiedCirrus(cfg, fw, budget, qos, seed, scope+"/Cirrus") }},
+		{"Siren", func() (*trainer.Result, error) {
+			return runSiren(cfg, fw, storage.S3, budget, qos, seed, seed+1, scope+"/Siren")
+		}},
+		{"Cirrus*", func() (*trainer.Result, error) {
+			return runCE(cfg, fw, cirrusOptions(storage.VMPS, budget, qos, seed), seed+2, scope+"/Cirrus")
+		}},
 	}
 	results, err := cells(cfg, len(runs), func(i int) (*trainer.Result, error) {
 		r, err := runs[i].f()
@@ -294,15 +286,11 @@ func fig17(seed uint64, cfg Config) (*Table, error) {
 			return nil, err
 		}
 		// Siren keeps its per-epoch restart behaviour on the pinned set.
-		sirEst := predictor.NewOffline(w).PredictEpochs(w.TargetLoss, seed)
-		sir, err := runSirenPinned(cfg, fw, baselines.FilterByStorage(fw.Full, kind), budget, sirEst, seed, "fig17/"+kind.Short()+"/Siren")
+		sir, err := runSiren(cfg, fw, kind, budget, 0, seed, seed+4, "fig17/"+kind.Short()+"/Siren")
 		if err != nil {
 			return nil, err
 		}
-		// Cirrus: online prediction, immediate restarts, pinned storage.
-		cirSched := baselines.ModifiedCirrus(fw.Model, fw.Full, kind, budget, 0, w.TargetLoss, predictor.NewOffline(w), seed)
-		cirAlloc, _ := cirSched.Initial()
-		cir, err := runBaseline(cfg, fw, seed, seed+5, "fig17/"+kind.Short()+"/Cirrus", cirAlloc, cirSched.Controller())
+		cir, err := runCE(cfg, fw, cirrusOptions(kind, budget, 0, seed), seed+5, "fig17/"+kind.Short()+"/Cirrus")
 		if err != nil {
 			return nil, err
 		}
@@ -326,13 +314,6 @@ func fig17(seed uint64, cfg Config) (*Table, error) {
 		t.Rows = append(t.Rows, rows...)
 	}
 	return t, nil
-}
-
-// runSirenPinned reproduces Siren's per-epoch adjustment behaviour over an
-// arbitrary pinned candidate set (used when Fig. 17 pins Siren to VM-PS).
-func runSirenPinned(cfg Config, fw *core.Framework, pts []cost.Point, budget float64, est int, seed uint64, scope string) (*trainer.Result, error) {
-	siren := baselines.NewSirenTraining(pts, budget, 0, est, seed)
-	return runBaseline(cfg, fw, seed, seed+4, scope, siren.Initial(), siren.Controller())
 }
 
 // fig18 — CE-scaling restricted to one storage service at a time.

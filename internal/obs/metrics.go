@@ -13,7 +13,7 @@ type Metrics struct {
 	mu     sync.Mutex
 	counts map[string]float64
 	gauges map[string]float64
-	hists  map[string]*Histogram
+	hists  map[string]*Hist
 }
 
 // NewMetrics returns an empty registry.
@@ -21,7 +21,7 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		counts: make(map[string]float64),
 		gauges: make(map[string]float64),
-		hists:  make(map[string]*Histogram),
+		hists:  make(map[string]*Hist),
 	}
 }
 
@@ -71,10 +71,10 @@ func (m *Metrics) Observe(name string, v float64) {
 	m.mu.Lock()
 	h := m.hists[name]
 	if h == nil {
-		h = newHistogram(defaultBuckets)
+		h = NewHist(defaultBuckets)
 		m.hists[name] = h
 	}
-	h.observe(v)
+	h.Observe(v)
 	m.mu.Unlock()
 }
 
@@ -87,26 +87,13 @@ func (m *Metrics) DefineHistogram(name string, bounds []float64) {
 	}
 	m.mu.Lock()
 	if _, ok := m.hists[name]; !ok {
-		m.hists[name] = newHistogram(bounds)
+		m.hists[name] = NewHist(bounds)
 	}
 	m.mu.Unlock()
 }
 
 // defaultBuckets cover the second-to-hours span the simulator operates in.
 var defaultBuckets = []float64{0.001, 0.01, 0.1, 1, 10, 60, 300, 1800, 3600, 14400}
-
-// Histogram is a fixed-bucket histogram: counts[i] tallies observations
-// v <= bounds[i]; the final slot counts overflow (+Inf bucket). It wraps
-// the standalone Hist value so the bucket semantics live in one place.
-type Histogram struct {
-	h Hist
-}
-
-func newHistogram(bounds []float64) *Histogram {
-	return &Histogram{h: *NewHist(bounds)}
-}
-
-func (h *Histogram) observe(v float64) { h.h.Observe(v) }
 
 // HistSnapshot is a point-in-time copy of a histogram.
 type HistSnapshot struct {
@@ -156,7 +143,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	sort.Strings(names)
 	for _, k := range names {
-		s.Histograms = append(s.Histograms, NamedHist{Name: k, Hist: m.hists[k].h.Snapshot()})
+		s.Histograms = append(s.Histograms, NamedHist{Name: k, Hist: m.hists[k].Snapshot()})
 	}
 	return s
 }

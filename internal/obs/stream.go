@@ -8,15 +8,15 @@ import (
 // Streaming aggregation for high-rate workloads: fixed-size accumulators
 // that retain no per-observation record, so a traffic scenario can measure
 // tens of millions of invocations with memory proportional to the tenant
-// count, not the invocation count. Hist is the single-writer value-type
-// counterpart of the registry-bound Histogram (no lock, no map lookup);
-// Jain is the fairness index computed at report boundaries.
+// count, not the invocation count. Hist is the fixed-bucket histogram (the
+// Metrics registry keeps its histograms as Hists behind its mutex); Jain is
+// the fairness index computed at report boundaries.
 
 // Hist is a standalone fixed-bucket histogram: Counts[i] tallies
 // observations v <= Bounds[i], the final slot counts overflow (+Inf). It is
 // a plain value owned by a single writer — Observe is lock-free and
 // allocation-free — which is what per-tenant streaming aggregation needs
-// where the registry's mutex-and-map Histogram would dominate the hot path.
+// where the registry's mutex and map lookup would dominate the hot path.
 type Hist struct {
 	bounds []float64
 	counts []uint64
@@ -39,7 +39,7 @@ var LatencyBuckets = []float64{
 }
 
 // Observe records v. Values exactly on a bucket's upper bound land in that
-// bucket (v <= bound), matching the registry Histogram's semantics.
+// bucket (v <= bound).
 func (h *Hist) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i]++

@@ -1,7 +1,6 @@
 package sha
 
 import (
-	"errors"
 	"math"
 	"sort"
 
@@ -147,46 +146,11 @@ func (k *kde) sample(rng *sim.Rand) float64 {
 // cfg.PlanBracket (CE-scaling's planner or a static plan).
 func RunBOHB(cfg HyperbandConfig) (*HyperbandResult, *TPESampler, error) {
 	sampler := NewTPESampler(cfg.Seed ^ 0xb0b)
-	if cfg.Workload == nil || cfg.Runner == nil || cfg.PlanBracket == nil {
-		return nil, nil, errBOHBConfig
+	res, err := runBrackets(cfg, 1013,
+		func(*sim.Rand) workload.Hyperparams { return sampler.Suggest(cfg.Workload) },
+		func(tr *Trial) { sampler.Observe(tr.HP, tr.Loss) })
+	if err != nil {
+		return nil, nil, err
 	}
-	if cfg.Eta < 2 {
-		cfg.Eta = 3
-	}
-	if cfg.MaxEpochs < cfg.Eta {
-		return nil, nil, errBOHBConfig
-	}
-	out := &HyperbandResult{}
-	for bi, br := range Brackets(cfg.MaxEpochs, cfg.Eta) {
-		if br.Stages[0].Trials < 2 {
-			br.Stages = br.Stages[:1]
-		}
-		plan, err := cfg.PlanBracket(br.Stages)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := Run(Config{
-			Workload: cfg.Workload,
-			Trials:   br.Stages[0].Trials,
-			Eta:      cfg.Eta,
-			Stages:   br.Stages,
-			Plan:     plan,
-			Runner:   cfg.Runner,
-			Seed:     cfg.Seed + uint64(bi)*1013,
-			Sample:   func(rng *sim.Rand) workload.Hyperparams { return sampler.Suggest(cfg.Workload) },
-			OnResult: func(tr *Trial) { sampler.Observe(tr.HP, tr.Loss) },
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		out.Brackets = append(out.Brackets, BracketReport{Bracket: br, Result: res, BestLoss: res.BestTrial.Loss})
-		out.JCT += res.JCT
-		out.TotalCost += res.TotalCost
-		if out.Best == nil || res.BestTrial.Loss < out.Best.Loss {
-			out.Best = res.BestTrial
-		}
-	}
-	return out, sampler, nil
+	return res, sampler, nil
 }
-
-var errBOHBConfig = errors.New("bohb: invalid configuration (need workload, runner, planner and MaxEpochs >= eta)")

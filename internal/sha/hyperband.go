@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/planner"
+	"repro/internal/sim"
 	"repro/internal/trainer"
 	"repro/internal/workload"
 )
@@ -78,6 +79,13 @@ func Brackets(maxEpochs, eta int) []Bracket {
 // RunHyperband executes every bracket sequentially and returns the overall
 // winner (lowest final loss across brackets).
 func RunHyperband(cfg HyperbandConfig) (*HyperbandResult, error) {
+	return runBrackets(cfg, 1009, nil, nil)
+}
+
+// runBrackets is the bracket loop Hyperband and BOHB share: bracket i runs
+// under seed cfg.Seed + i*stride, drawing its trials through sample (nil =
+// uniform) and reporting each trial's stage result to onResult.
+func runBrackets(cfg HyperbandConfig, stride uint64, sample func(*sim.Rand) workload.Hyperparams, onResult func(*Trial)) (*HyperbandResult, error) {
 	if cfg.Workload == nil || cfg.Runner == nil || cfg.PlanBracket == nil {
 		return nil, fmt.Errorf("sha: hyperband needs workload, runner and a bracket planner")
 	}
@@ -105,7 +113,9 @@ func RunHyperband(cfg HyperbandConfig) (*HyperbandResult, error) {
 			Stages:   br.Stages,
 			Plan:     plan,
 			Runner:   cfg.Runner,
-			Seed:     cfg.Seed + uint64(bi)*1009,
+			Seed:     cfg.Seed + uint64(bi)*stride,
+			Sample:   sample,
+			OnResult: onResult,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sha: bracket s=%d: %w", br.S, err)

@@ -42,9 +42,6 @@ type Config struct {
 	Runner *trainer.Runner
 	// Seed controls hyperparameter sampling and trial stochasticity.
 	Seed uint64
-	// RealEngines trains LR/SVM trials numerically (slower); by default all
-	// trials use the parametric curve engines.
-	RealEngines bool
 	// ConcurrencyCap, when positive, limits each stage's concurrent
 	// functions below the platform cap (the cluster-based Fixed baseline
 	// gives every stage an equal 1/d share).
@@ -126,7 +123,7 @@ func Run(cfg Config) (*Result, error) {
 	for i := range trials {
 		hp := sample(rng)
 		trials[i] = &Trial{ID: i, HP: hp, Alive: true, Loss: math.Inf(1),
-			Engine: newEngine(cfg, hp, cfg.Seed+uint64(i)*7919)}
+			Engine: cfg.Workload.NewCurveEngine(hp, cfg.Seed+uint64(i)*7919)}
 	}
 
 	res := &Result{}
@@ -200,13 +197,4 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.BestTrial = alive[0]
 	return res, nil
-}
-
-func newEngine(cfg Config, hp workload.Hyperparams, seed uint64) workload.Engine {
-	if cfg.RealEngines && cfg.Workload.Real() {
-		if eng, err := cfg.Workload.NewRealEngine(hp, 1500, seed); err == nil {
-			return eng
-		}
-	}
-	return cfg.Workload.NewCurveEngine(hp, seed)
 }

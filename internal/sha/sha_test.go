@@ -165,15 +165,3 @@ func TestDeterministicTuning(t *testing.T) {
 		t.Error("tuning run is not deterministic")
 	}
 }
-
-func TestRealEnginesForLinearModels(t *testing.T) {
-	cfg := tuningConfig(t, workload.LRHiggs(), 8, 11)
-	cfg.RealEngines = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BestTrial.Loss >= math.Log(2)+0.05 {
-		t.Errorf("best real trial loss %g did not improve below chance", res.BestTrial.Loss)
-	}
-}

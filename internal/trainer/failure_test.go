@@ -209,7 +209,7 @@ func TestRecoveryComputeIsBilled(t *testing.T) {
 	if wastedSec <= 0 {
 		t.Fatalf("wasted seconds %g <= 0; FailureTime %g, recovery %g", wastedSec, faulty.FailureTime, recoverSec)
 	}
-	perSec := r.Prices.ComputeOnlyCost(1, 1769)
+	perSec := r.prices.ComputeOnlyCost(1, 1769)
 	want := (10*wastedSec + recoverSec) * perSec
 	got := faulty.TotalCost - clean.TotalCost
 	if diff := math.Abs(got - want); diff > 1e-9*want {
@@ -225,7 +225,7 @@ func TestRecoveryComputeIsBilled(t *testing.T) {
 	}
 }
 
-// meterComputeCost runs failureJob and returns the backend platform meter's
+// meterComputeCost runs failureJob and returns the runner's platform meter's
 // compute cost.
 func meterComputeCost(t *testing.T, rate float64, seed uint64) float64 {
 	t.Helper()

@@ -56,7 +56,7 @@ func (r *Runner) scheduledFaults(st *state, epoch int, epochT float64) error {
 	}
 	w := st.cfg.Workload
 	svc := r.Service(a.Storage)
-	rng := r.Backend.Rand("trainer.failure")
+	rng := r.sim.Rand("trainer.failure")
 	groupP := 1 - math.Pow(1-p, float64(a.N))
 	attempt := 0
 	for ; attempt < failureAttemptCap && rng.Float64() < groupP; attempt++ {
@@ -112,7 +112,7 @@ func (r *Runner) killDuringEpoch(st *state, epoch int, epochT float64, ev fault.
 	// The checkpoint re-pull crosses storage that may be browned out.
 	lat, _, _ := sched.BrownoutAt(ev.At)
 	recover := g.StartDelay + r.Service(a.Storage).TransferTime(a.N, w.ParamsMB)*lat
-	return r.crash(st, epoch, k, wasted, recover, float64(k)*r.Prices.FunctionInvoke, "fault_kill")
+	return r.crash(st, epoch, k, wasted, recover, float64(k)*r.prices.FunctionInvoke, "fault_kill")
 }
 
 // crash accounts one aborted BSP epoch attempt, whether a kill or a draw
@@ -144,9 +144,9 @@ func (r *Runner) crash(st *state, epoch, killed int, wasted, recover, invokeFee 
 	}
 	r.Compute().BillCompute(a.N, a.MemMB, wasted)
 	r.Compute().BillCompute(killed, a.MemMB, recover)
-	computeSpent := float64(killed) * r.Prices.ComputeOnlyCost(recover, float64(a.MemMB))
+	computeSpent := float64(killed) * r.prices.ComputeOnlyCost(recover, float64(a.MemMB))
 	if wasted > 0 { // a crash at the attempt boundary wasted no compute
-		computeSpent += float64(a.N) * r.Prices.ComputeOnlyCost(wasted, float64(a.MemMB))
+		computeSpent += float64(a.N) * r.prices.ComputeOnlyCost(wasted, float64(a.MemMB))
 	}
 	st.res.FunctionCost += computeSpent
 	st.res.InvokeCost += invokeFee

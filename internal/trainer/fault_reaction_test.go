@@ -104,8 +104,8 @@ func TestScheduledKillAbortsAndBills(t *testing.T) {
 	// The kill landed before the epoch began (At=0), so nothing was wasted:
 	// the whole failure time is the two replacements' recovery run, and the
 	// cost delta is exactly their recovery compute plus invoke fees.
-	perRecover := rFaulty.Prices.ComputeOnlyCost(faulty.FailureTime, 1769)
-	want := 2*perRecover + 2*rFaulty.Prices.FunctionInvoke
+	perRecover := rFaulty.prices.ComputeOnlyCost(faulty.FailureTime, 1769)
+	want := 2*perRecover + 2*rFaulty.prices.FunctionInvoke
 	got := faulty.TotalCost - clean.TotalCost
 	if diff := math.Abs(got - want); diff > 1e-9*want {
 		t.Errorf("kill cost delta = %g, want %g", got, want)

@@ -1,6 +1,9 @@
 // Package trainer is the ground-truth executor of distributed training jobs
-// on the simulated serverless substrate (internal/platform). It executes a
-// job epoch by epoch: functions cold-start, load their data partitions,
+// on a simulated serverless substrate the runner owns: one discrete-event
+// kernel (internal/sim) carrying a serverless account (internal/faas), an
+// in-memory parameter store and one latency/price model per storage service
+// (internal/storage), all billing under one price book. It executes a job
+// epoch by epoch: functions cold-start, load their data partitions,
 // compute gradients for k BSP iterations, synchronize through the selected
 // storage service, and are billed by the platform and storage meters.
 //
@@ -23,8 +26,8 @@ import (
 	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/platform"
 	"repro/internal/pricing"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -165,9 +168,13 @@ type Config struct {
 
 // Runner executes jobs on one simulated substrate.
 type Runner struct {
-	Backend *platform.Backend
-	Prices  pricing.PriceBook
-	Noise   Noise
+	Noise Noise
+
+	sim      *sim.Simulation
+	compute  *faas.Platform
+	store    *storage.Store
+	prices   pricing.PriceBook
+	services map[storage.Kind]*storage.Service
 
 	// delayPaid tracks manually-scaled services whose provisioning delay has
 	// already been paid on this substrate: an ElastiCache cluster or
@@ -181,31 +188,44 @@ type Runner struct {
 	obs *obs.Observer
 }
 
-// NewRunner returns a runner on a fresh simulated substrate with default
-// platform, prices and noise, seeded deterministically.
+// NewRunner returns a runner on a fresh simulated substrate seeded with
+// seed: the default serverless account, price book and noise, and one
+// storage model per extended kind.
 func NewRunner(seed uint64) *Runner {
-	b := platform.New(seed)
-	return &Runner{
-		Backend:   b,
-		Prices:    b.Prices(),
+	s := sim.New(seed)
+	pb := pricing.Default()
+	r := &Runner{
 		Noise:     DefaultNoise(),
+		sim:       s,
+		compute:   faas.NewDefault(s),
+		store:     storage.NewStore(),
+		prices:    pb,
+		services:  make(map[storage.Kind]*storage.Service),
 		delayPaid: make(map[storage.Kind]bool),
 	}
+	for _, k := range storage.ExtendedKinds() {
+		r.services[k] = storage.New(k, pb)
+	}
+	return r
 }
 
-// SetObserver attaches an observability sink to the runner and its backend:
-// trainer events land on the job timeline, substrate events (cold starts,
+// SetObserver attaches an observability sink to the runner and its account:
+// trainer events land on the job timeline, serverless events (cold starts,
 // warm-pool churn) on the substrate clock. Nil detaches.
 func (r *Runner) SetObserver(o *obs.Observer) {
 	r.obs = o
-	r.Backend.SetObserver(o)
+	r.compute.SetObserver(o)
 }
 
 // Observer returns the runner's observability sink (nil when detached).
 func (r *Runner) Observer() *obs.Observer { return r.obs }
 
 // Compute returns the substrate's serverless account.
-func (r *Runner) Compute() *faas.Platform { return r.Backend.Platform() }
+func (r *Runner) Compute() *faas.Platform { return r.compute }
+
+// Sim exposes the discrete-event kernel for drivers that schedule their own
+// events on the shared virtual clock (the multi-tenant cluster scheduler).
+func (r *Runner) Sim() *sim.Simulation { return r.sim }
 
 // invokeGroup is Compute().InvokeGroup with the numbers added to a denial:
 // the platform's sentinel is bare, and the trainer's errors reach a person.
@@ -219,7 +239,7 @@ func (r *Runner) invokeGroup(n, memMB int) (faas.GroupStart, error) {
 }
 
 // Service returns the substrate's storage metering model for kind.
-func (r *Runner) Service(k storage.Kind) *storage.Service { return r.Backend.Service(k) }
+func (r *Runner) Service(k storage.Kind) *storage.Service { return r.services[k] }
 
 // acquireService returns the provisioning delay to pay for using a storage
 // service now (zero if the service auto-scales or its startup was already
@@ -276,7 +296,9 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 		// Advance the shared clock so time-based substrate events
 		// (warm-sandbox expiry) fire as the job progresses. The cluster
 		// scheduler drives this itself when jobs interleave.
-		r.Backend.Advance(job.Elapsed() - job.advanced)
+		if d := job.Elapsed() - job.advanced; d > 0 {
+			r.sim.RunUntil(r.sim.Now() + sim.Time(d))
+		}
 		job.advanced = job.Elapsed()
 	}
 	return job.Finish(), nil
@@ -418,18 +440,18 @@ func (r *Runner) startGroup(st *state, a cost.Allocation, initial bool) error {
 		r.obs.Stats().Observe("trainer.startup_s", start+load)
 	}
 	r.Compute().BillCompute(a.N, a.MemMB, load)
-	st.res.FunctionCost += float64(a.N) * r.Prices.ComputeOnlyCost(load, float64(a.MemMB))
-	st.res.InvokeCost += float64(a.N) * r.Prices.FunctionInvoke
-	st.res.StorageCost += storage.LoadCost(r.Prices, a.N)
-	st.res.TotalCost += float64(a.N)*r.Prices.ComputeOnlyCost(load, float64(a.MemMB)) +
-		float64(a.N)*r.Prices.FunctionInvoke + storage.LoadCost(r.Prices, a.N)
+	st.res.FunctionCost += float64(a.N) * r.prices.ComputeOnlyCost(load, float64(a.MemMB))
+	st.res.InvokeCost += float64(a.N) * r.prices.FunctionInvoke
+	st.res.StorageCost += storage.LoadCost(r.prices, a.N)
+	st.res.TotalCost += float64(a.N)*r.prices.ComputeOnlyCost(load, float64(a.MemMB)) +
+		float64(a.N)*r.prices.FunctionInvoke + storage.LoadCost(r.prices, a.N)
 	return nil
 }
 
 func (r *Runner) loadTime(w *workload.Model, a cost.Allocation) float64 {
 	t := w.Dataset.PartitionSizeMB(a.N) / 80
 	if r.Noise.LoadJitter > 0 {
-		t *= r.Backend.Rand("trainer.load").Jitter(r.Noise.LoadJitter)
+		t *= r.sim.Rand("trainer.load").Jitter(r.Noise.LoadJitter)
 	}
 	return t
 }
@@ -484,7 +506,7 @@ func (r *Runner) runEpoch(st *state, epoch int) (EpochReport, error) {
 	}
 
 	// Billing: n functions ran the epoch; storage billed per its pattern.
-	funcCost := float64(a.N) * r.Prices.ComputeOnlyCost(epochT, float64(a.MemMB))
+	funcCost := float64(a.N) * r.prices.ComputeOnlyCost(epochT, float64(a.MemMB))
 	r.Compute().BillCompute(a.N, a.MemMB, epochT)
 	var stoCost float64
 	if svc.ChargesByRequest() {
@@ -559,7 +581,7 @@ func (r *Runner) groundTruthCompute(w *workload.Model, a cost.Allocation) float6
 	if r.Noise.StragglerSigma == 0 {
 		return base
 	}
-	return base * r.Backend.Rand("trainer.straggler").MaxLogNormal(a.N, r.Noise.StragglerSigma)
+	return base * r.sim.Rand("trainer.straggler").MaxLogNormal(a.N, r.Noise.StragglerSigma)
 }
 
 // groundTruthSync is the epoch's synchronization wall time with network
@@ -570,7 +592,7 @@ func (r *Runner) groundTruthSync(w *workload.Model, a cost.Allocation, svc *stor
 	if sigma == 0 {
 		return base
 	}
-	return base * r.Backend.Rand("trainer.sync").LogNormal(0, sigma)
+	return base * r.sim.Rand("trainer.sync").LogNormal(0, sigma)
 }
 
 // asyncCompute is the epoch's gradient computation wall time under ASP:
@@ -580,7 +602,7 @@ func (r *Runner) asyncCompute(w *workload.Model, a cost.Allocation) float64 {
 	if r.Noise.StragglerSigma == 0 {
 		return base
 	}
-	return base * r.Backend.Rand("trainer.straggler").LogNormal(0, r.Noise.StragglerSigma)
+	return base * r.sim.Rand("trainer.straggler").LogNormal(0, r.Noise.StragglerSigma)
 }
 
 // asyncSync is the epoch's synchronization wall time under ASP: each worker
@@ -592,7 +614,7 @@ func (r *Runner) asyncSync(w *workload.Model, a cost.Allocation, svc *storage.Se
 	if sigma == 0 {
 		return base
 	}
-	return base * r.Backend.Rand("trainer.sync").LogNormal(0, sigma)
+	return base * r.sim.Rand("trainer.sync").LogNormal(0, sigma)
 }
 
 // asyncEfficiency is the statistical progress one ASP wall epoch delivers
@@ -632,11 +654,11 @@ func (r *Runner) applySwitch(st *state, next cost.Allocation, delayed bool) erro
 		// The new group bills its load immediately; it runs concurrently
 		// with the old group's next epoch.
 		r.Compute().BillCompute(next.N, next.MemMB, load)
-		spent := float64(next.N)*r.Prices.ComputeOnlyCost(load, float64(next.MemMB)) +
-			float64(next.N)*r.Prices.FunctionInvoke + storage.LoadCost(r.Prices, next.N)
-		st.res.FunctionCost += float64(next.N) * r.Prices.ComputeOnlyCost(load, float64(next.MemMB))
-		st.res.InvokeCost += float64(next.N) * r.Prices.FunctionInvoke
-		st.res.StorageCost += storage.LoadCost(r.Prices, next.N)
+		spent := float64(next.N)*r.prices.ComputeOnlyCost(load, float64(next.MemMB)) +
+			float64(next.N)*r.prices.FunctionInvoke + storage.LoadCost(r.prices, next.N)
+		st.res.FunctionCost += float64(next.N) * r.prices.ComputeOnlyCost(load, float64(next.MemMB))
+		st.res.InvokeCost += float64(next.N) * r.prices.FunctionInvoke
+		st.res.StorageCost += storage.LoadCost(r.prices, next.N)
 		st.res.TotalCost += spent
 		return nil
 	}
@@ -668,7 +690,12 @@ func (r *Runner) checkpoint(st *state) {
 		return
 	}
 	if snap, ok := st.cfg.Engine.(workload.Snapshotter); ok && r.brownoutOp(st, "checkpoint") {
-		r.Backend.Put(checkpointKey, snap.Snapshot())
+		vec := snap.Snapshot()
+		r.store.Put(checkpointKey, vec)
+		if r.obs.Enabled() {
+			r.obs.Stats().Inc("store.puts")
+			r.obs.Stats().Add("store.put_floats", float64(len(vec)))
+		}
 	}
 }
 
@@ -682,7 +709,12 @@ func (r *Runner) restoreCheckpoint(st *state) {
 	if !ok || st.ckptOff || !r.brownoutOp(st, "restore") {
 		return
 	}
-	if state, found := r.Backend.Get(checkpointKey); found {
+	state, found := r.store.Get(checkpointKey)
+	if r.obs.Enabled() {
+		r.obs.Stats().Inc("store.gets")
+		r.obs.Stats().Add("store.get_floats", float64(len(state)))
+	}
+	if found {
 		if err := snap.Restore(state); err != nil {
 			r.degrade(st, "corrupt checkpoint: "+err.Error())
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -273,8 +274,11 @@ func TestControllerStop(t *testing.T) {
 func TestCheckpointRestoredOnRestart(t *testing.T) {
 	// A real engine's weights must survive an immediate restart via the
 	// storage checkpoint: loss continues from where it was, it does not
-	// jump back to the initial loss.
+	// jump back to the initial loss. The observed runner counts the
+	// checkpoint writes and the restart's read in step with the store.
 	r := NewRunner(12)
+	o := obs.New()
+	r.SetObserver(o)
 	w := workload.LRHiggs()
 	eng, err := w.NewRealEngine(workload.Hyperparams{LR: w.DefaultLR}, 1500, 3)
 	if err != nil {
@@ -302,8 +306,12 @@ func TestCheckpointRestoredOnRestart(t *testing.T) {
 	if lossAfter > lossBefore*1.2 {
 		t.Errorf("loss jumped from %g to %g after restart; checkpoint lost", lossBefore, lossAfter)
 	}
-	if r.Backend.Store().Stats().Puts == 0 {
-		t.Error("no checkpoints were written through storage")
+	st := r.store.Stats()
+	if st.Puts == 0 || st.Gets == 0 {
+		t.Errorf("store saw %d puts and %d gets; want checkpoints written and read back", st.Puts, st.Gets)
+	}
+	if puts, gets := o.Stats().Counter("store.puts"), o.Stats().Counter("store.gets"); puts != float64(st.Puts) || gets != float64(st.Gets) {
+		t.Errorf("store.puts = %g, store.gets = %g; the store saw %d and %d", puts, gets, st.Puts, st.Gets)
 	}
 }
 
