@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/cost"
-	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/trainer"
 	"repro/internal/workload"
@@ -87,50 +86,6 @@ func TestPinStorageRestrictsCandidates(t *testing.T) {
 			if e.Alloc.Storage != kind {
 				t.Fatalf("trace used %v while pinned to %v", e.Alloc.Storage, kind)
 			}
-		}
-	}
-}
-
-// Modified Cirrus (§IV-C) is a Session pinned to one storage service with
-// immediate restarts: its initial allocation and every epoch Train runs stay
-// on that service, and every switch restarts immediately. The $12 budget
-// binds on both services, so the session does switch.
-func TestCirrusSessionStaysPinned(t *testing.T) {
-	w := workload.MobileNet()
-	f := New(w)
-	for _, kind := range []storage.Kind{storage.S3, storage.VMPS} {
-		k := kind
-		opt := Options{Budget: 12, Seed: 7, PinStorage: &k, DisableDelayedRestart: true}
-		_, alloc, _, err := f.Session(opt)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if alloc.Storage != kind {
-			t.Fatalf("%v: initial storage = %v", kind, alloc.Storage)
-		}
-		r := trainer.NewRunner(6)
-		o := obs.New()
-		r.SetObserver(o)
-		out, err := f.Train(opt, r)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if !out.Result.Converged {
-			t.Fatalf("%v: modified Cirrus did not converge", kind)
-		}
-		for _, e := range out.Result.Trace {
-			if e.Alloc.Storage != kind {
-				t.Fatalf("%v: epoch %d ran on %v", kind, e.Epoch, e.Alloc.Storage)
-			}
-		}
-		if o.Stats().Counter("trainer.switches.immediate") == 0 {
-			t.Errorf("%v: no switch under a binding budget", kind)
-		}
-		if got := o.Stats().Counter("trainer.switches.delayed"); got != 0 {
-			t.Errorf("%v: %g delayed switches, want 0", kind, got)
-		}
-		if o.Stats().Counter("scheduler.decisions") == 0 {
-			t.Errorf("%v: observed runner recorded no scheduler decisions", kind)
 		}
 	}
 }
