@@ -42,8 +42,9 @@ shard-check:
 # gates are the allocation contract: every test named Test...ZeroAlloc, found
 # by name so a new one cannot be left out, fails hard if the steady state it
 # drives touches the heap (testing.AllocsPerRun == 0 on the fit, replay,
-# observe, decision, kernel, fault-query, SGD-epoch, faas (admission, release
-# and both entry points' denial) and traffic paths; mallocs per arrival on the
+# observe, decision, kernel, fault-query, SGD-epoch, faas (single and group
+# admission with release at n = 1, 8, 200, ReclaimWarm, and both entry
+# points' denial) and traffic paths; mallocs per arrival on the
 # shared-account pipeline and on the open-loop tenant, macro-day and
 # macro-chaos with their denials, retries, drops and kills). The kernel's
 # TestLaneChurnReusesSlots counts arena slots instead: steady
@@ -102,11 +103,15 @@ reach:
 # subnormal and infinite ones included: an exact plan is within budget and a
 # feasible greedy plan meets its constraint) and the BSP straggler draw
 # (any seed, group size, sigma in (0, 50] and pending spare: Rand.MaxLogNormal equals
-# the one-Exp-per-function loop bit for bit, stream included). New inputs
+# the one-Exp-per-function loop bit for bit, stream included) and the faas
+# warm pool (random InvokeGroup/Invoke1/ReleaseGroup/ReclaimWarm/KillSandboxes/
+# RunUntil programs over three memory sizes: the batch pool equals the
+# per-sandbox refPlatform bit for bit after every step). New inputs
 # stay in the build cache; a failing one is written to the package's
 # testdata/fuzz/ and from then on runs with `go test`. The kernel's seed
 # programs are kilobytes long, and the engine's default minute of minimizing
-# each input that reaches new code would eat the whole smoke: one second.
+# each input that reaches new code would eat the whole smoke: one second (the
+# warm pool's too).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOps -fuzztime 10s -fuzzminimizetime 1s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzFitterFit -fuzztime 5s ./internal/fit/
@@ -114,3 +119,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 5s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzPlanner -fuzztime 5s ./internal/planner/
 	$(GO) test -run '^$$' -fuzz FuzzMaxLogNormal -fuzztime 5s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzWarmPool -fuzztime 5s -fuzzminimizetime 1s ./internal/faas/

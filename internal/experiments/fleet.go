@@ -213,8 +213,12 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 
 	// Build every tenant's scheduler and initial allocation first (setup is
 	// deterministic in tenant order), so the account's concurrency cap can be
-	// sized below the fleet's aggregate initial demand — real contention:
-	// denials, backoff retries, and drops under pressure.
+	// sized at 4/5 of the fleet's aggregate initial demand. Jobs start
+	// fleetStagger apart, so the cap binds only while enough of them overlap:
+	// the 48-tenant default, whose starts span 96 s, sees refusals, backoff
+	// retries and a drop (its note prints denials=105 at seed 2023), but at
+	// bench scale (1,500 tenants, starts spread over 3,000 s) the note
+	// prints denials=0.
 	fleet := make([]*fleetTenant, tenants)
 	totalN := 0
 	for t := range fleet {

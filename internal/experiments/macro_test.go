@@ -510,25 +510,37 @@ func TestTallySumsInGroupOrder(t *testing.T) {
 }
 
 // TestSortedTrafficRidesLanes verifies, from the kernel's own queue counters,
-// the traffic claim the lanes rest on: on the shared-account scenarios most
-// events belong to streams that are sorted when produced (Posts, warm-pool
-// reclaims, account retries) and none of them needs the heap. Per shard the
-// counters must add up to the events fired; over the run most events fire
-// from a lane, next to no lane push falls back, the account shard — where the
-// reclaims are set and canceled — never pops a dead entry, and its heap stays
-// below the account's concurrency cap.
+// the traffic claim the lanes rest on: on the shared-account scenarios the
+// streams that are sorted when produced (Posts, warm-pool reclaims, account
+// retries) never need the heap. Per shard the counters must add up to the
+// events fired; on macro-trace most events fire from a lane, and on
+// macro-fleet the heap pops exactly the tenants' job starts and epoch ticks
+// (one per decision), so every other event rides a lane; next to no lane push
+// falls back, the account shard — where the reclaims are set and canceled —
+// never pops a dead entry, and its heap stays below the account's
+// concurrency cap.
 func TestSortedTrafficRidesLanes(t *testing.T) {
+	fleetCfg := Config{FleetTenants: 60}
+	fleetHeapPops := func(t *testing.T, tab *Table) uint64 {
+		m := regexp.MustCompile(`decisions=([0-9]+)`).FindStringSubmatch(tab.Notes)
+		if m == nil {
+			t.Fatalf("macro-fleet note has no decisions count: %q", tab.Notes)
+		}
+		decisions, _ := strconv.ParseUint(m[1], 10, 64)
+		return uint64(fleetCfg.FleetTenants) + decisions
+	}
 	for _, sc := range []struct {
 		name     string
 		run      func(seed uint64, cfg Config) (*Table, *harness, error)
 		cfg      Config
-		laneFrac float64 // least share of fired events that came from a lane
+		laneFrac float64                               // least share of fired events that came from a lane
+		heapPops func(t *testing.T, tab *Table) uint64 // exact heap pops over all shards, where known
 	}{
-		{"macro-trace", macroTrace, Config{TrafficTenants: 16, TrafficRate: 1.6, TrafficHorizon: 600}, 0.55},
-		{"macro-trace, one shard", macroTrace, Config{Shards: 1, TrafficTenants: 16, TrafficRate: 1.6, TrafficHorizon: 600}, 0.55},
-		{"macro-fleet", macroFleet, Config{FleetTenants: 60}, 0.55},
+		{"macro-trace", macroTrace, Config{TrafficTenants: 16, TrafficRate: 1.6, TrafficHorizon: 600}, 0.55, nil},
+		{"macro-trace, one shard", macroTrace, Config{Shards: 1, TrafficTenants: 16, TrafficRate: 1.6, TrafficHorizon: 600}, 0.55, nil},
+		{"macro-fleet", macroFleet, fleetCfg, 0, fleetHeapPops},
 	} {
-		_, h, err := sc.run(7, sc.cfg)
+		tab, h, err := sc.run(7, sc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -540,15 +552,21 @@ func TestSortedTrafficRidesLanes(t *testing.T) {
 				t.Errorf("%s: shard %d: %+v does not add up to %d events fired", sc.name, i, st, sh.EventsFired())
 			}
 			total.LanePops += st.LanePops
+			total.HeapPops += st.HeapPops
 			total.DeadPops += st.DeadPops
 			total.LanePushes += st.LanePushes
 			total.Fallbacks += st.Fallbacks
 		}
 		fired := h.s.EventsFired()
-		t.Logf("%s: %d events, %d from lanes, %d lane pushes, %d fallbacks, %d dead pops; account shard %+v",
-			sc.name, fired, total.LanePops, total.LanePushes, total.Fallbacks, total.DeadPops, h.s.Shard(0).QueueStats())
+		t.Logf("%s: %d events, %d from lanes, %d from the heap, %d lane pushes, %d fallbacks, %d dead pops; account shard %+v",
+			sc.name, fired, total.LanePops, total.HeapPops, total.LanePushes, total.Fallbacks, total.DeadPops, h.s.Shard(0).QueueStats())
 		if float64(total.LanePops) < sc.laneFrac*float64(fired) {
 			t.Errorf("%s: %d of %d events fired from a lane, want >= %.0f %%", sc.name, total.LanePops, fired, 100*sc.laneFrac)
+		}
+		if sc.heapPops != nil {
+			if want := sc.heapPops(t, tab); total.HeapPops != want {
+				t.Errorf("%s: the heap popped %d entries, want exactly %d: the tenants' starts and epoch ticks", sc.name, total.HeapPops, want)
+			}
 		}
 		if total.Fallbacks*1000 > total.LanePushes {
 			t.Errorf("%s: %d of %d lane pushes fell back to the heap, want <= 0.1 %%", sc.name, total.Fallbacks, total.LanePushes)

@@ -20,14 +20,15 @@ package experiments
 //     O(tenants + account concurrency cap), independent of horizon and
 //     trace length: beside the pumps and one batch window of arrivals the
 //     kernel holds an event per admitted invocation and a reclaim per warm
-//     sandbox, and no canceled reclaim at all: reclaims wait on their expiry
-//     queue's kernel lane, where the next warm start cancels the oldest —
-//     the lane's head, which leaves at once. The hops of the admission
-//     pipeline (request, grant, release, retry) wait in lanes too, so on
-//     the benchmark's trace-s1 the one shard's heap averages 215 entries
-//     (peak 638: pumps, batched arrivals, completions) beside some 2,000
-//     in lanes; on the heap, canceled reclaims would sit out their WarmTTL
-//     and make it 35k.
+//     release batch (one per warm sandbox here, where every group is one
+//     function), and no canceled reclaim at all: reclaims wait on their
+//     warm pool's kernel lane, and the warm start that empties the oldest
+//     batch cancels its reclaim — the lane's head, which leaves at once.
+//     The hops of the admission pipeline (request, grant, release, retry)
+//     wait in lanes too, so on the benchmark's trace-s1 the one shard's
+//     heap averages 215 entries (peak 638: pumps, batched arrivals,
+//     completions) beside some 2,000 in lanes; on the heap, canceled
+//     reclaims would sit out their WarmTTL and make it 35k.
 //   - Measurement is streaming: per-tenant fixed-bucket latency
 //     histograms (obs.Hist), running cost counters, and Jain's fairness
 //     index computed at minute boundaries on shard 0. No per-invocation

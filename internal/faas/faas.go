@@ -14,6 +14,7 @@ package faas
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/pricing"
@@ -97,18 +98,12 @@ type Platform struct {
 
 	inFlight     int
 	peakInFlight int
-	// warm holds each memory size's warm sandboxes as nothing but their
-	// pending reclaims: a release schedules one per sandbox, WarmTTL ahead, on
-	// the size's lane, so the lane is in fire order; a warm start cancels the
-	// oldest (Lane.CancelHead), and a fired reclaim has already left it. The
-	// lane's length is therefore the size's warm count, and in the kernel a
-	// reclaim never enters the shard's heap, alive or canceled.
-	warm      map[int]*sim.Lane
-	warmTotal int // sum of the lanes' lengths
-	// reclaim is the callback of every reclaim event, bound once.
-	reclaim func()
-	meter   Meter
-	obs     *obs.Observer
+	// pools holds one warm pool per memory size seen, sorted by size (the
+	// order ReclaimWarm evicts in); see warmPool.
+	pools     []*warmPool
+	warmTotal int // sum of the pools' warm counts
+	meter     Meter
+	obs       *obs.Observer
 	// coldSpike multiplies cold-start draws while a fault schedule's
 	// cold-spike window is active (see SetColdSpikeFactor); 0 means unset.
 	coldSpike float64
@@ -125,13 +120,10 @@ func New(s *sim.Simulation, limits Limits, startup StartupModel, pb pricing.Pric
 // and one distinct stream name each, so every tenant's jitter sequence is
 // independent of how many other tenants exist and of the shard layout.
 func NewOnShard(sh *sim.Shard, randStream string, limits Limits, startup StartupModel, pb pricing.PriceBook) *Platform {
-	p := &Platform{
+	return &Platform{
 		sh: sh, rng: sh.Rand(randStream),
 		limits: limits, startup: startup, prices: pb,
-		warm: make(map[int]*sim.Lane),
 	}
-	p.reclaim = p.expire
-	return p
 }
 
 // NewDefault returns a platform with default limits, startup and prices.
@@ -158,10 +150,14 @@ func (p *Platform) InFlight() int { return p.inFlight }
 
 // WarmCount reports how many warm sandboxes exist for the given memory size.
 func (p *Platform) WarmCount(memMB int) int {
-	if l := p.warm[memMB]; l != nil {
-		return l.Len()
+	n := 0
+	if i, ok := p.poolIndex(memMB); ok {
+		w := p.pools[i]
+		for _, c := range w.counts[w.head:] {
+			n += c
+		}
 	}
-	return 0
+	return n
 }
 
 // WarmTotal reports how many warm sandboxes exist across all memory sizes.
@@ -200,15 +196,24 @@ func (p *Platform) InvokeGroup(n, memMB int) (GroupStart, error) {
 	if p.inFlight > p.peakInFlight {
 		p.peakInFlight = p.inFlight
 	}
-	var g GroupStart
-	for i := 0; i < n; i++ {
-		inv := p.admit(memMB)
-		g.StartDelay = max(g.StartDelay, inv.StartDelay)
-		if inv.Cold {
-			g.Cold++
-			p.obs.Stats().Observe("faas.cold_start_s", inv.StartDelay)
-		}
+	// The warm members come first, as they would one by one: the pool gives
+	// them up in one call, and the loop below only draws the cold members'
+	// starts and adds each member's fee, so the meter and the jitter stream
+	// see what n single admissions would.
+	w := p.takeWarm(memMB, n)
+	g := GroupStart{Cold: n - w}
+	if w > 0 {
+		g.StartDelay = max(g.StartDelay, p.startup.Warm)
 	}
+	for i := range n {
+		if i >= w {
+			d := p.coldStart(memMB)
+			g.StartDelay = max(g.StartDelay, d)
+			p.obs.Stats().Observe("faas.cold_start_s", d)
+		}
+		p.meter.InvokeCost += p.prices.FunctionInvoke
+	}
+	p.meter.Invocations += uint64(n)
 	if p.obs.Enabled() {
 		st := p.obs.Stats()
 		st.Add("faas.invocations", float64(n))
@@ -243,20 +248,8 @@ func (p *Platform) Invoke1(memMB int) (Invocation, error) {
 	if p.inFlight > p.peakInFlight {
 		p.peakInFlight = p.inFlight
 	}
-	inv := p.admit(memMB)
-	if p.obs.Enabled() {
-		p.observeInvoke1(inv)
-	}
-	return inv, nil
-}
-
-// admit starts one instance the caller has already counted against the
-// concurrency cap: it takes a warm sandbox or draws a cold start, and meters
-// the per-invocation fee. The one admission body of InvokeGroup and Invoke1.
-func (p *Platform) admit(memMB int) Invocation {
 	inv := Invocation{MemMB: memMB}
-	if l := p.warm[memMB]; l != nil && l.CancelHead() {
-		p.warmTotal--
+	if p.takeWarm(memMB, 1) == 1 {
 		inv.StartDelay = p.startup.Warm
 	} else {
 		inv.Cold = true
@@ -264,7 +257,10 @@ func (p *Platform) admit(memMB int) Invocation {
 	}
 	p.meter.Invocations++
 	p.meter.InvokeCost += p.prices.FunctionInvoke
-	return inv
+	if p.obs.Enabled() {
+		p.observeInvoke1(inv)
+	}
+	return inv, nil
 }
 
 // observeInvoke1 records one admission in the metrics registry. Kept out of
@@ -284,26 +280,97 @@ func (p *Platform) observeInvoke1(inv Invocation) {
 	st.Set("faas.warm_total", float64(p.warmTotal))
 }
 
-// addWarm returns n sandboxes to memMB's pool: n reclaims, WarmTTL ahead.
+// warmPool is one memory size's warm sandboxes, held as release batches:
+// each ReleaseGroup call adds one batch and schedules one reclaim for all of
+// it, WarmTTL ahead, on the pool's lane. Those keys never decrease, so the
+// lane fires in push order and counts[head:] lists the queued batches' live
+// counts in the same order. Warm starts and evictions take from the oldest
+// batch, and a batch's reclaim is canceled (Lane.CancelHead) only when its
+// count reaches 0; a fired reclaim is therefore always the oldest batch's,
+// and removes what is left of it. The kernel holds one event per live batch,
+// never a canceled one, and none in the shard's heap.
+type warmPool struct {
+	p      *Platform
+	memMB  int
+	lane   *sim.Lane
+	counts []int // counts[head:] are the live batches' counts, oldest first
+	head   int
+	expire func() // every reclaim's callback, bound once
+}
+
+// poolIndex finds memMB's pool in p.pools, or where it would go. A platform
+// sees a handful of sizes at most (the cost grid has nine), so a scan beats
+// a search.
+func (p *Platform) poolIndex(memMB int) (int, bool) {
+	for i, w := range p.pools {
+		if w.memMB >= memMB {
+			return i, w.memMB == memMB
+		}
+	}
+	return len(p.pools), false
+}
+
+// takeWarm takes up to n warm sandboxes of memMB, oldest first, and returns
+// how many it took.
+func (p *Platform) takeWarm(memMB, n int) int {
+	if i, ok := p.poolIndex(memMB); ok {
+		return p.pools[i].take(n)
+	}
+	return 0
+}
+
+// take removes up to n sandboxes from the oldest batches, canceling the
+// reclaim of each batch it empties, and returns how many it removed.
+func (w *warmPool) take(n int) int {
+	k := 0
+	for ; k < n && w.head < len(w.counts); w.head++ {
+		c := &w.counts[w.head]
+		if *c > n-k {
+			*c -= n - k
+			k = n
+			break
+		}
+		k += *c
+		w.lane.CancelHead()
+	}
+	w.p.warmTotal -= k
+	return k
+}
+
+// addWarm returns n sandboxes to memMB's pool as one batch: one reclaim,
+// WarmTTL ahead.
 func (p *Platform) addWarm(memMB, n int) {
-	l := p.warm[memMB]
-	if l == nil {
-		l = p.sh.NewLane()
-		p.warm[memMB] = l
+	i, ok := p.poolIndex(memMB)
+	if !ok {
+		w := &warmPool{p: p, memMB: memMB, lane: p.sh.NewLane()}
+		w.expire = w.expireOldest
+		p.pools = slices.Insert(p.pools, i, w)
 	}
-	at := p.sh.Now() + WarmTTL
-	for i := 0; i < n; i++ {
-		l.Schedule(at, 0, p.reclaim)
+	w := p.pools[i]
+	if w.head == len(w.counts) {
+		w.counts, w.head = w.counts[:0], 0
+	} else if w.head*2 >= len(w.counts) {
+		// Slide over the consumed prefix once it has reached the live
+		// batches' number, as Lane does: the buffer stops growing once it
+		// has held its longest queue.
+		w.counts = w.counts[:copy(w.counts, w.counts[w.head:])]
+		w.head = 0
 	}
+	w.counts = append(w.counts, n)
+	w.lane.Schedule(p.sh.Now()+WarmTTL, 0, w.expire)
 	p.warmTotal += n
 }
 
-// expire is the body of a fired reclaim: a sandbox has sat idle for WarmTTL
-// and leaves the pool. The kernel has already taken it off its lane.
-func (p *Platform) expire() {
-	p.warmTotal--
+// expireOldest is the body of a fired reclaim: the oldest batch has sat
+// idle for WarmTTL and what is left of it leaves the pool. The kernel has
+// already taken the reclaim off the lane.
+func (w *warmPool) expireOldest() {
+	k := w.counts[w.head]
+	w.head++
+	p := w.p
+	p.warmTotal -= k
 	if p.obs.Enabled() {
-		p.obs.Stats().Inc("faas.warm_expired")
+		p.obs.Stats().Add("faas.warm_expired", float64(k))
 		p.obs.Stats().Set("faas.warm_total", float64(p.warmTotal))
 	}
 }
@@ -330,7 +397,7 @@ func (p *Platform) WarmStart() float64 { return p.startup.Warm }
 
 // ReleaseGroup ends n concurrent functions of memMB memory, billing their
 // compute time (seconds each) and returning their sandboxes to the warm
-// pool for later reuse.
+// pool, as one batch with one reclaim, for later reuse.
 func (p *Platform) ReleaseGroup(n, memMB int, secondsEach float64) {
 	if n <= 0 {
 		return

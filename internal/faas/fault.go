@@ -1,10 +1,6 @@
 package faas
 
-import (
-	"sort"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Fault-injection surface: deterministic schedules (internal/fault) mutate
 // real platform state through these methods, so faults propagate to the rest
@@ -39,28 +35,19 @@ func (p *Platform) KillSandboxes(n int) int {
 
 // ReclaimWarm evicts up to n warm sandboxes before their TTL (capacity
 // pressure on the provider side). Eviction order is deterministic: smallest
-// memory size first, and within a size the sandbox closest to natural
-// expiry (the head of its reclaim lane). Returns the number actually
+// memory size first, and within a size the sandboxes closest to natural
+// expiry (the oldest release batch). Returns the number actually
 // reclaimed.
 func (p *Platform) ReclaimWarm(n int) int {
 	if n <= 0 || p.warmTotal == 0 {
 		return 0
 	}
-	sizes := make([]int, 0, len(p.warm))
-	for memMB, l := range p.warm {
-		if l.Len() > 0 {
-			sizes = append(sizes, memMB)
-		}
-	}
-	sort.Ints(sizes)
 	reclaimed := 0
-	for _, memMB := range sizes {
-		for l := p.warm[memMB]; reclaimed < n && l.CancelHead(); reclaimed++ {
-			p.warmTotal--
-		}
+	for _, w := range p.pools {
 		if reclaimed == n {
 			break
 		}
+		reclaimed += w.take(n - reclaimed)
 	}
 	if reclaimed > 0 && p.obs.Enabled() {
 		st := p.obs.Stats()

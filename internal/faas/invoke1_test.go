@@ -169,3 +169,42 @@ func TestInvokeGroupDenialZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestInvokeGroupSteadyStateZeroAlloc: with observability disabled, warm
+// InvokeGroup(n)+ReleaseGroup(n) cycles allocate nothing at any group size —
+// each takes a whole batch, cancels its one reclaim and schedules the next —
+// and neither does ReclaimWarm walking several sizes' pools, emptying some
+// batches and splitting others.
+func TestInvokeGroupSteadyStateZeroAlloc(t *testing.T) {
+	p := newTestPlatform(3)
+	for _, n := range []int{1, 8, 200} {
+		warmUp(t, p, n, 1024)
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if g, err := p.InvokeGroup(n, 1024); err != nil || g.Cold != 0 {
+				t.Fatalf("InvokeGroup(%d): %+v, %v: warm path not taken", n, g, err)
+			}
+			p.ReleaseGroup(n, 1024, 1)
+		}); allocs != 0 {
+			t.Errorf("warm InvokeGroup(%d)+ReleaseGroup allocates %.1f times per cycle, want 0", n, allocs)
+		}
+	}
+	for _, memMB := range []int{512, 1769} {
+		warmUp(t, p, 8, memMB)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := p.InvokeGroup(8, 1769); err != nil {
+			t.Fatal(err)
+		}
+		p.ReleaseGroup(4, 1769, 1)
+		p.ReleaseGroup(4, 1769, 1)
+		if got := p.ReclaimWarm(5); got != 5 {
+			t.Fatalf("ReclaimWarm(5) = %d", got)
+		}
+		if _, err := p.InvokeGroup(3, 512); err != nil {
+			t.Fatal(err)
+		}
+		p.ReleaseGroup(3, 512, 1)
+	}); allocs != 0 {
+		t.Errorf("ReclaimWarm with partial batches allocates %.1f times per cycle, want 0", allocs)
+	}
+}

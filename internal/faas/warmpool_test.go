@@ -12,60 +12,92 @@ import (
 
 // --- warm-pool expiry bookkeeping ---
 
+// checkBatches fails unless the kernel holds exactly one pending reclaim per
+// live release batch, each pool's lane holds its own batches' reclaims, and
+// the batches' counts — none of them empty — add up to each size's WarmCount
+// and to WarmTotal. It returns the number of live batches.
+func checkBatches(t testing.TB, s *sim.Simulation, p *Platform, step string) int {
+	t.Helper()
+	total, batches := 0, 0
+	for _, w := range p.pools {
+		live := w.counts[w.head:]
+		sum := 0
+		for _, c := range live {
+			if c <= 0 {
+				t.Fatalf("%s: %d MB pool holds a batch of %d", step, w.memMB, c)
+			}
+			sum += c
+		}
+		if sum != p.WarmCount(w.memMB) || w.lane.Len() != len(live) {
+			t.Fatalf("%s: %d MB pool: batches %v sum to %d, WarmCount %d, %d reclaims on its lane",
+				step, w.memMB, live, sum, p.WarmCount(w.memMB), w.lane.Len())
+		}
+		total += sum
+		batches += len(live)
+	}
+	if total != p.WarmTotal() || s.Pending() != batches {
+		t.Fatalf("%s: batches sum to %d, WarmTotal %d; %d batches, %d events pending",
+			step, total, p.WarmTotal(), batches, s.Pending())
+	}
+	return batches
+}
+
 // TestWarmPoolInterleavings drives a warm pool through warm-up → warm start
 // (InvokeGroup) → TTL fire → release → ReclaimWarm, checking after every step
-// that the pool holds one pending reclaim — one kernel event — per sandbox.
+// the warm count and that the pool holds one pending reclaim — one kernel
+// event — per release batch.
 func TestWarmPoolInterleavings(t *testing.T) {
 	s := sim.New(1)
 	p := NewDefault(s)
-	check := func(step string, warm int) {
+	check := func(step string, warm, batches int) {
 		t.Helper()
-		if p.WarmCount(1769) != warm || p.WarmTotal() != warm || s.Pending() != warm {
-			t.Fatalf("%s: warm=%d total=%d pending=%d, want %d", step, p.WarmCount(1769), p.WarmTotal(), s.Pending(), warm)
+		if p.WarmCount(1769) != warm || checkBatches(t, s, p, step) != batches {
+			t.Fatalf("%s: warm=%d pending=%d, want %d sandboxes in %d batches", step, p.WarmCount(1769), s.Pending(), warm, batches)
 		}
 	}
 
 	warmUp(t, p, 5, 1769)
-	check("after warm-up", 5)
+	check("after warm-up", 5, 1)
 
-	// Consume two warm sandboxes before any reclaim fires: the count and the
-	// pending reclaims shrink in lockstep.
+	// Consume two warm sandboxes before any reclaim fires: the count shrinks,
+	// and the batch and its one reclaim stay.
 	s.RunUntil(WarmTTL / 2)
 	if _, err := p.InvokeGroup(2, 1769); err != nil {
 		t.Fatal(err)
 	}
-	check("after two warm starts", 3)
+	check("after two warm starts", 3, 1)
 
-	// Let the remaining three reclaims fire.
+	// Let the batch's reclaim fire: the remaining three leave together.
 	s.RunUntil(WarmTTL + 1)
-	check("after TTL fire", 0)
+	check("after TTL fire", 0, 0)
 
-	// Release the in-flight group: sandboxes come back warm with fresh
-	// reclaims; ReclaimWarm must cancel them all without disturbing later runs.
+	// Release the in-flight group: sandboxes come back warm as one batch with
+	// a fresh reclaim; ReclaimWarm must cancel it without disturbing later runs.
 	p.ReleaseGroup(2, 1769, 10)
-	check("after release", 2)
+	check("after release", 2, 1)
 	if got := p.ReclaimWarm(2); got != 2 {
 		t.Fatalf("ReclaimWarm(2) = %d", got)
 	}
-	check("after ReclaimWarm", 0)
+	check("after ReclaimWarm", 0, 0)
 	s.RunUntil(1e9)
-	check("after the canceled reclaims' time", 0)
+	check("after the canceled reclaim's time", 0, 0)
 }
 
 // TestWarmPoolChurnKeepsBookkeepingConsistent hammers the pools through many
 // warm-up/consume/expire rounds across two memory sizes — the scale of churn
 // that made the old identity-scan removal quadratic — and checks that the
-// per-size counts add up to the total and to the reclaim events in the
-// kernel the whole way.
+// per-size counts add up to the total and that the kernel holds one reclaim
+// per live release batch the whole way.
 func TestWarmPoolChurnKeepsBookkeepingConsistent(t *testing.T) {
 	s := sim.New(7)
 	p := NewDefault(s)
 
 	check := func(step string) {
 		t.Helper()
-		if sum := p.WarmCount(512) + p.WarmCount(1769); p.WarmTotal() != sum || s.Pending() != sum {
-			t.Fatalf("%s: warmTotal=%d pending=%d != %d+%d", step, p.WarmTotal(), s.Pending(), p.WarmCount(512), p.WarmCount(1769))
+		if sum := p.WarmCount(512) + p.WarmCount(1769); p.WarmTotal() != sum {
+			t.Fatalf("%s: warmTotal=%d != %d+%d", step, p.WarmTotal(), p.WarmCount(512), p.WarmCount(1769))
 		}
+		checkBatches(t, s, p, step)
 	}
 
 	for round := 0; round < 60; round++ {
@@ -276,10 +308,10 @@ func TestPlatformObservability(t *testing.T) {
 	}
 }
 
-// BenchmarkWarmPoolExpiry measures a full pool's reclaims (3000 sandboxes,
-// the account burst limit, warmed by one group invoked and released): each
-// fired reclaim is its lane's head, O(1); the old identity scan + element
-// copy made this quadratic.
+// BenchmarkWarmPoolExpiry measures a full pool's life (3000 sandboxes, the
+// account burst limit, warmed by one group invoked and released): one batch
+// and one reclaim, so past the group's cold starts its expiry is O(1); the
+// old identity scan + element copy made it quadratic.
 func BenchmarkWarmPoolExpiry(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := sim.New(1)

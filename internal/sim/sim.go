@@ -67,8 +67,8 @@
 // depends on where it waits. In a lane, canceling the head removes it on the
 // spot, and an entry behind the head is marked and skipped when the head
 // reaches it. A FIFO canceled oldest-first (Lane.CancelHead) never holds a
-// corpse, so its Lane.Len is its live count: internal/faas keeps each memory
-// size's warm sandboxes as nothing but the reclaim events on one lane. In the
+// corpse, so its Lane.Len is its live count: internal/faas keeps one reclaim
+// per warm release batch on each memory size's lane that way. In the
 // heap a canceled entry stays until its time comes and is dropped when
 // popped, so a stream that is canceled far ahead of its fire time — a timeout
 // with a fixed hold — is sorted by construction and belongs on a lane. The
