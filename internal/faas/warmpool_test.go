@@ -14,8 +14,8 @@ import (
 
 // checkBatches fails unless the kernel holds exactly one pending reclaim per
 // live release batch, each pool's lane holds its own batches' reclaims, and
-// the batches' counts — none of them empty — add up to each size's WarmCount
-// and to WarmTotal. It returns the number of live batches.
+// the batches' counts — none of them empty — add up to WarmTotal. It returns
+// the number of live batches.
 func checkBatches(t testing.TB, s *sim.Simulation, p *Platform, step string) int {
 	t.Helper()
 	total, batches := 0, 0
@@ -28,9 +28,8 @@ func checkBatches(t testing.TB, s *sim.Simulation, p *Platform, step string) int
 			}
 			sum += c
 		}
-		if sum != p.WarmCount(w.memMB) || w.lane.Len() != len(live) {
-			t.Fatalf("%s: %d MB pool: batches %v sum to %d, WarmCount %d, %d reclaims on its lane",
-				step, w.memMB, live, sum, p.WarmCount(w.memMB), w.lane.Len())
+		if w.lane.Len() != len(live) {
+			t.Fatalf("%s: %d MB pool: %d batches %v, %d reclaims on its lane", step, w.memMB, len(live), live, w.lane.Len())
 		}
 		total += sum
 		batches += len(live)
