@@ -104,7 +104,7 @@ reach:
 # feasible greedy plan meets its constraint) and the BSP straggler draw
 # (any seed, group size, sigma in (0, 50] and pending spare: Rand.MaxLogNormal equals
 # the one-Exp-per-function loop bit for bit, stream included) and the faas
-# warm pool (random InvokeGroup/Invoke1/ReleaseGroup/ReclaimWarm/KillSandboxes/
+# warm pool (random InvokeGroup/ReleaseGroup/ReclaimWarm/KillSandboxes/
 # RunUntil programs over three memory sizes: the batch pool equals the
 # per-sandbox refPlatform bit for bit after every step). New inputs
 # stay in the build cache; a failing one is written to the package's

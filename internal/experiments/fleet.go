@@ -183,6 +183,7 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 	grid := cost.DefaultGrid()
 	classModels := []*workload.Model{workload.MobileNet(), workload.ResNet50(), workload.BERT()}
 	classes := make([]*fleetClass, len(classModels))
+	maxN := 0 // the largest group any controller may request
 	for i, w := range classModels {
 		m := cost.NewModel(w)
 		front := m.ParetoFrontier(grid)
@@ -193,6 +194,7 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 		cheap, fast := math.Inf(1), math.Inf(1)
 		for _, p := range front.Points() {
 			byAlloc[p.Alloc] = p
+			maxN = max(maxN, p.Alloc.N)
 			if p.Cost < cheap {
 				cheap = p.Cost
 			}
@@ -213,12 +215,14 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 
 	// Build every tenant's scheduler and initial allocation first (setup is
 	// deterministic in tenant order), so the account's concurrency cap can be
-	// sized at 4/5 of the fleet's aggregate initial demand. Jobs start
-	// fleetStagger apart, so the cap binds only while enough of them overlap:
-	// the 48-tenant default, whose starts span 96 s, sees refusals, backoff
-	// retries and a drop (its note prints denials=105 at seed 2023), but at
-	// bench scale (1,500 tenants, starts spread over 3,000 s) the note
-	// prints denials=0.
+	// sized at 4/5 of the fleet's aggregate initial demand, and never below
+	// the largest group on any class frontier: a controller may restart onto
+	// any frontier point, and a group larger than the cap could never be
+	// admitted. Jobs start fleetStagger apart, so the cap binds only while
+	// enough of them overlap: the 48-tenant default, whose starts span 96 s,
+	// sees refusals, backoff retries and a drop (its note prints denials=105
+	// at seed 2023), but at bench scale (1,500 tenants, starts spread over
+	// 3,000 s) the note prints denials=0.
 	fleet := make([]*fleetTenant, tenants)
 	totalN := 0
 	for t := range fleet {
@@ -260,7 +264,7 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 		totalN += alloc.N
 	}
 
-	ac := h.newAccount(max(64, totalN*4/5), fleetMaxRetry, fleetBands)
+	ac := h.newAccount(max(maxN, totalN*4/5), fleetMaxRetry, fleetBands)
 	for _, tn := range fleet {
 		tn.join(ac, tn)
 		tn.sh.SchedulePriority(sim.Time(fleetStagger*float64(tn.id+1)), priFleetEpoch+tn.id, tn.start)

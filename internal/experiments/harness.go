@@ -333,19 +333,8 @@ func (ac *account) admit(m *member) {
 // later.
 func (fr *invFrame) invoke() {
 	ac, m := fr.ac, fr.m
-	var err error
-	if fr.n == 1 {
-		var inv faas.Invocation
-		inv, err = ac.plat.Invoke1(fr.memMB)
-		fr.delay, fr.cold = inv.StartDelay, 0
-		if inv.Cold {
-			fr.cold = 1
-		}
-	} else {
-		var g faas.GroupStart
-		g, err = ac.plat.InvokeGroup(fr.n, fr.memMB)
-		fr.delay, fr.cold = g.StartDelay, g.Cold
-	}
+	g, err := ac.plat.InvokeGroup(fr.n, fr.memMB)
+	fr.delay, fr.cold = g.StartDelay, g.Cold
 	now := ac.sh.Now()
 	switch {
 	case err == nil:

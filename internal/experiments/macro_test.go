@@ -6,6 +6,7 @@ import (
 	"math"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -595,5 +596,27 @@ func TestShardCountClampedToPopulation(t *testing.T) {
 		if base.String() != wide.String() {
 			t.Errorf("%s: -shards 4096 prints a different table than -shards 8", id)
 		}
+	}
+}
+
+// TestFleetCapAdmitsEveryFrontierGroup: the shared account's cap is never
+// below the largest group on a class frontier. A lone tenant's initial
+// demand puts 4/5 of it far under that group, and at seed 2023 its
+// controller restarts onto a larger group; the cap must still admit it
+// rather than drop the tenant once its retries run out.
+func TestFleetCapAdmitsEveryFrontierGroup(t *testing.T) {
+	tab, h, err := macroFleet(2023, Config{FleetTenants: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := slices.Index(tab.Headers, "dropped")
+	if col < 0 {
+		t.Fatalf("no dropped column in %v", tab.Headers)
+	}
+	if got := tab.Rows[len(tab.Rows)-1][col]; got != "0" {
+		t.Errorf("dropped = %s with the account cap at %d, want 0: %s", got, h.plats[0].Limits().MaxConcurrency, tab.Notes)
+	}
+	if !strings.Contains(tab.Notes, "denials=0") {
+		t.Errorf("a lone tenant was refused: %s", tab.Notes)
 	}
 }

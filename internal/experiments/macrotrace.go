@@ -229,7 +229,7 @@ func macroTrace(seed uint64, cfg Config) (*Table, *harness, error) {
 	}
 
 	// Cap the shared account near the fleet's mean in-flight demand. An
-	// admitted arrival occupies the account from Invoke1 until its release
+	// arrival occupies the account from its admission until its release
 	// posts back: two lookaheads plus startup plus service.
 	meanService := traceSvcMedian * math.Exp(traceSvcSigma*traceSvcSigma/2)
 	meanHeld := 2*traceLookahead + faas.DefaultStartup().Warm + meanService

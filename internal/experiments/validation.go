@@ -75,8 +75,8 @@ func fig4(seed uint64, cfg Config) (*Table, error) {
 		for i := 0; i < runs; i++ {
 			on := predictor.NewOnline()
 			upto := int(float64(truths[i]) * frac)
-			if upto < on.MinPoints {
-				upto = on.MinPoints
+			if upto < predictor.MinPoints {
+				upto = predictor.MinPoints
 			}
 			for e := 1; e <= upto && e <= len(engines[i]); e++ {
 				on.Observe(e, engines[i][e-1])

@@ -163,13 +163,6 @@ func (p *Platform) WarmCount(memMB int) int {
 // WarmTotal reports how many warm sandboxes exist across all memory sizes.
 func (p *Platform) WarmTotal() int { return p.warmTotal }
 
-// Invocation describes one admitted function instance.
-type Invocation struct {
-	MemMB      int
-	StartDelay float64 // cold- or warm-start latency in seconds
-	Cold       bool
-}
-
 // GroupStart summarises one admitted group: how long until all of it runs,
 // and how much of it started cold.
 type GroupStart struct {
@@ -182,6 +175,11 @@ type GroupStart struct {
 // member draws its own start latency; the group is ready after the slowest.
 // The group counts against the concurrency cap until ReleaseGroup; a group
 // that does not fit is refused with the bare ErrConcurrencyExceeded.
+//
+// Every admission is metered; a group of n > 1 also records an invoke_group
+// trace instant. A single function is metered, not traced: open-loop and
+// trace-driven tenants admit one function per arrival, and an instant per
+// arrival would double a traced run.
 func (p *Platform) InvokeGroup(n, memMB int) (GroupStart, error) {
 	if n <= 0 {
 		return GroupStart{}, fmt.Errorf("faas: InvokeGroup with n=%d", n)
@@ -223,61 +221,13 @@ func (p *Platform) InvokeGroup(n, memMB int) (GroupStart, error) {
 		st.Set("faas.in_flight", float64(p.inFlight))
 		st.SetMax("faas.in_flight_peak", float64(p.peakInFlight))
 		st.Set("faas.warm_total", float64(p.warmTotal))
-		p.obs.Trace().InstantAt(float64(p.sh.Now()), "faas", "faas", "invoke_group",
-			obs.I("n", n), obs.I("mem_mb", memMB), obs.I("cold", g.Cold),
-			obs.I("in_flight", p.inFlight), obs.I("cap", p.limits.MaxConcurrency))
+		if n > 1 {
+			p.obs.Trace().InstantAt(float64(p.sh.Now()), "faas", "faas", "invoke_group",
+				obs.I("n", n), obs.I("mem_mb", memMB), obs.I("cold", g.Cold),
+				obs.I("in_flight", p.inFlight), obs.I("cap", p.limits.MaxConcurrency))
+		}
 	}
 	return g, nil
-}
-
-// Invoke1 admits a single function of memMB memory: the arrival-path fast
-// path of InvokeGroup(1, memMB) for trace-driven traffic, where every
-// invocation is its own admission decision. Semantics are identical to
-// InvokeGroup(1, memMB) — same warm-pool consumption, same jitter draw,
-// same denial, same billing and observability counters — except that it
-// emits no invoke_group instant, so the admit/deny round trip performs no
-// heap allocation at all when observability is disabled.
-func (p *Platform) Invoke1(memMB int) (Invocation, error) {
-	if err := p.limits.ValidateMemory(memMB); err != nil {
-		return Invocation{}, err
-	}
-	if p.inFlight+1 > p.limits.MaxConcurrency {
-		return Invocation{}, ErrConcurrencyExceeded
-	}
-	p.inFlight++
-	if p.inFlight > p.peakInFlight {
-		p.peakInFlight = p.inFlight
-	}
-	inv := Invocation{MemMB: memMB}
-	if p.takeWarm(memMB, 1) == 1 {
-		inv.StartDelay = p.startup.Warm
-	} else {
-		inv.Cold = true
-		inv.StartDelay = p.coldStart(memMB)
-	}
-	p.meter.Invocations++
-	p.meter.InvokeCost += p.prices.FunctionInvoke
-	if p.obs.Enabled() {
-		p.observeInvoke1(inv)
-	}
-	return inv, nil
-}
-
-// observeInvoke1 records one admission in the metrics registry. Kept out of
-// Invoke1's body so the hot path carries a single Enabled-gated call.
-func (p *Platform) observeInvoke1(inv Invocation) {
-	st := p.obs.Stats()
-	st.Add("faas.invocations", 1)
-	if inv.Cold {
-		st.Inc("faas.cold_starts")
-		st.Observe("faas.cold_start_s", inv.StartDelay)
-	} else {
-		st.Inc("faas.warm_starts")
-	}
-	st.Add("faas.invoke_cost", p.prices.FunctionInvoke)
-	st.Set("faas.in_flight", float64(p.inFlight))
-	st.SetMax("faas.in_flight_peak", float64(p.peakInFlight))
-	st.Set("faas.warm_total", float64(p.warmTotal))
 }
 
 // warmPool is one memory size's warm sandboxes, held as release batches:

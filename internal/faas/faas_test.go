@@ -45,15 +45,15 @@ func TestInvokeGroupColdThenWarm(t *testing.T) {
 	p := newPlatform()
 	// Member by member, so each one's own start is checked.
 	for i := 0; i < 4; i++ {
-		inv, err := p.Invoke1(1769)
+		g, err := p.InvokeGroup(1, 1769)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !inv.Cold {
+		if g.Cold != 1 {
 			t.Errorf("invocation %d should be cold on a fresh platform", i)
 		}
-		if inv.StartDelay < 1 {
-			t.Errorf("cold start %g s too fast", inv.StartDelay)
+		if g.StartDelay < 1 {
+			t.Errorf("cold start %g s too fast", g.StartDelay)
 		}
 	}
 	p.ReleaseGroup(4, 1769, 10)
@@ -177,13 +177,13 @@ func TestColdStartJitterBounded(t *testing.T) {
 	est := p.ColdStartEstimate(1769)
 	frac := DefaultStartup().JitterFrac
 	for i := 0; i < 100; i++ {
-		inv, err := p.Invoke1(1769)
+		g, err := p.InvokeGroup(1, 1769)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lo, hi := est*(1-frac), est*(1+frac)
-		if inv.StartDelay < lo-1e-9 || inv.StartDelay > hi+1e-9 {
-			t.Fatalf("cold start %g outside [%g, %g]", inv.StartDelay, lo, hi)
+		if g.StartDelay < lo-1e-9 || g.StartDelay > hi+1e-9 {
+			t.Fatalf("cold start %g outside [%g, %g]", g.StartDelay, lo, hi)
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-// TestWarmChurnKeepsKernelQueueBounded: every warm Invoke1 takes a sandbox
+// TestWarmChurnKeepsKernelQueueBounded: every warm InvokeGroup(1) takes a sandbox
 // whose batch's reclaim has nearly all of its ten minutes to go. Canceled
 // reclaims used to sit in the kernel's heap until their time — one per
 // cycle, 60,000 at this cycle rate — then until they outnumbered the live
@@ -24,7 +24,7 @@ func TestWarmChurnKeepsKernelQueueBounded(t *testing.T) {
 	for cycle := 0; cycle < 200_000; cycle++ {
 		memMB := sizes[cycle%len(sizes)]
 		for i := 0; i < group; i++ {
-			if _, err := p.Invoke1(memMB); err != nil {
+			if _, err := p.InvokeGroup(1, memMB); err != nil {
 				t.Fatal(err)
 			}
 		}

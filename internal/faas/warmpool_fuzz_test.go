@@ -11,7 +11,7 @@ import (
 )
 
 // runWarmPoolProgram interprets prog as a sequence of platform operations —
-// InvokeGroup (n 1–200), Invoke1, ReleaseGroup, ReclaimWarm, KillSandboxes
+// InvokeGroup (n 1–200, or 1 alone), ReleaseGroup, ReclaimWarm, KillSandboxes
 // and RunUntil, over three memory sizes — applied alike to a Platform and to
 // refPlatform, each on its own kernel from the same seed, under a cap the
 // larger groups can hit. After every operation the two must agree exactly:
@@ -40,18 +40,15 @@ func runWarmPoolProgram(t testing.TB, seed uint64, prog []byte) {
 	for step := 0; len(prog) > 0; step++ {
 		op, memMB := next()%8, sizes[next()%len(sizes)]
 		switch op {
-		case 0, 1:
-			n := 1 + next()%200
+		case 0, 1, 2:
+			n := 1 // opcode 2 admits a single function and reads no size byte
+			if op < 2 {
+				n = 1 + next()%200
+			}
 			ga, errA := a.InvokeGroup(n, memMB)
 			gb, errB := b.InvokeGroup(n, memMB)
 			if errA != errB || math.Float64bits(ga.StartDelay) != math.Float64bits(gb.StartDelay) || ga.Cold != gb.Cold {
 				t.Fatalf("step %d: InvokeGroup(%d, %d) = %+v, %v; reference %+v, %v", step, n, memMB, ga, errA, gb, errB)
-			}
-		case 2:
-			ia, errA := a.Invoke1(memMB)
-			ib, errB := b.Invoke1(memMB)
-			if errA != errB || math.Float64bits(ia.StartDelay) != math.Float64bits(ib.StartDelay) || ia != ib {
-				t.Fatalf("step %d: Invoke1(%d) = %+v, %v; reference %+v, %v", step, memMB, ia, errA, ib, errB)
 			}
 		case 3, 4:
 			if in := a.InFlight(); in > 0 {

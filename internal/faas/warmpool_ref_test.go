@@ -65,42 +65,29 @@ func (p *refPlatform) InvokeGroup(n, memMB int) (GroupStart, error) {
 	}
 	var g GroupStart
 	for i := 0; i < n; i++ {
-		inv := p.admit(memMB)
-		g.StartDelay = max(g.StartDelay, inv.StartDelay)
-		if inv.Cold {
+		delay, cold := p.admit(memMB)
+		g.StartDelay = max(g.StartDelay, delay)
+		if cold {
 			g.Cold++
-			p.obs.Stats().Observe("faas.cold_start_s", inv.StartDelay)
+			p.obs.Stats().Observe("faas.cold_start_s", delay)
 		}
 	}
 	return g, nil
 }
 
-func (p *refPlatform) Invoke1(memMB int) (Invocation, error) {
-	if err := p.limits.ValidateMemory(memMB); err != nil {
-		return Invocation{}, err
-	}
-	if p.inFlight+1 > p.limits.MaxConcurrency {
-		return Invocation{}, ErrConcurrencyExceeded
-	}
-	p.inFlight++
-	if p.inFlight > p.peakInFlight {
-		p.peakInFlight = p.inFlight
-	}
-	return p.admit(memMB), nil
-}
-
-func (p *refPlatform) admit(memMB int) Invocation {
-	inv := Invocation{MemMB: memMB}
+// admit starts one member: warm if a sandbox of memMB is idle, cold
+// otherwise. It returns the member's start delay and whether it was cold.
+func (p *refPlatform) admit(memMB int) (delay float64, cold bool) {
 	if l := p.warm[memMB]; l != nil && l.CancelHead() {
 		p.warmTotal--
-		inv.StartDelay = p.startup.Warm
+		delay = p.startup.Warm
 	} else {
-		inv.Cold = true
-		inv.StartDelay = p.coldStart(memMB)
+		cold = true
+		delay = p.coldStart(memMB)
 	}
 	p.meter.Invocations++
 	p.meter.InvokeCost += p.prices.FunctionInvoke
-	return inv
+	return delay, cold
 }
 
 func (p *refPlatform) addWarm(memMB, n int) {

@@ -305,6 +305,30 @@ func TestPlatformObservability(t *testing.T) {
 			t.Fatalf("missing trace event %q (got %v)", want, names)
 		}
 	}
+
+	// A single-function admission is metered, not traced; a group of two
+	// is both.
+	p = NewDefault(sim.New(1))
+	o = obs.New()
+	p.SetObserver(o)
+	if _, err := p.InvokeGroup(1, 512); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Stats().Counter("faas.invocations"); got != 1 {
+		t.Fatalf("after InvokeGroup(1): faas.invocations = %v, want 1", got)
+	}
+	if evs := o.Trace().Events(); len(evs) != 0 {
+		t.Fatalf("InvokeGroup(1) recorded %d trace events, want none: %+v", len(evs), evs)
+	}
+	if _, err := p.InvokeGroup(2, 512); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Stats().Counter("faas.invocations"); got != 3 {
+		t.Fatalf("after InvokeGroup(2): faas.invocations = %v, want 3", got)
+	}
+	if evs := o.Trace().Events(); len(evs) != 1 || evs[0].Name != "invoke_group" {
+		t.Fatalf("InvokeGroup(2) recorded %+v, want one invoke_group instant", evs)
+	}
 }
 
 // BenchmarkWarmPoolExpiry measures a full pool's life (3000 sandboxes, the

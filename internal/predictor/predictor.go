@@ -105,20 +105,18 @@ func clampEpochs(e float64) int {
 	return int(math.Ceil(e - 1e-9))
 }
 
+// MinPoints is how many observations an Online predictor requires before it
+// offers predictions (the curve has three parameters).
+const MinPoints = 4
+
 // Online is the runtime convergence-curve fitter.
 type Online struct {
 	xs, ys []float64
-	// MinPoints is how many observations are required before predictions
-	// are offered (the curve has three parameters).
-	MinPoints int
-	// Window, when positive, fits only the most recent Window points
-	// (recency guards against early-epoch transients).
-	Window int
 
 	// fixedCap, when positive, bounds the retained history: once full, each
 	// Observe shifts the window in place instead of appending, so the
 	// steady-state observe+refit path never touches the heap (the fleet
-	// configuration; see SetFixedWindow).
+	// configuration; see setFixedWindow).
 	fixedCap int
 	// refitBudget, when positive, caps LM iterations per refit. Only
 	// sensible with warm start: each epoch's refit then continues from the
@@ -140,7 +138,7 @@ type Online struct {
 // zero-alloc, few-iteration steady state; single-job experiments keep the
 // defaults and their bit-identical outputs.
 type Tuning struct {
-	// FixedWindow bounds the retained history (min 3; see SetFixedWindow).
+	// FixedWindow bounds the retained history (min 3; see setFixedWindow).
 	FixedWindow int
 	// WarmStart seeds each refit from the previous epoch's parameters.
 	WarmStart bool
@@ -153,18 +151,18 @@ type Tuning struct {
 // ApplyTuning switches the predictor to the fleet configuration.
 func (o *Online) ApplyTuning(t Tuning) {
 	if t.FixedWindow > 0 {
-		o.SetFixedWindow(t.FixedWindow)
+		o.setFixedWindow(t.FixedWindow)
 	}
-	o.SetWarmStart(t.WarmStart)
+	o.setWarmStart(t.WarmStart)
 	o.refitBudget = t.RefitBudget
 }
 
 // NewOnline returns an online predictor with defaults.
 func NewOnline() *Online {
-	return &Online{MinPoints: 4}
+	return &Online{}
 }
 
-// SetFixedWindow caps the retained history at w observations (w >= 3) in a
+// setFixedWindow caps the retained history at w observations (w >= 3) in a
 // preallocated buffer: once full, each Observe drops the oldest point with
 // an in-place shift, keeping observation allocation-free. Predictions —
 // including the pinned-floor fallback, which normally consults the full
@@ -172,7 +170,7 @@ func NewOnline() *Online {
 // is why this is opt-in: fleet-scale runs (thousands of controllers) take
 // it for the bounded memory and zero-alloc steady state; single-job
 // experiments keep the unbounded history and its historical outputs.
-func (o *Online) SetFixedWindow(w int) {
+func (o *Online) setFixedWindow(w int) {
 	if w < 3 {
 		w = 3
 	}
@@ -187,13 +185,13 @@ func (o *Online) SetFixedWindow(w int) {
 	o.dirty = true
 }
 
-// SetWarmStart seeds each refit from the previous epoch's fitted
+// setWarmStart seeds each refit from the previous epoch's fitted
 // parameters; steady-state refits then converge in a handful of LM
 // iterations instead of dozens. Warm-started fits can differ from cold ones
-// in the last float bits, so this is opt-in alongside SetFixedWindow for
+// in the last float bits, so this is opt-in alongside setFixedWindow for
 // fleet runs; the default cold path stays bit-identical to the historical
 // outputs (fit's testdata/cold.bits).
-func (o *Online) SetWarmStart(on bool) {
+func (o *Online) setWarmStart(on bool) {
 	o.ensureFitter()
 	o.fitter.SetWarmStart(on)
 }
@@ -222,13 +220,7 @@ func (o *Online) Observe(epoch int, loss float64) {
 func (o *Online) Observations() int { return len(o.xs) }
 
 // Ready reports whether enough observations exist to predict.
-func (o *Online) Ready() bool {
-	min := o.MinPoints
-	if min < 3 {
-		min = 3
-	}
-	return len(o.xs) >= min
-}
+func (o *Online) Ready() bool { return len(o.xs) >= MinPoints }
 
 // refit updates the cached curve parameters. The reusable Fitter is
 // allocation-free; its Result.Params alias solver scratch, so the
@@ -240,13 +232,8 @@ func (o *Online) refit() bool {
 	if !o.dirty && o.hasFit {
 		return true
 	}
-	xs, ys := o.xs, o.ys
-	if o.Window > 0 && len(xs) > o.Window {
-		xs = xs[len(xs)-o.Window:]
-		ys = ys[len(ys)-o.Window:]
-	}
 	o.ensureFitter()
-	res, err := o.fitter.Fit(xs, ys, fit.Options{MaxIter: o.refitBudget})
+	res, err := o.fitter.Fit(o.xs, o.ys, fit.Options{MaxIter: o.refitBudget})
 	if err != nil {
 		return false
 	}

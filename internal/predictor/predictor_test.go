@@ -190,9 +190,12 @@ func TestUnreachableTargetReported(t *testing.T) {
 
 func TestWindowLimitsFit(t *testing.T) {
 	o := NewOnline()
-	o.Window = 5
+	o.setFixedWindow(5)
 	for e := 1; e <= 20; e++ {
 		o.Observe(e, 1.0/float64(e)+0.2)
+	}
+	if o.Observations() != 5 {
+		t.Fatalf("a window of 5 retained %d observations", o.Observations())
 	}
 	if _, ok := o.Curve(); !ok {
 		t.Fatal("windowed fit failed")

@@ -10,7 +10,7 @@ func obsCurve(e int) float64 { return 1/(0.05*float64(e)+1) + 0.3 }
 // predictor holds exactly the last w observations in chronological order.
 func TestFixedWindowRetainsRecent(t *testing.T) {
 	o := NewOnline()
-	o.SetFixedWindow(8)
+	o.setFixedWindow(8)
 	for e := 1; e <= 20; e++ {
 		o.Observe(e, obsCurve(e))
 	}
@@ -34,7 +34,7 @@ func TestFixedWindowMidstream(t *testing.T) {
 	for e := 1; e <= 10; e++ {
 		o.Observe(e, obsCurve(e))
 	}
-	o.SetFixedWindow(4)
+	o.setFixedWindow(4)
 	if o.Observations() != 4 || o.xs[0] != 7 {
 		t.Fatalf("midstream window: got %d obs starting at %v", o.Observations(), o.xs[0])
 	}

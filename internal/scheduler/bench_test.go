@@ -46,7 +46,7 @@ func newBenchScheduler(b *testing.B, delta float64) *Scheduler {
 	})
 	s.alloc = s.cfg.Candidates[0].Alloc
 	s.lastPrediction = 1
-	s.online.Window = 32
+	s.online.ApplyTuning(predictor.Tuning{FixedWindow: 32})
 	for e := 1; e <= 32; e++ {
 		s.online.Observe(e, benchCurve(e))
 	}
