@@ -600,10 +600,9 @@ func TestShardCountClampedToPopulation(t *testing.T) {
 }
 
 // TestFleetCapAdmitsEveryFrontierGroup: the shared account's cap is never
-// below the largest group on a class frontier. A lone tenant's initial
-// demand puts 4/5 of it far under that group, and at seed 2023 its
-// controller restarts onto a larger group; the cap must still admit it
-// rather than drop the tenant once its retries run out.
+// below the largest group on a class frontier. At seed 2023 a lone tenant's
+// controller restarts onto a group far larger than 4/5 of its initial one;
+// the account must admit it, not refuse it until the tenant is dropped.
 func TestFleetCapAdmitsEveryFrontierGroup(t *testing.T) {
 	tab, h, err := macroFleet(2023, Config{FleetTenants: 1})
 	if err != nil {
