@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/pricing"
@@ -104,5 +105,84 @@ func TestInvokeGroupSteadyStateZeroAlloc(t *testing.T) {
 		p.ReleaseGroup(3, 512, 1)
 	}); allocs != 0 {
 		t.Errorf("ReclaimWarm with partial batches allocates %.1f times per cycle, want 0", allocs)
+	}
+}
+
+// The TestInvoke1* tests pin the single-function admission, InvokeGroup(1, ·),
+// the shared account's per-arrival call.
+
+// TestInvoke1DenialIsSentinel: a single function refused at the cap gets the
+// plain sentinel (errors.Is-able, allocation-free), and the denial changes
+// no state.
+func TestInvoke1DenialIsSentinel(t *testing.T) {
+	limits := DefaultLimits()
+	limits.MaxConcurrency = 1
+	p := New(sim.New(1), limits, DefaultStartup(), pricing.Default())
+	if _, err := p.InvokeGroup(1, 512); err != nil {
+		t.Fatalf("first invoke: %v", err)
+	}
+	meter := p.Meter()
+	_, err := p.InvokeGroup(1, 512)
+	if err != ErrConcurrencyExceeded {
+		t.Fatalf("denial error = %v, want the plain ErrConcurrencyExceeded sentinel", err)
+	}
+	if !errors.Is(err, ErrConcurrencyExceeded) {
+		t.Fatal("denial not errors.Is(ErrConcurrencyExceeded)")
+	}
+	if p.Meter() != meter || p.InFlight() != 1 || p.WarmTotal() != 0 {
+		t.Fatal("denied invocation mutated platform state")
+	}
+}
+
+// TestInvoke1InvalidMemory: a single function outside the account's memory
+// range is rejected and admits nothing.
+func TestInvoke1InvalidMemory(t *testing.T) {
+	p := newTestPlatform(1)
+	for _, memMB := range []int{64, DefaultLimits().MaxMemoryMB + 1} {
+		if _, err := p.InvokeGroup(1, memMB); err == nil {
+			t.Errorf("%d MB outside [MinMemoryMB, MaxMemoryMB] admitted", memMB)
+		}
+	}
+	if p.InFlight() != 0 || p.Meter().Invocations != 0 {
+		t.Fatal("rejected invocation mutated platform state")
+	}
+}
+
+// TestInvoke1SteadyStateZeroAlloc: with observability disabled, the
+// single-function admit/release cycle must not touch the heap — this is the
+// per-arrival hot path of the traffic scenarios, at the WarmTTL they run:
+// every cycle cancels one reclaim event and schedules the next.
+func TestInvoke1SteadyStateZeroAlloc(t *testing.T) {
+	p := newTestPlatform(3)
+	if _, err := p.InvokeGroup(1, 512); err != nil {
+		t.Fatal(err)
+	}
+	p.ReleaseGroup(1, 512, 1)
+	if n := testing.AllocsPerRun(1000, func() {
+		g, err := p.InvokeGroup(1, 512)
+		if err != nil || g.Cold != 0 {
+			t.Fatal("warm path not taken")
+		}
+		p.ReleaseGroup(1, 512, 1)
+	}); n != 0 {
+		t.Fatalf("warm InvokeGroup(1)+ReleaseGroup allocates %.1f times per cycle, want 0", n)
+	}
+}
+
+// TestInvoke1DenialZeroAlloc: the single-function denial storm under a
+// saturated cap is also allocation-free.
+func TestInvoke1DenialZeroAlloc(t *testing.T) {
+	limits := DefaultLimits()
+	limits.MaxConcurrency = 1
+	p := New(sim.New(1), limits, DefaultStartup(), pricing.Default())
+	if _, err := p.InvokeGroup(1, 512); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := p.InvokeGroup(1, 512); err == nil {
+			t.Fatal("over-cap invoke admitted")
+		}
+	}); n != 0 {
+		t.Fatalf("InvokeGroup(1) denial allocates %.1f times per call, want 0", n)
 	}
 }
