@@ -94,7 +94,9 @@ reach:
 # three delay classes — against the container/heap reference, which has one
 # queue and no lanes), the Levenberg-Marquardt fitter (sliding fits of
 # arbitrary finite series against refFitter, the solver before its kernels
-# moved into locals), the trace-file parser (against a strings.Split +
+# moved into locals), the epoch solver (SolveForX on arbitrary float64 bits:
+# ok=false or a finite x in [1, MaxSolvableX] that round-trips through the
+# curve), the trace-file parser (against a strings.Split +
 # strconv reference, read whole and one byte at a time), fault schedules
 # (arbitrary event lists over all six kinds and unknown ones: New refuses
 # them with a fault: error, or every query stays in range, every instant is
@@ -115,6 +117,7 @@ reach:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOps -fuzztime 10s -fuzzminimizetime 1s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzFitterFit -fuzztime 5s ./internal/fit/
+	$(GO) test -run '^$$' -fuzz FuzzSolveForX -fuzztime 5s ./internal/fit/
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 5s ./internal/traffic/
 	$(GO) test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 5s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzPlanner -fuzztime 5s ./internal/planner/

@@ -76,10 +76,9 @@ type fleetClass struct {
 // simulated epoch loop that feeds it losses and carries out its decisions.
 type fleetTenant struct {
 	member
-	cl    *fleetClass
-	ctrl  trainer.Controller
-	loss  *sim.Rand
-	curve workload.CurveParams
+	cl   *fleetClass
+	ctrl trainer.Controller
+	loss workload.Engine // the tenant's jittered convergence curve
 
 	budget, qos float64 // the tenant's binding constraint (other is 0)
 
@@ -97,16 +96,6 @@ type fleetTenant struct {
 	converged bool
 	dropped   bool
 	jct       float64
-}
-
-// lossAt mirrors workload's curveEngine: the tenant's jittered convergence
-// curve with multiplicative log-normal noise above the floor.
-func (tn *fleetTenant) lossAt(e int) float64 {
-	base := tn.curve.Eval(float64(e))
-	if tn.curve.Noise > 0 {
-		base = tn.curve.C + (base-tn.curve.C)*tn.loss.LogNormal(0, tn.curve.Noise)
-	}
-	return base
 }
 
 func (tn *fleetTenant) start() {
@@ -146,7 +135,7 @@ func (tn *fleetTenant) denied() {
 // or schedule the next epoch (charging the modeled planning overhead).
 func (tn *fleetTenant) epochDone() {
 	tn.epoch++
-	loss := tn.lossAt(tn.epoch)
+	loss := tn.loss.NextEpoch()
 	tn.spent += tn.cur.Cost
 	elapsed := float64(tn.sh.Now() - tn.startAt)
 	dec := tn.ctrl(tn.epoch, loss, elapsed, tn.spent)
@@ -256,7 +245,7 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 		tn := &fleetTenant{
 			member: member{id: t, sh: h.shard(t)},
 			cl:     cl, ctrl: sched.Controller(),
-			loss: h.s.Rand(name + "/loss"), curve: cp,
+			loss:   cp.Engine(h.s.Rand(name + "/loss")),
 			budget: budget, qos: qos, cur: p,
 		}
 		tn.epochFn = tn.epochDone

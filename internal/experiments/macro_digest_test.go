@@ -27,15 +27,20 @@ var macroScenarios = []struct {
 // macro-trace's other arrival kinds, and the trace and metrics exports at
 // default scale — to testdata/macro.digests. That file was generated once,
 // by the per-scenario harnesses that preceded the shared tenant harness, and
-// re-blessed twice since, each time in a commit of its own. The first changed
-// only the four macro-fleet table lines: the warm pool began scheduling one
-// reclaim per release batch instead of one per sandbox, which moved nothing
-// but the events= count in macro-fleet's note. The second changed only the
+// re-blessed three times since, each time in a commit of its own. The first
+// changed only the four macro-fleet table lines: the warm pool began
+// scheduling one reclaim per release batch instead of one per sandbox, which
+// moved nothing but the events= count in macro-fleet's note. The second changed only the
 // four macro-day and macro-chaos default trace.jsonl lines: a single-function
 // admission stopped recording an invoke_group instant, so the open-loop
 // tenants' traces lost one line per admitted arrival; no table and no
-// metrics.json moved. It is otherwise never regenerated: any refactoring
-// behind the scenarios must reproduce every byte.
+// metrics.json moved. The third changed only the ten macro-trace table
+// lines: each arrival became one self-rescheduling event on the account's
+// shard in place of a tenant-side pump, its batch window and a forwarding
+// post, which moved nothing but the events= count and the dropped
+// batch-window= field in macro-trace's note. It is otherwise never
+// regenerated: any refactoring behind the scenarios must reproduce every
+// byte.
 func TestMacroDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("default-scale macro runs skipped in -short mode")

@@ -335,8 +335,8 @@ func mallocsDuring(fn func()) uint64 {
 }
 
 // TestAdmissionPipelineZeroAlloc is the zero-allocation gate of the shared
-// account: pump -> request -> admit (retried and denied at the cap) -> grant ->
-// done -> release recycles pooled frames and closures bound once, so what a
+// account: arrival -> admit (retried and denied at the cap) -> grant -> done
+// -> release recycles pooled frames and closures bound once, so what a
 // run allocates does not grow with its arrivals. Two horizons of one
 // population are compared in mallocs; set-up cancels out, and what is left
 // per extra arrival is the per-minute fairness gather (about 0.03) — one
@@ -576,6 +576,39 @@ func TestSortedTrafficRidesLanes(t *testing.T) {
 		if account.DeadPops != 0 || account.HeapPeak >= capacity {
 			t.Errorf("%s: the account shard popped %d dead entries and its heap peaked at %d entries under a concurrency cap of %d; want 0 and fewer",
 				sc.name, account.DeadPops, account.HeapPeak, capacity)
+		}
+	}
+}
+
+// TestMacroTraceEventLedger recomputes macro-trace's event ledger from the
+// printed table alone, for every arrival kind at one and eight shards: the
+// events= count in the note is one admission per arrival, one event per
+// retry, a denial notice per drop, a grant, done and release per completion,
+// one expiry per cold start, and a report and absorb per tenant per round.
+// An event class added to the scenario without a term here fails it.
+func TestMacroTraceEventLedger(t *testing.T) {
+	for _, kind := range []string{"diurnal", "poisson", "bursty", "trace"} {
+		for _, shards := range []int{1, 8} {
+			cfg := Config{Shards: shards, TrafficTenants: 9, TrafficRate: 1.5, TrafficHorizon: 300, TrafficKind: kind,
+				Trace: mustTrace(t, "12,3,0,7,1,9\n0,8,2,4,6,0\n5,5,5,5,5,5\n")}
+			tab, _, err := macroTrace(11, cfg)
+			if err != nil {
+				t.Fatalf("kind=%s shards=%d: %v", kind, shards, err)
+			}
+			n := map[string]uint64{}
+			for _, m := range noteNum.FindAllStringSubmatch(tab.Notes, -1) {
+				n[m[1]], _ = strconv.ParseUint(m[2], 10, 64)
+			}
+			for _, header := range []string{"tenants", "arrivals", "completed", "dropped", "cold"} {
+				n[header], _ = strconv.ParseUint(totalCell(t, tab, header), 10, 64)
+			}
+			if n["arrivals"] == 0 || n["windows"] == 0 {
+				t.Fatalf("kind=%s shards=%d: nothing to account for: %q", kind, shards, tab.Notes)
+			}
+			want := n["arrivals"] + n["retries"] + n["dropped"] + 3*n["completed"] + n["cold"] + 2*n["tenants"]*n["windows"]
+			if n["events"] != want {
+				t.Errorf("kind=%s shards=%d: events=%d, the ledger of %v sums to %d", kind, shards, n["events"], n, want)
+			}
 		}
 	}
 }

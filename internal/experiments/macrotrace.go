@@ -12,22 +12,20 @@ package experiments
 // Memory discipline (the headline property; `go run ./cmd/bench` measures
 // peak RSS on the trace-s1 and trace-s8w2 workloads):
 //
-//   - Each tenant keeps exactly one pending pump event. When the pump
-//     fires it drains the cursor only up to traceBatchWindow seconds ahead
-//     and injects those arrivals with sim.ScheduleBatch (bulk heapify —
-//     burst minutes amortize their sift cost), then reschedules itself at
-//     the first arrival past the window. Pending events and RSS are
-//     O(tenants + account concurrency cap), independent of horizon and
-//     trace length: beside the pumps and one batch window of arrivals the
-//     kernel holds an event per admitted invocation and a reclaim per warm
-//     release batch (one per warm sandbox here, where every group is one
-//     function), and no canceled reclaim at all: reclaims wait on their
+//   - Each tenant keeps exactly one pending arrival event, on the account's
+//     shard one lookahead after the arrival instant — where and when the
+//     tenant's request would land. When it fires it draws the tenant's next
+//     instant from the cursor, reschedules itself there, and admits this
+//     arrival. Pending events and RSS are O(tenants + account concurrency
+//     cap), independent of horizon and trace length: beside the arrivals
+//     the kernel holds an event per admitted invocation and a reclaim per
+//     warm release batch (one per warm sandbox here, where every group is
+//     one function), and no canceled reclaim at all: reclaims wait on their
 //     warm pool's kernel lane, and the warm start that empties the oldest
 //     batch cancels its reclaim — the lane's head, which leaves at once.
-//     The hops of the admission pipeline (request, grant, release, retry)
-//     wait in lanes too, so on the benchmark's trace-s1 the one shard's
-//     heap averages 215 entries (peak 638: pumps, batched arrivals,
-//     completions) beside some 2,000 in lanes; on the heap, canceled
+//     The hops of the admission pipeline (grant, release, retry) wait in
+//     lanes too, so on the benchmark's trace-s1 the one shard's heap peaks
+//     at 561 entries (arrivals, completions, reports); on the heap, canceled
 //     reclaims would sit out their WarmTTL and make it 35k.
 //   - Measurement is streaming: per-tenant fixed-bucket latency
 //     histograms (obs.Hist), running cost counters, and Jain's fairness
@@ -53,20 +51,17 @@ import (
 func init() { register("macro-trace", runMacroTrace) }
 
 const (
-	traceLookahead   = 5.0  // conservative window: every cross-shard Post delay
-	traceBatchWindow = 1.0  // how far ahead one pump drains its cursor
-	traceReportGap   = 60.0 // per-tenant fairness reports, once a minute
-	traceMaxRetry    = 4    // invoke attempts per arrival before a drop
+	traceLookahead = 5.0  // conservative window: every cross-shard Post delay
+	traceReportGap = 60.0 // per-tenant fairness reports, once a minute
+	traceMaxRetry  = 4    // invoke attempts per arrival before a drop
 
 	// Per-invocation service time: LogNormal(ln 0.4, 0.6) seconds, an
 	// inference-serving-like distribution with a heavy right tail.
 	traceSvcMedian = 0.4
 	traceSvcSigma  = 0.6
 
-	// Priority bands (+ tenant id within each): pumps beat the arrivals
-	// they inject at the same instant; the account's bands are traceBands.
-	priTracePump   = 0
-	priTraceArrive = 1_000_000
+	// Priority bands (+ tenant id within each); the account's bands, the
+	// arrivals' included, are traceBands.
 	priTraceDone   = 6_000_000
 	priTraceReport = 7_000_000
 	priTraceAbsorb = 8_000_000
@@ -75,17 +70,16 @@ const (
 var traceBands = accountBands{release: 2_000_000, invoke: 3_000_000, retry: 4_000_000, grant: 5_000_000}
 
 // traceTenant is one open-loop request stream: a lazy arrival cursor, the
-// pump that schedules it, and streaming per-tenant aggregates (histogram,
-// counters, running cost) — O(1) state regardless of how many invocations
-// flow through.
+// arrival event that walks it on the account's shard, and streaming
+// per-tenant aggregates (histogram, counters, running cost) — O(1) state
+// regardless of how many invocations flow through. The cursor and arrivals
+// are shard-0 state; the rest is the tenant shard's.
 type traceTenant struct {
 	member
-	cursor traffic.Cursor
-	svc    *sim.Rand
-	prices pricing.PriceBook
-
-	pumpFn, arriveFn func()
-	batch            []sim.BatchEvent
+	cursor   traffic.Cursor
+	svc      *sim.Rand
+	prices   pricing.PriceBook
+	arriveFn func()
 
 	hist   obs.Hist
 	cost   float64
@@ -94,30 +88,22 @@ type traceTenant struct {
 	arrivals, completed, dropped, cold uint64
 }
 
-// pump fires at the time of the tenant's next arrival. It injects that
-// arrival plus every further arrival inside the next traceBatchWindow
-// seconds as one ScheduleBatch (bulk heapify: a bursty spike pays O(burst)
-// sift work, not O(burst log heap)), then reschedules itself at the first
-// arrival past the window — at most one pending pump per tenant, ever. Each
-// arrival is one admission request to the account.
-func (tn *traceTenant) pump() {
-	at := tn.sh.Now()
-	cutoff := float64(at) + traceBatchWindow
-	tn.batch = tn.batch[:0]
-	for {
-		tn.batch = append(tn.batch, sim.BatchEvent{At: at, Pri: priTraceArrive + tn.id, Fn: tn.arriveFn})
-		t, ok := tn.cursor.Next()
-		if !ok {
-			break
-		}
-		if t >= cutoff {
-			tn.sh.SchedulePriority(sim.Time(t), priTracePump+tn.id, tn.pumpFn)
-			break
-		}
-		at = sim.Time(t)
+// schedule puts the arrival at instant t on the account's shard one
+// lookahead later — where and when the tenant's request post would land —
+// under that post's priority.
+func (tn *traceTenant) schedule(t float64) {
+	tn.ac.sh.SchedulePriority(sim.Time(t)+tn.ac.h.lookahead, tn.ac.pri.invoke+tn.id, tn.arriveFn)
+}
+
+// arrive is one arrival reaching the account: count it, schedule the
+// tenant's next arrival from its cursor — at most one pending per tenant,
+// ever — and admit this one.
+func (tn *traceTenant) arrive() {
+	tn.arrivals++
+	if t, ok := tn.cursor.Next(); ok {
+		tn.schedule(t)
 	}
-	tn.arrivals += uint64(len(tn.batch))
-	tn.sh.ScheduleBatch(tn.batch)
+	tn.ac.admit(&tn.member)
 }
 
 // granted runs on the tenant's shard once the account admits the arrival:
@@ -224,7 +210,7 @@ func macroTrace(seed uint64, cfg Config) (*Table, *harness, error) {
 			prices: pricing.Default(),
 			hist:   *obs.NewHist(obs.LatencyBuckets),
 		}
-		tn.pumpFn, tn.arriveFn = tn.pump, tn.request
+		tn.arriveFn = tn.arrive
 		fleet[t] = tn
 	}
 
@@ -241,7 +227,7 @@ func macroTrace(seed uint64, cfg Config) (*Table, *harness, error) {
 	for _, tn := range fleet {
 		tn.join(ac, tn)
 		if t0, ok := tn.cursor.Next(); ok {
-			tn.sh.SchedulePriority(sim.Time(t0), priTracePump+tn.id, tn.pumpFn)
+			tn.schedule(t0)
 		}
 		reports.join(tn.sh, tn.id, func() int {
 			w := tn.window
@@ -249,14 +235,25 @@ func macroTrace(seed uint64, cfg Config) (*Table, *harness, error) {
 			return int(w)
 		})
 	}
+	// Every event fired is one of: an arrival's admission, a retry, a
+	// denial notice per drop, a grant, done and release per completion, the
+	// expiry of each cold-started sandbox (macro-trace destroys sandboxes no
+	// other way), and a report and absorb per tenant per round.
 	h.ledgers = append(h.ledgers, func() error {
-		var arrived, settled uint64
+		var arrived, completed, dropped, cold uint64
 		for _, tn := range fleet {
 			arrived += tn.arrivals
-			settled += tn.completed + tn.dropped
+			completed += tn.completed
+			dropped += tn.dropped
+			cold += tn.cold
 		}
-		if arrived != settled {
-			return fmt.Errorf("arrivals %d != completed+dropped %d", arrived, settled)
+		if arrived != completed+dropped {
+			return fmt.Errorf("arrivals %d != completed+dropped %d", arrived, completed+dropped)
+		}
+		want := arrived + ac.retries + dropped + 3*completed + cold + 2*uint64(tenants)*uint64(fair.windows)
+		if fired := h.s.EventsFired(); fired != want {
+			return fmt.Errorf("%d events fired, want %d: arrivals %d + retries %d + drops %d + 3*completed %d + cold %d + 2*tenants %d*windows %d",
+				fired, want, arrived, ac.retries, dropped, completed, cold, tenants, fair.windows)
 		}
 		return nil
 	})
@@ -280,8 +277,8 @@ func macroTrace(seed uint64, cfg Config) (*Table, *harness, error) {
 	}
 	meter := ac.plat.Meter()
 	tab.Notes = fmt.Sprintf(
-		"kind=%s tenants=%d rate=%g/s horizon=%gs batch-window=%gs; shared account cap %d (denials=%d retries=%d account $%.2f); jain mean=%.4f min=%.4f windows=%d; invocations=%d; events=%d",
-		kind, tenants, rate, horizon, traceBatchWindow, capacity, ac.denials, ac.retries,
+		"kind=%s tenants=%d rate=%g/s horizon=%gs; shared account cap %d (denials=%d retries=%d account $%.2f); jain mean=%.4f min=%.4f windows=%d; invocations=%d; events=%d",
+		kind, tenants, rate, horizon, capacity, ac.denials, ac.retries,
 		meter.Total(), jainMean, jainMin, fair.windows, invocations, h.s.EventsFired())
 	return tab, h, nil
 }

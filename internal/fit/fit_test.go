@@ -113,3 +113,46 @@ func TestSolveForXAlwaysFiniteProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// solveTol is FuzzSolveForX's relative tolerance on the round trip: the
+// curve at the solved x against the target, scaled by max(|target|, |c|),
+// plus an absolute ulp of the subnormal range for gaps that small.
+const solveTol = 1e-12
+
+// FuzzSolveForX drives SolveForX with (a, b, c, target) from arbitrary
+// float64 bits, NaN, infinities and subnormals included. It must never
+// panic, and its answer is ok=false or a finite x in [1, MaxSolvableX]. In
+// the family's domain (a, b > 0, every input finite) the answer is also
+// right: at x > 1 the curve meets the target to solveTol, and at the clamp
+// x = 1 the target is already met. The seeds are in
+// testdata/fuzz/FuzzSolveForX: a plain solve, the clamp, targets at, below
+// and an ulp above the asymptote, a subnormal gap, a negative b, extreme
+// magnitudes and non-finite inputs.
+func FuzzSolveForX(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ab, bb, cb, tb uint64) {
+		a, b, c, target := math.Float64frombits(ab), math.Float64frombits(bb), math.Float64frombits(cb), math.Float64frombits(tb)
+		p := []float64{a, b, c}
+		x, ok := SolveForX(p, target)
+		if !ok {
+			return
+		}
+		if math.IsNaN(x) || x < 1 || x > MaxSolvableX {
+			t.Fatalf("SolveForX(%v, %g) = %g, want ok=false or x in [1, %g]", p, target, x, float64(MaxSolvableX))
+		}
+		for _, v := range []float64{a, b, c, target} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return
+			}
+		}
+		if a <= 0 || b <= 0 {
+			return
+		}
+		got, slack := curve(p, x), solveTol*max(math.Abs(target), math.Abs(c))+1e-320
+		switch {
+		case x > 1 && math.Abs(got-target) > slack:
+			t.Fatalf("SolveForX(%v, %g) = %g, where the curve is %g", p, target, x, got)
+		case x == 1 && got > target+slack:
+			t.Fatalf("SolveForX(%v, %g) clamped to 1, where the curve is %g, still above the target", p, target, got)
+		}
+	})
+}

@@ -274,6 +274,13 @@ func (m *Model) NewCurveEngine(hp Hyperparams, seed uint64) Engine {
 	rng := sim.NewRand(seed)
 	// Per-trial curve-speed variation models run-to-run stochasticity.
 	cp.A *= rng.LogNormal(0, 0.10)
+	return cp.Engine(rng)
+}
+
+// Engine returns a parametric engine walking cp: each epoch's loss is the
+// curve value with multiplicative log-normal noise above the floor C, drawn
+// from rng.
+func (cp CurveParams) Engine(rng *sim.Rand) Engine {
 	return &curveEngine{params: cp, rng: rng, last: cp.Eval(0)}
 }
 
