@@ -277,7 +277,7 @@ type invFrame struct {
 	ac       *account
 	m        *member
 	n, memMB int
-	reqT     sim.Time // when the tenant posted the request
+	reqT     sim.Time // the request instant, one lookahead before admission
 	attempt  int      // admission attempts already made
 	delay    float64  // startup delay of the granted group (its slowest member)
 	cold     int      // cold starts in the granted group

@@ -13,10 +13,9 @@ package experiments
 // peak RSS on the trace-s1 and trace-s8w2 workloads):
 //
 //   - Each tenant keeps exactly one pending arrival event, on the account's
-//     shard one lookahead after the arrival instant — where and when the
-//     tenant's request would land. When it fires it draws the tenant's next
-//     instant from the cursor, reschedules itself there, and admits this
-//     arrival. Pending events and RSS are O(tenants + account concurrency
+//     shard one lookahead after the arrival instant. When it fires it draws
+//     the tenant's next instant from the cursor, reschedules itself there,
+//     and admits this arrival. Pending events and RSS are O(tenants + account concurrency
 //     cap), independent of horizon and trace length: beside the arrivals
 //     the kernel holds an event per admitted invocation and a reclaim per
 //     warm release batch (one per warm sandbox here, where every group is
@@ -89,8 +88,8 @@ type traceTenant struct {
 }
 
 // schedule puts the arrival at instant t on the account's shard one
-// lookahead later — where and when the tenant's request post would land —
-// under that post's priority.
+// lookahead later, in the account's invoke band: account.admit recovers the
+// arrival instant as its clock minus the lookahead.
 func (tn *traceTenant) schedule(t float64) {
 	tn.ac.sh.SchedulePriority(sim.Time(t)+tn.ac.h.lookahead, tn.ac.pri.invoke+tn.id, tn.arriveFn)
 }
