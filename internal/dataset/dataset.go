@@ -101,9 +101,11 @@ type Matrix struct {
 	shards map[int][]*Matrix // memoized Partition results, keyed by shard count
 }
 
-// Row returns the i-th feature vector (a view, not a copy).
+// Row returns the i-th feature vector (a view, not a copy). Its capacity
+// ends with the row, so reslicing it past Cols panics instead of reading
+// into the next row.
 func (m *Matrix) Row(i int) []float64 {
-	return m.X[i*m.Cols : (i+1)*m.Cols]
+	return m.X[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols]
 }
 
 // Partition splits the matrix into n contiguous shards of near-equal size

@@ -119,8 +119,8 @@ func TestGenerateRegressionNoise(t *testing.T) {
 func TestRowView(t *testing.T) {
 	m := GenerateBinary(sim.NewRand(2), GenConfig{Samples: 10, Features: 3})
 	r := m.Row(4)
-	if len(r) != 3 {
-		t.Fatalf("Row length %d", len(r))
+	if len(r) != 3 || cap(r) != 3 {
+		t.Fatalf("Row length %d, capacity %d; want 3, 3", len(r), cap(r))
 	}
 	r[0] = 42
 	if m.X[12] != 42 {

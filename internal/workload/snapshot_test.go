@@ -86,3 +86,29 @@ func TestRealEngineLossAccessor(t *testing.T) {
 		t.Errorf("EpochsRun = %d, want 1", e.EpochsRun())
 	}
 }
+
+// A snapshot whose weight vector is one short or one long is refused, and
+// leaves the engine able to train; the exact length is accepted.
+func TestRealEngineRestoreChecksWeightCount(t *testing.T) {
+	m := LRHiggs()
+	for _, delta := range []int{-1, 0, +1} {
+		e, err := m.NewRealEngine(Hyperparams{LR: m.DefaultLR}, 400, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := e.(Snapshotter)
+		state := snap.Snapshot()
+		if delta < 0 {
+			state = state[:len(state)-1]
+		} else if delta > 0 {
+			state = append(state, 0.5)
+		}
+		err = snap.Restore(state)
+		if (err == nil) != (delta == 0) {
+			t.Errorf("Cols%+d weights: Restore error %v", delta, err)
+		}
+		if loss := e.NextEpoch(); math.IsNaN(loss) {
+			t.Errorf("Cols%+d weights: next epoch's loss is NaN", delta)
+		}
+	}
+}

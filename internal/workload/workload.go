@@ -421,8 +421,8 @@ func (e *realEngine) Snapshot() []float64 {
 // restart) leave it attached; others (a crash back to the initial state) go
 // to a private trainer that first makes the draws of the epochs already run.
 func (e *realEngine) Restore(state []float64) error {
-	if len(state) < 2 {
-		return fmt.Errorf("workload: real snapshot has %d values, want >= 2", len(state))
+	if want := 2 + e.traj.key.data.Cols; len(state) != want {
+		return fmt.Errorf("workload: real snapshot has %d values, want %d", len(state), want)
 	}
 	e.last = state[1]
 	if e.own == nil {
