@@ -8,8 +8,11 @@ fmt:
 	@out="$$(gofmt -s -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt -s needed on:"; echo "$$out"; exit 1; fi
 
+# The second line keeps the portable path compiling: on amd64 the ml row
+# kernels are assembly (checked by vet's asmdecl), elsewhere Go loops.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 build:
 	$(GO) build ./...
@@ -105,15 +108,18 @@ reach:
 # subnormal and infinite ones included: an exact plan is within budget and a
 # feasible greedy plan meets its constraint) and the BSP straggler draw
 # (any seed, group size, sigma in (0, 50] and pending spare: Rand.MaxLogNormal equals
-# the one-Exp-per-function loop bit for bit, stream included) and the faas
+# the one-Exp-per-function loop bit for bit, stream included), the faas
 # warm pool (random InvokeGroup/ReleaseGroup/ReclaimWarm/KillSandboxes/
 # RunUntil programs over three memory sizes: the batch pool equals the
-# per-sandbox refPlatform bit for bit after every step). New inputs
+# per-sandbox refPlatform bit for bit after every step) and the ml row
+# kernels (arbitrary float64 bits, NaN, infinities, subnormals and -0
+# included, at lengths 0-67: dot8 and axpy4, AVX on an amd64 host that has
+# it, equal the Go loops bit for bit, NaN wherever they give NaN). New inputs
 # stay in the build cache; a failing one is written to the package's
 # testdata/fuzz/ and from then on runs with `go test`. The kernel's seed
 # programs are kilobytes long, and the engine's default minute of minimizing
 # each input that reaches new code would eat the whole smoke: one second (the
-# warm pool's too).
+# warm pool's and the row kernels' too).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOps -fuzztime 10s -fuzzminimizetime 1s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzFitterFit -fuzztime 5s ./internal/fit/
@@ -123,3 +129,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPlanner -fuzztime 5s ./internal/planner/
 	$(GO) test -run '^$$' -fuzz FuzzMaxLogNormal -fuzztime 5s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzWarmPool -fuzztime 5s -fuzzminimizetime 1s ./internal/faas/
+	$(GO) test -run '^$$' -fuzz FuzzRowKernels -fuzztime 5s -fuzzminimizetime 1s ./internal/ml/

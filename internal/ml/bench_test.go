@@ -72,6 +72,26 @@ func BenchmarkRunEpoch(b *testing.B) {
 	}
 }
 
+// BenchmarkRunEpochYFCC measures one BSP epoch at the LR-YFCC trajectory
+// shape: the default real-engine sample (4000 rows) at the 256-feature cap,
+// squared loss, 8 workers at 100 rows each (workload.NewRealEngine's
+// rows/8/5), the learning rate LR-YFCC's 0.01 scaled by 0.2. Its trajectory
+// is most of fig15's work.
+func BenchmarkRunEpochYFCC(b *testing.B) {
+	data := dataset.GenerateRegression(sim.NewRand(1), dataset.GenConfig{Samples: 4000, Features: 256, NoiseStd: 8})
+	tr, err := NewTrainer(data, Config{
+		Objective: Squared{L2: 1e-4}, Workers: 8, BatchPerWkr: 100, LearningRate: 0.002, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.RunEpoch()
+	}
+}
+
 func BenchmarkLoss(b *testing.B) {
 	data := kernelData(2000, 256)
 	w := make([]float64, data.Cols)

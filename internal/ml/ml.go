@@ -12,9 +12,12 @@
 //
 // The numeric path is allocation-free in the steady state: workers own
 // pre-sized gradient scratch buffers, the trainer aggregates worker
-// gradients in place, and the gradient/loss kernels process rows four at a
-// time with per-row summation order preserved, so results are bit-identical
-// to the naive loops.
+// gradients in place, and the gradient/loss kernels process rows in blocks
+// of eight (one dot8 call, then axpy4 accumulation in row order) with every
+// row's summation order preserved, so results are bit-identical to the
+// naive loops. On amd64 with AVX those two row kernels run in assembly
+// (vec_amd64.s), lane by lane the same IEEE multiply and add as the scalar
+// code; elsewhere they are the Go loops in vec.go.
 package ml
 
 import (
@@ -40,6 +43,58 @@ type Objective interface {
 	Loss(w []float64, m *dataset.Matrix) float64
 }
 
+// rowBlock is the unit every objective works in: up to eight rows of a
+// matrix, their dot products with the weights from one dot8 call, and the
+// gradient coefficients of the rows the objective keeps.
+type rowBlock struct {
+	n    int
+	rows [8][]float64
+	dot  [8]float64
+	coef [8]float64
+}
+
+// gather points b at the rows idx (at most eight) of m and computes their
+// dot products with w. Unused slots repeat the last row, as dot8 requires.
+func (b *rowBlock) gather(w []float64, m *dataset.Matrix, idx []int) {
+	b.n = len(idx)
+	for j := range b.rows {
+		b.rows[j] = m.Row(idx[min(j, b.n-1)])
+	}
+	dot8(w, &b.rows, b.n, &b.dot)
+}
+
+// span is gather over the rows r, r+1, ... of m, at most eight of them.
+func (b *rowBlock) span(w []float64, m *dataset.Matrix, r int) {
+	b.n = min(8, m.Rows-r)
+	for j := range b.rows {
+		b.rows[j] = m.Row(r + min(j, b.n-1))
+	}
+	dot8(w, &b.rows, b.n, &b.dot)
+}
+
+// addTo adds coef[j]*rows[j] into grad for j < k in row order: per element
+// the same sums, in the same order, as k Axpy calls.
+func (b *rowBlock) addTo(k int, grad []float64) {
+	j := 0
+	for ; j+4 <= k; j += 4 {
+		axpy4(b.coef[j], b.coef[j+1], b.coef[j+2], b.coef[j+3], b.rows[j], b.rows[j+1], b.rows[j+2], b.rows[j+3], grad)
+	}
+	for ; j < k; j++ {
+		Axpy(b.coef[j], b.rows[j], grad)
+	}
+}
+
+// regularized turns a loss sum over m's rows into the average loss plus the
+// L2 penalty (l2/2)|w|².
+func regularized(sum float64, m *dataset.Matrix, l2 float64, w []float64) float64 {
+	loss := sum / float64(m.Rows)
+	if l2 > 0 {
+		n := Norm2(w)
+		loss += l2 / 2 * n * n
+	}
+	return loss
+}
+
 // Logistic is the logistic-regression objective with labels in {-1, +1}:
 // loss = log(1 + exp(-y w·x)) + (L2/2)|w|².
 type Logistic struct{ L2 float64 }
@@ -50,25 +105,15 @@ func (Logistic) Name() string { return "logistic" }
 // Gradient implements Objective.
 func (l Logistic) Gradient(w []float64, m *dataset.Matrix, idx []int, grad []float64) {
 	inv := 1 / float64(len(idx))
-	k := 0
-	for ; k+4 <= len(idx); k += 4 {
-		i0, i1, i2, i3 := idx[k], idx[k+1], idx[k+2], idx[k+3]
-		r0, r1, r2, r3 := m.Row(i0), m.Row(i1), m.Row(i2), m.Row(i3)
-		d0, d1, d2, d3 := dot4(w, r0, r1, r2, r3)
-		y0, y1, y2, y3 := m.Y[i0], m.Y[i1], m.Y[i2], m.Y[i3]
-		// d/dw log(1+exp(-y w·x)) = -y x sigmoid(-y w·x)
-		c0 := -y0 * Sigmoid(-y0*d0) * inv
-		c1 := -y1 * Sigmoid(-y1*d1) * inv
-		c2 := -y2 * Sigmoid(-y2*d2) * inv
-		c3 := -y3 * Sigmoid(-y3*d3) * inv
-		axpy4(c0, c1, c2, c3, r0, r1, r2, r3, grad)
-	}
-	for ; k < len(idx); k++ {
-		r := idx[k]
-		row := m.Row(r)
-		y := m.Y[r]
-		coeff := -y * Sigmoid(-y*Dot(w, row)) * inv
-		Axpy(coeff, row, grad)
+	var b rowBlock
+	for k := 0; k < len(idx); k += 8 {
+		b.gather(w, m, idx[k:min(k+8, len(idx))])
+		for j, i := range idx[k : k+b.n] {
+			// d/dw log(1+exp(-y w·x)) = -y x sigmoid(-y w·x)
+			y := m.Y[i]
+			b.coef[j] = -y * Sigmoid(-y*b.dot[j]) * inv
+		}
+		b.addTo(b.n, grad)
 	}
 	if l.L2 > 0 {
 		Axpy(l.L2, w, grad)
@@ -78,23 +123,14 @@ func (l Logistic) Gradient(w []float64, m *dataset.Matrix, idx []int, grad []flo
 // Loss implements Objective.
 func (l Logistic) Loss(w []float64, m *dataset.Matrix) float64 {
 	var sum float64
-	r := 0
-	for ; r+4 <= m.Rows; r += 4 {
-		d0, d1, d2, d3 := dot4(w, m.Row(r), m.Row(r+1), m.Row(r+2), m.Row(r+3))
-		sum += Log1pExp(-m.Y[r] * d0)
-		sum += Log1pExp(-m.Y[r+1] * d1)
-		sum += Log1pExp(-m.Y[r+2] * d2)
-		sum += Log1pExp(-m.Y[r+3] * d3)
+	var b rowBlock
+	for r := 0; r < m.Rows; r += 8 {
+		b.span(w, m, r)
+		for j, y := range m.Y[r : r+b.n] {
+			sum += Log1pExp(-y * b.dot[j])
+		}
 	}
-	for ; r < m.Rows; r++ {
-		sum += Log1pExp(-m.Y[r] * Dot(w, m.Row(r)))
-	}
-	loss := sum / float64(m.Rows)
-	if l.L2 > 0 {
-		n := Norm2(w)
-		loss += l.L2 / 2 * n * n
-	}
-	return loss
+	return regularized(sum, m, l.L2, w)
 }
 
 // Hinge is the linear-SVM objective: loss = max(0, 1 - y w·x) + (L2/2)|w|².
@@ -103,37 +139,22 @@ type Hinge struct{ L2 float64 }
 // Name implements Objective.
 func (Hinge) Name() string { return "hinge" }
 
-// Gradient implements Objective (subgradient at the hinge point). The dot
-// products are batched four rows at a time; the subgradient of each active
-// row is applied individually and in row order, keeping skip semantics and
-// accumulation order identical to the scalar loop.
+// Gradient implements Objective (subgradient at the hinge point). Only the
+// active rows (y w·x < 1) of each block are kept, in row order, so the
+// accumulation is the scalar loop's, one Axpy per active row.
 func (h Hinge) Gradient(w []float64, m *dataset.Matrix, idx []int, grad []float64) {
 	inv := 1 / float64(len(idx))
-	k := 0
-	for ; k+4 <= len(idx); k += 4 {
-		i0, i1, i2, i3 := idx[k], idx[k+1], idx[k+2], idx[k+3]
-		r0, r1, r2, r3 := m.Row(i0), m.Row(i1), m.Row(i2), m.Row(i3)
-		d0, d1, d2, d3 := dot4(w, r0, r1, r2, r3)
-		if y := m.Y[i0]; y*d0 < 1 {
-			Axpy(-y*inv, r0, grad)
+	var b rowBlock
+	for k := 0; k < len(idx); k += 8 {
+		b.gather(w, m, idx[k:min(k+8, len(idx))])
+		active := 0
+		for j, i := range idx[k : k+b.n] {
+			if y := m.Y[i]; y*b.dot[j] < 1 {
+				b.rows[active], b.coef[active] = b.rows[j], -y*inv
+				active++
+			}
 		}
-		if y := m.Y[i1]; y*d1 < 1 {
-			Axpy(-y*inv, r1, grad)
-		}
-		if y := m.Y[i2]; y*d2 < 1 {
-			Axpy(-y*inv, r2, grad)
-		}
-		if y := m.Y[i3]; y*d3 < 1 {
-			Axpy(-y*inv, r3, grad)
-		}
-	}
-	for ; k < len(idx); k++ {
-		r := idx[k]
-		row := m.Row(r)
-		y := m.Y[r]
-		if y*Dot(w, row) < 1 {
-			Axpy(-y*inv, row, grad)
-		}
+		b.addTo(active, grad)
 	}
 	if h.L2 > 0 {
 		Axpy(h.L2, w, grad)
@@ -143,33 +164,16 @@ func (h Hinge) Gradient(w []float64, m *dataset.Matrix, idx []int, grad []float6
 // Loss implements Objective.
 func (h Hinge) Loss(w []float64, m *dataset.Matrix) float64 {
 	var sum float64
-	r := 0
-	for ; r+4 <= m.Rows; r += 4 {
-		d0, d1, d2, d3 := dot4(w, m.Row(r), m.Row(r+1), m.Row(r+2), m.Row(r+3))
-		if v := 1 - m.Y[r]*d0; v > 0 {
-			sum += v
-		}
-		if v := 1 - m.Y[r+1]*d1; v > 0 {
-			sum += v
-		}
-		if v := 1 - m.Y[r+2]*d2; v > 0 {
-			sum += v
-		}
-		if v := 1 - m.Y[r+3]*d3; v > 0 {
-			sum += v
+	var b rowBlock
+	for r := 0; r < m.Rows; r += 8 {
+		b.span(w, m, r)
+		for j, y := range m.Y[r : r+b.n] {
+			if v := 1 - y*b.dot[j]; v > 0 {
+				sum += v
+			}
 		}
 	}
-	for ; r < m.Rows; r++ {
-		if v := 1 - m.Y[r]*Dot(w, m.Row(r)); v > 0 {
-			sum += v
-		}
-	}
-	loss := sum / float64(m.Rows)
-	if h.L2 > 0 {
-		n := Norm2(w)
-		loss += h.L2 / 2 * n * n
-	}
-	return loss
+	return regularized(sum, m, h.L2, w)
 }
 
 // Squared is the linear-regression objective: loss = (w·x - y)²/2 + (L2/2)|w|².
@@ -181,22 +185,13 @@ func (Squared) Name() string { return "squared" }
 // Gradient implements Objective.
 func (s Squared) Gradient(w []float64, m *dataset.Matrix, idx []int, grad []float64) {
 	inv := 1 / float64(len(idx))
-	k := 0
-	for ; k+4 <= len(idx); k += 4 {
-		i0, i1, i2, i3 := idx[k], idx[k+1], idx[k+2], idx[k+3]
-		r0, r1, r2, r3 := m.Row(i0), m.Row(i1), m.Row(i2), m.Row(i3)
-		d0, d1, d2, d3 := dot4(w, r0, r1, r2, r3)
-		c0 := (d0 - m.Y[i0]) * inv
-		c1 := (d1 - m.Y[i1]) * inv
-		c2 := (d2 - m.Y[i2]) * inv
-		c3 := (d3 - m.Y[i3]) * inv
-		axpy4(c0, c1, c2, c3, r0, r1, r2, r3, grad)
-	}
-	for ; k < len(idx); k++ {
-		r := idx[k]
-		row := m.Row(r)
-		coeff := (Dot(w, row) - m.Y[r]) * inv
-		Axpy(coeff, row, grad)
+	var b rowBlock
+	for k := 0; k < len(idx); k += 8 {
+		b.gather(w, m, idx[k:min(k+8, len(idx))])
+		for j, i := range idx[k : k+b.n] {
+			b.coef[j] = (b.dot[j] - m.Y[i]) * inv
+		}
+		b.addTo(b.n, grad)
 	}
 	if s.L2 > 0 {
 		Axpy(s.L2, w, grad)
@@ -206,28 +201,15 @@ func (s Squared) Gradient(w []float64, m *dataset.Matrix, idx []int, grad []floa
 // Loss implements Objective.
 func (s Squared) Loss(w []float64, m *dataset.Matrix) float64 {
 	var sum float64
-	r := 0
-	for ; r+4 <= m.Rows; r += 4 {
-		d0, d1, d2, d3 := dot4(w, m.Row(r), m.Row(r+1), m.Row(r+2), m.Row(r+3))
-		e0 := d0 - m.Y[r]
-		e1 := d1 - m.Y[r+1]
-		e2 := d2 - m.Y[r+2]
-		e3 := d3 - m.Y[r+3]
-		sum += e0 * e0 / 2
-		sum += e1 * e1 / 2
-		sum += e2 * e2 / 2
-		sum += e3 * e3 / 2
+	var b rowBlock
+	for r := 0; r < m.Rows; r += 8 {
+		b.span(w, m, r)
+		for j, y := range m.Y[r : r+b.n] {
+			e := b.dot[j] - y
+			sum += e * e / 2
+		}
 	}
-	for ; r < m.Rows; r++ {
-		d := Dot(w, m.Row(r)) - m.Y[r]
-		sum += d * d / 2
-	}
-	loss := sum / float64(m.Rows)
-	if s.L2 > 0 {
-		n := Norm2(w)
-		loss += s.L2 / 2 * n * n
-	}
-	return loss
+	return regularized(sum, m, s.L2, w)
 }
 
 // ObjectiveByName returns the named objective with the given L2 strength.

@@ -7,9 +7,16 @@ import "math"
 // exact left-to-right summation order of the naive loops: every accumulator
 // chain folds elements in index order, so results are bit-identical to the
 // straightforward implementation and experiment outputs stay stable.
+//
+// The two row kernels the objectives spend their time in, dot8 and axpy4,
+// have an AVX form on amd64 (vec_amd64.s) that keeps every lane's multiply
+// and add in the same order; dot8Go and axpy4Go below are the portable path
+// and the reference the AVX form is tested against bit for bit.
 
 // Dot returns the inner product of a and b; the slices must have equal
-// length (callers guarantee this; a mismatch panics via bounds checks).
+// length. A b shorter than a panics at the reslice: a matrix row's capacity
+// ends with the row (dataset.Matrix.Row), so weights longer than a row
+// panic instead of reading into the next one.
 func Dot(a, b []float64) float64 {
 	b = b[:len(a)]
 	var s float64
@@ -24,6 +31,15 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
+}
+
+// dot8Go sets d[k] = Dot(w, rows[k]) for every k < n (n <= 8), four rows
+// at a time: rows n..7 up to the next multiple of four are computed too, so
+// they must hold rows of len(w) as well (the caller pads with a real row).
+func dot8Go(w []float64, rows *[8][]float64, n int, d *[8]float64) {
+	for k := 0; k < n; k += 4 {
+		d[k], d[k+1], d[k+2], d[k+3] = dot4(w, rows[k], rows[k+1], rows[k+2], rows[k+3])
+	}
 }
 
 // dot4 returns the four inner products of w against r0..r3 in one pass.
@@ -58,10 +74,10 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// axpy4 computes y += a0*x0 + a1*x1 + a2*x2 + a3*x3 in one pass. Per
+// axpy4Go computes y += a0*x0 + a1*x1 + a2*x2 + a3*x3 in one pass. Per
 // element the four contributions are added in x0..x3 order, matching four
 // sequential Axpy calls bit for bit.
-func axpy4(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
+func axpy4Go(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64) {
 	n := len(y)
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
 	for i := range y {
