@@ -109,6 +109,19 @@ func TestObjectivesMatchReference(t *testing.T) {
 	}
 }
 
+// TestPortableRowKernels re-runs the objective and epoch reference tests
+// with the AVX row kernels switched off, so an AVX host covers the portable
+// path too.
+func TestPortableRowKernels(t *testing.T) {
+	if !useAVX {
+		t.Skip("the portable path is the only path on this host")
+	}
+	useAVX = false
+	defer func() { useAVX = true }()
+	TestObjectivesMatchReference(t)
+	TestRunEpochMatchesNaiveReference(t)
+}
+
 // A weight vector one longer than a row panics in Dot and in every
 // objective instead of reading into the next row.
 func TestLongWeightsPanic(t *testing.T) {

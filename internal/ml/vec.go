@@ -1,6 +1,10 @@
 package ml
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/cpufeat"
+)
 
 // The vector kernels below are loop-structured for speed (4-way unrolling
 // with explicit bounds-check elimination) but deliberately preserve the
@@ -12,6 +16,11 @@ import "math"
 // have an AVX form on amd64 (vec_amd64.s) that keeps every lane's multiply
 // and add in the same order; dot8Go and axpy4Go below are the portable path
 // and the reference the AVX form is tested against bit for bit.
+
+// useAVX picks the AVX row kernels on amd64 (cpufeat.AVX); elsewhere it is
+// false and unread. Only tests write it, to run the portable path on an AVX
+// host.
+var useAVX = cpufeat.AVX
 
 // Dot returns the inner product of a and b; the slices must have equal
 // length. A b shorter than a panics at the reslice: a matrix row's capacity

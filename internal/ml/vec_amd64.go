@@ -1,19 +1,5 @@
 package ml
 
-// useAVX reports whether the CPU has AVX and the OS saves the YMM registers
-// (CPUID.1:ECX.OSXSAVE and .AVX, then XCR0 bits 1 and 2). It is read once;
-// without it the row kernels run the portable Go loops.
-var useAVX = func() bool {
-	const osxsave, avx = 1 << 27, 1 << 28
-	if c := cpuid1ECX(); c&osxsave == 0 || c&avx == 0 {
-		return false
-	}
-	return xgetbv0()&6 == 6
-}()
-
-func cpuid1ECX() uint32
-func xgetbv0() uint32
-
 // dot8AVX sets d[k] to the dot product of w[:n] and rows[k][:n] for k < 8;
 // dot4AVX does the same for k < 4 and leaves d[4:] alone. n is a positive
 // multiple of four.

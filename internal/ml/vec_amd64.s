@@ -4,21 +4,6 @@
 // then adds, with the same IEEE rounding as the scalar MULSD/ADDSD of the Go
 // loops, in the same order, so results are bit-identical to them.
 
-// func cpuid1ECX() uint32
-TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
-	MOVL $1, AX
-	MOVL $0, CX
-	CPUID
-	MOVL CX, ret+0(FP)
-	RET
-
-// func xgetbv0() uint32
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
-	RET
-
 // DOT4 adds columns DI..DI+3 of the rows at r0..r3, times w's block in Y2,
 // to the per-row accumulator lanes of acc. The four products are transposed
 // so that each column becomes one vector, then added in column order: lane k
