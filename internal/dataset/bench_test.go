@@ -40,3 +40,12 @@ func BenchmarkCachedBinary(b *testing.B) {
 		CachedBinary(1, cfg)
 	}
 }
+
+// BenchmarkGenerateRegression is fig15's LR-YFCC matrix: 4000 rows of 256
+// features, one batch of normal deviates per row.
+func BenchmarkGenerateRegression(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		GenerateRegression(sim.NewRand(1), GenConfig{Samples: 4000, Features: 256, NoiseStd: 8})
+	}
+}

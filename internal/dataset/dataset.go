@@ -184,18 +184,18 @@ func GenerateBinary(rng *sim.Rand, cfg GenConfig) *Matrix {
 		cfg.Scale = 1
 	}
 	w := make([]float64, cfg.Features)
+	rng.NormFloat64s(w)
 	for i := range w {
-		w[i] = rng.NormFloat64() * cfg.Scale
+		w[i] *= cfg.Scale
 	}
 	m := &Matrix{Rows: cfg.Samples, Cols: cfg.Features,
 		X: make([]float64, cfg.Samples*cfg.Features),
 		Y: make([]float64, cfg.Samples)}
 	for r := 0; r < cfg.Samples; r++ {
-		dot := 0.0
 		row := m.X[r*cfg.Features : (r+1)*cfg.Features]
-		for c := range row {
-			v := rng.NormFloat64()
-			row[c] = v
+		rng.NormFloat64s(row)
+		dot := 0.0
+		for c, v := range row {
 			dot += v * w[c]
 		}
 		y := 1.0
@@ -223,18 +223,18 @@ func GenerateRegression(rng *sim.Rand, cfg GenConfig) *Matrix {
 		cfg.Scale = 1
 	}
 	w := make([]float64, cfg.Features)
+	rng.NormFloat64s(w)
 	for i := range w {
-		w[i] = rng.NormFloat64() * cfg.Scale
+		w[i] *= cfg.Scale
 	}
 	m := &Matrix{Rows: cfg.Samples, Cols: cfg.Features,
 		X: make([]float64, cfg.Samples*cfg.Features),
 		Y: make([]float64, cfg.Samples)}
 	for r := 0; r < cfg.Samples; r++ {
-		dot := 0.0
 		row := m.X[r*cfg.Features : (r+1)*cfg.Features]
-		for c := range row {
-			v := rng.NormFloat64()
-			row[c] = v
+		rng.NormFloat64s(row)
+		dot := 0.0
+		for c, v := range row {
 			dot += v * w[c]
 		}
 		m.Y[r] = dot + rng.NormFloat64()*cfg.NoiseStd

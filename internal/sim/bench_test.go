@@ -323,11 +323,11 @@ func BenchmarkLanePick(b *testing.B) {
 // benchSink keeps the straggler benchmark's results live.
 var benchSink float64
 
-// BenchmarkMaxLogNormal times one BSP epoch's straggler draw at a small and
-// at the largest grid group size, against the reference loop (one Exp per
-// function). One op = one epoch.
+// BenchmarkMaxLogNormal times one BSP epoch's straggler draw at the paper
+// workload's mean group size (25) and at the largest grid group size,
+// against the reference loop (one Exp per function). One op = one epoch.
 func BenchmarkMaxLogNormal(b *testing.B) {
-	for _, n := range []int{10, 200} {
+	for _, n := range []int{25, 200} {
 		b.Run(fmt.Sprintf("n=%d/fast", n), func(b *testing.B) {
 			r := NewRand(1)
 			for i := 0; i < b.N; i++ {
@@ -341,4 +341,22 @@ func BenchmarkMaxLogNormal(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkNormFloat64s fills 256 deviates in one batch, against 256
+// NormFloat64 calls. One op = 256 deviates.
+func BenchmarkNormFloat64s(b *testing.B) {
+	dst := make([]float64, 256)
+	b.Run("batch", func(b *testing.B) {
+		r := NewRand(1)
+		for i := 0; i < b.N; i++ {
+			r.NormFloat64s(dst)
+		}
+	})
+	b.Run("ref", func(b *testing.B) {
+		r := NewRand(1)
+		for i := 0; i < b.N; i++ {
+			refNormFloat64s(r, dst)
+		}
+	})
 }

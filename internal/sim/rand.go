@@ -7,7 +7,7 @@ import "math"
 // math/rand so that experiment outputs are stable across Go releases.
 type Rand struct {
 	state uint64
-	// spare holds a cached second normal deviate from the Box-Muller pair.
+	// spare holds the second normal deviate of the last polar pair.
 	spare    float64
 	hasSpare bool
 }
@@ -51,7 +51,10 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// NormFloat64 returns a standard normal deviate via Box-Muller.
+// NormFloat64 returns a standard normal deviate by Marsaglia's polar method:
+// each accepted pair (u, v) inside the unit circle gives two deviates, the
+// second kept as the spare for the next call. NormFloat64s draws the same
+// deviates in bulk.
 func (r *Rand) NormFloat64() float64 {
 	if r.hasSpare {
 		r.hasSpare = false
@@ -85,15 +88,30 @@ const maxSigma = 50
 
 // MaxLogNormal returns the largest of n LogNormal(0, sigma) draws, bit for bit
 // what a loop over LogNormal keeps (starting from 0), and leaves the stream
-// where that loop leaves it: it draws the same n normal deviates. exp is
-// increasing, so only the largest sigma*z needs an Exp. It panics unless
-// 0 < sigma <= maxSigma.
+// where that loop leaves it: it draws the same n normal deviates, in polar
+// blocks as NormFloat64s does. exp is increasing, so only the largest
+// sigma*z needs an Exp. It panics unless 0 < sigma <= maxSigma.
 func (r *Rand) MaxLogNormal(n int, sigma float64) float64 {
 	if !(sigma > 0 && sigma <= maxSigma) {
 		panic("sim: MaxLogNormal with sigma outside (0, 50]")
 	}
 	m := maxExp{best: math.Inf(-1)}
-	for i := 0; i < n; i++ {
+	if n > 0 && r.hasSpare {
+		r.hasSpare = false
+		m.add(sigma * r.spare)
+		n--
+	}
+	var b polarBlock
+	for n >= 2 {
+		k := min(polarPairs, n/2)
+		b.draw(r, k)
+		for i := range k {
+			m.add(sigma * (b.u[i] * b.mul[i]))
+			m.add(sigma * (b.v[i] * b.mul[i]))
+		}
+		n -= 2 * k
+	}
+	if n == 1 {
 		m.add(sigma * r.NormFloat64())
 	}
 	return m.result()
@@ -112,14 +130,22 @@ const expTieTol = 0x1p-30
 // largest Exp taken so far of a value that is not best.
 type maxExp struct{ best, near float64 }
 
+// add is small enough to inline: most values fall more than expTieTol below
+// the maximum and cost one comparison.
 func (m *maxExp) add(x float64) {
-	switch {
-	case x > m.best:
+	if x >= m.best-expTieTol {
+		m.raise(x)
+	}
+}
+
+// raise takes x that is at least m.best-expTieTol.
+func (m *maxExp) raise(x float64) {
+	if x > m.best {
 		if m.best >= x-expTieTol {
 			m.near = max(m.near, math.Exp(m.best))
 		}
 		m.best = x
-	case x >= m.best-expTieTol:
+	} else {
 		m.near = max(m.near, math.Exp(x))
 	}
 }

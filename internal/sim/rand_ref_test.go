@@ -183,3 +183,13 @@ func TestMaxLogNormalZeroAlloc(t *testing.T) {
 		t.Errorf("MaxLogNormal allocates %.1f times per call, want 0", allocs)
 	}
 }
+
+// TestNormFloat64sZeroAlloc: the batch draws into the caller's slice and a
+// block on the stack.
+func TestNormFloat64sZeroAlloc(t *testing.T) {
+	r := NewRand(1)
+	dst := make([]float64, 257)
+	if allocs := testing.AllocsPerRun(1000, func() { r.NormFloat64s(dst) }); allocs != 0 {
+		t.Errorf("NormFloat64s allocates %.1f times per call, want 0", allocs)
+	}
+}
