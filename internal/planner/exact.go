@@ -1,6 +1,21 @@
 package planner
 
-import "math"
+import (
+	"math"
+	"sync"
+
+	"repro/internal/cpufeat"
+)
+
+// dpBufs recycles ExactMinJCT's value layers and minimum rows between
+// solves (abl-gap runs ten at 4,000 buckets); every entry is written before
+// it is read.
+var dpBufs sync.Pool
+
+// useAVX picks the AVX sweep kernels on amd64 (cpufeat.AVX); elsewhere it is
+// false and unread. Only tests write it, to run the portable path on an AVX
+// host.
+var useAVX = cpufeat.AVX
 
 // ExactMinJCT solves the stage-partitioning problem optimally (up to budget
 // discretization) by dynamic programming over the multiple-choice knapsack:
@@ -9,12 +24,21 @@ import "math"
 //
 // The DP state tracks (stage, budget bucket, previous stage's memory size)
 // so the warm/cold start transition the JCT model charges between stages of
-// different memory sizes is captured exactly. Runtime is
-// O(d * buckets * |mems| * |P|); with the default 2000 buckets and the
+// different memory sizes is captured exactly. Each stage's values are one
+// layer of (memory, bucket) minima; every layer is kept, and the plan is
+// recovered by a backtrack through them instead of parent pointers. A stage
+// costs O(buckets * (|mems| + |P|)): per bucket, the first and second
+// minimum over the previous layer's memories, then one min-plus sweep per
+// choice, which charges a warm start from the same memory and a cold start
+// from the best other one. With the default 2000 buckets and the
 // evaluation's frontiers it completes in milliseconds.
 //
 // Stage costs are rounded *up* to bucket granularity, so any returned plan
 // is genuinely within budget. ok=false when no assignment fits.
+//
+// Among optimal plans it returns the one a forward pass keeping, per state,
+// the first candidate in (bucket, memory, choice) order would reconstruct,
+// bit for bit (refExactMinJCT in the tests).
 //
 // This solver exists to measure the greedy heuristic's optimality gap (the
 // paper argues the greedy is good enough; the gap experiment quantifies it
@@ -75,67 +99,60 @@ func (pl *Planner) ExactMinJCT(budget float64, buckets int) (Result, bool) {
 		}
 	}
 
-	// dp[b][m] = min JCT using exactly the stages so far, total cost bucket
-	// b, previous stage memory index m. parent pointers reconstruct plans.
-	const inf = math.MaxFloat64
-	size := (buckets + 1) * nm
-	dp := make([]float64, size)
-	next := make([]float64, size)
-	type parent struct{ b, m, choice int32 }
-	parents := make([][]parent, d)
-
-	idx := func(b, m int) int { return b*nm + m }
-
-	// Stage 0: always a cold start; "previous memory" becomes its own.
-	for i := range dp {
-		dp[i] = inf
+	// Layer i holds, at [m*nb+b], the least JCT of stages 0..i at total
+	// cost bucket b with stage i on memory m; +Inf where no plan gets
+	// there. The table's stage times are positive and finite, so every
+	// value is a positive sum or +Inf: a min of them does not depend on
+	// the order it is taken in, and equal values have equal bits.
+	nb := buckets + 1
+	size := nm * nb
+	buf, _ := dpBufs.Get().(*[]float64)
+	if buf == nil || cap(*buf) < d*size+2*nb {
+		buf = new([]float64)
+		*buf = make([]float64, d*size+2*nb)
 	}
-	parents[0] = make([]parent, size)
-	for ci, ch := range choices[0] {
-		at := idx(ch.costB, ch.mem)
-		if ch.timeCold < dp[at] {
-			dp[at] = ch.timeCold
-			parents[0][at] = parent{b: -1, m: -1, choice: int32(ci)}
+	defer dpBufs.Put(buf)
+	vals := (*buf)[:d*size]
+	layer := func(i int) []float64 { return vals[i*size : (i+1)*size] }
+	unreached := func(l []float64) {
+		for k := range l {
+			l[k] = math.Inf(1)
 		}
 	}
 
+	// Stage 0: always a cold start.
+	unreached(vals)
+	for _, ch := range choices[0] {
+		at := &vals[ch.mem*nb+ch.costB]
+		*at = min(*at, ch.timeCold)
+	}
+
+	// Later stages. Rounding is monotone, so the least fl(prev[m][b]+cold)
+	// over m != M is fl(v+cold) with v the least prev[m][b] over m != M:
+	// the second minimum v2[b] if prev[M][b] is the minimum v1[b] (a tie
+	// makes them equal), else v1[b].
+	v1, v2 := (*buf)[d*size:d*size+nb], (*buf)[d*size+nb:d*size+2*nb]
 	for i := 1; i < d; i++ {
-		for j := range next {
-			next[j] = inf
+		prev, cur := layer(i-1), layer(i)
+		copy(v1, prev[:nb])
+		unreached(v2)
+		for m := 1; m < nm; m++ {
+			minTwo(prev[m*nb:(m+1)*nb], v1, v2)
 		}
-		parents[i] = make([]parent, size)
-		for b := 0; b <= buckets; b++ {
-			for m := 0; m < nm; m++ {
-				cur := dp[idx(b, m)]
-				if cur == inf {
-					continue
-				}
-				for ci, ch := range choices[i] {
-					nb := b + ch.costB
-					if nb > buckets {
-						continue
-					}
-					t := ch.timeWarm
-					if ch.mem != m {
-						t = ch.timeCold
-					}
-					at := idx(nb, ch.mem)
-					if v := cur + t; v < next[at] {
-						next[at] = v
-						parents[i][at] = parent{b: int32(b), m: int32(m), choice: int32(ci)}
-					}
-				}
-			}
+		for _, ch := range choices[i] {
+			row := ch.mem * nb
+			n := nb - ch.costB
+			minPlus(cur[row+ch.costB:row+nb], prev[row:row+n], v1[:n], v2[:n], ch.timeWarm, ch.timeCold)
 		}
-		dp, next = next, dp
 	}
 
-	// Find the best terminal state.
-	bestVal := inf
+	// The best terminal state, first in (bucket, memory) order.
+	last := layer(d - 1)
+	bestVal := math.Inf(1)
 	bestB, bestM := -1, -1
-	for b := 0; b <= buckets; b++ {
+	for b := 0; b < nb; b++ {
 		for m := 0; m < nm; m++ {
-			if v := dp[idx(b, m)]; v < bestVal {
+			if v := last[m*nb+b]; v < bestVal {
 				bestVal, bestB, bestM = v, b, m
 			}
 		}
@@ -144,16 +161,66 @@ func (pl *Planner) ExactMinJCT(budget float64, buckets int) (Result, bool) {
 		return Result{}, false
 	}
 
-	// Reconstruct.
+	// Backtrack: at each stage, of the candidates that reach the state's
+	// value exactly, take the first in (previous bucket, previous memory,
+	// choice) order, the one a strict-< forward pass in that order keeps.
 	plan := make([]int32, d)
 	b, m := bestB, bestM
-	for i := d - 1; i >= 0; i-- {
-		p := parents[i][idx(b, m)]
-		plan[i] = choices[i][p.choice].j
-		if i > 0 {
-			b, m = int(p.b), int(p.m)
+	for i := d - 1; i > 0; i-- {
+		prev, want := layer(i-1), layer(i)[m*nb+b]
+		pb, pm, pc := nb, nm, -1
+		for ci, ch := range choices[i] {
+			q := b - ch.costB
+			if ch.mem != m || q < 0 {
+				continue
+			}
+			// Only a lower bucket, or a lower memory at the same bucket,
+			// comes before the candidate kept so far.
+			for k := 0; k < nm && (q < pb || q == pb && k < pm); k++ {
+				t := ch.timeCold
+				if k == m {
+					t = ch.timeWarm
+				}
+				if prev[k*nb+q]+t == want {
+					pb, pm, pc = q, k, ci
+					break
+				}
+			}
+		}
+		plan[i] = choices[i][pc].j
+		b, m = pb, pm
+	}
+	for _, ch := range choices[0] {
+		if ch.mem == m && ch.costB == b && ch.timeCold == layer(0)[m*nb+b] {
+			plan[0] = ch.j
+			break
 		}
 	}
 	s := pl.eval(plan)
 	return Result{Plan: pl.plan(plan), JCT: s.jct, Cost: s.cost, Feasible: s.cost <= budget*(1+1e-9)}, true
+}
+
+// minTwoGo folds row into the running first and second minima: v1[b] stays
+// the least value seen at b and v2[b] the next, a tie counting twice. It is
+// the non-amd64 path and the kernel's reference.
+func minTwoGo(row, v1, v2 []float64) {
+	v1, v2 = v1[:len(row)], v2[:len(row)]
+	for b, x := range row {
+		v2[b] = min(v2[b], max(v1[b], x))
+		v1[b] = min(v1[b], x)
+	}
+}
+
+// minPlusGo lowers dst[b] to src[b]+warm and to e+cold, e the least of the
+// other memories at b: v2[b] where src[b] is the minimum v1[b], else v1[b].
+// It is the non-amd64 path and the kernel's reference.
+func minPlusGo(dst, src, v1, v2 []float64, warm, cold float64) {
+	src, v1, v2 = src[:len(dst)], v1[:len(dst)], v2[:len(dst)]
+	for b, x := range src {
+		e := v1[b]
+		if x == e {
+			e = v2[b]
+		}
+		dst[b] = min(dst[b], x+warm, e+cold)
+	}
 }

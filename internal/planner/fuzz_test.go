@@ -9,9 +9,10 @@ import (
 
 // FuzzPlanner: Algorithm 1 and the exact solver on fuzzed SHA shapes and
 // constraints, NaN, infinite and subnormal ones included. Nothing panics, an
-// exact plan is within its budget, and a greedy plan reported feasible meets
-// its constraint. A constraint <= 0 is unset to the planner, so the greedy
-// properties are checked only for positive ones. The seed corpus under
+// exact plan is within its budget and equals refExactMinJCT's (ok, plan, JCT
+// and cost bits), and a greedy plan reported feasible meets its constraint.
+// A constraint <= 0 is unset to the planner, so the greedy properties are
+// checked only for positive ones. The seed corpus under
 // testdata/fuzz holds NaN, 1e-300, subnormal and +Inf constraints, and one
 // binding budget and deadline.
 func FuzzPlanner(f *testing.F) {
@@ -35,6 +36,7 @@ func FuzzPlanner(f *testing.F) {
 		if res, ok := pl.ExactMinJCT(budget, 256); ok && !res.Feasible {
 			t.Fatalf("ExactMinJCT(%g) = ok with a plan costing %g", budget, res.Cost)
 		}
+		checkExactMatchesRef(t, pl, budget, 256)
 		if res := pl.PlanMinJCT(budget); budget > 0 && res.Feasible && !(res.Cost <= budget) {
 			t.Fatalf("PlanMinJCT(%g) is feasible at cost %g", budget, res.Cost)
 		}
