@@ -9,7 +9,8 @@ fmt:
 		echo "gofmt -s needed on:"; echo "$$out"; exit 1; fi
 
 # The second line keeps the portable path compiling: on amd64 the ml row
-# kernels are assembly (checked by vet's asmdecl), elsewhere Go loops.
+# kernels, sim's polar multipliers and the planner's exact-DP sweeps are
+# assembly (checked by vet's asmdecl), elsewhere Go loops.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
@@ -105,10 +106,14 @@ reach:
 # them with a fault: error, or every query stays in range, every instant is
 # walked once and every compiled event fires, crash windows compiling to
 # none), Algorithm 1 (fuzzed SHA shapes, budgets and deadlines, NaN,
-# subnormal and infinite ones included: an exact plan is within budget and a
-# feasible greedy plan meets its constraint) and the BSP straggler draw
+# subnormal and infinite ones included: an exact plan is within budget and
+# equals the parent-pointer DP refExactMinJCT bit for bit, and a feasible
+# greedy plan meets its constraint) and the BSP straggler draw
 # (any seed, group size, sigma in (0, 50] and pending spare: Rand.MaxLogNormal equals
-# the one-Exp-per-function loop bit for bit, stream included), the faas
+# the one-Exp-per-function loop bit for bit, stream included), the polar
+# multiplier kernel (arbitrary positive finite s in every lane: AVX2 on an
+# amd64 host that has it, equal to math.Sqrt(-2*math.Log(s)/s) bit for bit),
+# the faas
 # warm pool (random InvokeGroup/ReleaseGroup/ReclaimWarm/KillSandboxes/
 # RunUntil programs over three memory sizes: the batch pool equals the
 # per-sandbox refPlatform bit for bit after every step) and the ml row
@@ -128,5 +133,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 5s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzPlanner -fuzztime 5s ./internal/planner/
 	$(GO) test -run '^$$' -fuzz FuzzMaxLogNormal -fuzztime 5s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz FuzzPolarLanes -fuzztime 5s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzWarmPool -fuzztime 5s -fuzzminimizetime 1s ./internal/faas/
 	$(GO) test -run '^$$' -fuzz FuzzRowKernels -fuzztime 5s -fuzzminimizetime 1s ./internal/ml/
