@@ -9,8 +9,9 @@ fmt:
 		echo "gofmt -s needed on:"; echo "$$out"; exit 1; fi
 
 # The second line keeps the portable path compiling: on amd64 the ml row
-# kernels, sim's polar multipliers and the planner's exact-DP sweeps are
-# assembly (checked by vet's asmdecl), elsewhere Go loops.
+# kernels, sim's polar multipliers, the planner's exact-DP sweeps and the
+# fitter's normal-equation pass are assembly (checked by vet's asmdecl),
+# elsewhere Go loops.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
@@ -59,7 +60,9 @@ shard-check:
 # cross-shard actor load at 1 and 8 shards on one worker: no cmd/bench
 # workload runs one worker above one shard, so the per-event cost of the
 # shard count shows there. internal/fit benches its one solver (Fitter: cold, warm to
-# convergence, and the fleet tuning's capped refit of a sliding window),
+# convergence, the fleet tuning's capped refit of a sliding window, and of
+# a window growing from 4 points as a fleet controller's does) and its
+# normal-equation pass (kernel and Go loop at 17 and 40 points),
 # internal/cost its one grid scan and table lookups, internal/planner
 # Algorithm 1 over the Pareto set and over the full grid (fig21a's WO-pa)
 # and the exact DP. The planner's gate is a bound, not zero: a greedy run
@@ -113,7 +116,9 @@ reach:
 # the one-Exp-per-function loop bit for bit, stream included), the polar
 # multiplier kernel (arbitrary positive finite s in every lane: AVX2 on an
 # amd64 host that has it, equal to math.Sqrt(-2*math.Log(s)/s) bit for bit),
-# the faas
+# the fitter's normal-equation pass (a, b, c and 0-67 points from arbitrary
+# float64 bits: AVX on an amd64 host that has it, equal to the Go loop bit
+# for bit, and its NaN payloads to the x86 rule), the faas
 # warm pool (random InvokeGroup/ReleaseGroup/ReclaimWarm/KillSandboxes/
 # RunUntil programs over three memory sizes: the batch pool equals the
 # per-sandbox refPlatform bit for bit after every step) and the ml row
@@ -124,11 +129,12 @@ reach:
 # testdata/fuzz/ and from then on runs with `go test`. The kernel's seed
 # programs are kilobytes long, and the engine's default minute of minimizing
 # each input that reaches new code would eat the whole smoke: one second (the
-# warm pool's and the row kernels' too).
+# warm pool's, the row kernels' and the normal-equation pass's too).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelOps -fuzztime 10s -fuzzminimizetime 1s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz FuzzFitterFit -fuzztime 5s ./internal/fit/
 	$(GO) test -run '^$$' -fuzz FuzzSolveForX -fuzztime 5s ./internal/fit/
+	$(GO) test -run '^$$' -fuzz FuzzNormalPass -fuzztime 5s -fuzzminimizetime 1s ./internal/fit/
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 5s ./internal/traffic/
 	$(GO) test -run '^$$' -fuzz FuzzFaultSchedule -fuzztime 5s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzPlanner -fuzztime 5s ./internal/planner/

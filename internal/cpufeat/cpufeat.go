@@ -1,5 +1,5 @@
 // Package cpufeat reports the x86 vector extensions the numeric kernels of
-// internal/ml, internal/sim and internal/planner may use. It probes the CPU
+// internal/ml, internal/sim, internal/planner and internal/fit may use. It probes the CPU
 // once, at package initialisation; there is no switch. On other
 // architectures every feature is false and the kernels run their portable
 // Go loops.

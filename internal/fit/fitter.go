@@ -3,6 +3,8 @@ package fit
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/cpufeat"
 )
 
 // fitterParams is the parameter count of the InverseLinear curve (a, b, c):
@@ -10,12 +12,14 @@ import (
 const fitterParams = 3
 
 // Fitter is the reusable Levenberg-Marquardt solver for the InverseLinear
-// curve. Its two kernels keep their working state in locals — buildNormal
-// its nine accumulators, solveDamped the twelve entries of the augmented
-// 3×4 system — and the Fitter holds only what crosses a kernel boundary
-// (parameters, trial point, normal equations, step) in fixed-size arrays,
-// so a steady-state refit performs zero heap allocations — the property the
-// per-epoch Algorithm-2 decision loop is gated on (fit.TestFitterZeroAlloc).
+// curve. It has two kernels: normalPass, one pass over the data that gives
+// the sum of squared residuals at a point together with the normal
+// equations there, and solveDamped, which keeps the twelve entries of the
+// augmented 3×4 system in locals. The Fitter holds only what crosses a
+// kernel boundary (parameters, trial point, the normal equations at both,
+// step) in fixed-size arrays, so a steady-state refit performs zero heap
+// allocations — the property the per-epoch Algorithm-2 decision loop is
+// gated on (fit.TestFitterZeroAlloc).
 //
 // A cold Fit's starting guess, damping schedule, elimination pivoting and
 // float arithmetic order are pinned bit for bit by testdata/cold.bits
@@ -34,8 +38,10 @@ const fitterParams = 3
 //
 // A Fitter is not safe for concurrent use; give each goroutine its own.
 type Fitter struct {
-	params, trial, jtr, delta [fitterParams]float64
-	jtj                       [fitterParams][fitterParams]float64
+	params, trial, delta [fitterParams]float64
+	// ne holds the normal equations at params and at trial; Fit swaps
+	// the two roles when it accepts a trial.
+	ne [2]normal
 
 	// out backs Result.Params: valid until the next Fit call.
 	out [fitterParams]float64
@@ -43,6 +49,13 @@ type Fitter struct {
 	warm    bool
 	hasPrev bool
 	prev    [fitterParams]float64
+}
+
+// normal is J^T J and J^T r at one point of the parameter space. The
+// layout, twelve float64 in a row, is the one normalPassAVX writes.
+type normal struct {
+	jtj [fitterParams][fitterParams]float64
+	jtr [fitterParams]float64
 }
 
 // NewFitter returns a reusable solver for the InverseLinear curve. The
@@ -86,16 +99,17 @@ func (f *Fitter) Fit(xs, ys []float64, opts Options) (Result, error) {
 		f.params = dataGuess(xs, ys)
 	}
 	f.clamp(&f.params)
-	sse := f.sumSquares(&f.params, xs, ys)
+	// cur is the normal equations at params, next those at trial: an
+	// accepted trial's pass is the next iteration's normal equations.
+	cur, next := &f.ne[0], &f.ne[1]
+	sse := normalPass(&f.params, xs, ys, cur)
 	lambda := 1e-3
 	iters := 0
 
 	for ; iters < opts.MaxIter; iters++ {
-		f.buildNormal(xs, ys)
-
 		improved := false
 		for attempt := 0; attempt < 20; attempt++ {
-			if !f.solveDamped(lambda) {
+			if !f.solveDamped(cur, lambda) {
 				lambda *= 10
 				continue
 			}
@@ -103,11 +117,12 @@ func (f *Fitter) Fit(xs, ys []float64, opts Options) (Result, error) {
 				f.trial[i] = f.params[i] - f.delta[i]
 			}
 			f.clamp(&f.trial)
-			trialSSE := f.sumSquares(&f.trial, xs, ys)
+			trialSSE := normalPass(&f.trial, xs, ys, next)
 			if trialSSE < sse {
 				rel := (sse - trialSSE) / (sse + 1e-30)
 				f.params, sse = f.trial, trialSSE
-				lambda = math.Max(lambda/3, 1e-12)
+				cur, next = next, cur
+				lambda = max(lambda/3, 1e-12)
 				improved = true
 				if rel < opts.Tol {
 					iters++
@@ -148,20 +163,29 @@ func dataGuess(xs, ys []float64) [fitterParams]float64 {
 	return [fitterParams]float64{a, b, c}
 }
 
-// buildNormal sets f.jtj to J^T J and f.jtr to J^T r over the data. den =
-// a*x + b is the subexpression the curve value 1/den + c and its Jacobian
-// row (g0, g1, 1) = (-x/den², -1/den², 1) share. Each entry is summed over
-// the data in order, as a [3][3] accumulation of the lower triangle would;
-// the products with the Jacobian's exact 1 are left out, which changes no
-// bit.
-func (f *Fitter) buildNormal(xs, ys []float64) {
-	a, b, c := f.params[0], f.params[1], f.params[2]
-	var s00, s10, s11, s20, s21, s22, r0, r1, r2 float64
+// useAVX picks the AVX normal-equation kernel on amd64 (cpufeat.AVX);
+// elsewhere it is false and unread. Only tests write it, to run the
+// portable path on an AVX host.
+var useAVX = cpufeat.AVX
+
+// normalPassGo returns the sum of squared residuals of the curve under p
+// over the data and sets ne to J^T J and J^T r there. den = a*x + b is the
+// subexpression the curve value 1/den + c and its Jacobian row (g0, g1, 1)
+// = (-x/den², -1/den², 1) share. Each sum runs over the data in order, as
+// a [3][3] accumulation of the lower triangle would; the products with the
+// Jacobian's exact 1 are left out and s22 is the point count, which
+// changes no bit. It is the non-amd64 path and the reference normalPassAVX
+// is held to bit for bit.
+func normalPassGo(p *[fitterParams]float64, xs, ys []float64, ne *normal) float64 {
+	a, b, c := p[0], p[1], p[2]
+	ys = ys[:len(xs)]
+	var sse, s00, s10, s11, s20, s21, r0, r1, r2 float64
 	for k, x := range xs {
 		den := a*x + b
 		g1 := -1 / (den * den)
 		g0 := g1 * x
 		r := 1/den + c - ys[k]
+		sse += r * r
 		r0 += g0 * r
 		r1 += g1 * r
 		r2 += r
@@ -170,25 +194,15 @@ func (f *Fitter) buildNormal(xs, ys []float64) {
 		s11 += g1 * g1
 		s20 += g0
 		s21 += g1
-		s22++
 	}
-	f.jtj = [fitterParams][fitterParams]float64{
+	s22 := float64(len(xs))
+	ne.jtj = [fitterParams][fitterParams]float64{
 		{s00, s10, s20},
 		{s10, s11, s21},
 		{s20, s21, s22},
 	}
-	f.jtr = [fitterParams]float64{r0, r1, r2}
-}
-
-// sumSquares is the sum of squared residuals of the curve under params.
-func (f *Fitter) sumSquares(params *[fitterParams]float64, xs, ys []float64) float64 {
-	a, b, c := params[0], params[1], params[2]
-	var s float64
-	for i := range xs {
-		r := 1/(a*xs[i]+b) + c - ys[i]
-		s += r * r
-	}
-	return s
+	ne.jtr = [fitterParams]float64{r0, r1, r2}
+	return sse
 }
 
 // clamp projects params back into the curve's valid region a, b > 0.
@@ -220,13 +234,13 @@ func damp(v, lambda float64) float64 {
 	return v + d
 }
 
-// solveDamped solves (jtj + lambda*diag(jtj)) delta = jtr into f.delta by
-// Gaussian elimination with partial pivoting over the augmented 3×4 system,
-// held in twelve locals (row i is mi0 mi1 mi2 | mi3); false when the system
-// is singular or the step is not finite. The pivot of a column is the first
+// solveDamped solves (jtj + lambda*diag(jtj)) delta = jtr of ne into
+// f.delta by Gaussian elimination with partial pivoting over the augmented
+// 3×4 system, held in twelve locals (row i is mi0 mi1 mi2 | mi3); false
+// when the system is singular or the step is not finite. The pivot of a column is the first
 // row with the strictly largest magnitude, as a row-by-row scan finds it.
-func (f *Fitter) solveDamped(lambda float64) bool {
-	j, r := &f.jtj, &f.jtr
+func (f *Fitter) solveDamped(ne *normal, lambda float64) bool {
+	j, r := &ne.jtj, &ne.jtr
 	m00, m01, m02, m03 := damp(j[0][0], lambda), j[0][1], j[0][2], r[0]
 	m10, m11, m12, m13 := j[1][0], damp(j[1][1], lambda), j[1][2], r[1]
 	m20, m21, m22, m23 := j[2][0], j[2][1], damp(j[2][2], lambda), r[2]

@@ -258,11 +258,11 @@ func requireSameSolve(t *testing.T, c dampedCase) {
 	t.Helper()
 	var f Fitter
 	var ref refFitter
-	f.jtj, f.jtr = c.jtj, c.jtr
+	ne := normal{c.jtj, c.jtr}
 	ref.jtj, ref.jtr = c.jtj, c.jtr
 	f.delta = [fitterParams]float64{7, -7, 0.5}
 	ref.delta = f.delta
-	ok, refOK := f.solveDamped(c.lambda), ref.solveDamped(c.lambda)
+	ok, refOK := f.solveDamped(&ne, c.lambda), ref.solveDamped(c.lambda)
 	if ok != refOK {
 		t.Fatalf("%s: ok %v, reference %v", c.name, ok, refOK)
 	}
@@ -291,43 +291,99 @@ func randomSystem(rng *sim.Rand) (jtj [fitterParams][fitterParams]float64, jtr [
 	return jtj, jtr
 }
 
-// TestKernelMatchesReference holds buildNormal and solveDamped to the
-// reference kernels bit for bit: on random data and systems, and on
-// crafted systems that reach each column-0 pivot row, both column-1
-// outcomes, each of the three singular exits and the non-finite exit.
+// requirePassMatchesReference fails unless normalPass at p gives
+// refFitter's sumSquares and its buildNormal, mirrored, bit for bit (a NaN
+// equals every NaN: a payload follows operand order, which the reference's
+// loops do not share), and returns the normal equations.
+func requirePassMatchesReference(t *testing.T, what string, p [fitterParams]float64, xs, ys []float64) normal {
+	t.Helper()
+	var ne normal
+	sse := normalPass(&p, xs, ys, &ne)
+	ref := refFitter{params: p}
+	refSSE := ref.sumSquares(&p, xs, ys)
+	ref.buildNormal(xs, ys)
+	for i := 0; i < fitterParams; i++ {
+		for j := i + 1; j < fitterParams; j++ {
+			ref.jtj[i][j] = ref.jtj[j][i]
+		}
+	}
+	if !sameBits(sse, refSSE) {
+		t.Fatalf("%s (n=%d): SSE %v, reference %v", what, len(xs), sse, refSSE)
+	}
+	for i := range ne.jtj {
+		for j := range ne.jtj[i] {
+			if !sameBits(ne.jtj[i][j], ref.jtj[i][j]) {
+				t.Fatalf("%s (n=%d): jtj[%d][%d] %v, reference %v", what, len(xs), i, j, ne.jtj[i][j], ref.jtj[i][j])
+			}
+		}
+		if !sameBits(ne.jtr[i], ref.jtr[i]) {
+			t.Fatalf("%s (n=%d): jtr[%d] %v, reference %v", what, len(xs), i, ne.jtr[i], ref.jtr[i])
+		}
+	}
+	return ne
+}
+
+// passCase is a crafted input for the normal-equation pass: a curve and
+// special points, which TestKernelMatchesReference places among ordinary
+// ones.
+type passCase struct {
+	name   string
+	p      [fitterParams]float64
+	xs, ys []float64
+}
+
+func passCases() []passCase {
+	nan, inf := math.NaN(), math.Inf(1)
+	return []passCase{
+		{"den == 0 at x = -b/a", [fitterParams]float64{2, 1, 0.5}, []float64{-0.5}, []float64{0.3}},
+		{"den == 0, two points", [fitterParams]float64{0.25, 0.75, -1}, []float64{-3, -3}, []float64{1, -1}},
+		{"den == -0", [fitterParams]float64{1, math.Copysign(0, -1), 0}, []float64{math.Copysign(0, -1)}, []float64{0}},
+		{"negative x", [fitterParams]float64{0.1, 2, 0.3}, []float64{-1, -2.5, -7, -19.75, -0.125}, []float64{0.9, 1.1, 2, -3, 0}},
+		{"subnormal x and y", [fitterParams]float64{0.5, 1e-3, 0}, []float64{5e-324, 1e-310, -2.2e-308}, []float64{5e-324, -1e-320, 0}},
+		{"subnormal parameters", [fitterParams]float64{5e-324, 1e-310, 4e-320}, []float64{1, 2, 1e300}, []float64{1, 2, 3}},
+		{"huge magnitudes", [fitterParams]float64{1e200, 1e150, 1e300}, []float64{1e150, -1.7e308, 1e-200}, []float64{1.7e308, -1e300, 1e308}},
+		{"squares overflow", [fitterParams]float64{1e-200, 1e-160, 1e200}, []float64{1, 1e100, 3}, []float64{-1e200, 1e-300, 0}},
+		{"Inf - Inf in r: y = +Inf", [fitterParams]float64{2, 1, inf}, []float64{3, 4}, []float64{inf, 1}},
+		{"Inf - Inf in r: 1/den + c", [fitterParams]float64{1, 1, math.Inf(-1)}, []float64{-1}, []float64{0}},
+		{"x = +Inf", [fitterParams]float64{0.5, 1, 0.2}, []float64{inf, math.Inf(-1)}, []float64{0.2, 0.1}},
+		{"NaN inputs", [fitterParams]float64{0.3, 0.9, 0.5}, []float64{nan, 2, 3}, []float64{1, nan, 0.5}},
+		{"NaN parameter", [fitterParams]float64{nan, 0.9, 0.5}, []float64{1, 2}, []float64{1, 0.5}},
+	}
+}
+
+// TestKernelMatchesReference holds normalPass to refFitter's buildNormal
+// and sumSquares, and solveDamped to its reference, bit for bit. The pass
+// runs at every n from 1 to 64 (every n % 4 tail) on random data, and on
+// crafted points at every offset among ordinary ones; solveDamped on the
+// pass's systems, on random systems, and on crafted systems that reach
+// each column-0 pivot row, both column-1 outcomes, each of the three
+// singular exits and the non-finite exit.
 func TestKernelMatchesReference(t *testing.T) {
 	rng := sim.NewRand(25)
-	var f Fitter
-	var ref refFitter
 	for trial := 0; trial < 2000; trial++ {
-		n := 1 + rng.Intn(64)
+		n := 1 + trial%64
 		xs, ys := make([]float64, n), make([]float64, n)
 		for k := range xs {
 			xs[k] = float64(k) + rng.Float64()*10 - 1
 			ys[k] = rng.NormFloat64()
 		}
-		f.params = [fitterParams]float64{rng.Float64() * 2, rng.Float64() * 3, rng.NormFloat64()}
-		ref.params = f.params
-		f.buildNormal(xs, ys)
-		ref.jtj, ref.jtr = [fitterParams][fitterParams]float64{}, [fitterParams]float64{}
-		ref.buildNormal(xs, ys)
-		for i := 0; i < fitterParams; i++ {
-			for j := i + 1; j < fitterParams; j++ {
-				ref.jtj[i][j] = ref.jtj[j][i]
-			}
-		}
-		for i := range f.jtj {
-			for j := range f.jtj[i] {
-				if !sameBits(f.jtj[i][j], ref.jtj[i][j]) {
-					t.Fatalf("trial %d: jtj[%d][%d] %v, reference %v", trial, i, j, f.jtj[i][j], ref.jtj[i][j])
-				}
-			}
-			if !sameBits(f.jtr[i], ref.jtr[i]) {
-				t.Fatalf("trial %d: jtr[%d] %v, reference %v", trial, i, f.jtr[i], ref.jtr[i])
-			}
-		}
+		p := [fitterParams]float64{rng.Float64() * 2, rng.Float64() * 3, rng.NormFloat64()}
+		ne := requirePassMatchesReference(t, fmt.Sprintf("trial %d", trial), p, xs, ys)
 		for _, lambda := range []float64{0, 1e-12, 1e-3, 1, 1e6} {
-			requireSameSolve(t, dampedCase{fmt.Sprintf("normal %d λ=%g", trial, lambda), f.jtj, f.jtr, lambda})
+			requireSameSolve(t, dampedCase{fmt.Sprintf("normal %d λ=%g", trial, lambda), ne.jtj, ne.jtr, lambda})
+		}
+	}
+	for _, c := range passCases() {
+		for off := 0; off < 8; off++ {
+			xs, ys := make([]float64, 0, off+len(c.xs)+3), make([]float64, 0, off+len(c.ys)+3)
+			for k := 0; k < off; k++ {
+				xs, ys = append(xs, float64(k+1)), append(ys, 1/float64(k+2))
+			}
+			xs, ys = append(xs, c.xs...), append(ys, c.ys...)
+			for k := 0; k < off%4; k++ {
+				xs, ys = append(xs, float64(k+5)), append(ys, 0.25)
+			}
+			requirePassMatchesReference(t, fmt.Sprintf("%s, offset %d", c.name, off), c.p, xs, ys)
 		}
 	}
 	for trial := 0; trial < 20000; trial++ {
@@ -468,7 +524,7 @@ func FuzzFitterFit(f *testing.F) {
 				start = dataGuess(wx, wy)
 			}
 			fitter.clamp(&start)
-			startSSE := fitter.sumSquares(&start, wx, wy)
+			startSSE := ref.sumSquares(&start, wx, wy)
 			got, err := fitter.Fit(wx, wy, opts)
 			if err != nil {
 				t.Fatal(err)

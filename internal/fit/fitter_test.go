@@ -177,7 +177,7 @@ func TestFitterImprovesOnGuess(t *testing.T) {
 	f := newFitter(t)
 	guess := dataGuess(xs, ys)
 	f.clamp(&guess)
-	guessSSE := f.sumSquares(&guess, xs, ys)
+	guessSSE := (&refFitter{}).sumSquares(&guess, xs, ys)
 	res, err := f.Fit(xs, ys, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -199,11 +199,10 @@ func TestClampEnforcesPositivity(t *testing.T) {
 // is the curve's Jacobian row (g0, g1, 1) at that x, because ∂l/∂c = 1.
 func TestJacobianMatchesNumerical(t *testing.T) {
 	p := []float64{0.3, 0.9, 0.5}
-	f := newFitter(t)
-	copy(f.params[:], p)
 	for _, x := range []float64{1, 3, 10, 50} {
-		f.buildNormal([]float64{x}, []float64{0})
-		jac := f.jtj[2]
+		var ne normal
+		normalPass((*[fitterParams]float64)(p), []float64{x}, []float64{0}, &ne)
+		jac := ne.jtj[2]
 		const h = 1e-6
 		for i := range p {
 			pp := append([]float64(nil), p...)
@@ -233,12 +232,12 @@ func TestFitterDeterministic(t *testing.T) {
 }
 
 func TestSolveDampedSingular(t *testing.T) {
-	f := newFitter(t) // jtj is the zero matrix
-	f.jtr = [fitterParams]float64{1, 1, 1}
-	if f.solveDamped(0) {
+	f := newFitter(t)
+	ne := normal{jtr: [fitterParams]float64{1, 1, 1}} // jtj is the zero matrix
+	if f.solveDamped(&ne, 0) {
 		t.Error("singular, undamped system should fail")
 	}
-	if !f.solveDamped(1) || f.delta != f.jtr {
+	if !f.solveDamped(&ne, 1) || f.delta != ne.jtr {
 		t.Errorf("damping should regularize the zero matrix to the identity: delta = %v", f.delta)
 	}
 }
