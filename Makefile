@@ -47,7 +47,8 @@ shard-check:
 # gates are the allocation contract: every test named Test...ZeroAlloc, found
 # by name so a new one cannot be left out, fails hard if the steady state it
 # drives touches the heap (testing.AllocsPerRun == 0 on the fit, replay,
-# observe, decision, kernel, fault-query, SGD-epoch, faas (single and group
+# observe, decision, kernel, fault-query, SGD-epoch, Successive-Halving
+# trial (TestSHATrialZeroAlloc: RunEpochs into a reused Result), faas (single and group
 # admission with release at n = 1, 8, 200, ReclaimWarm, and both entry
 # points' denial) and traffic paths; mallocs per arrival on the
 # shared-account pipeline and on the open-loop tenant, macro-day and
@@ -56,7 +57,9 @@ shard-check:
 # cancel-the-oldest churn on a lane must reuse them. The benchmarks (ml
 # kernels, dataset caches, DES kernel, decision path) run at a fixed small
 # iteration count: fast enough for CI, enough to catch kernels that re-grow
-# allocations. internal/sim's sweep includes BenchmarkRunShards, one
+# allocations. internal/sha's BenchmarkSHARun is one 64-trial MobileNet
+# tuning run with -benchmem: the trainer's job lifecycle, whose trials
+# allocate nothing. internal/sim's sweep includes BenchmarkRunShards, one
 # cross-shard actor load at 1 and 8 shards on one worker: no cmd/bench
 # workload runs one worker above one shard, so the per-event cost of the
 # shard count shows there. internal/fit benches its one solver (Fitter: cold, warm to
@@ -74,7 +77,7 @@ bench:
 	$(GO) test -run TestLaneChurnReusesSlots ./internal/sim/
 	$(GO) test -run TestPlanMinJCTBoundedAllocs ./internal/planner/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=100x \
-		./internal/ml/ ./internal/dataset/
+		./internal/ml/ ./internal/dataset/ ./internal/sha/
 	$(GO) test -run '^$$' -bench . -benchtime=100x \
 		./internal/sim/ ./internal/cost/ ./internal/fit/ ./internal/scheduler/ ./internal/traffic/ \
 		./internal/planner/

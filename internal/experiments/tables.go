@@ -57,8 +57,8 @@ func tab2(seed uint64, cfg Config) (*Table, error) {
 				continue
 			}
 			r := trainer.NewRunner(seed + uint64(n) + uint64(kind)*13)
-			res, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed), a, epochs)
-			if err != nil {
+			res := new(trainer.Result)
+			if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed), a, epochs, res); err != nil {
 				return nil, err
 			}
 			base[kind] = res

@@ -165,8 +165,8 @@ func validation(cfg Config, id, title string, w *workload.Model, allocs []cost.A
 			return []string{a.String(), "infeasible", "", "", "", "", ""}, nil
 		}
 		r := trainer.NewRunner(seed + uint64(a.N) + uint64(a.MemMB))
-		res, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed), a, epochs)
-		if err != nil {
+		var res trainer.Result
+		if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed), a, epochs, &res); err != nil {
 			return nil, err
 		}
 		estT := m.JobTime(a, epochs)

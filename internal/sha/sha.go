@@ -119,11 +119,13 @@ func Run(cfg Config) (*Result, error) {
 	if sample == nil {
 		sample = func(rng *sim.Rand) workload.Hyperparams { return SampleHyperparams(cfg.Workload, rng) }
 	}
+	slab := make([]Trial, cfg.Trials)
 	trials := make([]*Trial, cfg.Trials)
 	for i := range trials {
 		hp := sample(rng)
-		trials[i] = &Trial{ID: i, HP: hp, Alive: true, Loss: math.Inf(1),
+		slab[i] = Trial{ID: i, HP: hp, Alive: true, Loss: math.Inf(1),
 			Engine: cfg.Workload.NewCurveEngine(hp, cfg.Seed+uint64(i)*7919)}
+		trials[i] = &slab[i]
 	}
 
 	res := &Result{}
@@ -133,6 +135,7 @@ func Run(cfg Config) (*Result, error) {
 		capLimit = cfg.ConcurrencyCap
 	}
 
+	var run trainer.Result // every trial's result, in turn
 	for si, stage := range stages {
 		alloc := cfg.Plan.Stages[si]
 		perWave := capLimit / alloc.N
@@ -150,8 +153,7 @@ func Run(cfg Config) (*Result, error) {
 			waveMax := 0.0
 			waveComm := 0.0
 			for _, tr := range alive[wStart:wEnd] {
-				run, err := cfg.Runner.RunEpochs(cfg.Workload, tr.Engine, alloc, stage.Epochs)
-				if err != nil {
+				if err := cfg.Runner.RunEpochs(cfg.Workload, tr.Engine, alloc, stage.Epochs, &run); err != nil {
 					return nil, fmt.Errorf("sha: stage %d trial %d: %w", si, tr.ID, err)
 				}
 				tr.Loss = run.FinalLoss

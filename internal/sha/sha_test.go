@@ -11,7 +11,7 @@ import (
 	"repro/internal/workload"
 )
 
-func tuningConfig(t *testing.T, w *workload.Model, trials int, seed uint64) Config {
+func tuningConfig(t testing.TB, w *workload.Model, trials int, seed uint64) Config {
 	t.Helper()
 	m := cost.NewModel(w)
 	pareto := m.ParetoSet(cost.DefaultGrid())

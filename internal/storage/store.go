@@ -21,12 +21,18 @@ func NewStore() *Store {
 	return &Store{data: make(map[string][]float64)}
 }
 
-// Put stores a copy of vec under key, overwriting any previous value.
+// Put stores a copy of vec under key, overwriting any previous value. A
+// previous value of the same length is overwritten in place: Get hands out
+// copies, so nothing outside the store holds it.
 func (st *Store) Put(key string, vec []float64) {
-	cp := make([]float64, len(vec))
-	copy(cp, vec)
 	st.mu.Lock()
-	st.data[key] = cp
+	if old, ok := st.data[key]; ok && len(old) == len(vec) {
+		copy(old, vec)
+	} else {
+		cp := make([]float64, len(vec))
+		copy(cp, vec)
+		st.data[key] = cp
+	}
 	st.puts++
 	st.bytesIn += uint64(8 * len(vec))
 	st.mu.Unlock()

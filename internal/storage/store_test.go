@@ -85,3 +85,50 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		t.Errorf("Len = %d, want 8", st.Len())
 	}
 }
+
+// An overwrite of the same length reuses the stored vector; the copy
+// contract holds across it, and a length change stores a fresh vector.
+func TestStorePutOverwritesInPlace(t *testing.T) {
+	st := NewStore()
+	src := []float64{1, 2, 3}
+	st.Put("a", src)
+	before, _ := st.Get("a")
+	stored := &st.data["a"][0]
+
+	src[0], src[1], src[2] = 4, 5, 6
+	if v, _ := st.Get("a"); v[0] != 1 || v[1] != 2 || v[2] != 3 {
+		t.Errorf("changing the caller's slice after Put changed the stored value to %v", v)
+	}
+	st.Put("a", src)
+	if &st.data["a"][0] != stored {
+		t.Error("a same-length Put reallocated the stored vector")
+	}
+	if before[0] != 1 || before[1] != 2 || before[2] != 3 {
+		t.Errorf("a Get copy taken before the overwrite changed to %v", before)
+	}
+	src[0] = -1
+	if v, _ := st.Get("a"); v[0] != 4 || v[1] != 5 || v[2] != 6 {
+		t.Errorf("after an in-place Put and a caller write, Get = %v, want [4 5 6]", v)
+	}
+
+	st.Put("a", []float64{7, 8})
+	if v, _ := st.Get("a"); len(v) != 2 || v[0] != 7 || v[1] != 8 {
+		t.Errorf("after a shorter Put, Get = %v, want [7 8]", v)
+	}
+	st.Put("a", []float64{9, 10, 11, 12})
+	if v, _ := st.Get("a"); len(v) != 4 || v[3] != 12 {
+		t.Errorf("after a longer Put, Get = %v, want [9 10 11 12]", v)
+	}
+
+	s := st.Stats()
+	want := Stats{Puts: 4, Gets: 5, BytesIn: 8 * (3 + 3 + 2 + 4), BytesOut: 8 * (3 + 3 + 3 + 2 + 4)}
+	if s != want {
+		t.Errorf("Stats = %+v, want %+v", s, want)
+	}
+	if st.Len() != 1 {
+		t.Errorf("Len = %d, want 1", st.Len())
+	}
+	if avg := testing.AllocsPerRun(50, func() { st.Put("a", src[:3]) }); avg != 0 {
+		t.Errorf("a same-length Put allocates %.1f/op, want 0", avg)
+	}
+}

@@ -269,8 +269,8 @@ type brokenRestore struct{ workload.Engine }
 
 var errSnapshotRejected = errors.New("snapshot rejected")
 
-func (brokenRestore) Snapshot() []float64     { return []float64{0} }
-func (brokenRestore) Restore([]float64) error { return errSnapshotRejected }
+func (brokenRestore) AppendSnapshot(dst []float64) []float64 { return append(dst, 0) }
+func (brokenRestore) Restore([]float64) error                { return errSnapshotRejected }
 
 // TestFailedInitialRestoreIsAnError: without a checkpoint a crash throws
 // the job back to its initial state, and when that restore fails the run

@@ -56,7 +56,7 @@ func (r *Runner) scheduledFaults(st *state, epoch int, epochT float64) error {
 	}
 	w := st.cfg.Workload
 	svc := r.Service(a.Storage)
-	rng := r.sim.Rand("trainer.failure")
+	rng := r.failureRng
 	groupP := 1 - math.Pow(1-p, float64(a.N))
 	attempt := 0
 	for ; attempt < failureAttemptCap && rng.Float64() < groupP; attempt++ {

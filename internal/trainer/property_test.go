@@ -21,8 +21,8 @@ func TestAccountingBalancesAcrossRandomConfigs(t *testing.T) {
 		a := feasible[int(pi)%len(feasible)].Alloc
 		epochs := int(epochsRaw%8) + 1
 		r := NewRunner(uint64(seedRaw) + 1)
-		res, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, uint64(seedRaw)), a, epochs)
-		if err != nil {
+		res := new(Result)
+		if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, uint64(seedRaw)), a, epochs, res); err != nil {
 			return false
 		}
 		timeOK := math.Abs(res.ComputeTime+res.SyncTime+res.OverheadTime-res.JCT) < 1e-6*res.JCT
@@ -41,8 +41,8 @@ func TestJCTGrowsWithEpochs(t *testing.T) {
 	a := cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3}
 	run := func(epochs int) float64 {
 		r := NewRunner(9)
-		res, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 9), a, epochs)
-		if err != nil {
+		res := new(Result)
+		if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 9), a, epochs, res); err != nil {
 			t.Fatal(err)
 		}
 		return res.JCT
@@ -63,12 +63,12 @@ func TestProvisioningPaidOncePerRunner(t *testing.T) {
 	a := cost.Allocation{N: 10, MemMB: 1769, Storage: storage.ElastiCache}
 	r := NewRunner(31)
 	r.Noise = NoNoise()
-	first, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 1)
-	if err != nil {
+	first := new(Result)
+	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 1, first); err != nil {
 		t.Fatal(err)
 	}
-	second, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 2), a, 1)
-	if err != nil {
+	second := new(Result)
+	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 2), a, 1, second); err != nil {
 		t.Fatal(err)
 	}
 	delay := r.Service(storage.ElastiCache).ProvisionDelay()
@@ -117,8 +117,13 @@ func TestColdStartOnlyFirstGroup(t *testing.T) {
 	a := cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3}
 	r := NewRunner(41)
 	r.Noise = NoNoise()
-	first, _ := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 1)
-	second, _ := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 2), a, 1)
+	first, second := new(Result), new(Result)
+	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 1, first); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 2), a, 1, second); err != nil {
+		t.Fatal(err)
+	}
 	if second.StartupTime >= first.StartupTime {
 		t.Errorf("warm start %g should beat cold start %g", second.StartupTime, first.StartupTime)
 	}

@@ -14,9 +14,9 @@ import (
 func TestWriteTraceCSV(t *testing.T) {
 	w := workload.MobileNet()
 	r := NewRunner(3)
-	res, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 3),
-		cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3}, 4)
-	if err != nil {
+	res := new(Result)
+	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 3),
+		cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3}, 4, res); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -186,6 +186,16 @@ type Runner struct {
 	// instants, delayed-restart overlap windows) on the job's own timeline.
 	// Nil disables recording.
 	obs *obs.Observer
+
+	// The ground-truth noise streams, resolved once.
+	stragglerRng, syncRng, loadRng, failureRng *sim.Rand
+
+	// job and jobState are the job RunEpochs runs on, reused trial after
+	// trial; ckpt is the scratch vector a checkpoint is snapshotted into
+	// before the store copies it.
+	job      Job
+	jobState state
+	ckpt     []float64
 }
 
 // NewRunner returns a runner on a fresh simulated substrate seeded with
@@ -195,13 +205,17 @@ func NewRunner(seed uint64) *Runner {
 	s := sim.New(seed)
 	pb := pricing.Default()
 	r := &Runner{
-		Noise:     DefaultNoise(),
-		sim:       s,
-		compute:   faas.NewDefault(s),
-		store:     storage.NewStore(),
-		prices:    pb,
-		services:  make(map[storage.Kind]*storage.Service),
-		delayPaid: make(map[storage.Kind]bool),
+		Noise:        DefaultNoise(),
+		sim:          s,
+		compute:      faas.NewDefault(s),
+		store:        storage.NewStore(),
+		prices:       pb,
+		services:     make(map[storage.Kind]*storage.Service),
+		delayPaid:    make(map[storage.Kind]bool),
+		stragglerRng: s.Rand("trainer.straggler"),
+		syncRng:      s.Rand("trainer.sync"),
+		loadRng:      s.Rand("trainer.load"),
+		failureRng:   s.Rand("trainer.failure"),
 	}
 	for _, k := range storage.ExtendedKinds() {
 		r.services[k] = storage.New(k, pb)
@@ -271,7 +285,8 @@ type state struct {
 	// the loss engine advances one epoch each time it crosses 1.
 	asyncProgress float64
 	// initialState snapshots the engine before training so a failure
-	// without checkpointing can lose everything (DisableCheckpoint).
+	// without checkpointing can lose everything (DisableCheckpoint). It is
+	// per job: cluster.Run interleaves jobs on one runner.
 	initialState []float64
 
 	// faultCursor walks Config.Faults' instantaneous events (kills and
@@ -289,19 +304,44 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for !job.Done() {
-		if err := job.Step(); err != nil {
-			return nil, err
+	if err := job.run(); err != nil {
+		return nil, err
+	}
+	return job.Finish(), nil
+}
+
+// RunEpochs runs exactly epochs epochs under a fixed allocation (one trial
+// in one stage of the hyperparameter-tuning driver) and fills res with the
+// result, reusing res.Trace's backing array. It runs on a job the runner
+// owns, so in steady state a trial touches no heap.
+func (r *Runner) RunEpochs(w *workload.Model, eng workload.Engine, a cost.Allocation, epochs int, res *Result) error {
+	r.jobState.res = res
+	r.job.st = &r.jobState
+	if err := r.startJob(&r.job, Config{Workload: w, Engine: eng, Alloc: a, MaxEpochs: epochs}); err != nil {
+		return err
+	}
+	if err := r.job.run(); err != nil {
+		return err
+	}
+	r.job.Finish()
+	return nil
+}
+
+// run steps the job until it is done.
+func (j *Job) run() error {
+	for !j.done {
+		if err := j.Step(); err != nil {
+			return err
 		}
 		// Advance the shared clock so time-based substrate events
 		// (warm-sandbox expiry) fire as the job progresses. The cluster
 		// scheduler drives this itself when jobs interleave.
-		if d := job.Elapsed() - job.advanced; d > 0 {
-			r.sim.RunUntil(r.sim.Now() + sim.Time(d))
+		if d := j.Elapsed() - j.advanced; d > 0 {
+			j.r.sim.RunUntil(j.r.sim.Now() + sim.Time(d))
 		}
-		job.advanced = job.Elapsed()
+		j.advanced = j.Elapsed()
 	}
-	return job.Finish(), nil
+	return nil
 }
 
 // Job is a training job in progress, steppable one epoch at a time (the
@@ -320,20 +360,30 @@ type Job struct {
 // StartJob validates cfg, admits the function group (startup + load on the
 // job's clock) and returns the steppable job.
 func (r *Runner) StartJob(cfg Config) (*Job, error) {
+	j := &Job{st: &state{res: &Result{}}}
+	if err := r.startJob(j, cfg); err != nil {
+		return nil, err
+	}
+	return j, nil
+}
+
+// startJob resets j, its state and its result for cfg, keeping their
+// buffers (the trace and the initial snapshot), and starts the job.
+func (r *Runner) startJob(j *Job, cfg Config) error {
 	if cfg.Workload == nil || cfg.Engine == nil {
-		return nil, fmt.Errorf("trainer: nil workload or engine")
+		return fmt.Errorf("trainer: nil workload or engine")
 	}
 	if cfg.MaxEpochs <= 0 {
 		cfg.MaxEpochs = 1000
 	}
-	st := &state{cfg: cfg, alloc: cfg.Alloc, res: &Result{}, faultCursor: -1}
+	st, res := j.st, j.st.res
+	*res = Result{Trace: res.Trace[:0]}
+	*st = state{cfg: cfg, alloc: cfg.Alloc, res: res, faultCursor: -1, initialState: st.initialState[:0]}
 	if snap, ok := cfg.Engine.(workload.Snapshotter); ok {
-		st.initialState = snap.Snapshot()
+		st.initialState = snap.AppendSnapshot(st.initialState)
 	}
-	if err := r.startGroup(st, st.alloc, true); err != nil {
-		return nil, err
-	}
-	return &Job{r: r, st: st}, nil
+	*j = Job{r: r, st: st}
+	return r.startGroup(st, st.alloc, true)
 }
 
 // Done reports whether the job has converged, stopped or hit its cap.
@@ -399,12 +449,6 @@ func (j *Job) Finish() *Result {
 	return j.st.res
 }
 
-// RunEpochs runs exactly epochs epochs under a fixed allocation (used by the
-// hyperparameter-tuning driver for one trial in one stage).
-func (r *Runner) RunEpochs(w *workload.Model, eng workload.Engine, a cost.Allocation, epochs int) (*Result, error) {
-	return r.Run(Config{Workload: w, Engine: eng, Alloc: a, MaxEpochs: epochs})
-}
-
 // startGroup invokes the function group for alloc, charging startup and the
 // initial data load; initial=false marks restarts (the model is pulled from
 // storage as well).
@@ -451,7 +495,7 @@ func (r *Runner) startGroup(st *state, a cost.Allocation, initial bool) error {
 func (r *Runner) loadTime(w *workload.Model, a cost.Allocation) float64 {
 	t := w.Dataset.PartitionSizeMB(a.N) / 80
 	if r.Noise.LoadJitter > 0 {
-		t *= r.sim.Rand("trainer.load").Jitter(r.Noise.LoadJitter)
+		t *= r.loadRng.Jitter(r.Noise.LoadJitter)
 	}
 	return t
 }
@@ -581,7 +625,7 @@ func (r *Runner) groundTruthCompute(w *workload.Model, a cost.Allocation) float6
 	if r.Noise.StragglerSigma == 0 {
 		return base
 	}
-	return base * r.sim.Rand("trainer.straggler").MaxLogNormal(a.N, r.Noise.StragglerSigma)
+	return base * r.stragglerRng.MaxLogNormal(a.N, r.Noise.StragglerSigma)
 }
 
 // groundTruthSync is the epoch's synchronization wall time with network
@@ -592,7 +636,7 @@ func (r *Runner) groundTruthSync(w *workload.Model, a cost.Allocation, svc *stor
 	if sigma == 0 {
 		return base
 	}
-	return base * r.sim.Rand("trainer.sync").LogNormal(0, sigma)
+	return base * r.syncRng.LogNormal(0, sigma)
 }
 
 // asyncCompute is the epoch's gradient computation wall time under ASP:
@@ -602,7 +646,7 @@ func (r *Runner) asyncCompute(w *workload.Model, a cost.Allocation) float64 {
 	if r.Noise.StragglerSigma == 0 {
 		return base
 	}
-	return base * r.sim.Rand("trainer.straggler").LogNormal(0, r.Noise.StragglerSigma)
+	return base * r.stragglerRng.LogNormal(0, r.Noise.StragglerSigma)
 }
 
 // asyncSync is the epoch's synchronization wall time under ASP: each worker
@@ -614,7 +658,7 @@ func (r *Runner) asyncSync(w *workload.Model, a cost.Allocation, svc *storage.Se
 	if sigma == 0 {
 		return base
 	}
-	return base * r.sim.Rand("trainer.sync").LogNormal(0, sigma)
+	return base * r.syncRng.LogNormal(0, sigma)
 }
 
 // asyncEfficiency is the statistical progress one ASP wall epoch delivers
@@ -690,11 +734,11 @@ func (r *Runner) checkpoint(st *state) {
 		return
 	}
 	if snap, ok := st.cfg.Engine.(workload.Snapshotter); ok && r.brownoutOp(st, "checkpoint") {
-		vec := snap.Snapshot()
-		r.store.Put(checkpointKey, vec)
+		r.ckpt = snap.AppendSnapshot(r.ckpt[:0])
+		r.store.Put(checkpointKey, r.ckpt)
 		if r.obs.Enabled() {
 			r.obs.Stats().Inc("store.puts")
-			r.obs.Stats().Add("store.put_floats", float64(len(vec)))
+			r.obs.Stats().Add("store.put_floats", float64(len(r.ckpt)))
 		}
 	}
 }

@@ -93,8 +93,8 @@ func TestGroundTruthNearAnalyticWithoutNoise(t *testing.T) {
 	r.Noise = NoNoise()
 	w := workload.MobileNet()
 	a := mnAlloc()
-	res, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 5)
-	if err != nil {
+	res := new(Result)
+	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 5, res); err != nil {
 		t.Fatal(err)
 	}
 	am := cost.NewModel(w)
@@ -114,8 +114,8 @@ func TestGroundTruthNearAnalyticWithoutNoise(t *testing.T) {
 func TestNoiseMakesEpochsVary(t *testing.T) {
 	r := NewRunner(5)
 	w := workload.MobileNet()
-	res, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), mnAlloc(), 10)
-	if err != nil {
+	res := new(Result)
+	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), mnAlloc(), 10, res); err != nil {
 		t.Fatal(err)
 	}
 	first := res.Trace[0].Time
@@ -139,8 +139,8 @@ func TestStragglerPenaltyGrowsWithN(t *testing.T) {
 		a := cost.Allocation{N: n, MemMB: 1769, Storage: storage.S3}
 		var sum float64
 		const epochs = 30
-		res, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, epochs)
-		if err != nil {
+		res := new(Result)
+		if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, epochs, res); err != nil {
 			t.Fatal(err)
 		}
 		base := w.Dataset.PartitionSizeMB(n) * w.U(1769)
@@ -356,8 +356,8 @@ func TestVMPSJobFasterButPricierThanS3ForBigModel(t *testing.T) {
 	run := func(k storage.Kind) *Result {
 		r := NewRunner(15)
 		a := cost.Allocation{N: 10, MemMB: 4096, Storage: k}
-		res, err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 3)
-		if err != nil {
+		res := new(Result)
+		if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 3, res); err != nil {
 			t.Fatal(err)
 		}
 		return res

@@ -15,7 +15,7 @@ func TestCurveEngineSnapshotRestore(t *testing.T) {
 	for e := 0; e < 5; e++ {
 		eng.NextEpoch()
 	}
-	state := snap.Snapshot()
+	state := snap.AppendSnapshot(nil)
 	if len(state) != 2 {
 		t.Fatalf("curve snapshot has %d values", len(state))
 	}
@@ -28,8 +28,56 @@ func TestCurveEngineSnapshotRestore(t *testing.T) {
 	if eng.Loss() != lossAt || eng.EpochsRun() != epochAt {
 		t.Errorf("restore: loss %g epoch %d, want %g %d", eng.Loss(), eng.EpochsRun(), lossAt, epochAt)
 	}
-	if err := snap.Restore([]float64{1}); err == nil {
-		t.Error("short state accepted")
+	// A corrupt checkpoint is refused and leaves the engine where it was,
+	// so the trainer's degrade path takes over.
+	for _, tc := range []struct {
+		name  string
+		state []float64
+	}{
+		{"short", []float64{1}},
+		{"long", []float64{1, 0.5, 0}},
+		{"NaN epoch", []float64{math.NaN(), 0.5}},
+		{"negative epoch", []float64{-1, 0.5}},
+		{"fractional epoch", []float64{2.5, 0.5}},
+		{"huge epoch", []float64{1 << 63, 0.5}},
+		{"infinite epoch", []float64{math.Inf(1), 0.5}},
+		{"NaN loss", []float64{3, math.NaN()}},
+		{"infinite loss", []float64{3, math.Inf(1)}},
+		{"negative infinite loss", []float64{3, math.Inf(-1)}},
+	} {
+		if err := snap.Restore(tc.state); err == nil {
+			t.Errorf("%s state %v accepted", tc.name, tc.state)
+		}
+		if eng.Loss() != lossAt || eng.EpochsRun() != epochAt {
+			t.Errorf("%s state moved the engine to loss %g epoch %d", tc.name, eng.Loss(), eng.EpochsRun())
+		}
+	}
+	for _, ep := range []float64{0, 1 << 53} {
+		if err := snap.Restore([]float64{ep, 0.5}); err != nil {
+			t.Errorf("epoch %g refused: %v", ep, err)
+		}
+	}
+}
+
+// AppendSnapshot keeps what dst already holds and appends the state after
+// it, for both engines.
+func TestAppendSnapshotKeepsPrefix(t *testing.T) {
+	m := LRHiggs()
+	real, err := m.NewRealEngine(Hyperparams{LR: m.DefaultLR}, 400, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []Engine{m.NewCurveEngine(Hyperparams{LR: m.DefaultLR}, 5), real} {
+		eng.NextEpoch()
+		snap := eng.(Snapshotter)
+		want := snap.AppendSnapshot(nil)
+		prefix := []float64{-7, math.Pi}
+		for _, dst := range [][]float64{prefix, append(make([]float64, 0, 64), prefix...)} {
+			got := snap.AppendSnapshot(dst)
+			if !sameBits(got[:len(prefix)], prefix) || !sameBits(got[len(prefix):], want) {
+				t.Errorf("%T: AppendSnapshot(%v) = %v, want the prefix then %v", eng, dst, got, want)
+			}
+		}
 	}
 }
 
@@ -43,7 +91,7 @@ func TestRealEngineSnapshotRestore(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.NextEpoch()
 	}
-	state := eng.Snapshot()
+	state := eng.AppendSnapshot(nil)
 	lossAt := e.Loss()
 	if e.EpochsRun() != 3 {
 		t.Fatalf("EpochsRun = %d", e.EpochsRun())
@@ -97,7 +145,7 @@ func TestRealEngineRestoreChecksWeightCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap := e.(Snapshotter)
-		state := snap.Snapshot()
+		state := snap.AppendSnapshot(nil)
 		if delta < 0 {
 			state = state[:len(state)-1]
 		} else if delta > 0 {

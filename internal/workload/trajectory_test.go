@@ -77,7 +77,7 @@ func (r *reference) step(e *realEngine) bool {
 	r.last = r.tr.RunEpoch()
 	got := e.NextEpoch()
 	return sameBits([]float64{got, e.Loss()}, []float64{r.last, r.last}) &&
-		e.EpochsRun() == r.tr.Epoch() && sameBits(e.Snapshot(), r.snapshot())
+		e.EpochsRun() == r.tr.Epoch() && sameBits(e.AppendSnapshot(nil), r.snapshot())
 }
 
 // Every construction site swallows NewRealEngine's error and substitutes a
@@ -106,7 +106,7 @@ func TestSharedCursorMatchesPrivateTrainer(t *testing.T) {
 			}
 			for _, e := range []*realEngine{first, second} {
 				ref := newReference(t, e)
-				if !sameBits(e.Snapshot(), ref.snapshot()) {
+				if !sameBits(e.AppendSnapshot(nil), ref.snapshot()) {
 					t.Fatalf("%s rows %d: initial snapshot differs", m.Name, rows)
 				}
 				for ep := 1; ep <= 30; ep++ {
@@ -127,22 +127,22 @@ func TestRestoreDivergingStateMatchesSetWeights(t *testing.T) {
 	for _, m := range realModels(t) {
 		e := newReal(t, m, 400, 31)
 		ref := newReference(t, e)
-		initial := e.Snapshot()
+		initial := e.AppendSnapshot(nil)
 		var older []float64
 		for ep := 1; ep <= 6; ep++ {
 			if !ref.step(e) {
 				t.Fatalf("%s: epoch %d differs", m.Name, ep)
 			}
 			if ep == 3 {
-				older = e.Snapshot()
+				older = e.AppendSnapshot(nil)
 			}
 		}
-		for _, state := range [][]float64{e.Snapshot(), older, initial} {
+		for _, state := range [][]float64{e.AppendSnapshot(nil), older, initial} {
 			if err := e.Restore(state); err != nil {
 				t.Fatal(err)
 			}
 			ref.restore(state)
-			if !sameBits(e.Snapshot(), ref.snapshot()) {
+			if !sameBits(e.AppendSnapshot(nil), ref.snapshot()) {
 				t.Fatalf("%s: snapshot after Restore differs", m.Name)
 			}
 			for ep := 0; ep < 4; ep++ {
@@ -162,7 +162,7 @@ func TestRestoreOwnStateStaysAttached(t *testing.T) {
 	for ep := 0; ep < 3; ep++ {
 		e.NextEpoch()
 	}
-	if err := e.Restore(e.Snapshot()); err != nil {
+	if err := e.Restore(e.AppendSnapshot(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if e.own != nil {
@@ -174,7 +174,7 @@ func TestDetachedCursorLeavesTrajectoryAlone(t *testing.T) {
 	m := SVMHiggs()
 	a, b, c := newReal(t, m, 400, 41), newReal(t, m, 400, 41), newReal(t, m, 400, 41)
 	refA, refB := newReference(t, a), newReference(t, b)
-	initial := c.Snapshot()
+	initial := c.AppendSnapshot(nil)
 	for ep := 0; ep < 4; ep++ {
 		c.NextEpoch()
 		if !refA.step(a) {
@@ -204,7 +204,7 @@ func TestEvictedTrajectoryRematerialisesIdentically(t *testing.T) {
 	var want [][]float64
 	for ep := 0; ep < 5; ep++ {
 		first.NextEpoch()
-		want = append(want, first.Snapshot())
+		want = append(want, first.AppendSnapshot(nil))
 	}
 	newReal(t, m, 400, 52)
 	second := newReal(t, m, 400, 51)
@@ -213,14 +213,14 @@ func TestEvictedTrajectoryRematerialisesIdentically(t *testing.T) {
 	}
 	for ep := 0; ep < 5; ep++ {
 		second.NextEpoch()
-		if !sameBits(second.Snapshot(), want[ep]) {
+		if !sameBits(second.AppendSnapshot(nil), want[ep]) {
 			t.Fatalf("epoch %d: re-materialised trajectory differs", ep+1)
 		}
 	}
 	// The evicted trajectory still serves, and extends for, its cursor.
 	first.NextEpoch()
 	second.NextEpoch()
-	if !sameBits(first.Snapshot(), second.Snapshot()) {
+	if !sameBits(first.AppendSnapshot(nil), second.AppendSnapshot(nil)) {
 		t.Error("evicted and re-materialised trajectories diverge past the recorded prefix")
 	}
 }
@@ -246,7 +246,7 @@ func TestConcurrentCursorsOnOneKey(t *testing.T) {
 				return
 			}
 			ref := &reference{tr: tr, last: tr.Loss()}
-			initial := cur.Snapshot()
+			initial := cur.AppendSnapshot(nil)
 			if !sameBits(initial, ref.snapshot()) {
 				t.Errorf("goroutine %d: initial snapshot differs", g)
 			}
@@ -279,7 +279,8 @@ func TestRealEngineCursorZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, func() { e.NextEpoch() }); avg != 0 {
 		t.Errorf("NextEpoch over a materialised prefix allocates %.1f/op, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(50, func() { e.Snapshot() }); avg > 1 {
-		t.Errorf("Snapshot allocates %.1f/op, want at most the returned vector", avg)
+	buf := e.AppendSnapshot(nil)
+	if avg := testing.AllocsPerRun(50, func() { buf = e.AppendSnapshot(buf[:0]) }); avg != 0 {
+		t.Errorf("AppendSnapshot into a reused buffer allocates %.1f/op, want 0", avg)
 	}
 }

@@ -49,9 +49,11 @@ type Engine interface {
 // external storage so a restarted function group resumes rather than
 // retrains (the delayed-restart handoff of Fig. 8).
 type Snapshotter interface {
-	// Snapshot returns the engine state as a vector.
-	Snapshot() []float64
-	// Restore replaces the engine state with a previous Snapshot.
+	// AppendSnapshot appends the engine state to dst and returns the
+	// extended slice; dst's prefix is kept, and a dst with room for the
+	// state is not reallocated.
+	AppendSnapshot(dst []float64) []float64
+	// Restore replaces the engine state with a previous snapshot.
 	Restore(state []float64) error
 }
 
@@ -299,18 +301,31 @@ func (e *curveEngine) NextEpoch() float64 {
 func (e *curveEngine) EpochsRun() int { return e.epoch }
 func (e *curveEngine) Loss() float64  { return e.last }
 
-// Snapshot implements Snapshotter: [epoch, lastLoss].
-func (e *curveEngine) Snapshot() []float64 {
-	return []float64{float64(e.epoch), e.last}
+// AppendSnapshot implements Snapshotter: [epoch, lastLoss].
+func (e *curveEngine) AppendSnapshot(dst []float64) []float64 {
+	return append(dst, float64(e.epoch), e.last)
 }
 
-// Restore implements Snapshotter.
+// maxSnapshotEpoch is the largest epoch count a snapshot carries: every
+// integer up to it is a float64 exactly.
+const maxSnapshotEpoch = 1 << 53
+
+// Restore implements Snapshotter. The epoch must be a whole number in
+// [0, 2^53] and the loss finite; anything else is a corrupt checkpoint and
+// leaves the engine as it was.
 func (e *curveEngine) Restore(state []float64) error {
 	if len(state) != 2 {
 		return fmt.Errorf("workload: curve snapshot has %d values, want 2", len(state))
 	}
-	e.epoch = int(state[0])
-	e.last = state[1]
+	ep, loss := state[0], state[1]
+	if !(ep >= 0 && ep <= maxSnapshotEpoch) || ep != math.Trunc(ep) {
+		return fmt.Errorf("workload: curve snapshot epoch %g is not a whole number in [0, 2^53]", ep)
+	}
+	if math.IsNaN(loss) || math.IsInf(loss, 0) {
+		return fmt.Errorf("workload: curve snapshot loss %g is not finite", loss)
+	}
+	e.epoch = int(ep)
+	e.last = loss
 	return nil
 }
 
@@ -404,15 +419,15 @@ func (e *realEngine) NextEpoch() float64 {
 func (e *realEngine) EpochsRun() int { return e.epoch }
 func (e *realEngine) Loss() float64  { return e.last }
 
-// Snapshot implements Snapshotter: [epoch, lastLoss, weights...].
-func (e *realEngine) Snapshot() []float64 {
-	out := make([]float64, 2, 2+e.traj.key.data.Cols)
-	out[0], out[1] = float64(e.epoch), e.last
+// AppendSnapshot implements Snapshotter: [epoch, lastLoss, weights...].
+func (e *realEngine) AppendSnapshot(dst []float64) []float64 {
+	dst = slices.Grow(dst, 2+e.traj.key.data.Cols)
+	dst = append(dst, float64(e.epoch), e.last)
 	if e.own != nil {
-		return append(out, e.own.Weights()...)
+		return append(dst, e.own.Weights()...)
 	}
 	_, w := e.traj.at(e.epoch)
-	return append(out, w...)
+	return append(dst, w...)
 }
 
 // Restore implements Snapshotter. The epoch counter and the batch cursors
