@@ -47,7 +47,7 @@ shard-check:
 # gates are the allocation contract: every test named Test...ZeroAlloc, found
 # by name so a new one cannot be left out, fails hard if the steady state it
 # drives touches the heap (testing.AllocsPerRun == 0 on the fit, replay,
-# observe, decision, kernel, fault-query, SGD-epoch, Successive-Halving
+# observe (windowed, and along the nodes of a shared history tree), decision, kernel, fault-query, SGD-epoch, Successive-Halving
 # trial (TestSHATrialZeroAlloc: RunEpochs into a reused Result), faas (single and group
 # admission with release at n = 1, 8, 200, ReclaimWarm, and both entry
 # points' denial) and traffic paths; mallocs per arrival on the
@@ -59,7 +59,11 @@ shard-check:
 # iteration count: fast enough for CI, enough to catch kernels that re-grow
 # allocations. internal/sha's BenchmarkSHARun is one 64-trial MobileNet
 # tuning run with -benchmem: the trainer's job lifecycle, whose trials
-# allocate nothing. internal/sim's sweep includes BenchmarkRunShards, one
+# allocate nothing. internal/core's BenchmarkFrameworkCell, also with
+# -benchmem, is one fig12-shaped MobileNet cell on a fresh Framework: the
+# two reference runs, CE-scaling and modified Cirrus, whose later sessions
+# read their online fits from the framework's history tree.
+# internal/sim's sweep includes BenchmarkRunShards, one
 # cross-shard actor load at 1 and 8 shards on one worker: no cmd/bench
 # workload runs one worker above one shard, so the per-event cost of the
 # shard count shows there. internal/fit benches its one solver (Fitter: cold, warm to
@@ -77,7 +81,7 @@ bench:
 	$(GO) test -run TestLaneChurnReusesSlots ./internal/sim/
 	$(GO) test -run TestPlanMinJCTBoundedAllocs ./internal/planner/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=100x \
-		./internal/ml/ ./internal/dataset/ ./internal/sha/
+		./internal/ml/ ./internal/dataset/ ./internal/sha/ ./internal/core/
 	$(GO) test -run '^$$' -bench . -benchtime=100x \
 		./internal/sim/ ./internal/cost/ ./internal/fit/ ./internal/scheduler/ ./internal/traffic/ \
 		./internal/planner/

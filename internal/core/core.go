@@ -33,6 +33,10 @@ type Framework struct {
 	// model configuration: every scheduler session of every framework with
 	// the same workload/pricing/grid shares this one instance.
 	Frontier *cost.Frontier
+
+	// shared holds the online loss histories of every Session: the sessions
+	// replay one loss sequence, so each history is fitted once.
+	shared *predictor.Shared
 }
 
 // New profiles the workload over the default grid.
@@ -42,6 +46,17 @@ func New(w *workload.Model) *Framework {
 
 // NewWithGrid profiles the workload over an explicit grid.
 func NewWithGrid(w *workload.Model, g cost.Grid) *Framework {
+	return profile(w, g, predictor.NewShared())
+}
+
+// WithGrid profiles f's workload over another grid. The two frameworks share
+// one history tree: their sessions replay the same loss sequences whatever
+// the allocation space, so each history is fitted once for both.
+func (f *Framework) WithGrid(g cost.Grid) *Framework {
+	return profile(f.Workload, g, f.shared)
+}
+
+func profile(w *workload.Model, g cost.Grid, shared *predictor.Shared) *Framework {
 	m := cost.NewModel(w)
 	return &Framework{
 		Workload: w,
@@ -50,6 +65,7 @@ func NewWithGrid(w *workload.Model, g cost.Grid) *Framework {
 		Full:     m.Enumerate(g),
 		Pareto:   m.ParetoSet(g),
 		Frontier: m.ParetoFrontier(g),
+		shared:   shared,
 	}
 }
 
@@ -201,6 +217,7 @@ func (f *Framework) Session(opt Options) (*scheduler.Scheduler, cost.Allocation,
 		TargetLoss:     f.Workload.TargetLoss,
 		Delta:          opt.Delta,
 		DelayedRestart: !opt.DisableDelayedRestart,
+		Shared:         f.shared,
 		Offline:        predictor.NewOffline(f.Workload),
 		OfflineSeed:    opt.Seed,
 		Obs:            opt.Obs,

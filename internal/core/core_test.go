@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -166,5 +168,82 @@ func TestPinnedDisableParetoGivesFullSubset(t *testing.T) {
 	front := f.candidates(Options{Budget: 1, PinStorage: &k})
 	if len(full) <= len(front) {
 		t.Errorf("full pinned set %d should exceed its frontier %d", len(full), len(front))
+	}
+}
+
+// trainAll trains one session per option on f, all at once when concurrent.
+func trainAll(t *testing.T, f *Framework, opts []Options, concurrent bool) []*trainer.Result {
+	t.Helper()
+	out := make([]*trainer.Result, len(opts))
+	errs := make([]error, len(opts))
+	var wg sync.WaitGroup
+	for i, opt := range opts {
+		run := func() {
+			var res *TrainOutcome
+			res, errs[i] = f.Train(opt, trainer.NewRunner(opt.Seed+uint64(i)))
+			if errs[i] == nil {
+				out[i] = res.Result
+			}
+		}
+		if !concurrent {
+			run()
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+	}
+	return out
+}
+
+// TestSessionsShareHistoriesExactly: sessions that read their online fits
+// from the framework's history tree, one after another or all at once,
+// train exactly as sessions with private predictors do. Run it under -race.
+func TestSessionsShareHistoriesExactly(t *testing.T) {
+	vmps := storage.VMPS
+	for _, w := range []*workload.Model{workload.MobileNet(), workload.LRHiggs()} {
+		opts := []Options{
+			{QoS: 1e15, Seed: 11},
+			{Budget: 1e15, Seed: 11},
+			{Budget: 30, Seed: 11},
+			{Budget: 30, Seed: 11, PinStorage: &vmps, DisableDelayedRestart: true},
+			{QoS: 3600, Seed: 11, Delta: 0.05},
+			{Budget: 30, Seed: 12}, // another loss sequence: the tree branches
+			{QoS: 1e15, Seed: 13},
+		}
+		private := New(w)
+		private.shared = nil
+		want := trainAll(t, private, opts, false)
+		for _, concurrent := range []bool{false, true} {
+			got := trainAll(t, New(w), opts, concurrent)
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%s session %d (concurrent %v): shared-tree result differs from private", w.Name, i, concurrent)
+				}
+			}
+		}
+	}
+}
+
+// TestWithGridSharesTree: a framework over another grid profiles that grid
+// as NewWithGrid does and shares its parent's history tree.
+func TestWithGridSharesTree(t *testing.T) {
+	base := New(workload.MobileNet())
+	g := cost.DefaultGrid()
+	g.Storages = storage.ExtendedKinds()
+	ext, fresh := base.WithGrid(g), NewWithGrid(base.Workload, g)
+	if ext.shared != base.shared || fresh.shared == base.shared {
+		t.Error("WithGrid should share the tree, NewWithGrid should not")
+	}
+	if ext.Frontier != fresh.Frontier || !reflect.DeepEqual(ext.Full, fresh.Full) {
+		t.Error("WithGrid profiled the grid differently from NewWithGrid")
 	}
 }

@@ -38,9 +38,11 @@ func (a Allocation) String() string {
 // recompute. The planner probes each (stage, allocation) once, into its own
 // plan evaluation table; per-call probes remain in the planner's exported
 // JCT/Cost/StageTime for arbitrary plans (the baselines, fig11's per-stage
-// shares) and in JobTime/JobCost (fig19/20 validation). Grid allocations live in a dense per-grid table built once by the first
-// Enumerate/ParetoSet/ParetoFrontier call (one map probe + slice index per
-// lookup); an off-grid allocation is simply computed (~150 ns). The tables
+// shares) and in JobTime/JobCost (fig19/20 validation). Grid allocations
+// live in a dense per-grid table (one map probe + slice index per lookup),
+// which the first Enumerate/ParetoSet/ParetoFrontier call takes from the
+// process-wide intern, where models of equal configuration share it; an
+// off-grid allocation is simply computed (~150 ns). The tables
 // assume the model is configured once and then treated as immutable: mutate
 // LoadMBps / StragglerSigma only before the first estimate call. The tables
 // are safe for concurrent readers.
@@ -334,7 +336,7 @@ func strictlySorted(points []Point) bool {
 
 // ParetoSet enumerates the grid and returns its Pareto boundary — the 𝒫 of
 // Table III that every optimization searches instead of the full Θ. The
-// boundary is derived once per grid (and shared via the frontier intern);
+// boundary is derived once per grid (and shared via the table intern);
 // the caller receives a fresh copy it may mutate freely. Callers that can
 // honor the no-mutation contract should prefer ParetoFrontier, which skips
 // the copy.
@@ -343,9 +345,9 @@ func (m *Model) ParetoSet(g Grid) []Point {
 }
 
 // gridKey is a canonical signature of a grid, used (with the model
-// signature) as the frontier intern key. Grids that differ only in slice
-// identity hash the same. It is computed once per gridTable, not per
-// lookup — table lookups compare the grid slices directly.
+// signature) as the table intern key. Grids that differ only in slice
+// identity hash the same. It is computed once per table a model adopts, not
+// per lookup — table lookups compare the grid slices directly.
 func gridKey(g Grid) string {
 	return fmt.Sprintf("%v|%v|%v", g.Ns, g.MemsMB, g.Storages)
 }

@@ -8,11 +8,12 @@ import (
 // Frontier is an immutable, shared view of a Pareto boundary: points in
 // strictly ascending Time and strictly descending Cost order (the sweep in
 // Pareto collapses time ties, so both orders are strict by construction).
-// Frontiers are interned per (workload, pricing, limits, bandwidth, noise,
-// grid) signature — ten thousand tenants running the same model class hold
-// the same *Frontier instead of ten thousand defensive copies — so the
-// backing points must never be mutated. Callers that need a private
-// mutable slice use Model.ParetoSet, which keeps its copying contract.
+// Frontiers are interned with their grid table per (workload, pricing,
+// limits, bandwidth, noise, grid) signature — ten thousand tenants running
+// the same model class hold the same *Frontier instead of ten thousand
+// defensive copies — so the backing points must never be mutated. Callers
+// that need a private mutable slice use Model.ParetoSet, which keeps its
+// copying contract.
 type Frontier struct {
 	pts []Point
 }
@@ -38,18 +39,20 @@ func (f *Frontier) Points() []Point {
 	return f.pts
 }
 
-// frontierIntern maps (model signature, grid signature) to the one shared
-// *Frontier for that configuration, across all Model instances.
-var frontierIntern sync.Map // string -> *Frontier
+// tableIntern maps (model signature, grid signature) to the one shared
+// *gridTable for that configuration, across all Model instances: equal
+// signatures give bit-identical estimates, so the table and the frontier it
+// carries are built once per process.
+var tableIntern sync.Map // string -> *gridTable
 
 // gridTable is the dense per-grid estimate table, the package's one cache:
 // every feasible grid point is evaluated once at build time into
 // index-addressed slots, so a lookup is one map probe and one slice index —
 // no interface boxing, no per-call stores. A Model typically holds exactly
-// one table (the default grid).
+// one table (the default grid). Tables are interned and immutable once
+// built.
 type gridTable struct {
 	grid     Grid
-	key      string               // gridKey(grid), computed once per table
 	index    map[Allocation]int32 // feasible allocation -> slot in est/points
 	est      []epochEst
 	points   []Point // feasible grid points in grid order; immutable
@@ -81,15 +84,16 @@ func gridsEqual(a, b Grid) bool {
 
 // signature is the deterministic identity of this model's analytic
 // configuration: two models with equal signatures produce bit-identical
-// estimates, so they may share interned frontiers. All referenced structs
+// estimates, so they may share interned tables. All referenced structs
 // are scalar-only (no maps, no pointers), so %+v is stable.
 func (m *Model) signature() string {
 	return fmt.Sprintf("%+v|%+v|%+v|%g|%g",
 		*m.Workload, m.Prices, m.Limits, m.LoadMBps, m.StragglerSigma)
 }
 
-// ensureTable returns the dense table for g, building it on first use. The
-// fast path is a lock-free scan of the (tiny, append-only) table list.
+// ensureTable returns the dense table for g: from the model's own list, else
+// from the intern, else built. The fast path is a lock-free scan of the
+// (tiny, append-only) per-model list.
 func (m *Model) ensureTable(g Grid) *gridTable {
 	if ts, _ := m.tables.Load().([]*gridTable); ts != nil {
 		for _, t := range ts {
@@ -106,7 +110,7 @@ func (m *Model) ensureTable(g Grid) *gridTable {
 			return t
 		}
 	}
-	t := m.buildTable(g)
+	t := m.internTable(g)
 	next := make([]*gridTable, len(ts)+1)
 	copy(next, ts)
 	next[len(ts)] = t
@@ -114,8 +118,19 @@ func (m *Model) ensureTable(g Grid) *gridTable {
 	return t
 }
 
+// internTable returns the process-wide table for m's signature and g,
+// building it when no equal model has.
+func (m *Model) internTable(g Grid) *gridTable {
+	key := m.signature() + "\x00" + gridKey(g)
+	if t, ok := tableIntern.Load(key); ok {
+		return t.(*gridTable)
+	}
+	t, _ := tableIntern.LoadOrStore(key, m.buildTable(g))
+	return t.(*gridTable)
+}
+
 // buildTable evaluates every feasible grid point in grid order (n, then
-// memory, then storage) and interns the resulting Pareto frontier.
+// memory, then storage) and derives the Pareto frontier.
 func (m *Model) buildTable(g Grid) *gridTable {
 	t := &gridTable{
 		// Private copies: the caller may mutate its grid slices later.
@@ -124,7 +139,6 @@ func (m *Model) buildTable(g Grid) *gridTable {
 			MemsMB:   append([]int(nil), g.MemsMB...),
 			Storages: append(g.Storages[:0:0], g.Storages...),
 		},
-		key:   gridKey(g),
 		index: make(map[Allocation]int32, len(g.Ns)*len(g.MemsMB)*len(g.Storages)),
 	}
 	for _, n := range g.Ns {
@@ -141,12 +155,7 @@ func (m *Model) buildTable(g Grid) *gridTable {
 			}
 		}
 	}
-	front := &Frontier{pts: Pareto(t.points)}
-	fkey := m.signature() + "\x00" + t.key
-	if shared, loaded := frontierIntern.LoadOrStore(fkey, front); loaded {
-		front = shared.(*Frontier)
-	}
-	t.frontier = front
+	t.frontier = &Frontier{pts: Pareto(t.points)}
 	return t
 }
 

@@ -9,27 +9,42 @@ import (
 )
 
 // TestFrontierInterned: two independent models with the same analytic
-// configuration must share one *Frontier instance — that sharing is what
-// keeps a 10k-tenant fleet from holding 10k boundary copies.
+// configuration must share one grid table and the *Frontier it carries —
+// that sharing is what keeps a 10k-tenant fleet from holding 10k boundary
+// copies, and a paper run from rebuilding one table per framework.
 func TestFrontierInterned(t *testing.T) {
 	g := DefaultGrid()
-	f1 := NewModel(workload.MobileNet()).ParetoFrontier(g)
-	f2 := NewModel(workload.MobileNet()).ParetoFrontier(g)
+	m1, m2 := NewModel(workload.MobileNet()), NewModel(workload.MobileNet())
+	f1, f2 := m1.ParetoFrontier(g), m2.ParetoFrontier(g)
 	if f1 != f2 {
 		t.Error("equal-config models should intern to the same *Frontier")
+	}
+	if m1.ensureTable(g) != m2.ensureTable(g) {
+		t.Error("equal-config models should intern to the same grid table")
 	}
 	f3 := NewModel(workload.ResNet50()).ParetoFrontier(g)
 	if f3 == f1 {
 		t.Error("different workloads must not share a frontier")
 	}
-	m := NewModel(workload.MobileNet())
-	m.StragglerSigma = 0.2
-	if f4 := m.ParetoFrontier(g); f4 == f1 {
-		t.Error("different model noise must not share a frontier")
+	// A setting changed before first use gives the model its own table,
+	// holding its own estimates.
+	for name, set := range map[string]func(*Model){
+		"StragglerSigma": func(m *Model) { m.StragglerSigma = 0.2 },
+		"LoadMBps":       func(m *Model) { m.LoadMBps = 40 },
+	} {
+		m := NewModel(workload.MobileNet())
+		set(m)
+		if m.ParetoFrontier(g) == f1 || m.ensureTable(g) == m1.ensureTable(g) {
+			t.Errorf("a model with another %s must not share a table or frontier", name)
+		}
+		a := m.ParetoFrontier(g).At(0).Alloc
+		if m.EpochTime(a) != uncachedEpochTime(m, a) {
+			t.Errorf("a model with another %s reads estimates it did not compute", name)
+		}
 	}
 	// Repeated calls on one model return the same instance (no rebuild).
-	m2 := NewModel(workload.MobileNet())
-	if m2.ParetoFrontier(g) != m2.ParetoFrontier(g) {
+	m3 := NewModel(workload.MobileNet())
+	if m3.ParetoFrontier(g) != m3.ParetoFrontier(g) {
 		t.Error("ParetoFrontier should be stable per model")
 	}
 }

@@ -238,16 +238,21 @@ func ablPocket(seed uint64, cfg Config) (*Table, error) {
 		Notes:   "Pocket: auto-scaling, in-memory latency, request-charged at 5x S3 — a middle ground between S3 and ElastiCache; budget = geometric mean of the cheap and fast probes",
 	}
 	models := []*workload.Model{workload.MobileNet(), workload.BERT()}
-	rows, err := cells(cfg, 2*len(models), func(i int) ([]string, error) {
-		w := models[i/2]
-		extended := i%2 == 1
-		grid := cost.DefaultGrid()
+	extended := cost.DefaultGrid()
+	extended.Storages = storage.ExtendedKinds()
+	// A model's two frameworks share their sessions' loss histories.
+	fws := make([]*core.Framework, 0, 2*len(models))
+	for _, w := range models {
+		fw := core.New(w)
+		fws = append(fws, fw, fw.WithGrid(extended))
+	}
+	rows, err := cells(cfg, len(fws), func(i int) ([]string, error) {
+		fw := fws[i]
+		w := fw.Workload
 		label := "paper's four"
-		if extended {
-			grid.Storages = storage.ExtendedKinds()
+		if i%2 == 1 {
 			label = "four + Pocket"
 		}
-		fw := core.NewWithGrid(w, grid)
 		probe, err := trainRef(fw, seed)
 		if err != nil {
 			return nil, err

@@ -28,10 +28,14 @@ type Outcome struct {
 // their outcomes in request order; cfg also sizes and shards the macro
 // scenarios among them and carries the collector they record into. Each
 // artifact (and each cell inside one) owns its simulation state, so outputs
-// are byte-identical to a serial run at any parallelism, and the package
-// keeps no state between calls, so concurrent RunAlls (each with its own
-// collector) do not affect each other. Unknown ids and an invalid cfg
-// surface as per-outcome errors, not a rejected batch.
+// are byte-identical to a serial run at any parallelism. The package keeps
+// no state between calls; what lives on are three process-wide interns of
+// the packages it calls: grid tables with their Pareto frontiers in cost,
+// SGD trajectories in workload and generated matrices in dataset. Each is
+// keyed by every input of what it holds, so a miss, a re-miss after an
+// eviction included, computes the same bits, and concurrent RunAlls (each
+// with its own collector) do not affect each other's output. Unknown ids
+// and an invalid cfg surface as per-outcome errors, not a rejected batch.
 func RunAll(ids []string, seed uint64, cfg Config) []Outcome {
 	invalid := cfg.Validate()
 	out, _ := cells(cfg, len(ids), func(i int) (Outcome, error) {
@@ -57,7 +61,9 @@ func RunAll(ids []string, seed uint64, cfg Config) []Outcome {
 // cells evaluates n independent experiment cells on cfg.Parallel workers
 // (0 = one per CPU) and returns their results in index order. The first
 // error by index wins (deterministically), mirroring where a serial loop
-// would have stopped. f must not share mutable state across indices.
+// would have stopped. f must not share mutable state across indices; a
+// core.Framework's history tree is the one exception, because it is locked
+// and each of its answers is a pure function of its key.
 func cells[T any](cfg Config, n int, f func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)

@@ -102,8 +102,10 @@ func cirrusOptions(kind storage.Kind, budget, qos float64, seed uint64) core.Opt
 var trainOrder = []string{"CE-scaling", "Siren", "Cirrus*"}
 
 // trainSystems runs the Fig. 12/13 system matrix for one model. The three
-// systems each build their own scheduler and Runner over the read-only
-// framework, so they run as parallel cells merged back in system order.
+// systems each build their own scheduler and Runner over the framework,
+// which they only read but for its history tree, whose answers do not
+// depend on which session asks first; so they run as parallel cells merged
+// back in system order.
 // scope labels the matrix for trace collection; each system records under
 // scope/<system>.
 func trainSystems(cfg Config, fw *core.Framework, budget, qos float64, seed uint64, scope string) (map[string]*trainer.Result, error) {

@@ -128,6 +128,12 @@ type Online struct {
 	lastFit [3]float64
 	hasFit  bool
 	dirty   bool
+
+	// shared, when set, keeps the history as a node of a tree that other
+	// predictors walk too (see Shared); xs and ys are then the node's
+	// read-only views, and the node caches the fit and predictions.
+	shared *Shared
+	node   *node
 }
 
 // Tuning bundles the fleet-scale online-fitter options: a bounded in-place
@@ -148,8 +154,14 @@ type Tuning struct {
 	RefitBudget int
 }
 
-// ApplyTuning switches the predictor to the fleet configuration.
+// ApplyTuning switches the predictor to the fleet configuration. A predictor
+// from Shared.NewOnline leaves the tree with a private copy of its history.
 func (o *Online) ApplyTuning(t Tuning) {
+	if o.shared != nil {
+		o.shared, o.node = nil, nil
+		o.xs = append([]float64(nil), o.xs...)
+		o.ys = append([]float64(nil), o.ys...)
+	}
 	if t.FixedWindow > 0 {
 		o.setFixedWindow(t.FixedWindow)
 	}
@@ -204,7 +216,10 @@ func (o *Online) ensureFitter() {
 
 // Observe records the loss after epoch (1-based).
 func (o *Online) Observe(epoch int, loss float64) {
-	if o.fixedCap > 0 && len(o.xs) == o.fixedCap {
+	if o.shared != nil {
+		o.node = o.shared.child(o.node, float64(epoch), loss)
+		o.xs, o.ys = o.node.xs, o.node.ys
+	} else if o.fixedCap > 0 && len(o.xs) == o.fixedCap {
 		copy(o.xs, o.xs[1:])
 		copy(o.ys, o.ys[1:])
 		o.xs[o.fixedCap-1] = float64(epoch)
@@ -224,7 +239,9 @@ func (o *Online) Ready() bool { return len(o.xs) >= MinPoints }
 
 // refit updates the cached curve parameters. The reusable Fitter is
 // allocation-free; its Result.Params alias solver scratch, so the
-// parameters are copied into the fixed lastFit array.
+// parameters are copied into the fixed lastFit array. A predictor in a
+// Shared tree reads its history's fit from the node before fitting, and
+// stores it there after.
 func (o *Online) refit() bool {
 	if !o.Ready() {
 		return false
@@ -232,10 +249,21 @@ func (o *Online) refit() bool {
 	if !o.dirty && o.hasFit {
 		return true
 	}
+	if o.shared != nil {
+		if params, ok := o.shared.fitOf(o.node); ok {
+			o.lastFit = params
+			o.hasFit = true
+			o.dirty = false
+			return true
+		}
+	}
 	o.ensureFitter()
 	res, err := o.fitter.Fit(o.xs, o.ys, fit.Options{MaxIter: o.refitBudget})
 	if err != nil {
 		return false
+	}
+	if o.shared != nil {
+		o.shared.storeFit(o.node, res.Params)
 	}
 	o.lastFit[0], o.lastFit[1], o.lastFit[2] = res.Params[0], res.Params[1], res.Params[2]
 	o.hasFit = true
@@ -263,7 +291,22 @@ func (o *Online) Curve() ([]float64, bool) {
 // the predictor falls back to a reachability prior: fix c just below the
 // target and fit only (a, b), which is a linear least-squares problem in
 // z = 1/(loss - c).
+//
+// A predictor in a Shared tree answers from its node when the history was
+// already asked for this target.
 func (o *Online) PredictTotalEpochs(target float64) (int, bool) {
+	if o.shared == nil || !o.Ready() {
+		return o.predictTotalEpochs(target)
+	}
+	if total, ok, known := o.shared.predictionOf(o.node, target); known {
+		return total, ok
+	}
+	total, ok := o.predictTotalEpochs(target)
+	o.shared.storePrediction(o.node, target, total, ok)
+	return total, ok
+}
+
+func (o *Online) predictTotalEpochs(target float64) (int, bool) {
 	params, ok := o.Curve()
 	if !ok {
 		return 0, false

@@ -51,6 +51,11 @@ type Config struct {
 	// refits; see predictor.Tuning). Nil keeps the historical exact
 	// configuration and its bit-identical outputs.
 	OnlineTuning *predictor.Tuning
+	// Shared, when set and OnlineTuning is nil, keeps the online history in
+	// a tree the sessions of one framework share, so a loss history they
+	// all observe is fitted once (predictor.Shared). Predictions keep their
+	// bits; nil gives the session a private predictor.
+	Shared *predictor.Shared
 	// Offline supplies the warm-start epoch estimate; required.
 	Offline *predictor.Offline
 	// OfflineSeed seeds the offline sampling run.
@@ -108,9 +113,12 @@ func New(cfg Config) *Scheduler {
 		sort.Slice(cands, func(i, j int) bool { return cands[i].Time < cands[j].Time })
 		cfg.Candidates = cands
 	}
-	online := predictor.NewOnline()
+	var online *predictor.Online
 	if cfg.OnlineTuning != nil {
+		online = predictor.NewOnline()
 		online.ApplyTuning(*cfg.OnlineTuning)
+	} else {
+		online = cfg.Shared.NewOnline()
 	}
 	return &Scheduler{cfg: cfg, online: online, ordered: strictFrontier(cfg.Candidates)}
 }
