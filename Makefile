@@ -55,9 +55,9 @@ shard-check:
 # macro-chaos with their denials, retries, drops and kills). The kernel's
 # TestLaneChurnReusesSlots counts arena slots instead: steady
 # cancel-the-oldest churn on a lane must reuse them. The benchmarks (ml
-# kernels, dataset caches, DES kernel, decision path) run at a fixed small
-# iteration count: fast enough for CI, enough to catch kernels that re-grow
-# allocations. internal/sha's BenchmarkSHARun is one 64-trial MobileNet
+# kernels, dataset generators and Partition, DES kernel, decision path) run
+# at a fixed small iteration count: fast enough for CI, enough to catch
+# kernels that re-grow allocations. internal/sha's BenchmarkSHARun is one 64-trial MobileNet
 # tuning run with -benchmem: the trainer's job lifecycle, whose trials
 # allocate nothing. internal/core's BenchmarkFrameworkCell, also with
 # -benchmem, is one fig12-shaped MobileNet cell on a fresh Framework: the

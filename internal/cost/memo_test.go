@@ -134,9 +134,9 @@ func BenchmarkEpochEstimatesCold(b *testing.B) {
 	}
 }
 
-// BenchmarkEpochEstimatesCached measures a table hit: what the planner pays
+// BenchmarkEpochEstimatesTableHit measures a table hit: what the planner pays
 // per candidate probe once the grid's table is built.
-func BenchmarkEpochEstimatesCached(b *testing.B) {
+func BenchmarkEpochEstimatesTableHit(b *testing.B) {
 	m := NewModel(workload.MobileNet())
 	a := Allocation{N: 50, MemMB: 3072, Storage: DefaultGrid().Storages[0]}
 	m.ParetoFrontier(DefaultGrid()) // build the table
@@ -149,9 +149,9 @@ func BenchmarkEpochEstimatesCached(b *testing.B) {
 	}
 }
 
-// BenchmarkParetoSetCached measures a warm ParetoSet call (one defensive
+// BenchmarkParetoSetWarm measures a warm ParetoSet call (one defensive
 // copy instead of a full grid enumeration + sort).
-func BenchmarkParetoSetCached(b *testing.B) {
+func BenchmarkParetoSetWarm(b *testing.B) {
 	m := NewModel(workload.MobileNet())
 	g := DefaultGrid()
 	m.ParetoSet(g) // warm the cache

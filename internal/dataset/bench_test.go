@@ -15,29 +15,10 @@ func BenchmarkPartition(b *testing.B) {
 	}
 }
 
-func BenchmarkShards(b *testing.B) {
-	m := GenerateBinary(sim.NewRand(1), GenConfig{Samples: 4000, Features: 64, NoiseFlip: 0.1})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Shards(8)
-	}
-}
-
 func BenchmarkGenerateBinary(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		GenerateBinary(sim.NewRand(1), GenConfig{Samples: 1500, Features: 256, NoiseFlip: 0.22})
-	}
-}
-
-func BenchmarkCachedBinary(b *testing.B) {
-	cfg := GenConfig{Samples: 1500, Features: 256, NoiseFlip: 0.22}
-	CachedBinary(1, cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CachedBinary(1, cfg)
 	}
 }
 

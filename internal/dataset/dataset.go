@@ -14,7 +14,6 @@ package dataset
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -90,15 +89,12 @@ func (s Spec) PartitionSizeMB(n int) float64 {
 
 // Matrix is a dense row-major design matrix with labels: real numbers the
 // SGD engine trains on. A Matrix is effectively immutable once generated —
-// trainers only read X and Y — which is what makes shard sharing across
+// trainers only read X and Y — which is what makes sharing one matrix across
 // concurrent trials safe.
 type Matrix struct {
 	Rows, Cols int
 	X          []float64 // len Rows*Cols, row-major
 	Y          []float64 // len Rows; ±1 for classification, real for regression
-
-	mu     sync.Mutex
-	shards map[int][]*Matrix // memoized Partition results, keyed by shard count
 }
 
 // Row returns the i-th feature vector (a view, not a copy). Its capacity
@@ -134,32 +130,6 @@ func (m *Matrix) Partition(n int) []*Matrix {
 		start += rows
 	}
 	return out
-}
-
-// Shards returns Partition(n) memoized on the matrix: the first call for a
-// given n computes the shard views, every later call (from any goroutine)
-// returns the same read-only shard set. Successive-Halving runs many trials
-// over one matrix, so sharding is paid once per (matrix, n) instead of once
-// per trial. Shards never copies data — the returned matrices are views —
-// and the memo lives on the matrix itself, so it is reclaimed with it.
-func (m *Matrix) Shards(n int) []*Matrix {
-	if n < 1 {
-		n = 1
-	}
-	if n > m.Rows {
-		n = m.Rows
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if s, ok := m.shards[n]; ok {
-		return s
-	}
-	if m.shards == nil {
-		m.shards = make(map[int][]*Matrix, 2)
-	}
-	s := m.Partition(n)
-	m.shards[n] = s
-	return s
 }
 
 // GenConfig controls synthetic data generation.

@@ -1,13 +1,11 @@
 package dataset_test
 
-// Shard-cache and generation-cache correctness: cached results must be
-// bit-identical to the uncached primitives, shared across callers, and
-// aliasing-safe (training on shared shards never mutates the data). The
-// tests live in an external package so they can drive the real SGD engine
-// over shared shards without an import cycle.
+// Aliasing safety: trainers partition a matrix into views, not copies, so
+// training must never mutate the data it reads. The test lives in an
+// external package so it can drive the real SGD engine without an import
+// cycle.
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -15,55 +13,10 @@ import (
 	"repro/internal/sim"
 )
 
-func genMatrix(rows, cols int, seed uint64) *dataset.Matrix {
-	return dataset.GenerateBinary(sim.NewRand(seed), dataset.GenConfig{Samples: rows, Features: cols, NoiseFlip: 0.1})
-}
-
-func TestShardsMatchPartition(t *testing.T) {
-	m := genMatrix(103, 4, 1)
-	for _, n := range []int{1, 3, 8, 103, 200} {
-		want := m.Partition(n)
-		got := m.Shards(n)
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: %d shards, want %d", n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Rows != want[i].Rows || got[i].Cols != want[i].Cols {
-				t.Fatalf("n=%d shard %d: shape (%d,%d), want (%d,%d)",
-					n, i, got[i].Rows, got[i].Cols, want[i].Rows, want[i].Cols)
-			}
-			if &got[i].X[0] != &want[i].X[0] || &got[i].Y[0] != &want[i].Y[0] {
-				t.Fatalf("n=%d shard %d: cached shard views different rows than Partition", n, i)
-			}
-		}
-	}
-}
-
-func TestShardsMemoized(t *testing.T) {
-	m := genMatrix(50, 3, 2)
-	a := m.Shards(4)
-	b := m.Shards(4)
-	if len(a) != len(b) {
-		t.Fatal("repeated Shards calls disagree on shard count")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("shard %d: repeated calls returned distinct *Matrix values", i)
-		}
-	}
-	// Clamped counts share the clamped entry.
-	c := m.Shards(50)
-	d := m.Shards(99)
-	if len(c) != 50 || len(d) != 50 || c[0] != d[0] {
-		t.Error("shard counts clamped to Rows should share one cache entry")
-	}
-}
-
-// TestSharedShardsAliasingSafe trains two concurrent-style trials over the
-// same cached shards and verifies that mutating trial state (weights) never
-// mutates the shared data.
+// TestSharedShardsAliasingSafe trains two trials over the same matrix and
+// verifies that mutating trial state (weights) never mutates the shared data.
 func TestSharedShardsAliasingSafe(t *testing.T) {
-	m := genMatrix(400, 6, 3)
+	m := dataset.GenerateBinary(sim.NewRand(3), dataset.GenConfig{Samples: 400, Features: 6, NoiseFlip: 0.1})
 	xSum, ySum := checksum(m.X), checksum(m.Y)
 
 	mkTrainer := func(seed uint64) *ml.Trainer {
@@ -83,125 +36,6 @@ func TestSharedShardsAliasingSafe(t *testing.T) {
 	}
 	if checksum(m.X) != xSum || checksum(m.Y) != ySum {
 		t.Fatal("training over shared shards mutated the dataset")
-	}
-	// Both trainers saw the same shard views.
-	s1, s2 := m.Shards(4), m.Shards(4)
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatalf("shard %d not shared between trials", i)
-		}
-	}
-}
-
-// TestSharedDataTrainsIdenticallyToPrivateData: a trial over the shared
-// cached matrix must produce the same loss trace as a trial over its own
-// private copy (the old per-trial behaviour).
-func TestSharedDataTrainsIdenticallyToPrivateData(t *testing.T) {
-	shared := dataset.CachedBinary(9, dataset.GenConfig{Samples: 300, Features: 5, NoiseFlip: 0.2})
-	private := dataset.GenerateBinary(sim.NewRand(9), dataset.GenConfig{Samples: 300, Features: 5, NoiseFlip: 0.2})
-
-	run := func(m *dataset.Matrix) []float64 {
-		tr, err := ml.NewTrainer(m, ml.Config{
-			Objective: ml.Logistic{}, Workers: 3, BatchPerWkr: 25, LearningRate: 0.3, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr.TrainToLoss(0, 4)
-	}
-	a, b := run(shared), run(private)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("epoch %d: shared-data loss %v, private-data loss %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestCachedGenerationBitIdentical(t *testing.T) {
-	cfg := dataset.GenConfig{Samples: 200, Features: 7, NoiseFlip: 0.15}
-	cached := dataset.CachedBinary(42, cfg)
-	fresh := dataset.GenerateBinary(sim.NewRand(42), cfg)
-	matricesEqual(t, cached, fresh)
-
-	rcfg := dataset.GenConfig{Samples: 150, Features: 6, NoiseStd: 2}
-	rc := dataset.CachedRegression(43, rcfg)
-	rf := dataset.GenerateRegression(sim.NewRand(43), rcfg)
-	matricesEqual(t, rc, rf)
-
-	// Repeated lookups return the same shared matrix.
-	if dataset.CachedBinary(42, cfg) != cached {
-		t.Error("repeated CachedBinary should return the cached matrix")
-	}
-	// Different seeds or kinds are distinct entries.
-	if dataset.CachedBinary(44, cfg) == cached {
-		t.Error("different seed must not share a cache entry")
-	}
-}
-
-func TestGenCacheEvictionRegeneratesIdentically(t *testing.T) {
-	restore := dataset.SetGenCacheCapForTest(2000) // each 100×7 matrix is 800 floats
-	defer restore()
-
-	cfg := dataset.GenConfig{Samples: 100, Features: 7, NoiseFlip: 0.1}
-	first := dataset.CachedBinary(1, cfg)
-	for seed := uint64(2); seed < 6; seed++ {
-		dataset.CachedBinary(seed, cfg)
-	}
-	if n := dataset.GenCacheLenForTest(); n > 3 {
-		t.Fatalf("cache holds %d matrices, want eviction to bound it", n)
-	}
-	// The evicted entry regenerates bit-identically (a new allocation).
-	again := dataset.CachedBinary(1, cfg)
-	matricesEqual(t, first, again)
-}
-
-// TestConcurrentCacheAccess hammers the generation and shard caches from
-// many goroutines (the parallel experiment engine's access pattern); run
-// under -race it proves the sharing is synchronized, and every caller must
-// observe the same matrices.
-func TestConcurrentCacheAccess(t *testing.T) {
-	restore := dataset.SetGenCacheCapForTest(1 << 20)
-	defer restore()
-	cfg := dataset.GenConfig{Samples: 120, Features: 8, NoiseFlip: 0.1}
-
-	const goroutines = 8
-	got := make([]*dataset.Matrix, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				m := dataset.CachedBinary(7, cfg)
-				m.Shards(3 + i%4)
-				got[g] = m
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < goroutines; g++ {
-		if got[g] != got[0] {
-			t.Fatalf("goroutine %d saw a different cached matrix", g)
-		}
-	}
-	fresh := dataset.GenerateBinary(sim.NewRand(7), cfg)
-	matricesEqual(t, got[0], fresh)
-}
-
-func matricesEqual(t *testing.T, a, b *dataset.Matrix) {
-	t.Helper()
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		t.Fatalf("shape (%d,%d) vs (%d,%d)", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	for i := range a.X {
-		if a.X[i] != b.X[i] {
-			t.Fatalf("X[%d]: %v vs %v", i, a.X[i], b.X[i])
-		}
-	}
-	for i := range a.Y {
-		if a.Y[i] != b.Y[i] {
-			t.Fatalf("Y[%d]: %v vs %v", i, a.Y[i], b.Y[i])
-		}
 	}
 }
 

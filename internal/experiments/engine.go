@@ -29,9 +29,9 @@ type Outcome struct {
 // scenarios among them and carries the collector they record into. Each
 // artifact (and each cell inside one) owns its simulation state, so outputs
 // are byte-identical to a serial run at any parallelism. The package keeps
-// no state between calls; what lives on are three process-wide interns of
-// the packages it calls: grid tables with their Pareto frontiers in cost,
-// SGD trajectories in workload and generated matrices in dataset. Each is
+// no state between calls; what lives on are two process-wide interns of
+// the packages it calls: grid tables with their Pareto frontiers in cost
+// and SGD trajectories, with their generated matrices, in workload. Each is
 // keyed by every input of what it holds, so a miss, a re-miss after an
 // eviction included, computes the same bits, and concurrent RunAlls (each
 // with its own collector) do not affect each other's output. Unknown ids

@@ -324,8 +324,8 @@ type Trainer struct {
 }
 
 // NewTrainer partitions data across cfg.Workers workers and zero-initializes
-// the model. Sharding goes through the dataset shard cache, so concurrent
-// trials over the same matrix share one read-only partitioning.
+// the model. The shards are views of data, which the trainer only reads, so
+// trainers over one matrix can run concurrently.
 func NewTrainer(data *dataset.Matrix, cfg Config) (*Trainer, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("ml: need at least one worker, got %d", cfg.Workers)
@@ -340,7 +340,7 @@ func NewTrainer(data *dataset.Matrix, cfg Config) (*Trainer, error) {
 		return nil, fmt.Errorf("ml: %d rows cannot feed %d workers", data.Rows, cfg.Workers)
 	}
 	t := &Trainer{cfg: cfg, data: data, weights: make([]float64, data.Cols)}
-	shards := data.Shards(cfg.Workers)
+	shards := data.Partition(cfg.Workers)
 	seedRng := sim.NewRand(cfg.Seed)
 	for i, sh := range shards {
 		t.workers = append(t.workers, NewWorker(sh, sim.NewRand(seedRng.Uint64()+uint64(i))))

@@ -5,18 +5,22 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ml"
+	"repro/internal/sim"
 )
 
 // Trajectory table: Engine's contract is that loss depends on epochs run and
 // nothing else, so every system, constraint cell and probe that builds a real
 // engine from the same inputs walks the same SGD run; it is trained once per
-// key and real engines are cursors over it. As with the generation cache its
-// matrices come from, the key captures every input of the computation, so a
-// re-miss after eviction retrains the same bits: the table is bounded FIFO by
-// retained floats, and cursors on an evicted trajectory just keep it alive.
+// key and real engines are cursors over it. The key is every input of the
+// computation by value — the generator's task and GenConfig and the
+// ml.Config, whose Seed also seeds the generator — and a miss generates the
+// matrix itself, so a re-miss after eviction regenerates and retrains the
+// same bits: the table is bounded FIFO by retained floats, and cursors on an
+// evicted trajectory just keep it alive.
 
 type trajKey struct {
-	data *dataset.Matrix
+	task dataset.Task
+	gen  dataset.GenConfig
 	cfg  ml.Config
 }
 
@@ -24,7 +28,8 @@ type trajKey struct {
 // the loss and the weights after e epochs.
 type trajectory struct {
 	key      trajKey
-	retained int // floats charged to trajectories.floats, under its lock
+	data     *dataset.Matrix // generated from key; read-only
+	retained int             // floats charged to trajectories.floats, under its lock
 
 	mu      sync.Mutex
 	trainer *ml.Trainer // has run len(loss)-1 epochs once entry 0 exists
@@ -32,10 +37,9 @@ type trajectory struct {
 	weights []float64 // entry e at [e*Cols, (e+1)*Cols): one flat backing slice
 }
 
-// trajMaxFloats bounds the float64 elements the table retains (~64 MB, the
-// generation cache's own bound); oldest trajectories are evicted first. A
-// matrix shared by several trajectories is charged to each, which only
-// evicts sooner. A variable only so tests can exercise eviction cheaply.
+// trajMaxFloats bounds the float64 elements the table retains (~64 MB);
+// oldest trajectories are evicted first. A variable only so tests can
+// exercise eviction cheaply.
 var trajMaxFloats = 1 << 23
 
 var trajectories = struct {
@@ -45,22 +49,40 @@ var trajectories = struct {
 	floats int
 }{m: make(map[trajKey]*trajectory)}
 
-// trajectoryFor returns the shared trajectory for (data, cfg), creating it
-// untrained on a miss.
-func trajectoryFor(data *dataset.Matrix, cfg ml.Config) (*trajectory, error) {
-	key := trajKey{data, cfg}
+// trajectoryFor returns the shared trajectory for (task, gen, cfg). On a
+// miss it generates the matrix from cfg.Seed^0xda7a and returns the
+// trajectory untrained.
+func trajectoryFor(task dataset.Task, gen dataset.GenConfig, cfg ml.Config) (*trajectory, error) {
+	key := trajKey{task, gen, cfg}
 	trajectories.Lock()
-	defer trajectories.Unlock()
-	if t, ok := trajectories.m[key]; ok {
+	t, ok := trajectories.m[key]
+	trajectories.Unlock()
+	if ok {
 		return t, nil
+	}
+
+	// Generate outside the lock; concurrent misses on one key build
+	// bit-identical trajectories, and the first one stored wins.
+	rng := sim.NewRand(cfg.Seed ^ 0xda7a)
+	var data *dataset.Matrix
+	if task == dataset.Regression {
+		data = dataset.GenerateRegression(rng, gen)
+	} else {
+		data = dataset.GenerateBinary(rng, gen)
 	}
 	tr, err := ml.NewTrainer(data, cfg)
 	if err != nil {
 		return nil, err
 	}
+
+	trajectories.Lock()
+	defer trajectories.Unlock()
+	if prev, ok := trajectories.m[key]; ok {
+		return prev, nil
+	}
 	// The pinned matrix counts as retained; the constructor's read of entry
 	// 0 is the first charge and evicts for it.
-	t := &trajectory{key: key, trainer: tr, retained: len(data.X) + len(data.Y)}
+	t = &trajectory{key: key, data: data, trainer: tr, retained: len(data.X) + len(data.Y)}
 	trajectories.m[key] = t
 	trajectories.order = append(trajectories.order, key)
 	trajectories.floats += t.retained
@@ -73,7 +95,7 @@ func trajectoryFor(data *dataset.Matrix, cfg ml.Config) (*trajectory, error) {
 func (t *trajectory) at(e int) (float64, []float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cols := t.key.data.Cols
+	cols := t.data.Cols
 	for len(t.loss) <= e {
 		var loss float64
 		if len(t.loss) == 0 {

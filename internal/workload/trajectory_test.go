@@ -4,7 +4,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/ml"
+	"repro/internal/sim"
 )
 
 // realModelNames is ByName's set; the real ones among them are the models
@@ -15,7 +17,7 @@ var realModelNames = []string{
 
 // engineRows are the row counts the tree's three construction sites pass:
 // Model.NewEngine (0 = RealEngineRows), predictor.Offline.sampleEngine and
-// sha.newEngine.
+// the trainer's checkpoint-restart test.
 var engineRows = []int{0, 400, 1500}
 
 func realModels(t *testing.T) []*Model {
@@ -54,7 +56,7 @@ type reference struct {
 
 func newReference(t testing.TB, e *realEngine) *reference {
 	t.Helper()
-	tr, err := ml.NewTrainer(e.traj.key.data, e.traj.key.cfg)
+	tr, err := ml.NewTrainer(e.traj.data, e.traj.key.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +115,43 @@ func TestSharedCursorMatchesPrivateTrainer(t *testing.T) {
 					if !ref.step(e) {
 						t.Fatalf("%s rows %d: epoch %d differs from a private trainer", m.Name, rows, ep)
 					}
+				}
+			}
+		}
+	}
+}
+
+// A trajectory generates its own matrix: it must equal, bit for bit, a fresh
+// generation from seed^0xda7a, and two learning rates at one seed get two
+// trajectories over equal matrices.
+func TestRealEngineDataMatchesFreshGeneration(t *testing.T) {
+	const seed = 23
+	for _, m := range realModels(t) {
+		for _, rows := range engineRows {
+			n := rows
+			if n == 0 {
+				n = RealEngineRows
+			}
+			cfg := dataset.GenConfig{Samples: n, Features: min(m.Dataset.Features, 256)}
+			var want *dataset.Matrix
+			if m.Dataset.Task == dataset.Regression {
+				cfg.NoiseStd = m.GenNoise
+				want = dataset.GenerateRegression(sim.NewRand(seed^0xda7a), cfg)
+			} else {
+				cfg.NoiseFlip = m.GenFlip
+				want = dataset.GenerateBinary(sim.NewRand(seed^0xda7a), cfg)
+			}
+			slow := newReal(t, m, rows, seed)
+			fast, err := m.NewRealEngine(Hyperparams{LR: 2 * m.DefaultLR}, rows, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fast.(*realEngine).traj == slow.traj {
+				t.Fatalf("%s rows %d: two learning rates, one trajectory", m.Name, rows)
+			}
+			for _, got := range []*dataset.Matrix{slow.traj.data, fast.(*realEngine).traj.data} {
+				if got.Rows != want.Rows || got.Cols != want.Cols || !sameBits(got.X, want.X) || !sameBits(got.Y, want.Y) {
+					t.Fatalf("%s rows %d: trajectory matrix differs from fresh generation", m.Name, rows)
 				}
 			}
 		}
@@ -240,7 +279,7 @@ func TestConcurrentCursorsOnOneKey(t *testing.T) {
 				return
 			}
 			cur := e.(*realEngine)
-			tr, err := ml.NewTrainer(cur.traj.key.data, cur.traj.key.cfg)
+			tr, err := ml.NewTrainer(cur.traj.data, cur.traj.key.cfg)
 			if err != nil {
 				t.Error(err)
 				return

@@ -360,15 +360,9 @@ func (m *Model) NewRealEngine(hp Hyperparams, rows int, seed uint64) (Engine, er
 	if features > 256 {
 		features = 256
 	}
-	// Generation goes through the process-wide cache: engines created with
-	// the same generator parameters (every compared system in a figure, or
-	// repeated trials at one seed) share a single read-only matrix, bit-
-	// identical to generating it fresh from seed ^ 0xda7a.
-	var data *dataset.Matrix
+	gen := dataset.GenConfig{Samples: rows, Features: features, NoiseFlip: m.GenFlip}
 	if m.Dataset.Task == dataset.Regression {
-		data = dataset.CachedRegression(seed^0xda7a, dataset.GenConfig{Samples: rows, Features: features, NoiseStd: m.GenNoise})
-	} else {
-		data = dataset.CachedBinary(seed^0xda7a, dataset.GenConfig{Samples: rows, Features: features, NoiseFlip: m.GenFlip})
+		gen = dataset.GenConfig{Samples: rows, Features: features, NoiseStd: m.GenNoise}
 	}
 	lr := hp.LR
 	if lr <= 0 {
@@ -376,7 +370,7 @@ func (m *Model) NewRealEngine(hp Hyperparams, rows int, seed uint64) (Engine, er
 	}
 	// The in-memory worker count is fixed: it reflects the statistics of
 	// BSP training, not the simulated function count.
-	traj, err := trajectoryFor(data, ml.Config{
+	traj, err := trajectoryFor(m.Dataset.Task, gen, ml.Config{
 		Objective:    obj,
 		Workers:      8,
 		BatchPerWkr:  rows / 8 / 5,
@@ -421,7 +415,7 @@ func (e *realEngine) Loss() float64  { return e.last }
 
 // AppendSnapshot implements Snapshotter: [epoch, lastLoss, weights...].
 func (e *realEngine) AppendSnapshot(dst []float64) []float64 {
-	dst = slices.Grow(dst, 2+e.traj.key.data.Cols)
+	dst = slices.Grow(dst, 2+e.traj.data.Cols)
 	dst = append(dst, float64(e.epoch), e.last)
 	if e.own != nil {
 		return append(dst, e.own.Weights()...)
@@ -436,7 +430,7 @@ func (e *realEngine) AppendSnapshot(dst []float64) []float64 {
 // restart) leave it attached; others (a crash back to the initial state) go
 // to a private trainer that first makes the draws of the epochs already run.
 func (e *realEngine) Restore(state []float64) error {
-	if want := 2 + e.traj.key.data.Cols; len(state) != want {
+	if want := 2 + e.traj.data.Cols; len(state) != want {
 		return fmt.Errorf("workload: real snapshot has %d values, want %d", len(state), want)
 	}
 	e.last = state[1]
@@ -444,7 +438,7 @@ func (e *realEngine) Restore(state []float64) error {
 		if _, w := e.traj.at(e.epoch); sameBits(w, state[2:]) {
 			return nil
 		}
-		tr, err := ml.NewTrainer(e.traj.key.data, e.traj.key.cfg)
+		tr, err := ml.NewTrainer(e.traj.data, e.traj.key.cfg)
 		if err != nil {
 			return err
 		}
