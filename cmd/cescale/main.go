@@ -226,15 +226,15 @@ func main() {
 	case "train":
 		off := predictor.NewOffline(w)
 		est := off.PredictEpochs(w.TargetLoss, *seed)
-		// Reuse the framework's candidate selection by planning the initial
-		// allocation the way the adaptive scheduler would.
-		best, ok := pickInitial(fw, *budget, *qos, est)
+		// The initial allocation is Algorithm 2's selection over the
+		// Pareto set, without the scheduler's fallback when nothing fits.
+		best, ok := cost.Select(fw.Pareto, cost.Strict(fw.Pareto), est, 0, 0, *budget, *qos)
 		if !ok {
 			fatal(fmt.Errorf("no feasible allocation for %s under the constraint", w.Name))
 		}
 		out := trainJSON{
 			Model: w.Name, Constraint: constraintString(*budget, *qos),
-			OfflineEpochs: est, InitialAlloc: toAllocJSON(best),
+			OfflineEpochs: est, InitialAlloc: toAllocJSON(fw.Pareto[best].Alloc),
 			Delta: 0.1, DelayedRestart: true, ParetoCandidates: len(fw.Pareto),
 		}
 		if err := enc.Encode(out); err != nil {
@@ -320,32 +320,6 @@ func exportObserver(o *obs.Observer, traceF, metricsF *os.File) error {
 		fmt.Fprintf(os.Stderr, "cescale: wrote metrics to %s\n", metricsF.Name())
 	}
 	return nil
-}
-
-func pickInitial(fw *core.Framework, budget, qos float64, est int) (cost.Allocation, bool) {
-	bestVal := -1.0
-	var best cost.Allocation
-	found := false
-	for _, p := range fw.Pareto {
-		t := float64(est) * p.Time
-		c := float64(est) * p.Cost
-		if budget > 0 {
-			if c > budget {
-				continue
-			}
-			if !found || t < bestVal {
-				bestVal, best, found = t, p.Alloc, true
-			}
-		} else {
-			if t > qos {
-				continue
-			}
-			if !found || c < bestVal {
-				bestVal, best, found = c, p.Alloc, true
-			}
-		}
-	}
-	return best, found
 }
 
 func constraintString(budget, qos float64) string {

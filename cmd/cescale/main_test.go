@@ -5,12 +5,17 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // TestMain lets the test binary stand in for the cescale command: with
@@ -116,6 +121,59 @@ func TestRejectsBadInputBeforeWork(t *testing.T) {
 	// The substrate is not an option: -backend is an undefined flag.
 	if stdout, stderr, exit := cescale(t, "-mode", "run", "-qos", "21600", "-backend", "sim"); exit != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: -backend") {
 		t.Errorf("-backend sim: exit %d, stdout %q, stderr %q; want the flag package's exit 2", exit, stdout, stderr)
+	}
+}
+
+// TestTrainMatchesSession: -mode train prints the initial allocation and
+// offline epoch estimate that an Algorithm 2 session (core.Session, which
+// -mode run starts from) computes for the same workload, constraint and
+// seed. run.golden pins run, tune and profile only.
+func TestTrainMatchesSession(t *testing.T) {
+	cases := []struct {
+		model       string
+		budget, qos float64
+	}{
+		{"LR-Higgs", 5, 0},
+		{"LR-Higgs", 0, 21600},
+		{"BERT-IMDb", 0, 86400},
+		{"SVM-Higgs", 0, 3000},
+		{"MobileNet-Cifar10", 40, 0},
+	}
+	for _, c := range cases {
+		w, err := workload.ByName(c.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw := core.New(w)
+		for _, seed := range []uint64{2023, 7} {
+			args := []string{"-mode", "train", "-model", c.model, "-seed", strconv.FormatUint(seed, 10),
+				"-budget", strconv.FormatFloat(c.budget, 'g', -1, 64), "-qos", strconv.FormatFloat(c.qos, 'g', -1, 64)}
+			stdout, stderr, exit := cescale(t, args...)
+			if exit != 0 {
+				t.Fatalf("%v: exit %d, stderr %q", args, exit, stderr)
+			}
+			var got trainJSON
+			if err := json.Unmarshal([]byte(stdout), &got); err != nil {
+				t.Fatalf("%v: %v", args, err)
+			}
+			_, alloc, est, err := fw.Session(core.Options{Budget: c.budget, QoS: c.qos, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.InitialAlloc != toAllocJSON(alloc) || got.OfflineEpochs != est {
+				t.Errorf("%v: train prints %+v est %d; session starts at %+v est %d",
+					args, got.InitialAlloc, got.OfflineEpochs, toAllocJSON(alloc), est)
+			}
+		}
+	}
+	// Where nothing fits, train refuses; a session instead falls back to the
+	// cheapest candidate (5 x 512 MB on S3 for this budget), which is what
+	// -mode run starts from.
+	for _, seed := range []string{"2023", "7"} {
+		stderr := wantRejected(t, "-mode", "train", "-model", "MobileNet-Cifar10", "-budget", "4", "-seed", seed)
+		if !strings.Contains(stderr, "no feasible allocation") {
+			t.Errorf("seed %s: stderr %q, want no feasible allocation", seed, stderr)
+		}
 	}
 }
 

@@ -130,6 +130,7 @@ func indexOf(points []cost.Point, a cost.Allocation) int {
 // candidates pinned to one storage service and immediate restarts.
 type SirenTraining struct {
 	candidates []cost.Point
+	strict     bool // cost.Strict(candidates)
 	budget     float64
 	qos        float64
 	rng        *sim.Rand
@@ -153,6 +154,7 @@ func NewSirenTraining(points []cost.Point, budget, qos float64, estimate int, se
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Time < cands[j].Time })
 	return &SirenTraining{
 		candidates: cands,
+		strict:     cost.Strict(cands),
 		budget:     budget, qos: qos,
 		rng:       sim.NewRand(seed),
 		estimated: estimate,
@@ -165,34 +167,11 @@ func (s *SirenTraining) Initial() cost.Allocation {
 	return s.current
 }
 
-// pick selects the constrained optimum among the candidates, then applies
-// exploration noise of ±1 position.
+// pick selects the constrained optimum among the candidates (Algorithm 2's
+// cost.Select), then applies exploration noise of ±1 position.
 func (s *SirenTraining) pick(remaining int, elapsed, spent float64) cost.Allocation {
-	if remaining < 1 {
-		remaining = 1
-	}
-	bestIdx := -1
-	bestVal := math.Inf(1)
-	for i, p := range s.candidates {
-		t := float64(remaining) * p.Time
-		c := float64(remaining) * p.Cost
-		if s.budget > 0 {
-			if spent+c > s.budget {
-				continue
-			}
-			if t < bestVal {
-				bestVal, bestIdx = t, i
-			}
-		} else {
-			if elapsed+t > s.qos {
-				continue
-			}
-			if c < bestVal {
-				bestVal, bestIdx = c, i
-			}
-		}
-	}
-	if bestIdx < 0 {
+	bestIdx, ok := cost.Select(s.candidates, s.strict, remaining, elapsed, spent, s.budget, s.qos)
+	if !ok {
 		// Constraint hopeless: cheapest under budget, fastest under QoS.
 		if s.budget > 0 {
 			bestIdx = len(s.candidates) - 1

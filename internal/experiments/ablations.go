@@ -30,7 +30,7 @@ func init() {
 // against an exact multiple-choice-knapsack dynamic program. The paper
 // argues the NP-hard partitioning only needs a heuristic; this quantifies
 // what the heuristic leaves on the table on this substrate.
-func ablGap(seed uint64, cfg Config) (*Table, error) {
+func ablGap(_ uint64, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "abl-gap",
 		Title:   "Greedy planner vs exact MCKP optimum (JCT-min given budget, 256 trials)",
@@ -38,7 +38,7 @@ func ablGap(seed uint64, cfg Config) (*Table, error) {
 		Notes:   "exact = budget-discretized DP (4000 buckets) over (stage, budget, prev-memory); gap = (greedy-exact)/exact; the DP is orders of magnitude more work than the greedy's candidate evaluations",
 	}
 	models := workload.Evaluated()
-	blocks, err := cells(cfg, len(models), func(i int) ([][]string, error) {
+	return cellRows(t, cfg, len(models), func(i int) ([][]string, error) {
 		// The two budget multiples share this model's planner (its Evaluated
 		// counter is the reported metric), so they stay serial inside the cell.
 		w := models[i]
@@ -71,14 +71,6 @@ func ablGap(seed uint64, cfg Config) (*Table, error) {
 		}
 		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range blocks {
-		t.Rows = append(t.Rows, rows...)
-	}
-	_ = seed
-	return t, nil
 }
 
 // ablWorkflow — the end-to-end workflow of Fig. 1: hyperparameter tuning

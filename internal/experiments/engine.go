@@ -101,6 +101,20 @@ func cells[T any](cfg Config, n int, f func(i int) (T, error)) ([]T, error) {
 	return results, nil
 }
 
+// cellRows runs n cells of row blocks (see cells), sets t's rows to the
+// blocks concatenated in index order and returns t. On a cell error it
+// returns no table, as a failed artifact must.
+func cellRows(t *Table, cfg Config, n int, f func(i int) ([][]string, error)) (*Table, error) {
+	blocks, err := cells(cfg, n, f)
+	if err != nil {
+		return nil, err
+	}
+	for _, rows := range blocks {
+		t.Rows = append(t.Rows, rows...)
+	}
+	return t, nil
+}
+
 // cellErr annotates a cell error with its label, matching the serial loops'
 // fmt.Errorf("%s: %w", name, err) convention.
 func cellErr(label string, err error) error {

@@ -99,141 +99,104 @@ func (h *hptSetup) execute(plan planner.Plan, trials int, seed uint64, capN int)
 	})
 }
 
-// hptSystems runs the Fig. 9/10 system matrix for one model: CE-scaling,
-// LambdaML (static), Siren and Fixed, under a budget (qos=0) or a QoS
-// deadline (budget=0).
-func (h *hptSetup) hptSystems(cfg Config, trials int, budget, qos float64, seed uint64) (map[string]*sha.Result, map[string]planner.Result, error) {
-	plans := map[string]planner.Result{}
-
+// hptSystems runs the Fig. 9/10 system matrix for one model under a budget
+// (qos=0) or a QoS deadline (budget=0) and returns the executed runs in
+// hptOrder order.
+func (h *hptSetup) hptSystems(cfg Config, trials int, budget, qos float64, seed uint64) ([]*sha.Result, error) {
 	var ce planner.Result
 	if budget > 0 {
 		ce = h.pl.PlanMinJCT(budget)
 	} else {
 		ce = h.pl.PlanMinCost(qos)
 	}
-	plans["CE-scaling"] = ce
-
 	lam, err := baselines.StaticPlan(h.fw.Model, h.stages, h.fw.Full, storage.S3, budget, qos)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	plans["LambdaML"] = lam
-
 	sir, err := baselines.SirenPlan(h.fw.Model, h.stages, h.fw.Full, storage.S3, budget, qos)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	plans["Siren"] = sir
-
-	plans["Fixed"] = h.pl.FixedPlan(budget, qos)
+	plans := []planner.Plan{ce.Plan, lam.Plan, sir.Plan, h.pl.FixedPlan(budget, qos).Plan}
 
 	// Planning above is serial (the systems share h.pl and its Evaluated
 	// counter); the executions are independent — each gets a fresh Runner —
 	// so they run as parallel cells merged back in system order.
 	fixedCap := h.pl.ConcurrencyShare()
-	results, err := cells(cfg, len(hptOrder), func(i int) (*sha.Result, error) {
-		name := hptOrder[i]
+	return cells(cfg, len(plans), func(i int) (*sha.Result, error) {
 		capN := 0
-		if name == "Fixed" {
+		if hptOrder[i] == "Fixed" {
 			capN = fixedCap
 		}
-		run, err := h.execute(plans[name].Plan, trials, seed, capN)
-		return run, cellErr(name, err)
+		run, err := h.execute(plans[i], trials, seed, capN)
+		return run, cellErr(hptOrder[i], err)
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	runs := map[string]*sha.Result{}
-	for i, name := range hptOrder {
-		runs[name] = results[i]
-	}
-	return runs, plans, nil
 }
 
 var hptOrder = []string{"CE-scaling", "LambdaML", "Siren", "Fixed"}
 
 // fig9 — execution time of hyperparameter tuning given a budget.
 func fig9(seed uint64, cfg Config) (*Table, error) {
-	t := &Table{
+	return hptConstrained(&Table{
 		ID:      "fig9",
 		Title:   "HPT JCT given a budget (executed on the simulated substrate)",
 		Headers: []string{"model", "system", "JCT", "cost", "budget", "JCT vs LambdaML"},
 		Notes:   fmt.Sprintf("%d trials (paper: 16384), eta=2, %d epochs/stage; budget = 1.3x cheapest static plan", hptTrials, hptEpochsPerStage),
-	}
-	models := workload.Evaluated()
-	blocks, err := cells(cfg, len(models), func(i int) ([][]string, error) {
-		w := models[i]
-		h, err := newHPT(w, hptTrials)
-		if err != nil {
-			return nil, err
-		}
-		budget := h.budgetRef()
-		runs, _, err := h.hptSystems(cfg, hptTrials, budget, 0, seed)
-		if err != nil {
-			return nil, cellErr(w.Name, err)
-		}
-		base := runs["LambdaML"].JCT
-		var rows [][]string
-		for _, sys := range hptOrder {
-			r := runs[sys]
-			rows = append(rows, []string{
-				w.Name, sys, seconds(r.JCT), dollars(r.TotalCost), dollars(budget),
-				pct(reduction(base, r.JCT)),
-			})
-		}
-		return rows, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range blocks {
-		t.Rows = append(t.Rows, rows...)
-	}
-	return t, nil
+	}, seed, cfg, true)
 }
 
 // fig10 — cost of hyperparameter tuning given a QoS constraint.
 func fig10(seed uint64, cfg Config) (*Table, error) {
-	t := &Table{
+	return hptConstrained(&Table{
 		ID:      "fig10",
 		Title:   "HPT cost given a QoS constraint (executed)",
 		Headers: []string{"model", "system", "cost", "JCT", "QoS", "cost vs LambdaML"},
 		Notes:   fmt.Sprintf("%d trials; QoS = geometric mean of fastest/cheapest static JCT", hptTrials),
-	}
+	}, seed, cfg, false)
+}
+
+// hptConstrained fills fig9 (byBudget: each model's binding budget, JCT
+// first) or fig10 (its binding QoS, cost first): one row per system and
+// evaluated model, its objective against LambdaML's.
+func hptConstrained(t *Table, seed uint64, cfg Config, byBudget bool) (*Table, error) {
 	models := workload.Evaluated()
-	blocks, err := cells(cfg, len(models), func(i int) ([][]string, error) {
+	return cellRows(t, cfg, len(models), func(i int) ([][]string, error) {
 		w := models[i]
 		h, err := newHPT(w, hptTrials)
 		if err != nil {
 			return nil, err
 		}
-		qos := h.qosRef()
-		runs, _, err := h.hptSystems(cfg, hptTrials, 0, qos, seed)
+		budget, qos := 0.0, 0.0
+		if byBudget {
+			budget = h.budgetRef()
+		} else {
+			qos = h.qosRef()
+		}
+		runs, err := h.hptSystems(cfg, hptTrials, budget, qos, seed)
 		if err != nil {
 			return nil, cellErr(w.Name, err)
 		}
-		base := runs["LambdaML"].TotalCost
-		var rows [][]string
-		for _, sys := range hptOrder {
-			r := runs[sys]
-			rows = append(rows, []string{
-				w.Name, sys, dollars(r.TotalCost), seconds(r.JCT), seconds(qos),
-				pct(reduction(base, r.TotalCost)),
-			})
+		base := runs[1] // LambdaML
+		rows := make([][]string, len(runs))
+		for j, r := range runs {
+			if byBudget {
+				rows[j] = []string{
+					w.Name, hptOrder[j], seconds(r.JCT), dollars(r.TotalCost), dollars(budget),
+					pct(reduction(base.JCT, r.JCT)),
+				}
+			} else {
+				rows[j] = []string{
+					w.Name, hptOrder[j], dollars(r.TotalCost), seconds(r.JCT), seconds(qos),
+					pct(reduction(base.TotalCost, r.TotalCost)),
+				}
+			}
 		}
 		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range blocks {
-		t.Rows = append(t.Rows, rows...)
-	}
-	return t, nil
 }
 
 // fig11 — normalized per-trial budget per stage for LR-Higgs.
-func fig11(seed uint64, _ Config) (*Table, error) {
+func fig11(_ uint64, _ Config) (*Table, error) {
 	w := workload.LRHiggs()
 	h, err := newHPT(w, 512)
 	if err != nil {
@@ -273,7 +236,6 @@ func fig11(seed uint64, _ Config) (*Table, error) {
 		}
 	}
 	t.Notes += fmt.Sprintf("; static spends %s of its budget in the first two stages", pct(staticFirstTwo/staticTotal))
-	_ = seed
 	return t, nil
 }
 
@@ -390,29 +352,19 @@ func fig14(seed uint64, cfg Config) (*Table, error) {
 		Headers: []string{"constraint", "system", "JCT", "cost"},
 		Notes:   "128 trials; budget multiples of the cheapest static plan, QoS multiples of the fastest static JCT",
 	}
-	for _, mult := range []float64{1.1, 1.3, 1.6, 2.0} {
-		budget := h.cheapCost * mult
-		runs, _, err := h.hptSystems(cfg, 128, budget, 0, seed)
+	// Four budget constraints, then four QoS constraints.
+	for i, mult := range []float64{1.1, 1.3, 1.6, 2.0, 1.2, 1.5, 2.0, 3.0} {
+		label, budget, qos := "budget", h.cheapCost*mult, 0.0
+		if i >= 4 {
+			label, budget, qos = "QoS", 0, h.fastJCT*mult
+		}
+		runs, err := h.hptSystems(cfg, 128, budget, qos, seed)
 		if err != nil {
 			return nil, err
 		}
-		for _, sys := range hptOrder {
-			r := runs[sys]
+		for j, r := range runs {
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("budget %.1fx", mult), sys, seconds(r.JCT), dollars(r.TotalCost),
-			})
-		}
-	}
-	for _, mult := range []float64{1.2, 1.5, 2.0, 3.0} {
-		qos := h.fastJCT * mult
-		runs, _, err := h.hptSystems(cfg, 128, 0, qos, seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, sys := range hptOrder {
-			r := runs[sys]
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("QoS %.1fx", mult), sys, seconds(r.JCT), dollars(r.TotalCost),
+				fmt.Sprintf("%s %.1fx", label, mult), hptOrder[j], seconds(r.JCT), dollars(r.TotalCost),
 			})
 		}
 	}
@@ -477,7 +429,7 @@ func fig21a(seed uint64, cfg Config) (*Table, error) {
 		Notes:   "modeled overhead = candidates x 50ms estimation latency (the paper's seconds-level budget); search space = candidate allocations the planner scores per decision (|P| after Pareto pruning vs the full |Theta|)",
 	}
 	models := workload.Evaluated()
-	blocks, err := cells(cfg, len(models), func(i int) ([][]string, error) {
+	return cellRows(t, cfg, len(models), func(i int) ([][]string, error) {
 		w := models[i]
 		fw := core.New(w)
 		var rows [][]string
@@ -506,11 +458,4 @@ func fig21a(seed uint64, cfg Config) (*Table, error) {
 		}
 		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range blocks {
-		t.Rows = append(t.Rows, rows...)
-	}
-	return t, nil
 }

@@ -17,7 +17,7 @@ func init() {
 }
 
 // tab1 — characteristics of the external storage services.
-func tab1(seed uint64, _ Config) (*Table, error) {
+func tab1(_ uint64, _ Config) (*Table, error) {
 	t := &Table{
 		ID:      "tab1",
 		Title:   "Comparison of external storage services",
@@ -27,7 +27,6 @@ func tab1(seed uint64, _ Config) (*Table, error) {
 		c := s.Characterize()
 		t.Rows = append(t.Rows, []string{c.Name, c.ElasticScaling, c.LatencyClass, c.PricingPattern, c.CostClass})
 	}
-	_ = seed
 	return t, nil
 }
 
@@ -46,7 +45,7 @@ func tab2(seed uint64, cfg Config) (*Table, error) {
 	ns := []int{10, 50}
 	// Each (n, model) block is independent: flatten to cells, each running
 	// its four storage services.
-	blocks, err := cells(cfg, len(ns)*len(models), func(bi int) ([][]string, error) {
+	return cellRows(t, cfg, len(ns)*len(models), func(bi int) ([][]string, error) {
 		n := ns[bi/len(models)]
 		w := models[bi%len(models)]
 		base := map[storage.Kind]*trainer.Result{}
@@ -82,17 +81,10 @@ func tab2(seed uint64, cfg Config) (*Table, error) {
 		}
 		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range blocks {
-		t.Rows = append(t.Rows, rows...)
-	}
-	return t, nil
 }
 
 // tab4 — the experimental configurations (inputs, echoed for completeness).
-func tab4(seed uint64, _ Config) (*Table, error) {
+func tab4(_ uint64, _ Config) (*Table, error) {
 	t := &Table{
 		ID:      "tab4",
 		Title:   "Experimental configurations of the evaluated models",
@@ -107,6 +99,5 @@ func tab4(seed uint64, _ Config) (*Table, error) {
 			fmt.Sprintf("%g", w.ParamsMB),
 		})
 	}
-	_ = seed
 	return t, nil
 }

@@ -101,122 +101,93 @@ func cirrusOptions(kind storage.Kind, budget, qos float64, seed uint64) core.Opt
 
 var trainOrder = []string{"CE-scaling", "Siren", "Cirrus*"}
 
-// trainSystems runs the Fig. 12/13 system matrix for one model. The three
-// systems each build their own scheduler and Runner over the framework,
-// which they only read but for its history tree, whose answers do not
-// depend on which session asks first; so they run as parallel cells merged
-// back in system order.
+// trainSystems runs the Fig. 12/13 system matrix for one model and returns
+// the results in trainOrder order. The three systems each build their own
+// scheduler and Runner over the framework, which they only read but for its
+// history tree, whose answers do not depend on which session asks first; so
+// they run as parallel cells merged back in system order.
 // scope labels the matrix for trace collection; each system records under
 // scope/<system>.
-func trainSystems(cfg Config, fw *core.Framework, budget, qos float64, seed uint64, scope string) (map[string]*trainer.Result, error) {
-	runs := []struct {
-		name string
-		f    func() (*trainer.Result, error)
-	}{
-		{"CE", func() (*trainer.Result, error) {
+func trainSystems(cfg Config, fw *core.Framework, budget, qos float64, seed uint64, scope string) ([]*trainer.Result, error) {
+	runs := []func() (*trainer.Result, error){
+		func() (*trainer.Result, error) {
 			return runCE(cfg, fw, core.Options{Budget: budget, QoS: qos, Seed: seed}, seed, scope+"/CE-scaling")
-		}},
-		{"Siren", func() (*trainer.Result, error) {
+		},
+		func() (*trainer.Result, error) {
 			return runSiren(cfg, fw, storage.S3, budget, qos, seed, seed+1, scope+"/Siren")
-		}},
-		{"Cirrus*", func() (*trainer.Result, error) {
+		},
+		func() (*trainer.Result, error) {
 			return runCE(cfg, fw, cirrusOptions(storage.VMPS, budget, qos, seed), seed+2, scope+"/Cirrus")
-		}},
+		},
 	}
-	results, err := cells(cfg, len(runs), func(i int) (*trainer.Result, error) {
-		r, err := runs[i].f()
-		return r, cellErr(runs[i].name, err)
+	return cells(cfg, len(runs), func(i int) (*trainer.Result, error) {
+		r, err := runs[i]()
+		return r, cellErr(trainOrder[i], err)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return map[string]*trainer.Result{
-		"CE-scaling": results[0], "Siren": results[1], "Cirrus*": results[2],
-	}, nil
 }
 
 // fig12 — training JCT given a budget, with the communication breakdown.
 func fig12(seed uint64, cfg Config) (*Table, error) {
-	t := &Table{
+	return trainConstrained(&Table{
 		ID:      "fig12",
 		Title:   "Training JCT given a budget (executed; comm = synchronization share of JCT)",
 		Headers: []string{"model", "system", "JCT", "comm time", "comm share", "cost", "converged", "JCT vs Siren"},
 		Notes:   "budget = geometric mean of cost-minimizing and JCT-minimizing CE probes; Cirrus* = Cirrus modified with online prediction (VM-PS, immediate restarts); LambdaML omitted as in the paper (offline prediction violates constraints)",
-	}
+	}, seed, cfg, true)
+}
+
+// fig13 — training cost given a QoS constraint, with the storage breakdown.
+func fig13(seed uint64, cfg Config) (*Table, error) {
+	return trainConstrained(&Table{
+		ID:      "fig13",
+		Title:   "Training cost given a QoS constraint (executed; storage = storage share of cost)",
+		Headers: []string{"model", "system", "cost", "storage cost", "storage share", "JCT", "QoS", "cost vs Siren"},
+		Notes:   "QoS = geometric mean of the fastest and cheapest probes' JCTs",
+	}, seed, cfg, false)
+}
+
+// trainConstrained fills fig12 (byBudget: each model's binding budget, JCT
+// and its sync share first) or fig13 (its binding QoS, cost and its storage
+// share first): one row per system and evaluated model, its objective
+// against Siren's. Each model's runs record under t.ID/<model>.
+func trainConstrained(t *Table, seed uint64, cfg Config, byBudget bool) (*Table, error) {
 	models := workload.Evaluated()
-	blocks, err := cells(cfg, len(models), func(i int) ([][]string, error) {
+	return cellRows(t, cfg, len(models), func(i int) ([][]string, error) {
 		w := models[i]
 		fw := core.New(w)
 		probe, err := trainRef(fw, seed)
 		if err != nil {
 			return nil, fmt.Errorf("%s probe: %w", w.Name, err)
 		}
-		budget := probe.budgetRef()
-		runs, err := trainSystems(cfg, fw, budget, 0, seed, "fig12/"+w.Name)
+		budget, qos := 0.0, 0.0
+		if byBudget {
+			budget = probe.budgetRef()
+		} else {
+			qos = probe.qosRef()
+		}
+		runs, err := trainSystems(cfg, fw, budget, qos, seed, t.ID+"/"+w.Name)
 		if err != nil {
 			return nil, cellErr(w.Name, err)
 		}
-		base := runs["Siren"].JCT
-		var rows [][]string
-		for _, sys := range trainOrder {
-			r := runs[sys]
-			rows = append(rows, []string{
-				w.Name, sys, seconds(r.JCT), seconds(r.SyncTime), pct(r.SyncTime / r.JCT),
-				dollars(r.TotalCost), fmt.Sprintf("%v", r.Converged),
-				pct(reduction(base, r.JCT)),
-			})
+		base := runs[1] // Siren
+		rows := make([][]string, len(runs))
+		for j, r := range runs {
+			if byBudget {
+				rows[j] = []string{
+					w.Name, trainOrder[j], seconds(r.JCT), seconds(r.SyncTime), pct(r.SyncTime / r.JCT),
+					dollars(r.TotalCost), fmt.Sprintf("%v", r.Converged),
+					pct(reduction(base.JCT, r.JCT)),
+				}
+			} else {
+				rows[j] = []string{
+					w.Name, trainOrder[j], dollars(r.TotalCost), dollars(r.StorageCost), pct(r.StorageCost / r.TotalCost),
+					seconds(r.JCT), seconds(qos),
+					pct(reduction(base.TotalCost, r.TotalCost)),
+				}
+			}
 		}
 		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range blocks {
-		t.Rows = append(t.Rows, rows...)
-	}
-	return t, nil
-}
-
-// fig13 — training cost given a QoS constraint, with the storage breakdown.
-func fig13(seed uint64, cfg Config) (*Table, error) {
-	t := &Table{
-		ID:      "fig13",
-		Title:   "Training cost given a QoS constraint (executed; storage = storage share of cost)",
-		Headers: []string{"model", "system", "cost", "storage cost", "storage share", "JCT", "QoS", "cost vs Siren"},
-		Notes:   "QoS = geometric mean of the fastest and cheapest probes' JCTs",
-	}
-	models := workload.Evaluated()
-	blocks, err := cells(cfg, len(models), func(i int) ([][]string, error) {
-		w := models[i]
-		fw := core.New(w)
-		probe, err := trainRef(fw, seed)
-		if err != nil {
-			return nil, err
-		}
-		qos := probe.qosRef()
-		runs, err := trainSystems(cfg, fw, 0, qos, seed, "fig13/"+w.Name)
-		if err != nil {
-			return nil, cellErr(w.Name, err)
-		}
-		base := runs["Siren"].TotalCost
-		var rows [][]string
-		for _, sys := range trainOrder {
-			r := runs[sys]
-			rows = append(rows, []string{
-				w.Name, sys, dollars(r.TotalCost), dollars(r.StorageCost), pct(r.StorageCost / r.TotalCost),
-				seconds(r.JCT), seconds(qos),
-				pct(reduction(base, r.TotalCost)),
-			})
-		}
-		return rows, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range blocks {
-		t.Rows = append(t.Rows, rows...)
-	}
-	return t, nil
 }
 
 // fig15 — training for LR-YFCC under varying budget and QoS constraints.
@@ -235,7 +206,7 @@ func fig15(seed uint64, cfg Config) (*Table, error) {
 	}
 	// Four budget cells, then four QoS cells, at the same multiples.
 	mults := []float64{0.6, 0.8, 1.0, 1.4}
-	blocks, err := cells(cfg, 2*len(mults), func(i int) ([][]string, error) {
+	return cellRows(t, cfg, 2*len(mults), func(i int) ([][]string, error) {
 		mult := mults[i%len(mults)]
 		label, budget, qos := "budget", probe.budgetRef()*mult, 0.0
 		if i >= len(mults) {
@@ -245,22 +216,14 @@ func fig15(seed uint64, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var rows [][]string
-		for _, sys := range trainOrder {
-			r := runs[sys]
-			rows = append(rows, []string{
-				fmt.Sprintf("%s %.1fx", label, mult), sys, seconds(r.JCT), dollars(r.TotalCost), fmt.Sprintf("%v", r.Converged),
-			})
+		rows := make([][]string, len(runs))
+		for j, r := range runs {
+			rows[j] = []string{
+				fmt.Sprintf("%s %.1fx", label, mult), trainOrder[j], seconds(r.JCT), dollars(r.TotalCost), fmt.Sprintf("%v", r.Converged),
+			}
 		}
 		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range blocks {
-		t.Rows = append(t.Rows, rows...)
-	}
-	return t, nil
 }
 
 // fig17 — training with every system pinned to the same storage
@@ -280,7 +243,7 @@ func fig17(seed uint64, cfg Config) (*Table, error) {
 		Notes:   "budget = 1.3x a cost-minimizing CE probe",
 	}
 	kinds := []storage.Kind{storage.S3, storage.VMPS}
-	blocks, err := cells(cfg, len(kinds), func(ki int) ([][]string, error) {
+	return cellRows(t, cfg, len(kinds), func(ki int) ([][]string, error) {
 		kind := kinds[ki]
 		k := kind
 		ce, err := runCE(cfg, fw, core.Options{Budget: budget, Seed: seed, PinStorage: &k}, seed, "fig17/"+kind.Short()+"/CE-scaling")
@@ -309,13 +272,6 @@ func fig17(seed uint64, cfg Config) (*Table, error) {
 		}
 		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range blocks {
-		t.Rows = append(t.Rows, rows...)
-	}
-	return t, nil
 }
 
 // fig18 — CE-scaling restricted to one storage service at a time.
@@ -327,7 +283,7 @@ func fig18(seed uint64, cfg Config) (*Table, error) {
 		Notes:   "N/A: model exceeds DynamoDB's 400KB object limit; budget = 1.3x a cost-minimizing probe",
 	}
 	models := []*workload.Model{workload.LRHiggs(), workload.MobileNet()}
-	blocks, err := cells(cfg, len(models), func(mi int) ([][]string, error) {
+	return cellRows(t, cfg, len(models), func(mi int) ([][]string, error) {
 		w := models[mi]
 		fw := core.New(w)
 		probe, err := trainRef(fw, seed)
@@ -352,13 +308,6 @@ func fig18(seed uint64, cfg Config) (*Table, error) {
 			}, nil
 		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, rows := range blocks {
-		t.Rows = append(t.Rows, rows...)
-	}
-	return t, nil
 }
 
 // fig21b — training scheduling overhead: CE vs WO-pa vs WO-pa-dr.

@@ -97,7 +97,7 @@ func fig4(seed uint64, cfg Config) (*Table, error) {
 
 // fig7 — the cost/JCT scatter of sampled allocations with the Pareto
 // boundary, LR on Higgs.
-func fig7(seed uint64, _ Config) (*Table, error) {
+func fig7(_ uint64, _ Config) (*Table, error) {
 	w := workload.LRHiggs()
 	m := cost.NewModel(w)
 	all := m.Enumerate(cost.DefaultGrid())
@@ -144,7 +144,6 @@ func fig7(seed uint64, _ Config) (*Table, error) {
 		emit(interior[i])
 		need--
 	}
-	_ = seed
 	return t, nil
 }
 

@@ -80,10 +80,9 @@ type Scheduler struct {
 	// of waiting for δ drift, so an over-pessimistic early prediction does
 	// not pin the job to an extreme allocation.
 	panicked bool
-	// ordered records (once, at New) that the candidates form a strict
-	// frontier — strictly ascending Time, strictly descending Cost — so
-	// selection can binary-search instead of scanning. Arbitrary candidate
-	// sets (the WO-pa full enumeration) fall back to the linear reference.
+	// ordered is cost.Strict of the candidates, computed once at New, so
+	// cost.Select binary-searches a frontier and scans any other set (the
+	// WO-pa full enumeration).
 	ordered bool
 
 	// Metrics.
@@ -120,22 +119,7 @@ func New(cfg Config) *Scheduler {
 	} else {
 		online = cfg.Shared.NewOnline()
 	}
-	return &Scheduler{cfg: cfg, online: online, ordered: strictFrontier(cfg.Candidates)}
-}
-
-// strictFrontier reports whether candidates are strictly ascending in Time
-// and strictly descending in Cost — the Pareto-boundary shape that makes
-// constrained selection binary-searchable.
-func strictFrontier(c []cost.Point) bool {
-	if len(c) == 0 {
-		return false
-	}
-	for i := 1; i < len(c); i++ {
-		if c[i].Time <= c[i-1].Time || c[i].Cost >= c[i-1].Cost {
-			return false
-		}
-	}
-	return true
+	return &Scheduler{cfg: cfg, online: online, ordered: cost.Strict(cfg.Candidates)}
 }
 
 // fastest returns the lowest-epoch-time candidate.
@@ -207,10 +191,8 @@ func (s *Scheduler) Initial() (cost.Allocation, int) {
 	return s.alloc, est
 }
 
-// selectBest is select_best_allocation(b, P, e): pick the allocation that
-// optimizes the objective for `remaining` further epochs, subject to the
-// remaining budget (budget case) or the remaining deadline headroom
-// (elapsed so far + remaining epochs, QoS case).
+// selectBest is select_best_allocation(b, P, e) (cost.Select) over the
+// candidates.
 func (s *Scheduler) selectBest(remaining int, elapsed, spent float64) (cost.Allocation, bool) {
 	return s.selectBestRelaxed(remaining, elapsed, spent, 1)
 }
@@ -226,102 +208,15 @@ func (s *Scheduler) selectBest(remaining int, elapsed, spent float64) (cost.Allo
 // multiply) keeps the accumulated float bit-identical to the historical
 // per-candidate loop.
 func (s *Scheduler) selectBestRelaxed(remaining int, elapsed, spent float64, relax float64) (cost.Allocation, bool) {
-	if remaining < 1 {
-		remaining = 1
-	}
 	for range s.cfg.Candidates {
 		s.CandidatesSeen++
 		s.PlanningSeconds += s.cfg.PlanningSecondsPerCandidate
 	}
-	if s.ordered {
-		return s.selectBinary(remaining, elapsed, spent, relax)
-	}
-	return s.selectLinear(remaining, elapsed, spent, relax)
-}
-
-// selectLinear is the reference O(P) scan, kept for arbitrary candidate
-// sets (the WO-pa full enumeration) and as the oracle the binary-search
-// path is property-tested against.
-func (s *Scheduler) selectLinear(remaining int, elapsed, spent float64, relax float64) (cost.Allocation, bool) {
-	bestVal := math.Inf(1)
-	var best cost.Allocation
-	found := false
-	for _, p := range s.cfg.Candidates {
-		t := float64(remaining) * p.Time
-		c := float64(remaining) * p.Cost
-		if s.cfg.Budget > 0 {
-			if spent+c > s.cfg.Budget*relax {
-				continue
-			}
-			if t < bestVal {
-				bestVal, best, found = t, p.Alloc, true
-			}
-		} else {
-			if elapsed+t > s.cfg.QoS*relax {
-				continue
-			}
-			if c < bestVal {
-				bestVal, best, found = c, p.Alloc, true
-			}
-		}
-	}
-	return best, found
-}
-
-// selectBinary exploits the strict frontier order — Time strictly
-// ascending, Cost strictly descending — to binary-search the constrained
-// optimum in O(log P). It evaluates the same feasibility expressions as
-// selectLinear on the candidates it probes, and resolves rounding ties the
-// same way the linear scan's strict `<` does (first index achieving the
-// optimal value), so the returned decision is bit-identical.
-func (s *Scheduler) selectBinary(remaining int, elapsed, spent float64, relax float64) (cost.Allocation, bool) {
-	cands := s.cfg.Candidates
-	r := float64(remaining)
-	if s.cfg.Budget > 0 {
-		// Feasibility spent + r*Cost <= Budget*relax is monotone along the
-		// frontier (Cost descending), so the feasible set is a suffix. Time
-		// ascends, so the minimum-JCT feasible candidate is the suffix's
-		// first element.
-		limit := s.cfg.Budget * relax
-		lo, hi := 0, len(cands)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if spent+r*cands[mid].Cost > limit {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == len(cands) {
-			return cost.Allocation{}, false
-		}
-		return cands[lo].Alloc, true
-	}
-	// QoS: feasibility elapsed + r*Time <= QoS*relax is monotone (Time
-	// ascending), so the feasible set is a prefix; Cost descends, so the
-	// minimum-cost feasible candidate sits at the prefix's end.
-	limit := s.cfg.QoS * relax
-	lo, hi := 0, len(cands)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if elapsed+r*cands[mid].Time > limit {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == 0 {
+	i, ok := cost.Select(s.cfg.Candidates, s.ordered, remaining, elapsed, spent, s.cfg.Budget*relax, s.cfg.QoS*relax)
+	if !ok {
 		return cost.Allocation{}, false
 	}
-	// Strictly descending Cost can still collide after the r*Cost rounding;
-	// the linear scan's strict `<` keeps the first index of a tied run, so
-	// walk back over exact float ties.
-	j := lo - 1
-	tied := r * cands[j].Cost
-	for j > 0 && r*cands[j-1].Cost == tied {
-		j--
-	}
-	return cands[j].Alloc, true
+	return s.cfg.Candidates[i].Alloc, true
 }
 
 // worthSwitching reports whether moving to next is predicted to improve the

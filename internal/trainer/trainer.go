@@ -483,13 +483,19 @@ func (r *Runner) startGroup(st *state, a cost.Allocation, initial bool) error {
 			obs.F("start_s", start), obs.F("load_s", load))
 		r.obs.Stats().Observe("trainer.startup_s", start+load)
 	}
+	r.billLoad(st, a, load)
+	return nil
+}
+
+// billLoad bills a started group's load of `load` seconds: its compute on
+// the account, then its function, invocation and storage costs.
+func (r *Runner) billLoad(st *state, a cost.Allocation, load float64) {
 	r.Compute().BillCompute(a.N, a.MemMB, load)
 	st.res.FunctionCost += float64(a.N) * r.prices.ComputeOnlyCost(load, float64(a.MemMB))
 	st.res.InvokeCost += float64(a.N) * r.prices.FunctionInvoke
 	st.res.StorageCost += storage.LoadCost(r.prices, a.N)
 	st.res.TotalCost += float64(a.N)*r.prices.ComputeOnlyCost(load, float64(a.MemMB)) +
 		float64(a.N)*r.prices.FunctionInvoke + storage.LoadCost(r.prices, a.N)
-	return nil
 }
 
 func (r *Runner) loadTime(w *workload.Model, a cost.Allocation) float64 {
@@ -697,13 +703,7 @@ func (r *Runner) applySwitch(st *state, next cost.Allocation, delayed bool) erro
 		}
 		// The new group bills its load immediately; it runs concurrently
 		// with the old group's next epoch.
-		r.Compute().BillCompute(next.N, next.MemMB, load)
-		spent := float64(next.N)*r.prices.ComputeOnlyCost(load, float64(next.MemMB)) +
-			float64(next.N)*r.prices.FunctionInvoke + storage.LoadCost(r.prices, next.N)
-		st.res.FunctionCost += float64(next.N) * r.prices.ComputeOnlyCost(load, float64(next.MemMB))
-		st.res.InvokeCost += float64(next.N) * r.prices.FunctionInvoke
-		st.res.StorageCost += storage.LoadCost(r.prices, next.N)
-		st.res.TotalCost += spent
+		r.billLoad(st, next, load)
 		return nil
 	}
 	// Immediate restart: release the old group, start the new one with the
