@@ -204,11 +204,11 @@ func main() {
 		}
 
 	case "tune":
-		res, _, err := fw.PlanHPT(*trials, *eta, *epochs, core.Options{Budget: *budget, QoS: *qos, Seed: *seed, Obs: observer})
+		stages := planner.SHAStages(*trials, *eta, *epochs)
+		res, _, err := fw.PlanHPT(stages, core.Options{Budget: *budget, QoS: *qos, Seed: *seed, Obs: observer})
 		if err != nil {
 			fatal(err)
 		}
-		stages := planner.SHAStages(*trials, *eta, *epochs)
 		out := tuneJSON{
 			Model: w.Name, Constraint: constraintString(*budget, *qos),
 			PredictedJCT: res.JCT, PredictedUSD: res.Cost, Feasible: res.Feasible,

@@ -130,7 +130,7 @@ func Example_hyperparam() {
 
 	// A budget 30% above the cheapest static plan: tight enough that
 	// partitioning matters.
-	static, _, err := fw.PlanHPT(trials, eta, epochsPerStage, core.Options{QoS: 1e15, Seed: seed})
+	static, _, err := fw.PlanHPT(stages, core.Options{QoS: 1e15, Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func Example_hyperparam() {
 
 	// CE-scaling's greedy heuristic planner recycles resources from early
 	// stages (where most trials will be terminated) to later stages.
-	plan, _, err := fw.PlanHPT(trials, eta, epochsPerStage, core.Options{Budget: budget, Seed: seed})
+	plan, _, err := fw.PlanHPT(stages, core.Options{Budget: budget, Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func Example_hyperparam() {
 		plan.JCT, plan.Cost, plan.Feasible)
 
 	// Execute the tuning workflow on the simulated substrate.
-	out, err := fw.RunHPT(trials, eta, epochsPerStage, core.Options{Budget: budget, Seed: seed}, trainer.NewRunner(seed))
+	out, err := fw.RunHPT(stages, core.Options{Budget: budget, Seed: seed}, trainer.NewRunner(seed))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func Example_workflow() {
 	const budget = 600.0
 	out, err := fw.RunWorkflow(core.WorkflowOptions{
 		Budget: budget,
-		Trials: 64,
+		Stages: planner.SHAStages(64, 2, 2),
 		Seed:   9,
 	}, trainer.NewRunner(9))
 	if err != nil {

@@ -33,7 +33,7 @@ func TestIntegrationProfilePlanExecute(t *testing.T) {
 
 	// Plan tuning under a budget derived from the frontier itself.
 	budget := fw.Pareto[len(fw.Pareto)-1].Cost * 64 * 2 * 4 // rough but generous
-	tune, err := fw.RunHPT(64, 2, 2, core.Options{Budget: budget, Seed: 11}, trainer.NewRunner(11))
+	tune, err := fw.RunHPT(planner.SHAStages(64, 2, 2), core.Options{Budget: budget, Seed: 11}, trainer.NewRunner(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestIntegrationWorkflow(t *testing.T) {
 	w, _ := workload.ByName("MobileNet-Cifar10")
 	fw := core.New(w)
 	out, err := fw.RunWorkflow(core.WorkflowOptions{
-		Budget: 600, Trials: 32, Seed: 21,
+		Budget: 600, Stages: planner.SHAStages(32, 2, 2), Seed: 21,
 	}, trainer.NewRunner(21))
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestIntegrationBaselinesComparable(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := static.Cost * 1.3
-	ce, _, err := fw.PlanHPT(64, 2, 2, core.Options{Budget: budget, Seed: 41})
+	ce, _, err := fw.PlanHPT(stages, core.Options{Budget: budget, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,9 @@ type Options struct {
 	Budget float64
 	QoS    float64
 
-	// Delta is the online-prediction drift threshold (default 0.1).
+	// Delta is Algorithm 2's online-prediction drift threshold δ (default
+	// 0.1), read by the training scheduler only; Algorithm 1's improvement
+	// threshold is the planner's own.
 	Delta float64
 	// DisableDelayedRestart turns off the Fig. 8 overlap (WO-dr ablation;
 	// modified Cirrus restarts immediately too).
@@ -130,20 +132,15 @@ type TuneOutcome struct {
 	Run     *sha.Result
 }
 
-// PlanHPT builds the stage structure and runs the greedy heuristic planner
-// (Algorithm 1) under opt's constraint.
-func (f *Framework) PlanHPT(trials, eta, epochsPerStage int, opt Options) (planner.Result, *planner.Planner, error) {
+// PlanHPT runs the greedy heuristic planner (Algorithm 1) over the stage
+// shape stages (planner.SHAStages) under opt's constraint.
+func (f *Framework) PlanHPT(stages []planner.Stage, opt Options) (planner.Result, *planner.Planner, error) {
 	if err := opt.validate(); err != nil {
 		return planner.Result{}, nil, err
 	}
-	stages := planner.SHAStages(trials, eta, epochsPerStage)
-	pts := f.candidates(opt)
-	pl, err := planner.New(f.Model, stages, pts)
+	pl, err := planner.New(f.Model, stages, f.candidates(opt))
 	if err != nil {
 		return planner.Result{}, nil, err
-	}
-	if opt.Delta > 0 {
-		pl.Delta = opt.Delta
 	}
 	pl.Obs = opt.Obs
 	var res planner.Result
@@ -155,23 +152,22 @@ func (f *Framework) PlanHPT(trials, eta, epochsPerStage int, opt Options) (plann
 	return res, pl, nil
 }
 
-// RunHPT plans and then executes the tuning workflow on the simulated
-// substrate, returning both the plan and the measured run.
-func (f *Framework) RunHPT(trials, eta, epochsPerStage int, opt Options, runner *trainer.Runner) (*TuneOutcome, error) {
+// RunHPT plans the stage shape stages and then executes the tuning workflow
+// on the simulated substrate, returning both the plan and the measured run.
+func (f *Framework) RunHPT(stages []planner.Stage, opt Options, runner *trainer.Runner) (*TuneOutcome, error) {
 	if opt.Obs == nil {
 		opt.Obs = runner.Observer()
 	}
-	plan, pl, err := f.PlanHPT(trials, eta, epochsPerStage, opt)
+	plan, pl, err := f.PlanHPT(stages, opt)
 	if err != nil {
 		return nil, err
 	}
 	run, err := sha.Run(sha.Config{
 		Workload: f.Workload,
-		Trials:   trials,
-		Eta:      eta, EpochsPerStage: epochsPerStage,
-		Plan:   plan.Plan,
-		Runner: runner,
-		Seed:   opt.Seed,
+		Stages:   stages,
+		Plan:     plan.Plan,
+		Runner:   runner,
+		Seed:     opt.Seed,
 	})
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/planner"
 	"repro/internal/storage"
 	"repro/internal/trainer"
 	"repro/internal/workload"
@@ -23,10 +24,10 @@ func TestNewProfilesWorkload(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	f := New(workload.MobileNet())
-	if _, _, err := f.PlanHPT(16, 2, 2, Options{}); err == nil {
+	if _, _, err := f.PlanHPT(planner.SHAStages(16, 2, 2), Options{}); err == nil {
 		t.Error("no constraint should be rejected")
 	}
-	if _, _, err := f.PlanHPT(16, 2, 2, Options{Budget: 1, QoS: 1}); err == nil {
+	if _, _, err := f.PlanHPT(planner.SHAStages(16, 2, 2), Options{Budget: 1, QoS: 1}); err == nil {
 		t.Error("two constraints should be rejected")
 	}
 	if _, err := f.Train(Options{}, trainer.NewRunner(1)); err == nil {
@@ -36,7 +37,7 @@ func TestOptionsValidation(t *testing.T) {
 
 func TestPlanHPTGivenBudget(t *testing.T) {
 	f := New(workload.MobileNet())
-	res, pl, err := f.PlanHPT(256, 2, 2, Options{Budget: 1e9, Seed: 1})
+	res, pl, err := f.PlanHPT(planner.SHAStages(256, 2, 2), Options{Budget: 1e9, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +49,27 @@ func TestPlanHPTGivenBudget(t *testing.T) {
 	}
 }
 
+// TestPlanHPTIgnoresDriftDelta: Options.Delta is Algorithm 2's drift
+// threshold δ and leaves Algorithm 1's improvement threshold alone.
+func TestPlanHPTIgnoresDriftDelta(t *testing.T) {
+	f := New(workload.MobileNet())
+	stages := planner.SHAStages(64, 2, 2)
+	_, base, err := f.PlanHPT(stages, Options{Budget: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pl, err := f.PlanHPT(stages, Options{Budget: 1e9, Delta: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.Delta != base.Delta {
+		t.Errorf("Options.Delta 0.3 set the planner's threshold to %g (default %g)", pl.Delta, base.Delta)
+	}
+}
+
 func TestRunHPTExecutesPlan(t *testing.T) {
 	f := New(workload.MobileNet())
-	out, err := f.RunHPT(16, 2, 2, Options{Budget: 1e9, Seed: 3}, trainer.NewRunner(3))
+	out, err := f.RunHPT(planner.SHAStages(16, 2, 2), Options{Budget: 1e9, Seed: 3}, trainer.NewRunner(3))
 	if err != nil {
 		t.Fatal(err)
 	}

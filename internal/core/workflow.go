@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/planner"
 	"repro/internal/trainer"
 	"repro/internal/workload"
 )
@@ -20,10 +21,9 @@ type WorkflowOptions struct {
 	// dominates spending in practice).
 	TuneShare float64
 
-	// Trials, Eta, EpochsPerStage configure the Successive-Halving phase.
-	Trials         int
-	Eta            int
-	EpochsPerStage int
+	// Stages is the Successive-Halving phase's stage shape (default
+	// planner.SHAStages(256, 2, 2)).
+	Stages []planner.Stage
 
 	Seed uint64
 }
@@ -64,14 +64,8 @@ func (f *Framework) RunWorkflow(opt WorkflowOptions, runner *trainer.Runner) (*W
 	if opt.TuneShare == 0 {
 		opt.TuneShare = 0.6
 	}
-	if opt.Trials == 0 {
-		opt.Trials = 256
-	}
-	if opt.Eta == 0 {
-		opt.Eta = 2
-	}
-	if opt.EpochsPerStage == 0 {
-		opt.EpochsPerStage = 2
+	if opt.Stages == nil {
+		opt.Stages = planner.SHAStages(256, 2, 2)
 	}
 
 	tuneOpt := Options{Seed: opt.Seed}
@@ -80,7 +74,7 @@ func (f *Framework) RunWorkflow(opt WorkflowOptions, runner *trainer.Runner) (*W
 	} else {
 		tuneOpt.QoS = opt.QoS * opt.TuneShare
 	}
-	tune, err := f.RunHPT(opt.Trials, opt.Eta, opt.EpochsPerStage, tuneOpt, runner)
+	tune, err := f.RunHPT(opt.Stages, tuneOpt, runner)
 	if err != nil {
 		return nil, fmt.Errorf("core: workflow tuning phase: %w", err)
 	}

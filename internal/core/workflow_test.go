@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/planner"
 	"repro/internal/trainer"
 	"repro/internal/workload"
 )
@@ -26,7 +27,7 @@ func TestWorkflowEndToEndUnderBudget(t *testing.T) {
 	f := New(workload.MobileNet())
 	// A budget comfortably covering a 32-trial tuning pass plus training.
 	out, err := f.RunWorkflow(WorkflowOptions{
-		Budget: 500, Trials: 32, Seed: 5,
+		Budget: 500, Stages: planner.SHAStages(32, 2, 2), Seed: 5,
 	}, trainer.NewRunner(5))
 	if err != nil {
 		t.Fatal(err)
@@ -58,12 +59,12 @@ func TestWorkflowEndToEndUnderBudget(t *testing.T) {
 func TestWorkflowUnderDeadline(t *testing.T) {
 	f := New(workload.MobileNet())
 	// Probe a generous budgeted workflow first to size a realistic deadline.
-	probe, err := f.RunWorkflow(WorkflowOptions{Budget: 2000, Trials: 16, Seed: 7}, trainer.NewRunner(7))
+	probe, err := f.RunWorkflow(WorkflowOptions{Budget: 2000, Stages: planner.SHAStages(16, 2, 2), Seed: 7}, trainer.NewRunner(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	qos := probe.TotalJCT * 2
-	out, err := f.RunWorkflow(WorkflowOptions{QoS: qos, Trials: 16, Seed: 7}, trainer.NewRunner(8))
+	out, err := f.RunWorkflow(WorkflowOptions{QoS: qos, Stages: planner.SHAStages(16, 2, 2), Seed: 7}, trainer.NewRunner(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestWorkflowUnderDeadline(t *testing.T) {
 func TestWorkflowExhaustedBudgetFails(t *testing.T) {
 	f := New(workload.MobileNet())
 	// A budget so small the tuning phase alone overruns it.
-	if _, err := f.RunWorkflow(WorkflowOptions{Budget: 0.01, Trials: 16, Seed: 9}, trainer.NewRunner(9)); err == nil {
+	if _, err := f.RunWorkflow(WorkflowOptions{Budget: 0.01, Stages: planner.SHAStages(16, 2, 2), Seed: 9}, trainer.NewRunner(9)); err == nil {
 		t.Error("expected an error when tuning consumes the whole budget")
 	}
 }
@@ -107,7 +108,7 @@ func TestWorkflowTrainingRecordsDecisions(t *testing.T) {
 	r := trainer.NewRunner(9)
 	o := obs.New()
 	r.SetObserver(o)
-	out, err := f.RunWorkflow(WorkflowOptions{Budget: 600, Trials: 64, Seed: 9}, r)
+	out, err := f.RunWorkflow(WorkflowOptions{Budget: 600, Stages: planner.SHAStages(64, 2, 2), Seed: 9}, r)
 	if err != nil {
 		t.Fatal(err)
 	}

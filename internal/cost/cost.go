@@ -293,8 +293,11 @@ func Pareto(points []Point) []Point {
 	if len(points) == 0 {
 		return nil
 	}
+	// On a Strict input the sort would be the identity and every point
+	// survives the sweep, so the sweep reads the points in place (O(P),
+	// no copy): re-deriving a boundary from a frontier is cheap.
 	sorted := points
-	if !strictlySorted(points) {
+	if !Strict(points) {
 		sorted = make([]Point, len(points))
 		copy(sorted, points)
 		sort.Slice(sorted, func(i, j int) bool {
@@ -305,7 +308,7 @@ func Pareto(points []Point) []Point {
 		})
 	}
 	var front []Point
-	best := sorted[0].Cost + 1
+	best := math.Inf(1) // not Cost+1, which equals Cost from 2^53 on
 	for _, p := range sorted {
 		if p.Cost < best {
 			front = append(front, p)
@@ -313,25 +316,6 @@ func Pareto(points []Point) []Point {
 		}
 	}
 	return front
-}
-
-// strictlySorted reports whether points are strictly increasing in the
-// (Time, Cost) lexicographic order Pareto sorts by. On such input the sweep
-// can run on the points directly (read-only) and skip the copy+sort: the
-// sort would be the identity permutation, and strictness rules out equal
-// (Time, Cost) pairs, the only elements an unstable sort may reorder. This
-// makes re-deriving a boundary from an already-ordered frontier O(P).
-func strictlySorted(points []Point) bool {
-	for i := 1; i < len(points); i++ {
-		p, q := &points[i-1], &points[i]
-		if p.Time < q.Time {
-			continue
-		}
-		if p.Time > q.Time || p.Cost >= q.Cost {
-			return false
-		}
-	}
-	return true
 }
 
 // ParetoSet enumerates the grid and returns its Pareto boundary — the 𝒫 of

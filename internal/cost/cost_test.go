@@ -234,9 +234,11 @@ func TestParetoEmptyAndSingle(t *testing.T) {
 	if Pareto(nil) != nil {
 		t.Error("Pareto(nil) should be nil")
 	}
-	one := []Point{{Time: 1, Cost: 1}}
-	if got := Pareto(one); len(got) != 1 {
-		t.Errorf("Pareto of single point = %d elements", len(got))
+	for _, c := range []float64{1, 1e17} {
+		one := []Point{{Time: 1, Cost: c}}
+		if got := Pareto(one); len(got) != 1 {
+			t.Errorf("Pareto of single point at cost %g = %d elements", c, len(got))
+		}
 	}
 }
 

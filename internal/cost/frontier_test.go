@@ -267,8 +267,8 @@ func TestParetoFastPathEquivalent(t *testing.T) {
 // by construction) is the identity and runs allocation-light (no copy+sort).
 func TestParetoFastPathOnFrontier(t *testing.T) {
 	front := NewModel(workload.MobileNet()).ParetoSet(DefaultGrid())
-	if !strictlySorted(front) {
-		t.Fatal("frontier should be strictly sorted")
+	if !Strict(front) {
+		t.Fatal("frontier should be Strict")
 	}
 	again := Pareto(front)
 	if len(again) != len(front) {
@@ -281,22 +281,25 @@ func TestParetoFastPathOnFrontier(t *testing.T) {
 	}
 }
 
-func TestStrictlySorted(t *testing.T) {
+// TestStrict: Strict holds exactly on sets strictly ascending in time and
+// strictly descending in cost, the shape Pareto's in-place sweep needs.
+func TestStrict(t *testing.T) {
 	cases := []struct {
 		pts  []Point
 		want bool
 	}{
-		{nil, true},
+		{nil, false},
 		{[]Point{{Time: 1, Cost: 5}}, true},
 		{[]Point{{Time: 1, Cost: 5}, {Time: 2, Cost: 3}}, true},
-		{[]Point{{Time: 1, Cost: 3}, {Time: 1, Cost: 5}}, true},  // tie on time, cost ascending
-		{[]Point{{Time: 1, Cost: 5}, {Time: 1, Cost: 5}}, false}, // duplicate pair: unsafe
+		{[]Point{{Time: 1, Cost: 3}, {Time: 1, Cost: 5}}, false}, // tie on time
+		{[]Point{{Time: 1, Cost: 5}, {Time: 1, Cost: 5}}, false}, // duplicate pair
+		{[]Point{{Time: 1, Cost: 3}, {Time: 2, Cost: 3}}, false}, // tie on cost
 		{[]Point{{Time: 2, Cost: 5}, {Time: 1, Cost: 3}}, false},
-		{[]Point{{Time: 1, Cost: 5}, {Time: 1, Cost: 3}}, false},
+		{[]Point{{Time: 1, Cost: 3}, {Time: 2, Cost: 5}}, false}, // dominated
 	}
 	for i, c := range cases {
-		if got := strictlySorted(c.pts); got != c.want {
-			t.Errorf("case %d: strictlySorted=%v want %v", i, got, c.want)
+		if got := Strict(c.pts); got != c.want {
+			t.Errorf("case %d: Strict=%v want %v", i, got, c.want)
 		}
 	}
 }

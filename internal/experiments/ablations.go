@@ -83,37 +83,32 @@ func ablWorkflow(seed uint64, cfg Config) (*Table, error) {
 		Notes:   "64 trials, tuning reserved 60% of the budget; the training phase runs the tuning winner's hyperparameters to the target loss",
 	}
 	models := []*workload.Model{workload.MobileNet(), workload.ResNet50()}
-	rows, err := cells(cfg, len(models), func(i int) ([]string, error) {
+	stages := planner.SHAStages(64, 2, 2)
+	return cellRows(t, cfg, len(models), func(i int) ([][]string, error) {
 		w := models[i]
 		fw := core.New(w)
 		// Size the budget from the tuning static reference plus training
 		// probe, like the per-phase experiments do.
-		stages := planner.SHAStages(64, 2, 2)
 		pl, err := planner.New(fw.Model, stages, fw.Pareto)
 		if err != nil {
 			return nil, err
 		}
 		budget := pl.OptimalStatic(0, 1e15).Cost * 2
 		out, err := fw.RunWorkflow(core.WorkflowOptions{
-			Budget: budget, Trials: 64, Seed: seed,
+			Budget: budget, Stages: stages, Seed: seed,
 		}, trainer.NewRunner(seed))
 		if err != nil {
 			return nil, fmt.Errorf("abl-workflow: %s: %w", w.Name, err)
 		}
-		return []string{
+		return [][]string{{
 			w.Name, dollars(budget),
 			seconds(out.Tune.Run.JCT), dollars(out.Tune.Run.TotalCost),
 			fmt.Sprintf("%.5f", out.BestHyperparams.LR),
 			seconds(out.Train.Result.JCT), dollars(out.Train.Result.TotalCost),
 			dollars(out.TotalCost),
 			fmt.Sprintf("%v", out.WithinConstraint),
-		}, nil
+		}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, rows...)
-	return t, nil
 }
 
 // ablASP — BSP vs asynchronous (Siren-style) training under identical
@@ -136,7 +131,7 @@ func ablASP(seed uint64, cfg Config) (*Table, error) {
 		{workload.LRHiggs(), cost.Allocation{N: 50, MemMB: 1769, Storage: storage.S3}},
 	}
 	// Flatten the case x mode matrix into independent cells.
-	rows, err := cells(cfg, 2*len(cases), func(i int) ([]string, error) {
+	return cellRows(t, cfg, 2*len(cases), func(i int) ([][]string, error) {
 		c := cases[i/2]
 		async := i%2 == 1
 		mode := "BSP"
@@ -155,17 +150,12 @@ func ablASP(seed uint64, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []string{
+		return [][]string{{
 			c.w.Name, c.a.String(), mode,
 			fmt.Sprintf("%d", res.Epochs), seconds(res.JCT), dollars(res.TotalCost),
 			fmt.Sprintf("%v", res.Converged),
-		}, nil
+		}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, rows...)
-	return t, nil
 }
 
 // ablHyperband — the §II-A claim that CE-scaling's partitioning applies to
@@ -184,39 +174,40 @@ func ablHyperband(seed uint64, cfg Config) (*Table, error) {
 		name       string
 		usePlanner bool
 	}{{"CE-scaling", true}, {"static", false}}
-	rows, err := cells(cfg, len(variants), func(i int) ([]string, error) {
+	return cellRows(t, cfg, len(variants), func(i int) ([][]string, error) {
 		v := variants[i]
 		res, err := sha.RunHyperband(sha.HyperbandConfig{
-			Workload:  w,
-			MaxEpochs: 9,
-			Eta:       3,
-			Runner:    trainer.NewRunner(seed + 31),
-			Seed:      seed,
-			PlanBracket: func(stages []planner.Stage) (planner.Plan, error) {
-				pl, err := planner.New(fw.Model, stages, fw.Pareto)
-				if err != nil {
-					return planner.Plan{}, err
-				}
-				static := pl.OptimalStatic(0, 1e15)
-				if !v.usePlanner {
-					return static.Plan, nil
-				}
-				return pl.PlanMinJCT(static.Cost * 1.3).Plan, nil
-			},
+			Workload:    w,
+			MaxEpochs:   9,
+			Eta:         3,
+			Runner:      trainer.NewRunner(seed + 31),
+			Seed:        seed,
+			PlanBracket: bracketPlanner(fw, v.usePlanner),
 		})
 		if err != nil {
 			return nil, cellErr(v.name, err)
 		}
-		return []string{
+		return [][]string{{
 			v.name, f4(res.Best.Loss), seconds(res.JCT), dollars(res.TotalCost),
 			fmt.Sprintf("%d", len(res.Brackets)),
-		}, nil
+		}}, nil
 	})
-	if err != nil {
-		return nil, err
+}
+
+// bracketPlanner plans every Hyperband bracket over fw's Pareto set: the
+// cheapest static plan, or, with greedy, Algorithm 1 under 1.3x its cost.
+func bracketPlanner(fw *core.Framework, greedy bool) func([]planner.Stage) (planner.Plan, error) {
+	return func(stages []planner.Stage) (planner.Plan, error) {
+		pl, err := planner.New(fw.Model, stages, fw.Pareto)
+		if err != nil {
+			return planner.Plan{}, err
+		}
+		static := pl.OptimalStatic(0, 1e15)
+		if !greedy {
+			return static.Plan, nil
+		}
+		return pl.PlanMinJCT(static.Cost * 1.3).Plan, nil
 	}
-	t.Rows = append(t.Rows, rows...)
-	return t, nil
 }
 
 // ablPocket — extending the storage dimension with a Pocket-style elastic
@@ -238,7 +229,7 @@ func ablPocket(seed uint64, cfg Config) (*Table, error) {
 		fw := core.New(w)
 		fws = append(fws, fw, fw.WithGrid(extended))
 	}
-	rows, err := cells(cfg, len(fws), func(i int) ([]string, error) {
+	return cellRows(t, cfg, len(fws), func(i int) ([][]string, error) {
 		fw := fws[i]
 		w := fw.Workload
 		label := "paper's four"
@@ -253,17 +244,12 @@ func ablPocket(seed uint64, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []string{
+		return [][]string{{
 			w.Name, label,
 			fmt.Sprintf("%d", len(fw.Pareto)),
 			mostEpochsStorage(res.Trace).String(), seconds(res.JCT), dollars(res.TotalCost),
-		}, nil
+		}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, rows...)
-	return t, nil
 }
 
 // mostEpochsStorage is the storage service a job spent the most epochs on
@@ -310,7 +296,7 @@ func ablFaults(seed uint64, cfg Config) (*Table, error) {
 			combos = append(combos, faultCase{rate, checkpoint})
 		}
 	}
-	rows, err := cells(cfg, len(combos), func(i int) ([]string, error) {
+	return cellRows(t, cfg, len(combos), func(i int) ([][]string, error) {
 		c := combos[i]
 		var faults *fault.Schedule
 		if c.rate > 0 {
@@ -328,18 +314,13 @@ func ablFaults(seed uint64, cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return []string{
+		return [][]string{{
 			pct(c.rate), fmt.Sprintf("%v", c.checkpoint),
 			fmt.Sprintf("%d", res.Failures), fmt.Sprintf("%d", res.Epochs),
 			seconds(res.JCT), seconds(res.FailureTime), dollars(res.TotalCost),
 			fmt.Sprintf("%v", res.Converged),
-		}, nil
+		}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, rows...)
-	return t, nil
 }
 
 // ablBOHB — BOHB (model-based sampling, the paper's [20]) vs plain
@@ -354,14 +335,7 @@ func ablBOHB(seed uint64, cfg Config) (*Table, error) {
 		Headers: []string{"tuner", "best loss", "winner lr", "JCT", "cost"},
 		Notes:   fmt.Sprintf("R=9, eta=3; optimum lr %.5f; both tuners use the greedy planner per bracket", w.LROpt),
 	}
-	planBracket := func(stages []planner.Stage) (planner.Plan, error) {
-		pl, err := planner.New(fw.Model, stages, fw.Pareto)
-		if err != nil {
-			return planner.Plan{}, err
-		}
-		static := pl.OptimalStatic(0, 1e15)
-		return pl.PlanMinJCT(static.Cost * 1.3).Plan, nil
-	}
+	planBracket := bracketPlanner(fw, true)
 	tuners := []struct {
 		name string
 		run  func() (*sha.HyperbandResult, error)
@@ -382,21 +356,16 @@ func ablBOHB(seed uint64, cfg Config) (*Table, error) {
 			return res, err
 		}},
 	}
-	rows, err := cells(cfg, len(tuners), func(i int) ([]string, error) {
+	return cellRows(t, cfg, len(tuners), func(i int) ([][]string, error) {
 		res, err := tuners[i].run()
 		if err != nil {
 			return nil, cellErr(tuners[i].name, err)
 		}
-		return []string{
+		return [][]string{{
 			tuners[i].name, f4(res.Best.Loss), fmt.Sprintf("%.5f", res.Best.HP.LR),
 			seconds(res.JCT), dollars(res.TotalCost),
-		}, nil
+		}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, rows...)
-	return t, nil
 }
 
 // ablCluster — multiple tenants sharing one serverless account: CE-planned

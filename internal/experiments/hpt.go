@@ -85,24 +85,21 @@ func sqrtProduct(a, b float64) float64 {
 	return math.Sqrt(a * b)
 }
 
-// execute runs a partitioning plan through the tuning driver. capN > 0
-// limits per-stage concurrency (the Fixed baseline's equal share).
-func (h *hptSetup) execute(plan planner.Plan, trials int, seed uint64, capN int) (*sha.Result, error) {
+// execute runs a partitioning plan through the tuning driver.
+func (h *hptSetup) execute(plan planner.Plan, seed uint64) (*sha.Result, error) {
 	return sha.Run(sha.Config{
 		Workload: h.fw.Workload,
-		Trials:   trials,
-		Eta:      2, EpochsPerStage: hptEpochsPerStage,
-		Plan:           plan,
-		Runner:         trainer.NewRunner(seed),
-		Seed:           seed,
-		ConcurrencyCap: capN,
+		Stages:   h.stages,
+		Plan:     plan,
+		Runner:   trainer.NewRunner(seed),
+		Seed:     seed,
 	})
 }
 
 // hptSystems runs the Fig. 9/10 system matrix for one model under a budget
 // (qos=0) or a QoS deadline (budget=0) and returns the executed runs in
 // hptOrder order.
-func (h *hptSetup) hptSystems(cfg Config, trials int, budget, qos float64, seed uint64) ([]*sha.Result, error) {
+func (h *hptSetup) hptSystems(cfg Config, budget, qos float64, seed uint64) ([]*sha.Result, error) {
 	var ce planner.Result
 	if budget > 0 {
 		ce = h.pl.PlanMinJCT(budget)
@@ -122,13 +119,8 @@ func (h *hptSetup) hptSystems(cfg Config, trials int, budget, qos float64, seed 
 	// Planning above is serial (the systems share h.pl and its Evaluated
 	// counter); the executions are independent — each gets a fresh Runner —
 	// so they run as parallel cells merged back in system order.
-	fixedCap := h.pl.ConcurrencyShare()
 	return cells(cfg, len(plans), func(i int) (*sha.Result, error) {
-		capN := 0
-		if hptOrder[i] == "Fixed" {
-			capN = fixedCap
-		}
-		run, err := h.execute(plans[i], trials, seed, capN)
+		run, err := h.execute(plans[i], seed)
 		return run, cellErr(hptOrder[i], err)
 	})
 }
@@ -172,7 +164,7 @@ func hptConstrained(t *Table, seed uint64, cfg Config, byBudget bool) (*Table, e
 		} else {
 			qos = h.qosRef()
 		}
-		runs, err := h.hptSystems(cfg, hptTrials, budget, qos, seed)
+		runs, err := h.hptSystems(cfg, budget, qos, seed)
 		if err != nil {
 			return nil, cellErr(w.Name, err)
 		}
@@ -252,7 +244,7 @@ func fig2(seed uint64, _ Config) (*Table, error) {
 	}
 	static := pl.OptimalStatic(0, 1e15)
 	run, err := sha.Run(sha.Config{
-		Workload: w, Trials: 32, Eta: 2, EpochsPerStage: 2,
+		Workload: w, Stages: stages,
 		Plan: static.Plan, Runner: trainer.NewRunner(seed), Seed: seed,
 	})
 	if err != nil {
@@ -285,8 +277,7 @@ func fig2(seed uint64, _ Config) (*Table, error) {
 func fig3(seed uint64, cfg Config) (*Table, error) {
 	w := workload.MobileNet()
 	fw := core.New(w)
-	const trials, eta = 512, 4 // 512 -> 128 -> 32 -> 8 -> 2: five stages
-	stages := planner.SHAStages(trials, eta, 2)
+	stages := planner.SHAStages(512, 4, 2) // 512 -> 128 -> 32 -> 8 -> 2: five stages
 	pl, err := planner.New(fw.Model, stages, fw.Pareto)
 	if err != nil {
 		return nil, err
@@ -317,10 +308,10 @@ func fig3(seed uint64, cfg Config) (*Table, error) {
 		Headers: []string{"plan", "stage1", "stage2", "stage3", "stage4", "stage5", "total JCT", "cost"},
 		Notes:   "recycle (CE) = the greedy planner's cost-neutral reallocation; over-recycle forces stage 1 to the slowest allocation (the paper's 30% case)",
 	}
-	rows, err := cells(cfg, len(plans), func(i int) ([]string, error) {
+	return cellRows(t, cfg, len(plans), func(i int) ([][]string, error) {
 		p := plans[i]
 		run, err := sha.Run(sha.Config{
-			Workload: w, Trials: trials, Eta: eta, EpochsPerStage: 2,
+			Workload: w, Stages: stages,
 			Plan: p.plan, Runner: trainer.NewRunner(seed), Seed: seed,
 		})
 		if err != nil {
@@ -330,13 +321,8 @@ func fig3(seed uint64, cfg Config) (*Table, error) {
 		for _, st := range run.Stages {
 			row = append(row, seconds(st.WallTime))
 		}
-		return append(row, seconds(run.JCT), dollars(run.TotalCost)), nil
+		return [][]string{append(row, seconds(run.JCT), dollars(run.TotalCost))}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, rows...)
-	return t, nil
 }
 
 // fig14 — HPT for LR-YFCC under varying budget and QoS constraints.
@@ -358,7 +344,7 @@ func fig14(seed uint64, cfg Config) (*Table, error) {
 		if i >= 4 {
 			label, budget, qos = "QoS", 0, h.fastJCT*mult
 		}
-		runs, err := h.hptSystems(cfg, 128, budget, qos, seed)
+		runs, err := h.hptSystems(cfg, budget, qos, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -389,7 +375,7 @@ func fig16(seed uint64, cfg Config) (*Table, error) {
 	for _, kind := range []storage.Kind{storage.S3, storage.VMPS} {
 		k := kind
 		// CE pinned: plan over the pinned candidate set.
-		cePlan, _, err := h.fw.PlanHPT(hptTrials, 2, hptEpochsPerStage, core.Options{Budget: budget, PinStorage: &k, Seed: seed})
+		cePlan, _, err := h.fw.PlanHPT(h.stages, core.Options{Budget: budget, PinStorage: &k, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
@@ -406,7 +392,7 @@ func fig16(seed uint64, cfg Config) (*Table, error) {
 			plan planner.Plan
 		}{{"CE-scaling", cePlan.Plan}, {"Siren", sirPlan.Plan}, {"Cirrus", cirPlan.Plan}}
 		rows, err := cells(cfg, len(systems), func(i int) ([]string, error) {
-			run, err := h.execute(systems[i].plan, hptTrials, seed, 0)
+			run, err := h.execute(systems[i].plan, seed)
 			if err != nil {
 				return nil, cellErr(systems[i].name, err)
 			}
@@ -429,6 +415,7 @@ func fig21a(seed uint64, cfg Config) (*Table, error) {
 		Notes:   "modeled overhead = candidates x 50ms estimation latency (the paper's seconds-level budget); search space = candidate allocations the planner scores per decision (|P| after Pareto pruning vs the full |Theta|)",
 	}
 	models := workload.Evaluated()
+	stages := planner.SHAStages(hptTrials, 2, hptEpochsPerStage)
 	return cellRows(t, cfg, len(models), func(i int) ([][]string, error) {
 		w := models[i]
 		fw := core.New(w)
@@ -437,7 +424,7 @@ func fig21a(seed uint64, cfg Config) (*Table, error) {
 			name    string
 			disable bool
 		}{{"CE-scaling", false}, {"WO-pa", true}} {
-			res, _, err := fw.PlanHPT(hptTrials, 2, hptEpochsPerStage, core.Options{
+			res, _, err := fw.PlanHPT(stages, core.Options{
 				Budget:        1e15,
 				DisablePareto: variant.disable,
 				Seed:          seed,

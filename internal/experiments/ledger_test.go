@@ -32,7 +32,7 @@ func TestConstrainedRowsLedger(t *testing.T) {
 			if !byBudget {
 				fig, budget, qos = "fig10", 0, h.qosRef()
 			}
-			runs, err := h.hptSystems(cfg, hptTrials, budget, qos, seed)
+			runs, err := h.hptSystems(cfg, budget, qos, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

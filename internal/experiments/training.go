@@ -333,27 +333,25 @@ func fig21b(seed uint64, cfg Config) (*Table, error) {
 		{"WO-pa", core.Options{Budget: budget, Seed: seed, DisablePareto: true}},
 		{"WO-pa-dr", core.Options{Budget: budget, Seed: seed, DisablePareto: true, DisableDelayedRestart: true}},
 	}
-	rows, err := cells(cfg, len(variants), func(i int) ([]string, error) {
+	return cellRows(t, cfg, len(variants), func(i int) ([][]string, error) {
 		v := variants[i]
 		r, err := runCE(cfg, fw, v.opt, seed, "fig21b/"+v.name)
 		if err != nil {
 			return nil, cellErr(v.name, err)
 		}
-		adjust := r.OverheadTime - r.StartupTime - r.PlanningTime
-		if adjust < 0 {
-			adjust = 0
-		}
-		return []string{
+		adjust := adjustOverhead(r)
+		return [][]string{{
 			v.name, fmt.Sprintf("%d", r.Restarts),
 			seconds(r.PlanningTime), seconds(adjust),
 			seconds(r.PlanningTime + adjust), seconds(r.JCT),
-		}, nil
+		}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, rows...)
-	return t, nil
+}
+
+// adjustOverhead is a run's runtime-adjustment overhead (fig21b/c): its
+// overhead less the initial start-up and the planning time, at least 0.
+func adjustOverhead(r *trainer.Result) float64 {
+	return max(r.OverheadTime-r.StartupTime-r.PlanningTime, 0)
 }
 
 // fig21c — the impact of the adjustment threshold δ.
@@ -372,25 +370,16 @@ func fig21c(seed uint64, cfg Config) (*Table, error) {
 		Notes:   "lower δ reacts to every prediction wobble (frequent restarts); higher δ responds slowly; default 0.1",
 	}
 	deltas := []float64{0.01, 0.05, 0.1, 0.15, 0.2}
-	rows, err := cells(cfg, len(deltas), func(i int) ([]string, error) {
+	return cellRows(t, cfg, len(deltas), func(i int) ([][]string, error) {
 		delta := deltas[i]
 		r, err := runCE(cfg, fw, core.Options{Budget: budget, Seed: seed, Delta: delta}, seed, fmt.Sprintf("fig21c/delta-%.2f", delta))
 		if err != nil {
 			return nil, err
 		}
-		adjust := r.OverheadTime - r.StartupTime - r.PlanningTime
-		if adjust < 0 {
-			adjust = 0
-		}
-		return []string{
+		return [][]string{{
 			f2(delta), fmt.Sprintf("%d", r.Restarts),
-			seconds(r.PlanningTime), seconds(r.PlanningTime + adjust),
+			seconds(r.PlanningTime), seconds(r.PlanningTime + adjustOverhead(r)),
 			seconds(r.JCT), dollars(r.TotalCost),
-		}, nil
+		}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, rows...)
-	return t, nil
 }

@@ -158,10 +158,10 @@ func validation(cfg Config, id, title string, w *workload.Model, allocs []cost.A
 		Headers: []string{"allocation", "est JCT", "sim JCT", "JCT err", "est cost", "sim cost", "cost err"},
 		Notes:   fmt.Sprintf("%d epochs per run; simulated ground truth includes stragglers, sync noise and cold starts", epochs),
 	}
-	rows, err := cells(cfg, len(allocs), func(i int) ([]string, error) {
+	return cellRows(t, cfg, len(allocs), func(i int) ([][]string, error) {
 		a := allocs[i]
 		if !m.Feasible(a) {
-			return []string{a.String(), "infeasible", "", "", "", "", ""}, nil
+			return [][]string{{a.String(), "infeasible", "", "", "", "", ""}}, nil
 		}
 		r := trainer.NewRunner(seed + uint64(a.N) + uint64(a.MemMB))
 		var res trainer.Result
@@ -170,17 +170,12 @@ func validation(cfg Config, id, title string, w *workload.Model, allocs []cost.A
 		}
 		estT := m.JobTime(a, epochs)
 		estC := m.JobCost(a, epochs)
-		return []string{
+		return [][]string{{
 			a.String(),
 			seconds(estT), seconds(res.JCT), pct(math.Abs(estT-res.JCT) / res.JCT),
 			dollars(estC), dollars(res.TotalCost), pct(math.Abs(estC-res.TotalCost) / res.TotalCost),
-		}, nil
+		}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, rows...)
-	return t, nil
 }
 
 // fig19 — model validation sweeping the function count.

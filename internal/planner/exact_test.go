@@ -2,6 +2,7 @@ package planner
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -111,4 +112,39 @@ func TestExactHandlesSingleStage(t *testing.T) {
 			break
 		}
 	}
+}
+
+// TestExactConcurrentPlanners: two planners of different sizes solve at
+// once, as abl-gap's parallel cells do through the shared buffer pool, and
+// each gets the result of a solve on its own.
+func TestExactConcurrentPlanners(t *testing.T) {
+	pls := []*Planner{
+		newPlanner(t, workload.LRHiggs(), SHAStages(256, 2, 2)),
+		newPlanner(t, workload.MobileNet(), SHAStages(64, 2, 2)),
+	}
+	budgets := make([]float64, len(pls))
+	want := make([]Result, len(pls))
+	for i, pl := range pls {
+		budgets[i] = pl.OptimalStatic(0, 1e15).Cost * 1.3
+		r, ok := pl.ExactMinJCT(budgets[i], 4000)
+		if !ok {
+			t.Fatalf("planner %d: exact found nothing", i)
+		}
+		want[i] = r
+	}
+	var wg sync.WaitGroup
+	for i, pl := range pls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 4 {
+				r, ok := pl.ExactMinJCT(budgets[i], 4000)
+				if field := sameResult(r, want[i]); !ok || field != "" {
+					t.Errorf("planner %d: concurrent solve differs in %q (ok %v)", i, field, ok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -44,13 +44,35 @@ func SHAStages(trials0, eta, epochsPerStage int) []Stage {
 // Plan assigns one allocation to every stage.
 type Plan struct {
 	Stages []cost.Allocation
+	// ConcurrencyCap, when positive, limits every stage's concurrent
+	// functions below the platform cap (the cluster-based Fixed baseline
+	// gives every stage an equal 1/d share); 0 is the platform cap.
+	ConcurrencyCap int
 }
 
 // Clone returns a deep copy of the plan.
 func (p Plan) Clone() Plan {
 	s := make([]cost.Allocation, len(p.Stages))
 	copy(s, p.Stages)
-	return Plan{Stages: s}
+	return Plan{Stages: s, ConcurrencyCap: p.ConcurrencyCap}
+}
+
+// Cap returns the concurrency cap p runs under on a platform capped at
+// platform functions.
+func (p Plan) Cap(platform int) int {
+	if p.ConcurrencyCap > 0 && p.ConcurrencyCap < platform {
+		return p.ConcurrencyCap
+	}
+	return platform
+}
+
+// Waves is the admission-wave rule, priced by the planner and executed by
+// the tuner: a stage of trials trials, each a group of n functions, admits
+// perWave = ⌊cap/n⌋ trials at a time (at least one), so it runs in
+// ceil(trials/perWave) waves (at least one).
+func Waves(trials, n, cap int) (waves, perWave int) {
+	perWave = max(cap/n, 1)
+	return max((trials+perWave-1)/perWave, 1), perWave
 }
 
 // Uniform returns a plan using allocation a for all d stages.
@@ -121,11 +143,12 @@ func New(m *cost.Model, stages []Stage, pareto []cost.Point) (*Planner, error) {
 		}
 		pl.first[j] = f
 	}
+	cap := m.Limits.MaxConcurrency
 	for i := range stages {
 		for j, pt := range pareto {
-			k, w := i*len(pareto)+j, pl.waves(i, pt.Alloc)
-			pl.warmTime[k] = pl.stageTimeWavesCold(i, pt.Alloc, w, false)
-			pl.coldTime[k] = pl.stageTimeWavesCold(i, pt.Alloc, w, true)
+			k := i*len(pareto) + j
+			pl.warmTime[k] = pl.stageTime(i, pt.Alloc, cap, false)
+			pl.coldTime[k] = pl.stageTime(i, pt.Alloc, cap, true)
 			pl.stageCost[k] = pl.StageCost(i, pt.Alloc)
 		}
 	}
@@ -175,49 +198,22 @@ func (pl *Planner) moves(j int32, upgrade bool) (k, step int) {
 	return int(pl.first[j]) + 1, 1
 }
 
-// waves returns how many admission waves stage i needs under allocation a:
-// q_i concurrent trials of n functions each must fit the concurrency cap.
-func (pl *Planner) waves(i int, a cost.Allocation) int {
-	cap := pl.Model.Limits.MaxConcurrency
-	need := pl.Stages[i].Trials * a.N
-	w := (need + cap - 1) / cap
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// StageTime returns the wall time of stage i under allocation a: per wave,
-// the group start (cold for the first stage, warm afterwards — the planner
-// pre-warms the next stage's sandboxes), the data load, and the epochs.
+// StageTime returns the wall time of stage i under allocation a at the
+// platform cap, with a cold start on the first stage and a warm one after.
 func (pl *Planner) StageTime(i int, a cost.Allocation) float64 {
-	return pl.stageTimeWaves(i, a, pl.waves(i, a))
+	return pl.stageTime(i, a, pl.Model.Limits.MaxConcurrency, i == 0)
 }
 
-// StageTimeCapped is StageTime with stage concurrency capped at capN
-// functions (the cluster-style Fixed baseline gives each stage an equal
-// concurrency share).
-func (pl *Planner) StageTimeCapped(i int, a cost.Allocation, capN int) float64 {
-	if capN < a.N {
-		capN = a.N
-	}
-	perWave := capN / a.N
-	w := (pl.Stages[i].Trials + perWave - 1) / perWave
-	if w < 1 {
-		w = 1
-	}
-	return pl.stageTimeWaves(i, a, w)
-}
-
-func (pl *Planner) stageTimeWaves(i int, a cost.Allocation, waves int) float64 {
-	return pl.stageTimeWavesCold(i, a, waves, i == 0)
-}
-
-func (pl *Planner) stageTimeWavesCold(i int, a cost.Allocation, waves int, cold bool) float64 {
+// stageTime is the wall time of stage i under allocation a and concurrency
+// cap cap: per admission wave, the group start (a cold start, or a warm one
+// when the previous stage's sandboxes are reused), the data load, and the
+// epochs.
+func (pl *Planner) stageTime(i int, a cost.Allocation, cap int, cold bool) float64 {
 	start := 0.02 // warm start: the previous stage's sandboxes are reused
 	if cold {
 		start = pl.Model.StartupEstimate(a)
 	}
+	waves, _ := Waves(pl.Stages[i].Trials, a.N, cap)
 	perRun := start + pl.Model.LoadTime(a) + float64(pl.Stages[i].Epochs)*pl.Model.EpochTime(a)
 	return float64(waves) * perRun
 }
@@ -235,15 +231,16 @@ func (pl *Planner) StageCost(i int, a cost.Allocation) float64 {
 	return q * perTrial
 }
 
-// JCT returns T^h: the summed stage wall times (Eq. 7). A stage whose
-// allocation differs from its predecessor's pays a cold start (the warm
-// pool only holds sandboxes of the previous memory size); same-allocation
-// stages reuse warm sandboxes.
+// JCT returns T^h: the summed stage wall times (Eq. 7) under p's
+// concurrency cap. A stage whose allocation differs from its predecessor's
+// pays a cold start (the warm pool only holds sandboxes of the previous
+// memory size); same-allocation stages reuse warm sandboxes.
 func (pl *Planner) JCT(p Plan) float64 {
+	cap := p.Cap(pl.Model.Limits.MaxConcurrency)
 	var t float64
 	for i, a := range p.Stages {
 		cold := i == 0 || a.MemMB != p.Stages[i-1].MemMB
-		t += pl.stageTimeWavesCold(i, a, pl.waves(i, a), cold)
+		t += pl.stageTime(i, a, cap, cold)
 	}
 	return t
 }
@@ -322,33 +319,20 @@ func (pl *Planner) optimalStatic(budget, qos float64, plan []int32) (int, score,
 	return j, s, ok
 }
 
-// ConcurrencyShare returns the per-stage concurrency pool of the
-// cluster-based Fixed baseline: the platform cap divided evenly among the
-// stages.
-func (pl *Planner) ConcurrencyShare() int {
-	share := pl.Model.Limits.MaxConcurrency / len(pl.Stages)
-	if share < 1 {
-		share = 1
-	}
-	return share
-}
-
 // FixedPlan implements the cluster-based baseline (§IV-B "Fixed"): the
 // platform's resources are divided evenly among stages, so each stage may
 // only use 1/d of the concurrency. Early stages, which host exponentially
 // more trials, queue in long admission waves (resource competition), while
 // late stages waste their oversized share — the failure mode Fig. 9-11
 // report. The per-trial allocation is the constraint's optimal static
-// choice; the JCT accounts for the share-capped waves.
+// choice; the plan carries the share as its ConcurrencyCap, and its JCT
+// prices the share-capped waves.
 func (pl *Planner) FixedPlan(budget, qos float64) Result {
-	static := pl.OptimalStatic(budget, qos)
-	share := pl.ConcurrencyShare()
-	var jct float64
-	for i, a := range static.Plan.Stages {
-		jct += pl.StageTimeCapped(i, a, share)
-	}
-	feasible := (budget <= 0 || static.Cost <= budget) && (qos <= 0 || jct <= qos)
-	return Result{Plan: static.Plan, JCT: jct, Cost: static.Cost, Feasible: feasible, Evaluated: static.Evaluated}
+	r := pl.OptimalStatic(budget, qos)
+	r.Plan.ConcurrencyCap = max(pl.Model.Limits.MaxConcurrency/len(pl.Stages), 1)
+	r.JCT = pl.JCT(r.Plan)
+	r.Feasible = (budget <= 0 || r.Cost <= budget) && (qos <= 0 || r.JCT <= qos)
+	return r
 }
 
 // PlanMinJCT runs Algorithm 1: minimize JCT subject to the budget b_c.

@@ -77,6 +77,62 @@ func (pl refPlanner) FixedPlan(budget, qos float64) Result {
 	return Result{Plan: static.Plan, JCT: jct, Cost: static.Cost, Feasible: feasible, Evaluated: static.Evaluated}
 }
 
+// The parent's wave and stage-time formulas, which refPlanner scores with:
+// ceil(q*n/cap) waves at the platform cap, and ceil(q/⌊capN/n⌋) under
+// FixedPlan's share. The two agree wherever n divides the cap, as every
+// allocation of the default grid does at 3000.
+func (pl refPlanner) JCT(p Plan) float64 {
+	var t float64
+	for i, a := range p.Stages {
+		cold := i == 0 || a.MemMB != p.Stages[i-1].MemMB
+		t += pl.stageTimeWavesCold(i, a, pl.waves(i, a), cold)
+	}
+	return t
+}
+
+func (pl refPlanner) waves(i int, a cost.Allocation) int {
+	cap := pl.Model.Limits.MaxConcurrency
+	need := pl.Stages[i].Trials * a.N
+	w := (need + cap - 1) / cap
+	if w < 1 {
+		w = 1
+	}
+	return w
+}
+
+func (pl refPlanner) StageTimeCapped(i int, a cost.Allocation, capN int) float64 {
+	if capN < a.N {
+		capN = a.N
+	}
+	perWave := capN / a.N
+	w := (pl.Stages[i].Trials + perWave - 1) / perWave
+	if w < 1 {
+		w = 1
+	}
+	return pl.stageTimeWaves(i, a, w)
+}
+
+func (pl refPlanner) stageTimeWaves(i int, a cost.Allocation, waves int) float64 {
+	return pl.stageTimeWavesCold(i, a, waves, i == 0)
+}
+
+func (pl refPlanner) stageTimeWavesCold(i int, a cost.Allocation, waves int, cold bool) float64 {
+	start := 0.02 // warm start: the previous stage's sandboxes are reused
+	if cold {
+		start = pl.Model.StartupEstimate(a)
+	}
+	perRun := start + pl.Model.LoadTime(a) + float64(pl.Stages[i].Epochs)*pl.Model.EpochTime(a)
+	return float64(waves) * perRun
+}
+
+func (pl refPlanner) ConcurrencyShare() int {
+	share := pl.Model.Limits.MaxConcurrency / len(pl.Stages)
+	if share < 1 {
+		share = 1
+	}
+	return share
+}
+
 func (pl refPlanner) moveCandidates(p Plan, stage int, upgrade bool) []Plan {
 	idx := pl.index(p.Stages[stage])
 	if idx < 0 {
@@ -492,11 +548,17 @@ func TestPlannerMatchesReference(t *testing.T) {
 						t.Fatalf("%s %s: Evaluated counter %d, reference %d", name, what, got.Evaluated, ref.Evaluated)
 					}
 				}
+				// The parent's Fixed plan priced its share but did not carry it.
+				fixedRef := func(budget, qos float64) Result {
+					r := ref.FixedPlan(budget, qos)
+					r.Plan.ConcurrencyCap = ref.ConcurrencyShare()
+					return r
+				}
 				for _, mult := range []float64{0.5, 1, 1.3, 2, 10} {
 					budget := cheapest * mult
 					check("PlanMinJCT", got.PlanMinJCT(budget), ref.greedy(budget, 0))
 					check("OptimalStatic budget", got.OptimalStatic(budget, 0), ref.OptimalStatic(budget, 0))
-					check("FixedPlan budget", got.FixedPlan(budget, 0), ref.FixedPlan(budget, 0))
+					check("FixedPlan budget", got.FixedPlan(budget, 0), fixedRef(budget, 0))
 					if set.name == "pareto" || len(shape.stages) <= 3 { // the DP is slow on Θ
 						g, gok := got.ExactMinJCT(budget, 400)
 						r, rok := ref.ExactMinJCT(budget, 400)
@@ -510,7 +572,7 @@ func TestPlannerMatchesReference(t *testing.T) {
 					qos := fastest * mult
 					check("PlanMinCost", got.PlanMinCost(qos), ref.greedy(0, qos))
 					check("OptimalStatic deadline", got.OptimalStatic(0, qos), ref.OptimalStatic(0, qos))
-					check("FixedPlan deadline", got.FixedPlan(0, qos), ref.FixedPlan(0, qos))
+					check("FixedPlan deadline", got.FixedPlan(0, qos), fixedRef(0, qos))
 				}
 			}
 		}

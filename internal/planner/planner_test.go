@@ -91,12 +91,11 @@ func TestWavesLimitConcurrency(t *testing.T) {
 	pl := newPlanner(t, workload.LRHiggs(), paperStages())
 	// Stage 0 has 16384 trials; with 10 functions each that's 163840
 	// concurrent functions against a 3000 cap -> many waves.
-	a := cost.Allocation{N: 10, MemMB: 1769, Storage: pl.P[0].Alloc.Storage}
-	w := pl.waves(0, a)
-	if w < 50 {
+	cap := pl.Model.Limits.MaxConcurrency
+	if w, _ := Waves(pl.Stages[0].Trials, 10, cap); w < 50 {
 		t.Errorf("stage 0 waves = %d; expected heavy serialization", w)
 	}
-	if wl := pl.waves(len(pl.Stages)-1, a); wl != 1 {
+	if wl, _ := Waves(pl.Stages[len(pl.Stages)-1].Trials, 10, cap); wl != 1 {
 		t.Errorf("last stage waves = %d, want 1", wl)
 	}
 }
@@ -233,16 +232,17 @@ func TestFixedPlanStarvesEarlyStages(t *testing.T) {
 	if fixed.JCT <= staticB.JCT {
 		t.Errorf("fixed JCT %g should exceed static %g (resource competition)", fixed.JCT, staticB.JCT)
 	}
-	share := pl.ConcurrencyShare()
-	if share >= pl.Model.Limits.MaxConcurrency {
+	share := fixed.Plan.ConcurrencyCap
+	if share <= 0 || share >= pl.Model.Limits.MaxConcurrency {
 		t.Errorf("share %d should be a fraction of the cap", share)
 	}
 	// Early-stage slowdown dominates: the share-capped stage-0 time grows
 	// by a larger factor than the last stage's.
 	a := fixed.Plan.Stages[0]
 	d := len(pl.Stages) - 1
-	firstRatio := pl.StageTimeCapped(0, a, share) / pl.StageTime(0, a)
-	lastRatio := pl.StageTimeCapped(d, fixed.Plan.Stages[d], share) / pl.StageTime(d, fixed.Plan.Stages[d])
+	firstRatio := pl.stageTime(0, a, share, true) / pl.StageTime(0, a)
+	last := fixed.Plan.Stages[d]
+	lastRatio := pl.stageTime(d, last, share, false) / pl.StageTime(d, last)
 	if firstRatio <= lastRatio {
 		t.Errorf("stage-0 slowdown %.2f should exceed last-stage %.2f", firstRatio, lastRatio)
 	}
@@ -298,9 +298,13 @@ func TestSmallerParetoMeansFewerEvaluations(t *testing.T) {
 func TestPlanCloneIndependent(t *testing.T) {
 	pl := newPlanner(t, workload.LRHiggs(), SHAStages(8, 2, 1))
 	p := Uniform(pl.P[0].Alloc, 3)
+	p.ConcurrencyCap = 7
 	q := p.Clone()
 	q.Stages[0] = pl.P[len(pl.P)-1].Alloc
 	if p.Stages[0] == q.Stages[0] {
 		t.Error("Clone aliases the original")
+	}
+	if q.ConcurrencyCap != 7 {
+		t.Errorf("Clone dropped the concurrency cap: %d", q.ConcurrencyCap)
 	}
 }

@@ -61,7 +61,7 @@ func TestJCTAdditivity(t *testing.T) {
 		var sum float64
 		for i, a := range p.Stages {
 			cold := i == 0 || a.MemMB != p.Stages[i-1].MemMB
-			sum += pl.stageTimeWavesCold(i, a, pl.waves(i, a), cold)
+			sum += pl.stageTime(i, a, pl.Model.Limits.MaxConcurrency, cold)
 		}
 		if got := pl.JCT(p); math.Abs(got-sum) > 1e-9*sum {
 			t.Fatalf("JCT %g != stage sum %g", got, sum)
@@ -107,14 +107,18 @@ func TestMoveCandidatesDirections(t *testing.T) {
 	}
 }
 
-// TestStageTimeCappedNeverFaster: a concurrency share can only slow a stage.
-func TestStageTimeCappedNeverFaster(t *testing.T) {
+// TestConcurrencyShareNeverFaster: a concurrency share can only slow a
+// stage, and so a plan.
+func TestConcurrencyShareNeverFaster(t *testing.T) {
 	pl := newPlanner(t, workload.LRHiggs(), SHAStages(512, 2, 2))
-	share := pl.ConcurrencyShare()
+	share := pl.FixedPlan(0, 1e15).Plan.ConcurrencyCap
 	if err := quick.Check(func(si, pi uint8) bool {
 		i := int(si) % len(pl.Stages)
 		a := pl.P[int(pi)%len(pl.P)].Alloc
-		return pl.StageTimeCapped(i, a, share) >= pl.StageTime(i, a)-1e-9
+		capped := Uniform(a, len(pl.Stages))
+		capped.ConcurrencyCap = share
+		return pl.stageTime(i, a, share, i == 0) >= pl.StageTime(i, a)-1e-9 &&
+			pl.JCT(capped) >= pl.JCT(Uniform(a, len(pl.Stages)))-1e-9
 	}, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}

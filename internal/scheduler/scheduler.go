@@ -43,9 +43,6 @@ type Config struct {
 	Delta float64
 	// DelayedRestart enables the Fig. 8 overlap optimization.
 	DelayedRestart bool
-	// PlanningSecondsPerCandidate models the decision latency per candidate
-	// allocation evaluated (the §IV-G scheduling-overhead metric).
-	PlanningSecondsPerCandidate float64
 	// OnlineTuning, when non-nil, switches the online curve fitter to the
 	// fleet configuration (bounded history, warm-started budget-limited
 	// refits; see predictor.Tuning). Nil keeps the historical exact
@@ -65,6 +62,10 @@ type Config struct {
 	// trace instants on the job's timeline. Nil disables recording.
 	Obs *obs.Observer
 }
+
+// planningSecondsPerCandidate models the decision latency per candidate
+// allocation evaluated (the §IV-G scheduling-overhead metric).
+const planningSecondsPerCandidate = 0.05
 
 // Scheduler drives one training job. Create with New, obtain the initial
 // allocation from Initial, and wire Controller into the trainer.
@@ -100,9 +101,6 @@ type Scheduler struct {
 func New(cfg Config) *Scheduler {
 	if cfg.Delta <= 0 {
 		cfg.Delta = 0.1
-	}
-	if cfg.PlanningSecondsPerCandidate <= 0 {
-		cfg.PlanningSecondsPerCandidate = 0.05
 	}
 	if cfg.Frontier != nil && len(cfg.Candidates) == 0 {
 		cfg.Candidates = cfg.Frontier.Points()
@@ -210,7 +208,7 @@ func (s *Scheduler) selectBest(remaining int, elapsed, spent float64) (cost.Allo
 func (s *Scheduler) selectBestRelaxed(remaining int, elapsed, spent float64, relax float64) (cost.Allocation, bool) {
 	for range s.cfg.Candidates {
 		s.CandidatesSeen++
-		s.PlanningSeconds += s.cfg.PlanningSecondsPerCandidate
+		s.PlanningSeconds += planningSecondsPerCandidate
 	}
 	i, ok := cost.Select(s.cfg.Candidates, s.ordered, remaining, elapsed, spent, s.cfg.Budget*relax, s.cfg.QoS*relax)
 	if !ok {

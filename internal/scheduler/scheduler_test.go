@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cost"
@@ -224,7 +225,11 @@ func TestDefaultsApplied(t *testing.T) {
 	if s.cfg.Delta != 0.1 {
 		t.Errorf("default delta = %g, want 0.1", s.cfg.Delta)
 	}
-	if s.cfg.PlanningSecondsPerCandidate <= 0 {
-		t.Error("default planning cost missing")
+	// Initial charges 0.05 s of planning per candidate it selects over.
+	s, _ = newSession(t, workload.MobileNet(), 100, 0, true)
+	s.Initial()
+	n := len(s.cfg.Candidates)
+	if want := 0.05 * float64(n); s.CandidatesSeen != n || math.Abs(s.PlanningSeconds-want) > 1e-9 {
+		t.Errorf("Initial over %d candidates charged %g s after %d candidates, want %g s", n, s.PlanningSeconds, s.CandidatesSeen, want)
 	}
 }

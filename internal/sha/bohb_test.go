@@ -121,9 +121,10 @@ func TestSampleHookUsed(t *testing.T) {
 	pareto := m.ParetoSet(cost.DefaultGrid())
 	fixed := workload.Hyperparams{LR: w.LROpt, Momentum: 0.5}
 	calls := 0
+	stages := planner.SHAStages(8, 2, 1)
 	res, err := Run(Config{
-		Workload: w, Trials: 8, Eta: 2, EpochsPerStage: 1,
-		Plan:   planner.Uniform(pareto[0].Alloc, len(planner.SHAStages(8, 2, 1))),
+		Workload: w, Stages: stages,
+		Plan:   planner.Uniform(pareto[0].Alloc, len(stages)),
 		Runner: trainer.NewRunner(23), Seed: 23,
 		Sample: func(rng *sim.Rand) workload.Hyperparams {
 			calls++

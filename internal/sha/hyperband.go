@@ -108,8 +108,6 @@ func runBrackets(cfg HyperbandConfig, stride uint64, sample func(*sim.Rand) work
 		}
 		res, err := Run(Config{
 			Workload: cfg.Workload,
-			Trials:   br.Stages[0].Trials,
-			Eta:      cfg.Eta,
 			Stages:   br.Stages,
 			Plan:     plan,
 			Runner:   cfg.Runner,

@@ -111,13 +111,12 @@ func TestExplicitStagesValidation(t *testing.T) {
 	pareto := m.ParetoSet(cost.DefaultGrid())
 	cfg := Config{
 		Workload: w,
-		Trials:   8,
-		Stages:   []planner.Stage{{Trials: 9, Epochs: 1}}, // mismatch
+		Stages:   []planner.Stage{{Trials: 0, Epochs: 1}}, // no population
 		Plan:     planner.Uniform(pareto[0].Alloc, 1),
 		Runner:   trainer.NewRunner(1),
 	}
 	if _, err := Run(cfg); err == nil {
-		t.Error("stage/trial mismatch should error")
+		t.Error("a stage shape without trials should error")
 	}
 }
 
@@ -130,8 +129,7 @@ func TestHyperbandGrowingEpochBudgets(t *testing.T) {
 	br := Brackets(9, 3)[0] // 9 trials: 1, then 3@3, 1@9
 	plan := planner.Uniform(pareto[len(pareto)/2].Alloc, len(br.Stages))
 	res, err := Run(Config{
-		Workload: w, Trials: br.Stages[0].Trials, Eta: 3,
-		Stages: br.Stages, Plan: plan,
+		Workload: w, Stages: br.Stages, Plan: plan,
 		Runner: trainer.NewRunner(5), Seed: 5,
 	})
 	if err != nil {

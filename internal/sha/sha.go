@@ -31,26 +31,17 @@ type Trial struct {
 
 // Config describes one tuning run.
 type Config struct {
-	Workload       *workload.Model
-	Trials         int // initial population
-	Eta            int // reduction factor (default 2)
-	EpochsPerStage int // r_i (default 2)
-	// Plan assigns an allocation to every stage; its length must match
-	// the SHA stage structure.
+	Workload *workload.Model
+	// Stages is the stage shape (planner.SHAStages, or a Hyperband
+	// bracket's); Stages[0].Trials is the initial population.
+	Stages []planner.Stage
+	// Plan assigns an allocation to every stage and the concurrency cap the
+	// stages run under; its length must match Stages.
 	Plan planner.Plan
 	// Runner supplies the simulated substrate.
 	Runner *trainer.Runner
 	// Seed controls hyperparameter sampling and trial stochasticity.
 	Seed uint64
-	// ConcurrencyCap, when positive, limits each stage's concurrent
-	// functions below the platform cap (the cluster-based Fixed baseline
-	// gives every stage an equal 1/d share).
-	ConcurrencyCap int
-	// Stages, when non-nil, overrides the SHA structure derived from
-	// Trials/Eta/EpochsPerStage — used by Hyperband brackets, whose
-	// per-stage epoch budgets grow geometrically instead of staying fixed.
-	// Stages[0].Trials must equal Trials.
-	Stages []planner.Stage
 	// Sample, when non-nil, replaces the uniform hyperparameter draw
 	// (model-based tuners like BOHB plug in here).
 	Sample func(rng *sim.Rand) workload.Hyperparams
@@ -88,27 +79,15 @@ func SampleHyperparams(w *workload.Model, rng *sim.Rand) workload.Hyperparams {
 	}
 }
 
-// Run executes the tuning workflow under cfg.Plan.
+// Run executes the tuning workflow of cfg.Stages under cfg.Plan: each
+// stage in the admission waves planner.Waves gives at the plan's cap.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Workload == nil || cfg.Runner == nil {
 		return nil, fmt.Errorf("sha: nil workload or runner")
 	}
-	if cfg.Eta < 2 {
-		cfg.Eta = 2
-	}
-	if cfg.EpochsPerStage <= 0 {
-		cfg.EpochsPerStage = 2
-	}
 	stages := cfg.Stages
-	if stages == nil {
-		if cfg.Trials < cfg.Eta {
-			return nil, fmt.Errorf("sha: %d trials cannot be halved", cfg.Trials)
-		}
-		stages = planner.SHAStages(cfg.Trials, cfg.Eta, cfg.EpochsPerStage)
-	} else {
-		if len(stages) == 0 || stages[0].Trials != cfg.Trials {
-			return nil, fmt.Errorf("sha: explicit stages must start with the trial population (%d)", cfg.Trials)
-		}
+	if len(stages) == 0 || stages[0].Trials < 1 {
+		return nil, fmt.Errorf("sha: a run needs stages and a trial population")
 	}
 	if len(cfg.Plan.Stages) != len(stages) {
 		return nil, fmt.Errorf("sha: plan has %d stages, structure needs %d", len(cfg.Plan.Stages), len(stages))
@@ -119,8 +98,8 @@ func Run(cfg Config) (*Result, error) {
 	if sample == nil {
 		sample = func(rng *sim.Rand) workload.Hyperparams { return SampleHyperparams(cfg.Workload, rng) }
 	}
-	slab := make([]Trial, cfg.Trials)
-	trials := make([]*Trial, cfg.Trials)
+	slab := make([]Trial, stages[0].Trials)
+	trials := make([]*Trial, len(slab))
 	for i := range trials {
 		hp := sample(rng)
 		slab[i] = Trial{ID: i, HP: hp, Alive: true, Loss: math.Inf(1),
@@ -130,26 +109,15 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{}
 	alive := trials
-	capLimit := cfg.Runner.Compute().Limits().MaxConcurrency
-	if cfg.ConcurrencyCap > 0 && cfg.ConcurrencyCap < capLimit {
-		capLimit = cfg.ConcurrencyCap
-	}
+	cap := cfg.Plan.Cap(cfg.Runner.Compute().Limits().MaxConcurrency)
 
 	var run trainer.Result // every trial's result, in turn
 	for si, stage := range stages {
 		alloc := cfg.Plan.Stages[si]
-		perWave := capLimit / alloc.N
-		if perWave < 1 {
-			perWave = 1
-		}
-		waves := (len(alive) + perWave - 1) / perWave
-
+		waves, perWave := planner.Waves(len(alive), alloc.N, cap)
 		report := StageReport{Stage: si, Trials: len(alive), Waves: waves, BestLoss: math.Inf(1)}
 		for wStart := 0; wStart < len(alive); wStart += perWave {
-			wEnd := wStart + perWave
-			if wEnd > len(alive) {
-				wEnd = len(alive)
-			}
+			wEnd := min(wStart+perWave, len(alive))
 			waveMax := 0.0
 			waveComm := 0.0
 			for _, tr := range alive[wStart:wEnd] {

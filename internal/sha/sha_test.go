@@ -7,6 +7,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/planner"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/trainer"
 	"repro/internal/workload"
 )
@@ -23,7 +24,7 @@ func tuningConfig(t testing.TB, w *workload.Model, trials int, seed uint64) Conf
 	static := pl.OptimalStatic(0, 1e15)
 	return Config{
 		Workload: w,
-		Trials:   trials,
+		Stages:   stages,
 		Plan:     static.Plan,
 		Runner:   trainer.NewRunner(seed),
 		Seed:     seed,
@@ -125,9 +126,9 @@ func TestRunValidation(t *testing.T) {
 		t.Error("missing runner should error")
 	}
 	cfg := tuningConfig(t, w, 8, 1)
-	cfg.Trials = 1
+	cfg.Stages = nil
 	if _, err := Run(cfg); err == nil {
-		t.Error("single trial cannot be halved")
+		t.Error("a run without stages should error")
 	}
 	cfg = tuningConfig(t, w, 8, 1)
 	cfg.Plan.Stages = cfg.Plan.Stages[:1]
@@ -163,5 +164,58 @@ func TestDeterministicTuning(t *testing.T) {
 	j2, c2, b2 := run()
 	if j1 != j2 || c1 != c2 || b1 != b2 {
 		t.Error("tuning run is not deterministic")
+	}
+}
+
+// TestPlannedWavesMatchExecuted: the admission waves the planner prices for
+// each stage are the waves Run executes, at the platform cap and under the
+// Fixed baseline's per-stage share, on an allocation whose n (7) does not
+// divide the 3000-function cap. A stage's planned waves are its planned
+// time over the time of the same stage with one trial.
+func TestPlannedWavesMatchExecuted(t *testing.T) {
+	w := workload.MobileNet()
+	m := cost.NewModel(w)
+	pts := m.Enumerate(cost.Grid{Ns: []int{7}, MemsMB: []int{1769}, Storages: []storage.Kind{storage.S3}})
+	if len(pts) != 1 {
+		t.Fatalf("one-point grid enumerates %d feasible points", len(pts))
+	}
+	a := pts[0].Alloc
+	stages := []planner.Stage{{Trials: 857, Epochs: 1}, {Trials: 428, Epochs: 1}, {Trials: 2, Epochs: 1}}
+	pl, err := planner.New(m, stages, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plannedWaves := func(i, cap int) int {
+		single, err := planner.New(m, stages[i:i+1], pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit, err := planner.New(m, []planner.Stage{{Trials: 1, Epochs: stages[i].Epochs}}, pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capped := planner.Plan{Stages: []cost.Allocation{a}, ConcurrencyCap: cap}
+		return int(math.Round(single.JCT(capped) / unit.JCT(planner.Uniform(a, 1))))
+	}
+	// ⌊3000/7⌋ = 428 trials per wave: 857 trials take 3 waves, where
+	// ceil(857·7/3000) would be 2.
+	if w0 := plannedWaves(0, 0); w0 != 3 {
+		t.Fatalf("stage 0 planned in %d waves, want 3", w0)
+	}
+	fixed := pl.FixedPlan(0, 1e15).Plan
+	if fixed.ConcurrencyCap != m.Limits.MaxConcurrency/len(stages) {
+		t.Fatalf("FixedPlan carries cap %d, want the 1/%d share %d", fixed.ConcurrencyCap, len(stages), m.Limits.MaxConcurrency/len(stages))
+	}
+	for _, plan := range []planner.Plan{planner.Uniform(a, len(stages)), fixed} {
+		res, err := Run(Config{Workload: w, Stages: stages, Plan: plan, Runner: trainer.NewRunner(3), Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range res.Stages {
+			if want := plannedWaves(i, plan.ConcurrencyCap); st.Waves != want {
+				t.Errorf("cap %d, stage %d (%d trials x %d functions): executed %d waves, planned %d",
+					plan.ConcurrencyCap, i, st.Trials, a.N, st.Waves, want)
+			}
+		}
 	}
 }
