@@ -47,7 +47,9 @@ shard-check:
 # gates are the allocation contract: every test named Test...ZeroAlloc, found
 # by name so a new one cannot be left out, fails hard if the steady state it
 # drives touches the heap (testing.AllocsPerRun == 0 on the fit, replay,
-# observe (windowed, and along the nodes of a shared history tree), decision, kernel, fault-query, SGD-epoch, Successive-Halving
+# observe (windowed, and along the nodes of a shared history tree), decision
+# (steady and restarting: TestRestartDecisionZeroAlloc, and Siren's
+# TestSirenRestartZeroAlloc), kernel, fault-query, SGD-epoch, Successive-Halving
 # trial (TestSHATrialZeroAlloc: RunEpochs into a reused Result), faas (single and group
 # admission with release at n = 1, 8, 200, ReclaimWarm, and both entry
 # points' denial) and traffic paths; mallocs per arrival on the
@@ -74,17 +76,22 @@ shard-check:
 # Algorithm 1 over the Pareto set and over the full grid (fig21a's WO-pa)
 # and the exact DP. The planner's gate is a bound, not zero: a greedy run
 # allocates its index plans and its result, never per candidate
-# (TestPlanMinJCTBoundedAllocs). Measured runs are
+# (TestPlanMinJCTBoundedAllocs). So is macro-fleet's footprint gate: one
+# more controller may cost at most a bound of heap allocations and bytes
+# (TestFleetFootprintPerTenant). internal/fit and internal/scheduler run
+# with -benchmem, so BenchmarkFitterFleet and BenchmarkDecisionFleet print
+# allocations per operation. Measured runs are
 # `go run ./cmd/bench [-layers]`; see benchmark/README.md.
 bench:
 	$(GO) test -run ZeroAlloc ./...
 	$(GO) test -run TestLaneChurnReusesSlots ./internal/sim/
 	$(GO) test -run TestPlanMinJCTBoundedAllocs ./internal/planner/
+	$(GO) test -run TestFleetFootprintPerTenant ./internal/experiments/
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=100x \
-		./internal/ml/ ./internal/dataset/ ./internal/sha/ ./internal/core/
+		./internal/ml/ ./internal/dataset/ ./internal/sha/ ./internal/core/ \
+		./internal/fit/ ./internal/scheduler/
 	$(GO) test -run '^$$' -bench . -benchtime=100x \
-		./internal/sim/ ./internal/cost/ ./internal/fit/ ./internal/scheduler/ ./internal/traffic/ \
-		./internal/planner/
+		./internal/sim/ ./internal/cost/ ./internal/traffic/ ./internal/planner/
 
 # bench-smoke: the measurement harness's own checks on one short execution
 # per workload — the golden paper digest, trace-s8w2 == trace-s1, the TOTAL

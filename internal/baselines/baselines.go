@@ -205,7 +205,7 @@ func (s *SirenTraining) Controller() trainer.Controller {
 		if next != s.current {
 			s.current = next
 			s.Restarts++
-			dec.NewAlloc = &next
+			dec.Switch, dec.NewAlloc = true, next
 			dec.Delayed = false // Siren stops and restarts functions
 		}
 		return dec

@@ -186,3 +186,28 @@ func TestSirenPlanPinnedVMPS(t *testing.T) {
 		}
 	}
 }
+
+// TestSirenRestartZeroAlloc: Siren's per-epoch hook decides a restart
+// without touching the heap. Each measured run steps epochs until the
+// exploration noise has switched the allocation at least once.
+func TestSirenRestartZeroAlloc(t *testing.T) {
+	m, _, _ := setup(t, workload.MobileNet())
+	siren := NewSirenTraining(FilterByStorage(m.Enumerate(cost.DefaultGrid()), storage.S3), 1e9, 0, 30, 3)
+	siren.Initial()
+	ctrl := siren.Controller()
+	epoch := 1
+	restart := func() {
+		for before := siren.Restarts; siren.Restarts == before; epoch++ {
+			dec := ctrl(epoch%20+1, 1, 0, 0)
+			if dec.Stop {
+				t.Fatal("unexpected stop")
+			}
+			if siren.Restarts != before && (!dec.Switch || dec.NewAlloc != siren.current) {
+				t.Fatalf("epoch %d: restart counted, decision %+v", epoch, dec)
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(200, restart); avg != 0 {
+		t.Errorf("a restarting Siren decision allocates %.2f/op, want 0", avg)
+	}
+}

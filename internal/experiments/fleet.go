@@ -20,6 +20,9 @@ package experiments
 //     is pinned by (time, priority).
 //   - Everything else — scheduler, predictor buffers, loss stream, budget
 //     accounting — is tenant-private on the tenant's shard (t % shards).
+//   - Each controller is one compact record: the tenants are one slab, and
+//     a tenant's scheduler holds its predictor, which holds its fitter, by
+//     value (TestFleetFootprintPerTenant).
 //
 // Scaling note: the registered default is 48 tenants so smoke tests run in
 // milliseconds; Config.FleetTenants (cebench -fleet-tenants) raises it to
@@ -145,8 +148,8 @@ func (tn *fleetTenant) epochDone() {
 		tn.converged = loss <= tn.cl.w.TargetLoss
 		tn.jct = elapsed
 		tn.releaseGroup()
-	case dec.NewAlloc != nil:
-		np, ok := tn.cl.byAlloc[*dec.NewAlloc]
+	case dec.Switch:
+		np, ok := tn.cl.byAlloc[dec.NewAlloc]
 		if !ok {
 			np = tn.cur // unreachable: the scheduler selects frontier points
 		}
@@ -212,7 +215,7 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 	// sees refusals, backoff retries and a drop (its note prints denials=105
 	// at seed 2023), but at bench scale (1,500 tenants, starts spread over
 	// 3,000 s) the note prints denials=0.
-	fleet := make([]*fleetTenant, tenants)
+	fleet := make([]fleetTenant, tenants)
 	totalN := 0
 	for t := range fleet {
 		name := h.tenantName(t, tenants)
@@ -242,19 +245,20 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("macro-fleet: tenant %d initial allocation %v not on the class frontier", t, alloc)
 		}
-		tn := &fleetTenant{
+		tn := &fleet[t]
+		*tn = fleetTenant{
 			member: member{id: t, sh: h.shard(t)},
 			cl:     cl, ctrl: sched.Controller(),
 			loss:   cp.Engine(h.s.Rand(name + "/loss")),
 			budget: budget, qos: qos, cur: p,
 		}
 		tn.epochFn = tn.epochDone
-		fleet[t] = tn
 		totalN += alloc.N
 	}
 
 	ac := h.newAccount(max(maxN, totalN*4/5), fleetMaxRetry, fleetBands)
-	for _, tn := range fleet {
+	for t := range fleet {
+		tn := &fleet[t]
 		tn.join(ac, tn)
 		tn.sh.SchedulePriority(sim.Time(fleetStagger*float64(tn.id+1)), priFleetEpoch+tn.id, tn.start)
 	}
@@ -269,7 +273,8 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 	ty := newTally("class", labels, count("tenants"), count("converged"), count("budget-met"), count("qos-met"),
 		count("restarts"), count("dropped"), count("decisions"), money("modeled$"))
 	var decisions uint64
-	for t, tn := range fleet {
+	for t := range fleet {
+		tn := &fleet[t]
 		ty.add(t%len(classes), nil, 1, b2f(tn.converged),
 			b2f(tn.budget > 0 && tn.spent <= tn.budget && !tn.dropped),
 			b2f(tn.qos > 0 && tn.jct <= tn.qos && !tn.dropped),

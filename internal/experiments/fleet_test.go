@@ -1,0 +1,45 @@
+package experiments
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestFleetFootprintPerTenant is the footprint gate of macro-fleet: what one
+// more Algorithm-2 controller costs in heap allocations and bytes, taken as
+// the slope between two fleet sizes so the set-up the whole fleet shares
+// (class frontiers, the account, the kernel) cancels out. A tenant is one
+// entry of the fleet's slab; its scheduler holds its predictor, and the
+// predictor its fitter, by value; its window is one array; a restart
+// decides without the heap. Before that layout a tenant cost 35.0
+// allocations and about 2780 bytes here; now 22.3 and about 2210 (a -race
+// build reads about 0.5 allocations and 60 bytes more). One object more
+// per tenant, a pointer field split out again or a restart that escapes,
+// reads 1.0 higher and fails the allocation bound.
+func TestFleetFootprintPerTenant(t *testing.T) {
+	footprint := func(tenants int) (mallocs, bytes float64) {
+		run := func() {
+			if _, _, err := macroFleet(2023, Config{FleetTenants: tenants, Shards: 1, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mallocs = testing.AllocsPerRun(2, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return mallocs, float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	const small, large = 48, 240
+	smallM, smallB := footprint(small)
+	largeM, largeB := footprint(large)
+	perM := (largeM - smallM) / (large - small)
+	perB := (largeB - smallB) / (large - small)
+	t.Logf("per tenant: %.1f allocations, %.0f bytes", perM, perB)
+	if perM > 23.25 {
+		t.Errorf("a fleet tenant costs %.1f heap allocations, want <= 23.25", perM)
+	}
+	if perB > 2350 {
+		t.Errorf("a fleet tenant costs %.0f heap bytes, want <= 2350", perB)
+	}
+}

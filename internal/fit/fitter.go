@@ -15,11 +15,13 @@ const fitterParams = 3
 // curve. It has two kernels: normalPass, one pass over the data that gives
 // the sum of squared residuals at a point together with the normal
 // equations there, and solveDamped, which keeps the twelve entries of the
-// augmented 3×4 system in locals. The Fitter holds only what crosses a
-// kernel boundary (parameters, trial point, the normal equations at both,
-// step) in fixed-size arrays, so a steady-state refit performs zero heap
-// allocations — the property the per-epoch Algorithm-2 decision loop is
-// gated on (fit.TestFitterZeroAlloc).
+// augmented 3×4 system in locals. A Fitter holds only what outlives a Fit
+// call: the result array Result.Params aliases and the warm start. The
+// iteration's parameters, trial point, step and the normal equations at
+// both points are locals of Fit that stay on the stack, so a Fitter is 56
+// bytes and a steady-state refit performs zero heap allocations — the
+// property the per-epoch Algorithm-2 decision loop is gated on
+// (fit.TestFitterZeroAlloc).
 //
 // A cold Fit's starting guess, damping schedule, elimination pivoting and
 // float arithmetic order are pinned bit for bit by testdata/cold.bits
@@ -38,11 +40,6 @@ const fitterParams = 3
 //
 // A Fitter is not safe for concurrent use; give each goroutine its own.
 type Fitter struct {
-	params, trial, delta [fitterParams]float64
-	// ne holds the normal equations at params and at trial; Fit swaps
-	// the two roles when it accepts a trial.
-	ne [2]normal
-
 	// out backs Result.Params: valid until the next Fit call.
 	out [fitterParams]float64
 
@@ -93,40 +90,42 @@ func (f *Fitter) Fit(xs, ys []float64, opts Options) (Result, error) {
 		opts.Tol = 1e-10
 	}
 
+	var params, trial, delta [fitterParams]float64
 	if f.warm && f.hasPrev {
-		f.params = f.prev
+		params = f.prev
 	} else {
-		f.params = dataGuess(xs, ys)
+		params = dataGuess(xs, ys)
 	}
-	f.clamp(&f.params)
+	clamp(&params)
 	// cur is the normal equations at params, next those at trial: an
 	// accepted trial's pass is the next iteration's normal equations.
-	cur, next := &f.ne[0], &f.ne[1]
-	sse := normalPass(&f.params, xs, ys, cur)
+	var ne [2]normal
+	cur, next := &ne[0], &ne[1]
+	sse := normalPass(&params, xs, ys, cur)
 	lambda := 1e-3
 	iters := 0
 
 	for ; iters < opts.MaxIter; iters++ {
 		improved := false
 		for attempt := 0; attempt < 20; attempt++ {
-			if !f.solveDamped(cur, lambda) {
+			if !solveDamped(cur, lambda, &delta) {
 				lambda *= 10
 				continue
 			}
-			for i := range f.trial {
-				f.trial[i] = f.params[i] - f.delta[i]
+			for i := range trial {
+				trial[i] = params[i] - delta[i]
 			}
-			f.clamp(&f.trial)
-			trialSSE := normalPass(&f.trial, xs, ys, next)
+			clamp(&trial)
+			trialSSE := normalPass(&trial, xs, ys, next)
 			if trialSSE < sse {
 				rel := (sse - trialSSE) / (sse + 1e-30)
-				f.params, sse = f.trial, trialSSE
+				params, sse = trial, trialSSE
 				cur, next = next, cur
 				lambda = max(lambda/3, 1e-12)
 				improved = true
 				if rel < opts.Tol {
 					iters++
-					return f.finish(sse, n, iters), nil
+					return f.finish(&params, sse, n, iters), nil
 				}
 				break
 			}
@@ -139,7 +138,7 @@ func (f *Fitter) Fit(xs, ys []float64, opts Options) (Result, error) {
 			break
 		}
 	}
-	return f.finish(sse, n, iters), nil
+	return f.finish(&params, sse, n, iters), nil
 }
 
 // dataGuess is the cold starting point: assume the last observation is
@@ -206,7 +205,7 @@ func normalPassGo(p *[fitterParams]float64, xs, ys []float64, ne *normal) float6
 }
 
 // clamp projects params back into the curve's valid region a, b > 0.
-func (f *Fitter) clamp(params *[fitterParams]float64) {
+func clamp(params *[fitterParams]float64) {
 	if params[0] < 1e-9 {
 		params[0] = 1e-9
 	}
@@ -215,10 +214,11 @@ func (f *Fitter) clamp(params *[fitterParams]float64) {
 	}
 }
 
-func (f *Fitter) finish(sse float64, n, iters int) Result {
-	f.out = f.params
+// finish records params as the result and, warm, as the next start.
+func (f *Fitter) finish(params *[fitterParams]float64, sse float64, n, iters int) Result {
+	f.out = *params
 	if f.warm {
-		f.prev = f.params
+		f.prev = *params
 		f.hasPrev = true
 	}
 	return Result{Params: f.out[:], SSE: sse, RMSE: math.Sqrt(sse / float64(n)), Iters: iters}
@@ -235,11 +235,11 @@ func damp(v, lambda float64) float64 {
 }
 
 // solveDamped solves (jtj + lambda*diag(jtj)) delta = jtr of ne into
-// f.delta by Gaussian elimination with partial pivoting over the augmented
+// *delta by Gaussian elimination with partial pivoting over the augmented
 // 3×4 system, held in twelve locals (row i is mi0 mi1 mi2 | mi3); false
 // when the system is singular or the step is not finite. The pivot of a column is the first
 // row with the strictly largest magnitude, as a row-by-row scan finds it.
-func (f *Fitter) solveDamped(ne *normal, lambda float64) bool {
+func solveDamped(ne *normal, lambda float64, delta *[fitterParams]float64) bool {
 	j, r := &ne.jtj, &ne.jtr
 	m00, m01, m02, m03 := damp(j[0][0], lambda), j[0][1], j[0][2], r[0]
 	m10, m11, m12, m13 := j[1][0], damp(j[1][1], lambda), j[1][2], r[1]
@@ -286,8 +286,8 @@ func (f *Fitter) solveDamped(ne *normal, lambda float64) bool {
 	d2 := m23 / m22
 	d1 := (m13 - m12*d2) / m11
 	d0 := (m03 - m01*d1 - m02*d2) / m00
-	f.delta = [fitterParams]float64{d0, d1, d2}
-	for _, v := range f.delta {
+	*delta = [fitterParams]float64{d0, d1, d2}
+	for _, v := range delta {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
 		}

@@ -251,24 +251,24 @@ type dampedCase struct {
 	lambda float64
 }
 
-// requireSameSolve runs solveDamped on both solvers from the same prior
-// step and fails unless ok and every bit of delta agree: a singular exit
-// leaves delta as it was, a non-finite one has already overwritten it.
+// requireSameSolve runs solveDamped and the reference's method from the
+// same prior step and fails unless ok and every bit of delta agree: a
+// singular exit leaves delta as it was, a non-finite one has already
+// overwritten it.
 func requireSameSolve(t *testing.T, c dampedCase) {
 	t.Helper()
-	var f Fitter
 	var ref refFitter
 	ne := normal{c.jtj, c.jtr}
 	ref.jtj, ref.jtr = c.jtj, c.jtr
-	f.delta = [fitterParams]float64{7, -7, 0.5}
-	ref.delta = f.delta
-	ok, refOK := f.solveDamped(&ne, c.lambda), ref.solveDamped(c.lambda)
+	delta := [fitterParams]float64{7, -7, 0.5}
+	ref.delta = delta
+	ok, refOK := solveDamped(&ne, c.lambda, &delta), ref.solveDamped(c.lambda)
 	if ok != refOK {
 		t.Fatalf("%s: ok %v, reference %v", c.name, ok, refOK)
 	}
-	for i := range f.delta {
-		if !sameBits(f.delta[i], ref.delta[i]) {
-			t.Fatalf("%s: delta[%d] %v, reference %v (ok %v)", c.name, i, f.delta[i], ref.delta[i], ok)
+	for i := range delta {
+		if !sameBits(delta[i], ref.delta[i]) {
+			t.Fatalf("%s: delta[%d] %v, reference %v (ok %v)", c.name, i, delta[i], ref.delta[i], ok)
 		}
 	}
 }
@@ -523,7 +523,7 @@ func FuzzFitterFit(f *testing.F) {
 			if !warm || lo == 0 {
 				start = dataGuess(wx, wy)
 			}
-			fitter.clamp(&start)
+			clamp(&start)
 			startSSE := ref.sumSquares(&start, wx, wy)
 			got, err := fitter.Fit(wx, wy, opts)
 			if err != nil {

@@ -176,7 +176,7 @@ func TestFitterImprovesOnGuess(t *testing.T) {
 	xs, ys := genInverseLinear(0.15, 2, 0.45, 0.02, 20, 3)
 	f := newFitter(t)
 	guess := dataGuess(xs, ys)
-	f.clamp(&guess)
+	clamp(&guess)
 	guessSSE := (&refFitter{}).sumSquares(&guess, xs, ys)
 	res, err := f.Fit(xs, ys, Options{})
 	if err != nil {
@@ -189,7 +189,7 @@ func TestFitterImprovesOnGuess(t *testing.T) {
 
 func TestClampEnforcesPositivity(t *testing.T) {
 	p := [fitterParams]float64{-1, -5, 0.2}
-	newFitter(t).clamp(&p)
+	clamp(&p)
 	if p[0] <= 0 || p[1] <= 0 || p[2] != 0.2 {
 		t.Errorf("clamp left %v", p)
 	}
@@ -232,13 +232,13 @@ func TestFitterDeterministic(t *testing.T) {
 }
 
 func TestSolveDampedSingular(t *testing.T) {
-	f := newFitter(t)
+	var delta [fitterParams]float64
 	ne := normal{jtr: [fitterParams]float64{1, 1, 1}} // jtj is the zero matrix
-	if f.solveDamped(&ne, 0) {
+	if solveDamped(&ne, 0, &delta) {
 		t.Error("singular, undamped system should fail")
 	}
-	if !f.solveDamped(&ne, 1) || f.delta != ne.jtr {
-		t.Errorf("damping should regularize the zero matrix to the identity: delta = %v", f.delta)
+	if !solveDamped(&ne, 1, &delta) || delta != ne.jtr {
+		t.Errorf("damping should regularize the zero matrix to the identity: delta = %v", delta)
 	}
 }
 

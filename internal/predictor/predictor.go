@@ -43,21 +43,19 @@ func NewOffline(m *workload.Model) *Offline {
 func (o *Offline) PredictEpochs(target float64, seed uint64) int {
 	const horizon = 400
 	eng := o.sampleEngine(seed)
-	trace := make([]float64, 0, 64)
+	// The trace and its epochs live on the stack.
+	var xs, trace [horizon]float64
 	for e := 1; e <= horizon; e++ {
 		loss := eng.NextEpoch()
-		trace = append(trace, loss)
+		xs[e-1], trace[e-1] = float64(e), loss
 		if loss <= target {
 			return e
 		}
 	}
 	// The sample never reached the target (its loss floor sits above it):
 	// extrapolate a curve fit through the sampled trace.
-	xs := make([]float64, len(trace))
-	for i := range xs {
-		xs[i] = float64(i + 1)
-	}
-	if res, err := newFitter().Fit(xs, trace, fit.Options{}); err == nil {
+	var f fit.Fitter
+	if res, err := f.Fit(xs[:], trace[:], fit.Options{}); err == nil {
 		if e, ok := fit.SolveForX(res.Params, target); ok {
 			return clampEpochs(e)
 		}
@@ -88,13 +86,6 @@ func (o *Offline) sampleEngine(seed uint64) workload.Engine {
 	return m.NewCurveEngine(hp, seed^0x0ff1)
 }
 
-// newFitter builds the curve solver. NewFitter's error is always nil; its
-// signature is pinned by cmd/bench.
-func newFitter() *fit.Fitter {
-	f, _ := fit.NewFitter(fit.InverseLinear{})
-	return f
-}
-
 func clampEpochs(e float64) int {
 	if math.IsNaN(e) || e < 1 {
 		return 1
@@ -113,21 +104,21 @@ const MinPoints = 4
 type Online struct {
 	xs, ys []float64
 
-	// fixedCap, when positive, bounds the retained history: once full, each
-	// Observe shifts the window in place instead of appending, so the
-	// steady-state observe+refit path never touches the heap (the fleet
-	// configuration; see setFixedWindow).
-	fixedCap int
 	// refitBudget, when positive, caps LM iterations per refit. Only
 	// sensible with warm start: each epoch's refit then continues from the
 	// previous epoch's parameters, so the optimization is amortized across
 	// the observation stream instead of re-converging from scratch.
 	refitBudget int
 
-	fitter  *fit.Fitter
+	fitter  fit.Fitter
 	lastFit [3]float64
 	hasFit  bool
 	dirty   bool
+	// fixed bounds the retained history at cap(xs): once full, each
+	// Observe shifts the window in place instead of appending, so the
+	// steady-state observe+refit path never touches the heap (the fleet
+	// configuration; see setFixedWindow).
+	fixed bool
 
 	// shared, when set, keeps the history as a node of a tree that other
 	// predictors walk too (see Shared); xs and ys are then the node's
@@ -148,9 +139,10 @@ type Tuning struct {
 	FixedWindow int
 	// WarmStart seeds each refit from the previous epoch's parameters.
 	WarmStart bool
-	// RefitBudget caps LM iterations per refit (0 = unlimited). With warm
-	// start the budget is amortized: each epoch refines the previous fit a
-	// few steps rather than re-converging from the data guess.
+	// RefitBudget caps LM iterations per refit; 0 leaves fit.Fitter's
+	// default cap of 200. With warm start the budget is amortized: each
+	// epoch refines the previous fit a few steps rather than re-converging
+	// from the data guess.
 	RefitBudget int
 }
 
@@ -186,14 +178,14 @@ func (o *Online) setFixedWindow(w int) {
 	if w < 3 {
 		w = 3
 	}
-	o.fixedCap = w
-	xs := make([]float64, 0, w)
-	ys := make([]float64, 0, w)
+	o.fixed = true
 	if drop := len(o.xs) - w; drop > 0 {
 		o.xs, o.ys = o.xs[drop:], o.ys[drop:]
 	}
-	o.xs = append(xs, o.xs...)
-	o.ys = append(ys, o.ys...)
+	// xs and ys are the two halves of one array.
+	buf := make([]float64, 2*w)
+	o.xs = append(buf[:0:w], o.xs...)
+	o.ys = append(buf[w:w], o.ys...)
 	o.dirty = true
 }
 
@@ -204,14 +196,7 @@ func (o *Online) setFixedWindow(w int) {
 // fleet runs; the default cold path stays bit-identical to the historical
 // outputs (fit's testdata/cold.bits).
 func (o *Online) setWarmStart(on bool) {
-	o.ensureFitter()
 	o.fitter.SetWarmStart(on)
-}
-
-func (o *Online) ensureFitter() {
-	if o.fitter == nil {
-		o.fitter = newFitter()
-	}
 }
 
 // Observe records the loss after epoch (1-based).
@@ -219,11 +204,11 @@ func (o *Online) Observe(epoch int, loss float64) {
 	if o.shared != nil {
 		o.node = o.shared.child(o.node, float64(epoch), loss)
 		o.xs, o.ys = o.node.xs, o.node.ys
-	} else if o.fixedCap > 0 && len(o.xs) == o.fixedCap {
+	} else if o.fixed && len(o.xs) == cap(o.xs) {
 		copy(o.xs, o.xs[1:])
 		copy(o.ys, o.ys[1:])
-		o.xs[o.fixedCap-1] = float64(epoch)
-		o.ys[o.fixedCap-1] = loss
+		o.xs[len(o.xs)-1] = float64(epoch)
+		o.ys[len(o.ys)-1] = loss
 	} else {
 		o.xs = append(o.xs, float64(epoch))
 		o.ys = append(o.ys, loss)
@@ -257,7 +242,6 @@ func (o *Online) refit() bool {
 			return true
 		}
 	}
-	o.ensureFitter()
 	res, err := o.fitter.Fit(o.xs, o.ys, fit.Options{MaxIter: o.refitBudget})
 	if err != nil {
 		return false

@@ -49,7 +49,7 @@ func runRecorded(t *testing.T, delta float64, seed uint64, maxEpochs int) (*trai
 	var triggers []int
 	record := func(epoch int, loss float64, elapsed, spent float64) trainer.Decision {
 		dec := inner(epoch, loss, elapsed, spent)
-		if dec.NewAlloc != nil {
+		if dec.Switch {
 			triggers = append(triggers, epoch)
 		}
 		return dec

@@ -71,11 +71,10 @@ const planningSecondsPerCandidate = 0.05
 // allocation from Initial, and wire Controller into the trainer.
 type Scheduler struct {
 	cfg    Config
-	online *predictor.Online
+	online predictor.Online
 
 	alloc          cost.Allocation
 	lastPrediction int // latest predicted total epochs (the e of Alg. 2)
-	spent          float64
 	// panicked marks that the last adjustment was a constraint-pressure
 	// fallback; while set, the scheduler re-evaluates every epoch instead
 	// of waiting for δ drift, so an over-pessimistic early prediction does
@@ -110,14 +109,13 @@ func New(cfg Config) *Scheduler {
 		sort.Slice(cands, func(i, j int) bool { return cands[i].Time < cands[j].Time })
 		cfg.Candidates = cands
 	}
-	var online *predictor.Online
+	s := &Scheduler{cfg: cfg, ordered: cost.Strict(cfg.Candidates)}
 	if cfg.OnlineTuning != nil {
-		online = predictor.NewOnline()
-		online.ApplyTuning(*cfg.OnlineTuning)
+		s.online.ApplyTuning(*cfg.OnlineTuning)
 	} else {
-		online = cfg.Shared.NewOnline()
+		s.online = *cfg.Shared.NewOnline()
 	}
-	return &Scheduler{cfg: cfg, online: online, ordered: cost.Strict(cfg.Candidates)}
+	return s
 }
 
 // fastest returns the lowest-epoch-time candidate.
@@ -259,7 +257,6 @@ func (s *Scheduler) Controller() trainer.Controller {
 // refit, and re-select the allocation when the prediction drifts past δ.
 func (s *Scheduler) decide(epoch int, loss float64, elapsed, spent float64) trainer.Decision {
 	s.online.Observe(epoch, loss)
-	s.spent = spent
 
 	planningBefore := s.PlanningSeconds
 	dec := trainer.Decision{}
@@ -315,7 +312,7 @@ func (s *Scheduler) decide(epoch int, loss float64, elapsed, spent float64) trai
 				s.alloc = next
 				s.Restarts++
 				s.Adjustments++
-				dec.NewAlloc = &next
+				dec.Switch, dec.NewAlloc = true, next
 				dec.Delayed = s.cfg.DelayedRestart
 			}
 		}
@@ -334,7 +331,7 @@ func (s *Scheduler) logDecision(elapsed float64, epoch int, loss float64, predic
 	if !s.cfg.Obs.Enabled() {
 		return
 	}
-	restart := dec.NewAlloc != nil
+	restart := dec.Switch
 	args := []obs.Arg{
 		obs.I("epoch", epoch),
 		obs.F("loss", loss),

@@ -100,3 +100,49 @@ func TestDecisionZeroAlloc(t *testing.T) {
 		t.Errorf("steady-state decision allocates %.2f/op, want 0", avg)
 	}
 }
+
+// TestRestartDecisionZeroAlloc is TestDecisionZeroAlloc's restart path: every
+// measured decision switches allocation, because the budget flips between
+// one that affords the fast point and one that affords neither (the
+// escalation steps to the cheap point), so the new allocation must travel
+// in the Decision without touching the heap.
+func TestRestartDecisionZeroAlloc(t *testing.T) {
+	fast := cost.Point{Alloc: cost.Allocation{N: 8, MemMB: 2048}, Time: 1, Cost: 10}
+	cheap := cost.Point{Alloc: cost.Allocation{N: 1, MemMB: 512}, Time: 10, Cost: 1}
+	s := New(Config{
+		Candidates:   []cost.Point{cheap, fast},
+		Budget:       1e12,
+		TargetLoss:   0.42,
+		Delta:        1e-9,
+		OnlineTuning: &predictor.Tuning{FixedWindow: 32, WarmStart: true, RefitBudget: 10},
+	})
+	// A clean descent, fitted epoch by epoch as a running job's is, so
+	// every decision has a prediction.
+	loss := func(epoch int) float64 { return 1/(0.01*float64(epoch)+1) + 0.40 }
+	s.alloc = cheap.Alloc
+	for e := 1; e <= 32; e++ {
+		s.online.Observe(e, loss(e))
+		s.online.PredictTotalEpochs(s.cfg.TargetLoss)
+	}
+	ctrl := s.Controller()
+	epoch := 33
+	flip := func() {
+		want := fast.Alloc
+		s.cfg.Budget = 1e12
+		if s.alloc == fast.Alloc {
+			want, s.cfg.Budget = cheap.Alloc, 1e-9
+		}
+		s.lastPrediction = 0 // every prediction drifts past δ from 0
+		dec := ctrl(epoch, loss(epoch), float64(epoch)*10, 0)
+		if !dec.Switch || dec.NewAlloc != want || s.alloc != want {
+			t.Fatalf("epoch %d: decision %+v, want a switch to %v", epoch, dec, want)
+		}
+		epoch++
+	}
+	for i := 0; i < 8; i++ {
+		flip()
+	}
+	if avg := testing.AllocsPerRun(200, flip); avg != 0 {
+		t.Errorf("a restarting decision allocates %.2f/op, want 0", avg)
+	}
+}

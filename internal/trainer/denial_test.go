@@ -33,7 +33,7 @@ func TestConcurrencyDenialKeepsItsDetail(t *testing.T) {
 	switchTo := func(delayed bool) Controller {
 		return func(epoch int, _, _, _ float64) Decision {
 			if epoch == 1 {
-				return Decision{NewAlloc: &over, Delayed: delayed}
+				return Decision{Switch: true, NewAlloc: over, Delayed: delayed}
 			}
 			return Decision{}
 		}

@@ -175,7 +175,7 @@ func TestKillDuringDelayedRestartOverlap(t *testing.T) {
 	next := cost.Allocation{N: 4, MemMB: 1769, Storage: storage.S3}
 	ctrl := func(epoch int, loss float64, elapsed, spent float64) Decision {
 		if epoch == 1 {
-			return Decision{NewAlloc: &next, Delayed: true}
+			return Decision{Switch: true, NewAlloc: next, Delayed: true}
 		}
 		return Decision{}
 	}

@@ -94,7 +94,7 @@ func TestStorageSwitchPaysProvisioning(t *testing.T) {
 		MaxEpochs: 6,
 		Controller: func(epoch int, loss float64, elapsed, spent float64) Decision {
 			if epoch == 2 {
-				return Decision{NewAlloc: &next}
+				return Decision{Switch: true, NewAlloc: next}
 			}
 			return Decision{}
 		},

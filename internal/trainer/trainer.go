@@ -62,8 +62,9 @@ func NoNoise() Noise { return Noise{} }
 
 // Decision is what a controller may ask for at an epoch boundary.
 type Decision struct {
-	// NewAlloc, when non-nil, switches the job to this allocation.
-	NewAlloc *cost.Allocation
+	// Switch, when set, switches the job to NewAlloc.
+	Switch   bool
+	NewAlloc cost.Allocation
 	// Delayed selects the delayed-restart path (overlap startup with the
 	// next epoch) instead of an immediate stop-and-restart.
 	Delayed bool
@@ -425,8 +426,8 @@ func (j *Job) Step() error {
 			j.done = true
 			return nil
 		}
-		if dec.NewAlloc != nil && *dec.NewAlloc != st.alloc {
-			if err := j.r.applySwitch(st, *dec.NewAlloc, dec.Delayed); err != nil {
+		if dec.Switch && dec.NewAlloc != st.alloc {
+			if err := j.r.applySwitch(st, dec.NewAlloc, dec.Delayed); err != nil {
 				return err
 			}
 		}

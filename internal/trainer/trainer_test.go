@@ -162,7 +162,7 @@ func TestControllerImmediateSwitch(t *testing.T) {
 	cfg := newMNJob(r, mnAlloc(), 0, 6)
 	cfg.Controller = func(epoch int, loss float64, elapsed, spent float64) Decision {
 		if epoch == 2 {
-			return Decision{NewAlloc: &next}
+			return Decision{Switch: true, NewAlloc: next}
 		}
 		return Decision{}
 	}
@@ -188,7 +188,7 @@ func TestDelayedRestartTakesOneMoreEpochOnOldAlloc(t *testing.T) {
 	cfg := newMNJob(r, mnAlloc(), 0, 6)
 	cfg.Controller = func(epoch int, loss float64, elapsed, spent float64) Decision {
 		if epoch == 2 {
-			return Decision{NewAlloc: &next, Delayed: true}
+			return Decision{Switch: true, NewAlloc: next, Delayed: true}
 		}
 		return Decision{}
 	}
@@ -219,7 +219,7 @@ func TestDelayedRestartCheaperThanImmediate(t *testing.T) {
 		cfg := newMNJob(r, mnAlloc(), 0, 8)
 		cfg.Controller = func(epoch int, loss float64, elapsed, spent float64) Decision {
 			if epoch == 3 {
-				return Decision{NewAlloc: &next, Delayed: delayed}
+				return Decision{Switch: true, NewAlloc: next, Delayed: delayed}
 			}
 			return Decision{}
 		}
@@ -293,7 +293,7 @@ func TestCheckpointRestoredOnRestart(t *testing.T) {
 		Controller: func(epoch int, loss float64, elapsed, spent float64) Decision {
 			if epoch == 4 {
 				lossBefore = loss
-				return Decision{NewAlloc: &next}
+				return Decision{Switch: true, NewAlloc: next}
 			}
 			return Decision{}
 		},
