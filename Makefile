@@ -48,8 +48,8 @@ shard-check:
 # by name so a new one cannot be left out, fails hard if the steady state it
 # drives touches the heap (testing.AllocsPerRun == 0 on the fit, replay,
 # observe (windowed, and along the nodes of a shared history tree), decision
-# (steady and restarting: TestRestartDecisionZeroAlloc, and Siren's
-# TestSirenRestartZeroAlloc), kernel, fault-query, SGD-epoch, Successive-Halving
+# (steady and restarting: TestRestartDecisionZeroAlloc, with a Siren
+# row), kernel, fault-query, SGD-epoch, Successive-Halving
 # trial (TestSHATrialZeroAlloc: RunEpochs into a reused Result), faas (single and group
 # admission with release at n = 1, 8, 200, ReclaimWarm, and both entry
 # points' denial) and traffic paths; mallocs per arrival on the

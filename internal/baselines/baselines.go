@@ -7,7 +7,11 @@
 //   - Siren [9]: deep-RL allocator modeled by its documented behaviour —
 //     S3-only storage, per-epoch resource adjustment with exploration noise
 //     and full (immediate) function restarts, and a bias toward granting
-//     early tuning stages more resources.
+//     early tuning stages more resources. Its tuning side is SirenPlan. Its
+//     training side, like modified Cirrus below, is no policy of its own:
+//     it is internal/core's Algorithm 2 session over the unpruned S3 grid,
+//     core.Options{PinStorage: &storage.S3, DisablePareto: true,
+//     DisableDelayedRestart: true, Variant: scheduler.Siren}.
 //   - Cirrus [4]: static allocation pinned to a VM parameter server. The
 //     "modified Cirrus" of §IV-C adds CE-scaling's online prediction but
 //     keeps VM-PS storage and immediate restarts, so it is no policy of its
@@ -24,9 +28,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/planner"
-	"repro/internal/sim"
 	"repro/internal/storage"
-	"repro/internal/trainer"
 )
 
 // FilterByStorage returns the subset of points using the given service.
@@ -122,92 +124,4 @@ func indexOf(points []cost.Point, a cost.Allocation) int {
 		}
 	}
 	return -1
-}
-
-// --- Training controllers ---
-
-// SirenTraining adjusts resources every epoch with exploration noise,
-// candidates pinned to one storage service and immediate restarts.
-type SirenTraining struct {
-	candidates []cost.Point
-	strict     bool // cost.Strict(candidates)
-	budget     float64
-	qos        float64
-	rng        *sim.Rand
-	current    cost.Allocation
-	estimated  int
-
-	Restarts int
-}
-
-// NewSirenTraining returns Siren's training policy over points, a
-// candidate set the caller has already pinned to one storage service
-// (Siren's own is the full S3 enumeration: it does not prune with a Pareto
-// front). estimate is Siren's up-front epoch estimate (its RL model's
-// output, which we take from the offline predictor).
-func NewSirenTraining(points []cost.Point, budget, qos float64, estimate int, seed uint64) *SirenTraining {
-	if len(points) == 0 {
-		panic("baselines: Siren needs a non-empty candidate set")
-	}
-	cands := make([]cost.Point, len(points))
-	copy(cands, points)
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Time < cands[j].Time })
-	return &SirenTraining{
-		candidates: cands,
-		strict:     cost.Strict(cands),
-		budget:     budget, qos: qos,
-		rng:       sim.NewRand(seed),
-		estimated: estimate,
-	}
-}
-
-// Initial picks Siren's starting allocation.
-func (s *SirenTraining) Initial() cost.Allocation {
-	s.current = s.pick(s.estimated, 0, 0)
-	return s.current
-}
-
-// pick selects the constrained optimum among the candidates (Algorithm 2's
-// cost.Select), then applies exploration noise of ±1 position.
-func (s *SirenTraining) pick(remaining int, elapsed, spent float64) cost.Allocation {
-	bestIdx, ok := cost.Select(s.candidates, s.strict, remaining, elapsed, spent, s.budget, s.qos)
-	if !ok {
-		// Constraint hopeless: cheapest under budget, fastest under QoS.
-		if s.budget > 0 {
-			bestIdx = len(s.candidates) - 1
-		} else {
-			bestIdx = 0
-		}
-	}
-	// RL exploration: wander one step on the frontier.
-	bestIdx += s.rng.Intn(3) - 1
-	if bestIdx < 0 {
-		bestIdx = 0
-	}
-	if bestIdx >= len(s.candidates) {
-		bestIdx = len(s.candidates) - 1
-	}
-	return s.candidates[bestIdx].Alloc
-}
-
-// Controller returns the per-epoch hook: re-pick every epoch, restart
-// immediately whenever the pick changes.
-func (s *SirenTraining) Controller() trainer.Controller {
-	return func(epoch int, loss float64, elapsed, spent float64) trainer.Decision {
-		if s.budget > 0 && spent >= s.budget {
-			return trainer.Decision{Stop: true}
-		}
-		remaining := s.estimated - epoch
-		next := s.pick(remaining, elapsed, spent)
-		// Siren's decision latency: its RL inference is cheap, but it runs
-		// every epoch over all its candidates.
-		dec := trainer.Decision{PlanningSeconds: 0.05 * float64(len(s.candidates))}
-		if next != s.current {
-			s.current = next
-			s.Restarts++
-			dec.Switch, dec.NewAlloc = true, next
-			dec.Delayed = false // Siren stops and restarts functions
-		}
-		return dec
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/planner"
 	"repro/internal/storage"
-	"repro/internal/trainer"
 	"repro/internal/workload"
 )
 
@@ -86,64 +85,6 @@ func TestPlansErrorWithoutCandidates(t *testing.T) {
 	}
 }
 
-func TestSirenTrainingRestartsOften(t *testing.T) {
-	w := workload.MobileNet()
-	m, _, _ := setup(t, w)
-	full := m.Enumerate(cost.DefaultGrid())
-	siren := NewSirenTraining(FilterByStorage(full, storage.S3), 1e9, 0, 30, 3)
-	r := trainer.NewRunner(4)
-	alloc := siren.Initial()
-	if alloc.Storage != storage.S3 {
-		t.Fatalf("Siren initial storage = %v, want S3", alloc.Storage)
-	}
-	res, err := r.Run(trainer.Config{
-		Workload:   w,
-		Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 5),
-		Alloc:      alloc,
-		TargetLoss: w.TargetLoss,
-		MaxEpochs:  200,
-		Controller: siren.Controller(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("Siren run did not converge (loss %g)", res.FinalLoss)
-	}
-	// Exploration noise at every epoch: expect restarts on a large
-	// fraction of epochs.
-	if res.Restarts < res.Epochs/4 {
-		t.Errorf("Siren restarted %d times over %d epochs; per-epoch adjustment missing", res.Restarts, res.Epochs)
-	}
-	for _, e := range res.Trace {
-		if e.Alloc.Storage != storage.S3 {
-			t.Fatal("Siren switched off S3")
-		}
-	}
-}
-
-func TestSirenRespectsBudgetStop(t *testing.T) {
-	w := workload.BERT()
-	m, _, _ := setup(t, w)
-	full := m.Enumerate(cost.DefaultGrid())
-	siren := NewSirenTraining(FilterByStorage(full, storage.S3), 0.5, 0, 30, 3)
-	r := trainer.NewRunner(5)
-	res, err := r.Run(trainer.Config{
-		Workload:   w,
-		Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 5),
-		Alloc:      siren.Initial(),
-		TargetLoss: w.TargetLoss,
-		MaxEpochs:  300,
-		Controller: siren.Controller(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Epochs >= 300 {
-		t.Error("Siren should stop when the budget is exhausted")
-	}
-}
-
 func TestStaticPlanPinnedEachService(t *testing.T) {
 	w := workload.LRHiggs() // small model: every service is feasible
 	m := cost.NewModel(w)
@@ -184,30 +125,5 @@ func TestSirenPlanPinnedVMPS(t *testing.T) {
 		if a.Storage != storage.VMPS {
 			t.Fatal("pinned Siren left VM-PS")
 		}
-	}
-}
-
-// TestSirenRestartZeroAlloc: Siren's per-epoch hook decides a restart
-// without touching the heap. Each measured run steps epochs until the
-// exploration noise has switched the allocation at least once.
-func TestSirenRestartZeroAlloc(t *testing.T) {
-	m, _, _ := setup(t, workload.MobileNet())
-	siren := NewSirenTraining(FilterByStorage(m.Enumerate(cost.DefaultGrid()), storage.S3), 1e9, 0, 30, 3)
-	siren.Initial()
-	ctrl := siren.Controller()
-	epoch := 1
-	restart := func() {
-		for before := siren.Restarts; siren.Restarts == before; epoch++ {
-			dec := ctrl(epoch%20+1, 1, 0, 0)
-			if dec.Stop {
-				t.Fatal("unexpected stop")
-			}
-			if siren.Restarts != before && (!dec.Switch || dec.NewAlloc != siren.current) {
-				t.Fatalf("epoch %d: restart counted, decision %+v", epoch, dec)
-			}
-		}
-	}
-	if avg := testing.AllocsPerRun(200, restart); avg != 0 {
-		t.Errorf("a restarting Siren decision allocates %.2f/op, want 0", avg)
 	}
 }

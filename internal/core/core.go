@@ -88,6 +88,9 @@ type Options struct {
 	// PinStorage, when non-nil, restricts allocations to one storage
 	// service (the Fig. 16-18 experiments; modified Cirrus pins VM-PS).
 	PinStorage *storage.Kind
+	// Variant switches on a baseline's departures from Algorithm 2 in the
+	// training scheduler (scheduler.Siren for Siren); zero is CE-scaling.
+	Variant scheduler.Variant
 
 	// Obs, when set, receives the planner's per-stage decisions and the
 	// scheduler's per-epoch Algorithm 2 decision log. Train,
@@ -189,7 +192,8 @@ type TrainOutcome struct {
 // returns the scheduler, its initial allocation and the offline estimate.
 // Every adaptive training run starts from one: CE-scaling and its ablations
 // through Train, modified Cirrus as PinStorage plus DisableDelayedRestart,
-// and callers that drive the trainer themselves (fault injection).
+// Siren as those plus DisablePareto and scheduler.Siren, and callers that
+// drive the trainer themselves (fault injection).
 func (f *Framework) Session(opt Options) (*scheduler.Scheduler, cost.Allocation, int, error) {
 	if err := opt.validate(); err != nil {
 		return nil, cost.Allocation{}, 0, err
@@ -216,6 +220,7 @@ func (f *Framework) Session(opt Options) (*scheduler.Scheduler, cost.Allocation,
 		Shared:         f.shared,
 		Offline:        predictor.NewOffline(f.Workload),
 		OfflineSeed:    opt.Seed,
+		Variant:        opt.Variant,
 		Obs:            opt.Obs,
 	})
 	alloc, est := sched.Initial()

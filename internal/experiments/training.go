@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
-	"repro/internal/predictor"
+	"repro/internal/scheduler"
 	"repro/internal/storage"
 	"repro/internal/trainer"
 	"repro/internal/workload"
@@ -64,7 +63,8 @@ func observed(cfg Config, r *trainer.Runner, name string) *trainer.Runner {
 	return r
 }
 
-// runCE runs CE-scaling training under opt, recording into scope when cfg
+// runCE runs an Algorithm 2 training session under opt (CE-scaling, or
+// Siren and Cirrus* through their options), recording into scope when cfg
 // carries a collector.
 func runCE(cfg Config, fw *core.Framework, opt core.Options, runnerSeed uint64, scope string) (*trainer.Result, error) {
 	out, err := fw.Train(opt, observed(cfg, trainer.NewRunner(runnerSeed), scope))
@@ -74,23 +74,11 @@ func runCE(cfg Config, fw *core.Framework, opt core.Options, runnerSeed uint64, 
 	return out.Result, nil
 }
 
-// runSiren runs the Siren baseline over fw's allocations on one storage
-// service (S3 for Siren itself, the pinned service in Fig. 17), recording
-// into scope. The engine and Siren's exploration draw from seed; the runner
-// has its own runnerSeed, which like the scope name is part of the pinned
-// output.
-func runSiren(cfg Config, fw *core.Framework, kind storage.Kind, budget, qos float64, seed, runnerSeed uint64, scope string) (*trainer.Result, error) {
-	w := fw.Workload
-	est := predictor.NewOffline(w).PredictEpochs(w.TargetLoss, seed)
-	siren := baselines.NewSirenTraining(baselines.FilterByStorage(fw.Full, kind), budget, qos, est, seed)
-	return observed(cfg, trainer.NewRunner(runnerSeed), scope).Run(trainer.Config{
-		Workload:   w,
-		Engine:     w.NewEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
-		Alloc:      siren.Initial(),
-		TargetLoss: w.TargetLoss,
-		MaxEpochs:  2000,
-		Controller: siren.Controller(),
-	})
+// sirenOptions is the Siren baseline [9]: CE-scaling's Algorithm 2 session
+// over the unpruned grid of one storage service (S3 for Siren itself, the
+// pinned service in Fig. 17), with immediate restarts and Siren's traits.
+func sirenOptions(kind storage.Kind, budget, qos float64, seed uint64) core.Options {
+	return core.Options{Budget: budget, QoS: qos, Seed: seed, PinStorage: &kind, DisablePareto: true, DisableDelayedRestart: true, Variant: scheduler.Siren}
 }
 
 // cirrusOptions is the modified Cirrus of §IV-C: CE-scaling's Algorithm 2
@@ -114,7 +102,7 @@ func trainSystems(cfg Config, fw *core.Framework, budget, qos float64, seed uint
 			return runCE(cfg, fw, core.Options{Budget: budget, QoS: qos, Seed: seed}, seed, scope+"/CE-scaling")
 		},
 		func() (*trainer.Result, error) {
-			return runSiren(cfg, fw, storage.S3, budget, qos, seed, seed+1, scope+"/Siren")
+			return runCE(cfg, fw, sirenOptions(storage.S3, budget, qos, seed), seed+1, scope+"/Siren")
 		},
 		func() (*trainer.Result, error) {
 			return runCE(cfg, fw, cirrusOptions(storage.VMPS, budget, qos, seed), seed+2, scope+"/Cirrus")
@@ -251,7 +239,7 @@ func fig17(seed uint64, cfg Config) (*Table, error) {
 			return nil, err
 		}
 		// Siren keeps its per-epoch restart behaviour on the pinned set.
-		sir, err := runSiren(cfg, fw, kind, budget, 0, seed, seed+4, "fig17/"+kind.Short()+"/Siren")
+		sir, err := runCE(cfg, fw, sirenOptions(kind, budget, 0, seed), seed+4, "fig17/"+kind.Short()+"/Siren")
 		if err != nil {
 			return nil, err
 		}

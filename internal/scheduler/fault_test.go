@@ -86,7 +86,7 @@ func TestStragglerWindowForcesReplanning(t *testing.T) {
 	// quickly pins to the fastest allocation and stays, so the calm run may
 	// well adjust MORE often on drift noise — the point is that the faulted
 	// run re-planned at all, and did it through escalation).
-	if sFault.Adjustments == 0 {
+	if sFault.Restarts == 0 {
 		t.Error("faulted scheduler never adjusted")
 	}
 	_ = sCalm

@@ -5,7 +5,8 @@
 // best allocation from the Pareto set — under either a budget (minimize
 // JCT) or a QoS deadline (minimize cost). Switches use the trainer's
 // delayed restart to hide adjustment overhead unless disabled (the
-// WO-pa / WO-pa-dr ablations of §IV-G).
+// WO-pa / WO-pa-dr ablations of §IV-G). The same body, with a Variant's
+// traits switched on, is the Siren baseline's training controller.
 package scheduler
 
 import (
@@ -15,6 +16,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/obs"
 	"repro/internal/predictor"
+	"repro/internal/sim"
 	"repro/internal/trainer"
 )
 
@@ -57,11 +59,38 @@ type Config struct {
 	Offline *predictor.Offline
 	// OfflineSeed seeds the offline sampling run.
 	OfflineSeed uint64
+	// Variant switches on a baseline's departures from Algorithm 2; the
+	// zero value is CE-scaling's own.
+	Variant Variant
 	// Obs, when set, records the per-epoch decision log (observed loss,
 	// fitted prediction, drift vs δ, path taken, allocation chosen) as
 	// trace instants on the job's timeline. Nil disables recording.
 	Obs *obs.Observer
 }
+
+// Variant holds the documented traits by which a baseline's training
+// controller departs from Algorithm 2 (PAPER §IV). Siren [9] has all three.
+type Variant struct {
+	// FixedEstimate keeps the offline epoch estimate for the whole run: the
+	// online predictor never observes a loss or fits, and the session
+	// re-selects every epoch, since a fixed estimate has no drift to watch.
+	FixedEstimate bool
+	// Explore moves every selection, Initial's included, one step toward
+	// faster, one toward slower or none (ε-greedy exploration, as in
+	// Schuler et al.), drawn from a stream seeded with OfflineSeed.
+	Explore bool
+	// Literal takes the constrained selection as it is: no relaxed retry,
+	// no escalation and no 10 % switching hysteresis. A selection that
+	// finds nothing falls back to the time-sorted extreme: the fastest
+	// candidate under a QoS deadline and the slowest under a budget. The
+	// slowest is not always the cheapest per epoch: on BERT's S3 grid it
+	// costs $0.849 an epoch against the cheapest point's $0.428.
+	Literal bool
+}
+
+// Siren is the Variant of the Siren baseline [9]: a fixed up-front epoch
+// estimate, ±1 exploration after every selection, and literal selection.
+var Siren = Variant{FixedEstimate: true, Explore: true, Literal: true}
 
 // planningSecondsPerCandidate models the decision latency per candidate
 // allocation evaluated (the §IV-G scheduling-overhead metric).
@@ -84,10 +113,11 @@ type Scheduler struct {
 	// cost.Select binary-searches a frontier and scans any other set (the
 	// WO-pa full enumeration).
 	ordered bool
+	// rng draws an Explore variant's steps; nil otherwise.
+	rng *sim.Rand
 
 	// Metrics.
 	Restarts        int
-	Adjustments     int
 	CandidatesSeen  int
 	PlanningSeconds float64
 }
@@ -115,6 +145,9 @@ func New(cfg Config) *Scheduler {
 	} else {
 		s.online = *cfg.Shared.NewOnline()
 	}
+	if cfg.Variant.Explore {
+		s.rng = sim.NewRand(cfg.OfflineSeed)
+	}
 	return s
 }
 
@@ -132,26 +165,46 @@ func (s *Scheduler) cheapest() cost.Allocation {
 	return best.Alloc
 }
 
+// fallback is the allocation a selection that finds nothing falls back to:
+// the fastest under a QoS deadline; under a budget the cheapest per epoch,
+// or for a Literal variant the slowest.
+func (s *Scheduler) fallback() cost.Allocation {
+	switch {
+	case s.cfg.Budget <= 0:
+		return s.fastest()
+	case s.cfg.Variant.Literal:
+		return s.cfg.Candidates[len(s.cfg.Candidates)-1].Alloc
+	}
+	return s.cheapest()
+}
+
+// index returns a's position in the candidate list, or -1.
+func (s *Scheduler) index(a cost.Allocation) int {
+	for i, p := range s.cfg.Candidates {
+		if p.Alloc == a {
+			return i
+		}
+	}
+	return -1
+}
+
+// explore applies an Explore variant's step to the selected allocation a.
+func (s *Scheduler) explore(a cost.Allocation) cost.Allocation {
+	if s.rng == nil {
+		return a
+	}
+	i := s.index(a) + s.rng.Intn(3) - 1
+	return s.cfg.Candidates[min(max(i, 0), len(s.cfg.Candidates)-1)].Alloc
+}
+
 // escalate moves the current allocation one step along the time-sorted
 // candidate list: toward faster under a QoS deadline, toward cheaper (in
 // epoch cost) under a budget.
 func (s *Scheduler) escalate() cost.Allocation {
-	idx := -1
-	for i, p := range s.cfg.Candidates {
-		if p.Alloc == s.alloc {
-			idx = i
-			break
-		}
-	}
+	idx := s.index(s.alloc)
 	if s.cfg.QoS > 0 {
-		switch {
-		case idx < 0:
-			return s.fastest()
-		case idx > 0:
-			return s.cfg.Candidates[idx-1].Alloc
-		default:
-			return s.alloc
-		}
+		// One step faster; the fastest from the top or an unknown point.
+		return s.cfg.Candidates[max(idx-1, 0)].Alloc
 	}
 	// Budget case: find a cheaper-per-epoch candidate than the current one.
 	if idx < 0 {
@@ -169,20 +222,16 @@ func (s *Scheduler) escalate() cost.Allocation {
 
 // Initial computes the starting allocation (Algorithm 2 lines 2-7): an
 // offline epoch estimate followed by a constrained selection over the
-// candidate set.
+// candidate set, or its fallback when nothing satisfies the constraint.
 func (s *Scheduler) Initial() (cost.Allocation, int) {
 	est := s.cfg.Offline.PredictEpochs(s.cfg.TargetLoss, s.cfg.OfflineSeed)
 	s.lastPrediction = est
-	if a, ok := s.selectBest(est, 0, 0); ok {
-		s.alloc = a
-	} else if len(s.cfg.Candidates) > 0 {
-		// Nothing satisfies the constraint under the estimate: fall back to
-		// the cheapest candidate (budget case) or fastest (QoS case).
-		if s.cfg.Budget > 0 {
-			s.alloc = s.cheapest()
-		} else {
-			s.alloc = s.fastest()
-		}
+	a, ok := s.selectBest(est, 0, 0)
+	if !ok && len(s.cfg.Candidates) > 0 {
+		a, ok = s.fallback(), true
+	}
+	if ok {
+		s.alloc = s.explore(a)
 	}
 	return s.alloc, est
 }
@@ -220,18 +269,11 @@ func (s *Scheduler) selectBestRelaxed(remaining int, elapsed, spent float64, rel
 // whether staying would violate the constraint. Restarts are not free, so
 // marginal predicted gains do not justify one.
 func (s *Scheduler) worthSwitching(next cost.Allocation, remaining int, elapsed, spent float64) bool {
-	var cur, nxt *cost.Point
-	for i := range s.cfg.Candidates {
-		switch s.cfg.Candidates[i].Alloc {
-		case s.alloc:
-			cur = &s.cfg.Candidates[i]
-		case next:
-			nxt = &s.cfg.Candidates[i]
-		}
-	}
-	if cur == nil || nxt == nil {
+	i, j := s.index(s.alloc), s.index(next)
+	if i < 0 || j < 0 {
 		return true // unknown current point: trust the re-selection
 	}
+	cur, nxt := &s.cfg.Candidates[i], &s.cfg.Candidates[j]
 	r := float64(remaining)
 	if s.cfg.Budget > 0 {
 		if spent+r*cur.Cost > s.cfg.Budget {
@@ -254,9 +296,13 @@ func (s *Scheduler) Controller() trainer.Controller {
 }
 
 // decide is the per-epoch Algorithm 2 body (lines 8-15): observe the loss,
-// refit, and re-select the allocation when the prediction drifts past δ.
+// refit, and re-select the allocation when the prediction drifts past δ
+// (every epoch for a FixedEstimate variant).
 func (s *Scheduler) decide(epoch int, loss float64, elapsed, spent float64) trainer.Decision {
-	s.online.Observe(epoch, loss)
+	fixed, literal := s.cfg.Variant.FixedEstimate, s.cfg.Variant.Literal
+	if !fixed {
+		s.online.Observe(epoch, loss)
+	}
 
 	planningBefore := s.PlanningSeconds
 	dec := trainer.Decision{}
@@ -270,32 +316,38 @@ func (s *Scheduler) decide(epoch int, loss float64, elapsed, spent float64) trai
 	// path names the Alg. 2 branch this epoch took, for the decision log:
 	// no-prediction (line 8's fit not ready), within-delta (line 9 false),
 	// then for adjustments which selector produced the candidate —
-	// select (line 10), relax (the 1.15-stretched retry), or
-	// escalate-panic (constraint unmeetable under every candidate).
+	// select (line 10), relax (the 1.15-stretched retry),
+	// escalate-panic (constraint unmeetable under every candidate), or
+	// fallback (a Literal variant's answer to the same).
 	path := "no-prediction"
 	var drift float64
-	predicted, ok := s.online.PredictTotalEpochs(s.cfg.TargetLoss)
+	predicted, ok := s.lastPrediction, fixed
+	if !fixed {
+		predicted, ok = s.online.PredictTotalEpochs(s.cfg.TargetLoss)
+	}
 	if ok {
 		path = "within-delta"
 		drift = math.Abs(float64(predicted-s.lastPrediction)) / math.Max(float64(s.lastPrediction), 1)
-		if drift > s.cfg.Delta || s.panicked {
+		if drift > s.cfg.Delta || s.panicked || fixed {
 			s.lastPrediction = predicted
-			remaining := predicted - epoch
-			if remaining < 1 {
-				remaining = 1
-			}
+			remaining := max(predicted-epoch, 1)
 			path = "select"
 			next, found := s.selectBest(remaining, elapsed, spent)
-			if !found {
+			if !found && !literal {
 				// Mild stretch before panicking: a noisy prediction
 				// that barely misses the constraint should not flap
 				// the job to an extreme allocation.
 				path = "relax"
 				next, found = s.selectBestRelaxed(remaining, elapsed, spent, 1.15)
 			}
-			if found {
+			switch {
+			case found:
 				s.panicked = false
-			} else if len(s.cfg.Candidates) > 0 {
+			case len(s.cfg.Candidates) == 0:
+			case literal:
+				path = "fallback"
+				next, found = s.fallback(), true
+			default:
 				// The constraint can no longer be met under any
 				// allocation. Escalate one step along the frontier —
 				// faster under a deadline, cheaper under a budget —
@@ -304,14 +356,15 @@ func (s *Scheduler) decide(epoch int, loss float64, elapsed, spent float64) trai
 				// pressure keeps escalating while a one-epoch fit
 				// wobble costs only one step.
 				path = "escalate-panic"
-				next = s.escalate()
-				found = true
+				next, found = s.escalate(), true
 				s.panicked = true
 			}
-			if found && next != s.alloc && s.worthSwitching(next, remaining, elapsed, spent) {
+			if found {
+				next = s.explore(next)
+			}
+			if found && next != s.alloc && (literal || s.worthSwitching(next, remaining, elapsed, spent)) {
 				s.alloc = next
 				s.Restarts++
-				s.Adjustments++
 				dec.Switch, dec.NewAlloc = true, next
 				dec.Delayed = s.cfg.DelayedRestart
 			}

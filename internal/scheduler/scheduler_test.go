@@ -108,7 +108,7 @@ func TestSchedulerAdjustsAtLeastOnce(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if s.Adjustments > 0 {
+		if s.Restarts > 0 {
 			adjusted = true
 		}
 	}
@@ -231,5 +231,25 @@ func TestDefaultsApplied(t *testing.T) {
 	n := len(s.cfg.Candidates)
 	if want := 0.05 * float64(n); s.CandidatesSeen != n || math.Abs(s.PlanningSeconds-want) > 1e-9 {
 		t.Errorf("Initial over %d candidates charged %g s after %d candidates, want %g s", n, s.PlanningSeconds, s.CandidatesSeen, want)
+	}
+}
+
+// TestFixedEstimateNeverObserves: a FixedEstimate session keeps its offline
+// estimate, so its online predictor never sees a loss and Siren spends no
+// fit time, however many epochs it decides.
+func TestFixedEstimateNeverObserves(t *testing.T) {
+	w := workload.MobileNet()
+	m := cost.NewModel(w)
+	s := New(Config{
+		Model: m, Candidates: m.Enumerate(cost.DefaultGrid()), Budget: 1e9,
+		TargetLoss: w.TargetLoss, Offline: predictor.NewOffline(w), OfflineSeed: 3,
+		Variant: Siren,
+	})
+	res := runSession(t, s, trainer.NewRunner(4), w)
+	if res.Epochs < 2 {
+		t.Fatalf("run decided no epoch (%d epochs)", res.Epochs)
+	}
+	if n := s.online.Observations(); n != 0 {
+		t.Errorf("FixedEstimate session observed %d losses over %d epochs, want 0", n, res.Epochs)
 	}
 }

@@ -3,8 +3,10 @@ package scheduler
 import (
 	"testing"
 
+	"repro/internal/baselines"
 	"repro/internal/cost"
 	"repro/internal/predictor"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -145,4 +147,35 @@ func TestRestartDecisionZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, flip); avg != 0 {
 		t.Errorf("a restarting decision allocates %.2f/op, want 0", avg)
 	}
+	t.Run("Siren", func(t *testing.T) {
+		// Siren's session over its unpruned S3 grid and a fixed estimate of
+		// 30 epochs: each measured run steps epochs until the exploration
+		// step has switched the allocation at least once.
+		m := cost.NewModel(workload.MobileNet())
+		siren := New(Config{
+			Candidates:  baselines.FilterByStorage(m.Enumerate(cost.DefaultGrid()), storage.S3),
+			Budget:      1e9,
+			TargetLoss:  0.42,
+			OfflineSeed: 3,
+			Variant:     Siren,
+		})
+		siren.lastPrediction = 30
+		siren.alloc = siren.cfg.Candidates[0].Alloc
+		ctrl := siren.Controller()
+		epoch := 1
+		restart := func() {
+			for before := siren.Restarts; siren.Restarts == before; epoch++ {
+				dec := ctrl(epoch%20+1, 1, 0, 0)
+				if dec.Stop {
+					t.Fatal("unexpected stop")
+				}
+				if siren.Restarts != before && (!dec.Switch || dec.NewAlloc != siren.alloc) {
+					t.Fatalf("epoch %d: restart counted, decision %+v", epoch, dec)
+				}
+			}
+		}
+		if avg := testing.AllocsPerRun(200, restart); avg != 0 {
+			t.Errorf("a restarting Siren decision allocates %.2f/op, want 0", avg)
+		}
+	})
 }
