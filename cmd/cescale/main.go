@@ -205,7 +205,7 @@ func main() {
 
 	case "tune":
 		stages := planner.SHAStages(*trials, *eta, *epochs)
-		res, _, err := fw.PlanHPT(stages, core.Options{Budget: *budget, QoS: *qos, Seed: *seed, Obs: observer})
+		res, err := fw.PlanHPT(stages, core.Options{Budget: *budget, QoS: *qos, Seed: *seed, Obs: observer})
 		if err != nil {
 			fatal(err)
 		}

@@ -130,7 +130,7 @@ func Example_hyperparam() {
 
 	// A budget 30% above the cheapest static plan: tight enough that
 	// partitioning matters.
-	static, _, err := fw.PlanHPT(stages, core.Options{QoS: 1e15, Seed: seed})
+	static, err := fw.PlanHPT(stages, core.Options{QoS: 1e15, Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func Example_hyperparam() {
 
 	// CE-scaling's greedy heuristic planner recycles resources from early
 	// stages (where most trials will be terminated) to later stages.
-	plan, _, err := fw.PlanHPT(stages, core.Options{Budget: budget, Seed: seed})
+	plan, err := fw.PlanHPT(stages, core.Options{Budget: budget, Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func Example_workflow() {
 	}
 	fw := core.New(w)
 
-	// 1. One budget covers both phases; tuning reserves 60% by default.
+	// 1. One budget covers both phases; tuning reserves 60% of it.
 	const budget = 600.0
 	out, err := fw.RunWorkflow(core.WorkflowOptions{
 		Budget: budget,

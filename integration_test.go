@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/planner"
 	"repro/internal/storage"
@@ -103,19 +102,17 @@ func TestIntegrationBaselinesComparable(t *testing.T) {
 	w, _ := workload.ByName("BERT-IMDb")
 	fw := core.New(w)
 	stages := planner.SHAStages(64, 2, 2)
-	static, err := baselines.StaticPlan(fw.Model, stages, fw.Full, storage.S3, 1e9, 0)
+	s3 := storage.S3
+	lambdaML, err := fw.Planner(stages, core.Options{PinStorage: &s3, DisablePareto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := static.Cost * 1.3
-	ce, _, err := fw.PlanHPT(stages, core.Options{Budget: budget, Seed: 41})
+	budget := lambdaML.OptimalStatic(1e9, 0).Cost * 1.3
+	ce, err := fw.PlanHPT(stages, core.Options{Budget: budget, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
-	staticB, err := baselines.StaticPlan(fw.Model, stages, fw.Full, storage.S3, budget, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	staticB := lambdaML.OptimalStatic(budget, 0)
 	if ce.JCT > staticB.JCT*(1+1e-9) {
 		t.Errorf("CE plan JCT %g worse than static S3 %g at equal budget", ce.JCT, staticB.JCT)
 	}

@@ -4,12 +4,33 @@
 // resources across hyperparameter-tuning stages before tuning starts; the
 // adaptive scheduler adjusts training allocations at runtime from the loss
 // curve fitter's online predictions.
+//
+// The comparison systems of §IV are no code of their own: each is an Options
+// value, which picks its candidate set, plus a plan rule on the planner that
+// Planner builds over that set. "Grid" is one service's unpruned grid,
+// {PinStorage: &kind, DisablePareto: true}.
+//
+//   - CE-scaling, Options{}: tuning is PlanMinJCT/PlanMinCost (Algorithm 1,
+//     PlanHPT), training Algorithm 2 (Session); WO-pa adds DisablePareto and
+//     WO-dr DisableDelayedRestart.
+//   - LambdaML [14]: tuning is OptimalStatic on the S3 grid. Its offline
+//     prediction violates training constraints, so its training is not run.
+//   - Siren [9]: tuning is SirenPlan on the S3 grid (any service's in Fig. 16),
+//     training Algorithm 2 on that grid with DisableDelayedRestart and
+//     Variant: scheduler.Siren.
+//   - Cirrus [4]: tuning is OptimalStatic on the VM-PS grid. Modified Cirrus
+//     (§IV-C) trains with CE-scaling's online prediction under
+//     {PinStorage: &storage.VMPS, DisableDelayedRestart: true}.
+//   - Fixed (§IV-B): tuning is FixedPlan on CE-scaling's planner.
+//
+// Every system reads the same cost.Model estimates and drives the same
+// trainer, so differences in JCT and cost reflect policy, not substrate.
 package core
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/baselines"
 	"repro/internal/cost"
 	"repro/internal/obs"
 	"repro/internal/planner"
@@ -114,7 +135,7 @@ func (o Options) validate() error {
 // allocations, which can differ entirely from the all-service frontier.
 func (f *Framework) candidates(opt Options) []cost.Point {
 	if opt.PinStorage != nil {
-		pinned := baselines.FilterByStorage(f.Full, *opt.PinStorage)
+		pinned := filterByStorage(f.Full, *opt.PinStorage)
 		if opt.DisablePareto {
 			return pinned
 		}
@@ -126,33 +147,46 @@ func (f *Framework) candidates(opt Options) []cost.Point {
 	return f.Pareto
 }
 
+// filterByStorage returns the points using the given service, in order.
+func filterByStorage(points []cost.Point, kind storage.Kind) []cost.Point {
+	return slices.DeleteFunc(slices.Clone(points), func(p cost.Point) bool { return p.Alloc.Storage != kind })
+}
+
 // --- Hyperparameter tuning ---
 
 // TuneOutcome carries the plan and, when executed, the measured run.
 type TuneOutcome struct {
-	Plan    planner.Result
-	Planner *planner.Planner
-	Run     *sha.Result
+	Plan planner.Result
+	Run  *sha.Result
+}
+
+// Planner builds Algorithm 1's planner over the stage shape stages and the
+// candidate set opt selects, recording into opt.Obs: the one way a system's
+// tuning planner is built. It reads no constraint, so one planner serves
+// every constraint of a comparison.
+func (f *Framework) Planner(stages []planner.Stage, opt Options) (*planner.Planner, error) {
+	pl, err := planner.New(f.Model, stages, f.candidates(opt))
+	if err != nil {
+		return nil, err
+	}
+	pl.Obs = opt.Obs
+	return pl, nil
 }
 
 // PlanHPT runs the greedy heuristic planner (Algorithm 1) over the stage
-// shape stages (planner.SHAStages) under opt's constraint.
-func (f *Framework) PlanHPT(stages []planner.Stage, opt Options) (planner.Result, *planner.Planner, error) {
+// shape stages under opt's constraint.
+func (f *Framework) PlanHPT(stages []planner.Stage, opt Options) (planner.Result, error) {
 	if err := opt.validate(); err != nil {
-		return planner.Result{}, nil, err
+		return planner.Result{}, err
 	}
-	pl, err := planner.New(f.Model, stages, f.candidates(opt))
+	pl, err := f.Planner(stages, opt)
 	if err != nil {
-		return planner.Result{}, nil, err
+		return planner.Result{}, err
 	}
-	pl.Obs = opt.Obs
-	var res planner.Result
 	if opt.Budget > 0 {
-		res = pl.PlanMinJCT(opt.Budget)
-	} else {
-		res = pl.PlanMinCost(opt.QoS)
+		return pl.PlanMinJCT(opt.Budget), nil
 	}
-	return res, pl, nil
+	return pl.PlanMinCost(opt.QoS), nil
 }
 
 // RunHPT plans the stage shape stages and then executes the tuning workflow
@@ -161,7 +195,7 @@ func (f *Framework) RunHPT(stages []planner.Stage, opt Options, runner *trainer.
 	if opt.Obs == nil {
 		opt.Obs = runner.Observer()
 	}
-	plan, pl, err := f.PlanHPT(stages, opt)
+	plan, err := f.PlanHPT(stages, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +209,7 @@ func (f *Framework) RunHPT(stages []planner.Stage, opt Options, runner *trainer.
 	if err != nil {
 		return nil, err
 	}
-	return &TuneOutcome{Plan: plan, Planner: pl, Run: run}, nil
+	return &TuneOutcome{Plan: plan, Run: run}, nil
 }
 
 // --- Model training ---
@@ -190,10 +224,9 @@ type TrainOutcome struct {
 
 // Session builds an adaptive scheduling session (Algorithm 2) for opt and
 // returns the scheduler, its initial allocation and the offline estimate.
-// Every adaptive training run starts from one: CE-scaling and its ablations
-// through Train, modified Cirrus as PinStorage plus DisableDelayedRestart,
-// Siren as those plus DisablePareto and scheduler.Siren, and callers that
-// drive the trainer themselves (fault injection).
+// Every adaptive training run starts from one: each system's through Train
+// (the package doc gives their options), and callers that drive the trainer
+// themselves (fault injection).
 func (f *Framework) Session(opt Options) (*scheduler.Scheduler, cost.Allocation, int, error) {
 	if err := opt.validate(); err != nil {
 		return nil, cost.Allocation{}, 0, err

@@ -24,10 +24,10 @@ func TestNewProfilesWorkload(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	f := New(workload.MobileNet())
-	if _, _, err := f.PlanHPT(planner.SHAStages(16, 2, 2), Options{}); err == nil {
+	if _, err := f.PlanHPT(planner.SHAStages(16, 2, 2), Options{}); err == nil {
 		t.Error("no constraint should be rejected")
 	}
-	if _, _, err := f.PlanHPT(planner.SHAStages(16, 2, 2), Options{Budget: 1, QoS: 1}); err == nil {
+	if _, err := f.PlanHPT(planner.SHAStages(16, 2, 2), Options{Budget: 1, QoS: 1}); err == nil {
 		t.Error("two constraints should be rejected")
 	}
 	if _, err := f.Train(Options{}, trainer.NewRunner(1)); err == nil {
@@ -37,11 +37,11 @@ func TestOptionsValidation(t *testing.T) {
 
 func TestPlanHPTGivenBudget(t *testing.T) {
 	f := New(workload.MobileNet())
-	res, pl, err := f.PlanHPT(planner.SHAStages(256, 2, 2), Options{Budget: 1e9, Seed: 1})
+	res, err := f.PlanHPT(planner.SHAStages(256, 2, 2), Options{Budget: 1e9, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl == nil || len(res.Plan.Stages) == 0 {
+	if len(res.Plan.Stages) == 0 {
 		t.Fatal("no plan produced")
 	}
 	if !res.Feasible {
@@ -50,20 +50,22 @@ func TestPlanHPTGivenBudget(t *testing.T) {
 }
 
 // TestPlanHPTIgnoresDriftDelta: Options.Delta is Algorithm 2's drift
-// threshold δ and leaves Algorithm 1's improvement threshold alone.
+// threshold δ and leaves Algorithm 1's improvement threshold alone, so the
+// plan under Delta 0.3 is the default's.
 func TestPlanHPTIgnoresDriftDelta(t *testing.T) {
 	f := New(workload.MobileNet())
 	stages := planner.SHAStages(64, 2, 2)
-	_, base, err := f.PlanHPT(stages, Options{Budget: 1e9})
+	budget := 1.3 * mustPlanner(t, f, stages, Options{}).OptimalStatic(0, 1e15).Cost
+	base, err := f.PlanHPT(stages, Options{Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pl, err := f.PlanHPT(stages, Options{Budget: 1e9, Delta: 0.3})
+	res, err := f.PlanHPT(stages, Options{Budget: budget, Delta: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Delta != base.Delta {
-		t.Errorf("Options.Delta 0.3 set the planner's threshold to %g (default %g)", pl.Delta, base.Delta)
+	if !reflect.DeepEqual(res, base) {
+		t.Errorf("Options.Delta 0.3 moved the plan: %+v, default %+v", res, base)
 	}
 }
 

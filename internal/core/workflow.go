@@ -16,11 +16,6 @@ type WorkflowOptions struct {
 	Budget float64
 	QoS    float64
 
-	// TuneShare is the fraction of the constraint reserved for the tuning
-	// phase (default 0.6 — tuning runs thousands of partial trainings and
-	// dominates spending in practice).
-	TuneShare float64
-
 	// Stages is the Successive-Halving phase's stage shape (default
 	// planner.SHAStages(256, 2, 2)).
 	Stages []planner.Stage
@@ -28,15 +23,10 @@ type WorkflowOptions struct {
 	Seed uint64
 }
 
-func (o WorkflowOptions) validate() error {
-	if (o.Budget > 0) == (o.QoS > 0) {
-		return fmt.Errorf("core: workflow needs exactly one of Budget or QoS")
-	}
-	if o.TuneShare < 0 || o.TuneShare >= 1 {
-		return fmt.Errorf("core: TuneShare %g outside [0, 1)", o.TuneShare)
-	}
-	return nil
-}
+// tuneShare is the fraction of a workflow's constraint reserved for the
+// tuning phase: tuning runs thousands of partial trainings and dominates
+// spending in practice.
+const tuneShare = 0.6
 
 // WorkflowOutcome reports both phases of an executed workflow.
 type WorkflowOutcome struct {
@@ -58,11 +48,8 @@ type WorkflowOutcome struct {
 // the constraint, then train to the target loss with the winning
 // hyperparameters under whatever constraint remains.
 func (f *Framework) RunWorkflow(opt WorkflowOptions, runner *trainer.Runner) (*WorkflowOutcome, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	if opt.TuneShare == 0 {
-		opt.TuneShare = 0.6
+	if (opt.Budget > 0) == (opt.QoS > 0) {
+		return nil, fmt.Errorf("core: workflow needs exactly one of Budget or QoS")
 	}
 	if opt.Stages == nil {
 		opt.Stages = planner.SHAStages(256, 2, 2)
@@ -70,9 +57,9 @@ func (f *Framework) RunWorkflow(opt WorkflowOptions, runner *trainer.Runner) (*W
 
 	tuneOpt := Options{Seed: opt.Seed}
 	if opt.Budget > 0 {
-		tuneOpt.Budget = opt.Budget * opt.TuneShare
+		tuneOpt.Budget = opt.Budget * tuneShare
 	} else {
-		tuneOpt.QoS = opt.QoS * opt.TuneShare
+		tuneOpt.QoS = opt.QoS * tuneShare
 	}
 	tune, err := f.RunHPT(opt.Stages, tuneOpt, runner)
 	if err != nil {

@@ -18,9 +18,6 @@ func TestWorkflowValidation(t *testing.T) {
 	if _, err := f.RunWorkflow(WorkflowOptions{Budget: 1, QoS: 1}, r); err == nil {
 		t.Error("two constraints should be rejected")
 	}
-	if _, err := f.RunWorkflow(WorkflowOptions{Budget: 1, TuneShare: 1.5}, r); err == nil {
-		t.Error("TuneShare >= 1 should be rejected")
-	}
 }
 
 func TestWorkflowEndToEndUnderBudget(t *testing.T) {

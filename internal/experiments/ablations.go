@@ -39,12 +39,12 @@ func ablGap(_ uint64, cfg Config) (*Table, error) {
 	}
 	models := workload.Evaluated()
 	return cellRows(t, cfg, len(models), func(i int) ([][]string, error) {
-		// The two budget multiples share this model's planner (its Evaluated
-		// counter is the reported metric), so they stay serial inside the cell.
+		// The two budget multiples share this model's planner, so they stay
+		// serial inside the cell.
 		w := models[i]
 		fw := core.New(w)
 		stages := planner.SHAStages(256, 2, 2)
-		pl, err := planner.New(fw.Model, stages, fw.Pareto)
+		pl, err := fw.Planner(stages, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -53,9 +53,7 @@ func ablGap(_ uint64, cfg Config) (*Table, error) {
 		for _, mult := range []float64{1.2, 1.5} {
 			budget := cheapest.Cost * mult
 			static := pl.OptimalStatic(budget, 0)
-			before := pl.Evaluated
 			greedy := pl.PlanMinJCT(budget)
-			evals := pl.Evaluated - before
 			exact, ok := pl.ExactMinJCT(budget, 4000)
 			if !ok {
 				return nil, fmt.Errorf("abl-gap: %s: exact solver found no plan", w.Name)
@@ -65,7 +63,7 @@ func ablGap(_ uint64, cfg Config) (*Table, error) {
 				w.Name, fmt.Sprintf("%.1fx", mult),
 				seconds(static.JCT), seconds(greedy.JCT), seconds(exact.JCT),
 				pct(gap),
-				fmt.Sprintf("%d", evals),
+				fmt.Sprintf("%d", greedy.Evaluated),
 				fmt.Sprintf("%d", 4000*len(stages)*len(fw.Pareto)),
 			})
 		}
@@ -89,7 +87,7 @@ func ablWorkflow(seed uint64, cfg Config) (*Table, error) {
 		fw := core.New(w)
 		// Size the budget from the tuning static reference plus training
 		// probe, like the per-phase experiments do.
-		pl, err := planner.New(fw.Model, stages, fw.Pareto)
+		pl, err := fw.Planner(stages, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +196,7 @@ func ablHyperband(seed uint64, cfg Config) (*Table, error) {
 // cheapest static plan, or, with greedy, Algorithm 1 under 1.3x its cost.
 func bracketPlanner(fw *core.Framework, greedy bool) func([]planner.Stage) (planner.Plan, error) {
 	return func(stages []planner.Stage) (planner.Plan, error) {
-		pl, err := planner.New(fw.Model, stages, fw.Pareto)
+		pl, err := fw.Planner(stages, core.Options{})
 		if err != nil {
 			return planner.Plan{}, err
 		}

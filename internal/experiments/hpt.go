@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/planner"
 	"repro/internal/sha"
@@ -34,31 +33,39 @@ const hptEpochsPerStage = 2
 type hptSetup struct {
 	fw     *core.Framework
 	stages []planner.Stage
-	pl     *planner.Planner // over the Pareto set
+	pl     *planner.Planner // CE-scaling's, over the Pareto set
+	// s3 is the baselines' planner over the unpruned S3 grid (LambdaML's
+	// and Siren's native storage).
+	s3 *planner.Planner
 	// cheapCost / cheapJCT: the cost-optimal static plan over S3-only
-	// candidates (the baselines' native storage); referencing constraints
-	// to the S3 static plan gives every system workable headroom, as the
-	// paper's setup does.
+	// candidates; referencing constraints to the S3 static plan gives every
+	// system workable headroom, as the paper's setup does.
 	cheapCost, cheapJCT float64
 	// fastJCT: the JCT-optimal S3 static plan's JCT.
 	fastJCT float64
 }
 
+// pinnedGrid selects the unpruned grid of one storage service, the
+// candidate set of the LambdaML, Siren and Cirrus tuning plans.
+func pinnedGrid(kind storage.Kind) core.Options {
+	return core.Options{PinStorage: &kind, DisablePareto: true}
+}
+
 func newHPT(w *workload.Model, trials int) (*hptSetup, error) {
 	fw := core.New(w)
 	stages := planner.SHAStages(trials, 2, hptEpochsPerStage)
-	pl, err := planner.New(fw.Model, stages, fw.Pareto)
+	pl, err := fw.Planner(stages, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	s3pl, err := planner.New(fw.Model, stages, baselines.FilterByStorage(fw.Full, storage.S3))
+	s3, err := fw.Planner(stages, pinnedGrid(storage.S3))
 	if err != nil {
 		return nil, err
 	}
-	cheap := s3pl.OptimalStatic(0, 1e15) // min cost, no deadline pressure
-	fast := s3pl.OptimalStatic(1e15, 0)  // min JCT, no budget pressure
+	cheap := s3.OptimalStatic(0, 1e15) // min cost, no deadline pressure
+	fast := s3.OptimalStatic(1e15, 0)  // min JCT, no budget pressure
 	return &hptSetup{
-		fw: fw, stages: stages, pl: pl,
+		fw: fw, stages: stages, pl: pl, s3: s3,
 		cheapCost: cheap.Cost, cheapJCT: cheap.JCT, fastJCT: fast.JCT,
 	}, nil
 }
@@ -106,19 +113,13 @@ func (h *hptSetup) hptSystems(cfg Config, budget, qos float64, seed uint64) ([]*
 	} else {
 		ce = h.pl.PlanMinCost(qos)
 	}
-	lam, err := baselines.StaticPlan(h.fw.Model, h.stages, h.fw.Full, storage.S3, budget, qos)
-	if err != nil {
-		return nil, err
-	}
-	sir, err := baselines.SirenPlan(h.fw.Model, h.stages, h.fw.Full, storage.S3, budget, qos)
-	if err != nil {
-		return nil, err
-	}
-	plans := []planner.Plan{ce.Plan, lam.Plan, sir.Plan, h.pl.FixedPlan(budget, qos).Plan}
+	lambdaML, siren := h.s3.OptimalStatic(budget, qos), h.s3.SirenPlan(budget, qos)
+	plans := []planner.Plan{ce.Plan, lambdaML.Plan, siren.Plan, h.pl.FixedPlan(budget, qos).Plan}
 
-	// Planning above is serial (the systems share h.pl and its Evaluated
-	// counter); the executions are independent — each gets a fresh Runner —
-	// so they run as parallel cells merged back in system order.
+	// Planning above is serial (the systems share h.pl, h.s3 and their
+	// Evaluated counters); the executions are independent — each gets a
+	// fresh Runner — so they run as parallel cells merged back in system
+	// order.
 	return cells(cfg, len(plans), func(i int) (*sha.Result, error) {
 		run, err := h.execute(plans[i], seed)
 		return run, cellErr(hptOrder[i], err)
@@ -196,10 +197,7 @@ func fig11(_ uint64, _ Config) (*Table, error) {
 	}
 	budget := h.budgetRef()
 	ce := h.pl.PlanMinJCT(budget)
-	static, err := baselines.StaticPlan(h.fw.Model, h.stages, h.fw.Full, storage.S3, budget, 0)
-	if err != nil {
-		return nil, err
-	}
+	static := h.s3.OptimalStatic(budget, 0)
 	fixed := h.pl.FixedPlan(budget, 0)
 
 	perTrial := func(res planner.Result, i int) float64 {
@@ -238,7 +236,7 @@ func fig2(seed uint64, _ Config) (*Table, error) {
 	w := workload.MobileNet()
 	fw := core.New(w)
 	stages := planner.SHAStages(32, 2, 2)
-	pl, err := planner.New(fw.Model, stages, fw.Pareto)
+	pl, err := fw.Planner(stages, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +276,7 @@ func fig3(seed uint64, cfg Config) (*Table, error) {
 	w := workload.MobileNet()
 	fw := core.New(w)
 	stages := planner.SHAStages(512, 4, 2) // 512 -> 128 -> 32 -> 8 -> 2: five stages
-	pl, err := planner.New(fw.Model, stages, fw.Pareto)
+	pl, err := fw.Planner(stages, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -374,23 +372,19 @@ func fig16(seed uint64, cfg Config) (*Table, error) {
 	}
 	for _, kind := range []storage.Kind{storage.S3, storage.VMPS} {
 		k := kind
-		// CE pinned: plan over the pinned candidate set.
-		cePlan, _, err := h.fw.PlanHPT(h.stages, core.Options{Budget: budget, PinStorage: &k, Seed: seed})
+		// CE pinned: plan over the pinned service's Pareto set.
+		cePlan, err := h.fw.PlanHPT(h.stages, core.Options{Budget: budget, PinStorage: &k, Seed: seed})
 		if err != nil {
 			return nil, err
 		}
-		sirPlan, err := baselines.SirenPlan(h.fw.Model, h.stages, h.fw.Full, kind, budget, 0)
-		if err != nil {
-			return nil, err
-		}
-		cirPlan, err := baselines.StaticPlan(h.fw.Model, h.stages, h.fw.Full, kind, budget, 0)
+		grid, err := h.fw.Planner(h.stages, pinnedGrid(kind))
 		if err != nil {
 			return nil, err
 		}
 		systems := []struct {
 			name string
 			plan planner.Plan
-		}{{"CE-scaling", cePlan.Plan}, {"Siren", sirPlan.Plan}, {"Cirrus", cirPlan.Plan}}
+		}{{"CE-scaling", cePlan.Plan}, {"Siren", grid.SirenPlan(budget, 0).Plan}, {"Cirrus", grid.OptimalStatic(budget, 0).Plan}}
 		rows, err := cells(cfg, len(systems), func(i int) ([]string, error) {
 			run, err := h.execute(systems[i].plan, seed)
 			if err != nil {
@@ -407,7 +401,7 @@ func fig16(seed uint64, cfg Config) (*Table, error) {
 }
 
 // fig21a — planner scheduling overhead: CE-scaling vs WO-pa (full search).
-func fig21a(seed uint64, cfg Config) (*Table, error) {
+func fig21a(_ uint64, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "fig21a",
 		Title:   "HPT planning overhead: Pareto-pruned vs full allocation search (WO-pa)",
@@ -424,23 +418,16 @@ func fig21a(seed uint64, cfg Config) (*Table, error) {
 			name    string
 			disable bool
 		}{{"CE-scaling", false}, {"WO-pa", true}} {
-			res, _, err := fw.PlanHPT(stages, core.Options{
-				Budget:        1e15,
-				DisablePareto: variant.disable,
-				Seed:          seed,
-			})
+			pl, err := fw.Planner(stages, core.Options{DisablePareto: variant.disable})
 			if err != nil {
 				return nil, err
 			}
-			space := len(fw.Pareto)
-			if variant.disable {
-				space = len(fw.Full)
-			}
+			res := pl.PlanMinJCT(1e15)
 			rows = append(rows, []string{
 				w.Name, variant.name,
 				fmt.Sprintf("%d", res.Evaluated),
 				seconds(float64(res.Evaluated) * 0.05),
-				fmt.Sprintf("%d", space),
+				fmt.Sprintf("%d", len(pl.P)),
 			})
 		}
 		return rows, nil

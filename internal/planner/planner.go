@@ -1,6 +1,7 @@
 // Package planner implements resource partitioning across the stages of an
 // early-stopping hyperparameter-tuning run (§III-C): the optimal-static warm
-// start, the cluster-style Fixed baseline, and the paper's greedy heuristic
+// start (LambdaML's and Cirrus's plan), the cluster-style Fixed baseline,
+// Siren's early-stage-biased plan, and the paper's greedy heuristic
 // planner (Algorithm 1) that recycles resources from early stages — where
 // most trials are terminated — to later stages, under a budget or a QoS
 // constraint. The underlying optimization is a multiple-choice knapsack
@@ -11,11 +12,18 @@ package planner
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/cost"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
+
+// delta is Algorithm 1's minimum relative improvement to keep iterating:
+// phase 1 stops below delta, phase 2 below delta/10 and the polish below
+// delta/100.
+const delta = 0.01
 
 // Stage describes one SHA stage: q_i surviving trials running r_i epochs.
 type Stage struct {
@@ -93,11 +101,10 @@ type Planner struct {
 	Stages []Stage
 	// P is the candidate set, normally the Pareto set sorted by ascending
 	// epoch time (descending cost): index 0 is the fastest/priciest
-	// allocation. fig21a's WO-pa variant passes the full Θ in grid order
-	// instead; moves scan it by index all the same.
+	// allocation. fig21a's WO-pa variant and the baselines' pinned grids
+	// pass a full Θ in grid order instead; moves scan it by index all the
+	// same.
 	P []cost.Point
-	// Delta is the minimum relative JCT improvement to keep iterating.
-	Delta float64
 
 	// Evaluated counts candidate evaluations (the scheduling-overhead
 	// metric of §IV-G).
@@ -130,7 +137,7 @@ func New(m *cost.Model, stages []Stage, pareto []cost.Point) (*Planner, error) {
 	if len(pareto) == 0 {
 		return nil, fmt.Errorf("planner: empty Pareto set")
 	}
-	pl := &Planner{Model: m, Stages: stages, P: pareto, Delta: 0.01}
+	pl := &Planner{Model: m, Stages: stages, P: pareto}
 	n := len(stages) * len(pareto)
 	pl.warmTime, pl.coldTime, pl.stageCost = make([]float64, n), make([]float64, n), make([]float64, n)
 	pl.first = make([]int32, len(pareto))
@@ -274,7 +281,7 @@ type Result struct {
 // absolute one. The plan is always one of P.
 func (pl *Planner) OptimalStatic(budget, qos float64) Result {
 	j, s, ok := pl.optimalStatic(budget, qos, make([]int32, len(pl.Stages)))
-	return Result{Plan: Uniform(pl.P[j].Alloc, len(pl.Stages)), JCT: s.jct, Cost: s.cost, Feasible: ok}
+	return Result{Plan: Uniform(pl.P[j].Alloc, len(pl.Stages)), JCT: s.jct, Cost: s.cost, Feasible: ok, Evaluated: len(pl.P)}
 }
 
 // optimalStatic is OptimalStatic on index plans: it returns the chosen P
@@ -335,6 +342,57 @@ func (pl *Planner) FixedPlan(budget, qos float64) Result {
 	return r
 }
 
+// SirenPlan models Siren's tuning behaviour (§IV-B): its RL "tends to
+// allocate more resources in the early stages". It starts from the cheapest
+// static plan meeting the constraint and spends the headroom front to back,
+// the opposite of CE-scaling's recycling, on trials that will mostly be
+// terminated. Under a deadline a spending cap bounds the upgrades (its reward
+// trades speed against cost).
+func (pl *Planner) SirenPlan(budget, qos float64) Result {
+	evalStart := pl.Evaluated
+	var res Result
+	if budget > 0 {
+		res = pl.OptimalStatic(0, math.Inf(1)) // cheapest static
+		if res.Cost > budget {
+			res = pl.OptimalStatic(budget, 0)
+		}
+	} else {
+		res = pl.OptimalStatic(0, qos)
+	}
+	// The upgrade ladder walks toward lower indices = faster allocations,
+	// so it climbs a time-sorted copy of P.
+	ladder := slices.Clone(pl.P)
+	sort.Slice(ladder, func(i, j int) bool { return ladder[i].Time < ladder[j].Time })
+	plan := res.Plan.Clone()
+	costCap := math.Inf(1)
+	if qos > 0 {
+		costCap = res.Cost * 1.6
+	}
+	for i := range pl.Stages {
+		idx := slices.IndexFunc(ladder, func(p cost.Point) bool { return p.Alloc == plan.Stages[i] })
+		for idx > 0 {
+			trial := plan.Clone()
+			trial.Stages[i] = ladder[idx-1].Alloc
+			jct, c := pl.JCT(trial), pl.Cost(trial)
+			pl.Evaluated++
+			// Siren's RL maximizes stage speed, so it never picks an
+			// upgrade that slows the stage down (e.g. one that triggers
+			// extra admission waves).
+			if pl.StageTime(i, trial.Stages[i]) > pl.StageTime(i, plan.Stages[i]) {
+				break
+			}
+			if (budget > 0 && c > budget) || (qos > 0 && jct > qos) || c > costCap {
+				break
+			}
+			plan = trial
+			idx--
+		}
+	}
+	jct, c := pl.JCT(plan), pl.Cost(plan)
+	feasible := (budget <= 0 || c <= budget) && (qos <= 0 || jct <= qos)
+	return Result{Plan: plan, JCT: jct, Cost: c, Feasible: feasible, Evaluated: pl.Evaluated - evalStart}
+}
+
 // PlanMinJCT runs Algorithm 1: minimize JCT subject to the budget b_c.
 func (pl *Planner) PlanMinJCT(budget float64) Result {
 	return pl.greedy(budget, 0)
@@ -380,7 +438,7 @@ func (s *search) eval(plan []int32) score {
 //	phase 1 — recycle resources from early stages (cheapen: most of their
 //	trials are terminated anyway) and reallocate the freed resources to
 //	later stages (upgrade), keeping the plan inside the static plan's
-//	resource envelope; iterate while the objective improves by >= Delta.
+//	resource envelope; iterate while the objective improves by >= delta.
 //	phase 2 — spend any remaining constraint headroom: under a budget,
 //	upgrade stages (buy JCT) until the budget is used up; under a QoS
 //	constraint, cheapen stages (sell slack for money) until the deadline
@@ -436,7 +494,7 @@ func (pl *Planner) greedy(budget, qos float64) Result {
 			break
 		}
 		improvement := (s.objective(bestS) - s.objective(curS)) / math.Max(s.objective(bestS), 1e-12)
-		if improvement < pl.Delta {
+		if improvement < delta {
 			break
 		}
 		copy(best, cur)
@@ -453,7 +511,7 @@ func (pl *Planner) greedy(budget, qos float64) Result {
 			break
 		}
 		improvement := (s.objective(bestS) - s.objective(next)) / math.Max(s.objective(bestS), 1e-12)
-		if improvement < pl.Delta/10 {
+		if improvement < delta/10 {
 			break
 		}
 		best[i], bestS = j, next
@@ -475,7 +533,7 @@ func (pl *Planner) greedy(budget, qos float64) Result {
 				for k, step := pl.moves(keep, up); k >= 0 && k < len(pl.P); k += step {
 					best[i] = int32(k)
 					r := s.eval(best)
-					if s.within(r) && s.objective(r) < s.objective(bestS)*(1-pl.Delta/100) {
+					if s.within(r) && s.objective(r) < s.objective(bestS)*(1-delta/100) {
 						keep, bestS, improved = int32(k), r, true
 					}
 				}

@@ -22,15 +22,16 @@ import (
 // Offline is the sampling-based pre-training predictor.
 type Offline struct {
 	Model *workload.Model
-	// SampleFraction is the fraction of data the sample represents; smaller
-	// samples distort convergence speed more.
-	SampleFraction float64
 }
 
-// NewOffline returns the LambdaML-style predictor with its default sample
-// size (10% of the data).
+// sampleFraction is the fraction of the data the pre-training sample
+// represents; smaller samples distort convergence speed more.
+const sampleFraction = 0.1
+
+// NewOffline returns the LambdaML-style predictor, which pre-trains on a 10%
+// sample of the data.
 func NewOffline(m *workload.Model) *Offline {
-	return &Offline{Model: m, SampleFraction: 0.1}
+	return &Offline{Model: m}
 }
 
 // PredictEpochs estimates the total epochs to reach target with the
@@ -69,7 +70,7 @@ func (o *Offline) PredictEpochs(target float64, seed uint64) int {
 func (o *Offline) sampleEngine(seed uint64) workload.Engine {
 	hp := workload.Hyperparams{LR: o.Model.DefaultLR}
 	if o.Model.Real() {
-		rows := int(float64(workload.RealEngineRows) * o.SampleFraction)
+		rows := int(float64(workload.RealEngineRows) * sampleFraction)
 		if rows < 200 {
 			rows = 200
 		}
@@ -81,7 +82,7 @@ func (o *Offline) sampleEngine(seed uint64) workload.Engine {
 	// around the truth; less data, more bias.
 	distort := sim.NewRand(seed ^ 0xb1a5)
 	m := *o.Model
-	sigma := 0.25 + 0.15*(1-o.SampleFraction)
+	sigma := 0.25 + 0.15*(1-sampleFraction)
 	m.Curve.A *= distort.LogNormal(0, sigma)
 	return m.NewCurveEngine(hp, seed^0x0ff1)
 }

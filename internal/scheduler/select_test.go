@@ -3,7 +3,6 @@ package scheduler
 import (
 	"testing"
 
-	"repro/internal/baselines"
 	"repro/internal/cost"
 	"repro/internal/predictor"
 	"repro/internal/storage"
@@ -151,9 +150,14 @@ func TestRestartDecisionZeroAlloc(t *testing.T) {
 		// Siren's session over its unpruned S3 grid and a fixed estimate of
 		// 30 epochs: each measured run steps epochs until the exploration
 		// step has switched the allocation at least once.
-		m := cost.NewModel(workload.MobileNet())
+		var s3 []cost.Point
+		for _, p := range cost.NewModel(workload.MobileNet()).Enumerate(cost.DefaultGrid()) {
+			if p.Alloc.Storage == storage.S3 {
+				s3 = append(s3, p)
+			}
+		}
 		siren := New(Config{
-			Candidates:  baselines.FilterByStorage(m.Enumerate(cost.DefaultGrid()), storage.S3),
+			Candidates:  s3,
 			Budget:      1e9,
 			TargetLoss:  0.42,
 			OfflineSeed: 3,

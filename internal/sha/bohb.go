@@ -16,17 +16,18 @@ import (
 // notes its partitioning applies to BOHB unchanged (§II-A); RunBOHB
 // demonstrates that combination.
 type TPESampler struct {
-	// Gamma is the good-set quantile (default 0.25).
-	Gamma float64
-	// MinObs is how many observations are required before the model is
-	// trusted (uniform sampling until then; default 8).
-	MinObs int
-	// Candidates is how many proposals the ratio ranks (default 24).
-	Candidates int
-
 	obs []tpeObs
 	rng *sim.Rand
 }
+
+// The sampler's model: tpeGamma is the good-set quantile, tpeMinObs how many
+// observations are required before the model is trusted (uniform sampling
+// until then), and tpeCandidates how many proposals the ratio ranks.
+const (
+	tpeGamma      = 0.25
+	tpeMinObs     = 8
+	tpeCandidates = 24
+)
 
 type tpeObs struct {
 	logLR    float64
@@ -34,9 +35,9 @@ type tpeObs struct {
 	loss     float64
 }
 
-// NewTPESampler returns a sampler with defaults, seeded deterministically.
+// NewTPESampler returns a sampler seeded deterministically.
 func NewTPESampler(seed uint64) *TPESampler {
-	return &TPESampler{Gamma: 0.25, MinObs: 8, Candidates: 24, rng: sim.NewRand(seed)}
+	return &TPESampler{rng: sim.NewRand(seed)}
 }
 
 // Observe records a finished trial's configuration and loss.
@@ -52,13 +53,13 @@ func (s *TPESampler) Observations() int { return len(s.obs) }
 
 // Suggest proposes the next configuration for workload w.
 func (s *TPESampler) Suggest(w *workload.Model) workload.Hyperparams {
-	if len(s.obs) < s.MinObs {
+	if len(s.obs) < tpeMinObs {
 		return SampleHyperparams(w, s.rng)
 	}
 	sorted := make([]tpeObs, len(s.obs))
 	copy(sorted, s.obs)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].loss < sorted[j].loss })
-	nGood := int(math.Ceil(s.Gamma * float64(len(sorted))))
+	nGood := int(math.Ceil(tpeGamma * float64(len(sorted))))
 	if nGood < 2 {
 		nGood = 2
 	}
@@ -73,7 +74,7 @@ func (s *TPESampler) Suggest(w *workload.Model) workload.Hyperparams {
 	// Sample candidates from the good KDE, keep the best density ratio.
 	bestRatio := math.Inf(-1)
 	var bestLR float64
-	for c := 0; c < s.Candidates; c++ {
+	for c := 0; c < tpeCandidates; c++ {
 		x := goodKDE.sample(s.rng)
 		ratio := goodKDE.density(x) / math.Max(badKDE.density(x), 1e-12)
 		if ratio > bestRatio {

@@ -14,14 +14,14 @@ import (
 func TestTPESamplerUniformUntilMinObs(t *testing.T) {
 	w := workload.MobileNet()
 	s := NewTPESampler(1)
-	for i := 0; i < s.MinObs-1; i++ {
+	for i := 0; i < tpeMinObs-1; i++ {
 		hp := s.Suggest(w)
 		if hp.LR <= 0 {
 			t.Fatal("invalid suggestion")
 		}
 		s.Observe(hp, 1.0)
 	}
-	if s.Observations() != s.MinObs-1 {
+	if s.Observations() != tpeMinObs-1 {
 		t.Errorf("Observations = %d", s.Observations())
 	}
 }
