@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race shard-check bench bench-smoke reach fuzz-smoke
+.PHONY: check fmt vet build test race shard-check bench bench-smoke reach fuzz-smoke identity
 
 check: fmt vet build test race shard-check bench bench-smoke reach fuzz-smoke
 
@@ -107,6 +107,15 @@ bench-smoke:
 # that no longer applies). See DESIGN.md "Reach".
 reach:
 	sh scripts/reach.sh
+
+# identity: byte identity against revision BASE (not part of check): the
+# stdout of `cebench -parallel 1 -seed S all` at six seeds, and seed 2023's
+# -parallel 2 stdout, trace and metrics exports, each cmp'd against cebench
+# built at BASE. A refactor or perf change must pass it against its parent:
+#   make identity BASE=<rev>
+identity:
+	@[ -n "$(BASE)" ] || { echo "usage: make identity BASE=<rev>"; exit 2; }
+	sh scripts/identity.sh $(BASE)
 
 # fuzz-smoke: a few seconds of each native fuzz target: the kernel (random
 # schedule/batch/cancel/Step/RunUntil programs — schedules on the heap and

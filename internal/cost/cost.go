@@ -44,16 +44,12 @@ func (a Allocation) String() string {
 // process-wide intern, where models of equal configuration share it; an
 // off-grid allocation is simply computed (~150 ns). The tables
 // assume the model is configured once and then treated as immutable: mutate
-// LoadMBps / StragglerSigma only before the first estimate call. The tables
-// are safe for concurrent readers.
+// StragglerSigma only before the first estimate call. The tables are safe
+// for concurrent readers. Prices, the account limits, the cold start and
+// B_S3 are the simulated cloud's one calibration: pricing's list prices,
+// faas.DefaultLimits, faas.ColdStartEstimate and storage.LoadMBps.
 type Model struct {
 	Workload *workload.Model
-	Prices   pricing.PriceBook
-	Limits   faas.Limits
-
-	// LoadMBps is B_S3 of Eq. 2: the bandwidth at which functions load
-	// their dataset partitions from object storage.
-	LoadMBps float64
 
 	// StragglerSigma is the per-function log-normal compute-noise sigma the
 	// model assumes when estimating the BSP barrier penalty (matching
@@ -95,18 +91,12 @@ func (m *Model) computeEpochEst(a Allocation) epochEst {
 	return epochEst{time: t, cost: m.functionEpochCost(a, t) + m.storageEpochCost(a, t)}
 }
 
-// NewModel returns an analytic model for w under default prices and limits.
+// NewModel returns an analytic model for w.
 func NewModel(w *workload.Model) *Model {
-	return NewModelWith(w, pricing.Default(), faas.DefaultLimits())
-}
-
-// NewModelWith returns an analytic model with explicit prices and limits.
-func NewModelWith(w *workload.Model, pb pricing.PriceBook, limits faas.Limits) *Model {
-	m := &Model{Workload: w, Prices: pb, Limits: limits, LoadMBps: 80,
-		StragglerSigma: 0.05,
-		services:       make(map[storage.Kind]*storage.Service)}
+	m := &Model{Workload: w, StragglerSigma: 0.05,
+		services: make(map[storage.Kind]*storage.Service)}
 	for _, k := range storage.ExtendedKinds() {
-		m.services[k] = storage.New(k, pb)
+		m.services[k] = storage.New(k)
 	}
 	return m
 }
@@ -119,10 +109,11 @@ func (m *Model) Service(kind storage.Kind) *storage.Service { return m.services[
 // accept the model size, and the function count must fit the concurrency
 // cap.
 func (m *Model) Feasible(a Allocation) bool {
-	if a.N < 1 || a.N > m.Limits.MaxConcurrency {
+	limits := faas.DefaultLimits()
+	if a.N < 1 || a.N > limits.MaxConcurrency {
 		return false
 	}
-	if m.Limits.ValidateMemory(a.MemMB) != nil {
+	if limits.ValidateMemory(a.MemMB) != nil {
 		return false
 	}
 	if !m.Workload.Feasible(a.N, a.MemMB) {
@@ -139,7 +130,7 @@ func (m *Model) Iterations(a Allocation) int {
 // LoadTime returns t^l: the time for each function to load its data
 // partition from object storage (Eq. 2 first term, D/(n*B_S3)).
 func (m *Model) LoadTime(a Allocation) float64 {
-	return m.Workload.Dataset.PartitionSizeMB(a.N) / m.LoadMBps
+	return m.Workload.Dataset.PartitionSizeMB(a.N) / storage.LoadMBps
 }
 
 // ComputeTime returns the per-epoch gradient computation time: each
@@ -180,7 +171,7 @@ func (m *Model) FunctionEpochCost(a Allocation) float64 {
 }
 
 func (m *Model) functionEpochCost(a Allocation, epochTime float64) float64 {
-	return float64(a.N) * m.Prices.ComputeOnlyCost(epochTime, float64(a.MemMB))
+	return float64(a.N) * pricing.ComputeOnlyCost(epochTime, float64(a.MemMB))
 }
 
 // StorageEpochCost returns c^s per epoch (Eq. 5): request charges for the
@@ -206,24 +197,21 @@ func (m *Model) EpochCost(a Allocation) float64 {
 // InvocationCost returns the one-time n*p_ivk charge for invoking the
 // function group (Eq. 4 first term), paid at start and on every restart.
 func (m *Model) InvocationCost(a Allocation) float64 {
-	return float64(a.N) * m.Prices.FunctionInvoke
+	return float64(a.N) * pricing.FunctionInvoke
 }
 
 // JobTime estimates the JCT of a training job of epochs epochs under one
 // fixed allocation: startup + provisioning + load + epochs * epoch time.
 func (m *Model) JobTime(a Allocation, epochs int) float64 {
-	start := m.startupTime(a)
+	start := m.StartupEstimate(a)
 	return start + m.LoadTime(a) + float64(epochs)*m.EpochTime(a)
 }
 
 // StartupEstimate returns the deterministic startup latency of a fresh
 // function group under θ: the cold start (or the storage provisioning
 // delay when that dominates).
-func (m *Model) StartupEstimate(a Allocation) float64 { return m.startupTime(a) }
-
-func (m *Model) startupTime(a Allocation) float64 {
-	cold := faas.DefaultStartup()
-	t := cold.ColdBase + cold.ColdPerGB*float64(a.MemMB)/1024
+func (m *Model) StartupEstimate(a Allocation) float64 {
+	t := faas.ColdStartEstimate(a.MemMB)
 	if p := m.services[a.Storage].ProvisionDelay(); p > t {
 		t = p // storage provisioning overlaps function cold start
 	}
@@ -233,7 +221,7 @@ func (m *Model) startupTime(a Allocation) float64 {
 // JobCost estimates the total bill of a training job of epochs epochs under
 // one fixed allocation.
 func (m *Model) JobCost(a Allocation, epochs int) float64 {
-	c := m.InvocationCost(a) + storage.LoadCost(m.Prices, a.N)
+	c := m.InvocationCost(a) + storage.LoadCost(a.N)
 	svc := m.services[a.Storage]
 	if svc.ChargeModel() == storage.ByRequest {
 		c += float64(epochs) * (m.FunctionEpochCost(a) + m.StorageEpochCost(a))
@@ -242,7 +230,7 @@ func (m *Model) JobCost(a Allocation, epochs int) float64 {
 		c += float64(epochs)*m.FunctionEpochCost(a) + svc.RuntimeCost(m.JobTime(a, epochs))
 	}
 	// Functions also bill their load time.
-	c += float64(a.N) * m.Prices.ComputeOnlyCost(m.LoadTime(a), float64(a.MemMB))
+	c += float64(a.N) * pricing.ComputeOnlyCost(m.LoadTime(a), float64(a.MemMB))
 	return c
 }
 

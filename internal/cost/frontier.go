@@ -8,8 +8,8 @@ import (
 // Frontier is an immutable, shared view of a Pareto boundary: points in
 // strictly ascending Time and strictly descending Cost order (the sweep in
 // Pareto collapses time ties, so both orders are strict by construction).
-// Frontiers are interned with their grid table per (workload, pricing,
-// limits, bandwidth, noise, grid) signature — ten thousand tenants running
+// Frontiers are interned with their grid table per (workload, noise, grid)
+// signature — ten thousand tenants running
 // the same model class hold the same *Frontier instead of ten thousand
 // defensive copies — so the backing points must never be mutated. Callers
 // that need a private mutable slice use Model.ParetoSet, which keeps its
@@ -87,8 +87,7 @@ func gridsEqual(a, b Grid) bool {
 // estimates, so they may share interned tables. All referenced structs
 // are scalar-only (no maps, no pointers), so %+v is stable.
 func (m *Model) signature() string {
-	return fmt.Sprintf("%+v|%+v|%+v|%g|%g",
-		*m.Workload, m.Prices, m.Limits, m.LoadMBps, m.StragglerSigma)
+	return fmt.Sprintf("%+v|%g", *m.Workload, m.StragglerSigma)
 }
 
 // ensureTable returns the dense table for g: from the model's own list, else

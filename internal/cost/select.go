@@ -2,6 +2,11 @@ package cost
 
 import "math"
 
+// EstimateSeconds is the modeled latency, in seconds, of estimating one
+// candidate allocation: the §IV-G scheduling-overhead metric charges it per
+// candidate a decision or a plan scores.
+const EstimateSeconds float64 = 0.05
+
 // Strict reports whether points are strictly ascending in Time and strictly
 // descending in Cost: the Pareto-boundary shape that makes Select
 // binary-searchable. Callers compute it once per candidate set.

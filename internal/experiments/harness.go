@@ -21,7 +21,6 @@ import (
 	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/pricing"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/traffic"
@@ -150,7 +149,7 @@ func (h *harness) scope(name string) *obs.Observer { return h.collector.Scope(na
 func (h *harness) platform(name string, shard, capacity int) *faas.Platform {
 	limits := faas.DefaultLimits()
 	limits.MaxConcurrency = capacity
-	p := faas.NewOnShard(h.s.Shard(shard), "faas.startup/"+name, limits, faas.DefaultStartup(), pricing.Default())
+	p := faas.NewOnShard(h.s.Shard(shard), "faas.startup/"+name, limits)
 	p.SetObserver(h.scope(name))
 	h.plats = append(h.plats, p)
 	return p

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/planner"
 	"repro/internal/sha"
 	"repro/internal/storage"
@@ -406,7 +407,9 @@ func fig21a(_ uint64, cfg Config) (*Table, error) {
 		ID:      "fig21a",
 		Title:   "HPT planning overhead: Pareto-pruned vs full allocation search (WO-pa)",
 		Headers: []string{"model", "variant", "candidates evaluated", "modeled overhead", "search space"},
-		Notes:   "modeled overhead = candidates x 50ms estimation latency (the paper's seconds-level budget); search space = candidate allocations the planner scores per decision (|P| after Pareto pruning vs the full |Theta|)",
+		Notes: fmt.Sprintf("modeled overhead = candidates x %gms estimation latency (the paper's seconds-level budget); "+
+			"search space = candidate allocations the planner scores per decision (|P| after Pareto pruning vs the full |Theta|)",
+			cost.EstimateSeconds*1000),
 	}
 	models := workload.Evaluated()
 	stages := planner.SHAStages(hptTrials, 2, hptEpochsPerStage)
@@ -426,7 +429,7 @@ func fig21a(_ uint64, cfg Config) (*Table, error) {
 			rows = append(rows, []string{
 				w.Name, variant.name,
 				fmt.Sprintf("%d", res.Evaluated),
-				seconds(float64(res.Evaluated) * 0.05),
+				seconds(float64(res.Evaluated) * cost.EstimateSeconds),
 				fmt.Sprintf("%d", len(pl.P)),
 			})
 		}

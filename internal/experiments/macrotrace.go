@@ -77,7 +77,6 @@ type traceTenant struct {
 	member
 	cursor   traffic.Cursor
 	svc      *sim.Rand
-	prices   pricing.PriceBook
 	arriveFn func()
 
 	hist   obs.Hist
@@ -109,7 +108,7 @@ func (tn *traceTenant) arrive() {
 // draw the service time, bill tenant-side, and schedule completion.
 func (tn *traceTenant) granted(fr *invFrame) {
 	tn.cold += uint64(fr.cold)
-	tn.cost += tn.prices.FunctionInvoke
+	tn.cost += pricing.FunctionInvoke
 	service := tn.svc.LogNormal(math.Log(traceSvcMedian), traceSvcSigma)
 	fr.held = fr.delay + service
 	tn.sh.SchedulePriority(tn.sh.Now()+sim.Time(fr.held), priTraceDone+tn.id, fr.doneFn)
@@ -124,7 +123,7 @@ func (fr *invFrame) done() {
 	tn.completed++
 	tn.window++
 	tn.hist.Observe(float64(tn.sh.Now() - fr.reqT))
-	tn.cost += tn.prices.ComputeOnlyCost(fr.held, float64(tn.memMB))
+	tn.cost += pricing.ComputeOnlyCost(fr.held, float64(tn.memMB))
 	tn.release(fr)
 }
 
@@ -206,7 +205,6 @@ func macroTrace(seed uint64, cfg Config) (*Table, *harness, error) {
 			member: member{id: t, sh: h.shard(t), n: 1, memMB: 512 << (t % 3)},
 			cursor: tc.Cursor(h.s.Rand(name + "/arrivals")),
 			svc:    h.s.Rand(name + "/service"),
-			prices: pricing.Default(),
 			hist:   *obs.NewHist(obs.LatencyBuckets),
 		}
 		tn.arriveFn = tn.arrive
@@ -217,7 +215,7 @@ func macroTrace(seed uint64, cfg Config) (*Table, *harness, error) {
 	// arrival occupies the account from its admission until its release
 	// posts back: two lookaheads plus startup plus service.
 	meanService := traceSvcMedian * math.Exp(traceSvcSigma*traceSvcSigma/2)
-	meanHeld := 2*traceLookahead + faas.DefaultStartup().Warm + meanService
+	meanHeld := 2*traceLookahead + faas.WarmStart + meanService
 	capacity := max(4, int(1.1*aggRate*meanHeld))
 	ac := h.newAccount(capacity, traceMaxRetry, traceBands)
 

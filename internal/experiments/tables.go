@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cost"
-	"repro/internal/pricing"
 	"repro/internal/storage"
 	"repro/internal/trainer"
 	"repro/internal/workload"
@@ -23,7 +22,7 @@ func tab1(_ uint64, _ Config) (*Table, error) {
 		Title:   "Comparison of external storage services",
 		Headers: []string{"service", "elastic scaling", "latency", "pricing pattern", "cost"},
 	}
-	for _, s := range storage.All(pricing.Default()) {
+	for _, s := range storage.All() {
 		c := s.Characterize()
 		t.Rows = append(t.Rows, []string{c.Name, c.ElasticScaling, c.LatencyClass, c.PricingPattern, c.CostClass})
 	}

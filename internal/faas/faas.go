@@ -9,6 +9,10 @@
 // contributes startup latency, concurrency admission and metering. This
 // mirrors how a scheduler perceives AWS Lambda: it can only observe start
 // latency, duration and the resulting bill.
+//
+// The start-up latencies are the package's constants and the bill is at
+// pricing's list prices; the one value an account is built with is its
+// Limits, which a harness sizes per scenario.
 package faas
 
 import (
@@ -46,18 +50,20 @@ func (l Limits) ValidateMemory(memMB int) error {
 	return nil
 }
 
-// StartupModel parameterizes cold- and warm-start latency.
-type StartupModel struct {
-	ColdBase   float64 // seconds: sandbox + runtime initialization
-	ColdPerGB  float64 // seconds per GB of function memory (snapshot restore)
-	Warm       float64 // seconds for a warm invocation
-	JitterFrac float64 // multiplicative uniform jitter on cold starts
-}
+// The Lambda-like start-up model: ~1.5-3 s cold starts for ML runtimes,
+// ~20 ms warm starts.
+const (
+	ColdBase   float64 = 1.6  // seconds: sandbox + runtime initialization
+	ColdPerGB  float64 = 0.5  // seconds per GB of function memory (snapshot restore)
+	WarmStart  float64 = 0.02 // seconds for a warm invocation
+	JitterFrac float64 = 0.25 // multiplicative uniform jitter on cold starts
+)
 
-// DefaultStartup returns a Lambda-like startup model: ~1.5-3 s cold starts
-// for ML runtimes, ~20 ms warm starts.
-func DefaultStartup() StartupModel {
-	return StartupModel{ColdBase: 1.6, ColdPerGB: 0.5, Warm: 0.02, JitterFrac: 0.25}
+// ColdStartEstimate returns the deterministic (jitter-free) cold-start
+// latency of a function of memMB: what a cold start takes before jitter and
+// spikes, and what the analytical models charge for one.
+func ColdStartEstimate(memMB int) float64 {
+	return ColdBase + ColdPerGB*float64(memMB)/1024
 }
 
 // ErrConcurrencyExceeded is returned, bare, when an invocation would exceed
@@ -90,11 +96,9 @@ func (m *Meter) Total() float64 { return m.InvokeCost + m.ComputeCost }
 // inside the kernel's lookahead windows. The default constructors bind the
 // main shard, which preserves the historical single-queue behavior exactly.
 type Platform struct {
-	sh      *sim.Shard
-	rng     *sim.Rand // startup-jitter stream, captured at construction
-	limits  Limits
-	startup StartupModel
-	prices  pricing.PriceBook
+	sh     *sim.Shard
+	rng    *sim.Rand // startup-jitter stream, captured at construction
+	limits Limits
 
 	inFlight     int
 	peakInFlight int
@@ -111,24 +115,21 @@ type Platform struct {
 
 // New returns a platform bound to the simulation's main shard, drawing
 // startup jitter from the "faas.startup" stream (the historical wiring).
-func New(s *sim.Simulation, limits Limits, startup StartupModel, pb pricing.PriceBook) *Platform {
-	return NewOnShard(s.Main(), "faas.startup", limits, startup, pb)
+func New(s *sim.Simulation, limits Limits) *Platform {
+	return NewOnShard(s.Main(), "faas.startup", limits)
 }
 
 // NewOnShard returns a platform owned by the given kernel shard, drawing
 // startup jitter from the named stream. Per-tenant accounts use one shard
 // and one distinct stream name each, so every tenant's jitter sequence is
 // independent of how many other tenants exist and of the shard layout.
-func NewOnShard(sh *sim.Shard, randStream string, limits Limits, startup StartupModel, pb pricing.PriceBook) *Platform {
-	return &Platform{
-		sh: sh, rng: sh.Rand(randStream),
-		limits: limits, startup: startup, prices: pb,
-	}
+func NewOnShard(sh *sim.Shard, randStream string, limits Limits) *Platform {
+	return &Platform{sh: sh, rng: sh.Rand(randStream), limits: limits}
 }
 
-// NewDefault returns a platform with default limits, startup and prices.
+// NewDefault returns a platform with the default limits.
 func NewDefault(s *sim.Simulation) *Platform {
-	return New(s, DefaultLimits(), DefaultStartup(), pricing.Default())
+	return New(s, DefaultLimits())
 }
 
 // SetObserver attaches an observability sink. Events are stamped with the
@@ -201,7 +202,7 @@ func (p *Platform) InvokeGroup(n, memMB int) (GroupStart, error) {
 	w := p.takeWarm(memMB, n)
 	g := GroupStart{Cold: n - w}
 	if w > 0 {
-		g.StartDelay = max(g.StartDelay, p.startup.Warm)
+		g.StartDelay = max(g.StartDelay, WarmStart)
 	}
 	for i := range n {
 		if i >= w {
@@ -209,7 +210,7 @@ func (p *Platform) InvokeGroup(n, memMB int) (GroupStart, error) {
 			g.StartDelay = max(g.StartDelay, d)
 			p.obs.Stats().Observe("faas.cold_start_s", d)
 		}
-		p.meter.InvokeCost += p.prices.FunctionInvoke
+		p.meter.InvokeCost += pricing.FunctionInvoke
 	}
 	p.meter.Invocations += uint64(n)
 	if p.obs.Enabled() {
@@ -217,7 +218,7 @@ func (p *Platform) InvokeGroup(n, memMB int) (GroupStart, error) {
 		st.Add("faas.invocations", float64(n))
 		st.Add("faas.cold_starts", float64(g.Cold))
 		st.Add("faas.warm_starts", float64(n-g.Cold))
-		st.Add("faas.invoke_cost", float64(n)*p.prices.FunctionInvoke)
+		st.Add("faas.invoke_cost", float64(n)*pricing.FunctionInvoke)
 		st.Set("faas.in_flight", float64(p.inFlight))
 		st.SetMax("faas.in_flight_peak", float64(p.peakInFlight))
 		st.Set("faas.warm_total", float64(p.warmTotal))
@@ -326,24 +327,12 @@ func (w *warmPool) expireOldest() {
 }
 
 func (p *Platform) coldStart(memMB int) float64 {
-	d := p.startup.ColdBase + p.startup.ColdPerGB*float64(memMB)/1024
-	if p.startup.JitterFrac > 0 {
-		d *= p.rng.Jitter(p.startup.JitterFrac)
-	}
+	d := ColdStartEstimate(memMB) * p.rng.Jitter(JitterFrac)
 	if p.coldSpike > 1 {
 		d *= p.coldSpike
 	}
 	return d
 }
-
-// ColdStartEstimate returns the deterministic (jitter-free) cold-start
-// latency the analytical models use.
-func (p *Platform) ColdStartEstimate(memMB int) float64 {
-	return p.startup.ColdBase + p.startup.ColdPerGB*float64(memMB)/1024
-}
-
-// WarmStart returns the warm invocation latency.
-func (p *Platform) WarmStart() float64 { return p.startup.Warm }
 
 // ReleaseGroup ends n concurrent functions of memMB memory, billing their
 // compute time (seconds each) and returning their sandboxes to the warm
@@ -382,7 +371,7 @@ func (p *Platform) BillCompute(n, memMB int, secondsEach float64) {
 	if n <= 0 || secondsEach <= 0 {
 		return
 	}
-	cost := float64(n) * p.prices.ComputeOnlyCost(secondsEach, float64(memMB))
+	cost := float64(n) * pricing.ComputeOnlyCost(secondsEach, float64(memMB))
 	p.meter.ComputeCost += cost
 	gbs := float64(n) * secondsEach * float64(memMB) / 1024
 	p.meter.GBSeconds += gbs

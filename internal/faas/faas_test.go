@@ -69,8 +69,8 @@ func TestInvokeGroupColdThenWarm(t *testing.T) {
 	}
 	// Cold starts are slower than warm ones, so the slowest member being
 	// warm-fast means every member was.
-	if g.StartDelay != DefaultStartup().Warm {
-		t.Errorf("warm start = %g, want %g", g.StartDelay, DefaultStartup().Warm)
+	if g.StartDelay != WarmStart {
+		t.Errorf("warm start = %g, want %g", g.StartDelay, WarmStart)
 	}
 }
 
@@ -115,7 +115,6 @@ func TestInvokeGroupRejectsBadArgs(t *testing.T) {
 
 func TestBilling(t *testing.T) {
 	p := newPlatform()
-	pb := pricing.Default()
 	if _, err := p.InvokeGroup(10, 1024); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +123,7 @@ func TestBilling(t *testing.T) {
 	if m.Invocations != 10 {
 		t.Errorf("Invocations = %d, want 10", m.Invocations)
 	}
-	wantInvoke := 10 * pb.FunctionInvoke
+	wantInvoke := 10 * pricing.FunctionInvoke
 	if math.Abs(m.InvokeCost-wantInvoke) > 1e-12 {
 		t.Errorf("InvokeCost = %g, want %g", m.InvokeCost, wantInvoke)
 	}
@@ -132,7 +131,7 @@ func TestBilling(t *testing.T) {
 	if math.Abs(m.GBSeconds-wantGBs) > 1e-9 {
 		t.Errorf("GBSeconds = %g, want %g", m.GBSeconds, wantGBs)
 	}
-	wantCompute := 10 * pb.ComputeOnlyCost(100, 1024)
+	wantCompute := 10 * pricing.ComputeOnlyCost(100, 1024)
 	if math.Abs(m.ComputeCost-wantCompute) > 1e-12 {
 		t.Errorf("ComputeCost = %g, want %g", m.ComputeCost, wantCompute)
 	}
@@ -166,16 +165,15 @@ func TestReleaseMoreThanInFlightPanics(t *testing.T) {
 }
 
 func TestColdStartGrowsWithMemory(t *testing.T) {
-	p := newPlatform()
-	if p.ColdStartEstimate(128) >= p.ColdStartEstimate(10240) {
+	if ColdStartEstimate(128) >= ColdStartEstimate(10240) {
 		t.Error("cold start should grow with memory size")
 	}
 }
 
 func TestColdStartJitterBounded(t *testing.T) {
 	p := newPlatform()
-	est := p.ColdStartEstimate(1769)
-	frac := DefaultStartup().JitterFrac
+	est := ColdStartEstimate(1769)
+	frac := JitterFrac
 	for i := 0; i < 100; i++ {
 		g, err := p.InvokeGroup(1, 1769)
 		if err != nil {

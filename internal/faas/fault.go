@@ -62,7 +62,7 @@ func (p *Platform) ReclaimWarm(n int) int {
 // SetColdSpikeFactor multiplies every subsequent cold-start draw by f
 // (cold-start spike windows: image pulls and placement slow down under
 // provider load). Factors below 1 reset to the neutral 1. The deterministic
-// ColdStartEstimate is intentionally unaffected — planners keep estimating
+// ColdStartEstimate never sees the factor — planners keep estimating
 // with the calm model, so a spike surfaces as estimation error, exactly the
 // divergence the fault model exists to exercise.
 func (p *Platform) SetColdSpikeFactor(f float64) {

@@ -89,17 +89,13 @@ func TestColdSpikeFactorScalesDrawsNotEstimates(t *testing.T) {
 	if got, want := hot.StartDelay, 4*base.StartDelay; got != want {
 		t.Errorf("spiked cold start %g, want %g", got, want)
 	}
-	// The analytical estimate keeps the calm model.
-	if calm.ColdStartEstimate(1769) != spiked.ColdStartEstimate(1769) {
-		t.Error("ColdStartEstimate changed under a spike")
-	}
 	// Warm starts are unaffected.
 	spiked.ReleaseGroup(1, 1769, 1)
 	warm, err := spiked.InvokeGroup(1, 1769)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Cold != 0 || warm.StartDelay != spiked.WarmStart() {
+	if warm.Cold != 0 || warm.StartDelay != WarmStart {
 		t.Errorf("warm start affected by spike: %+v", warm)
 	}
 	// Factors below 1 reset to neutral.

@@ -4,13 +4,12 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/pricing"
 	"repro/internal/sim"
 )
 
 func newTestPlatform(seed uint64) *Platform {
 	s := sim.New(seed)
-	return New(s, DefaultLimits(), DefaultStartup(), pricing.Default())
+	return New(s, DefaultLimits())
 }
 
 // TestGroupStartFoldsItsMembers: the summary InvokeGroup returns is the
@@ -49,7 +48,7 @@ func TestGroupStartFoldsItsMembers(t *testing.T) {
 func TestInvokeGroupDenialZeroAlloc(t *testing.T) {
 	limits := DefaultLimits()
 	limits.MaxConcurrency = 8
-	p := New(sim.New(1), limits, DefaultStartup(), pricing.Default())
+	p := New(sim.New(1), limits)
 	if _, err := p.InvokeGroup(8, 512); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestInvokeGroupSteadyStateZeroAlloc(t *testing.T) {
 func TestInvoke1DenialIsSentinel(t *testing.T) {
 	limits := DefaultLimits()
 	limits.MaxConcurrency = 1
-	p := New(sim.New(1), limits, DefaultStartup(), pricing.Default())
+	p := New(sim.New(1), limits)
 	if _, err := p.InvokeGroup(1, 512); err != nil {
 		t.Fatalf("first invoke: %v", err)
 	}
@@ -174,7 +173,7 @@ func TestInvoke1SteadyStateZeroAlloc(t *testing.T) {
 func TestInvoke1DenialZeroAlloc(t *testing.T) {
 	limits := DefaultLimits()
 	limits.MaxConcurrency = 1
-	p := New(sim.New(1), limits, DefaultStartup(), pricing.Default())
+	p := New(sim.New(1), limits)
 	if _, err := p.InvokeGroup(1, 512); err != nil {
 		t.Fatal(err)
 	}

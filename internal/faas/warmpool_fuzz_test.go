@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/pricing"
 	"repro/internal/sim"
 )
 
@@ -24,8 +23,8 @@ func runWarmPoolProgram(t testing.TB, seed uint64, prog []byte) {
 	limits := DefaultLimits()
 	limits.MaxConcurrency = 500
 	sa, sb := sim.New(seed), sim.New(seed)
-	a := NewOnShard(sa.Main(), "faas.startup", limits, DefaultStartup(), pricing.Default())
-	b := newRefPlatform(sb.Main(), "faas.startup", limits, DefaultStartup(), pricing.Default())
+	a := NewOnShard(sa.Main(), "faas.startup", limits)
+	b := newRefPlatform(sb.Main(), "faas.startup", limits)
 	a.SetObserver(obs.New())
 	b.obs = obs.New()
 	sizes := [...]int{512, 1024, 1769}

@@ -17,11 +17,9 @@ import (
 // the size's warm count. FuzzWarmPool and TestWarmPoolMatchesReference drive
 // it and the product side by side.
 type refPlatform struct {
-	sh      *sim.Shard
-	rng     *sim.Rand
-	limits  Limits
-	startup StartupModel
-	prices  pricing.PriceBook
+	sh     *sim.Shard
+	rng    *sim.Rand
+	limits Limits
 
 	inFlight     int
 	peakInFlight int
@@ -32,10 +30,9 @@ type refPlatform struct {
 	obs          *obs.Observer
 }
 
-func newRefPlatform(sh *sim.Shard, randStream string, limits Limits, startup StartupModel, pb pricing.PriceBook) *refPlatform {
+func newRefPlatform(sh *sim.Shard, randStream string, limits Limits) *refPlatform {
 	p := &refPlatform{
-		sh: sh, rng: sh.Rand(randStream),
-		limits: limits, startup: startup, prices: pb,
+		sh: sh, rng: sh.Rand(randStream), limits: limits,
 		warm: make(map[int]*sim.Lane),
 	}
 	p.reclaim = p.expire
@@ -80,13 +77,13 @@ func (p *refPlatform) InvokeGroup(n, memMB int) (GroupStart, error) {
 func (p *refPlatform) admit(memMB int) (delay float64, cold bool) {
 	if l := p.warm[memMB]; l != nil && l.CancelHead() {
 		p.warmTotal--
-		delay = p.startup.Warm
+		delay = WarmStart
 	} else {
 		cold = true
 		delay = p.coldStart(memMB)
 	}
 	p.meter.Invocations++
-	p.meter.InvokeCost += p.prices.FunctionInvoke
+	p.meter.InvokeCost += pricing.FunctionInvoke
 	return delay, cold
 }
 
@@ -112,9 +109,9 @@ func (p *refPlatform) expire() {
 }
 
 func (p *refPlatform) coldStart(memMB int) float64 {
-	d := p.startup.ColdBase + p.startup.ColdPerGB*float64(memMB)/1024
-	if p.startup.JitterFrac > 0 {
-		d *= p.rng.Jitter(p.startup.JitterFrac)
+	d := ColdBase + ColdPerGB*float64(memMB)/1024
+	if JitterFrac > 0 {
+		d *= p.rng.Jitter(JitterFrac)
 	}
 	return d
 }
@@ -135,7 +132,7 @@ func (p *refPlatform) BillCompute(n, memMB int, secondsEach float64) {
 	if n <= 0 || secondsEach <= 0 {
 		return
 	}
-	cost := float64(n) * p.prices.ComputeOnlyCost(secondsEach, float64(memMB))
+	cost := float64(n) * pricing.ComputeOnlyCost(secondsEach, float64(memMB))
 	p.meter.ComputeCost += cost
 	gbs := float64(n) * secondsEach * float64(memMB) / 1024
 	p.meter.GBSeconds += gbs

@@ -148,7 +148,7 @@ func TestInvokeGroupAtExactlyMaxConcurrency(t *testing.T) {
 	if m.Invocations != uint64(n) {
 		t.Fatalf("Invocations = %d, want %d", m.Invocations, n)
 	}
-	wantInvoke := float64(n) * pricing.Default().FunctionInvoke
+	wantInvoke := float64(n) * pricing.FunctionInvoke
 	if math.Abs(m.InvokeCost-wantInvoke) > 1e-9 {
 		t.Fatalf("InvokeCost = %g, want %g", m.InvokeCost, wantInvoke)
 	}
@@ -203,7 +203,6 @@ func TestReleaseWarmReturnThenExpiryPreservesWarmCount(t *testing.T) {
 func TestMeterGBSecondsMatchesPricing(t *testing.T) {
 	s := sim.New(1)
 	p := NewDefault(s)
-	pb := pricing.Default()
 
 	cases := []struct {
 		n, memMB    int
@@ -220,7 +219,7 @@ func TestMeterGBSecondsMatchesPricing(t *testing.T) {
 		}
 		p.ReleaseGroup(c.n, c.memMB, c.secondsEach)
 		wantGBs += float64(c.n) * c.secondsEach * float64(c.memMB) / 1024
-		wantCost += float64(c.n) * pb.ComputeOnlyCost(c.secondsEach, float64(c.memMB))
+		wantCost += float64(c.n) * pricing.ComputeOnlyCost(c.secondsEach, float64(c.memMB))
 	}
 	m := p.Meter()
 	if math.Abs(m.GBSeconds-wantGBs) > 1e-9*wantGBs {
@@ -232,8 +231,8 @@ func TestMeterGBSecondsMatchesPricing(t *testing.T) {
 	// All cases ran at or above the 1 ms minimum bill, so the meter's
 	// GB-seconds times the per-GB-second rate must reproduce the compute
 	// bill exactly.
-	if math.Abs(m.GBSeconds*pb.FunctionGBSecond-m.ComputeCost) > 1e-9*m.ComputeCost {
-		t.Fatalf("GBSeconds*rate = %g != ComputeCost %g", m.GBSeconds*pb.FunctionGBSecond, m.ComputeCost)
+	if math.Abs(m.GBSeconds*pricing.FunctionGBSecond-m.ComputeCost) > 1e-9*m.ComputeCost {
+		t.Fatalf("GBSeconds*rate = %g != ComputeCost %g", m.GBSeconds*pricing.FunctionGBSecond, m.ComputeCost)
 	}
 }
 
@@ -243,7 +242,6 @@ func TestMeterGBSecondsMatchesPricing(t *testing.T) {
 func TestMeterMinimumBillEdge(t *testing.T) {
 	s := sim.New(1)
 	p := NewDefault(s)
-	pb := pricing.Default()
 	if _, err := p.InvokeGroup(1, 1024); err != nil {
 		t.Fatal(err)
 	}
@@ -253,12 +251,12 @@ func TestMeterMinimumBillEdge(t *testing.T) {
 	if math.Abs(m.GBSeconds-wantGBs) > 1e-15 {
 		t.Fatalf("GBSeconds = %g, want actual %g", m.GBSeconds, wantGBs)
 	}
-	wantCost := pb.ComputeOnlyCost(0.0001, 1024)
+	wantCost := pricing.ComputeOnlyCost(0.0001, 1024)
 	if math.Abs(m.ComputeCost-wantCost) > 1e-15 {
 		t.Fatalf("ComputeCost = %g, want %g", m.ComputeCost, wantCost)
 	}
-	if m.ComputeCost <= m.GBSeconds*pb.FunctionGBSecond {
-		t.Fatalf("min-bill floor not applied: cost %g vs unfloored %g", m.ComputeCost, m.GBSeconds*pb.FunctionGBSecond)
+	if m.ComputeCost <= m.GBSeconds*pricing.FunctionGBSecond {
+		t.Fatalf("min-bill floor not applied: cost %g vs unfloored %g", m.ComputeCost, m.GBSeconds*pricing.FunctionGBSecond)
 	}
 }
 

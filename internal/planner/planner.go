@@ -16,7 +16,9 @@ import (
 	"sort"
 
 	"repro/internal/cost"
+	"repro/internal/faas"
 	"repro/internal/obs"
+	"repro/internal/pricing"
 	"repro/internal/storage"
 )
 
@@ -150,7 +152,7 @@ func New(m *cost.Model, stages []Stage, pareto []cost.Point) (*Planner, error) {
 		}
 		pl.first[j] = f
 	}
-	cap := m.Limits.MaxConcurrency
+	cap := faas.DefaultLimits().MaxConcurrency
 	for i := range stages {
 		for j, pt := range pareto {
 			k := i*len(pareto) + j
@@ -164,6 +166,16 @@ func New(m *cost.Model, stages []Stage, pareto []cost.Point) (*Planner, error) {
 
 // score is a plan's predicted JCT and cost.
 type score struct{ jct, cost float64 }
+
+// beats reports whether s is the better score than r: lower JCT, then lower
+// cost on an exact JCT tie, when minJCT; lower cost, then lower JCT,
+// otherwise.
+func (s score) beats(r score, minJCT bool) bool {
+	if minJCT {
+		return s.jct < r.jct || s.jct == r.jct && s.cost < r.cost
+	}
+	return s.cost < r.cost || s.cost == r.cost && s.jct < r.jct
+}
 
 // eval scores plan, given as indices into P, from the table: stage by stage
 // from 0, in the order and with the warm/cold rule of JCT and Cost, so the
@@ -208,7 +220,7 @@ func (pl *Planner) moves(j int32, upgrade bool) (k, step int) {
 // StageTime returns the wall time of stage i under allocation a at the
 // platform cap, with a cold start on the first stage and a warm one after.
 func (pl *Planner) StageTime(i int, a cost.Allocation) float64 {
-	return pl.stageTime(i, a, pl.Model.Limits.MaxConcurrency, i == 0)
+	return pl.stageTime(i, a, faas.DefaultLimits().MaxConcurrency, i == 0)
 }
 
 // stageTime is the wall time of stage i under allocation a and concurrency
@@ -216,7 +228,7 @@ func (pl *Planner) StageTime(i int, a cost.Allocation) float64 {
 // when the previous stage's sandboxes are reused), the data load, and the
 // epochs.
 func (pl *Planner) stageTime(i int, a cost.Allocation, cap int, cold bool) float64 {
-	start := 0.02 // warm start: the previous stage's sandboxes are reused
+	start := faas.WarmStart // the previous stage's sandboxes are reused
 	if cold {
 		start = pl.Model.StartupEstimate(a)
 	}
@@ -233,8 +245,8 @@ func (pl *Planner) StageCost(i int, a cost.Allocation) float64 {
 	load := pl.Model.LoadTime(a)
 	perTrial := r*pl.Model.EpochCost(a) +
 		pl.Model.InvocationCost(a) +
-		float64(a.N)*pl.Model.Prices.ComputeOnlyCost(load, float64(a.MemMB)) +
-		storage.LoadCost(pl.Model.Prices, a.N)
+		float64(a.N)*pricing.ComputeOnlyCost(load, float64(a.MemMB)) +
+		storage.LoadCost(a.N)
 	return q * perTrial
 }
 
@@ -243,7 +255,7 @@ func (pl *Planner) StageCost(i int, a cost.Allocation) float64 {
 // pays a cold start (the warm pool only holds sandboxes of the previous
 // memory size); same-allocation stages reuse warm sandboxes.
 func (pl *Planner) JCT(p Plan) float64 {
-	cap := p.Cap(pl.Model.Limits.MaxConcurrency)
+	cap := p.Cap(faas.DefaultLimits().MaxConcurrency)
 	var t float64
 	for i, a := range p.Stages {
 		cold := i == 0 || a.MemMB != p.Stages[i-1].MemMB
@@ -278,7 +290,10 @@ type Result struct {
 // satisfies the constraint it returns the plan closest to satisfying it
 // with Feasible=false: the smallest relative excess over the constraint, or,
 // when no relative excess is finite (a subnormal constraint), the smallest
-// absolute one. The plan is always one of P.
+// absolute one. An exact tie goes to the better other metric (lower cost
+// under a budget, lower JCT under a deadline), and a tie in the excess to
+// the better objective, so the result does not depend on the order of P.
+// The plan is always one of P.
 func (pl *Planner) OptimalStatic(budget, qos float64) Result {
 	j, s, ok := pl.optimalStatic(budget, qos, make([]int32, len(pl.Stages)))
 	return Result{Plan: Uniform(pl.P[j].Alloc, len(pl.Stages)), JCT: s.jct, Cost: s.cost, Feasible: ok, Evaluated: len(pl.P)}
@@ -291,6 +306,7 @@ func (pl *Planner) optimalStatic(budget, qos float64, plan []int32) (int, score,
 	best, fallback := -1, -1
 	var bestS, fallbackS score
 	fallbackGap, fallbackExcess := math.Inf(1), math.Inf(1)
+	minJCT := budget > 0
 	for j := range pl.P {
 		for i := range plan {
 			plan[i] = int32(j)
@@ -298,7 +314,7 @@ func (pl *Planner) optimalStatic(budget, qos float64, plan []int32) (int, score,
 		s := pl.eval(plan)
 		pl.Evaluated++
 		if (budget <= 0 || s.cost <= budget) && (qos <= 0 || s.jct <= qos) {
-			if best < 0 || (budget > 0 && s.jct < bestS.jct) || (budget <= 0 && s.cost < bestS.cost) {
+			if best < 0 || s.beats(bestS, minJCT) {
 				best, bestS = j, s
 			}
 			continue
@@ -312,7 +328,9 @@ func (pl *Planner) optimalStatic(budget, qos float64, plan []int32) (int, score,
 			gap += (s.jct - qos) / qos
 			excess += s.jct - qos
 		}
-		if fallback < 0 || gap < fallbackGap || (math.IsInf(fallbackGap, 1) && excess < fallbackExcess) {
+		tie := gap == fallbackGap && (!math.IsInf(gap, 1) || excess == fallbackExcess)
+		if fallback < 0 || gap < fallbackGap || (math.IsInf(fallbackGap, 1) && excess < fallbackExcess) ||
+			(tie && s.beats(fallbackS, minJCT)) {
 			fallback, fallbackS, fallbackGap, fallbackExcess = j, s, gap, excess
 		}
 	}
@@ -336,7 +354,7 @@ func (pl *Planner) optimalStatic(budget, qos float64, plan []int32) (int, score,
 // prices the share-capped waves.
 func (pl *Planner) FixedPlan(budget, qos float64) Result {
 	r := pl.OptimalStatic(budget, qos)
-	r.Plan.ConcurrencyCap = max(pl.Model.Limits.MaxConcurrency/len(pl.Stages), 1)
+	r.Plan.ConcurrencyCap = max(faas.DefaultLimits().MaxConcurrency/len(pl.Stages), 1)
 	r.JCT = pl.JCT(r.Plan)
 	r.Feasible = (budget <= 0 || r.Cost <= budget) && (qos <= 0 || r.JCT <= qos)
 	return r

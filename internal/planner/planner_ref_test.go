@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/faas"
 	"repro/internal/workload"
 )
 
@@ -91,7 +92,7 @@ func (pl refPlanner) JCT(p Plan) float64 {
 }
 
 func (pl refPlanner) waves(i int, a cost.Allocation) int {
-	cap := pl.Model.Limits.MaxConcurrency
+	cap := faas.DefaultLimits().MaxConcurrency
 	need := pl.Stages[i].Trials * a.N
 	w := (need + cap - 1) / cap
 	if w < 1 {
@@ -117,7 +118,7 @@ func (pl refPlanner) stageTimeWaves(i int, a cost.Allocation, waves int) float64
 }
 
 func (pl refPlanner) stageTimeWavesCold(i int, a cost.Allocation, waves int, cold bool) float64 {
-	start := 0.02 // warm start: the previous stage's sandboxes are reused
+	start := faas.WarmStart // the previous stage's sandboxes are reused
 	if cold {
 		start = pl.Model.StartupEstimate(a)
 	}
@@ -126,7 +127,7 @@ func (pl refPlanner) stageTimeWavesCold(i int, a cost.Allocation, waves int, col
 }
 
 func (pl refPlanner) ConcurrencyShare() int {
-	share := pl.Model.Limits.MaxConcurrency / len(pl.Stages)
+	share := faas.DefaultLimits().MaxConcurrency / len(pl.Stages)
 	if share < 1 {
 		share = 1
 	}

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -89,21 +90,20 @@ func pinnedGrid(points []cost.Point, kind storage.Kind) []cost.Point {
 	return out
 }
 
+// linearModels are the four linear workloads, whose VM-PS and ElastiCache
+// grids hold uniform plans that tie exactly on JCT at 4096 MB and up.
+func linearModels() []*workload.Model {
+	return []*workload.Model{workload.LRHiggs(), workload.SVMHiggs(), workload.LRYFCC(), workload.SVMYFCC()}
+}
+
 // TestSirenPlanMatchesReference holds SirenPlan on a grid-ordered planner to
 // refSirenPlan on its time-sorted one, bit for bit, over every (model,
 // service) pair a tuning table plans Siren on: all seven models on S3, and
-// MobileNet on VM-PS (Fig. 16). The constraints are the tables' own: budgets
-// of 1.1-2x the cheapest S3 static plan's cost, deadlines of 1.2-3x the
-// fastest one's JCT and their geometric-mean deadline; plus half of each,
-// which nothing meets.
-//
-// The two planners scan P in different orders, so they can part only where
-// two uniform plans tie exactly on the objective. No two tie on cost on any
-// grid. On the VM-PS and ElastiCache grids of the four linear models
-// (LR/SVM on Higgs/YFCC) the fastest uniform plans tie on JCT at 4096 MB and
-// up, so under a deadline nothing meets, the closest miss is either of them
-// and the two orders pick different ones. No table plans Siren on those
-// grids, so they are left out.
+// MobileNet on VM-PS (Fig. 16); and over the VM-PS and ElastiCache grids of
+// the four linear models, where uniform plans tie exactly on JCT. The
+// constraints are the tables' own: budgets of 1.1-2x the cheapest S3 static
+// plan's cost, deadlines of 1.2-3x the fastest one's JCT and their
+// geometric-mean deadline; plus half of each, which nothing meets.
 func TestSirenPlanMatchesReference(t *testing.T) {
 	type pair struct {
 		w    *workload.Model
@@ -114,6 +114,9 @@ func TestSirenPlanMatchesReference(t *testing.T) {
 		pairs = append(pairs, pair{w, storage.S3})
 	}
 	pairs = append(pairs, pair{workload.MobileNet(), storage.VMPS})
+	for _, w := range linearModels() {
+		pairs = append(pairs, pair{w, storage.VMPS}, pair{w, storage.ElastiCache})
+	}
 	for _, p := range pairs {
 		m := cost.NewModel(p.w)
 		full := m.Enumerate(cost.DefaultGrid())
@@ -179,6 +182,52 @@ func TestEvaluatedIsCounterGrowth(t *testing.T) {
 				res := rule(c[0], c[1])
 				if grew := pl.Evaluated - before; res.Evaluated != grew || grew == 0 {
 					t.Errorf("%s (|P| = %d) under %v: Evaluated %d, counter grew by %d", name, len(pl.P), c, res.Evaluated, grew)
+				}
+			}
+		}
+	}
+}
+
+// TestOptimalStaticIgnoresOrder: OptimalStatic picks the same uniform plan
+// whatever the order of P. On the VM-PS and ElastiCache grids of the four
+// linear models, uniform plans tie exactly on JCT, so a rule that kept the
+// first of equals in scan order returned a plan of P's order (under twice
+// the cheapest S3 cost on LR-Higgs/ElastiCache, n=40 at 4096 MB or at
+// 6144 MB for the same JCT). Budgets and deadlines run 0.1-2x the S3
+// references: the cheapest S3 static cost and the fastest S3 static JCT.
+func TestOptimalStaticIgnoresOrder(t *testing.T) {
+	stages := SHAStages(128, 2, 2)
+	for _, w := range linearModels() {
+		m := cost.NewModel(w)
+		full := m.Enumerate(cost.DefaultGrid())
+		s3, err := New(m, stages, pinnedGrid(full, storage.S3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cheap, fast := s3.OptimalStatic(0, 1e15).Cost, s3.OptimalStatic(1e15, 0).JCT
+		for _, kind := range []storage.Kind{storage.VMPS, storage.ElastiCache} {
+			grid := pinnedGrid(full, kind)
+			sorted := slices.Clone(grid)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
+			reversed := slices.Clone(grid)
+			slices.Reverse(reversed)
+			var pls []*Planner
+			for _, points := range [][]cost.Point{grid, sorted, reversed} {
+				pl, err := New(m, stages, points)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pls = append(pls, pl)
+			}
+			for _, mult := range []float64{0.1, 0.5, 0.9, 2} {
+				for _, c := range [][2]float64{{cheap * mult, 0}, {0, fast * mult}} {
+					want := pls[0].OptimalStatic(c[0], c[1])
+					for i, pl := range pls[1:] {
+						if field := sameResult(pl.OptimalStatic(c[0], c[1]), want); field != "" {
+							t.Errorf("%s/%v budget %g qos %g: %s differs between the grid order and order %d",
+								w.Name, kind, c[0], c[1], field, i+1)
+						}
+					}
 				}
 			}
 		}

@@ -11,55 +11,49 @@ func almost(a, b float64) bool {
 }
 
 func TestFunctionCostOneGBSecond(t *testing.T) {
-	p := Default()
-	got := p.ComputeOnlyCost(1, 1024)
-	want := p.FunctionGBSecond
+	got := ComputeOnlyCost(1, 1024)
+	want := FunctionGBSecond
 	if !almost(got, want) {
 		t.Errorf("ComputeOnlyCost(1s, 1024MB) = %g, want %g", got, want)
 	}
 }
 
 func TestFunctionCostScalesLinearlyWithMemory(t *testing.T) {
-	p := Default()
-	base := p.ComputeOnlyCost(10, 1024)
-	doubled := p.ComputeOnlyCost(10, 2048)
+	base := ComputeOnlyCost(10, 1024)
+	doubled := ComputeOnlyCost(10, 2048)
 	if !almost(doubled, 2*base) {
 		t.Errorf("doubling memory: %g, want %g", doubled, 2*base)
 	}
 }
 
 func TestFunctionCostMinimumBilling(t *testing.T) {
-	p := Default()
-	tiny := p.ComputeOnlyCost(1e-9, 1024)
-	floor := p.ComputeOnlyCost(0.001, 1024)
+	tiny := ComputeOnlyCost(1e-9, 1024)
+	floor := ComputeOnlyCost(0.001, 1024)
 	if !almost(tiny, floor) {
 		t.Errorf("sub-millisecond run billed %g, want the 1ms floor %g", tiny, floor)
 	}
 }
 
 func TestComputeOnlyCostExcludesInvocation(t *testing.T) {
-	p := Default()
-	if got, want := p.ComputeOnlyCost(2, 512), 2*0.5*p.FunctionGBSecond; !almost(got, want) {
-		t.Errorf("ComputeOnlyCost = %g, want %g: GB-seconds only, no %g invocation fee", got, want, p.FunctionInvoke)
+	if got, want := ComputeOnlyCost(2, 512), 2*0.5*FunctionGBSecond; !almost(got, want) {
+		t.Errorf("ComputeOnlyCost = %g, want %g: GB-seconds only, no %g invocation fee", got, want, FunctionInvoke)
 	}
 }
 
 func TestDynamoWriteCostRoundsUpPerKB(t *testing.T) {
-	p := Default()
-	if got, want := p.DynamoWriteCost(0.2), p.DynamoWriteUnit; !almost(got, want) {
+	if got, want := DynamoWriteCost(0.2), DynamoWriteUnit; !almost(got, want) {
 		t.Errorf("0.2KB write = %g, want one unit %g", got, want)
 	}
-	if got, want := p.DynamoWriteCost(1.5), 2*p.DynamoWriteUnit; !almost(got, want) {
+	if got, want := DynamoWriteCost(1.5), 2*DynamoWriteUnit; !almost(got, want) {
 		t.Errorf("1.5KB write = %g, want two units %g", got, want)
 	}
-	if got, want := p.DynamoWriteCost(400), 400*p.DynamoWriteUnit; !almost(got, want) {
+	if got, want := DynamoWriteCost(400), 400*DynamoWriteUnit; !almost(got, want) {
 		t.Errorf("400KB write = %g, want %g", got, want)
 	}
 }
 
 func TestDynamoReadCheaperThanWrite(t *testing.T) {
-	p := Default()
-	if p.DynamoReadCost(4) >= p.DynamoWriteCost(4) {
+	if DynamoReadCost(4) >= DynamoWriteCost(4) {
 		t.Error("a 4KB read should cost less than a 4KB write under on-demand pricing")
 	}
 }
@@ -86,26 +80,24 @@ func TestHourlyCostMonotone(t *testing.T) {
 }
 
 func TestFunctionCostMonotoneInDuration(t *testing.T) {
-	p := Default()
 	if err := quick.Check(func(a, b uint16) bool {
 		s1, s2 := float64(a)/10, float64(a)/10+float64(b)/10
-		return p.ComputeOnlyCost(s1, 1769) <= p.ComputeOnlyCost(s2, 1769)+1e-15
+		return ComputeOnlyCost(s1, 1769) <= ComputeOnlyCost(s2, 1769)+1e-15
 	}, nil); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestDefaultPricesPositive(t *testing.T) {
-	p := Default()
 	checks := map[string]float64{
-		"FunctionGBSecond":    p.FunctionGBSecond,
-		"FunctionInvoke":      p.FunctionInvoke,
-		"S3PutRequest":        p.S3PutRequest,
-		"S3GetRequest":        p.S3GetRequest,
-		"DynamoWriteUnit":     p.DynamoWriteUnit,
-		"DynamoReadUnit":      p.DynamoReadUnit,
-		"ElastiCacheNodeHour": p.ElastiCacheNodeHour,
-		"VMHour":              p.VMHour,
+		"FunctionGBSecond":    FunctionGBSecond,
+		"FunctionInvoke":      FunctionInvoke,
+		"S3PutRequest":        S3PutRequest,
+		"S3GetRequest":        S3GetRequest,
+		"DynamoWriteUnit":     DynamoWriteUnit,
+		"DynamoReadUnit":      DynamoReadUnit,
+		"ElastiCacheNodeHour": ElastiCacheNodeHour,
+		"VMHour":              VMHour,
 	}
 	for name, v := range checks {
 		if v <= 0 {
@@ -114,10 +106,10 @@ func TestDefaultPricesPositive(t *testing.T) {
 	}
 	// Relative ordering that Table I depends on: S3 PUT costs more than GET,
 	// and per-request storage is far cheaper per op than a VM minute.
-	if p.S3PutRequest <= p.S3GetRequest {
+	if S3PutRequest <= S3GetRequest {
 		t.Error("S3 PUT should cost more than GET")
 	}
-	if p.S3PutRequest >= p.VMHour/60 {
+	if S3PutRequest >= VMHour/60 {
 		t.Error("one S3 PUT should cost less than one VM minute")
 	}
 }

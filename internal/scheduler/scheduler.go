@@ -92,10 +92,6 @@ type Variant struct {
 // estimate, ±1 exploration after every selection, and literal selection.
 var Siren = Variant{FixedEstimate: true, Explore: true, Literal: true}
 
-// planningSecondsPerCandidate models the decision latency per candidate
-// allocation evaluated (the §IV-G scheduling-overhead metric).
-const planningSecondsPerCandidate = 0.05
-
 // Scheduler drives one training job. Create with New, obtain the initial
 // allocation from Initial, and wire Controller into the trainer.
 type Scheduler struct {
@@ -255,7 +251,7 @@ func (s *Scheduler) selectBest(remaining int, elapsed, spent float64) (cost.Allo
 func (s *Scheduler) selectBestRelaxed(remaining int, elapsed, spent float64, relax float64) (cost.Allocation, bool) {
 	for range s.cfg.Candidates {
 		s.CandidatesSeen++
-		s.PlanningSeconds += planningSecondsPerCandidate
+		s.PlanningSeconds += cost.EstimateSeconds
 	}
 	i, ok := cost.Select(s.cfg.Candidates, s.ordered, remaining, elapsed, spent, s.cfg.Budget*relax, s.cfg.QoS*relax)
 	if !ok {

@@ -119,86 +119,38 @@ type Service struct {
 	provisionDelay float64
 
 	charge ChargeModel
-	prices pricing.PriceBook
 }
 
-// NewS3 returns the S3 model: auto-scaling, high latency, request-charged.
-func NewS3(pb pricing.PriceBook) *Service {
-	return &Service{
-		kind: S3, stateless: true,
-		latency: 0.015, perConnMBps: 80, aggregateMBps: 0,
-		charge: ByRequest, prices: pb,
-	}
-}
-
-// NewDynamoDB returns the DynamoDB model: auto-scaling, medium latency,
-// request-charged, 400 KB object limit.
-func NewDynamoDB(pb pricing.PriceBook) *Service {
-	return &Service{
-		kind: DynamoDB, stateless: true,
-		latency: 0.005, perConnMBps: 40, aggregateMBps: 0,
-		maxObjectMB: 0.4,
-		charge:      ByRequest, prices: pb,
-	}
-}
-
-// NewElastiCache returns the ElastiCache model: manually scaled, low
-// latency, runtime-charged, in-memory bandwidth that holds up well under
-// concurrency.
-func NewElastiCache(pb pricing.PriceBook) *Service {
-	return &Service{
-		kind: ElastiCache, stateless: true,
-		latency: 0.001, perConnMBps: 200, aggregateMBps: 0,
-		provisionDelay: 30,
-		charge:         ByRuntime, prices: pb,
-	}
-}
-
-// NewVMPS returns the VM parameter-server model: manually scaled, low
-// latency, runtime-charged, aggregates locally but bounded by one NIC.
-func NewVMPS(pb pricing.PriceBook) *Service {
-	return &Service{
-		kind: VMPS, stateless: false,
-		latency: 0.0005, perConnMBps: 150, aggregateMBps: 3125,
-		provisionDelay: 40,
-		charge:         ByRuntime, prices: pb,
-	}
-}
-
-// NewPocket returns the Pocket model: auto-scaling ephemeral storage with
+// models holds each service's model. S3: auto-scaling, high latency,
+// request-charged. DynamoDB: auto-scaling, medium latency, request-charged,
+// 400 KB object limit. ElastiCache: manually scaled, low latency,
+// runtime-charged, in-memory bandwidth that holds up well under concurrency.
+// VM-PS: manually scaled, low latency, runtime-charged, aggregates locally
+// but bounded by one NIC. Pocket: auto-scaling ephemeral storage with
 // in-memory latency, request-charged at a premium over S3.
-func NewPocket(pb pricing.PriceBook) *Service {
-	return &Service{
-		kind: Pocket, stateless: true,
-		latency: 0.0015, perConnMBps: 250, aggregateMBps: 0,
-		charge: ByRequest, prices: pb,
-	}
+var models = [numKinds]Service{
+	S3:          {kind: S3, stateless: true, latency: 0.015, perConnMBps: 80, charge: ByRequest},
+	DynamoDB:    {kind: DynamoDB, stateless: true, latency: 0.005, perConnMBps: 40, maxObjectMB: 0.4, charge: ByRequest},
+	ElastiCache: {kind: ElastiCache, stateless: true, latency: 0.001, perConnMBps: 200, provisionDelay: 30, charge: ByRuntime},
+	VMPS:        {kind: VMPS, latency: 0.0005, perConnMBps: 150, aggregateMBps: 3125, provisionDelay: 40, charge: ByRuntime},
+	Pocket:      {kind: Pocket, stateless: true, latency: 0.0015, perConnMBps: 250, charge: ByRequest},
 }
 
-// New returns the model for kind under price book pb.
-func New(kind Kind, pb pricing.PriceBook) *Service {
-	switch kind {
-	case S3:
-		return NewS3(pb)
-	case DynamoDB:
-		return NewDynamoDB(pb)
-	case ElastiCache:
-		return NewElastiCache(pb)
-	case VMPS:
-		return NewVMPS(pb)
-	case Pocket:
-		return NewPocket(pb)
-	default:
+// New returns the model for kind.
+func New(kind Kind) *Service {
+	if kind < 0 || kind >= numKinds {
 		panic(fmt.Sprintf("storage: unknown kind %d", int(kind)))
 	}
+	s := models[kind]
+	return &s
 }
 
 // All returns one model per service kind, in display order.
-func All(pb pricing.PriceBook) []*Service {
+func All() []*Service {
 	ks := Kinds()
 	out := make([]*Service, len(ks))
 	for i, k := range ks {
-		out[i] = New(k, pb)
+		out[i] = New(k)
 	}
 	return out
 }
@@ -312,15 +264,15 @@ func (s *Service) SyncRequestCost(n int, modelMB float64) float64 {
 	switch s.kind {
 	case DynamoDB:
 		kb := modelMB * 1024
-		return float64(writes)*s.prices.DynamoWriteCost(kb) +
-			float64(reads)*s.prices.DynamoReadCost(kb)
+		return float64(writes)*pricing.DynamoWriteCost(kb) +
+			float64(reads)*pricing.DynamoReadCost(kb)
 	case Pocket:
 		// Premium per-request pricing buys the in-memory latency.
-		return 5 * (float64(writes)*s.prices.S3PutRequest +
-			float64(reads)*s.prices.S3GetRequest)
+		return 5 * (float64(writes)*pricing.S3PutRequest +
+			float64(reads)*pricing.S3GetRequest)
 	default: // S3 and any future request-charged service
-		return float64(writes)*s.prices.S3PutRequest +
-			float64(reads)*s.prices.S3GetRequest
+		return float64(writes)*pricing.S3PutRequest +
+			float64(reads)*pricing.S3GetRequest
 	}
 }
 
@@ -332,19 +284,23 @@ func (s *Service) RuntimeCost(seconds float64) float64 {
 	}
 	switch s.kind {
 	case ElastiCache:
-		return pricing.HourlyCost(s.prices.ElastiCacheNodeHour, seconds)
+		return pricing.HourlyCost(pricing.ElastiCacheNodeHour, seconds)
 	case VMPS:
-		return pricing.HourlyCost(s.prices.VMHour, seconds)
+		return pricing.HourlyCost(pricing.VMHour, seconds)
 	default:
 		return 0
 	}
 }
 
+// LoadMBps is B_S3 of Eq. 2: the bandwidth, in MB/s, at which each function
+// loads its dataset partition from S3.
+const LoadMBps float64 = 80
+
 // LoadCost returns the $ cost of the initial dataset load: each of n
 // functions issues one GET against S3 regardless of the sync service (the
 // paper keeps training data in S3; Eq. 2's load term uses B_S3).
-func LoadCost(pb pricing.PriceBook, n int) float64 {
-	return float64(n) * pb.S3GetRequest
+func LoadCost(n int) float64 {
+	return float64(n) * pricing.S3GetRequest
 }
 
 // Characteristics summarizes a service for Table I.

@@ -8,10 +8,6 @@ import (
 	"repro/internal/pricing"
 )
 
-func services() []*Service { return All(pricing.Default()) }
-
-func byKind(k Kind) *Service { return New(k, pricing.Default()) }
-
 func TestKindStrings(t *testing.T) {
 	want := map[Kind]string{S3: "S3", DynamoDB: "DynamoDB", ElastiCache: "ElastiCache", VMPS: "VM-PS"}
 	for k, name := range want {
@@ -28,7 +24,7 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestAllReturnsFourDistinctServices(t *testing.T) {
-	all := services()
+	all := All()
 	if len(all) != 4 {
 		t.Fatalf("All returned %d services, want 4", len(all))
 	}
@@ -54,7 +50,7 @@ func TestSyncTransfersPatterns(t *testing.T) {
 		{S3, 1, 0},     // single worker never synchronizes
 		{VMPS, 1, 0},
 	} {
-		if got := byKind(tc.kind).SyncTransfers(tc.n); got != tc.want {
+		if got := New(tc.kind).SyncTransfers(tc.n); got != tc.want {
 			t.Errorf("%v.SyncTransfers(%d) = %d, want %d", tc.kind, tc.n, got, tc.want)
 		}
 	}
@@ -63,14 +59,14 @@ func TestSyncTransfersPatterns(t *testing.T) {
 func TestVMPSFewerTransfersThanStateless(t *testing.T) {
 	if err := quick.Check(func(raw uint8) bool {
 		n := int(raw%100) + 2
-		return byKind(VMPS).SyncTransfers(n) < byKind(S3).SyncTransfers(n)
+		return New(VMPS).SyncTransfers(n) < New(S3).SyncTransfers(n)
 	}, nil); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestDynamoObjectLimit(t *testing.T) {
-	d := byKind(DynamoDB)
+	d := New(DynamoDB)
 	if !d.Supports(0.1) {
 		t.Error("DynamoDB should support a 100KB model")
 	}
@@ -78,7 +74,7 @@ func TestDynamoObjectLimit(t *testing.T) {
 		t.Error("DynamoDB must reject a 12MB model (400KB item limit)")
 	}
 	for _, k := range []Kind{S3, ElastiCache, VMPS} {
-		if !byKind(k).Supports(340) {
+		if !New(k).Supports(340) {
 			t.Errorf("%v should support a 340MB model", k)
 		}
 	}
@@ -86,7 +82,7 @@ func TestDynamoObjectLimit(t *testing.T) {
 
 func TestLatencyOrdering(t *testing.T) {
 	// Table I: S3 high, DynamoDB medium, ElastiCache/VM-PS low.
-	s3, dy, ec, vm := byKind(S3), byKind(DynamoDB), byKind(ElastiCache), byKind(VMPS)
+	s3, dy, ec, vm := New(S3), New(DynamoDB), New(ElastiCache), New(VMPS)
 	if !(s3.Latency() > dy.Latency() && dy.Latency() > ec.Latency() && dy.Latency() > vm.Latency()) {
 		t.Errorf("latency ordering violated: s3=%g dynamo=%g ec=%g vm=%g",
 			s3.Latency(), dy.Latency(), ec.Latency(), vm.Latency())
@@ -94,7 +90,7 @@ func TestLatencyOrdering(t *testing.T) {
 }
 
 func TestSyncTimeMonotoneInModelSize(t *testing.T) {
-	for _, s := range services() {
+	for _, s := range All() {
 		if s.SyncTime(10, 1) >= s.SyncTime(10, 10) {
 			t.Errorf("%v: SyncTime not increasing in model size", s.kind)
 		}
@@ -102,7 +98,7 @@ func TestSyncTimeMonotoneInModelSize(t *testing.T) {
 }
 
 func TestSyncTimeMonotoneInWorkers(t *testing.T) {
-	for _, s := range services() {
+	for _, s := range All() {
 		if err := quick.Check(func(raw uint8) bool {
 			n := int(raw%60) + 2
 			return s.SyncTime(n, 1) < s.SyncTime(n+1, 1)
@@ -113,7 +109,7 @@ func TestSyncTimeMonotoneInWorkers(t *testing.T) {
 }
 
 func TestSyncRequestCostOnlyForRequestCharged(t *testing.T) {
-	for _, s := range services() {
+	for _, s := range All() {
 		cost := s.SyncRequestCost(10, 0.1)
 		if s.ChargeModel() == ByRequest && cost <= 0 {
 			t.Errorf("%v: request-charged service has zero sync request cost", s.kind)
@@ -125,7 +121,7 @@ func TestSyncRequestCostOnlyForRequestCharged(t *testing.T) {
 }
 
 func TestRuntimeCostOnlyForRuntimeCharged(t *testing.T) {
-	for _, s := range services() {
+	for _, s := range All() {
 		cost := s.RuntimeCost(3600)
 		if s.ChargeModel() == ByRuntime && cost <= 0 {
 			t.Errorf("%v: runtime-charged service has zero runtime cost", s.kind)
@@ -139,31 +135,31 @@ func TestRuntimeCostOnlyForRuntimeCharged(t *testing.T) {
 func TestSyncRequestsMatchPaperCount(t *testing.T) {
 	// The paper's Eq. 5 bills (10n+2) requests per iteration for
 	// request-charged storage.
-	s3 := byKind(S3)
+	s3 := New(S3)
 	if got := s3.SyncRequests(10); got != 102 {
 		t.Errorf("S3.SyncRequests(10) = %d, want 102", got)
 	}
-	if got := byKind(VMPS).SyncRequests(10); got != 0 {
+	if got := New(VMPS).SyncRequests(10); got != 0 {
 		t.Errorf("VM-PS.SyncRequests = %d, want 0", got)
 	}
 }
 
 func TestDynamoSyncCostScalesWithModelSize(t *testing.T) {
-	d := byKind(DynamoDB)
+	d := New(DynamoDB)
 	small := d.SyncRequestCost(10, 0.01)
 	big := d.SyncRequestCost(10, 0.4)
 	if big <= small {
 		t.Errorf("DynamoDB cost should grow with object size: %g vs %g", small, big)
 	}
 	// S3 charges per request regardless of size.
-	s3 := byKind(S3)
+	s3 := New(S3)
 	if s3.SyncRequestCost(10, 0.01) != s3.SyncRequestCost(10, 100) {
 		t.Error("S3 per-request cost should not depend on object size")
 	}
 }
 
 func TestProvisionDelayOnlyManualServices(t *testing.T) {
-	for _, s := range services() {
+	for _, s := range All() {
 		manual := s.kind == ElastiCache || s.kind == VMPS
 		if manual && s.ProvisionDelay() <= 0 {
 			t.Errorf("%v should have a provision delay", s.kind)
@@ -181,7 +177,7 @@ func TestCharacterizeMatchesTableI(t *testing.T) {
 		ElastiCache: {Name: "ElastiCache", ElasticScaling: "Manual", LatencyClass: "Low", PricingPattern: "Execution time", CostClass: "$$$"},
 		VMPS:        {Name: "VM-PS", ElasticScaling: "Manual", LatencyClass: "Low", PricingPattern: "Execution time", CostClass: "$$$"},
 	}
-	for _, s := range services() {
+	for _, s := range All() {
 		if got := s.Characterize(); got != want[s.kind] {
 			t.Errorf("%v.Characterize() = %+v, want %+v", s.kind, got, want[s.kind])
 		}
@@ -189,14 +185,13 @@ func TestCharacterizeMatchesTableI(t *testing.T) {
 }
 
 func TestLoadCost(t *testing.T) {
-	pb := pricing.Default()
-	if got, want := LoadCost(pb, 10), 10*pb.S3GetRequest; math.Abs(got-want) > 1e-15 {
+	if got, want := LoadCost(10), 10*pricing.S3GetRequest; math.Abs(got-want) > 1e-15 {
 		t.Errorf("LoadCost(10) = %g, want %g", got, want)
 	}
 }
 
 func TestTransferTimeIncludesLatency(t *testing.T) {
-	s3 := byKind(S3)
+	s3 := New(S3)
 	if got := s3.TransferTime(1, 0); got != s3.Latency() {
 		t.Errorf("zero-byte transfer time = %g, want latency %g", got, s3.Latency())
 	}

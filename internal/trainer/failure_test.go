@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/faas"
 	"repro/internal/fault"
+	"repro/internal/pricing"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -202,14 +204,14 @@ func TestRecoveryComputeIsBilled(t *testing.T) {
 	// far above the 1 ms billing floor).
 	r := NewRunner(7)
 	w := workload.MobileNet()
-	recoverEach := r.Compute().ColdStartEstimate(1769) +
+	recoverEach := faas.ColdStartEstimate(1769) +
 		r.Service(storage.S3).TransferTime(10, w.ParamsMB)
 	recoverSec := float64(faulty.Failures) * recoverEach
 	wastedSec := faulty.FailureTime - recoverSec
 	if wastedSec <= 0 {
 		t.Fatalf("wasted seconds %g <= 0; FailureTime %g, recovery %g", wastedSec, faulty.FailureTime, recoverSec)
 	}
-	perSec := r.prices.ComputeOnlyCost(1, 1769)
+	perSec := pricing.ComputeOnlyCost(1, 1769)
 	want := (10*wastedSec + recoverSec) * perSec
 	got := faulty.TotalCost - clean.TotalCost
 	if diff := math.Abs(got - want); diff > 1e-9*want {

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/faas"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/pricing"
 	"repro/internal/workload"
 )
 
@@ -61,7 +63,7 @@ func (r *Runner) scheduledFaults(st *state, epoch int, epochT float64) error {
 	attempt := 0
 	for ; attempt < failureAttemptCap && rng.Float64() < groupP; attempt++ {
 		wasted := rng.Float64() * epochT
-		recover := r.Compute().ColdStartEstimate(a.MemMB) +
+		recover := faas.ColdStartEstimate(a.MemMB) +
 			svc.TransferTime(a.N, w.ParamsMB)
 		if err := r.crash(st, epoch, 1, wasted, recover, 0, "failure"); err != nil {
 			return err
@@ -112,7 +114,7 @@ func (r *Runner) killDuringEpoch(st *state, epoch int, epochT float64, ev fault.
 	// The checkpoint re-pull crosses storage that may be browned out.
 	lat, _, _ := sched.BrownoutAt(ev.At)
 	recover := g.StartDelay + r.Service(a.Storage).TransferTime(a.N, w.ParamsMB)*lat
-	return r.crash(st, epoch, k, wasted, recover, float64(k)*r.prices.FunctionInvoke, "fault_kill")
+	return r.crash(st, epoch, k, wasted, recover, float64(k)*pricing.FunctionInvoke, "fault_kill")
 }
 
 // crash accounts one aborted BSP epoch attempt, whether a kill or a draw
@@ -144,9 +146,9 @@ func (r *Runner) crash(st *state, epoch, killed int, wasted, recover, invokeFee 
 	}
 	r.Compute().BillCompute(a.N, a.MemMB, wasted)
 	r.Compute().BillCompute(killed, a.MemMB, recover)
-	computeSpent := float64(killed) * r.prices.ComputeOnlyCost(recover, float64(a.MemMB))
+	computeSpent := float64(killed) * pricing.ComputeOnlyCost(recover, float64(a.MemMB))
 	if wasted > 0 { // a crash at the attempt boundary wasted no compute
-		computeSpent += float64(a.N) * r.prices.ComputeOnlyCost(wasted, float64(a.MemMB))
+		computeSpent += float64(a.N) * pricing.ComputeOnlyCost(wasted, float64(a.MemMB))
 	}
 	st.res.FunctionCost += computeSpent
 	st.res.InvokeCost += invokeFee

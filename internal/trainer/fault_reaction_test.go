@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/fault"
+	"repro/internal/pricing"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -104,8 +105,8 @@ func TestScheduledKillAbortsAndBills(t *testing.T) {
 	// The kill landed before the epoch began (At=0), so nothing was wasted:
 	// the whole failure time is the two replacements' recovery run, and the
 	// cost delta is exactly their recovery compute plus invoke fees.
-	perRecover := rFaulty.prices.ComputeOnlyCost(faulty.FailureTime, 1769)
-	want := 2*perRecover + 2*rFaulty.prices.FunctionInvoke
+	perRecover := pricing.ComputeOnlyCost(faulty.FailureTime, 1769)
+	want := 2*perRecover + 2*pricing.FunctionInvoke
 	got := faulty.TotalCost - clean.TotalCost
 	if diff := math.Abs(got - want); diff > 1e-9*want {
 		t.Errorf("kill cost delta = %g, want %g", got, want)

@@ -174,7 +174,6 @@ type Runner struct {
 	sim      *sim.Simulation
 	compute  *faas.Platform
 	store    *storage.Store
-	prices   pricing.PriceBook
 	services map[storage.Kind]*storage.Service
 
 	// delayPaid tracks manually-scaled services whose provisioning delay has
@@ -204,13 +203,11 @@ type Runner struct {
 // storage model per extended kind.
 func NewRunner(seed uint64) *Runner {
 	s := sim.New(seed)
-	pb := pricing.Default()
 	r := &Runner{
 		Noise:        DefaultNoise(),
 		sim:          s,
 		compute:      faas.NewDefault(s),
 		store:        storage.NewStore(),
-		prices:       pb,
 		services:     make(map[storage.Kind]*storage.Service),
 		delayPaid:    make(map[storage.Kind]bool),
 		stragglerRng: s.Rand("trainer.straggler"),
@@ -219,7 +216,7 @@ func NewRunner(seed uint64) *Runner {
 		failureRng:   s.Rand("trainer.failure"),
 	}
 	for _, k := range storage.ExtendedKinds() {
-		r.services[k] = storage.New(k, pb)
+		r.services[k] = storage.New(k)
 	}
 	return r
 }
@@ -492,15 +489,17 @@ func (r *Runner) startGroup(st *state, a cost.Allocation, initial bool) error {
 // the account, then its function, invocation and storage costs.
 func (r *Runner) billLoad(st *state, a cost.Allocation, load float64) {
 	r.Compute().BillCompute(a.N, a.MemMB, load)
-	st.res.FunctionCost += float64(a.N) * r.prices.ComputeOnlyCost(load, float64(a.MemMB))
-	st.res.InvokeCost += float64(a.N) * r.prices.FunctionInvoke
-	st.res.StorageCost += storage.LoadCost(r.prices, a.N)
-	st.res.TotalCost += float64(a.N)*r.prices.ComputeOnlyCost(load, float64(a.MemMB)) +
-		float64(a.N)*r.prices.FunctionInvoke + storage.LoadCost(r.prices, a.N)
+	fn := float64(a.N) * pricing.ComputeOnlyCost(load, float64(a.MemMB))
+	inv := float64(a.N) * pricing.FunctionInvoke
+	ld := storage.LoadCost(a.N)
+	st.res.FunctionCost += fn
+	st.res.InvokeCost += inv
+	st.res.StorageCost += ld
+	st.res.TotalCost += fn + inv + ld
 }
 
 func (r *Runner) loadTime(w *workload.Model, a cost.Allocation) float64 {
-	t := w.Dataset.PartitionSizeMB(a.N) / 80
+	t := w.Dataset.PartitionSizeMB(a.N) / storage.LoadMBps
 	if r.Noise.LoadJitter > 0 {
 		t *= r.loadRng.Jitter(r.Noise.LoadJitter)
 	}
@@ -557,7 +556,7 @@ func (r *Runner) runEpoch(st *state, epoch int) (EpochReport, error) {
 	}
 
 	// Billing: n functions ran the epoch; storage billed per its pattern.
-	funcCost := float64(a.N) * r.prices.ComputeOnlyCost(epochT, float64(a.MemMB))
+	funcCost := float64(a.N) * pricing.ComputeOnlyCost(epochT, float64(a.MemMB))
 	r.Compute().BillCompute(a.N, a.MemMB, epochT)
 	var stoCost float64
 	if svc.ChargesByRequest() {
