@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race shard-check bench bench-smoke reach fuzz-smoke identity
+.PHONY: check fmt vet build test race shard-check bench bench-smoke reach fuzz-smoke identity rss-ab
 
 check: fmt vet build test race shard-check bench bench-smoke reach fuzz-smoke
 
@@ -116,6 +116,16 @@ reach:
 identity:
 	@[ -n "$(BASE)" ] || { echo "usage: make identity BASE=<rev>"; exit 2; }
 	sh scripts/identity.sh $(BASE)
+
+# rss-ab: peak RSS against revision BASE (not part of check): 10 pairs of
+# `cebench -rusage ARGS`, built at BASE and at the working tree, the side
+# that goes first alternating; prints each side's median and quartiles and
+# the pairs each side won. ARGS defaults to the benchmark's fleet command
+# line (1,500 macro-fleet controllers):
+#   make rss-ab BASE=<rev> [ARGS='-seed 99 -fleet-tenants 1500 macro-fleet']
+rss-ab:
+	@[ -n "$(BASE)" ] || { echo "usage: make rss-ab BASE=<rev> [ARGS='<cebench args>']"; exit 2; }
+	sh scripts/rss-ab.sh $(BASE) $(ARGS)
 
 # fuzz-smoke: a few seconds of each native fuzz target: the kernel (random
 # schedule/batch/cancel/Step/RunUntil programs — schedules on the heap and

@@ -20,9 +20,12 @@ package experiments
 //     is pinned by (time, priority).
 //   - Everything else — scheduler, predictor buffers, loss stream, budget
 //     accounting — is tenant-private on the tenant's shard (t % shards).
-//   - Each controller is one compact record: the tenants are one slab, and
-//     a tenant's scheduler holds its predictor, which holds its fitter, by
-//     value (TestFleetFootprintPerTenant).
+//   - Each controller is one compact record: the tenants are one slab, a
+//     tenant's scheduler holds its predictor, which holds its fitter, by
+//     value, and so does the tenant its loss walk and the walk its owned
+//     random stream (sim.Simulation.Stream: no entry in the simulation's
+//     name map). The predictor's window stores only its losses; its epochs
+//     are a view of one shared ramp (TestFleetFootprintPerTenant).
 //
 // Scaling note: the registered default is 48 tenants so smoke tests run in
 // milliseconds; Config.FleetTenants (cebench -fleet-tenants) raises it to
@@ -81,7 +84,7 @@ type fleetTenant struct {
 	member
 	cl   *fleetClass
 	ctrl trainer.Controller
-	loss workload.Engine // the tenant's jittered convergence curve
+	loss workload.CurveRun // the tenant's jittered convergence curve
 
 	budget, qos float64 // the tenant's binding constraint (other is 0)
 
@@ -220,7 +223,7 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 	for t := range fleet {
 		name := h.tenantName(t, tenants)
 		cl := classes[t%len(classes)]
-		shape := h.s.Rand(name + "/shape")
+		shape := h.s.Stream(name + "/shape")
 		cp := cl.w.Curve
 		cp.A *= shape.LogNormal(0, 0.10) // per-tenant convergence-speed draw
 		var budget, qos float64
@@ -249,7 +252,7 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 		*tn = fleetTenant{
 			member: member{id: t, sh: h.shard(t)},
 			cl:     cl, ctrl: sched.Controller(),
-			loss:   cp.Engine(h.s.Rand(name + "/loss")),
+			loss:   cp.Run(h.s.Stream(name + "/loss")),
 			budget: budget, qos: qos, cur: p,
 		}
 		tn.epochFn = tn.epochDone

@@ -408,9 +408,9 @@ type openTenant struct {
 	memMB int
 	plat  *faas.Platform
 	sh    *sim.Shard
-	arr   *sim.Rand // arrival-time jitter
-	svc   *sim.Rand // service-time draws
-	rty   *sim.Rand // retry backoff jitter
+	arr   sim.Rand // arrival-time jitter
+	svc   sim.Rand // service-time draws
+	rty   sim.Rand // retry backoff jitter
 
 	ckpt      *storage.Faulty // private error gate over the shared store
 	ckptKey   []byte          // "<namespace>ckpt/", with room to append the checkpoint number
@@ -451,7 +451,7 @@ func (h *harness) openFleet(tenants, perTenant int, ckptEvery uint64) (fleet []*
 		plat := h.platform(name, t%h.shards, perCap)
 		tn := &openTenant{
 			h: h, id: t, memMB: 512 << (t % 3), plat: plat, sh: plat.Shard(),
-			arr: h.s.Rand(name + "/arrivals"), svc: h.s.Rand(name + "/service"), rty: h.s.Rand(name + "/retry"),
+			arr: h.s.Stream(name + "/arrivals"), svc: h.s.Stream(name + "/service"), rty: h.s.Stream(name + "/retry"),
 			ckpt: storage.NewFaulty(h.store), ckptKey: append(make([]byte, 0, 64), name+"/ckpt/"...),
 			ckptEvery: ckptEvery, retry: fault.DefaultRetryPolicy(),
 			perTenant: perTenant, phase: 2 * math.Pi * float64(t) / float64(tenants), strag: 1,

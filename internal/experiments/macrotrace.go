@@ -76,7 +76,7 @@ var traceBands = accountBands{release: 2_000_000, invoke: 3_000_000, retry: 4_00
 type traceTenant struct {
 	member
 	cursor   traffic.Cursor
-	svc      *sim.Rand
+	arr, svc sim.Rand // the cursor's draws; service-time draws
 	arriveFn func()
 
 	hist   obs.Hist
@@ -187,7 +187,8 @@ func macroTrace(seed uint64, cfg Config) (*Table, *harness, error) {
 		default:
 			// Per-tenant rate draw: tenants are unequal on purpose, so the
 			// fairness index has something to measure.
-			tc.Rate = rate * h.s.Rand(name+"/shape").LogNormal(0, 0.25)
+			shape := h.s.Stream(name + "/shape")
+			tc.Rate = rate * shape.LogNormal(0, 0.25)
 			aggRate += tc.Rate
 			if kind == traffic.Diurnal {
 				// One full cycle inside the horizon, peaks staggered so the
@@ -203,10 +204,11 @@ func macroTrace(seed uint64, cfg Config) (*Table, *harness, error) {
 		}
 		tn := &traceTenant{
 			member: member{id: t, sh: h.shard(t), n: 1, memMB: 512 << (t % 3)},
-			cursor: tc.Cursor(h.s.Rand(name + "/arrivals")),
-			svc:    h.s.Rand(name + "/service"),
+			arr:    h.s.Stream(name + "/arrivals"),
+			svc:    h.s.Stream(name + "/service"),
 			hist:   *obs.NewHist(obs.LatencyBuckets),
 		}
+		tn.cursor = tc.Cursor(&tn.arr)
 		tn.arriveFn = tn.arrive
 		fleet[t] = tn
 	}

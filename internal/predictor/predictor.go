@@ -42,13 +42,22 @@ func NewOffline(m *workload.Model) *Offline {
 // average error the paper measures in Fig. 4(a). seed controls the sample
 // draw.
 func (o *Offline) PredictEpochs(target float64, seed uint64) int {
-	const horizon = 400
-	eng := o.sampleEngine(seed)
-	// The trace and its epochs live on the stack.
-	var xs, trace [horizon]float64
-	for e := 1; e <= horizon; e++ {
-		loss := eng.NextEpoch()
-		xs[e-1], trace[e-1] = float64(e), loss
+	// A curve model's walk and the trace live on the stack, and the trace's
+	// epochs are the ramp.
+	var run workload.CurveRun
+	eng, real := o.sampleEngine(seed)
+	if !real {
+		run = o.sampleCurve(seed)
+	}
+	var trace [sampleHorizon]float64
+	for e := 1; e <= sampleHorizon; e++ {
+		var loss float64
+		if real {
+			loss = eng.NextEpoch()
+		} else {
+			loss = run.NextEpoch()
+		}
+		trace[e-1] = loss
 		if loss <= target {
 			return e
 		}
@@ -56,35 +65,43 @@ func (o *Offline) PredictEpochs(target float64, seed uint64) int {
 	// The sample never reached the target (its loss floor sits above it):
 	// extrapolate a curve fit through the sampled trace.
 	var f fit.Fitter
-	if res, err := f.Fit(xs[:], trace[:], fit.Options{}); err == nil {
+	if res, err := f.Fit(epochRamp[:sampleHorizon], trace[:], fit.Options{}); err == nil {
 		if e, ok := fit.SolveForX(res.Params, target); ok {
 			return clampEpochs(e)
 		}
 	}
-	return clampEpochs(horizon * 2)
+	return clampEpochs(sampleHorizon * 2)
 }
 
-// sampleEngine builds the pre-training engine. Real models genuinely train
-// on a reduced sample (whose convergence differs from the full data); curve
-// models emulate the sampling distortion by perturbing the curve speed.
-func (o *Offline) sampleEngine(seed uint64) workload.Engine {
-	hp := workload.Hyperparams{LR: o.Model.DefaultLR}
-	if o.Model.Real() {
-		rows := int(float64(workload.RealEngineRows) * sampleFraction)
-		if rows < 200 {
-			rows = 200
-		}
-		if eng, err := o.Model.NewRealEngine(hp, rows, seed^0x5a3f); err == nil {
-			return eng
-		}
+// sampleHorizon is how many epochs the offline sample pre-trains before
+// extrapolating.
+const sampleHorizon = 400
+
+// sampleEngine builds the pre-training engine of a real model, which
+// genuinely trains on a reduced sample (whose convergence differs from the
+// full data). ok is false for a curve model, or when its trainer cannot be
+// built; the sample is then sampleCurve's.
+func (o *Offline) sampleEngine(seed uint64) (workload.Engine, bool) {
+	if !o.Model.Real() {
+		return nil, false
 	}
-	// Sampling distortion: the subsample's curve speed is a biased draw
-	// around the truth; less data, more bias.
+	rows := int(float64(workload.RealEngineRows) * sampleFraction)
+	if rows < 200 {
+		rows = 200
+	}
+	eng, err := o.Model.NewRealEngine(workload.Hyperparams{LR: o.Model.DefaultLR}, rows, seed^0x5a3f)
+	return eng, err == nil
+}
+
+// sampleCurve emulates the sampling distortion on the curve: the
+// subsample's curve speed is a biased draw around the truth; less data,
+// more bias. The walk is a value, so the estimate runs on the stack.
+func (o *Offline) sampleCurve(seed uint64) workload.CurveRun {
 	distort := sim.NewRand(seed ^ 0xb1a5)
 	m := *o.Model
 	sigma := 0.25 + 0.15*(1-sampleFraction)
 	m.Curve.A *= distort.LogNormal(0, sigma)
-	return m.NewCurveEngine(hp, seed^0x0ff1)
+	return m.NewCurveRun(workload.Hyperparams{LR: o.Model.DefaultLR}, seed^0x0ff1)
 }
 
 func clampEpochs(e float64) int {
@@ -115,11 +132,12 @@ type Online struct {
 	lastFit [3]float64
 	hasFit  bool
 	dirty   bool
-	// fixed bounds the retained history at cap(xs): once full, each
+	// fixed bounds the retained history at cap(ys): once full, each
 	// Observe shifts the window in place instead of appending, so the
 	// steady-state observe+refit path never touches the heap (the fleet
-	// configuration; see setFixedWindow).
-	fixed bool
+	// configuration; see setFixedWindow). ramped, under fixed, marks xs as
+	// a view of epochRamp rather than a buffer of its own.
+	fixed, ramped bool
 
 	// shared, when set, keeps the history as a node of a tree that other
 	// predictors walk too (see Shared); xs and ys are then the node's
@@ -168,13 +186,19 @@ func NewOnline() *Online {
 }
 
 // setFixedWindow caps the retained history at w observations (w >= 3) in a
-// preallocated buffer: once full, each Observe drops the oldest point with
-// an in-place shift, keeping observation allocation-free. Predictions —
-// including the pinned-floor fallback, which normally consults the full
-// history — then see only the retained window. That behavioral difference
-// is why this is opt-in: fleet-scale runs (thousands of controllers) take
-// it for the bounded memory and zero-alloc steady state; single-job
-// experiments keep the unbounded history and its historical outputs.
+// preallocated buffer of w losses: once full, each Observe drops the oldest
+// point with an in-place shift, keeping observation allocation-free. While
+// the retained epochs are consecutive and within epochRamp — a job that
+// observes 1, 2, 3, … as the fleet's do — xs is a view of the ramp that
+// each Observe slides forward, so the window stores no epoch numbers. The
+// first epoch that breaks the run, or lies past the ramp, copies the window's
+// epochs into a buffer of its own once; from then on Observe shifts both.
+// Predictions — including the pinned-floor fallback, which normally consults
+// the full history — then see only the retained window. That behavioral
+// difference is why this is opt-in: fleet-scale runs (thousands of
+// controllers) take it for the bounded memory and zero-alloc steady state;
+// single-job experiments keep the unbounded history and its historical
+// outputs.
 func (o *Online) setFixedWindow(w int) {
 	if w < 3 {
 		w = 3
@@ -183,11 +207,42 @@ func (o *Online) setFixedWindow(w int) {
 	if drop := len(o.xs) - w; drop > 0 {
 		o.xs, o.ys = o.xs[drop:], o.ys[drop:]
 	}
-	// xs and ys are the two halves of one array.
-	buf := make([]float64, 2*w)
-	o.xs = append(buf[:0:w], o.xs...)
-	o.ys = append(buf[w:w], o.ys...)
+	o.ys = append(make([]float64, 0, w), o.ys...)
+	if view, ok := onRamp(o.xs); ok {
+		o.xs, o.ramped = view, true
+	} else {
+		o.xs, o.ramped = append(make([]float64, 0, w), o.xs...), false
+	}
 	o.dirty = true
+}
+
+// epochRamp holds the epoch numbers 1, 2, …, len(epochRamp); it is never
+// written. A fixed window of consecutive epochs reads its xs from it, and
+// so does the offline sample's trace.
+var epochRamp = func() (r [1024]float64) {
+	for i := range r {
+		r[i] = float64(i + 1)
+	}
+	return r
+}()
+
+// onRamp returns the view of epochRamp equal to xs, if xs are consecutive
+// epochs that the ramp holds.
+func onRamp(xs []float64) ([]float64, bool) {
+	if len(xs) == 0 {
+		return epochRamp[:0], true
+	}
+	first := xs[0]
+	if !(first >= 1 && first == math.Trunc(first) && first+float64(len(xs)-1) <= float64(len(epochRamp))) {
+		return nil, false
+	}
+	for i, x := range xs {
+		if x != first+float64(i) {
+			return nil, false
+		}
+	}
+	i := int(first) - 1
+	return epochRamp[i : i+len(xs)], true
 }
 
 // setWarmStart seeds each refit from the previous epoch's fitted
@@ -205,16 +260,42 @@ func (o *Online) Observe(epoch int, loss float64) {
 	if o.shared != nil {
 		o.node = o.shared.child(o.node, float64(epoch), loss)
 		o.xs, o.ys = o.node.xs, o.node.ys
-	} else if o.fixed && len(o.xs) == cap(o.xs) {
-		copy(o.xs, o.xs[1:])
-		copy(o.ys, o.ys[1:])
-		o.xs[len(o.xs)-1] = float64(epoch)
-		o.ys[len(o.ys)-1] = loss
+	} else if o.fixed {
+		o.observeFixed(epoch, loss)
 	} else {
 		o.xs = append(o.xs, float64(epoch))
 		o.ys = append(o.ys, loss)
 	}
 	o.dirty = true
+}
+
+// observeFixed slides the fixed window (see setFixedWindow) to end at epoch.
+func (o *Online) observeFixed(epoch int, loss float64) {
+	full := len(o.ys) == cap(o.ys)
+	if full {
+		copy(o.ys, o.ys[1:])
+		o.ys[len(o.ys)-1] = loss
+	} else {
+		o.ys = append(o.ys, loss)
+	}
+	if o.ramped {
+		next := epoch // an empty window starts its run anywhere on the ramp
+		if len(o.xs) > 0 {
+			next = int(o.xs[len(o.xs)-1]) + 1
+		}
+		if epoch == next && epoch >= 1 && epoch <= len(epochRamp) {
+			o.xs = epochRamp[epoch-len(o.ys) : epoch]
+			return
+		}
+		// The run breaks: the window keeps its own epochs from here on.
+		o.xs, o.ramped = append(make([]float64, 0, cap(o.ys)), o.xs...), false
+	}
+	if full {
+		copy(o.xs, o.xs[1:])
+		o.xs[len(o.xs)-1] = float64(epoch)
+	} else {
+		o.xs = append(o.xs, float64(epoch))
+	}
 }
 
 // Observations reports how many epochs have been observed.

@@ -31,6 +31,15 @@
 //   - Named random streams are created during setup and each stream is
 //     drawn from by a single shard.
 //
+// A named stream is either registered or owned. Rand registers it: the
+// simulation keeps it in its name map for the whole run, and every caller
+// of that name draws from the one shared stream (the trainer's and the
+// platform's noise streams). Stream hands out an owned copy: the same seed
+// as Rand(name), held by value by the one owner that draws from it, and
+// never entered in the map — a per-tenant stream of a macro scenario costs
+// no map entry and no allocation. The set-up-only rule is about the map, so
+// it binds Rand alone.
+//
 // Cross-shard events that may collide on (time, priority) with events from
 // another shard should carry a priority that identifies the sender (e.g.
 // the tenant index): every shard's firing order is then fully determined by
@@ -374,15 +383,18 @@ func (s *Simulation) Step() bool {
 	return fired
 }
 
-// Rand returns the named deterministic random stream, creating it on first
-// use. Streams with the same name under the same simulation seed always
-// produce the same sequence, independent of other streams, so adding a new
-// consumer of randomness does not perturb existing experiments.
+// Rand returns the named deterministic random stream, registering it in the
+// simulation's name map on first use; every later call with the name returns
+// the same shared stream. Streams with the same name under the same
+// simulation seed always produce the same sequence, independent of other
+// streams, so adding a new consumer of randomness does not perturb existing
+// experiments.
 //
-// Streams must be created during setup; with more than one worker, the
-// first use of a new name while events fire panics, whichever shards are
-// busy (the stream map is shared across shards and only safe to read
-// concurrently). A stream should be drawn from by a single shard.
+// Registered streams must be created during setup; with more than one
+// worker, the first use of a new name while events fire panics, whichever
+// shards are busy (the stream map is shared across shards and only safe to
+// read concurrently). A stream should be drawn from by a single shard. A
+// stream that only one owner draws from is an owned Stream instead.
 func (s *Simulation) Rand(name string) *Rand {
 	if r, ok := s.rng[name]; ok {
 		return r
@@ -393,6 +405,14 @@ func (s *Simulation) Rand(name string) *Rand {
 	r := NewRand(s.seed ^ hashString(name))
 	s.rng[name] = r
 	return r
+}
+
+// Stream returns an owned copy of the named stream: it starts where a first
+// Rand(name) would, but the simulation neither registers nor shares it, so
+// each call starts the sequence afresh and the caller holds the stream by
+// value. It reads no shared state and may be called at any time.
+func (s *Simulation) Stream(name string) Rand {
+	return *NewRand(s.seed ^ hashString(name))
 }
 
 func hashString(name string) uint64 {

@@ -156,6 +156,41 @@ func TestRandSameStreamHandleReused(t *testing.T) {
 	}
 }
 
+// TestOwnedStreamMatchesRegistered: Stream(name) draws what Rand(name) draws
+// — uniform, normal (spare included) and Exp — yet leaves the name map as it
+// was, and each call starts the sequence afresh.
+func TestOwnedStreamMatchesRegistered(t *testing.T) {
+	s := New(2023)
+	reg := s.Rand("tenant-0/loss")
+	size := len(s.rng)
+	own := s.Stream("tenant-0/loss")
+	again := s.Stream("tenant-1/shape")
+	for i := 0; i < 200; i++ {
+		if a, b := reg.Uint64(), own.Uint64(); a != b {
+			t.Fatalf("draw %d: Uint64 %d from Rand, %d from Stream", i, a, b)
+		}
+		if a, b := reg.NormFloat64(), own.NormFloat64(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("draw %d: NormFloat64 %v from Rand, %v from Stream", i, a, b)
+		}
+		if a, b := reg.Exp(2), own.Exp(2); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("draw %d: Exp %v from Rand, %v from Stream", i, a, b)
+		}
+	}
+	if len(s.rng) != size {
+		t.Fatalf("Stream grew the name map from %d to %d entries", size, len(s.rng))
+	}
+	fresh, shape := s.Stream("tenant-0/loss"), New(2023).Rand("tenant-1/shape")
+	if fresh.Uint64() != New(2023).Rand("tenant-0/loss").Uint64() {
+		t.Fatal("a second Stream call did not start the sequence afresh")
+	}
+	if again.Uint64() != shape.Uint64() {
+		t.Fatal("Stream and Rand of a name never registered start differently")
+	}
+	if len(s.rng) != size {
+		t.Fatalf("Stream grew the name map from %d to %d entries", size, len(s.rng))
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := NewRand(3)
 	if err := quick.Check(func(_ int) bool {

@@ -254,18 +254,23 @@ func (m *Model) IterationsPerEpoch(n int) int {
 
 // --- Loss engines ---
 
-// curveEngine draws per-epoch losses from the parametric family with a
-// hyperparameter response surface: learning rates away from LROpt slow the
-// curve and raise its floor, which is what gives SHA something to select on.
-type curveEngine struct {
+// CurveRun is one job's walk along the parametric family, held by value:
+// the curve it follows, the stream its noise comes from, and where it is.
+// A value is its own state, so a run lives wherever its owner does — a
+// fleet tenant's record, or the stack of an offline estimate — and costs no
+// allocation.
+type CurveRun struct {
 	params CurveParams
-	rng    *sim.Rand
+	rng    sim.Rand
 	epoch  int
 	last   float64
 }
 
-// NewCurveEngine returns a parametric engine for hyperparameters hp.
-func (m *Model) NewCurveEngine(hp Hyperparams, seed uint64) Engine {
+// NewCurveRun returns the parametric walk for hyperparameters hp with a
+// stream seeded by seed: learning rates away from LROpt slow the curve and
+// raise its floor, which is what gives SHA something to select on, and a
+// per-trial speed draw from the stream models run-to-run stochasticity.
+func (m *Model) NewCurveRun(hp Hyperparams, seed uint64) CurveRun {
 	cp := m.Curve
 	if hp.LR > 0 && m.LROpt > 0 {
 		d := math.Log10(hp.LR / m.LROpt)
@@ -273,30 +278,37 @@ func (m *Model) NewCurveEngine(hp Hyperparams, seed uint64) Engine {
 		cp.A *= speed * (0.9 + 0.2*math.Abs(hp.Momentum))
 		cp.C += (m.firstLoss() - cp.C) * 0.4 * (1 - speed) // bad lr raises floor
 	}
-	rng := sim.NewRand(seed)
-	// Per-trial curve-speed variation models run-to-run stochasticity.
+	rng := *sim.NewRand(seed)
 	cp.A *= rng.LogNormal(0, 0.10)
-	return cp.Engine(rng)
+	return cp.Run(rng)
 }
 
-// Engine returns a parametric engine walking cp: each epoch's loss is the
-// curve value with multiplicative log-normal noise above the floor C, drawn
-// from rng.
-func (cp CurveParams) Engine(rng *sim.Rand) Engine {
-	return &curveEngine{params: cp, rng: rng, last: cp.Eval(0)}
+// Run returns the walk along cp: each epoch's loss is the curve value with
+// multiplicative log-normal noise above the floor C, drawn from rng.
+func (cp CurveParams) Run(rng sim.Rand) CurveRun {
+	return CurveRun{params: cp, rng: rng, last: cp.Eval(0)}
+}
+
+// NextEpoch advances the walk one epoch and returns its loss.
+func (r *CurveRun) NextEpoch() float64 {
+	r.epoch++
+	base := r.params.Eval(float64(r.epoch))
+	if r.params.Noise > 0 {
+		base = r.params.C + (base-r.params.C)*r.rng.LogNormal(0, r.params.Noise)
+	}
+	r.last = base
+	return base
+}
+
+// curveEngine is the Engine over a CurveRun.
+type curveEngine struct{ CurveRun }
+
+// NewCurveEngine returns a parametric engine for hyperparameters hp.
+func (m *Model) NewCurveEngine(hp Hyperparams, seed uint64) Engine {
+	return &curveEngine{m.NewCurveRun(hp, seed)}
 }
 
 func (m *Model) firstLoss() float64 { return m.Curve.Eval(0) }
-
-func (e *curveEngine) NextEpoch() float64 {
-	e.epoch++
-	base := e.params.Eval(float64(e.epoch))
-	if e.params.Noise > 0 {
-		base = e.params.C + (base-e.params.C)*e.rng.LogNormal(0, e.params.Noise)
-	}
-	e.last = base
-	return base
-}
 
 func (e *curveEngine) EpochsRun() int { return e.epoch }
 func (e *curveEngine) Loss() float64  { return e.last }
