@@ -117,11 +117,12 @@ identity:
 	@[ -n "$(BASE)" ] || { echo "usage: make identity BASE=<rev>"; exit 2; }
 	sh scripts/identity.sh $(BASE)
 
-# rss-ab: peak RSS against revision BASE (not part of check): 10 pairs of
-# `cebench -rusage ARGS`, built at BASE and at the working tree, the side
-# that goes first alternating; prints each side's median and quartiles and
-# the pairs each side won. ARGS defaults to the benchmark's fleet command
-# line (1,500 macro-fleet controllers):
+# rss-ab: peak RSS and wall time against revision BASE (not part of check):
+# 10 pairs of `cebench -rusage ARGS`, built at BASE and at the working tree,
+# the side that goes first alternating; prints each side's RSS median and
+# quartiles, its fastest and median wall time, and the pairs each side won
+# on each. ARGS defaults to the benchmark's fleet command line (1,500
+# macro-fleet controllers):
 #   make rss-ab BASE=<rev> [ARGS='-seed 99 -fleet-tenants 1500 macro-fleet']
 rss-ab:
 	@[ -n "$(BASE)" ] || { echo "usage: make rss-ab BASE=<rev> [ARGS='<cebench args>']"; exit 2; }

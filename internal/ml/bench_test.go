@@ -33,7 +33,7 @@ func benchGradient(b *testing.B, obj Objective) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Zero(grad)
-		obj.Gradient(w, data, idx, grad)
+		gradient(obj, w, data, idx, grad, nil)
 	}
 }
 
@@ -72,12 +72,12 @@ func BenchmarkRunEpoch(b *testing.B) {
 	}
 }
 
-// BenchmarkRunEpochYFCC measures one BSP epoch at the LR-YFCC trajectory
-// shape: the default real-engine sample (4000 rows) at the 256-feature cap,
-// squared loss, 8 workers at 100 rows each (workload.NewRealEngine's
-// rows/8/5), the learning rate LR-YFCC's 0.01 scaled by 0.2. Its trajectory
-// is most of fig15's work.
-func BenchmarkRunEpochYFCC(b *testing.B) {
+// yfccTrainer is one BSP trainer at the LR-YFCC trajectory shape: the
+// default real-engine sample (4000 rows) at the 256-feature cap, squared
+// loss, 8 workers at 100 rows each (workload.NewRealEngine's rows/8/5), the
+// learning rate LR-YFCC's 0.01 scaled by 0.2. Its trajectory is most of
+// fig15's work.
+func yfccTrainer(b *testing.B) *Trainer {
 	data := dataset.GenerateRegression(sim.NewRand(1), dataset.GenConfig{Samples: 4000, Features: 256, NoiseStd: 8})
 	tr, err := NewTrainer(data, Config{
 		Objective: Squared{L2: 1e-4}, Workers: 8, BatchPerWkr: 100, LearningRate: 0.002, Seed: 1,
@@ -85,10 +85,30 @@ func BenchmarkRunEpochYFCC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return tr
+}
+
+// BenchmarkRunEpochYFCC measures one RunEpoch at the LR-YFCC shape: the
+// gradient passes, then Loss's second pass over the matrix.
+func BenchmarkRunEpochYFCC(b *testing.B) {
+	tr := yfccTrainer(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.RunEpoch()
+	}
+}
+
+// BenchmarkRunEpochLaggedYFCC is BenchmarkRunEpochYFCC's twin for the lagged
+// epoch the shared trajectory runs: one pass over the matrix, the loss at
+// the start weights computed inside it.
+func BenchmarkRunEpochLaggedYFCC(b *testing.B) {
+	tr := yfccTrainer(b)
+	tr.RunEpochLagged()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.RunEpochLagged()
 	}
 }
 
@@ -99,7 +119,7 @@ func BenchmarkLoss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		obj.Loss(w, data)
+		loss(obj, w, data)
 	}
 }
 
@@ -109,7 +129,7 @@ func BenchmarkLogisticLoss(b *testing.B) {
 	obj := Logistic{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		obj.Loss(w, data)
+		loss(obj, w, data)
 	}
 }
 

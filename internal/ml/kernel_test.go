@@ -66,7 +66,7 @@ func refLoss(obj Objective, w []float64, m *dataset.Matrix) float64 {
 	return loss
 }
 
-// TestObjectivesMatchReference: every objective's Gradient and Loss equal
+// TestObjectivesMatchReference: every objective's gradient and loss equal
 // refGradient and refLoss bit for bit across column tails (n % 4 of 1, 3,
 // 0, 2, 0) and batch and matrix tails (n % 8 of 1, 7, 5, 4 and 5, 1, 5,
 // 3), with and without L2.
@@ -91,7 +91,7 @@ func TestObjectivesMatchReference(t *testing.T) {
 					m   *dataset.Matrix
 				}{{Logistic{l2}, bin}, {Hinge{l2}, bin}, {Squared{l2}, reg}} {
 					got, want := make([]float64, cols), make([]float64, cols)
-					c.obj.Gradient(w, c.m, idx, got)
+					gradient(c.obj, w, c.m, idx, got, nil)
 					refGradient(c.obj, w, c.m, idx, want)
 					for i := range got {
 						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -99,7 +99,7 @@ func TestObjectivesMatchReference(t *testing.T) {
 								c.obj.Name(), l2, cols, batch, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 						}
 					}
-					if g, r := c.obj.Loss(w, c.m), refLoss(c.obj, w, c.m); math.Float64bits(g) != math.Float64bits(r) {
+					if g, r := loss(c.obj, w, c.m), refLoss(c.obj, w, c.m); math.Float64bits(g) != math.Float64bits(r) {
 						t.Fatalf("%s l2=%g cols=%d rows=%d: loss %x, reference %x",
 							c.obj.Name(), l2, cols, rows, math.Float64bits(g), math.Float64bits(r))
 					}
@@ -120,6 +120,19 @@ func TestPortableRowKernels(t *testing.T) {
 	defer func() { useAVX = true }()
 	TestObjectivesMatchReference(t)
 	TestRunEpochMatchesNaiveReference(t)
+	TestRunEpochLaggedMatchesLossAndRunEpoch(t)
+	var rows [8][]float64
+	for j := range rows {
+		rows[j] = []float64{float64(j), 1, -2, 0.5, 3}
+	}
+	w, v := []float64{1, 2, 3, 4, 5}, []float64{-1, 0.25, 7, 1e-3, 2}
+	var d, e, dw, dv [8]float64
+	dot8x2(w, v, &rows, 8, &d, &e)
+	dot8Go(w, &rows, 8, &dw)
+	dot8Go(v, &rows, 8, &dv)
+	if d != dw || e != dv {
+		t.Errorf("portable dot8x2 = %v, %v; dot8Go twice = %v, %v", d, e, dw, dv)
+	}
 }
 
 // A weight vector one longer than a row panics in Dot and in every
@@ -130,8 +143,8 @@ func TestLongWeightsPanic(t *testing.T) {
 	idx := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
 	for name, f := range map[string]func(){
 		"Dot":      func() { Dot(w, m.Row(0)) },
-		"Gradient": func() { Squared{}.Gradient(w, m, idx, make([]float64, len(w))) },
-		"Loss":     func() { Logistic{}.Loss(w, m) },
+		"gradient": func() { gradient(Squared{}, w, m, idx, make([]float64, len(w)), nil) },
+		"loss":     func() { loss(Logistic{}, w, m) },
 	} {
 		func() {
 			defer func() {
@@ -144,10 +157,11 @@ func TestLongWeightsPanic(t *testing.T) {
 	}
 }
 
-// FuzzRowKernels: dot8 and axpy4 (the AVX kernels on an amd64 host with
-// AVX) equal the Go loops dot8Go and axpy4Go on arbitrary float64 bits
-// (NaN, ±Inf, subnormals, -0) at lengths 0-67 and 1-8 rows: the same bits,
-// or NaN wherever the Go loop gives NaN (NaN payloads are not compared).
+// FuzzRowKernels: dot8, dot8x2 and axpy4 (the AVX kernels on an amd64 host
+// with AVX) equal the Go loops (dot8Go, dot8Go once per weight vector, and
+// axpy4Go) on arbitrary float64 bits (NaN, ±Inf, subnormals, -0) at lengths
+// 0-67 and 1-8 rows: the same bits, or NaN wherever the Go loop gives NaN
+// (NaN payloads are not compared).
 func FuzzRowKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, length, nrows uint8, data []byte) {
 		n, k := int(length)%68, int(nrows)%8+1
@@ -193,6 +207,15 @@ func FuzzRowKernels(f *testing.F) {
 		axpy4Go(a[0], a[1], a[2], a[3], rows[0], rows[1], rows[2], rows[3], ref)
 		for i := range y {
 			same("axpy4", y[i], ref[i])
+		}
+
+		v := vec()
+		var got2, want2 [8]float64
+		dot8x2(w, v, &rows, k, &got, &got2)
+		dot8Go(v, &rows, k, &want2)
+		for j := 0; j < k; j++ {
+			same("dot8x2 w", got[j], want[j])
+			same("dot8x2 v", got2[j], want2[j])
 		}
 	})
 }

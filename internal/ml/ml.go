@@ -10,14 +10,25 @@
 // addition, so the simulated trainer can route the exchange through any
 // storage.Store.
 //
-// The numeric path is allocation-free in the steady state: workers own
-// pre-sized gradient scratch buffers, the trainer aggregates worker
-// gradients in place, and the gradient/loss kernels process rows in blocks
+// The numeric path is allocation-free in the steady state: the trainer
+// computes each worker's gradient into one pre-sized scratch vector and
+// aggregates it in place, and the gradient/loss kernels process rows in blocks
 // of eight (one dot8 call, then axpy4 accumulation in row order) with every
 // row's summation order preserved, so results are bit-identical to the
-// naive loops. On amd64 with AVX those two row kernels run in assembly
-// (vec_amd64.s), lane by lane the same IEEE multiply and add as the scalar
-// code; elsewhere they are the Go loops in vec.go.
+// naive loops. Each objective defines only its per-row gradient coefficient
+// and loss term; one gradient body and one loss body serve all three.
+//
+// An epoch has two entry points with one body. RunEpoch returns the loss
+// after the epoch, a second pass over the data. RunEpochLagged returns the
+// loss at the weights the epoch started from, computed inside the epoch's
+// own gradient passes: the third row kernel, dot8x2, dots each gathered row
+// with the current and the start weights at once, so the rows are read
+// once. A caller that reads the loss after every epoch (the shared
+// trajectories of internal/workload) runs one epoch ahead.
+//
+// On amd64 with AVX the three row kernels run in assembly (vec_amd64.s),
+// lane by lane the same IEEE multiply and add as the scalar code; elsewhere
+// they are the Go loops in vec.go.
 package ml
 
 import (
@@ -29,21 +40,28 @@ import (
 )
 
 // Objective is a differentiable training objective over a linear model.
+// The three objectives of this package are its only implementations: each
+// supplies its per-row gradient coefficient and loss term, and one gradient
+// body (gradient) and one loss body (loss) serve all three.
 type Objective interface {
 	// Name identifies the objective ("logistic", "hinge", "squared").
 	Name() string
-	// Gradient adds the average gradient over the rows idx of m, evaluated
-	// at weights w, into grad (which the caller has zeroed or is
-	// accumulating into deliberately). It runs once per worker per BSP
-	// iteration — the innermost loop of every simulated training trial —
-	// so every implementation must be allocation-free.
-	Gradient(w []float64, m *dataset.Matrix, idx []int, grad []float64)
-	// Loss returns the average loss over all rows of m at weights w. It
-	// closes every epoch, so implementations share Gradient's obligation.
-	Loss(w []float64, m *dataset.Matrix) float64
+	rowTerms
 }
 
-// rowBlock is the unit every objective works in: up to eight rows of a
+// rowTerms is what an objective adds to the shared bodies, for a row with
+// dot product d against the weights and label y.
+type rowTerms interface {
+	// coef returns the row's gradient coefficient before the 1/batch
+	// average, or false if the row adds nothing (an inactive hinge row).
+	coef(d, y float64) (float64, bool)
+	// term returns the row's loss.
+	term(d, y float64) float64
+	// l2 returns the L2 strength.
+	l2() float64
+}
+
+// rowBlock is the unit the shared bodies work in: up to eight rows of a
 // matrix, their dot products with the weights from one dot8 call, and the
 // gradient coefficients of the rows the objective keeps.
 type rowBlock struct {
@@ -55,12 +73,25 @@ type rowBlock struct {
 
 // gather points b at the rows idx (at most eight) of m and computes their
 // dot products with w. Unused slots repeat the last row, as dot8 requires.
-func (b *rowBlock) gather(w []float64, m *dataset.Matrix, idx []int) {
+// With a lag sink it also records each row's dot product with the sink's
+// start weights: the same values when the iterate still is them, else the
+// second output of one dot8x2 pass over the rows.
+func (b *rowBlock) gather(w []float64, m *dataset.Matrix, idx []int, lag *lagSink) {
 	b.n = len(idx)
 	for j := range b.rows {
 		b.rows[j] = m.Row(idx[min(j, b.n-1)])
 	}
-	dot8(w, &b.rows, b.n, &b.dot)
+	switch {
+	case lag == nil:
+		dot8(w, &b.rows, b.n, &b.dot)
+	case lag.first:
+		dot8(w, &b.rows, b.n, &b.dot)
+		lag.record(idx, &b.dot)
+	default:
+		var e [8]float64
+		dot8x2(w, lag.v, &b.rows, b.n, &b.dot, &e)
+		lag.record(idx, &e)
+	}
 }
 
 // span is gather over the rows r, r+1, ... of m, at most eight of them.
@@ -84,6 +115,47 @@ func (b *rowBlock) addTo(k int, grad []float64) {
 	}
 }
 
+// gradient adds o's average gradient over the rows idx of m, evaluated at
+// weights w, into grad (which the caller has zeroed or is accumulating into
+// deliberately); a non-nil lag records as gather does. It runs once per
+// worker per BSP iteration — the innermost loop of every simulated training
+// trial — and allocates nothing. The rows o keeps stay in row order, so the
+// accumulation is the scalar loop's: one Axpy per kept row.
+func gradient[O rowTerms](o O, w []float64, m *dataset.Matrix, idx []int, grad []float64, lag *lagSink) {
+	inv := 1 / float64(len(idx))
+	var b rowBlock
+	for k := 0; k < len(idx); k += 8 {
+		blk := idx[k:min(k+8, len(idx))]
+		b.gather(w, m, blk, lag)
+		kept := 0
+		for j, i := range blk {
+			if c, ok := o.coef(b.dot[j], m.Y[i]); ok {
+				b.rows[kept], b.coef[kept] = b.rows[j], c*inv
+				kept++
+			}
+		}
+		b.addTo(kept, grad)
+	}
+	if l2 := o.l2(); l2 > 0 {
+		Axpy(l2, w, grad)
+	}
+}
+
+// loss returns o's average loss over all rows of m at weights w: the rows'
+// terms summed in row order, then the L2 penalty. It closes every RunEpoch
+// and allocates nothing.
+func loss[O rowTerms](o O, w []float64, m *dataset.Matrix) float64 {
+	var sum float64
+	var b rowBlock
+	for r := 0; r < m.Rows; r += 8 {
+		b.span(w, m, r)
+		for j, y := range m.Y[r : r+b.n] {
+			sum += o.term(b.dot[j], y)
+		}
+	}
+	return regularized(sum, m, o.l2(), w)
+}
+
 // regularized turns a loss sum over m's rows into the average loss plus the
 // L2 penalty (l2/2)|w|².
 func regularized(sum float64, m *dataset.Matrix, l2 float64, w []float64) float64 {
@@ -102,79 +174,30 @@ type Logistic struct{ L2 float64 }
 // Name implements Objective.
 func (Logistic) Name() string { return "logistic" }
 
-// Gradient implements Objective.
-func (l Logistic) Gradient(w []float64, m *dataset.Matrix, idx []int, grad []float64) {
-	inv := 1 / float64(len(idx))
-	var b rowBlock
-	for k := 0; k < len(idx); k += 8 {
-		b.gather(w, m, idx[k:min(k+8, len(idx))])
-		for j, i := range idx[k : k+b.n] {
-			// d/dw log(1+exp(-y w·x)) = -y x sigmoid(-y w·x)
-			y := m.Y[i]
-			b.coef[j] = -y * Sigmoid(-y*b.dot[j]) * inv
-		}
-		b.addTo(b.n, grad)
-	}
-	if l.L2 > 0 {
-		Axpy(l.L2, w, grad)
-	}
-}
-
-// Loss implements Objective.
-func (l Logistic) Loss(w []float64, m *dataset.Matrix) float64 {
-	var sum float64
-	var b rowBlock
-	for r := 0; r < m.Rows; r += 8 {
-		b.span(w, m, r)
-		for j, y := range m.Y[r : r+b.n] {
-			sum += Log1pExp(-y * b.dot[j])
-		}
-	}
-	return regularized(sum, m, l.L2, w)
-}
+// d/dw log(1+exp(-y w·x)) = -y x sigmoid(-y w·x)
+func (Logistic) coef(d, y float64) (float64, bool) { return -y * Sigmoid(-y*d), true }
+func (Logistic) term(d, y float64) float64         { return Log1pExp(-y * d) }
+func (l Logistic) l2() float64                     { return l.L2 }
 
 // Hinge is the linear-SVM objective: loss = max(0, 1 - y w·x) + (L2/2)|w|².
+// Its gradient is the subgradient at the hinge point: only the active rows
+// (y w·x < 1) contribute.
 type Hinge struct{ L2 float64 }
 
 // Name implements Objective.
 func (Hinge) Name() string { return "hinge" }
 
-// Gradient implements Objective (subgradient at the hinge point). Only the
-// active rows (y w·x < 1) of each block are kept, in row order, so the
-// accumulation is the scalar loop's, one Axpy per active row.
-func (h Hinge) Gradient(w []float64, m *dataset.Matrix, idx []int, grad []float64) {
-	inv := 1 / float64(len(idx))
-	var b rowBlock
-	for k := 0; k < len(idx); k += 8 {
-		b.gather(w, m, idx[k:min(k+8, len(idx))])
-		active := 0
-		for j, i := range idx[k : k+b.n] {
-			if y := m.Y[i]; y*b.dot[j] < 1 {
-				b.rows[active], b.coef[active] = b.rows[j], -y*inv
-				active++
-			}
-		}
-		b.addTo(active, grad)
-	}
-	if h.L2 > 0 {
-		Axpy(h.L2, w, grad)
-	}
-}
+func (Hinge) coef(d, y float64) (float64, bool) { return -y, y*d < 1 }
 
-// Loss implements Objective.
-func (h Hinge) Loss(w []float64, m *dataset.Matrix) float64 {
-	var sum float64
-	var b rowBlock
-	for r := 0; r < m.Rows; r += 8 {
-		b.span(w, m, r)
-		for j, y := range m.Y[r : r+b.n] {
-			if v := 1 - y*b.dot[j]; v > 0 {
-				sum += v
-			}
-		}
+// term returns 0 for an inactive row: a loss sum starts at +0 and only grows,
+// so adding +0 leaves it as skipping the row did.
+func (Hinge) term(d, y float64) float64 {
+	if v := 1 - y*d; v > 0 {
+		return v
 	}
-	return regularized(sum, m, h.L2, w)
+	return 0
 }
+func (h Hinge) l2() float64 { return h.L2 }
 
 // Squared is the linear-regression objective: loss = (w·x - y)²/2 + (L2/2)|w|².
 type Squared struct{ L2 float64 }
@@ -182,35 +205,12 @@ type Squared struct{ L2 float64 }
 // Name implements Objective.
 func (Squared) Name() string { return "squared" }
 
-// Gradient implements Objective.
-func (s Squared) Gradient(w []float64, m *dataset.Matrix, idx []int, grad []float64) {
-	inv := 1 / float64(len(idx))
-	var b rowBlock
-	for k := 0; k < len(idx); k += 8 {
-		b.gather(w, m, idx[k:min(k+8, len(idx))])
-		for j, i := range idx[k : k+b.n] {
-			b.coef[j] = (b.dot[j] - m.Y[i]) * inv
-		}
-		b.addTo(b.n, grad)
-	}
-	if s.L2 > 0 {
-		Axpy(s.L2, w, grad)
-	}
+func (Squared) coef(d, y float64) (float64, bool) { return d - y, true }
+func (Squared) term(d, y float64) float64 {
+	e := d - y
+	return e * e / 2
 }
-
-// Loss implements Objective.
-func (s Squared) Loss(w []float64, m *dataset.Matrix) float64 {
-	var sum float64
-	var b rowBlock
-	for r := 0; r < m.Rows; r += 8 {
-		b.span(w, m, r)
-		for j, y := range m.Y[r : r+b.n] {
-			e := b.dot[j] - y
-			sum += e * e / 2
-		}
-	}
-	return regularized(sum, m, s.L2, w)
-}
+func (s Squared) l2() float64 { return s.L2 }
 
 // ObjectiveByName returns the named objective with the given L2 strength.
 func ObjectiveByName(name string, l2 float64) (Objective, error) {
@@ -234,6 +234,7 @@ type Worker struct {
 	pos     int
 	rng     *sim.Rand
 	scratch []float64 // reused by Gradient between calls
+	row0    int       // Shard's first row in the trainer's matrix
 }
 
 // NewWorker returns a worker over shard using rng for batch shuffling.
@@ -275,25 +276,29 @@ func (w *Worker) NextBatch(size int) []int {
 	return b
 }
 
-// GradientInto computes the worker's average gradient at weights wvec over
+// gradientInto computes the worker's average gradient at weights wvec over
 // its next mini-batch of size batch, writing it into the caller-owned grad
-// (len(grad) must equal len(wvec); it is zeroed first).
-func (w *Worker) GradientInto(obj Objective, wvec []float64, batch int, grad []float64) {
+// (len(grad) must equal len(wvec); it is zeroed first). A non-nil lag
+// records the batch rows' dots with its start weights (gather).
+func (w *Worker) gradientInto(obj Objective, wvec []float64, batch int, grad []float64, lag *lagSink) {
 	Zero(grad)
-	obj.Gradient(wvec, w.Shard, w.NextBatch(batch), grad)
+	if lag != nil {
+		lag.row0 = w.row0
+	}
+	gradient(obj, wvec, w.Shard, w.NextBatch(batch), grad, lag)
 }
 
 // Gradient computes the worker's average gradient at weights wvec over its
 // next mini-batch of size batch. The returned slice is the worker's own
 // scratch buffer: it is valid until the next Gradient call on this worker,
 // which keeps the steady-state loop allocation-free. Callers that need the
-// value to outlive the next call must copy it (or use GradientInto).
+// value to outlive the next call must copy it.
 func (w *Worker) Gradient(obj Objective, wvec []float64, batch int) []float64 {
 	if cap(w.scratch) < len(wvec) {
 		w.scratch = make([]float64, len(wvec))
 	}
 	g := w.scratch[:len(wvec)]
-	w.GradientInto(obj, wvec, batch, g)
+	w.gradientInto(obj, wvec, batch, g, nil)
 	return g
 }
 
@@ -316,11 +321,32 @@ type Trainer struct {
 	weights []float64
 	epoch   int
 
-	// Pre-sized scratch for the BSP loop: one backing array holding every
-	// worker's gradient plus the aggregation vector, so the steady-state
-	// epoch path allocates nothing.
-	grads [][]float64
-	sum   []float64
+	// Pre-sized scratch for the BSP loop, so the steady-state epoch path
+	// allocates nothing: the gradient of the worker being computed, and the
+	// aggregate its gradient is added to before the next worker's.
+	grad []float64
+	sum  []float64
+
+	lag lagSink // RunEpochLagged's record, sized by its first call
+}
+
+// lagSink is a trainer's record of one lagged epoch (RunEpochLagged): each
+// row's dot product with the weights the epoch started from, written by the
+// epoch's own gradient passes as they gather the row.
+type lagSink struct {
+	v     []float64 // the epoch's start weights
+	dots  []float64 // dots[r] = Dot(v, row r) once seen[r]
+	seen  []bool
+	row0  int  // the current worker's first row in the matrix
+	first bool // the epoch's first iteration: the iterate still is v
+}
+
+// record stores d[j] as the dot of the current worker's shard row idx[j].
+func (s *lagSink) record(idx []int, d *[8]float64) {
+	for j, i := range idx {
+		s.dots[s.row0+i] = d[j]
+		s.seen[s.row0+i] = true
+	}
 }
 
 // NewTrainer partitions data across cfg.Workers workers and zero-initializes
@@ -342,15 +368,15 @@ func NewTrainer(data *dataset.Matrix, cfg Config) (*Trainer, error) {
 	t := &Trainer{cfg: cfg, data: data, weights: make([]float64, data.Cols)}
 	shards := data.Partition(cfg.Workers)
 	seedRng := sim.NewRand(cfg.Seed)
+	row0 := 0
 	for i, sh := range shards {
-		t.workers = append(t.workers, NewWorker(sh, sim.NewRand(seedRng.Uint64()+uint64(i))))
+		w := NewWorker(sh, sim.NewRand(seedRng.Uint64()+uint64(i)))
+		w.row0 = row0
+		row0 += sh.Rows
+		t.workers = append(t.workers, w)
 	}
-	buf := make([]float64, (len(t.workers)+1)*data.Cols)
-	t.grads = make([][]float64, len(t.workers))
-	for i := range t.grads {
-		t.grads[i] = buf[i*data.Cols : (i+1)*data.Cols]
-	}
-	t.sum = buf[len(t.workers)*data.Cols:]
+	buf := make([]float64, 2*data.Cols)
+	t.grad, t.sum = buf[:data.Cols], buf[data.Cols:]
 	return t, nil
 }
 
@@ -384,49 +410,86 @@ func (t *Trainer) IterationsPerEpoch() int {
 	return k
 }
 
-// WorkerGradients computes each worker's mini-batch gradient at the current
-// weights. The returned slices are the trainer's pre-sized scratch buffers:
-// they are valid until the next WorkerGradients or RunIteration call.
-func (t *Trainer) WorkerGradients() [][]float64 {
-	for i, w := range t.workers {
-		w.GradientInto(t.cfg.Objective, t.weights, t.cfg.BatchPerWkr, t.grads[i])
+// run performs one epoch of BSP iterations, the body of RunEpoch and
+// RunEpochLagged; a non-nil lag records as gather does. Each iteration
+// computes the worker gradients at the current weights one at a time into
+// one scratch vector, adds each to the aggregate in worker order, and takes
+// one SGD step with their average: the sequential reduction bit for bit,
+// with nothing allocated.
+func (t *Trainer) run(lag *lagSink) {
+	for i, k := 0, t.IterationsPerEpoch(); i < k; i++ {
+		if lag != nil {
+			lag.first = i == 0
+		}
+		Zero(t.sum)
+		for _, w := range t.workers {
+			w.gradientInto(t.cfg.Objective, t.weights, t.cfg.BatchPerWkr, t.grad, lag)
+			Add(t.grad, t.sum)
+		}
+		Axpy(-t.cfg.LearningRate/float64(len(t.workers)), t.sum, t.weights)
 	}
-	return t.grads
-}
-
-// ApplyAggregate applies the sum of worker gradients (dividing by the number
-// of workers to average) with one SGD step.
-func (t *Trainer) ApplyAggregate(sum []float64) {
-	Axpy(-t.cfg.LearningRate/float64(len(t.workers)), sum, t.weights)
-}
-
-// RunIteration performs one full BSP iteration in-memory (gradients +
-// aggregate + step) and is the building block RunEpoch uses. The
-// aggregation reuses the trainer's scratch vector and folds worker
-// gradients in index order, so it allocates nothing and matches the
-// sequential reduction bit for bit.
-func (t *Trainer) RunIteration() {
-	grads := t.WorkerGradients()
-	Zero(t.sum)
-	for _, g := range grads {
-		Add(g, t.sum)
-	}
-	t.ApplyAggregate(t.sum)
+	t.epoch++
 }
 
 // RunEpoch performs one epoch of BSP iterations and returns the full-data
-// training loss at the end of the epoch. This is the engine's steady-state
-// entry point — one call per simulated epoch across every trial — and the
-// whole iteration chain beneath it (WorkerGradients, GradientInto, batch
-// cursoring, aggregation, the epoch-end Loss) is allocation-free
+// training loss at the end of the epoch. Detached engines call it once per
+// simulated epoch, and the whole chain beneath it (worker gradients,
+// batch cursoring, aggregation, the epoch-end Loss) is allocation-free
 // (TestRunEpochZeroAlloc).
 func (t *Trainer) RunEpoch() float64 {
-	k := t.IterationsPerEpoch()
-	for i := 0; i < k; i++ {
-		t.RunIteration()
-	}
-	t.epoch++
+	t.run(nil)
 	return t.Loss()
+}
+
+// RunEpochLagged performs the epoch RunEpoch does, to the same weights bit
+// for bit, but returns the full-data loss at the weights the epoch started
+// from: what Loss returned before the call. It reads the data once where
+// RunEpoch reads it twice: the gradient passes dot each row they gather with
+// the current and the start weights in one dot8x2 call (the first iteration,
+// still at the start weights, reuses its own dots), the rows no batch
+// reached are dotted afterwards, and the rows' terms are summed in row
+// order as Loss sums them. A caller wanting the loss after every epoch runs
+// one epoch ahead. Allocation-free after the first call, which sizes the
+// record (TestRunEpochLaggedZeroAlloc).
+func (t *Trainer) RunEpochLagged() float64 {
+	s := &t.lag
+	if s.v == nil {
+		s.v = make([]float64, len(t.weights))
+		s.dots = make([]float64, t.data.Rows)
+		s.seen = make([]bool, t.data.Rows)
+	}
+	copy(s.v, t.weights)
+	clear(s.seen)
+	t.run(s)
+	return s.loss(t.cfg.Objective, t.data)
+}
+
+// loss dots the rows no batch reached with v, eight at a time, and returns
+// o's loss at v over all of m: the rows' terms summed in row order, as loss
+// sums them.
+func (s *lagSink) loss(o Objective, m *dataset.Matrix) float64 {
+	var b rowBlock
+	var idx [8]int
+	for r := 0; r < m.Rows; {
+		n := 0
+		for ; r < m.Rows && n < len(idx); r++ {
+			if !s.seen[r] {
+				idx[n] = r
+				n++
+			}
+		}
+		if n > 0 {
+			b.gather(s.v, m, idx[:n], nil)
+			for j, i := range idx[:n] {
+				s.dots[i] = b.dot[j]
+			}
+		}
+	}
+	var sum float64
+	for r, d := range s.dots {
+		sum += o.term(d, m.Y[r])
+	}
+	return regularized(sum, m, o.l2(), s.v)
 }
 
 // SkipEpochs advances the epoch counter and every worker's batch cursor by
@@ -444,7 +507,7 @@ func (t *Trainer) SkipEpochs(n int) {
 // Loss returns the average loss over the entire dataset at the current
 // weights.
 func (t *Trainer) Loss() float64 {
-	return t.cfg.Objective.Loss(t.weights, t.data)
+	return loss(t.cfg.Objective, t.weights, t.data)
 }
 
 // Accuracy returns classification accuracy (sign agreement) over the whole

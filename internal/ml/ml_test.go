@@ -26,13 +26,13 @@ func numericalGradient(t *testing.T, obj Objective, m *dataset.Matrix) {
 		idx[i] = i
 	}
 	grad := make([]float64, len(w))
-	obj.Gradient(w, m, idx, grad)
+	gradient(obj, w, m, idx, grad, nil)
 	const h = 1e-6
 	for i := range w {
 		wp, wm := Clone(w), Clone(w)
 		wp[i] += h
 		wm[i] -= h
-		num := (obj.Loss(wp, m) - obj.Loss(wm, m)) / (2 * h)
+		num := (loss(obj, wp, m) - loss(obj, wm, m)) / (2 * h)
 		if math.Abs(num-grad[i]) > 1e-4*(1+math.Abs(num)) {
 			t.Errorf("%s: grad[%d] = %g, numerical %g", obj.Name(), i, grad[i], num)
 		}
@@ -199,22 +199,43 @@ func TestWorkerReshuffles(t *testing.T) {
 	}
 }
 
+// TestWorkerGradientsMatchSequential: the trainer's reduction, one scratch
+// gradient added to the aggregate as each worker finishes, equals computing
+// every worker's (non-zero) gradient into its own buffer first and summing
+// them afterwards, weight for weight over an epoch.
 func TestWorkerGradientsMatchSequential(t *testing.T) {
 	data := binData(400, 6, 0.1, 21)
-	tr, err := NewTrainer(data, Config{Objective: Logistic{}, Workers: 4, BatchPerWkr: 25, LearningRate: 0.1, Seed: 9})
+	cfg := Config{Objective: Logistic{}, Workers: 4, BatchPerWkr: 25, LearningRate: 0.1, Seed: 9}
+	tr, err := NewTrainer(data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grads := tr.WorkerGradients()
-	if len(grads) != 4 {
-		t.Fatalf("got %d gradients", len(grads))
+	tr.RunEpoch()
+
+	seedRng := sim.NewRand(cfg.Seed)
+	var workers []*Worker
+	for i, sh := range data.Partition(cfg.Workers) {
+		workers = append(workers, NewWorker(sh, sim.NewRand(seedRng.Uint64()+uint64(i))))
 	}
-	for i, g := range grads {
-		if len(g) != data.Cols {
-			t.Errorf("gradient %d has %d dims", i, len(g))
+	weights := make([]float64, data.Cols)
+	for it := 0; it < tr.IterationsPerEpoch(); it++ {
+		grads := make([][]float64, len(workers))
+		for i, w := range workers {
+			grads[i] = make([]float64, data.Cols)
+			w.gradientInto(cfg.Objective, weights, cfg.BatchPerWkr, grads[i], nil)
+			if Norm2(grads[i]) == 0 {
+				t.Fatalf("iteration %d: gradient %d is zero", it, i)
+			}
 		}
-		if Norm2(g) == 0 {
-			t.Errorf("gradient %d is zero", i)
+		sum := make([]float64, data.Cols)
+		for _, g := range grads {
+			Add(g, sum)
+		}
+		Axpy(-cfg.LearningRate/float64(len(workers)), sum, weights)
+	}
+	for i, w := range weights {
+		if math.Float64bits(tr.Weights()[i]) != math.Float64bits(w) {
+			t.Fatalf("weight %d: trainer %g, sequential %g", i, tr.Weights()[i], w)
 		}
 	}
 }
@@ -245,7 +266,7 @@ func TestSkipEpochsMatchesRunEpochDraws(t *testing.T) {
 		ran.RunEpoch()
 	}
 	skipped.SkipEpochs(5)
-	if skipped.Epoch() != 5 || skipped.Loss() != ran.cfg.Objective.Loss(make([]float64, data.Cols), data) {
+	if skipped.Epoch() != 5 || skipped.Loss() != loss(ran.cfg.Objective, make([]float64, data.Cols), data) {
 		t.Fatalf("SkipEpochs: epoch %d, or the weights moved", skipped.Epoch())
 	}
 	ran.SetWeights(make([]float64, data.Cols))
@@ -284,11 +305,11 @@ func TestGradientStepReducesLossProperty(t *testing.T) {
 		for i := range w {
 			w[i] = rng.NormFloat64()
 		}
-		before := obj.Loss(w, data)
+		before := loss(obj, w, data)
 		grad := make([]float64, len(w))
-		obj.Gradient(w, data, idx, grad)
+		gradient(obj, w, data, idx, grad, nil)
 		Axpy(-1e-3, grad, w)
-		return obj.Loss(w, data) <= before+1e-12
+		return loss(obj, w, data) <= before+1e-12
 	}, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}

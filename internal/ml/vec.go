@@ -12,10 +12,12 @@ import (
 // chain folds elements in index order, so results are bit-identical to the
 // straightforward implementation and experiment outputs stay stable.
 //
-// The two row kernels the objectives spend their time in, dot8 and axpy4,
-// have an AVX form on amd64 (vec_amd64.s) that keeps every lane's multiply
-// and add in the same order; dot8Go and axpy4Go below are the portable path
-// and the reference the AVX form is tested against bit for bit.
+// The row kernels the objectives spend their time in, dot8, dot8x2 (dot8
+// against two weight vectors in one pass over the rows) and axpy4, have an
+// AVX form on amd64 (vec_amd64.s) that keeps every lane's multiply and add
+// in the same order; dot8Go and axpy4Go below are the portable path and the
+// reference the AVX form is tested against bit for bit (dot8x2's is dot8Go
+// once per weight vector).
 
 // useAVX picks the AVX row kernels on amd64 (cpufeat.AVX); elsewhere it is
 // false and unread. Only tests write it, to run the portable path on an AVX

@@ -10,6 +10,16 @@ func dot8AVX(w *float64, rows *[8]*float64, n int, d *[8]float64)
 //go:noescape
 func dot4AVX(w *float64, rows *[8]*float64, n int, d *[8]float64)
 
+// dot8x2AVX sets d[k] and e[k] to the dot products of w[:n] and v[:n] with
+// rows[k][:n] for k < 8; dot4x2AVX does the same for k < 4 and leaves
+// d[4:] and e[4:] alone. n is a positive multiple of four.
+//
+//go:noescape
+func dot8x2AVX(w, v *float64, rows *[8]*float64, n int, d, e *[8]float64)
+
+//go:noescape
+func dot4x2AVX(w, v *float64, rows *[8]*float64, n int, d, e *[8]float64)
+
 // axpy4AVX computes y[i] += a0*x[0][i] + a1*x[1][i] + a2*x[2][i] +
 // a3*x[3][i], added in that order, for i < n; n is a positive multiple of
 // four.
@@ -42,6 +52,36 @@ func dot8(w []float64, rows *[8][]float64, n int, d *[8]float64) {
 			s += w[i] * r[i]
 		}
 		d[k] = s
+	}
+}
+
+// dot8x2 is dot8 for two weight vectors in one pass over the rows: d[k] =
+// Dot(w, rows[k]) and e[k] = Dot(v, rows[k]) for every k < n, bit for bit,
+// as two dot8Go calls give them. len(v) must equal len(w).
+func dot8x2(w, v []float64, rows *[8][]float64, n int, d, e *[8]float64) {
+	v = v[:len(w)]
+	n4 := len(w) &^ 3
+	if !useAVX || n4 == 0 {
+		dot8Go(w, rows, n, d)
+		dot8Go(v, rows, n, e)
+		return
+	}
+	var p [8]*float64
+	for k, r := range rows {
+		p[k] = &r[:len(w)][0]
+	}
+	if n > 4 {
+		dot8x2AVX(&w[0], &v[0], &p, n4, d, e)
+	} else {
+		dot4x2AVX(&w[0], &v[0], &p, n4, d, e)
+	}
+	for k, r := range rows[:n] {
+		s, t := d[k], e[k]
+		for i := n4; i < len(w); i++ {
+			s += w[i] * r[i]
+			t += v[i] * r[i]
+		}
+		d[k], e[k] = s, t
 	}
 }
 

@@ -86,6 +86,111 @@ loop4:
 	VZEROUPPER
 	RET
 
+// LOADCOLS loads columns DI..DI+3 of the rows at r0..r3 and transposes
+// them through t0..t3, so that c0..c3 hold columns DI..DI+3, lane k from
+// row rk.
+#define LOADCOLS(r0, r1, r2, r3, c0, c1, c2, c3, t0, t1, t2, t3) \
+	VMOVUPD (r0)(DI*8), c0; \
+	VMOVUPD (r1)(DI*8), c1; \
+	VMOVUPD (r2)(DI*8), c2; \
+	VMOVUPD (r3)(DI*8), c3; \
+	VUNPCKLPD c1, c0, t0; \
+	VUNPCKHPD c1, c0, t1; \
+	VUNPCKLPD c3, c2, t2; \
+	VUNPCKHPD c3, c2, t3; \
+	VPERM2F128 $0x20, t2, t0, c0; \
+	VPERM2F128 $0x20, t3, t1, c1; \
+	VPERM2F128 $0x31, t2, t0, c2; \
+	VPERM2F128 $0x31, t3, t1, c3
+
+// COL8 multiplies column DI+off of rows 0-3 (ca) and 4-7 (cb) by broadcasts
+// of w[DI+off] and v[DI+off], and adds the products to the accumulators:
+// Y0 and Y1 for w, Y12 and Y13 for v. Y2, Y11, Y14 and Y15 are scratch.
+#define COL8(off, ca, cb) \
+	VBROADCASTSD off(SI)(DI*8), Y2; \
+	VBROADCASTSD off(R13)(DI*8), Y11; \
+	VMULPD Y2, ca, Y14; \
+	VADDPD Y14, Y0, Y0; \
+	VMULPD Y2, cb, Y15; \
+	VADDPD Y15, Y1, Y1; \
+	VMULPD Y11, ca, Y14; \
+	VADDPD Y14, Y12, Y12; \
+	VMULPD Y11, cb, Y15; \
+	VADDPD Y15, Y13, Y13
+
+// COL4 is COL8 for rows 0-3 alone.
+#define COL4(off, ca) \
+	VBROADCASTSD off(SI)(DI*8), Y2; \
+	VBROADCASTSD off(R13)(DI*8), Y11; \
+	VMULPD Y2, ca, Y14; \
+	VADDPD Y14, Y0, Y0; \
+	VMULPD Y11, ca, Y15; \
+	VADDPD Y15, Y12, Y12
+
+// The two-weight kernels transpose each 4×4 block of rows once, before any
+// multiply, and then multiply every column by both weights: the products
+// are dot8AVX's (IEEE multiplication commutes), added in the same column
+// order into per-row lanes.
+
+// func dot8x2AVX(w, v *float64, rows *[8]*float64, n int, d, e *[8]float64)
+TEXT ·dot8x2AVX(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), SI
+	MOVQ v+8(FP), R13
+	MOVQ rows+16(FP), DI
+	MOVQ n+24(FP), R12
+	LOADROWS
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y12, Y12, Y12
+	VXORPD Y13, Y13, Y13
+
+loop8x2:
+	LOADCOLS(AX, BX, CX, DX, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10)
+	LOADCOLS(R8, R9, R10, R11, Y7, Y8, Y9, Y10, Y2, Y11, Y14, Y15)
+	COL8(0, Y3, Y7)
+	COL8(8, Y4, Y8)
+	COL8(16, Y5, Y9)
+	COL8(24, Y6, Y10)
+	ADDQ $4, DI
+	CMPQ DI, R12
+	JLT  loop8x2
+
+	MOVQ    d+32(FP), DI
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	MOVQ    e+40(FP), DI
+	VMOVUPD Y12, (DI)
+	VMOVUPD Y13, 32(DI)
+	VZEROUPPER
+	RET
+
+// func dot4x2AVX(w, v *float64, rows *[8]*float64, n int, d, e *[8]float64)
+TEXT ·dot4x2AVX(SB), NOSPLIT, $0-48
+	MOVQ w+0(FP), SI
+	MOVQ v+8(FP), R13
+	MOVQ rows+16(FP), DI
+	MOVQ n+24(FP), R12
+	LOADROWS
+	VXORPD Y0, Y0, Y0
+	VXORPD Y12, Y12, Y12
+
+loop4x2:
+	LOADCOLS(AX, BX, CX, DX, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10)
+	COL4(0, Y3)
+	COL4(8, Y4)
+	COL4(16, Y5)
+	COL4(24, Y6)
+	ADDQ $4, DI
+	CMPQ DI, R12
+	JLT  loop4x2
+
+	MOVQ    d+32(FP), DI
+	VMOVUPD Y0, (DI)
+	MOVQ    e+40(FP), DI
+	VMOVUPD Y12, (DI)
+	VZEROUPPER
+	RET
+
 // func axpy4AVX(a0, a1, a2, a3 float64, x *[4]*float64, y *float64, n int)
 TEXT ·axpy4AVX(SB), NOSPLIT, $0-56
 	VBROADCASTSD a0+0(FP), Y0

@@ -1,8 +1,10 @@
 package ml
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/sim"
 )
 
@@ -95,7 +97,7 @@ func TestShuffleStreamDeterministicAcrossReshuffles(t *testing.T) {
 }
 
 // TestGradientMatchesGradientInto: the scratch-returning Gradient and the
-// caller-owned-buffer GradientInto produce identical vectors when driven by
+// caller-owned-buffer gradientInto produce identical vectors when driven by
 // identical batch streams.
 func TestGradientMatchesGradientInto(t *testing.T) {
 	shard := binData(120, 8, 0.1, 11)
@@ -110,10 +112,10 @@ func TestGradientMatchesGradientInto(t *testing.T) {
 	dst := make([]float64, shard.Cols)
 	for iter := 0; iter < 6; iter++ {
 		g := w1.Gradient(obj, wvec, 30)
-		w2.GradientInto(obj, wvec, 30, dst)
+		w2.gradientInto(obj, wvec, 30, dst, nil)
 		for i := range g {
 			if g[i] != dst[i] {
-				t.Fatalf("iter %d: Gradient and GradientInto differ at dim %d: %g vs %g", iter, i, g[i], dst[i])
+				t.Fatalf("iter %d: Gradient and gradientInto differ at dim %d: %g vs %g", iter, i, g[i], dst[i])
 			}
 		}
 	}
@@ -166,12 +168,12 @@ func TestRunEpochMatchesNaiveReference(t *testing.T) {
 			sum := make([]float64, data.Cols)
 			for _, w := range workers {
 				g := make([]float64, data.Cols)
-				w.GradientInto(cfg.Objective, weights, cfg.BatchPerWkr, g)
+				w.gradientInto(cfg.Objective, weights, cfg.BatchPerWkr, g, nil)
 				Add(g, sum)
 			}
 			Axpy(-cfg.LearningRate/float64(cfg.Workers), sum, weights)
 		}
-		return cfg.Objective.Loss(weights, data)
+		return loss(cfg.Objective, weights, data)
 	}
 
 	for e := 0; e < 5; e++ {
@@ -197,6 +199,60 @@ func TestRunEpochZeroAlloc(t *testing.T) {
 		tr.RunEpoch() // the first epoch sizes the gradient and aggregate buffers
 		if n := testing.AllocsPerRun(20, func() { tr.RunEpoch() }); n != 0 {
 			t.Errorf("%s: RunEpoch allocates %.1f times per epoch, want 0", obj.Name(), n)
+		}
+	}
+}
+
+// TestRunEpochLaggedMatchesLossAndRunEpoch: the lagged epoch returns Loss at
+// the weights it started from and leaves the weights RunEpoch leaves, both
+// bit for bit, for every objective with and without L2. 1003×27 on 5
+// workers has a column tail (27 % 4 = 3) and ragged shards (201, 201, 201,
+// 200, 200): at batch 37 each shard leaves 15 or 16 rows unbatched per
+// epoch, at batch 67 a 201-row shard reshuffles inside every other epoch and
+// may draw a row twice, and batch 0 takes whole shards.
+func TestRunEpochLaggedMatchesLossAndRunEpoch(t *testing.T) {
+	bin := binData(1003, 27, 0.1, 31)
+	reg := dataset.GenerateRegression(sim.NewRand(32), dataset.GenConfig{Samples: 1003, Features: 27, NoiseStd: 1})
+	for _, l2 := range []float64{0, 1e-4} {
+		for _, c := range []struct {
+			obj Objective
+			m   *dataset.Matrix
+		}{{Logistic{l2}, bin}, {Hinge{l2}, bin}, {Squared{l2}, reg}} {
+			for _, batch := range []int{37, 67, 0} {
+				cfg := Config{Objective: c.obj, Workers: 5, BatchPerWkr: batch, LearningRate: 0.05, Seed: 43}
+				plain, _ := NewTrainer(c.m, cfg)
+				lagged, _ := NewTrainer(c.m, cfg)
+				for e := 0; e < 6; e++ {
+					want := plain.Loss()
+					plain.RunEpoch()
+					if got := lagged.RunEpochLagged(); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s l2=%g batch %d epoch %d: lagged loss %x, Loss at the start %x",
+							c.obj.Name(), l2, batch, e, math.Float64bits(got), math.Float64bits(want))
+					}
+					for i, w := range plain.Weights() {
+						if math.Float64bits(lagged.Weights()[i]) != math.Float64bits(w) {
+							t.Fatalf("%s l2=%g batch %d epoch %d: weight %d differs from RunEpoch's", c.obj.Name(), l2, batch, e, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunEpochLaggedZeroAlloc: once its first call has sized the record, a
+// lagged epoch (the two-weight gradient passes, the unbatched rows' dots and
+// the loss sum) does not touch the heap under any Objective.
+func TestRunEpochLaggedZeroAlloc(t *testing.T) {
+	data := binData(600, 16, 0.15, 17)
+	for _, obj := range []Objective{Logistic{L2: 1e-4}, Hinge{L2: 1e-4}, Squared{L2: 1e-4}} {
+		tr, err := NewTrainer(data, Config{Objective: obj, Workers: 4, BatchPerWkr: 37, LearningRate: 0.05, Seed: 41})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.RunEpochLagged()
+		if n := testing.AllocsPerRun(20, func() { tr.RunEpochLagged() }); n != 0 {
+			t.Errorf("%s: RunEpochLagged allocates %.1f times per epoch, want 0", obj.Name(), n)
 		}
 	}
 }

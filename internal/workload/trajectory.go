@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/dataset"
@@ -25,14 +26,18 @@ type trajKey struct {
 }
 
 // trajectory is the append-only record of one key's SGD run: entry e holds
-// the loss and the weights after e epochs.
+// the loss and the weights after e epochs. The trainer runs one epoch ahead
+// of the losses: a lagged epoch (ml.Trainer.RunEpochLagged) from entry e's
+// weights returns entry e's loss and leaves entry e+1's weights, so the
+// record always holds one more weight entry than losses, and a trajectory
+// trains one speculative epoch past the last loss any cursor read.
 type trajectory struct {
 	key      trajKey
 	data     *dataset.Matrix // generated from key; read-only
 	retained int             // floats charged to trajectories.floats, under its lock
 
 	mu      sync.Mutex
-	trainer *ml.Trainer // has run len(loss)-1 epochs once entry 0 exists
+	trainer *ml.Trainer // has run len(loss) epochs
 	loss    []float64
 	weights []float64 // entry e at [e*Cols, (e+1)*Cols): one flat backing slice
 }
@@ -80,9 +85,11 @@ func trajectoryFor(task dataset.Task, gen dataset.GenConfig, cfg ml.Config) (*tr
 	if prev, ok := trajectories.m[key]; ok {
 		return prev, nil
 	}
-	// The pinned matrix counts as retained; the constructor's read of entry
-	// 0 is the first charge and evicts for it.
-	t = &trajectory{key: key, data: data, trainer: tr, retained: len(data.X) + len(data.Y)}
+	// The pinned matrix and entry 0's weights (the untrained model) count as
+	// retained; the constructor's read of entry 0 is the first charge and
+	// evicts for it.
+	w0 := slices.Clone(tr.Weights())
+	t = &trajectory{key: key, data: data, trainer: tr, weights: w0, retained: len(data.X) + len(data.Y) + len(w0)}
 	trajectories.m[key] = t
 	trajectories.order = append(trajectories.order, key)
 	trajectories.floats += t.retained
@@ -90,20 +97,16 @@ func trajectoryFor(task dataset.Task, gen dataset.GenConfig, cfg ml.Config) (*tr
 }
 
 // at returns the loss and weights after epoch e, training up to it first if
-// no cursor has been that far. Entries are written once, under the lock, so
-// the returned view stays constant after it (growth reallocates, never rewrites).
+// no cursor has been that far: each lagged epoch records the loss of the
+// last weight entry and the weights of the next. Entries are written once,
+// under the lock, so the returned view stays constant after it (growth
+// reallocates, never rewrites).
 func (t *trajectory) at(e int) (float64, []float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cols := t.data.Cols
 	for len(t.loss) <= e {
-		var loss float64
-		if len(t.loss) == 0 {
-			loss = t.trainer.Loss() // entry 0: the untrained model
-		} else {
-			loss = t.trainer.RunEpoch()
-		}
-		t.loss = append(t.loss, loss)
+		t.loss = append(t.loss, t.trainer.RunEpochLagged())
 		t.weights = append(t.weights, t.trainer.Weights()...)
 		t.charge(1 + cols)
 	}

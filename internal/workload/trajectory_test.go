@@ -98,9 +98,14 @@ func TestRealModelsBuildRealEngines(t *testing.T) {
 	}
 }
 
+// TestSharedCursorMatchesPrivateTrainer walks two cursors of one trajectory
+// 120 epochs (fig15 reads 96) against private trainers. Beside engineRows it
+// runs 1003 rows, whose batch of 25 on 8 workers leaves a row of each
+// 126-row shard unbatched every epoch: the trajectory's lagged epochs must
+// still give every row's loss term.
 func TestSharedCursorMatchesPrivateTrainer(t *testing.T) {
 	for _, m := range realModels(t) {
-		for _, rows := range engineRows {
+		for _, rows := range append(engineRows, 1003) {
 			first := newReal(t, m, rows, 21)
 			second := newReal(t, m, rows, 21) // walks what first recorded
 			if first.traj != second.traj {
@@ -111,7 +116,7 @@ func TestSharedCursorMatchesPrivateTrainer(t *testing.T) {
 				if !sameBits(e.AppendSnapshot(nil), ref.snapshot()) {
 					t.Fatalf("%s rows %d: initial snapshot differs", m.Name, rows)
 				}
-				for ep := 1; ep <= 30; ep++ {
+				for ep := 1; ep <= 120; ep++ {
 					if !ref.step(e) {
 						t.Fatalf("%s rows %d: epoch %d differs from a private trainer", m.Name, rows, ep)
 					}
