@@ -51,7 +51,10 @@ func TestRejectsBadInput(t *testing.T) {
 		{[]string{"-trace-out", filepath.Join(missing, "x.jsonl"), "tab1"}, 1},
 		{[]string{"-metrics-out", filepath.Join(missing, "m.json"), "tab1"}, 1},
 		// A rate Config.Validate accepts, but one tenant's LogNormal draw takes to +Inf.
-		{[]string{"-traffic-rate", "1.7e308", "-traffic-horizon", "1e-300", "macro-trace"}, 1},
+		{[]string{"-traffic-kind", "poisson", "-traffic-rate", "1.7e308", "-traffic-horizon", "1e-300", "macro-trace"}, 1},
+		// A finite rate whose diurnal peak overflows: refused before any work,
+		// since a cursor at an infinite peak rate never advances.
+		{[]string{"-traffic-kind", "diurnal", "-traffic-rate", "1e308", "-traffic-tenants", "2", "macro-trace"}, 2},
 	} {
 		stdout, stderr, exit := cebench(t, bad.args...)
 		if exit != bad.exit || stdout != "" {

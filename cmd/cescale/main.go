@@ -29,6 +29,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/planner"
 	"repro/internal/predictor"
+	"repro/internal/scheduler"
 	"repro/internal/trainer"
 	"repro/internal/workload"
 )
@@ -235,7 +236,7 @@ func main() {
 		out := trainJSON{
 			Model: w.Name, Constraint: constraintString(*budget, *qos),
 			OfflineEpochs: est, InitialAlloc: toAllocJSON(fw.Pareto[best].Alloc),
-			Delta: 0.1, DelayedRestart: true, ParetoCandidates: len(fw.Pareto),
+			Delta: scheduler.DefaultDelta, DelayedRestart: true, ParetoCandidates: len(fw.Pareto),
 		}
 		if err := enc.Encode(out); err != nil {
 			fatal(err)

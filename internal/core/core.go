@@ -56,7 +56,7 @@ type Framework struct {
 	Frontier *cost.Frontier
 
 	// shared holds the online loss histories of every Session: the sessions
-	// replay one loss sequence, so each history is fitted once.
+	// replay one loss sequence, so each history is fitted and predicted once.
 	shared *predictor.Shared
 }
 
@@ -72,7 +72,8 @@ func NewWithGrid(w *workload.Model, g cost.Grid) *Framework {
 
 // WithGrid profiles f's workload over another grid. The two frameworks share
 // one history tree: their sessions replay the same loss sequences whatever
-// the allocation space, so each history is fitted once for both.
+// the allocation space, so each history is fitted and predicted once for
+// both.
 func (f *Framework) WithGrid(g cost.Grid) *Framework {
 	return profile(f.Workload, g, f.shared)
 }

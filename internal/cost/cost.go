@@ -42,21 +42,13 @@ func (a Allocation) String() string {
 // live in a dense per-grid table (one map probe + slice index per lookup),
 // which the first Enumerate/ParetoSet/ParetoFrontier call takes from the
 // process-wide intern, where models of equal configuration share it; an
-// off-grid allocation is simply computed (~150 ns). The tables
-// assume the model is configured once and then treated as immutable: mutate
-// StragglerSigma only before the first estimate call. The tables are safe
-// for concurrent readers. Prices, the account limits, the cold start and
-// B_S3 are the simulated cloud's one calibration: pricing's list prices,
-// faas.DefaultLimits, faas.ColdStartEstimate and storage.LoadMBps.
+// off-grid allocation is simply computed (~150 ns). The tables are safe
+// for concurrent readers. Prices, the account limits, the straggler noise,
+// the cold start and B_S3 are the simulated cloud's one calibration:
+// pricing's list prices, faas.MaxConcurrency and the memory bounds,
+// faas.StragglerSigma, faas.ColdStartEstimate and storage.LoadMBps.
 type Model struct {
 	Workload *workload.Model
-
-	// StragglerSigma is the per-function log-normal compute-noise sigma the
-	// model assumes when estimating the BSP barrier penalty (matching
-	// trainer.DefaultNoise); the epoch waits for the slowest of n
-	// functions, so expected compute time inflates with n. Zero disables
-	// the correction.
-	StragglerSigma float64
 
 	services map[storage.Kind]*storage.Service
 
@@ -93,8 +85,7 @@ func (m *Model) computeEpochEst(a Allocation) epochEst {
 
 // NewModel returns an analytic model for w.
 func NewModel(w *workload.Model) *Model {
-	m := &Model{Workload: w, StragglerSigma: 0.05,
-		services: make(map[storage.Kind]*storage.Service)}
+	m := &Model{Workload: w, services: make(map[storage.Kind]*storage.Service)}
 	for _, k := range storage.ExtendedKinds() {
 		m.services[k] = storage.New(k)
 	}
@@ -109,11 +100,10 @@ func (m *Model) Service(kind storage.Kind) *storage.Service { return m.services[
 // accept the model size, and the function count must fit the concurrency
 // cap.
 func (m *Model) Feasible(a Allocation) bool {
-	limits := faas.DefaultLimits()
-	if a.N < 1 || a.N > limits.MaxConcurrency {
+	if a.N < 1 || a.N > faas.MaxConcurrency {
 		return false
 	}
-	if limits.ValidateMemory(a.MemMB) != nil {
+	if faas.ValidateMemory(a.MemMB) != nil {
 		return false
 	}
 	if !m.Workload.Feasible(a.N, a.MemMB) {
@@ -139,16 +129,18 @@ func (m *Model) LoadTime(a Allocation) float64 {
 // slowest of n functions).
 func (m *Model) ComputeTime(a Allocation) float64 {
 	base := m.Workload.Dataset.PartitionSizeMB(a.N) * m.Workload.U(a.MemMB)
-	return base * m.stragglerFactor(a.N)
+	return base * stragglerFactor(a.N)
 }
 
 // stragglerFactor approximates E[max of n lognormal(0, sigma)] as
-// exp(sigma * sqrt(2 ln n)).
-func (m *Model) stragglerFactor(n int) float64 {
-	if m.StragglerSigma <= 0 || n <= 1 {
+// exp(sigma * sqrt(2 ln n)), with sigma the faas.StragglerSigma the trainer
+// draws with: the epoch waits for the slowest of n functions, so expected
+// compute time inflates with n.
+func stragglerFactor(n int) float64 {
+	if n <= 1 {
 		return 1
 	}
-	return math.Exp(m.StragglerSigma * math.Sqrt(2*math.Log(float64(n))))
+	return math.Exp(faas.StragglerSigma * math.Sqrt(2*math.Log(float64(n))))
 }
 
 // SyncTime returns the per-epoch parameter synchronization time:

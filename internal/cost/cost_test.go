@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/faas"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -46,16 +47,14 @@ func TestEpochTimeComponents(t *testing.T) {
 	}
 	// Compute: partition (D/10) at UBase (1 vCPU at 1769MB), inflated by
 	// the expected straggler penalty for n=10.
-	straggler := math.Exp(m.StragglerSigma * math.Sqrt(2*math.Log(10)))
+	straggler := math.Exp(faas.StragglerSigma * math.Sqrt(2*math.Log(10)))
 	wantCompute := m.Workload.Dataset.SizeMB / 10 * m.Workload.UBase * straggler
 	if got := m.ComputeTime(a); math.Abs(got-wantCompute) > 1e-9 {
 		t.Errorf("ComputeTime = %g, want %g", got, wantCompute)
 	}
-	// Disabling the correction recovers the bare Eq. 2 term. (A fresh model:
-	// Model embeds its table cache and must not be copied.)
-	noStrag := lrModel()
-	noStrag.StragglerSigma = 0
-	if got, want := noStrag.ComputeTime(a), m.Workload.Dataset.SizeMB/10*m.Workload.UBase; math.Abs(got-want) > 1e-9 {
+	// A single function waits for no straggler: the bare Eq. 2 term.
+	one := Allocation{N: 1, MemMB: 1769, Storage: storage.S3}
+	if got, want := m.ComputeTime(one), m.Workload.Dataset.SizeMB*m.Workload.UBase; math.Abs(got-want) > 1e-9 {
 		t.Errorf("bare ComputeTime = %g, want %g", got, want)
 	}
 	// Sync: 110 iterations of the S3 (3n-2) pattern.

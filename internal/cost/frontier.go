@@ -8,7 +8,7 @@ import (
 // Frontier is an immutable, shared view of a Pareto boundary: points in
 // strictly ascending Time and strictly descending Cost order (the sweep in
 // Pareto collapses time ties, so both orders are strict by construction).
-// Frontiers are interned with their grid table per (workload, noise, grid)
+// Frontiers are interned with their grid table per (workload, grid)
 // signature — ten thousand tenants running
 // the same model class hold the same *Frontier instead of ten thousand
 // defensive copies — so the backing points must never be mutated. Callers
@@ -39,7 +39,7 @@ func (f *Frontier) Points() []Point {
 	return f.pts
 }
 
-// tableIntern maps (model signature, grid signature) to the one shared
+// tableIntern maps (workload signature, grid signature) to the one shared
 // *gridTable for that configuration, across all Model instances: equal
 // signatures give bit-identical estimates, so the table and the frontier it
 // carries are built once per process.
@@ -83,11 +83,12 @@ func gridsEqual(a, b Grid) bool {
 }
 
 // signature is the deterministic identity of this model's analytic
-// configuration: two models with equal signatures produce bit-identical
-// estimates, so they may share interned tables. All referenced structs
-// are scalar-only (no maps, no pointers), so %+v is stable.
+// configuration, which is its workload alone: two models of equal workloads
+// produce bit-identical estimates, so they may share interned tables. All
+// referenced structs are scalar-only (no maps, no pointers), so %+v is
+// stable.
 func (m *Model) signature() string {
-	return fmt.Sprintf("%+v|%g", *m.Workload, m.StragglerSigma)
+	return fmt.Sprintf("%+v", *m.Workload)
 }
 
 // ensureTable returns the dense table for g: from the model's own list, else

@@ -26,16 +26,17 @@ func TestFrontierInterned(t *testing.T) {
 	if f3 == f1 {
 		t.Error("different workloads must not share a frontier")
 	}
-	// A StragglerSigma changed before first use gives the model its own
-	// table, holding its own estimates.
-	m := NewModel(workload.MobileNet())
-	m.StragglerSigma = 0.2
+	// A workload that differs in one calibration value gives its model its
+	// own table, holding its own estimates.
+	w := *workload.MobileNet()
+	w.UBase *= 2
+	m := NewModel(&w)
 	if m.ParetoFrontier(g) == f1 || m.ensureTable(g) == m1.ensureTable(g) {
-		t.Error("a model with another StragglerSigma must not share a table or frontier")
+		t.Error("a model of another workload configuration must not share a table or frontier")
 	}
 	a := m.ParetoFrontier(g).At(0).Alloc
 	if m.EpochTime(a) != uncachedEpochTime(m, a) {
-		t.Error("a model with another StragglerSigma reads estimates it did not compute")
+		t.Error("a model of another workload configuration reads estimates it did not compute")
 	}
 	// Repeated calls on one model return the same instance (no rebuild).
 	m3 := NewModel(workload.MobileNet())

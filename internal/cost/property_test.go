@@ -47,13 +47,12 @@ func TestJobTimeCostMonotoneInEpochs(t *testing.T) {
 
 // TestStragglerFactorMonotone: the BSP barrier penalty grows with n.
 func TestStragglerFactorMonotone(t *testing.T) {
-	m := NewModel(workload.LRHiggs())
-	prev := m.stragglerFactor(1)
+	prev := stragglerFactor(1)
 	if prev != 1 {
 		t.Fatalf("stragglerFactor(1) = %g, want 1", prev)
 	}
 	for _, n := range []int{2, 5, 10, 50, 200, 1000} {
-		f := m.stragglerFactor(n)
+		f := stragglerFactor(n)
 		if f <= prev || f > 1.5 {
 			t.Fatalf("stragglerFactor(%d) = %g, want in (%g, 1.5]", n, f, prev)
 		}

@@ -288,7 +288,7 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 	meter := ac.plat.Meter()
 	tab.Notes = fmt.Sprintf(
 		"%d tenants x %d model classes on one shared account (concurrency cap %d, denials=%d, account compute $%.2f); each class shares one interned Pareto frontier; controllers run the fleet tuning (window %d, warm start, refit budget %d); decisions=%d; events=%d",
-		tenants, len(classes), ac.plat.Limits().MaxConcurrency, ac.retries+ac.denials, meter.Total(),
+		tenants, len(classes), ac.plat.Cap(), ac.retries+ac.denials, meter.Total(),
 		fleetTuning.FixedWindow, fleetTuning.RefitBudget, decisions, h.s.EventsFired())
 	return tab, h, nil
 }

@@ -75,8 +75,9 @@ func (c Config) traffic() (traffic.Config, error) {
 }
 
 // Validate rejects configurations no scenario can run: negative counts, a
-// non-finite or negative rate or horizon, an unknown arrival kind, or kind
-// "trace" without trace rows.
+// non-finite or negative rate or horizon, an unknown arrival kind, kind
+// "trace" without trace rows, or a base traffic config that
+// traffic.Config.Validate refuses (a rate whose peak overflows, say).
 func (c Config) Validate() error {
 	for _, n := range []struct {
 		name string
@@ -147,9 +148,7 @@ func (h *harness) scope(name string) *obs.Observer { return h.collector.Scope(na
 // functions, owned by kernel shard `shard`, drawing startup jitter from its
 // own stream and observed under name.
 func (h *harness) platform(name string, shard, capacity int) *faas.Platform {
-	limits := faas.DefaultLimits()
-	limits.MaxConcurrency = capacity
-	p := faas.NewOnShard(h.s.Shard(shard), "faas.startup/"+name, limits)
+	p := faas.NewOnShard(h.s.Shard(shard), "faas.startup/"+name, capacity)
 	p.SetObserver(h.scope(name))
 	h.plats = append(h.plats, p)
 	return p
@@ -415,7 +414,6 @@ type openTenant struct {
 	ckpt      *storage.Faulty // private error gate over the shared store
 	ckptKey   []byte          // "<namespace>ckpt/", with room to append the checkpoint number
 	ckptEvery uint64          // checkpoint cadence, in completions
-	retry     fault.RetryPolicy
 
 	perTenant int
 	arrived   int     // arrivals handled; the pending arrival's index
@@ -453,7 +451,7 @@ func (h *harness) openFleet(tenants, perTenant int, ckptEvery uint64) (fleet []*
 			h: h, id: t, memMB: 512 << (t % 3), plat: plat, sh: plat.Shard(),
 			arr: h.s.Stream(name + "/arrivals"), svc: h.s.Stream(name + "/service"), rty: h.s.Stream(name + "/retry"),
 			ckpt: storage.NewFaulty(h.store), ckptKey: append(make([]byte, 0, 64), name+"/ckpt/"...),
-			ckptEvery: ckptEvery, retry: fault.DefaultRetryPolicy(),
+			ckptEvery: ckptEvery,
 			perTenant: perTenant, phase: 2 * math.Pi * float64(t) / float64(tenants), strag: 1,
 		}
 		tn.g0 = diurnalAmp * math.Cos(tn.phase)
@@ -614,7 +612,7 @@ func (tn *openTenant) kill(n int) {
 // the serving path must degrade gracefully, never abort.
 func (tn *openTenant) checkpoint(service float64) {
 	key := string(strconv.AppendUint(tn.ckptKey, tn.completed/tn.ckptEvery, 10))
-	for attempt := 0; attempt < tn.retry.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < fault.MaxAttempts; attempt++ {
 		if err := tn.ckpt.TryPut(key, []float64{float64(tn.completed), service}); err == nil {
 			return
 		}

@@ -572,7 +572,7 @@ func TestSortedTrafficRidesLanes(t *testing.T) {
 		if total.Fallbacks*1000 > total.LanePushes {
 			t.Errorf("%s: %d of %d lane pushes fell back to the heap, want <= 0.1 %%", sc.name, total.Fallbacks, total.LanePushes)
 		}
-		account, capacity := h.s.Shard(0).QueueStats(), h.plats[0].Limits().MaxConcurrency
+		account, capacity := h.s.Shard(0).QueueStats(), h.plats[0].Cap()
 		if account.DeadPops != 0 || account.HeapPeak >= capacity {
 			t.Errorf("%s: the account shard popped %d dead entries and its heap peaked at %d entries under a concurrency cap of %d; want 0 and fewer",
 				sc.name, account.DeadPops, account.HeapPeak, capacity)
@@ -646,7 +646,7 @@ func TestFleetCapAdmitsEveryFrontierGroup(t *testing.T) {
 		t.Fatalf("no dropped column in %v", tab.Headers)
 	}
 	if got := tab.Rows[len(tab.Rows)-1][col]; got != "0" {
-		t.Errorf("dropped = %s with the account cap at %d, want 0: %s", got, h.plats[0].Limits().MaxConcurrency, tab.Notes)
+		t.Errorf("dropped = %s with the account cap at %d, want 0: %s", got, h.plats[0].Cap(), tab.Notes)
 	}
 	if !strings.Contains(tab.Notes, "denials=0") {
 		t.Errorf("a lone tenant was refused: %s", tab.Notes)

@@ -10,9 +10,9 @@
 // mirrors how a scheduler perceives AWS Lambda: it can only observe start
 // latency, duration and the resulting bill.
 //
-// The start-up latencies are the package's constants and the bill is at
-// pricing's list prices; the one value an account is built with is its
-// Limits, which a harness sizes per scenario.
+// The start-up latencies and the account limits are the package's constants
+// and the bill is at pricing's list prices; the one value an account is
+// built with is its concurrency cap, which a harness sizes per scenario.
 package faas
 
 import (
@@ -25,27 +25,23 @@ import (
 	"repro/internal/sim"
 )
 
-// Limits captures the platform's account limits (AWS Lambda defaults).
-type Limits struct {
-	MinMemoryMB    int // smallest allocatable function memory
-	MaxMemoryMB    int // largest allocatable function memory
-	MaxConcurrency int // account-level concurrent execution cap
-}
-
-// DefaultLimits returns AWS Lambda's published limits: 128–10240 MB memory,
+// AWS Lambda's published account limits: 128–10240 MB of function memory,
 // 3000 burst concurrency.
-func DefaultLimits() Limits {
-	return Limits{
-		MinMemoryMB:    128,
-		MaxMemoryMB:    10240,
-		MaxConcurrency: 3000,
-	}
-}
+const (
+	MinMemoryMB    = 128   // smallest allocatable function memory
+	MaxMemoryMB    = 10240 // largest allocatable function memory
+	MaxConcurrency = 3000  // default account-level concurrent execution cap
+)
+
+// StragglerSigma is the per-function log-normal sigma of compute time: the
+// noise the trainer draws a BSP epoch's slowest function from, and the
+// penalty cost's Eq. 2 compute term assumes for it.
+const StragglerSigma = 0.05
 
 // ValidateMemory reports whether memMB is an allocatable function size.
-func (l Limits) ValidateMemory(memMB int) error {
-	if memMB < l.MinMemoryMB || memMB > l.MaxMemoryMB {
-		return fmt.Errorf("faas: memory %d MB outside [%d, %d]", memMB, l.MinMemoryMB, l.MaxMemoryMB)
+func ValidateMemory(memMB int) error {
+	if memMB < MinMemoryMB || memMB > MaxMemoryMB {
+		return fmt.Errorf("faas: memory %d MB outside [%d, %d]", memMB, MinMemoryMB, MaxMemoryMB)
 	}
 	return nil
 }
@@ -69,7 +65,7 @@ func ColdStartEstimate(memMB int) float64 {
 // ErrConcurrencyExceeded is returned, bare, when an invocation would exceed
 // the account concurrency cap. Open-loop callers are refused more often than
 // admitted and only test the error, so a denial formats nothing; a caller
-// that reports it adds the numbers (InFlight, Limits().MaxConcurrency, n).
+// that reports it adds the numbers (InFlight, Cap, n).
 var ErrConcurrencyExceeded = errors.New("faas: concurrency limit exceeded")
 
 // WarmTTL is how long, in seconds, an idle sandbox stays warm before the
@@ -93,12 +89,12 @@ func (m *Meter) Total() float64 { return m.InvokeCost + m.ComputeCost }
 // A Platform is owned by one kernel shard: its clock, its reclaim events and
 // its startup-jitter stream all live on that shard, so independent accounts
 // (one per tenant) placed on different shards can advance concurrently
-// inside the kernel's lookahead windows. The default constructors bind the
-// main shard, which preserves the historical single-queue behavior exactly.
+// inside the kernel's lookahead windows. NewDefault binds the main shard,
+// which preserves the historical single-queue behavior exactly.
 type Platform struct {
-	sh     *sim.Shard
-	rng    *sim.Rand // startup-jitter stream, captured at construction
-	limits Limits
+	sh  *sim.Shard
+	rng *sim.Rand // startup-jitter stream, captured at construction
+	cap int       // account concurrency cap
 
 	inFlight     int
 	peakInFlight int
@@ -113,31 +109,28 @@ type Platform struct {
 	coldSpike float64
 }
 
-// New returns a platform bound to the simulation's main shard, drawing
-// startup jitter from the "faas.startup" stream (the historical wiring).
-func New(s *sim.Simulation, limits Limits) *Platform {
-	return NewOnShard(s.Main(), "faas.startup", limits)
+// NewOnShard returns a platform owned by the given kernel shard, admitting
+// at most cap concurrent functions and drawing startup jitter from the
+// named stream. Per-tenant accounts use one shard and one distinct stream
+// name each, so every tenant's jitter sequence is independent of how many
+// other tenants exist and of the shard layout.
+func NewOnShard(sh *sim.Shard, randStream string, cap int) *Platform {
+	return &Platform{sh: sh, rng: sh.Rand(randStream), cap: cap}
 }
 
-// NewOnShard returns a platform owned by the given kernel shard, drawing
-// startup jitter from the named stream. Per-tenant accounts use one shard
-// and one distinct stream name each, so every tenant's jitter sequence is
-// independent of how many other tenants exist and of the shard layout.
-func NewOnShard(sh *sim.Shard, randStream string, limits Limits) *Platform {
-	return &Platform{sh: sh, rng: sh.Rand(randStream), limits: limits}
-}
-
-// NewDefault returns a platform with the default limits.
+// NewDefault returns a platform with the MaxConcurrency cap, bound to the
+// simulation's main shard and drawing startup jitter from the
+// "faas.startup" stream.
 func NewDefault(s *sim.Simulation) *Platform {
-	return New(s, DefaultLimits())
+	return NewOnShard(s.Main(), "faas.startup", MaxConcurrency)
 }
 
 // SetObserver attaches an observability sink. Events are stamped with the
 // simulation clock; a nil observer (the default) disables recording.
 func (p *Platform) SetObserver(o *obs.Observer) { p.obs = o }
 
-// Limits returns the platform's account limits.
-func (p *Platform) Limits() Limits { return p.limits }
+// Cap returns the account's concurrency cap.
+func (p *Platform) Cap() int { return p.cap }
 
 // Shard returns the kernel shard that owns this platform's clock and
 // events.
@@ -185,10 +178,10 @@ func (p *Platform) InvokeGroup(n, memMB int) (GroupStart, error) {
 	if n <= 0 {
 		return GroupStart{}, fmt.Errorf("faas: InvokeGroup with n=%d", n)
 	}
-	if err := p.limits.ValidateMemory(memMB); err != nil {
+	if err := ValidateMemory(memMB); err != nil {
 		return GroupStart{}, err
 	}
-	if p.inFlight+n > p.limits.MaxConcurrency {
+	if p.inFlight+n > p.cap {
 		return GroupStart{}, ErrConcurrencyExceeded
 	}
 	p.inFlight += n
@@ -225,7 +218,7 @@ func (p *Platform) InvokeGroup(n, memMB int) (GroupStart, error) {
 		if n > 1 {
 			p.obs.Trace().InstantAt(float64(p.sh.Now()), "faas", "faas", "invoke_group",
 				obs.I("n", n), obs.I("mem_mb", memMB), obs.I("cold", g.Cold),
-				obs.I("in_flight", p.inFlight), obs.I("cap", p.limits.MaxConcurrency))
+				obs.I("in_flight", p.inFlight), obs.I("cap", p.cap))
 		}
 	}
 	return g, nil

@@ -26,17 +26,16 @@ func warmUp(t testing.TB, p *Platform, n, memMB int) {
 }
 
 func TestValidateMemory(t *testing.T) {
-	l := DefaultLimits()
-	if err := l.ValidateMemory(128); err != nil {
+	if err := ValidateMemory(128); err != nil {
 		t.Errorf("128MB should be valid: %v", err)
 	}
-	if err := l.ValidateMemory(10240); err != nil {
+	if err := ValidateMemory(10240); err != nil {
 		t.Errorf("10240MB should be valid: %v", err)
 	}
-	if err := l.ValidateMemory(64); err == nil {
+	if err := ValidateMemory(64); err == nil {
 		t.Error("64MB should be rejected")
 	}
-	if err := l.ValidateMemory(20480); err == nil {
+	if err := ValidateMemory(20480); err == nil {
 		t.Error("20480MB should be rejected")
 	}
 }
@@ -230,7 +229,7 @@ func TestInvocationAccountingProperty(t *testing.T) {
 	if err := quick.Check(func(raw uint8) bool {
 		n := int(raw%20) + 1
 		if _, err := p.InvokeGroup(n, 1769); err != nil {
-			return p.InFlight()+n > p.Limits().MaxConcurrency
+			return p.InFlight()+n > p.Cap()
 		}
 		p.ReleaseGroup(n, 1769, 1)
 		return p.InFlight() >= 0

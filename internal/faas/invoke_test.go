@@ -8,8 +8,7 @@ import (
 )
 
 func newTestPlatform(seed uint64) *Platform {
-	s := sim.New(seed)
-	return New(s, DefaultLimits())
+	return NewDefault(sim.New(seed))
 }
 
 // TestGroupStartFoldsItsMembers: the summary InvokeGroup returns is the
@@ -46,9 +45,7 @@ func TestGroupStartFoldsItsMembers(t *testing.T) {
 // allocates nothing: open-loop tenants are refused more often than they are
 // admitted.
 func TestInvokeGroupDenialZeroAlloc(t *testing.T) {
-	limits := DefaultLimits()
-	limits.MaxConcurrency = 8
-	p := New(sim.New(1), limits)
+	p := NewOnShard(sim.New(1).Main(), "faas.startup", 8)
 	if _, err := p.InvokeGroup(8, 512); err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +111,7 @@ func TestInvokeGroupSteadyStateZeroAlloc(t *testing.T) {
 // plain sentinel (errors.Is-able, allocation-free), and the denial changes
 // no state.
 func TestInvoke1DenialIsSentinel(t *testing.T) {
-	limits := DefaultLimits()
-	limits.MaxConcurrency = 1
-	p := New(sim.New(1), limits)
+	p := NewOnShard(sim.New(1).Main(), "faas.startup", 1)
 	if _, err := p.InvokeGroup(1, 512); err != nil {
 		t.Fatalf("first invoke: %v", err)
 	}
@@ -137,7 +132,7 @@ func TestInvoke1DenialIsSentinel(t *testing.T) {
 // range is rejected and admits nothing.
 func TestInvoke1InvalidMemory(t *testing.T) {
 	p := newTestPlatform(1)
-	for _, memMB := range []int{64, DefaultLimits().MaxMemoryMB + 1} {
+	for _, memMB := range []int{64, MaxMemoryMB + 1} {
 		if _, err := p.InvokeGroup(1, memMB); err == nil {
 			t.Errorf("%d MB outside [MinMemoryMB, MaxMemoryMB] admitted", memMB)
 		}
@@ -171,9 +166,7 @@ func TestInvoke1SteadyStateZeroAlloc(t *testing.T) {
 // TestInvoke1DenialZeroAlloc: the single-function denial storm under a
 // saturated cap is also allocation-free.
 func TestInvoke1DenialZeroAlloc(t *testing.T) {
-	limits := DefaultLimits()
-	limits.MaxConcurrency = 1
-	p := New(sim.New(1), limits)
+	p := NewOnShard(sim.New(1).Main(), "faas.startup", 1)
 	if _, err := p.InvokeGroup(1, 512); err != nil {
 		t.Fatal(err)
 	}

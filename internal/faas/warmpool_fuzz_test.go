@@ -20,11 +20,10 @@ import (
 // runs cross the WarmTTL of earlier releases and often stop exactly on it.
 func runWarmPoolProgram(t testing.TB, seed uint64, prog []byte) {
 	t.Helper()
-	limits := DefaultLimits()
-	limits.MaxConcurrency = 500
+	const cap = 500
 	sa, sb := sim.New(seed), sim.New(seed)
-	a := NewOnShard(sa.Main(), "faas.startup", limits)
-	b := newRefPlatform(sb.Main(), "faas.startup", limits)
+	a := NewOnShard(sa.Main(), "faas.startup", cap)
+	b := newRefPlatform(sb.Main(), "faas.startup", cap)
 	a.SetObserver(obs.New())
 	b.obs = obs.New()
 	sizes := [...]int{512, 1024, 1769}

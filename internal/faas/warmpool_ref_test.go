@@ -10,16 +10,17 @@ import (
 )
 
 // refPlatform is the per-sandbox warm pool that the batch pool replaced,
-// kept verbatim apart from its names, the cold-spike factor and the
-// observability calls the comparison does not read:
+// kept verbatim apart from its names, its account limits (the package's
+// constants and a cap), the cold-spike factor and the observability calls
+// the comparison does not read:
 // every released sandbox owns one reclaim event on its size's lane, a warm
 // start cancels the oldest one (Lane.CancelHead), and the lane's length is
 // the size's warm count. FuzzWarmPool and TestWarmPoolMatchesReference drive
 // it and the product side by side.
 type refPlatform struct {
-	sh     *sim.Shard
-	rng    *sim.Rand
-	limits Limits
+	sh  *sim.Shard
+	rng *sim.Rand
+	cap int
 
 	inFlight     int
 	peakInFlight int
@@ -30,9 +31,9 @@ type refPlatform struct {
 	obs          *obs.Observer
 }
 
-func newRefPlatform(sh *sim.Shard, randStream string, limits Limits) *refPlatform {
+func newRefPlatform(sh *sim.Shard, randStream string, cap int) *refPlatform {
 	p := &refPlatform{
-		sh: sh, rng: sh.Rand(randStream), limits: limits,
+		sh: sh, rng: sh.Rand(randStream), cap: cap,
 		warm: make(map[int]*sim.Lane),
 	}
 	p.reclaim = p.expire
@@ -50,10 +51,10 @@ func (p *refPlatform) InvokeGroup(n, memMB int) (GroupStart, error) {
 	if n <= 0 {
 		return GroupStart{}, fmt.Errorf("faas: InvokeGroup with n=%d", n)
 	}
-	if err := p.limits.ValidateMemory(memMB); err != nil {
+	if err := ValidateMemory(memMB); err != nil {
 		return GroupStart{}, err
 	}
-	if p.inFlight+n > p.limits.MaxConcurrency {
+	if p.inFlight+n > p.cap {
 		return GroupStart{}, ErrConcurrencyExceeded
 	}
 	p.inFlight += n

@@ -132,7 +132,7 @@ func TestWarmPoolChurnKeepsBookkeepingConsistent(t *testing.T) {
 func TestInvokeGroupAtExactlyMaxConcurrency(t *testing.T) {
 	s := sim.New(1)
 	p := NewDefault(s)
-	n := p.Limits().MaxConcurrency
+	n := p.Cap()
 
 	g, err := p.InvokeGroup(n, 512)
 	if err != nil {

@@ -291,38 +291,12 @@ func (g *Gate) Fail(rate float64) bool {
 	return false
 }
 
-// RetryPolicy bounds how the trainer responds to injected storage errors:
-// at most MaxAttempts tries per operation, with exponential backoff between
-// them. Exhausting the attempts is not an error — callers degrade gracefully
+// MaxAttempts bounds how often a storage operation is tried under an
+// injected error rate: four tries, with Backoff between them. Exhausting
+// the attempts is not an error — callers degrade gracefully
 // (checkpoint-less mode with a Degraded flag).
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per operation (>= 1).
-	MaxAttempts int
-	// BaseBackoff is the wait before the second attempt, in seconds;
-	// attempt k waits BaseBackoff * 2^(k-1).
-	BaseBackoff float64
-	// MaxBackoff caps any single wait (0 = uncapped).
-	MaxBackoff float64
-}
+const MaxAttempts = 4
 
-// DefaultRetryPolicy returns the calibration the trainer uses: four
-// attempts, 0.25 s initial backoff, 4 s cap.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, BaseBackoff: 0.25, MaxBackoff: 4}
-}
-
-// Backoff returns the wait after failed attempt number `attempt` (0-based):
-// BaseBackoff doubled per attempt, clamped to MaxBackoff.
-func (p RetryPolicy) Backoff(attempt int) float64 {
-	b := p.BaseBackoff
-	for i := 0; i < attempt; i++ {
-		b *= 2
-		if p.MaxBackoff > 0 && b >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
-	}
-	if p.MaxBackoff > 0 && b > p.MaxBackoff {
-		return p.MaxBackoff
-	}
-	return b
-}
+// Backoff returns the wait, in seconds, after failed attempt number k
+// (0-based): 0.25·2^k, so the last wait before giving up is 2 s.
+func Backoff(k int) float64 { return math.Ldexp(0.25, k) }

@@ -218,10 +218,12 @@ func TestScheduleQueriesZeroAlloc(t *testing.T) {
 }
 
 func TestRetryPolicyBackoff(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, BaseBackoff: 0.5, MaxBackoff: 3}
-	want := []float64{0.5, 1, 2, 3, 3}
+	want := []float64{0.25, 0.5, 1, 2}
+	if len(want) != MaxAttempts {
+		t.Fatalf("%d waits listed for %d attempts", len(want), MaxAttempts)
+	}
 	for i, w := range want {
-		if got := p.Backoff(i); got != w {
+		if got := Backoff(i); got != w {
 			t.Errorf("Backoff(%d) = %g, want %g", i, got, w)
 		}
 	}

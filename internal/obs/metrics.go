@@ -61,9 +61,8 @@ func (m *Metrics) SetMax(name string, v float64) {
 	m.mu.Unlock()
 }
 
-// Observe records v into histogram name. The histogram's bucket upper
-// bounds are fixed on first use: callers that need specific buckets must
-// call DefineHistogram first; otherwise defaultBuckets apply.
+// Observe records v into histogram name, created on first use with
+// defaultBuckets. A histogram with other bounds is a NewHist of its own.
 func (m *Metrics) Observe(name string, v float64) {
 	if m == nil {
 		return
@@ -75,20 +74,6 @@ func (m *Metrics) Observe(name string, v float64) {
 		m.hists[name] = h
 	}
 	h.Observe(v)
-	m.mu.Unlock()
-}
-
-// DefineHistogram pre-registers histogram name with the given sorted bucket
-// upper bounds (an implicit +Inf bucket is appended). Redefining an existing
-// histogram is a no-op so counts are never silently dropped.
-func (m *Metrics) DefineHistogram(name string, bounds []float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	if _, ok := m.hists[name]; !ok {
-		m.hists[name] = NewHist(bounds)
-	}
 	m.mu.Unlock()
 }
 

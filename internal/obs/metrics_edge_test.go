@@ -5,30 +5,18 @@ import (
 	"testing"
 )
 
-// The registry histogram's documented invariants — exact-bound placement,
-// the implicit overflow bucket, and DefineHistogram being a no-op once the
-// histogram exists — were documented but untested. These tests pin them.
-
-func histSnap(t *testing.T, m *Metrics, name string) HistSnapshot {
-	t.Helper()
-	for _, h := range m.Snapshot().Histograms {
-		if h.Name == name {
-			return h.Hist
-		}
-	}
-	t.Fatalf("histogram %q not in snapshot", name)
-	return HistSnapshot{}
-}
+// The histogram's documented invariants — exact-bound placement, the
+// implicit overflow bucket, and bounds copied from the caller — were
+// documented but untested. These tests pin them.
 
 // TestHistogramExactBoundLandsInBucket: a value exactly equal to a bucket's
 // upper bound counts in that bucket (v <= bound), not the next one.
 func TestHistogramExactBoundLandsInBucket(t *testing.T) {
-	m := NewMetrics()
-	m.DefineHistogram("h", []float64{1, 10, 100})
-	m.Observe("h", 1)
-	m.Observe("h", 10)
-	m.Observe("h", 100)
-	s := histSnap(t, m, "h")
+	h := NewHist([]float64{1, 10, 100})
+	h.Observe(1)
+	h.Observe(10)
+	h.Observe(100)
+	s := h.Snapshot()
 	for i, want := range []uint64{1, 1, 1, 0} {
 		if s.Counts[i] != want {
 			t.Errorf("bucket %d = %d, want %d (exact-bound values must land in their own bucket)", i, s.Counts[i], want)
@@ -40,12 +28,11 @@ func TestHistogramExactBoundLandsInBucket(t *testing.T) {
 // implicit +Inf bucket, and the bucket layout has exactly len(bounds)+1
 // slots.
 func TestHistogramOverflowBucket(t *testing.T) {
-	m := NewMetrics()
-	m.DefineHistogram("h", []float64{1, 2})
-	m.Observe("h", 2.0000001)
-	m.Observe("h", 1e18)
-	m.Observe("h", math.Inf(1))
-	s := histSnap(t, m, "h")
+	h := NewHist([]float64{1, 2})
+	h.Observe(2.0000001)
+	h.Observe(1e18)
+	h.Observe(math.Inf(1))
+	s := h.Snapshot()
 	if len(s.Counts) != len(s.Bounds)+1 {
 		t.Fatalf("%d counts for %d bounds, want bounds+1", len(s.Counts), len(s.Bounds))
 	}
@@ -57,41 +44,18 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 }
 
-// TestDefineHistogramAfterObserveIsNoOp: once a histogram exists (created
-// implicitly by Observe with default buckets), DefineHistogram must not
-// replace it — counts are never silently dropped.
-func TestDefineHistogramAfterObserveIsNoOp(t *testing.T) {
-	m := NewMetrics()
-	m.Observe("h", 0.5)
-	m.DefineHistogram("h", []float64{42})
-	s := histSnap(t, m, "h")
-	if len(s.Bounds) != len(defaultBuckets) {
-		t.Fatalf("bounds redefined to %v; DefineHistogram after Observe must be a no-op", s.Bounds)
-	}
-	if s.Total != 1 {
-		t.Errorf("total = %d, want 1 (observation dropped by redefinition)", s.Total)
-	}
-	// And the reverse order works: define first, observe into it.
-	m.DefineHistogram("g", []float64{42})
-	m.Observe("g", 1)
-	if g := histSnap(t, m, "g"); len(g.Bounds) != 1 || g.Bounds[0] != 42 {
-		t.Errorf("pre-defined bounds %v, want [42]", g.Bounds)
-	}
-}
-
-// TestDefineHistogramCopiesBounds: the caller's slice must not alias the
+// TestNewHistCopiesBounds: the caller's slice must not alias the
 // histogram's internal bounds.
-func TestDefineHistogramCopiesBounds(t *testing.T) {
-	m := NewMetrics()
+func TestNewHistCopiesBounds(t *testing.T) {
 	bounds := []float64{1, 2, 3}
-	m.DefineHistogram("h", bounds)
+	h := NewHist(bounds)
 	bounds[0] = 99
-	m.Observe("h", 1)
-	s := histSnap(t, m, "h")
+	h.Observe(1)
+	s := h.Snapshot()
 	if s.Bounds[0] != 1 {
-		t.Error("DefineHistogram aliased the caller's bounds slice")
+		t.Error("NewHist aliased the caller's bounds slice")
 	}
 	if s.Counts[0] != 1 {
-		t.Error("mutating the caller's slice after DefineHistogram changed bucketing")
+		t.Error("mutating the caller's slice after NewHist changed bucketing")
 	}
 }

@@ -48,17 +48,12 @@ func TestSnapshotSortedRegardlessOfInsertionOrder(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	m := NewMetrics()
-	m.DefineHistogram("lat", []float64{1, 10, 100})
-	m.Observe("lat", 0.5)  // <=1
-	m.Observe("lat", 1)    // <=1 (bounds are inclusive upper edges)
-	m.Observe("lat", 5)    // <=10
-	m.Observe("lat", 1000) // overflow
-	s := m.Snapshot()
-	if len(s.Histograms) != 1 {
-		t.Fatalf("got %d histograms", len(s.Histograms))
-	}
-	h := s.Histograms[0].Hist
+	lat := NewHist([]float64{1, 10, 100})
+	lat.Observe(0.5)  // <=1
+	lat.Observe(1)    // <=1 (bounds are inclusive upper edges)
+	lat.Observe(5)    // <=10
+	lat.Observe(1000) // overflow
+	h := lat.Snapshot()
 	wantCounts := []uint64{2, 1, 0, 1}
 	if !reflect.DeepEqual(h.Counts, wantCounts) {
 		t.Fatalf("counts = %v, want %v", h.Counts, wantCounts)
@@ -68,17 +63,16 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramDefaultBucketsAndRedefineNoOp(t *testing.T) {
+func TestHistogramDefaultBuckets(t *testing.T) {
 	m := NewMetrics()
 	m.Observe("h", 0.5) // auto-creates with defaultBuckets
-	m.DefineHistogram("h", []float64{1})
 	m.Observe("h", 0.5)
 	s := m.Snapshot()
 	h := s.Histograms[0].Hist
 	if len(h.Bounds) != len(defaultBuckets) {
-		t.Fatalf("redefine replaced live histogram: bounds %v", h.Bounds)
+		t.Fatalf("bounds %v, want defaultBuckets", h.Bounds)
 	}
 	if h.Total != 2 {
-		t.Fatalf("total = %d, want 2 (counts dropped on redefine)", h.Total)
+		t.Fatalf("total = %d, want 2", h.Total)
 	}
 }

@@ -17,7 +17,6 @@ func TestNilObserverIsNoOp(t *testing.T) {
 	o.Stats().Set("g", 3)
 	o.Stats().SetMax("g", 4)
 	o.Stats().Observe("h", 5)
-	o.Stats().DefineHistogram("h2", []float64{1, 2})
 	if got := o.Trace().Len(); got != 0 {
 		t.Fatalf("nil tracer Len = %d", got)
 	}

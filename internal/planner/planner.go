@@ -152,7 +152,7 @@ func New(m *cost.Model, stages []Stage, pareto []cost.Point) (*Planner, error) {
 		}
 		pl.first[j] = f
 	}
-	cap := faas.DefaultLimits().MaxConcurrency
+	cap := faas.MaxConcurrency
 	for i := range stages {
 		for j, pt := range pareto {
 			k := i*len(pareto) + j
@@ -220,7 +220,7 @@ func (pl *Planner) moves(j int32, upgrade bool) (k, step int) {
 // StageTime returns the wall time of stage i under allocation a at the
 // platform cap, with a cold start on the first stage and a warm one after.
 func (pl *Planner) StageTime(i int, a cost.Allocation) float64 {
-	return pl.stageTime(i, a, faas.DefaultLimits().MaxConcurrency, i == 0)
+	return pl.stageTime(i, a, faas.MaxConcurrency, i == 0)
 }
 
 // stageTime is the wall time of stage i under allocation a and concurrency
@@ -255,7 +255,7 @@ func (pl *Planner) StageCost(i int, a cost.Allocation) float64 {
 // pays a cold start (the warm pool only holds sandboxes of the previous
 // memory size); same-allocation stages reuse warm sandboxes.
 func (pl *Planner) JCT(p Plan) float64 {
-	cap := p.Cap(faas.DefaultLimits().MaxConcurrency)
+	cap := p.Cap(faas.MaxConcurrency)
 	var t float64
 	for i, a := range p.Stages {
 		cold := i == 0 || a.MemMB != p.Stages[i-1].MemMB
@@ -354,7 +354,7 @@ func (pl *Planner) optimalStatic(budget, qos float64, plan []int32) (int, score,
 // prices the share-capped waves.
 func (pl *Planner) FixedPlan(budget, qos float64) Result {
 	r := pl.OptimalStatic(budget, qos)
-	r.Plan.ConcurrencyCap = max(faas.DefaultLimits().MaxConcurrency/len(pl.Stages), 1)
+	r.Plan.ConcurrencyCap = max(faas.MaxConcurrency/len(pl.Stages), 1)
 	r.JCT = pl.JCT(r.Plan)
 	r.Feasible = (budget <= 0 || r.Cost <= budget) && (qos <= 0 || r.JCT <= qos)
 	return r

@@ -14,7 +14,8 @@ import (
 // scored from the per-(stage, allocation) table: every candidate a cloned
 // []cost.Allocation plan, found in P by a linear scan and scored by the
 // exported JCT and Cost. The method bodies are that code, copied verbatim;
-// only the receiver type differs. The planner must reproduce it bit for
+// only the receiver type and the spelling of the account's concurrency cap
+// (now the constant faas.MaxConcurrency) differ. The planner must reproduce it bit for
 // bit: the same plans, the same float64 bits of JCT and cost, the same
 // feasibility and the same evaluation counts.
 type refPlanner struct{ *Planner }
@@ -92,7 +93,7 @@ func (pl refPlanner) JCT(p Plan) float64 {
 }
 
 func (pl refPlanner) waves(i int, a cost.Allocation) int {
-	cap := faas.DefaultLimits().MaxConcurrency
+	cap := faas.MaxConcurrency
 	need := pl.Stages[i].Trials * a.N
 	w := (need + cap - 1) / cap
 	if w < 1 {
@@ -127,7 +128,7 @@ func (pl refPlanner) stageTimeWavesCold(i int, a cost.Allocation, waves int, col
 }
 
 func (pl refPlanner) ConcurrencyShare() int {
-	share := faas.DefaultLimits().MaxConcurrency / len(pl.Stages)
+	share := faas.MaxConcurrency / len(pl.Stages)
 	if share < 1 {
 		share = 1
 	}

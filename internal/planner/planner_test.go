@@ -92,7 +92,7 @@ func TestWavesLimitConcurrency(t *testing.T) {
 	pl := newPlanner(t, workload.LRHiggs(), paperStages())
 	// Stage 0 has 16384 trials; with 10 functions each that's 163840
 	// concurrent functions against a 3000 cap -> many waves.
-	cap := faas.DefaultLimits().MaxConcurrency
+	cap := faas.MaxConcurrency
 	if w, _ := Waves(pl.Stages[0].Trials, 10, cap); w < 50 {
 		t.Errorf("stage 0 waves = %d; expected heavy serialization", w)
 	}
@@ -234,7 +234,7 @@ func TestFixedPlanStarvesEarlyStages(t *testing.T) {
 		t.Errorf("fixed JCT %g should exceed static %g (resource competition)", fixed.JCT, staticB.JCT)
 	}
 	share := fixed.Plan.ConcurrencyCap
-	if share <= 0 || share >= faas.DefaultLimits().MaxConcurrency {
+	if share <= 0 || share >= faas.MaxConcurrency {
 		t.Errorf("share %d should be a fraction of the cap", share)
 	}
 	// Early-stage slowdown dominates: the share-capped stage-0 time grows

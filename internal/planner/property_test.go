@@ -62,7 +62,7 @@ func TestJCTAdditivity(t *testing.T) {
 		var sum float64
 		for i, a := range p.Stages {
 			cold := i == 0 || a.MemMB != p.Stages[i-1].MemMB
-			sum += pl.stageTime(i, a, faas.DefaultLimits().MaxConcurrency, cold)
+			sum += pl.stageTime(i, a, faas.MaxConcurrency, cold)
 		}
 		if got := pl.JCT(p); math.Abs(got-sum) > 1e-9*sum {
 			t.Fatalf("JCT %g != stage sum %g", got, sum)

@@ -141,7 +141,7 @@ type Online struct {
 
 	// shared, when set, keeps the history as a node of a tree that other
 	// predictors walk too (see Shared); xs and ys are then the node's
-	// read-only views, and the node caches the fit and predictions.
+	// read-only views, and the node caches the predictions.
 	shared *Shared
 	node   *node
 }
@@ -306,9 +306,7 @@ func (o *Online) Ready() bool { return len(o.xs) >= MinPoints }
 
 // refit updates the cached curve parameters. The reusable Fitter is
 // allocation-free; its Result.Params alias solver scratch, so the
-// parameters are copied into the fixed lastFit array. A predictor in a
-// Shared tree reads its history's fit from the node before fitting, and
-// stores it there after.
+// parameters are copied into the fixed lastFit array.
 func (o *Online) refit() bool {
 	if !o.Ready() {
 		return false
@@ -316,20 +314,9 @@ func (o *Online) refit() bool {
 	if !o.dirty && o.hasFit {
 		return true
 	}
-	if o.shared != nil {
-		if params, ok := o.shared.fitOf(o.node); ok {
-			o.lastFit = params
-			o.hasFit = true
-			o.dirty = false
-			return true
-		}
-	}
 	res, err := o.fitter.Fit(o.xs, o.ys, fit.Options{MaxIter: o.refitBudget})
 	if err != nil {
 		return false
-	}
-	if o.shared != nil {
-		o.shared.storeFit(o.node, res.Params)
 	}
 	o.lastFit[0], o.lastFit[1], o.lastFit[2] = res.Params[0], res.Params[1], res.Params[2]
 	o.hasFit = true

@@ -9,24 +9,22 @@ import (
 // of one framework. They replay one loss sequence: the sessions of a cell
 // share an engine seed, and the engine ignores the allocation. Each node is
 // one exact (epoch, loss) history; a child extends its parent by one
-// observation, matched by float bits. A node caches the cold fit of its
-// history and the PredictTotalEpochs result for each target asked, a failed
-// prediction included, so each distinct history is fitted once however many
-// sessions walk it.
+// observation, matched by float bits. A node caches the PredictTotalEpochs
+// result for each target asked, a failed prediction included, so each
+// distinct history and target is predicted once however many sessions walk
+// it.
 //
 // The cache is exact because it serves only the default configuration:
-// unbounded history, cold fits, no iteration budget. There, a fit and a
-// prediction are pure functions of the history and the target. ApplyTuning
-// detaches an Online from the tree, since a warm or windowed refit also
-// depends on the previous fit.
+// unbounded history, cold fits, no iteration budget. There, a prediction is
+// a pure function of the history and the target. ApplyTuning detaches an
+// Online from the tree, since a warm or windowed refit also depends on the
+// previous fit.
 //
 // A Shared is safe for concurrent use; one mutex guards the tree. It holds
 // no package state: it lives as long as its owner.
 type Shared struct {
 	mu   sync.Mutex
 	root node
-	// fits counts the cold fits stored in the tree.
-	fits int
 }
 
 // NewShared returns an empty history tree.
@@ -39,10 +37,7 @@ type node struct {
 	// shares one backing array; a later child copies.
 	xs, ys   []float64
 	children []*node
-
-	fitted bool
-	params [3]float64
-	preds  []prediction
+	preds    []prediction
 }
 
 // prediction is one cached PredictTotalEpochs result.
@@ -82,22 +77,6 @@ func (s *Shared) child(p *node, x, y float64) *node {
 	}
 	p.children = append(p.children, c)
 	return c
-}
-
-// fitOf returns n's cached cold fit; ok is false when none is stored.
-func (s *Shared) fitOf(n *node) (params [3]float64, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return n.params, n.fitted
-}
-
-// storeFit records n's cold fit.
-func (s *Shared) storeFit(n *node, params []float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fits++
-	n.fitted = true
-	copy(n.params[:], params)
 }
 
 // predictionOf returns n's cached prediction for target.

@@ -154,13 +154,23 @@ func fourWalkers(s *Shared) {
 	}
 }
 
+// storedPredictions counts the predictions cached in n's subtree.
+func storedPredictions(n *node) int {
+	c := len(n.preds)
+	for _, k := range n.children {
+		c += storedPredictions(k)
+	}
+	return c
+}
+
 // TestSharedFitsOncePerHistory: four predictors fed one stream through one
-// tree fit each distinct history once, not four times.
+// tree store one prediction per distinct history, not four: the first
+// predictor to reach a history fits it, and the other three read its answer.
 func TestSharedFitsOncePerHistory(t *testing.T) {
 	s := NewShared()
 	fourWalkers(s)
-	if want := 60 - MinPoints + 1; s.fits != want {
-		t.Errorf("four predictors made %d fits, want %d (one per distinct history)", s.fits, want)
+	if got, want := storedPredictions(&s.root), 60-MinPoints+1; got != want {
+		t.Errorf("four predictors stored %d predictions, want %d (one per distinct history)", got, want)
 	}
 }
 

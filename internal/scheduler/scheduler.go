@@ -20,8 +20,16 @@ import (
 	"repro/internal/trainer"
 )
 
+// DefaultDelta is the prediction-drift threshold δ of §IV-G, the Delta a
+// zero Config takes.
+const DefaultDelta = 0.1
+
 // Config parameterizes one adaptive scheduling session.
 type Config struct {
+	// Model is the session's analytic model. The scheduler does not read
+	// it: the candidates carry its estimates. cmd/bench's decide probe sets
+	// it (a pinned surface), and startup pricing in the selection (ROADMAP
+	// item 1(b)) is to be its reader.
 	Model *cost.Model
 	// Candidates is the allocation set searched at every adjustment —
 	// normally the Pareto set; the WO-pa ablation passes the full
@@ -41,7 +49,7 @@ type Config struct {
 
 	TargetLoss float64
 	// Delta is the prediction-drift threshold δ that triggers adjustment
-	// (default 0.1, §IV-G).
+	// (DefaultDelta when not positive).
 	Delta float64
 	// DelayedRestart enables the Fig. 8 overlap optimization.
 	DelayedRestart bool
@@ -52,8 +60,9 @@ type Config struct {
 	OnlineTuning *predictor.Tuning
 	// Shared, when set and OnlineTuning is nil, keeps the online history in
 	// a tree the sessions of one framework share, so a loss history they
-	// all observe is fitted once (predictor.Shared). Predictions keep their
-	// bits; nil gives the session a private predictor.
+	// all observe is predicted once per target (predictor.Shared).
+	// Predictions keep their bits; nil gives the session a private
+	// predictor.
 	Shared *predictor.Shared
 	// Offline supplies the warm-start epoch estimate; required.
 	Offline *predictor.Offline
@@ -125,7 +134,7 @@ type Scheduler struct {
 // so no per-session copy is made.
 func New(cfg Config) *Scheduler {
 	if cfg.Delta <= 0 {
-		cfg.Delta = 0.1
+		cfg.Delta = DefaultDelta
 	}
 	if cfg.Frontier != nil && len(cfg.Candidates) == 0 {
 		cfg.Candidates = cfg.Frontier.Points()

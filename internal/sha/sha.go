@@ -109,7 +109,7 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{}
 	alive := trials
-	cap := cfg.Plan.Cap(cfg.Runner.Compute().Limits().MaxConcurrency)
+	cap := cfg.Plan.Cap(cfg.Runner.Compute().Cap())
 
 	var run trainer.Result // every trial's result, in turn
 	for si, stage := range stages {

@@ -204,8 +204,8 @@ func TestPlannedWavesMatchExecuted(t *testing.T) {
 		t.Fatalf("stage 0 planned in %d waves, want 3", w0)
 	}
 	fixed := pl.FixedPlan(0, 1e15).Plan
-	if fixed.ConcurrencyCap != faas.DefaultLimits().MaxConcurrency/len(stages) {
-		t.Fatalf("FixedPlan carries cap %d, want the 1/%d share %d", fixed.ConcurrencyCap, len(stages), faas.DefaultLimits().MaxConcurrency/len(stages))
+	if fixed.ConcurrencyCap != faas.MaxConcurrency/len(stages) {
+		t.Fatalf("FixedPlan carries cap %d, want the 1/%d share %d", fixed.ConcurrencyCap, len(stages), faas.MaxConcurrency/len(stages))
 	}
 	for _, plan := range []planner.Plan{planner.Uniform(a, len(stages)), fixed} {
 		res, err := Run(Config{Workload: w, Stages: stages, Plan: plan, Runner: trainer.NewRunner(3), Seed: 3})

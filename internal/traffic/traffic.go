@@ -79,49 +79,42 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("traffic: unknown kind %q (want poisson|bursty|diurnal|trace)", s)
 }
 
-// Config describes one tenant's arrival process. Zero values for the
-// kind-specific knobs take the documented defaults.
+// The bursty and diurnal shapes: one calibration, shared by every tenant.
+const (
+	BurstFactor = 8   // burst-state rate multiplier
+	MeanBurst   = 60  // mean burst dwell, seconds
+	MeanCalm    = 540 // mean calm dwell, seconds
+	Amplitude   = 0.8 // diurnal relative swing
+)
+
+// Config describes one tenant's arrival process. A zero Period takes the
+// documented default.
 type Config struct {
 	Kind    Kind
 	Rate    float64 // mean arrivals per second (calm-state rate for Bursty)
 	Horizon float64 // stop time in seconds; no arrival at or past it
 
-	// Bursty knobs.
-	BurstFactor float64 // burst-state rate multiplier (default 8)
-	MeanBurst   float64 // mean burst dwell, seconds (default 60)
-	MeanCalm    float64 // mean calm dwell, seconds (default 540)
-
 	// Diurnal knobs: rate(t) = Rate·(1 + Amplitude·sin(2π(t+Phase)/Period)).
-	Amplitude float64 // relative swing in [0, 1] (default 0.8)
-	Period    float64 // cycle length, seconds (default 86400)
-	Phase     float64 // cycle offset, seconds
+	Period float64 // cycle length, seconds (default 86400)
+	Phase  float64 // cycle offset, seconds
 
 	// TraceReplay knobs.
 	Trace Trace // parsed per-minute counts
 	Row   int   // which trace row this tenant replays
 }
 
-// withDefaults fills zero-valued knobs.
+// withDefaults fills a zero Period.
 func (c Config) withDefaults() Config {
-	if c.BurstFactor == 0 {
-		c.BurstFactor = 8
-	}
-	if c.MeanBurst == 0 {
-		c.MeanBurst = 60
-	}
-	if c.MeanCalm == 0 {
-		c.MeanCalm = 540
-	}
-	if c.Amplitude == 0 {
-		c.Amplitude = 0.8
-	}
 	if c.Period == 0 {
 		c.Period = 86400
 	}
 	return c
 }
 
-// Validate reports whether the config describes a runnable process.
+// Validate reports whether the config describes a runnable process. A
+// Bursty or Diurnal rate whose peak (Rate·BurstFactor, Rate·(1+Amplitude))
+// overflows is refused: its mean interarrival would be 0, and the cursor
+// would never advance.
 func (c Config) Validate() error {
 	c = c.withDefaults()
 	switch c.Kind {
@@ -132,6 +125,16 @@ func (c Config) Validate() error {
 		if !(c.Horizon > 0) || math.IsInf(c.Horizon, 0) {
 			return fmt.Errorf("traffic: horizon %v must be positive and finite", c.Horizon)
 		}
+		peak := c.Rate
+		switch c.Kind {
+		case Bursty:
+			peak *= BurstFactor
+		case Diurnal:
+			peak *= 1 + Amplitude
+		}
+		if math.IsInf(peak, 0) {
+			return fmt.Errorf("traffic: %v rate %v has peak rate %v", c.Kind, c.Rate, peak)
+		}
 	case TraceReplay:
 		if c.Row < 0 || c.Row >= c.Trace.Rows() {
 			return fmt.Errorf("traffic: trace row %d outside [0, %d)", c.Row, c.Trace.Rows())
@@ -139,12 +142,8 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("traffic: unknown kind %d", c.Kind)
 	}
-	if c.Kind == Bursty && (c.BurstFactor < 1 || c.MeanBurst <= 0 || c.MeanCalm <= 0) {
-		return fmt.Errorf("traffic: bursty knobs factor=%v burst=%v calm=%v invalid",
-			c.BurstFactor, c.MeanBurst, c.MeanCalm)
-	}
-	if c.Kind == Diurnal && (c.Amplitude < 0 || c.Amplitude > 1 || c.Period <= 0) {
-		return fmt.Errorf("traffic: diurnal knobs amp=%v period=%v invalid", c.Amplitude, c.Period)
+	if c.Kind == Diurnal && c.Period <= 0 {
+		return fmt.Errorf("traffic: diurnal period %v invalid", c.Period)
 	}
 	return nil
 }
@@ -161,9 +160,9 @@ func (c Config) Cursor(rng *sim.Rand) Cursor {
 	case Poisson:
 		return NewPoisson(rng, c.Rate, c.Horizon)
 	case Bursty:
-		return NewBursty(rng, c.Rate, c.Rate*c.BurstFactor, c.MeanCalm, c.MeanBurst, c.Horizon)
+		return NewBursty(rng, c.Rate, c.Horizon)
 	case Diurnal:
-		return NewDiurnal(rng, c.Rate, c.Amplitude, c.Period, c.Phase, c.Horizon)
+		return NewDiurnal(rng, c.Rate, c.Period, c.Phase, c.Horizon)
 	default:
 		return NewTraceCursor(rng, c.Trace, c.Row, c.Horizon)
 	}
@@ -209,13 +208,13 @@ type bursty struct {
 }
 
 // NewBursty returns an MMPP-2 cursor: calmRate arrivals/s during calm
-// dwells (mean meanCalm seconds), burstRate during bursts (mean
-// meanBurst), up to horizon.
-func NewBursty(rng *sim.Rand, calmRate, burstRate, meanCalm, meanBurst, horizon float64) Cursor {
+// dwells (mean MeanCalm seconds), calmRate·BurstFactor during bursts (mean
+// MeanBurst), up to horizon.
+func NewBursty(rng *sim.Rand, calmRate, horizon float64) Cursor {
 	c := &bursty{
 		rng:    rng,
-		meanIA: [2]float64{1 / calmRate, 1 / burstRate},
-		dwell:  [2]float64{meanCalm, meanBurst},
+		meanIA: [2]float64{1 / calmRate, 1 / (calmRate * BurstFactor)},
+		dwell:  [2]float64{MeanCalm, MeanBurst},
 		stop:   horizon,
 	}
 	c.switchAt = rng.Exp(c.dwell[0])
@@ -243,12 +242,11 @@ func (c *bursty) Next() (float64, bool) {
 }
 
 // diurnal is a nonhomogeneous Poisson process generated by
-// Lewis-Shedler thinning against the peak rate base·(1+amp): candidates
+// Lewis-Shedler thinning against the peak rate base·(1+Amplitude): candidates
 // arrive at the peak rate and survive with probability rate(t)/peak.
 type diurnal struct {
 	rng     *sim.Rand
 	base    float64
-	amp     float64
 	period  float64
 	phase   float64
 	peakIA  float64 // mean interarrival at the peak rate
@@ -257,11 +255,11 @@ type diurnal struct {
 }
 
 // NewDiurnal returns a sinusoidal-rate cursor:
-// rate(t) = base·(1 + amp·sin(2π(t+phase)/period)), up to horizon.
-func NewDiurnal(rng *sim.Rand, base, amp, period, phase, horizon float64) Cursor {
-	peak := base * (1 + amp)
+// rate(t) = base·(1 + Amplitude·sin(2π(t+phase)/period)), up to horizon.
+func NewDiurnal(rng *sim.Rand, base, period, phase, horizon float64) Cursor {
+	peak := base * (1 + Amplitude)
 	return &diurnal{
-		rng: rng, base: base, amp: amp, period: period, phase: phase,
+		rng: rng, base: base, period: period, phase: phase,
 		peak: peak, peakIA: 1 / peak, stop: horizon,
 	}
 }
@@ -272,7 +270,7 @@ func (c *diurnal) Next() (float64, bool) {
 		if c.t >= c.stop {
 			return 0, false
 		}
-		rate := c.base * (1 + c.amp*math.Sin(2*math.Pi*(c.t+c.phase)/c.period))
+		rate := c.base * (1 + Amplitude*math.Sin(2*math.Pi*(c.t+c.phase)/c.period))
 		if c.rng.Float64()*c.peak <= rate {
 			return c.t, true
 		}

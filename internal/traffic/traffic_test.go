@@ -107,12 +107,12 @@ func TestPoissonMeanRate(t *testing.T) {
 // between the calm and burst rates, and bursts make it exceed a plain
 // Poisson at the calm rate.
 func TestBurstyRateBetweenStates(t *testing.T) {
-	const calm, factor, horizon = 1.0, 8.0, 50000.0
-	ts := drain(NewBursty(sim.NewRand(2), calm, calm*factor, 540, 60, horizon))
+	const calm, factor, horizon = 1.0, BurstFactor, 50000.0
+	ts := drain(NewBursty(sim.NewRand(2), calm, horizon))
 	got := float64(len(ts)) / horizon
 	// Dwell means 540/60 put the time-average rate at
 	// (540·1 + 60·8)/600 = 1.7.
-	want := (540*calm + 60*calm*factor) / 600
+	want := (MeanCalm*calm + MeanBurst*calm*factor) / (MeanCalm + MeanBurst)
 	if math.Abs(got-want)/want > 0.15 {
 		t.Errorf("empirical MMPP rate %.3f, want about %.2f", got, want)
 	}
@@ -125,8 +125,8 @@ func TestBurstyRateBetweenStates(t *testing.T) {
 // around the sine peak carries visibly more arrivals than the trough
 // half.
 func TestDiurnalPeakVsTrough(t *testing.T) {
-	const base, amp, period = 2.0, 0.8, 1000.0
-	ts := drain(NewDiurnal(sim.NewRand(3), base, amp, period, 0, period))
+	const base, period = 2.0, 1000.0
+	ts := drain(NewDiurnal(sim.NewRand(3), base, period, 0, period))
 	var peak, trough int
 	for _, x := range ts {
 		if x < period/2 {
@@ -207,7 +207,11 @@ func TestConfigValidate(t *testing.T) {
 		{Kind: Poisson, Rate: 0, Horizon: 10},
 		{Kind: Poisson, Rate: 1, Horizon: 0},
 		{Kind: Poisson, Rate: math.Inf(1), Horizon: 10},
-		{Kind: Diurnal, Rate: 1, Horizon: 10, Amplitude: 1.5},
+		{Kind: Diurnal, Rate: 1, Horizon: 10, Period: -1},
+		// Finite rates whose peak overflows: the mean interarrival would be
+		// 0 and Next would never advance.
+		{Kind: Diurnal, Rate: 1e308, Horizon: 10},
+		{Kind: Bursty, Rate: math.MaxFloat64 / 4, Horizon: 10},
 		{Kind: TraceReplay, Row: 0}, // empty trace
 		{Kind: Kind(200), Rate: 1, Horizon: 10},
 	}

@@ -19,7 +19,7 @@ import (
 // with errors.Is (internal/cluster queues on it).
 func TestConcurrencyDenialKeepsItsDetail(t *testing.T) {
 	w := workload.MobileNet()
-	limit := faas.DefaultLimits().MaxConcurrency
+	limit := faas.MaxConcurrency
 	over := cost.Allocation{N: limit + 1, MemMB: 1769, Storage: storage.S3}
 	job := func(alloc cost.Allocation, ctrl Controller) error {
 		r := NewRunner(4)

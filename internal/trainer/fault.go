@@ -174,12 +174,11 @@ func (r *Runner) brownoutOp(st *state, op string) bool {
 	if errRate == 0 {
 		return true
 	}
-	pol := fault.DefaultRetryPolicy()
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < fault.MaxAttempts; attempt++ {
 		if !st.gate.Fail(errRate) {
 			return true
 		}
-		backoff := pol.Backoff(attempt)
+		backoff := fault.Backoff(attempt)
 		st.clock += backoff
 		st.res.OverheadTime += backoff
 		st.res.StorageRetries++

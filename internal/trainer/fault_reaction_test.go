@@ -145,7 +145,7 @@ func TestBrownoutExhaustionDegradesGracefully(t *testing.T) {
 	if !res.Degraded {
 		t.Fatal("retry exhaustion did not set Degraded")
 	}
-	if want := fault.DefaultRetryPolicy().MaxAttempts; res.StorageRetries != want {
+	if want := fault.MaxAttempts; res.StorageRetries != want {
 		t.Errorf("StorageRetries = %d, want %d (one exhausted op, then checkpoint-less)",
 			res.StorageRetries, want)
 	}

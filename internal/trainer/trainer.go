@@ -52,9 +52,10 @@ type Noise struct {
 // counts those truncations.
 const failureAttemptCap = 50
 
-// DefaultNoise returns the calibration used in the evaluation.
+// DefaultNoise returns the calibration used in the evaluation; its straggler
+// sigma is the faas.StragglerSigma cost.Model assumes.
 func DefaultNoise() Noise {
-	return Noise{StragglerSigma: 0.05, SyncBase: 0.01, SyncPerN: 0.0012, LoadJitter: 0.08}
+	return Noise{StragglerSigma: faas.StragglerSigma, SyncBase: 0.01, SyncPerN: 0.0012, LoadJitter: 0.08}
 }
 
 // NoNoise returns a noiseless ground truth (useful in unit tests).
@@ -160,7 +161,7 @@ type Config struct {
 	// reach the controller only through the epoch times it ordinarily
 	// observes; crash windows set the per-function crash probability the
 	// trainer draws each epoch attempt against. Storage retries in a
-	// brownout follow fault.DefaultRetryPolicy. A nil or empty schedule
+	// brownout follow fault.MaxAttempts and fault.Backoff. A nil or empty schedule
 	// injects nothing, and the two give bit-identical results.
 	Faults *fault.Schedule
 
@@ -245,7 +246,7 @@ func (r *Runner) invokeGroup(n, memMB int) (faas.GroupStart, error) {
 	pf := r.Compute()
 	g, err := pf.InvokeGroup(n, memMB)
 	if errors.Is(err, faas.ErrConcurrencyExceeded) {
-		err = fmt.Errorf("%w: %d in flight + %d requested > %d", err, pf.InFlight(), n, pf.Limits().MaxConcurrency)
+		err = fmt.Errorf("%w: %d in flight + %d requested > %d", err, pf.InFlight(), n, pf.Cap())
 	}
 	return g, err
 }
