@@ -50,7 +50,7 @@ shard-check:
 # observe (windowed, and along the nodes of a shared history tree), decision
 # (steady and restarting: TestRestartDecisionZeroAlloc, with a Siren
 # row), kernel, fault-query, SGD-epoch, Successive-Halving
-# trial (TestSHATrialZeroAlloc: RunEpochs into a reused Result), faas (single and group
+# trial (TestSHATrialZeroAlloc: Run into a reused Result), faas (single and group
 # admission with release at n = 1, 8, 200, ReclaimWarm, and both entry
 # points' denial) and traffic paths; mallocs per arrival on the
 # shared-account pipeline and on the open-loop tenant, macro-day and
@@ -109,9 +109,11 @@ reach:
 	sh scripts/reach.sh
 
 # identity: byte identity against revision BASE (not part of check): the
-# stdout of `cebench -parallel 1 -seed S all` at six seeds, and seed 2023's
-# -parallel 2 stdout, trace and metrics exports, each cmp'd against cebench
-# built at BASE. A refactor or perf change must pass it against its parent:
+# stdout of `cebench -parallel 1 -seed S all` at six seeds, seed 2023's
+# -parallel 2 stdout, trace and metrics exports, and `cescale` stdout in
+# every mode at two seeds (run mode's -trace, -trace-out and -metrics-out
+# files too), each cmp'd against the binaries built at BASE. A refactor or
+# perf change must pass it against its parent:
 #   make identity BASE=<rev>
 identity:
 	@[ -n "$(BASE)" ] || { echo "usage: make identity BASE=<rev>"; exit 2; }

@@ -96,14 +96,14 @@ func staticBaseline(fw *core.Framework, budget float64, epochs int) *trainer.Res
 	if best == nil {
 		return nil
 	}
-	res, err := trainer.NewRunner(43).Run(trainer.Config{
+	res := new(trainer.Result)
+	if err := trainer.NewRunner(43).Run(trainer.Config{
 		Workload:   w,
 		Engine:     w.NewEngine(workload.Hyperparams{LR: w.DefaultLR}, 42),
 		Alloc:      best.Alloc,
 		TargetLoss: w.TargetLoss,
 		MaxEpochs:  500,
-	})
-	if err != nil {
+	}, res); err != nil {
 		log.Fatal(err)
 	}
 	return res
@@ -281,7 +281,7 @@ func Example_storageExplorer() {
 	fmt.Println("service characteristics (Table I):")
 	fmt.Printf("%-12s %-8s %-8s %-15s %s\n", "service", "scaling", "latency", "pricing", "sync pattern")
 	for _, kind := range storage.Kinds() {
-		s := fw.Model.Service(kind)
+		s := storage.New(kind)
 		c := s.Characterize()
 		pattern := "(2n-2) transfers"
 		if s.Stateless() {
@@ -296,18 +296,18 @@ func Example_storageExplorer() {
 	fmt.Printf("%-12s %-10s %-12s %-10s %-12s %s\n", "storage", "JCT", "sync time", "cost", "storage $", "note")
 	var s3 *trainer.Result
 	for _, kind := range storage.Kinds() {
-		if !fw.Model.Service(kind).Supports(w.ParamsMB) {
+		if !storage.New(kind).Supports(w.ParamsMB) {
 			fmt.Printf("%-12s %-10s %-12s %-10s %-12s %s\n", kind, "N/A", "", "", "", "model exceeds object size limit")
 			continue
 		}
-		res, err := trainer.NewRunner(11).Run(trainer.Config{
+		res := new(trainer.Result)
+		if err := trainer.NewRunner(11).Run(trainer.Config{
 			Workload:   w,
 			Engine:     w.NewEngine(workload.Hyperparams{LR: w.DefaultLR}, 11),
 			Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: kind},
 			TargetLoss: w.TargetLoss,
 			MaxEpochs:  500,
-		})
-		if err != nil {
+		}, res); err != nil {
 			log.Fatal(err)
 		}
 		note := ""

@@ -43,8 +43,8 @@ func TestSingleJobMatchesDirectRun(t *testing.T) {
 		t.Errorf("lone job queued %gs", o.QueueDelay)
 	}
 	// Same substrate seed, same engine seed: the direct run must agree.
-	direct, err := trainer.NewRunner(1).Run(job(t, "a", 10, 7, 0).Config)
-	if err != nil {
+	direct := new(trainer.Result)
+	if err := trainer.NewRunner(1).Run(job(t, "a", 10, 7, 0).Config, direct); err != nil {
 		t.Fatal(err)
 	}
 	if o.Result.Epochs != direct.Epochs {

@@ -281,15 +281,15 @@ func (f *Framework) TrainWithHyperparams(hp workload.Hyperparams, opt Options, r
 	if err != nil {
 		return nil, err
 	}
-	res, err := runner.Run(trainer.Config{
+	res := new(trainer.Result)
+	if err := runner.Run(trainer.Config{
 		Workload:   f.Workload,
 		Engine:     f.Workload.NewEngine(hp, opt.Seed),
 		Alloc:      alloc,
 		TargetLoss: f.Workload.TargetLoss,
 		MaxEpochs:  2000,
 		Controller: sched.Controller(),
-	})
-	if err != nil {
+	}, res); err != nil {
 		return nil, err
 	}
 	return &TrainOutcome{Result: res, Scheduler: sched, OfflineEstimate: est}, nil

@@ -50,8 +50,6 @@ func (a Allocation) String() string {
 type Model struct {
 	Workload *workload.Model
 
-	services map[storage.Kind]*storage.Service
-
 	mu     sync.Mutex   // guards table builds
 	tables atomic.Value // []*gridTable, copy-on-write append
 }
@@ -85,15 +83,8 @@ func (m *Model) computeEpochEst(a Allocation) epochEst {
 
 // NewModel returns an analytic model for w.
 func NewModel(w *workload.Model) *Model {
-	m := &Model{Workload: w, services: make(map[storage.Kind]*storage.Service)}
-	for _, k := range storage.ExtendedKinds() {
-		m.services[k] = storage.New(k)
-	}
-	return m
+	return &Model{Workload: w}
 }
-
-// Service returns the storage model for kind.
-func (m *Model) Service(kind storage.Kind) *storage.Service { return m.services[kind] }
 
 // Feasible reports whether θ can run the workload at all: the function
 // memory must be allocatable and hold the data partition, the storage must
@@ -109,7 +100,7 @@ func (m *Model) Feasible(a Allocation) bool {
 	if !m.Workload.Feasible(a.N, a.MemMB) {
 		return false
 	}
-	return m.services[a.Storage].Supports(m.Workload.ParamsMB)
+	return storage.New(a.Storage).Supports(m.Workload.ParamsMB)
 }
 
 // Iterations returns k = D/(n*b_z), the BSP iterations per epoch.
@@ -146,7 +137,7 @@ func stragglerFactor(n int) float64 {
 // SyncTime returns the per-epoch parameter synchronization time:
 // k * t^p(θ) with t^p from Eq. 3.
 func (m *Model) SyncTime(a Allocation) float64 {
-	svc := m.services[a.Storage]
+	svc := storage.New(a.Storage)
 	return float64(m.Iterations(a)) * svc.SyncTime(a.N, m.Workload.ParamsMB)
 }
 
@@ -174,7 +165,7 @@ func (m *Model) StorageEpochCost(a Allocation) float64 {
 }
 
 func (m *Model) storageEpochCost(a Allocation, epochTime float64) float64 {
-	svc := m.services[a.Storage]
+	svc := storage.New(a.Storage)
 	if svc.ChargeModel() == storage.ByRequest {
 		return float64(m.Iterations(a)) * svc.SyncRequestCost(a.N, m.Workload.ParamsMB)
 	}
@@ -204,7 +195,7 @@ func (m *Model) JobTime(a Allocation, epochs int) float64 {
 // delay when that dominates).
 func (m *Model) StartupEstimate(a Allocation) float64 {
 	t := faas.ColdStartEstimate(a.MemMB)
-	if p := m.services[a.Storage].ProvisionDelay(); p > t {
+	if p := storage.New(a.Storage).ProvisionDelay(); p > t {
 		t = p // storage provisioning overlaps function cold start
 	}
 	return t
@@ -214,7 +205,7 @@ func (m *Model) StartupEstimate(a Allocation) float64 {
 // one fixed allocation.
 func (m *Model) JobCost(a Allocation, epochs int) float64 {
 	c := m.InvocationCost(a) + storage.LoadCost(a.N)
-	svc := m.services[a.Storage]
+	svc := storage.New(a.Storage)
 	if svc.ChargeModel() == storage.ByRequest {
 		c += float64(epochs) * (m.FunctionEpochCost(a) + m.StorageEpochCost(a))
 	} else {

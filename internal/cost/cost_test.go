@@ -58,7 +58,7 @@ func TestEpochTimeComponents(t *testing.T) {
 		t.Errorf("bare ComputeTime = %g, want %g", got, want)
 	}
 	// Sync: 110 iterations of the S3 (3n-2) pattern.
-	svc := m.Service(storage.S3)
+	svc := storage.New(storage.S3)
 	wantSync := 110 * svc.SyncTime(10, m.Workload.ParamsMB)
 	if got := m.SyncTime(a); math.Abs(got-wantSync) > 1e-9 {
 		t.Errorf("SyncTime = %g, want %g", got, wantSync)
@@ -88,8 +88,8 @@ func TestMoreFunctionsShiftTimeToSync(t *testing.T) {
 	if m.ComputeTime(many) >= m.ComputeTime(few) {
 		t.Error("more functions should cut per-function compute")
 	}
-	fewSyncPerIter := m.Service(storage.S3).SyncTime(5, 340)
-	manySyncPerIter := m.Service(storage.S3).SyncTime(50, 340)
+	fewSyncPerIter := storage.New(storage.S3).SyncTime(5, 340)
+	manySyncPerIter := storage.New(storage.S3).SyncTime(50, 340)
 	if manySyncPerIter <= fewSyncPerIter {
 		t.Error("per-iteration sync must grow with function count")
 	}
@@ -151,7 +151,7 @@ func TestRuntimeChargedStorageBillsWholeJob(t *testing.T) {
 	a := Allocation{N: 10, MemMB: 4096, Storage: storage.VMPS}
 	job := m.JobCost(a, 10)
 	funcs := 10*m.FunctionEpochCost(a) + m.InvocationCost(a)
-	vmBill := m.Service(storage.VMPS).RuntimeCost(m.JobTime(a, 10))
+	vmBill := storage.New(storage.VMPS).RuntimeCost(m.JobTime(a, 10))
 	if job < funcs+vmBill-1e-9 {
 		t.Errorf("JobCost %g must cover functions %g + VM runtime %g", job, funcs, vmBill)
 	}

@@ -136,16 +136,15 @@ func ablASP(seed uint64, cfg Config) (*Table, error) {
 		if async {
 			mode = "ASP"
 		}
-		r := trainer.NewRunner(seed + 17)
-		res, err := r.Run(trainer.Config{
+		res := new(trainer.Result)
+		if err := trainer.NewRunner(seed+17).Run(trainer.Config{
 			Workload:   c.w,
 			Engine:     c.w.NewEngine(workload.Hyperparams{LR: c.w.DefaultLR}, seed),
 			Alloc:      c.a,
 			TargetLoss: c.w.TargetLoss,
 			MaxEpochs:  2000,
 			Async:      async,
-		})
-		if err != nil {
+		}, res); err != nil {
 			return nil, err
 		}
 		return [][]string{{
@@ -300,7 +299,8 @@ func ablFaults(seed uint64, cfg Config) (*Table, error) {
 		if c.rate > 0 {
 			faults = fault.MustNew(fault.CrashWindow(0, math.MaxFloat64, c.rate))
 		}
-		res, err := trainer.NewRunner(seed + 53).Run(trainer.Config{
+		res := new(trainer.Result)
+		if err := trainer.NewRunner(seed+53).Run(trainer.Config{
 			Workload:          w,
 			Engine:            w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
 			Alloc:             alloc,
@@ -308,8 +308,7 @@ func ablFaults(seed uint64, cfg Config) (*Table, error) {
 			MaxEpochs:         400,
 			DisableCheckpoint: !c.checkpoint,
 			Faults:            faults,
-		})
-		if err != nil {
+		}, res); err != nil {
 			return nil, err
 		}
 		return [][]string{{

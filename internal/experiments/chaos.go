@@ -12,14 +12,14 @@ package experiments
 //     clients immediately re-submit;
 //   - reclaim+spike: the warm pool is spot-reclaimed and a cold-start
 //     spike window makes the resulting cold starts expensive;
-//   - brownout: checkpoint puts cross a storage.Faulty wrapper whose
-//     deterministic error gate forces bounded retries, degrading to a
-//     dropped checkpoint (never a panic) when the policy exhausts;
+//   - brownout: checkpoint puts cross the tenant's deterministic
+//     fault.Gate, which forces bounded retries, degrading to a dropped
+//     checkpoint (never a panic) when the policy exhausts;
 //   - straggler: service times inflate inside slowdown windows.
 //
 // Like macro-day, the table and obs exports must be byte-identical at every
 // (shards, workers) setting: every fault event carries a priFault+tenant
-// priority, each tenant's Faulty gate is private (the shared Store only
+// priority, each tenant's brownout gate is private (the shared Store only
 // accumulates order-independent counters), and the shard-0 monitor's
 // feedback loop is pinned by the same report/absorb/shed priority bands.
 
@@ -157,7 +157,8 @@ func runFaultRestart(seed uint64, _ Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return trainer.NewRunner(seed).Run(trainer.Config{
+		res := new(trainer.Result)
+		return res, trainer.NewRunner(seed).Run(trainer.Config{
 			Workload:   w,
 			Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
 			Alloc:      alloc,
@@ -165,7 +166,7 @@ func runFaultRestart(seed uint64, _ Config) (*Table, error) {
 			MaxEpochs:  2000,
 			Faults:     sched,
 			Controller: s.Controller(),
-		})
+		}, res)
 	}
 
 	probe, err := run(nil, false, 1e15)

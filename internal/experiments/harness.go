@@ -411,9 +411,10 @@ type openTenant struct {
 	svc   sim.Rand // service-time draws
 	rty   sim.Rand // retry backoff jitter
 
-	ckpt      *storage.Faulty // private error gate over the shared store
-	ckptKey   []byte          // "<namespace>ckpt/", with room to append the checkpoint number
-	ckptEvery uint64          // checkpoint cadence, in completions
+	ckptGate  fault.Gate // private brownout error gate in front of the shared store
+	ckptRate  float64    // the active brownout's error rate (0 = none)
+	ckptKey   []byte     // "<namespace>ckpt/", with room to append the checkpoint number
+	ckptEvery uint64     // checkpoint cadence, in completions
 
 	perTenant int
 	arrived   int     // arrivals handled; the pending arrival's index
@@ -450,8 +451,7 @@ func (h *harness) openFleet(tenants, perTenant int, ckptEvery uint64) (fleet []*
 		tn := &openTenant{
 			h: h, id: t, memMB: 512 << (t % 3), plat: plat, sh: plat.Shard(),
 			arr: h.s.Stream(name + "/arrivals"), svc: h.s.Stream(name + "/service"), rty: h.s.Stream(name + "/retry"),
-			ckpt: storage.NewFaulty(h.store), ckptKey: append(make([]byte, 0, 64), name+"/ckpt/"...),
-			ckptEvery: ckptEvery,
+			ckptKey: append(make([]byte, 0, 64), name+"/ckpt/"...), ckptEvery: ckptEvery,
 			perTenant: perTenant, phase: 2 * math.Pi * float64(t) / float64(tenants), strag: 1,
 		}
 		tn.g0 = diurnalAmp * math.Cos(tn.phase)
@@ -484,7 +484,7 @@ func (tn *openTenant) start(faults *fault.Schedule) int {
 		Kill:      tn.kill,
 		Reclaim:   func(n int) { tn.reclaimed += uint64(tn.plat.ReclaimWarm(n)) },
 		Straggler: func(f float64) { tn.strag = f },
-		Brownout:  func(_, errRate float64) { tn.ckpt.SetErrorRate(errRate) },
+		Brownout:  func(_, errRate float64) { tn.ckptRate = errRate },
 		ColdSpike: tn.plat.SetColdSpikeFactor,
 	})
 	tn.sh.SchedulePriority(tn.arrivalAt(0), tn.id, tn.arriveFn)
@@ -607,13 +607,15 @@ func (tn *openTenant) kill(n int) {
 	}
 }
 
-// checkpoint writes through the tenant's faulty store view under the
-// bounded retry policy; exhaustion drops this checkpoint and carries on —
-// the serving path must degrade gracefully, never abort.
+// checkpoint writes to the shared store through the tenant's brownout gate
+// under the bounded retry policy: a failed attempt writes nothing, and
+// exhaustion drops this checkpoint and carries on — the serving path must
+// degrade gracefully, never abort.
 func (tn *openTenant) checkpoint(service float64) {
 	key := string(strconv.AppendUint(tn.ckptKey, tn.completed/tn.ckptEvery, 10))
 	for attempt := 0; attempt < fault.MaxAttempts; attempt++ {
-		if err := tn.ckpt.TryPut(key, []float64{float64(tn.completed), service}); err == nil {
+		if !tn.ckptGate.Fail(tn.ckptRate) {
+			tn.h.store.Put(key, []float64{float64(tn.completed), service})
 			return
 		}
 		tn.ckptRetries++

@@ -56,7 +56,7 @@ func tab2(seed uint64, cfg Config) (*Table, error) {
 			}
 			r := trainer.NewRunner(seed + uint64(n) + uint64(kind)*13)
 			res := new(trainer.Result)
-			if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed), a, epochs, res); err != nil {
+			if err := r.Run(trainer.Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed), Alloc: a, MaxEpochs: epochs}, res); err != nil {
 				return nil, err
 			}
 			base[kind] = res

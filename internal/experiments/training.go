@@ -283,7 +283,7 @@ func fig18(seed uint64, cfg Config) (*Table, error) {
 		return cells(cfg, len(kinds), func(ki int) ([]string, error) {
 			kind := kinds[ki]
 			k := kind
-			if !fw.Model.Service(kind).Supports(w.ParamsMB) {
+			if !storage.New(kind).Supports(w.ParamsMB) {
 				return []string{w.Name, kind.Short(), "N/A", "N/A", "N/A", "N/A"}, nil
 			}
 			r, err := runCE(cfg, fw, core.Options{Budget: budget, Seed: seed, PinStorage: &k}, seed+uint64(kind), "fig18/"+w.Name+"/"+kind.Short())

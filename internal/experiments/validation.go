@@ -165,7 +165,7 @@ func validation(cfg Config, id, title string, w *workload.Model, allocs []cost.A
 		}
 		r := trainer.NewRunner(seed + uint64(a.N) + uint64(a.MemMB))
 		var res trainer.Result
-		if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed), a, epochs, &res); err != nil {
+		if err := r.Run(trainer.Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed), Alloc: a, MaxEpochs: epochs}, &res); err != nil {
 			return nil, err
 		}
 		estT := m.JobTime(a, epochs)

@@ -358,11 +358,13 @@ func (p *Platform) observeReleaseGroup(n, memMB int, secondsEach float64) {
 }
 
 // BillCompute charges compute time for n functions of memMB that each ran
-// secondsEach, without touching admission state. The trainer uses this for
-// per-epoch billing while instances stay admitted across epochs.
-func (p *Platform) BillCompute(n, memMB int, secondsEach float64) {
+// secondsEach, without touching admission state, and returns the dollars
+// it metered (nothing when n or secondsEach is not positive). The trainer
+// uses this for per-epoch billing while instances stay admitted across
+// epochs, and adds the returned charge to its result.
+func (p *Platform) BillCompute(n, memMB int, secondsEach float64) float64 {
 	if n <= 0 || secondsEach <= 0 {
-		return
+		return 0
 	}
 	cost := float64(n) * pricing.ComputeOnlyCost(secondsEach, float64(memMB))
 	p.meter.ComputeCost += cost
@@ -371,6 +373,7 @@ func (p *Platform) BillCompute(n, memMB int, secondsEach float64) {
 	if p.obs.Enabled() {
 		p.observeBillCompute(gbs, cost)
 	}
+	return cost
 }
 
 // observeBillCompute records one billing event in the metrics registry.

@@ -145,12 +145,19 @@ func TestBillComputeDoesNotTouchAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := p.InFlight()
-	p.BillCompute(2, 1769, 5)
+	charged := p.BillCompute(2, 1769, 5)
 	if p.InFlight() != before {
 		t.Error("BillCompute changed admission state")
 	}
 	if p.Meter().GBSeconds == 0 {
 		t.Error("BillCompute did not bill")
+	}
+	// It returns exactly what it metered, and meters nothing for no time.
+	if m := p.Meter(); charged != m.ComputeCost || charged != 2*pricing.ComputeOnlyCost(5, 1769) {
+		t.Errorf("BillCompute returned %g; the meter holds %g", charged, m.ComputeCost)
+	}
+	if got := p.BillCompute(2, 1769, 0); got != 0 || p.Meter().ComputeCost != charged {
+		t.Errorf("a 0 s bill returned %g and left the meter at %g", got, p.Meter().ComputeCost)
 	}
 }
 

@@ -172,11 +172,28 @@ func TestGateIsDeterministicAndProportional(t *testing.T) {
 			t.Fatalf("op %d: %v != first run %v", i, got, pattern[i])
 		}
 	}
-	if g.Fail(0) {
-		t.Error("rate 0 failed an op")
+	// Rates at or below 0 (NaN too) fail nothing and rates at or above 1
+	// fail everything, neither moving the accumulator: a fresh gate then
+	// fails exactly 25 of 100 ops at rate 0.25.
+	g = Gate{}
+	for _, r := range []float64{0, -0.5, math.Inf(-1), math.NaN()} {
+		if g.Fail(r) {
+			t.Errorf("rate %g failed an op", r)
+		}
 	}
-	if !g.Fail(1) {
-		t.Error("rate 1 passed an op")
+	for _, r := range []float64{1, 1.5, math.Inf(1)} {
+		if !g.Fail(r) {
+			t.Errorf("rate %g passed an op", r)
+		}
+	}
+	fails = 0
+	for range 100 {
+		if g.Fail(rate) {
+			fails++
+		}
+	}
+	if fails != 25 {
+		t.Errorf("fails = %d of 100 at rate %g after out-of-range rates, want 25", fails, rate)
 	}
 }
 

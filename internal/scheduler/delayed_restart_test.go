@@ -55,15 +55,15 @@ func runRecorded(t *testing.T, delta float64, seed uint64, maxEpochs int) (*trai
 		return dec
 	}
 	r := trainer.NewRunner(seed)
-	res, err := r.Run(trainer.Config{
+	res := new(trainer.Result)
+	if err := r.Run(trainer.Config{
 		Workload:   w,
 		Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
 		Alloc:      alloc,
 		TargetLoss: w.TargetLoss,
 		MaxEpochs:  maxEpochs,
 		Controller: record,
-	})
-	if err != nil {
+	}, res); err != nil {
 		t.Fatal(err)
 	}
 	return r, res, triggers

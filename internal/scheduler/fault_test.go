@@ -44,7 +44,8 @@ func TestStragglerWindowForcesReplanning(t *testing.T) {
 		}
 		r := trainer.NewRunner(11)
 		alloc, _ := s.Initial()
-		res, err := r.Run(trainer.Config{
+		res := new(trainer.Result)
+		if err := r.Run(trainer.Config{
 			Workload:   w,
 			Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 13),
 			Alloc:      alloc,
@@ -52,8 +53,7 @@ func TestStragglerWindowForcesReplanning(t *testing.T) {
 			MaxEpochs:  500,
 			Faults:     sched,
 			Controller: s.Controller(),
-		})
-		if err != nil {
+		}, res); err != nil {
 			t.Fatal(err)
 		}
 		return s, res, o

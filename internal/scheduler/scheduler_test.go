@@ -34,15 +34,15 @@ func runSession(t *testing.T, s *Scheduler, r *trainer.Runner, w *workload.Model
 	if alloc.N == 0 {
 		t.Fatal("Initial returned a zero allocation")
 	}
-	res, err := r.Run(trainer.Config{
+	res := new(trainer.Result)
+	if err := r.Run(trainer.Config{
 		Workload:   w,
 		Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 13),
 		Alloc:      alloc,
 		TargetLoss: w.TargetLoss,
 		MaxEpochs:  500,
 		Controller: s.Controller(),
-	})
-	if err != nil {
+	}, res); err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -98,14 +98,14 @@ func TestSchedulerAdjustsAtLeastOnce(t *testing.T) {
 		})
 		r := trainer.NewRunner(seed)
 		alloc, _ := s.Initial()
-		if _, err := r.Run(trainer.Config{
+		if err := r.Run(trainer.Config{
 			Workload:   w,
 			Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
 			Alloc:      alloc,
 			TargetLoss: w.TargetLoss,
 			MaxEpochs:  500,
 			Controller: s.Controller(),
-		}); err != nil {
+		}, new(trainer.Result)); err != nil {
 			t.Fatal(err)
 		}
 		if s.Restarts > 0 {
@@ -130,15 +130,15 @@ func TestDeltaControlsRestartFrequency(t *testing.T) {
 		})
 		r := trainer.NewRunner(5)
 		alloc, _ := s.Initial()
-		res, err := r.Run(trainer.Config{
+		res := new(trainer.Result)
+		if err := r.Run(trainer.Config{
 			Workload:   w,
 			Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 5),
 			Alloc:      alloc,
 			TargetLoss: w.TargetLoss,
 			MaxEpochs:  500,
 			Controller: s.Controller(),
-		})
-		if err != nil {
+		}, res); err != nil {
 			t.Fatal(err)
 		}
 		return res.Restarts
@@ -167,15 +167,15 @@ func TestPlanningOverheadScalesWithCandidateSet(t *testing.T) {
 		})
 		r := trainer.NewRunner(2)
 		alloc, _ := s.Initial()
-		res, err := r.Run(trainer.Config{
+		res := new(trainer.Result)
+		if err := r.Run(trainer.Config{
 			Workload:   w,
 			Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 2),
 			Alloc:      alloc,
 			TargetLoss: w.TargetLoss,
 			MaxEpochs:  500,
 			Controller: s.Controller(),
-		})
-		if err != nil {
+		}, res); err != nil {
 			t.Fatal(err)
 		}
 		return res.PlanningTime + s.PlanningSeconds - res.PlanningTime // total planning incl. Initial
@@ -189,15 +189,15 @@ func TestBudgetExhaustionStops(t *testing.T) {
 	w := workload.BERT()
 	s, r := newSession(t, w, 0.5, 0, true) // absurdly small budget
 	alloc, _ := s.Initial()
-	res, err := r.Run(trainer.Config{
+	res := new(trainer.Result)
+	if err := r.Run(trainer.Config{
 		Workload:   w,
 		Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 3),
 		Alloc:      alloc,
 		TargetLoss: w.TargetLoss,
 		MaxEpochs:  500,
 		Controller: s.Controller(),
-	})
-	if err != nil {
+	}, res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Converged && res.TotalCost > 0.5 {

@@ -121,7 +121,7 @@ func Run(cfg Config) (*Result, error) {
 			waveMax := 0.0
 			waveComm := 0.0
 			for _, tr := range alive[wStart:wEnd] {
-				if err := cfg.Runner.RunEpochs(cfg.Workload, tr.Engine, alloc, stage.Epochs, &run); err != nil {
+				if err := cfg.Runner.Run(trainer.Config{Workload: cfg.Workload, Engine: tr.Engine, Alloc: alloc, MaxEpochs: stage.Epochs}, &run); err != nil {
 					return nil, fmt.Errorf("sha: stage %d trial %d: %w", si, tr.ID, err)
 				}
 				tr.Loss = run.FinalLoss

@@ -136,13 +136,13 @@ var models = [numKinds]Service{
 	Pocket:      {kind: Pocket, stateless: true, latency: 0.0015, perConnMBps: 250, charge: ByRequest},
 }
 
-// New returns the model for kind.
+// New returns the model for kind: the package's one shared, read-only
+// entry.
 func New(kind Kind) *Service {
 	if kind < 0 || kind >= numKinds {
 		panic(fmt.Sprintf("storage: unknown kind %d", int(kind)))
 	}
-	s := models[kind]
-	return &s
+	return &models[kind]
 }
 
 // All returns one model per service kind, in display order.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -12,9 +13,8 @@ import (
 // TestSHATrialZeroAlloc is the trainer's steady-state gate: one
 // Successive-Halving trial (a MobileNet curve engine, 25 functions on S3,
 // 2 epochs, default noise) run into a reused Result touches no heap — the
-// job and its state are the runner's, the initial snapshot and the
-// checkpoint append into kept buffers, and the store overwrites the
-// checkpoint in place.
+// job is the runner's, the initial snapshot and the checkpoint append into
+// kept buffers, and the store overwrites the checkpoint in place.
 func TestSHATrialZeroAlloc(t *testing.T) {
 	w := workload.MobileNet()
 	a := cost.Allocation{N: 25, MemMB: 1769, Storage: storage.S3}
@@ -22,7 +22,7 @@ func TestSHATrialZeroAlloc(t *testing.T) {
 	eng := w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 11)
 	var res Result
 	trial := func() {
-		if err := r.RunEpochs(w, eng, a, 2, &res); err != nil {
+		if err := r.Run(Config{Workload: w, Engine: eng, Alloc: a, MaxEpochs: 2}, &res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,26 +37,42 @@ func TestSHATrialZeroAlloc(t *testing.T) {
 	}
 }
 
-// A result reused across trials of different lengths reads exactly as a
-// fresh one, and RunEpochs matches Run on the same substrate bit for bit.
-func TestRunEpochsReusedResultMatchesRun(t *testing.T) {
+// A result reused across runs of different lengths reads exactly as a
+// fresh one, and the runner's own job matches a StartJob/Step/Finish job on
+// the same substrate bit for bit (its driver advancing the shared clock as
+// Run does).
+func TestReusedResultMatchesFreshAndStepped(t *testing.T) {
 	w := workload.MobileNet()
 	a := cost.Allocation{N: 25, MemMB: 1769, Storage: storage.S3}
-	engine := func(seed uint64) workload.Engine {
-		return w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed)
-	}
-	reused, fresh := NewRunner(13), NewRunner(13)
+	reused, fresh, stepped := NewRunner(13), NewRunner(13), NewRunner(13)
 	var res Result
 	for i, epochs := range []int{5, 2, 3} {
-		if err := reused.RunEpochs(w, engine(uint64(i)), a, epochs, &res); err != nil {
+		cfg := func() Config {
+			return Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, uint64(i)), Alloc: a, MaxEpochs: epochs}
+		}
+		if err := reused.Run(cfg(), &res); err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.Run(Config{Workload: w, Engine: engine(uint64(i)), Alloc: a, MaxEpochs: epochs})
-		if err != nil {
+		want := new(Result)
+		if err := fresh.Run(cfg(), want); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res, *want) {
-			t.Errorf("trial %d (%d epochs): RunEpochs into a reused result\n%+v\nwant Run's\n%+v", i, epochs, res, *want)
+			t.Errorf("trial %d (%d epochs): Run into a reused result\n%+v\nwant a fresh result's\n%+v", i, epochs, res, *want)
+		}
+		job, err := stepped.StartJob(cfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for advanced := 0.0; !job.Done(); advanced = job.Elapsed() {
+			if err := job.Step(); err != nil {
+				t.Fatal(err)
+			}
+			s := stepped.Sim()
+			s.RunUntil(s.Now() + sim.Time(job.Elapsed()-advanced))
+		}
+		if got := job.Finish(); !reflect.DeepEqual(*got, *want) {
+			t.Errorf("trial %d (%d epochs): a stepped job\n%+v\nwant Run's\n%+v", i, epochs, *got, *want)
 		}
 	}
 }

@@ -24,13 +24,13 @@ func asyncJob(alloc cost.Allocation, async bool, seed uint64) (Config, *Runner) 
 func TestAsyncEpochsFasterButMoreOfThem(t *testing.T) {
 	alloc := cost.Allocation{N: 50, MemMB: 1769, Storage: storage.S3}
 	cfgB, rB := asyncJob(alloc, false, 21)
-	bsp, err := rB.Run(cfgB)
-	if err != nil {
+	bsp := new(Result)
+	if err := rB.Run(cfgB, bsp); err != nil {
 		t.Fatal(err)
 	}
 	cfgA, rA := asyncJob(alloc, true, 21)
-	asp, err := rA.Run(cfgA)
-	if err != nil {
+	asp := new(Result)
+	if err := rA.Run(cfgA, asp); err != nil {
 		t.Fatal(err)
 	}
 	if !bsp.Converged || !asp.Converged {
@@ -66,8 +66,8 @@ func TestAsyncEfficiencyMonotone(t *testing.T) {
 func TestAsyncAccountingStillBalances(t *testing.T) {
 	alloc := cost.Allocation{N: 20, MemMB: 1769, Storage: storage.S3}
 	cfg, r := asyncJob(alloc, true, 23)
-	res, err := r.Run(cfg)
-	if err != nil {
+	res := new(Result)
+	if err := r.Run(cfg, res); err != nil {
 		t.Fatal(err)
 	}
 	sum := res.ComputeTime + res.SyncTime + res.OverheadTime
@@ -87,8 +87,8 @@ func TestAsyncLossMonotoneProgress(t *testing.T) {
 	cfg, r := asyncJob(alloc, true, 29)
 	cfg.MaxEpochs = 40
 	cfg.TargetLoss = 0 // run the full horizon
-	res, err := r.Run(cfg)
-	if err != nil {
+	res := new(Result)
+	if err := r.Run(cfg, res); err != nil {
 		t.Fatal(err)
 	}
 	stalls := 0

@@ -24,7 +24,8 @@ func crashes(rate float64) *fault.Schedule {
 
 func failureJob(rate float64, noCheckpoint bool, seed uint64) (*Result, error) {
 	w := workload.MobileNet()
-	return NewRunner(seed).Run(Config{
+	res := new(Result)
+	return res, NewRunner(seed).Run(Config{
 		Workload:          w,
 		Engine:            w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
 		Alloc:             cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
@@ -32,7 +33,7 @@ func failureJob(rate float64, noCheckpoint bool, seed uint64) (*Result, error) {
 		MaxEpochs:         400,
 		DisableCheckpoint: noCheckpoint,
 		Faults:            crashes(rate),
-	})
+	}, res)
 }
 
 // TestCrashWindowReproducesPinnedDraws: the crash window replays, bit for
@@ -144,14 +145,14 @@ func TestCheckpointingBeatsNoCheckpointUnderFailures(t *testing.T) {
 // FailureCapped stayed 0 while the job quietly under-reported its failures.
 func TestFailureCapIsSurfaced(t *testing.T) {
 	w := workload.MobileNet()
-	res, err := NewRunner(11).Run(Config{
+	res := new(Result)
+	if err := NewRunner(11).Run(Config{
 		Workload:  w,
 		Engine:    w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 11),
 		Alloc:     cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		MaxEpochs: 3,
 		Faults:    crashes(0.999),
-	})
-	if err != nil {
+	}, res); err != nil {
 		t.Fatal(err)
 	}
 	// groupP = 1 - (1-0.999)^10 ~ 1: every draw fails, so every epoch's
@@ -202,10 +203,9 @@ func TestRecoveryComputeIsBilled(t *testing.T) {
 	// checkpoint re-pull at group concurrency; the wasted fractions are the
 	// remainder of FailureTime. Both cost out linearly (all durations are
 	// far above the 1 ms billing floor).
-	r := NewRunner(7)
 	w := workload.MobileNet()
 	recoverEach := faas.ColdStartEstimate(1769) +
-		r.Service(storage.S3).TransferTime(10, w.ParamsMB)
+		storage.New(storage.S3).TransferTime(10, w.ParamsMB)
 	recoverSec := float64(faulty.Failures) * recoverEach
 	wastedSec := faulty.FailureTime - recoverSec
 	if wastedSec <= 0 {
@@ -233,14 +233,14 @@ func meterComputeCost(t *testing.T, rate float64, seed uint64) float64 {
 	t.Helper()
 	w := workload.MobileNet()
 	r := NewRunner(seed)
-	if _, err := r.Run(Config{
+	if err := r.Run(Config{
 		Workload:   w,
 		Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
 		Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		TargetLoss: w.TargetLoss,
 		MaxEpochs:  400,
 		Faults:     crashes(rate),
-	}); err != nil {
+	}, new(Result)); err != nil {
 		t.Fatal(err)
 	}
 	m := r.Compute().Meter()
@@ -292,7 +292,7 @@ func TestFailedInitialRestoreIsAnError(t *testing.T) {
 			DisableCheckpoint: true,
 			Faults:            faults,
 		}
-		if _, err := NewRunner(3).Run(cfg); !errors.Is(err, errSnapshotRejected) {
+		if err := NewRunner(3).Run(cfg, new(Result)); !errors.Is(err, errSnapshotRejected) {
 			t.Errorf("%s: Run error = %v, want the failed restore", name, err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/pricing"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -27,23 +28,23 @@ import (
 // killed sandboxes re-invoke at real (possibly cold-spiked) start latency
 // and re-pull the checkpoint through possibly browned-out storage, and the
 // epoch retries.
-func (r *Runner) scheduledFaults(st *state, epoch int, epochT float64) error {
-	sched := st.cfg.Faults
+func (j *Job) scheduledFaults(epochT float64) error {
+	r, sched := j.r, j.cfg.Faults
 	for {
-		ev, idx, ok := sched.NextInstant(st.faultCursor, st.clock+epochT)
+		ev, idx, ok := sched.NextInstant(j.faultCursor, j.clock+epochT)
 		if !ok {
 			break
 		}
-		st.faultCursor = idx
+		j.faultCursor = idx
 		switch ev.Kind {
 		case fault.ReclaimWarm:
-			n := r.Compute().ReclaimWarm(ev.Count)
+			n := r.compute.ReclaimWarm(ev.Count)
 			if r.obs.Enabled() {
-				r.obs.Trace().InstantAt(st.clock, "job", "trainer", "fault_reclaim",
-					obs.I("epoch", epoch), obs.I("n", n))
+				r.obs.Trace().InstantAt(j.clock, "job", "trainer", "fault_reclaim",
+					obs.I("epoch", j.epoch), obs.I("n", n))
 			}
 		case fault.KillSandbox:
-			if err := r.killDuringEpoch(st, epoch, epochT, ev); err != nil {
+			if err := j.killDuringEpoch(epochT, ev); err != nil {
 				return err
 			}
 		}
@@ -51,13 +52,13 @@ func (r *Runner) scheduledFaults(st *state, epoch int, epochT float64) error {
 	// Inside a crash window each of the n functions crashes in an attempt
 	// with probability p; every crash wastes a uniform fraction of the
 	// attempt and restarts one sandbox at its estimated cold start.
-	a := st.alloc
-	p := sched.CrashRate(st.clock)
+	a := j.alloc
+	p := sched.CrashRate(j.clock)
 	if p == 0 || a.N == 0 {
 		return nil
 	}
-	w := st.cfg.Workload
-	svc := r.Service(a.Storage)
+	w := j.cfg.Workload
+	svc := storage.New(a.Storage)
 	rng := r.failureRng
 	groupP := 1 - math.Pow(1-p, float64(a.N))
 	attempt := 0
@@ -65,14 +66,14 @@ func (r *Runner) scheduledFaults(st *state, epoch int, epochT float64) error {
 		wasted := rng.Float64() * epochT
 		recover := faas.ColdStartEstimate(a.MemMB) +
 			svc.TransferTime(a.N, w.ParamsMB)
-		if err := r.crash(st, epoch, 1, wasted, recover, 0, "failure"); err != nil {
+		if err := j.crash(1, wasted, recover, 0, "failure"); err != nil {
 			return err
 		}
 	}
 	if attempt == failureAttemptCap {
 		// The draws gave up retrying and let the epoch proceed as a
 		// success. Surface the truncation instead of dropping it.
-		st.res.FailureCapped++
+		j.res.FailureCapped++
 		if r.obs.Enabled() {
 			r.obs.Stats().Inc("trainer.failure_cap")
 		}
@@ -81,10 +82,8 @@ func (r *Runner) scheduledFaults(st *state, epoch int, epochT float64) error {
 }
 
 // killDuringEpoch handles one scheduled sandbox kill mid-epoch.
-func (r *Runner) killDuringEpoch(st *state, epoch int, epochT float64, ev fault.Event) error {
-	sched := st.cfg.Faults
-	a := st.alloc
-	w := st.cfg.Workload
+func (j *Job) killDuringEpoch(epochT float64, ev fault.Event) error {
+	r, sched, a, w := j.r, j.cfg.Faults, j.alloc, j.cfg.Workload
 	k := ev.Count
 	if k > a.N {
 		k = a.N
@@ -94,15 +93,15 @@ func (r *Runner) killDuringEpoch(st *state, epoch int, epochT float64, ev fault.
 	}
 	// The attempt fraction that ran before the kill is wasted (the BSP
 	// barrier cannot complete without the killed members).
-	wasted := ev.At - st.clock
+	wasted := ev.At - j.clock
 	if wasted < 0 {
 		wasted = 0
 	}
 	if wasted > epochT {
 		wasted = epochT
 	}
-	pf := r.Compute()
-	pf.KillSandboxes(k)
+	pf := r.compute
+	j.held -= pf.KillSandboxes(k)
 	// Replacements pay the platform's real start latency, spiked if the
 	// kill lands inside a cold-start spike window.
 	pf.SetColdSpikeFactor(sched.ColdSpikeFactor(ev.At))
@@ -111,10 +110,11 @@ func (r *Runner) killDuringEpoch(st *state, epoch int, epochT float64, ev fault.
 	if err != nil {
 		return fmt.Errorf("trainer: re-invoking %d killed sandboxes: %w", k, err)
 	}
+	j.held += k
 	// The checkpoint re-pull crosses storage that may be browned out.
 	lat, _, _ := sched.BrownoutAt(ev.At)
-	recover := g.StartDelay + r.Service(a.Storage).TransferTime(a.N, w.ParamsMB)*lat
-	return r.crash(st, epoch, k, wasted, recover, float64(k)*pricing.FunctionInvoke, "fault_kill")
+	recover := g.StartDelay + storage.New(a.Storage).TransferTime(a.N, w.ParamsMB)*lat
+	return j.crash(k, wasted, recover, float64(k)*pricing.FunctionInvoke, "fault_kill")
 }
 
 // crash accounts one aborted BSP epoch attempt, whether a kill or a draw
@@ -122,41 +122,40 @@ func (r *Runner) killDuringEpoch(st *state, epoch int, epochT float64, ev fault.
 // sandboxes restart and take recover seconds to re-pull the checkpoint, and
 // the epoch retries. Both spans land on the job clock as failure overhead
 // and on the platform's meter — the whole group is billed for the wasted
-// attempt, the replacements for their recovery run plus invokeFee. instant
-// names the trace event: "failure" for a crash window's draws, "fault_kill"
-// for a scheduled kill, which also reports how many sandboxes died.
-func (r *Runner) crash(st *state, epoch, killed int, wasted, recover, invokeFee float64, instant string) error {
-	a := st.alloc
-	st.clock += wasted + recover
-	st.res.OverheadTime += wasted + recover
-	st.res.FailureTime += wasted + recover
-	st.res.Failures++
+// attempt, the replacements for their recovery run plus invokeFee — and the
+// Result takes the dollars the meter charged. instant names the trace
+// event: "failure" for a crash window's draws, "fault_kill" for a scheduled
+// kill, which also reports how many sandboxes died.
+func (j *Job) crash(killed int, wasted, recover, invokeFee float64, instant string) error {
+	r, a, epoch := j.r, j.alloc, j.epoch
+	j.clock += wasted + recover
+	j.res.OverheadTime += wasted + recover
+	j.res.FailureTime += wasted + recover
+	j.res.Failures++
 	if r.obs.Enabled() {
 		r.obs.Stats().Inc("trainer.failures")
 		r.obs.Stats().Add("trainer.failure_s", wasted+recover)
 		if instant == "fault_kill" {
-			r.obs.Trace().InstantAt(st.clock, "job", "trainer", instant,
+			r.obs.Trace().InstantAt(j.clock, "job", "trainer", instant,
 				obs.I("epoch", epoch), obs.I("killed", killed),
 				obs.F("wasted_s", wasted), obs.F("recover_s", recover))
 			r.obs.Stats().Add("trainer.fault_kills", float64(killed))
 		} else {
-			r.obs.Trace().InstantAt(st.clock, "job", "trainer", instant,
+			r.obs.Trace().InstantAt(j.clock, "job", "trainer", instant,
 				obs.I("epoch", epoch), obs.F("wasted_s", wasted), obs.F("recover_s", recover))
 		}
 	}
-	r.Compute().BillCompute(a.N, a.MemMB, wasted)
-	r.Compute().BillCompute(killed, a.MemMB, recover)
-	computeSpent := float64(killed) * pricing.ComputeOnlyCost(recover, float64(a.MemMB))
-	if wasted > 0 { // a crash at the attempt boundary wasted no compute
-		computeSpent += float64(a.N) * pricing.ComputeOnlyCost(wasted, float64(a.MemMB))
-	}
-	st.res.FunctionCost += computeSpent
-	st.res.InvokeCost += invokeFee
-	st.res.TotalCost += computeSpent + invokeFee
+	// A crash at the attempt boundary wasted no compute, and the meter
+	// charges 0 for it.
+	wastedCost := r.compute.BillCompute(a.N, a.MemMB, wasted)
+	computeSpent := r.compute.BillCompute(killed, a.MemMB, recover) + wastedCost
+	j.res.FunctionCost += computeSpent
+	j.res.InvokeCost += invokeFee
+	j.res.TotalCost += computeSpent + invokeFee
 	// Without a usable checkpoint the crash loses all progress.
-	if (st.cfg.DisableCheckpoint || st.ckptOff) && st.initialState != nil {
-		if snap, ok := st.cfg.Engine.(workload.Snapshotter); ok {
-			if err := snap.Restore(st.initialState); err != nil {
+	if (j.cfg.DisableCheckpoint || j.ckptOff) && j.initialState != nil {
+		if snap, ok := j.cfg.Engine.(workload.Snapshotter); ok {
+			if err := snap.Restore(j.initialState); err != nil {
 				return fmt.Errorf("trainer: restoring initial state: %w", err)
 			}
 		}
@@ -169,35 +168,36 @@ func (r *Runner) crash(st *state, epoch, killed int, wasted, recover, invokeFee 
 // policy; returning false means the policy was exhausted and the job just
 // degraded to checkpoint-less mode (Result.Degraded) — the graceful path,
 // where the old behavior for unusable checkpoints was a panic.
-func (r *Runner) brownoutOp(st *state, op string) bool {
-	_, errRate, _ := st.cfg.Faults.BrownoutAt(st.clock)
+func (j *Job) brownoutOp(op string) bool {
+	_, errRate, _ := j.cfg.Faults.BrownoutAt(j.clock)
 	if errRate == 0 {
 		return true
 	}
+	r := j.r
 	for attempt := 0; attempt < fault.MaxAttempts; attempt++ {
-		if !st.gate.Fail(errRate) {
+		if !j.gate.Fail(errRate) {
 			return true
 		}
 		backoff := fault.Backoff(attempt)
-		st.clock += backoff
-		st.res.OverheadTime += backoff
-		st.res.StorageRetries++
+		j.clock += backoff
+		j.res.OverheadTime += backoff
+		j.res.StorageRetries++
 		if r.obs.Enabled() {
-			r.obs.Trace().InstantAt(st.clock, "job", "trainer", "storage_retry",
+			r.obs.Trace().InstantAt(j.clock, "job", "trainer", "storage_retry",
 				obs.S("op", op), obs.I("attempt", attempt), obs.F("backoff_s", backoff))
 			r.obs.Stats().Inc("trainer.storage_retries")
 		}
 	}
-	r.degrade(st, "brownout retries exhausted during "+op)
+	j.degrade("brownout retries exhausted during " + op)
 	return false
 }
 
 // degrade latches the job into checkpoint-less mode with an explicit flag.
-func (r *Runner) degrade(st *state, why string) {
-	st.res.Degraded = true
-	st.ckptOff = true
-	if r.obs.Enabled() {
-		r.obs.Trace().InstantAt(st.clock, "job", "trainer", "degraded", obs.S("why", why))
+func (j *Job) degrade(why string) {
+	j.res.Degraded = true
+	j.ckptOff = true
+	if r := j.r; r.obs.Enabled() {
+		r.obs.Trace().InstantAt(j.clock, "job", "trainer", "degraded", obs.S("why", why))
 		r.obs.Stats().Inc("trainer.degraded")
 	}
 }

@@ -19,15 +19,15 @@ func faultJob(t *testing.T, sched *fault.Schedule, seed uint64, maxEpochs int, c
 	w := workload.MobileNet()
 	r := NewRunner(seed)
 	r.Noise = NoNoise()
-	res, err := r.Run(Config{
+	res := new(Result)
+	if err := r.Run(Config{
 		Workload:   w,
 		Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed),
 		Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		MaxEpochs:  maxEpochs,
 		Faults:     sched,
 		Controller: ctrl,
-	})
-	if err != nil {
+	}, res); err != nil {
 		t.Fatal(err)
 	}
 	return res, r
@@ -39,15 +39,15 @@ func TestAttachedEmptyScheduleIsBitIdentical(t *testing.T) {
 	// ground truth lands identically.
 	run := func(faults *fault.Schedule) *Result {
 		w := workload.MobileNet()
-		res, err := NewRunner(2).Run(Config{
+		res := new(Result)
+		if err := NewRunner(2).Run(Config{
 			Workload:   w,
 			Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 2),
 			Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 			TargetLoss: w.TargetLoss,
 			MaxEpochs:  400,
 			Faults:     faults,
-		})
-		if err != nil {
+		}, res); err != nil {
 			t.Fatal(err)
 		}
 		return res
@@ -197,10 +197,10 @@ func TestKillDuringDelayedRestartOverlap(t *testing.T) {
 	if err := job.Step(); err != nil {
 		t.Fatal(err)
 	}
-	if job.st.pendingSwitch == nil {
+	if !job.switching {
 		t.Fatal("probe: delayed switch not pending after epoch 1")
 	}
-	overlapStart := job.st.clock
+	overlapStart := job.clock
 	job.Finish()
 
 	// Real run: kill two sandboxes shortly after the overlap window opens,

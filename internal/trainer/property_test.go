@@ -22,7 +22,7 @@ func TestAccountingBalancesAcrossRandomConfigs(t *testing.T) {
 		epochs := int(epochsRaw%8) + 1
 		r := NewRunner(uint64(seedRaw) + 1)
 		res := new(Result)
-		if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, uint64(seedRaw)), a, epochs, res); err != nil {
+		if err := r.Run(Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, uint64(seedRaw)), Alloc: a, MaxEpochs: epochs}, res); err != nil {
 			return false
 		}
 		timeOK := math.Abs(res.ComputeTime+res.SyncTime+res.OverheadTime-res.JCT) < 1e-6*res.JCT
@@ -42,7 +42,7 @@ func TestJCTGrowsWithEpochs(t *testing.T) {
 	run := func(epochs int) float64 {
 		r := NewRunner(9)
 		res := new(Result)
-		if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 9), a, epochs, res); err != nil {
+		if err := r.Run(Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 9), Alloc: a, MaxEpochs: epochs}, res); err != nil {
 			t.Fatal(err)
 		}
 		return res.JCT
@@ -64,14 +64,14 @@ func TestProvisioningPaidOncePerRunner(t *testing.T) {
 	r := NewRunner(31)
 	r.Noise = NoNoise()
 	first := new(Result)
-	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 1, first); err != nil {
+	if err := r.Run(Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), Alloc: a, MaxEpochs: 1}, first); err != nil {
 		t.Fatal(err)
 	}
 	second := new(Result)
-	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 2), a, 1, second); err != nil {
+	if err := r.Run(Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 2), Alloc: a, MaxEpochs: 1}, second); err != nil {
 		t.Fatal(err)
 	}
-	delay := r.Service(storage.ElastiCache).ProvisionDelay()
+	delay := storage.New(storage.ElastiCache).ProvisionDelay()
 	if first.StartupTime < delay {
 		t.Errorf("first job startup %g should include the %gs provisioning", first.StartupTime, delay)
 	}
@@ -99,11 +99,11 @@ func TestStorageSwitchPaysProvisioning(t *testing.T) {
 			return Decision{}
 		},
 	}
-	res, err := r.Run(cfg)
-	if err != nil {
+	res := new(Result)
+	if err := r.Run(cfg, res); err != nil {
 		t.Fatal(err)
 	}
-	delay := r.Service(storage.ElastiCache).ProvisionDelay()
+	delay := storage.New(storage.ElastiCache).ProvisionDelay()
 	adjust := res.OverheadTime - res.StartupTime
 	if adjust < delay {
 		t.Errorf("adjustment overhead %g should cover ElastiCache provisioning %g", adjust, delay)
@@ -118,10 +118,10 @@ func TestColdStartOnlyFirstGroup(t *testing.T) {
 	r := NewRunner(41)
 	r.Noise = NoNoise()
 	first, second := new(Result), new(Result)
-	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 1, first); err != nil {
+	if err := r.Run(Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), Alloc: a, MaxEpochs: 1}, first); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 2), a, 1, second); err != nil {
+	if err := r.Run(Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 2), Alloc: a, MaxEpochs: 1}, second); err != nil {
 		t.Fatal(err)
 	}
 	if second.StartupTime >= first.StartupTime {

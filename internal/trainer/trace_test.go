@@ -15,8 +15,7 @@ func TestWriteTraceCSV(t *testing.T) {
 	w := workload.MobileNet()
 	r := NewRunner(3)
 	res := new(Result)
-	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 3),
-		cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3}, 4, res); err != nil {
+	if err := r.Run(Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 3), Alloc: cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3}, MaxEpochs: 4}, res); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

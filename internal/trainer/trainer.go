@@ -1,8 +1,8 @@
 // Package trainer is the ground-truth executor of distributed training jobs
 // on a simulated serverless substrate the runner owns: one discrete-event
-// kernel (internal/sim) carrying a serverless account (internal/faas), an
-// in-memory parameter store and one latency/price model per storage service
-// (internal/storage), all billing under one price book. It executes a job
+// kernel (internal/sim) carrying a serverless account (internal/faas) and an
+// in-memory parameter store, timed and priced by internal/storage's shared
+// model of each storage service, all billing under one price book. It executes a job
 // epoch by epoch: functions cold-start, load their data partitions,
 // compute gradients for k BSP iterations, synchronize through the selected
 // storage service, and are billed by the platform and storage meters.
@@ -172,10 +172,9 @@ type Config struct {
 type Runner struct {
 	Noise Noise
 
-	sim      *sim.Simulation
-	compute  *faas.Platform
-	store    *storage.Store
-	services map[storage.Kind]*storage.Service
+	sim     *sim.Simulation
+	compute *faas.Platform
+	store   *storage.Store
 
 	// delayPaid tracks manually-scaled services whose provisioning delay has
 	// already been paid on this substrate: an ElastiCache cluster or
@@ -191,35 +190,28 @@ type Runner struct {
 	// The ground-truth noise streams, resolved once.
 	stragglerRng, syncRng, loadRng, failureRng *sim.Rand
 
-	// job and jobState are the job RunEpochs runs on, reused trial after
-	// trial; ckpt is the scratch vector a checkpoint is snapshotted into
-	// before the store copies it.
-	job      Job
-	jobState state
-	ckpt     []float64
+	// job is the job Run runs on, reused run after run; ckpt is the
+	// scratch vector a checkpoint is snapshotted into before the store
+	// copies it.
+	job  Job
+	ckpt []float64
 }
 
 // NewRunner returns a runner on a fresh simulated substrate seeded with
-// seed: the default serverless account, price book and noise, and one
-// storage model per extended kind.
+// seed: the default serverless account, price book and noise.
 func NewRunner(seed uint64) *Runner {
 	s := sim.New(seed)
-	r := &Runner{
+	return &Runner{
 		Noise:        DefaultNoise(),
 		sim:          s,
 		compute:      faas.NewDefault(s),
 		store:        storage.NewStore(),
-		services:     make(map[storage.Kind]*storage.Service),
 		delayPaid:    make(map[storage.Kind]bool),
 		stragglerRng: s.Rand("trainer.straggler"),
 		syncRng:      s.Rand("trainer.sync"),
 		loadRng:      s.Rand("trainer.load"),
 		failureRng:   s.Rand("trainer.failure"),
 	}
-	for _, k := range storage.ExtendedKinds() {
-		r.services[k] = storage.New(k)
-	}
-	return r
 }
 
 // SetObserver attaches an observability sink to the runner and its account:
@@ -251,9 +243,6 @@ func (r *Runner) invokeGroup(n, memMB int) (faas.GroupStart, error) {
 	return g, err
 }
 
-// Service returns the substrate's storage metering model for kind.
-func (r *Runner) Service(k storage.Kind) *storage.Service { return r.services[k] }
-
 // acquireService returns the provisioning delay to pay for using a storage
 // service now (zero if the service auto-scales or its startup was already
 // paid earlier in this runner's lifetime).
@@ -262,30 +251,38 @@ func (r *Runner) acquireService(kind storage.Kind) float64 {
 		return 0
 	}
 	r.delayPaid[kind] = true
-	return r.Service(kind).ProvisionDelay()
+	return storage.New(kind).ProvisionDelay()
 }
 
-// state tracks one running job.
-type state struct {
+// Job is one training job: its configuration, the group it runs on, the
+// result it fills and its own clock. Run steps the runner's own job to the
+// end; StartJob returns a fresh one that a driver steps one epoch at a time
+// (the multi-tenant cluster scheduler interleaves jobs this way).
+type Job struct {
+	r     *Runner
 	cfg   Config
 	alloc cost.Allocation
 	res   *Result
+	clock float64 // job-relative elapsed time
 
-	// pendingSwitch holds a delayed-restart target: the new group starts
-	// during the current epoch and takes over at its end.
-	pendingSwitch *cost.Allocation
-	// pendingReady is the virtual time at which the delayed group is ready.
-	pendingReady float64
-	// pendingStart is the job clock when the delayed group began starting
-	// up (the left edge of the Fig. 8 overlap window in the trace).
-	pendingStart float64
-	clock        float64 // job-relative elapsed time
+	// held is how many of alloc's functions the job holds on the account:
+	// alloc.N while it runs, fewer while killed sandboxes await their
+	// replacements, 0 once released.
+	held int
+
+	// next is a delayed-restart target, pending while switching is set: its
+	// group starts up during the current epoch and takes over at its end.
+	// nextStart is the job clock when it began starting (the left edge of
+	// the Fig. 8 overlap window in the trace), nextReady when it is ready.
+	next                 cost.Allocation
+	switching            bool
+	nextStart, nextReady float64
+
 	// asyncProgress accumulates fractional statistical progress under ASP;
 	// the loss engine advances one epoch each time it crosses 1.
 	asyncProgress float64
 	// initialState snapshots the engine before training so a failure
-	// without checkpointing can lose everything (DisableCheckpoint). It is
-	// per job: cluster.Run interleaves jobs on one runner.
+	// without checkpointing can lose everything (DisableCheckpoint).
 	initialState []float64
 
 	// faultCursor walks Config.Faults' instantaneous events (kills and
@@ -295,59 +292,7 @@ type state struct {
 	faultCursor int
 	gate        fault.Gate
 	ckptOff     bool
-}
 
-// Run executes the job to convergence, MaxEpochs, or a Stop decision.
-func (r *Runner) Run(cfg Config) (*Result, error) {
-	job, err := r.StartJob(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := job.run(); err != nil {
-		return nil, err
-	}
-	return job.Finish(), nil
-}
-
-// RunEpochs runs exactly epochs epochs under a fixed allocation (one trial
-// in one stage of the hyperparameter-tuning driver) and fills res with the
-// result, reusing res.Trace's backing array. It runs on a job the runner
-// owns, so in steady state a trial touches no heap.
-func (r *Runner) RunEpochs(w *workload.Model, eng workload.Engine, a cost.Allocation, epochs int, res *Result) error {
-	r.jobState.res = res
-	r.job.st = &r.jobState
-	if err := r.startJob(&r.job, Config{Workload: w, Engine: eng, Alloc: a, MaxEpochs: epochs}); err != nil {
-		return err
-	}
-	if err := r.job.run(); err != nil {
-		return err
-	}
-	r.job.Finish()
-	return nil
-}
-
-// run steps the job until it is done.
-func (j *Job) run() error {
-	for !j.done {
-		if err := j.Step(); err != nil {
-			return err
-		}
-		// Advance the shared clock so time-based substrate events
-		// (warm-sandbox expiry) fire as the job progresses. The cluster
-		// scheduler drives this itself when jobs interleave.
-		if d := j.Elapsed() - j.advanced; d > 0 {
-			j.r.sim.RunUntil(j.r.sim.Now() + sim.Time(d))
-		}
-		j.advanced = j.Elapsed()
-	}
-	return nil
-}
-
-// Job is a training job in progress, steppable one epoch at a time (the
-// multi-tenant cluster scheduler interleaves jobs this way).
-type Job struct {
-	r        *Runner
-	st       *state
 	epoch    int
 	done     bool
 	finished bool
@@ -356,84 +301,118 @@ type Job struct {
 	advanced float64
 }
 
+// Run runs cfg to convergence, MaxEpochs or a Stop decision on the
+// runner's own job and fills res, reusing res.Trace's backing array, so in
+// steady state a run touches no heap. A run that fails leaves no function
+// admitted.
+func (r *Runner) Run(cfg Config, res *Result) error {
+	j := &r.job
+	if err := j.start(r, cfg, res); err != nil {
+		return err
+	}
+	for !j.done {
+		if err := j.Step(); err != nil {
+			return err
+		}
+		// Advance the shared clock so time-based substrate events
+		// (warm-sandbox expiry) fire as the job progresses. The cluster
+		// scheduler drives this itself when jobs interleave.
+		if d := j.clock - j.advanced; d > 0 {
+			r.sim.RunUntil(r.sim.Now() + sim.Time(d))
+		}
+		j.advanced = j.clock
+	}
+	j.Finish()
+	return nil
+}
+
 // StartJob validates cfg, admits the function group (startup + load on the
-// job's clock) and returns the steppable job.
+// job's clock) and returns the steppable job with a result of its own.
 func (r *Runner) StartJob(cfg Config) (*Job, error) {
-	j := &Job{st: &state{res: &Result{}}}
-	if err := r.startJob(j, cfg); err != nil {
+	j := new(Job)
+	if err := j.start(r, cfg, new(Result)); err != nil {
 		return nil, err
 	}
 	return j, nil
 }
 
-// startJob resets j, its state and its result for cfg, keeping their
-// buffers (the trace and the initial snapshot), and starts the job.
-func (r *Runner) startJob(j *Job, cfg Config) error {
+// start resets j for cfg and res for its result, keeping j's initial
+// snapshot buffer and res.Trace's backing array, and admits the first
+// group.
+func (j *Job) start(r *Runner, cfg Config, res *Result) error {
 	if cfg.Workload == nil || cfg.Engine == nil {
 		return fmt.Errorf("trainer: nil workload or engine")
 	}
 	if cfg.MaxEpochs <= 0 {
 		cfg.MaxEpochs = 1000
 	}
-	st, res := j.st, j.st.res
 	*res = Result{Trace: res.Trace[:0]}
-	*st = state{cfg: cfg, alloc: cfg.Alloc, res: res, faultCursor: -1, initialState: st.initialState[:0]}
+	*j = Job{r: r, cfg: cfg, alloc: cfg.Alloc, res: res, faultCursor: -1, initialState: j.initialState[:0]}
 	if snap, ok := cfg.Engine.(workload.Snapshotter); ok {
-		st.initialState = snap.AppendSnapshot(st.initialState)
+		j.initialState = snap.AppendSnapshot(j.initialState)
 	}
-	*j = Job{r: r, st: st}
-	return r.startGroup(st, st.alloc, true)
+	return j.startGroup(true)
 }
 
-// Done reports whether the job has converged, stopped or hit its cap.
+// Done reports whether the job has converged, stopped, hit its cap or
+// failed.
 func (j *Job) Done() bool { return j.done }
 
 // Elapsed returns the job's wall clock so far (its own timeline, not the
 // shared substrate clock).
-func (j *Job) Elapsed() float64 { return j.st.clock }
+func (j *Job) Elapsed() float64 { return j.clock }
 
 // Step executes one epoch (plus any controller decision). Calling Step on a
-// finished job is a no-op.
+// finished job is a no-op. A step that fails ends the job and releases
+// everything it holds.
 func (j *Job) Step() error {
 	if j.done {
 		return nil
 	}
 	j.epoch++
-	st, cfg := j.st, j.st.cfg
-	rep, err := j.r.runEpoch(st, j.epoch)
+	rep, err := j.runEpoch()
 	if err != nil {
-		return err
+		return j.fail(err)
 	}
-	st.res.Trace = append(st.res.Trace, rep)
-	st.res.Epochs = j.epoch
-	st.res.FinalLoss = rep.Loss
+	res := j.res
+	res.Trace = append(res.Trace, rep)
+	res.Epochs = j.epoch
+	res.FinalLoss = rep.Loss
 
-	if cfg.TargetLoss > 0 && rep.Loss <= cfg.TargetLoss {
-		st.res.Converged = true
+	if j.cfg.TargetLoss > 0 && rep.Loss <= j.cfg.TargetLoss {
+		res.Converged = true
 		j.done = true
 		return nil
 	}
-	if cfg.Controller != nil {
-		dec := cfg.Controller(j.epoch, rep.Loss, st.clock, st.res.TotalCost)
+	if j.cfg.Controller != nil {
+		dec := j.cfg.Controller(j.epoch, rep.Loss, j.clock, res.TotalCost)
 		if dec.PlanningSeconds > 0 {
-			st.clock += dec.PlanningSeconds
-			st.res.OverheadTime += dec.PlanningSeconds
-			st.res.PlanningTime += dec.PlanningSeconds
+			j.clock += dec.PlanningSeconds
+			res.OverheadTime += dec.PlanningSeconds
+			res.PlanningTime += dec.PlanningSeconds
 		}
 		if dec.Stop {
 			j.done = true
 			return nil
 		}
-		if dec.Switch && dec.NewAlloc != st.alloc {
-			if err := j.r.applySwitch(st, dec.NewAlloc, dec.Delayed); err != nil {
-				return err
+		if dec.Switch && dec.NewAlloc != j.alloc {
+			if err := j.applySwitch(dec.NewAlloc, dec.Delayed); err != nil {
+				return j.fail(err)
 			}
 		}
 	}
-	if j.epoch >= cfg.MaxEpochs {
+	if j.epoch >= j.cfg.MaxEpochs {
 		j.done = true
 	}
 	return nil
+}
+
+// fail ends the job on err. A failed job holds nothing: its groups go back
+// to the account here, so Finish releases nothing a second time.
+func (j *Job) fail(err error) error {
+	j.release()
+	j.done = true
+	return err
 }
 
 // Finish releases the job's resources and returns its result. Finish is
@@ -441,22 +420,38 @@ func (j *Job) Step() error {
 func (j *Job) Finish() *Result {
 	if !j.finished {
 		j.finished = true
-		j.r.finishJob(j.st)
-		j.st.res.JCT = j.st.clock
+		j.release()
+		if math.IsNaN(j.clock) {
+			panic("trainer: job clock is NaN")
+		}
+		j.res.JCT = j.clock
 	}
 	j.done = true
-	return j.st.res
+	return j.res
 }
 
-// startGroup invokes the function group for alloc, charging startup and the
-// initial data load; initial=false marks restarts (the model is pulled from
-// storage as well).
-func (r *Runner) startGroup(st *state, a cost.Allocation, initial bool) error {
-	w := st.cfg.Workload
+// release returns what the job holds of its group, and the delayed group
+// if one was admitted, to the account.
+func (j *Job) release() {
+	pf := j.r.compute
+	pf.ReleaseGroup(j.held, j.alloc.MemMB, 0)
+	j.held = 0
+	if j.switching {
+		pf.ReleaseGroup(j.next.N, j.next.MemMB, 0)
+		j.switching = false
+	}
+}
+
+// startGroup invokes the function group for the job's allocation, charging
+// startup and the initial data load; initial=false marks restarts (the
+// model is pulled from storage as well).
+func (j *Job) startGroup(initial bool) error {
+	r, a, w := j.r, j.alloc, j.cfg.Workload
 	g, err := r.invokeGroup(a.N, a.MemMB)
 	if err != nil {
 		return fmt.Errorf("trainer: invoking %v: %w", a, err)
 	}
+	j.held = a.N
 	start := g.StartDelay
 	if p := r.acquireService(a.Storage); p > start {
 		start = p // storage provisioning overlaps the cold start
@@ -464,39 +459,38 @@ func (r *Runner) startGroup(st *state, a cost.Allocation, initial bool) error {
 	load := r.loadTime(w, a)
 	if !initial {
 		// A restarted group must also pull the checkpointed model.
-		load += r.Service(a.Storage).TransferTime(a.N, w.ParamsMB)
-		r.restoreCheckpoint(st)
+		load += storage.New(a.Storage).TransferTime(a.N, w.ParamsMB)
+		j.restoreCheckpoint()
 	}
-	st.clock += start + load
-	st.res.OverheadTime += start + load
+	j.clock += start + load
+	j.res.OverheadTime += start + load
 	if initial {
-		st.res.StartupTime = start + load
+		j.res.StartupTime = start + load
 	}
 	if r.obs.Enabled() {
 		name := "startup"
 		if !initial {
 			name = "restart_startup"
 		}
-		r.obs.Trace().SpanAt(st.clock-(start+load), start+load, "job", "trainer", name,
+		r.obs.Trace().SpanAt(j.clock-(start+load), start+load, "job", "trainer", name,
 			obs.I("n", a.N), obs.I("mem_mb", a.MemMB), obs.S("storage", a.Storage.String()),
 			obs.F("start_s", start), obs.F("load_s", load))
 		r.obs.Stats().Observe("trainer.startup_s", start+load)
 	}
-	r.billLoad(st, a, load)
+	j.billLoad(a, load)
 	return nil
 }
 
 // billLoad bills a started group's load of `load` seconds: its compute on
 // the account, then its function, invocation and storage costs.
-func (r *Runner) billLoad(st *state, a cost.Allocation, load float64) {
-	r.Compute().BillCompute(a.N, a.MemMB, load)
-	fn := float64(a.N) * pricing.ComputeOnlyCost(load, float64(a.MemMB))
+func (j *Job) billLoad(a cost.Allocation, load float64) {
+	fn := j.r.compute.BillCompute(a.N, a.MemMB, load)
 	inv := float64(a.N) * pricing.FunctionInvoke
 	ld := storage.LoadCost(a.N)
-	st.res.FunctionCost += fn
-	st.res.InvokeCost += inv
-	st.res.StorageCost += ld
-	st.res.TotalCost += fn + inv + ld
+	j.res.FunctionCost += fn
+	j.res.InvokeCost += inv
+	j.res.StorageCost += ld
+	j.res.TotalCost += fn + inv + ld
 }
 
 func (r *Runner) loadTime(w *workload.Model, a cost.Allocation) float64 {
@@ -510,13 +504,12 @@ func (r *Runner) loadTime(w *workload.Model, a cost.Allocation) float64 {
 // runEpoch executes one epoch under the current allocation: k iterations of
 // compute + sync with ground-truth noise, engine advance, billing, and the
 // takeover of a pending delayed switch.
-func (r *Runner) runEpoch(st *state, epoch int) (EpochReport, error) {
-	w := st.cfg.Workload
-	a := st.alloc
-	svc := r.Service(a.Storage)
+func (j *Job) runEpoch() (EpochReport, error) {
+	r, w, a, epoch := j.r, j.cfg.Workload, j.alloc, j.epoch
+	svc := storage.New(a.Storage)
 
 	var computeT, syncT float64
-	if st.cfg.Async {
+	if j.cfg.Async {
 		computeT = r.asyncCompute(w, a)
 		syncT = r.asyncSync(w, a, svc)
 	} else {
@@ -529,8 +522,8 @@ func (r *Runner) runEpoch(st *state, epoch int) (EpochReport, error) {
 	// told — it sees the inflated epoch time through its normal
 	// observations, which is what forces a genuine re-plan (a path= entry in
 	// the decision log) rather than a scripted one.
-	computeT *= st.cfg.Faults.StragglerFactor(st.clock)
-	lat, _, _ := st.cfg.Faults.BrownoutAt(st.clock)
+	computeT *= j.cfg.Faults.StragglerFactor(j.clock)
+	lat, _, _ := j.cfg.Faults.BrownoutAt(j.clock)
 	syncT *= lat
 	epochT := computeT + syncT
 
@@ -539,26 +532,25 @@ func (r *Runner) runEpoch(st *state, epoch int) (EpochReport, error) {
 	// for the wasted compute), the crashed sandbox restarts and re-pulls
 	// the last checkpoint, and the epoch retries. Without checkpointing a
 	// single crash throws the job back to the initial model.
-	if err := r.scheduledFaults(st, epoch, epochT); err != nil {
+	if err := j.scheduledFaults(epochT); err != nil {
 		return EpochReport{}, err
 	}
 
 	var loss float64
-	if st.cfg.Async {
+	if j.cfg.Async {
 		// Stale gradients dilute each wall epoch's statistical progress.
-		st.asyncProgress += asyncEfficiency(a.N)
-		loss = st.cfg.Engine.Loss()
-		for st.asyncProgress >= 1 {
-			loss = st.cfg.Engine.NextEpoch()
-			st.asyncProgress--
+		j.asyncProgress += asyncEfficiency(a.N)
+		loss = j.cfg.Engine.Loss()
+		for j.asyncProgress >= 1 {
+			loss = j.cfg.Engine.NextEpoch()
+			j.asyncProgress--
 		}
 	} else {
-		loss = st.cfg.Engine.NextEpoch()
+		loss = j.cfg.Engine.NextEpoch()
 	}
 
 	// Billing: n functions ran the epoch; storage billed per its pattern.
-	funcCost := float64(a.N) * pricing.ComputeOnlyCost(epochT, float64(a.MemMB))
-	r.Compute().BillCompute(a.N, a.MemMB, epochT)
+	funcCost := r.compute.BillCompute(a.N, a.MemMB, epochT)
 	var stoCost float64
 	if svc.ChargesByRequest() {
 		stoCost = float64(w.IterationsPerEpoch(a.N)) * svc.SyncRequestCost(a.N, w.ParamsMB)
@@ -571,14 +563,14 @@ func (r *Runner) runEpoch(st *state, epoch int) (EpochReport, error) {
 		Time: epochT, ComputeTime: computeT, SyncTime: syncT,
 		Cost: funcCost + stoCost, StorageCost: stoCost,
 	}
-	st.clock += epochT
-	st.res.ComputeTime += computeT
-	st.res.SyncTime += syncT
-	st.res.FunctionCost += funcCost
-	st.res.StorageCost += stoCost
-	st.res.TotalCost += funcCost + stoCost
+	j.clock += epochT
+	j.res.ComputeTime += computeT
+	j.res.SyncTime += syncT
+	j.res.FunctionCost += funcCost
+	j.res.StorageCost += stoCost
+	j.res.TotalCost += funcCost + stoCost
 	if r.obs.Enabled() {
-		r.obs.Trace().SpanAt(st.clock-epochT, epochT, "job", "trainer", "epoch",
+		r.obs.Trace().SpanAt(j.clock-epochT, epochT, "job", "trainer", "epoch",
 			obs.I("epoch", epoch), obs.F("loss", loss),
 			obs.F("compute_s", computeT), obs.F("sync_s", syncT),
 			obs.I("n", a.N), obs.I("mem_mb", a.MemMB), obs.S("storage", a.Storage.String()))
@@ -591,31 +583,30 @@ func (r *Runner) runEpoch(st *state, epoch int) (EpochReport, error) {
 
 	// Checkpoint the model state through storage at the epoch boundary
 	// (this is the state a restarted group resumes from).
-	r.checkpoint(st)
+	j.checkpoint()
 
 	// A pending delayed switch takes over here: the new group has been
 	// starting up while this epoch ran; any residual startup time not
 	// hidden by the epoch surfaces as overhead (Fig. 8).
-	if st.pendingSwitch != nil {
-		residual := st.pendingReady - st.clock
+	if j.switching {
+		next := j.next
+		residual := j.nextReady - j.clock
 		if residual > 0 {
-			st.clock += residual
-			st.res.OverheadTime += residual
+			j.clock += residual
+			j.res.OverheadTime += residual
 		}
 		// Old group is released; new group pulls the model directly.
-		r.Compute().ReleaseGroup(a.N, a.MemMB, 0)
-		handoff := r.Service(st.pendingSwitch.Storage).TransferTime(st.pendingSwitch.N, w.ParamsMB)
-		st.clock += handoff
-		st.res.OverheadTime += handoff
-		next := *st.pendingSwitch
-		st.alloc = next
-		st.pendingSwitch = nil
-		st.res.Restarts++
+		r.compute.ReleaseGroup(j.held, a.MemMB, 0)
+		handoff := storage.New(next.Storage).TransferTime(next.N, w.ParamsMB)
+		j.clock += handoff
+		j.res.OverheadTime += handoff
+		j.alloc, j.held, j.switching = next, next.N, false
+		j.res.Restarts++
 		if r.obs.Enabled() {
 			// The Fig. 8 overlap window: the new group's startup ran
 			// concurrently with the old group's epoch; only the residual
 			// (plus the model handoff) surfaced as overhead.
-			r.obs.Trace().SpanAt(st.pendingStart, st.clock-st.pendingStart, "job", "trainer", "restart_overlap",
+			r.obs.Trace().SpanAt(j.nextStart, j.clock-j.nextStart, "job", "trainer", "restart_overlap",
 				obs.I("n", next.N), obs.I("mem_mb", next.MemMB), obs.S("storage", next.Storage.String()),
 				obs.F("residual_s", math.Max(residual, 0)), obs.F("handoff_s", handoff))
 			r.obs.Stats().Inc("trainer.delayed_takeovers")
@@ -681,8 +672,8 @@ func asyncEfficiency(n int) float64 {
 // applySwitch changes the allocation, either immediately (stop, restart,
 // reload: full overhead) or delayed (start the new group now; it takes over
 // after the next epoch).
-func (r *Runner) applySwitch(st *state, next cost.Allocation, delayed bool) error {
-	w := st.cfg.Workload
+func (j *Job) applySwitch(next cost.Allocation, delayed bool) error {
+	r := j.r
 	if delayed {
 		g, err := r.invokeGroup(next.N, next.MemMB)
 		if err != nil {
@@ -692,37 +683,35 @@ func (r *Runner) applySwitch(st *state, next cost.Allocation, delayed bool) erro
 		if p := r.acquireService(next.Storage); p > start {
 			start = p // a new storage service provisions during the overlap
 		}
-		load := r.loadTime(w, next)
-		st.pendingSwitch = &next
-		st.pendingStart = st.clock
-		st.pendingReady = st.clock + start + load
+		load := r.loadTime(j.cfg.Workload, next)
+		j.next, j.switching = next, true
+		j.nextStart = j.clock
+		j.nextReady = j.clock + start + load
 		if r.obs.Enabled() {
-			r.obs.Trace().InstantAt(st.clock, "job", "trainer", "switch",
+			r.obs.Trace().InstantAt(j.clock, "job", "trainer", "switch",
 				obs.I("n", next.N), obs.I("mem_mb", next.MemMB), obs.S("storage", next.Storage.String()),
 				obs.B("delayed", true), obs.F("ready_in_s", start+load))
 			r.obs.Stats().Inc("trainer.switches.delayed")
 		}
 		// The new group bills its load immediately; it runs concurrently
 		// with the old group's next epoch.
-		r.billLoad(st, next, load)
+		j.billLoad(next, load)
 		return nil
 	}
 	// Immediate restart: release the old group, start the new one with the
 	// full startup + reload + model pull on the critical path.
-	r.Compute().ReleaseGroup(st.alloc.N, st.alloc.MemMB, 0)
-	old := st.alloc
-	st.alloc = next
+	r.compute.ReleaseGroup(j.held, j.alloc.MemMB, 0)
+	j.alloc, j.held = next, 0
 	if r.obs.Enabled() {
-		r.obs.Trace().InstantAt(st.clock, "job", "trainer", "switch",
+		r.obs.Trace().InstantAt(j.clock, "job", "trainer", "switch",
 			obs.I("n", next.N), obs.I("mem_mb", next.MemMB), obs.S("storage", next.Storage.String()),
 			obs.B("delayed", false))
 		r.obs.Stats().Inc("trainer.switches.immediate")
 	}
-	if err := r.startGroup(st, next, false); err != nil {
-		st.alloc = old
+	if err := j.startGroup(false); err != nil {
 		return err
 	}
-	st.res.Restarts++
+	j.res.Restarts++
 	return nil
 }
 
@@ -730,11 +719,12 @@ func (r *Runner) applySwitch(st *state, next cost.Allocation, delayed bool) erro
 // active brownout window the write runs through the bounded retry policy;
 // exhausting it degrades the job to checkpoint-less mode instead of
 // erroring.
-func (r *Runner) checkpoint(st *state) {
-	if st.cfg.DisableCheckpoint || st.ckptOff {
+func (j *Job) checkpoint() {
+	if j.cfg.DisableCheckpoint || j.ckptOff {
 		return
 	}
-	if snap, ok := st.cfg.Engine.(workload.Snapshotter); ok && r.brownoutOp(st, "checkpoint") {
+	if snap, ok := j.cfg.Engine.(workload.Snapshotter); ok && j.brownoutOp("checkpoint") {
+		r := j.r
 		r.ckpt = snap.AppendSnapshot(r.ckpt[:0])
 		r.store.Put(checkpointKey, r.ckpt)
 		if r.obs.Enabled() {
@@ -749,11 +739,12 @@ func (r *Runner) checkpoint(st *state) {
 // exhausts its retries, or a checkpoint that no longer restores, drops the
 // job to checkpoint-less mode with Result.Degraded set and training
 // continues from the in-memory state.
-func (r *Runner) restoreCheckpoint(st *state) {
-	snap, ok := st.cfg.Engine.(workload.Snapshotter)
-	if !ok || st.ckptOff || !r.brownoutOp(st, "restore") {
+func (j *Job) restoreCheckpoint() {
+	snap, ok := j.cfg.Engine.(workload.Snapshotter)
+	if !ok || j.ckptOff || !j.brownoutOp("restore") {
 		return
 	}
+	r := j.r
 	state, found := r.store.Get(checkpointKey)
 	if r.obs.Enabled() {
 		r.obs.Stats().Inc("store.gets")
@@ -761,21 +752,9 @@ func (r *Runner) restoreCheckpoint(st *state) {
 	}
 	if found {
 		if err := snap.Restore(state); err != nil {
-			r.degrade(st, "corrupt checkpoint: "+err.Error())
+			j.degrade("corrupt checkpoint: " + err.Error())
 		}
 	}
 }
 
 const checkpointKey = "model/checkpoint"
-
-// finishJob releases the final group and any pending delayed group.
-func (r *Runner) finishJob(st *state) {
-	r.Compute().ReleaseGroup(st.alloc.N, st.alloc.MemMB, 0)
-	if st.pendingSwitch != nil {
-		r.Compute().ReleaseGroup(st.pendingSwitch.N, st.pendingSwitch.MemMB, 0)
-		st.pendingSwitch = nil
-	}
-	if math.IsNaN(st.clock) {
-		panic("trainer: job clock is NaN")
-	}
-}

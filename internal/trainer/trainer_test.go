@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/pricing"
 	"repro/internal/storage"
@@ -28,8 +29,8 @@ func newMNJob(r *Runner, alloc cost.Allocation, target float64, max int) Config 
 
 func TestRunConvergesToTarget(t *testing.T) {
 	r := NewRunner(1)
-	res, err := r.Run(newMNJob(r, mnAlloc(), 0.2, 300))
-	if err != nil {
+	res := new(Result)
+	if err := r.Run(newMNJob(r, mnAlloc(), 0.2, 300), res); err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged {
@@ -48,8 +49,8 @@ func TestRunConvergesToTarget(t *testing.T) {
 
 func TestResultAccounting(t *testing.T) {
 	r := NewRunner(2)
-	res, err := r.Run(newMNJob(r, mnAlloc(), 0.2, 300))
-	if err != nil {
+	res := new(Result)
+	if err := r.Run(newMNJob(r, mnAlloc(), 0.2, 300), res); err != nil {
 		t.Fatal(err)
 	}
 	// JCT decomposes into compute + sync + overhead.
@@ -73,19 +74,70 @@ func TestResultAccounting(t *testing.T) {
 	}
 }
 
+// TestPlatformMeterAgreesWithResult: on every billing path the Result's
+// function and invocation bills are what the platform meter charged.
 func TestPlatformMeterAgreesWithResult(t *testing.T) {
-	r := NewRunner(3)
-	res, err := r.Run(newMNJob(r, mnAlloc(), 0.2, 300))
-	if err != nil {
-		t.Fatal(err)
+	switchAt2 := func(next cost.Allocation, delayed bool) Controller {
+		return func(epoch int, _, _, _ float64) Decision {
+			return Decision{Switch: epoch == 2, NewAlloc: next, Delayed: delayed}
+		}
 	}
-	m := r.Compute().Meter()
-	if math.Abs(m.ComputeCost+m.InvokeCost-(res.FunctionCost+res.InvokeCost)) > 1e-9 {
-		t.Errorf("platform bill %g != result function bill %g",
-			m.ComputeCost+m.InvokeCost, res.FunctionCost+res.InvokeCost)
-	}
-	if r.Compute().InFlight() != 0 {
-		t.Errorf("job left %d functions admitted", r.Compute().InFlight())
+	bigger := cost.Allocation{N: 20, MemMB: 2048, Storage: storage.S3}
+	crashWindow := fault.MustNew(fault.CrashWindow(0, math.MaxFloat64, 0.02))
+	restarted := func(res *Result, _ *obs.Observer) bool { return res.Restarts == 1 }
+	failed := func(res *Result, _ *obs.Observer) bool { return res.Failures > 0 }
+	// Epochs take ~950 s, so the kill lands inside epoch 1. A warm pool
+	// outlives an epoch only between jobs, so the reclaim case first runs a
+	// one-epoch job on other sandboxes and reclaims what it left.
+	for _, c := range []struct {
+		name   string
+		faults *fault.Schedule
+		ctrl   Controller
+		noCkpt bool
+		warm   bool                              // a prior job fills the warm pool
+		fired  func(*Result, *obs.Observer) bool // the path under test ran
+	}{
+		{name: "fault-free", fired: func(*Result, *obs.Observer) bool { return true }},
+		{name: "immediate switch", ctrl: switchAt2(bigger, false), fired: restarted},
+		{name: "delayed switch", ctrl: switchAt2(bigger, true), fired: restarted},
+		{name: "scheduled kill", faults: fault.MustNew(fault.KillAt(100, 3)), fired: failed},
+		{name: "warm reclaim", faults: fault.MustNew(fault.ReclaimAt(0, 5)), warm: true,
+			fired: func(_ *Result, o *obs.Observer) bool { return o.Stats().Counter("faas.reclaimed") == 5 }},
+		{name: "crash window", faults: crashWindow, fired: failed},
+		{name: "crash window, no checkpoint", faults: crashWindow, noCkpt: true, fired: failed},
+		{name: "brownout", faults: fault.MustNew(fault.BrownoutWindow(0, 1e9, 2, 0.5)), ctrl: switchAt2(bigger, false),
+			fired: func(res *Result, _ *obs.Observer) bool { return res.StorageRetries > 0 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewRunner(3)
+			o := obs.New()
+			r.SetObserver(o)
+			if c.warm {
+				if err := r.Run(newMNJob(r, bigger, 0, 1), new(Result)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := r.Compute().Meter()
+			cfg := newMNJob(r, mnAlloc(), 0, 8)
+			cfg.Faults, cfg.Controller, cfg.DisableCheckpoint = c.faults, c.ctrl, c.noCkpt
+			res := new(Result)
+			if err := r.Run(cfg, res); err != nil {
+				t.Fatal(err)
+			}
+			if !c.fired(res, o) {
+				t.Fatalf("the path under test did not run: %+v", *res)
+			}
+			m := r.Compute().Meter()
+			if metered, fn := m.ComputeCost-before.ComputeCost, res.FunctionCost; math.Abs(fn-metered) > 1e-9*metered {
+				t.Errorf("result function bill %g != metered compute %g", fn, metered)
+			}
+			if metered, inv := m.InvokeCost-before.InvokeCost, res.InvokeCost; math.Abs(inv-metered) > 1e-9*metered {
+				t.Errorf("result invocation bill %g != metered %g", inv, metered)
+			}
+			if r.Compute().InFlight() != 0 {
+				t.Errorf("job left %d functions admitted", r.Compute().InFlight())
+			}
+		})
 	}
 }
 
@@ -95,7 +147,7 @@ func TestGroundTruthNearAnalyticWithoutNoise(t *testing.T) {
 	w := workload.MobileNet()
 	a := mnAlloc()
 	res := new(Result)
-	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 5, res); err != nil {
+	if err := r.Run(Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), Alloc: a, MaxEpochs: 5}, res); err != nil {
 		t.Fatal(err)
 	}
 	// The runner's noise is off, so it matches Eq. 2 without the straggler
@@ -118,7 +170,7 @@ func TestNoiseMakesEpochsVary(t *testing.T) {
 	r := NewRunner(5)
 	w := workload.MobileNet()
 	res := new(Result)
-	if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), mnAlloc(), 10, res); err != nil {
+	if err := r.Run(Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), Alloc: mnAlloc(), MaxEpochs: 10}, res); err != nil {
 		t.Fatal(err)
 	}
 	first := res.Trace[0].Time
@@ -143,7 +195,7 @@ func TestStragglerPenaltyGrowsWithN(t *testing.T) {
 		var sum float64
 		const epochs = 30
 		res := new(Result)
-		if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, epochs, res); err != nil {
+		if err := r.Run(Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), Alloc: a, MaxEpochs: epochs}, res); err != nil {
 			t.Fatal(err)
 		}
 		base := w.Dataset.PartitionSizeMB(n) * w.U(1769)
@@ -170,8 +222,8 @@ func TestControllerImmediateSwitch(t *testing.T) {
 		return Decision{}
 	}
 	cfg.Workload = w
-	res, err := r.Run(cfg)
-	if err != nil {
+	res := new(Result)
+	if err := r.Run(cfg, res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Restarts != 1 {
@@ -195,8 +247,8 @@ func TestDelayedRestartTakesOneMoreEpochOnOldAlloc(t *testing.T) {
 		}
 		return Decision{}
 	}
-	res, err := r.Run(cfg)
-	if err != nil {
+	res := new(Result)
+	if err := r.Run(cfg, res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Restarts != 1 {
@@ -226,8 +278,8 @@ func TestDelayedRestartCheaperThanImmediate(t *testing.T) {
 			}
 			return Decision{}
 		}
-		res, err := r.Run(cfg)
-		if err != nil {
+		res := new(Result)
+		if err := r.Run(cfg, res); err != nil {
 			t.Fatal(err)
 		}
 		return res.OverheadTime
@@ -244,8 +296,8 @@ func TestPlanningSecondsCountedAsOverhead(t *testing.T) {
 	cfg.Controller = func(epoch int, loss float64, elapsed, spent float64) Decision {
 		return Decision{PlanningSeconds: 2.5}
 	}
-	res, err := r.Run(cfg)
-	if err != nil {
+	res := new(Result)
+	if err := r.Run(cfg, res); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.PlanningTime-7.5) > 1e-9 { // 3 epochs x 2.5s (after each)
@@ -265,8 +317,8 @@ func TestControllerStop(t *testing.T) {
 		}
 		return Decision{}
 	}
-	res, err := r.Run(cfg)
-	if err != nil {
+	res := new(Result)
+	if err := r.Run(cfg, res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Epochs != 4 || res.Converged {
@@ -301,8 +353,8 @@ func TestCheckpointRestoredOnRestart(t *testing.T) {
 			return Decision{}
 		},
 	}
-	res, err := r.Run(cfg)
-	if err != nil {
+	res := new(Result)
+	if err := r.Run(cfg, res); err != nil {
 		t.Fatal(err)
 	}
 	lossAfter := res.Trace[4].Loss
@@ -320,7 +372,7 @@ func TestCheckpointRestoredOnRestart(t *testing.T) {
 
 func TestRunRejectsNilInputs(t *testing.T) {
 	r := NewRunner(13)
-	if _, err := r.Run(Config{}); err == nil {
+	if err := r.Run(Config{}, new(Result)); err == nil {
 		t.Error("nil workload/engine should error")
 	}
 }
@@ -333,7 +385,7 @@ func TestRunRejectsInfeasibleInvoke(t *testing.T) {
 		Engine:   w.NewCurveEngine(workload.Hyperparams{}, 1),
 		Alloc:    cost.Allocation{N: 10, MemMB: 64, Storage: storage.S3},
 	}
-	if _, err := r.Run(cfg); err == nil {
+	if err := r.Run(cfg, new(Result)); err == nil {
 		t.Error("invalid memory should fail at invoke")
 	}
 }
@@ -341,8 +393,8 @@ func TestRunRejectsInfeasibleInvoke(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (float64, float64) {
 		r := NewRunner(42)
-		res, err := r.Run(newMNJob(r, mnAlloc(), 0.2, 300))
-		if err != nil {
+		res := new(Result)
+		if err := r.Run(newMNJob(r, mnAlloc(), 0.2, 300), res); err != nil {
 			t.Fatal(err)
 		}
 		return res.JCT, res.TotalCost
@@ -360,7 +412,7 @@ func TestVMPSJobFasterButPricierThanS3ForBigModel(t *testing.T) {
 		r := NewRunner(15)
 		a := cost.Allocation{N: 10, MemMB: 4096, Storage: k}
 		res := new(Result)
-		if err := r.RunEpochs(w, w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), a, 3, res); err != nil {
+		if err := r.Run(Config{Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 1), Alloc: a, MaxEpochs: 3}, res); err != nil {
 			t.Fatal(err)
 		}
 		return res

@@ -1,22 +1,32 @@
 #!/bin/sh
 # identity: does the working tree print exactly what revision <rev> prints?
-# Builds cebench at <rev> (exported with git archive, so .git gains no
-# worktree) and at the working tree, then cmps the stdout of
-# `cebench -parallel 1 -seed S all` at six seeds and, at seed 2023 and
-# -parallel 2, the stdout, -trace-out and -metrics-out files. Prints one line
-# per comparison and exits 1 if any differs. Usage:
+# Builds cebench and cescale at <rev> (exported with git archive, so .git
+# gains no worktree) and at the working tree, then cmps
+#   - the stdout of `cebench -parallel 1 -seed S all` at six seeds and, at
+#     seed 2023 and -parallel 2, the stdout, -trace-out and -metrics-out
+#     files;
+#   - the stdout of `cescale -mode M` for every mode at seeds 2023 and 7:
+#     profile for two models, tune/train/run under a -budget (MobileNet) and
+#     a -qos (LR-Higgs); run mode also writes and compares its -trace CSV
+#     and its -trace-out/-metrics-out files. A cescale exit status other
+#     than 0 is appended to its stdout, so it is compared too.
+# Prints one line per comparison and exits 1 if any differs. Usage:
 #   sh scripts/identity.sh <rev>      (or: make identity BASE=<rev>)
 set -eu
 [ $# -eq 1 ] || { echo "usage: $0 <rev>" >&2; exit 2; }
+rev=$1
 cd "$(dirname "$0")/.."
 t=$(mktemp -d)
 trap 'rm -rf "$t"' EXIT
 mkdir "$t/src" "$t/base" "$t/head"
-git archive "$1" | tar -x -C "$t/src"
-(cd "$t/src" && go build -o "$t/base/cebench" ./cmd/cebench)
-go build -o "$t/head/cebench" ./cmd/cebench
-bad=0
+git archive "$rev" | tar -x -C "$t/src"
+for c in cebench cescale; do
+	(cd "$t/src" && go build -o "$t/base/$c" "./cmd/$c")
+	go build -o "$t/head/$c" "./cmd/$c"
+done
+bad=0 n=0
 same() { # same <label> <file in base/ and head/>
+	n=$((n + 1))
 	if cmp -s "$t/base/$2" "$t/head/$2"; then
 		echo "identity: $1: identical ($(wc -c <"$t/head/$2") bytes)"
 	else
@@ -36,5 +46,25 @@ done
 for f in stdout.x trace.jsonl metrics.json; do
 	same "-parallel 2 -seed 2023 all $f" "$f"
 done
-echo "identity: $bad of 9 comparisons differ from $1"
+for s in 2023 7; do
+	for m in profile tune train run; do
+		for c in "MobileNet-Cifar10 -budget 10" "LR-Higgs -qos 21600"; do
+			set -- -model $c # c splits into model, flag and value
+			[ "$m" = profile ] && set -- "$1" "$2"
+			f="cescale.$m.$2.$s"
+			for v in base head; do
+				out= # run mode's three output files; mktemp paths split on no space
+				[ "$m" = run ] && out="-trace $t/$v/$f.csv -trace-out $t/$v/$f.jsonl -metrics-out $t/$v/$f.json"
+				"$t/$v/cescale" "$@" $out -mode "$m" -seed "$s" >"$t/$v/$f" 2>/dev/null || echo "exit $?" >>"$t/$v/$f"
+			done
+			same "cescale $* -mode $m -seed $s stdout" "$f"
+			if [ "$m" = run ]; then
+				for x in csv jsonl json; do
+					same "cescale $* -mode $m -seed $s $x" "$f.$x"
+				done
+			fi
+		done
+	done
+done
+echo "identity: $bad of $n comparisons differ from $rev"
 [ "$bad" -eq 0 ]
