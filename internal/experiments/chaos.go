@@ -130,16 +130,18 @@ func runMacroChaos(seed uint64, cfg Config) (*Table, error) {
 	ty := newTally("profile", chaosProfiles, count("tenants"), count("completed"), count("killed"),
 		count("reclaimed"), count("retried"), count("shed"), count("dropped"),
 		count("ckpt_retry"), count("ckpt_drop"), count("cold"), money("cost$"))
+	var puts uint64
 	for t, tn := range fleet {
 		m := tn.plat.Meter()
 		ty.add(t%len(chaosProfiles), nil, 1, float64(tn.completed), float64(tn.killed), float64(tn.reclaimed),
 			float64(tn.retried), float64(tn.shed), float64(tn.dropped),
 			float64(tn.ckptRetries), float64(tn.ckptDropped), float64(tn.cold), m.Total())
+		puts += tn.ckptPuts
 	}
 	tab := ty.table("macro-chaos", "Macro chaos: tenant fleet under compiled per-tenant fault schedules")
 	tab.Notes = fmt.Sprintf(
 		"%d tenants x %d arrivals over a 24h simulated day; per-tenant concurrency cap %d, monitor threshold %d (sheds=%d), checkpoints every %d completions (puts=%d); fault events compiled=%d; events=%d",
-		tenants, perTenant, perCap, mon.threshold, mon.sheds, chaosCkptEvery, h.store.Stats().Puts, faults, h.s.EventsFired())
+		tenants, perTenant, perCap, mon.threshold, mon.sheds, chaosCkptEvery, puts, faults, h.s.EventsFired())
 	return tab, nil
 }
 

@@ -22,7 +22,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/traffic"
 )
 
@@ -106,14 +105,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// harness is one scenario run's substrate: the sharded kernel and the
-// parameter store its tenants checkpoint into, the tenant naming and
-// placement rules, and the conservation checks run() applies once the event
-// queue drains.
+// harness is one scenario run's substrate: the sharded kernel, the tenant
+// naming and placement rules, and the conservation checks run() applies
+// once the event queue drains.
 type harness struct {
 	id        string
 	s         *sim.Simulation
-	store     *storage.Store
 	shards    int
 	lookahead sim.Time // every cross-shard Post travels at least this long
 	collector *obs.Collector
@@ -127,7 +124,7 @@ type harness struct {
 // clamped to it; placement is the same either way. The lookahead is the
 // minimum delay of any cross-shard Post.
 func newHarness(id string, seed uint64, cfg Config, tenants int, lookahead float64) *harness {
-	h := &harness{id: id, s: sim.New(seed), store: storage.NewStore(),
+	h := &harness{id: id, s: sim.New(seed),
 		shards: max(1, min(cmp.Or(cfg.Shards, 8), tenants)), lookahead: sim.Time(lookahead), collector: cfg.Collector}
 	h.s.EnsureShards(h.shards)
 	h.s.SetWorkers(cmp.Or(cfg.Workers, 1))
@@ -399,7 +396,7 @@ type callFrame struct {
 // arrivals on a closed-form diurnal curve over one simulated day against
 // the tenant's own platform (concurrency cap, warm pool, meter), with a
 // locally jittered retry, periodic checkpoints through a fault-injectable
-// view of the shared store, and the hooks a fault.Schedule compiles onto.
+// storage gate, and the hooks a fault.Schedule compiles onto.
 // All of it is owned by a single kernel shard.
 type openTenant struct {
 	h     *harness
@@ -411,9 +408,8 @@ type openTenant struct {
 	svc   sim.Rand // service-time draws
 	rty   sim.Rand // retry backoff jitter
 
-	ckptGate  fault.Gate // private brownout error gate in front of the shared store
+	ckptGate  fault.Gate // private brownout error gate in front of checkpoint storage
 	ckptRate  float64    // the active brownout's error rate (0 = none)
-	ckptKey   []byte     // "<namespace>ckpt/", with room to append the checkpoint number
 	ckptEvery uint64     // checkpoint cadence, in completions
 
 	perTenant int
@@ -431,7 +427,7 @@ type openTenant struct {
 	frames int        // frames ever allocated
 
 	completed, killed, reclaimed, retried, shed, dropped, cold uint64
-	ckptRetries, ckptDropped                                   uint64
+	ckptPuts, ckptRetries, ckptDropped                         uint64
 }
 
 var lnMeanService = math.Log(40) // mu of the LogNormal(ln 40, 0.5) service time
@@ -451,7 +447,7 @@ func (h *harness) openFleet(tenants, perTenant int, ckptEvery uint64) (fleet []*
 		tn := &openTenant{
 			h: h, id: t, memMB: 512 << (t % 3), plat: plat, sh: plat.Shard(),
 			arr: h.s.Stream(name + "/arrivals"), svc: h.s.Stream(name + "/service"), rty: h.s.Stream(name + "/retry"),
-			ckptKey: append(make([]byte, 0, 64), name+"/ckpt/"...), ckptEvery: ckptEvery,
+			ckptEvery: ckptEvery,
 			perTenant: perTenant, phase: 2 * math.Pi * float64(t) / float64(tenants), strag: 1,
 		}
 		tn.g0 = diurnalAmp * math.Cos(tn.phase)
@@ -578,7 +574,7 @@ func (fr *callFrame) done() {
 	tn.plat.ReleaseGroup(1, tn.memMB, fr.service)
 	tn.completed++
 	if tn.completed%tn.ckptEvery == 0 {
-		tn.checkpoint(fr.service)
+		tn.checkpoint()
 	}
 	tn.putCall(fr)
 }
@@ -607,15 +603,14 @@ func (tn *openTenant) kill(n int) {
 	}
 }
 
-// checkpoint writes to the shared store through the tenant's brownout gate
-// under the bounded retry policy: a failed attempt writes nothing, and
-// exhaustion drops this checkpoint and carries on — the serving path must
-// degrade gracefully, never abort.
-func (tn *openTenant) checkpoint(service float64) {
-	key := string(strconv.AppendUint(tn.ckptKey, tn.completed/tn.ckptEvery, 10))
+// checkpoint writes through the tenant's brownout gate under the bounded
+// retry policy: a failed attempt writes nothing, and exhaustion drops this
+// checkpoint and carries on — the serving path must degrade gracefully,
+// never abort.
+func (tn *openTenant) checkpoint() {
 	for attempt := 0; attempt < fault.MaxAttempts; attempt++ {
 		if !tn.ckptGate.Fail(tn.ckptRate) {
-			tn.h.store.Put(key, []float64{float64(tn.completed), service})
+			tn.ckptPuts++
 			return
 		}
 		tn.ckptRetries++

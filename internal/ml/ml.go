@@ -7,8 +7,8 @@
 //
 // The engine is deliberately storage-agnostic: workers compute gradients on
 // their shards and the Bulk Synchronous Parallel reduction is plain vector
-// addition, so the simulated trainer can route the exchange through any
-// storage.Store.
+// addition; the simulated trainer times and prices the exchange through
+// internal/storage's service models.
 //
 // The numeric path is allocation-free in the steady state: the trainer
 // computes each worker's gradient into one pre-sized scratch vector and
@@ -383,10 +383,6 @@ func NewTrainer(data *dataset.Matrix, cfg Config) (*Trainer, error) {
 // Weights returns the live weight vector (callers must not mutate it).
 func (t *Trainer) Weights() []float64 { return t.weights }
 
-// SetWeights replaces the model (used when resuming after a resource
-// adjustment restart).
-func (t *Trainer) SetWeights(w []float64) { t.weights = Clone(w) }
-
 // Epoch reports how many epochs have completed.
 func (t *Trainer) Epoch() int { return t.epoch }
 
@@ -490,18 +486,6 @@ func (s *lagSink) loss(o Objective, m *dataset.Matrix) float64 {
 		sum += o.term(d, m.Y[r])
 	}
 	return regularized(sum, m, o.l2(), s.v)
-}
-
-// SkipEpochs advances the epoch counter and every worker's batch cursor by
-// n epochs of draws without computing a gradient: the shuffle streams end
-// where n RunEpoch calls would have left them and the weights are untouched.
-func (t *Trainer) SkipEpochs(n int) {
-	for k := n * t.IterationsPerEpoch(); k > 0; k-- {
-		for _, w := range t.workers {
-			w.NextBatch(t.cfg.BatchPerWkr)
-		}
-	}
-	t.epoch += n
 }
 
 // Loss returns the average loss over the entire dataset at the current

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +30,7 @@ func numericalGradient(t *testing.T, obj Objective, m *dataset.Matrix) {
 	gradient(obj, w, m, idx, grad, nil)
 	const h = 1e-6
 	for i := range w {
-		wp, wm := Clone(w), Clone(w)
+		wp, wm := slices.Clone(w), slices.Clone(w)
 		wp[i] += h
 		wm[i] -= h
 		num := (loss(obj, wp, m) - loss(obj, wm, m)) / (2 * h)
@@ -236,43 +237,6 @@ func TestWorkerGradientsMatchSequential(t *testing.T) {
 	for i, w := range weights {
 		if math.Float64bits(tr.Weights()[i]) != math.Float64bits(w) {
 			t.Fatalf("weight %d: trainer %g, sequential %g", i, tr.Weights()[i], w)
-		}
-	}
-}
-
-func TestSetWeightsRestoresState(t *testing.T) {
-	data := binData(500, 4, 0, 23)
-	tr, _ := NewTrainer(data, Config{Objective: Logistic{}, Workers: 2, BatchPerWkr: 50, LearningRate: 0.3, Seed: 1})
-	tr.RunEpoch()
-	snapshot := Clone(tr.Weights())
-	lossAt := tr.Loss()
-	tr.RunEpoch()
-	tr.SetWeights(snapshot)
-	if got := tr.Loss(); math.Abs(got-lossAt) > 1e-12 {
-		t.Errorf("restored loss %g, want %g", got, lossAt)
-	}
-}
-
-// SkipEpochs leaves the batch cursors where training would have: a trainer
-// that skipped n epochs and one that ran them agree bit for bit once both
-// hold the same weights. 330 rows over 3 workers at batch 40 reshuffles
-// mid-epoch and leaves a ragged tail, so the draws are not trivially aligned.
-func TestSkipEpochsMatchesRunEpochDraws(t *testing.T) {
-	data := binData(330, 6, 0.1, 29)
-	cfg := Config{Objective: Logistic{L2: 1e-4}, Workers: 3, BatchPerWkr: 40, LearningRate: 0.2, Seed: 13}
-	ran, _ := NewTrainer(data, cfg)
-	skipped, _ := NewTrainer(data, cfg)
-	for e := 0; e < 5; e++ {
-		ran.RunEpoch()
-	}
-	skipped.SkipEpochs(5)
-	if skipped.Epoch() != 5 || skipped.Loss() != loss(ran.cfg.Objective, make([]float64, data.Cols), data) {
-		t.Fatalf("SkipEpochs: epoch %d, or the weights moved", skipped.Epoch())
-	}
-	ran.SetWeights(make([]float64, data.Cols))
-	for e := 0; e < 4; e++ {
-		if a, b := ran.RunEpoch(), skipped.RunEpoch(); math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("epoch %d after the skip: %g vs %g", e+1, a, b)
 		}
 	}
 }

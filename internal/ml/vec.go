@@ -117,13 +117,6 @@ func Norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Clone returns a copy of x.
-func Clone(x []float64) []float64 {
-	c := make([]float64, len(x))
-	copy(c, x)
-	return c
-}
-
 // Add computes y += x element-wise in place.
 func Add(x, y []float64) {
 	y = y[:len(x)]

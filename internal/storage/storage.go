@@ -11,10 +11,9 @@
 //     the global model for everyone to re-pull;
 //   - VM-PS aggregates locally, so a synchronization costs (2n-2) transfers.
 //
-// The package also provides Store, a real in-memory key-value store the
-// simulated trainer uses to actually exchange and aggregate gradient
-// vectors, so that training results are numerically real even though timing
-// and billing come from the models here.
+// The package holds models only: the simulated trainer times and bills each
+// synchronization, load and checkpoint with them, and keeps its own
+// checkpoint.
 package storage
 
 import (

@@ -297,3 +297,60 @@ func TestFailedInitialRestoreIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// Without checkpoints a crash rewinds a real engine to the epoch it had when
+// the job started: on LR-Higgs with two epochs run before the job, a kill in
+// the job's fourth epoch sends the engine back to epoch 2, and the job's
+// fourth to sixth epochs read the trajectory's epochs 3 to 5.
+func TestCrashWithoutCheckpointRewindsRealEngine(t *testing.T) {
+	w := workload.LRHiggs()
+	engine := func() workload.Engine {
+		eng, err := w.NewRealEngine(workload.Hyperparams{LR: w.DefaultLR}, 400, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	run := func(faults *fault.Schedule) (*Result, workload.Engine, float64) {
+		eng := engine()
+		eng.NextEpoch()
+		eng.NextEpoch()
+		var third float64
+		res := new(Result)
+		err := NewRunner(17).Run(Config{
+			Workload:          w,
+			Engine:            eng,
+			Alloc:             cost.Allocation{N: 10, MemMB: 1024, Storage: storage.S3},
+			MaxEpochs:         6,
+			DisableCheckpoint: true,
+			Faults:            faults,
+			Controller: func(epoch int, _, elapsed, _ float64) Decision {
+				if epoch == 3 {
+					third = elapsed
+				}
+				return Decision{}
+			},
+		}, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, eng, third
+	}
+	_, _, third := run(nil)
+	res, eng, _ := run(fault.MustNew(fault.KillAt(third+1, 2)))
+	if res.Failures != 1 {
+		t.Fatalf("%d failures, want the one scheduled kill", res.Failures)
+	}
+	if got := eng.EpochsRun(); got != 5 {
+		t.Errorf("engine at epoch %d after the run, want 5 (rewound to 2, then 3 more)", got)
+	}
+	ref, want := engine(), make([]float64, 6) // want[e]: the trajectory's loss after epoch e
+	for e := 1; e < len(want); e++ {
+		want[e] = ref.NextEpoch()
+	}
+	for job := 4; job <= 6; job++ {
+		if got := res.Trace[job-1].Loss; got != want[job-1] {
+			t.Errorf("job epoch %d: loss %g, want the trajectory's epoch %d %g", job, got, job-1, want[job-1])
+		}
+	}
+}

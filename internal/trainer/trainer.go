@@ -1,11 +1,12 @@
 // Package trainer is the ground-truth executor of distributed training jobs
 // on a simulated serverless substrate the runner owns: one discrete-event
-// kernel (internal/sim) carrying a serverless account (internal/faas) and an
-// in-memory parameter store, timed and priced by internal/storage's shared
-// model of each storage service, all billing under one price book. It executes a job
-// epoch by epoch: functions cold-start, load their data partitions,
-// compute gradients for k BSP iterations, synchronize through the selected
-// storage service, and are billed by the platform and storage meters.
+// kernel (internal/sim) carrying a serverless account (internal/faas), timed
+// and priced by internal/storage's shared model of each storage service, all
+// billing under one price book. It executes a job epoch by epoch: functions
+// cold-start, load their data partitions, compute gradients for k BSP
+// iterations, synchronize through the selected storage service, checkpoint
+// into the job's own snapshot, and are billed by the platform and storage
+// meters.
 //
 // Unlike the analytical models in internal/cost, the executor injects the
 // effects the paper's validation section attributes its estimation error to
@@ -140,10 +141,10 @@ type Config struct {
 	MaxEpochs  int
 
 	// DisableCheckpoint turns off the per-epoch model checkpointing through
-	// external storage: a crashed epoch then loses ALL progress (the job
-	// restarts from the initial model) instead of retrying from the last
-	// epoch boundary. Exists to quantify the checkpoint's value under
-	// failure injection.
+	// external storage: the job neither writes nor restores a checkpoint,
+	// and a crashed epoch loses ALL progress (the job restarts from the
+	// initial model) instead of retrying from the last epoch boundary.
+	// Exists to quantify the checkpoint's value under failure injection.
 	DisableCheckpoint bool
 
 	// Async switches from Bulk Synchronous Parallel to asynchronous
@@ -174,7 +175,6 @@ type Runner struct {
 
 	sim     *sim.Simulation
 	compute *faas.Platform
-	store   *storage.Store
 
 	// delayPaid tracks manually-scaled services whose provisioning delay has
 	// already been paid on this substrate: an ElastiCache cluster or
@@ -190,11 +190,8 @@ type Runner struct {
 	// The ground-truth noise streams, resolved once.
 	stragglerRng, syncRng, loadRng, failureRng *sim.Rand
 
-	// job is the job Run runs on, reused run after run; ckpt is the
-	// scratch vector a checkpoint is snapshotted into before the store
-	// copies it.
-	job  Job
-	ckpt []float64
+	// job is the job Run runs on, reused run after run.
+	job Job
 }
 
 // NewRunner returns a runner on a fresh simulated substrate seeded with
@@ -205,7 +202,6 @@ func NewRunner(seed uint64) *Runner {
 		Noise:        DefaultNoise(),
 		sim:          s,
 		compute:      faas.NewDefault(s),
-		store:        storage.NewStore(),
 		delayPaid:    make(map[storage.Kind]bool),
 		stragglerRng: s.Rand("trainer.straggler"),
 		syncRng:      s.Rand("trainer.sync"),
@@ -282,8 +278,10 @@ type Job struct {
 	// the loss engine advances one epoch each time it crosses 1.
 	asyncProgress float64
 	// initialState snapshots the engine before training so a failure
-	// without checkpointing can lose everything (DisableCheckpoint).
-	initialState []float64
+	// without checkpointing can lose everything (DisableCheckpoint); ckpt
+	// holds the job's last checkpoint, the state a restarted group resumes
+	// from (empty until the first write).
+	initialState, ckpt []float64
 
 	// faultCursor walks Config.Faults' instantaneous events (kills and
 	// warm reclaims) as the job clock passes them; gate drives the
@@ -336,9 +334,8 @@ func (r *Runner) StartJob(cfg Config) (*Job, error) {
 	return j, nil
 }
 
-// start resets j for cfg and res for its result, keeping j's initial
-// snapshot buffer and res.Trace's backing array, and admits the first
-// group.
+// start resets j for cfg and res for its result, keeping j's snapshot
+// buffers and res.Trace's backing array, and admits the first group.
 func (j *Job) start(r *Runner, cfg Config, res *Result) error {
 	if cfg.Workload == nil || cfg.Engine == nil {
 		return fmt.Errorf("trainer: nil workload or engine")
@@ -347,7 +344,7 @@ func (j *Job) start(r *Runner, cfg Config, res *Result) error {
 		cfg.MaxEpochs = 1000
 	}
 	*res = Result{Trace: res.Trace[:0]}
-	*j = Job{r: r, cfg: cfg, alloc: cfg.Alloc, res: res, faultCursor: -1, initialState: j.initialState[:0]}
+	*j = Job{r: r, cfg: cfg, alloc: cfg.Alloc, res: res, faultCursor: -1, initialState: j.initialState[:0], ckpt: j.ckpt[:0]}
 	if snap, ok := cfg.Engine.(workload.Snapshotter); ok {
 		j.initialState = snap.AppendSnapshot(j.initialState)
 	}
@@ -715,46 +712,41 @@ func (j *Job) applySwitch(next cost.Allocation, delayed bool) error {
 	return nil
 }
 
-// checkpoint writes the engine state to the storage substrate. Under an
-// active brownout window the write runs through the bounded retry policy;
-// exhausting it degrades the job to checkpoint-less mode instead of
-// erroring.
+// checkpoint writes the engine state to the job's own checkpoint through
+// the storage substrate. Under an active brownout window the write runs
+// through the bounded retry policy; exhausting it degrades the job to
+// checkpoint-less mode instead of erroring, and writes nothing.
 func (j *Job) checkpoint() {
 	if j.cfg.DisableCheckpoint || j.ckptOff {
 		return
 	}
 	if snap, ok := j.cfg.Engine.(workload.Snapshotter); ok && j.brownoutOp("checkpoint") {
-		r := j.r
-		r.ckpt = snap.AppendSnapshot(r.ckpt[:0])
-		r.store.Put(checkpointKey, r.ckpt)
-		if r.obs.Enabled() {
+		j.ckpt = snap.AppendSnapshot(j.ckpt[:0])
+		if r := j.r; r.obs.Enabled() {
 			r.obs.Stats().Inc("store.puts")
-			r.obs.Stats().Add("store.put_floats", float64(len(r.ckpt)))
+			r.obs.Stats().Add("store.put_floats", float64(len(j.ckpt)))
 		}
 	}
 }
 
-// restoreCheckpoint pulls the engine state back after a restart. Storage
+// restoreCheckpoint pulls the job's last checkpoint back into the engine
+// after a restart; a job with checkpoints off restores nothing. Storage
 // trouble degrades rather than kills the job: a browned-out read that
 // exhausts its retries, or a checkpoint that no longer restores, drops the
 // job to checkpoint-less mode with Result.Degraded set and training
 // continues from the in-memory state.
 func (j *Job) restoreCheckpoint() {
 	snap, ok := j.cfg.Engine.(workload.Snapshotter)
-	if !ok || j.ckptOff || !j.brownoutOp("restore") {
+	if !ok || j.cfg.DisableCheckpoint || j.ckptOff || !j.brownoutOp("restore") {
 		return
 	}
-	r := j.r
-	state, found := r.store.Get(checkpointKey)
-	if r.obs.Enabled() {
+	if r := j.r; r.obs.Enabled() {
 		r.obs.Stats().Inc("store.gets")
-		r.obs.Stats().Add("store.get_floats", float64(len(state)))
+		r.obs.Stats().Add("store.get_floats", float64(len(j.ckpt)))
 	}
-	if found {
-		if err := snap.Restore(state); err != nil {
+	if len(j.ckpt) > 0 {
+		if err := snap.Restore(j.ckpt); err != nil {
 			j.degrade("corrupt checkpoint: " + err.Error())
 		}
 	}
 }
-
-const checkpointKey = "model/checkpoint"

@@ -328,9 +328,9 @@ func TestControllerStop(t *testing.T) {
 
 func TestCheckpointRestoredOnRestart(t *testing.T) {
 	// A real engine's weights must survive an immediate restart via the
-	// storage checkpoint: loss continues from where it was, it does not
-	// jump back to the initial loss. The observed runner counts the
-	// checkpoint writes and the restart's read in step with the store.
+	// job's checkpoint: loss continues from where it was, it does not jump
+	// back to the initial loss. The observed runner counts one checkpoint
+	// write per epoch and the restart's one read of the whole snapshot.
 	r := NewRunner(12)
 	o := obs.New()
 	r.SetObserver(o)
@@ -339,6 +339,7 @@ func TestCheckpointRestoredOnRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snapLen := float64(len(eng.(workload.Snapshotter).AppendSnapshot(nil)))
 	next := cost.Allocation{N: 20, MemMB: 1024, Storage: storage.S3}
 	var lossBefore float64
 	cfg := Config{
@@ -361,12 +362,50 @@ func TestCheckpointRestoredOnRestart(t *testing.T) {
 	if lossAfter > lossBefore*1.2 {
 		t.Errorf("loss jumped from %g to %g after restart; checkpoint lost", lossBefore, lossAfter)
 	}
-	st := r.store.Stats()
-	if st.Puts == 0 || st.Gets == 0 {
-		t.Errorf("store saw %d puts and %d gets; want checkpoints written and read back", st.Puts, st.Gets)
+	st := o.Stats()
+	if puts, gets := st.Counter("store.puts"), st.Counter("store.gets"); puts != 8 || gets != 1 {
+		t.Errorf("store.puts = %g, store.gets = %g; want one write per epoch and one read at the restart", puts, gets)
 	}
-	if puts, gets := o.Stats().Counter("store.puts"), o.Stats().Counter("store.gets"); puts != float64(st.Puts) || gets != float64(st.Gets) {
-		t.Errorf("store.puts = %g, store.gets = %g; the store saw %d and %d", puts, gets, st.Puts, st.Gets)
+	if pf, gf := st.Counter("store.put_floats"), st.Counter("store.get_floats"); pf != 8*snapLen || gf != snapLen {
+		t.Errorf("store.put_floats = %g, store.get_floats = %g; want %g and %g", pf, gf, 8*snapLen, snapLen)
+	}
+}
+
+// A checkpoint belongs to the job that wrote it: a job with checkpoints off
+// that restarts on a runner an earlier job checkpointed on must train
+// exactly as it does on a fresh runner, before and after its restart.
+func TestRestartIgnoresAnotherJobsCheckpoint(t *testing.T) {
+	jobB := func(r *Runner) Config {
+		cfg := newMNJob(r, mnAlloc(), 0, 6)
+		cfg.DisableCheckpoint = true
+		cfg.Controller = func(epoch int, _, _, _ float64) Decision {
+			if epoch == 1 {
+				return Decision{Switch: true, NewAlloc: cost.Allocation{N: 20, MemMB: 2048, Storage: storage.S3}}
+			}
+			return Decision{}
+		}
+		return cfg
+	}
+	shared := NewRunner(5)
+	if err := shared.Run(newMNJob(shared, mnAlloc(), 0, 30), new(Result)); err != nil {
+		t.Fatal(err)
+	}
+	got := new(Result)
+	if err := shared.Run(jobB(shared), got); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewRunner(5)
+	want := new(Result)
+	if err := fresh.Run(jobB(fresh), want); err != nil {
+		t.Fatal(err)
+	}
+	if got.Restarts != 1 || len(got.Trace) != len(want.Trace) {
+		t.Fatalf("%d restarts, %d epochs; want 1 restart and %d epochs", got.Restarts, len(got.Trace), len(want.Trace))
+	}
+	for i, rep := range got.Trace {
+		if rep.Epoch != want.Trace[i].Epoch || rep.Loss != want.Trace[i].Loss {
+			t.Errorf("epoch %d: loss %g after another job's run, %g on a fresh runner", rep.Epoch, rep.Loss, want.Trace[i].Loss)
+		}
 	}
 }
 

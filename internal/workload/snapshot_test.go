@@ -160,3 +160,71 @@ func TestRealEngineRestoreChecksWeightCount(t *testing.T) {
 		}
 	}
 }
+
+// One restore contract for both engines: a snapshot taken at epoch k,
+// restored after the engine has moved on, puts it back at k with the
+// snapshot's loss, and a real engine's next epoch is the trajectory's epoch
+// k+1 bit for bit. A snapshot whose epoch is not a whole number, or whose
+// weights are not the trajectory's at its epoch, is refused and leaves the
+// engine where it was.
+func TestRestoreContract(t *testing.T) {
+	mn, lr, svm := MobileNet(), LRHiggs(), SVMHiggs()
+	curve := func() Engine { return mn.NewCurveEngine(Hyperparams{LR: mn.DefaultLR}, 5) }
+	real := func(m *Model) func() Engine {
+		return func() Engine { return newReal(t, m, 400, 13) }
+	}
+	for _, tc := range []struct {
+		name    string
+		engine  func() Engine
+		k       int
+		corrupt func(state []float64) // nil: restore the snapshot as taken
+	}{
+		{"curve at 0", curve, 0, nil},
+		{"curve at 4", curve, 4, nil},
+		{"LR real at 0", real(lr), 0, nil},
+		{"LR real at 4", real(lr), 4, nil},
+		{"SVM real at 7", real(svm), 7, nil},
+		{"curve fractional epoch", curve, 4, func(s []float64) { s[0] = 3.5 }},
+		{"real fractional epoch", real(lr), 4, func(s []float64) { s[0] = 3.5 }},
+		{"real negative epoch", real(lr), 4, func(s []float64) { s[0] = -1 }},
+		{"real NaN epoch", real(lr), 4, func(s []float64) { s[0] = math.NaN() }},
+		{"real epoch past 2^53", real(lr), 4, func(s []float64) { s[0] = 1 << 60 }},
+		{"real epoch past the trajectory", real(lr), 4, func(s []float64) { s[0] = 1 << 40 }},
+		{"real weights of another epoch", real(lr), 4, func(s []float64) { s[0] = 3 }},
+		{"real weight off by one ulp", real(lr), 4, func(s []float64) { s[2] = math.Nextafter(s[2], math.Inf(1)) }},
+	} {
+		eng := tc.engine()
+		snap := eng.(Snapshotter)
+		for range tc.k {
+			eng.NextEpoch()
+		}
+		state := snap.AppendSnapshot(nil)
+		lossAt := eng.Loss()
+		for range 3 {
+			eng.NextEpoch()
+		}
+		if tc.corrupt != nil {
+			tc.corrupt(state)
+			before := snap.AppendSnapshot(nil)
+			if err := snap.Restore(state); err == nil {
+				t.Errorf("%s: corrupt snapshot accepted", tc.name)
+			}
+			if !sameBits(snap.AppendSnapshot(nil), before) {
+				t.Errorf("%s: refused snapshot moved the engine", tc.name)
+			}
+			continue
+		}
+		if err := snap.Restore(state); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if eng.EpochsRun() != tc.k || !sameBits([]float64{eng.Loss()}, []float64{lossAt}) {
+			t.Errorf("%s: restored to epoch %d loss %g, want %d and %g", tc.name, eng.EpochsRun(), eng.Loss(), tc.k, lossAt)
+		}
+		if re, ok := eng.(*realEngine); ok {
+			want, _ := re.traj.at(tc.k + 1)
+			if got := eng.NextEpoch(); !sameBits([]float64{got}, []float64{want}) {
+				t.Errorf("%s: next epoch's loss %g, trajectory's epoch %d %g", tc.name, got, tc.k+1, want)
+			}
+		}
+	}
+}

@@ -113,6 +113,19 @@ func (t *trajectory) at(e int) (float64, []float64) {
 	return t.loss[e], t.weights[e*cols : (e+1)*cols : (e+1)*cols]
 }
 
+// recorded returns the weights after epoch e if the trajectory has trained
+// that far, without training: a snapshot can only hold weights some cursor
+// has already read.
+func (t *trajectory) recorded(e int) ([]float64, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cols := t.data.Cols
+	if e >= len(t.weights)/cols {
+		return nil, false
+	}
+	return t.weights[e*cols : (e+1)*cols : (e+1)*cols], true
+}
+
 // charge accounts n more retained floats to t and evicts oldest-first past
 // the bound. An already evicted trajectory is charged nothing: only its
 // cursors retain it.

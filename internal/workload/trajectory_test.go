@@ -63,10 +63,18 @@ func newReference(t testing.TB, e *realEngine) *reference {
 	return &reference{tr: tr, last: tr.Loss()}
 }
 
-// restore is the parent realEngine.Restore: loss and weights, no rewind.
-func (r *reference) restore(state []float64) {
-	r.last = state[1]
-	r.tr.SetWeights(state[2:])
+// restore is Restore's contract on a private trainer: a fresh trainer that
+// has run the snapshot's epochs, holding the snapshot's loss.
+func (r *reference) restore(e *realEngine, state []float64) error {
+	tr, err := ml.NewTrainer(e.traj.data, e.traj.key.cfg)
+	if err != nil {
+		return err
+	}
+	for tr.Epoch() < int(state[0]) {
+		tr.RunEpoch()
+	}
+	r.tr, r.last = tr, state[1]
+	return nil
 }
 
 func (r *reference) snapshot() []float64 {
@@ -163,10 +171,11 @@ func TestRealEngineDataMatchesFreshGeneration(t *testing.T) {
 	}
 }
 
-// Restore never rewinds the batch cursors: after an older snapshot, or the
-// initial state, training continues on the RNG draws of the epochs already
-// run. The cursor detaches to do so and must match SetWeights on a trainer
-// that kept going.
+// Restore rewinds the cursor to the snapshot's epoch: after the current
+// snapshot, an older one or the initial state, training continues as a
+// private trainer that has run only the snapshot's epochs. (The name is from
+// the old contract, under which a diverging state detached the cursor onto a
+// trainer that took the weights through SetWeights.)
 func TestRestoreDivergingStateMatchesSetWeights(t *testing.T) {
 	for _, m := range realModels(t) {
 		e := newReal(t, m, 400, 31)
@@ -185,7 +194,9 @@ func TestRestoreDivergingStateMatchesSetWeights(t *testing.T) {
 			if err := e.Restore(state); err != nil {
 				t.Fatal(err)
 			}
-			ref.restore(state)
+			if err := ref.restore(e, state); err != nil {
+				t.Fatal(err)
+			}
 			if !sameBits(e.AppendSnapshot(nil), ref.snapshot()) {
 				t.Fatalf("%s: snapshot after Restore differs", m.Name)
 			}
@@ -195,25 +206,32 @@ func TestRestoreDivergingStateMatchesSetWeights(t *testing.T) {
 				}
 			}
 		}
-		if e.own == nil {
-			t.Errorf("%s: diverging Restore left the cursor attached", m.Name)
-		}
 	}
 }
 
+// A checkpoint of the cursor's own epoch (every checkpoint restart) changes
+// nothing: the same snapshot, and the same next epoch as a cursor that was
+// never restored: the cursor stays on its trajectory.
 func TestRestoreOwnStateStaysAttached(t *testing.T) {
-	e := newReal(t, LRHiggs(), 400, 37)
+	e, twin := newReal(t, LRHiggs(), 400, 37), newReal(t, LRHiggs(), 400, 37)
 	for ep := 0; ep < 3; ep++ {
 		e.NextEpoch()
+		twin.NextEpoch()
 	}
-	if err := e.Restore(e.AppendSnapshot(nil)); err != nil {
+	state := e.AppendSnapshot(nil)
+	if err := e.Restore(state); err != nil {
 		t.Fatal(err)
 	}
-	if e.own != nil {
-		t.Error("a checkpoint of the cursor's own epoch detached it")
+	if !sameBits(e.AppendSnapshot(nil), state) {
+		t.Error("restoring the cursor's own checkpoint changed its snapshot")
+	}
+	if !sameBits([]float64{e.NextEpoch()}, []float64{twin.NextEpoch()}) {
+		t.Error("restoring the cursor's own checkpoint changed its next epoch")
 	}
 }
 
+// A cursor rewound to its initial state and trained on leaves the other
+// cursors of its trajectory on their own epochs.
 func TestDetachedCursorLeavesTrajectoryAlone(t *testing.T) {
 	m := SVMHiggs()
 	a, b, c := newReal(t, m, 400, 41), newReal(t, m, 400, 41), newReal(t, m, 400, 41)
@@ -229,11 +247,11 @@ func TestDetachedCursorLeavesTrajectoryAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ep := 0; ep < 12; ep++ {
-		c.NextEpoch() // private from here on
+		c.NextEpoch()
 	}
 	for ep := 0; ep < 12; ep++ {
 		if !refA.step(a) || !refB.step(b) {
-			t.Fatalf("epoch %d: an attached cursor saw the detached one", ep+1)
+			t.Fatalf("epoch %d: a cursor saw the rewound one", ep+1)
 		}
 	}
 }
@@ -270,7 +288,7 @@ func TestEvictedTrajectoryRematerialisesIdentically(t *testing.T) {
 }
 
 // Cells share a trajectory at -parallel N: construction, reads, frontier
-// extension and detaching all race on one key here (run under -race).
+// extension and rewinding all race on one key here (run under -race).
 func TestConcurrentCursorsOnOneKey(t *testing.T) {
 	m := LRYFCC()
 	var wg sync.WaitGroup
@@ -295,11 +313,14 @@ func TestConcurrentCursorsOnOneKey(t *testing.T) {
 				t.Errorf("goroutine %d: initial snapshot differs", g)
 			}
 			for ep := 1; ep <= 4+3*g; ep++ {
-				if g%3 == 1 && ep == g { // a third detach mid-way
+				if g%3 == 1 && ep == g { // a third rewind mid-way
 					if err := cur.Restore(initial); err != nil {
 						t.Error(err)
 					}
-					ref.restore(initial)
+					if err := ref.restore(cur, initial); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 				if !ref.step(cur) {
 					t.Errorf("goroutine %d: epoch %d differs from a private trainer", g, ep)

@@ -53,7 +53,8 @@ type Snapshotter interface {
 	// extended slice; dst's prefix is kept, and a dst with room for the
 	// state is not reallocated.
 	AppendSnapshot(dst []float64) []float64
-	// Restore replaces the engine state with a previous snapshot.
+	// Restore moves the engine back to a previous snapshot's epoch and
+	// loss, or refuses a snapshot it could not have taken and stays put.
 	Restore(state []float64) error
 }
 
@@ -318,9 +319,9 @@ func (e *curveEngine) AppendSnapshot(dst []float64) []float64 {
 	return append(dst, float64(e.epoch), e.last)
 }
 
-// maxSnapshotEpoch is the largest epoch count a snapshot carries: every
-// integer up to it is a float64 exactly.
-const maxSnapshotEpoch = 1 << 53
+// wholeEpoch reports whether a snapshot's epoch is a whole number in
+// [0, 2^53], the range in which every integer is a float64 exactly.
+func wholeEpoch(ep float64) bool { return ep >= 0 && ep <= 1<<53 && ep == math.Trunc(ep) }
 
 // Restore implements Snapshotter. The epoch must be a whole number in
 // [0, 2^53] and the loss finite; anything else is a corrupt checkpoint and
@@ -330,7 +331,7 @@ func (e *curveEngine) Restore(state []float64) error {
 		return fmt.Errorf("workload: curve snapshot has %d values, want 2", len(state))
 	}
 	ep, loss := state[0], state[1]
-	if !(ep >= 0 && ep <= maxSnapshotEpoch) || ep != math.Trunc(ep) {
+	if !wholeEpoch(ep) {
 		return fmt.Errorf("workload: curve snapshot epoch %g is not a whole number in [0, 2^53]", ep)
 	}
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
@@ -342,11 +343,9 @@ func (e *curveEngine) Restore(state []float64) error {
 }
 
 // realEngine is a cursor over the shared SGD trajectory of its inputs (see
-// trajectory.go). A Restore to weights the trajectory does not hold at the
-// cursor's epoch detaches it into a private trainer for good.
+// trajectory.go).
 type realEngine struct {
 	traj  *trajectory
-	own   *ml.Trainer // non-nil once detached
 	epoch int
 	last  float64
 }
@@ -414,11 +413,7 @@ func lrScale(objective string) float64 {
 // NextEpoch implements Engine; behind the frontier it is one locked load.
 func (e *realEngine) NextEpoch() float64 {
 	e.epoch++
-	if e.own != nil {
-		e.last = e.own.RunEpoch()
-	} else {
-		e.last, _ = e.traj.at(e.epoch)
-	}
+	e.last, _ = e.traj.at(e.epoch)
 	return e.last
 }
 
@@ -429,35 +424,27 @@ func (e *realEngine) Loss() float64  { return e.last }
 func (e *realEngine) AppendSnapshot(dst []float64) []float64 {
 	dst = slices.Grow(dst, 2+e.traj.data.Cols)
 	dst = append(dst, float64(e.epoch), e.last)
-	if e.own != nil {
-		return append(dst, e.own.Weights()...)
-	}
 	_, w := e.traj.at(e.epoch)
 	return append(dst, w...)
 }
 
-// Restore implements Snapshotter. The epoch counter and the batch cursors
-// advance only through training, so Restore applies loss and weights alone.
-// Weights bit-equal to the trajectory's at the cursor's epoch (a checkpoint
-// restart) leave it attached; others (a crash back to the initial state) go
-// to a private trainer that first makes the draws of the epochs already run.
+// Restore implements Snapshotter the way curveEngine does: it moves the
+// cursor to the snapshot's epoch, where training continues on the
+// trajectory. The epoch must be a whole number in [0, 2^53] and the weights
+// bit-equal to those the trajectory has recorded at that epoch; anything
+// else is a corrupt checkpoint and leaves the engine as it was.
 func (e *realEngine) Restore(state []float64) error {
 	if want := 2 + e.traj.data.Cols; len(state) != want {
 		return fmt.Errorf("workload: real snapshot has %d values, want %d", len(state), want)
 	}
-	e.last = state[1]
-	if e.own == nil {
-		if _, w := e.traj.at(e.epoch); sameBits(w, state[2:]) {
-			return nil
-		}
-		tr, err := ml.NewTrainer(e.traj.data, e.traj.key.cfg)
-		if err != nil {
-			return err
-		}
-		tr.SkipEpochs(e.epoch)
-		e.own = tr
+	ep := state[0]
+	if !wholeEpoch(ep) {
+		return fmt.Errorf("workload: real snapshot epoch %g is not a whole number in [0, 2^53]", ep)
 	}
-	e.own.SetWeights(state[2:])
+	if w, ok := e.traj.recorded(int(ep)); !ok || !sameBits(w, state[2:]) {
+		return fmt.Errorf("workload: real snapshot weights are not the trajectory's at epoch %g", ep)
+	}
+	e.epoch, e.last = int(ep), state[1]
 	return nil
 }
 
