@@ -215,10 +215,9 @@ func (f *Framework) RunHPT(stages []planner.Stage, opt Options, runner *trainer.
 
 // --- Model training ---
 
-// TrainOutcome carries the measured run and the scheduler that drove it.
+// TrainOutcome carries the measured run.
 type TrainOutcome struct {
-	Result    *trainer.Result
-	Scheduler *scheduler.Scheduler
+	Result *trainer.Result
 	// OfflineEstimate is the warm-start epoch prediction.
 	OfflineEstimate int
 }
@@ -243,7 +242,6 @@ func (f *Framework) Session(opt Options) (*scheduler.Scheduler, cost.Allocation,
 		candidates = f.candidates(opt)
 	}
 	sched := scheduler.New(scheduler.Config{
-		Model:          f.Model,
 		Candidates:     candidates,
 		Frontier:       frontier,
 		Budget:         opt.Budget,
@@ -261,7 +259,7 @@ func (f *Framework) Session(opt Options) (*scheduler.Scheduler, cost.Allocation,
 	if alloc.N == 0 {
 		return nil, cost.Allocation{}, 0, fmt.Errorf("core: no feasible initial allocation for %s", f.Workload.Name)
 	}
-	return sched, alloc, est, nil
+	return &sched, alloc, est, nil
 }
 
 // Train runs a training job to the workload's target loss under the
@@ -292,5 +290,5 @@ func (f *Framework) TrainWithHyperparams(hp workload.Hyperparams, opt Options, r
 	}, res); err != nil {
 		return nil, err
 	}
-	return &TrainOutcome{Result: res, Scheduler: sched, OfflineEstimate: est}, nil
+	return &TrainOutcome{Result: res, OfflineEstimate: est}, nil
 }

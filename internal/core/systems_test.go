@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -150,9 +151,48 @@ func TestOneCandidateSetPerSystem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Initial made one selection over the scheduler's candidates.
-		if sched.CandidatesSeen != len(want) {
-			t.Errorf("%s: the scheduler's selection saw %d candidates, the planner has %d", name, sched.CandidatesSeen, len(want))
+		// Initial made one selection over the scheduler's candidates,
+		// charged 0.05 s each: one candidate off is 0.05 s off.
+		if wantS := cost.EstimateSeconds * float64(len(want)); math.Abs(sched.PlanningSeconds-wantS) > 1e-9 {
+			t.Errorf("%s: the scheduler's selection charged %g s, the planner's %d candidates %g s", name, sched.PlanningSeconds, len(want), wantS)
+		}
+	}
+}
+
+// TestCandidateSetsHoldEachAllocationOnce: a scheduler names the point it is
+// on by its index in its candidate set, and its decisions carry the point's
+// allocation, which names that point only if no allocation appears twice.
+// Every set Session and Planner build — the shared Pareto frontier, the
+// Pareto set, the full enumeration, and each storage kind pinned with and
+// without Pareto pruning — holds each allocation once, on the default grid
+// and on abl-pocket's extended one.
+func TestCandidateSetsHoldEachAllocationOnce(t *testing.T) {
+	extended := cost.DefaultGrid()
+	extended.Storages = storage.ExtendedKinds()
+	for _, w := range append(workload.Evaluated(), workload.LRYFCC(), workload.SVMYFCC()) {
+		f := New(w)
+		for _, fw := range []*Framework{f, f.WithGrid(extended)} {
+			sets := map[string][]cost.Point{"frontier": fw.Frontier.Points()}
+			opts := map[string]Options{"pareto": {}, "full": {DisablePareto: true}}
+			for _, k := range fw.Grid.Storages {
+				opts["pinned "+k.String()] = Options{PinStorage: &k}
+				opts["pinned unpruned "+k.String()] = Options{PinStorage: &k, DisablePareto: true}
+			}
+			for name, opt := range opts {
+				sets[name] = fw.candidates(opt)
+			}
+			if len(sets["full"]) == 0 {
+				t.Fatalf("%s over %d storages: empty enumeration", w.Name, len(fw.Grid.Storages))
+			}
+			for name, set := range sets {
+				seen := make(map[cost.Allocation]bool, len(set))
+				for _, p := range set {
+					if seen[p.Alloc] {
+						t.Errorf("%s over %d storages: %s set holds %v twice", w.Name, len(fw.Grid.Storages), name, p.Alloc)
+					}
+					seen[p.Alloc] = true
+				}
+			}
 		}
 	}
 }

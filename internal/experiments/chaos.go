@@ -98,7 +98,7 @@ func (m *chaosMonitor) window(now sim.Time, distress []int) {
 		}
 	}
 	if total-m.lastTotal > m.threshold {
-		m.tenants[worst].shedFor(now, 2*macroReportGap)
+		m.tenants[worst].shedFor(now)
 		m.sheds++
 	}
 	if m.scope != nil {
@@ -116,7 +116,7 @@ func runMacroChaos(seed uint64, cfg Config) (*Table, error) {
 	mon := &chaosMonitor{scope: h.scope("macro-chaos/monitor"), threshold: tenants}
 	reports := h.newGather(tenants, chaosMonGap, macroDay, priReport, priAbsorb, mon.window)
 
-	fleet, perCap := h.openFleet(tenants, perTenant, chaosCkptEvery)
+	fleet, perCap := h.openFleet(tenants, perTenant, chaosCkptEvery, 2*macroReportGap)
 	mon.tenants = fleet
 	faults := 0
 	for t, tn := range fleet {

@@ -11,21 +11,24 @@ package experiments
 //
 // Sharing layout:
 //
-//   - Tenants of the same model class share one cost.Model and one interned
-//     cost.Frontier (scheduler.Config.Frontier) — the candidate set is a
-//     single immutable array searched in place by every controller.
+//   - Tenants of the same model class share one interned cost.Frontier
+//     (scheduler.Config.Frontier) and one offline predictor — the candidate
+//     set is a single immutable array searched in place by every controller.
 //   - All tenants share one account (the admission pipeline in harness.go).
 //     Function groups are acquired at job start and at every scheduler
 //     restart, so account state mutates only in shard-0 events whose order
 //     is pinned by (time, priority).
 //   - Everything else — scheduler, predictor buffers, loss stream, budget
 //     accounting — is tenant-private on the tenant's shard (t % shards).
-//   - Each controller is one compact record: the tenants are one slab, a
-//     tenant's scheduler holds its predictor, which holds its fitter, by
-//     value, and so does the tenant its loss walk and the walk its owned
-//     random stream (sim.Simulation.Stream: no entry in the simulation's
-//     name map). The predictor's window stores only its losses; its epochs
-//     are a view of one shared ramp (TestFleetFootprintPerTenant).
+//   - Each controller is one compact record: the tenants are one slab, and
+//     a tenant embeds its scheduler.Scheduler, which holds its predictor,
+//     which holds its fitter, by value; so does the tenant its loss walk and
+//     the walk its owned random stream (sim.Simulation.Stream: no entry in
+//     the simulation's name map). The predictor's window stores only its
+//     losses; its epochs are a view of one shared ramp
+//     (TestFleetFootprintPerTenant). The scheduler names its current point by
+//     its index in the class frontier, so the tenant reads the point it is
+//     on, and requests its group, straight from Current.
 //
 // Scaling note: the registered default is 48 tenants so smoke tests run in
 // milliseconds; Config.FleetTenants (cebench -fleet-tenants) raises it to
@@ -40,7 +43,6 @@ import (
 	"repro/internal/predictor"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
-	"repro/internal/trainer"
 	"repro/internal/workload"
 )
 
@@ -63,14 +65,12 @@ var fleetBands = accountBands{release: 1_000_000, invoke: 2_000_000, retry: 3_00
 // zero-alloc steady state BenchmarkDecisionFleet measures.
 var fleetTuning = predictor.Tuning{FixedWindow: 32, WarmStart: true, RefitBudget: 10}
 
-// fleetClass is the per-model-class shared state: one analytic cost model,
-// one interned Pareto frontier, one offline predictor — all read-only during
-// the run, shared by every tenant of the class.
+// fleetClass is the per-model-class shared state: one interned Pareto
+// frontier and one offline predictor — both read-only during the run, shared
+// by every tenant of the class.
 type fleetClass struct {
 	w       *workload.Model
-	model   *cost.Model
 	front   *cost.Frontier
-	byAlloc map[cost.Allocation]cost.Point
 	offline *predictor.Offline
 
 	nomEpochs int     // noiseless epochs to the class target
@@ -80,23 +80,23 @@ type fleetClass struct {
 
 // fleetTenant is one training job: a full CE-scaling scheduler plus the
 // simulated epoch loop that feeds it losses and carries out its decisions.
+// The scheduler's Current point is the allocation granted, or being
+// requested.
 type fleetTenant struct {
 	member
+	scheduler.Scheduler
 	cl   *fleetClass
-	ctrl trainer.Controller
 	loss workload.CurveRun // the tenant's jittered convergence curve
 
 	budget, qos float64 // the tenant's binding constraint (other is 0)
 
-	cur     cost.Point // allocation currently granted (or being requested)
-	group   *invFrame  // the granted function group
+	group   *invFrame // the granted function group
 	grantAt sim.Time
 	startAt sim.Time
 	epochFn func()
 
-	epoch     int
+	epoch     int // epochs run, each one decision
 	spent     float64
-	decisions uint64
 	restarts  uint64
 	cold      uint64
 	converged bool
@@ -106,20 +106,21 @@ type fleetTenant struct {
 
 func (tn *fleetTenant) start() {
 	tn.startAt = tn.sh.Now()
-	tn.requestGroup(tn.cur)
+	tn.requestGroup()
 }
 
-// requestGroup asks the account for p's allocation; epochs resume when the
-// grant comes back.
-func (tn *fleetTenant) requestGroup(p cost.Point) {
-	tn.cur, tn.n, tn.memMB = p, p.Alloc.N, p.Alloc.MemMB
+// requestGroup asks the account for the scheduler's current allocation;
+// epochs resume when the grant comes back.
+func (tn *fleetTenant) requestGroup() {
+	a := tn.Current().Alloc
+	tn.n, tn.memMB = a.N, a.MemMB
 	tn.request()
 }
 
 func (tn *fleetTenant) granted(fr *invFrame) {
 	tn.group, tn.grantAt = fr, tn.sh.Now()
 	tn.cold += uint64(fr.cold)
-	tn.sh.SchedulePriority(tn.sh.Now()+sim.Time(fr.delay+tn.cur.Time), priFleetEpoch+tn.id, tn.epochFn)
+	tn.sh.SchedulePriority(tn.sh.Now()+sim.Time(fr.delay+tn.Current().Time), priFleetEpoch+tn.id, tn.epochFn)
 }
 
 // releaseGroup hands the held group back to the account with its held
@@ -142,25 +143,20 @@ func (tn *fleetTenant) denied() {
 func (tn *fleetTenant) epochDone() {
 	tn.epoch++
 	loss := tn.loss.NextEpoch()
-	tn.spent += tn.cur.Cost
+	tn.spent += tn.Current().Cost
 	elapsed := float64(tn.sh.Now() - tn.startAt)
-	dec := tn.ctrl(tn.epoch, loss, elapsed, tn.spent)
-	tn.decisions++
+	dec := tn.Decide(tn.epoch, loss, elapsed, tn.spent)
 	switch {
 	case loss <= tn.cl.w.TargetLoss, dec.Stop, tn.epoch >= fleetMaxEpochs:
 		tn.converged = loss <= tn.cl.w.TargetLoss
 		tn.jct = elapsed
 		tn.releaseGroup()
 	case dec.Switch:
-		np, ok := tn.cl.byAlloc[dec.NewAlloc]
-		if !ok {
-			np = tn.cur // unreachable: the scheduler selects frontier points
-		}
 		tn.restarts++
 		tn.releaseGroup()
-		tn.requestGroup(np)
+		tn.requestGroup()
 	default:
-		next := tn.sh.Now() + sim.Time(tn.cur.Time+dec.PlanningSeconds)
+		next := tn.sh.Now() + sim.Time(tn.Current().Time+dec.PlanningSeconds)
 		tn.sh.SchedulePriority(next, priFleetEpoch+tn.id, tn.epochFn)
 	}
 }
@@ -180,15 +176,12 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 	classes := make([]*fleetClass, len(classModels))
 	maxN := 0 // the largest group any controller may request
 	for i, w := range classModels {
-		m := cost.NewModel(w)
-		front := m.ParetoFrontier(grid)
+		front := cost.NewModel(w).ParetoFrontier(grid)
 		if front.Len() == 0 {
 			return nil, nil, fmt.Errorf("macro-fleet: empty Pareto frontier for %s", w.Name)
 		}
-		byAlloc := make(map[cost.Allocation]cost.Point, front.Len())
 		cheap, fast := math.Inf(1), math.Inf(1)
 		for _, p := range front.Points() {
-			byAlloc[p.Alloc] = p
 			maxN = max(maxN, p.Alloc.N)
 			if p.Cost < cheap {
 				cheap = p.Cost
@@ -202,7 +195,7 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 			return nil, nil, fmt.Errorf("macro-fleet: %s target %g below its curve floor", w.Name, w.TargetLoss)
 		}
 		classes[i] = &fleetClass{
-			w: w, model: m, front: front, byAlloc: byAlloc,
+			w: w, front: front,
 			offline:   predictor.NewOffline(w),
 			nomEpochs: nom, cheapCost: cheap, fastTime: fast,
 		}
@@ -232,30 +225,25 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 		} else {
 			qos = float64(cl.nomEpochs) * cl.fastTime * (1.5 + 2.5*shape.Float64())
 		}
-		sched := scheduler.New(scheduler.Config{
-			Model:        cl.model,
-			Frontier:     cl.front,
-			Budget:       budget,
-			QoS:          qos,
-			TargetLoss:   cl.w.TargetLoss,
-			OnlineTuning: &fleetTuning,
-			Offline:      cl.offline,
-			OfflineSeed:  seed ^ (uint64(t)*0x9e3779b97f4a7c15 + 1),
-			Obs:          h.scope(name),
-		})
-		alloc, _ := sched.Initial()
-		p, ok := cl.byAlloc[alloc]
-		if !ok {
-			return nil, nil, fmt.Errorf("macro-fleet: tenant %d initial allocation %v not on the class frontier", t, alloc)
-		}
 		tn := &fleet[t]
 		*tn = fleetTenant{
 			member: member{id: t, sh: h.shard(t)},
-			cl:     cl, ctrl: sched.Controller(),
+			Scheduler: scheduler.New(scheduler.Config{
+				Frontier:     cl.front,
+				Budget:       budget,
+				QoS:          qos,
+				TargetLoss:   cl.w.TargetLoss,
+				OnlineTuning: &fleetTuning,
+				Offline:      cl.offline,
+				OfflineSeed:  seed ^ (uint64(t)*0x9e3779b97f4a7c15 + 1),
+				Obs:          h.scope(name),
+			}),
+			cl:     cl,
 			loss:   cp.Run(h.s.Stream(name + "/loss")),
-			budget: budget, qos: qos, cur: p,
+			budget: budget, qos: qos,
 		}
 		tn.epochFn = tn.epochDone
+		alloc, _ := tn.Initial()
 		totalN += alloc.N
 	}
 
@@ -281,8 +269,8 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 		ty.add(t%len(classes), nil, 1, b2f(tn.converged),
 			b2f(tn.budget > 0 && tn.spent <= tn.budget && !tn.dropped),
 			b2f(tn.qos > 0 && tn.jct <= tn.qos && !tn.dropped),
-			float64(tn.restarts), b2f(tn.dropped), float64(tn.decisions), tn.spent)
-		decisions += tn.decisions
+			float64(tn.restarts), b2f(tn.dropped), float64(tn.epoch), tn.spent)
+		decisions += uint64(tn.epoch)
 	}
 	tab := ty.table("macro-fleet", "Macro fleet: concurrent Algorithm-2 controllers on one shared account")
 	meter := ac.plat.Meter()

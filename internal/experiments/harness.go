@@ -417,8 +417,10 @@ type openTenant struct {
 	phase     float64 // diurnal peak offset, tenant-specific
 	g0        float64 // a*cos(phase): the curve's offset making g(0) = 0
 	shedUntil sim.Time
-	strag     float64 // active straggler factor (1 = none)
+	shedDur   sim.Time // how long one shed directive stops admission
+	strag     float64  // active straggler factor (1 = none)
 	arriveFn  func()
+	shedFn    func()
 	// live mirrors the platform's in-flight set in admission order, so a
 	// kill can cancel exactly the victims' completions and nothing that
 	// already fired.
@@ -436,8 +438,9 @@ var lnMeanService = math.Log(40) // mu of the LogNormal(ln 40, 0.5) service time
 // platform capped near its mean in-flight load so the diurnal peak produces
 // real contention (retries, drops) at any scale, and registers their
 // ledger: every arrival ends completed, shed or dropped, no call is left in
-// a live record, and every call frame is back on its tenant's free list.
-func (h *harness) openFleet(tenants, perTenant int, ckptEvery uint64) (fleet []*openTenant, perCap int) {
+// a live record, and every call frame is back on its tenant's free list. A
+// shed directive stops a tenant's admission for shedDur seconds.
+func (h *harness) openFleet(tenants, perTenant int, ckptEvery uint64, shedDur float64) (fleet []*openTenant, perCap int) {
 	meanService := 40 * math.Exp(0.5*0.5/2) // LogNormal(ln 40, 0.5) mean
 	perCap = max(2, int(float64(perTenant)*meanService/macroDay))
 	fleet = make([]*openTenant, tenants)
@@ -447,11 +450,12 @@ func (h *harness) openFleet(tenants, perTenant int, ckptEvery uint64) (fleet []*
 		tn := &openTenant{
 			h: h, id: t, memMB: 512 << (t % 3), plat: plat, sh: plat.Shard(),
 			arr: h.s.Stream(name + "/arrivals"), svc: h.s.Stream(name + "/service"), rty: h.s.Stream(name + "/retry"),
-			ckptEvery: ckptEvery,
+			ckptEvery: ckptEvery, shedDur: sim.Time(shedDur),
 			perTenant: perTenant, phase: 2 * math.Pi * float64(t) / float64(tenants), strag: 1,
 		}
 		tn.g0 = diurnalAmp * math.Cos(tn.phase)
 		tn.arriveFn = tn.arrive
+		tn.shedFn = func() { tn.shedUntil = tn.sh.Now() + tn.shedDur }
 		fleet[t] = tn
 	}
 	h.ledgers = append(h.ledgers, func() error {
@@ -618,11 +622,12 @@ func (tn *openTenant) checkpoint() {
 	tn.ckptDropped++
 }
 
-// shedFor is a shard-0 directive: stop admitting for dur seconds, starting
-// one lookahead after now.
-func (tn *openTenant) shedFor(now sim.Time, dur float64) {
-	at := now + tn.h.lookahead
-	tn.h.s.Shard(0).Post(tn.sh, at, priShed+tn.id, func() { tn.shedUntil = at + sim.Time(dur) })
+// shedFor is a shard-0 directive: stop admitting for the tenant's shed
+// duration, starting one lookahead after now. The bound shedFn runs on the
+// tenant's shard, so the directive allocates nothing and shard 0 writes no
+// tenant state.
+func (tn *openTenant) shedFor(now sim.Time) {
+	tn.h.s.Shard(0).Post(tn.sh, now+tn.h.lookahead, priShed+tn.id, tn.shedFn)
 }
 
 // --- report -> absorb barrier ---

@@ -62,7 +62,7 @@ func (c *macroCoordinator) window(now sim.Time, inFlight []int) {
 		if worst < 0 {
 			break
 		}
-		c.tenants[worst].shedFor(now, macroReportGap)
+		c.tenants[worst].shedFor(now)
 		c.sheds++
 		over -= inFlight[worst]
 		inFlight[worst] = 0
@@ -79,7 +79,7 @@ func runMacroDay(seed uint64, cfg Config) (*Table, error) {
 	coord := &macroCoordinator{scope: h.scope("macro-day/coordinator")}
 	reports := h.newGather(tenants, macroReportGap, macroDay, priReport, priAbsorb, coord.window)
 
-	fleet, perCap := h.openFleet(tenants, perTenant, macroCkptEvery)
+	fleet, perCap := h.openFleet(tenants, perTenant, macroCkptEvery, macroReportGap)
 	// The shedding budget sits just below the fleet's typical aggregate
 	// in-flight load (staggered diurnal phases keep the total near its
 	// mean), so the coordinator genuinely sheds during busy windows.

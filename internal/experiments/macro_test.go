@@ -374,11 +374,13 @@ func TestAdmissionPipelineZeroAlloc(t *testing.T) {
 // TestOpenTenantZeroAlloc is the zero-allocation gate of the open-loop
 // tenant: arrive -> try (denied at the tenant's cap) -> retry -> done | drop |
 // kill runs on pooled call frames with closures bound once, a denial is a
-// bare sentinel, and the per-minute report/absorb pair is bound per tenant.
-// Same method as the shared account's gate: two arrival counts of one
-// population compared in mallocs. What is left per extra arrival is the
-// checkpoint put every 32 or 64 completions (about 0.07); one closure per
-// arrival, retry or completion, or one formatted denial, reads 1 or more.
+// bare sentinel, and the per-minute report/absorb pair and the shed directive
+// are bound per tenant. Same method as the shared account's gate: two arrival
+// counts of one population compared in mallocs. What is left per extra
+// arrival is a few thousandths: growth of the tenants' live records and
+// frame pools, and of the kernel's queues; a closure per shed directive read
+// about 0.05 on macro-day, and one per arrival, retry or completion, or one
+// formatted denial, reads 1 or more.
 func TestOpenTenantZeroAlloc(t *testing.T) {
 	for _, sc := range []struct {
 		id      string
@@ -410,8 +412,8 @@ func TestOpenTenantZeroAlloc(t *testing.T) {
 			shortM, longM := run(short), run(long)
 			perArrival := (float64(longM) - float64(shortM)) / float64(tenants*(long-short))
 			t.Logf("%d mallocs at %d arrivals per tenant, %d at %d: %.3f per extra arrival", shortM, short, longM, long, perArrival)
-			if perArrival >= 0.25 {
-				t.Errorf("the open-loop tenant allocates %.3f times per arrival, want < 0.25", perArrival)
+			if perArrival >= 0.05 {
+				t.Errorf("the open-loop tenant allocates %.3f times per arrival, want < 0.05", perArrival)
 			}
 			// The report rounds do not grow with arrivals, so only a total
 			// sees them: set-up and a day of rounds included, the long run
@@ -433,7 +435,7 @@ func TestOpenTenantZeroAlloc(t *testing.T) {
 // from the live record.
 func TestKilledCallFramesComeHome(t *testing.T) {
 	h := newHarness("kill-test", 5, Config{Shards: 1}, 1, macroLookahead)
-	fleet, perCap := h.openFleet(1, 4, chaosCkptEvery)
+	fleet, perCap := h.openFleet(1, 4, chaosCkptEvery, 2*macroReportGap)
 	tn := fleet[0]
 	tn.sh.SchedulePriority(1, tn.id, func() {
 		for range 4 {
@@ -472,7 +474,7 @@ func TestKilledCallFramesComeHome(t *testing.T) {
 func TestHarnessRunReportsLedgerViolation(t *testing.T) {
 	for _, sabotage := range []bool{false, true} {
 		h := newHarness("ledger-test", 5, Config{Shards: 2}, 3, macroLookahead)
-		fleet, _ := h.openFleet(3, 40, macroCkptEvery)
+		fleet, _ := h.openFleet(3, 40, macroCkptEvery, macroReportGap)
 		for _, tn := range fleet {
 			tn.start(nil)
 		}

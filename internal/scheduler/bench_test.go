@@ -44,13 +44,13 @@ func newBenchScheduler(b *testing.B, delta float64) *Scheduler {
 		TargetLoss: 0.42,
 		Delta:      delta,
 	})
-	s.alloc = s.cfg.Candidates[0].Alloc
+	s.cur = 0
 	s.lastPrediction = 1
 	s.online.ApplyTuning(predictor.Tuning{FixedWindow: 32})
 	for e := 1; e <= 32; e++ {
 		s.online.Observe(e, benchCurve(e))
 	}
-	return s
+	return &s
 }
 
 // runDecisions drives n steady-state controller decisions.
@@ -104,7 +104,7 @@ func BenchmarkSelectBest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.selectBest(100+i%7, 0, 0); !ok {
+		if _, ok := s.selectBest(100+i%7, 0, 0, 1); !ok {
 			b.Fatal("selection failed")
 		}
 	}
@@ -119,7 +119,7 @@ func BenchmarkSelectBestFullEnum(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := s.selectBest(100+i%7, 0, 0); !ok {
+		if _, ok := s.selectBest(100+i%7, 0, 0, 1); !ok {
 			b.Fatal("selection failed")
 		}
 	}

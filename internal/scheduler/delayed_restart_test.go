@@ -23,7 +23,7 @@ func newEdgeSession(t *testing.T, w *workload.Model, delta float64, seed uint64)
 	if len(full) == 0 {
 		t.Fatal("no feasible allocations")
 	}
-	return New(Config{
+	s := New(Config{
 		Model:          m,
 		Candidates:     cost.Pareto(full),
 		QoS:            6 * 3600,
@@ -33,6 +33,7 @@ func newEdgeSession(t *testing.T, w *workload.Model, delta float64, seed uint64)
 		Offline:        predictor.NewOffline(w),
 		OfflineSeed:    seed,
 	})
+	return &s
 }
 
 // runRecorded executes one scheduled job capped at maxEpochs, recording the

@@ -39,8 +39,8 @@ func TestStragglerWindowForcesReplanning(t *testing.T) {
 			Obs:         o,
 		})
 		if qos == 0 {
-			s.cfg.QoS = 0
-			s.cfg.Budget = 1e9 // unconstrained probe
+			s.qos = 0
+			s.budget = 1e9 // unconstrained probe
 		}
 		r := trainer.NewRunner(11)
 		alloc, _ := s.Initial()
@@ -56,7 +56,7 @@ func TestStragglerWindowForcesReplanning(t *testing.T) {
 		}, res); err != nil {
 			t.Fatal(err)
 		}
-		return s, res, o
+		return &s, res, o
 	}
 
 	// Probe the calm JCT, then set a deadline the calm run meets easily.

@@ -27,9 +27,9 @@ const DefaultDelta = 0.1
 // Config parameterizes one adaptive scheduling session.
 type Config struct {
 	// Model is the session's analytic model. The scheduler does not read
-	// it: the candidates carry its estimates. cmd/bench's decide probe sets
-	// it (a pinned surface), and startup pricing in the selection (ROADMAP
-	// item 1(b)) is to be its reader.
+	// it (the candidates carry its estimates) and only cmd/bench's decide
+	// probe, a pinned surface, sets it; startup pricing in the selection
+	// (ROADMAP item 1(b)) is to be its reader.
 	Model *cost.Model
 	// Candidates is the allocation set searched at every adjustment —
 	// normally the Pareto set; the WO-pa ablation passes the full
@@ -102,28 +102,38 @@ type Variant struct {
 var Siren = Variant{FixedEstimate: true, Explore: true, Literal: true}
 
 // Scheduler drives one training job. Create with New, obtain the initial
-// allocation from Initial, and wire Controller into the trainer.
+// allocation from Initial, and call Decide after every epoch, or wire
+// Controller into the trainer. It names the point it is on by its index in
+// the time-sorted candidates, as cost.Select returns it (Current reads it),
+// and keeps only what Initial and Decide read. Use a Scheduler through one
+// address and never copy it after Initial: its predictor's buffers and the
+// Controller it hands out belong to that address.
 type Scheduler struct {
-	cfg    Config
-	online predictor.Online
+	candidates                     []cost.Point
+	budget, qos, targetLoss, delta float64
+	observer                       *obs.Observer
+	offline                        *predictor.Offline
+	offlineSeed                    uint64
+	online                         predictor.Online
+	// rng draws an Explore variant's steps; nil otherwise.
+	rng *sim.Rand
 
-	alloc          cost.Allocation
+	cur            int // index of the current point in candidates; -1 before any selection
 	lastPrediction int // latest predicted total epochs (the e of Alg. 2)
+	variant        Variant
+	delayedRestart bool
+	// ordered is cost.Strict of the candidates, computed once at New, so
+	// cost.Select binary-searches a frontier and scans any other set (the
+	// WO-pa full enumeration).
+	ordered bool
 	// panicked marks that the last adjustment was a constraint-pressure
 	// fallback; while set, the scheduler re-evaluates every epoch instead
 	// of waiting for δ drift, so an over-pessimistic early prediction does
 	// not pin the job to an extreme allocation.
 	panicked bool
-	// ordered is cost.Strict of the candidates, computed once at New, so
-	// cost.Select binary-searches a frontier and scans any other set (the
-	// WO-pa full enumeration).
-	ordered bool
-	// rng draws an Explore variant's steps; nil otherwise.
-	rng *sim.Rand
 
 	// Metrics.
 	Restarts        int
-	CandidatesSeen  int
 	PlanningSeconds float64
 }
 
@@ -132,19 +142,24 @@ type Scheduler struct {
 // allocation (the panic fallback under deadline pressure). A shared
 // cost.Frontier is adopted as-is — it is already time-sorted and immutable,
 // so no per-session copy is made.
-func New(cfg Config) *Scheduler {
-	if cfg.Delta <= 0 {
-		cfg.Delta = DefaultDelta
-	}
+func New(cfg Config) Scheduler {
+	var cands []cost.Point
 	if cfg.Frontier != nil && len(cfg.Candidates) == 0 {
-		cfg.Candidates = cfg.Frontier.Points()
+		cands = cfg.Frontier.Points()
 	} else {
-		cands := make([]cost.Point, len(cfg.Candidates))
+		cands = make([]cost.Point, len(cfg.Candidates))
 		copy(cands, cfg.Candidates)
 		sort.Slice(cands, func(i, j int) bool { return cands[i].Time < cands[j].Time })
-		cfg.Candidates = cands
 	}
-	s := &Scheduler{cfg: cfg, ordered: cost.Strict(cfg.Candidates)}
+	s := Scheduler{
+		candidates: cands, ordered: cost.Strict(cands), cur: -1,
+		budget: cfg.Budget, qos: cfg.QoS, targetLoss: cfg.TargetLoss, delta: cfg.Delta,
+		delayedRestart: cfg.DelayedRestart, variant: cfg.Variant, observer: cfg.Obs,
+		offline: cfg.Offline, offlineSeed: cfg.OfflineSeed,
+	}
+	if s.delta <= 0 {
+		s.delta = DefaultDelta
+	}
 	if cfg.OnlineTuning != nil {
 		s.online.ApplyTuning(*cfg.OnlineTuning)
 	} else {
@@ -156,100 +171,91 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// fastest returns the lowest-epoch-time candidate.
-func (s *Scheduler) fastest() cost.Allocation { return s.cfg.Candidates[0].Alloc }
-
-// cheapest returns the lowest-epoch-cost candidate.
-func (s *Scheduler) cheapest() cost.Allocation {
-	best := s.cfg.Candidates[0]
-	for _, p := range s.cfg.Candidates[1:] {
-		if p.Cost < best.Cost {
-			best = p
-		}
+// Current returns the candidate the session is on: the last selection
+// Initial or Decide made, or the zero Point before any.
+func (s *Scheduler) Current() cost.Point {
+	if s.cur < 0 {
+		return cost.Point{}
 	}
-	return best.Alloc
+	return s.candidates[s.cur]
 }
 
-// fallback is the allocation a selection that finds nothing falls back to:
-// the fastest under a QoS deadline; under a budget the cheapest per epoch,
-// or for a Literal variant the slowest.
-func (s *Scheduler) fallback() cost.Allocation {
+// cheapest returns the index of the lowest-epoch-cost candidate.
+func (s *Scheduler) cheapest() int {
+	best := 0
+	for i, p := range s.candidates {
+		if p.Cost < s.candidates[best].Cost {
+			best = i
+		}
+	}
+	return best
+}
+
+// fallback is the candidate a selection that finds nothing falls back to:
+// the fastest (index 0) under a QoS deadline; under a budget the cheapest
+// per epoch, or for a Literal variant the slowest.
+func (s *Scheduler) fallback() int {
 	switch {
-	case s.cfg.Budget <= 0:
-		return s.fastest()
-	case s.cfg.Variant.Literal:
-		return s.cfg.Candidates[len(s.cfg.Candidates)-1].Alloc
+	case s.budget <= 0:
+		return 0
+	case s.variant.Literal:
+		return len(s.candidates) - 1
 	}
 	return s.cheapest()
 }
 
-// index returns a's position in the candidate list, or -1.
-func (s *Scheduler) index(a cost.Allocation) int {
-	for i, p := range s.cfg.Candidates {
-		if p.Alloc == a {
-			return i
-		}
-	}
-	return -1
-}
-
-// explore applies an Explore variant's step to the selected allocation a.
-func (s *Scheduler) explore(a cost.Allocation) cost.Allocation {
+// explore applies an Explore variant's step to the selected candidate i.
+func (s *Scheduler) explore(i int) int {
 	if s.rng == nil {
-		return a
+		return i
 	}
-	i := s.index(a) + s.rng.Intn(3) - 1
-	return s.cfg.Candidates[min(max(i, 0), len(s.cfg.Candidates)-1)].Alloc
+	i += s.rng.Intn(3) - 1
+	return min(max(i, 0), len(s.candidates)-1)
 }
 
-// escalate moves the current allocation one step along the time-sorted
-// candidate list: toward faster under a QoS deadline, toward cheaper (in
-// epoch cost) under a budget.
-func (s *Scheduler) escalate() cost.Allocation {
-	idx := s.index(s.alloc)
-	if s.cfg.QoS > 0 {
-		// One step faster; the fastest from the top or an unknown point.
-		return s.cfg.Candidates[max(idx-1, 0)].Alloc
+// escalate moves the current point one step along the time-sorted candidate
+// list: toward faster under a QoS deadline, toward cheaper (in epoch cost)
+// under a budget. With no current point it takes the fastest, or the
+// cheapest.
+func (s *Scheduler) escalate() int {
+	if s.qos > 0 {
+		return max(s.cur-1, 0)
 	}
-	// Budget case: find a cheaper-per-epoch candidate than the current one.
-	if idx < 0 {
+	if s.cur < 0 {
 		return s.cheapest()
 	}
-	cur := s.cfg.Candidates[idx]
-	best := cur
-	for _, p := range s.cfg.Candidates {
-		if p.Cost < cur.Cost && (best == cur || p.Cost > best.Cost) {
-			best = p
+	// Budget case: the dearest candidate still cheaper per epoch than the
+	// current one.
+	cur := s.candidates[s.cur].Cost
+	best := s.cur
+	for i, p := range s.candidates {
+		if p.Cost < cur && (best == s.cur || p.Cost > s.candidates[best].Cost) {
+			best = i
 		}
 	}
-	return best.Alloc
+	return best
 }
 
 // Initial computes the starting allocation (Algorithm 2 lines 2-7): an
 // offline epoch estimate followed by a constrained selection over the
 // candidate set, or its fallback when nothing satisfies the constraint.
 func (s *Scheduler) Initial() (cost.Allocation, int) {
-	est := s.cfg.Offline.PredictEpochs(s.cfg.TargetLoss, s.cfg.OfflineSeed)
+	est := s.offline.PredictEpochs(s.targetLoss, s.offlineSeed)
 	s.lastPrediction = est
-	a, ok := s.selectBest(est, 0, 0)
-	if !ok && len(s.cfg.Candidates) > 0 {
-		a, ok = s.fallback(), true
+	i, ok := s.selectBest(est, 0, 0, 1)
+	if !ok && len(s.candidates) > 0 {
+		i, ok = s.fallback(), true
 	}
 	if ok {
-		s.alloc = s.explore(a)
+		s.cur = s.explore(i)
 	}
-	return s.alloc, est
+	return s.Current().Alloc, est
 }
 
 // selectBest is select_best_allocation(b, P, e) (cost.Select) over the
-// candidates.
-func (s *Scheduler) selectBest(remaining int, elapsed, spent float64) (cost.Allocation, bool) {
-	return s.selectBestRelaxed(remaining, elapsed, spent, 1)
-}
-
-// selectBestRelaxed is selectBest with the constraint scaled by relax >= 1;
-// the scheduler prefers a mildly stretched constraint over flapping to an
-// extreme allocation when online predictions are noisy.
+// candidates, with the constraint scaled by relax >= 1: the scheduler
+// prefers a mildly stretched constraint over flapping to an extreme
+// allocation when online predictions are noisy.
 //
 // The modeled planning overhead (§IV-G) charges every candidate regardless
 // of how the optimum is located: Algorithm 2's select_best_allocation is
@@ -257,54 +263,48 @@ func (s *Scheduler) selectBest(remaining int, elapsed, spent float64) (cost.Allo
 // the implementation got smarter. The repeated addition (rather than one
 // multiply) keeps the accumulated float bit-identical to the historical
 // per-candidate loop.
-func (s *Scheduler) selectBestRelaxed(remaining int, elapsed, spent float64, relax float64) (cost.Allocation, bool) {
-	for range s.cfg.Candidates {
-		s.CandidatesSeen++
+func (s *Scheduler) selectBest(remaining int, elapsed, spent, relax float64) (int, bool) {
+	for range s.candidates {
 		s.PlanningSeconds += cost.EstimateSeconds
 	}
-	i, ok := cost.Select(s.cfg.Candidates, s.ordered, remaining, elapsed, spent, s.cfg.Budget*relax, s.cfg.QoS*relax)
-	if !ok {
-		return cost.Allocation{}, false
-	}
-	return s.cfg.Candidates[i].Alloc, true
+	return cost.Select(s.candidates, s.ordered, remaining, elapsed, spent, s.budget*relax, s.qos*relax)
 }
 
-// worthSwitching reports whether moving to next is predicted to improve the
-// objective by at least 10% over staying put for the remaining epochs, or
-// whether staying would violate the constraint. Restarts are not free, so
-// marginal predicted gains do not justify one.
-func (s *Scheduler) worthSwitching(next cost.Allocation, remaining int, elapsed, spent float64) bool {
-	i, j := s.index(s.alloc), s.index(next)
-	if i < 0 || j < 0 {
-		return true // unknown current point: trust the re-selection
+// worthSwitching reports whether moving to candidate next is predicted to
+// improve the objective by at least 10% over staying put for the remaining
+// epochs, or whether staying would violate the constraint. Restarts are not
+// free, so marginal predicted gains do not justify one.
+func (s *Scheduler) worthSwitching(next, remaining int, elapsed, spent float64) bool {
+	if s.cur < 0 {
+		return true // no current point: trust the re-selection
 	}
-	cur, nxt := &s.cfg.Candidates[i], &s.cfg.Candidates[j]
+	cur, nxt := &s.candidates[s.cur], &s.candidates[next]
 	r := float64(remaining)
-	if s.cfg.Budget > 0 {
-		if spent+r*cur.Cost > s.cfg.Budget {
+	if s.budget > 0 {
+		if spent+r*cur.Cost > s.budget {
 			return true // staying blows the budget
 		}
 		return r*nxt.Time < 0.9*r*cur.Time
 	}
-	if elapsed+r*cur.Time > s.cfg.QoS {
+	if elapsed+r*cur.Time > s.qos {
 		return true // staying blows the deadline
 	}
 	return r*nxt.Cost < 0.9*r*cur.Cost
 }
 
 // Controller returns the trainer hook implementing Algorithm 2 lines 8-15:
-// the decide method as a bound value. The binding allocates once per job at
-// wiring time; the per-epoch decide calls it funnels are allocation-free in
-// steady state (gated by TestDecisionZeroAlloc).
+// Decide as a bound value. The binding allocates once per job at wiring
+// time; the per-epoch Decide calls it funnels are allocation-free in steady
+// state (gated by TestDecisionZeroAlloc).
 func (s *Scheduler) Controller() trainer.Controller {
-	return s.decide
+	return s.Decide
 }
 
-// decide is the per-epoch Algorithm 2 body (lines 8-15): observe the loss,
+// Decide is the per-epoch Algorithm 2 body (lines 8-15): observe the loss,
 // refit, and re-select the allocation when the prediction drifts past δ
 // (every epoch for a FixedEstimate variant).
-func (s *Scheduler) decide(epoch int, loss float64, elapsed, spent float64) trainer.Decision {
-	fixed, literal := s.cfg.Variant.FixedEstimate, s.cfg.Variant.Literal
+func (s *Scheduler) Decide(epoch int, loss float64, elapsed, spent float64) trainer.Decision {
+	fixed, literal := s.variant.FixedEstimate, s.variant.Literal
 	if !fixed {
 		s.online.Observe(epoch, loss)
 	}
@@ -312,7 +312,7 @@ func (s *Scheduler) decide(epoch int, loss float64, elapsed, spent float64) trai
 	planningBefore := s.PlanningSeconds
 	dec := trainer.Decision{}
 
-	if s.cfg.Budget > 0 && spent >= s.cfg.Budget {
+	if s.budget > 0 && spent >= s.budget {
 		dec.Stop = true
 		s.logDecision(elapsed, epoch, loss, 0, 0, "stop-budget", dec)
 		return dec
@@ -328,27 +328,27 @@ func (s *Scheduler) decide(epoch int, loss float64, elapsed, spent float64) trai
 	var drift float64
 	predicted, ok := s.lastPrediction, fixed
 	if !fixed {
-		predicted, ok = s.online.PredictTotalEpochs(s.cfg.TargetLoss)
+		predicted, ok = s.online.PredictTotalEpochs(s.targetLoss)
 	}
 	if ok {
 		path = "within-delta"
 		drift = math.Abs(float64(predicted-s.lastPrediction)) / math.Max(float64(s.lastPrediction), 1)
-		if drift > s.cfg.Delta || s.panicked || fixed {
+		if drift > s.delta || s.panicked || fixed {
 			s.lastPrediction = predicted
 			remaining := max(predicted-epoch, 1)
 			path = "select"
-			next, found := s.selectBest(remaining, elapsed, spent)
+			next, found := s.selectBest(remaining, elapsed, spent, 1)
 			if !found && !literal {
 				// Mild stretch before panicking: a noisy prediction
 				// that barely misses the constraint should not flap
 				// the job to an extreme allocation.
 				path = "relax"
-				next, found = s.selectBestRelaxed(remaining, elapsed, spent, 1.15)
+				next, found = s.selectBest(remaining, elapsed, spent, 1.15)
 			}
 			switch {
 			case found:
 				s.panicked = false
-			case len(s.cfg.Candidates) == 0:
+			case len(s.candidates) == 0:
 			case literal:
 				path = "fallback"
 				next, found = s.fallback(), true
@@ -367,11 +367,11 @@ func (s *Scheduler) decide(epoch int, loss float64, elapsed, spent float64) trai
 			if found {
 				next = s.explore(next)
 			}
-			if found && next != s.alloc && (literal || s.worthSwitching(next, remaining, elapsed, spent)) {
-				s.alloc = next
+			if found && next != s.cur && (literal || s.worthSwitching(next, remaining, elapsed, spent)) {
+				s.cur = next
 				s.Restarts++
-				dec.Switch, dec.NewAlloc = true, next
-				dec.Delayed = s.cfg.DelayedRestart
+				dec.Switch, dec.NewAlloc = true, s.candidates[next].Alloc
+				dec.Delayed = s.delayedRestart
 			}
 		}
 	}
@@ -386,30 +386,30 @@ func (s *Scheduler) decide(epoch int, loss float64, elapsed, spent float64) trai
 // are on the job's own timeline (elapsed seconds), matching the trainer's
 // spans.
 func (s *Scheduler) logDecision(elapsed float64, epoch int, loss float64, predicted int, drift float64, path string, dec trainer.Decision) {
-	if !s.cfg.Obs.Enabled() {
+	if !s.observer.Enabled() {
 		return
 	}
-	restart := dec.Switch
+	restart, a := dec.Switch, s.Current().Alloc
 	args := []obs.Arg{
 		obs.I("epoch", epoch),
 		obs.F("loss", loss),
 		obs.I("predicted_total", predicted),
 		obs.F("drift", drift),
-		obs.F("delta", s.cfg.Delta),
+		obs.F("delta", s.delta),
 		obs.S("path", path),
 		obs.B("restart", restart),
 		obs.B("stop", dec.Stop),
-		obs.I("alloc_n", s.alloc.N),
-		obs.I("alloc_mem_mb", s.alloc.MemMB),
-		obs.S("alloc_storage", s.alloc.Storage.String()),
+		obs.I("alloc_n", a.N),
+		obs.I("alloc_mem_mb", a.MemMB),
+		obs.S("alloc_storage", a.Storage.String()),
 	}
 	if restart {
 		args = append(args, obs.B("delayed", dec.Delayed))
 	}
-	s.cfg.Obs.Trace().InstantAt(elapsed, "scheduler", "scheduler", "decision", args...)
-	s.cfg.Obs.Stats().Inc("scheduler.decisions")
-	s.cfg.Obs.Stats().Inc("scheduler.path." + path)
+	s.observer.Trace().InstantAt(elapsed, "scheduler", "scheduler", "decision", args...)
+	s.observer.Stats().Inc("scheduler.decisions")
+	s.observer.Stats().Inc("scheduler.path." + path)
 	if restart {
-		s.cfg.Obs.Stats().Inc("scheduler.restarts")
+		s.observer.Stats().Inc("scheduler.restarts")
 	}
 }

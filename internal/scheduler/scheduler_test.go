@@ -25,7 +25,7 @@ func newSession(t *testing.T, w *workload.Model, budget, qos float64, delayed bo
 		Offline:        predictor.NewOffline(w),
 		OfflineSeed:    7,
 	})
-	return s, trainer.NewRunner(11)
+	return &s, trainer.NewRunner(11)
 }
 
 func runSession(t *testing.T, s *Scheduler, r *trainer.Runner, w *workload.Model) *trainer.Result {
@@ -221,16 +221,16 @@ func TestInitialFallbackWhenConstraintImpossible(t *testing.T) {
 }
 
 func TestDefaultsApplied(t *testing.T) {
-	s := New(Config{Offline: predictor.NewOffline(workload.MobileNet())})
-	if s.cfg.Delta != 0.1 {
-		t.Errorf("default delta = %g, want 0.1", s.cfg.Delta)
+	if s := New(Config{Offline: predictor.NewOffline(workload.MobileNet())}); s.delta != 0.1 {
+		t.Errorf("default delta = %g, want 0.1", s.delta)
 	}
-	// Initial charges 0.05 s of planning per candidate it selects over.
-	s, _ = newSession(t, workload.MobileNet(), 100, 0, true)
+	// Initial charges 0.05 s of planning per candidate it selects over; one
+	// candidate more or less is 0.05 s off.
+	s, _ := newSession(t, workload.MobileNet(), 100, 0, true)
 	s.Initial()
-	n := len(s.cfg.Candidates)
-	if want := 0.05 * float64(n); s.CandidatesSeen != n || math.Abs(s.PlanningSeconds-want) > 1e-9 {
-		t.Errorf("Initial over %d candidates charged %g s after %d candidates, want %g s", n, s.PlanningSeconds, s.CandidatesSeen, want)
+	n := len(s.candidates)
+	if want := 0.05 * float64(n); math.Abs(s.PlanningSeconds-want) > 1e-9 {
+		t.Errorf("Initial over %d candidates charged %g s, want %g s", n, s.PlanningSeconds, want)
 	}
 }
 
@@ -245,11 +245,82 @@ func TestFixedEstimateNeverObserves(t *testing.T) {
 		TargetLoss: w.TargetLoss, Offline: predictor.NewOffline(w), OfflineSeed: 3,
 		Variant: Siren,
 	})
-	res := runSession(t, s, trainer.NewRunner(4), w)
+	res := runSession(t, &s, trainer.NewRunner(4), w)
 	if res.Epochs < 2 {
 		t.Fatalf("run decided no epoch (%d epochs)", res.Epochs)
 	}
 	if n := s.online.Observations(); n != 0 {
 		t.Errorf("FixedEstimate session observed %d losses over %d epochs, want 0", n, res.Epochs)
+	}
+}
+
+// TestCurrentIsTheSelectedPoint: the session names its point by index, so
+// after Initial and after every switch Current must be the point the
+// decision names and the one the selection chose — cost.Select, its
+// 1.15-relaxed retry, or else the fallback (Initial) or the escalation
+// (Decide) — over one budget and one QoS session that both re-select.
+func TestCurrentIsTheSelectedPoint(t *testing.T) {
+	w := workload.ResNet50()
+	probe, rp := newSession(t, w, 1e9, 0, true)
+	base := runSession(t, probe, rp, w)
+	for _, c := range []struct {
+		name        string
+		budget, qos float64
+	}{{"budget", base.TotalCost * 1.05, 0}, {"qos", 0, base.JCT * 1.05}} {
+		t.Run(c.name, func(t *testing.T) {
+			s, r := newSession(t, w, c.budget, c.qos, true)
+			alloc, est := s.Initial()
+			want, ok := cost.Select(s.candidates, s.ordered, est, 0, 0, s.budget, s.qos)
+			if !ok {
+				want = s.fallback()
+			}
+			if s.cur != want || s.Current() != s.candidates[want] || alloc != s.Current().Alloc {
+				t.Fatalf("Initial: on %d (%v), returned %v, want candidate %d", s.cur, s.Current().Alloc, alloc, want)
+			}
+			switches := 0
+			check := func(epoch int, loss, elapsed, spent float64) trainer.Decision {
+				prev := s.cur
+				dec := s.Decide(epoch, loss, elapsed, spent)
+				if !dec.Switch {
+					if s.cur != prev {
+						t.Errorf("epoch %d: moved from %d to %d without a switch", epoch, prev, s.cur)
+					}
+					return dec
+				}
+				switches++
+				if s.Current().Alloc != dec.NewAlloc {
+					t.Errorf("epoch %d: on %v, the decision names %v", epoch, s.Current().Alloc, dec.NewAlloc)
+				}
+				remaining := max(s.lastPrediction-epoch, 1)
+				want, ok := cost.Select(s.candidates, s.ordered, remaining, elapsed, spent, s.budget, s.qos)
+				if !ok {
+					want, ok = cost.Select(s.candidates, s.ordered, remaining, elapsed, spent, s.budget*1.15, s.qos*1.15)
+				}
+				if !ok {
+					now := s.cur
+					s.cur = prev
+					want = s.escalate()
+					s.cur = now
+				}
+				if s.cur != want {
+					t.Errorf("epoch %d: switched to candidate %d, the selection chose %d", epoch, s.cur, want)
+				}
+				return dec
+			}
+			if err := r.Run(trainer.Config{
+				Workload:   w,
+				Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 13),
+				Alloc:      alloc,
+				TargetLoss: w.TargetLoss,
+				MaxEpochs:  500,
+				Controller: check,
+			}, new(trainer.Result)); err != nil {
+				t.Fatal(err)
+			}
+			if switches == 0 {
+				t.Error("the session never switched, so no switch was checked")
+			}
+			t.Logf("%d switches", switches)
+		})
 	}
 }

@@ -51,17 +51,17 @@ func TestSchedulerSharedFrontier(t *testing.T) {
 	fr := m.ParetoFrontier(cost.DefaultGrid())
 	sShared := New(Config{Model: m, Frontier: fr, Budget: 500, TargetLoss: 0.42})
 	sCopy := New(Config{Model: m, Candidates: m.ParetoSet(cost.DefaultGrid()), Budget: 500, TargetLoss: 0.42})
-	if &sShared.cfg.Candidates[0] != &fr.Points()[0] {
+	if &sShared.candidates[0] != &fr.Points()[0] {
 		t.Error("frontier-backed scheduler should share the frontier's backing array")
 	}
-	if &sCopy.cfg.Candidates[0] == &fr.Points()[0] {
+	if &sCopy.candidates[0] == &fr.Points()[0] {
 		t.Error("candidate-backed scheduler should hold a private copy")
 	}
 	for _, rem := range []int{1, 5, 50, 500} {
-		a1, ok1 := sShared.selectBest(rem, 0, 100)
-		a2, ok2 := sCopy.selectBest(rem, 0, 100)
-		if ok1 != ok2 || a1 != a2 {
-			t.Errorf("rem=%d: shared (%v,%v) != copy (%v,%v)", rem, a1, ok1, a2, ok2)
+		i1, ok1 := sShared.selectBest(rem, 0, 100, 1)
+		i2, ok2 := sCopy.selectBest(rem, 0, 100, 1)
+		if ok1 != ok2 || sShared.candidates[i1] != sCopy.candidates[i2] {
+			t.Errorf("rem=%d: shared (%v,%v) != copy (%v,%v)", rem, sShared.candidates[i1], ok1, sCopy.candidates[i2], ok2)
 		}
 	}
 }
@@ -80,7 +80,7 @@ func TestDecisionZeroAlloc(t *testing.T) {
 		Delta:        1e-9, // force the full select path every epoch
 		OnlineTuning: &predictor.Tuning{FixedWindow: 32, WarmStart: true, RefitBudget: 10},
 	})
-	s.alloc = s.cfg.Candidates[0].Alloc
+	s.cur = 0
 	s.lastPrediction = 1
 	for e := 1; e <= 32; e++ {
 		s.online.Observe(e, benchCurve(e))
@@ -120,22 +120,22 @@ func TestRestartDecisionZeroAlloc(t *testing.T) {
 	// A clean descent, fitted epoch by epoch as a running job's is, so
 	// every decision has a prediction.
 	loss := func(epoch int) float64 { return 1/(0.01*float64(epoch)+1) + 0.40 }
-	s.alloc = cheap.Alloc
+	s.cur = 1 // cheap: New sorts the faster point first
 	for e := 1; e <= 32; e++ {
 		s.online.Observe(e, loss(e))
-		s.online.PredictTotalEpochs(s.cfg.TargetLoss)
+		s.online.PredictTotalEpochs(s.targetLoss)
 	}
 	ctrl := s.Controller()
 	epoch := 33
 	flip := func() {
 		want := fast.Alloc
-		s.cfg.Budget = 1e12
-		if s.alloc == fast.Alloc {
-			want, s.cfg.Budget = cheap.Alloc, 1e-9
+		s.budget = 1e12
+		if s.Current().Alloc == fast.Alloc {
+			want, s.budget = cheap.Alloc, 1e-9
 		}
 		s.lastPrediction = 0 // every prediction drifts past δ from 0
 		dec := ctrl(epoch, loss(epoch), float64(epoch)*10, 0)
-		if !dec.Switch || dec.NewAlloc != want || s.alloc != want {
+		if !dec.Switch || dec.NewAlloc != want || s.Current().Alloc != want {
 			t.Fatalf("epoch %d: decision %+v, want a switch to %v", epoch, dec, want)
 		}
 		epoch++
@@ -164,7 +164,7 @@ func TestRestartDecisionZeroAlloc(t *testing.T) {
 			Variant:     Siren,
 		})
 		siren.lastPrediction = 30
-		siren.alloc = siren.cfg.Candidates[0].Alloc
+		siren.cur = 0
 		ctrl := siren.Controller()
 		epoch := 1
 		restart := func() {
@@ -173,7 +173,7 @@ func TestRestartDecisionZeroAlloc(t *testing.T) {
 				if dec.Stop {
 					t.Fatal("unexpected stop")
 				}
-				if siren.Restarts != before && (!dec.Switch || dec.NewAlloc != siren.alloc) {
+				if siren.Restarts != before && (!dec.Switch || dec.NewAlloc != siren.Current().Alloc) {
 					t.Fatalf("epoch %d: restart counted, decision %+v", epoch, dec)
 				}
 			}

@@ -9,7 +9,11 @@
 #     profile for two models, tune/train/run under a -budget (MobileNet) and
 #     a -qos (LR-Higgs); run mode also writes and compares its -trace CSV
 #     and its -trace-out/-metrics-out files. A cescale exit status other
-#     than 0 is appended to its stdout, so it is compared too.
+#     than 0 is appended to its stdout, so it is compared too;
+#   - the stdout of the benchmark's three macro command lines at benchmark
+#     size (cmd/bench/workloads.go: fleet, day-chaos, trace), each at
+#     -shards 1 -sim-workers 1 and -shards 8 -sim-workers 2, at seeds 2023
+#     and 7, with an exit status compared the same way.
 # Prints one line per comparison and exits 1 if any differs. Usage:
 #   sh scripts/identity.sh <rev>      (or: make identity BASE=<rev>)
 set -eu
@@ -63,6 +67,22 @@ for s in 2023 7; do
 					same "cescale $* -mode $m -seed $s $x" "$f.$x"
 				done
 			fi
+		done
+	done
+done
+for s in 2023 7; do
+	for k in "1 1" "8 2"; do
+		set -- $k
+		i=0
+		for line in "-parallel 1 -fleet-tenants 1500 macro-fleet" \
+			"-parallel 1 -macro-tenants 16 -macro-per-tenant 7500 -chaos-tenants 16 -chaos-per-tenant 5000 macro-day macro-chaos" \
+			"-traffic-kind diurnal -traffic-tenants 64 -traffic-rate 1.6 -traffic-horizon 900 macro-trace"; do
+			i=$((i + 1))
+			f="macro.$i.$1x$2.$s"
+			for v in base head; do
+				"$t/$v/cebench" -shards "$1" -sim-workers "$2" -seed "$s" $line >"$t/$v/$f" 2>/dev/null || echo "exit $?" >>"$t/$v/$f"
+			done
+			same "cebench -shards $1 -sim-workers $2 -seed $s $line stdout" "$f"
 		done
 	done
 done
