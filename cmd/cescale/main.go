@@ -229,7 +229,7 @@ func main() {
 		est := off.PredictEpochs(w.TargetLoss, *seed)
 		// The initial allocation is Algorithm 2's selection over the
 		// Pareto set, without the scheduler's fallback when nothing fits.
-		best, ok := cost.Select(fw.Pareto, cost.Strict(fw.Pareto), est, 0, 0, *budget, *qos)
+		best, ok := cost.Select(fw.Pareto, est, 0, 0, *budget, *qos)
 		if !ok {
 			fatal(fmt.Errorf("no feasible allocation for %s under the constraint", w.Name))
 		}

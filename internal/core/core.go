@@ -47,13 +47,12 @@ type Framework struct {
 	Workload *workload.Model
 	Model    *cost.Model
 	Grid     cost.Grid
-	// Full is the feasible allocation enumeration; Pareto its boundary.
-	Full   []cost.Point
+	// Full is the feasible allocation enumeration.
+	Full []cost.Point
+	// Pareto is Full's boundary in ascending epoch time: the interned
+	// frontier's points (cost.ParetoFrontier), shared by every framework
+	// of the same workload and grid. It is read-only; never mutate it.
 	Pareto []cost.Point
-	// Frontier is the boundary as an immutable shared view, interned per
-	// model configuration: every scheduler session of every framework with
-	// the same workload/pricing/grid shares this one instance.
-	Frontier *cost.Frontier
 
 	// shared holds the online loss histories of every Session: the sessions
 	// replay one loss sequence, so each history is fitted and predicted once.
@@ -85,8 +84,7 @@ func profile(w *workload.Model, g cost.Grid, shared *predictor.Shared) *Framewor
 		Model:    m,
 		Grid:     g,
 		Full:     m.Enumerate(g),
-		Pareto:   m.ParetoSet(g),
-		Frontier: m.ParetoFrontier(g),
+		Pareto:   m.ParetoFrontier(g).Points(),
 		shared:   shared,
 	}
 }
@@ -231,19 +229,8 @@ func (f *Framework) Session(opt Options) (*scheduler.Scheduler, cost.Allocation,
 	if err := opt.validate(); err != nil {
 		return nil, cost.Allocation{}, 0, err
 	}
-	// The plain Pareto case hands the session the shared immutable frontier
-	// — no per-session copy; pinned or full-enumeration sessions get their
-	// private candidate slice as before.
-	var frontier *cost.Frontier
-	var candidates []cost.Point
-	if opt.PinStorage == nil && !opt.DisablePareto {
-		frontier = f.Frontier
-	} else {
-		candidates = f.candidates(opt)
-	}
 	sched := scheduler.New(scheduler.Config{
-		Candidates:     candidates,
-		Frontier:       frontier,
+		Candidates:     f.candidates(opt),
 		Budget:         opt.Budget,
 		QoS:            opt.QoS,
 		TargetLoss:     f.Workload.TargetLoss,

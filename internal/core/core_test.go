@@ -264,7 +264,7 @@ func TestWithGridSharesTree(t *testing.T) {
 	if ext.shared != base.shared || fresh.shared == base.shared {
 		t.Error("WithGrid should share the tree, NewWithGrid should not")
 	}
-	if ext.Frontier != fresh.Frontier || !reflect.DeepEqual(ext.Full, fresh.Full) {
+	if &ext.Pareto[0] != &fresh.Pareto[0] || !reflect.DeepEqual(ext.Full, fresh.Full) {
 		t.Error("WithGrid profiled the grid differently from NewWithGrid")
 	}
 }

@@ -137,13 +137,8 @@ func TestOneCandidateSetPerSystem(t *testing.T) {
 		"WO-pa":      {DisablePareto: true},
 	} {
 		want := allocs(mustPlanner(t, f, planner.SHAStages(64, 2, 2), opt).P)
-		// What Session hands its scheduler: the shared frontier, or the
-		// candidate slice.
-		searched := f.candidates(opt)
-		if opt.PinStorage == nil && !opt.DisablePareto {
-			searched = f.Frontier.Points()
-		}
-		if got := allocs(searched); !slices.Equal(got, want) {
+		// What Session hands its scheduler.
+		if got := allocs(f.candidates(opt)); !slices.Equal(got, want) {
 			t.Errorf("%s: the session searches %d allocations, the planner %d, or other ones", name, len(got), len(want))
 		}
 		opt.Budget, opt.Seed = 1e9, 1
@@ -163,16 +158,16 @@ func TestOneCandidateSetPerSystem(t *testing.T) {
 // on by its index in its candidate set, and its decisions carry the point's
 // allocation, which names that point only if no allocation appears twice.
 // Every set Session and Planner build — the shared Pareto frontier, the
-// Pareto set, the full enumeration, and each storage kind pinned with and
-// without Pareto pruning — holds each allocation once, on the default grid
-// and on abl-pocket's extended one.
+// full enumeration, and each storage kind pinned with and without Pareto
+// pruning — holds each allocation once, on the default grid and on
+// abl-pocket's extended one.
 func TestCandidateSetsHoldEachAllocationOnce(t *testing.T) {
 	extended := cost.DefaultGrid()
 	extended.Storages = storage.ExtendedKinds()
 	for _, w := range append(workload.Evaluated(), workload.LRYFCC(), workload.SVMYFCC()) {
 		f := New(w)
 		for _, fw := range []*Framework{f, f.WithGrid(extended)} {
-			sets := map[string][]cost.Point{"frontier": fw.Frontier.Points()}
+			sets := map[string][]cost.Point{}
 			opts := map[string]Options{"pareto": {}, "full": {DisablePareto: true}}
 			for _, k := range fw.Grid.Storages {
 				opts["pinned "+k.String()] = Options{PinStorage: &k}

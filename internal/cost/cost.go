@@ -264,20 +264,14 @@ func Pareto(points []Point) []Point {
 	if len(points) == 0 {
 		return nil
 	}
-	// On a Strict input the sort would be the identity and every point
-	// survives the sweep, so the sweep reads the points in place (O(P),
-	// no copy): re-deriving a boundary from a frontier is cheap.
-	sorted := points
-	if !Strict(points) {
-		sorted = make([]Point, len(points))
-		copy(sorted, points)
-		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].Time != sorted[j].Time {
-				return sorted[i].Time < sorted[j].Time
-			}
-			return sorted[i].Cost < sorted[j].Cost
-		})
-	}
+	sorted := make([]Point, len(points))
+	copy(sorted, points)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Time != sorted[j].Time {
+			return sorted[i].Time < sorted[j].Time
+		}
+		return sorted[i].Cost < sorted[j].Cost
+	})
 	var front []Point
 	best := math.Inf(1) // not Cost+1, which equals Cost from 2^53 on
 	for _, p := range sorted {

@@ -26,9 +26,6 @@ func (f *Frontier) Len() int {
 	return len(f.pts)
 }
 
-// At returns the i-th boundary point in ascending-Time order.
-func (f *Frontier) At(i int) Point { return f.pts[i] }
-
 // Points returns the shared backing slice in ascending-Time order. It is
 // borrowed, not owned: mutating it corrupts every tenant sharing the
 // frontier.

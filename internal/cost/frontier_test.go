@@ -34,7 +34,7 @@ func TestFrontierInterned(t *testing.T) {
 	if m.ParetoFrontier(g) == f1 || m.ensureTable(g) == m1.ensureTable(g) {
 		t.Error("a model of another workload configuration must not share a table or frontier")
 	}
-	a := m.ParetoFrontier(g).At(0).Alloc
+	a := m.ParetoFrontier(g).Points()[0].Alloc
 	if m.EpochTime(a) != uncachedEpochTime(m, a) {
 		t.Error("a model of another workload configuration reads estimates it did not compute")
 	}
@@ -55,23 +55,20 @@ func TestFrontierMatchesParetoSet(t *testing.T) {
 	if f.Len() != len(set) {
 		t.Fatalf("frontier len %d != pareto set len %d", f.Len(), len(set))
 	}
-	for i := range set {
-		if f.At(i) != set[i] {
-			t.Errorf("point %d: frontier %+v != set %+v", i, f.At(i), set[i])
+	for i, p := range f.Points() {
+		if p != set[i] {
+			t.Errorf("point %d: frontier %+v != set %+v", i, p, set[i])
 		}
 	}
 	set[0].Cost = -1
-	if f.At(0).Cost == -1 {
+	if f.Points()[0].Cost == -1 {
 		t.Error("mutating a ParetoSet copy reached the shared frontier")
-	}
-	if f.Points()[0] != f.At(0) {
-		t.Error("Points and At disagree")
 	}
 }
 
 // TestFrontierStrictOrder: an interned frontier is strictly ascending in
-// Time and strictly descending in Cost — the invariant the scheduler's
-// binary-search selection depends on.
+// Time and strictly descending in Cost — the order a scheduler adopts it in
+// without a sort, so that its index 0 is the fastest point.
 func TestFrontierStrictOrder(t *testing.T) {
 	for _, w := range []*workload.Model{workload.MobileNet(), workload.ResNet50()} {
 		f := NewModel(w).ParetoFrontier(DefaultGrid())
@@ -99,21 +96,21 @@ func TestFrontierNilSafe(t *testing.T) {
 }
 
 // TestFrontierReadsZeroAlloc: every controller of a fleet reads the one
-// interned frontier on each decision; Len, At and Points are borrowed views
+// interned frontier on each decision; Len and Points are borrowed views
 // that copy nothing to the heap.
 func TestFrontierReadsZeroAlloc(t *testing.T) {
 	f := NewModel(workload.MobileNet()).ParetoFrontier(DefaultGrid())
 	var cheapest Point
 	if n := testing.AllocsPerRun(100, func() {
 		for i, p := range f.Points() {
-			if i < f.Len() && f.At(i) == p && (i == 0 || p.Cost < cheapest.Cost) {
+			if i < f.Len() && (i == 0 || p.Cost < cheapest.Cost) {
 				cheapest = p
 			}
 		}
 	}); n != 0 {
 		t.Errorf("reading the frontier allocates %.1f times per pass, want 0", n)
 	}
-	if cheapest != f.At(f.Len()-1) {
+	if cheapest != f.Points()[f.Len()-1] {
 		t.Errorf("cheapest point %+v is not the frontier's last", cheapest)
 	}
 }
@@ -182,8 +179,8 @@ func TestEnumerateReturnsPrivateCopies(t *testing.T) {
 	}
 }
 
-// paretoReference is the pre-fast-path implementation: unconditional
-// copy+sort+sweep. The fast path must be observationally identical.
+// paretoReference is the textbook boundary: copy, sort by (Time, Cost),
+// sweep.
 func paretoReference(points []Point) []Point {
 	if len(points) == 0 {
 		return nil
@@ -207,11 +204,11 @@ func paretoReference(points []Point) []Point {
 	return front
 }
 
-// TestParetoFastPathEquivalent: on randomized inputs — shuffled, sorted,
+// TestParetoMatchesReference: on randomized inputs — shuffled, sorted,
 // with duplicated times and duplicated (Time, Cost) pairs — Pareto must
-// return exactly what the unconditional copy+sort reference returns, and
-// must not mutate its input.
-func TestParetoFastPathEquivalent(t *testing.T) {
+// return exactly what the copy+sort reference returns, and must not mutate
+// its input.
+func TestParetoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(40)
@@ -225,7 +222,7 @@ func TestParetoFastPathEquivalent(t *testing.T) {
 			}
 		}
 		if trial%3 == 0 {
-			// Exercise the fast path: strictly sorted input.
+			// A sorted input with no repeated (Time, Cost) pair.
 			sort.Slice(pts, func(i, j int) bool {
 				if pts[i].Time != pts[j].Time {
 					return pts[i].Time < pts[j].Time
@@ -255,47 +252,6 @@ func TestParetoFastPathEquivalent(t *testing.T) {
 			if pts[i] != orig[i] {
 				t.Fatalf("trial %d: Pareto mutated its input at %d", trial, i)
 			}
-		}
-	}
-}
-
-// TestParetoFastPathOnFrontier: re-paretoizing a frontier (strictly sorted
-// by construction) is the identity and runs allocation-light (no copy+sort).
-func TestParetoFastPathOnFrontier(t *testing.T) {
-	front := NewModel(workload.MobileNet()).ParetoSet(DefaultGrid())
-	if !Strict(front) {
-		t.Fatal("frontier should be Strict")
-	}
-	again := Pareto(front)
-	if len(again) != len(front) {
-		t.Fatalf("re-pareto changed size: %d -> %d", len(front), len(again))
-	}
-	for i := range front {
-		if again[i] != front[i] {
-			t.Errorf("point %d changed: %+v -> %+v", i, front[i], again[i])
-		}
-	}
-}
-
-// TestStrict: Strict holds exactly on sets strictly ascending in time and
-// strictly descending in cost, the shape Pareto's in-place sweep needs.
-func TestStrict(t *testing.T) {
-	cases := []struct {
-		pts  []Point
-		want bool
-	}{
-		{nil, false},
-		{[]Point{{Time: 1, Cost: 5}}, true},
-		{[]Point{{Time: 1, Cost: 5}, {Time: 2, Cost: 3}}, true},
-		{[]Point{{Time: 1, Cost: 3}, {Time: 1, Cost: 5}}, false}, // tie on time
-		{[]Point{{Time: 1, Cost: 5}, {Time: 1, Cost: 5}}, false}, // duplicate pair
-		{[]Point{{Time: 1, Cost: 3}, {Time: 2, Cost: 3}}, false}, // tie on cost
-		{[]Point{{Time: 2, Cost: 5}, {Time: 1, Cost: 3}}, false},
-		{[]Point{{Time: 1, Cost: 3}, {Time: 2, Cost: 5}}, false}, // dominated
-	}
-	for i, c := range cases {
-		if got := Strict(c.pts); got != c.want {
-			t.Errorf("case %d: Strict=%v want %v", i, got, c.want)
 		}
 	}
 }

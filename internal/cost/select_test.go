@@ -26,20 +26,35 @@ func randFrontier(rng *rand.Rand, n int) []Point {
 	return pts
 }
 
-// TestSelectBinaryMatchesLinear: on randomized strict frontiers and
-// randomized (remaining, elapsed, spent, relaxed constraint) queries —
-// including exact-boundary and infeasible cases — Select's binary-search
-// path must return exactly the index its linear scan returns, for both
-// objectives.
-func TestSelectBinaryMatchesLinear(t *testing.T) {
+// objective is the value Select minimizes for p and whether p fits the
+// constraint, written out from Algorithm 2's definition.
+func objective(p Point, remaining int, elapsed, spent, budget, qos float64) (float64, bool) {
+	r := float64(remaining)
+	if budget > 0 {
+		return r * p.Time, spent+r*p.Cost <= budget
+	}
+	return r * p.Cost, elapsed+r*p.Time <= qos
+}
+
+// TestSelectIgnoresCandidateOrder: on randomized candidate sets — strict
+// frontiers and arbitrary sets with dominated points — and randomized
+// (remaining, elapsed, spent, relaxed constraint) queries, including
+// exact-boundary and infeasible ones, Select over a shuffled copy picks the
+// same allocation whenever no other feasible point ties the optimum, and
+// that allocation is feasible and optimal. A search that relied on the
+// frontier's order would pick another point of a shuffled frontier.
+func TestSelectIgnoresCandidateOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	checked := 0
 	for trial := 0; trial < 3000; trial++ {
 		pts := randFrontier(rng, 1+rng.Intn(40))
-		if !Strict(pts) {
-			t.Fatal("random frontier should be detected as strict")
+		if trial%2 == 1 {
+			for i := range pts {
+				pts[i].Time, pts[i].Cost = 1+100*rng.Float64(), 1+100*rng.Float64()
+			}
 		}
 		budget, qos := 0.0, 0.0
-		if trial%2 == 0 {
+		if trial%4 < 2 {
 			budget = rng.Float64() * 1e5
 		} else {
 			qos = rng.Float64() * 1e5
@@ -47,9 +62,8 @@ func TestSelectBinaryMatchesLinear(t *testing.T) {
 		remaining := 1 + rng.Intn(500)
 		elapsed := rng.Float64() * 1e4
 		spent := rng.Float64() * 1e4
-		relax := 1.0
 		if rng.Intn(3) == 0 {
-			relax = 1.15
+			budget, qos = budget*1.15, qos*1.15
 		}
 		switch rng.Intn(8) {
 		case 0:
@@ -57,13 +71,10 @@ func TestSelectBinaryMatchesLinear(t *testing.T) {
 			// consumption bit for bit, probing the > vs >= edge.
 			p := pts[rng.Intn(len(pts))]
 			if budget > 0 {
-				spent = 0
-				budget = float64(remaining) * p.Cost
+				spent, budget = 0, float64(remaining)*p.Cost
 			} else {
-				elapsed = 0
-				qos = float64(remaining) * p.Time
+				elapsed, qos = 0, float64(remaining)*p.Time
 			}
-			relax = 1
 		case 1:
 			// Infeasible: constraint below every candidate's consumption.
 			if budget > 0 {
@@ -79,20 +90,49 @@ func TestSelectBinaryMatchesLinear(t *testing.T) {
 				qos = 1e18
 			}
 		}
-		gotI, gotOK := Select(pts, true, remaining, elapsed, spent, budget*relax, qos*relax)
-		wantI, wantOK := Select(pts, false, remaining, elapsed, spent, budget*relax, qos*relax)
-		if gotOK != wantOK || (wantOK && gotI != wantI) {
-			t.Fatalf("trial %d (budget=%g qos=%g rem=%d elapsed=%g spent=%g relax=%g):\nbinary=(%d,%v)\nlinear=(%d,%v)\nfrontier=%v",
-				trial, budget, qos, remaining, elapsed, spent, relax, gotI, gotOK, wantI, wantOK, pts)
+		i, ok := Select(pts, remaining, elapsed, spent, budget, qos)
+		var best float64
+		if ok {
+			var fits bool
+			if best, fits = objective(pts[i], remaining, elapsed, spent, budget, qos); !fits {
+				t.Fatalf("trial %d: Select picked %d, which does not fit", trial, i)
+			}
 		}
+		tied := false
+		for k, p := range pts {
+			v, fits := objective(p, remaining, elapsed, spent, budget, qos)
+			switch {
+			case fits && !ok:
+				t.Fatalf("trial %d: point %d fits, Select found none", trial, k)
+			case fits && v < best:
+				t.Fatalf("trial %d: Select picked %d (%g), point %d does better (%g)", trial, i, best, k, v)
+			case fits && k != i && v == best:
+				tied = true
+			}
+		}
+		if tied {
+			continue
+		}
+		perm := make([]Point, len(pts))
+		for k, j := range rng.Perm(len(pts)) {
+			perm[j] = pts[k]
+		}
+		j, okPerm := Select(perm, remaining, elapsed, spent, budget, qos)
+		if okPerm != ok || (ok && perm[j].Alloc != pts[i].Alloc) {
+			t.Fatalf("trial %d (budget=%g qos=%g rem=%d elapsed=%g spent=%g): in order (%d,%v), shuffled (%d,%v)",
+				trial, budget, qos, remaining, elapsed, spent, i, ok, j, okPerm)
+		}
+		checked++
+	}
+	if checked < 2000 {
+		t.Errorf("only %d of 3000 trials had an untied optimum", checked)
 	}
 }
 
-// TestSelectBinaryRoundingTies hunts for real r*Cost rounding collisions —
-// adjacent representable costs whose scaled values land on the same float —
-// and checks the binary path resolves them like the linear scan (first
-// index of the tied run).
-func TestSelectBinaryRoundingTies(t *testing.T) {
+// TestSelectRoundingTieGoesFirst: distinct costs can collide after the
+// r*Cost rounding, and the scan keeps the first index of an exact tie, in
+// either order of the two points.
+func TestSelectRoundingTieGoesFirst(t *testing.T) {
 	found := 0
 	for _, base := range []float64{1.0, 3.7, 17.3, 123.456} {
 		c2 := base
@@ -103,22 +143,19 @@ func TestSelectBinaryRoundingTies(t *testing.T) {
 				continue
 			}
 			found++
-			pts := []Point{
-				{Alloc: Allocation{N: 1}, Time: 1, Cost: c1},
-				{Alloc: Allocation{N: 2}, Time: 2, Cost: c2},
-			}
-			// QoS admits both; the linear scan keeps index 0 (first of the
-			// tied run under strict <), so binary must too.
-			gotI, gotOK := Select(pts, true, remaining, 0, 0, 0, 1e9)
-			wantI, wantOK := Select(pts, false, remaining, 0, 0, 0, 1e9)
-			if !wantOK || wantI != 0 || gotOK != wantOK || gotI != wantI {
-				t.Fatalf("r=%d c1=%v c2=%v: binary=(%d,%v) linear=(%d,%v)",
-					remaining, c1, c2, gotI, gotOK, wantI, wantOK)
+			dear := Point{Alloc: Allocation{N: 1}, Time: 1, Cost: c1}
+			cheap := Point{Alloc: Allocation{N: 2}, Time: 2, Cost: c2}
+			// QoS admits both; the minimum r*Cost is tied.
+			for _, pts := range [][]Point{{dear, cheap}, {cheap, dear}} {
+				if i, ok := Select(pts, remaining, 0, 0, 0, 1e9); !ok || i != 0 {
+					t.Fatalf("r=%d c1=%v c2=%v, first %v: Select=(%d,%v), want (0,true)",
+						remaining, c1, c2, pts[0].Alloc, i, ok)
+				}
 			}
 		}
 	}
 	if found == 0 {
-		t.Skip("no rounding collision in scan range (walk-back path untested here)")
+		t.Skip("no rounding collision in scan range")
 	}
 	t.Logf("exercised %d rounding-tie cases", found)
 }

@@ -88,8 +88,6 @@ type fleetTenant struct {
 	cl   *fleetClass
 	loss workload.CurveRun // the tenant's jittered convergence curve
 
-	budget, qos float64 // the tenant's binding constraint (other is 0)
-
 	group   *invFrame // the granted function group
 	grantAt sim.Time
 	startAt sim.Time
@@ -238,9 +236,8 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 				OfflineSeed:  seed ^ (uint64(t)*0x9e3779b97f4a7c15 + 1),
 				Obs:          h.scope(name),
 			}),
-			cl:     cl,
-			loss:   cp.Run(h.s.Stream(name + "/loss")),
-			budget: budget, qos: qos,
+			cl:   cl,
+			loss: cp.Run(h.s.Stream(name + "/loss")),
 		}
 		tn.epochFn = tn.epochDone
 		alloc, _ := tn.Initial()
@@ -266,9 +263,10 @@ func macroFleet(seed uint64, cfg Config) (*Table, *harness, error) {
 	var decisions uint64
 	for t := range fleet {
 		tn := &fleet[t]
+		budget, qos := tn.Constraint()
 		ty.add(t%len(classes), nil, 1, b2f(tn.converged),
-			b2f(tn.budget > 0 && tn.spent <= tn.budget && !tn.dropped),
-			b2f(tn.qos > 0 && tn.jct <= tn.qos && !tn.dropped),
+			b2f(budget > 0 && tn.spent <= budget && !tn.dropped),
+			b2f(qos > 0 && tn.jct <= qos && !tn.dropped),
 			float64(tn.restarts), b2f(tn.dropped), float64(tn.epoch), tn.spent)
 		decisions += uint64(tn.epoch)
 	}

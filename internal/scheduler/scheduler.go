@@ -31,15 +31,14 @@ type Config struct {
 	// probe, a pinned surface, sets it; startup pricing in the selection
 	// (ROADMAP item 1(b)) is to be its reader.
 	Model *cost.Model
-	// Candidates is the allocation set searched at every adjustment —
-	// normally the Pareto set; the WO-pa ablation passes the full
-	// enumeration instead.
+	// Candidates is the allocation set searched at every adjustment, in
+	// any order: normally the Pareto set, the full enumeration under the
+	// WO-pa ablation. New keeps a time-sorted private copy.
 	Candidates []cost.Point
 	// Frontier, when set and Candidates is empty, supplies the candidate
-	// set as an immutable shared Pareto boundary (cost.ParetoFrontier).
-	// The scheduler searches the shared points directly — no per-session
-	// copy, no re-sort — which is what lets thousands of fleet tenants
-	// share one frontier instance.
+	// set as an immutable shared Pareto boundary (cost.ParetoFrontier),
+	// adopted without a copy, which is what lets thousands of macro-fleet
+	// tenants share one frontier instance.
 	Frontier *cost.Frontier
 
 	// Exactly one of Budget (minimize JCT, Eq. 13-14) or QoS (minimize
@@ -122,10 +121,6 @@ type Scheduler struct {
 	lastPrediction int // latest predicted total epochs (the e of Alg. 2)
 	variant        Variant
 	delayedRestart bool
-	// ordered is cost.Strict of the candidates, computed once at New, so
-	// cost.Select binary-searches a frontier and scans any other set (the
-	// WO-pa full enumeration).
-	ordered bool
 	// panicked marks that the last adjustment was a constraint-pressure
 	// fallback; while set, the scheduler re-evaluates every epoch instead
 	// of waiting for δ drift, so an over-pessimistic early prediction does
@@ -152,7 +147,7 @@ func New(cfg Config) Scheduler {
 		sort.Slice(cands, func(i, j int) bool { return cands[i].Time < cands[j].Time })
 	}
 	s := Scheduler{
-		candidates: cands, ordered: cost.Strict(cands), cur: -1,
+		candidates: cands, cur: -1,
 		budget: cfg.Budget, qos: cfg.QoS, targetLoss: cfg.TargetLoss, delta: cfg.Delta,
 		delayedRestart: cfg.DelayedRestart, variant: cfg.Variant, observer: cfg.Obs,
 		offline: cfg.Offline, offlineSeed: cfg.OfflineSeed,
@@ -170,6 +165,10 @@ func New(cfg Config) Scheduler {
 	}
 	return s
 }
+
+// Constraint returns the session's budget and QoS deadline; the one not in
+// force is 0.
+func (s *Scheduler) Constraint() (budget, qos float64) { return s.budget, s.qos }
 
 // Current returns the candidate the session is on: the last selection
 // Initial or Decide made, or the zero Point before any.
@@ -257,17 +256,14 @@ func (s *Scheduler) Initial() (cost.Allocation, int) {
 // prefers a mildly stretched constraint over flapping to an extreme
 // allocation when online predictions are noisy.
 //
-// The modeled planning overhead (§IV-G) charges every candidate regardless
-// of how the optimum is located: Algorithm 2's select_best_allocation is
-// defined over the whole set, and the accounting must not change because
-// the implementation got smarter. The repeated addition (rather than one
-// multiply) keeps the accumulated float bit-identical to the historical
-// per-candidate loop.
+// The modeled planning overhead (§IV-G) charges every candidate the scan
+// scores. The repeated addition (rather than one multiply) keeps the
+// accumulated float bit-identical to the historical per-candidate loop.
 func (s *Scheduler) selectBest(remaining int, elapsed, spent, relax float64) (int, bool) {
 	for range s.candidates {
 		s.PlanningSeconds += cost.EstimateSeconds
 	}
-	return cost.Select(s.candidates, s.ordered, remaining, elapsed, spent, s.budget*relax, s.qos*relax)
+	return cost.Select(s.candidates, remaining, elapsed, spent, s.budget*relax, s.qos*relax)
 }
 
 // worthSwitching reports whether moving to candidate next is predicted to

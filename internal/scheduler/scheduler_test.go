@@ -149,9 +149,11 @@ func TestDeltaControlsRestartFrequency(t *testing.T) {
 	}
 }
 
+// TestPlanningOverheadScalesWithCandidateSet: §IV-G WO-pa. The trainer
+// bills a job exactly the planning time the scheduler charged after Initial,
+// and searching the full enumeration costs more planning time than
+// searching the Pareto subset.
 func TestPlanningOverheadScalesWithCandidateSet(t *testing.T) {
-	// §IV-G WO-pa: searching the full enumeration must cost more planning
-	// time than searching the Pareto subset.
 	w := workload.MobileNet()
 	m := cost.NewModel(w)
 	full := m.Enumerate(cost.DefaultGrid())
@@ -167,6 +169,7 @@ func TestPlanningOverheadScalesWithCandidateSet(t *testing.T) {
 		})
 		r := trainer.NewRunner(2)
 		alloc, _ := s.Initial()
+		initial := s.PlanningSeconds
 		res := new(trainer.Result)
 		if err := r.Run(trainer.Config{
 			Workload:   w,
@@ -178,7 +181,12 @@ func TestPlanningOverheadScalesWithCandidateSet(t *testing.T) {
 		}, res); err != nil {
 			t.Fatal(err)
 		}
-		return res.PlanningTime + s.PlanningSeconds - res.PlanningTime // total planning incl. Initial
+		charged := s.PlanningSeconds - initial
+		if charged <= 0 || math.Abs(res.PlanningTime-charged) > 1e-9*charged {
+			t.Errorf("%d candidates: the job billed %g s of planning, the scheduler charged %g s after Initial",
+				len(cands), res.PlanningTime, charged)
+		}
+		return s.PlanningSeconds // total planning incl. Initial
 	}
 	if p, f := run(pareto), run(full); f <= p {
 		t.Errorf("full-set planning %g should exceed pareto planning %g", f, p)
@@ -270,7 +278,7 @@ func TestCurrentIsTheSelectedPoint(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			s, r := newSession(t, w, c.budget, c.qos, true)
 			alloc, est := s.Initial()
-			want, ok := cost.Select(s.candidates, s.ordered, est, 0, 0, s.budget, s.qos)
+			want, ok := cost.Select(s.candidates, est, 0, 0, s.budget, s.qos)
 			if !ok {
 				want = s.fallback()
 			}
@@ -292,9 +300,9 @@ func TestCurrentIsTheSelectedPoint(t *testing.T) {
 					t.Errorf("epoch %d: on %v, the decision names %v", epoch, s.Current().Alloc, dec.NewAlloc)
 				}
 				remaining := max(s.lastPrediction-epoch, 1)
-				want, ok := cost.Select(s.candidates, s.ordered, remaining, elapsed, spent, s.budget, s.qos)
+				want, ok := cost.Select(s.candidates, remaining, elapsed, spent, s.budget, s.qos)
 				if !ok {
-					want, ok = cost.Select(s.candidates, s.ordered, remaining, elapsed, spent, s.budget*1.15, s.qos*1.15)
+					want, ok = cost.Select(s.candidates, remaining, elapsed, spent, s.budget*1.15, s.qos*1.15)
 				}
 				if !ok {
 					now := s.cur

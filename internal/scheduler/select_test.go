@@ -9,40 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestNonFrontierFallsBackToLinear: candidate sets that are not strict
-// frontiers (duplicate times, non-descending costs — e.g. the WO-pa full
-// enumeration) must disable the binary path.
-func TestNonFrontierFallsBackToLinear(t *testing.T) {
-	dup := []cost.Point{
-		{Alloc: cost.Allocation{N: 1}, Time: 1, Cost: 5},
-		{Alloc: cost.Allocation{N: 2}, Time: 1, Cost: 4},
-		{Alloc: cost.Allocation{N: 3}, Time: 2, Cost: 3},
-	}
-	if s := New(Config{Candidates: dup, Budget: 10, TargetLoss: 0.1}); s.ordered {
-		t.Error("duplicate times should not be treated as a strict frontier")
-	}
-	rising := []cost.Point{
-		{Alloc: cost.Allocation{N: 1}, Time: 1, Cost: 3},
-		{Alloc: cost.Allocation{N: 2}, Time: 2, Cost: 4},
-	}
-	if s := New(Config{Candidates: rising, Budget: 10, TargetLoss: 0.1}); s.ordered {
-		t.Error("non-descending costs should not be treated as a strict frontier")
-	}
-	if s := New(Config{Budget: 10, TargetLoss: 0.1}); s.ordered {
-		t.Error("empty candidates should not be ordered")
-	}
-	m := cost.NewModel(workload.MobileNet())
-	full := m.Enumerate(cost.DefaultGrid())
-	sFull := New(Config{Model: m, Candidates: full, Budget: 1e12, TargetLoss: 0.42})
-	if sFull.ordered {
-		t.Error("full enumeration should fall back to the linear reference")
-	}
-	sPareto := New(Config{Model: m, Frontier: m.ParetoFrontier(cost.DefaultGrid()), Budget: 1e12, TargetLoss: 0.42})
-	if !sPareto.ordered {
-		t.Error("shared Pareto frontier should enable the binary path")
-	}
-}
-
 // TestSchedulerSharedFrontier: a scheduler built on Config.Frontier adopts
 // the shared points without copying, and selection results match a
 // scheduler built on an equivalent private candidate copy.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pricing"
 	"repro/internal/storage"
-	"repro/internal/workload"
 )
 
 // Scheduled fault reaction: Config.Faults decides every fault a job sees.
@@ -153,11 +152,9 @@ func (j *Job) crash(killed int, wasted, recover, invokeFee float64, instant stri
 	j.res.InvokeCost += invokeFee
 	j.res.TotalCost += computeSpent + invokeFee
 	// Without a usable checkpoint the crash loses all progress.
-	if (j.cfg.DisableCheckpoint || j.ckptOff) && j.initialState != nil {
-		if snap, ok := j.cfg.Engine.(workload.Snapshotter); ok {
-			if err := snap.Restore(j.initialState); err != nil {
-				return fmt.Errorf("trainer: restoring initial state: %w", err)
-			}
+	if j.cfg.DisableCheckpoint || j.ckptOff {
+		if err := j.cfg.Engine.Restore(j.initialState); err != nil {
+			return fmt.Errorf("trainer: restoring initial state: %w", err)
 		}
 	}
 	return nil

@@ -294,9 +294,6 @@ type Job struct {
 	epoch    int
 	done     bool
 	finished bool
-	// advanced tracks how much of Elapsed has been mirrored onto the
-	// shared clock by the driver.
-	advanced float64
 }
 
 // Run runs cfg to convergence, MaxEpochs or a Stop decision on the
@@ -308,6 +305,9 @@ func (r *Runner) Run(cfg Config, res *Result) error {
 	if err := j.start(r, cfg, res); err != nil {
 		return err
 	}
+	// advanced is how much of the job's clock has been mirrored onto the
+	// shared clock.
+	advanced := 0.0
 	for !j.done {
 		if err := j.Step(); err != nil {
 			return err
@@ -315,10 +315,10 @@ func (r *Runner) Run(cfg Config, res *Result) error {
 		// Advance the shared clock so time-based substrate events
 		// (warm-sandbox expiry) fire as the job progresses. The cluster
 		// scheduler drives this itself when jobs interleave.
-		if d := j.clock - j.advanced; d > 0 {
+		if d := j.clock - advanced; d > 0 {
 			r.sim.RunUntil(r.sim.Now() + sim.Time(d))
 		}
-		j.advanced = j.clock
+		advanced = j.clock
 	}
 	j.Finish()
 	return nil
@@ -345,9 +345,7 @@ func (j *Job) start(r *Runner, cfg Config, res *Result) error {
 	}
 	*res = Result{Trace: res.Trace[:0]}
 	*j = Job{r: r, cfg: cfg, alloc: cfg.Alloc, res: res, faultCursor: -1, initialState: j.initialState[:0], ckpt: j.ckpt[:0]}
-	if snap, ok := cfg.Engine.(workload.Snapshotter); ok {
-		j.initialState = snap.AppendSnapshot(j.initialState)
-	}
+	j.initialState = cfg.Engine.AppendSnapshot(j.initialState)
 	return j.startGroup(true)
 }
 
@@ -720,8 +718,8 @@ func (j *Job) checkpoint() {
 	if j.cfg.DisableCheckpoint || j.ckptOff {
 		return
 	}
-	if snap, ok := j.cfg.Engine.(workload.Snapshotter); ok && j.brownoutOp("checkpoint") {
-		j.ckpt = snap.AppendSnapshot(j.ckpt[:0])
+	if j.brownoutOp("checkpoint") {
+		j.ckpt = j.cfg.Engine.AppendSnapshot(j.ckpt[:0])
 		if r := j.r; r.obs.Enabled() {
 			r.obs.Stats().Inc("store.puts")
 			r.obs.Stats().Add("store.put_floats", float64(len(j.ckpt)))
@@ -736,8 +734,7 @@ func (j *Job) checkpoint() {
 // job to checkpoint-less mode with Result.Degraded set and training
 // continues from the in-memory state.
 func (j *Job) restoreCheckpoint() {
-	snap, ok := j.cfg.Engine.(workload.Snapshotter)
-	if !ok || j.cfg.DisableCheckpoint || j.ckptOff || !j.brownoutOp("restore") {
+	if j.cfg.DisableCheckpoint || j.ckptOff || !j.brownoutOp("restore") {
 		return
 	}
 	if r := j.r; r.obs.Enabled() {
@@ -745,7 +742,7 @@ func (j *Job) restoreCheckpoint() {
 		r.obs.Stats().Add("store.get_floats", float64(len(j.ckpt)))
 	}
 	if len(j.ckpt) > 0 {
-		if err := snap.Restore(j.ckpt); err != nil {
+		if err := j.cfg.Engine.Restore(j.ckpt); err != nil {
 			j.degrade("corrupt checkpoint: " + err.Error())
 		}
 	}

@@ -339,7 +339,7 @@ func TestCheckpointRestoredOnRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapLen := float64(len(eng.(workload.Snapshotter).AppendSnapshot(nil)))
+	snapLen := float64(len(eng.AppendSnapshot(nil)))
 	next := cost.Allocation{N: 20, MemMB: 1024, Storage: storage.S3}
 	var lossBefore float64
 	cfg := Config{

@@ -8,21 +8,17 @@ import (
 func TestCurveEngineSnapshotRestore(t *testing.T) {
 	m := MobileNet()
 	eng := m.NewCurveEngine(Hyperparams{LR: m.DefaultLR}, 5)
-	snap, ok := eng.(Snapshotter)
-	if !ok {
-		t.Fatal("curve engine should snapshot")
-	}
 	for e := 0; e < 5; e++ {
 		eng.NextEpoch()
 	}
-	state := snap.AppendSnapshot(nil)
+	state := eng.AppendSnapshot(nil)
 	if len(state) != 2 {
 		t.Fatalf("curve snapshot has %d values", len(state))
 	}
 	lossAt, epochAt := eng.Loss(), eng.EpochsRun()
 	eng.NextEpoch()
 	eng.NextEpoch()
-	if err := snap.Restore(state); err != nil {
+	if err := eng.Restore(state); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Loss() != lossAt || eng.EpochsRun() != epochAt {
@@ -45,7 +41,7 @@ func TestCurveEngineSnapshotRestore(t *testing.T) {
 		{"infinite loss", []float64{3, math.Inf(1)}},
 		{"negative infinite loss", []float64{3, math.Inf(-1)}},
 	} {
-		if err := snap.Restore(tc.state); err == nil {
+		if err := eng.Restore(tc.state); err == nil {
 			t.Errorf("%s state %v accepted", tc.name, tc.state)
 		}
 		if eng.Loss() != lossAt || eng.EpochsRun() != epochAt {
@@ -53,7 +49,7 @@ func TestCurveEngineSnapshotRestore(t *testing.T) {
 		}
 	}
 	for _, ep := range []float64{0, 1 << 53} {
-		if err := snap.Restore([]float64{ep, 0.5}); err != nil {
+		if err := eng.Restore([]float64{ep, 0.5}); err != nil {
 			t.Errorf("epoch %g refused: %v", ep, err)
 		}
 	}
@@ -69,11 +65,10 @@ func TestAppendSnapshotKeepsPrefix(t *testing.T) {
 	}
 	for _, eng := range []Engine{m.NewCurveEngine(Hyperparams{LR: m.DefaultLR}, 5), real} {
 		eng.NextEpoch()
-		snap := eng.(Snapshotter)
-		want := snap.AppendSnapshot(nil)
+		want := eng.AppendSnapshot(nil)
 		prefix := []float64{-7, math.Pi}
 		for _, dst := range [][]float64{prefix, append(make([]float64, 0, 64), prefix...)} {
-			got := snap.AppendSnapshot(dst)
+			got := eng.AppendSnapshot(dst)
 			if !sameBits(got[:len(prefix)], prefix) || !sameBits(got[len(prefix):], want) {
 				t.Errorf("%T: AppendSnapshot(%v) = %v, want the prefix then %v", eng, dst, got, want)
 			}
@@ -87,11 +82,10 @@ func TestRealEngineSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := e.(Snapshotter)
 	for i := 0; i < 3; i++ {
 		e.NextEpoch()
 	}
-	state := eng.AppendSnapshot(nil)
+	state := e.AppendSnapshot(nil)
 	lossAt := e.Loss()
 	if e.EpochsRun() != 3 {
 		t.Fatalf("EpochsRun = %d", e.EpochsRun())
@@ -99,7 +93,7 @@ func TestRealEngineSnapshotRestore(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.NextEpoch()
 	}
-	if err := eng.Restore(state); err != nil {
+	if err := e.Restore(state); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(e.Loss()-lossAt) > 1e-12 {
@@ -111,7 +105,7 @@ func TestRealEngineSnapshotRestore(t *testing.T) {
 	if next > lossAt*1.1 {
 		t.Errorf("post-restore epoch regressed: %g from %g", next, lossAt)
 	}
-	if err := eng.Restore([]float64{1}); err == nil {
+	if err := e.Restore([]float64{1}); err == nil {
 		t.Error("short state accepted")
 	}
 }
@@ -144,14 +138,13 @@ func TestRealEngineRestoreChecksWeightCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := e.(Snapshotter)
-		state := snap.AppendSnapshot(nil)
+		state := e.AppendSnapshot(nil)
 		if delta < 0 {
 			state = state[:len(state)-1]
 		} else if delta > 0 {
 			state = append(state, 0.5)
 		}
-		err = snap.Restore(state)
+		err = e.Restore(state)
 		if (err == nil) != (delta == 0) {
 			t.Errorf("Cols%+d weights: Restore error %v", delta, err)
 		}
@@ -194,27 +187,26 @@ func TestRestoreContract(t *testing.T) {
 		{"real weight off by one ulp", real(lr), 4, func(s []float64) { s[2] = math.Nextafter(s[2], math.Inf(1)) }},
 	} {
 		eng := tc.engine()
-		snap := eng.(Snapshotter)
 		for range tc.k {
 			eng.NextEpoch()
 		}
-		state := snap.AppendSnapshot(nil)
+		state := eng.AppendSnapshot(nil)
 		lossAt := eng.Loss()
 		for range 3 {
 			eng.NextEpoch()
 		}
 		if tc.corrupt != nil {
 			tc.corrupt(state)
-			before := snap.AppendSnapshot(nil)
-			if err := snap.Restore(state); err == nil {
+			before := eng.AppendSnapshot(nil)
+			if err := eng.Restore(state); err == nil {
 				t.Errorf("%s: corrupt snapshot accepted", tc.name)
 			}
-			if !sameBits(snap.AppendSnapshot(nil), before) {
+			if !sameBits(eng.AppendSnapshot(nil), before) {
 				t.Errorf("%s: refused snapshot moved the engine", tc.name)
 			}
 			continue
 		}
-		if err := snap.Restore(state); err != nil {
+		if err := eng.Restore(state); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if eng.EpochsRun() != tc.k || !sameBits([]float64{eng.Loss()}, []float64{lossAt}) {

@@ -42,16 +42,12 @@ type Engine interface {
 	EpochsRun() int
 	// Loss returns the most recent loss (initial loss before any epoch).
 	Loss() float64
-}
-
-// Snapshotter is implemented by engines whose training state can be
-// serialized to a float vector; the trainer checkpoints this state through
-// external storage so a restarted function group resumes rather than
-// retrains (the delayed-restart handoff of Fig. 8).
-type Snapshotter interface {
-	// AppendSnapshot appends the engine state to dst and returns the
-	// extended slice; dst's prefix is kept, and a dst with room for the
-	// state is not reallocated.
+	// AppendSnapshot appends the engine state, serialized to a float
+	// vector, to dst and returns the extended slice; dst's prefix is kept,
+	// and a dst with room for the state is not reallocated. The trainer
+	// checkpoints this state through external storage so a restarted
+	// function group resumes rather than retrains (the delayed-restart
+	// handoff of Fig. 8).
 	AppendSnapshot(dst []float64) []float64
 	// Restore moves the engine back to a previous snapshot's epoch and
 	// loss, or refuses a snapshot it could not have taken and stays put.
@@ -314,7 +310,7 @@ func (m *Model) firstLoss() float64 { return m.Curve.Eval(0) }
 func (e *curveEngine) EpochsRun() int { return e.epoch }
 func (e *curveEngine) Loss() float64  { return e.last }
 
-// AppendSnapshot implements Snapshotter: [epoch, lastLoss].
+// AppendSnapshot implements Engine: [epoch, lastLoss].
 func (e *curveEngine) AppendSnapshot(dst []float64) []float64 {
 	return append(dst, float64(e.epoch), e.last)
 }
@@ -323,7 +319,7 @@ func (e *curveEngine) AppendSnapshot(dst []float64) []float64 {
 // [0, 2^53], the range in which every integer is a float64 exactly.
 func wholeEpoch(ep float64) bool { return ep >= 0 && ep <= 1<<53 && ep == math.Trunc(ep) }
 
-// Restore implements Snapshotter. The epoch must be a whole number in
+// Restore implements Engine. The epoch must be a whole number in
 // [0, 2^53] and the loss finite; anything else is a corrupt checkpoint and
 // leaves the engine as it was.
 func (e *curveEngine) Restore(state []float64) error {
@@ -420,7 +416,7 @@ func (e *realEngine) NextEpoch() float64 {
 func (e *realEngine) EpochsRun() int { return e.epoch }
 func (e *realEngine) Loss() float64  { return e.last }
 
-// AppendSnapshot implements Snapshotter: [epoch, lastLoss, weights...].
+// AppendSnapshot implements Engine: [epoch, lastLoss, weights...].
 func (e *realEngine) AppendSnapshot(dst []float64) []float64 {
 	dst = slices.Grow(dst, 2+e.traj.data.Cols)
 	dst = append(dst, float64(e.epoch), e.last)
@@ -428,7 +424,7 @@ func (e *realEngine) AppendSnapshot(dst []float64) []float64 {
 	return append(dst, w...)
 }
 
-// Restore implements Snapshotter the way curveEngine does: it moves the
+// Restore implements Engine the way curveEngine does: it moves the
 // cursor to the snapshot's epoch, where training continues on the
 // trajectory. The epoch must be a whole number in [0, 2^53] and the weights
 // bit-equal to those the trajectory has recorded at that epoch; anything
