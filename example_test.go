@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/planner"
@@ -391,11 +390,10 @@ func Example_workflow() {
 	// 2. The multi-tenant view: four such training jobs sharing one
 	//    3000-function account contend for concurrency and queue.
 	fmt.Println("multi-tenant: four 1500-function jobs on one account:")
-	var subs []cluster.Submission
+	var jobs []trainer.Arrival
 	for i := 0; i < 4; i++ {
-		subs = append(subs, cluster.Submission{
-			Name:    fmt.Sprintf("tenant-%d", i+1),
-			Arrival: float64(i) * 60,
+		jobs = append(jobs, trainer.Arrival{
+			At: float64(i) * 60,
 			Config: trainer.Config{
 				Workload:   w,
 				Engine:     w.NewEngine(out.BestHyperparams, uint64(20+i)),
@@ -405,13 +403,14 @@ func Example_workflow() {
 			},
 		})
 	}
-	outs, err := cluster.Run(trainer.NewRunner(10), subs)
+	outs, err := trainer.NewRunner(10).RunShared(jobs)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, o := range outs {
-		fmt.Printf("  %s: queued %.0fs, turnaround %.0fs, converged %v\n",
-			o.Name, o.QueueDelay, o.TurnaroundTime(), o.Result.Converged)
+		at := jobs[o.Job].At
+		fmt.Printf("  tenant-%d: queued %.0fs, turnaround %.0fs, converged %v\n",
+			o.Job+1, o.Admitted-at, o.Finished-at, o.Result.Converged)
 	}
 	// Output:
 	// workflow for MobileNet-Cifar10 under a $600 budget:

@@ -61,12 +61,7 @@ type Framework struct {
 
 // New profiles the workload over the default grid.
 func New(w *workload.Model) *Framework {
-	return NewWithGrid(w, cost.DefaultGrid())
-}
-
-// NewWithGrid profiles the workload over an explicit grid.
-func NewWithGrid(w *workload.Model, g cost.Grid) *Framework {
-	return profile(w, g, predictor.NewShared())
+	return profile(w, cost.DefaultGrid(), predictor.NewShared())
 }
 
 // WithGrid profiles f's workload over another grid. The two frameworks share

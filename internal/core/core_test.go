@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/planner"
+	"repro/internal/predictor"
 	"repro/internal/storage"
 	"repro/internal/trainer"
 	"repro/internal/workload"
@@ -255,16 +256,16 @@ func TestSessionsShareHistoriesExactly(t *testing.T) {
 }
 
 // TestWithGridSharesTree: a framework over another grid profiles that grid
-// as NewWithGrid does and shares its parent's history tree.
+// as a fresh framework over it does and shares its parent's history tree.
 func TestWithGridSharesTree(t *testing.T) {
 	base := New(workload.MobileNet())
 	g := cost.DefaultGrid()
 	g.Storages = storage.ExtendedKinds()
-	ext, fresh := base.WithGrid(g), NewWithGrid(base.Workload, g)
+	ext, fresh := base.WithGrid(g), profile(base.Workload, g, predictor.NewShared())
 	if ext.shared != base.shared || fresh.shared == base.shared {
-		t.Error("WithGrid should share the tree, NewWithGrid should not")
+		t.Error("WithGrid should share the tree, a fresh framework should not")
 	}
 	if &ext.Pareto[0] != &fresh.Pareto[0] || !reflect.DeepEqual(ext.Full, fresh.Full) {
-		t.Error("WithGrid profiled the grid differently from NewWithGrid")
+		t.Error("WithGrid profiled the grid differently from a fresh framework")
 	}
 }

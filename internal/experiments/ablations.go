@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/fault"
@@ -377,11 +376,10 @@ func ablCluster(seed uint64, _ Config) (*Table, error) {
 		Notes:   "two jobs fit concurrently; the rest queue FIFO until a completion frees capacity",
 	}
 	r := trainer.NewRunner(seed + 71)
-	var subs []cluster.Submission
+	var jobs []trainer.Arrival
 	for i := 0; i < 4; i++ {
-		subs = append(subs, cluster.Submission{
-			Name:    fmt.Sprintf("job-%d", i+1),
-			Arrival: float64(i) * 30,
+		jobs = append(jobs, trainer.Arrival{
+			At: float64(i) * 30,
 			Config: trainer.Config{
 				Workload:   w,
 				Engine:     w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, seed+uint64(i)),
@@ -391,16 +389,17 @@ func ablCluster(seed uint64, _ Config) (*Table, error) {
 			},
 		})
 	}
-	outs, err := cluster.Run(r, subs)
+	outs, err := r.RunShared(jobs)
 	if err != nil {
 		return nil, err
 	}
 	for _, o := range outs {
+		at := jobs[o.Job].At
 		t.Rows = append(t.Rows, []string{
-			o.Name, seconds(o.Arrival), seconds(o.QueueDelay), seconds(o.TurnaroundTime()),
+			fmt.Sprintf("job-%d", o.Job+1), seconds(at), seconds(o.Admitted - at), seconds(o.Finished - at),
 			seconds(o.Result.JCT), fmt.Sprintf("%v", o.Result.Converged),
 		})
 	}
-	t.Notes += fmt.Sprintf("; makespan %s", seconds(cluster.Makespan(outs)))
+	t.Notes += fmt.Sprintf("; makespan %s", seconds(outs[len(outs)-1].Finished))
 	return t, nil
 }

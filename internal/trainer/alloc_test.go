@@ -38,9 +38,9 @@ func TestSHATrialZeroAlloc(t *testing.T) {
 }
 
 // A result reused across runs of different lengths reads exactly as a
-// fresh one, and the runner's own job matches a StartJob/Step/Finish job on
-// the same substrate bit for bit (its driver advancing the shared clock as
-// Run does).
+// fresh one, and the runner's own job matches a fresh job stepped on the
+// same substrate bit for bit (its driver advancing the shared clock as Run
+// does).
 func TestReusedResultMatchesFreshAndStepped(t *testing.T) {
 	w := workload.MobileNet()
 	a := cost.Allocation{N: 25, MemMB: 1769, Storage: storage.S3}
@@ -60,18 +60,18 @@ func TestReusedResultMatchesFreshAndStepped(t *testing.T) {
 		if !reflect.DeepEqual(res, *want) {
 			t.Errorf("trial %d (%d epochs): Run into a reused result\n%+v\nwant a fresh result's\n%+v", i, epochs, res, *want)
 		}
-		job, err := stepped.StartJob(cfg())
-		if err != nil {
+		job := new(Job)
+		if err := job.start(stepped, cfg(), new(Result)); err != nil {
 			t.Fatal(err)
 		}
-		for advanced := 0.0; !job.Done(); advanced = job.Elapsed() {
-			if err := job.Step(); err != nil {
+		for advanced := 0.0; !job.done; advanced = job.clock {
+			if err := job.step(); err != nil {
 				t.Fatal(err)
 			}
-			s := stepped.Sim()
-			s.RunUntil(s.Now() + sim.Time(job.Elapsed()-advanced))
+			s := stepped.sim
+			s.RunUntil(s.Now() + sim.Time(job.clock-advanced))
 		}
-		if got := job.Finish(); !reflect.DeepEqual(*got, *want) {
+		if got := job.finish(); !reflect.DeepEqual(*got, *want) {
 			t.Errorf("trial %d (%d epochs): a stepped job\n%+v\nwant Run's\n%+v", i, epochs, *got, *want)
 		}
 	}

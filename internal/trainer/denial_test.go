@@ -16,8 +16,8 @@ import (
 // TestConcurrencyDenialKeepsItsDetail: the platform refuses with a bare
 // sentinel, so each trainer call site that surfaces a denial must add the
 // numbers a person needs — in flight, requested, cap — and stay matchable
-// with errors.Is (internal/cluster queues on it). A job that ends in the
-// error holds nothing on the account afterwards, and finishing it releases
+// with errors.Is (RunShared queues on it). A job that ends in the error
+// holds nothing on the account afterwards, and finishing it releases
 // nothing a second time.
 func TestConcurrencyDenialKeepsItsDetail(t *testing.T) {
 	w := workload.MobileNet()
@@ -63,16 +63,16 @@ func TestConcurrencyDenialKeepsItsDetail(t *testing.T) {
 		{"initial group", func(t *testing.T) error { return job(t, over, nil) }, detail(0)},
 		{"immediate switch", func(t *testing.T) error { return job(t, ten, switchTo(false)) }, detail(0)},
 		{"delayed switch", func(t *testing.T) error { return job(t, ten, switchTo(true)) }, detail(ten.N)},
-		// A stepped job (cluster.Run's path) that Finish is called on after
+		// A stepped job (RunShared's path) that finish is called on after
 		// the error.
 		{"delayed switch, stepped", func(t *testing.T) error {
 			r := NewRunner(4)
-			j, err := r.StartJob(cfg(ten, switchTo(true)))
-			if err != nil {
+			j := new(Job)
+			if err := j.start(r, cfg(ten, switchTo(true)), new(Result)); err != nil {
 				t.Fatal(err)
 			}
-			err = j.Step()
-			j.Finish()
+			err := j.step()
+			j.finish()
 			held(t, r)
 			return err
 		}, detail(ten.N)},

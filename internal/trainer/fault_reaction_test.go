@@ -185,23 +185,23 @@ func TestKillDuringDelayedRestartOverlap(t *testing.T) {
 	w := workload.MobileNet()
 	probe := NewRunner(4)
 	probe.Noise = NoNoise()
-	job, err := probe.StartJob(Config{
+	job := new(Job)
+	if err := job.start(probe, Config{
 		Workload: w, Engine: w.NewCurveEngine(workload.Hyperparams{LR: w.DefaultLR}, 4),
 		Alloc:      cost.Allocation{N: 10, MemMB: 1769, Storage: storage.S3},
 		MaxEpochs:  4,
 		Controller: ctrl,
-	})
-	if err != nil {
+	}, new(Result)); err != nil {
 		t.Fatal(err)
 	}
-	if err := job.Step(); err != nil {
+	if err := job.step(); err != nil {
 		t.Fatal(err)
 	}
 	if !job.switching {
 		t.Fatal("probe: delayed switch not pending after epoch 1")
 	}
 	overlapStart := job.clock
-	job.Finish()
+	job.finish()
 
 	// Real run: kill two sandboxes shortly after the overlap window opens,
 	// while both the old group and the pending delayed group are in flight.

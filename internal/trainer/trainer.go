@@ -224,10 +224,6 @@ func (r *Runner) Observer() *obs.Observer { return r.obs }
 // Compute returns the substrate's serverless account.
 func (r *Runner) Compute() *faas.Platform { return r.compute }
 
-// Sim exposes the discrete-event kernel for drivers that schedule their own
-// events on the shared virtual clock (the multi-tenant cluster scheduler).
-func (r *Runner) Sim() *sim.Simulation { return r.sim }
-
 // invokeGroup is Compute().InvokeGroup with the numbers added to a denial:
 // the platform's sentinel is bare, and the trainer's errors reach a person.
 func (r *Runner) invokeGroup(n, memMB int) (faas.GroupStart, error) {
@@ -252,8 +248,8 @@ func (r *Runner) acquireService(kind storage.Kind) float64 {
 
 // Job is one training job: its configuration, the group it runs on, the
 // result it fills and its own clock. Run steps the runner's own job to the
-// end; StartJob returns a fresh one that a driver steps one epoch at a time
-// (the multi-tenant cluster scheduler interleaves jobs this way).
+// end; RunShared steps jobs of its own one epoch at a time, interleaved on
+// the shared clock.
 type Job struct {
 	r     *Runner
 	cfg   Config
@@ -300,6 +296,12 @@ type Job struct {
 // runner's own job and fills res, reusing res.Trace's backing array, so in
 // steady state a run touches no heap. A run that fails leaves no function
 // admitted.
+//
+// Run mirrors the job's clock onto the shared clock after each epoch, so
+// its first epoch (and a controller's first decision) runs on the shared
+// clock at the admission instant; RunShared runs a job's first epoch at
+// admission + startup. A fixed allocation without faults gives the same
+// Result either way.
 func (r *Runner) Run(cfg Config, res *Result) error {
 	j := &r.job
 	if err := j.start(r, cfg, res); err != nil {
@@ -309,29 +311,19 @@ func (r *Runner) Run(cfg Config, res *Result) error {
 	// shared clock.
 	advanced := 0.0
 	for !j.done {
-		if err := j.Step(); err != nil {
+		if err := j.step(); err != nil {
 			return err
 		}
 		// Advance the shared clock so time-based substrate events
-		// (warm-sandbox expiry) fire as the job progresses. The cluster
-		// scheduler drives this itself when jobs interleave.
+		// (warm-sandbox expiry) fire as the job progresses. RunShared
+		// drives this itself when jobs interleave.
 		if d := j.clock - advanced; d > 0 {
 			r.sim.RunUntil(r.sim.Now() + sim.Time(d))
 		}
 		advanced = j.clock
 	}
-	j.Finish()
+	j.finish()
 	return nil
-}
-
-// StartJob validates cfg, admits the function group (startup + load on the
-// job's clock) and returns the steppable job with a result of its own.
-func (r *Runner) StartJob(cfg Config) (*Job, error) {
-	j := new(Job)
-	if err := j.start(r, cfg, new(Result)); err != nil {
-		return nil, err
-	}
-	return j, nil
 }
 
 // start resets j for cfg and res for its result, keeping j's snapshot
@@ -349,18 +341,10 @@ func (j *Job) start(r *Runner, cfg Config, res *Result) error {
 	return j.startGroup(true)
 }
 
-// Done reports whether the job has converged, stopped, hit its cap or
-// failed.
-func (j *Job) Done() bool { return j.done }
-
-// Elapsed returns the job's wall clock so far (its own timeline, not the
-// shared substrate clock).
-func (j *Job) Elapsed() float64 { return j.clock }
-
-// Step executes one epoch (plus any controller decision). Calling Step on a
+// step executes one epoch (plus any controller decision). Calling step on a
 // finished job is a no-op. A step that fails ends the job and releases
 // everything it holds.
-func (j *Job) Step() error {
+func (j *Job) step() error {
 	if j.done {
 		return nil
 	}
@@ -403,16 +387,16 @@ func (j *Job) Step() error {
 }
 
 // fail ends the job on err. A failed job holds nothing: its groups go back
-// to the account here, so Finish releases nothing a second time.
+// to the account here, so finish releases nothing a second time.
 func (j *Job) fail(err error) error {
 	j.release()
 	j.done = true
 	return err
 }
 
-// Finish releases the job's resources and returns its result. Finish is
+// finish releases the job's resources and returns its result. finish is
 // idempotent.
-func (j *Job) Finish() *Result {
+func (j *Job) finish() *Result {
 	if !j.finished {
 		j.finished = true
 		j.release()
@@ -503,14 +487,8 @@ func (j *Job) runEpoch() (EpochReport, error) {
 	r, w, a, epoch := j.r, j.cfg.Workload, j.alloc, j.epoch
 	svc := storage.New(a.Storage)
 
-	var computeT, syncT float64
-	if j.cfg.Async {
-		computeT = r.asyncCompute(w, a)
-		syncT = r.asyncSync(w, a, svc)
-	} else {
-		computeT = r.groundTruthCompute(w, a)
-		syncT = r.groundTruthSync(w, a, svc)
-	}
+	computeT := r.epochCompute(w, a, j.cfg.Async)
+	syncT := r.epochSync(w, a, svc, j.cfg.Async)
 	// Fault windows inflate this epoch's components: stragglers slow
 	// compute, brownouts slow the storage-bound synchronization (outside a
 	// window both factors are 1, and x*1 is exact). The controller is not
@@ -611,42 +589,32 @@ func (j *Job) runEpoch() (EpochReport, error) {
 	return rep, nil
 }
 
-// groundTruthCompute is the epoch's gradient computation wall time: the
-// slowest of n straggling functions.
-func (r *Runner) groundTruthCompute(w *workload.Model, a cost.Allocation) float64 {
+// epochCompute is the epoch's gradient computation wall time: under BSP the
+// slowest of n straggling functions, under ASP (workers proceed
+// independently) the mean worker.
+func (r *Runner) epochCompute(w *workload.Model, a cost.Allocation, async bool) float64 {
 	base := w.Dataset.PartitionSizeMB(a.N) * w.U(a.MemMB)
 	if r.Noise.StragglerSigma == 0 {
 		return base
+	}
+	if async {
+		return base * r.stragglerRng.LogNormal(0, r.Noise.StragglerSigma)
 	}
 	return base * r.stragglerRng.MaxLogNormal(a.N, r.Noise.StragglerSigma)
 }
 
-// groundTruthSync is the epoch's synchronization wall time with network
-// instability that grows with n.
-func (r *Runner) groundTruthSync(w *workload.Model, a cost.Allocation, svc *storage.Service) float64 {
-	base := float64(w.IterationsPerEpoch(a.N)) * svc.SyncTime(a.N, w.ParamsMB)
-	sigma := r.Noise.SyncBase + r.Noise.SyncPerN*float64(a.N)
-	if sigma == 0 {
-		return base
+// epochSync is the epoch's synchronization wall time with network
+// instability that grows with n. Under BSP each iteration serializes the
+// storage service's sync pattern; under ASP each worker pushes its gradient
+// and pulls the model (two transfers) per iteration, overlapped across
+// workers rather than serialized.
+func (r *Runner) epochSync(w *workload.Model, a cost.Allocation, svc *storage.Service, async bool) float64 {
+	var base float64
+	if async {
+		base = float64(w.IterationsPerEpoch(a.N)) * 2 * svc.TransferTime(a.N, w.ParamsMB)
+	} else {
+		base = float64(w.IterationsPerEpoch(a.N)) * svc.SyncTime(a.N, w.ParamsMB)
 	}
-	return base * r.syncRng.LogNormal(0, sigma)
-}
-
-// asyncCompute is the epoch's gradient computation wall time under ASP:
-// workers proceed independently, so the epoch follows the mean worker.
-func (r *Runner) asyncCompute(w *workload.Model, a cost.Allocation) float64 {
-	base := w.Dataset.PartitionSizeMB(a.N) * w.U(a.MemMB)
-	if r.Noise.StragglerSigma == 0 {
-		return base
-	}
-	return base * r.stragglerRng.LogNormal(0, r.Noise.StragglerSigma)
-}
-
-// asyncSync is the epoch's synchronization wall time under ASP: each worker
-// pushes its gradient and pulls the model (two transfers) per iteration,
-// overlapped across workers rather than serialized.
-func (r *Runner) asyncSync(w *workload.Model, a cost.Allocation, svc *storage.Service) float64 {
-	base := float64(w.IterationsPerEpoch(a.N)) * 2 * svc.TransferTime(a.N, w.ParamsMB)
 	sigma := r.Noise.SyncBase + r.Noise.SyncPerN*float64(a.N)
 	if sigma == 0 {
 		return base
