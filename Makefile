@@ -113,7 +113,8 @@ reach:
 # -parallel 2 stdout, trace and metrics exports, and `cescale` stdout in
 # every mode at two seeds (run mode's -trace, -trace-out and -metrics-out
 # files too), and the benchmark's fleet, day-chaos and trace command lines at
-# benchmark size, 1x1 and 8x2 shards x workers, at two seeds, each cmp'd
+# benchmark size and a small trace-file replay, 1x1 and 8x2 shards x
+# workers, at two seeds, each cmp'd
 # against the binaries built at BASE. A refactor or
 # perf change must pass it against its parent:
 #   make identity BASE=<rev>

@@ -117,6 +117,12 @@ func run() int {
 		TrafficTenants: *trafficTenants, TrafficRate: *trafficRate, TrafficHorizon: *trafficHorizon,
 		TrafficKind: *trafficKind,
 	}
+	if *traceFile != "" && *trafficKind != traffic.TraceReplay.String() {
+		// Config.Validate accepts trace rows beside any kind; from the
+		// command line they would be silently ignored.
+		fmt.Fprintf(os.Stderr, "cebench: -trace-file needs -traffic-kind trace (got %q)\n", *trafficKind)
+		return 2
+	}
 	if *traceFile != "" {
 		// File I/O stays out here: internal/traffic is a deterministic
 		// package (no os imports); it parses from memory.

@@ -38,7 +38,8 @@ func cebench(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 // on stderr, nothing on stdout and a non-zero exit before any artifact runs —
 // not a text table under -format xml, a silently dropped id after "all", a
 // serial run under -parallel -3, an unwritable -trace-out discovered after
-// the last artifact, or a stack trace from inside a traffic cursor.
+// the last artifact, a -trace-file dropped under a kind that never replays
+// it, or a stack trace from inside a traffic cursor.
 func TestRejectsBadInput(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
 	for _, bad := range []struct {
@@ -55,6 +56,8 @@ func TestRejectsBadInput(t *testing.T) {
 		// A finite rate whose diurnal peak overflows: refused before any work,
 		// since a cursor at an infinite peak rate never advances.
 		{[]string{"-traffic-kind", "diurnal", "-traffic-rate", "1e308", "-traffic-tenants", "2", "macro-trace"}, 2},
+		// Trace rows beside a kind that would never replay them.
+		{[]string{"-trace-file", filepath.Join(missing, "t.csv"), "-traffic-tenants", "2", "-traffic-horizon", "60", "macro-trace"}, 2},
 	} {
 		stdout, stderr, exit := cebench(t, bad.args...)
 		if exit != bad.exit || stdout != "" {

@@ -179,10 +179,11 @@ func main() {
 	// Output files are created before the run, so an unwritable path costs
 	// nothing and prints nothing.
 	traceCSV, traceF, metricsF := createOutput(*trace), createOutput(*traceOut), createOutput(*metricsOut)
-	var observer *obs.Observer
+	var collector *obs.Collector
 	if traceF != nil || metricsF != nil {
-		observer = obs.New()
+		collector = obs.NewCollector()
 	}
+	observer := collector.Scope("cescale")
 	fw := core.New(w)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -282,7 +283,7 @@ func main() {
 		}
 	}
 
-	if err := exportObserver(observer, traceF, metricsF); err != nil {
+	if err := exportCollector(collector, traceF, metricsF); err != nil {
 		fatal(err)
 	}
 }
@@ -299,11 +300,12 @@ func createOutput(path string) *os.File {
 	return f
 }
 
-// exportObserver writes the collected trace and/or metrics into the files
+// exportCollector writes the collected trace and/or metrics into the files
 // opened for them (nil = not requested).
-func exportObserver(o *obs.Observer, traceF, metricsF *os.File) error {
+func exportCollector(c *obs.Collector, traceF, metricsF *os.File) error {
+	scopes := c.Scopes()
 	if traceF != nil {
-		if err := o.WriteTrace(traceF, traceF.Name()); err != nil {
+		if err := obs.WriteTrace(traceF, traceF.Name(), scopes); err != nil {
 			return err
 		}
 		if err := traceF.Close(); err != nil {
@@ -312,7 +314,7 @@ func exportObserver(o *obs.Observer, traceF, metricsF *os.File) error {
 		fmt.Fprintf(os.Stderr, "cescale: wrote event trace to %s\n", traceF.Name())
 	}
 	if metricsF != nil {
-		if err := o.WriteMetrics(metricsF); err != nil {
+		if err := obs.WriteMetricsJSON(metricsF, scopes); err != nil {
 			return err
 		}
 		if err := metricsF.Close(); err != nil {

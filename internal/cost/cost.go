@@ -54,31 +54,26 @@ type Model struct {
 	tables atomic.Value // []*gridTable, copy-on-write append
 }
 
-// epochEst is the per-epoch (t'(θ), c'(θ)) pair. Time and cost are cached
-// together because every consumer of one is about to ask for the other (the
-// cost depends on the epoch time for runtime-charged storage).
-type epochEst struct {
-	time float64
-	cost float64
-}
-
-// epochEstimates returns the estimates for θ: from the dense table when θ
-// is a point of an already-built grid, computed otherwise.
-func (m *Model) epochEstimates(a Allocation) epochEst {
+// epochEstimates returns θ's per-epoch (t'(θ), c'(θ)) as a Point: from the
+// dense table when θ is a point of an already-built grid, computed otherwise.
+// Time and cost come together because every consumer of one is about to ask
+// for the other (the cost depends on the epoch time for runtime-charged
+// storage).
+func (m *Model) epochEstimates(a Allocation) Point {
 	if ts, _ := m.tables.Load().([]*gridTable); ts != nil {
 		for _, t := range ts {
 			if idx, ok := t.index[a]; ok {
-				return t.est[idx]
+				return t.points[idx]
 			}
 		}
 	}
-	return m.computeEpochEst(a)
+	return m.computePoint(a)
 }
 
-// computeEpochEst evaluates (t'(θ), c'(θ)) from scratch.
-func (m *Model) computeEpochEst(a Allocation) epochEst {
+// computePoint evaluates (t'(θ), c'(θ)) from scratch.
+func (m *Model) computePoint(a Allocation) Point {
 	t := m.ComputeTime(a) + m.SyncTime(a)
-	return epochEst{time: t, cost: m.functionEpochCost(a, t) + m.storageEpochCost(a, t)}
+	return Point{Alloc: a, Time: t, Cost: m.functionEpochCost(a, t) + m.storageEpochCost(a, t)}
 }
 
 // NewModel returns an analytic model for w.
@@ -144,7 +139,7 @@ func (m *Model) SyncTime(a Allocation) float64 {
 // EpochTime returns t'(θ) for a steady-state epoch (compute + sync; the
 // one-time load and startup are accounted by JobTime).
 func (m *Model) EpochTime(a Allocation) float64 {
-	return m.epochEstimates(a).time
+	return m.epochEstimates(a).Time
 }
 
 // FunctionEpochCost returns the per-epoch compute bill: n functions each
@@ -174,7 +169,7 @@ func (m *Model) storageEpochCost(a Allocation, epochTime float64) float64 {
 
 // EpochCost returns c'(θ): the full per-epoch bill.
 func (m *Model) EpochCost(a Allocation) float64 {
-	return m.epochEstimates(a).cost
+	return m.epochEstimates(a).Cost
 }
 
 // InvocationCost returns the one-time n*p_ivk charge for invoking the

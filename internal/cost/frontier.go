@@ -50,9 +50,8 @@ var tableIntern sync.Map // string -> *gridTable
 // built.
 type gridTable struct {
 	grid     Grid
-	index    map[Allocation]int32 // feasible allocation -> slot in est/points
-	est      []epochEst
-	points   []Point // feasible grid points in grid order; immutable
+	index    map[Allocation]int32 // feasible allocation -> slot in points
+	points   []Point              // feasible grid points in grid order; immutable
 	frontier *Frontier
 }
 
@@ -145,10 +144,8 @@ func (m *Model) buildTable(g Grid) *gridTable {
 				if !m.Feasible(a) {
 					continue
 				}
-				est := m.computeEpochEst(a)
 				t.index[a] = int32(len(t.points))
-				t.points = append(t.points, Point{Alloc: a, Time: est.time, Cost: est.cost})
-				t.est = append(t.est, est)
+				t.points = append(t.points, m.computePoint(a))
 			}
 		}
 	}

@@ -23,8 +23,8 @@ package experiments
 //   - Each controller is one compact record: the tenants are one slab, and
 //     a tenant embeds its scheduler.Scheduler, which holds its predictor,
 //     which holds its fitter, by value; so does the tenant its loss walk and
-//     the walk its owned random stream (sim.Simulation.Stream: no entry in
-//     the simulation's name map). The predictor's window stores only its
+//     the walk its own random stream (sim.Simulation.Stream, of which the
+//     simulation keeps no record). The predictor's window stores only its
 //     losses; its epochs are a view of one shared ramp
 //     (TestFleetFootprintPerTenant). The scheduler names its current point by
 //     its index in the class frontier, so the tenant reads the point it is

@@ -145,7 +145,7 @@ func (h *harness) scope(name string) *obs.Observer { return h.collector.Scope(na
 // functions, owned by kernel shard `shard`, drawing startup jitter from its
 // own stream and observed under name.
 func (h *harness) platform(name string, shard, capacity int) *faas.Platform {
-	p := faas.NewOnShard(h.s.Shard(shard), "faas.startup/"+name, capacity)
+	p := faas.NewOnShard(h.s.Shard(shard), h.s.Stream("faas.startup/"+name), capacity)
 	p.SetObserver(h.scope(name))
 	h.plats = append(h.plats, p)
 	return p

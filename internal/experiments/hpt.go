@@ -117,10 +117,9 @@ func (h *hptSetup) hptSystems(cfg Config, budget, qos float64, seed uint64) ([]*
 	lambdaML, siren := h.s3.OptimalStatic(budget, qos), h.s3.SirenPlan(budget, qos)
 	plans := []planner.Plan{ce.Plan, lambdaML.Plan, siren.Plan, h.pl.FixedPlan(budget, qos).Plan}
 
-	// Planning above is serial (the systems share h.pl, h.s3 and their
-	// Evaluated counters); the executions are independent — each gets a
-	// fresh Runner — so they run as parallel cells merged back in system
-	// order.
+	// Planning above only reads h.pl and h.s3 (a planner is read-only after
+	// New); the executions are independent — each gets a fresh Runner — so
+	// they run as parallel cells merged back in system order.
 	return cells(cfg, len(plans), func(i int) (*sha.Result, error) {
 		run, err := h.execute(plans[i], seed)
 		return run, cellErr(hptOrder[i], err)

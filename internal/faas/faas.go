@@ -93,8 +93,8 @@ func (m *Meter) Total() float64 { return m.InvokeCost + m.ComputeCost }
 // which preserves the historical single-queue behavior exactly.
 type Platform struct {
 	sh  *sim.Shard
-	rng *sim.Rand // startup-jitter stream, captured at construction
-	cap int       // account concurrency cap
+	rng sim.Rand // startup-jitter stream, owned by the platform
+	cap int      // account concurrency cap
 
 	inFlight     int
 	peakInFlight int
@@ -110,19 +110,19 @@ type Platform struct {
 }
 
 // NewOnShard returns a platform owned by the given kernel shard, admitting
-// at most cap concurrent functions and drawing startup jitter from the
-// named stream. Per-tenant accounts use one shard and one distinct stream
-// name each, so every tenant's jitter sequence is independent of how many
-// other tenants exist and of the shard layout.
-func NewOnShard(sh *sim.Shard, randStream string, cap int) *Platform {
-	return &Platform{sh: sh, rng: sh.Rand(randStream), cap: cap}
+// at most cap concurrent functions and drawing startup jitter from rng,
+// which it owns from then on. Per-tenant accounts use one shard and one
+// distinctly named stream each, so every tenant's jitter sequence is
+// independent of how many other tenants exist and of the shard layout.
+func NewOnShard(sh *sim.Shard, rng sim.Rand, cap int) *Platform {
+	return &Platform{sh: sh, rng: rng, cap: cap}
 }
 
 // NewDefault returns a platform with the MaxConcurrency cap, bound to the
 // simulation's main shard and drawing startup jitter from the
 // "faas.startup" stream.
 func NewDefault(s *sim.Simulation) *Platform {
-	return NewOnShard(s.Main(), "faas.startup", MaxConcurrency)
+	return NewOnShard(s.Main(), s.Stream("faas.startup"), MaxConcurrency)
 }
 
 // SetObserver attaches an observability sink. Events are stamped with the

@@ -45,7 +45,8 @@ func TestGroupStartFoldsItsMembers(t *testing.T) {
 // allocates nothing: open-loop tenants are refused more often than they are
 // admitted.
 func TestInvokeGroupDenialZeroAlloc(t *testing.T) {
-	p := NewOnShard(sim.New(1).Main(), "faas.startup", 8)
+	s := sim.New(1)
+	p := NewOnShard(s.Main(), s.Stream("faas.startup"), 8)
 	if _, err := p.InvokeGroup(8, 512); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,8 @@ func TestInvokeGroupSteadyStateZeroAlloc(t *testing.T) {
 // plain sentinel (errors.Is-able, allocation-free), and the denial changes
 // no state.
 func TestInvoke1DenialIsSentinel(t *testing.T) {
-	p := NewOnShard(sim.New(1).Main(), "faas.startup", 1)
+	s := sim.New(1)
+	p := NewOnShard(s.Main(), s.Stream("faas.startup"), 1)
 	if _, err := p.InvokeGroup(1, 512); err != nil {
 		t.Fatalf("first invoke: %v", err)
 	}
@@ -166,7 +168,8 @@ func TestInvoke1SteadyStateZeroAlloc(t *testing.T) {
 // TestInvoke1DenialZeroAlloc: the single-function denial storm under a
 // saturated cap is also allocation-free.
 func TestInvoke1DenialZeroAlloc(t *testing.T) {
-	p := NewOnShard(sim.New(1).Main(), "faas.startup", 1)
+	s := sim.New(1)
+	p := NewOnShard(s.Main(), s.Stream("faas.startup"), 1)
 	if _, err := p.InvokeGroup(1, 512); err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ func runWarmPoolProgram(t testing.TB, seed uint64, prog []byte) {
 	t.Helper()
 	const cap = 500
 	sa, sb := sim.New(seed), sim.New(seed)
-	a := NewOnShard(sa.Main(), "faas.startup", cap)
-	b := newRefPlatform(sb.Main(), "faas.startup", cap)
+	a := NewOnShard(sa.Main(), sa.Stream("faas.startup"), cap)
+	b := newRefPlatform(sb.Main(), sb.Stream("faas.startup"), cap)
 	a.SetObserver(obs.New())
 	b.obs = obs.New()
 	sizes := [...]int{512, 1024, 1769}

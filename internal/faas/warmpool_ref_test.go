@@ -19,7 +19,7 @@ import (
 // it and the product side by side.
 type refPlatform struct {
 	sh  *sim.Shard
-	rng *sim.Rand
+	rng sim.Rand
 	cap int
 
 	inFlight     int
@@ -31,9 +31,9 @@ type refPlatform struct {
 	obs          *obs.Observer
 }
 
-func newRefPlatform(sh *sim.Shard, randStream string, cap int) *refPlatform {
+func newRefPlatform(sh *sim.Shard, rng sim.Rand, cap int) *refPlatform {
 	p := &refPlatform{
-		sh: sh, rng: sh.Rand(randStream), cap: cap,
+		sh: sh, rng: rng, cap: cap,
 		warm: make(map[int]*sim.Lane),
 	}
 	p.reclaim = p.expire

@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strings"
 )
@@ -192,24 +191,4 @@ func WriteTrace(w io.Writer, path string, scopes []NamedScope) error {
 		return WriteJSONL(w, scopes)
 	}
 	return WriteChromeTrace(w, scopes)
-}
-
-// Single-observer conveniences for cescale's run mode, where there is one
-// logical scope.
-
-// WriteTrace writes the observer's events to w, format chosen from path's
-// extension as in the package-level WriteTrace.
-func (o *Observer) WriteTrace(w io.Writer, path string) error {
-	if o == nil {
-		return fmt.Errorf("obs: cannot export from a disabled observer")
-	}
-	return WriteTrace(w, path, []NamedScope{{Name: "cescale", Obs: o}})
-}
-
-// WriteMetrics writes the observer's metrics snapshot to w.
-func (o *Observer) WriteMetrics(w io.Writer) error {
-	if o == nil {
-		return fmt.Errorf("obs: cannot export from a disabled observer")
-	}
-	return WriteMetricsJSON(w, []NamedScope{{Name: "cescale", Obs: o}})
 }

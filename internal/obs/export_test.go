@@ -164,11 +164,12 @@ func TestJSONLOneObjectPerLine(t *testing.T) {
 func TestWriteTraceFormatByExtension(t *testing.T) {
 	o := New()
 	o.Trace().InstantAt(1, "trk", "cat", "ev")
+	scopes := []NamedScope{{Name: "cescale", Obs: o}}
 	var asJSONL, asChrome bytes.Buffer
-	if err := o.WriteTrace(&asJSONL, "out.jsonl"); err != nil {
+	if err := WriteTrace(&asJSONL, "out.jsonl", scopes); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.WriteTrace(&asChrome, "out.json"); err != nil {
+	if err := WriteTrace(&asChrome, "out.json", scopes); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(asJSONL.String(), "{\"scope\":\"cescale\"") {
@@ -176,13 +177,6 @@ func TestWriteTraceFormatByExtension(t *testing.T) {
 	}
 	if !strings.HasPrefix(asChrome.String(), "{\"displayTimeUnit\"") {
 		t.Fatalf(".json did not select chrome trace: %s", asChrome.String())
-	}
-	var nilObs *Observer
-	if err := nilObs.WriteTrace(&asChrome, "x.json"); err == nil {
-		t.Fatal("nil observer WriteTrace did not error")
-	}
-	if err := nilObs.WriteMetrics(&asChrome); err == nil {
-		t.Fatal("nil observer WriteMetrics did not error")
 	}
 }
 

@@ -108,10 +108,6 @@ type Planner struct {
 	// same.
 	P []cost.Point
 
-	// Evaluated counts candidate evaluations (the scheduling-overhead
-	// metric of §IV-G).
-	Evaluated int
-
 	// Obs, when set, records each plan's per-stage allocation decisions
 	// and summary as trace events (timestamped by stage index — plans are
 	// structural, not temporal). Nil disables recording.
@@ -312,7 +308,6 @@ func (pl *Planner) optimalStatic(budget, qos float64, plan []int32) (int, score,
 			plan[i] = int32(j)
 		}
 		s := pl.eval(plan)
-		pl.Evaluated++
 		if (budget <= 0 || s.cost <= budget) && (qos <= 0 || s.jct <= qos) {
 			if best < 0 || s.beats(bestS, minJCT) {
 				best, bestS = j, s
@@ -367,16 +362,18 @@ func (pl *Planner) FixedPlan(budget, qos float64) Result {
 // terminated. Under a deadline a spending cap bounds the upgrades (its reward
 // trades speed against cost).
 func (pl *Planner) SirenPlan(budget, qos float64) Result {
-	evalStart := pl.Evaluated
 	var res Result
+	evaluated := 0
 	if budget > 0 {
 		res = pl.OptimalStatic(0, math.Inf(1)) // cheapest static
 		if res.Cost > budget {
+			evaluated += res.Evaluated
 			res = pl.OptimalStatic(budget, 0)
 		}
 	} else {
 		res = pl.OptimalStatic(0, qos)
 	}
+	evaluated += res.Evaluated
 	// The upgrade ladder walks toward lower indices = faster allocations,
 	// so it climbs a time-sorted copy of P.
 	ladder := slices.Clone(pl.P)
@@ -392,7 +389,7 @@ func (pl *Planner) SirenPlan(budget, qos float64) Result {
 			trial := plan.Clone()
 			trial.Stages[i] = ladder[idx-1].Alloc
 			jct, c := pl.JCT(trial), pl.Cost(trial)
-			pl.Evaluated++
+			evaluated++
 			// Siren's RL maximizes stage speed, so it never picks an
 			// upgrade that slows the stage down (e.g. one that triggers
 			// extra admission waves).
@@ -408,7 +405,7 @@ func (pl *Planner) SirenPlan(budget, qos float64) Result {
 	}
 	jct, c := pl.JCT(plan), pl.Cost(plan)
 	feasible := (budget <= 0 || c <= budget) && (qos <= 0 || jct <= qos)
-	return Result{Plan: plan, JCT: jct, Cost: c, Feasible: feasible, Evaluated: pl.Evaluated - evalStart}
+	return Result{Plan: plan, JCT: jct, Cost: c, Feasible: feasible, Evaluated: evaluated}
 }
 
 // PlanMinJCT runs Algorithm 1: minimize JCT subject to the budget b_c.
@@ -422,11 +419,13 @@ func (pl *Planner) PlanMinCost(qos float64) Result {
 	return pl.greedy(0, qos)
 }
 
-// search is one greedy run's objective and constraint.
+// search is one greedy run's objective and constraint, and the count of
+// candidates it has evaluated.
 type search struct {
 	pl          *Planner
 	minJCT      bool
 	budget, qos float64
+	evaluated   int
 }
 
 func (s *search) objective(r score) float64 {
@@ -445,7 +444,7 @@ func (s *search) within(r score) bool {
 
 // eval scores plan as one candidate evaluation.
 func (s *search) eval(plan []int32) score {
-	s.pl.Evaluated++
+	s.evaluated++
 	return s.pl.eval(plan)
 }
 
@@ -467,12 +466,11 @@ func (s *search) eval(plan []int32) score {
 // candidate is the plan with one stage's index changed in place, and the
 // plan of allocations is built once, for the result.
 func (pl *Planner) greedy(budget, qos float64) Result {
-	evalStart := pl.Evaluated
 	d := len(pl.Stages)
 	best, cur := make([]int32, d), make([]int32, d)
 	warmJ, warm, warmOK := pl.optimalStatic(budget, qos, best)
 	bestS := warm
-	s := search{pl: pl, minJCT: budget > 0, budget: budget, qos: qos}
+	s := search{pl: pl, minJCT: budget > 0, budget: budget, qos: qos, evaluated: len(pl.P)}
 	// The static-plan cost envelope phase 1 must respect under a budget
 	// (Algorithm 1 line 6). Under a QoS constraint the envelope is the
 	// deadline itself: cheapening spends JCT slack, and upgrades only run
@@ -572,7 +570,7 @@ func (pl *Planner) greedy(budget, qos float64) Result {
 		}
 		bestS, feasible = warm, true
 	}
-	res := Result{Plan: pl.plan(best), JCT: bestS.jct, Cost: bestS.cost, Feasible: feasible, Evaluated: pl.Evaluated - evalStart}
+	res := Result{Plan: pl.plan(best), JCT: bestS.jct, Cost: bestS.cost, Feasible: feasible, Evaluated: s.evaluated}
 	pl.logPlan(s.minJCT, budget, qos, res)
 	return res
 }

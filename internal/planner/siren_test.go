@@ -13,7 +13,8 @@ import (
 
 // refSirenPlan is Siren's tuning plan as it stood before it became a planner
 // method: the body is that code, copied verbatim, which filters the grid to
-// one service and builds its own planner over a time-sorted copy.
+// one service and builds its own planner over a time-sorted copy. Only the
+// evaluation count is added: the static plans it scored and its ladder steps.
 func refSirenPlan(m *cost.Model, stages []Stage, points []cost.Point, kind storage.Kind, budget, qos float64) (Result, error) {
 	pinned := pinnedGrid(points, kind)
 	// The upgrade ladder below walks toward lower indices = faster
@@ -31,14 +32,17 @@ func refSirenPlan(m *cost.Model, stages []Stage, points []cost.Point, kind stora
 	// spending cap instead (its RL reward trades speed against cost, with
 	// the documented early-stage bias).
 	var res Result
+	evaluated := 0
 	if budget > 0 {
 		res = pl.OptimalStatic(0, math.Inf(1)) // cheapest static
 		if res.Cost > budget {
+			evaluated += res.Evaluated
 			res = pl.OptimalStatic(budget, 0)
 		}
 	} else {
 		res = pl.OptimalStatic(0, qos)
 	}
+	evaluated += res.Evaluated
 	plan := res.Plan.Clone()
 	costCap := math.Inf(1)
 	if qos > 0 {
@@ -52,6 +56,7 @@ func refSirenPlan(m *cost.Model, stages []Stage, points []cost.Point, kind stora
 			trial := plan.Clone()
 			trial.Stages[i] = pinned[idx-1].Alloc
 			jct, c := pl.JCT(trial), pl.Cost(trial)
+			evaluated++
 			// Siren's RL maximizes stage speed, so it never picks an
 			// upgrade that slows the stage down (e.g. one that triggers
 			// extra admission waves).
@@ -67,7 +72,7 @@ func refSirenPlan(m *cost.Model, stages []Stage, points []cost.Point, kind stora
 	}
 	jct, c := pl.JCT(plan), pl.Cost(plan)
 	feasible := (budget <= 0 || c <= budget) && (qos <= 0 || jct <= qos)
-	return Result{Plan: plan, JCT: jct, Cost: c, Feasible: feasible, Evaluated: res.Evaluated}, nil
+	return Result{Plan: plan, JCT: jct, Cost: c, Feasible: feasible, Evaluated: evaluated}, nil
 }
 
 func refIndexOf(points []cost.Point, a cost.Allocation) int {
@@ -145,43 +150,9 @@ func TestSirenPlanMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got.Evaluated = want.Evaluated
 				if field := sameResult(got, want); field != "" {
 					t.Errorf("%s/%v %d trials, budget %g qos %g: %s differs: got %+v, reference %+v",
 						p.w.Name, p.kind, trials, c.budget, c.qos, field, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestEvaluatedIsCounterGrowth: every plan rule reports as Result.Evaluated
-// the plans it scored, which is how far it moved the planner's counter.
-func TestEvaluatedIsCounterGrowth(t *testing.T) {
-	m := cost.NewModel(workload.MobileNet())
-	stages := SHAStages(128, 2, 2)
-	pareto, err := New(m, stages, m.ParetoSet(cost.DefaultGrid()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := New(m, stages, pinnedGrid(m.Enumerate(cost.DefaultGrid()), storage.S3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget := grid.OptimalStatic(0, 1e15).Cost * 1.3
-	qos := grid.OptimalStatic(1e15, 0).JCT * 1.5
-	for _, pl := range []*Planner{pareto, grid} {
-		for name, rule := range map[string]func(budget, qos float64) Result{
-			"OptimalStatic": pl.OptimalStatic,
-			"FixedPlan":     pl.FixedPlan,
-			"SirenPlan":     pl.SirenPlan,
-			"greedy":        pl.greedy,
-		} {
-			for _, c := range [][2]float64{{budget, 0}, {0, qos}} {
-				before := pl.Evaluated
-				res := rule(c[0], c[1])
-				if grew := pl.Evaluated - before; res.Evaluated != grew || grew == 0 {
-					t.Errorf("%s (|P| = %d) under %v: Evaluated %d, counter grew by %d", name, len(pl.P), c, res.Evaluated, grew)
 				}
 			}
 		}

@@ -11,9 +11,9 @@ package sim
 // draining them concurrently runs the exact same per-shard work on
 // disjoint state as the serial path, which drains them one after another.
 // The only shared reads during a window are immutable configuration (seed,
-// lookahead, workers), the firing flag drainWindow set before the workers
-// start, and the already-populated random-stream map; Simulation.Rand panics
-// rather than mutate the map while events fire on more than one worker.
+// lookahead, workers) and the firing flag drainWindow set before the workers
+// start: a named random stream is a value its one owner holds, on its own
+// shard, so the kernel keeps no stream state to share.
 
 import (
 	"sync"

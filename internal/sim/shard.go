@@ -156,10 +156,6 @@ func (sh *Shard) Now() Time { return sh.now }
 // EventsFired reports how many events have executed on this shard.
 func (sh *Shard) EventsFired() uint64 { return sh.fired }
 
-// Rand returns the named deterministic random stream of the owning
-// simulation (see Simulation.Rand for the creation and ownership rules).
-func (sh *Shard) Rand(name string) *Rand { return sh.sim.Rand(name) }
-
 // Schedule queues fn to run on this shard at absolute virtual time at.
 // Scheduling in the past (before the shard's Now) panics.
 func (sh *Shard) Schedule(at Time, fn func()) Event {

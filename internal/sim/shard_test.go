@@ -562,40 +562,3 @@ func driveWorkloadInto(s *Simulation, trace *[]string) {
 	}
 	s.Run()
 }
-
-// TestRandCreationInsideParallelWindowPanics: stream creation is a setup
-// operation; with more than one worker the first use of a new name inside a
-// window must panic instead of racing on the stream map — whether or not
-// another shard happens to be busy in that window, which depends on the
-// traffic — while at one worker it is allowed.
-func TestRandCreationInsideParallelWindowPanics(t *testing.T) {
-	for _, tc := range []struct {
-		name          string
-		workers, busy int
-		wantPanics    int
-	}{
-		{"two busy shards on two workers", 2, 2, 2},
-		{"one busy shard on two workers", 2, 1, 1},
-		{"two busy shards on one worker", 1, 2, 0},
-	} {
-		s := New(1)
-		s.EnsureShards(2)
-		s.SetLookahead(1)
-		s.SetWorkers(tc.workers)
-		panicked := make(chan any, 2)
-		for i := 0; i < tc.busy; i++ {
-			s.Shard(i).Schedule(1, func() {
-				defer func() {
-					if r := recover(); r != nil {
-						panicked <- r
-					}
-				}()
-				s.Rand(fmt.Sprintf("late-%d", i))
-			})
-		}
-		s.Run()
-		if len(panicked) != tc.wantPanics {
-			t.Errorf("%s: %d in-window Rand creations panicked, want %d", tc.name, len(panicked), tc.wantPanics)
-		}
-	}
-}

@@ -28,17 +28,8 @@
 //   - An event may Schedule freely onto its own shard; sends to another
 //     shard go through Post, which delays them by at least the configured
 //     lookahead and delivers them at window barriers.
-//   - Named random streams are created during setup and each stream is
-//     drawn from by a single shard.
-//
-// A named stream is either registered or owned. Rand registers it: the
-// simulation keeps it in its name map for the whole run, and every caller
-// of that name draws from the one shared stream (the trainer's and the
-// platform's noise streams). Stream hands out an owned copy: the same seed
-// as Rand(name), held by value by the one owner that draws from it, and
-// never entered in the map — a per-tenant stream of a macro scenario costs
-// no map entry and no allocation. The set-up-only rule is about the map, so
-// it binds Rand alone.
+//   - A named random stream (Stream) is a value held by its one owner, and
+//     only that owner's shard draws from it.
 //
 // Cross-shard events that may collide on (time, priority) with events from
 // another shard should carry a priority that identifies the sender (e.g.
@@ -104,13 +95,12 @@ func (t Time) String() string {
 	return fmt.Sprintf("t=%.3fs", float64(t))
 }
 
-// Simulation owns the virtual clocks, the shard set and the named random
-// streams. The zero value is not usable; construct with New.
+// Simulation owns the virtual clocks and the shard set, and seeds the named
+// random streams. The zero value is not usable; construct with New.
 type Simulation struct {
 	shards  []*Shard
 	main    *Shard // shards[0]; the target of the legacy Schedule methods
 	running bool
-	rng     map[string]*Rand
 	seed    uint64
 
 	// lookahead is the conservative parallel-window width: a Post from an
@@ -136,7 +126,6 @@ type Simulation struct {
 // from seed.
 func New(seed uint64) *Simulation {
 	s := &Simulation{
-		rng:       make(map[string]*Rand),
 		seed:      seed,
 		lookahead: math.Inf(1),
 		workers:   1,
@@ -383,34 +372,13 @@ func (s *Simulation) Step() bool {
 	return fired
 }
 
-// Rand returns the named deterministic random stream, registering it in the
-// simulation's name map on first use; every later call with the name returns
-// the same shared stream. Streams with the same name under the same
-// simulation seed always produce the same sequence, independent of other
-// streams, so adding a new consumer of randomness does not perturb existing
-// experiments.
-//
-// Registered streams must be created during setup; with more than one
-// worker, the first use of a new name while events fire panics, whichever
-// shards are busy (the stream map is shared across shards and only safe to
-// read concurrently). A stream should be drawn from by a single shard. A
-// stream that only one owner draws from is an owned Stream instead.
-func (s *Simulation) Rand(name string) *Rand {
-	if r, ok := s.rng[name]; ok {
-		return r
-	}
-	if s.firing && s.workers > 1 {
-		panic(fmt.Sprintf("sim: Rand(%q) would create a stream while events fire on %d workers; create streams during setup", name, s.workers))
-	}
-	r := NewRand(s.seed ^ hashString(name))
-	s.rng[name] = r
-	return r
-}
-
-// Stream returns an owned copy of the named stream: it starts where a first
-// Rand(name) would, but the simulation neither registers nor shares it, so
-// each call starts the sequence afresh and the caller holds the stream by
-// value. It reads no shared state and may be called at any time.
+// Stream returns the named deterministic random stream, seeded with
+// seed ^ FNV-1a(name). Streams with the same name under the same simulation
+// seed always produce the same sequence, independent of other streams, so
+// adding a new consumer of randomness does not perturb existing experiments.
+// The simulation keeps no record of it: each call starts the sequence afresh,
+// and the caller holds the stream by value as its one owner (a copy would
+// fork it). It reads no shared state and may be called at any time.
 func (s *Simulation) Stream(name string) Rand {
 	return *NewRand(s.seed ^ hashString(name))
 }

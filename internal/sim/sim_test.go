@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -131,9 +132,9 @@ func TestScheduleNonFinitePanics(t *testing.T) {
 }
 
 func TestNamedRandStreamsIndependentAndStable(t *testing.T) {
-	a1 := New(42).Rand("alpha")
-	a2 := New(42).Rand("alpha")
-	b := New(42).Rand("beta")
+	a1 := New(42).Stream("alpha")
+	a2 := New(42).Stream("alpha")
+	b := New(42).Stream("beta")
 	var sawDiff bool
 	for i := 0; i < 100; i++ {
 		x, y, z := a1.Uint64(), a2.Uint64(), b.Uint64()
@@ -149,45 +150,29 @@ func TestNamedRandStreamsIndependentAndStable(t *testing.T) {
 	}
 }
 
-func TestRandSameStreamHandleReused(t *testing.T) {
-	s := New(7)
-	if s.Rand("x") != s.Rand("x") {
-		t.Fatal("Rand returned distinct handles for the same name")
-	}
-}
-
-// TestOwnedStreamMatchesRegistered: Stream(name) draws what Rand(name) draws
-// — uniform, normal (spare included) and Exp — yet leaves the name map as it
-// was, and each call starts the sequence afresh.
-func TestOwnedStreamMatchesRegistered(t *testing.T) {
+// TestStreamMatchesSeededRand: Stream(name) draws what NewRand(seed ^
+// FNV-1a(name)) draws — uniform, normal (spare included) and Exp — and each
+// call starts the sequence afresh.
+func TestStreamMatchesSeededRand(t *testing.T) {
 	s := New(2023)
-	reg := s.Rand("tenant-0/loss")
-	size := len(s.rng)
+	h := fnv.New64a()
+	h.Write([]byte("tenant-0/loss"))
+	ref := NewRand(2023 ^ h.Sum64())
 	own := s.Stream("tenant-0/loss")
-	again := s.Stream("tenant-1/shape")
 	for i := 0; i < 200; i++ {
-		if a, b := reg.Uint64(), own.Uint64(); a != b {
-			t.Fatalf("draw %d: Uint64 %d from Rand, %d from Stream", i, a, b)
+		if a, b := ref.Uint64(), own.Uint64(); a != b {
+			t.Fatalf("draw %d: Uint64 %d from NewRand, %d from Stream", i, a, b)
 		}
-		if a, b := reg.NormFloat64(), own.NormFloat64(); math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("draw %d: NormFloat64 %v from Rand, %v from Stream", i, a, b)
+		if a, b := ref.NormFloat64(), own.NormFloat64(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("draw %d: NormFloat64 %v from NewRand, %v from Stream", i, a, b)
 		}
-		if a, b := reg.Exp(2), own.Exp(2); math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("draw %d: Exp %v from Rand, %v from Stream", i, a, b)
+		if a, b := ref.Exp(2), own.Exp(2); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("draw %d: Exp %v from NewRand, %v from Stream", i, a, b)
 		}
 	}
-	if len(s.rng) != size {
-		t.Fatalf("Stream grew the name map from %d to %d entries", size, len(s.rng))
-	}
-	fresh, shape := s.Stream("tenant-0/loss"), New(2023).Rand("tenant-1/shape")
-	if fresh.Uint64() != New(2023).Rand("tenant-0/loss").Uint64() {
+	fresh, other := s.Stream("tenant-0/loss"), New(2023).Stream("tenant-0/loss")
+	if fresh.Uint64() != other.Uint64() {
 		t.Fatal("a second Stream call did not start the sequence afresh")
-	}
-	if again.Uint64() != shape.Uint64() {
-		t.Fatal("Stream and Rand of a name never registered start differently")
-	}
-	if len(s.rng) != size {
-		t.Fatalf("Stream grew the name map from %d to %d entries", size, len(s.rng))
 	}
 }
 
@@ -290,12 +275,13 @@ func TestPermIsPermutation(t *testing.T) {
 func TestEventsInterleaveDeterministically(t *testing.T) {
 	run := func() []Time {
 		s := New(5)
+		rng := s.Stream("tick")
 		var trace []Time
 		var tick func()
 		tick = func() {
 			trace = append(trace, s.Now())
 			if s.Now() < 10 {
-				s.ScheduleAfter(1+s.Rand("tick").Float64(), tick)
+				s.ScheduleAfter(1+rng.Float64(), tick)
 			}
 		}
 		s.ScheduleAfter(0, tick)

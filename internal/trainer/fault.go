@@ -58,7 +58,7 @@ func (j *Job) scheduledFaults(epochT float64) error {
 	}
 	w := j.cfg.Workload
 	svc := storage.New(a.Storage)
-	rng := r.failureRng
+	rng := &r.failureRng
 	groupP := 1 - math.Pow(1-p, float64(a.N))
 	attempt := 0
 	for ; attempt < failureAttemptCap && rng.Float64() < groupP; attempt++ {

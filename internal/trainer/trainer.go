@@ -187,8 +187,9 @@ type Runner struct {
 	// Nil disables recording.
 	obs *obs.Observer
 
-	// The ground-truth noise streams, resolved once.
-	stragglerRng, syncRng, loadRng, failureRng *sim.Rand
+	// The ground-truth noise streams, held by value: the runner is their one
+	// owner, and a copy would fork a stream.
+	stragglerRng, syncRng, loadRng, failureRng sim.Rand
 
 	// job is the job Run runs on, reused run after run.
 	job Job
@@ -203,10 +204,10 @@ func NewRunner(seed uint64) *Runner {
 		sim:          s,
 		compute:      faas.NewDefault(s),
 		delayPaid:    make(map[storage.Kind]bool),
-		stragglerRng: s.Rand("trainer.straggler"),
-		syncRng:      s.Rand("trainer.sync"),
-		loadRng:      s.Rand("trainer.load"),
-		failureRng:   s.Rand("trainer.failure"),
+		stragglerRng: s.Stream("trainer.straggler"),
+		syncRng:      s.Stream("trainer.sync"),
+		loadRng:      s.Stream("trainer.load"),
+		failureRng:   s.Stream("trainer.failure"),
 	}
 }
 

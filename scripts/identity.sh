@@ -11,7 +11,8 @@
 #     and its -trace-out/-metrics-out files. A cescale exit status other
 #     than 0 is appended to its stdout, so it is compared too;
 #   - the stdout of the benchmark's three macro command lines at benchmark
-#     size (cmd/bench/workloads.go: fleet, day-chaos, trace), each at
+#     size (cmd/bench/workloads.go: fleet, day-chaos, trace), and of
+#     macro-trace replaying a small -trace-file over 8 tenants, each at
 #     -shards 1 -sim-workers 1 and -shards 8 -sim-workers 2, at seeds 2023
 #     and 7, with an exit status compared the same way.
 # Prints one line per comparison and exits 1 if any differs. Usage:
@@ -70,13 +71,15 @@ for s in 2023 7; do
 		done
 	done
 done
+printf '2,7,0,3\n5 0 0 1\n1,1,4,2\n0 3 3 0\n6,2,1,1\n' >"$t/trace.csv"
 for s in 2023 7; do
 	for k in "1 1" "8 2"; do
 		set -- $k
 		i=0
 		for line in "-parallel 1 -fleet-tenants 1500 macro-fleet" \
 			"-parallel 1 -macro-tenants 16 -macro-per-tenant 7500 -chaos-tenants 16 -chaos-per-tenant 5000 macro-day macro-chaos" \
-			"-traffic-kind diurnal -traffic-tenants 64 -traffic-rate 1.6 -traffic-horizon 900 macro-trace"; do
+			"-traffic-kind diurnal -traffic-tenants 64 -traffic-rate 1.6 -traffic-horizon 900 macro-trace" \
+			"-traffic-kind trace -trace-file $t/trace.csv -traffic-tenants 8 macro-trace"; do
 			i=$((i + 1))
 			f="macro.$i.$1x$2.$s"
 			for v in base head; do
