@@ -159,6 +159,53 @@ func TestSirenPlanMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEvaluatedIsCounterGrowth: every plan rule reports as Result.Evaluated
+// the plans it scored, which is how far the same call moves the reference
+// planner's counter, and the planner keeps no count of its own: a second
+// call reports the same number.
+func TestEvaluatedIsCounterGrowth(t *testing.T) {
+	m := cost.NewModel(workload.MobileNet())
+	stages := SHAStages(128, 2, 2)
+	pareto, err := New(m, stages, m.ParetoSet(cost.DefaultGrid()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := New(m, stages, pinnedGrid(m.Enumerate(cost.DefaultGrid()), storage.S3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := grid.OptimalStatic(0, 1e15).Cost * 1.3
+	qos := grid.OptimalStatic(1e15, 0).JCT * 1.5
+	type rule = func(budget, qos float64) Result
+	for _, pl := range []*Planner{pareto, grid} {
+		ref := refPlanner{pl, new(int)}
+		for name, r := range map[string]struct{ got, ref rule }{
+			"OptimalStatic": {pl.OptimalStatic, ref.OptimalStatic},
+			"FixedPlan":     {pl.FixedPlan, ref.FixedPlan},
+			"SirenPlan":     {pl.SirenPlan, nil},
+			"greedy":        {pl.greedy, ref.greedy},
+		} {
+			for _, c := range [][2]float64{{budget, 0}, {0, qos}} {
+				res := r.got(c[0], c[1])
+				if res.Evaluated == 0 {
+					t.Errorf("%s (|P| = %d) under %v: Evaluated 0", name, len(pl.P), c)
+				}
+				if again := r.got(c[0], c[1]).Evaluated; again != res.Evaluated {
+					t.Errorf("%s (|P| = %d) under %v: Evaluated %d, then %d on a second call", name, len(pl.P), c, res.Evaluated, again)
+				}
+				if r.ref == nil {
+					continue
+				}
+				before := *ref.evaluated
+				r.ref(c[0], c[1])
+				if grew := *ref.evaluated - before; res.Evaluated != grew {
+					t.Errorf("%s (|P| = %d) under %v: Evaluated %d, reference counter grew by %d", name, len(pl.P), c, res.Evaluated, grew)
+				}
+			}
+		}
+	}
+}
+
 // TestOptimalStaticIgnoresOrder: OptimalStatic picks the same uniform plan
 // whatever the order of P. On the VM-PS and ElastiCache grids of the four
 // linear models, uniform plans tie exactly on JCT, so a rule that kept the

@@ -150,10 +150,11 @@ func TestNamedRandStreamsIndependentAndStable(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesSeededRand: Stream(name) draws what NewRand(seed ^
-// FNV-1a(name)) draws — uniform, normal (spare included) and Exp — and each
-// call starts the sequence afresh.
-func TestStreamMatchesSeededRand(t *testing.T) {
+// TestOwnedStreamMatchesRegistered: the stream an owner holds, Stream(name),
+// draws what NewRand(seed ^ FNV-1a(name)) draws — the seed a named stream
+// has always had — uniform, normal (spare included) and Exp, and each call
+// starts the sequence afresh.
+func TestOwnedStreamMatchesRegistered(t *testing.T) {
 	s := New(2023)
 	h := fnv.New64a()
 	h.Write([]byte("tenant-0/loss"))
